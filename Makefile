@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race fuzz-smoke vet lint-docs bench bench-kernels bench-wire bench-pull bench-pipeline soak-smoke soak-full serve-smoke serve-full api-surface api-check clean
+.PHONY: build test test-race fuzz-smoke vet lint-docs bench bench-kernels bench-wire bench-pull bench-pipeline bench-smoke bench-e2e soak-smoke soak-full serve-smoke serve-full api-surface api-check clean
 
 build:
 	$(GO) build ./...
@@ -11,19 +11,25 @@ test:
 # The parallel hot path (threaded kernels, sharded aggregation, buffer
 # pool), the elastic scheduler (retries, speculation, fault injection), the
 # real-network layer (failure detector, chaos suite, shuffle), the wire
-# codec's pooled buffers, and the multi-tenant serving plane must stay
-# race-detector-clean.
+# codec's pooled buffers and the frame layer both sockets share
+# (internal/codec), and the multi-tenant serving plane with its wire codec
+# (internal/serve) must stay race-detector-clean.
 test-race:
 	$(GO) test -race ./internal/matrix ./internal/core ./internal/cluster ./internal/engine ./internal/distnet ./internal/shuffle ./internal/codec ./internal/serve
 
-# Ten-second fuzz smokes: hostile bytes against the storage reader and the
-# wire block decoder must come back as typed errors, never a panic or a
-# runaway allocation.
+# Ten-second fuzz smokes: hostile bytes against the storage reader, the
+# wire block decoder, and every decoder a socket reaches — the streaming
+# block readers of the frame layer, the driver↔worker bodies, the serve
+# submit/result bodies — must come back as typed errors, never a panic or
+# a runaway allocation.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s -run '^$$' ./internal/storage
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzDecodeEncodings -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzDecodeManifest -fuzztime=10s -run '^$$' ./internal/codec
+	$(GO) test -fuzz=FuzzFrameBlocks -fuzztime=10s -run '^$$' ./internal/codec
+	$(GO) test -fuzz=FuzzWireBodies -fuzztime=10s -run '^$$' ./internal/distnet
+	$(GO) test -fuzz=FuzzServeBodies -fuzztime=10s -run '^$$' ./internal/serve
 
 vet:
 	$(GO) vet ./...
@@ -88,6 +94,16 @@ serve-smoke:
 
 serve-full:
 	$(GO) run ./cmd/distme-bench -serve -serve-profile full -serve-out BENCH_serve.json
+
+# The repository benchmark (BENCHMARK.json, benchmark/) is a Go module of
+# its own, so `go test ./...` at the root never reaches it. bench-smoke
+# runs its tests — every workload end to end at smoke size; bench-e2e runs
+# all four workloads at full length and prints the end-to-end metrics.
+bench-smoke:
+	cd benchmark && $(GO) test ./...
+
+bench-e2e:
+	bash benchmark/run.sh --all
 
 # Full benchmark sweep (paper tables/figures + kernels + end-to-end).
 bench:

@@ -20,6 +20,12 @@
 // same way storage's reader is: dimension plausibility caps, allocation
 // bounded by the bytes actually present, and every malformed payload
 // surfacing as ErrBadFormat — never a panic.
+//
+// The package also owns the one frame layer both sockets speak (frame.go):
+// length-prefixed frames written scatter-gather from the blocks' own storage
+// and decoded streaming, value tails read straight into their final slices.
+// Every decoder is written once against blockSource, which a byte slice
+// (Decode) and a FrameReader (ReadBlock) both feed.
 package codec
 
 import (
@@ -27,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"unsafe"
 
@@ -79,10 +86,16 @@ var bufPool = sync.Pool{
 // into. Return it with PutBuffer once the bytes have been written out.
 func GetBuffer() []byte { return (*(bufPool.Get().(*[]byte)))[:0] }
 
-// PutBuffer recycles a buffer obtained from GetBuffer (growing is fine; the
-// grown capacity is what makes the pool worthwhile).
+// maxPooledBuffer caps what PutBuffer recycles. The pool serves 64 KiB frame
+// arenas; one buffer grown for an outsized frame must not pin its megabytes
+// behind every later arena request.
+const maxPooledBuffer = 4 << 20
+
+// PutBuffer recycles a buffer obtained from GetBuffer. Moderate growth is
+// kept (it is what makes the pool worthwhile); a buffer grown past
+// maxPooledBuffer is dropped for the collector instead.
 func PutBuffer(buf []byte) {
-	if cap(buf) == 0 {
+	if cap(buf) == 0 || cap(buf) > maxPooledBuffer {
 		return
 	}
 	buf = buf[:0]
@@ -119,6 +132,62 @@ func decodeFloats(payload []byte, n int) []float64 {
 	}
 	return out
 }
+
+// fixFloatEndian turns values whose memory was filled with little-endian
+// wire bytes into native floats: a no-op on little-endian hardware.
+func fixFloatEndian(vals []float64) {
+	if nativeLittleEndian {
+		return
+	}
+	for i, v := range vals {
+		vals[i] = math.Float64frombits(bits.ReverseBytes64(math.Float64bits(v)))
+	}
+}
+
+// blockSource feeds one block payload to the decoders. U8 returns the next
+// byte; take returns the next n bytes as a view valid until the next call;
+// floats returns the next 8n bytes as a fresh []float64 — copied out of a
+// byte slice, or read from the socket straight into the slice the block
+// keeps. All fail with ErrBadFormat when the payload holds fewer bytes.
+type blockSource interface {
+	U8() (byte, error)
+	take(n int) ([]byte, error)
+	floats(n int) ([]float64, error)
+	left() int
+}
+
+// memSource is blockSource over a payload already in memory.
+type memSource struct{ buf []byte }
+
+func (s *memSource) left() int { return len(s.buf) }
+
+func (s *memSource) U8() (byte, error) {
+	b, err := s.take(1)
+	if err != nil {
+		return 0, err
+	}
+	return b[0], nil
+}
+
+func (s *memSource) take(n int) ([]byte, error) {
+	if n < 0 || n > len(s.buf) {
+		return nil, fmt.Errorf("%w: payload truncated (%d bytes wanted, %d left)", ErrBadFormat, n, len(s.buf))
+	}
+	b := s.buf[:n]
+	s.buf = s.buf[n:]
+	return b, nil
+}
+
+func (s *memSource) floats(n int) ([]float64, error) {
+	if n < 0 || n > len(s.buf)/8 {
+		return nil, fmt.Errorf("%w: payload truncated (%d values wanted, %d bytes left)", ErrBadFormat, n, len(s.buf))
+	}
+	b, _ := s.take(8 * n)
+	return decodeFloats(b, n), nil
+}
+
+// sourceUvarint reads one uvarint of a block payload.
+func sourceUvarint(src blockSource) (uint64, error) { return readUvarint(src, ErrBadFormat) }
 
 // AppendPortable appends the portable (on-disk) encoding of b to dst and
 // returns the extended slice and the chunk tag. The bytes are identical to
@@ -174,7 +243,7 @@ func wirePlan(b matrix.Block) (tag uint8, size int, err error) {
 // minor bounds the index values. fallback64 is used when the data does not
 // fit 32 bits (only reachable for CSR, whose 64-bit form exists).
 func sparsePlan(major, minor int, ptr, idx []int, nnz int, tag32, tagDelta, fallback64 uint8) (uint8, int, error) {
-	if major > math.MaxUint32-1 || minor > math.MaxUint32 || nnz > math.MaxUint32 || pointersOverflow32(ptr) {
+	if sparseOverflows32(major, minor, ptr, nnz) {
 		if fallback64 != TagCSR {
 			return 0, 0, fmt.Errorf("codec: CSC block %dx%d too large for the wire", major, minor)
 		}
@@ -198,35 +267,16 @@ func pointersOverflow32(ptr []int) bool {
 }
 
 // deltaSize sizes the delta+varint form: varint dims and nnz, per-major-axis
-// entry counts, first index absolute then gaps, values raw. Eligible only
-// when the structure is well-formed (monotone pointers spanning the entries,
-// strictly increasing indices within each row/column).
+// entry counts, first index absolute then gaps, values raw. Eligibility —
+// monotone pointers spanning the entries, strictly increasing indices within
+// each row/column — is whatever the encoder accepts: the size is that of the
+// index stream appendSparseDeltaStruct writes to a pooled scratch buffer.
 func deltaSize(major, minor int, ptr, idx []int, nnz int) (int, bool) {
-	if len(ptr) != major+1 || ptr[0] != 0 || ptr[major] != nnz {
-		return 0, false
-	}
-	n := uvarintLen(uint64(major)) + uvarintLen(uint64(minor)) + uvarintLen(uint64(nnz))
-	for i := 0; i < major; i++ {
-		cnt := ptr[i+1] - ptr[i]
-		if cnt < 0 {
-			return 0, false
-		}
-		n += uvarintLen(uint64(cnt))
-		prev := -1
-		for k := ptr[i]; k < ptr[i+1]; k++ {
-			c := idx[k]
-			if c <= prev || c < 0 {
-				return 0, false
-			}
-			if prev < 0 {
-				n += uvarintLen(uint64(c))
-			} else {
-				n += uvarintLen(uint64(c - prev))
-			}
-			prev = c
-		}
-	}
-	return n + 8*nnz, true
+	buf := GetBuffer()
+	out, ok := appendSparseDeltaStruct(buf, major, minor, ptr, idx, nnz, math.MaxInt)
+	n := len(out)
+	PutBuffer(out)
+	return n + 8*nnz, ok
 }
 
 func uvarintLen(v uint64) int {
@@ -264,100 +314,139 @@ func EncodedBytes(b matrix.Block) int64 {
 // implausible dimensions, size mismatches, non-monotone pointers and
 // out-of-range indices all return ErrBadFormat.
 func Decode(tag uint8, payload []byte) (matrix.Block, error) {
+	return decodeFrom(&memSource{buf: payload}, tag)
+}
+
+// decodeFrom decodes the whole of src as one block of the given tag. Every
+// decoder checks the exact payload size its header implies before it
+// allocates, so src is fully consumed on success.
+func decodeFrom(src blockSource, tag uint8) (matrix.Block, error) {
 	switch tag {
 	case TagDense:
-		return decodeDense(payload)
+		return decodeDense(src)
 	case TagCSR:
-		return decodeCSR64(payload)
+		return decodeCSR64(src)
 	case TagCSR32, TagCSC32:
-		return decodeSparse32(tag, payload)
+		return decodeSparse32(tag, src)
 	case TagCSRDelta, TagCSCDelta:
-		return decodeSparseDelta(tag, payload)
-	case TagDenseF32:
-		return decodeDenseF32(payload)
-	case TagCSRF32, TagCSCF32:
-		return decodeSparseF32(tag, payload)
-	case TagDenseXor:
-		return decodeDenseXor(payload)
-	case TagCSRXor, TagCSCXor:
-		return decodeSparseXor(tag, payload)
+		return decodeSparseDelta(tag, src)
+	case TagDenseF32, TagCSRF32, TagCSCF32, TagDenseXor, TagCSRXor, TagCSCXor:
+		// The opt-in value encodings have no raw fp64 tail to land in
+		// place: they decode from the whole payload.
+		payload, err := src.take(src.left())
+		if err != nil {
+			return nil, err
+		}
+		return decodeEncoded(tag, payload)
 	default:
 		return nil, fmt.Errorf("%w: unknown tag %d", ErrBadFormat, tag)
 	}
 }
 
-func decodeDense(payload []byte) (matrix.Block, error) {
-	if len(payload) < 16 {
+func decodeDense(src blockSource) (matrix.Block, error) {
+	hdr, err := src.take(16)
+	if err != nil {
 		return nil, fmt.Errorf("%w: short dense payload", ErrBadFormat)
 	}
-	rows := int(binary.LittleEndian.Uint64(payload[0:]))
-	cols := int(binary.LittleEndian.Uint64(payload[8:]))
+	rows := int(binary.LittleEndian.Uint64(hdr[0:]))
+	cols := int(binary.LittleEndian.Uint64(hdr[8:]))
 	if rows < 0 || cols < 0 || rows > MaxBlockSide || cols > MaxBlockSide {
 		return nil, fmt.Errorf("%w: implausible dense dimensions %dx%d", ErrBadFormat, rows, cols)
 	}
-	if len(payload) != 16+8*rows*cols {
+	if src.left() != 8*rows*cols {
 		return nil, fmt.Errorf("%w: dense payload size mismatch", ErrBadFormat)
 	}
-	return matrix.NewDenseData(rows, cols, decodeFloats(payload[16:], rows*cols)), nil
+	vals, err := src.floats(rows * cols)
+	if err != nil {
+		return nil, err
+	}
+	return matrix.NewDenseData(rows, cols, vals), nil
 }
 
-func decodeCSR64(payload []byte) (matrix.Block, error) {
-	if len(payload) < 24 {
+func decodeCSR64(src blockSource) (matrix.Block, error) {
+	hdr, err := src.take(24)
+	if err != nil {
 		return nil, fmt.Errorf("%w: short CSR payload", ErrBadFormat)
 	}
-	rows := int(binary.LittleEndian.Uint64(payload[0:]))
-	cols := int(binary.LittleEndian.Uint64(payload[8:]))
-	nnz := int(binary.LittleEndian.Uint64(payload[16:]))
+	rows := int(binary.LittleEndian.Uint64(hdr[0:]))
+	cols := int(binary.LittleEndian.Uint64(hdr[8:]))
+	nnz := int(binary.LittleEndian.Uint64(hdr[16:]))
 	if err := checkSparseDims(rows, cols, nnz); err != nil {
 		return nil, err
 	}
-	if len(payload) != 24+8*(rows+1+nnz+nnz) {
+	if src.left() != 8*(rows+1+nnz+nnz) {
 		return nil, fmt.Errorf("%w: CSR payload size mismatch", ErrBadFormat)
 	}
+	structural, err := src.take(8 * (rows + 1 + nnz))
+	if err != nil {
+		return nil, err
+	}
 	ptr := make([]int, rows+1)
-	off := 24
+	off := 0
 	for i := range ptr {
-		ptr[i] = int(binary.LittleEndian.Uint64(payload[off:]))
+		ptr[i] = int(binary.LittleEndian.Uint64(structural[off:]))
 		off += 8
 	}
 	idx := make([]int, nnz)
 	for i := range idx {
-		idx[i] = int(binary.LittleEndian.Uint64(payload[off:]))
+		idx[i] = int(binary.LittleEndian.Uint64(structural[off:]))
 		off += 8
 	}
-	val := decodeFloats(payload[off:], nnz)
 	if err := checkSparseStructure(rows, cols, nnz, ptr, idx); err != nil {
+		return nil, err
+	}
+	val, err := src.floats(nnz)
+	if err != nil {
 		return nil, err
 	}
 	return &matrix.CSR{RowsN: rows, ColsN: cols, RowPtr: ptr, ColIdx: idx, Val: val}, nil
 }
 
-func decodeSparse32(tag uint8, payload []byte) (matrix.Block, error) {
-	if len(payload) < 12 {
-		return nil, fmt.Errorf("%w: short sparse32 payload", ErrBadFormat)
+// decodeSparse32Struct parses the header and the 32-bit pointer and index
+// arrays shared by the TagCSR32/TagCSC32 and fp32-valued layouts, leaving
+// src at the values; valBytes is the width of one value.
+func decodeSparse32Struct(src blockSource, valBytes int) (major, minor, nnz int, ptr, idx []int, err error) {
+	hdr, err := src.take(12)
+	if err != nil {
+		return 0, 0, 0, nil, nil, fmt.Errorf("%w: short sparse32 payload", ErrBadFormat)
 	}
-	major := int(binary.LittleEndian.Uint32(payload[0:]))
-	minor := int(binary.LittleEndian.Uint32(payload[4:]))
-	nnz := int(binary.LittleEndian.Uint32(payload[8:]))
+	major = int(binary.LittleEndian.Uint32(hdr[0:]))
+	minor = int(binary.LittleEndian.Uint32(hdr[4:]))
+	nnz = int(binary.LittleEndian.Uint32(hdr[8:]))
 	if err := checkSparseDims(major, minor, nnz); err != nil {
+		return 0, 0, 0, nil, nil, err
+	}
+	if src.left() != 4*(major+1)+4*nnz+valBytes*nnz {
+		return 0, 0, 0, nil, nil, fmt.Errorf("%w: sparse32 payload size mismatch", ErrBadFormat)
+	}
+	structural, err := src.take(4 * (major + 1 + nnz))
+	if err != nil {
+		return 0, 0, 0, nil, nil, err
+	}
+	ptr = make([]int, major+1)
+	off := 0
+	for i := range ptr {
+		ptr[i] = int(binary.LittleEndian.Uint32(structural[off:]))
+		off += 4
+	}
+	idx = make([]int, nnz)
+	for i := range idx {
+		idx[i] = int(binary.LittleEndian.Uint32(structural[off:]))
+		off += 4
+	}
+	if err := checkSparseStructure(major, minor, nnz, ptr, idx); err != nil {
+		return 0, 0, 0, nil, nil, err
+	}
+	return major, minor, nnz, ptr, idx, nil
+}
+
+func decodeSparse32(tag uint8, src blockSource) (matrix.Block, error) {
+	major, minor, nnz, ptr, idx, err := decodeSparse32Struct(src, 8)
+	if err != nil {
 		return nil, err
 	}
-	if len(payload) != 12+4*(major+1)+4*nnz+8*nnz {
-		return nil, fmt.Errorf("%w: sparse32 payload size mismatch", ErrBadFormat)
-	}
-	ptr := make([]int, major+1)
-	off := 12
-	for i := range ptr {
-		ptr[i] = int(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-	}
-	idx := make([]int, nnz)
-	for i := range idx {
-		idx[i] = int(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-	}
-	val := decodeFloats(payload[off:], nnz)
-	if err := checkSparseStructure(major, minor, nnz, ptr, idx); err != nil {
+	val, err := src.floats(nnz)
+	if err != nil {
 		return nil, err
 	}
 	if tag == TagCSR32 {
@@ -366,51 +455,60 @@ func decodeSparse32(tag uint8, payload []byte) (matrix.Block, error) {
 	return &matrix.CSC{RowsN: minor, ColsN: major, ColPtr: ptr, RowIdx: idx, Val: val}, nil
 }
 
-func decodeSparseDelta(tag uint8, payload []byte) (matrix.Block, error) {
-	major, n1 := binary.Uvarint(payload)
-	if n1 <= 0 {
-		return nil, fmt.Errorf("%w: truncated delta header", ErrBadFormat)
+// decodeDeltaHeader parses the varint dimensions shared by the
+// TagCSRDelta/TagCSCDelta and XOR-valued layouts. minValBytes is the least
+// one value can occupy (8 raw, 1 XOR-compressed): every major line costs at
+// least one count byte and every entry at least one index byte plus its
+// value, so the allocations that follow are bounded by the bytes actually
+// present — a forged header cannot force an outsized one.
+func decodeDeltaHeader(src blockSource, minValBytes int) (major, minor, nnz int, err error) {
+	mj, err1 := sourceUvarint(src)
+	mn, err2 := sourceUvarint(src)
+	nz, err3 := sourceUvarint(src)
+	if err1 != nil || err2 != nil || err3 != nil {
+		return 0, 0, 0, fmt.Errorf("%w: truncated delta header", ErrBadFormat)
 	}
-	minor, n2 := binary.Uvarint(payload[n1:])
-	if n2 <= 0 {
-		return nil, fmt.Errorf("%w: truncated delta header", ErrBadFormat)
+	if mj > MaxBlockSide || mn > MaxBlockSide || nz > uint64(MaxBlockSide)*uint64(MaxBlockSide) {
+		return 0, 0, 0, fmt.Errorf("%w: implausible delta dimensions %dx%d nnz=%d", ErrBadFormat, mj, mn, nz)
 	}
-	nnz, n3 := binary.Uvarint(payload[n1+n2:])
-	if n3 <= 0 {
-		return nil, fmt.Errorf("%w: truncated delta header", ErrBadFormat)
+	if uint64(src.left()) < mj+uint64(1+minValBytes)*nz {
+		return 0, 0, 0, fmt.Errorf("%w: delta payload shorter than its own header promises", ErrBadFormat)
 	}
-	if major > MaxBlockSide || minor > MaxBlockSide || nnz > uint64(MaxBlockSide)*uint64(MaxBlockSide) {
-		return nil, fmt.Errorf("%w: implausible delta dimensions %dx%d nnz=%d", ErrBadFormat, major, minor, nnz)
+	major, minor, nnz = int(mj), int(mn), int(nz)
+	return major, minor, nnz, checkSparseDims(major, minor, nnz)
+}
+
+// uvarintAt decodes the uvarint at b[off:], which must not start past the
+// end of b. The one-byte case — every count and almost every gap of a sparse
+// block — is answered without the call.
+func uvarintAt(b []byte, off int) (uint64, int) {
+	if off < len(b) && b[off] < 0x80 {
+		return uint64(b[off]), 1
 	}
-	rest := payload[n1+n2+n3:]
-	// Every major line costs at least one count byte and every entry at
-	// least one index byte plus its 8 value bytes, so both allocations are
-	// bounded by the bytes actually present — a forged header cannot force
-	// an outsized allocation.
-	if uint64(len(rest)) < major+9*nnz {
-		return nil, fmt.Errorf("%w: delta payload shorter than its own header promises", ErrBadFormat)
-	}
-	mi, mn, nz := int(major), int(minor), int(nnz)
-	if err := checkSparseDims(mi, mn, nz); err != nil {
-		return nil, err
-	}
-	ptr := make([]int, mi+1)
-	idx := make([]int, 0, nz)
-	off := 0
-	for i := 0; i < mi; i++ {
-		cnt, n := binary.Uvarint(rest[off:])
+	return binary.Uvarint(b[off:])
+}
+
+// decodeDeltaIndex parses major lines of (entry count, first index, gaps)
+// from the head of rest and returns the pointer and index arrays plus the
+// bytes consumed.
+func decodeDeltaIndex(rest []byte, major, minor, nnz int) (ptr, idx []int, used int, err error) {
+	ptr = make([]int, major+1)
+	idx = make([]int, nnz)
+	off, filled := 0, 0
+	for i := 0; i < major; i++ {
+		cnt, n := uvarintAt(rest, off)
 		if n <= 0 {
-			return nil, fmt.Errorf("%w: truncated entry count", ErrBadFormat)
+			return nil, nil, 0, fmt.Errorf("%w: truncated entry count", ErrBadFormat)
 		}
 		off += n
-		if cnt > uint64(nz-len(idx)) {
-			return nil, fmt.Errorf("%w: entry counts exceed nnz", ErrBadFormat)
+		if cnt > uint64(nnz-filled) {
+			return nil, nil, 0, fmt.Errorf("%w: entry counts exceed nnz", ErrBadFormat)
 		}
 		prev := -1
-		for k := uint64(0); k < cnt; k++ {
-			gap, n := binary.Uvarint(rest[off:])
+		for end := filled + int(cnt); filled < end; filled++ {
+			gap, n := uvarintAt(rest, off)
 			if n <= 0 {
-				return nil, fmt.Errorf("%w: truncated index stream", ErrBadFormat)
+				return nil, nil, 0, fmt.Errorf("%w: truncated index stream", ErrBadFormat)
 			}
 			off += n
 			var c int
@@ -418,29 +516,49 @@ func decodeSparseDelta(tag uint8, payload []byte) (matrix.Block, error) {
 				c = int(gap)
 			} else {
 				if gap == 0 {
-					return nil, fmt.Errorf("%w: zero index gap", ErrBadFormat)
+					return nil, nil, 0, fmt.Errorf("%w: zero index gap", ErrBadFormat)
 				}
 				c = prev + int(gap)
 			}
-			if c < 0 || c >= mn {
-				return nil, fmt.Errorf("%w: index %d outside %d", ErrBadFormat, c, mn)
+			if c < 0 || c >= minor {
+				return nil, nil, 0, fmt.Errorf("%w: index %d outside %d", ErrBadFormat, c, minor)
 			}
-			idx = append(idx, c)
+			idx[filled] = c
 			prev = c
 		}
-		ptr[i+1] = len(idx)
+		ptr[i+1] = filled
 	}
-	if len(idx) != nz {
-		return nil, fmt.Errorf("%w: entry counts do not sum to nnz", ErrBadFormat)
+	if filled != nnz {
+		return nil, nil, 0, fmt.Errorf("%w: entry counts do not sum to nnz", ErrBadFormat)
 	}
-	if len(rest[off:]) != 8*nz {
+	return ptr, idx, off, nil
+}
+
+func decodeSparseDelta(tag uint8, src blockSource) (matrix.Block, error) {
+	major, minor, nnz, err := decodeDeltaHeader(src, 8)
+	if err != nil {
+		return nil, err
+	}
+	// The values are raw, so the index stream is exactly what precedes them.
+	rest, err := src.take(src.left() - 8*nnz)
+	if err != nil {
+		return nil, err
+	}
+	ptr, idx, used, err := decodeDeltaIndex(rest, major, minor, nnz)
+	if err != nil {
+		return nil, err
+	}
+	if used != len(rest) {
 		return nil, fmt.Errorf("%w: delta payload size mismatch", ErrBadFormat)
 	}
-	val := decodeFloats(rest[off:], nz)
-	if tag == TagCSRDelta {
-		return &matrix.CSR{RowsN: mi, ColsN: mn, RowPtr: ptr, ColIdx: idx, Val: val}, nil
+	val, err := src.floats(nnz)
+	if err != nil {
+		return nil, err
 	}
-	return &matrix.CSC{RowsN: mn, ColsN: mi, ColPtr: ptr, RowIdx: idx, Val: val}, nil
+	if tag == TagCSRDelta {
+		return &matrix.CSR{RowsN: major, ColsN: minor, RowPtr: ptr, ColIdx: idx, Val: val}, nil
+	}
+	return &matrix.CSC{RowsN: minor, ColsN: major, ColPtr: ptr, RowIdx: idx, Val: val}, nil
 }
 
 func checkSparseDims(major, minor, nnz int) error {

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"distme/internal/matrix"
@@ -194,9 +195,11 @@ func appendF32(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// valueBytes reinterprets raw float64 storage as its little-endian wire
-// bytes without copying. Callers must only use it on little-endian hosts
-// and must not outlive the backing slice.
+// valueBytes reinterprets raw float64 storage as bytes without copying —
+// to send values from where they lie, or to land a socket read in the slice
+// a block keeps. The bytes are the little-endian wire form only on
+// little-endian hosts (readers call fixFloatEndian afterwards), and the view
+// must not outlive the backing slice.
 func valueBytes(vals []float64) []byte {
 	if len(vals) == 0 {
 		return nil
@@ -214,87 +217,108 @@ func valueBytes(vals []float64) []byte {
 // in out (non-raw value encodings, big-endian hosts, empty blocks). The
 // tail aliases the block until the write completes.
 func AppendWireSG(dst []byte, b matrix.Block, enc Encoding) (out []byte, tag uint8, tail []byte, err error) {
-	tag, size, err := wirePlanEnc(b, enc)
-	if err != nil {
-		return dst, 0, nil, err
-	}
-	if cap(dst)-len(dst) < size {
-		grown := make([]byte, len(dst), len(dst)+size)
-		copy(grown, dst)
-		dst = grown
-	}
-	var rawVals []float64 // non-nil → raw fp64 tail candidate
-	switch tag {
-	case TagDense:
-		v := b.(*matrix.Dense)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.RowsN))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.ColsN))
-		rawVals = v.Data
-	case TagCSR:
-		v := b.(*matrix.CSR)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.RowsN))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.ColsN))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(v.Val)))
-		for _, p := range v.RowPtr {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(p))
+	if enc != EncodingFP64 {
+		var size int
+		if tag, size, err = wirePlanEnc(b, enc); err != nil {
+			return dst, 0, nil, err
 		}
-		for _, c := range v.ColIdx {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(c))
+		// A raw tag here is the per-block fallback (compression did not win,
+		// or the indices do not fit the fp32 layout): the raw encoder below
+		// makes the same choice wirePlan did.
+		if tag > TagCSCDelta {
+			return appendEncoded(slices.Grow(dst, size), b, tag), tag, nil, nil
+		}
+	}
+	var rawVals []float64
+	switch v := b.(type) {
+	case *matrix.Dense:
+		dst = slices.Grow(dst, 16)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.RowsN))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.ColsN))
+		tag, rawVals = TagDense, v.Data
+	case *matrix.CSR:
+		if dst, tag, err = appendSparseStruct(dst, v.RowsN, v.ColsN, v.RowPtr, v.ColIdx, len(v.Val), TagCSR32, TagCSRDelta, TagCSR); err != nil {
+			return dst, 0, nil, err
 		}
 		rawVals = v.Val
-	case TagCSR32:
-		v := b.(*matrix.CSR)
-		dst = appendSparse32Struct(dst, v.RowsN, v.ColsN, v.RowPtr, v.ColIdx, len(v.Val))
-		rawVals = v.Val
-	case TagCSC32:
-		v := b.(*matrix.CSC)
-		dst = appendSparse32Struct(dst, v.ColsN, v.RowsN, v.ColPtr, v.RowIdx, len(v.Val))
-		rawVals = v.Val
-	case TagCSRDelta:
-		v := b.(*matrix.CSR)
-		dst = appendSparseDeltaStruct(dst, v.RowsN, v.ColsN, v.RowPtr, v.ColIdx, len(v.Val))
-		rawVals = v.Val
-	case TagCSCDelta:
-		v := b.(*matrix.CSC)
-		dst = appendSparseDeltaStruct(dst, v.ColsN, v.RowsN, v.ColPtr, v.RowIdx, len(v.Val))
-		rawVals = v.Val
-	case TagDenseF32:
-		v := b.(*matrix.Dense)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.RowsN))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.ColsN))
-		dst = appendF32(dst, v.Data)
-	case TagCSRF32:
-		v := b.(*matrix.CSR)
-		dst = appendSparse32Struct(dst, v.RowsN, v.ColsN, v.RowPtr, v.ColIdx, len(v.Val))
-		dst = appendF32(dst, v.Val)
-	case TagCSCF32:
-		v := b.(*matrix.CSC)
-		dst = appendSparse32Struct(dst, v.ColsN, v.RowsN, v.ColPtr, v.RowIdx, len(v.Val))
-		dst = appendF32(dst, v.Val)
-	case TagDenseXor:
-		v := b.(*matrix.Dense)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.RowsN))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.ColsN))
-		dst = appendXorFloats(dst, v.Data)
-	case TagCSRXor:
-		v := b.(*matrix.CSR)
-		dst = appendSparseDeltaStruct(dst, v.RowsN, v.ColsN, v.RowPtr, v.ColIdx, len(v.Val))
-		dst = appendXorFloats(dst, v.Val)
-	case TagCSCXor:
-		v := b.(*matrix.CSC)
-		dst = appendSparseDeltaStruct(dst, v.ColsN, v.RowsN, v.ColPtr, v.RowIdx, len(v.Val))
-		dst = appendXorFloats(dst, v.Val)
-	}
-	if rawVals != nil {
-		if nativeLittleEndian && len(rawVals) > 0 {
-			return dst, tag, valueBytes(rawVals), nil
+	case *matrix.CSC:
+		if dst, tag, err = appendSparseStruct(dst, v.ColsN, v.RowsN, v.ColPtr, v.RowIdx, len(v.Val), TagCSC32, TagCSCDelta, TagCSC32); err != nil {
+			return dst, 0, nil, err
 		}
-		dst = appendFloats(dst, rawVals)
+		rawVals = v.Val
+	default:
+		return dst, 0, nil, fmt.Errorf("codec: unsupported block type %T", b)
 	}
-	return dst, tag, nil, nil
+	if nativeLittleEndian && len(rawVals) > 0 {
+		return dst, tag, valueBytes(rawVals), nil
+	}
+	return appendFloats(dst, rawVals), tag, nil, nil
 }
 
-// appendSparse32Struct is appendSparse32 minus the trailing values.
+// appendSparseStruct appends the structural bytes of the raw-valued sparse
+// form sparsePlan would choose, deciding in one pass over the indices: the
+// delta+varint form is encoded speculatively under the 32-bit form's size as
+// a budget, and abandoned for the 32-bit form when the structure is not
+// delta-eligible or the budget runs out — the same "delta only when strictly
+// smaller" rule, without sizing the block first.
+func appendSparseStruct(dst []byte, major, minor int, ptr, idx []int, nnz int, tag32, tagDelta, fallback64 uint8) ([]byte, uint8, error) {
+	// A delta-eligible structure has every pointer in [0, nnz], so the
+	// pointer scan of sparseOverflows32 only runs when delta was abandoned.
+	if fits := major <= math.MaxUint32-1 && minor <= math.MaxUint32 && nnz <= math.MaxUint32; fits {
+		struct32 := 12 + 4*(major+1) + 4*nnz
+		dst = slices.Grow(dst, struct32)
+		if out, ok := appendSparseDeltaStruct(dst, major, minor, ptr, idx, nnz, struct32-1); ok {
+			return out, tagDelta, nil
+		}
+		if !pointersOverflow32(ptr) {
+			return appendSparse32Struct(dst, major, minor, ptr, idx, nnz), tag32, nil
+		}
+	}
+	if fallback64 != TagCSR {
+		return dst, 0, fmt.Errorf("codec: CSC block %dx%d too large for the wire", major, minor)
+	}
+	dst = slices.Grow(dst, 24+8*(len(ptr)+nnz))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(major))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(minor))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(nnz))
+	for _, p := range ptr {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(p))
+	}
+	for _, c := range idx {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(c))
+	}
+	return dst, TagCSR, nil
+}
+
+// appendEncoded appends the whole payload of one opt-in (fp32 or XOR) tag.
+func appendEncoded(dst []byte, b matrix.Block, tag uint8) []byte {
+	switch tag {
+	case TagDenseF32, TagDenseXor:
+		v := b.(*matrix.Dense)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.RowsN))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.ColsN))
+		if tag == TagDenseF32 {
+			return appendF32(dst, v.Data)
+		}
+		return appendXorFloats(dst, v.Data)
+	case TagCSRF32:
+		v := b.(*matrix.CSR)
+		return appendF32(appendSparse32Struct(dst, v.RowsN, v.ColsN, v.RowPtr, v.ColIdx, len(v.Val)), v.Val)
+	case TagCSCF32:
+		v := b.(*matrix.CSC)
+		return appendF32(appendSparse32Struct(dst, v.ColsN, v.RowsN, v.ColPtr, v.RowIdx, len(v.Val)), v.Val)
+	case TagCSRXor:
+		v := b.(*matrix.CSR)
+		dst, _ = appendSparseDeltaStruct(dst, v.RowsN, v.ColsN, v.RowPtr, v.ColIdx, len(v.Val), math.MaxInt)
+		return appendXorFloats(dst, v.Val)
+	default: // TagCSCXor
+		v := b.(*matrix.CSC)
+		dst, _ = appendSparseDeltaStruct(dst, v.ColsN, v.RowsN, v.ColPtr, v.RowIdx, len(v.Val), math.MaxInt)
+		return appendXorFloats(dst, v.Val)
+	}
+}
+
+// appendSparse32Struct appends the 32-bit header, pointers and indices.
 func appendSparse32Struct(dst []byte, major, minor int, ptr, idx []int, nnz int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(major))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(minor))
@@ -308,26 +332,44 @@ func appendSparse32Struct(dst []byte, major, minor int, ptr, idx []int, nnz int)
 	return dst
 }
 
-// appendSparseDeltaStruct is appendSparseDelta minus the trailing values.
-func appendSparseDeltaStruct(dst []byte, major, minor int, ptr, idx []int, nnz int) []byte {
-	dst = binary.AppendUvarint(dst, uint64(major))
-	dst = binary.AppendUvarint(dst, uint64(minor))
-	dst = binary.AppendUvarint(dst, uint64(nnz))
+// appendSparseDeltaStruct appends the delta+varint header and index stream,
+// and is the one place the form's eligibility is decided (deltaSize sizes
+// blocks through it): monotone pointers spanning the entries, strictly
+// increasing non-negative indices per line. It reports false, with dst
+// unchanged, when the structure is not eligible or the stream outgrows budget
+// bytes.
+func appendSparseDeltaStruct(dst []byte, major, minor int, ptr, idx []int, nnz int, budget int) ([]byte, bool) {
+	if len(ptr) != major+1 || ptr[0] != 0 || ptr[major] != nnz {
+		return dst, false
+	}
+	mark := len(dst)
+	out := binary.AppendUvarint(dst, uint64(major))
+	out = binary.AppendUvarint(out, uint64(minor))
+	out = binary.AppendUvarint(out, uint64(nnz))
 	for i := 0; i < major; i++ {
 		lo, hi := ptr[i], ptr[i+1]
-		dst = binary.AppendUvarint(dst, uint64(hi-lo))
+		if hi < lo || hi > nnz || len(out)-mark > budget {
+			return dst, false
+		}
+		out = binary.AppendUvarint(out, uint64(hi-lo))
 		prev := -1
 		for k := lo; k < hi; k++ {
 			c := idx[k]
+			if c <= prev {
+				return dst, false
+			}
 			if prev < 0 {
-				dst = binary.AppendUvarint(dst, uint64(c))
+				out = binary.AppendUvarint(out, uint64(c))
 			} else {
-				dst = binary.AppendUvarint(dst, uint64(c-prev))
+				out = binary.AppendUvarint(out, uint64(c-prev))
 			}
 			prev = c
 		}
 	}
-	return dst
+	if len(out)-mark > budget {
+		return dst, false
+	}
+	return out, true
 }
 
 // AppendWireEnc appends the contiguous wire encoding of b under enc —
@@ -353,21 +395,48 @@ func EncodedBytesEnc(b matrix.Block, enc Encoding) int64 {
 }
 
 // ---------------------------------------------------------------------------
-// Decoders for the opt-in tags (wired into Decode's switch).
+// Decoders for the opt-in tags (wired into decodeFrom's switch).
 
-func decodeDenseF32(payload []byte) (matrix.Block, error) {
-	if len(payload) < 16 {
-		return nil, fmt.Errorf("%w: short dense-f32 payload", ErrBadFormat)
+// decodeEncoded decodes one fp32 or XOR payload held in memory.
+func decodeEncoded(tag uint8, payload []byte) (matrix.Block, error) {
+	src := &memSource{buf: payload}
+	switch tag {
+	case TagDenseF32, TagDenseXor:
+		return decodeDenseEncoded(tag, src)
+	case TagCSRF32, TagCSCF32:
+		return decodeSparseF32(tag, src)
+	default: // TagCSRXor, TagCSCXor
+		return decodeSparseXor(tag, src)
 	}
-	rows := int(binary.LittleEndian.Uint64(payload[0:]))
-	cols := int(binary.LittleEndian.Uint64(payload[8:]))
+}
+
+func decodeDenseEncoded(tag uint8, src *memSource) (matrix.Block, error) {
+	hdr, err := src.take(16)
+	if err != nil {
+		return nil, fmt.Errorf("%w: short dense payload", ErrBadFormat)
+	}
+	rows := int(binary.LittleEndian.Uint64(hdr[0:]))
+	cols := int(binary.LittleEndian.Uint64(hdr[8:]))
 	if rows < 0 || cols < 0 || rows > MaxBlockSide || cols > MaxBlockSide {
 		return nil, fmt.Errorf("%w: implausible dense dimensions %dx%d", ErrBadFormat, rows, cols)
 	}
-	if len(payload) != 16+4*rows*cols {
-		return nil, fmt.Errorf("%w: dense-f32 payload size mismatch", ErrBadFormat)
+	n := rows * cols
+	if tag == TagDenseF32 {
+		if len(src.buf) != 4*n {
+			return nil, fmt.Errorf("%w: dense-f32 payload size mismatch", ErrBadFormat)
+		}
+		return matrix.NewDenseData(rows, cols, decodeF32(src.buf, n)), nil
 	}
-	return matrix.NewDenseData(rows, cols, decodeF32(payload[16:], rows*cols)), nil
+	// Every value costs at least one varint byte, so the allocation is
+	// bounded by the bytes actually present.
+	if len(src.buf) < n {
+		return nil, fmt.Errorf("%w: dense-xor payload shorter than its header promises", ErrBadFormat)
+	}
+	vals, err := decodeXorFloats(src.buf, n)
+	if err != nil {
+		return nil, err
+	}
+	return matrix.NewDenseData(rows, cols, vals), nil
 }
 
 func decodeF32(payload []byte, n int) []float64 {
@@ -378,158 +447,56 @@ func decodeF32(payload []byte, n int) []float64 {
 	return out
 }
 
-func decodeSparseF32(tag uint8, payload []byte) (matrix.Block, error) {
-	if len(payload) < 12 {
-		return nil, fmt.Errorf("%w: short sparse-f32 payload", ErrBadFormat)
-	}
-	major := int(binary.LittleEndian.Uint32(payload[0:]))
-	minor := int(binary.LittleEndian.Uint32(payload[4:]))
-	nnz := int(binary.LittleEndian.Uint32(payload[8:]))
-	if err := checkSparseDims(major, minor, nnz); err != nil {
+func decodeSparseF32(tag uint8, src *memSource) (matrix.Block, error) {
+	major, minor, nnz, ptr, idx, err := decodeSparse32Struct(src, 4)
+	if err != nil {
 		return nil, err
 	}
-	if len(payload) != 12+4*(major+1)+4*nnz+4*nnz {
-		return nil, fmt.Errorf("%w: sparse-f32 payload size mismatch", ErrBadFormat)
-	}
-	ptr := make([]int, major+1)
-	off := 12
-	for i := range ptr {
-		ptr[i] = int(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-	}
-	idx := make([]int, nnz)
-	for i := range idx {
-		idx[i] = int(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-	}
-	val := decodeF32(payload[off:], nnz)
-	if err := checkSparseStructure(major, minor, nnz, ptr, idx); err != nil {
-		return nil, err
-	}
+	val := decodeF32(src.buf, nnz)
 	if tag == TagCSRF32 {
 		return &matrix.CSR{RowsN: major, ColsN: minor, RowPtr: ptr, ColIdx: idx, Val: val}, nil
 	}
 	return &matrix.CSC{RowsN: minor, ColsN: major, ColPtr: ptr, RowIdx: idx, Val: val}, nil
 }
 
-// decodeXorFloats parses exactly n XOR+varint values; it returns the bytes
-// consumed so callers can enforce exact payload consumption.
-func decodeXorFloats(payload []byte, n int) ([]float64, int, error) {
+// decodeXorFloats parses exactly n XOR+varint values, which must be the
+// whole of payload.
+func decodeXorFloats(payload []byte, n int) ([]float64, error) {
 	out := make([]float64, n)
 	var prev uint64
 	off := 0
 	for i := range out {
 		x, k := binary.Uvarint(payload[off:])
 		if k <= 0 {
-			return nil, 0, fmt.Errorf("%w: truncated xor value stream", ErrBadFormat)
+			return nil, fmt.Errorf("%w: truncated xor value stream", ErrBadFormat)
 		}
 		off += k
 		prev ^= x
 		out[i] = math.Float64frombits(prev)
 	}
-	return out, off, nil
-}
-
-func decodeDenseXor(payload []byte) (matrix.Block, error) {
-	if len(payload) < 16 {
-		return nil, fmt.Errorf("%w: short dense-xor payload", ErrBadFormat)
-	}
-	rows := int(binary.LittleEndian.Uint64(payload[0:]))
-	cols := int(binary.LittleEndian.Uint64(payload[8:]))
-	if rows < 0 || cols < 0 || rows > MaxBlockSide || cols > MaxBlockSide {
-		return nil, fmt.Errorf("%w: implausible dense dimensions %dx%d", ErrBadFormat, rows, cols)
-	}
-	n := rows * cols
-	rest := payload[16:]
-	// Every value costs at least one varint byte, so the allocation is
-	// bounded by the bytes actually present.
-	if len(rest) < n {
-		return nil, fmt.Errorf("%w: dense-xor payload shorter than its header promises", ErrBadFormat)
-	}
-	vals, used, err := decodeXorFloats(rest, n)
-	if err != nil {
-		return nil, err
-	}
-	if used != len(rest) {
-		return nil, fmt.Errorf("%w: dense-xor payload size mismatch", ErrBadFormat)
-	}
-	return matrix.NewDenseData(rows, cols, vals), nil
-}
-
-func decodeSparseXor(tag uint8, payload []byte) (matrix.Block, error) {
-	major, n1 := binary.Uvarint(payload)
-	if n1 <= 0 {
-		return nil, fmt.Errorf("%w: truncated xor header", ErrBadFormat)
-	}
-	minor, n2 := binary.Uvarint(payload[n1:])
-	if n2 <= 0 {
-		return nil, fmt.Errorf("%w: truncated xor header", ErrBadFormat)
-	}
-	nnz, n3 := binary.Uvarint(payload[n1+n2:])
-	if n3 <= 0 {
-		return nil, fmt.Errorf("%w: truncated xor header", ErrBadFormat)
-	}
-	if major > MaxBlockSide || minor > MaxBlockSide || nnz > uint64(MaxBlockSide)*uint64(MaxBlockSide) {
-		return nil, fmt.Errorf("%w: implausible xor dimensions %dx%d nnz=%d", ErrBadFormat, major, minor, nnz)
-	}
-	rest := payload[n1+n2+n3:]
-	// One count byte per major line, one index byte and one value byte per
-	// entry at minimum: allocations stay bounded by the input.
-	if uint64(len(rest)) < major+2*nnz {
-		return nil, fmt.Errorf("%w: xor payload shorter than its own header promises", ErrBadFormat)
-	}
-	mi, mn, nz := int(major), int(minor), int(nnz)
-	if err := checkSparseDims(mi, mn, nz); err != nil {
-		return nil, err
-	}
-	ptr := make([]int, mi+1)
-	idx := make([]int, 0, nz)
-	off := 0
-	for i := 0; i < mi; i++ {
-		cnt, n := binary.Uvarint(rest[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: truncated entry count", ErrBadFormat)
-		}
-		off += n
-		if cnt > uint64(nz-len(idx)) {
-			return nil, fmt.Errorf("%w: entry counts exceed nnz", ErrBadFormat)
-		}
-		prev := -1
-		for k := uint64(0); k < cnt; k++ {
-			gap, n := binary.Uvarint(rest[off:])
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: truncated index stream", ErrBadFormat)
-			}
-			off += n
-			var c int
-			if prev < 0 {
-				c = int(gap)
-			} else {
-				if gap == 0 {
-					return nil, fmt.Errorf("%w: zero index gap", ErrBadFormat)
-				}
-				c = prev + int(gap)
-			}
-			if c < 0 || c >= mn {
-				return nil, fmt.Errorf("%w: index %d outside %d", ErrBadFormat, c, mn)
-			}
-			idx = append(idx, c)
-			prev = c
-		}
-		ptr[i+1] = len(idx)
-	}
-	if len(idx) != nz {
-		return nil, fmt.Errorf("%w: entry counts do not sum to nnz", ErrBadFormat)
-	}
-	vals, used, err := decodeXorFloats(rest[off:], nz)
-	if err != nil {
-		return nil, err
-	}
-	if used != len(rest[off:]) {
+	if off != len(payload) {
 		return nil, fmt.Errorf("%w: xor payload size mismatch", ErrBadFormat)
 	}
-	if tag == TagCSRXor {
-		return &matrix.CSR{RowsN: mi, ColsN: mn, RowPtr: ptr, ColIdx: idx, Val: vals}, nil
+	return out, nil
+}
+
+func decodeSparseXor(tag uint8, src *memSource) (matrix.Block, error) {
+	// One count byte per major line, one index byte and one value byte per
+	// entry at minimum: allocations stay bounded by the input.
+	major, minor, nnz, err := decodeDeltaHeader(src, 1)
+	if err != nil {
+		return nil, err
 	}
-	return &matrix.CSC{RowsN: mn, ColsN: mi, ColPtr: ptr, RowIdx: idx, Val: vals}, nil
+	ptr, idx, used, err := decodeDeltaIndex(src.buf, major, minor, nnz)
+	if err != nil {
+		return nil, err
+	}
+	vals, err := decodeXorFloats(src.buf[used:], nnz)
+	if err != nil {
+		return nil, err
+	}
+	if tag == TagCSRXor {
+		return &matrix.CSR{RowsN: major, ColsN: minor, RowPtr: ptr, ColIdx: idx, Val: vals}, nil
+	}
+	return &matrix.CSC{RowsN: minor, ColsN: major, ColPtr: ptr, RowIdx: idx, Val: vals}, nil
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -13,9 +14,9 @@ import (
 // listed owners, and fall back to the driver only when a peer cannot serve.
 //
 // The wire form is uvarint-framed and hardened like every other decoder in
-// this package: counts are checked against the bytes actually present
-// before any allocation, and every malformed payload surfaces as
-// ErrBadFormat — never a panic.
+// this package: counts are checked against the bytes present, a count
+// preallocates at most countStep bytes ahead of the entries decoded, and
+// every malformed payload surfaces as ErrBadFormat — never a panic.
 
 // ManifestEntry places one block of an operand: grid key (block row and
 // column in the operand's own block grid), the index of its owner in
@@ -75,90 +76,103 @@ func AppendManifest(dst []byte, m *Manifest) []byte {
 // promising more than the bytes present, owner indices outside the table,
 // implausible grid keys — returns ErrBadFormat.
 func DecodeManifest(data []byte) (Manifest, []byte, error) {
+	src := &memSource{buf: data}
+	m, err := decodeManifest(src)
+	if err != nil {
+		return m, nil, err
+	}
+	return m, src.buf, nil
+}
+
+// decodeManifest parses one manifest from the front of src, consuming
+// exactly its bytes.
+func decodeManifest(src blockSource) (Manifest, error) {
 	var m Manifest
-	rd := data
 	uv := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(rd)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: truncated manifest %s", ErrBadFormat, what)
+		v, err := sourceUvarint(src)
+		if errors.Is(err, ErrBadFormat) {
+			err = fmt.Errorf("%w: truncated manifest %s", ErrBadFormat, what)
 		}
-		rd = rd[n:]
-		return v, nil
+		return v, err
 	}
 	handle, err := uv("handle")
 	if err != nil {
-		return m, nil, err
+		return m, err
 	}
 	m.Handle = handle
 	owners, err := uv("owner count")
 	if err != nil {
-		return m, nil, err
+		return m, err
 	}
 	// Every owner costs at least its one length byte, so the count is
-	// bounded by the bytes actually present.
-	if owners > uint64(len(rd)) {
-		return m, nil, fmt.Errorf("%w: manifest owner count %d exceeds payload", ErrBadFormat, owners)
+	// bounded by the bytes the source holds — which, off a socket, are the
+	// bytes its frame promises, not the ones received: the slices start at
+	// stepCap and grow as entries decode.
+	if owners > uint64(src.left()) {
+		return m, fmt.Errorf("%w: manifest owner count %d exceeds payload", ErrBadFormat, owners)
 	}
-	m.Owners = make([]string, 0, owners)
+	m.Owners = make([]string, 0, stepCap[string](int(owners)))
 	for i := uint64(0); i < owners; i++ {
 		n, err := uv("owner length")
 		if err != nil {
-			return m, nil, err
+			return m, err
 		}
-		if n > uint64(len(rd)) {
-			return m, nil, fmt.Errorf("%w: manifest owner length %d exceeds payload", ErrBadFormat, n)
+		if n > uint64(src.left()) {
+			return m, fmt.Errorf("%w: manifest owner length %d exceeds payload", ErrBadFormat, n)
 		}
-		m.Owners = append(m.Owners, string(rd[:n]))
-		rd = rd[n:]
+		addr, err := src.take(int(n))
+		if err != nil {
+			return m, err
+		}
+		m.Owners = append(m.Owners, string(addr))
 	}
 	entries, err := uv("entry count")
 	if err != nil {
-		return m, nil, err
+		return m, err
 	}
 	// An entry is at least three uvarint bytes plus its flag byte.
-	if entries > uint64(len(rd))/4 {
-		return m, nil, fmt.Errorf("%w: manifest entry count %d exceeds payload", ErrBadFormat, entries)
+	if entries > uint64(src.left())/4 {
+		return m, fmt.Errorf("%w: manifest entry count %d exceeds payload", ErrBadFormat, entries)
 	}
-	m.Entries = make([]ManifestEntry, 0, entries)
+	m.Entries = make([]ManifestEntry, 0, stepCap[ManifestEntry](int(entries)))
 	for i := uint64(0); i < entries; i++ {
 		var e ManifestEntry
 		ki, err := uv("entry key")
 		if err != nil {
-			return m, nil, err
+			return m, err
 		}
 		kj, err := uv("entry key")
 		if err != nil {
-			return m, nil, err
+			return m, err
 		}
 		if ki > MaxBlockSide || kj > MaxBlockSide {
-			return m, nil, fmt.Errorf("%w: implausible manifest key (%d,%d)", ErrBadFormat, ki, kj)
+			return m, fmt.Errorf("%w: implausible manifest key (%d,%d)", ErrBadFormat, ki, kj)
 		}
 		owner, err := uv("entry owner")
 		if err != nil {
-			return m, nil, err
+			return m, err
 		}
 		if owner >= uint64(len(m.Owners)) {
-			return m, nil, fmt.Errorf("%w: manifest owner index %d outside table of %d", ErrBadFormat, owner, len(m.Owners))
+			return m, fmt.Errorf("%w: manifest owner index %d outside table of %d", ErrBadFormat, owner, len(m.Owners))
 		}
-		if len(rd) < 1 {
-			return m, nil, fmt.Errorf("%w: truncated manifest digest flag", ErrBadFormat)
+		flag, err := src.take(1)
+		if err != nil {
+			return m, fmt.Errorf("%w: truncated manifest digest flag", ErrBadFormat)
 		}
-		flag := rd[0]
-		rd = rd[1:]
-		switch flag {
+		switch flag[0] {
 		case 0:
 		case 1:
-			if len(rd) < len(e.Digest) {
-				return m, nil, fmt.Errorf("%w: truncated manifest digest", ErrBadFormat)
+			dg, err := src.take(len(e.Digest))
+			if err != nil {
+				return m, fmt.Errorf("%w: truncated manifest digest", ErrBadFormat)
 			}
 			e.HasDigest = true
-			copy(e.Digest[:], rd)
-			rd = rd[len(e.Digest):]
+			copy(e.Digest[:], dg)
 		default:
-			return m, nil, fmt.Errorf("%w: unknown manifest digest flag %d", ErrBadFormat, flag)
+			return m, fmt.Errorf("%w: unknown manifest digest flag %d", ErrBadFormat, flag[0])
 		}
 		e.KeyI, e.KeyJ, e.Owner = int(ki), int(kj), int(owner)
 		m.Entries = append(m.Entries, e)
 	}
-	return m, rd, nil
+	return m, nil
 }

@@ -111,8 +111,8 @@ func TestWorkerRestartMidJobMissesCleanly(t *testing.T) {
 	}
 	defer d.Close()
 
-	// One cuboid covering the whole grid; assignDigests stamps the epoch
-	// and digests exactly as multiply() would.
+	// One cuboid covering the whole grid; jobPrep stamps the epoch and
+	// prepares the blocks exactly as multiply() would.
 	args := &MultiplyArgs{ILo: 0, IHi: 4, JLo: 0, JHi: 4, KLo: 0, KHi: 4}
 	for i := 0; i < 4; i++ {
 		for k := 0; k < 4; k++ {
@@ -124,7 +124,9 @@ func TestWorkerRestartMidJobMissesCleanly(t *testing.T) {
 			args.BBlocks = append(args.BBlocks, BlockRec{Key: bmat.BlockKey{I: k, J: j}, Block: b.Block(k, j)})
 		}
 	}
-	d.assignDigests([]*MultiplyArgs{args})
+	if _, err := d.newJobPrep().prepare(args); err != nil {
+		t.Fatal(err)
+	}
 
 	reply1, err := d.runJob(context.Background(), args, obs.Span{})
 	if err != nil {

@@ -147,6 +147,15 @@ type Options struct {
 	// Replies always return bit-exact fp64 partials whatever the inputs
 	// used. MultiplyAuto prices the encoding's byte ratio into Eq.(4), so
 	// a cheaper encoding can change the chosen partitioning.
+	//
+	// Memory: each distinct block is encoded once per job and the encoded
+	// form is kept until the multiply returns, so that every cuboid (and
+	// every retry) that replicates the block sends the same bytes without
+	// encoding again. Under fp64 that form is the index structure only —
+	// values go out from the block's own storage — but under the two
+	// opt-in encodings it is the whole payload: a job holds up to half
+	// (fp32) or all (compress, worst case) of its operand bytes a second
+	// time for its duration.
 	Encoding codec.Encoding
 	// Transfer selects the data plane for pipeline operator band exchange
 	// (Session.Run): TransferPush gathers peer bands eagerly up front,
@@ -234,6 +243,14 @@ func (c *countingConn) Read(p []byte) (int, error) {
 func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
 	c.wire.sent.Add(int64(n))
+	return n, err
+}
+
+// WriteBuffers hands a scatter-gather frame to the wrapped socket whole, so
+// it still leaves as one writev (codec.BuffersWriter).
+func (c *countingConn) WriteBuffers(bufs *net.Buffers) (int64, error) {
+	n, err := bufs.WriteTo(c.Conn)
+	c.wire.sent.Add(n)
 	return n, err
 }
 
@@ -399,6 +416,10 @@ func (d *Driver) call(m *member, method string, args, reply any, timeout time.Du
 		}
 		return err
 	}
+	if errors.Is(err, codec.ErrFrameTooLarge) {
+		// Refused at encode: nothing reached the socket, the worker is fine.
+		return err
+	}
 	d.declareDead(m, client)
 	return fmt.Errorf("%w: %s: %v", ErrWorkerDead, m.addr, err)
 }
@@ -469,6 +490,11 @@ func (d *Driver) runJob(ctx context.Context, args *MultiplyArgs, parent obs.Span
 			return &reply, nil
 		}
 		asp.End()
+		if errors.Is(err, codec.ErrFrameTooLarge) {
+			// No worker can be sent this cuboid: the plan, not the pool, is
+			// at fault, so neither a retry nor the local fallback applies.
+			return nil, fmt.Errorf("distnet: cuboid does not fit one wire frame; partition finer: %w", err)
+		}
 		m.retries.Add(1)
 		lastErr = err
 		var se rpc.ServerError
@@ -527,18 +553,6 @@ func (d *Driver) runJob(ctx context.Context, args *MultiplyArgs, parent obs.Span
 		return &reply, nil
 	}
 	return nil, fmt.Errorf("distnet: cuboid failed after %d attempts: %w", d.opts.JobAttempts, lastErr)
-}
-
-// jobPayloadBytes is the encoded size of a cuboid request's block payloads
-// under its wire encoding — the quantity Options.BatchBytes thresholds.
-func jobPayloadBytes(args *MultiplyArgs) int64 {
-	var n int64
-	for _, list := range [2][]BlockRec{args.ABlocks, args.BBlocks} {
-		for i := range list {
-			n += codec.EncodedBytesEnc(list[i].Block, args.encoding)
-		}
-	}
-	return n
 }
 
 // runBatch ships one group of small cuboids as a single MultiplyBatch RPC,
@@ -620,9 +634,10 @@ func (d *Driver) runBatch(ctx context.Context, jobs []*MultiplyArgs, group []int
 		}
 		m.retries.Add(1)
 		var se rpc.ServerError
-		if errors.As(err, &se) && !isTransientServerError(se) {
-			// The worker rejected the batch frame outright; individual
-			// dispatch will reproduce (and pinpoint) the failure.
+		if (errors.As(err, &se) && !isTransientServerError(se)) || errors.Is(err, codec.ErrFrameTooLarge) {
+			// The worker rejected the batch frame outright, or it cannot be
+			// framed at all; individual dispatch will reproduce (and
+			// pinpoint) the failure.
 			break
 		}
 		attempt++
@@ -782,10 +797,6 @@ func (d *Driver) multiply(ctx context.Context, a, b *bmat.BlockMatrix, params co
 		}
 	}
 
-	if !d.opts.DisableBlockCache {
-		d.assignDigests(jobs)
-	}
-
 	if ckpt != nil {
 		if err := ckpt.ensureManifest(a, b, params, len(jobs)); err != nil {
 			return nil, err
@@ -804,6 +815,7 @@ func (d *Driver) multiply(ctx context.Context, a, b *bmat.BlockMatrix, params co
 		}
 	}
 	var small []int // cuboids under BatchBytes, coalesced into batch RPCs
+	prep := d.newJobPrep()
 	for idx, args := range jobs {
 		if ckpt != nil {
 			if reply, ok := ckpt.load(idx, a.Rows, b.Cols, a.BlockSize); ok {
@@ -812,8 +824,16 @@ func (d *Driver) multiply(ctx context.Context, a, b *bmat.BlockMatrix, params co
 				continue
 			}
 		}
-		meter.noteDispatch(jobPayloadBytes(args))
-		if d.opts.BatchBytes > 0 && !args.pull && jobPayloadBytes(args) < d.opts.BatchBytes {
+		// Prepared here, on the dispatching goroutine, one cuboid at a time:
+		// the first cuboid is on the wire while later blocks are still being
+		// encoded and hashed, and the cuboid goroutines only ever read.
+		payload, err := prep.prepare(args)
+		if err != nil {
+			errs[idx] = err
+			continue
+		}
+		meter.noteDispatch(payload)
+		if d.opts.BatchBytes > 0 && !args.pull && payload < d.opts.BatchBytes {
 			small = append(small, idx)
 			continue
 		}
@@ -879,35 +899,60 @@ func (d *Driver) multiply(ctx context.Context, a, b *bmat.BlockMatrix, params co
 	return out, nil
 }
 
-// assignDigests stamps a fresh job epoch on every cuboid and computes each
-// unique block's content digest once (the same block pointer appears in Q
-// or P cuboids — the replication Eq. (4) counts — so the map collapses the
-// hashing to one SHA-256 per distinct block). Blocks below the cacheable
-// threshold keep a nil digest and always ship inline.
-func (d *Driver) assignDigests(jobs []*MultiplyArgs) {
-	epoch := d.epoch.Add(1)
-	digests := map[matrix.Block]*codec.Digest{}
-	digestOf := func(b matrix.Block) *codec.Digest {
-		if dg, ok := digests[b]; ok {
-			return dg
-		}
-		var dg *codec.Digest
-		if codec.EncodedBytesEnc(b, d.opts.Encoding) >= minCacheableBytes {
-			// The digest covers the encoded bytes, so it is taken under the
-			// job's encoding — the worker caches what the bytes decoded to.
-			if v, err := codec.DigestOfEnc(b, d.opts.Encoding); err == nil {
-				dg = &v
-			}
-		}
-		digests[b] = dg
-		return dg
+// jobPrep prepares the operand blocks of one push multiply: each distinct
+// block is planned, encoded and (when cacheable) digested exactly once, and
+// the record is shared by every cuboid that replicates the block — the same
+// block pointer appears in Q or P cuboids, the replication Eq. (4) counts.
+// The record's size feeds the job meter and the batch threshold, its digest
+// the worker cache references, and the client codec frames every send from
+// it. Records live until the multiply returns — retries resend from them —
+// which under an opt-in encoding means a second, encoded copy of the operands
+// (see Options.Encoding). Used from the dispatching goroutine only.
+type jobPrep struct {
+	d *Driver
+	// epoch scopes the job's digest references; 0 with the block cache off,
+	// when no block is digested either.
+	epoch uint64
+	recs  map[matrix.Block]*codec.Prepared
+}
+
+func (d *Driver) newJobPrep() *jobPrep {
+	jp := &jobPrep{d: d, recs: map[matrix.Block]*codec.Prepared{}}
+	if !d.opts.DisableBlockCache {
+		jp.epoch = d.epoch.Add(1)
 	}
-	for _, args := range jobs {
-		args.cacheEpoch = epoch
-		for _, list := range [2][]BlockRec{args.ABlocks, args.BBlocks} {
-			for i := range list {
-				list[i].digest = digestOf(list[i].Block)
+	return jp
+}
+
+// prepare stamps the job epoch on one cuboid, points each of its block
+// records at the block's prepared form — building it on first sight — and
+// returns the cuboid's payload bytes under the job's encoding, the quantity
+// Options.BatchBytes thresholds and the job meter charges.
+func (jp *jobPrep) prepare(args *MultiplyArgs) (int64, error) {
+	args.cacheEpoch = jp.epoch
+	var payload int64
+	for _, list := range [2][]BlockRec{args.ABlocks, args.BBlocks} {
+		for i := range list {
+			rec := &list[i]
+			p, ok := jp.recs[rec.Block]
+			if !ok {
+				var err error
+				if p, err = codec.Prepare(rec.Block, jp.d.opts.Encoding); err != nil {
+					return 0, fmt.Errorf("distnet: block %v: %w", rec.Key, err)
+				}
+				// Blocks below the cacheable threshold stay digestless and
+				// always ship inline. The digest covers the encoded bytes, so
+				// it is taken under the job's encoding — the worker caches
+				// what the bytes decoded to.
+				if !jp.d.opts.DisableBlockCache && p.Size() >= minCacheableBytes {
+					p.Hash()
+				}
+				jp.d.rec.AddBlockPrepared()
+				jp.recs[rec.Block] = p
 			}
+			rec.prep = p
+			payload += p.Size()
 		}
 	}
+	return payload, nil
 }

@@ -1,8 +1,10 @@
 package distnet
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"net/rpc"
 	"sync"
@@ -229,69 +231,66 @@ func encodeRequestFrame(t *testing.T) ([]byte, *MultiplyArgs) {
 	return conn.Bytes(), args
 }
 
+// decodeRequestFrame parses one framed Multiply request from r the way the
+// worker's codec does: header, then the streaming body decode.
+func decodeRequestFrame(r io.Reader) (seq uint64, method string, args MultiplyArgs, left int64, err error) {
+	fr := codec.NewFrameReader(r)
+	if _, err = fr.Next(); err != nil {
+		return
+	}
+	if seq, err = fr.Uvarint(); err != nil {
+		return
+	}
+	if method, err = fr.Str(); err != nil {
+		return
+	}
+	err = decodeMultiplyArgs(fr, &args, newBlockCache(-1, 0), false)
+	return seq, method, args, fr.Remaining(), err
+}
+
 // TestFragmentedFrameReads drives a whole request frame through a
-// one-byte-at-a-time reader: the decode must be identical to the contiguous
-// read, and truncation at every single byte offset must fail cleanly.
+// one-byte-at-a-time reader: the streaming decode must be identical to the
+// contiguous read, and truncating the stream at every single byte offset
+// must fail cleanly — never a panic, never a bogus success.
 func TestFragmentedFrameReads(t *testing.T) {
 	full, args := encodeRequestFrame(t)
 
-	whole, err := readFrame(bufio.NewReader(bytes.NewReader(full)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer codec.PutBuffer(whole)
-	dribbled, err := readFrame(bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(full)), 16))
-	if err != nil {
-		t.Fatalf("one-byte-at-a-time read failed: %v", err)
-	}
-	defer codec.PutBuffer(dribbled)
-	if !bytes.Equal(whole, dribbled) {
-		t.Fatal("fragmented read produced different frame bytes")
+	for name, r := range map[string]io.Reader{
+		"contiguous": bytes.NewReader(full),
+		"dribbled":   iotest.OneByteReader(bytes.NewReader(full)),
+	} {
+		seq, method, dec, left, err := decodeRequestFrame(r)
+		if err != nil {
+			t.Fatalf("%s read failed: %v", name, err)
+		}
+		if seq != 7 || method != serviceName+".Multiply" {
+			t.Fatalf("%s: header (%d, %q)", name, seq, method)
+		}
+		if left != 0 {
+			t.Fatalf("%s: decode left %d trailing bytes", name, left)
+		}
+		if dec.IHi != 1 || len(dec.ABlocks) != 1 || len(dec.BBlocks) != 1 {
+			t.Fatalf("%s: decoded args %+v", name, dec)
+		}
+		assertBlockBits(t, args.ABlocks[0].Block, dec.ABlocks[0].Block)
+		assertBlockBits(t, args.BBlocks[0].Block, dec.BBlocks[0].Block)
 	}
 
-	// The frame decodes to the request we encoded.
-	rd := wireReader{buf: dribbled}
-	seq, err := rd.uvarint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	method, err := rd.str()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 7 || method != serviceName+".Multiply" {
-		t.Fatalf("header (%d, %q)", seq, method)
-	}
-	body := dribbled[rd.off:]
-	brd := wireReader{buf: body}
-	var dec MultiplyArgs
-	if err := decodeMultiplyArgs(&brd, &dec, newBlockCache(-1, 0), false); err != nil {
-		t.Fatal(err)
-	}
-	if brd.off != len(body) {
-		t.Fatalf("decode left %d trailing bytes", len(body)-brd.off)
-	}
-	if dec.IHi != 1 || len(dec.ABlocks) != 1 || len(dec.BBlocks) != 1 {
-		t.Fatalf("decoded args %+v", dec)
-	}
-	assertBlockBits(t, args.ABlocks[0].Block, dec.ABlocks[0].Block)
-	assertBlockBits(t, args.BBlocks[0].Block, dec.BBlocks[0].Block)
-
-	// Truncating the stream at any offset is a clean error, never a panic
-	// or a bogus success.
+	// A stream cut anywhere — inside the prefix, the header, a block's
+	// structure or its value tail — is an error.
 	for cut := 0; cut < len(full); cut++ {
-		buf, err := readFrame(bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(full[:cut])), 16))
-		if err == nil {
-			codec.PutBuffer(buf)
-			t.Fatalf("truncation at %d/%d bytes read a frame", cut, len(full))
+		if _, _, _, _, err := decodeRequestFrame(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("truncation at %d/%d bytes decoded a request", cut, len(full))
 		}
 	}
-	// And truncating the decoded body at any offset fails the typed parse.
-	for cut := 0; cut < len(body); cut++ {
-		var a MultiplyArgs
-		trd := wireReader{buf: body[:cut]}
-		if err := decodeMultiplyArgs(&trd, &a, newBlockCache(-1, 0), false); err == nil {
-			t.Fatalf("body truncated at %d/%d bytes decoded", cut, len(body))
+	// So is a frame whose prefix promises less than the body needs: the
+	// decoder stops at the frame's end, it does not read into the next one.
+	for cut := 4; cut < len(full); cut += 97 {
+		short := append([]byte(nil), full[:cut]...)
+		binary.LittleEndian.PutUint32(short, uint32(cut-4))
+		_, _, _, _, err := decodeRequestFrame(bytes.NewReader(append(short, full...)))
+		if !errors.Is(err, errWire) {
+			t.Fatalf("frame shortened to %d bytes: %v", cut-4, err)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"distme/internal/bmat"
 	"distme/internal/codec"
 )
 
@@ -13,285 +12,203 @@ import (
 // never uses digest references or lossy encodings: resident bands are the
 // determinism anchor, so every block ships inline as bit-exact fp64.
 
-func appendPlainBlocks(w *frameWriter, recs []BlockRec) error {
-	w.uvarint(uint64(len(recs)))
+func appendPlainBlocks(w *codec.FrameWriter, recs []BlockRec) error {
+	w.Uvarint(uint64(len(recs)))
 	for i := range recs {
 		rec := &recs[i]
-		w.uvarint(uint64(rec.Key.I))
-		w.uvarint(uint64(rec.Key.J))
-		if err := w.appendInlineBlock(rec.Block, codec.EncodingFP64); err != nil {
+		w.Uvarint(uint64(rec.Key.I))
+		w.Uvarint(uint64(rec.Key.J))
+		if _, err := w.AppendBlock(rec.Block, codec.EncodingFP64); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func decodePlainBlocks(rd *wireReader) ([]BlockRec, error) {
-	n, err := rd.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(rd.buf)-rd.off) {
-		return nil, fmt.Errorf("%w: %d handle blocks in %d bytes", errWire, n, len(rd.buf)-rd.off)
-	}
-	recs := make([]BlockRec, 0, n)
-	for i := uint64(0); i < n; i++ {
-		ki, err1 := rd.uvarint()
-		kj, err2 := rd.uvarint()
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("%w: handle block header", errWire)
+func decodePlainBlocks(rd *codec.FrameReader) ([]BlockRec, error) {
+	return codec.ReadSlice(rd, "blocks", 7, func(rec *BlockRec) error {
+		if err := readInts(rd, &rec.Key.I, &rec.Key.J); err != nil {
+			return fmt.Errorf("%w: block header", errWire)
 		}
-		blk, _, err := decodeInlineBlock(rd)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, BlockRec{Key: bmat.BlockKey{I: int(ki), J: int(kj)}, Block: blk})
-	}
-	return recs, nil
+		var err error
+		rec.Block, _, err = rd.ReadBlock()
+		return err
+	})
 }
 
-func appendPutArgs(w *frameWriter, a *PutArgs) error {
-	w.uvarint(a.Handle)
-	w.uvarint(a.Epoch)
-	if a.Pin {
-		w.byte1(1)
-	} else {
-		w.byte1(0)
-	}
-	w.uvarint(a.traceSpan)
+func appendPutArgs(w *codec.FrameWriter, a *PutArgs) error {
+	w.Uvarint(a.Handle)
+	w.Uvarint(a.Epoch)
+	w.Bool(a.Pin)
+	w.Uvarint(a.traceSpan)
 	return appendPlainBlocks(w, a.Blocks)
 }
 
-func decodePutArgs(rd *wireReader, a *PutArgs) error {
+func decodePutArgs(rd *codec.FrameReader, a *PutArgs) error {
 	var err error
-	if a.Handle, err = rd.uvarint(); err != nil {
+	if a.Handle, err = rd.Uvarint(); err != nil {
 		return err
 	}
-	if a.Epoch, err = rd.uvarint(); err != nil {
+	if a.Epoch, err = rd.Uvarint(); err != nil {
 		return err
 	}
-	pin, err := rd.u8()
-	if err != nil {
+	if a.Pin, err = rd.Bool(); err != nil {
 		return err
 	}
-	a.Pin = pin != 0
-	if a.traceSpan, err = rd.uvarint(); err != nil {
+	if a.traceSpan, err = rd.Uvarint(); err != nil {
 		return err
 	}
 	a.Blocks, err = decodePlainBlocks(rd)
 	return err
 }
 
-func appendGetArgs(w *frameWriter, a *GetArgs) error {
-	w.uvarint(a.Handle)
-	if a.All {
-		w.byte1(1)
-	} else {
-		w.byte1(0)
-	}
+func appendGetArgs(w *codec.FrameWriter, a *GetArgs) {
+	w.Uvarint(a.Handle)
+	w.Bool(a.All)
 	for _, v := range [4]int{a.ILo, a.IHi, a.JLo, a.JHi} {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
-	w.uvarint(a.traceSpan)
-	return nil
+	w.Uvarint(a.traceSpan)
 }
 
-func decodeGetArgs(rd *wireReader, a *GetArgs) error {
+func decodeGetArgs(rd *codec.FrameReader, a *GetArgs) error {
 	var err error
-	if a.Handle, err = rd.uvarint(); err != nil {
+	if a.Handle, err = rd.Uvarint(); err != nil {
 		return err
 	}
-	all, err := rd.u8()
-	if err != nil {
+	if a.All, err = rd.Bool(); err != nil {
 		return err
 	}
-	a.All = all != 0
-	for _, p := range [4]*int{&a.ILo, &a.IHi, &a.JLo, &a.JHi} {
-		v, err := rd.uvarint()
-		if err != nil {
-			return err
-		}
-		*p = int(v)
+	if err := readInts(rd, &a.ILo, &a.IHi, &a.JLo, &a.JHi); err != nil {
+		return err
 	}
-	a.traceSpan, err = rd.uvarint()
+	a.traceSpan, err = rd.Uvarint()
 	return err
 }
 
-func appendFreeArgs(w *frameWriter, a *FreeArgs) error {
-	w.uvarint(uint64(len(a.Handles)))
+func appendFreeArgs(w *codec.FrameWriter, a *FreeArgs) {
+	w.Uvarint(uint64(len(a.Handles)))
 	for _, h := range a.Handles {
-		w.uvarint(h)
+		w.Uvarint(h)
 	}
-	w.uvarint(a.Epoch)
-	if a.AllEpoch {
-		w.byte1(1)
-	} else {
-		w.byte1(0)
-	}
-	return nil
+	w.Uvarint(a.Epoch)
+	w.Bool(a.AllEpoch)
 }
 
-func decodeFreeArgs(rd *wireReader, a *FreeArgs) error {
-	n, err := rd.uvarint()
+func decodeFreeArgs(rd *codec.FrameReader, a *FreeArgs) error {
+	var err error
+	a.Handles, err = codec.ReadSlice(rd, "handle ids", 1, func(h *uint64) (err error) {
+		*h, err = rd.Uvarint()
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	if n > uint64(len(rd.buf)-rd.off) {
-		return fmt.Errorf("%w: %d handle ids in %d bytes", errWire, n, len(rd.buf)-rd.off)
+	if a.Epoch, err = rd.Uvarint(); err != nil {
+		return err
 	}
-	a.Handles = make([]uint64, n)
-	for i := range a.Handles {
-		if a.Handles[i], err = rd.uvarint(); err != nil {
+	a.AllEpoch, err = rd.Bool()
+	return err
+}
+
+func appendPinArgs(w *codec.FrameWriter, a *PinArgs) {
+	w.Uvarint(a.Handle)
+	w.Bool(a.Unpin)
+}
+
+func decodePinArgs(rd *codec.FrameReader, a *PinArgs) error {
+	var err error
+	if a.Handle, err = rd.Uvarint(); err != nil {
+		return err
+	}
+	a.Unpin, err = rd.Bool()
+	return err
+}
+
+func appendPartLocs(w *codec.FrameWriter, parts []PartLoc) {
+	w.Uvarint(uint64(len(parts)))
+	for _, p := range parts {
+		w.Str(p.Addr)
+		w.Uvarint(uint64(p.Lo))
+		w.Uvarint(uint64(p.Hi))
+	}
+}
+
+func decodePartLocs(rd *codec.FrameReader) ([]PartLoc, error) {
+	return codec.ReadSlice(rd, "part locations", 3, func(p *PartLoc) error {
+		var err error
+		if p.Addr, err = rd.Str(); err != nil {
+			return err
+		}
+		if err := readInts(rd, &p.Lo, &p.Hi); err != nil {
+			return fmt.Errorf("%w: part location bounds", errWire)
+		}
+		return nil
+	})
+}
+
+func appendExecArgs(w *codec.FrameWriter, a *ExecArgs) {
+	w.Byte(a.Op)
+	w.Uvarint(a.Out)
+	w.Uvarint(a.Epoch)
+	w.Uvarint(a.A)
+	w.Uvarint(a.B)
+	var scalar [8]byte
+	binary.LittleEndian.PutUint64(scalar[:], math.Float64bits(a.Scalar))
+	w.Bytes(scalar[:])
+	w.Uvarint(uint64(a.OutLo))
+	w.Uvarint(uint64(a.OutHi))
+	appendPartLocs(w, a.AParts)
+	appendPartLocs(w, a.BParts)
+	w.Str(a.Self)
+	w.Uvarint(a.traceSpan)
+	w.Bool(a.Pull)
+}
+
+func decodeExecArgs(rd *codec.FrameReader, a *ExecArgs) error {
+	var err error
+	if a.Op, err = rd.U8(); err != nil {
+		return err
+	}
+	for _, p := range [4]*uint64{&a.Out, &a.Epoch, &a.A, &a.B} {
+		if *p, err = rd.Uvarint(); err != nil {
 			return err
 		}
 	}
-	if a.Epoch, err = rd.uvarint(); err != nil {
-		return err
-	}
-	all, err := rd.u8()
-	if err != nil {
-		return err
-	}
-	a.AllEpoch = all != 0
-	return nil
-}
-
-func appendPinArgs(w *frameWriter, a *PinArgs) error {
-	w.uvarint(a.Handle)
-	if a.Unpin {
-		w.byte1(1)
-	} else {
-		w.byte1(0)
-	}
-	return nil
-}
-
-func decodePinArgs(rd *wireReader, a *PinArgs) error {
-	var err error
-	if a.Handle, err = rd.uvarint(); err != nil {
-		return err
-	}
-	unpin, err := rd.u8()
-	if err != nil {
-		return err
-	}
-	a.Unpin = unpin != 0
-	return nil
-}
-
-func appendPartLocs(w *frameWriter, parts []PartLoc) {
-	w.uvarint(uint64(len(parts)))
-	for _, p := range parts {
-		w.str(p.Addr)
-		w.uvarint(uint64(p.Lo))
-		w.uvarint(uint64(p.Hi))
-	}
-}
-
-func decodePartLocs(rd *wireReader) ([]PartLoc, error) {
-	n, err := rd.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(rd.buf)-rd.off) {
-		return nil, fmt.Errorf("%w: %d part locations in %d bytes", errWire, n, len(rd.buf)-rd.off)
-	}
-	parts := make([]PartLoc, n)
-	for i := range parts {
-		if parts[i].Addr, err = rd.str(); err != nil {
-			return nil, err
-		}
-		lo, err1 := rd.uvarint()
-		hi, err2 := rd.uvarint()
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("%w: part location bounds", errWire)
-		}
-		parts[i].Lo, parts[i].Hi = int(lo), int(hi)
-	}
-	return parts, nil
-}
-
-func appendExecArgs(w *frameWriter, a *ExecArgs) error {
-	w.byte1(a.Op)
-	w.uvarint(a.Out)
-	w.uvarint(a.Epoch)
-	w.uvarint(a.A)
-	w.uvarint(a.B)
 	var scalar [8]byte
-	binary.LittleEndian.PutUint64(scalar[:], math.Float64bits(a.Scalar))
-	w.bytes(scalar[:])
-	w.uvarint(uint64(a.OutLo))
-	w.uvarint(uint64(a.OutHi))
-	appendPartLocs(w, a.AParts)
-	appendPartLocs(w, a.BParts)
-	w.str(a.Self)
-	w.uvarint(a.traceSpan)
-	if a.Pull {
-		w.byte1(1)
-	} else {
-		w.byte1(0)
-	}
-	return nil
-}
-
-func decodeExecArgs(rd *wireReader, a *ExecArgs) error {
-	var err error
-	if a.Op, err = rd.u8(); err != nil {
+	if err := rd.ReadFull(scalar[:]); err != nil {
 		return err
 	}
-	if a.Out, err = rd.uvarint(); err != nil {
-		return err
-	}
-	if a.Epoch, err = rd.uvarint(); err != nil {
-		return err
-	}
-	if a.A, err = rd.uvarint(); err != nil {
-		return err
-	}
-	if a.B, err = rd.uvarint(); err != nil {
-		return err
-	}
-	raw, err := rd.take(8)
-	if err != nil {
-		return err
-	}
-	a.Scalar = math.Float64frombits(binary.LittleEndian.Uint64(raw))
-	lo, err1 := rd.uvarint()
-	hi, err2 := rd.uvarint()
-	if err1 != nil || err2 != nil {
+	a.Scalar = math.Float64frombits(binary.LittleEndian.Uint64(scalar[:]))
+	if err := readInts(rd, &a.OutLo, &a.OutHi); err != nil {
 		return fmt.Errorf("%w: exec band bounds", errWire)
 	}
-	a.OutLo, a.OutHi = int(lo), int(hi)
 	if a.AParts, err = decodePartLocs(rd); err != nil {
 		return err
 	}
 	if a.BParts, err = decodePartLocs(rd); err != nil {
 		return err
 	}
-	if a.Self, err = rd.str(); err != nil {
+	if a.Self, err = rd.Str(); err != nil {
 		return err
 	}
-	if a.traceSpan, err = rd.uvarint(); err != nil {
+	if a.traceSpan, err = rd.Uvarint(); err != nil {
 		return err
 	}
-	pull, err := rd.u8()
-	if err != nil {
-		return err
-	}
-	a.Pull = pull != 0
-	return nil
+	a.Pull, err = rd.Bool()
+	return err
 }
 
-func appendExecReply(w *frameWriter, r *ExecReply) {
-	w.uvarint(uint64(r.Bytes))
-	w.uvarint(uint64(r.Blocks))
-	w.uvarint(uint64(r.PeerBytes))
+func appendExecReply(w *codec.FrameWriter, r *ExecReply) {
+	w.Uvarint(uint64(r.Bytes))
+	w.Uvarint(uint64(r.Blocks))
+	w.Uvarint(uint64(r.PeerBytes))
 }
 
-func decodeExecReply(rd *wireReader, r *ExecReply) error {
-	b, err1 := rd.uvarint()
-	n, err2 := rd.uvarint()
-	pb, err3 := rd.uvarint()
+func decodeExecReply(rd *codec.FrameReader, r *ExecReply) error {
+	b, err1 := rd.Uvarint()
+	n, err2 := rd.Uvarint()
+	pb, err3 := rd.Uvarint()
 	if err1 != nil || err2 != nil || err3 != nil {
 		return fmt.Errorf("%w: exec reply", errWire)
 	}

@@ -19,10 +19,11 @@ type BlockRec struct {
 	Key   bmat.BlockKey
 	Block matrix.Block
 
-	// digest, when set by the driver, is the content address of Block; the
-	// client codec uses it to replace repeat sends to the same worker with
-	// a 32-byte reference (nil means "always ship inline").
-	digest *codec.Digest
+	// prep, when set by the driver (jobPrep), is Block encoded once for its
+	// job: the client codec frames it from there and, when it carries a
+	// digest, replaces repeat sends to the same worker with a 32-byte
+	// reference. Nil means "encode at send, always inline".
+	prep *codec.Prepared
 }
 
 // MultiplyArgs ships one cuboid to a worker: the voxel box plus the A- and

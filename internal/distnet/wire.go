@@ -1,32 +1,28 @@
 package distnet
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/rpc"
 	"sync"
 	"time"
 
-	"distme/internal/bmat"
 	"distme/internal/codec"
-	"distme/internal/matrix"
 	"distme/internal/metrics"
 	"distme/internal/obs"
 )
 
 // The custom net/rpc codec pair that replaces gob on the driver↔worker
-// sockets. One message is one length-prefixed frame assembled scatter-gather
-// style: header and structural bytes accumulate in a pooled arena while
-// large block-value payloads stay in the blocks' own storage and are shipped
-// as extra net.Buffers segments — no per-block copy into a contiguous
-// buffer. Block payloads use internal/codec's binary forms (bulk float
-// conversion, compact sparse layouts, opt-in fp32/compressed encodings)
-// instead of gob's per-element reflection. The framing is parsed entirely
-// from the buffered frame, so a body that fails to decode never
+// sockets, built on internal/codec's frame layer (the same one distme-serve
+// speaks to its clients). One message is one length-prefixed frame. It is
+// written scatter-gather: header and structural bytes accumulate in a pooled
+// arena while large block-value payloads stay in the blocks' own storage and
+// go out as extra writev segments. It is read streaming: structural fields
+// are parsed from the socket under the frame's remaining-bytes counter and
+// raw float64 tails land directly in the decoded block's slice — no
+// whole-frame buffer, no second copy. Whatever a body decoder leaves unread
+// is drained before the next frame, so a body that fails to decode never
 // desynchronizes the stream — net/rpc turns it into an error response and
 // keeps serving, which is exactly what the block cache's unknown-digest
 // recovery relies on.
@@ -37,8 +33,8 @@ import (
 // this worker had and resends the blocks inline on the retry.
 const errUnknownDigestMsg = "distnet: unknown block digest"
 
-// errWireMsg prefixes malformed-frame errors.
-var errWire = errors.New("distnet: malformed wire frame")
+// errWire is what malformed frames surface as.
+var errWire = codec.ErrBadFrame
 
 // Block transport flags inside MultiplyArgs.
 const (
@@ -50,190 +46,6 @@ const (
 // minCacheableBytes keeps tiny blocks out of the digest machinery — a
 // 32-byte digest plus tracking buys nothing under this size.
 const minCacheableBytes = 256
-
-// minZeroCopyTail is the smallest value payload worth a separate writev
-// segment; below it the extra Write call costs more than the copy it saves,
-// so small tails are folded into the arena.
-const minZeroCopyTail = 4096
-
-// maxWireFrame bounds one frame; anything larger is a corrupt length.
-const maxWireFrame = int64(1) << 38
-
-// frameWriter assembles one length-prefixed frame as a pooled arena of
-// header and structural bytes plus zero-copy cuts into block value storage.
-// flush ships the segments with net.Buffers, patching the 4-byte length
-// prefix first; a frame with no cuts goes out with the same single Write
-// the copying path used, so byte streams are identical either way.
-type frameWriter struct {
-	arena []byte // pooled; begins with the 4-byte length placeholder
-	cuts  []frameCut
-}
-
-// frameCut splices a zero-copy segment into the frame: arena bytes up to
-// arenaEnd precede ext.
-type frameCut struct {
-	arenaEnd int
-	ext      []byte
-}
-
-func beginFrame() frameWriter {
-	return frameWriter{arena: append(codec.GetBuffer(), 0, 0, 0, 0)}
-}
-
-func (w *frameWriter) release() { codec.PutBuffer(w.arena) }
-
-func (w *frameWriter) uvarint(v uint64) { w.arena = binary.AppendUvarint(w.arena, v) }
-
-func (w *frameWriter) str(s string) { w.arena = appendString(w.arena, s) }
-
-func (w *frameWriter) bytes(p []byte) { w.arena = append(w.arena, p...) }
-
-func (w *frameWriter) byte1(b byte) { w.arena = append(w.arena, b) }
-
-// size is the frame length the prefix will carry: every byte after the
-// 4-byte placeholder, including the zero-copy segments.
-func (w *frameWriter) size() int64 {
-	n := int64(len(w.arena) - 4)
-	for _, c := range w.cuts {
-		n += int64(len(c.ext))
-	}
-	return n
-}
-
-// appendInlineBlock emits tag, u32 payload length, payload — keeping large
-// raw-value tails as zero-copy cuts instead of copying them into the arena.
-func (w *frameWriter) appendInlineBlock(b matrix.Block, enc codec.Encoding) error {
-	tagPos := len(w.arena)
-	w.arena = append(w.arena, 0, 0, 0, 0, 0) // tag + length placeholder
-	out, tag, tail, err := codec.AppendWireSG(w.arena, b, enc)
-	if err != nil {
-		w.arena = w.arena[:tagPos]
-		return err
-	}
-	w.arena = out
-	if len(tail) > 0 && len(tail) < minZeroCopyTail {
-		w.arena = append(w.arena, tail...)
-		tail = nil
-	}
-	w.arena[tagPos] = tag
-	binary.LittleEndian.PutUint32(w.arena[tagPos+1:], uint32(len(w.arena)-tagPos-5+len(tail)))
-	if len(tail) > 0 {
-		w.cuts = append(w.cuts, frameCut{arenaEnd: len(w.arena), ext: tail})
-	}
-	return nil
-}
-
-// flush patches the length prefix and writes the frame. Zero-copy segments
-// alias block storage, so the blocks must stay live until flush returns —
-// both codecs hold their bodies across the write, which guarantees that.
-func (w *frameWriter) flush(conn io.Writer) error {
-	binary.LittleEndian.PutUint32(w.arena[:4], uint32(w.size()))
-	if len(w.cuts) == 0 {
-		_, err := conn.Write(w.arena)
-		return err
-	}
-	bufs := make(net.Buffers, 0, 2*len(w.cuts)+1)
-	prev := 0
-	for _, c := range w.cuts {
-		if c.arenaEnd > prev {
-			bufs = append(bufs, w.arena[prev:c.arenaEnd])
-		}
-		bufs = append(bufs, c.ext)
-		prev = c.arenaEnd
-	}
-	if prev < len(w.arena) {
-		bufs = append(bufs, w.arena[prev:])
-	}
-	_, err := bufs.WriteTo(conn)
-	return err
-}
-
-// readFrame reads one length-prefixed frame into a pooled buffer, growing
-// it only as bytes actually arrive (1 MiB steps) so a forged length cannot
-// force an outsized allocation. The caller owns the returned buffer and
-// must release it with codec.PutBuffer.
-func readFrame(br *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := int64(binary.LittleEndian.Uint32(hdr[:]))
-	if n > maxWireFrame {
-		return nil, fmt.Errorf("%w: frame of %d bytes", errWire, n)
-	}
-	const step = 1 << 20
-	buf := codec.GetBuffer()
-	for int64(len(buf)) < n {
-		chunk := n - int64(len(buf))
-		if chunk > step {
-			chunk = step
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, chunk)...)
-		if _, err := io.ReadFull(br, buf[start:]); err != nil {
-			codec.PutBuffer(buf)
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// wireReader is a bounds-checked cursor over one frame.
-type wireReader struct {
-	buf []byte
-	off int
-}
-
-func (r *wireReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint", errWire)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *wireReader) take(n int) ([]byte, error) {
-	if n < 0 || len(r.buf)-r.off < n {
-		return nil, fmt.Errorf("%w: truncated field (%d bytes wanted, %d left)", errWire, n, len(r.buf)-r.off)
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *wireReader) u8() (byte, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *wireReader) u32() (int, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return int(binary.LittleEndian.Uint32(b)), nil
-}
-
-func (r *wireReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
 
 // sendTracker remembers which block digests a member has already received
 // recently, so the driver can replace repeats with references. Marking
@@ -295,7 +107,7 @@ func (t *sendTracker) forget() {
 
 type clientCodec struct {
 	conn    io.ReadWriteCloser
-	br      *bufio.Reader
+	fr      *codec.FrameReader
 	rec     *metrics.Recorder
 	tracker *sendTracker
 	tracer  *obs.Tracer
@@ -306,9 +118,6 @@ type clientCodec struct {
 	pmu        sync.Mutex
 	pending    map[uint64]obs.SpanID
 	respParent obs.SpanID // parent of the response being decoded (read loop only)
-
-	resp []byte // pooled frame of the in-progress response
-	body []byte // its body remainder
 }
 
 // newClientCodec builds the driver-side codec. rec (optional) receives
@@ -316,15 +125,15 @@ type clientCodec struct {
 // digest references for blocks that carry digests; tracer (optional) emits
 // wire.send/wire.recv spans under each traced Multiply attempt.
 func newClientCodec(conn io.ReadWriteCloser, rec *metrics.Recorder, tracker *sendTracker, tracer *obs.Tracer) rpc.ClientCodec {
-	return &clientCodec{conn: conn, br: bufio.NewReader(conn), rec: rec, tracker: tracker, tracer: tracer}
+	return &clientCodec{conn: conn, fr: codec.NewFrameReader(conn), rec: rec, tracker: tracker, tracer: tracer}
 }
 
 func (c *clientCodec) WriteRequest(r *rpc.Request, body any) error {
 	start := time.Now()
-	w := beginFrame()
-	defer w.release()
-	w.uvarint(r.Seq)
-	w.str(r.ServiceMethod)
+	w := codec.BeginFrame()
+	defer w.Release()
+	w.Uvarint(r.Seq)
+	w.Str(r.ServiceMethod)
 	var err error
 	parent := obs.SpanID(0)
 	tp, tq, tr := -1, -1, -1
@@ -340,26 +149,34 @@ func (c *clientCodec) WriteRequest(r *rpc.Request, body any) error {
 		err = appendPutArgs(&w, v)
 		parent = obs.SpanID(v.traceSpan)
 	case *GetArgs:
-		err = appendGetArgs(&w, v)
+		appendGetArgs(&w, v)
 		parent = obs.SpanID(v.traceSpan)
 	case *FreeArgs:
-		err = appendFreeArgs(&w, v)
+		appendFreeArgs(&w, v)
 	case *PinArgs:
-		err = appendPinArgs(&w, v)
+		appendPinArgs(&w, v)
 	case *ExecArgs:
-		err = appendExecArgs(&w, v)
+		appendExecArgs(&w, v)
 		parent = obs.SpanID(v.traceSpan)
 	case *PingArgs:
 		// no body
 	default:
 		err = fmt.Errorf("distnet: unsupported request body %T", body)
 	}
-	if err != nil {
-		return err
+	n := w.Size()
+	if err == nil {
+		if c.rec != nil {
+			c.rec.AddWireEncode(n, time.Since(start))
+		}
+		err = w.Flush(c.conn)
 	}
-	n := w.size()
-	if c.rec != nil {
-		c.rec.AddWireEncode(n, time.Since(start))
+	if err != nil {
+		// Digests are marked sent while the frame is assembled; a frame that
+		// never (or only partly) left must not leave them marked.
+		if c.tracker != nil {
+			c.tracker.forget()
+		}
+		return err
 	}
 	if c.tracer.Enabled() && parent != 0 {
 		c.pmu.Lock()
@@ -374,37 +191,37 @@ func (c *clientCodec) WriteRequest(r *rpc.Request, body any) error {
 			Start: start, End: time.Now(), Bytes: n,
 		})
 	}
-	return w.flush(c.conn)
+	return nil
 }
 
-func (c *clientCodec) appendMultiplyArgs(w *frameWriter, a *MultiplyArgs) error {
+func (c *clientCodec) appendMultiplyArgs(w *codec.FrameWriter, a *MultiplyArgs) error {
 	for _, v := range [6]int{a.ILo, a.IHi, a.JLo, a.JHi, a.KLo, a.KHi} {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
-	w.uvarint(a.cacheEpoch)
-	w.uvarint(a.traceSpan)
+	w.Uvarint(a.cacheEpoch)
+	w.Uvarint(a.traceSpan)
 	for _, v := range [3]int{a.cuboidP, a.cuboidQ, a.cuboidR} {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	if a.pull {
 		// Pull mode ships the placement manifests instead of the operand
 		// blocks — the assigned worker resolves them against its cache, its
 		// peers, and (for entries it owns itself) its local store.
-		w.byte1(1)
-		w.str(a.pullSelf)
-		w.arena = codec.AppendManifest(w.arena, a.aManifest)
-		w.arena = codec.AppendManifest(w.arena, a.bManifest)
+		w.Byte(1)
+		w.Str(a.pullSelf)
+		w.Manifest(a.aManifest)
+		w.Manifest(a.bManifest)
 		return nil
 	}
-	w.byte1(0)
+	w.Byte(0)
 	if err := c.appendBlockRecs(w, a.ABlocks, a.cacheEpoch, a.encoding); err != nil {
 		return err
 	}
 	return c.appendBlockRecs(w, a.BBlocks, a.cacheEpoch, a.encoding)
 }
 
-func (c *clientCodec) appendMultiplyBatchArgs(w *frameWriter, a *MultiplyBatchArgs) error {
-	w.uvarint(uint64(len(a.Items)))
+func (c *clientCodec) appendMultiplyBatchArgs(w *codec.FrameWriter, a *MultiplyBatchArgs) error {
+	w.Uvarint(uint64(len(a.Items)))
 	for i := range a.Items {
 		if err := c.appendMultiplyArgs(w, &a.Items[i]); err != nil {
 			return err
@@ -413,59 +230,65 @@ func (c *clientCodec) appendMultiplyBatchArgs(w *frameWriter, a *MultiplyBatchAr
 	return nil
 }
 
-func (c *clientCodec) appendBlockRecs(w *frameWriter, recs []BlockRec, epoch uint64, enc codec.Encoding) error {
-	w.uvarint(uint64(len(recs)))
+// appendBlockRecs emits one operand's block records. A record the job
+// prepared (jobPrep) goes out from its prepared form — as a 32-byte
+// reference when its digest was already sent to this worker — with no
+// planning or encoding here; a record without one (the pull plane's retained
+// inline copy, shipped only on a downgrade retry) is encoded in place and
+// never cached.
+func (c *clientCodec) appendBlockRecs(w *codec.FrameWriter, recs []BlockRec, epoch uint64, enc codec.Encoding) error {
+	w.Uvarint(uint64(len(recs)))
 	for i := range recs {
 		rec := &recs[i]
-		w.uvarint(uint64(rec.Key.I))
-		w.uvarint(uint64(rec.Key.J))
-		if rec.digest != nil && c.tracker != nil {
-			if c.tracker.seen(epoch, *rec.digest) {
-				w.byte1(blockRef)
-				w.bytes(rec.digest[:])
+		w.Uvarint(uint64(rec.Key.I))
+		w.Uvarint(uint64(rec.Key.J))
+		p := rec.prep
+		var saved int64 // bytes the job's encoding took off the raw form
+		switch {
+		case p == nil:
+			w.Byte(blockInline)
+			size, err := w.AppendBlock(rec.Block, enc)
+			if err != nil {
+				return err
+			}
+			if enc != codec.EncodingFP64 {
+				saved = codec.EncodedBytes(rec.Block) - size
+			}
+		case p.HasDigest && c.tracker != nil:
+			if c.tracker.seen(epoch, p.Digest) {
+				w.Byte(blockRef)
+				w.Bytes(p.Digest[:])
 				if c.rec != nil {
-					saved := codec.EncodedBytesEnc(rec.Block, enc) - int64(len(rec.digest))
-					if saved < 0 {
-						saved = 0
-					}
-					c.rec.AddCacheRefSent(saved)
+					c.rec.AddCacheRefSent(max(p.Size()-int64(len(p.Digest)), 0))
 				}
 				continue
 			}
-			w.byte1(blockInlineCache)
-			w.bytes(rec.digest[:])
-		} else {
-			w.byte1(blockInline)
-		}
-		if err := w.appendInlineBlock(rec.Block, enc); err != nil {
-			return err
+			w.Byte(blockInlineCache)
+			w.Bytes(p.Digest[:])
+			w.AppendPrepared(p)
+			saved = p.RawSize - p.Size()
+		default:
+			w.Byte(blockInline)
+			w.AppendPrepared(p)
+			saved = p.RawSize - p.Size()
 		}
 		if enc != codec.EncodingFP64 && c.rec != nil {
-			saved := codec.EncodedBytes(rec.Block) - codec.EncodedBytesEnc(rec.Block, enc)
-			if saved < 0 {
-				saved = 0
-			}
-			c.rec.AddEncodedBlock(saved)
+			c.rec.AddEncodedBlock(max(saved, 0))
 		}
 	}
 	return nil
 }
 
 func (c *clientCodec) ReadResponseHeader(r *rpc.Response) error {
-	frame, err := readFrame(c.br)
+	seq, method, err := c.fr.NextHeader()
 	if err != nil {
 		return err
 	}
-	rd := wireReader{buf: frame}
-	seq, err1 := rd.uvarint()
-	method, err2 := rd.str()
-	errStr, err3 := rd.str()
-	if err1 != nil || err2 != nil || err3 != nil {
-		codec.PutBuffer(frame)
-		return fmt.Errorf("%w: response header", errWire)
+	errStr, err := c.fr.Str()
+	if err != nil {
+		return err
 	}
 	r.Seq, r.ServiceMethod, r.Error = seq, method, errStr
-	c.resp, c.body = frame, frame[rd.off:]
 	c.respParent = 0
 	if c.tracer.Enabled() {
 		c.pmu.Lock()
@@ -478,61 +301,38 @@ func (c *clientCodec) ReadResponseHeader(r *rpc.Response) error {
 	return nil
 }
 
+// ReadResponseBody decodes the typed body as it streams in. Whatever it
+// leaves unread — all of it when net/rpc passes nil for an abandoned call —
+// is drained, so the next response header starts on a frame boundary.
 func (c *clientCodec) ReadResponseBody(body any) error {
-	defer func() {
-		codec.PutBuffer(c.resp)
-		c.resp, c.body = nil, nil
-	}()
+	defer c.fr.Drain()
 	if body == nil {
 		return nil
 	}
 	start := time.Now()
-	n := int64(len(c.body))
-	rd := wireReader{buf: c.body}
+	n := c.fr.Remaining()
+	rd := c.fr
 	var err error
 	switch v := body.(type) {
 	case *MultiplyReply:
-		err = decodeMultiplyReply(&rd, v)
+		err = decodeMultiplyReply(rd, v)
 	case *MultiplyBatchReply:
-		err = decodeMultiplyBatchReply(&rd, v)
+		err = decodeMultiplyBatchReply(rd, v)
 	case *PutReply:
 		var b uint64
-		if b, err = rd.uvarint(); err == nil {
+		if b, err = rd.Uvarint(); err == nil {
 			v.Bytes = int64(b)
 		}
 	case *GetReply:
-		v.Blocks, err = decodePlainBlocks(&rd)
+		v.Blocks, err = decodePlainBlocks(rd)
 	case *FreeReply:
-		var f uint64
-		if f, err = rd.uvarint(); err == nil {
-			v.Freed = int(f)
-		}
+		v.Freed, err = rd.Int()
 	case *PinReply:
 		// no body
 	case *ExecReply:
-		err = decodeExecReply(&rd, v)
+		err = decodeExecReply(rd, v)
 	case *PingReply:
-		if v.Hostname, err = rd.str(); err == nil {
-			var u uint64
-			if u, err = rd.uvarint(); err == nil {
-				v.InFlight = int64(u)
-			}
-			if err == nil {
-				if u, err = rd.uvarint(); err == nil {
-					v.StoreBytes = int64(u)
-				}
-			}
-			if err == nil {
-				if u, err = rd.uvarint(); err == nil {
-					v.StoreHandles = int64(u)
-				}
-			}
-			if err == nil {
-				if u, err = rd.uvarint(); err == nil {
-					v.StoreEvictions = int64(u)
-				}
-			}
-		}
+		err = decodePingReply(rd, v)
 	default:
 		err = fmt.Errorf("distnet: unsupported response body %T", body)
 	}
@@ -556,13 +356,11 @@ func (c *clientCodec) Close() error { return c.conn.Close() }
 
 type serverCodec struct {
 	conn   io.ReadWriteCloser
-	br     *bufio.Reader
+	fr     *codec.FrameReader
 	cache  *blockCache
 	tracer *obs.Tracer
 
-	req  []byte // pooled frame of the in-progress request
-	body []byte
-	wmu  sync.Mutex // WriteResponse may race Close on shutdown paths
+	wmu sync.Mutex // WriteResponse may race Close on shutdown paths
 }
 
 // NewServerCodec returns the wire-format server codec for one connection,
@@ -574,65 +372,52 @@ func NewServerCodec(conn io.ReadWriteCloser) rpc.ServerCodec {
 }
 
 func newServerCodec(conn io.ReadWriteCloser, cache *blockCache, tracer *obs.Tracer) rpc.ServerCodec {
-	return &serverCodec{conn: conn, br: bufio.NewReader(conn), cache: cache, tracer: tracer}
+	return &serverCodec{conn: conn, fr: codec.NewFrameReader(conn), cache: cache, tracer: tracer}
 }
 
-func (s *serverCodec) ReadRequestHeader(r *rpc.Request) error {
-	frame, err := readFrame(s.br)
-	if err != nil {
-		return err
-	}
-	rd := wireReader{buf: frame}
-	seq, err1 := rd.uvarint()
-	method, err2 := rd.str()
-	if err1 != nil || err2 != nil {
-		codec.PutBuffer(frame)
-		return fmt.Errorf("%w: request header", errWire)
-	}
-	r.Seq, r.ServiceMethod = seq, method
-	s.req, s.body = frame, frame[rd.off:]
-	return nil
+func (s *serverCodec) ReadRequestHeader(r *rpc.Request) (err error) {
+	r.Seq, r.ServiceMethod, err = s.fr.NextHeader()
+	return err
 }
 
-// ReadRequestBody decodes the typed body from the already-buffered frame.
-// Returning an error here is safe: the frame was fully consumed, so net/rpc
-// sends the error string back as this call's response and keeps reading —
-// the unknown-digest refusal takes exactly that path. Batch bodies decode
+// ReadRequestBody decodes the typed body as it streams in. Returning an
+// error here is safe: the rest of the frame is drained (also when net/rpc
+// passes nil to skip a body it cannot route), so net/rpc sends the error
+// string back as this call's response and keeps reading — the
+// unknown-digest refusal takes exactly that path. Batch bodies decode
 // leniently instead: an unknown digest marks only its item failed, so one
 // cold cache entry cannot poison the neighbors.
 func (s *serverCodec) ReadRequestBody(body any) error {
-	defer func() {
-		codec.PutBuffer(s.req)
-		s.req, s.body = nil, nil
-	}()
+	defer s.fr.Drain()
 	if body == nil {
 		return nil
 	}
-	rd := wireReader{buf: s.body}
+	rd := s.fr
 	switch v := body.(type) {
 	case *MultiplyArgs:
 		start := time.Now()
-		err := decodeMultiplyArgs(&rd, v, s.cache, false)
+		n := rd.Remaining()
+		err := decodeMultiplyArgs(rd, v, s.cache, false)
 		if err == nil && s.tracer.Enabled() && v.traceSpan != 0 {
 			s.tracer.AddCompleted(obs.SpanData{
 				Parent: obs.SpanID(v.traceSpan), Name: "wire.decode", Kind: obs.KindWorker,
 				P: v.cuboidP, Q: v.cuboidQ, R: v.cuboidR,
-				Start: start, End: time.Now(), Bytes: int64(len(s.body)),
+				Start: start, End: time.Now(), Bytes: n,
 			})
 		}
 		return err
 	case *MultiplyBatchArgs:
-		return decodeMultiplyBatchArgs(&rd, v, s.cache)
+		return decodeMultiplyBatchArgs(rd, v, s.cache)
 	case *PutArgs:
-		return decodePutArgs(&rd, v)
+		return decodePutArgs(rd, v)
 	case *GetArgs:
-		return decodeGetArgs(&rd, v)
+		return decodeGetArgs(rd, v)
 	case *FreeArgs:
-		return decodeFreeArgs(&rd, v)
+		return decodeFreeArgs(rd, v)
 	case *PinArgs:
-		return decodePinArgs(&rd, v)
+		return decodePinArgs(rd, v)
 	case *ExecArgs:
-		return decodeExecArgs(&rd, v)
+		return decodeExecArgs(rd, v)
 	case *PingArgs:
 		return nil
 	default:
@@ -640,45 +425,57 @@ func (s *serverCodec) ReadRequestBody(body any) error {
 	}
 }
 
+// WriteResponse frames one reply; one that cannot be framed (a reply past
+// the frame bound, an unencodable block) is answered as that error instead.
 func (s *serverCodec) WriteResponse(r *rpc.Response, body any) error {
-	w := beginFrame()
-	defer w.release()
-	w.uvarint(r.Seq)
-	w.str(r.ServiceMethod)
-	w.str(r.Error)
-	if r.Error == "" {
-		var err error
-		switch v := body.(type) {
-		case *MultiplyReply:
-			err = appendMultiplyReply(&w, v)
-		case *MultiplyBatchReply:
-			err = appendMultiplyBatchReply(&w, v)
-		case *PutReply:
-			w.uvarint(uint64(v.Bytes))
-		case *GetReply:
-			err = appendPlainBlocks(&w, v.Blocks)
-		case *FreeReply:
-			w.uvarint(uint64(v.Freed))
-		case *PinReply:
-			// no body
-		case *ExecReply:
-			appendExecReply(&w, v)
-		case *PingReply:
-			w.str(v.Hostname)
-			w.uvarint(uint64(v.InFlight))
-			w.uvarint(uint64(v.StoreBytes))
-			w.uvarint(uint64(v.StoreHandles))
-			w.uvarint(uint64(v.StoreEvictions))
-		default:
-			err = fmt.Errorf("distnet: unsupported response body %T", body)
-		}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return codec.WriteResponseFrame(s.conn, r.Seq, r.ServiceMethod, r.Error, func(w *codec.FrameWriter) error {
+		return appendResponseBody(w, body)
+	})
+}
+
+func appendResponseBody(w *codec.FrameWriter, body any) error {
+	switch v := body.(type) {
+	case *MultiplyReply:
+		return appendMultiplyReply(w, v)
+	case *MultiplyBatchReply:
+		return appendMultiplyBatchReply(w, v)
+	case *PutReply:
+		w.Uvarint(uint64(v.Bytes))
+	case *GetReply:
+		return appendPlainBlocks(w, v.Blocks)
+	case *FreeReply:
+		w.Uvarint(uint64(v.Freed))
+	case *PinReply:
+		// no body
+	case *ExecReply:
+		appendExecReply(w, v)
+	case *PingReply:
+		w.Str(v.Hostname)
+		w.Uvarint(uint64(v.InFlight))
+		w.Uvarint(uint64(v.StoreBytes))
+		w.Uvarint(uint64(v.StoreHandles))
+		w.Uvarint(uint64(v.StoreEvictions))
+	default:
+		return fmt.Errorf("distnet: unsupported response body %T", body)
+	}
+	return nil
+}
+
+func decodePingReply(rd *codec.FrameReader, v *PingReply) error {
+	var err error
+	if v.Hostname, err = rd.Str(); err != nil {
+		return err
+	}
+	for _, p := range [4]*int64{&v.InFlight, &v.StoreBytes, &v.StoreHandles, &v.StoreEvictions} {
+		u, err := rd.Uvarint()
 		if err != nil {
 			return err
 		}
+		*p = int64(u)
 	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return w.flush(s.conn)
+	return nil
 }
 
 func (s *serverCodec) Close() error { return s.conn.Close() }
@@ -686,35 +483,39 @@ func (s *serverCodec) Close() error { return s.conn.Close() }
 // ---------------------------------------------------------------------------
 // Typed body layouts (shared by both directions)
 
+// readInts reads one uvarint into each destination.
+func readInts(rd *codec.FrameReader, dst ...*int) error {
+	for _, p := range dst {
+		v, err := rd.Int()
+		if err != nil {
+			return err
+		}
+		*p = v
+	}
+	return nil
+}
+
 // decodeMultiplyArgs parses one cuboid body. In lenient mode an
 // unknown-digest reference does not abort the parse: the record keeps a nil
 // block, a.decodeErr records the refusal, and the cursor moves on — batch
 // framing stays intact around a failed item. Structural corruption is a
 // hard error in both modes.
-func decodeMultiplyArgs(rd *wireReader, a *MultiplyArgs, cache *blockCache, lenient bool) error {
-	for _, p := range [6]*int{&a.ILo, &a.IHi, &a.JLo, &a.JHi, &a.KLo, &a.KHi} {
-		v, err := rd.uvarint()
-		if err != nil {
-			return err
-		}
-		*p = int(v)
+func decodeMultiplyArgs(rd *codec.FrameReader, a *MultiplyArgs, cache *blockCache, lenient bool) error {
+	if err := readInts(rd, &a.ILo, &a.IHi, &a.JLo, &a.JHi, &a.KLo, &a.KHi); err != nil {
+		return err
 	}
-	epoch, err := rd.uvarint()
+	epoch, err := rd.Uvarint()
 	if err != nil {
 		return err
 	}
 	a.cacheEpoch = epoch
-	if a.traceSpan, err = rd.uvarint(); err != nil {
+	if a.traceSpan, err = rd.Uvarint(); err != nil {
 		return err
 	}
-	for _, p := range [3]*int{&a.cuboidP, &a.cuboidQ, &a.cuboidR} {
-		v, err := rd.uvarint()
-		if err != nil {
-			return err
-		}
-		*p = int(v)
+	if err := readInts(rd, &a.cuboidP, &a.cuboidQ, &a.cuboidR); err != nil {
+		return err
 	}
-	mode, err := rd.u8()
+	mode, err := rd.U8()
 	if err != nil {
 		return err
 	}
@@ -724,13 +525,13 @@ func decodeMultiplyArgs(rd *wireReader, a *MultiplyArgs, cache *blockCache, leni
 		// malformed manifest is structural corruption — a hard error in both
 		// modes, same as a torn block payload.
 		a.pull = true
-		if a.pullSelf, err = rd.str(); err != nil {
+		if a.pullSelf, err = rd.Str(); err != nil {
 			return err
 		}
-		if a.aManifest, err = decodeWireManifest(rd); err != nil {
+		if a.aManifest, err = rd.ReadManifest(); err != nil {
 			return err
 		}
-		a.bManifest, err = decodeWireManifest(rd)
+		a.bManifest, err = rd.ReadManifest()
 		return err
 	case 0:
 		// push body: inline/ref operand blocks follow
@@ -753,172 +554,89 @@ func decodeMultiplyArgs(rd *wireReader, a *MultiplyArgs, cache *blockCache, leni
 	return nil
 }
 
-func decodeMultiplyBatchArgs(rd *wireReader, a *MultiplyBatchArgs, cache *blockCache) error {
-	n, err := rd.uvarint()
-	if err != nil {
-		return err
-	}
-	if n > uint64(len(rd.buf)-rd.off) {
-		return fmt.Errorf("%w: %d batch items in %d bytes", errWire, n, len(rd.buf)-rd.off)
-	}
-	a.Items = make([]MultiplyArgs, n)
-	for i := range a.Items {
-		if err := decodeMultiplyArgs(rd, &a.Items[i], cache, true); err != nil {
-			return err
-		}
-	}
-	return nil
+func decodeMultiplyBatchArgs(rd *codec.FrameReader, a *MultiplyBatchArgs, cache *blockCache) error {
+	var err error
+	a.Items, err = codec.ReadSlice(rd, "batch items", 14, func(it *MultiplyArgs) error {
+		return decodeMultiplyArgs(rd, it, cache, true)
+	})
+	return err
 }
 
-func decodeBlockRecs(rd *wireReader, cache *blockCache, epoch uint64, lenient bool) ([]BlockRec, string, error) {
-	n, err := rd.uvarint()
-	if err != nil {
-		return nil, "", err
-	}
+func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64, lenient bool) ([]BlockRec, string, error) {
 	// Each record needs at least key + flag bytes; a count beyond the
-	// remaining frame is a forgery, rejected before the allocation.
-	if n > uint64(len(rd.buf)-rd.off) {
-		return nil, "", fmt.Errorf("%w: %d block records in %d bytes", errWire, n, len(rd.buf)-rd.off)
-	}
+	// remaining frame is a forgery.
 	miss := ""
-	recs := make([]BlockRec, 0, n)
-	for i := uint64(0); i < n; i++ {
-		ki, err1 := rd.uvarint()
-		kj, err2 := rd.uvarint()
-		flag, err3 := rd.u8()
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, "", fmt.Errorf("%w: block record header", errWire)
+	recs, err := codec.ReadSlice(rd, "block records", 3, func(rec *BlockRec) error {
+		if err := readInts(rd, &rec.Key.I, &rec.Key.J); err != nil {
+			return fmt.Errorf("%w: block record header", errWire)
 		}
-		rec := BlockRec{Key: bmat.BlockKey{I: int(ki), J: int(kj)}}
+		flag, err := rd.U8()
+		if err != nil {
+			return fmt.Errorf("%w: block record header", errWire)
+		}
+		var dg codec.Digest
+		if flag == blockRef || flag == blockInlineCache {
+			if err := rd.ReadFull(dg[:]); err != nil {
+				return err
+			}
+		}
 		switch flag {
 		case blockRef:
-			raw, err := rd.take(len(codec.Digest{}))
-			if err != nil {
-				return nil, "", err
-			}
-			var dg codec.Digest
-			copy(dg[:], raw)
 			blk, ok := cache.lookup(epoch, dg)
 			if !ok {
 				if !lenient {
-					return nil, "", errors.New(errUnknownDigestMsg)
+					return errors.New(errUnknownDigestMsg)
 				}
 				miss = errUnknownDigestMsg
 			} else {
 				rec.Block = blk
 			}
 		case blockInline, blockInlineCache:
-			var dg codec.Digest
-			if flag == blockInlineCache {
-				raw, err := rd.take(len(dg))
-				if err != nil {
-					return nil, "", err
-				}
-				copy(dg[:], raw)
-			}
-			blk, weight, err := decodeInlineBlock(rd)
+			blk, weight, err := rd.ReadBlock()
 			if err != nil {
-				return nil, "", err
+				return err
 			}
 			if flag == blockInlineCache {
 				cache.insert(epoch, dg, blk, weight)
 			}
 			rec.Block = blk
 		default:
-			return nil, "", fmt.Errorf("%w: unknown block flag %d", errWire, flag)
+			return fmt.Errorf("%w: unknown block flag %d", errWire, flag)
 		}
-		recs = append(recs, rec)
-	}
-	return recs, miss, nil
+		return nil
+	})
+	return recs, miss, err
 }
 
-func decodeInlineBlock(rd *wireReader) (matrix.Block, int64, error) {
-	tag, err := rd.u8()
-	if err != nil {
-		return nil, 0, err
-	}
-	n, err := rd.u32()
-	if err != nil {
-		return nil, 0, err
-	}
-	payload, err := rd.take(n)
-	if err != nil {
-		return nil, 0, err
-	}
-	blk, err := codec.Decode(tag, payload)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", errWire, err)
-	}
-	return blk, int64(n), nil
-}
-
-// decodeWireManifest bridges codec.DecodeManifest into the frame cursor,
-// advancing it past exactly the bytes the manifest consumed.
-func decodeWireManifest(rd *wireReader) (*codec.Manifest, error) {
-	m, rest, err := codec.DecodeManifest(rd.buf[rd.off:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errWire, err)
-	}
-	rd.off = len(rd.buf) - len(rest)
-	return &m, nil
-}
-
-func appendMultiplyReply(w *frameWriter, r *MultiplyReply) error {
+func appendMultiplyReply(w *codec.FrameWriter, r *MultiplyReply) error {
 	// Pull-resolution counters travel ahead of the C blocks (all zero on
 	// push replies, so push traffic costs three bytes).
-	w.uvarint(uint64(r.pullHits))
-	w.uvarint(uint64(r.pullFetches))
-	w.uvarint(uint64(r.pullPeerBytes))
-	w.uvarint(uint64(len(r.CBlocks)))
-	for i := range r.CBlocks {
-		rec := &r.CBlocks[i]
-		w.uvarint(uint64(rec.Key.I))
-		w.uvarint(uint64(rec.Key.J))
-		// C partials always travel as the bit-exact default encoding,
-		// whatever encoding the inputs used.
-		if err := w.appendInlineBlock(rec.Block, codec.EncodingFP64); err != nil {
-			return err
-		}
-	}
-	return nil
+	w.Uvarint(uint64(r.pullHits))
+	w.Uvarint(uint64(r.pullFetches))
+	w.Uvarint(uint64(r.pullPeerBytes))
+	// C partials always travel as the bit-exact default encoding, whatever
+	// encoding the inputs used.
+	return appendPlainBlocks(w, r.CBlocks)
 }
 
-func decodeMultiplyReply(rd *wireReader, r *MultiplyReply) error {
-	hits, err1 := rd.uvarint()
-	fetches, err2 := rd.uvarint()
-	peerBytes, err3 := rd.uvarint()
-	if err1 != nil || err2 != nil || err3 != nil {
-		return fmt.Errorf("%w: pull counters", errWire)
-	}
-	r.pullHits, r.pullFetches, r.pullPeerBytes = int64(hits), int64(fetches), int64(peerBytes)
-	n, err := rd.uvarint()
-	if err != nil {
-		return err
-	}
-	if n > uint64(len(rd.buf)-rd.off) {
-		return fmt.Errorf("%w: %d C blocks in %d bytes", errWire, n, len(rd.buf)-rd.off)
-	}
-	r.CBlocks = make([]BlockRec, 0, n)
-	for i := uint64(0); i < n; i++ {
-		ki, err1 := rd.uvarint()
-		kj, err2 := rd.uvarint()
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("%w: C block header", errWire)
-		}
-		blk, _, err := decodeInlineBlock(rd)
+func decodeMultiplyReply(rd *codec.FrameReader, r *MultiplyReply) error {
+	for _, p := range [3]*int64{&r.pullHits, &r.pullFetches, &r.pullPeerBytes} {
+		v, err := rd.Uvarint()
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: pull counters", errWire)
 		}
-		r.CBlocks = append(r.CBlocks, BlockRec{Key: bmat.BlockKey{I: int(ki), J: int(kj)}, Block: blk})
+		*p = int64(v)
 	}
-	return nil
+	var err error
+	r.CBlocks, err = decodePlainBlocks(rd)
+	return err
 }
 
-func appendMultiplyBatchReply(w *frameWriter, r *MultiplyBatchReply) error {
-	w.uvarint(uint64(len(r.Items)))
+func appendMultiplyBatchReply(w *codec.FrameWriter, r *MultiplyBatchReply) error {
+	w.Uvarint(uint64(len(r.Items)))
 	for i := range r.Items {
 		it := &r.Items[i]
-		w.str(it.Err)
+		w.Str(it.Err)
 		if it.Err != "" {
 			continue
 		}
@@ -930,29 +648,19 @@ func appendMultiplyBatchReply(w *frameWriter, r *MultiplyBatchReply) error {
 	return nil
 }
 
-func decodeMultiplyBatchReply(rd *wireReader, r *MultiplyBatchReply) error {
-	n, err := rd.uvarint()
-	if err != nil {
-		return err
-	}
-	if n > uint64(len(rd.buf)-rd.off) {
-		return fmt.Errorf("%w: %d batch replies in %d bytes", errWire, n, len(rd.buf)-rd.off)
-	}
-	r.Items = make([]BatchItem, n)
-	for i := range r.Items {
-		e, err := rd.str()
-		if err != nil {
+func decodeMultiplyBatchReply(rd *codec.FrameReader, r *MultiplyBatchReply) error {
+	var err error
+	r.Items, err = codec.ReadSlice(rd, "batch replies", 1, func(it *BatchItem) error {
+		var err error
+		if it.Err, err = rd.Str(); err != nil || it.Err != "" {
 			return err
-		}
-		r.Items[i].Err = e
-		if e != "" {
-			continue
 		}
 		var rep MultiplyReply
 		if err := decodeMultiplyReply(rd, &rep); err != nil {
 			return err
 		}
-		r.Items[i].CBlocks = rep.CBlocks
-	}
-	return nil
+		it.CBlocks = rep.CBlocks
+		return nil
+	})
+	return err
 }

@@ -134,6 +134,10 @@ type NetStats struct {
 	CacheRefsSent   int64 `json:"cache_refs_sent"`
 	CacheRefMisses  int64 `json:"cache_ref_misses"`
 	CacheBytesSaved int64 `json:"cache_bytes_saved"`
+	// BlocksPrepared counts prepared wire records built by push multiplies:
+	// one per distinct operand block per job, however many cuboids
+	// replicate the block.
+	BlocksPrepared int64 `json:"blocks_prepared"`
 	// EncodedBlocks counts input blocks shipped under an opt-in wire
 	// encoding (fp32 or compressed); EncodedBytesSaved accumulates the
 	// difference between their raw fp64 plans and the bytes actually framed.
@@ -220,6 +224,7 @@ func (n NetStats) Sub(o NetStats) NetStats {
 		CacheRefsSent:       n.CacheRefsSent - o.CacheRefsSent,
 		CacheRefMisses:      n.CacheRefMisses - o.CacheRefMisses,
 		CacheBytesSaved:     n.CacheBytesSaved - o.CacheBytesSaved,
+		BlocksPrepared:      n.BlocksPrepared - o.BlocksPrepared,
 		EncodedBlocks:       n.EncodedBlocks - o.EncodedBlocks,
 		EncodedBytesSaved:   n.EncodedBytesSaved - o.EncodedBytesSaved,
 		BatchRPCs:           n.BatchRPCs - o.BatchRPCs,
@@ -298,6 +303,7 @@ type Recorder struct {
 	cacheRefsSent   atomic.Int64
 	cacheRefMisses  atomic.Int64
 	cacheBytesSaved atomic.Int64
+	blocksPrepared  atomic.Int64
 
 	encodedBlocks     atomic.Int64
 	encodedBytesSaved atomic.Int64
@@ -387,6 +393,10 @@ func (r *Recorder) AddCacheRefSent(saved int64) {
 	r.cacheRefsSent.Add(1)
 	r.cacheBytesSaved.Add(saved)
 }
+
+// AddBlockPrepared records one prepared wire record: a distinct operand
+// block encoded (and, when cacheable, digested) for its job.
+func (r *Recorder) AddBlockPrepared() { r.blocksPrepared.Add(1) }
 
 // AddCacheRefMiss records an unknown-digest refusal that forced an inline
 // resend.
@@ -496,6 +506,7 @@ func (r *Recorder) Net() NetStats {
 		CacheRefsSent:       r.cacheRefsSent.Load(),
 		CacheRefMisses:      r.cacheRefMisses.Load(),
 		CacheBytesSaved:     r.cacheBytesSaved.Load(),
+		BlocksPrepared:      r.blocksPrepared.Load(),
 		EncodedBlocks:       r.encodedBlocks.Load(),
 		EncodedBytesSaved:   r.encodedBytesSaved.Load(),
 		BatchRPCs:           r.batchRPCs.Load(),
@@ -617,6 +628,7 @@ func (r *Recorder) Reset() {
 	r.cacheRefsSent.Store(0)
 	r.cacheRefMisses.Store(0)
 	r.cacheBytesSaved.Store(0)
+	r.blocksPrepared.Store(0)
 	r.encodedBlocks.Store(0)
 	r.encodedBytesSaved.Store(0)
 	r.batchRPCs.Store(0)

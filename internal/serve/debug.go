@@ -39,7 +39,13 @@ type Debug struct {
 	MaxConcurrent int           `json:"max_concurrent"`
 	AvgRun        time.Duration `json:"avg_run"`
 	Closed        bool          `json:"closed"`
-	Tenants       []TenantDebug `json:"tenants"`
+	// ResidentJobs counts the job records the server holds (any state);
+	// ResidentProductBytes is the stored size of the products among them,
+	// kept until Forget. Both return to zero once every finished job is
+	// forgotten.
+	ResidentJobs         int           `json:"resident_jobs"`
+	ResidentProductBytes int64         `json:"resident_product_bytes"`
+	Tenants              []TenantDebug `json:"tenants"`
 }
 
 // DebugSnapshot captures the server's live scheduling state. Safe to call
@@ -59,6 +65,9 @@ func (s *Server) DebugSnapshot() Debug {
 		MaxConcurrent: s.maxConcurrentLocked(),
 		AvgRun:        time.Duration(s.avgRunNano),
 		Closed:        s.closed,
+
+		ResidentJobs:         len(s.jobs),
+		ResidentProductBytes: s.productBytes,
 	}
 	for name, t := range s.tenants {
 		d.Tenants = append(d.Tenants, TenantDebug{

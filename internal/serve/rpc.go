@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,12 +11,11 @@ import (
 	"time"
 
 	"distme/internal/bmat"
-	"distme/internal/storage"
 )
 
-// The wire API: net/rpc over gob for the control frames, with operand and
-// result matrices carried as internal/storage's chunked checksummed binary
-// format inside []byte fields. Typed rejections cross the socket as
+// The wire API: net/rpc over the frame codec of wire.go. Operands and the
+// product cross the socket as checksummed block records written from, and
+// read into, the matrices' own storage. Typed rejections cross as
 // rpc.ServerError text; Client maps them back to the package sentinels (and
 // re-parses QueueFullError's retry-after hint), so callers branch with
 // errors.Is on either side of the wire.
@@ -32,27 +30,19 @@ const maxResultWait = 2 * time.Second
 // RPC is the exported net/rpc receiver wrapping a Server.
 type RPC struct{ s *Server }
 
-// WireSubmitArgs is Submit over the wire; A and B are storage-encoded.
+// WireSubmitArgs is Submit over the wire.
 type WireSubmitArgs struct {
 	Tenant   string
 	Priority int
-	A, B     []byte
+	A, B     *bmat.BlockMatrix
 }
 
 // WireSubmitReply returns the job ID.
 type WireSubmitReply struct{ ID uint64 }
 
-// Submit decodes the operands and admits the job.
+// Submit admits the job the codec decoded.
 func (r *RPC) Submit(args *WireSubmitArgs, reply *WireSubmitReply) error {
-	a, err := storage.Read(bytes.NewReader(args.A))
-	if err != nil {
-		return fmt.Errorf("%w: operand A: %v", ErrUnschedulable, err)
-	}
-	b, err := storage.Read(bytes.NewReader(args.B))
-	if err != nil {
-		return fmt.Errorf("%w: operand B: %v", ErrUnschedulable, err)
-	}
-	id, err := r.s.Submit(SubmitRequest{Tenant: args.Tenant, Priority: args.Priority, A: a, B: b})
+	id, err := r.s.Submit(SubmitRequest{Tenant: args.Tenant, Priority: args.Priority, A: args.A, B: args.B})
 	if err != nil {
 		return err
 	}
@@ -60,14 +50,16 @@ func (r *RPC) Submit(args *WireSubmitArgs, reply *WireSubmitReply) error {
 	return nil
 }
 
-// WireStatusArgs names a job.
-type WireStatusArgs struct{ ID uint64 }
+// WireJobArgs names a job for Status, Cancel and Forget; WireEmptyReply is
+// what the latter two answer.
+type WireJobArgs struct{ ID uint64 }
+type WireEmptyReply struct{}
 
-// WireStatusReply carries its snapshot.
+// WireStatusReply carries a job's snapshot.
 type WireStatusReply struct{ Status JobStatus }
 
 // Status snapshots a job.
-func (r *RPC) Status(args *WireStatusArgs, reply *WireStatusReply) error {
+func (r *RPC) Status(args *WireJobArgs, reply *WireStatusReply) error {
 	st, err := r.s.Status(JobID(args.ID))
 	if err != nil {
 		return err
@@ -84,12 +76,13 @@ type WireResultArgs struct {
 }
 
 // WireResultReply reports Done=false when the wait expired first; when
-// Done, C holds the storage-encoded product for successful jobs and Status
-// carries the terminal state (failures arrive as RPC errors instead).
+// Done, C is the product for successful jobs — the matrix the server
+// retains, framed without a copy — and Status carries the terminal state
+// (failures arrive as RPC errors instead).
 type WireResultReply struct {
 	Done   bool
 	Status JobStatus
-	C      []byte
+	C      *bmat.BlockMatrix
 }
 
 // Result waits (bounded) for the job and returns its product.
@@ -111,25 +104,19 @@ func (r *RPC) Result(args *WireResultArgs, reply *WireResultReply) error {
 		}
 		return err
 	}
-	reply.Done = true
-	reply.Status = st
-	if c != nil {
-		var buf bytes.Buffer
-		if err := storage.Write(&buf, c); err != nil {
-			return fmt.Errorf("serve: encode result: %w", err)
-		}
-		reply.C = buf.Bytes()
-	}
+	reply.Done, reply.Status, reply.C = true, st, c
 	return nil
 }
 
-// WireCancelArgs names a job; WireCancelReply is empty.
-type WireCancelArgs struct{ ID uint64 }
-type WireCancelReply struct{}
-
 // Cancel stops a job.
-func (r *RPC) Cancel(args *WireCancelArgs, reply *WireCancelReply) error {
+func (r *RPC) Cancel(args *WireJobArgs, reply *WireEmptyReply) error {
 	return r.s.Cancel(JobID(args.ID))
+}
+
+// Forget releases a terminal job's record and product; an ID the server
+// does not hold is ErrUnknownJob.
+func (r *RPC) Forget(args *WireJobArgs, reply *WireEmptyReply) error {
+	return r.s.forget(JobID(args.ID))
 }
 
 // Listener serves the wire API on a net.Listener until closed.
@@ -160,7 +147,11 @@ func ServeListener(s *Server, l net.Listener) (*Listener, error) {
 			sl.conn[conn] = struct{}{}
 			sl.mu.Unlock()
 			go func(conn net.Conn) {
-				srv.ServeConn(conn)
+				// A peer that opens with anything but the preamble is
+				// dropped before a byte of it is parsed as a frame.
+				if handshake(conn) == nil {
+					srv.ServeCodec(newServerCodec(conn))
+				}
 				sl.mu.Lock()
 				delete(sl.conn, conn)
 				sl.mu.Unlock()
@@ -189,13 +180,18 @@ func (sl *Listener) Close() {
 // Client is the caller side of the wire API.
 type Client struct{ c *rpc.Client }
 
-// Dial connects to a serving endpoint.
+// Dial connects to a serving endpoint and exchanges preambles; an endpoint
+// that speaks anything else fails with ErrProtocol.
 func Dial(addr string) (*Client, error) {
-	c, err := rpc.Dial("tcp", addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
 	}
-	return &Client{c: c}, nil
+	if err := handshake(conn); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
+	}
+	return &Client{c: rpc.NewClientWithCodec(newClientCodec(conn))}, nil
 }
 
 // Close drops the connection.
@@ -203,16 +199,14 @@ func (c *Client) Close() error { return c.c.Close() }
 
 // Submit ships both operands and returns the admitted job's ID. Rejections
 // come back as the package's typed errors (errors.Is works across the wire).
+// The operands are read in place until Submit returns; the caller must not
+// modify them meanwhile.
 func (c *Client) Submit(tenant string, priority int, a, b *bmat.BlockMatrix) (JobID, error) {
-	var bufA, bufB bytes.Buffer
-	if err := storage.Write(&bufA, a); err != nil {
-		return 0, fmt.Errorf("serve: encode A: %w", err)
+	if a == nil || b == nil {
+		return 0, fmt.Errorf("%w: nil operand", ErrUnschedulable)
 	}
-	if err := storage.Write(&bufB, b); err != nil {
-		return 0, fmt.Errorf("serve: encode B: %w", err)
-	}
-	args := &WireSubmitArgs{Tenant: tenant, Priority: priority, A: bufA.Bytes(), B: bufB.Bytes()}
 	var reply WireSubmitReply
+	args := &WireSubmitArgs{Tenant: tenant, Priority: priority, A: a, B: b}
 	if err := c.c.Call(wireServiceName+".Submit", args, &reply); err != nil {
 		return 0, mapWireError(err)
 	}
@@ -222,14 +216,14 @@ func (c *Client) Submit(tenant string, priority int, a, b *bmat.BlockMatrix) (Jo
 // Status snapshots a job.
 func (c *Client) Status(id JobID) (JobStatus, error) {
 	var reply WireStatusReply
-	if err := c.c.Call(wireServiceName+".Status", &WireStatusArgs{ID: uint64(id)}, &reply); err != nil {
+	if err := c.c.Call(wireServiceName+".Status", &WireJobArgs{ID: uint64(id)}, &reply); err != nil {
 		return JobStatus{}, mapWireError(err)
 	}
 	return reply.Status, nil
 }
 
 // Result blocks until the job finishes (or ctx ends), polling bounded
-// server-side waits, and decodes the product.
+// server-side waits, and returns the product.
 func (c *Client) Result(ctx context.Context, id JobID) (*bmat.BlockMatrix, JobStatus, error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -241,24 +235,28 @@ func (c *Client) Result(ctx context.Context, id JobID) (*bmat.BlockMatrix, JobSt
 		if err != nil {
 			return nil, reply.Status, mapWireError(err)
 		}
-		if !reply.Done {
-			continue
+		if reply.Done {
+			return reply.C, reply.Status, nil
 		}
-		if len(reply.C) == 0 {
-			return nil, reply.Status, nil
-		}
-		m, err := storage.Read(bytes.NewReader(reply.C))
-		if err != nil {
-			return nil, reply.Status, fmt.Errorf("serve: decode result: %w", err)
-		}
-		return m, reply.Status, nil
 	}
 }
 
 // Cancel stops a job.
 func (c *Client) Cancel(id JobID) error {
-	var reply WireCancelReply
-	if err := c.c.Call(wireServiceName+".Cancel", &WireCancelArgs{ID: uint64(id)}, &reply); err != nil {
+	return c.jobCall("Cancel", id)
+}
+
+// Forget releases a finished job's record and product on the server. A
+// long-lived client calls it after Result, or every product it was ever
+// returned stays resident in the server; an ID the server does not hold is
+// ErrUnknownJob.
+func (c *Client) Forget(id JobID) error {
+	return c.jobCall("Forget", id)
+}
+
+func (c *Client) jobCall(method string, id JobID) error {
+	var reply WireEmptyReply
+	if err := c.c.Call(wireServiceName+"."+method, &WireJobArgs{ID: uint64(id)}, &reply); err != nil {
 		return mapWireError(err)
 	}
 	return nil

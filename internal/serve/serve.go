@@ -294,6 +294,9 @@ type Server struct {
 	waveBytes  float64 // sum of running jobs' wave estimates
 	avgRunNano float64 // EWMA of completed job run time, for retry-after
 	closed     bool
+	// productBytes sums the stored size of the products held in jobs —
+	// what Forget gives back.
+	productBytes int64
 
 	wake     chan struct{}
 	stop     chan struct{}
@@ -649,6 +652,7 @@ func (s *Server) settle(j *job, c *bmat.BlockMatrix, err error) {
 	case err == nil:
 		j.state = StateDone
 		j.result = c
+		s.productBytes += c.StoredBytes()
 		if s.avgRunNano == 0 {
 			s.avgRunNano = float64(run.Nanoseconds())
 		} else {
@@ -780,13 +784,27 @@ func (s *Server) Cancel(id JobID) error {
 }
 
 // Forget drops a terminal job's record (and its result) from the server;
-// long-lived callers use it to bound memory. Non-terminal jobs are kept.
+// long-lived callers use it to bound memory. Non-terminal jobs are kept, and
+// an ID the server does not hold is already forgotten.
 func (s *Server) Forget(id JobID) {
+	_ = s.forget(id) // the only error is ErrUnknownJob
+}
+
+// forget is Forget reporting an unknown ID, as the wire API does.
+func (s *Server) forget(id JobID) error {
 	s.mu.Lock()
-	if j, ok := s.jobs[id]; ok && j.state.terminal() {
-		delete(s.jobs, id)
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
 	}
-	s.mu.Unlock()
+	if j.state.terminal() {
+		delete(s.jobs, id)
+		if j.result != nil {
+			s.productBytes -= j.result.StoredBytes()
+		}
+	}
+	return nil
 }
 
 // Close stops the server: new submits fail with ErrServerClosed, queued

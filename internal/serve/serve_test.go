@@ -422,6 +422,28 @@ func TestWireAPIRoundTrip(t *testing.T) {
 	if _, err := cl.Status(id); err != nil {
 		t.Fatal(err)
 	}
+	// The status crosses the wire field for field.
+	if local, _ := s.Status(id); st != local {
+		t.Fatalf("wire status %+v, server holds %+v", st, local)
+	}
+
+	// Forget over the wire releases the record and the product: an
+	// RPC-only client can keep the server's memory bounded.
+	if dbg := s.DebugSnapshot(); dbg.ResidentJobs != 1 || dbg.ResidentProductBytes != got.StoredBytes() {
+		t.Fatalf("before Forget: %d jobs, %d product bytes resident (product is %d)", dbg.ResidentJobs, dbg.ResidentProductBytes, got.StoredBytes())
+	}
+	if err := cl.Forget(id); err != nil {
+		t.Fatal(err)
+	}
+	if dbg := s.DebugSnapshot(); dbg.ResidentJobs != 0 || dbg.ResidentProductBytes != 0 {
+		t.Fatalf("after Forget: %d jobs, %d product bytes still resident", dbg.ResidentJobs, dbg.ResidentProductBytes)
+	}
+	if _, err := cl.Status(id); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("status of a forgotten job: %v", err)
+	}
+	if err := cl.Forget(id); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("forgetting an unknown job over wire: %v", err)
+	}
 
 	// Typed rejections cross the wire.
 	if _, err := cl.Submit("nobody", 0, a, b); !errors.Is(err, ErrUnknownTenant) {
