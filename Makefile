@@ -8,14 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
-# The parallel hot path (threaded kernels, sharded aggregation, buffer
-# pool), the elastic scheduler (retries, speculation, fault injection), the
-# real-network layer (failure detector, chaos suite, shuffle), the wire
-# codec's pooled buffers and the frame layer both sockets share
-# (internal/codec), and the multi-tenant serving plane with its wire codec
-# (internal/serve) must stay race-detector-clean.
+# The whole tree — and the repository benchmark, a module of its own — must
+# stay race-detector-clean; both runs together take about a minute.
 test-race:
-	$(GO) test -race ./internal/matrix ./internal/core ./internal/cluster ./internal/engine ./internal/distnet ./internal/shuffle ./internal/codec ./internal/serve
+	$(GO) test -race ./...
+	cd benchmark && $(GO) test -race ./...
 
 # Ten-second fuzz smokes: hostile bytes against the storage reader, the
 # wire block decoder, and every decoder a socket reaches — the streaming

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -347,7 +348,7 @@ func cmdRemoteMultiply(args []string) error {
 		b = distme.RandomDense(rng, *k, *n, *bs)
 	}
 	start := time.Now()
-	c, params, err := d.MultiplyAuto(a, b, int64(*memGB*1e9))
+	c, params, err := d.Execute(context.Background(), a, b, distnet.MultiplyOptions{WorkerMemBytes: int64(*memGB * 1e9)})
 	if err != nil {
 		return err
 	}

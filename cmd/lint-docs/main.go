@@ -43,6 +43,7 @@ var knownImports = map[string]string{
 	"metrics": "distme/internal/metrics",
 	"plan":    "distme/internal/plan",
 	"bmat":    "distme/internal/bmat",
+	"core":    "distme/internal/core",
 	"fmt":     "fmt",
 	"log":     "log",
 	"os":      "os",

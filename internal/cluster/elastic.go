@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -56,10 +55,8 @@ type elasticRun struct {
 	tasks []Task
 	start time.Time
 
-	maxRetries  int
-	backoffBase time.Duration
-	backoffCap  time.Duration
-	jrand       *rand.Rand // full-jitter source; guarded by mu
+	maxRetries int
+	backoff    *Backoff
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -118,27 +115,22 @@ func (c *Cluster) RunCtx(ctx context.Context, tasks []Task) error {
 	}
 
 	r := &elasticRun{
-		c:           c,
-		ctx:         ctx,
-		tasks:       tasks,
-		start:       time.Now(),
-		maxRetries:  c.cfg.TaskRetries,
-		backoffBase: c.cfg.RetryBackoff,
-		backoffCap:  c.cfg.RetryBackoffCap,
-		state:       make([]taskState, len(tasks)),
-		queue:       make([]workItem, 0, len(tasks)),
+		c:          c,
+		ctx:        ctx,
+		tasks:      tasks,
+		start:      time.Now(),
+		maxRetries: c.cfg.TaskRetries,
+		state:      make([]taskState, len(tasks)),
+		queue:      make([]workItem, 0, len(tasks)),
 	}
-	if r.backoffBase <= 0 {
-		r.backoffBase = time.Millisecond
+	base, ceil := c.cfg.RetryBackoff, c.cfg.RetryBackoffCap
+	if base <= 0 {
+		base = time.Millisecond
 	}
-	if r.backoffCap <= 0 {
-		r.backoffCap = 16 * r.backoffBase
+	if ceil <= 0 {
+		ceil = 16 * base
 	}
-	jseed := c.cfg.RetryJitterSeed
-	if jseed == 0 {
-		jseed = time.Now().UnixNano()
-	}
-	r.jrand = rand.New(rand.NewSource(jseed))
+	r.backoff = NewBackoff(base, ceil, JitterSource(c.cfg.RetryJitterSeed))
 	r.cond = sync.NewCond(&r.mu)
 	for i := range tasks {
 		r.state[i].cancels = make(map[int]context.CancelFunc)
@@ -301,29 +293,7 @@ func (r *elasticRun) settleAttemptLocked(item workItem, st *taskState, err error
 	}
 	r.c.recorder.AddTaskRetry()
 	st.retryQueued = true
-	r.scheduleRetryLocked(item.idx, r.backoffFor(st.failures))
-}
-
-// backoffFor returns the delay before retry n (1-based): full jitter over
-// the capped exponential step — uniform in (0, min(base·2ⁿ⁻¹, cap)] — so
-// tasks that failed together retry spread out instead of stampeding the
-// same recovering resource. Called with r.mu held (it draws from jrand).
-func (r *elasticRun) backoffFor(failures int) time.Duration {
-	d := r.backoffBase
-	for i := 1; i < failures; i++ {
-		d *= 2
-		if d >= r.backoffCap {
-			d = r.backoffCap
-			break
-		}
-	}
-	if d > r.backoffCap {
-		d = r.backoffCap
-	}
-	if d <= 0 {
-		return d
-	}
-	return time.Duration(r.jrand.Int63n(int64(d)) + 1)
+	r.scheduleRetryLocked(item.idx, r.backoff.Delay(st.failures))
 }
 
 // scheduleRetryLocked enqueues a retry of task idx after the backoff. The

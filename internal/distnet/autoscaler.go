@@ -282,11 +282,8 @@ func (d *Driver) StartAutoscaler(opts AutoscalerOptions) error {
 	if opts.Pool == nil {
 		return fmt.Errorf("distnet: autoscaler needs a WorkerPool")
 	}
-	d.mu.Lock()
-	closed := d.closed
-	d.mu.Unlock()
-	if closed {
-		return ErrDriverClosed
+	if err := d.checkOpen(); err != nil {
+		return err
 	}
 	d.scalerMu.Lock()
 	defer d.scalerMu.Unlock()

@@ -58,7 +58,7 @@ func TestBlockCacheDedupReducesWireBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cold.Close()
-	coldC, err := cold.Multiply(a, b, params)
+	coldC, err := execute(cold, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestBlockCacheDedupReducesWireBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer warm.Close()
-	warmC, err := warm.Multiply(a, b, params)
+	warmC, err := execute(warm, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestMembershipChurnDoesNotLeakCacheEntries(t *testing.T) {
 	params := core.Params{P: 2, Q: 2, R: 2}
 	for round := 0; round < epochWindow+3; round++ {
 		a, b := cacheTestMatrices(int64(7100 + round))
-		got, err := d.Multiply(a, b, params)
+		got, err := execute(d, a, b, params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestCacheEvictionChurnConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cold.Close()
-	want, err := cold.Multiply(a, b, params)
+	want, err := execute(cold, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestCacheEvictionChurnConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	got, err := d.Multiply(a, b, params)
+	got, err := execute(d, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestCacheDisabledWorkerAlwaysRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	got, err := d.Multiply(a, b, core.Params{P: 2, Q: 2, R: 2})
+	got, err := execute(d, a, b, core.Params{P: 2, Q: 2, R: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,6 +138,19 @@ func fastOpts() Options {
 	}
 }
 
+// execute is Driver.Execute for the suite's common case: explicit (P,Q,R),
+// push plane, background context, product only.
+func execute(d *Driver, a, b *bmat.BlockMatrix, params core.Params) (*bmat.BlockMatrix, error) {
+	c, _, err := d.Execute(context.Background(), a, b, MultiplyOptions{Params: &params})
+	return c, err
+}
+
+// resume is execute with per-cuboid checkpointing rooted at dir.
+func resume(d *Driver, dir string, a, b *bmat.BlockMatrix, params core.Params) (*bmat.BlockMatrix, error) {
+	c, _, err := d.Execute(context.Background(), a, b, MultiplyOptions{Params: &params, CheckpointDir: dir})
+	return c, err
+}
+
 // bitIdentical compares two block matrices float64-bit for float64-bit —
 // the chaos suite's correctness bar is exact equality with the
 // failure-free run, not an epsilon.
@@ -195,7 +208,7 @@ func TestChaosMultiplyByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer baseline.Close()
-	want, err := baseline.Multiply(a, b, params)
+	want, err := execute(baseline, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +230,7 @@ func TestChaosMultiplyByteIdentical(t *testing.T) {
 	defer d.Close()
 
 	for round := 0; round < 3; round++ {
-		got, err := d.Multiply(a, b, params)
+		got, err := execute(d, a, b, params)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -284,14 +297,14 @@ func TestWorkerKillBetweenCuboids(t *testing.T) {
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
 	params := core.Params{P: 2, Q: 2, R: 2}
-	want, err := d.Multiply(a, b, params)
+	want, err := execute(d, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	killWorker(workers[0])
 	before := workers[1].Multiplies()
-	got, err := d.Multiply(a, b, params)
+	got, err := execute(d, a, b, params)
 	if err != nil {
 		t.Fatalf("multiply after kill: %v", err)
 	}
@@ -376,7 +389,7 @@ func TestAddWorkerMidMultiply(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		c, err := d.Multiply(a, b, params)
+		c, err := execute(d, a, b, params)
 		done <- result{c, err}
 	}()
 
@@ -420,7 +433,7 @@ func TestAllWorkersKilledDegradesToLocal(t *testing.T) {
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
 	params := core.Params{P: 2, Q: 2, R: 2}
-	want, err := d.Multiply(a, b, params)
+	want, err := execute(d, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +441,7 @@ func TestAllWorkersKilledDegradesToLocal(t *testing.T) {
 	for _, w := range workers {
 		killWorker(w)
 	}
-	got, err := d.Multiply(a, b, params)
+	got, err := execute(d, a, b, params)
 	if err != nil {
 		t.Fatalf("multiply with drained pool: %v", err)
 	}
@@ -542,7 +555,7 @@ func TestResumeMultiply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d1.ResumeMultiply(dir, a, b, params)
+	want, err := resume(d1, dir, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +572,7 @@ func TestResumeMultiply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	got, err := d2.ResumeMultiply(dir, a, b, params)
+	got, err := resume(d2, dir, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +595,7 @@ func TestResumeMultiply(t *testing.T) {
 	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err = d2.ResumeMultiply(dir, a, b, params)
+	got, err = resume(d2, dir, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +605,7 @@ func TestResumeMultiply(t *testing.T) {
 	}
 
 	// A different job must refuse the directory rather than mix outputs.
-	if _, err := d2.ResumeMultiply(dir, a, b, core.Params{P: 1, Q: 1, R: 1}); err == nil {
+	if _, err := resume(d2, dir, a, b, core.Params{P: 1, Q: 1, R: 1}); err == nil {
 		t.Fatal("checkpoint dir accepted a different job")
 	}
 }
@@ -615,7 +628,7 @@ func TestDeadlineExceeded(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(306))
 	a := bmat.RandomDense(rng, 8, 8, 4)
-	_, err = d.Multiply(a, a, core.Params{P: 1, Q: 1, R: 1})
+	_, err = execute(d, a, a, core.Params{P: 1, Q: 1, R: 1})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
 	}
@@ -698,7 +711,7 @@ func TestDriverLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	before := workers[0].Multiplies()
-	c, err := d.Multiply(a, a, core.Params{P: 2, Q: 2, R: 2})
+	c, err := execute(d, a, a, core.Params{P: 2, Q: 2, R: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,7 +729,7 @@ func TestDriverLifecycle(t *testing.T) {
 
 	d.Close()
 	d.Close() // idempotent
-	if _, err := d.Multiply(a, a, core.Params{P: 1, Q: 1, R: 1}); !errors.Is(err, ErrDriverClosed) {
+	if _, err := execute(d, a, a, core.Params{P: 1, Q: 1, R: 1}); !errors.Is(err, ErrDriverClosed) {
 		t.Fatalf("closed driver: want ErrDriverClosed, got %v", err)
 	}
 	if err := d.AddWorker(addrs[0]); !errors.Is(err, ErrDriverClosed) {

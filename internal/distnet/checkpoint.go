@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 
 	"distme/internal/bmat"
-	"distme/internal/core"
-	"distme/internal/matrix"
 	"distme/internal/storage"
 )
 
@@ -26,15 +24,13 @@ type checkpointer struct {
 	dir string
 }
 
-func (c *checkpointer) manifestLine(a, b *bmat.BlockMatrix, params core.Params, jobs int) string {
-	return fmt.Sprintf("DMECKPT1 a=%dx%d b=%dx%d bs=%d p=%d q=%d r=%d jobs=%d\n",
-		a.Rows, a.Cols, b.Rows, b.Cols, a.BlockSize, params.P, params.Q, params.R, jobs)
-}
-
 // ensureManifest creates the checkpoint directory and manifest on first
-// use, and on resume verifies the directory belongs to this job.
-func (c *checkpointer) ensureManifest(a, b *bmat.BlockMatrix, params core.Params, jobs int) error {
-	want := c.manifestLine(a, b, params, jobs)
+// use, and on resume verifies the directory belongs to this job. The
+// fingerprint is geometry only, so a job may resume under the other transfer
+// mode: a cuboid's partial product does not depend on how its slices arrived.
+func (c *checkpointer) ensureManifest(job *cuboidJob, cuboids int) error {
+	want := fmt.Sprintf("DMECKPT1 a=%dx%d b=%dx%d bs=%d p=%d q=%d r=%d jobs=%d\n",
+		job.rows, job.inner, job.inner, job.cols, job.blockSize, job.params.P, job.params.Q, job.params.R, cuboids)
 	path := filepath.Join(c.dir, checkpointManifest)
 	if data, err := os.ReadFile(path); err == nil {
 		if string(data) != want {
@@ -87,11 +83,7 @@ func (c *checkpointer) load(idx, cRows, cCols, blockSize int) (*MultiplyReply, b
 func (c *checkpointer) store(idx int, reply *MultiplyReply, cRows, cCols, blockSize int) {
 	m := bmat.New(cRows, cCols, blockSize)
 	for _, rec := range reply.CBlocks {
-		dense, ok := rec.Block.(*matrix.Dense)
-		if !ok {
-			dense = rec.Block.Dense()
-		}
-		m.SetBlock(rec.Key.I, rec.Key.J, dense)
+		m.SetBlock(rec.Key.I, rec.Key.J, denseOf(rec.Block))
 	}
 	tmp := c.path(idx) + ".tmp"
 	if err := storage.WriteFile(tmp, m); err != nil {

@@ -1,6 +1,7 @@
 package distnet
 
 import (
+	"context"
 	"math/rand"
 	"net"
 	"testing"
@@ -51,7 +52,7 @@ func TestRemoteMultiplyMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(170))
 	a := bmat.RandomDense(rng, 24, 32, 8)
 	b := bmat.RandomDense(rng, 32, 16, 8)
-	got, err := d.Multiply(a, b, core.Params{P: 3, Q: 2, R: 2})
+	got, err := execute(d, a, b, core.Params{P: 3, Q: 2, R: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestRemoteMultiplySparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(171))
 	a := bmat.RandomSparse(rng, 20, 20, 5, 0.2)
 	b := bmat.RandomDense(rng, 20, 20, 5)
-	got, err := d.Multiply(a, b, core.Params{P: 2, Q: 2, R: 1})
+	got, err := execute(d, a, b, core.Params{P: 2, Q: 2, R: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestRemoteMultiplyProperty(t *testing.T) {
 		b := bmat.RandomDense(rng, k, n, bs)
 		s := core.ShapeOf(a, b)
 		p := core.Params{P: 1 + rng.Intn(s.I), Q: 1 + rng.Intn(s.J), R: 1 + rng.Intn(s.K)}
-		got, err := d.Multiply(a, b, p)
+		got, err := execute(d, a, b, p)
 		if err != nil {
 			return false
 		}
@@ -128,7 +129,7 @@ func TestWireBytesReflectTraffic(t *testing.T) {
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
 	sent0, recv0 := d.WireBytes()
-	if _, err := d.Multiply(a, b, core.Params{P: 2, Q: 2, R: 2}); err != nil {
+	if _, err := execute(d, a, b, core.Params{P: 2, Q: 2, R: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sent, recv := d.WireBytes()
@@ -156,7 +157,7 @@ func TestMultiplyAutoRemote(t *testing.T) {
 	rng := rand.New(rand.NewSource(173))
 	a := bmat.RandomDense(rng, 32, 32, 8)
 	b := bmat.RandomDense(rng, 32, 32, 8)
-	got, params, err := d.MultiplyAuto(a, b, 1<<30)
+	got, params, err := d.Execute(context.Background(), a, b, MultiplyOptions{WorkerMemBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +189,10 @@ func TestDriverRejectsBadInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(174))
 	a := bmat.RandomDense(rng, 8, 8, 4)
 	bad := bmat.RandomDense(rng, 6, 8, 4)
-	if _, err := d.Multiply(a, bad, core.Params{P: 1, Q: 1, R: 1}); err == nil {
+	if _, err := execute(d, a, bad, core.Params{P: 1, Q: 1, R: 1}); err == nil {
 		t.Fatal("nonconformable accepted")
 	}
-	if _, err := d.Multiply(a, a, core.Params{P: 9, Q: 1, R: 1}); err == nil {
+	if _, err := execute(d, a, a, core.Params{P: 9, Q: 1, R: 1}); err == nil {
 		t.Fatal("out-of-grid params accepted")
 	}
 }
@@ -205,7 +206,7 @@ func TestClosedDriverFails(t *testing.T) {
 	d.Close()
 	rng := rand.New(rand.NewSource(175))
 	a := bmat.RandomDense(rng, 4, 4, 2)
-	if _, err := d.Multiply(a, a, core.Params{P: 1, Q: 1, R: 1}); err == nil {
+	if _, err := execute(d, a, a, core.Params{P: 1, Q: 1, R: 1}); err == nil {
 		t.Fatal("closed driver accepted work")
 	}
 }
@@ -293,7 +294,7 @@ func BenchmarkRemoteMultiply(b *testing.B) {
 	m2 := bmat.RandomDense(rng, 256, 256, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Multiply(a, m2, core.Params{P: 2, Q: 2, R: 2}); err != nil {
+		if _, err := execute(d, a, m2, core.Params{P: 2, Q: 2, R: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -337,7 +338,7 @@ func TestDriverFailsOverDeadWorker(t *testing.T) {
 	rng := rand.New(rand.NewSource(177))
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
-	got, err := d.Multiply(a, b, core.Params{P: 2, Q: 2, R: 2})
+	got, err := execute(d, a, b, core.Params{P: 2, Q: 2, R: 2})
 	if err != nil {
 		t.Fatalf("failover did not recover: %v", err)
 	}

@@ -33,7 +33,7 @@ func TestEncodingCompressBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	want, err := plain.Multiply(a, b, params)
+	want, err := execute(plain, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestEncodingCompressBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer enc.Close()
-	got, err := enc.Multiply(a, b, params)
+	got, err := execute(enc, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestEncodingFP32OverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	got, err := d.Multiply(a, b, params)
+	got, err := execute(d, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBatchedSmallMultiplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	want, err := plain.Multiply(a, b, params)
+	want, err := execute(plain, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestBatchedSmallMultiplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	got, err := d.Multiply(a, b, params)
+	got, err := execute(d, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +175,12 @@ func TestBatchItemErrorsRetryIndividually(t *testing.T) {
 	defer d.Close()
 
 	// First run ships every block inline (commit-at-send) and succeeds.
-	if _, err := d.Multiply(a, b, params); err != nil {
+	if _, err := execute(d, a, b, params); err != nil {
 		t.Fatal(err)
 	}
 	// Second run sends references the worker cannot resolve; items fail
 	// individually and the per-item fallback recovers each one.
-	got, err := d.Multiply(a, b, params)
+	got, err := execute(d, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +223,7 @@ func encodeRequestFrame(t *testing.T) ([]byte, *MultiplyArgs) {
 		ABlocks: []BlockRec{{Key: bmat.BlockKey{I: 0, J: 0}, Block: aBlk}},
 		BBlocks: []BlockRec{{Key: bmat.BlockKey{I: 0, J: 0}, Block: bBlk}},
 	}
+	prepareRecs(t, args.ABlocks, args.BBlocks)
 	conn := &bufConn{}
 	cc := newClientCodec(conn, nil, nil, nil)
 	if err := cc.WriteRequest(&rpc.Request{Seq: 7, ServiceMethod: serviceName + ".Multiply"}, args); err != nil {

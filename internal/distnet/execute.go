@@ -8,8 +8,9 @@ import (
 	"distme/internal/core"
 )
 
-// MultiplyOptions configures one Execute call. The zero value asks the
-// optimizer to choose the partitioning with a 1 GiB per-worker budget.
+// MultiplyOptions configures one Execute or Session.Multiply call. The zero
+// value asks the optimizer to choose the partitioning with a 1 GiB
+// per-worker budget.
 type MultiplyOptions struct {
 	// Params, when non-nil, fixes the (P,Q,R) cuboid partitioning
 	// explicitly; nil lets the optimizer choose from WorkerMemBytes, the
@@ -20,7 +21,9 @@ type MultiplyOptions struct {
 	WorkerMemBytes int64
 	// CheckpointDir, when non-empty, persists each completed cuboid's
 	// partial-C reply under this directory; re-running the same job there
-	// after a driver crash re-ships only the unfinished cuboids.
+	// after a driver crash restores the finished cuboids and dispatches only
+	// the rest — under either transfer mode, since checkpointing hangs off
+	// the shared cuboid commit (a pull resume still seeds its operands).
 	CheckpointDir string
 	// Transfer selects the operand data plane. TransferPush is the classic
 	// mode: the driver ships every cuboid slice. TransferPull seeds each
@@ -28,72 +31,77 @@ type MultiplyOptions struct {
 	// manifests; workers fetch the replicated slices from the owning peers,
 	// so the driver moves |A|+|B| instead of Q·|A|+P·|B|. TransferAuto (the
 	// zero value) prices both with Eq.(4) when the optimizer chooses the
-	// partitioning, and keeps push for explicit Params — the established
-	// behavior. Pull requires CheckpointDir to be empty (cuboid checkpoints
-	// ride the push path) and is ignored when only one worker is live.
-	// Results are bit-identical across modes.
+	// partitioning; with explicit Params, Execute keeps push — the
+	// established behavior — while Session.Multiply, whose operands are
+	// already resident, prices both planes at those params. Pull is ignored
+	// by Execute when only one worker is live. Results are bit-identical
+	// across modes.
 	Transfer core.Transfer
 }
 
-// Execute is the driver's consolidated multiply entry point: C = A×B across
-// the live workers, context-first, with partitioning, optimizer budget, and
-// checkpointing all in one options struct. It subsumes the former Multiply
-// (MultiplyOptions.Params), MultiplyAuto (MultiplyOptions.WorkerMemBytes),
-// and ResumeMultiply (MultiplyOptions.CheckpointDir), which remain as thin
-// deprecated wrappers. The returned params are the partitioning actually
-// run. Cancelling ctx abandons unscheduled cuboids and returns its error.
-func (d *Driver) Execute(ctx context.Context, a, b *bmat.BlockMatrix, opts MultiplyOptions) (*bmat.BlockMatrix, core.Params, error) {
+// planMultiply resolves one call's options against the operand shape: the
+// (P,Q,R) to run and the data plane to run it on. pc says how pull is priced
+// (its Workers is also the optimizer's slot count). Explicit Params under
+// TransferAuto settle by where the operands are: resident ones (Session.
+// Multiply — no seed to pay) take whichever plane Eq.(4) prices cheaper at
+// those params; cold ones (Execute) keep push, the established behavior.
+func (d *Driver) planMultiply(opts MultiplyOptions, shape core.Shape, pc core.PullCost) (core.Params, core.Transfer, error) {
 	if !opts.Transfer.Valid() {
-		return nil, core.Params{}, fmt.Errorf("distnet: unknown transfer mode %d", opts.Transfer)
+		return core.Params{}, 0, fmt.Errorf("distnet: unknown transfer mode %d", opts.Transfer)
 	}
-	mode := opts.Transfer
-	if opts.CheckpointDir != "" {
-		if mode == core.TransferPull {
-			return nil, core.Params{}, fmt.Errorf("distnet: pull transfer does not checkpoint")
-		}
-		mode = core.TransferPush
-	}
-	var params core.Params
+	wc := core.WireCost{InputRatio: d.opts.Encoding.PlanRatio(), AggRatio: 1}
+	params, mode := core.Params{}, opts.Transfer
 	if opts.Params != nil {
 		params = *opts.Params
 		if mode == core.TransferAuto {
-			// Explicit partitioning keeps the established push plane unless
-			// pull was asked for by name.
 			mode = core.TransferPush
+			if pc.SeedResident && shape.CostBytesPull(params, wc, pc) < shape.CostBytesWire(params, wc) {
+				mode = core.TransferPull
+			}
 		}
-	} else {
-		slots := d.Workers()
-		if slots < 1 {
-			slots = 1
-		}
-		mem := opts.WorkerMemBytes
-		if mem <= 0 {
-			mem = 1 << 30
-		}
-		wc := core.WireCost{InputRatio: d.opts.Encoding.PlanRatio(), AggRatio: 1}
-		pc := core.PullCost{Workers: slots} // cold operands: the seed is paid
-		var err error
-		switch mode {
-		case core.TransferPush:
-			params, err = core.OptimizeWire(core.ShapeOf(a, b), mem, slots, wc)
-		case core.TransferPull:
-			params, err = core.OptimizePull(core.ShapeOf(a, b), mem, slots, wc, pc)
-		default:
-			params, mode, err = core.OptimizeTransfer(core.ShapeOf(a, b), mem, slots, wc, pc)
-		}
-		if err != nil {
-			return nil, core.Params{}, err
-		}
+		return params, mode, nil
 	}
+	mem := opts.WorkerMemBytes
+	if mem <= 0 {
+		mem = 1 << 30
+	}
+	var err error
+	switch mode {
+	case core.TransferPush:
+		params, err = core.OptimizeWire(shape, mem, pc.Workers, wc)
+	case core.TransferPull:
+		params, err = core.OptimizePull(shape, mem, pc.Workers, wc, pc)
+	default:
+		params, mode, err = core.OptimizeTransfer(shape, mem, pc.Workers, wc, pc)
+	}
+	return params, mode, err
+}
+
+// checkpointer returns the checkpointer the options ask for, or nil.
+func (opts MultiplyOptions) checkpointer() *checkpointer {
+	if opts.CheckpointDir == "" {
+		return nil
+	}
+	return &checkpointer{dir: opts.CheckpointDir}
+}
+
+// Execute is the driver's multiply entry point for one-shot operands:
+// C = A×B across the live workers, context-first, with partitioning,
+// optimizer budget, transfer mode and checkpointing all in one options
+// struct. The returned params are the partitioning actually run. Cancelling
+// ctx abandons unscheduled cuboids and returns its error.
+func (d *Driver) Execute(ctx context.Context, a, b *bmat.BlockMatrix, opts MultiplyOptions) (*bmat.BlockMatrix, core.Params, error) {
+	// Cold operands: pull pays the seed.
+	params, mode, err := d.planMultiply(opts, core.ShapeOf(a, b), core.PullCost{Workers: max(d.Workers(), 1)})
+	if err != nil {
+		return nil, core.Params{}, err
+	}
+	var c *bmat.BlockMatrix
 	if mode == core.TransferPull && d.Workers() > 1 {
-		c, err := d.executePull(ctx, a, b, params)
-		return c, params, err
+		c, err = d.executePull(ctx, a, b, params, opts.CheckpointDir)
+	} else {
+		c, err = d.multiply(ctx, a, b, params, opts.checkpointer())
 	}
-	var ckpt *checkpointer
-	if opts.CheckpointDir != "" {
-		ckpt = &checkpointer{dir: opts.CheckpointDir}
-	}
-	c, err := d.multiply(ctx, a, b, params, ckpt)
 	return c, params, err
 }
 
@@ -102,7 +110,7 @@ func (d *Driver) Execute(ctx context.Context, a, b *bmat.BlockMatrix, opts Multi
 // contribution), then manifest-multiply over the resident handles, then
 // retire the session. Failures inside fall back per cuboid — a worker that
 // cannot resolve its manifest is re-pushed inline by runJob.
-func (d *Driver) executePull(ctx context.Context, a, b *bmat.BlockMatrix, params core.Params) (*bmat.BlockMatrix, error) {
+func (d *Driver) executePull(ctx context.Context, a, b *bmat.BlockMatrix, params core.Params, ckptDir string) (*bmat.BlockMatrix, error) {
 	s, err := d.NewSession(ctx)
 	if err != nil {
 		return nil, err
@@ -116,36 +124,6 @@ func (d *Driver) executePull(ctx context.Context, a, b *bmat.BlockMatrix, params
 	if err != nil {
 		return nil, err
 	}
-	c, _, err := s.Multiply(ctx, ha, hb, MultiplyOptions{Params: &params, Transfer: core.TransferPull})
-	return c, err
-}
-
-// Multiply runs C = A×B with an explicit (P,Q,R)-cuboid partitioning.
-//
-// Deprecated: Use [Driver.Execute] with MultiplyOptions.Params for one-shot
-// operands, or [Session.Multiply] when the operands are resident handles.
-func (d *Driver) Multiply(a, b *bmat.BlockMatrix, params core.Params) (*bmat.BlockMatrix, error) {
-	c, _, err := d.Execute(context.Background(), a, b, MultiplyOptions{Params: &params})
-	return c, err
-}
-
-// MultiplyAuto optimizes (P,Q,R) for the given per-worker memory budget,
-// then multiplies.
-//
-// Deprecated: Use [Driver.Execute] with MultiplyOptions.WorkerMemBytes for
-// one-shot operands, or [Session.Multiply] when the operands are resident
-// handles.
-func (d *Driver) MultiplyAuto(a, b *bmat.BlockMatrix, workerMemBytes int64) (*bmat.BlockMatrix, core.Params, error) {
-	return d.Execute(context.Background(), a, b, MultiplyOptions{WorkerMemBytes: workerMemBytes})
-}
-
-// ResumeMultiply is Multiply with per-cuboid checkpointing rooted at dir.
-//
-// Deprecated: Use [Driver.Execute] with MultiplyOptions.CheckpointDir.
-func (d *Driver) ResumeMultiply(dir string, a, b *bmat.BlockMatrix, params core.Params) (*bmat.BlockMatrix, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("distnet: ResumeMultiply: empty checkpoint dir")
-	}
-	c, _, err := d.Execute(context.Background(), a, b, MultiplyOptions{Params: &params, CheckpointDir: dir})
+	c, _, err := s.Multiply(ctx, ha, hb, MultiplyOptions{Params: &params, Transfer: core.TransferPull, CheckpointDir: ckptDir})
 	return c, err
 }

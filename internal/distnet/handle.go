@@ -102,26 +102,33 @@ func (d *Driver) liveMembers() []*member {
 	return out
 }
 
-// NewSession opens a distributed-block-store session on the current live
-// membership. The returned session pins a placement snapshot; workers that
-// die later are handled by lineage recovery, and workers added later join
-// the placement at the next recovery.
-func (d *Driver) NewSession(ctx context.Context) (*Session, error) {
-	d.mu.Lock()
-	closed := d.closed
-	d.mu.Unlock()
-	if closed {
-		return nil, ErrDriverClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// placement snapshots the live members a session places bands on,
+// reconnecting dead ones once when none is live.
+func (d *Driver) placement() ([]*member, error) {
 	workers := d.liveMembers()
 	if len(workers) == 0 {
 		d.reconnectAny()
 		if workers = d.liveMembers(); len(workers) == 0 {
 			return nil, ErrNoWorkers
 		}
+	}
+	return workers, nil
+}
+
+// NewSession opens a distributed-block-store session on the current live
+// membership. The returned session pins a placement snapshot; workers that
+// die later are handled by lineage recovery, and workers added later join
+// the placement at the next recovery.
+func (d *Driver) NewSession(ctx context.Context) (*Session, error) {
+	if err := d.checkOpen(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	workers, err := d.placement()
+	if err != nil {
+		return nil, err
 	}
 	return &Session{
 		d:       d,
@@ -229,19 +236,33 @@ func (s *Session) sameSnapshot() bool {
 	return true
 }
 
+// evictedHandle picks the handle an eviction error hit: the live handle a
+// pull resolution named (errPullHandleTag — a multiply reads two handles and
+// only the worker knows whose band was gone), else target.
+func (s *Session) evictedHandle(err error, target *Handle) *Handle {
+	msg := err.Error()
+	if i := strings.Index(msg, errPullHandleTag); i >= 0 {
+		var id uint64
+		if _, scanErr := fmt.Sscanf(msg[i+len(errPullHandleTag):], "%d", &id); scanErr == nil && s.handles[id] != nil {
+			return s.handles[id]
+		}
+	}
+	return target
+}
+
 // withRecovery runs fn, and on a recoverable failure rebuilds lost state
 // from lineage and retries — the elasticity story of PR 2's Multiply,
 // lifted to resident state. target, when non-nil, is the handle fn reads;
-// an eviction on an unchanged placement rebuilds just its lineage chain
-// (first retry only), anything else re-snapshots the placement and rebuilds
-// every live handle.
+// an eviction on an unchanged placement rebuilds just the lineage chain of
+// the handle it hit (first retry only), anything else re-snapshots the
+// placement and rebuilds every live handle.
 func (s *Session) withRecovery(ctx context.Context, target *Handle, fn func(context.Context) error) error {
 	var lastErr error
 	for attempt := 0; attempt < sessionAttempts; attempt++ {
 		if attempt > 0 {
 			var err error
 			if attempt == 1 && target != nil && evictionErr(lastErr) && s.sameSnapshot() {
-				err = s.rebuildTargeted(ctx, target)
+				err = s.rebuildTargeted(ctx, s.evictedHandle(lastErr, target))
 			} else {
 				err = s.recover(ctx)
 			}
@@ -269,31 +290,13 @@ func (s *Session) withRecovery(ctx context.Context, target *Handle, fn func(cont
 // placement — the eviction path. The target lands last, so it is the
 // store's most-recent entry when the caller retries.
 func (s *Session) rebuildTargeted(ctx context.Context, target *Handle) error {
-	s.recoveries++
-	s.d.rec.AddPipelineRecovery()
-	sp := s.d.tracer.Start(0, "pipeline.recover", obs.KindDriver)
+	sp := s.startRecovery()
+	defer sp.End()
 	if sp.Active() {
 		sp.SetAttr("targeted", "true")
 		sp.SetAttr("handle", fmt.Sprintf("%d", target.id))
 	}
-	defer sp.End()
-
-	rebuilt := map[*Handle]bool{}
-	if err := s.rebuild(ctx, target, rebuilt); err != nil {
-		return err
-	}
-	for h := range rebuilt {
-		if h.freed {
-			s.freeParts(ctx, h)
-		}
-	}
-	// Lineage handles got fresh ids; re-key the live registry.
-	reg := make(map[uint64]*Handle, len(s.handles))
-	for _, h := range s.handles {
-		reg[h.id] = h
-	}
-	s.handles = reg
-	return nil
+	return s.rebuildAll(ctx, []*Handle{target})
 }
 
 // recover re-snapshots the live placement, wipes the session epoch on it
@@ -302,17 +305,12 @@ func (s *Session) rebuildTargeted(ctx context.Context, target *Handle) error {
 // during the wipe — and so still holds old ones — unreachable rather than
 // wrong; its LRU retires them.
 func (s *Session) recover(ctx context.Context) error {
-	s.recoveries++
-	s.d.rec.AddPipelineRecovery()
-	sp := s.d.tracer.Start(0, "pipeline.recover", obs.KindDriver)
+	sp := s.startRecovery()
 	defer sp.End()
 
-	workers := s.d.liveMembers()
-	if len(workers) == 0 {
-		s.d.reconnectAny()
-		if workers = s.d.liveMembers(); len(workers) == 0 {
-			return ErrNoWorkers
-		}
+	workers, err := s.d.placement()
+	if err != nil {
+		return err
 	}
 	s.workers = workers
 	if sp.Active() {
@@ -325,32 +323,41 @@ func (s *Session) recover(ctx context.Context) error {
 		_ = s.callMember(ctx, m, "FreeHandles", &FreeArgs{Epoch: s.epoch, AllEpoch: true}, &reply)
 	}
 
+	live := make([]*Handle, 0, len(s.handles))
+	for _, h := range s.handles {
+		live = append(live, h)
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	return s.rebuildAll(ctx, live)
+}
+
+// startRecovery counts one lineage recovery and opens its span.
+func (s *Session) startRecovery() obs.Span {
+	s.recoveries++
+	s.d.rec.AddPipelineRecovery()
+	return s.d.tracer.Start(0, "pipeline.recover", obs.KindDriver)
+}
+
+// rebuildAll rebuilds the listed handles in order (ancestors first, each
+// handle once), re-frees the freed ancestors it had to rebuild transiently
+// for their consumers, and re-keys the live registry under the fresh ids.
+func (s *Session) rebuildAll(ctx context.Context, hs []*Handle) error {
 	rebuilt := map[*Handle]bool{}
-	ids := make([]uint64, 0, len(s.handles))
-	for id := range s.handles {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	live := make([]*Handle, 0, len(ids))
-	for _, id := range ids {
-		live = append(live, s.handles[id])
-	}
-	for _, h := range live {
+	for _, h := range hs {
 		if err := s.rebuild(ctx, h, rebuilt); err != nil {
 			return err
 		}
 	}
-	// Freed ancestors rebuilt transiently for their consumers are re-freed.
 	for h := range rebuilt {
 		if h.freed {
 			s.freeParts(ctx, h)
 		}
 	}
-	// Re-register live handles under their fresh ids.
-	s.handles = map[uint64]*Handle{}
-	for _, h := range live {
-		s.handles[h.id] = h
+	reg := make(map[uint64]*Handle, len(s.handles))
+	for _, h := range s.handles {
+		reg[h.id] = h
 	}
+	s.handles = reg
 	return nil
 }
 
@@ -421,14 +428,8 @@ func (s *Session) push(ctx context.Context, h *Handle) error {
 	defer sp.End()
 	var bytes int64
 	for _, p := range s.parts(h.ib) {
-		args := &PutArgs{Handle: h.id, Epoch: s.epoch, Pin: h.pinned, traceSpan: uint64(sp.ID())}
-		for i := p.lo; i < p.hi; i++ {
-			for j := 0; j < h.src.JB; j++ {
-				if blk := h.src.Block(i, j); blk != nil {
-					args.Blocks = append(args.Blocks, BlockRec{Key: bmat.BlockKey{I: i, J: j}, Block: blk})
-				}
-			}
-		}
+		args := &PutArgs{Handle: h.id, Epoch: s.epoch, Pin: h.pinned, traceSpan: uint64(sp.ID()),
+			Blocks: boxRecs(h.src, p.lo, p.hi, 0, h.src.JB)}
 		var reply PutReply
 		if err := s.callMember(ctx, p.m, "PutBlocks", args, &reply); err != nil {
 			return err
@@ -564,13 +565,7 @@ func (s *Session) check() error {
 	if s.closed {
 		return fmt.Errorf("distnet: session closed")
 	}
-	s.d.mu.Lock()
-	closed := s.d.closed
-	s.d.mu.Unlock()
-	if closed {
-		return ErrDriverClosed
-	}
-	return nil
+	return s.d.checkOpen()
 }
 
 func (s *Session) checkHandle(h *Handle) error {

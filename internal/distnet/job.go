@@ -1,0 +1,559 @@
+package distnet
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net/rpc"
+	"strings"
+	"sync"
+	"time"
+
+	"distme/internal/bmat"
+	"distme/internal/codec"
+	"distme/internal/core"
+	"distme/internal/matrix"
+	"distme/internal/obs"
+	"distme/internal/shuffle"
+)
+
+// The cuboid job path: the package's only copy of CuboidMM — enumerate the
+// (P,Q,R) cuboids, get each its slices, multiply, sum over k — as plan →
+// prepare → dispatch → aggregate. A transfer mode is just a fill step; span
+// tree, job meter, gauges, checkpointing, batching, the retry/downgrade/
+// local-fallback scheduler and the aggregation fold exist once, for every mode.
+
+// cuboidJob describes one multiply C = A×B to that path.
+type cuboidJob struct {
+	// A is rows×inner, B inner×cols, C rows×cols, all in blockSize blocks.
+	rows, inner, cols, blockSize int
+	params                       core.Params
+	// transfer labels the root span; it never steers the path — fill does.
+	transfer core.Transfer
+	// ckpt, when non-nil, persists each committed cuboid and restores the
+	// ones a previous run of the same job already finished.
+	ckpt *checkpointer
+	// fill gives one cuboid — its voxel box already set — its slices, once,
+	// in index order, while the job is planned: inline records for push
+	// (Driver.multiply), placement manifests for pull (Session.pullMultiply).
+	fill func(args *MultiplyArgs)
+}
+
+// cuboidRun is one job in flight: what the cuboid and batch goroutines share.
+type cuboidRun struct {
+	d       *Driver
+	ctx     context.Context
+	job     *cuboidJob
+	root    obs.Span
+	meter   *JobMeter
+	cuboids []*MultiplyArgs
+	replies []*MultiplyReply
+	errs    []error
+}
+
+// runCuboids runs one cuboid job end to end: the repartition (each cuboid's
+// slices reach its worker however fill arranged) and the aggregation (summing
+// the partial C blocks that come back). Aggregation order is fixed by cuboid
+// index, and reassigned, downgraded or locally-recomputed cuboids use the
+// workers' exact arithmetic, so the product is byte-identical to a
+// failure-free run under any failure schedule and any transfer mode.
+func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatrix, error) {
+	if err := d.checkOpen(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	gi, gj, gk := ceilDivInt(job.rows, job.blockSize), ceilDivInt(job.cols, job.blockSize), ceilDivInt(job.inner, job.blockSize)
+	params := job.params
+	if params.P < 1 || params.P > gi || params.Q < 1 || params.Q > gj || params.R < 1 || params.R > gk {
+		return nil, fmt.Errorf("distnet: params %v outside grid %dx%dx%d", params, gi, gj, gk)
+	}
+
+	d.activeJobs.Add(1)
+	defer d.activeJobs.Add(-1)
+	r := &cuboidRun{d: d, ctx: ctx, job: &job, meter: jobMeterFrom(ctx)}
+	r.root = d.tracer.Start(0, "distnet.multiply", obs.KindDriver)
+	if r.root.Active() {
+		r.root.SetAttr("params", fmt.Sprintf("%v", params))
+		r.root.SetAttr("grid", fmt.Sprintf("%dx%dx%d blocks", gi, gj, gk))
+		r.root.SetAttr("transfer", job.transfer.String())
+	}
+	defer r.root.End()
+
+	// Plan: one filled cuboid per non-empty voxel box, in (p,q,r) index order.
+	for p := 0; p < params.P; p++ {
+		ilo, ihi := shuffle.GridSpan(p, gi, params.P)
+		for q := 0; q < params.Q; q++ {
+			jlo, jhi := shuffle.GridSpan(q, gj, params.Q)
+			for rr := 0; rr < params.R; rr++ {
+				klo, khi := shuffle.GridSpan(rr, gk, params.R)
+				if ihi <= ilo || jhi <= jlo || khi <= klo {
+					continue
+				}
+				args := &MultiplyArgs{
+					ILo: ilo, IHi: ihi, JLo: jlo, JHi: jhi, KLo: klo, KHi: khi,
+					cuboidP: p, cuboidQ: q, cuboidR: rr,
+					encoding: d.opts.Encoding,
+					meter:    r.meter,
+				}
+				job.fill(args)
+				r.cuboids = append(r.cuboids, args)
+			}
+		}
+	}
+	if job.ckpt != nil {
+		if err := job.ckpt.ensureManifest(&job, len(r.cuboids)); err != nil {
+			return nil, err
+		}
+	}
+	r.replies = make([]*MultiplyReply, len(r.cuboids))
+	r.errs = make([]error, len(r.cuboids))
+
+	// Prepare and dispatch, one cuboid at a time on this goroutine: the first
+	// cuboid is on the wire while later blocks are still being encoded and
+	// hashed, and the cuboid goroutines only ever read.
+	prep := d.newJobPrep()
+	var restored int
+	var wg sync.WaitGroup
+	var small []int // cuboids under BatchBytes, coalesced into batch RPCs
+	for idx, args := range r.cuboids {
+		if job.ckpt != nil {
+			if reply, ok := job.ckpt.load(idx, job.rows, job.cols, job.blockSize); ok {
+				r.replies[idx] = reply
+				restored++
+				continue
+			}
+		}
+		args.prep = prep
+		if !args.pull {
+			payload, err := prep.prepare(args)
+			if err != nil {
+				r.errs[idx] = err
+				continue
+			}
+			if d.opts.BatchBytes > 0 && payload < d.opts.BatchBytes {
+				small = append(small, idx)
+				continue
+			}
+		}
+		wg.Add(1)
+		d.inflight.Add(1)
+		go func(idx int) {
+			defer wg.Done()
+			defer d.inflight.Add(-1)
+			r.runOne(idx, r.cuboidSpan(idx))
+		}(idx)
+	}
+	for start := 0; start < len(small); start += d.opts.MaxBatchItems {
+		group := small[start:min(start+d.opts.MaxBatchItems, len(small))]
+		wg.Add(1)
+		d.inflight.Add(int64(len(group)))
+		go func() {
+			defer wg.Done()
+			defer d.inflight.Add(-int64(len(group)))
+			r.runBatch(group)
+		}()
+	}
+	wg.Wait()
+	if restored > 0 && r.root.Active() {
+		r.root.SetAttr("checkpoint-restored", fmt.Sprintf("%d", restored))
+	}
+	for _, err := range r.errs {
+		if err != nil {
+			return nil, fmt.Errorf("distnet: multiply: %w", err)
+		}
+	}
+
+	agg := d.tracer.Start(r.root.ID(), "aggregate", obs.KindDriver)
+	out := bmat.New(job.rows, job.cols, job.blockSize)
+	for _, reply := range r.replies {
+		for _, rec := range reply.CBlocks {
+			dense := denseOf(rec.Block)
+			if existing := out.Block(rec.Key.I, rec.Key.J); existing != nil {
+				matrix.AddInto(existing.(*matrix.Dense), dense)
+			} else {
+				out.SetBlock(rec.Key.I, rec.Key.J, dense)
+			}
+		}
+	}
+	agg.End()
+	return out, nil
+}
+
+// denseOf is b as a dense block, converting (copying) only other formats.
+func denseOf(b matrix.Block) *matrix.Dense {
+	if dense, ok := b.(*matrix.Dense); ok {
+		return dense
+	}
+	return b.Dense()
+}
+
+// commit records one cuboid's result: the reply slot, the job meter and,
+// when the job checkpoints, the disk. Commits are first-writer-wins by
+// construction — a cuboid is run by exactly one goroutine.
+func (r *cuboidRun) commit(idx int, reply *MultiplyReply) {
+	r.replies[idx] = reply
+	r.meter.noteCommit(reply)
+	if ckpt := r.job.ckpt; ckpt != nil {
+		ckpt.store(idx, reply, r.job.rows, r.job.cols, r.job.blockSize)
+	}
+}
+
+// cuboidSpan opens the span of one cuboid's scheduling lifetime. Every
+// dispatched cuboid gets exactly one, batched or not.
+func (r *cuboidRun) cuboidSpan(idx int) obs.Span {
+	args := r.cuboids[idx]
+	csp := r.d.tracer.Start(r.root.ID(), "cuboid", obs.KindDriver)
+	csp.SetCuboid(args.cuboidP, args.cuboidQ, args.cuboidR)
+	return csp
+}
+
+// runOne dispatches one cuboid on its own, with runJob's full retry,
+// downgrade and local-fallback machinery, and closes its span.
+func (r *cuboidRun) runOne(idx int, csp obs.Span) {
+	defer csp.End()
+	reply, err := r.d.runJob(r.ctx, r.cuboids[idx], csp)
+	if err != nil {
+		if csp.Active() {
+			csp.SetAttr("error", err.Error())
+		}
+		r.errs[idx] = err
+		return
+	}
+	r.commit(idx, reply)
+}
+
+// runBatch ships one group of small cuboids as a single MultiplyBatch RPC,
+// retried across members like one cuboid. Per-item failures in an
+// otherwise-successful reply — and any batch that exhausts its attempts —
+// fall back to individual dispatch, which carries its own retries and local
+// fallback, so batching can change performance but never outcomes.
+func (r *cuboidRun) runBatch(group []int) {
+	d := r.d
+	bsp := d.tracer.Start(r.root.ID(), "rpc.multiply_batch", obs.KindRPC)
+	if bsp.Active() {
+		bsp.SetAttr("items", fmt.Sprintf("%d", len(group)))
+	}
+	defer bsp.End()
+	batch := &MultiplyBatchArgs{Items: make([]MultiplyArgs, len(group)), traceSpan: uint64(bsp.ID())}
+	spans := make([]obs.Span, len(group))
+	for i, idx := range group {
+		spans[i] = r.cuboidSpan(idx)
+		batch.Items[i] = *r.cuboids[idx]
+		batch.Items[i].traceSpan = uint64(bsp.ID())
+	}
+	var reply *MultiplyBatchReply
+	var served *member
+	_, err := d.acrossMembers(r.ctx, r.meter, func(m *member) (bool, error) {
+		if bsp.Active() {
+			bsp.SetWorker(m.addr)
+		}
+		rep := new(MultiplyBatchReply)
+		callStart := time.Now()
+		err := d.call(m, "MultiplyBatch", batch, rep, d.opts.CallTimeout)
+		if err == nil && len(rep.Items) != len(group) {
+			err = fmt.Errorf("distnet: batch reply carried %d items for %d cuboids", len(rep.Items), len(group))
+		}
+		if err == nil {
+			if d.noteRPCDuration(m, time.Since(callStart)) && bsp.Active() {
+				bsp.SetAttr("straggler", "true")
+			}
+			reply, served = rep, m
+			return false, nil
+		}
+		if bsp.Active() {
+			bsp.SetAttr("error", err.Error())
+		}
+		// A worker that rejected the batch frame outright, or a batch that
+		// cannot be framed at all, is not retried: individual dispatch will
+		// reproduce (and pinpoint) the failure.
+		var se rpc.ServerError
+		rejected := errors.As(err, &se) && !isTransientServerError(se)
+		return !rejected && !errors.Is(err, codec.ErrFrameTooLarge), err
+	})
+	if err != nil {
+		for i, idx := range group {
+			r.runOne(idx, spans[i])
+		}
+		return
+	}
+	d.rec.AddBatchRPC(len(group))
+	var failed []int // positions in group
+	sawMiss := false
+	for i, idx := range group {
+		it := &reply.Items[i]
+		if it.Err == "" {
+			r.commit(idx, &MultiplyReply{CBlocks: it.CBlocks})
+			spans[i].End()
+			continue
+		}
+		d.rec.AddBatchItemError()
+		if it.Err == errUnknownDigestMsg {
+			d.rec.AddCacheRefMiss()
+			sawMiss = true
+		}
+		failed = append(failed, i)
+	}
+	if sawMiss {
+		// The worker no longer holds blocks this batch referenced; the
+		// individual retries ship them inline.
+		served.tracker.forget()
+	}
+	if bsp.Active() && len(failed) > 0 {
+		bsp.SetAttr("item-errors", fmt.Sprintf("%d", len(failed)))
+	}
+	for _, i := range failed {
+		r.runOne(group[i], spans[i])
+	}
+}
+
+// acrossMembers is the scheduling loop cuboids and batches share: acquire a
+// live member, run one attempt on it, and on a failure try calls retryable
+// back off (d.backoff) and move to the next live member, reconnecting dead
+// ones when the pool looks empty, for at most Options.JobAttempts attempts.
+// A nil error is success; exhausted means the attempts ran out or the pool
+// drained, err being the last failure (ErrNoWorkers if no member was ever
+// reached); any other error ended the loop for good — ctx, or a final try.
+func (d *Driver) acrossMembers(ctx context.Context, meter *JobMeter, try func(m *member) (retry bool, err error)) (exhausted bool, err error) {
+	var lastErr error
+	for attempt := 0; attempt < d.opts.JobAttempts; {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		m, anyLive := d.acquireMember()
+		if m == nil {
+			if anyLive {
+				// Every live member's in-flight window is full: wait for a
+				// slot (or a new member) without burning a retry attempt.
+				time.Sleep(200 * time.Microsecond)
+				continue
+			}
+			if d.reconnectAny() {
+				continue
+			}
+			// Keep the real failure when a call already failed; the drained
+			// pool is only the reason we stopped retrying.
+			if lastErr == nil {
+				lastErr = ErrNoWorkers
+			}
+			break
+		}
+		retry, err := try(m)
+		m.release()
+		if err == nil {
+			return false, nil
+		}
+		if !retry {
+			return false, err
+		}
+		m.retries.Add(1)
+		lastErr = err
+		attempt++
+		if attempt < d.opts.JobAttempts {
+			d.rec.AddCuboidRetry()
+			meter.noteRetry()
+			time.Sleep(d.backoff.Delay(attempt))
+		}
+	}
+	return true, lastErr
+}
+
+// runJob schedules one cuboid across the membership (acrossMembers). When
+// every attempt fails — or no worker is left — the cuboid is computed
+// locally with the workers' exact arithmetic, unless fallback is disabled.
+//
+// parent is the cuboid's span: each RPC attempt (and the local fallback)
+// records a child under it, so retries and reassignments are visible as
+// sibling attempts on the timeline.
+func (d *Driver) runJob(ctx context.Context, args *MultiplyArgs, parent obs.Span) (*MultiplyReply, error) {
+	if args.pull {
+		d.rec.AddPullJob()
+	}
+	var reply *MultiplyReply
+	exhausted, err := d.acrossMembers(ctx, args.meter, func(m *member) (bool, error) {
+		asp := d.tracer.Start(parent.ID(), "rpc.multiply", obs.KindRPC)
+		defer asp.End()
+		if asp.Active() {
+			asp.SetWorker(m.addr)
+			asp.SetCuboid(args.cuboidP, args.cuboidQ, args.cuboidR)
+		}
+		args.traceSpan = uint64(asp.ID())
+		if args.pull {
+			// The assigned worker must know which manifest owner is itself;
+			// ownership is decided at dispatch, not plan time.
+			args.pullSelf = m.addr
+		}
+		rep := new(MultiplyReply)
+		callStart := time.Now()
+		err := d.call(m, "Multiply", args, rep, d.opts.CallTimeout)
+		if err == nil {
+			if d.noteRPCDuration(m, time.Since(callStart)) && asp.Active() {
+				asp.SetAttr("straggler", "true")
+			}
+			if args.pull {
+				d.rec.AddPullReply(rep.pullHits, rep.pullFetches, rep.pullPeerBytes)
+			}
+			reply = rep
+			return false, nil
+		}
+		if asp.Active() {
+			asp.SetAttr("error", err.Error())
+		}
+		if errors.Is(err, codec.ErrFrameTooLarge) {
+			// No worker can be sent this cuboid: the plan, not the pool, is
+			// at fault, so neither a retry nor the local fallback applies.
+			return false, fmt.Errorf("distnet: cuboid does not fit one wire frame; partition finer: %w", err)
+		}
+		var se rpc.ServerError
+		if !errors.As(err, &se) {
+			return true, err
+		}
+		switch {
+		case se.Error() == errUnknownDigestMsg:
+			// The worker no longer holds blocks we sent as references
+			// (restart, eviction, or epoch turnover). Forget what we
+			// believed it had; the retry ships everything inline.
+			d.rec.AddCacheRefMiss()
+			m.tracker.forget()
+		case strings.Contains(se.Error(), errPullPrefix):
+			// Pull resolution failed on the worker — a peer died mid-fetch,
+			// or a manifest entry points at an evicted band. The driver is
+			// the pull plane's last resort: when it holds the operand
+			// blocks, the cuboid downgrades to push — prepared now, like any
+			// push cuboid, so this retry and every later one frame the same
+			// encoded records — and the retry ships them inline.
+			d.rec.AddPullFallback()
+			if args.pull && args.pullInline {
+				args.pull = false
+				if _, perr := args.prep.prepare(args); perr != nil {
+					return false, perr
+				}
+			}
+		case !isTransientServerError(se):
+			// The worker computed and rejected the request: retrying the
+			// same malformed cuboid elsewhere cannot help.
+			return false, fmt.Errorf("distnet: worker %s rejected cuboid: %w", m.addr, err)
+		}
+		return true, err
+	})
+	if err == nil {
+		return reply, nil
+	}
+	if !exhausted {
+		return nil, err
+	}
+	// Local fallback needs the operand blocks driver-side; a pull cuboid
+	// whose blocks the driver never fully held cannot be computed locally.
+	if d.opts.DisableLocalFallback || (args.pull && !args.pullInline) {
+		return nil, fmt.Errorf("distnet: cuboid failed after %d attempts: %w", d.opts.JobAttempts, err)
+	}
+	d.rec.AddLocalFallback()
+	args.meter.noteLocalFallback()
+	lsp := d.tracer.Start(parent.ID(), "local-fallback", obs.KindDriver)
+	defer lsp.End()
+	if lsp.Active() {
+		lsp.SetCuboid(args.cuboidP, args.cuboidQ, args.cuboidR)
+		lsp.SetAttr("cause", err.Error())
+	}
+	reply = new(MultiplyReply)
+	if err := computeCuboid(args, reply); err != nil {
+		return nil, err
+	}
+	return reply, nil
+}
+
+// jobPrep prepares the operand blocks one job ships inline: each distinct
+// block is planned, encoded and (when cacheable) digested exactly once, and
+// the record is shared by every cuboid that replicates the block — the same
+// block pointer appears in Q or P cuboids, the replication Eq. (4) counts.
+// The record's size feeds the job meter and the batch threshold, its digest
+// the worker cache references, and the client codec frames every send from
+// it. Push prepares every cuboid as it dispatches; pull only the cuboids that
+// downgrade, when they do — a failure-free pull prepares nothing. Records
+// live until the multiply returns — retries resend from them — which under an
+// opt-in encoding means a second, encoded copy of the operands (see
+// Options.Encoding).
+type jobPrep struct {
+	d *Driver
+	// epoch scopes the job's digest references; 0 with the block cache off,
+	// when no block is digested either.
+	epoch uint64
+	// mu guards recs: downgrades prepare from the cuboid goroutines.
+	mu   sync.Mutex
+	recs map[matrix.Block]*codec.Prepared
+}
+
+func (d *Driver) newJobPrep() *jobPrep {
+	jp := &jobPrep{d: d, recs: map[matrix.Block]*codec.Prepared{}}
+	if !d.opts.DisableBlockCache {
+		jp.epoch = d.epoch.Add(1)
+	}
+	return jp
+}
+
+// prepare stamps the job epoch on one cuboid, points each of its block
+// records at the block's prepared form — building it on first sight — and
+// charges the job meter the cuboid's payload bytes under the job's encoding,
+// which it returns: the quantity Options.BatchBytes thresholds.
+func (jp *jobPrep) prepare(args *MultiplyArgs) (int64, error) {
+	jp.mu.Lock()
+	defer jp.mu.Unlock()
+	args.cacheEpoch = jp.epoch
+	var payload int64
+	for _, list := range [2][]BlockRec{args.ABlocks, args.BBlocks} {
+		for i := range list {
+			rec := &list[i]
+			p, ok := jp.recs[rec.Block]
+			if !ok {
+				var err error
+				if p, err = codec.Prepare(rec.Block, jp.d.opts.Encoding); err != nil {
+					return 0, fmt.Errorf("distnet: block %v: %w", rec.Key, err)
+				}
+				// Blocks below the cacheable threshold stay digestless and
+				// always ship inline. The digest covers the encoded bytes, so
+				// it is taken under the job's encoding — the worker caches
+				// what the bytes decoded to.
+				if !jp.d.opts.DisableBlockCache && p.Size() >= minCacheableBytes {
+					p.Hash()
+				}
+				jp.d.rec.AddBlockPrepared()
+				jp.recs[rec.Block] = p
+			}
+			rec.prep = p
+			payload += p.Size()
+		}
+	}
+	args.meter.noteDispatch(payload)
+	return payload, nil
+}
+
+// multiply is the push job: each cuboid's slices are the operand blocks
+// inside its voxel box, shipped inline (or as digest references to blocks
+// the worker already holds).
+func (d *Driver) multiply(ctx context.Context, a, b *bmat.BlockMatrix, params core.Params, ckpt *checkpointer) (*bmat.BlockMatrix, error) {
+	if a.Cols != b.Rows || a.BlockSize != b.BlockSize {
+		return nil, fmt.Errorf("distnet: operands not conformable")
+	}
+	return d.runCuboids(ctx, cuboidJob{
+		rows: a.Rows, inner: a.Cols, cols: b.Cols, blockSize: a.BlockSize,
+		params: params, transfer: core.TransferPush, ckpt: ckpt,
+		fill: func(args *MultiplyArgs) {
+			args.ABlocks = boxRecs(a, args.ILo, args.IHi, args.KLo, args.KHi)
+			args.BBlocks = boxRecs(b, args.KLo, args.KHi, args.JLo, args.JHi)
+		},
+	})
+}
+
+// boxRecs lists m's present blocks inside [rlo,rhi)×[clo,chi), row-major.
+func boxRecs(m *bmat.BlockMatrix, rlo, rhi, clo, chi int) []BlockRec {
+	var recs []BlockRec
+	for i := rlo; i < rhi; i++ {
+		for j := clo; j < chi; j++ {
+			if blk := m.Block(i, j); blk != nil {
+				recs = append(recs, BlockRec{Key: bmat.BlockKey{I: i, J: j}, Block: blk})
+			}
+		}
+	}
+	return recs
+}

@@ -9,15 +9,17 @@ import (
 
 // JobMeter attributes one logical job's traffic and elasticity events to its
 // owner. The serving plane attaches a meter to the context it passes into
-// Execute (or Session.Multiply); everything the multiply dispatches — every
-// cuboid payload, reply, retry, and fallback — is then charged to that meter
-// as well as to the driver's global NetStats, giving per-tenant byte and
-// compute accounting without a recorder per job.
+// Execute or Session.Multiply; the cuboid job path reads it there, so under
+// either transfer mode everything the multiply dispatches — every cuboid
+// payload, reply, retry, and fallback — is charged to that meter as well as
+// to the driver's global NetStats, giving per-tenant byte and compute
+// accounting without a recorder per job.
 //
 // Request/reply bytes are encoded block-payload bytes (the Eq.(4) quantity),
 // not raw socket frames: digest references and batch framing change what
 // crosses the socket, but the payload measure is stable across cache state,
-// which is what quota enforcement wants.
+// which is what quota enforcement wants. A pull cuboid's manifest carries no
+// block payload: it charges request bytes only if it downgrades to push.
 type JobMeter struct {
 	cuboids, requestBytes, replyBytes, retries, localFallbacks atomic.Int64
 }

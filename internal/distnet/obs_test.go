@@ -106,7 +106,7 @@ func TestTracedMultiplySpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	want, err := ref.Multiply(a, b, params)
+	want, err := execute(ref, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestTracedMultiplySpanTree(t *testing.T) {
 	}
 	defer d.Close()
 
-	got, err := d.Multiply(a, b, params)
+	got, err := execute(d, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestTraceSpanTreeUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	want, err := ref.Multiply(a, b, params)
+	want, err := execute(ref, a, b, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestTraceSpanTreeUnderChaos(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		mark := tr.Len()
-		got, err := d.Multiply(a, b, params)
+		got, err := execute(d, a, b, params)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -261,7 +261,7 @@ func TestDriverDebugEndpointMidMultiply(t *testing.T) {
 	b := bmat.RandomDense(rng, 16, 16, 4)
 	done := make(chan error, 1)
 	go func() {
-		_, err := d.Multiply(a, b, core.Params{P: 4, Q: 4, R: 1})
+		_, err := execute(d, a, b, core.Params{P: 4, Q: 4, R: 1})
 		done <- err
 	}()
 
@@ -323,7 +323,7 @@ func TestWorkerServeDebug(t *testing.T) {
 	defer d.Close()
 	rng := rand.New(rand.NewSource(503))
 	a := bmat.RandomDense(rng, 8, 8, 4)
-	got, err := d.Multiply(a, a, core.Params{P: 2, Q: 2, R: 1})
+	got, err := execute(d, a, a, core.Params{P: 2, Q: 2, R: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestUntracedRunsRecordNothing(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(504))
 	a := bmat.RandomDense(rng, 8, 8, 4)
-	if _, err := d.Multiply(a, a, core.Params{P: 2, Q: 1, R: 1}); err != nil {
+	if _, err := execute(d, a, a, core.Params{P: 2, Q: 1, R: 1}); err != nil {
 		t.Fatal(err)
 	}
 }

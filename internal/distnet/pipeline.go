@@ -46,26 +46,27 @@ func (s *Session) Run(ctx context.Context, x plan.Expr, binds map[string]*Handle
 		return nil, err
 	}
 
-	apply := func(n plan.NodeInfo, a, b *Handle) (*Handle, error) {
-		h, err := s.newExecHandle(n, a, b)
-		if err != nil {
-			return nil, err
-		}
-		err = s.withRecovery(ctx, h, func(ctx context.Context) error {
-			return s.execParts(ctx, h)
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.handles[h.id] = h
-		return h, nil
-	}
+	apply := func(n plan.NodeInfo, a, b *Handle) (*Handle, error) { return s.exec(ctx, n, a, b) }
 	release := func(h *Handle) {
 		if h != nil && !h.freed {
 			_ = s.Free(ctx, h)
 		}
 	}
 	return plan.EvalWith(p, binds, apply, release)
+}
+
+// exec runs one operator node over resident operands, under lineage
+// recovery, and registers the output handle.
+func (s *Session) exec(ctx context.Context, n plan.NodeInfo, a, b *Handle) (*Handle, error) {
+	h, err := s.newExecHandle(n, a, b)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.withRecovery(ctx, h, func(ctx context.Context) error { return s.execParts(ctx, h) }); err != nil {
+		return nil, err
+	}
+	s.handles[h.id] = h
+	return h, nil
 }
 
 // pipeShape is the dims value the pricing pre-pass walks the plan with.
@@ -347,15 +348,10 @@ func (s *Session) RunMaterialized(ctx context.Context, x plan.Expr, binds map[st
 			}
 			defer func() { _ = s.Free(ctx, hb) }()
 		}
-		h, err := s.newExecHandle(n, ha, hb)
+		h, err := s.exec(ctx, n, ha, hb)
 		if err != nil {
 			return nil, err
 		}
-		err = s.withRecovery(ctx, h, func(ctx context.Context) error { return s.execParts(ctx, h) })
-		if err != nil {
-			return nil, err
-		}
-		s.handles[h.id] = h
 		out, err := s.Fetch(ctx, h)
 		_ = s.Free(ctx, h)
 		if err != nil {

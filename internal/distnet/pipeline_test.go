@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"distme/internal/bmat"
-	"distme/internal/core"
 	"distme/internal/matrix"
 	"distme/internal/ml"
 	"distme/internal/plan"
@@ -323,46 +322,6 @@ func TestPipelineEvictionRecompute(t *testing.T) {
 	bitIdentical(t, got, m1)
 	for _, h := range flood {
 		_ = s.Free(ctx, h)
-	}
-}
-
-// TestDeprecatedDriverWrappers pins the back-compat contract: the old
-// Multiply/MultiplyAuto entry points must be byte-identical to Execute.
-func TestDeprecatedDriverWrappers(t *testing.T) {
-	addrs, _ := startWorkers(t, 2)
-	d, err := Dial(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	rng := rand.New(rand.NewSource(41))
-	a := bmat.RandomDense(rng, 24, 16, 4)
-	b := bmat.RandomDense(rng, 16, 20, 4)
-	params := core.Params{P: 2, Q: 2, R: 2}
-
-	want, _, err := d.Execute(context.Background(), a, b, MultiplyOptions{Params: &params})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.Multiply(a, b, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitIdentical(t, got, want)
-
-	wantAuto, _, err := d.Execute(context.Background(), a, b, MultiplyOptions{WorkerMemBytes: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotAuto, _, err := d.MultiplyAuto(a, b, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitIdentical(t, gotAuto, wantAuto)
-
-	ref := matrix.Mul(a.ToDense(), b.ToDense()).Dense()
-	if !want.ToDense().EqualApprox(ref, 1e-9) {
-		t.Fatal("Execute result differs from local reference")
 	}
 }
 

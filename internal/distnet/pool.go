@@ -131,19 +131,11 @@ func (p *InProcPool) Close(ctx context.Context) {
 func (w *Worker) abort() {
 	w.mu.Lock()
 	l := w.listener
-	conns := make([]net.Conn, 0, len(w.conns))
-	for c := range w.conns {
-		conns = append(conns, c)
-	}
-	w.conns = map[net.Conn]struct{}{}
 	w.mu.Unlock()
 	if l != nil {
 		l.Close()
 	}
-	for _, c := range conns {
-		c.Close()
-	}
-	w.closePeers()
+	w.dropConns()
 }
 
 // ExecPool provisions workers by spawning distme-worker processes.

@@ -19,10 +19,10 @@ type BlockRec struct {
 	Key   bmat.BlockKey
 	Block matrix.Block
 
-	// prep, when set by the driver (jobPrep), is Block encoded once for its
-	// job: the client codec frames it from there and, when it carries a
-	// digest, replaces repeat sends to the same worker with a 32-byte
-	// reference. Nil means "encode at send, always inline".
+	// prep is Block encoded once for its job (jobPrep), set driver-side on
+	// every record of a cuboid before it ships inline: the client codec
+	// frames it from there and, when it carries a digest, replaces repeat
+	// sends to the same worker with a 32-byte reference.
 	prep *codec.Prepared
 }
 
@@ -59,6 +59,11 @@ type MultiplyArgs struct {
 	// meter, when set, receives per-job traffic attribution for this
 	// cuboid (WithJobMeter). Driver-side only; never on the wire.
 	meter *JobMeter
+
+	// prep is the cuboid's job-wide block preparer, kept on the cuboid so a
+	// pull cuboid can be prepared at the moment it downgrades to push.
+	// Driver-side only.
+	prep *jobPrep
 
 	// pull switches this cuboid to the one-sided data plane: ABlocks and
 	// BBlocks stay off the wire, and the worker resolves the placement

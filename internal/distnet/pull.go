@@ -21,10 +21,14 @@ import (
 // reported under errPullPrefix, which the driver answers by re-pushing the
 // cuboid's blocks inline.
 
-// errPullPrefix marks pull-resolution failures. The text wraps the
-// underlying error, so unknown-handle and peer-fetch sentinels stay
-// matchable by session recovery.
-const errPullPrefix = "distnet: pull fetch"
+// errPullPrefix marks pull-resolution failures. The text names the handle
+// whose manifest failed (errPullHandleTag, so session recovery rebuilds that
+// one and not its sibling operand) and wraps the underlying error, so
+// unknown-handle and peer-fetch sentinels stay matchable.
+const (
+	errPullPrefix    = "distnet: pull fetch"
+	errPullHandleTag = errPullPrefix + " handle "
+)
 
 // pullFetchConcurrency bounds concurrent peer fetches during one manifest
 // resolution.
@@ -122,7 +126,7 @@ func (w *Worker) resolvePull(parent obs.SpanID, epoch uint64, self string, m *co
 	for _, o := range owners {
 		res := results[o]
 		if res.err != nil {
-			return nil, st, fmt.Errorf("%s: %w", errPullPrefix, res.err)
+			return nil, st, fmt.Errorf("%s%d: %w", errPullHandleTag, m.Handle, res.err)
 		}
 		st.add(res.stats)
 		for _, ei := range unresolved[o] {

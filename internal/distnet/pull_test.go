@@ -274,6 +274,61 @@ func TestPullEvictedHandleRebuilds(t *testing.T) {
 	}
 }
 
+// TestPullEvictedSecondOperandRebuildsOnce evicts only B's bands on an
+// unchanged placement. The worker's refusal names the handle whose manifest
+// failed, so the first recovery is the targeted rebuild of B — not of A, the
+// operand recovery defaults to — and the retry after it succeeds: exactly
+// one recovery, A untouched, product bit-identical.
+func TestPullEvictedSecondOperandRebuildsOnce(t *testing.T) {
+	addrs, workers := startWorkers(t, 2)
+	opts := fastOpts()
+	opts.DisableHeartbeat = true
+	d, err := DialOptions(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx := context.Background()
+	s := newSession(t, d)
+
+	rng := rand.New(rand.NewSource(106))
+	ha, err := s.Put(ctx, bmat.RandomDense(rng, 16, 16, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb0, err := s.Put(ctx, bmat.RandomDense(rng, 16, 12, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// B is derived: lineage but no driver-side blocks, so a failed manifest
+	// resolution cannot downgrade to an inline push and must surface.
+	hb, err := s.Run(ctx, plan.Times(2, plan.V("b")), map[string]*Handle{"b": hb0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mo := MultiplyOptions{Params: &core.Params{P: 2, Q: 1, R: 2}, Transfer: core.TransferPull}
+	want, _, err := s.Multiply(ctx, ha, hb, mo)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, w := range workers {
+		w.getStore().free([]uint64{hb.id})
+	}
+	aID := ha.id
+	got, _, err := s.Multiply(ctx, ha, hb, mo)
+	if err != nil {
+		t.Fatalf("pull multiply over evicted B: %v", err)
+	}
+	bitIdentical(t, got, want)
+	if s.Recoveries() != 1 {
+		t.Fatalf("%d recoveries, want exactly 1 (the targeted rebuild of B)", s.Recoveries())
+	}
+	if ha.id != aID {
+		t.Fatal("A was rebuilt though only B's bands were evicted")
+	}
+}
+
 // TestPullAddWorkerMidJob adds a fresh worker while pull cuboids are being
 // scheduled: the newcomer holds none of the operand bands, so every cuboid
 // it claims resolves purely from peers — and the product stays bit-identical.

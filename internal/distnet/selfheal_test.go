@@ -128,7 +128,7 @@ func TestInProcPoolGrowShrinkKill(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	a := bmat.RandomDense(rng, 16, 16, 8)
-	if _, err := d.Multiply(a, a, core.Params{P: 1, Q: 1, R: 1}); err != nil {
+	if _, err := execute(d, a, a, core.Params{P: 1, Q: 1, R: 1}); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
@@ -298,7 +298,7 @@ func TestAutoscalerEndToEnd(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := d.Multiply(a, a, core.Params{P: 2, Q: 2, R: 1}); err != nil {
+				if _, err := execute(d, a, a, core.Params{P: 2, Q: 2, R: 1}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -230,12 +230,9 @@ func (c *clientCodec) appendMultiplyBatchArgs(w *codec.FrameWriter, a *MultiplyB
 	return nil
 }
 
-// appendBlockRecs emits one operand's block records. A record the job
-// prepared (jobPrep) goes out from its prepared form — as a 32-byte
-// reference when its digest was already sent to this worker — with no
-// planning or encoding here; a record without one (the pull plane's retained
-// inline copy, shipped only on a downgrade retry) is encoded in place and
-// never cached.
+// appendBlockRecs emits one operand's block records from their prepared
+// form (jobPrep) — as a 32-byte reference when the record's digest was
+// already sent to this worker — with no planning or encoding here.
 func (c *clientCodec) appendBlockRecs(w *codec.FrameWriter, recs []BlockRec, epoch uint64, enc codec.Encoding) error {
 	w.Uvarint(uint64(len(recs)))
 	for i := range recs {
@@ -243,18 +240,10 @@ func (c *clientCodec) appendBlockRecs(w *codec.FrameWriter, recs []BlockRec, epo
 		w.Uvarint(uint64(rec.Key.I))
 		w.Uvarint(uint64(rec.Key.J))
 		p := rec.prep
-		var saved int64 // bytes the job's encoding took off the raw form
-		switch {
-		case p == nil:
-			w.Byte(blockInline)
-			size, err := w.AppendBlock(rec.Block, enc)
-			if err != nil {
-				return err
-			}
-			if enc != codec.EncodingFP64 {
-				saved = codec.EncodedBytes(rec.Block) - size
-			}
-		case p.HasDigest && c.tracker != nil:
+		if p == nil {
+			return fmt.Errorf("distnet: block %v reached the wire unprepared", rec.Key)
+		}
+		if p.HasDigest && c.tracker != nil {
 			if c.tracker.seen(epoch, p.Digest) {
 				w.Byte(blockRef)
 				w.Bytes(p.Digest[:])
@@ -265,15 +254,13 @@ func (c *clientCodec) appendBlockRecs(w *codec.FrameWriter, recs []BlockRec, epo
 			}
 			w.Byte(blockInlineCache)
 			w.Bytes(p.Digest[:])
-			w.AppendPrepared(p)
-			saved = p.RawSize - p.Size()
-		default:
+		} else {
 			w.Byte(blockInline)
-			w.AppendPrepared(p)
-			saved = p.RawSize - p.Size()
 		}
+		w.AppendPrepared(p)
 		if enc != codec.EncodingFP64 && c.rec != nil {
-			c.rec.AddEncodedBlock(max(saved, 0))
+			// Bytes the job's encoding took off the raw form.
+			c.rec.AddEncodedBlock(max(p.RawSize-p.Size(), 0))
 		}
 	}
 	return nil

@@ -68,12 +68,28 @@ func decodeBody(kind int, rd *codec.FrameReader) error {
 	}
 }
 
+// prepareRecs stands in for jobPrep on hand-built cuboids: every record gets
+// its fp64 prepared form, digestless, so it frames inline.
+func prepareRecs(t testing.TB, lists ...[]BlockRec) {
+	t.Helper()
+	for _, recs := range lists {
+		for i := range recs {
+			p, err := codec.Prepare(recs[i].Block, codec.EncodingFP64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs[i].prep = p
+		}
+	}
+}
+
 // wireSeedBodies encodes one valid body of every kind.
 func wireSeedBodies(t testing.TB) map[int][]byte {
 	rng := rand.New(rand.NewSource(1402))
 	dense := matrix.RandomDense(rng, 24, 24) // 4.5 KiB of values: a zero-copy cut
 	sparse := matrix.RandomSparse(rng, 40, 40, 0.05)
 	recs := []BlockRec{{Key: bmat.BlockKey{I: 0, J: 1}, Block: dense}, {Key: bmat.BlockKey{I: 2, J: 3}, Block: sparse}}
+	prepareRecs(t, recs)
 	push := MultiplyArgs{IHi: 1, JHi: 1, KHi: 2, ABlocks: recs, BBlocks: recs[:1], cacheEpoch: 3}
 	manifest := &codec.Manifest{Handle: 9, Owners: []string{"10.0.0.1:7070"}, Entries: []codec.ManifestEntry{{KeyI: 1, KeyJ: 2, HasDigest: true}}}
 	pull := MultiplyArgs{IHi: 1, JHi: 1, KHi: 1, pull: true, pullSelf: "10.0.0.1:7070", aManifest: manifest, bManifest: manifest}
@@ -368,6 +384,7 @@ func TestOversizeCuboidFailsWithoutRetry(t *testing.T) {
 	for i := 0; i < 65; i++ {
 		huge.ABlocks = append(huge.ABlocks, BlockRec{Key: bmat.BlockKey{I: 0, J: i}, Block: big})
 	}
+	prepareRecs(t, huge.ABlocks)
 	if _, err := d.runJob(context.Background(), huge, obs.Span{}); !errors.Is(err, codec.ErrFrameTooLarge) {
 		t.Fatalf("oversized cuboid: %v, want ErrFrameTooLarge", err)
 	}
@@ -379,6 +396,7 @@ func TestOversizeCuboidFailsWithoutRetry(t *testing.T) {
 	}
 	small := matrix.RandomDense(rand.New(rand.NewSource(1405)), 8, 8)
 	ok := &MultiplyArgs{IHi: 1, JHi: 1, KHi: 1, ABlocks: []BlockRec{{Block: small}}, BBlocks: []BlockRec{{Block: small}}}
+	prepareRecs(t, ok.ABlocks, ok.BBlocks)
 	for i := 0; i < 2; i++ { // round-robin: both members' connections
 		if reply, err := d.runJob(context.Background(), ok, obs.Span{}); err != nil || len(reply.CBlocks) != 1 {
 			t.Fatalf("cuboid after the refusal: %v", err)

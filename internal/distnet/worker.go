@@ -153,6 +153,33 @@ func computeCuboid(args *MultiplyArgs, reply *MultiplyReply) error {
 	return nil
 }
 
+// serveCuboid is the worker's one way to run a cuboid, single or batched:
+// a pull cuboid first resolves its manifests into blocks, then the partial C
+// blocks are computed under a worker.compute span.
+func (w *Worker) serveCuboid(args *MultiplyArgs, reply *MultiplyReply) error {
+	if args.pull {
+		if err := w.preparePull(args, reply); err != nil {
+			return err
+		}
+	}
+	sp := w.tracer.Start(obs.SpanID(args.traceSpan), "worker.compute", obs.KindWorker)
+	defer sp.End()
+	if sp.Active() {
+		sp.SetCuboid(args.cuboidP, args.cuboidQ, args.cuboidR)
+		sp.SetAttr("a-blocks", fmt.Sprintf("%d", len(args.ABlocks)))
+		sp.SetAttr("b-blocks", fmt.Sprintf("%d", len(args.BBlocks)))
+	}
+	err := computeCuboid(args, reply)
+	if sp.Active() {
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+		} else {
+			sp.SetAttr("c-blocks", fmt.Sprintf("%d", len(reply.CBlocks)))
+		}
+	}
+	return err
+}
+
 // Multiply computes the partial C blocks of one cuboid, against blocks
 // that arrived over the wire.
 func (w *Worker) Multiply(args *MultiplyArgs, reply *MultiplyReply) error {
@@ -160,28 +187,9 @@ func (w *Worker) Multiply(args *MultiplyArgs, reply *MultiplyReply) error {
 		return errors.New(errWorkerDrainingMsg)
 	}
 	defer w.endRPC()
-	if args.pull {
-		if err := w.preparePull(args, reply); err != nil {
-			return err
-		}
-	}
-	sp := w.tracer.Start(obs.SpanID(args.traceSpan), "worker.compute", obs.KindWorker)
-	if sp.Active() {
-		sp.SetCuboid(args.cuboidP, args.cuboidQ, args.cuboidR)
-		sp.SetAttr("a-blocks", fmt.Sprintf("%d", len(args.ABlocks)))
-		sp.SetAttr("b-blocks", fmt.Sprintf("%d", len(args.BBlocks)))
-	}
-	if err := computeCuboid(args, reply); err != nil {
-		if sp.Active() {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.End()
+	if err := w.serveCuboid(args, reply); err != nil {
 		return err
 	}
-	if sp.Active() {
-		sp.SetAttr("c-blocks", fmt.Sprintf("%d", len(reply.CBlocks)))
-	}
-	sp.End()
 	w.mu.Lock()
 	w.multiplies++
 	w.mu.Unlock()
@@ -189,9 +197,10 @@ func (w *Worker) Multiply(args *MultiplyArgs, reply *MultiplyReply) error {
 }
 
 // MultiplyBatch computes many small cuboids in one RPC. Items fail
-// independently: a per-item error — an unknown-digest decode miss or a
-// malformed box — lands in that item's reply slot while the rest of the
-// batch computes normally, so the driver retries exactly the failures.
+// independently: a per-item error — an unknown-digest decode miss, a failed
+// pull resolution (the driver re-pushes that item inline) or a malformed
+// box — lands in that item's reply slot while the rest of the batch computes
+// normally, so the driver retries exactly the failures.
 func (w *Worker) MultiplyBatch(args *MultiplyBatchArgs, reply *MultiplyBatchReply) error {
 	if !w.beginRPC() {
 		return errors.New(errWorkerDrainingMsg)
@@ -201,39 +210,15 @@ func (w *Worker) MultiplyBatch(args *MultiplyBatchArgs, reply *MultiplyBatchRepl
 	served := 0
 	for i := range args.Items {
 		item := &args.Items[i]
+		var rep MultiplyReply
 		if item.decodeErr != "" {
 			reply.Items[i].Err = item.decodeErr
-			continue
-		}
-		if item.pull {
-			// Pull items resolve independently, like they fail: a dead peer
-			// marks only this item, and the driver re-pushes it inline.
-			var rep MultiplyReply
-			if err := w.preparePull(item, &rep); err != nil {
-				reply.Items[i].Err = err.Error()
-				continue
-			}
-		}
-		sp := w.tracer.Start(obs.SpanID(item.traceSpan), "worker.compute", obs.KindWorker)
-		if sp.Active() {
-			sp.SetCuboid(item.cuboidP, item.cuboidQ, item.cuboidR)
-			sp.SetAttr("a-blocks", fmt.Sprintf("%d", len(item.ABlocks)))
-			sp.SetAttr("b-blocks", fmt.Sprintf("%d", len(item.BBlocks)))
-		}
-		var rep MultiplyReply
-		if err := computeCuboid(item, &rep); err != nil {
-			if sp.Active() {
-				sp.SetAttr("error", err.Error())
-			}
+		} else if err := w.serveCuboid(item, &rep); err != nil {
 			reply.Items[i].Err = err.Error()
 		} else {
-			if sp.Active() {
-				sp.SetAttr("c-blocks", fmt.Sprintf("%d", len(rep.CBlocks)))
-			}
 			reply.Items[i].CBlocks = rep.CBlocks
 			served++
 		}
-		sp.End()
 	}
 	w.mu.Lock()
 	w.multiplies += served
@@ -324,22 +309,24 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 		case <-ctx.Done():
 			err = ctx.Err()
 		}
-		w.mu.Lock()
-		conns := make([]net.Conn, 0, len(w.conns))
-		for c := range w.conns {
-			conns = append(conns, c)
-		}
-		w.conns = map[net.Conn]struct{}{}
-		w.mu.Unlock()
-		for _, c := range conns {
-			c.Close()
-		}
-		w.closePeers()
+		w.dropConns()
 		if w.down != nil {
 			close(w.down)
 		}
 	})
 	return err
+}
+
+// dropConns closes every open driver connection and the peer clients.
+func (w *Worker) dropConns() {
+	w.mu.Lock()
+	conns := w.conns
+	w.conns = map[net.Conn]struct{}{}
+	w.mu.Unlock()
+	for c := range conns {
+		c.Close()
+	}
+	w.closePeers()
 }
 
 // Wait blocks until Shutdown completes. Only valid on a served worker.

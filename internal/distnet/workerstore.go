@@ -313,10 +313,19 @@ func (w *Worker) execMul(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64,
 	if err != nil {
 		return nil, 0, err
 	}
-	// Sorted j and ascending k keep the accumulation order identical to
-	// computeCuboid's regardless of which worker runs the band.
+	acc := map[bmat.BlockKey]*matrix.Dense{}
+	mulBand(acc, aBlocks, bBlocks, args.OutLo, args.OutHi)
+	return denseBlocks(acc), 0, nil
+}
+
+// mulBand accumulates (A rows [lo,hi)) × (one row band of B) into acc. Sorted
+// j and ascending k keep the accumulation order identical to computeCuboid's
+// regardless of which worker runs the band; called once per band in
+// ascending-k band order, the concatenation is the whole-B order, so streaming
+// B band by band matches gathering it first bit for bit.
+func mulBand(acc map[bmat.BlockKey]*matrix.Dense, aBlocks, bBand map[bmat.BlockKey]matrix.Block, lo, hi int) {
 	ksByJ := map[int][]int{}
-	for k := range bBlocks {
+	for k := range bBand {
 		ksByJ[k.J] = append(ksByJ[k.J], k.I)
 	}
 	js := make([]int, 0, len(ksByJ))
@@ -325,30 +334,39 @@ func (w *Worker) execMul(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64,
 		js = append(js, j)
 	}
 	sort.Ints(js)
-	out := map[bmat.BlockKey]matrix.Block{}
-	for i := args.OutLo; i < args.OutHi; i++ {
+	for i := lo; i < hi; i++ {
 		for _, j := range js {
-			var acc *matrix.Dense
+			key := bmat.BlockKey{I: i, J: j}
+			a := acc[key]
 			for _, k := range ksByJ[j] {
 				ab := aBlocks[bmat.BlockKey{I: i, J: k}]
-				bb := bBlocks[bmat.BlockKey{I: k, J: j}]
+				bb := bBand[bmat.BlockKey{I: k, J: j}]
 				if ab == nil || bb == nil {
 					continue
 				}
-				acc = matrix.MulAdd(acc, ab, bb)
+				a = matrix.MulAdd(a, ab, bb)
 			}
-			if acc != nil {
-				out[bmat.BlockKey{I: i, J: j}] = acc
+			if a != nil {
+				acc[key] = a
 			}
 		}
 	}
-	return out, 0, nil
+}
+
+// denseBlocks widens an accumulator map to the store's block map.
+func denseBlocks(acc map[bmat.BlockKey]*matrix.Dense) map[bmat.BlockKey]matrix.Block {
+	out := make(map[bmat.BlockKey]matrix.Block, len(acc))
+	for k, a := range acc {
+		out[k] = a
+	}
+	return out
 }
 
 // execMulPull streams the B operand band by band instead of gathering it
 // whole: while one band multiplies, the next prefetches (one ahead). Bands
-// are disjoint ascending-k row ranges, so the per-(i,j) accumulation order —
-// and therefore every fp64 bit — matches the gathered path exactly.
+// are disjoint row ranges taken in ascending-k order, so the per-(i,j)
+// accumulation order — and therefore every fp64 bit — matches the gathered
+// path exactly (mulBand).
 func (w *Worker) execMulPull(args *ExecArgs, aBlocks map[bmat.BlockKey]matrix.Block) (map[bmat.BlockKey]matrix.Block, int64, error) {
 	parent := obs.SpanID(args.traceSpan)
 	parts := append([]PartLoc(nil), args.BParts...)
@@ -398,40 +416,9 @@ func (w *Worker) execMulPull(args *ExecArgs, aBlocks map[bmat.BlockKey]matrix.Bl
 			return nil, 0, cur.err
 		}
 		peerBytes += cur.bytes
-		// Within a band: sorted j, ascending k — band order is ascending k
-		// ranges, so the concatenation is the gathered path's global order.
-		ksByJ := map[int][]int{}
-		for k := range cur.blocks {
-			ksByJ[k.J] = append(ksByJ[k.J], k.I)
-		}
-		js := make([]int, 0, len(ksByJ))
-		for j, ks := range ksByJ {
-			sort.Ints(ks)
-			js = append(js, j)
-		}
-		sort.Ints(js)
-		for i := args.OutLo; i < args.OutHi; i++ {
-			for _, j := range js {
-				a := acc[bmat.BlockKey{I: i, J: j}]
-				for _, k := range ksByJ[j] {
-					ab := aBlocks[bmat.BlockKey{I: i, J: k}]
-					bb := cur.blocks[bmat.BlockKey{I: k, J: j}]
-					if ab == nil || bb == nil {
-						continue
-					}
-					a = matrix.MulAdd(a, ab, bb)
-				}
-				if a != nil {
-					acc[bmat.BlockKey{I: i, J: j}] = a
-				}
-			}
-		}
+		mulBand(acc, aBlocks, cur.blocks, args.OutLo, args.OutHi)
 	}
-	out := make(map[bmat.BlockKey]matrix.Block, len(acc))
-	for k, a := range acc {
-		out[k] = a
-	}
-	return out, peerBytes, nil
+	return denseBlocks(acc), peerBytes, nil
 }
 
 // execTranspose builds the output band rows [OutLo, OutHi) — the operand's

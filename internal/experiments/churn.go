@@ -45,7 +45,8 @@ func ExtChurn(seed int64) (*Table, error) {
 			return nil, err
 		}
 		defer d.Close()
-		return d.Multiply(a, b, params)
+		c, _, err := d.Execute(context.Background(), a, b, distnet.MultiplyOptions{Params: &params})
+		return c, err
 	}()
 	if err != nil {
 		return nil, err
@@ -95,7 +96,7 @@ func ExtChurn(seed int64) (*Table, error) {
 		}
 
 		start := time.Now()
-		got, err := d.Multiply(a, b, params)
+		got, _, err := d.Execute(context.Background(), a, b, distnet.MultiplyOptions{Params: &params})
 		elapsed := time.Since(start)
 		if err != nil {
 			d.Close()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -76,7 +77,7 @@ func ExtWire(seed int64) (*Table, error) {
 			return nil, err
 		}
 		sent0, recv0 := d.WireBytes()
-		c, err := d.Multiply(a, b, p)
+		c, _, err := d.Execute(context.Background(), a, b, distnet.MultiplyOptions{Params: &p})
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -130,7 +131,7 @@ func ExtWireCache(seed int64) (*Table, error) {
 			return 0, err
 		}
 		defer d.Close()
-		if _, err := d.Multiply(a, b, params); err != nil {
+		if _, _, err := d.Execute(context.Background(), a, b, distnet.MultiplyOptions{Params: &params}); err != nil {
 			return 0, err
 		}
 		sent, _ := d.WireBytes()

@@ -338,13 +338,13 @@ func (h *harness) runJob(kind string) (mismatch bool, err error) {
 	w := h.w
 	switch kind {
 	case "mul":
-		got, err := h.d.Multiply(w.mulA, w.mulB, w.mulParams)
+		got, _, err := h.d.Execute(ctx, w.mulA, w.mulB, distnet.MultiplyOptions{Params: &w.mulParams})
 		if err != nil {
 			return false, err
 		}
 		return !bitEqual(got, w.mulRef), nil
 	case "tiny-batch":
-		got, err := h.d.Multiply(w.batA, w.batB, w.batParams)
+		got, _, err := h.d.Execute(ctx, w.batA, w.batB, distnet.MultiplyOptions{Params: &w.batParams})
 		if err != nil {
 			return false, err
 		}
@@ -416,10 +416,10 @@ func (h *harness) precomputeRefs() error {
 	defer cancel()
 	w := h.w
 	var err error
-	if w.mulRef, err = h.d.Multiply(w.mulA, w.mulB, w.mulParams); err != nil {
+	if w.mulRef, _, err = h.d.Execute(ctx, w.mulA, w.mulB, distnet.MultiplyOptions{Params: &w.mulParams}); err != nil {
 		return fmt.Errorf("soak: mul reference: %w", err)
 	}
-	if w.batRef, err = h.d.Multiply(w.batA, w.batB, w.batParams); err != nil {
+	if w.batRef, _, err = h.d.Execute(ctx, w.batA, w.batB, distnet.MultiplyOptions{Params: &w.batParams}); err != nil {
 		return fmt.Errorf("soak: tiny-batch reference: %w", err)
 	}
 	sess, err := h.d.NewSession(ctx)

@@ -47,8 +47,8 @@ func goldenMatrix() *bmat.BlockMatrix {
 
 // TestGoldenFileByteIdentical pins the on-disk checkpoint format: Write
 // must keep producing the byte-for-byte output of the pre-codec encoder,
-// captured in testdata/golden-v1.dmeb, or Driver.ResumeMultiply would stop
-// reading checkpoints written by earlier builds.
+// captured in testdata/golden-v1.dmeb, or a checkpointed Driver.Execute would
+// stop reading checkpoints written by earlier builds.
 func TestGoldenFileByteIdentical(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden-v1.dmeb"))
 	if err != nil {

@@ -349,7 +349,7 @@ func cacheResult() (CacheResult, error) {
 			return 0, 0, 0, nil, err
 		}
 		defer d.Close()
-		c, err := d.Multiply(a, b, params)
+		c, _, err := d.Execute(context.Background(), a, b, distnet.MultiplyOptions{Params: &params})
 		if err != nil {
 			return 0, 0, 0, nil, err
 		}
@@ -577,7 +577,7 @@ func batchResult() (BatchResult, error) {
 		var c *bmat.BlockMatrix
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			c, err = d.Multiply(a, b, params)
+			c, _, err = d.Execute(context.Background(), a, b, distnet.MultiplyOptions{Params: &params})
 			el := time.Since(start)
 			if err != nil {
 				return 0, 0, 0, nil, err
