@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race fuzz-smoke vet lint-docs bench bench-kernels bench-wire bench-pull bench-pipeline bench-smoke bench-e2e soak-smoke soak-full serve-smoke serve-full api-surface api-check clean
+.PHONY: build test test-race fuzz-smoke vet lint-docs bench bench-smoke bench-e2e soak-smoke soak-full api-surface api-check clean
 
 build:
 	$(GO) build ./...
@@ -46,29 +46,6 @@ api-surface:
 api-check:
 	$(GO) run ./cmd/apisurface -check
 
-# Resident-handle vs driver-materialized pipeline benchmarks, refreshing the
-# checked-in trajectory file. Exits nonzero if a warm iteration moves less
-# than 5x fewer driver bytes than the baseline or any result is not
-# bit-identical.
-bench-pipeline:
-	$(GO) run ./cmd/distme-bench -pipeline -pipeline-out BENCH_pipeline.json
-
-# Seed-vs-current kernel regression benchmarks, refreshing the checked-in
-# trajectory file.
-bench-kernels:
-	$(GO) run ./cmd/distme-bench -kernels -kernels-out BENCH_kernels.json
-
-# Gob-vs-codec wire benchmarks, refreshing the checked-in trajectory file.
-# Exits nonzero if any decode is not bit-identical to its input, or if the
-# pull data plane's warm-operand multiply fails its gates: bit-identical to
-# push, and at least 5x fewer driver bytes.
-bench-wire:
-	$(GO) run ./cmd/distme-bench -wire -wire-out BENCH_wire.json
-
-# The push-vs-pull data-plane comparison rides in the wire report's `pull`
-# section; this alias refreshes the same artifact.
-bench-pull: bench-wire
-
 # Self-healing soak: seeded chaos workload under the autoscaler, every
 # result asserted bit-identical to pre-chaos references, p99/leak/scaling
 # gates enforced. The smoke profile fits a CI slot (under 90s); the full
@@ -80,18 +57,6 @@ soak-smoke:
 soak-full:
 	$(GO) run ./cmd/distme-bench -soak -soak-profile full -soak-out BENCH_soak.json
 
-# Multi-tenant serving-plane load test: open-loop mixed-shape jobs through
-# internal/serve, refreshing the checked-in trajectory file. Exits nonzero
-# if the sustain rung misses its throughput floor or p99 SLO, overload
-# fails to reject (or deadlocks), the light tenant's contended p99 breaches
-# its fairness bound, or goroutines leak across teardown. The smoke profile
-# fits a CI slot (under 30s); full is the nightly run.
-serve-smoke:
-	$(GO) run ./cmd/distme-bench -serve -serve-profile smoke -serve-out BENCH_serve.json
-
-serve-full:
-	$(GO) run ./cmd/distme-bench -serve -serve-profile full -serve-out BENCH_serve.json
-
 # The repository benchmark (BENCHMARK.json, benchmark/) is a Go module of
 # its own, so `go test ./...` at the root never reaches it. bench-smoke
 # runs its tests — every workload end to end at smoke size; bench-e2e runs
@@ -102,7 +67,11 @@ bench-smoke:
 bench-e2e:
 	bash benchmark/run.sh --all
 
-# Full benchmark sweep (paper tables/figures + kernels + end-to-end).
+# Full benchmark sweep (paper tables/figures + kernels + end-to-end). The
+# seed-vs-current kernel numbers come from here: internal/matrix keeps the
+# seed kernels beside the current ones, and
+#   go test -bench 'Gemm|CSRMulDense|DenseMulCSC|CSRMulCSR' ./internal/matrix
+# prints both rows of each pair.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 

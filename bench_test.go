@@ -291,10 +291,9 @@ func BenchmarkExtWire(b *testing.B) { benchTables(b, "ext-wire") }
 // ---- Local-multiply hot path (kernels + aggregation) ----
 //
 // Seed-vs-current regression comparisons live in internal/matrix's
-// benchmark tests and internal/kernbench (distme-bench -kernels); the
-// benches below track the current kernels and the end-to-end multiply at
-// top level so `go test -bench=Kernel` from the repo root covers the hot
-// path without package spelunking.
+// benchmark tests; the benches below track the current kernels and the
+// end-to-end multiply at top level so `go test -bench=Kernel` from the repo
+// root covers the hot path without package spelunking.
 
 func BenchmarkKernelGemm(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))

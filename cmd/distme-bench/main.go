@@ -1,5 +1,5 @@
 // Command distme-bench regenerates every table and figure of the paper's
-// evaluation (§6 and Appendix B).
+// evaluation (§6 and Appendix B) and drives the self-healing soak.
 //
 // Usage:
 //
@@ -7,21 +7,16 @@
 //	distme-bench -exp fig6a,fig6d     # several
 //	distme-bench -exp all             # everything
 //	distme-bench -list                # list experiment IDs
-//	distme-bench -kernels             # seed-vs-current kernel benchmarks
-//	distme-bench -kernels -kernels-out BENCH_kernels.json
-//	distme-bench -wire                # gob-vs-codec wire benchmarks
-//	distme-bench -wire -wire-out BENCH_wire.json
-//	distme-bench -pipeline            # resident-handle vs materialized pipelines
-//	distme-bench -pipeline -pipeline-out BENCH_pipeline.json
 //	distme-bench -soak                # self-healing soak/chaos run (smoke profile)
 //	distme-bench -soak -soak-profile full -soak-out BENCH_soak.json
-//	distme-bench -serve               # multi-tenant serving-plane load test (smoke profile)
-//	distme-bench -serve -serve-profile full -serve-out BENCH_serve.json
-//	distme-bench -kernels -trace-out trace.json   # bench timeline for chrome://tracing
+//	distme-bench -soak -trace-out trace.json   # soak timeline for chrome://tracing
 //
-// Paper-scale rows are produced by the cost-model plane at the testbed
-// constants; "-measured" experiments run the real engine at laptop scale.
-// EXPERIMENTS.md records each output against the paper's numbers.
+// -exp, -list and -soak are the three modes; naming more than one is an
+// error. Paper-scale rows are produced by the cost-model plane at the
+// testbed constants; "-measured" experiments run the real engine at laptop
+// scale. EXPERIMENTS.md records each output against the paper's numbers.
+// Performance numbers — end to end and per layer — come from the repository
+// benchmark (benchmark/, BENCHMARK.json), not from this command.
 package main
 
 import (
@@ -31,180 +26,92 @@ import (
 	"strings"
 
 	"distme/internal/experiments"
-	"distme/internal/kernbench"
 	"distme/internal/obs"
-	"distme/internal/pipebench"
-	"distme/internal/servebench"
 	"distme/internal/soak"
-	"distme/internal/wirebench"
 )
 
-// benchTracer returns a tracer when -trace-out is set, else nil (no-op).
-func benchTracer(traceOut string) *obs.Tracer {
-	if traceOut == "" {
-		return nil
-	}
-	return obs.NewTracer()
-}
-
-// writeBenchTrace writes the recorded bench timeline as Chrome trace_event
-// JSON; a nil tracer (no -trace-out) writes nothing.
-func writeBenchTrace(tr *obs.Tracer, path string) {
-	if tr == nil {
-		return
-	}
-	snap := tr.Snapshot()
-	if err := snap.WriteFile(path); err != nil {
-		fmt.Fprintf(os.Stderr, "distme-bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %d bench spans to %s\n", len(snap.Spans), path)
+func die(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "distme-bench: "+format+"\n", args...)
+	os.Exit(code)
 }
 
 func main() {
 	exp := flag.String("exp", "all", "experiment ID(s), comma-separated, or 'all'")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	kernels := flag.Bool("kernels", false, "run seed-vs-current kernel benchmarks instead of experiments")
-	kernelsOut := flag.String("kernels-out", "", "with -kernels, also write the report as JSON to this path")
-	wire := flag.Bool("wire", false, "run gob-vs-codec wire benchmarks (fails on any decode mismatch)")
-	wireOut := flag.String("wire-out", "", "with -wire, also write the report as JSON to this path")
-	pipeline := flag.Bool("pipeline", false, "run resident-handle vs driver-materialized pipeline benchmarks (fails below the ratio bar or on result mismatch)")
-	pipelineOut := flag.String("pipeline-out", "", "with -pipeline, also write the report as JSON to this path")
 	soakRun := flag.Bool("soak", false, "run the self-healing soak: seeded chaos workload under the autoscaler, bit-identical results enforced")
 	soakProfile := flag.String("soak-profile", "smoke", "with -soak, the profile: smoke (CI, under 90s) or full (nightly)")
 	soakOut := flag.String("soak-out", "", "with -soak, also write the report as JSON to this path")
-	serveRun := flag.Bool("serve", false, "run the serving-plane load test: open-loop mixed-shape jobs against the multi-tenant server, SLO and fairness gates enforced")
-	serveProfile := flag.String("serve-profile", "smoke", "with -serve, the profile: smoke (CI, under 30s) or full (nightly)")
-	serveOut := flag.String("serve-out", "", "with -serve, also write the report as JSON to this path")
-	traceOut := flag.String("trace-out", "", "with -kernels, -wire, -soak, or -serve, write a Chrome trace_event timeline of the bench run to this path")
+	traceOut := flag.String("trace-out", "", "with -soak, write a Chrome trace_event timeline of the run to this path")
 	flag.Parse()
 
-	if *list {
+	// -exp, -list and -soak each select a mode; -exp's default only applies
+	// when neither of the others is named.
+	modes := 0
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "exp" {
+			modes++
+		}
+	})
+	for _, on := range []bool{*list, *soakRun} {
+		if on {
+			modes++
+		}
+	}
+	if modes > 1 {
+		die(2, "-exp, -list and -soak select different modes; name one")
+	}
+
+	switch {
+	case *list:
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
 		}
-		return
+	case *soakRun:
+		runSoak(*soakProfile, *soakOut, *traceOut)
+	default:
+		runExperiments(*exp)
 	}
+}
 
-	if *wire {
-		tr := benchTracer(*traceOut)
-		report, err := wirebench.RunTraced(tr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "distme-bench: wire: %v\n", err)
-			os.Exit(1)
-		}
+func runSoak(profileName, out, traceOut string) {
+	var profile soak.Profile
+	switch profileName {
+	case "smoke":
+		profile = soak.Smoke()
+	case "full":
+		profile = soak.Full()
+	default:
+		die(2, "unknown soak profile %q (want smoke or full)", profileName)
+	}
+	var tr *obs.Tracer // nil traces nothing
+	if traceOut != "" {
+		tr = obs.NewTracer()
+	}
+	report, err := soak.Run(profile, tr)
+	if report != nil {
 		report.Fprint(os.Stdout)
-		if *wireOut != "" {
-			if err := report.WriteJSON(*wireOut); err != nil {
-				fmt.Fprintf(os.Stderr, "distme-bench: %v\n", err)
-				os.Exit(1)
+		if out != "" {
+			if werr := report.WriteJSON(out); werr != nil {
+				die(1, "%v", werr)
 			}
 		}
-		writeBenchTrace(tr, *traceOut)
-		return
 	}
-
-	if *pipeline {
-		report, err := pipebench.Run()
-		if report != nil {
-			report.Fprint(os.Stdout)
-			if *pipelineOut != "" {
-				if werr := report.WriteJSON(*pipelineOut); werr != nil {
-					fmt.Fprintf(os.Stderr, "distme-bench: %v\n", werr)
-					os.Exit(1)
-				}
-			}
+	if tr != nil {
+		snap := tr.Snapshot()
+		if werr := snap.WriteFile(traceOut); werr != nil {
+			die(1, "%v", werr)
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "distme-bench: pipeline: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		fmt.Printf("wrote %d bench spans to %s\n", len(snap.Spans), traceOut)
 	}
-
-	if *soakRun {
-		var profile soak.Profile
-		switch *soakProfile {
-		case "smoke":
-			profile = soak.Smoke()
-		case "full":
-			profile = soak.Full()
-		default:
-			fmt.Fprintf(os.Stderr, "distme-bench: unknown soak profile %q (want smoke or full)\n", *soakProfile)
-			os.Exit(2)
-		}
-		tr := benchTracer(*traceOut)
-		report, err := soak.Run(profile, tr)
-		if report != nil {
-			report.Fprint(os.Stdout)
-			if *soakOut != "" {
-				if werr := report.WriteJSON(*soakOut); werr != nil {
-					fmt.Fprintf(os.Stderr, "distme-bench: %v\n", werr)
-					os.Exit(1)
-				}
-			}
-		}
-		writeBenchTrace(tr, *traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "distme-bench: soak: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if err != nil {
+		die(1, "soak: %v", err)
 	}
+}
 
-	if *serveRun {
-		var profile servebench.Profile
-		switch *serveProfile {
-		case "smoke":
-			profile = servebench.Smoke()
-		case "full":
-			profile = servebench.Full()
-		default:
-			fmt.Fprintf(os.Stderr, "distme-bench: unknown serve profile %q (want smoke or full)\n", *serveProfile)
-			os.Exit(2)
-		}
-		tr := benchTracer(*traceOut)
-		report, err := servebench.Run(profile, tr)
-		if report != nil {
-			report.Fprint(os.Stdout)
-			if *serveOut != "" {
-				if werr := report.WriteJSON(*serveOut); werr != nil {
-					fmt.Fprintf(os.Stderr, "distme-bench: %v\n", werr)
-					os.Exit(1)
-				}
-			}
-		}
-		writeBenchTrace(tr, *traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "distme-bench: serve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *kernels {
-		tr := benchTracer(*traceOut)
-		report, err := kernbench.RunTraced(tr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "distme-bench: kernels: %v\n", err)
-			os.Exit(1)
-		}
-		report.Fprint(os.Stdout)
-		if *kernelsOut != "" {
-			if err := report.WriteJSON(*kernelsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "distme-bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		writeBenchTrace(tr, *traceOut)
-		return
-	}
-
-	var ids []string
-	if *exp == "all" {
+func runExperiments(exp string) {
+	ids := strings.Split(exp, ",")
+	if exp == "all" {
 		ids = experiments.IDs()
-	} else {
-		ids = strings.Split(*exp, ",")
 	}
 	exit := 0
 	for _, id := range ids {

@@ -326,7 +326,8 @@ func (s *Session) execParts(ctx context.Context, h *Handle) error {
 // worker→driver→worker baseline the resident pipeline exists to beat. The
 // worker-side arithmetic and band placement are identical, so the result is
 // byte-identical to Run's; only the traffic pattern differs. It exists for
-// measurement (distme-bench -pipeline) and equivalence tests.
+// measurement (the pipeline tests gate Run at 5x fewer driver bytes against
+// it) and equivalence tests.
 func (s *Session) RunMaterialized(ctx context.Context, x plan.Expr, binds map[string]*bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
 	if err := s.check(); err != nil {
 		return nil, err

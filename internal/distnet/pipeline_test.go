@@ -59,6 +59,24 @@ func putAll(t *testing.T, s *Session, ms map[string]*bmat.BlockMatrix) map[strin
 	return binds
 }
 
+// driverBytes is the traffic the driver has routed so far, both directions.
+func driverBytes(d *Driver) int64 {
+	sent, recv := d.WireBytes()
+	return sent + recv
+}
+
+// requireResidentSaves is the pipeline gate: a warm resident iteration must
+// move at least 5x fewer bytes through the driver than its materialized twin.
+func requireResidentSaves(t *testing.T, what string, materialized, resident int64) {
+	t.Helper()
+	t.Logf("%s warm iteration driver bytes: materialized %d, resident %d (%.1fx fewer)",
+		what, materialized, resident, float64(materialized)/float64(resident))
+	if resident*5 > materialized {
+		t.Fatalf("%s: resident iteration moved %d driver bytes against materialized %d — less than the required 5x reduction",
+			what, resident, materialized)
+	}
+}
+
 func TestSessionPutFetchRoundTrip(t *testing.T) {
 	addrs, _ := startWorkers(t, 3)
 	d, err := Dial(addrs)
@@ -345,10 +363,13 @@ func TestGNMFPipelineMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var residentBytes, materializedBytes int64 // the last, warm, iteration's
 	for i := 0; i < gopts.Iterations; i++ {
+		before := driverBytes(d)
 		if err := g.Step(ctx); err != nil {
 			t.Fatal(err)
 		}
+		residentBytes = driverBytes(d) - before
 	}
 	got, err := g.Factors(ctx)
 	if err != nil {
@@ -364,6 +385,7 @@ func TestGNMFPipelineMatchesMaterialized(t *testing.T) {
 	w := bmat.RandomDense(rng2, v.Rows, gopts.Rank, v.BlockSize)
 	h := bmat.RandomDense(rng2, gopts.Rank, v.Cols, v.BlockSize)
 	for i := 0; i < gopts.Iterations; i++ {
+		before := driverBytes(d)
 		binds := map[string]*bmat.BlockMatrix{"v": v, "w": w, "h": h}
 		nh, err := s2.RunMaterialized(ctx, ml.GNMFHExpr(), binds)
 		if err != nil {
@@ -375,9 +397,11 @@ func TestGNMFPipelineMatchesMaterialized(t *testing.T) {
 			t.Fatal(err)
 		}
 		w, h = nw, nh
+		materializedBytes = driverBytes(d) - before
 	}
 	bitIdentical(t, got.W, w)
 	bitIdentical(t, got.H, h)
+	requireResidentSaves(t, "gnmf", materializedBytes, residentBytes)
 }
 
 // TestPageRankHandlesMatchesDriver compares PageRankHandles against the
@@ -392,8 +416,10 @@ func TestPageRankHandlesMatchesDriver(t *testing.T) {
 	ctx := context.Background()
 
 	rng := rand.New(rand.NewSource(61))
-	n := 24
-	adj := bmat.New(n, n, 4)
+	// Large enough that the spread step's byte gate below measures operand
+	// traffic, not frame headers.
+	const n, bs = 120, 8
+	adj := bmat.New(n, n, bs)
 	dense := matrix.NewDense(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -409,7 +435,7 @@ func TestPageRankHandlesMatchesDriver(t *testing.T) {
 			var nz bool
 			for i := 0; i < rows; i++ {
 				for j := 0; j < cols; j++ {
-					v := dense.At(bi*4+i, bj*4+j)
+					v := dense.At(bi*bs+i, bj*bs+j)
 					blk.Set(i, j, v)
 					nz = nz || v != 0
 				}
@@ -439,4 +465,46 @@ func TestPageRankHandlesMatchesDriver(t *testing.T) {
 	if !got.Ranks.ToDense().EqualApprox(want.Ranks.ToDense(), 1e-12) {
 		t.Fatal("handle-resident ranks differ from driver-side ranks")
 	}
+
+	// The iteration kernel — the spread multiply — both ways on the same
+	// graph (adj stands in for Mᵀ: same shape, same sparsity). Resident, the
+	// n×n operand is pinned and only the n×1 vectors cross the driver;
+	// materialized, it re-crosses every iteration.
+	spreadExpr := plan.Mul(plan.V("mt"), plan.V("r"))
+	hmt, err := s.Put(ctx, adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Pin(ctx, hmt); err != nil {
+		t.Fatal(err)
+	}
+	var resident, materialized *bmat.BlockMatrix
+	var residentBytes, materializedBytes int64 // the second, warm, iteration's
+	for i := 0; i < 2; i++ {
+		before := driverBytes(d)
+		hr, err := s.Put(ctx, got.Ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs, err := s.Run(ctx, spreadExpr, map[string]*Handle{"mt": hmt, "r": hr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resident, err = s.Fetch(ctx, hs); err != nil {
+			t.Fatal(err)
+		}
+		_ = s.Free(ctx, hs)
+		_ = s.Free(ctx, hr)
+		residentBytes = driverBytes(d) - before
+	}
+	for i := 0; i < 2; i++ {
+		before := driverBytes(d)
+		materialized, err = s.RunMaterialized(ctx, spreadExpr, map[string]*bmat.BlockMatrix{"mt": adj, "r": got.Ranks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		materializedBytes = driverBytes(d) - before
+	}
+	bitIdentical(t, resident, materialized)
+	requireResidentSaves(t, "pagerank spread", materializedBytes, residentBytes)
 }

@@ -62,6 +62,7 @@ func TestSessionMultiplyPullMatchesPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sentPush, _ := d.WireBytes()
 	bitIdentical(t, got, want)
 	ref := matrix.Mul(a.ToDense(), b.ToDense()).Dense()
 	if !got.ToDense().EqualApprox(ref, 1e-9) {
@@ -71,8 +72,13 @@ func TestSessionMultiplyPullMatchesPush(t *testing.T) {
 	// The pull run ships manifests down and partials up — no operand slice.
 	// Q·|A| would have crossed the driver link in push mode.
 	opBytes := a.StoredBytes() + b.StoredBytes()
-	if pullSent := sentAfter - sentBefore; pullSent > opBytes/2 {
+	pullSent, pushSent := sentAfter-sentBefore, sentPush-sentAfter
+	if pullSent > opBytes/2 {
 		t.Fatalf("pull multiply sent %d driver bytes, operands are %d", pullSent, opBytes)
+	}
+	t.Logf("driver bytes: push %d, pull %d (%.1fx fewer)", pushSent, pullSent, float64(pushSent)/float64(pullSent))
+	if pullSent*5 >= pushSent {
+		t.Fatalf("pull sent %d driver bytes against push's %d — less than the required 5x reduction", pullSent, pushSent)
 	}
 
 	ns := d.NetStats()

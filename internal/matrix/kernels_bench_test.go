@@ -11,8 +11,8 @@ import (
 //
 //	go test -bench 'Gemm|CSRMulDense|DenseMulCSC|CSRMulCSR' ./internal/matrix
 //
-// The same comparisons are packaged for trajectory tracking by
-// internal/kernbench (distme-bench -kernels → BENCH_kernels.json).
+// This is the one copy of the seed kernels. The current kernels' cost inside
+// a real job is the repository benchmark's matrix.kernel_ms / matrix.gflops.
 
 // seedGemm is the seed's i-k-j loop with k-tiling and zero skip, serial.
 func seedGemm(c, a, b *Dense) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -319,7 +320,8 @@ func TestWorkerChurnDuringBacklog(t *testing.T) {
 
 // TestQueueFullBackpressureUnderBurst fires an open-loop burst far past the
 // queue bound: the overflow must come back as typed ErrQueueFull (with a
-// retry-after hint), never deadlock, and every admitted job must finish.
+// retry-after hint), never deadlock, every admitted job must finish, and the
+// server must answer a probe afterwards.
 func TestQueueFullBackpressureUnderBurst(t *testing.T) {
 	c := startCluster(t, 1)
 	s, err := New(c.d, Config{MaxQueuedJobs: 4, MaxConcurrentJobs: 1})
@@ -370,6 +372,14 @@ func TestQueueFullBackpressureUnderBurst(t *testing.T) {
 	stats := s.Tenants()
 	if stats[0].RejectedQueueFull != int64(rejected) {
 		t.Fatalf("rejection accounting: want %d, stats %+v", rejected, stats[0])
+	}
+	// Still responsive after the storm: a fresh submit is admitted and runs.
+	id, err := s.Submit(SubmitRequest{A: a, B: b})
+	if err != nil {
+		t.Fatalf("probe after the burst rejected: %v", err)
+	}
+	if _, st, err := s.Result(deadline, id); err != nil || st.State != StateDone {
+		t.Fatalf("probe after the burst: state %v err %v", st.State, err)
 	}
 }
 
@@ -533,5 +543,57 @@ func TestFairShareServesLighterTenant(t *testing.T) {
 	}
 	if heavyDone > 20 {
 		t.Fatalf("light tenant waited behind %d heavy jobs (%v): fair share broken", heavyDone, elapsed)
+	}
+}
+
+// TestStackTeardownLeavesNoGoroutines brings up the whole serving stack —
+// workers, driver, Server, listener, two wire clients — runs a few jobs and
+// closes it outside-in. The goroutine count must come back to the starting
+// census plus four within two seconds (the rule benchmark/stack.go applies
+// after every workload).
+func TestStackTeardownLeavesNoGoroutines(t *testing.T) {
+	census := runtime.NumGoroutine()
+	// A subtest, so startCluster's cleanup (driver, then pool) has run by
+	// the time the census is read again.
+	t.Run("stack", func(t *testing.T) {
+		c := startCluster(t, 2)
+		s, err := New(c.d, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sl, err := ServeListener(s, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sl.Close()
+		a, b := testMatrices(9700, 32)
+		for i := 0; i < 2; i++ {
+			cl, err := Dial(sl.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			for j := 0; j < 3; j++ {
+				id, err := cl.Submit("", 0, a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, st, err := cl.Result(context.Background(), id); err != nil || st.State != StateDone {
+					t.Fatalf("client %d job %d: state %v err %v", i, j, st.State, err)
+				}
+			}
+		}
+	})
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > census+4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines did not settle: %d running, census was %d", runtime.NumGoroutine(), census)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

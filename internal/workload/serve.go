@@ -22,31 +22,21 @@ type ServeMix struct {
 	jobs []ServeJob
 }
 
-// ServeShape is one family instance in a mix.
-type ServeShape struct {
-	Family Family
-	N      int
-	Fixed  int
-}
-
 // NewServeMix builds the default mixed-shape pool: every §6.1 family at
 // small and medium scale, variants instances per shape with distinct
 // seeded contents. blockSize <= 0 defaults to 8.
 func NewServeMix(seed int64, blockSize, variants int) *ServeMix {
-	return NewServeMixShapes(seed, blockSize, variants, []ServeShape{
+	shapes := []struct {
+		Family   Family
+		N, Fixed int
+	}{
 		{General, 32, 0},
 		{General, 64, 0},
 		{CommonLargeDim, 96, 16},
 		{CommonLargeDim, 192, 16},
 		{TwoLargeDims, 64, 16},
 		{TwoLargeDims, 96, 16},
-	})
-}
-
-// NewServeMixShapes builds a pool over caller-chosen shapes, variants
-// instances per shape with distinct seeded contents. blockSize <= 0
-// defaults to 8.
-func NewServeMixShapes(seed int64, blockSize, variants int, shapes []ServeShape) *ServeMix {
+	}
 	if blockSize <= 0 {
 		blockSize = 8
 	}
