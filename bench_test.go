@@ -6,6 +6,7 @@
 package distme_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -140,7 +141,8 @@ func BenchmarkMultiplyMethods(b *testing.B) {
 			var comm int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, rep, err := eng.MultiplyOpt(a, m2, distme.MulOptions{Method: method.m})
+				_, rep, err := eng.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+					map[string]*distme.Matrix{"a": a, "b": m2}, distme.WithMulOptions(distme.MulOptions{Method: method.m}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -172,7 +174,8 @@ func BenchmarkMultiplyGPU(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.MultiplyOpt(a, m2, distme.MulOptions{}); err != nil {
+				if _, _, err := eng.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+					map[string]*distme.Matrix{"a": a, "b": m2}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -213,7 +216,7 @@ func BenchmarkGNMFIteration(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := distme.GNMF(eng, v, distme.GNMFOptions{Rank: 8, Iterations: 1, Seed: int64(i)}); err != nil {
+		if _, err := distme.GNMF(context.Background(), eng, v, distme.GNMFOptions{Rank: 8, Iterations: 1, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -254,7 +257,7 @@ func BenchmarkPageRank(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := distme.PageRank(eng, adj, distme.PageRankOptions{MaxIterations: 30}); err != nil {
+		if _, err := distme.PageRank(context.Background(), eng, adj, distme.PageRankOptions{MaxIterations: 30}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -276,7 +279,7 @@ func BenchmarkALSIteration(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := distme.ALS(eng, v, distme.ALSOptions{Rank: 8, Iterations: 1, Lambda: 0.1, Seed: int64(i)}); err != nil {
+		if _, err := distme.ALS(context.Background(), eng, v, distme.ALSOptions{Rank: 8, Iterations: 1, Lambda: 0.1, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -365,7 +368,7 @@ func BenchmarkEndToEndAggregation(b *testing.B) {
 			env := core.Env{Cluster: cl, AggregationWorkers: workers}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MultiplyCuboid(a, m2, params, env); err != nil {
+				if _, err := core.MultiplyCuboid(context.Background(), a, m2, params, env); err != nil {
 					b.Fatal(err)
 				}
 			}

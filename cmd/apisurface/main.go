@@ -7,6 +7,11 @@
 //
 //	apisurface -out api/surface.txt   # refresh the checked-in surface
 //	apisurface -check                 # exit 1 if the live surface differs
+//
+// -check also fails, naming the symbol, when an exported symbol of a surface
+// package carries a "Deprecated:" paragraph: every operation has one entry
+// point, and an old spelling kept "temporarily" as a deprecated wrapper is
+// the way a second one comes back.
 package main
 
 import (
@@ -37,11 +42,15 @@ func main() {
 	flag.Parse()
 
 	var buf bytes.Buffer
+	var deprecated []string
 	for _, p := range surfacePackages {
-		lines, err := packageSurface(p.dir)
+		lines, dep, err := packageSurface(p.dir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "apisurface: %s: %v\n", p.name, err)
 			os.Exit(2)
+		}
+		for _, sym := range dep {
+			deprecated = append(deprecated, p.name+": "+sym)
 		}
 		fmt.Fprintf(&buf, "# %s\n", p.name)
 		for _, l := range lines {
@@ -52,6 +61,12 @@ func main() {
 	}
 
 	if *check {
+		if len(deprecated) > 0 {
+			for _, sym := range deprecated {
+				fmt.Fprintf(os.Stderr, "apisurface: %s is marked Deprecated: — delete it and move its callers instead\n", sym)
+			}
+			os.Exit(1)
+		}
 		want, err := os.ReadFile(*out)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "apisurface: reading %s: %v (run `make api-surface` to create it)\n", *out, err)
@@ -79,53 +94,77 @@ func main() {
 	fmt.Printf("apisurface: wrote %s\n", *out)
 }
 
+// symbol is one exported name of a package: its line in the dump and the
+// doc comment that describes it most closely.
+type symbol struct {
+	line string
+	doc  *ast.CommentGroup
+}
+
 // packageSurface parses one package directory (tests excluded) and returns
 // a sorted line per exported symbol: funcs with full signatures, methods
 // keyed by receiver, types with their kind, exported struct fields and
-// interface methods, consts and vars.
-func packageSurface(dir string) ([]string, error) {
+// interface methods, consts and vars. deprecated lists the lines of the
+// symbols whose doc comment has a "Deprecated:" paragraph.
+func packageSurface(dir string) (lines, deprecated []string, err error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+	}, parser.ParseComments)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var lines []string
 	for name, pkg := range pkgs {
 		if strings.HasSuffix(name, "_test") || name == "main" {
 			continue
 		}
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
-				lines = append(lines, declSurface(fset, d)...)
+				for _, sym := range declSurface(fset, d) {
+					lines = append(lines, sym.line)
+					if isDeprecated(sym.doc) {
+						deprecated = append(deprecated, sym.line)
+					}
+				}
 			}
 		}
 	}
 	sort.Strings(lines)
-	return lines, nil
+	sort.Strings(deprecated)
+	return lines, deprecated, nil
 }
 
-func declSurface(fset *token.FileSet, d ast.Decl) []string {
+// isDeprecated reports whether a doc comment has a paragraph that starts
+// with "Deprecated:", the convention godoc and linters recognise.
+func isDeprecated(doc *ast.CommentGroup) bool {
+	for _, line := range strings.Split(doc.Text(), "\n") {
+		if strings.HasPrefix(line, "Deprecated:") {
+			return true
+		}
+	}
+	return false
+}
+
+func declSurface(fset *token.FileSet, d ast.Decl) []symbol {
 	switch d := d.(type) {
 	case *ast.FuncDecl:
 		if !d.Name.IsExported() {
 			return nil
 		}
 		if d.Recv == nil {
-			return []string{"func " + d.Name.Name + typeParams(fset, d.Type.TypeParams) + signature(fset, d.Type)}
+			return []symbol{{"func " + d.Name.Name + typeParams(fset, d.Type.TypeParams) + signature(fset, d.Type), d.Doc}}
 		}
 		recv := exprString(fset, d.Recv.List[0].Type)
 		if !ast.IsExported(strings.TrimLeft(recv, "*")) {
 			return nil
 		}
-		return []string{"method (" + recv + ") " + d.Name.Name + signature(fset, d.Type)}
+		return []symbol{{"method (" + recv + ") " + d.Name.Name + signature(fset, d.Type), d.Doc}}
 	case *ast.GenDecl:
-		var lines []string
+		var syms []symbol
 		for _, spec := range d.Specs {
 			switch s := spec.(type) {
 			case *ast.TypeSpec:
-				lines = append(lines, typeSurface(fset, s)...)
+				syms = append(syms, typeSurface(fset, s, specDoc(s.Doc, d))...)
 			case *ast.ValueSpec:
 				kind := "const"
 				if d.Tok == token.VAR {
@@ -139,62 +178,71 @@ func declSurface(fset *token.FileSet, d ast.Decl) []string {
 					if s.Type != nil {
 						line += " " + exprString(fset, s.Type)
 					}
-					lines = append(lines, line)
+					syms = append(syms, symbol{line, specDoc(s.Doc, d)})
 				}
 			}
 		}
-		return lines
+		return syms
 	}
 	return nil
 }
 
+// specDoc is a spec's own doc comment, or the declaration's when the spec
+// is written without parentheses (the parser then attaches it there).
+func specDoc(doc *ast.CommentGroup, d *ast.GenDecl) *ast.CommentGroup {
+	if doc == nil && !d.Lparen.IsValid() {
+		return d.Doc
+	}
+	return doc
+}
+
 // typeSurface renders one type declaration: the type line itself plus one
 // line per exported struct field or interface method.
-func typeSurface(fset *token.FileSet, s *ast.TypeSpec) []string {
+func typeSurface(fset *token.FileSet, s *ast.TypeSpec, doc *ast.CommentGroup) []symbol {
 	if !s.Name.IsExported() {
 		return nil
 	}
 	name := s.Name.Name + typeParams(fset, s.TypeParams)
 	switch t := s.Type.(type) {
 	case *ast.StructType:
-		lines := []string{"type " + name + " struct"}
+		syms := []symbol{{"type " + name + " struct", doc}}
 		for _, f := range t.Fields.List {
 			if len(f.Names) == 0 { // embedded
 				emb := exprString(fset, f.Type)
 				if ast.IsExported(baseName(emb)) {
-					lines = append(lines, "field "+s.Name.Name+"."+baseName(emb)+" "+emb)
+					syms = append(syms, symbol{"field " + s.Name.Name + "." + baseName(emb) + " " + emb, f.Doc})
 				}
 				continue
 			}
 			for _, n := range f.Names {
 				if n.IsExported() {
-					lines = append(lines, "field "+s.Name.Name+"."+n.Name+" "+exprString(fset, f.Type))
+					syms = append(syms, symbol{"field " + s.Name.Name + "." + n.Name + " " + exprString(fset, f.Type), f.Doc})
 				}
 			}
 		}
-		return lines
+		return syms
 	case *ast.InterfaceType:
-		lines := []string{"type " + name + " interface"}
+		syms := []symbol{{"type " + name + " interface", doc}}
 		for _, m := range t.Methods.List {
 			if len(m.Names) == 0 {
-				lines = append(lines, "embedded "+s.Name.Name+"."+exprString(fset, m.Type))
+				syms = append(syms, symbol{"embedded " + s.Name.Name + "." + exprString(fset, m.Type), m.Doc})
 				continue
 			}
 			for _, n := range m.Names {
 				if n.IsExported() {
 					if ft, ok := m.Type.(*ast.FuncType); ok {
-						lines = append(lines, "ifacemethod "+s.Name.Name+"."+n.Name+signature(fset, ft))
+						syms = append(syms, symbol{"ifacemethod " + s.Name.Name + "." + n.Name + signature(fset, ft), m.Doc})
 					}
 				}
 			}
 		}
-		return lines
+		return syms
 	default:
 		kind := exprString(fset, s.Type)
 		if s.Assign.IsValid() {
-			return []string{"type " + name + " = " + kind}
+			return []symbol{{"type " + name + " = " + kind, doc}}
 		}
-		return []string{"type " + name + " " + kind}
+		return []symbol{{"type " + name + " " + kind, doc}}
 	}
 }
 

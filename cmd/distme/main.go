@@ -140,7 +140,8 @@ func cmdMultiply(args []string) error {
 	}
 
 	start := time.Now()
-	c, report, err := eng.MultiplyOpt(a, b, opts)
+	c, report, err := eng.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+		map[string]*distme.Matrix{"a": a, "b": b}, distme.WithMulOptions(opts))
 	if err != nil {
 		return err
 	}
@@ -250,7 +251,7 @@ func cmdGNMF(args []string) error {
 		return err
 	}
 	start := time.Now()
-	res, err := distme.GNMF(eng, v, distme.GNMFOptions{
+	res, err := distme.GNMF(context.Background(), eng, v, distme.GNMFOptions{
 		Rank: *rank, Iterations: *iters, Seed: *seed, TrackObjective: true,
 	})
 	if err != nil {
@@ -375,7 +376,7 @@ func cmdPageRank(args []string) error {
 	}
 	rng := rand.New(rand.NewSource(*seed))
 	adj := distme.RandomSparse(rng, *n, *n, 64, *density)
-	res, err := distme.PageRank(eng, adj, distme.PageRankOptions{MaxIterations: *iters})
+	res, err := distme.PageRank(context.Background(), eng, adj, distme.PageRankOptions{MaxIterations: *iters})
 	if err != nil {
 		return err
 	}
@@ -418,7 +419,7 @@ func cmdALS(args []string) error {
 		return err
 	}
 	start := time.Now()
-	res, err := distme.ALS(eng, v, distme.ALSOptions{
+	res, err := distme.ALS(context.Background(), eng, v, distme.ALSOptions{
 		Rank: *rank, Iterations: *iters, Lambda: *lambda, Seed: *seed, TrackObjective: true,
 	})
 	if err != nil {
@@ -450,7 +451,7 @@ func cmdSVD(args []string) error {
 	rng := rand.New(rand.NewSource(*seed))
 	a := distme.RandomDense(rng, *m, *n, *bs)
 	start := time.Now()
-	res, err := distme.SVD(eng, a, distme.SVDOptions{
+	res, err := distme.SVD(context.Background(), eng, a, distme.SVDOptions{
 		Rank: *rank, Oversample: 8, PowerIterations: *power, Seed: *seed,
 	})
 	if err != nil {

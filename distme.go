@@ -30,6 +30,7 @@
 package distme
 
 import (
+	"context"
 	"io"
 	"math/rand"
 
@@ -193,9 +194,11 @@ func Optimize(s Shape, taskMemBytes int64, slots int) (Params, error) {
 func ShapeOf(a, b *Matrix) Shape { return core.ShapeOf(a, b) }
 
 // GNMF factorizes V ≈ W×H with the multiplicative update rules of the
-// paper's Appendix A, running every product through the engine.
-func GNMF(e *Engine, v *Matrix, opt GNMFOptions) (*GNMFResult, error) {
-	return ml.GNMF(e, v, opt)
+// paper's Appendix A, running every product through the engine. Like every
+// query below it takes ctx first: cancelling it stops the query between
+// operators with an error matching ErrCancelled.
+func GNMF(ctx context.Context, e *Engine, v *Matrix, opt GNMFOptions) (*GNMFResult, error) {
+	return ml.GNMF(ctx, e, v, opt)
 }
 
 // SaveMatrix writes a matrix in the engine's chunked, checksummed binary
@@ -265,8 +268,8 @@ var (
 
 // GNMFPlanned runs GNMF through the plan compiler — identical results to
 // GNMF, exercising the declarative §5 path.
-func GNMFPlanned(e *Engine, v *Matrix, opt GNMFOptions) (*GNMFResult, error) {
-	return ml.GNMFPlanned(e, v, opt)
+func GNMFPlanned(ctx context.Context, e *Engine, v *Matrix, opt GNMFOptions) (*GNMFResult, error) {
+	return ml.GNMFPlanned(ctx, e, v, opt)
 }
 
 // PageRankOptions configures the PageRank power iteration.
@@ -277,8 +280,8 @@ type PageRankResult = ml.PageRankResult
 
 // PageRank runs the damped power iteration over an adjacency matrix using
 // the engine's distributed multiply.
-func PageRank(e *Engine, adj *Matrix, opt PageRankOptions) (*PageRankResult, error) {
-	return ml.PageRank(e, adj, opt)
+func PageRank(ctx context.Context, e *Engine, adj *Matrix, opt PageRankOptions) (*PageRankResult, error) {
+	return ml.PageRank(ctx, e, adj, opt)
 }
 
 // LoadRatings parses a "user item rating [timestamp]" ratings file (the
@@ -295,8 +298,8 @@ type ALSResult = ml.ALSResult
 
 // ALS factorizes V ≈ W×H by alternating least squares: distributed products
 // on the engine, local Cholesky solves for the r×r normal equations.
-func ALS(e *Engine, v *Matrix, opt ALSOptions) (*ALSResult, error) {
-	return ml.ALS(e, v, opt)
+func ALS(ctx context.Context, e *Engine, v *Matrix, opt ALSOptions) (*ALSResult, error) {
+	return ml.ALS(ctx, e, v, opt)
 }
 
 // SVDOptions configures the randomized truncated SVD.
@@ -307,6 +310,6 @@ type SVDResult = ml.SVDResult
 
 // SVD computes a randomized truncated singular value decomposition with
 // the big products running distributed through the engine.
-func SVD(e *Engine, a *Matrix, opt SVDOptions) (*SVDResult, error) {
-	return ml.SVD(e, a, opt)
+func SVD(ctx context.Context, e *Engine, a *Matrix, opt SVDOptions) (*SVDResult, error) {
+	return ml.SVD(ctx, e, a, opt)
 }

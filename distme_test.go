@@ -2,6 +2,7 @@ package distme_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -27,7 +28,8 @@ func TestQuickstartFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := distme.RandomDense(rng, 64, 48, 8)
 	b := distme.RandomDense(rng, 48, 32, 8)
-	c, report, err := e.MultiplyOpt(a, b, distme.MulOptions{})
+	c, report, err := e.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+		map[string]*distme.Matrix{"a": a, "b": b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestPublicIdentityMultiply(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := distme.RandomSparse(rng, 40, 40, 8, 0.2)
 	id := distme.Identity(40, 8)
-	c, err := e.Multiply(a, id)
+	c, err := e.Multiply(context.Background(), a, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestPublicGNMF(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	scaled := distme.Netflix.Scaled(0.002)
 	v := scaled.RatingMatrix(rng, 16)
-	res, err := distme.GNMF(e, v, distme.GNMFOptions{Rank: 4, Iterations: 2, Seed: 1, TrackObjective: true})
+	res, err := distme.GNMF(context.Background(), e, v, distme.GNMFOptions{Rank: 4, Iterations: 2, Seed: 1, TrackObjective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,8 @@ func TestPublicGPUPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := distme.RandomDense(rng, 32, 32, 8)
 	b := distme.RandomDense(rng, 32, 32, 8)
-	_, report, err := e.MultiplyOpt(a, b, distme.MulOptions{Method: distme.MethodCPMM})
+	_, report, err := e.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+		map[string]*distme.Matrix{"a": a, "b": b}, distme.WithMulOptions(distme.MulOptions{Method: distme.MethodCPMM}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,23 +144,27 @@ func TestPublicPlanAPI(t *testing.T) {
 	a := distme.RandomDense(rng, 16, 16, 4)
 	b := distme.RandomDense(rng, 16, 16, 4)
 	// (A×B)ᵀ through the planner must equal Bᵀ×Aᵀ computed directly.
-	prog, err := distme.CompilePlan(distme.PlanT(distme.PlanMul(distme.PlanVar("A"), distme.PlanVar("B"))))
+	expr := distme.PlanT(distme.PlanMul(distme.PlanVar("A"), distme.PlanVar("B")))
+	prog, err := distme.CompilePlan(expr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := prog.Eval(e, map[string]*distme.Matrix{"A": a, "B": b})
+	if vars := prog.Vars(); len(vars) != 2 {
+		t.Fatalf("compiled plan needs %v, want two inputs", vars)
+	}
+	got, _, err := e.Run(context.Background(), expr, map[string]*distme.Matrix{"A": a, "B": b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := e.Transpose(b)
+	bt, err := e.Transpose(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, err := e.Transpose(a)
+	at, err := e.Transpose(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.Multiply(bt, at)
+	want, err := e.Multiply(context.Background(), bt, at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +177,7 @@ func TestPublicPageRank(t *testing.T) {
 	e := laptopEngine(t)
 	rng := rand.New(rand.NewSource(7))
 	adj := distme.RandomSparse(rng, 32, 32, 8, 0.1)
-	res, err := distme.PageRank(e, adj, distme.PageRankOptions{MaxIterations: 50})
+	res, err := distme.PageRank(context.Background(), e, adj, distme.PageRankOptions{MaxIterations: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +204,7 @@ func TestPublicGNMFPlanned(t *testing.T) {
 	e := laptopEngine(t)
 	rng := rand.New(rand.NewSource(8))
 	v := distme.Netflix.Scaled(0.001).RatingMatrix(rng, 8)
-	res, err := distme.GNMFPlanned(e, v, distme.GNMFOptions{Rank: 2, Iterations: 2, Seed: 1})
+	res, err := distme.GNMFPlanned(context.Background(), e, v, distme.GNMFOptions{Rank: 2, Iterations: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +217,14 @@ func TestPublicALSAndSVD(t *testing.T) {
 	e := laptopEngine(t)
 	rng := rand.New(rand.NewSource(9))
 	v := distme.RandomDense(rng, 24, 24, 8)
-	als, err := distme.ALS(e, v, distme.ALSOptions{Rank: 3, Iterations: 3, Lambda: 0.1, Seed: 1, TrackObjective: true})
+	als, err := distme.ALS(context.Background(), e, v, distme.ALSOptions{Rank: 3, Iterations: 3, Lambda: 0.1, Seed: 1, TrackObjective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if als.Objectives[2] > als.Objectives[0] {
 		t.Fatal("ALS objective rose")
 	}
-	svd, err := distme.SVD(e, v, distme.SVDOptions{Rank: 3, Oversample: 3, PowerIterations: 1, Seed: 1})
+	svd, err := distme.SVD(context.Background(), e, v, distme.SVDOptions{Rank: 3, Oversample: 3, PowerIterations: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // one sentinel here, so callers branch with errors.Is instead of matching
 // message strings:
 //
-//	c, _, err := eng.MultiplyCtx(ctx, a, b, opts)
+//	c, _, err := eng.Run(ctx, expr, binds)
 //	switch {
 //	case errors.Is(err, distme.ErrTaskOOM):
 //		// shrink the workload or raise θt
@@ -42,8 +42,8 @@ var (
 	// attempt's error is wrapped alongside.
 	ErrRetriesExhausted = cluster.ErrRetriesExhausted
 
-	// ErrCancelled reports that a context passed to MultiplyCtx (or RunCtx)
-	// was cancelled; the error wraps ctx.Err(), so errors.Is with
+	// ErrCancelled reports that the context passed to an engine operation
+	// or a query was cancelled; the error wraps ctx.Err(), so errors.Is with
 	// context.Canceled or context.DeadlineExceeded also matches.
 	ErrCancelled = cluster.ErrCancelled
 

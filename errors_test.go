@@ -44,9 +44,10 @@ func TestErrTaskOOM(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := distme.RandomDense(rng, 64, 64, 16)
 	b := distme.RandomDense(rng, 64, 64, 16)
-	_, _, err = e.MultiplyOpt(a, b, distme.MulOptions{
-		Method: distme.MethodCuboid, Params: distme.Params{P: 1, Q: 1, R: 1},
-	})
+	_, _, err = e.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+		map[string]*distme.Matrix{"a": a, "b": b}, distme.WithMulOptions(distme.MulOptions{
+			Method: distme.MethodCuboid, Params: distme.Params{P: 1, Q: 1, R: 1},
+		}))
 	if !errors.Is(err, distme.ErrTaskOOM) {
 		t.Fatalf("want ErrTaskOOM, got %v", err)
 	}
@@ -65,10 +66,10 @@ func TestErrShapeMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := distme.RandomDense(rng, 8, 8, 4)
 	b := distme.RandomDense(rng, 12, 8, 4) // inner dims disagree
-	if _, err := e.Multiply(a, b); !errors.Is(err, distme.ErrShapeMismatch) {
+	if _, err := e.Multiply(context.Background(), a, b); !errors.Is(err, distme.ErrShapeMismatch) {
 		t.Fatalf("want ErrShapeMismatch from multiply, got %v", err)
 	}
-	if _, err := e.Add(a, b); !errors.Is(err, distme.ErrShapeMismatch) {
+	if _, err := e.Add(context.Background(), a, b); !errors.Is(err, distme.ErrShapeMismatch) {
 		t.Fatalf("want ErrShapeMismatch from add, got %v", err)
 	}
 }
@@ -79,9 +80,10 @@ func TestErrRetriesExhausted(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := distme.RandomDense(rng, 8, 8, 4)
 	b := distme.RandomDense(rng, 8, 8, 4)
-	_, _, err := e.MultiplyOpt(a, b, distme.MulOptions{
-		Method: distme.MethodCuboid, Params: distme.Params{P: 1, Q: 1, R: 1},
-	})
+	_, _, err := e.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+		map[string]*distme.Matrix{"a": a, "b": b}, distme.WithMulOptions(distme.MulOptions{
+			Method: distme.MethodCuboid, Params: distme.Params{P: 1, Q: 1, R: 1},
+		}))
 	if !errors.Is(err, distme.ErrRetriesExhausted) {
 		t.Fatalf("want ErrRetriesExhausted, got %v", err)
 	}
@@ -94,7 +96,8 @@ func TestErrCancelled(t *testing.T) {
 	b := distme.RandomDense(rng, 8, 8, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := e.MultiplyCtx(ctx, a, b, distme.MulOptions{})
+	_, _, err := e.Run(ctx, distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+		map[string]*distme.Matrix{"a": a, "b": b})
 	if !errors.Is(err, distme.ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
 	}
@@ -110,7 +113,7 @@ func TestErrEngineClosed(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	a := distme.RandomDense(rng, 8, 8, 4)
-	if _, err := e.Multiply(a, a); !errors.Is(err, distme.ErrEngineClosed) {
+	if _, err := e.Multiply(context.Background(), a, a); !errors.Is(err, distme.ErrEngineClosed) {
 		t.Fatalf("want ErrEngineClosed, got %v", err)
 	}
 }
@@ -119,7 +122,8 @@ func TestErrUnknownMethod(t *testing.T) {
 	e := chaosEngine(t, distme.Faults{})
 	rng := rand.New(rand.NewSource(6))
 	a := distme.RandomDense(rng, 8, 8, 4)
-	_, _, err := e.MultiplyOpt(a, a, distme.MulOptions{Method: distme.Method(42)})
+	_, _, err := e.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+		map[string]*distme.Matrix{"a": a, "b": a}, distme.WithMulOptions(distme.MulOptions{Method: distme.Method(42)}))
 	if !errors.Is(err, distme.ErrUnknownMethod) {
 		t.Fatalf("want ErrUnknownMethod, got %v", err)
 	}
@@ -132,9 +136,10 @@ func TestElasticReportThroughPublicAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := distme.RandomDense(rng, 16, 16, 4)
 	b := distme.RandomDense(rng, 16, 16, 4)
-	_, report, err := e.MultiplyOpt(a, b, distme.MulOptions{
-		Method: distme.MethodCuboid, Params: distme.Params{P: 2, Q: 2, R: 2},
-	})
+	_, report, err := e.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+		map[string]*distme.Matrix{"a": a, "b": b}, distme.WithMulOptions(distme.MulOptions{
+			Method: distme.MethodCuboid, Params: distme.Params{P: 2, Q: 2, R: 2},
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +190,7 @@ func TestErrWorkerDeadThroughLayers(t *testing.T) {
 	hybrid.DisableLocalFallback = true
 	rng := rand.New(rand.NewSource(8))
 	v := distme.RandomSparse(rng, 16, 12, 4, 0.3)
-	_, err = ml.GNMF(hybrid, v, distme.GNMFOptions{Rank: 3, Iterations: 1, Seed: 1})
+	_, err = ml.GNMF(context.Background(), hybrid, v, distme.GNMFOptions{Rank: 3, Iterations: 1, Seed: 1})
 	if !errors.Is(err, distme.ErrWorkerDead) {
 		t.Fatalf("want ErrWorkerDead through driver→hybrid→ml, got %v", err)
 	}
@@ -240,7 +245,7 @@ func TestErrDeadlineExceededThroughLayers(t *testing.T) {
 	hybrid.DisableLocalFallback = true
 	rng := rand.New(rand.NewSource(9))
 	a := distme.RandomDense(rng, 8, 8, 4)
-	_, err = hybrid.Multiply(a, a)
+	_, err = hybrid.Multiply(context.Background(), a, a)
 	if !errors.Is(err, distme.ErrDeadlineExceeded) {
 		t.Fatalf("want ErrDeadlineExceeded through driver→hybrid, got %v", err)
 	}

@@ -26,13 +26,16 @@ func main() {
 	rng := rand.New(rand.NewSource(1))
 	a := distme.RandomDense(rng, 1024, 768, 64)
 	b := distme.RandomDense(rng, 768, 1024, 64)
+	// Every engine below runs the same product over the same operands.
+	product := distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b"))
+	operands := map[string]*distme.Matrix{"a": a, "b": b}
 
 	// Failure-free baseline fingerprint.
 	eng, err := distme.NewEngine(distme.EngineConfig{Cluster: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, _, err := eng.MultiplyOpt(a, b, distme.MulOptions{})
+	base, _, err := eng.Run(context.Background(), product, operands)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func main() {
 	}
 	defer chaosEng.Close()
 
-	c, report, err := chaosEng.MultiplyOpt(a, b, distme.MulOptions{})
+	c, report, err := chaosEng.Run(context.Background(), product, operands)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +97,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer doomed.Close()
-	_, _, err = doomed.MultiplyOpt(a, b, distme.MulOptions{})
+	_, _, err = doomed.Run(context.Background(), product, operands)
 	switch {
 	case errors.Is(err, distme.ErrRetriesExhausted):
 		fmt.Printf("persistent crashes: retries exhausted as expected (%v)\n",
@@ -118,7 +121,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err = cancelEng.MultiplyCtx(ctx, a, b, distme.MulOptions{})
+	_, _, err = cancelEng.Run(ctx, product, operands)
 	if errors.Is(err, distme.ErrCancelled) && errors.Is(err, context.DeadlineExceeded) {
 		fmt.Printf("cancelled mid-retry after %v (typed ErrCancelled wrapping ctx.Err())\n",
 			time.Since(start).Round(time.Millisecond))

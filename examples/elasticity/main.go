@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -34,7 +35,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, report, err := eng.MultiplyOpt(a, b, distme.MulOptions{})
+		_, report, err := eng.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+			map[string]*distme.Matrix{"a": a, "b": b})
 		if err != nil {
 			fmt.Printf("%-12s %-12s %-8s %-16s %v\n",
 				metrics.FormatBytes(θt), "-", "-", "-", err)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -36,7 +37,7 @@ func main() {
 	}
 
 	start := time.Now()
-	res, err := distme.GNMF(eng, v, distme.GNMFOptions{
+	res, err := distme.GNMF(context.Background(), eng, v, distme.GNMFOptions{
 		Rank:           8,
 		Iterations:     10,
 		Seed:           7,

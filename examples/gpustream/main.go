@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -46,10 +47,8 @@ func main() {
 			log.Fatal(err)
 		}
 		// One cuboid: force (1,1,1) so the subcuboid layer does the work.
-		c, report, err := eng.MultiplyOpt(a, b, distme.MulOptions{
-			Method: distme.MethodCuboid,
-			Params: distme.Params{P: 1, Q: 1, R: 1},
-		})
+		c, report, err := eng.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+			map[string]*distme.Matrix{"a": a, "b": b}, distme.WithParams(distme.Params{P: 1, Q: 1, R: 1}))
 		if err != nil {
 			fmt.Printf("%-12s %v\n", metrics.FormatBytes(θg), err)
 			continue
@@ -84,9 +83,8 @@ func main() {
 	eng.Device().EnableTrace(24)
 	small := distme.RandomDense(rng, 128, 512, 64)
 	smallB := distme.RandomDense(rng, 512, 128, 64)
-	if _, _, err := eng.MultiplyOpt(small, smallB, distme.MulOptions{
-		Method: distme.MethodCuboid, Params: distme.Params{P: 1, Q: 1, R: 1},
-	}); err != nil {
+	if _, _, err := eng.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+		map[string]*distme.Matrix{"a": small, "b": smallB}, distme.WithParams(distme.Params{P: 1, Q: 1, R: 1})); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nfirst timeline events (the paper's Figure 5(b) view):")

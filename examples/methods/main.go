@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -34,7 +35,8 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		c, report, err := eng.MultiplyOpt(a, b, distme.MulOptions{Method: method})
+		c, report, err := eng.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+			map[string]*distme.Matrix{"a": a, "b": b}, distme.WithMethod(method))
 		if err != nil {
 			fmt.Printf("%-10v %v\n", method, err)
 			continue

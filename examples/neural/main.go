@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -43,7 +44,7 @@ func main() {
 	x := distme.FromDense(xd, 32)
 	y := distme.FromDense(yd, 32)
 
-	res, err := ml.TrainMLP(eng, x, y, ml.MLPOptions{
+	res, err := ml.TrainMLP(context.Background(), eng, x, y, ml.MLPOptions{
 		Hidden:       []int{16, 8},
 		LearningRate: 0.02,
 		Epochs:       150,
@@ -58,7 +59,7 @@ func main() {
 	}
 	fmt.Printf("  epoch %3d: mse = %.5f\n", len(res.Losses), res.Losses[len(res.Losses)-1])
 
-	pred, err := ml.PredictMLP(eng, x, res.Weights)
+	pred, err := ml.PredictMLP(context.Background(), eng, x, res.Weights)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -38,7 +39,8 @@ func main() {
 	a := distme.RandomDense(rng, 768, 768, 64)
 	b := distme.RandomDense(rng, 768, 768, 64)
 
-	_, report, err := eng.MultiplyOpt(a, b, distme.MulOptions{})
+	_, report, err := eng.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+		map[string]*distme.Matrix{"a": a, "b": b})
 	if err != nil {
 		log.Fatal(err)
 	}

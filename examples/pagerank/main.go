@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -29,7 +30,7 @@ func main() {
 	rng := rand.New(rand.NewSource(33))
 	adj := distme.RandomSparse(rng, n, n, 64, 0.01)
 
-	res, err := distme.PageRank(eng, adj, distme.PageRankOptions{
+	res, err := distme.PageRank(context.Background(), eng, adj, distme.PageRankOptions{
 		Damping:       0.85,
 		MaxIterations: 100,
 		Tolerance:     1e-10,

@@ -1,9 +1,11 @@
 // Planner: express the GNMF H-update as a declarative plan (the paper's
 // §5 Scala-API path), watch the compiler push transposes to the leaves and
-// share the Wᵀ subterm, then execute the optimized DAG on the engine.
+// share the Wᵀ subterm, then execute the expression on the engine, which
+// compiles it to that same DAG.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -44,7 +46,9 @@ func main() {
 	w := distme.RandomDense(rng, v.Rows, 8, 32)
 	h := distme.RandomDense(rng, 8, v.Cols, 32)
 
-	hNext, err := prog.Eval(eng, map[string]*distme.Matrix{"V": v, "W": w, "H": h})
+	// Run compiles the expression itself; CompilePlan above only shows what
+	// it will execute.
+	hNext, _, err := eng.Run(context.Background(), naive, map[string]*distme.Matrix{"V": v, "W": w, "H": h})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +57,7 @@ func main() {
 	fmt.Printf("nodes after CSE: %d (reused %d times)\n", prog.NumNodes(), prog.SharedNodes())
 
 	// Full GNMF through compiled plans matches the direct implementation.
-	res, err := distme.GNMFPlanned(eng, v, distme.GNMFOptions{Rank: 8, Iterations: 3, Seed: 21, TrackObjective: true})
+	res, err := distme.GNMFPlanned(context.Background(), eng, v, distme.GNMFOptions{Rank: 8, Iterations: 3, Seed: 21, TrackObjective: true})
 	if err != nil {
 		log.Fatal(err)
 	}

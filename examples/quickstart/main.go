@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -34,7 +35,8 @@ func main() {
 	// Multiply with the default strategy: the engine optimizes (P,Q,R) for
 	// the cluster's memory budget and slot count (the paper's Eq. 2), then
 	// runs the three steps of distributed multiplication.
-	c, report, err := eng.MultiplyOpt(a, b, distme.MulOptions{})
+	c, report, err := eng.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+		map[string]*distme.Matrix{"a": a, "b": b})
 	if err != nil {
 		log.Fatal(err)
 	}

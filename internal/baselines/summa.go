@@ -7,6 +7,7 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -103,7 +104,7 @@ func MultiplySUMMA(a, b *bmat.BlockMatrix, gridP, gridQ int, env core.Env) (*bma
 			})
 		}
 	}
-	if err := env.Cluster.Run(tasks); err != nil {
+	if err := env.Cluster.Run(context.TODO(), tasks); err != nil {
 		return nil, err
 	}
 	rec.AddDuration(metrics.StepLocalMultiply, time.Since(start))
@@ -184,7 +185,7 @@ func MultiplyCRMM(a, b *bmat.BlockMatrix, env core.Env) (*bmat.BlockMatrix, erro
 	if err := env.Cluster.ChargeSpill(regroup); err != nil {
 		return nil, err
 	}
-	return core.MultiplyCuboid(a, b, params, env)
+	return core.MultiplyCuboid(context.TODO(), a, b, params, env)
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

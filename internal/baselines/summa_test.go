@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -95,7 +96,7 @@ func TestSUMMAOOMOnOutputHeavyShape(t *testing.T) {
 
 	// CuboidMM on the same budget survives by raising P·Q.
 	env2 := testEnv(t, 6<<10)
-	got, params, err := core.MultiplyAuto(a, b, env2)
+	got, params, err := core.MultiplyAuto(context.Background(), a, b, env2)
 	if err != nil {
 		t.Fatalf("CuboidMM failed where it should survive: %v", err)
 	}
@@ -201,7 +202,7 @@ func TestCRMMCubesCostMoreThanCuboids(t *testing.T) {
 	crmm := envCube.Cluster.Recorder().CommunicationBytes()
 
 	envCuboid := smallEnv()
-	if _, _, err := core.MultiplyAuto(a, b, envCuboid); err != nil {
+	if _, _, err := core.MultiplyAuto(context.Background(), a, b, envCuboid); err != nil {
 		t.Fatal(err)
 	}
 	cuboid := envCuboid.Cluster.Recorder().CommunicationBytes()

@@ -219,7 +219,7 @@ type Task struct {
 // injected crash or O.O.M. fails the attempt; an injected straggler delay
 // sleeps, abandoning the attempt promptly if its context is cancelled),
 // then the task body. A panic in the body is converted to an error so one
-// bad block cannot take down the driver. Run/RunCtx (elastic.go) drive
+// bad block cannot take down the driver. Run (elastic.go) drives
 // this with the retry and speculation machinery.
 func (c *Cluster) attemptCtx(ctx context.Context, t Task, attempt int) (err error) {
 	defer func() {

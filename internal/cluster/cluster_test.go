@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -57,7 +58,7 @@ func TestRunExecutesAllTasks(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = Task{Name: fmt.Sprintf("t%d", i), Fn: func() error { n.Add(1); return nil }}
 	}
-	if err := c.Run(tasks); err != nil {
+	if err := c.Run(context.Background(), tasks); err != nil {
 		t.Fatal(err)
 	}
 	if n.Load() != 50 {
@@ -69,7 +70,7 @@ func TestRunEnforcesMemoryBudget(t *testing.T) {
 	cfg := testConfig()
 	c, _ := New(cfg)
 	ran := false
-	err := c.Run([]Task{{
+	err := c.Run(context.Background(), []Task{{
 		Name:        "hog",
 		MemEstimate: cfg.TaskMemBytes + 1,
 		Fn:          func() error { ran = true; return nil },
@@ -85,7 +86,7 @@ func TestRunEnforcesMemoryBudget(t *testing.T) {
 func TestRunMemoryBudgetBoundaryAllowed(t *testing.T) {
 	cfg := testConfig()
 	c, _ := New(cfg)
-	err := c.Run([]Task{{Name: "fit", MemEstimate: cfg.TaskMemBytes, Fn: func() error { return nil }}})
+	err := c.Run(context.Background(), []Task{{Name: "fit", MemEstimate: cfg.TaskMemBytes, Fn: func() error { return nil }}})
 	if err != nil {
 		t.Fatalf("task exactly at θt rejected: %v", err)
 	}
@@ -102,7 +103,7 @@ func TestRunPropagatesFirstError(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tasks = append(tasks, Task{Name: "late", Fn: func() error { after.Add(1); return nil }})
 	}
-	err := c.Run(tasks)
+	err := c.Run(context.Background(), tasks)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -115,7 +116,7 @@ func TestRunPropagatesFirstError(t *testing.T) {
 
 func TestRunEmptyTaskList(t *testing.T) {
 	c, _ := New(testConfig())
-	if err := c.Run(nil); err != nil {
+	if err := c.Run(context.Background(), nil); err != nil {
 		t.Fatalf("empty run failed: %v", err)
 	}
 }
@@ -140,7 +141,7 @@ func TestRunParallelismBoundedBySlots(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := c.Run(tasks); err != nil {
+	if err := c.Run(context.Background(), tasks); err != nil {
 		t.Fatal(err)
 	}
 	if peak.Load() > 2 {
@@ -188,7 +189,7 @@ func TestRetriesRecoverFlakyTask(t *testing.T) {
 		return nil
 	})
 	var ran atomic.Int64
-	err := c.Run([]Task{{Name: "flaky", Fn: func() error { ran.Add(1); return nil }}})
+	err := c.Run(context.Background(), []Task{{Name: "flaky", Fn: func() error { ran.Add(1); return nil }}})
 	if err != nil {
 		t.Fatalf("retries did not recover: %v", err)
 	}
@@ -202,7 +203,7 @@ func TestRetriesExhaustedFails(t *testing.T) {
 	cfg.TaskRetries = 1
 	c, _ := New(cfg)
 	c.SetFailureInjector(func(string, int) error { return errors.New("always down") })
-	err := c.Run([]Task{{Name: "doomed", Fn: func() error { return nil }}})
+	err := c.Run(context.Background(), []Task{{Name: "doomed", Fn: func() error { return nil }}})
 	if err == nil {
 		t.Fatal("exhausted retries did not fail")
 	}
@@ -213,7 +214,7 @@ func TestRetriesExhaustedFails(t *testing.T) {
 
 func TestTaskPanicBecomesError(t *testing.T) {
 	c, _ := New(testConfig())
-	err := c.Run([]Task{{Name: "bomb", Fn: func() error { panic("kaboom") }}})
+	err := c.Run(context.Background(), []Task{{Name: "bomb", Fn: func() error { panic("kaboom") }}})
 	if err == nil {
 		t.Fatal("panicking task did not fail the job")
 	}
@@ -227,7 +228,7 @@ func TestRetryRerunsTaskBodyOnBodyFailure(t *testing.T) {
 	cfg.TaskRetries = 3
 	c, _ := New(cfg)
 	var calls atomic.Int64
-	err := c.Run([]Task{{Name: "eventually", Fn: func() error {
+	err := c.Run(context.Background(), []Task{{Name: "eventually", Fn: func() error {
 		if calls.Add(1) < 3 {
 			return errors.New("transient")
 		}
@@ -255,7 +256,7 @@ func TestJobTimeoutAborts(t *testing.T) {
 			return nil
 		}}
 	}
-	err := c.Run(tasks)
+	err := c.Run(context.Background(), tasks)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -266,7 +267,7 @@ func TestJobTimeoutAborts(t *testing.T) {
 
 func TestJobTimeoutDisabledByDefault(t *testing.T) {
 	c, _ := New(testConfig())
-	err := c.Run([]Task{{Name: "t", Fn: func() error {
+	err := c.Run(context.Background(), []Task{{Name: "t", Fn: func() error {
 		time.Sleep(2 * time.Millisecond)
 		return nil
 	}}})

@@ -73,10 +73,7 @@ type elasticRun struct {
 	auxWG sync.WaitGroup
 }
 
-// Run executes the tasks with the elastic scheduler and no caller context.
-func (c *Cluster) Run(tasks []Task) error { return c.RunCtx(context.Background(), tasks) }
-
-// RunCtx executes the tasks with at most Slots() in flight, after checking
+// Run executes the tasks with at most Slots() in flight, after checking
 // each task's memory estimate against θt. A memory violation returns an
 // error wrapping ErrOutOfMemory before any task runs — that failure is
 // structural, so it is never retried. Attempt failures are retried up to
@@ -85,7 +82,7 @@ func (c *Cluster) Run(tasks []Task) error { return c.RunCtx(context.Background()
 // stops scheduling (in-flight attempts are cancelled and drained) and is
 // returned. Cancelling ctx aborts the run within one backoff step with an
 // error wrapping both ErrCancelled and ctx.Err().
-func (c *Cluster) RunCtx(ctx context.Context, tasks []Task) error {
+func (c *Cluster) Run(ctx context.Context, tasks []Task) error {
 	for _, t := range tasks {
 		if t.MemEstimate > c.cfg.TaskMemBytes {
 			return fmt.Errorf("%w: task %s needs %s, budget θt=%s",
@@ -192,7 +189,7 @@ func (r *elasticRun) finishedLocked() bool {
 
 // worker pulls runnable items and executes attempts until the run finishes.
 // Workers exit immediately on a fatal error; attempts already executing
-// drain on their own workers before RunCtx returns, so no task side effect
+// drain on their own workers before Run returns, so no task side effect
 // outlives the call.
 func (r *elasticRun) worker() {
 	for {

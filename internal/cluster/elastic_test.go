@@ -34,7 +34,7 @@ func TestInjectedCrashesAreRetriedToSuccess(t *testing.T) {
 			Fn:   func() error { atomic.AddInt32(&runs[i], 1); return nil },
 		}
 	}
-	if err := c.Run(tasks); err != nil {
+	if err := c.Run(context.Background(), tasks); err != nil {
 		t.Fatalf("run failed despite sufficient retry budget: %v", err)
 	}
 	for i, n := range runs {
@@ -64,7 +64,7 @@ func TestRetriesExhaustedSentinel(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	err = c.Run([]Task{{Name: "doomed", Fn: func() error { return boom }}})
+	err = c.Run(context.Background(), []Task{{Name: "doomed", Fn: func() error { return boom }}})
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("want ErrRetriesExhausted, got %v", err)
 	}
@@ -105,7 +105,7 @@ func TestSpeculationRescuesStragglers(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	if err := c.Run(tasks); err != nil {
+	if err := c.Run(context.Background(), tasks); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -123,7 +123,7 @@ func TestSpeculationRescuesStragglers(t *testing.T) {
 }
 
 // TestCancelDuringBackoffIsPrompt cancels a job while its only task waits
-// out a long retry backoff; RunCtx must return well before the backoff
+// out a long retry backoff; Run must return well before the backoff
 // expires, with an error matching both ErrCancelled and context.Canceled.
 func TestCancelDuringBackoffIsPrompt(t *testing.T) {
 	cfg := elasticConfig()
@@ -137,7 +137,7 @@ func TestCancelDuringBackoffIsPrompt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(20*time.Millisecond, cancel)
 	start := time.Now()
-	err = c.RunCtx(ctx, []Task{{Name: "flaky", Fn: func() error { return errors.New("flake") }}})
+	err = c.Run(ctx, []Task{{Name: "flaky", Fn: func() error { return errors.New("flake") }}})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
@@ -150,7 +150,7 @@ func TestCancelDuringBackoffIsPrompt(t *testing.T) {
 	}
 }
 
-// TestPreCancelledContext checks RunCtx fails immediately without running
+// TestPreCancelledContext checks Run fails immediately without running
 // any task when handed an already-cancelled context.
 func TestPreCancelledContext(t *testing.T) {
 	c, err := New(elasticConfig())
@@ -160,7 +160,7 @@ func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err = c.RunCtx(ctx, []Task{{Name: "t", Fn: func() error { ran = true; return nil }}})
+	err = c.Run(ctx, []Task{{Name: "t", Fn: func() error { ran = true; return nil }}})
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
 	}
@@ -179,7 +179,7 @@ func TestGenuineOOMIsNotRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.Run([]Task{{Name: "huge", MemEstimate: 1 << 20, Fn: func() error { return nil }}})
+	err = c.Run(context.Background(), []Task{{Name: "huge", MemEstimate: 1 << 20, Fn: func() error { return nil }}})
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("want ErrOutOfMemory, got %v", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -181,7 +182,7 @@ func TestMultiplyCuboidAggregationWorkerInvariance(t *testing.T) {
 		run := func(workers int) *bmat.BlockMatrix {
 			env := testEnv(t)
 			env.AggregationWorkers = workers
-			out, err := MultiplyCuboid(a, b, params, env)
+			out, err := MultiplyCuboid(context.Background(), a, b, params, env)
 			if err != nil {
 				t.Fatalf("sparse=%v workers=%d: %v", sparse, workers, err)
 			}
@@ -201,7 +202,7 @@ func TestMultiplyRMMAggregationWorkerInvariance(t *testing.T) {
 	run := func(workers int) *bmat.BlockMatrix {
 		env := testEnv(t)
 		env.AggregationWorkers = workers
-		out, err := MultiplyRMM(a, b, 0, env)
+		out, err := MultiplyRMM(context.Background(), a, b, 0, env)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

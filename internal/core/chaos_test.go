@@ -53,12 +53,12 @@ func TestChaosMatrixBitIdentical(t *testing.T) {
 	as := bmat.RandomSparse(rng, 24, 20, 4, 0.3)
 	params := Params{P: 3, Q: 2, R: 2}
 
-	baseCuboid, err := MultiplyCuboid(a, b, params, chaosEnv(t, cluster.Faults{}))
+	baseCuboid, err := MultiplyCuboid(context.Background(), a, b, params, chaosEnv(t, cluster.Faults{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantCuboid := serialize(t, baseCuboid)
-	baseRMM, err := MultiplyRMM(as, b, 6, chaosEnv(t, cluster.Faults{}))
+	baseRMM, err := MultiplyRMM(context.Background(), as, b, 6, chaosEnv(t, cluster.Faults{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestChaosMatrixBitIdentical(t *testing.T) {
 				f := kind.mk(rate, seed)
 
 				env := chaosEnv(t, f)
-				got, err := MultiplyCuboidCtx(context.Background(), a, b, params, env)
+				got, err := MultiplyCuboid(context.Background(), a, b, params, env)
 				if err != nil {
 					t.Fatalf("cuboid %s rate %v seed %d: %v", kind.name, rate, seed, err)
 				}
@@ -100,7 +100,7 @@ func TestChaosMatrixBitIdentical(t *testing.T) {
 				}
 
 				env = chaosEnv(t, f)
-				got, err = MultiplyRMMCtx(context.Background(), as, b, 6, env)
+				got, err = MultiplyRMM(context.Background(), as, b, 6, env)
 				if err != nil {
 					t.Fatalf("rmm %s rate %v seed %d: %v", kind.name, rate, seed, err)
 				}
@@ -125,7 +125,7 @@ func TestChaosLineageRecomputation(t *testing.T) {
 	want := serialize(t, mustMultiply(t, a, b, params, chaosEnv(t, cluster.Faults{})))
 
 	env := chaosEnv(t, cluster.Faults{Seed: 5, FetchFailRate: 0.9})
-	got, err := MultiplyCuboid(a, b, params, env)
+	got, err := MultiplyCuboid(context.Background(), a, b, params, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestChaosLineageRecomputation(t *testing.T) {
 
 func mustMultiply(t *testing.T, a, b *bmat.BlockMatrix, p Params, env Env) *bmat.BlockMatrix {
 	t.Helper()
-	c, err := MultiplyCuboid(a, b, p, env)
+	c, err := MultiplyCuboid(context.Background(), a, b, p, env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,18 +300,17 @@ func pow1m(p float64, n int) float64 {
 // recorder), local multiplication (one cluster task per cuboid), and
 // aggregation across the R cuboids of each (p,q) column (charged and
 // reduced). Passing BMMParams/CPMMParams/RMMParams reproduces the classical
-// methods' costs exactly (Table 2).
-func MultiplyCuboid(a, b *bmat.BlockMatrix, params Params, env Env) (*bmat.BlockMatrix, error) {
-	return MultiplyCuboidCtx(context.Background(), a, b, params, env)
-}
-
-// MultiplyCuboidCtx is MultiplyCuboid under a context: the cluster's retry,
-// backoff and speculation loops observe ctx and abort within one backoff
-// step of cancellation, returning an error wrapping cluster.ErrCancelled
-// and ctx.Err(). Task bodies commit their partial output under a mutex with
-// first-writer-wins, so re-executed and speculative attempts leave output
-// bytes identical to a failure-free run.
-func MultiplyCuboidCtx(ctx context.Context, a, b *bmat.BlockMatrix, params Params, env Env) (*bmat.BlockMatrix, error) {
+// methods' costs exactly (Table 2): Broadcast MM (§2.2.1, row-partition A
+// over T = I tasks and broadcast B) is CuboidMM at BMMParams (I,1,1), and
+// Cross-Product MM (§2.2.2, column-partition A, row-partition B over T = K
+// tasks, aggregate T·|C|) is CuboidMM at CPMMParams (1,1,K).
+//
+// The cluster's retry, backoff and speculation loops observe ctx and abort
+// within one backoff step of cancellation, returning an error wrapping
+// cluster.ErrCancelled and ctx.Err(). Task bodies commit their partial
+// output under a mutex with first-writer-wins, so re-executed and
+// speculative attempts leave output bytes identical to a failure-free run.
+func MultiplyCuboid(ctx context.Context, a, b *bmat.BlockMatrix, params Params, env Env) (*bmat.BlockMatrix, error) {
 	if err := checkOperands(a, b); err != nil {
 		return nil, err
 	}
@@ -416,7 +415,7 @@ func MultiplyCuboidCtx(ctx context.Context, a, b *bmat.BlockMatrix, params Param
 			},
 		}
 	}
-	if err := env.Cluster.RunCtx(ctx, tasks); err != nil {
+	if err := env.Cluster.Run(ctx, tasks); err != nil {
 		endSpanErr(lsp, err)
 		return nil, err
 	}
@@ -552,29 +551,6 @@ func sortedPartials(m map[bmat.BlockKey]*matrix.Dense) []keyedBlock {
 	return out
 }
 
-// MultiplyBMM runs Broadcast Matrix Multiplication (§2.2.1): row-partition A
-// over T = I tasks and broadcast B — CuboidMM with (I,1,1).
-func MultiplyBMM(a, b *bmat.BlockMatrix, env Env) (*bmat.BlockMatrix, error) {
-	return MultiplyCuboidCtx(context.Background(), a, b, ShapeOf(a, b).BMMParams(), env)
-}
-
-// MultiplyBMMCtx is MultiplyBMM under a context.
-func MultiplyBMMCtx(ctx context.Context, a, b *bmat.BlockMatrix, env Env) (*bmat.BlockMatrix, error) {
-	return MultiplyCuboidCtx(ctx, a, b, ShapeOf(a, b).BMMParams(), env)
-}
-
-// MultiplyCPMM runs Cross-Product Matrix Multiplication (§2.2.2):
-// column-partition A, row-partition B over T = K tasks, aggregate T·|C| —
-// CuboidMM with (1,1,K).
-func MultiplyCPMM(a, b *bmat.BlockMatrix, env Env) (*bmat.BlockMatrix, error) {
-	return MultiplyCuboidCtx(context.Background(), a, b, ShapeOf(a, b).CPMMParams(), env)
-}
-
-// MultiplyCPMMCtx is MultiplyCPMM under a context.
-func MultiplyCPMMCtx(ctx context.Context, a, b *bmat.BlockMatrix, env Env) (*bmat.BlockMatrix, error) {
-	return MultiplyCuboidCtx(ctx, a, b, ShapeOf(a, b).CPMMParams(), env)
-}
-
 // MultiplyRMM runs Replication-based Matrix Multiplication (§2.2.3):
 // replicate every A block J times and every B block I times, hash-shuffle
 // voxels over tasks, multiply block pairs, then shuffle K·|C| intermediate
@@ -582,13 +558,8 @@ func MultiplyCPMMCtx(ctx context.Context, a, b *bmat.BlockMatrix, env Env) (*bma
 // is I·J (pass 0 to use it). Unlike the cuboid path, tasks hold
 // non-consecutive voxels, so no communication sharing is possible and every
 // voxel pays full replication — that difference is the point of Figure 6.
-func MultiplyRMM(a, b *bmat.BlockMatrix, tasks int, env Env) (*bmat.BlockMatrix, error) {
-	return MultiplyRMMCtx(context.Background(), a, b, tasks, env)
-}
-
-// MultiplyRMMCtx is MultiplyRMM under a context, with the same elastic
-// semantics as MultiplyCuboidCtx.
-func MultiplyRMMCtx(ctx context.Context, a, b *bmat.BlockMatrix, tasks int, env Env) (*bmat.BlockMatrix, error) {
+// ctx has the same elastic semantics as in MultiplyCuboid.
+func MultiplyRMM(ctx context.Context, a, b *bmat.BlockMatrix, tasks int, env Env) (*bmat.BlockMatrix, error) {
 	if err := checkOperands(a, b); err != nil {
 		return nil, err
 	}
@@ -703,7 +674,7 @@ func MultiplyRMMCtx(ctx context.Context, a, b *bmat.BlockMatrix, tasks int, env 
 			},
 		})
 	}
-	if err := env.Cluster.RunCtx(ctx, clusterTasks); err != nil {
+	if err := env.Cluster.Run(ctx, clusterTasks); err != nil {
 		endSpanErr(lsp, err)
 		return nil, err
 	}
@@ -767,18 +738,13 @@ func voxelLess(a, b bmat.VoxelKey) bool {
 
 // MultiplyAuto optimizes (P,Q,R) for the cluster's budgets (Eq. 2) and runs
 // CuboidMM with the result. This is DistME's default multiplication path.
-func MultiplyAuto(a, b *bmat.BlockMatrix, env Env) (*bmat.BlockMatrix, Params, error) {
-	return MultiplyAutoCtx(context.Background(), a, b, env)
-}
-
-// MultiplyAutoCtx is MultiplyAuto under a context.
-func MultiplyAutoCtx(ctx context.Context, a, b *bmat.BlockMatrix, env Env) (*bmat.BlockMatrix, Params, error) {
+func MultiplyAuto(ctx context.Context, a, b *bmat.BlockMatrix, env Env) (*bmat.BlockMatrix, Params, error) {
 	s := ShapeOf(a, b)
 	cfg := env.Cluster.Config()
 	params, err := OptimizeWire(s, cfg.TaskMemBytes, cfg.Slots(), env.Wire)
 	if err != nil {
 		return nil, Params{}, err
 	}
-	c, err := MultiplyCuboidCtx(ctx, a, b, params, env)
+	c, err := MultiplyCuboid(ctx, a, b, params, env)
 	return c, params, err
 }

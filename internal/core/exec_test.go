@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -40,7 +41,7 @@ func TestMultiplyCuboidMatchesReference(t *testing.T) {
 		{1, 1, 1}, {3, 1, 1}, {1, 1, 4}, {3, 2, 4}, {2, 2, 2}, {3, 2, 1},
 	} {
 		env := testEnv(t)
-		got, err := MultiplyCuboid(a, b, p, env)
+		got, err := MultiplyCuboid(context.Background(), a, b, p, env)
 		if err != nil {
 			t.Fatalf("params %v: %v", p, err)
 		}
@@ -79,18 +80,18 @@ func TestGeneralizationEquivalenceProperty(t *testing.T) {
 			}
 			return got.ToDense().EqualApprox(want, 1e-9)
 		}
-		if !check(MultiplyBMM(a, b, testEnv(t))) {
+		if !check(MultiplyCuboid(context.Background(), a, b, ShapeOf(a, b).BMMParams(), testEnv(t))) {
 			return false
 		}
-		if !check(MultiplyCPMM(a, b, testEnv(t))) {
+		if !check(MultiplyCuboid(context.Background(), a, b, ShapeOf(a, b).CPMMParams(), testEnv(t))) {
 			return false
 		}
-		if !check(MultiplyRMM(a, b, 0, testEnv(t))) {
+		if !check(MultiplyRMM(context.Background(), a, b, 0, testEnv(t))) {
 			return false
 		}
 		s := ShapeOf(a, b)
 		p := Params{P: 1 + rng.Intn(s.I), Q: 1 + rng.Intn(s.J), R: 1 + rng.Intn(s.K)}
-		return check(MultiplyCuboid(a, b, p, testEnv(t)))
+		return check(MultiplyCuboid(context.Background(), a, b, p, testEnv(t)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -110,7 +111,7 @@ func TestCommunicationAccountingMatchesEq4(t *testing.T) {
 		{2, 2, 2}, {4, 1, 2}, {1, 4, 4},
 	} {
 		env := testEnv(t)
-		if _, err := MultiplyCuboid(a, b, p, env); err != nil {
+		if _, err := MultiplyCuboid(context.Background(), a, b, p, env); err != nil {
 			t.Fatalf("params %v: %v", p, err)
 		}
 		rec := env.Cluster.Recorder()
@@ -129,7 +130,7 @@ func TestRMMAccountingMatchesTable2(t *testing.T) {
 	a := bmat.RandomDense(rng, 8, 6, 2)  // I=4, K=3
 	b := bmat.RandomDense(rng, 6, 10, 2) // K=3, J=5
 	env := testEnv(t)
-	if _, err := MultiplyRMM(a, b, 7, env); err != nil {
+	if _, err := MultiplyRMM(context.Background(), a, b, 7, env); err != nil {
 		t.Fatal(err)
 	}
 	rec := env.Cluster.Recorder()
@@ -166,13 +167,13 @@ func TestCuboidBeatsRMMCommunication(t *testing.T) {
 	}
 
 	envR := smallEnv()
-	if _, err := MultiplyRMM(a, b, 0, envR); err != nil {
+	if _, err := MultiplyRMM(context.Background(), a, b, 0, envR); err != nil {
 		t.Fatal(err)
 	}
 	rmmBytes := envR.Cluster.Recorder().CommunicationBytes()
 
 	envC := smallEnv()
-	if _, _, err := MultiplyAuto(a, b, envC); err != nil {
+	if _, _, err := MultiplyAuto(context.Background(), a, b, envC); err != nil {
 		t.Fatal(err)
 	}
 	cuboidBytes := envC.Cluster.Recorder().CommunicationBytes()
@@ -193,7 +194,7 @@ func TestMultiplyCuboidOOM(t *testing.T) {
 	}
 	a := bmat.RandomDense(rng, 8, 8, 4)
 	b := bmat.RandomDense(rng, 8, 8, 4)
-	_, err = MultiplyCuboid(a, b, Params{1, 1, 1}, Env{Cluster: c})
+	_, err = MultiplyCuboid(context.Background(), a, b, Params{1, 1, 1}, Env{Cluster: c})
 	if !errors.Is(err, cluster.ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
@@ -210,7 +211,7 @@ func TestMultiplyCuboidEDC(t *testing.T) {
 	}
 	a := bmat.RandomDense(rng, 8, 8, 2)
 	b := bmat.RandomDense(rng, 8, 8, 2)
-	_, err = MultiplyCuboid(a, b, Params{2, 2, 2}, Env{Cluster: c})
+	_, err = MultiplyCuboid(context.Background(), a, b, Params{2, 2, 2}, Env{Cluster: c})
 	if !errors.Is(err, cluster.ErrExceededDisk) {
 		t.Fatalf("err = %v, want ErrExceededDisk", err)
 	}
@@ -227,7 +228,7 @@ func TestMultiplyAutoPicksFeasibleParams(t *testing.T) {
 	}
 	a := bmat.RandomDense(rng, 32, 32, 4)
 	b := bmat.RandomDense(rng, 32, 32, 4)
-	got, params, err := MultiplyAuto(a, b, Env{Cluster: c})
+	got, params, err := MultiplyAuto(context.Background(), a, b, Env{Cluster: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +245,11 @@ func TestMultiplyDimensionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	a := bmat.RandomDense(rng, 4, 6, 2)
 	b := bmat.RandomDense(rng, 8, 4, 2)
-	if _, err := MultiplyCuboid(a, b, Params{1, 1, 1}, testEnv(t)); err == nil {
+	if _, err := MultiplyCuboid(context.Background(), a, b, Params{1, 1, 1}, testEnv(t)); err == nil {
 		t.Fatal("inner dimension mismatch accepted")
 	}
 	b2 := bmat.RandomDense(rng, 6, 4, 3)
-	if _, err := MultiplyCuboid(a, b2, Params{1, 1, 1}, testEnv(t)); err == nil {
+	if _, err := MultiplyCuboid(context.Background(), a, b2, Params{1, 1, 1}, testEnv(t)); err == nil {
 		t.Fatal("block size mismatch accepted")
 	}
 }
@@ -258,7 +259,7 @@ func TestMultiplyCuboidInvalidParams(t *testing.T) {
 	a := bmat.RandomDense(rng, 4, 4, 2)
 	b := bmat.RandomDense(rng, 4, 4, 2)
 	for _, p := range []Params{{0, 1, 1}, {3, 1, 1}, {1, 3, 1}, {1, 1, 3}} {
-		if _, err := MultiplyCuboid(a, b, p, testEnv(t)); err == nil {
+		if _, err := MultiplyCuboid(context.Background(), a, b, p, testEnv(t)); err == nil {
 			t.Errorf("params %v accepted for 2x2x2 grid", p)
 		}
 	}
@@ -269,7 +270,7 @@ func TestSparseInputsKeepSparseAccounting(t *testing.T) {
 	a := bmat.RandomSparse(rng, 40, 40, 4, 0.05)
 	b := bmat.RandomDense(rng, 40, 40, 4)
 	env := testEnv(t)
-	if _, err := MultiplyCuboid(a, b, Params{2, 2, 1}, env); err != nil {
+	if _, err := MultiplyCuboid(context.Background(), a, b, Params{2, 2, 1}, env); err != nil {
 		t.Fatal(err)
 	}
 	// Repartition charge must reflect the CSR payload, far below dense.
@@ -310,7 +311,7 @@ func TestStepDurationsRecorded(t *testing.T) {
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
 	env := testEnv(t)
-	if _, err := MultiplyCuboid(a, b, Params{2, 2, 2}, env); err != nil {
+	if _, err := MultiplyCuboid(context.Background(), a, b, Params{2, 2, 2}, env); err != nil {
 		t.Fatal(err)
 	}
 	rec := env.Cluster.Recorder()
@@ -374,7 +375,7 @@ func TestBalanceBySparsityPreservesResult(t *testing.T) {
 	want := refMul(a, b)
 	env := testEnv(t)
 	env.BalanceBySparsity = true
-	got, err := MultiplyCuboid(a, b, Params{2, 3, 2}, env)
+	got, err := MultiplyCuboid(context.Background(), a, b, Params{2, 3, 2}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +405,7 @@ func TestMultiplySurvivesInjectedTaskLoss(t *testing.T) {
 	})
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
-	got, err := MultiplyCuboid(a, b, Params{2, 2, 2}, Env{Cluster: c})
+	got, err := MultiplyCuboid(context.Background(), a, b, Params{2, 2, 2}, Env{Cluster: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +426,7 @@ func TestShapeOfEstimatedSparseProduct(t *testing.T) {
 	}
 	// The estimate must still dominate the actual product's stored size.
 	env := testEnv(t)
-	c, err := MultiplyCPMM(a, b, env)
+	c, err := MultiplyCuboid(context.Background(), a, b, ShapeOf(a, b).CPMMParams(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +464,7 @@ func TestSparseProductOutputCompacted(t *testing.T) {
 	a := bmat.RandomSparse(rng, 200, 200, 25, 0.002)
 	b := bmat.RandomSparse(rng, 200, 200, 25, 0.002)
 	env := testEnv(t)
-	c, err := MultiplyCuboid(a, b, Params{2, 2, 2}, env)
+	c, err := MultiplyCuboid(context.Background(), a, b, Params{2, 2, 2}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +482,7 @@ func TestDenseProductOutputStaysDense(t *testing.T) {
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
 	env := testEnv(t)
-	c, err := MultiplyCuboid(a, b, Params{2, 2, 1}, env)
+	c, err := MultiplyCuboid(context.Background(), a, b, Params{2, 2, 1}, env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,29 +73,3 @@ func PipelineCost(ops []PipeOp, workers int, finalFetchBytes int64) (materialize
 	resident += finalFetchBytes
 	return materialized, resident
 }
-
-// PipelinePullCost prices handle-resident execution in pull mode: the band
-// exchange moves the same peer bytes PipelineCost's resident estimate
-// counts, but pull streams them over all W worker↔worker links at once
-// (with dedup against the block cache), so the wall-clock-bounding cost
-// divides the peer term by the fan-out. Only the final fetch still crosses
-// the driver link at face value. With one worker nothing is fetched from
-// peers and the two estimates coincide.
-func PipelinePullCost(ops []PipeOp, workers int, finalFetchBytes int64) int64 {
-	if workers < 1 {
-		workers = 1
-	}
-	w := int64(workers)
-	var peer int64
-	for _, op := range ops {
-		switch op.Kind {
-		case PipeMul:
-			peer += op.BBytes * (w - 1) / w
-		case PipeTranspose:
-			peer += op.ABytes * (w - 1) / w
-		case PipeElementwise:
-			// co-partitioned: nothing moves
-		}
-	}
-	return peer/w + finalFetchBytes
-}

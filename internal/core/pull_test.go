@@ -147,28 +147,29 @@ func TestOptimizeTransferWarmOperandsPreferPull(t *testing.T) {
 	}
 }
 
-// TestPipelinePullCost pins the fan-out division against PipelineCost's
-// resident estimate on a hand-checked plan.
-func TestPipelinePullCost(t *testing.T) {
+// TestPipelineCost pins both estimates on a hand-checked plan: the driver
+// pays every operand and result, resident execution only the (W−1)/W peer
+// share of a multiply's B and a transpose's A plus the final fetch.
+func TestPipelineCost(t *testing.T) {
 	ops := []PipeOp{
 		{Kind: PipeMul, ABytes: 1000, BBytes: 4000, OutBytes: 2000},
 		{Kind: PipeTranspose, ABytes: 2000, OutBytes: 2000},
 		{Kind: PipeElementwise, ABytes: 2000, BBytes: 2000, OutBytes: 2000},
 	}
-	_, res := PipelineCost(ops, 4, 500)
+	mat, res := PipelineCost(ops, 4, 500)
+	if want := int64(7000 + 4000 + 6000); mat != want {
+		t.Fatalf("materialized estimate %d, want %d", mat, want)
+	}
 	wantPeer := int64(4000*3/4 + 2000*3/4) // 3000 + 1500
 	if res != wantPeer+500 {
 		t.Fatalf("resident estimate %d, want %d", res, wantPeer+500)
 	}
-	if got, want := PipelinePullCost(ops, 4, 500), wantPeer/4+500; got != want {
-		t.Fatalf("PipelinePullCost %d, want %d", got, want)
+	// One worker: no peer traffic, only the final fetch.
+	if _, got := PipelineCost(ops, 1, 500); got != 500 {
+		t.Fatalf("one-worker resident estimate %d, want 500", got)
 	}
-	// One worker: no peer traffic either way.
-	if got := PipelinePullCost(ops, 1, 500); got != 500 {
-		t.Fatalf("one-worker pull cost %d, want 500", got)
-	}
-	if got := PipelinePullCost(nil, 0, 0); got != 0 {
-		t.Fatalf("empty plan pull cost %d, want 0", got)
+	if mat, res := PipelineCost(nil, 0, 0); mat != 0 || res != 0 {
+		t.Fatalf("empty plan priced (%d, %d), want zeros", mat, res)
 	}
 }
 

@@ -252,7 +252,7 @@ func TestChaosGNMFByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clean.Close()
-	want, err := ml.GNMF(NewHybrid(clean, localEngine(t), 1<<30), v, gopts)
+	want, err := ml.GNMF(context.Background(), NewHybrid(clean, localEngine(t), 1<<30), v, gopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestChaosGNMFByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	got, err := ml.GNMF(NewHybrid(d, localEngine(t), 1<<30), v, gopts)
+	got, err := ml.GNMF(context.Background(), NewHybrid(d, localEngine(t), 1<<30), v, gopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,11 +458,11 @@ func TestAllWorkersKilledDegradesToLocal(t *testing.T) {
 	eng := localEngine(t)
 	v := bmat.RandomSparse(rng, 24, 20, 4, 0.2)
 	gopts := ml.GNMFOptions{Rank: 4, Iterations: 2, Seed: 11}
-	gotG, err := ml.GNMF(NewHybrid(d, eng, 1<<30), v, gopts)
+	gotG, err := ml.GNMF(context.Background(), NewHybrid(d, eng, 1<<30), v, gopts)
 	if err != nil {
 		t.Fatalf("GNMF on drained pool: %v", err)
 	}
-	wantG, err := ml.GNMF(eng, v, gopts)
+	wantG, err := ml.GNMF(context.Background(), eng, v, gopts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package distnet
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
 	"testing"
@@ -250,13 +251,13 @@ func TestGNMFOverTheWire(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(176))
 	v := bmat.RandomSparse(rng, 24, 20, 4, 0.2)
-	remote, err := ml.GNMF(hybrid, v, ml.GNMFOptions{Rank: 4, Iterations: 2, Seed: 11})
+	remote, err := ml.GNMF(context.Background(), hybrid, v, ml.GNMFOptions{Rank: 4, Iterations: 2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The same query all-local must agree bit-for-bit: the wire transports
 	// exact float64 payloads.
-	local, err := ml.GNMF(eng, v, ml.GNMFOptions{Rank: 4, Iterations: 2, Seed: 11})
+	local, err := ml.GNMF(context.Background(), eng, v, ml.GNMFOptions{Rank: 4, Iterations: 2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,15 +378,29 @@ func TestPlanEvalOverTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := prog.Eval(hybrid, map[string]*bmat.BlockMatrix{"A": a, "B": b})
+	// A small ml.Ops closure over the one evaluator: the Hybrid is an
+	// operator set, not an engine, so it has no Run of its own.
+	ctx := context.Background()
+	var ops ml.Ops = hybrid
+	got, err := plan.EvalWith(prog, map[string]*bmat.BlockMatrix{"A": a, "B": b},
+		func(n plan.NodeInfo, x, y *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+			switch n.Kind {
+			case plan.OpMul:
+				return ops.Multiply(ctx, x, y)
+			case plan.OpTranspose:
+				return ops.Transpose(ctx, x)
+			default:
+				return nil, fmt.Errorf("unexpected %v in Aᵀ×B", n.Kind)
+			}
+		}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, err := eng.Transpose(a)
+	at, err := eng.Transpose(ctx, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Multiply(at, b)
+	want, err := eng.Multiply(ctx, at, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"distme/internal/cluster"
 	"distme/internal/codec"
-	"distme/internal/core"
 	"distme/internal/metrics"
 	"distme/internal/obs"
 )
@@ -156,14 +155,6 @@ type Options struct {
 	// (fp32) or all (compress, worst case) of its operand bytes a second
 	// time for its duration.
 	Encoding codec.Encoding
-	// Transfer selects the data plane for pipeline operator band exchange
-	// (Session.Run): TransferPush gathers peer bands eagerly up front,
-	// TransferPull streams them on demand (prefetch overlapped with compute,
-	// bounded-concurrency transpose fetches), and TransferAuto (the zero
-	// value) prices both per pipeline — pull is chosen exactly when its
-	// Eq.(4) extension, the peer term at full fan-out, is strictly cheaper.
-	// Results are bit-identical across modes.
-	Transfer core.Transfer
 	// BatchBytes, when positive, coalesces cuboids whose encoded block
 	// payloads are under this size into MultiplyBatch RPCs — one round trip
 	// per group instead of one per cuboid on many-tiny-cuboids plans. Items
@@ -266,9 +257,6 @@ func DialOptions(addrs []string, opts Options) (*Driver, error) {
 	}
 	if !opts.Encoding.Valid() {
 		return nil, fmt.Errorf("distnet: unknown wire encoding %d", opts.Encoding)
-	}
-	if !opts.Transfer.Valid() {
-		return nil, fmt.Errorf("distnet: unknown transfer mode %d", opts.Transfer)
 	}
 	d := &Driver{
 		opts:   opts.withDefaults(),

@@ -38,11 +38,6 @@ type Session struct {
 	handles    map[uint64]*Handle // live (unfreed) handles
 	closed     bool
 	recoveries int
-
-	// pullExec is the last pipeline pricing's transfer verdict: operators
-	// stream peer bands on demand instead of gathering eagerly. Mode never
-	// affects results, so recovery replays under whatever value is current.
-	pullExec bool
 }
 
 // Handle names a matrix resident in a session's workers, co-partitioned by

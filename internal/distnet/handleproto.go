@@ -84,7 +84,7 @@ type PartLoc struct {
 
 // ExecArgs runs one pipeline operator worker-side over resident handles,
 // producing the output band OutLo ≤ I < OutHi under handle Out. Operand
-// bands this worker lacks are fetched worker→worker from AParts/BParts
+// bands this worker lacks are streamed worker→worker from AParts/BParts
 // (entries whose Addr equals Self read the local store instead).
 type ExecArgs struct {
 	Op     uint8
@@ -97,11 +97,6 @@ type ExecArgs struct {
 	AParts       []PartLoc
 	BParts       []PartLoc
 	Self         string
-
-	// Pull streams the peer operand bands instead of gathering them all
-	// up front: fetches overlap compute with one-ahead prefetch, in band
-	// order, so results stay bit-identical to the eager gather.
-	Pull bool
 
 	traceSpan uint64
 }

@@ -162,7 +162,6 @@ func appendExecArgs(w *codec.FrameWriter, a *ExecArgs) {
 	appendPartLocs(w, a.BParts)
 	w.Str(a.Self)
 	w.Uvarint(a.traceSpan)
-	w.Bool(a.Pull)
 }
 
 func decodeExecArgs(rd *codec.FrameReader, a *ExecArgs) error {
@@ -192,10 +191,7 @@ func decodeExecArgs(rd *codec.FrameReader, a *ExecArgs) error {
 	if a.Self, err = rd.Str(); err != nil {
 		return err
 	}
-	if a.traceSpan, err = rd.Uvarint(); err != nil {
-		return err
-	}
-	a.Pull, err = rd.Bool()
+	a.traceSpan, err = rd.Uvarint()
 	return err
 }
 

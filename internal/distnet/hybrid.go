@@ -51,48 +51,33 @@ func NewHybrid(d *Driver, e *engine.Engine, workerMemBytes int64) *Hybrid {
 // If the pool has drained (every worker dead or removed), the product is
 // computed on the local engine instead — the last rung of graceful
 // degradation below the driver's own per-cuboid local fallback.
-func (h *Hybrid) Multiply(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+func (h *Hybrid) Multiply(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
 	params, err := core.Optimize(core.ShapeOf(a, b), h.WorkerMemBytes, h.slots)
 	if err != nil {
 		return nil, err
 	}
-	c, _, err := h.Driver.Execute(context.Background(), a, b, MultiplyOptions{Params: &params})
+	c, _, err := h.Driver.Execute(ctx, a, b, MultiplyOptions{Params: &params})
 	if err != nil && !h.DisableLocalFallback &&
 		(errors.Is(err, ErrWorkerDead) || errors.Is(err, ErrNoWorkers) ||
 			errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, ErrDriverClosed)) {
-		return h.Engine.Multiply(a, b)
+		return h.Engine.Multiply(ctx, a, b)
 	}
 	return c, err
 }
 
 // Transpose runs locally.
-func (h *Hybrid) Transpose(a *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return h.Engine.Transpose(a)
+func (h *Hybrid) Transpose(ctx context.Context, a *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+	return h.Engine.Transpose(ctx, a)
 }
 
 // Hadamard runs locally.
-func (h *Hybrid) Hadamard(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return h.Engine.Hadamard(a, b)
+func (h *Hybrid) Hadamard(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+	return h.Engine.Hadamard(ctx, a, b)
 }
 
 // DivElem runs locally.
-func (h *Hybrid) DivElem(a, b *bmat.BlockMatrix, eps float64) (*bmat.BlockMatrix, error) {
-	return h.Engine.DivElem(a, b, eps)
+func (h *Hybrid) DivElem(ctx context.Context, a, b *bmat.BlockMatrix, eps float64) (*bmat.BlockMatrix, error) {
+	return h.Engine.DivElem(ctx, a, b, eps)
 }
 
 var _ ml.Ops = (*Hybrid)(nil)
-
-// Add runs locally.
-func (h *Hybrid) Add(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return h.Engine.Add(a, b)
-}
-
-// Sub runs locally.
-func (h *Hybrid) Sub(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return h.Engine.Sub(a, b)
-}
-
-// Scale runs locally.
-func (h *Hybrid) Scale(s float64, a *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return h.Engine.Scale(s, a)
-}

@@ -122,28 +122,11 @@ func (s *Session) price(p *plan.Program, binds map[string]*Handle, parent obs.Sp
 		return err
 	}
 	mat, res := core.PipelineCost(ops, len(s.workers), fetchBytes)
-	pullRes := core.PipelinePullCost(ops, len(s.workers), fetchBytes)
-	switch s.d.opts.Transfer {
-	case core.TransferPush:
-		s.pullExec = false
-	case core.TransferPull:
-		s.pullExec = true
-	default:
-		// Auto: pull exactly when its fan-out-divided peer term is strictly
-		// cheaper than the eager resident estimate.
-		s.pullExec = pullRes < res
-	}
 	sp := s.d.tracer.Start(parent.ID(), "pipeline.optimize", obs.KindDriver)
 	if sp.Active() {
 		sp.SetAttr("ops", fmt.Sprintf("%d", len(ops)))
 		sp.SetAttr("materialized-bytes", fmt.Sprintf("%d", mat))
 		sp.SetAttr("resident-bytes", fmt.Sprintf("%d", res))
-		sp.SetAttr("pull-bytes", fmt.Sprintf("%d", pullRes))
-		if s.pullExec {
-			sp.SetAttr("transfer", "pull")
-		} else {
-			sp.SetAttr("transfer", "push")
-		}
 	}
 	sp.End()
 	if mat > res {
@@ -254,7 +237,7 @@ func (s *Session) newExecHandle(n plan.NodeInfo, a, b *Handle) (*Handle, error) 
 func ceilDivInt(a, b int) int { return (a + b - 1) / b }
 
 // execParts fans one operator out to the placement: each worker computes its
-// output band against resident operands, fetching what it lacks from peers.
+// output band against resident operands, streaming what it lacks from peers.
 // Bands run concurrently; arithmetic order inside a band is fixed, so the
 // result is byte-identical regardless of scheduling.
 func (s *Session) execParts(ctx context.Context, h *Handle) error {
@@ -272,9 +255,7 @@ func (s *Session) execParts(ctx context.Context, h *Handle) error {
 		bParts = s.partLocs(h.lb)
 		bID = h.lb.id
 	}
-	if s.pullExec {
-		s.d.rec.AddPullJob()
-	}
+	s.d.rec.AddPullJob()
 	errs := make([]error, len(ps))
 	bytes := make([]int64, len(ps))
 	peer := make([]int64, len(ps))
@@ -289,7 +270,6 @@ func (s *Session) execParts(ctx context.Context, h *Handle) error {
 				OutLo: p.lo, OutHi: p.hi,
 				AParts: aParts, BParts: bParts,
 				Self:      p.m.addr,
-				Pull:      s.pullExec,
 				traceSpan: uint64(sp.ID()),
 			}
 			var reply ExecReply

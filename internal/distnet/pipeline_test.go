@@ -447,7 +447,7 @@ func TestPageRankHandlesMatchesDriver(t *testing.T) {
 	}
 	popt := ml.PageRankOptions{Damping: 0.85, MaxIterations: 8, Tolerance: 1e-12}
 
-	want, err := ml.PageRank(localEngine(t), adj, popt)
+	want, err := ml.PageRank(context.Background(), localEngine(t), adj, popt)
 	if err != nil {
 		t.Fatal(err)
 	}

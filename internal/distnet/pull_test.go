@@ -8,6 +8,7 @@ import (
 
 	"distme/internal/bmat"
 	"distme/internal/core"
+	"distme/internal/engine"
 	"distme/internal/matrix"
 	"distme/internal/plan"
 )
@@ -460,38 +461,42 @@ func TestExecuteTransferPull(t *testing.T) {
 	}
 }
 
-// TestPipelinePullMatchesPush runs the multi-operator pipeline under both
-// Options.Transfer planes: streamed pull execution must be bit-identical to
-// the eager gather, and must account its worker→worker traffic.
+// TestPipelinePullMatchesPush runs the multi-operator pipeline on three
+// workers — every mul and transpose streams peer bands — and compares it
+// with engine.Run on the same expression; the streamed band exchange must
+// also account its worker→worker traffic. (The name dates from a second,
+// eager-gather exchange path; the engine is the reference now.)
 func TestPipelinePullMatchesPush(t *testing.T) {
 	ctx := context.Background()
 	expr := pipelineTestExpr()
 	inputs := pipelineTestInputs(108)
 
-	run := func(transfer core.Transfer) (*bmat.BlockMatrix, *Driver) {
-		addrs, _ := startWorkers(t, 3)
-		opts := Options{Transfer: transfer}
-		d, err := DialOptions(addrs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(d.Close)
-		s := newSession(t, d)
-		out, err := s.Run(ctx, expr, putAll(t, s, inputs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Fetch(ctx, out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, d
+	addrs, _ := startWorkers(t, 3)
+	d, err := Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	pushRes, _ := run(core.TransferPush)
-	pullRes, pullD := run(core.TransferPull)
-	bitIdentical(t, pullRes, pushRes)
-	ns := pullD.NetStats()
+	defer d.Close()
+	s := newSession(t, d)
+	out, err := s.Run(ctx, expr, putAll(t, s, inputs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Fetch(ctx, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At one cuboid per multiplication the engine accumulates every output
+	// block k-ascending, the order the band exchange streams B in, so the
+	// comparison is bit for bit.
+	eng := localEngine(t)
+	defer eng.Close()
+	want, _, err := eng.Run(ctx, expr, inputs, engine.WithParams(core.Params{P: 1, Q: 1, R: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitIdentical(t, got, want)
+	ns := d.NetStats()
 	if ns.PullJobs == 0 {
 		t.Fatal("pull pipeline recorded no pull jobs")
 	}

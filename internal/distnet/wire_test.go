@@ -129,7 +129,7 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 	})
 	add(bodyPinArgs, func(w *codec.FrameWriter) error { appendPinArgs(w, &PinArgs{Handle: 5, Unpin: true}); return nil })
 	add(bodyExecArgs, func(w *codec.FrameWriter) error {
-		appendExecArgs(w, &ExecArgs{Op: 2, Out: 7, A: 5, B: 6, Scalar: 1.5, OutHi: 4, AParts: parts, BParts: parts, Self: parts[0].Addr, Pull: true})
+		appendExecArgs(w, &ExecArgs{Op: 2, Out: 7, A: 5, B: 6, Scalar: 1.5, OutHi: 4, AParts: parts, BParts: parts, Self: parts[0].Addr})
 		return nil
 	})
 	add(bodyGetReply, func(w *codec.FrameWriter) error { return appendPlainBlocks(w, recs) })

@@ -34,7 +34,7 @@ const defaultDrainWindow = 10 * time.Second
 
 // Worker serves cuboid multiplications over net/rpc. One worker process
 // plays the role of one cluster node's executor. A served worker (via
-// Serve/ListenAndServe) owns its listener and connections and supports
+// Serve/ServeOptions) owns its listener and connections and supports
 // graceful shutdown: stop accepting, drain in-flight RPCs, close.
 type Worker struct {
 	mu         sync.Mutex
@@ -397,25 +397,4 @@ func ServeOptions(l net.Listener, opts WorkerOptions) (*Worker, error) {
 		}
 	}()
 	return w, nil
-}
-
-// ListenAndServe binds addr and serves a worker until it is shut down (the
-// distme-worker command's body).
-func ListenAndServe(addr string) error {
-	return ListenAndServeOptions(addr, WorkerOptions{})
-}
-
-// ListenAndServeOptions is ListenAndServe with explicit tuning.
-func ListenAndServeOptions(addr string, opts WorkerOptions) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	w, err := ServeOptions(l, opts)
-	if err != nil {
-		l.Close()
-		return err
-	}
-	w.Wait()
-	return nil
 }

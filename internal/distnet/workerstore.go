@@ -245,35 +245,8 @@ func (w *Worker) localBand(id uint64) (map[bmat.BlockKey]matrix.Block, error) {
 	return blocks, nil
 }
 
-// gatherAll assembles a whole handle from its parts: local bands read the
-// store, remote bands fetch worker→worker.
-func (w *Worker) gatherAll(parent obs.SpanID, id uint64, parts []PartLoc, self string) (map[bmat.BlockKey]matrix.Block, error) {
-	all := map[bmat.BlockKey]matrix.Block{}
-	for _, p := range parts {
-		if p.Addr == self {
-			local, err := w.localBand(id)
-			if err != nil {
-				return nil, err
-			}
-			for k, b := range local {
-				all[k] = b
-			}
-			continue
-		}
-		recs, err := w.peerGet(parent, p.Addr, &GetArgs{Handle: id, All: true})
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range recs {
-			all[r.Key] = r.Block
-		}
-	}
-	return all, nil
-}
-
 // execOp dispatches one pipeline operator, additionally reporting the
-// worker→worker payload bytes the operator moved (pull mode only; eager
-// gathers report zero and are accounted in the store's aggregate instead).
+// worker→worker payload bytes the operator moved.
 func (w *Worker) execOp(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, error) {
 	switch args.Op {
 	case execMul:
@@ -298,31 +271,11 @@ func (w *Worker) execOp(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, 
 	}
 }
 
-// execMul computes this worker's C band: C rows are co-partitioned with A
-// rows, so the A band is local while B is assembled whole (the (W−1)/W
-// worker→worker movement Eq.(4)'s pipeline extension prices).
-func (w *Worker) execMul(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, error) {
-	aBlocks, err := w.localBand(args.A)
-	if err != nil {
-		return nil, 0, err
-	}
-	if args.Pull {
-		return w.execMulPull(args, aBlocks)
-	}
-	bBlocks, err := w.gatherAll(obs.SpanID(args.traceSpan), args.B, args.BParts, args.Self)
-	if err != nil {
-		return nil, 0, err
-	}
-	acc := map[bmat.BlockKey]*matrix.Dense{}
-	mulBand(acc, aBlocks, bBlocks, args.OutLo, args.OutHi)
-	return denseBlocks(acc), 0, nil
-}
-
 // mulBand accumulates (A rows [lo,hi)) × (one row band of B) into acc. Sorted
 // j and ascending k keep the accumulation order identical to computeCuboid's
 // regardless of which worker runs the band; called once per band in
 // ascending-k band order, the concatenation is the whole-B order, so streaming
-// B band by band matches gathering it first bit for bit.
+// B band by band accumulates exactly as one pass over the whole of B would.
 func mulBand(acc map[bmat.BlockKey]*matrix.Dense, aBlocks, bBand map[bmat.BlockKey]matrix.Block, lo, hi int) {
 	ksByJ := map[int][]int{}
 	for k := range bBand {
@@ -362,12 +315,17 @@ func denseBlocks(acc map[bmat.BlockKey]*matrix.Dense) map[bmat.BlockKey]matrix.B
 	return out
 }
 
-// execMulPull streams the B operand band by band instead of gathering it
-// whole: while one band multiplies, the next prefetches (one ahead). Bands
-// are disjoint row ranges taken in ascending-k order, so the per-(i,j)
-// accumulation order — and therefore every fp64 bit — matches the gathered
-// path exactly (mulBand).
-func (w *Worker) execMulPull(args *ExecArgs, aBlocks map[bmat.BlockKey]matrix.Block) (map[bmat.BlockKey]matrix.Block, int64, error) {
+// execMul computes this worker's C band: C rows are co-partitioned with A
+// rows, so the A band is local while B — the (W−1)/W worker→worker movement
+// Eq.(4)'s pipeline extension prices — streams in band by band: while one
+// band multiplies, the next prefetches (one ahead). Bands are disjoint row
+// ranges taken in ascending-k order, which fixes the per-(i,j) accumulation
+// order and therefore every fp64 bit (mulBand).
+func (w *Worker) execMul(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, error) {
+	aBlocks, err := w.localBand(args.A)
+	if err != nil {
+		return nil, 0, err
+	}
 	parent := obs.SpanID(args.traceSpan)
 	parts := append([]PartLoc(nil), args.BParts...)
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Lo < parts[j].Lo })
@@ -422,53 +380,44 @@ func (w *Worker) execMulPull(args *ExecArgs, aBlocks map[bmat.BlockKey]matrix.Bl
 }
 
 // execTranspose builds the output band rows [OutLo, OutHi) — the operand's
-// column slice — fetching exactly that slice from each peer band. In pull
-// mode the peer slices fetch concurrently (emit order is irrelevant: keys
-// are distinct and each block transposes independently).
+// column slice — fetching exactly that slice from each peer band. The peer
+// slices fetch concurrently (emit order is irrelevant: keys are distinct and
+// each block transposes independently).
 func (w *Worker) execTranspose(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, error) {
 	parent := obs.SpanID(args.traceSpan)
+	fetched := make([][]BlockRec, len(args.AParts))
+	errs := make([]error, len(args.AParts))
+	sem := make(chan struct{}, pullFetchConcurrency)
+	var wg sync.WaitGroup
+	for pi, p := range args.AParts {
+		if p.Addr == args.Self {
+			continue
+		}
+		wg.Add(1)
+		go func(pi int, p PartLoc) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			fetched[pi], errs[pi] = w.peerGet(parent, p.Addr, &GetArgs{
+				Handle: args.A,
+				ILo:    p.Lo, IHi: p.Hi,
+				JLo: args.OutLo, JHi: args.OutHi,
+			})
+		}(pi, p)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+
 	out := map[bmat.BlockKey]matrix.Block{}
 	emit := func(k bmat.BlockKey, blk matrix.Block) {
 		if k.J < args.OutLo || k.J >= args.OutHi || blk == nil {
 			return
 		}
 		out[bmat.BlockKey{I: k.J, J: k.I}] = matrix.Transpose(blk)
-	}
-	sliceArgs := func(p PartLoc) *GetArgs {
-		return &GetArgs{
-			Handle: args.A,
-			ILo:    p.Lo, IHi: p.Hi,
-			JLo: args.OutLo, JHi: args.OutHi,
-		}
-	}
-	var fetched map[int][]BlockRec
-	if args.Pull {
-		fetched = make(map[int][]BlockRec, len(args.AParts))
-		errs := make([]error, len(args.AParts))
-		sem := make(chan struct{}, pullFetchConcurrency)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for pi, p := range args.AParts {
-			if p.Addr == args.Self {
-				continue
-			}
-			wg.Add(1)
-			go func(pi int, p PartLoc) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				recs, err := w.peerGet(parent, p.Addr, sliceArgs(p))
-				mu.Lock()
-				fetched[pi], errs[pi] = recs, err
-				mu.Unlock()
-			}(pi, p)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, 0, err
-			}
-		}
 	}
 	var peerBytes int64
 	for pi, p := range args.AParts {
@@ -482,16 +431,8 @@ func (w *Worker) execTranspose(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, 
 			}
 			continue
 		}
-		recs, ok := fetched[pi]
-		if !ok {
-			var err error
-			recs, err = w.peerGet(parent, p.Addr, sliceArgs(p))
-			if err != nil {
-				return nil, 0, err
-			}
-		}
-		for _, r := range recs {
-			if args.Pull && r.Block != nil {
+		for _, r := range fetched[pi] {
+			if r.Block != nil {
 				peerBytes += r.Block.SizeBytes()
 			}
 			emit(r.Key, r.Block)

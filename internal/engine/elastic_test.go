@@ -51,7 +51,7 @@ func TestMultiplyCtxCancelsDuringRetries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(20*time.Millisecond, cancel)
 	start := time.Now()
-	_, _, err := e.MultiplyCtx(ctx, a, b, MulOptions{Method: MethodCuboid, Params: core.Params{P: 2, Q: 2, R: 2}})
+	_, _, err := runMul(ctx, e, a, b, MulOptions{Method: MethodCuboid, Params: core.Params{P: 2, Q: 2, R: 2}})
 	elapsed := time.Since(start)
 	if !errors.Is(err, cluster.ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
@@ -71,7 +71,7 @@ func TestMultiplyCtxPreCancelled(t *testing.T) {
 	b := bmat.RandomDense(rng, 8, 8, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := e.MultiplyCtx(ctx, a, b, MulOptions{})
+	_, _, err := runMul(ctx, e, a, b, MulOptions{})
 	if !errors.Is(err, cluster.ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
 	}
@@ -82,7 +82,7 @@ func TestMultiplyCtxNilContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	a := bmat.RandomDense(rng, 8, 8, 4)
 	b := bmat.RandomDense(rng, 8, 8, 4)
-	if _, _, err := e.MultiplyCtx(nil, a, b, MulOptions{}); err != nil {
+	if _, _, err := runMul(nil, e, a, b, MulOptions{}); err != nil {
 		t.Fatalf("nil ctx should behave like Background, got %v", err)
 	}
 }
@@ -110,14 +110,14 @@ func TestAllMethodsBitIdenticalUnderFaults(t *testing.T) {
 		for _, opts := range methods {
 			base := newTestEngine(t, chaosConfig(cluster.Faults{}))
 			base.cfg.UseGPU = useGPU
-			want, _, err := base.MultiplyOpt(a, b, opts)
+			want, _, err := runMul(context.Background(), base, a, b, opts)
 			if err != nil {
 				t.Fatalf("%v gpu=%v failure-free: %v", opts.Method, useGPU, err)
 			}
 
 			chaos := newTestEngine(t, chaosConfig(faults))
 			chaos.cfg.UseGPU = useGPU
-			got, report, err := chaos.MultiplyOpt(a, b, opts)
+			got, report, err := runMul(context.Background(), chaos, a, b, opts)
 			if err != nil {
 				t.Fatalf("%v gpu=%v under faults: %v", opts.Method, useGPU, err)
 			}
@@ -138,7 +138,7 @@ func TestReportElasticCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
-	_, r1, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodCuboid, Params: core.Params{P: 2, Q: 2, R: 2}})
+	_, r1, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodCuboid, Params: core.Params{P: 2, Q: 2, R: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestReportElasticCounters(t *testing.T) {
 	// A second multiply with injection disabled on a fresh engine must
 	// report zero elastic work of its own.
 	quiet := newTestEngine(t, chaosConfig(cluster.Faults{}))
-	_, r2, err := quiet.MultiplyOpt(a, b, MulOptions{Method: MethodCuboid, Params: core.Params{P: 2, Q: 2, R: 2}})
+	_, r2, err := runMul(context.Background(), quiet, a, b, MulOptions{Method: MethodCuboid, Params: core.Params{P: 2, Q: 2, R: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestEngineCloseSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	a := bmat.RandomDense(rng, 8, 8, 4)
 	b := bmat.RandomDense(rng, 8, 8, 4)
-	if _, err := e.Multiply(a, b); err != nil {
+	if _, err := e.Multiply(context.Background(), a, b); err != nil {
 		t.Fatal(err)
 	}
 	e.ReleaseLayout(a) // untracked or tracked, both fine
@@ -174,16 +174,16 @@ func TestEngineCloseSemantics(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal("Close must be idempotent")
 	}
-	if _, err := e.Multiply(a, b); !errors.Is(err, ErrEngineClosed) {
+	if _, err := e.Multiply(context.Background(), a, b); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("want ErrEngineClosed, got %v", err)
 	}
-	if _, _, err := e.MultiplyCtx(context.Background(), a, b, MulOptions{}); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("want ErrEngineClosed from MultiplyCtx, got %v", err)
+	if _, _, err := runMul(context.Background(), e, a, b, MulOptions{}); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("want ErrEngineClosed from Run, got %v", err)
 	}
-	if _, err := e.Add(a, b); !errors.Is(err, ErrEngineClosed) {
+	if _, err := e.Add(context.Background(), a, b); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("want ErrEngineClosed from Add, got %v", err)
 	}
-	if _, err := e.Transpose(a); !errors.Is(err, ErrEngineClosed) {
+	if _, err := e.Transpose(context.Background(), a); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("want ErrEngineClosed from Transpose, got %v", err)
 	}
 	e.ReleaseLayout(a) // no-op after Close
@@ -208,6 +208,33 @@ func TestLayoutTableBounded(t *testing.T) {
 	}
 }
 
+// TestTransposeLayoutsBounded: the tag a transpose derives for its output
+// goes through the same bounded table as every other tag, so a long GNMF's
+// Wᵀ/Hᵀ intermediates are evicted instead of pinned until Close.
+func TestTransposeLayoutsBounded(t *testing.T) {
+	cfg := testConfig()
+	cfg.TrackLayouts = true
+	e := newTestEngine(t, cfg)
+	m := bmat.New(8, 8, 4)
+	e.SetLayout(m, "row", 1, 0)
+	for i := 0; i < 3*maxTrackedLayouts; i++ {
+		// m is the oldest tag, so it is the first evicted: keep it tracked.
+		e.SetLayout(m, "row", 1, 0)
+		if _, err := e.Transpose(context.Background(), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.mu.Lock()
+	n, order := len(e.layouts), len(e.layoutOrder)
+	e.mu.Unlock()
+	if n > maxTrackedLayouts {
+		t.Fatalf("layout table grew to %d after transposes, cap is %d", n, maxTrackedLayouts)
+	}
+	if order > 2*maxTrackedLayouts+1 {
+		t.Fatalf("layout order grew to %d, compaction bound is %d", order, 2*maxTrackedLayouts+1)
+	}
+}
+
 // TestReleaseLayoutForgetsColocation: after release, the next multiply must
 // not treat the operand as colocated.
 func TestReleaseLayoutForgetsColocation(t *testing.T) {
@@ -218,7 +245,7 @@ func TestReleaseLayoutForgetsColocation(t *testing.T) {
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
 	opts := MulOptions{Method: MethodCuboid, Params: core.Params{P: 2, Q: 1, R: 2}}
-	if _, _, err := e.MultiplyOpt(a, b, opts); err != nil {
+	if _, _, err := runMul(context.Background(), e, a, b, opts); err != nil {
 		t.Fatal(err)
 	}
 	ca, cb := e.colocation(a, b, opts.Params)
@@ -237,7 +264,7 @@ func TestUnknownMethodSentinel(t *testing.T) {
 	rng := rand.New(rand.NewSource(87))
 	a := bmat.RandomDense(rng, 8, 8, 4)
 	b := bmat.RandomDense(rng, 8, 8, 4)
-	_, _, err := e.MultiplyOpt(a, b, MulOptions{Method: Method(99)})
+	_, _, err := runMul(context.Background(), e, a, b, MulOptions{Method: Method(99)})
 	if !errors.Is(err, ErrUnknownMethod) {
 		t.Fatalf("want ErrUnknownMethod, got %v", err)
 	}
@@ -248,7 +275,7 @@ func TestZipShapeMismatchSentinel(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	a := bmat.RandomDense(rng, 8, 8, 4)
 	b := bmat.RandomDense(rng, 12, 8, 4)
-	if _, err := e.Add(a, b); !errors.Is(err, core.ErrShapeMismatch) {
+	if _, err := e.Add(context.Background(), a, b); !errors.Is(err, core.ErrShapeMismatch) {
 		t.Fatalf("want ErrShapeMismatch, got %v", err)
 	}
 }

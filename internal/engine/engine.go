@@ -198,46 +198,30 @@ type Report struct {
 	Trace *obs.Trace
 }
 
-// Multiply computes A×B with the engine's default method.
-//
-// Deprecated: Use [Engine.Run] with a plan.Mul expression.
-func (e *Engine) Multiply(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	c, _, err := e.MultiplyOpt(a, b, MulOptions{Method: e.cfg.DefaultMethod})
+// Multiply computes A×B with the engine's default method and no report —
+// the multiply of ml.Ops. Use Run for per-call options, the execution
+// report or the trace. Cancelling ctx aborts the multiplication promptly —
+// including mid-backoff between task retry attempts — and returns an error
+// matching errors.Is(err, ErrCancelled) that wraps ctx.Err(). A nil ctx
+// behaves like context.Background().
+func (e *Engine) Multiply(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+	c, _, err := e.mulTraced(ctx, a, b, MulOptions{Method: e.cfg.DefaultMethod})
 	return c, err
-}
-
-// MultiplyOpt computes A×B with explicit options and returns the execution
-// report alongside the product.
-//
-// Deprecated: Use [Engine.Run] with WithMulOptions.
-func (e *Engine) MultiplyOpt(a, b *bmat.BlockMatrix, opts MulOptions) (*bmat.BlockMatrix, *Report, error) {
-	return e.MultiplyCtx(context.Background(), a, b, opts)
-}
-
-// MultiplyCtx is MultiplyOpt under a context: cancelling ctx aborts the
-// multiplication promptly — including mid-backoff between task retry
-// attempts — and returns an error matching errors.Is(err, ErrCancelled)
-// that wraps ctx.Err(). A nil ctx behaves like context.Background().
-//
-// Deprecated: Use [Engine.Run] with WithMulOptions.
-func (e *Engine) MultiplyCtx(ctx context.Context, a, b *bmat.BlockMatrix, opts MulOptions) (*bmat.BlockMatrix, *Report, error) {
-	return e.mulTraced(ctx, a, b, opts)
 }
 
 // mulTraced runs one multiplication under its own engine.multiply root span
 // and extracts exactly that multiplication's spans into the report. It is
-// the single-multiply fast path shared by Run and the deprecated Multiply
-// family.
+// the single-multiply path shared by Multiply and Run.
 func (e *Engine) mulTraced(ctx context.Context, a, b *bmat.BlockMatrix, opts MulOptions) (*bmat.BlockMatrix, *Report, error) {
 	tr := e.cfg.Tracer
 	if tr == nil {
-		return e.multiplyCtx(ctx, a, b, opts, obs.Span{})
+		return e.multiply(ctx, a, b, opts, obs.Span{})
 	}
 	// Mark the completed-span buffer so the report extracts exactly this
 	// multiplication's spans, even on a shared long-lived tracer.
 	mark := tr.Len()
 	root := tr.Start(0, "engine.multiply", obs.KindDriver)
-	c, report, err := e.multiplyCtx(ctx, a, b, opts, root)
+	c, report, err := e.multiply(ctx, a, b, opts, root)
 	if err != nil {
 		root.SetAttr("error", err.Error())
 	}
@@ -249,9 +233,9 @@ func (e *Engine) mulTraced(ctx context.Context, a, b *bmat.BlockMatrix, opts Mul
 	return c, report, err
 }
 
-// multiplyCtx is the body of MultiplyCtx; root is the multiplication's root
-// span (inert when tracing is off).
-func (e *Engine) multiplyCtx(ctx context.Context, a, b *bmat.BlockMatrix, opts MulOptions, root obs.Span) (*bmat.BlockMatrix, *Report, error) {
+// multiply is the body of one multiplication; root is its root span (inert
+// when tracing is off).
+func (e *Engine) multiply(ctx context.Context, a, b *bmat.BlockMatrix, opts MulOptions, root obs.Span) (*bmat.BlockMatrix, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -315,12 +299,12 @@ func (e *Engine) multiplyCtx(ctx context.Context, a, b *bmat.BlockMatrix, opts M
 		if tasks == 0 {
 			tasks = e.cfg.RMMTasks
 		}
-		c, err = core.MultiplyRMMCtx(ctx, a, b, tasks, env)
+		c, err = core.MultiplyRMM(ctx, a, b, tasks, env)
 	} else {
 		if e.cfg.TrackLayouts {
 			env.AColocated, env.BColocated = e.colocation(a, b, params)
 		}
-		c, err = core.MultiplyCuboidCtx(ctx, a, b, params, env)
+		c, err = core.MultiplyCuboid(ctx, a, b, params, env)
 		// Eq.(3) sizes cuboids by averages; ragged grids and sparsity skew
 		// can make one cuboid exceed θt anyway. Under MethodAuto the engine
 		// stays elastic: re-optimize with a finer minimum partitioning and
@@ -343,7 +327,7 @@ func (e *Engine) multiplyCtx(ctx context.Context, a, b *bmat.BlockMatrix, opts M
 				if e.cfg.TrackLayouts {
 					env.AColocated, env.BColocated = e.colocation(a, b, params)
 				}
-				c, err = core.MultiplyCuboidCtx(ctx, a, b, params, env)
+				c, err = core.MultiplyCuboid(ctx, a, b, params, env)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"distme/internal/core"
 	"distme/internal/matrix"
 	"distme/internal/metrics"
+	"distme/internal/plan"
 )
 
 func testConfig() Config {
@@ -30,12 +32,19 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
+// runMul is one multiplication through Run with explicit options, the way
+// every test here asks for a method, params or the report.
+func runMul(ctx context.Context, e *Engine, a, b *bmat.BlockMatrix, o MulOptions) (*bmat.BlockMatrix, *Report, error) {
+	return e.Run(ctx, plan.Mul(plan.V("a"), plan.V("b")),
+		map[string]*bmat.BlockMatrix{"a": a, "b": b}, WithMulOptions(o))
+}
+
 func TestEngineMultiplyAuto(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	e := newTestEngine(t, testConfig())
 	a := bmat.RandomDense(rng, 20, 24, 4)
 	b := bmat.RandomDense(rng, 24, 16, 4)
-	got, err := e.Multiply(a, b)
+	got, err := e.Multiply(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +61,7 @@ func TestEngineEveryMethodAgrees(t *testing.T) {
 	want := matrix.Mul(a.ToDense(), b.ToDense()).Dense()
 	for _, m := range []Method{MethodAuto, MethodBMM, MethodCPMM, MethodRMM} {
 		e := newTestEngine(t, testConfig())
-		got, rep, err := e.MultiplyOpt(a, b, MulOptions{Method: m})
+		got, rep, err := runMul(context.Background(), e, a, b, MulOptions{Method: m})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -65,7 +74,7 @@ func TestEngineEveryMethodAgrees(t *testing.T) {
 	}
 	// Explicit cuboid params.
 	e := newTestEngine(t, testConfig())
-	got, rep, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodCuboid, Params: core.Params{P: 2, Q: 3, R: 2}})
+	got, rep, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodCuboid, Params: core.Params{P: 2, Q: 3, R: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +93,7 @@ func TestEngineGPUMatchesCPU(t *testing.T) {
 
 	cpuCfg := testConfig()
 	ec := newTestEngine(t, cpuCfg)
-	wantC, _, err := ec.MultiplyOpt(a, b, MulOptions{Method: MethodCPMM})
+	wantC, _, err := runMul(context.Background(), ec, a, b, MulOptions{Method: MethodCPMM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +101,7 @@ func TestEngineGPUMatchesCPU(t *testing.T) {
 	gpuCfg := testConfig()
 	gpuCfg.UseGPU = true
 	eg := newTestEngine(t, gpuCfg)
-	gotG, rep, err := eg.MultiplyOpt(a, b, MulOptions{Method: MethodCPMM})
+	gotG, rep, err := runMul(context.Background(), eg, a, b, MulOptions{Method: MethodCPMM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +125,7 @@ func TestEnginePerCallGPUOverride(t *testing.T) {
 	b := bmat.RandomDense(rng, 8, 8, 4)
 	e := newTestEngine(t, testConfig()) // GPU off by default
 	on := true
-	_, rep, err := e.MultiplyOpt(a, b, MulOptions{UseGPU: &on})
+	_, rep, err := runMul(context.Background(), e, a, b, MulOptions{UseGPU: &on})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +139,11 @@ func TestEngineReportCommDelta(t *testing.T) {
 	a := bmat.RandomDense(rng, 12, 12, 3)
 	b := bmat.RandomDense(rng, 12, 12, 3)
 	e := newTestEngine(t, testConfig())
-	_, rep1, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodCPMM})
+	_, rep1, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodCPMM})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep2, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodCPMM})
+	_, rep2, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodCPMM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +166,13 @@ func TestLayoutTrackingSavesRepartition(t *testing.T) {
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
 
-	_, rep1, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodCPMM})
+	_, rep1, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodCPMM})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second identical multiply: A is now column-partitioned, B
 	// row-partitioned — both base copies are free.
-	_, rep2, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodCPMM})
+	_, rep2, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodCPMM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +187,8 @@ func TestLayoutTrackingOffNoSaving(t *testing.T) {
 	e := newTestEngine(t, testConfig()) // TrackLayouts false
 	a := bmat.RandomDense(rng, 8, 8, 4)
 	b := bmat.RandomDense(rng, 8, 8, 4)
-	_, rep1, _ := e.MultiplyOpt(a, b, MulOptions{Method: MethodCPMM})
-	_, rep2, _ := e.MultiplyOpt(a, b, MulOptions{Method: MethodCPMM})
+	_, rep1, _ := runMul(context.Background(), e, a, b, MulOptions{Method: MethodCPMM})
+	_, rep2, _ := runMul(context.Background(), e, a, b, MulOptions{Method: MethodCPMM})
 	if rep1.Comm.RepartitionBytes != rep2.Comm.RepartitionBytes {
 		t.Fatal("layout saving applied with tracking disabled")
 	}
@@ -189,7 +198,7 @@ func TestTransposeDistributed(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	e := newTestEngine(t, testConfig())
 	a := bmat.RandomSparse(rng, 14, 10, 3, 0.3)
-	tr, err := e.Transpose(a)
+	tr, err := e.Transpose(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +214,7 @@ func TestTransposeFlipsTrackedLayout(t *testing.T) {
 	e := newTestEngine(t, cfg)
 	a := bmat.RandomDense(rng, 8, 8, 4)
 	e.SetLayout(a, "row", 2, 0)
-	tr, err := e.Transpose(a)
+	tr, err := e.Transpose(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,35 +232,35 @@ func TestElementWiseOps(t *testing.T) {
 	a := bmat.RandomDense(rng, 10, 10, 3)
 	b := bmat.RandomDense(rng, 10, 10, 3)
 
-	sum, err := e.Add(a, b)
+	sum, err := e.Add(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sum.ToDense().EqualApprox(matrix.Add(a.ToDense(), b.ToDense()), 1e-12) {
 		t.Fatal("Add wrong")
 	}
-	diff, err := e.Sub(a, b)
+	diff, err := e.Sub(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !diff.ToDense().EqualApprox(matrix.Sub(a.ToDense(), b.ToDense()), 1e-12) {
 		t.Fatal("Sub wrong")
 	}
-	had, err := e.Hadamard(a, b)
+	had, err := e.Hadamard(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !had.ToDense().EqualApprox(matrix.Hadamard(a.ToDense(), b.ToDense()), 1e-12) {
 		t.Fatal("Hadamard wrong")
 	}
-	div, err := e.DivElem(a, b, 1e-12)
+	div, err := e.DivElem(context.Background(), a, b, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !div.ToDense().EqualApprox(matrix.DivElem(a.ToDense(), b.ToDense(), 1e-12), 1e-12) {
 		t.Fatal("DivElem wrong")
 	}
-	sc, err := e.Scale(2, a)
+	sc, err := e.Scale(context.Background(), 2, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +274,7 @@ func TestZipShapeMismatch(t *testing.T) {
 	e := newTestEngine(t, testConfig())
 	a := bmat.RandomDense(rng, 4, 4, 2)
 	b := bmat.RandomDense(rng, 4, 6, 2)
-	if _, err := e.Add(a, b); err == nil {
+	if _, err := e.Add(context.Background(), a, b); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
 }
@@ -275,7 +284,7 @@ func TestEngineRecorderAccumulates(t *testing.T) {
 	e := newTestEngine(t, testConfig())
 	a := bmat.RandomDense(rng, 8, 8, 4)
 	b := bmat.RandomDense(rng, 8, 8, 4)
-	if _, _, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodCPMM}); err != nil {
+	if _, _, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodCPMM}); err != nil {
 		t.Fatal(err)
 	}
 	if e.Recorder().Bytes(metrics.StepRepartition) == 0 {
@@ -301,7 +310,7 @@ func TestEngineUnknownMethod(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	e := newTestEngine(t, testConfig())
 	a := bmat.RandomDense(rng, 4, 4, 2)
-	if _, _, err := e.MultiplyOpt(a, a, MulOptions{Method: Method(99)}); err == nil {
+	if _, _, err := runMul(context.Background(), e, a, a, MulOptions{Method: Method(99)}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 }
@@ -319,7 +328,7 @@ func TestAutoRetriesOnRaggedOOM(t *testing.T) {
 	cfg.TaskMemBytes = 256 << 10
 	cfg.DiskCapacityBytes = 0
 	e := newTestEngine(t, Config{Cluster: cfg})
-	got, rep, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodAuto})
+	got, rep, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodAuto})
 	if err != nil {
 		t.Fatalf("elastic retry failed: %v", err)
 	}
@@ -345,7 +354,7 @@ func TestEngineConcurrentMultiplies(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got, _, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodCPMM})
+			got, _, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodCPMM})
 			if err != nil {
 				errs[g] = err
 				return
@@ -386,7 +395,7 @@ func TestExplainMatchesExecution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		_, rep, err := e.MultiplyOpt(a, b, MulOptions{Method: m})
+		_, rep, err := runMul(context.Background(), e, a, b, MulOptions{Method: m})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -435,27 +444,27 @@ func TestSparseOutputPipeline(t *testing.T) {
 	e := newTestEngine(t, testConfig())
 	a := bmat.RandomSparse(rng, 100, 100, 25, 0.003)
 	b := bmat.RandomSparse(rng, 100, 100, 25, 0.003)
-	c, err := e.Multiply(a, b)
+	c, err := e.Multiply(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := matrix.Mul(a.ToDense(), b.ToDense()).Dense()
 
-	sum, err := e.Add(c, c)
+	sum, err := e.Add(context.Background(), c, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sum.ToDense().EqualApprox(matrix.Scale(2, ref), 1e-9) {
 		t.Fatal("Add over sparse product wrong")
 	}
-	had, err := e.Hadamard(c, c)
+	had, err := e.Hadamard(context.Background(), c, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !had.ToDense().EqualApprox(matrix.Hadamard(ref, ref), 1e-9) {
 		t.Fatal("Hadamard over sparse product wrong")
 	}
-	tr, err := e.Transpose(c)
+	tr, err := e.Transpose(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +472,7 @@ func TestSparseOutputPipeline(t *testing.T) {
 		t.Fatal("Transpose over sparse product wrong")
 	}
 	// And it must multiply again (chained products on compacted outputs).
-	sq, err := e.Multiply(c, c)
+	sq, err := e.Multiply(context.Background(), c, c)
 	if err != nil {
 		t.Fatal(err)
 	}

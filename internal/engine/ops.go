@@ -11,15 +11,15 @@ import (
 	"distme/internal/matrix"
 )
 
-// The non-multiply operators, context-first. Cancelling ctx aborts the
-// cluster run between task attempts with an error wrapping both
-// cluster.ErrCancelled and ctx.Err(). The ctx-less names remain as thin
-// deprecated wrappers (they also satisfy plan.Evaluator and ml.Ops).
+// The non-multiply operators. Cancelling ctx aborts the cluster run between
+// task attempts with an error wrapping both cluster.ErrCancelled and
+// ctx.Err(). Together with Multiply they are the operator set ml.Ops asks
+// for, and the per-node steps Run applies to a compiled expression.
 
-// TransposeCtx computes Aᵀ as a distributed map + re-key over blocks (the
+// Transpose computes Aᵀ as a distributed map + re-key over blocks (the
 // paper implements this as an RDD transformation). Layout tracking follows:
 // a row-partitioned matrix becomes column-partitioned and vice versa.
-func (e *Engine) TransposeCtx(ctx context.Context, a *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+func (e *Engine) Transpose(ctx context.Context, a *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
 	out := bmat.New(a.Cols, a.Rows, a.BlockSize)
 	var mu sync.Mutex
 	err := e.blockTasks(ctx, "transpose", a, func(k bmat.BlockKey, blk matrix.Block) error {
@@ -34,12 +34,12 @@ func (e *Engine) TransposeCtx(ctx context.Context, a *bmat.BlockMatrix) (*bmat.B
 	}
 	if e.cfg.TrackLayouts {
 		e.mu.Lock()
-		if l, ok := e.layouts[a]; ok {
+		if l, ok := e.layouts[a]; ok && !e.closed {
 			switch l.kind {
 			case "row":
-				e.layouts[out] = layoutTag{kind: "col", p: l.p}
+				e.setLayoutLocked(out, layoutTag{kind: "col", p: l.p})
 			case "col":
-				e.layouts[out] = layoutTag{kind: "row", p: l.p}
+				e.setLayoutLocked(out, layoutTag{kind: "row", p: l.p})
 			}
 		}
 		e.mu.Unlock()
@@ -47,8 +47,8 @@ func (e *Engine) TransposeCtx(ctx context.Context, a *bmat.BlockMatrix) (*bmat.B
 	return out, nil
 }
 
-// AddCtx computes A+B block-parallel.
-func (e *Engine) AddCtx(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+// Add computes A+B block-parallel.
+func (e *Engine) Add(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
 	return e.zip(ctx, "add", a, b, func(x, y matrix.Block) matrix.Block {
 		switch {
 		case x == nil:
@@ -61,8 +61,8 @@ func (e *Engine) AddCtx(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.Bloc
 	})
 }
 
-// SubCtx computes A−B block-parallel.
-func (e *Engine) SubCtx(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+// Sub computes A−B block-parallel.
+func (e *Engine) Sub(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
 	return e.zip(ctx, "sub", a, b, func(x, y matrix.Block) matrix.Block {
 		switch {
 		case x == nil:
@@ -75,8 +75,8 @@ func (e *Engine) SubCtx(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.Bloc
 	})
 }
 
-// HadamardCtx computes the element-wise product A∘B block-parallel.
-func (e *Engine) HadamardCtx(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+// Hadamard computes the element-wise product A∘B block-parallel.
+func (e *Engine) Hadamard(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
 	return e.zip(ctx, "hadamard", a, b, func(x, y matrix.Block) matrix.Block {
 		if x == nil || y == nil {
 			return nil
@@ -85,10 +85,10 @@ func (e *Engine) HadamardCtx(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat
 	})
 }
 
-// DivElemCtx computes A⊘B element-wise with an epsilon guard,
+// DivElem computes A⊘B element-wise with an epsilon guard,
 // block-parallel. Block positions present in A but missing in B divide by
 // the guard.
-func (e *Engine) DivElemCtx(ctx context.Context, a, b *bmat.BlockMatrix, eps float64) (*bmat.BlockMatrix, error) {
+func (e *Engine) DivElem(ctx context.Context, a, b *bmat.BlockMatrix, eps float64) (*bmat.BlockMatrix, error) {
 	return e.zip(ctx, "divelem", a, b, func(x, y matrix.Block) matrix.Block {
 		if x == nil {
 			return nil
@@ -101,8 +101,8 @@ func (e *Engine) DivElemCtx(ctx context.Context, a, b *bmat.BlockMatrix, eps flo
 	})
 }
 
-// ScaleCtx computes s·A block-parallel.
-func (e *Engine) ScaleCtx(ctx context.Context, s float64, a *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+// Scale computes s·A block-parallel.
+func (e *Engine) Scale(ctx context.Context, s float64, a *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
 	out := bmat.New(a.Rows, a.Cols, a.BlockSize)
 	var mu sync.Mutex
 	err := e.blockTasks(ctx, "scale", a, func(k bmat.BlockKey, blk matrix.Block) error {
@@ -116,54 +116,6 @@ func (e *Engine) ScaleCtx(ctx context.Context, s float64, a *bmat.BlockMatrix) (
 		return nil, err
 	}
 	return out, nil
-}
-
-// Transpose computes Aᵀ.
-//
-// Deprecated: Use [Engine.TransposeCtx], or fold the op into one
-// [Engine.Run] expression.
-func (e *Engine) Transpose(a *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return e.TransposeCtx(context.Background(), a)
-}
-
-// Add computes A+B.
-//
-// Deprecated: Use [Engine.AddCtx], or fold the op into one [Engine.Run]
-// expression.
-func (e *Engine) Add(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return e.AddCtx(context.Background(), a, b)
-}
-
-// Sub computes A−B.
-//
-// Deprecated: Use [Engine.SubCtx], or fold the op into one [Engine.Run]
-// expression.
-func (e *Engine) Sub(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return e.SubCtx(context.Background(), a, b)
-}
-
-// Hadamard computes A∘B.
-//
-// Deprecated: Use [Engine.HadamardCtx], or fold the op into one
-// [Engine.Run] expression.
-func (e *Engine) Hadamard(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return e.HadamardCtx(context.Background(), a, b)
-}
-
-// DivElem computes A⊘B with an epsilon guard.
-//
-// Deprecated: Use [Engine.DivElemCtx], or fold the op into one
-// [Engine.Run] expression.
-func (e *Engine) DivElem(a, b *bmat.BlockMatrix, eps float64) (*bmat.BlockMatrix, error) {
-	return e.DivElemCtx(context.Background(), a, b, eps)
-}
-
-// Scale computes s·A.
-//
-// Deprecated: Use [Engine.ScaleCtx], or fold the op into one [Engine.Run]
-// expression.
-func (e *Engine) Scale(s float64, a *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return e.ScaleCtx(context.Background(), s, a)
 }
 
 // blockTasks fans one function out over a matrix's stored blocks as cluster
@@ -201,7 +153,7 @@ func (e *Engine) blockTasks(ctx context.Context, name string, a *bmat.BlockMatri
 			},
 		})
 	}
-	return e.cluster.RunCtx(ctx, tasks)
+	return e.cluster.Run(ctx, tasks)
 }
 
 // zip fans a two-operand block function over the union of block positions.
@@ -264,7 +216,7 @@ func (e *Engine) zip(ctx context.Context, name string, a, b *bmat.BlockMatrix, f
 			},
 		})
 	}
-	if err := e.cluster.RunCtx(ctx, tasks); err != nil {
+	if err := e.cluster.Run(ctx, tasks); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -16,9 +16,9 @@ import (
 // scalar folding, and common-subexpression elimination) and executes the
 // whole DAG on the engine — multiplications under the configured strategy
 // chooser, everything else block-parallel. A bare multiplication expression
-// (plan.Mul of two variables) takes exactly the classic Multiply path, so
-// its report and trace shape are unchanged; the deprecated
-// Multiply/MultiplyOpt/MultiplyCtx wrappers delegate here.
+// (plan.Mul of two variables) takes exactly the single-multiply path
+// Multiply takes, so its trace has one engine.multiply root and its report
+// covers precisely that multiplication.
 
 // RunOption tunes one Run call.
 type RunOption func(*runConfig)
@@ -60,7 +60,7 @@ func WithGPU(use bool) RunOption {
 // Run compiles and executes a matrix expression over the bound inputs,
 // returning the result and an execution report covering the whole pipeline.
 // Without an explicit method option, multiplications use the engine's
-// DefaultMethod — the same default the deprecated Multiply had.
+// DefaultMethod, as Multiply does.
 func (e *Engine) Run(ctx context.Context, x plan.Expr, binds map[string]*bmat.BlockMatrix, opts ...RunOption) (*bmat.BlockMatrix, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -77,7 +77,7 @@ func (e *Engine) Run(ctx context.Context, x plan.Expr, binds map[string]*bmat.Bl
 	}
 
 	// A bare L×R over two bound inputs is the classic multiply: run the
-	// exact MultiplyCtx path so the trace keeps one engine.multiply root and
+	// exact Multiply path so the trace keeps one engine.multiply root and
 	// the report covers precisely that multiplication.
 	if mm, ok := x.(*plan.MatMul); ok {
 		lv, lok := mm.L.(*plan.Var)
@@ -125,7 +125,7 @@ func (e *Engine) Run(ctx context.Context, x plan.Expr, binds map[string]*bmat.Bl
 		switch n.Kind {
 		case plan.OpMul:
 			msp := tr.Start(root.ID(), "engine.multiply", obs.KindDriver)
-			c, rep, err := e.multiplyCtx(ctx, a, b, ro.mul, msp)
+			c, rep, err := e.multiply(ctx, a, b, ro.mul, msp)
 			if err != nil && msp.Active() {
 				msp.SetAttr("error", err.Error())
 			}
@@ -135,17 +135,17 @@ func (e *Engine) Run(ctx context.Context, x plan.Expr, binds map[string]*bmat.Bl
 			}
 			return c, err
 		case plan.OpTranspose:
-			return e.TransposeCtx(ctx, a)
+			return e.Transpose(ctx, a)
 		case plan.OpAdd:
-			return e.AddCtx(ctx, a, b)
+			return e.Add(ctx, a, b)
 		case plan.OpSub:
-			return e.SubCtx(ctx, a, b)
+			return e.Sub(ctx, a, b)
 		case plan.OpHadamard:
-			return e.HadamardCtx(ctx, a, b)
+			return e.Hadamard(ctx, a, b)
 		case plan.OpDivElem:
-			return e.DivElemCtx(ctx, a, b, n.Scalar)
+			return e.DivElem(ctx, a, b, n.Scalar)
 		case plan.OpScale:
-			return e.ScaleCtx(ctx, n.Scalar, a)
+			return e.Scale(ctx, n.Scalar, a)
 		default:
 			return nil, fmt.Errorf("engine: unsupported operator %v", n.Kind)
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"strings"
@@ -38,7 +39,7 @@ func TestEngineTraceSpanTree(t *testing.T) {
 	a := bmat.RandomDense(rng, 24, 24, 4)
 	b := bmat.RandomDense(rng, 24, 24, 4)
 	params := core.Params{P: 2, Q: 2, R: 2}
-	_, report, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodCuboid, Params: params})
+	_, report, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodCuboid, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestEngineTraceAutoHasOptimizeSpan(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
-	_, report, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodAuto})
+	_, report, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestEngineTraceGPUGraft(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	a := bmat.RandomDense(rng, 24, 24, 4)
 	b := bmat.RandomDense(rng, 24, 24, 4)
-	_, report, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodCuboid, Params: core.Params{P: 2, Q: 2, R: 1}})
+	_, report, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodCuboid, Params: core.Params{P: 2, Q: 2, R: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestEngineTraceUnderFaults(t *testing.T) {
 	params := core.Params{P: 2, Q: 2, R: 2}
 
 	base := newTestEngine(t, chaosConfig(cluster.Faults{}))
-	want, _, err := base.MultiplyOpt(a, b, MulOptions{Method: MethodCuboid, Params: params})
+	want, _, err := runMul(context.Background(), base, a, b, MulOptions{Method: MethodCuboid, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestEngineTraceUnderFaults(t *testing.T) {
 	})
 	cfg.Tracer = obs.NewTracer()
 	e := newTestEngine(t, cfg)
-	got, report, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodCuboid, Params: params})
+	got, report, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodCuboid, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestEngineNoTracerNoTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	a := bmat.RandomDense(rng, 8, 8, 4)
 	b := bmat.RandomDense(rng, 8, 8, 4)
-	_, report, err := e.MultiplyOpt(a, b, MulOptions{})
+	_, report, err := runMul(context.Background(), e, a, b, MulOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestEngineTraceRMM(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
-	_, report, err := e.MultiplyOpt(a, b, MulOptions{Method: MethodRMM})
+	_, report, err := runMul(context.Background(), e, a, b, MulOptions{Method: MethodRMM})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"distme/internal/bmat"
 	"distme/internal/cluster"
 	"distme/internal/engine"
+	"distme/internal/plan"
 	"distme/internal/storage"
 )
 
@@ -43,8 +45,8 @@ func ExtElastic(seed int64) (*Table, error) {
 			return nil, nil, err
 		}
 		defer e.Close()
-		c, rep, err := e.MultiplyOpt(a, b, engine.MulOptions{Method: engine.MethodAuto})
-		return c, rep, err
+		return e.Run(context.Background(), plan.Mul(plan.V("a"), plan.V("b")),
+			map[string]*bmat.BlockMatrix{"a": a, "b": b}, engine.WithMethod(engine.MethodAuto))
 	}
 
 	mixed := func(rate float64) cluster.Faults {

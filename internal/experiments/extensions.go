@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -93,7 +94,7 @@ func ExtLoadBalance(seed int64) (*Table, error) {
 		}
 		env := core.Env{Cluster: cl, BalanceBySparsity: balance}
 		start := time.Now()
-		c, err := core.MultiplyCuboid(a, b, core.Params{P: 2, Q: 2, R: 4}, env)
+		c, err := core.MultiplyCuboid(context.Background(), a, b, core.Params{P: 2, Q: 2, R: 4}, env)
 		return time.Since(start), c, err
 	}
 
@@ -149,7 +150,7 @@ func ExtCRMM(seed int64) (*Table, error) {
 	t.AddRow("CRMM", fmt.Sprintf("%d", envCRMM.Cluster.Recorder().CommunicationBytes()), "ok")
 
 	envCub := newEnv()
-	c2, _, err := core.MultiplyAuto(a, b, envCub)
+	c2, _, err := core.MultiplyAuto(context.Background(), a, b, envCub)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +201,7 @@ func ExtSparseCEstimate(seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, err = core.MultiplyCuboid(a, b, params, core.Env{Cluster: cl})
+		_, err = core.MultiplyCuboid(context.Background(), a, b, params, core.Env{Cluster: cl})
 		outcome := "ok"
 		if err != nil {
 			outcome = "O.O.M. (estimate under-provisioned the dense accumulators)"

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -124,21 +125,25 @@ func Fig6Measured(f workload.Family, seed int64) (*Table, error) {
 		name string
 		run  func(env core.Env) (*bmat.BlockMatrix, core.Params, error)
 	}
+	// BMM and CPMM are CuboidMM at (I,1,1) and (1,1,K) (Table 2), so they
+	// run through the same entry point with those parameters.
+	ctx := context.Background()
+	shape := core.ShapeOf(a, b)
+	cuboidAt := func(p core.Params) func(core.Env) (*bmat.BlockMatrix, core.Params, error) {
+		return func(env core.Env) (*bmat.BlockMatrix, core.Params, error) {
+			c, err := core.MultiplyCuboid(ctx, a, b, p, env)
+			return c, p, err
+		}
+	}
 	methods := []method{
 		{"RMM", func(env core.Env) (*bmat.BlockMatrix, core.Params, error) {
-			c, err := core.MultiplyRMM(a, b, 0, env)
-			return c, core.ShapeOf(a, b).RMMParams(), err
+			c, err := core.MultiplyRMM(ctx, a, b, 0, env)
+			return c, shape.RMMParams(), err
 		}},
-		{"CPMM", func(env core.Env) (*bmat.BlockMatrix, core.Params, error) {
-			c, err := core.MultiplyCPMM(a, b, env)
-			return c, core.ShapeOf(a, b).CPMMParams(), err
-		}},
-		{"BMM", func(env core.Env) (*bmat.BlockMatrix, core.Params, error) {
-			c, err := core.MultiplyBMM(a, b, env)
-			return c, core.ShapeOf(a, b).BMMParams(), err
-		}},
+		{"CPMM", cuboidAt(shape.CPMMParams())},
+		{"BMM", cuboidAt(shape.BMMParams())},
 		{"CuboidMM", func(env core.Env) (*bmat.BlockMatrix, core.Params, error) {
-			return core.MultiplyAuto(a, b, env)
+			return core.MultiplyAuto(ctx, a, b, env)
 		}},
 	}
 	var ref *bmat.BlockMatrix

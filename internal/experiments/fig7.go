@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -265,7 +266,7 @@ func Fig7Measured(seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, rep, err := sys.MultiplyReport(a, b)
+		c, rep, err := sys.MultiplyReport(context.Background(), a, b)
 		if err != nil {
 			t.AddRow(p.Name, "-", "-", err.Error())
 			continue

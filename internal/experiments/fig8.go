@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -50,7 +51,7 @@ func Fig8(d workload.Dataset, scale float64, iterations int, seed int64) (*Table
 		start := time.Now()
 		ok := true
 		for it := 1; it <= iterations; it++ {
-			if _, err := ml.GNMF(sys, v, ml.GNMFOptions{Rank: rank, Iterations: 1, Seed: seed + int64(it)}); err != nil {
+			if _, err := ml.GNMF(context.Background(), sys, v, ml.GNMFOptions{Rank: rank, Iterations: 1, Seed: seed + int64(it)}); err != nil {
 				cum = append(cum, err.Error())
 				ok = false
 				break
@@ -161,7 +162,7 @@ func Fig8d(scale float64, seed int64) (*Table, error) {
 				return nil, err
 			}
 			start := time.Now()
-			_, err = ml.GNMF(sys, v, ml.GNMFOptions{Rank: rank, Iterations: 2, Seed: seed})
+			_, err = ml.GNMF(context.Background(), sys, v, ml.GNMFOptions{Rank: rank, Iterations: 2, Seed: seed})
 			if err != nil {
 				row = append(row, "failed")
 				continue

@@ -180,7 +180,9 @@ type NetStats struct {
 	// per-worker slowness signal.
 	StragglerRPCs int64 `json:"straggler_rpcs"`
 	// PullJobs counts cuboids dispatched in pull mode (manifest-only
-	// requests; the worker demand-fetches the operand slices). PullCacheHits
+	// requests; the worker demand-fetches the operand slices) and the band
+	// operators of resident pipelines, which stream their peer bands the
+	// same way. PullCacheHits
 	// counts manifest entries satisfied by the worker's content-addressed
 	// cache without any fetch; PullPeerFetches/PullPeerBytes count the
 	// coalesced worker→worker fetches pull resolution issued and the payload

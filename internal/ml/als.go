@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -43,7 +44,7 @@ type ALSResult struct {
 // engine; the tiny r×r solves run locally — the same split a production
 // implementation uses. This is the dense-V formulation (all cells are
 // observations), which matches the synthetic rating matrices.
-func ALS(ops Ops, v *bmat.BlockMatrix, opt ALSOptions) (*ALSResult, error) {
+func ALS(ctx context.Context, ops Ops, v *bmat.BlockMatrix, opt ALSOptions) (*ALSResult, error) {
 	if opt.Rank <= 0 {
 		return nil, fmt.Errorf("ml: ALS: rank must be positive, got %d", opt.Rank)
 	}
@@ -64,15 +65,15 @@ func ALS(ops Ops, v *bmat.BlockMatrix, opt ALSOptions) (*ALSResult, error) {
 
 	for it := 0; it < opt.Iterations; it++ {
 		// --- W update: W = V·Hᵀ · (H·Hᵀ + λI)⁻¹ ---
-		ht, err := ops.Transpose(h)
+		ht, err := ops.Transpose(ctx, h)
 		if err != nil {
 			return nil, fmt.Errorf("ml: ALS iteration %d: Hᵀ: %w", it, err)
 		}
-		vht, err := ops.Multiply(v, ht)
+		vht, err := ops.Multiply(ctx, v, ht)
 		if err != nil {
 			return nil, fmt.Errorf("ml: ALS iteration %d: V·Hᵀ: %w", it, err)
 		}
-		hht, err := ops.Multiply(h, ht)
+		hht, err := ops.Multiply(ctx, h, ht)
 		if err != nil {
 			return nil, fmt.Errorf("ml: ALS iteration %d: H·Hᵀ: %w", it, err)
 		}
@@ -82,15 +83,15 @@ func ALS(ops Ops, v *bmat.BlockMatrix, opt ALSOptions) (*ALSResult, error) {
 		}
 
 		// --- H update: H = (Wᵀ·W + λI)⁻¹ · Wᵀ·V ---
-		wt, err := ops.Transpose(w)
+		wt, err := ops.Transpose(ctx, w)
 		if err != nil {
 			return nil, fmt.Errorf("ml: ALS iteration %d: Wᵀ: %w", it, err)
 		}
-		wtv, err := ops.Multiply(wt, v)
+		wtv, err := ops.Multiply(ctx, wt, v)
 		if err != nil {
 			return nil, fmt.Errorf("ml: ALS iteration %d: Wᵀ·V: %w", it, err)
 		}
-		wtw, err := ops.Multiply(wt, w)
+		wtw, err := ops.Multiply(ctx, wt, w)
 		if err != nil {
 			return nil, fmt.Errorf("ml: ALS iteration %d: Wᵀ·W: %w", it, err)
 		}
@@ -100,7 +101,7 @@ func ALS(ops Ops, v *bmat.BlockMatrix, opt ALSOptions) (*ALSResult, error) {
 		}
 
 		if opt.TrackObjective {
-			wh, err := ops.Multiply(w, h)
+			wh, err := ops.Multiply(ctx, w, h)
 			if err != nil {
 				return nil, fmt.Errorf("ml: ALS iteration %d: objective: %w", it, err)
 			}

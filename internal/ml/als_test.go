@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,7 @@ func TestALSObjectiveDecreases(t *testing.T) {
 	e := testEngine(t)
 	rng := rand.New(rand.NewSource(190))
 	v := bmat.RandomDense(rng, 24, 20, 4)
-	res, err := ALS(e, v, ALSOptions{Rank: 4, Iterations: 6, Lambda: 0.1, Seed: 1, TrackObjective: true})
+	res, err := ALS(context.Background(), e, v, ALSOptions{Rank: 4, Iterations: 6, Lambda: 0.1, Seed: 1, TrackObjective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,15 +34,15 @@ func TestALSRecoversLowRankMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(191))
 	wTrue := bmat.RandomDense(rng, 20, 3, 4)
 	hTrue := bmat.RandomDense(rng, 3, 16, 4)
-	v, err := e.Multiply(wTrue, hTrue)
+	v, err := e.Multiply(context.Background(), wTrue, hTrue)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ALS(e, v, ALSOptions{Rank: 3, Iterations: 15, Lambda: 1e-6, Seed: 2})
+	res, err := ALS(context.Background(), e, v, ALSOptions{Rank: 3, Iterations: 15, Lambda: 1e-6, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wh, err := e.Multiply(res.W, res.H)
+	wh, err := e.Multiply(context.Background(), res.W, res.H)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +59,11 @@ func TestALSBeatsGNMFOnFit(t *testing.T) {
 	e := testEngine(t)
 	rng := rand.New(rand.NewSource(192))
 	v := bmat.RandomDense(rng, 20, 20, 4)
-	als, err := ALS(e, v, ALSOptions{Rank: 5, Iterations: 5, Lambda: 1e-9, Seed: 3, TrackObjective: true})
+	als, err := ALS(context.Background(), e, v, ALSOptions{Rank: 5, Iterations: 5, Lambda: 1e-9, Seed: 3, TrackObjective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gnmf, err := GNMF(e, v, GNMFOptions{Rank: 5, Iterations: 5, Seed: 3, TrackObjective: true})
+	gnmf, err := GNMF(context.Background(), e, v, GNMFOptions{Rank: 5, Iterations: 5, Seed: 3, TrackObjective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +77,11 @@ func TestALSBeatsGNMFOnFit(t *testing.T) {
 func TestALSDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(193))
 	v := bmat.RandomDense(rng, 12, 12, 4)
-	r1, err := ALS(testEngine(t), v, ALSOptions{Rank: 2, Iterations: 2, Lambda: 0.1, Seed: 5})
+	r1, err := ALS(context.Background(), testEngine(t), v, ALSOptions{Rank: 2, Iterations: 2, Lambda: 0.1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ALS(testEngine(t), v, ALSOptions{Rank: 2, Iterations: 2, Lambda: 0.1, Seed: 5})
+	r2, err := ALS(context.Background(), testEngine(t), v, ALSOptions{Rank: 2, Iterations: 2, Lambda: 0.1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +94,13 @@ func TestALSInvalidOptions(t *testing.T) {
 	e := testEngine(t)
 	rng := rand.New(rand.NewSource(194))
 	v := bmat.RandomDense(rng, 8, 8, 4)
-	if _, err := ALS(e, v, ALSOptions{Rank: 0, Iterations: 1}); err == nil {
+	if _, err := ALS(context.Background(), e, v, ALSOptions{Rank: 0, Iterations: 1}); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
-	if _, err := ALS(e, v, ALSOptions{Rank: 2, Iterations: 0}); err == nil {
+	if _, err := ALS(context.Background(), e, v, ALSOptions{Rank: 2, Iterations: 0}); err == nil {
 		t.Fatal("0 iterations accepted")
 	}
-	if _, err := ALS(e, v, ALSOptions{Rank: 2, Iterations: 1, Lambda: -1}); err == nil {
+	if _, err := ALS(context.Background(), e, v, ALSOptions{Rank: 2, Iterations: 1, Lambda: -1}); err == nil {
 		t.Fatal("negative lambda accepted")
 	}
 }
@@ -111,11 +112,11 @@ func TestSVDRecoversLowRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(195))
 	u := bmat.RandomDense(rng, 30, 3, 5)
 	v := bmat.RandomDense(rng, 3, 24, 5)
-	a, err := e.Multiply(u, v)
+	a, err := e.Multiply(context.Background(), u, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SVD(e, a, SVDOptions{Rank: 3, Oversample: 4, PowerIterations: 2, Seed: 1})
+	res, err := SVD(context.Background(), e, a, SVDOptions{Rank: 3, Oversample: 4, PowerIterations: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestSVDOrthonormalFactors(t *testing.T) {
 	e := testEngine(t)
 	rng := rand.New(rand.NewSource(196))
 	a := bmat.RandomDense(rng, 20, 16, 4)
-	res, err := SVD(e, a, SVDOptions{Rank: 4, Oversample: 4, PowerIterations: 1, Seed: 2})
+	res, err := SVD(context.Background(), e, a, SVDOptions{Rank: 4, Oversample: 4, PowerIterations: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +182,11 @@ func TestSVDMatchesDominantEnergy(t *testing.T) {
 	e := testEngine(t)
 	rng := rand.New(rand.NewSource(197))
 	a := bmat.RandomDense(rng, 24, 24, 4)
-	small, err := SVD(e, a, SVDOptions{Rank: 2, Oversample: 2, PowerIterations: 2, Seed: 3})
+	small, err := SVD(context.Background(), e, a, SVDOptions{Rank: 2, Oversample: 2, PowerIterations: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := SVD(e, a, SVDOptions{Rank: 2, Oversample: 20, PowerIterations: 3, Seed: 4})
+	big, err := SVD(context.Background(), e, a, SVDOptions{Rank: 2, Oversample: 20, PowerIterations: 3, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,13 +210,13 @@ func TestSVDInvalidOptions(t *testing.T) {
 	e := testEngine(t)
 	rng := rand.New(rand.NewSource(198))
 	a := bmat.RandomDense(rng, 8, 8, 4)
-	if _, err := SVD(e, a, SVDOptions{Rank: 0}); err == nil {
+	if _, err := SVD(context.Background(), e, a, SVDOptions{Rank: 0}); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
-	if _, err := SVD(e, a, SVDOptions{Rank: 2, Oversample: -1}); err == nil {
+	if _, err := SVD(context.Background(), e, a, SVDOptions{Rank: 2, Oversample: -1}); err == nil {
 		t.Fatal("negative oversample accepted")
 	}
-	if _, err := SVD(e, a, SVDOptions{Rank: 20}); err == nil {
+	if _, err := SVD(context.Background(), e, a, SVDOptions{Rank: 20}); err == nil {
 		t.Fatal("rank beyond width accepted")
 	}
 }

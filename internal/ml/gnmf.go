@@ -6,6 +6,7 @@
 package ml
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,14 +14,15 @@ import (
 	"distme/internal/bmat"
 )
 
-// Ops is the subset of engine operators GNMF needs; both engine.Engine and
-// systems.System satisfy it, so the same query runs on every compared
-// system.
+// Ops is the subset of engine operators the queries need; engine.Engine,
+// systems.System and distnet.Hybrid satisfy it, so the same query runs on
+// every compared system. Each operator observes ctx, so a cancelled context
+// stops a query between operators.
 type Ops interface {
-	Multiply(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error)
-	Transpose(a *bmat.BlockMatrix) (*bmat.BlockMatrix, error)
-	Hadamard(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error)
-	DivElem(a, b *bmat.BlockMatrix, eps float64) (*bmat.BlockMatrix, error)
+	Multiply(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error)
+	Transpose(ctx context.Context, a *bmat.BlockMatrix) (*bmat.BlockMatrix, error)
+	Hadamard(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error)
+	DivElem(ctx context.Context, a, b *bmat.BlockMatrix, eps float64) (*bmat.BlockMatrix, error)
 }
 
 // eps is the denominator guard of the multiplicative updates.
@@ -55,7 +57,7 @@ type GNMFResult struct {
 //
 // The small Gram products (Wᵀ·W, H·Hᵀ) are r×r and multiply cheaply; the
 // V-sided products dominate, exactly the workload mix §6.4 measures.
-func GNMF(ops Ops, v *bmat.BlockMatrix, opt GNMFOptions) (*GNMFResult, error) {
+func GNMF(ctx context.Context, ops Ops, v *bmat.BlockMatrix, opt GNMFOptions) (*GNMFResult, error) {
 	if opt.Rank <= 0 {
 		return nil, fmt.Errorf("ml: GNMF: rank must be positive, got %d", opt.Rank)
 	}
@@ -69,59 +71,59 @@ func GNMF(ops Ops, v *bmat.BlockMatrix, opt GNMFOptions) (*GNMFResult, error) {
 
 	for it := 0; it < opt.Iterations; it++ {
 		// --- H update ---
-		wt, err := ops.Transpose(w)
+		wt, err := ops.Transpose(ctx, w)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMF iteration %d: Wᵀ: %w", it, err)
 		}
-		wtv, err := ops.Multiply(wt, v)
+		wtv, err := ops.Multiply(ctx, wt, v)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMF iteration %d: Wᵀ·V: %w", it, err)
 		}
-		wtw, err := ops.Multiply(wt, w)
+		wtw, err := ops.Multiply(ctx, wt, w)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMF iteration %d: Wᵀ·W: %w", it, err)
 		}
-		wtwh, err := ops.Multiply(wtw, h)
+		wtwh, err := ops.Multiply(ctx, wtw, h)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMF iteration %d: Wᵀ·W·H: %w", it, err)
 		}
-		ratio, err := ops.DivElem(wtv, wtwh, eps)
+		ratio, err := ops.DivElem(ctx, wtv, wtwh, eps)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMF iteration %d: H ratio: %w", it, err)
 		}
-		h, err = ops.Hadamard(h, ratio)
+		h, err = ops.Hadamard(ctx, h, ratio)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMF iteration %d: H update: %w", it, err)
 		}
 
 		// --- W update ---
-		ht, err := ops.Transpose(h)
+		ht, err := ops.Transpose(ctx, h)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMF iteration %d: Hᵀ: %w", it, err)
 		}
-		vht, err := ops.Multiply(v, ht)
+		vht, err := ops.Multiply(ctx, v, ht)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMF iteration %d: V·Hᵀ: %w", it, err)
 		}
-		hht, err := ops.Multiply(h, ht)
+		hht, err := ops.Multiply(ctx, h, ht)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMF iteration %d: H·Hᵀ: %w", it, err)
 		}
-		whht, err := ops.Multiply(w, hht)
+		whht, err := ops.Multiply(ctx, w, hht)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMF iteration %d: W·H·Hᵀ: %w", it, err)
 		}
-		ratio, err = ops.DivElem(vht, whht, eps)
+		ratio, err = ops.DivElem(ctx, vht, whht, eps)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMF iteration %d: W ratio: %w", it, err)
 		}
-		w, err = ops.Hadamard(w, ratio)
+		w, err = ops.Hadamard(ctx, w, ratio)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMF iteration %d: W update: %w", it, err)
 		}
 
 		if opt.TrackObjective {
-			wh, err := ops.Multiply(w, h)
+			wh, err := ops.Multiply(ctx, w, h)
 			if err != nil {
 				return nil, fmt.Errorf("ml: GNMF iteration %d: objective: %w", it, err)
 			}
@@ -140,28 +142,33 @@ func GNMF(ops Ops, v *bmat.BlockMatrix, opt GNMFOptions) (*GNMFResult, error) {
 // Only r-width products are formed (Vᵀ·W is items×r; the Grams are r×r),
 // so the cost is O(nnz(V)·r + (m+n)·r²) instead of the dense m×n of W·H.
 // Negative round-off under the square root clamps to zero.
+//
+// It takes no context and runs under context.Background(): the repository
+// benchmark calls it with exactly these four parameters, and a benchmark
+// file cannot change in the same PR as the code it measures.
 func GNMFObjective(ops Ops, v, w, h *bmat.BlockMatrix) (float64, error) {
-	vt, err := ops.Transpose(v)
+	ctx := context.Background()
+	vt, err := ops.Transpose(ctx, v)
 	if err != nil {
 		return 0, fmt.Errorf("ml: GNMFObjective: Vᵀ: %w", err)
 	}
-	vtw, err := ops.Multiply(vt, w)
+	vtw, err := ops.Multiply(ctx, vt, w)
 	if err != nil {
 		return 0, fmt.Errorf("ml: GNMFObjective: Vᵀ·W: %w", err)
 	}
-	ht, err := ops.Transpose(h)
+	ht, err := ops.Transpose(ctx, h)
 	if err != nil {
 		return 0, fmt.Errorf("ml: GNMFObjective: Hᵀ: %w", err)
 	}
-	wt, err := ops.Transpose(w)
+	wt, err := ops.Transpose(ctx, w)
 	if err != nil {
 		return 0, fmt.Errorf("ml: GNMFObjective: Wᵀ: %w", err)
 	}
-	wtw, err := ops.Multiply(wt, w)
+	wtw, err := ops.Multiply(ctx, wt, w)
 	if err != nil {
 		return 0, fmt.Errorf("ml: GNMFObjective: Wᵀ·W: %w", err)
 	}
-	hht, err := ops.Multiply(h, ht)
+	hht, err := ops.Multiply(ctx, h, ht)
 	if err != nil {
 		return 0, fmt.Errorf("ml: GNMFObjective: H·Hᵀ: %w", err)
 	}

@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -32,7 +34,7 @@ func ratingMatrix(t *testing.T, seed int64, rows, cols int) *bmat.BlockMatrix {
 func TestGNMFObjectiveDecreases(t *testing.T) {
 	e := testEngine(t)
 	v := ratingMatrix(t, 110, 24, 20)
-	res, err := GNMF(e, v, GNMFOptions{Rank: 4, Iterations: 8, Seed: 1, TrackObjective: true})
+	res, err := GNMF(context.Background(), e, v, GNMFOptions{Rank: 4, Iterations: 8, Seed: 1, TrackObjective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestGNMFObjectiveDecreases(t *testing.T) {
 func TestGNMFFactorsShapedAndNonNegative(t *testing.T) {
 	e := testEngine(t)
 	v := ratingMatrix(t, 111, 16, 12)
-	res, err := GNMF(e, v, GNMFOptions{Rank: 3, Iterations: 3, Seed: 2})
+	res, err := GNMF(context.Background(), e, v, GNMFOptions{Rank: 3, Iterations: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +80,11 @@ func TestGNMFFactorsShapedAndNonNegative(t *testing.T) {
 
 func TestGNMFDeterministicForSeed(t *testing.T) {
 	v := ratingMatrix(t, 112, 12, 12)
-	r1, err := GNMF(testEngine(t), v, GNMFOptions{Rank: 2, Iterations: 2, Seed: 7})
+	r1, err := GNMF(context.Background(), testEngine(t), v, GNMFOptions{Rank: 2, Iterations: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := GNMF(testEngine(t), v, GNMFOptions{Rank: 2, Iterations: 2, Seed: 7})
+	r2, err := GNMF(context.Background(), testEngine(t), v, GNMFOptions{Rank: 2, Iterations: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestGNMFRunsOnEverySystem(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		res, err := GNMF(sys, v, GNMFOptions{Rank: 4, Iterations: 2, Seed: 3, TrackObjective: true})
+		res, err := GNMF(context.Background(), sys, v, GNMFOptions{Rank: 4, Iterations: 2, Seed: 3, TrackObjective: true})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -127,7 +129,7 @@ func TestGNMFSameFactorsAcrossSystems(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := GNMF(sys, v, GNMFOptions{Rank: 2, Iterations: 2, Seed: 5})
+		res, err := GNMF(context.Background(), sys, v, GNMFOptions{Rank: 2, Iterations: 2, Seed: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -145,10 +147,10 @@ func TestGNMFSameFactorsAcrossSystems(t *testing.T) {
 func TestGNMFInvalidOptions(t *testing.T) {
 	e := testEngine(t)
 	v := ratingMatrix(t, 115, 8, 8)
-	if _, err := GNMF(e, v, GNMFOptions{Rank: 0, Iterations: 1}); err == nil {
+	if _, err := GNMF(context.Background(), e, v, GNMFOptions{Rank: 0, Iterations: 1}); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
-	if _, err := GNMF(e, v, GNMFOptions{Rank: 2, Iterations: 0}); err == nil {
+	if _, err := GNMF(context.Background(), e, v, GNMFOptions{Rank: 2, Iterations: 0}); err == nil {
 		t.Fatal("0 iterations accepted")
 	}
 }
@@ -156,21 +158,57 @@ func TestGNMFInvalidOptions(t *testing.T) {
 func TestGNMFObjectiveMatchesDirect(t *testing.T) {
 	e := testEngine(t)
 	v := ratingMatrix(t, 116, 20, 16)
-	res, err := GNMF(e, v, GNMFOptions{Rank: 4, Iterations: 2, Seed: 6})
+	res, err := GNMF(context.Background(), e, v, GNMFOptions{Rank: 4, Iterations: 2, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Direct: materialize W·H and subtract.
-	wh, err := e.Multiply(res.W, res.H)
+	wh, err := e.Multiply(context.Background(), res.W, res.H)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := bmat.Sub(v, wh).FrobeniusNorm()
+	// The benchmark's exact call form: an *engine.Engine and no context.
 	got, err := GNMFObjective(e, v, res.W, res.H)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff := got - want; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("Gram-trick objective %g, direct %g", got, want)
+	}
+}
+
+// cancelAfterFirstOp is the engine with one change: the first operator of
+// an iteration (Wᵀ) cancels the query's context on its way out.
+type cancelAfterFirstOp struct {
+	Ops
+	cancel     context.CancelFunc
+	multiplies int
+}
+
+func (c *cancelAfterFirstOp) Transpose(ctx context.Context, a *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+	defer c.cancel()
+	return c.Ops.Transpose(ctx, a)
+}
+
+func (c *cancelAfterFirstOp) Multiply(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+	c.multiplies++
+	return c.Ops.Multiply(ctx, a, b)
+}
+
+// TestGNMFStopsOnCancelledContext: the eager queries hand their context to
+// every operator, so cancelling it stops a factorization at the next
+// operator instead of after the last iteration.
+func TestGNMFStopsOnCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ops := &cancelAfterFirstOp{Ops: testEngine(t), cancel: cancel}
+	v := ratingMatrix(t, 117, 16, 12)
+	_, err := GNMF(ctx, ops, v, GNMFOptions{Rank: 3, Iterations: 50, Seed: 8})
+	if !errors.Is(err, cluster.ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCancelled wrapping context.Canceled", err)
+	}
+	if ops.multiplies != 1 {
+		t.Fatalf("%d multiplications started after the cancellation, want only the one that observed it", ops.multiplies)
 	}
 }

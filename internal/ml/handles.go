@@ -65,7 +65,7 @@ type GNMFPipeline[H any] struct {
 
 // NewGNMFPipeline uploads V and the seeded random factors (the same
 // initialization sequence as GNMF) and pins V — the one operand every
-// iteration reads — against eviction.
+// iteration reads — against eviction. On an error nothing stays resident.
 func NewGNMFPipeline[H any](ctx context.Context, s PipelineSession[H], v *bmat.BlockMatrix, opt GNMFOptions) (*GNMFPipeline[H], error) {
 	if opt.Rank <= 0 {
 		return nil, fmt.Errorf("ml: GNMFPipeline: rank must be positive, got %d", opt.Rank)
@@ -74,20 +74,31 @@ func NewGNMFPipeline[H any](ctx context.Context, s PipelineSession[H], v *bmat.B
 	w0 := bmat.RandomDense(rng, v.Rows, opt.Rank, v.BlockSize)
 	h0 := bmat.RandomDense(rng, opt.Rank, v.Cols, v.BlockSize)
 
+	// A failed step frees the handles already uploaded: nothing else holds
+	// them, so they would stay resident until the session closes.
+	var put []H
+	fail := func(step string, err error) (*GNMFPipeline[H], error) {
+		for _, h := range put {
+			_ = s.Free(ctx, h) // best effort; the step's error is the one reported
+		}
+		return nil, fmt.Errorf("ml: GNMFPipeline: %s: %w", step, err)
+	}
 	hv, err := s.Put(ctx, v)
 	if err != nil {
-		return nil, fmt.Errorf("ml: GNMFPipeline: put V: %w", err)
+		return fail("put V", err)
 	}
+	put = append(put, hv)
 	if err := s.Pin(ctx, hv); err != nil {
-		return nil, fmt.Errorf("ml: GNMFPipeline: pin V: %w", err)
+		return fail("pin V", err)
 	}
 	hw, err := s.Put(ctx, w0)
 	if err != nil {
-		return nil, fmt.Errorf("ml: GNMFPipeline: put W: %w", err)
+		return fail("put W", err)
 	}
+	put = append(put, hw)
 	hh, err := s.Put(ctx, h0)
 	if err != nil {
-		return nil, fmt.Errorf("ml: GNMFPipeline: put H: %w", err)
+		return fail("put H", err)
 	}
 	return &GNMFPipeline[H]{sess: s, v: hv, w: hw, h: hh}, nil
 }

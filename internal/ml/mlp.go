@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -36,7 +37,7 @@ type MLPResult struct {
 // full-batch gradient descent. X is samples×features, Y is samples×outputs.
 // The big products — X·W, δ·Wᵀ, Hᵀ·δ — all go through ops; only the
 // element-wise activation and its mask run block-locally.
-func TrainMLP(ops Ops, x, y *bmat.BlockMatrix, opt MLPOptions) (*MLPResult, error) {
+func TrainMLP(ctx context.Context, ops Ops, x, y *bmat.BlockMatrix, opt MLPOptions) (*MLPResult, error) {
 	if x.Rows != y.Rows {
 		return nil, fmt.Errorf("ml: TrainMLP: X has %d samples, Y has %d", x.Rows, y.Rows)
 	}
@@ -72,7 +73,7 @@ func TrainMLP(ops Ops, x, y *bmat.BlockMatrix, opt MLPOptions) (*MLPResult, erro
 		acts := make([]*bmat.BlockMatrix, len(weights)+1)
 		acts[0] = x
 		for l, w := range weights {
-			z, err := ops.Multiply(acts[l], w)
+			z, err := ops.Multiply(ctx, acts[l], w)
 			if err != nil {
 				return nil, fmt.Errorf("ml: TrainMLP epoch %d layer %d forward: %w", epoch, l, err)
 			}
@@ -91,26 +92,26 @@ func TrainMLP(ops Ops, x, y *bmat.BlockMatrix, opt MLPOptions) (*MLPResult, erro
 		// δ_out = 2(ŷ − y)/n
 		delta := diff.Scale(2 / n)
 		for l := len(weights) - 1; l >= 0; l-- {
-			at, err := ops.Transpose(acts[l])
+			at, err := ops.Transpose(ctx, acts[l])
 			if err != nil {
 				return nil, fmt.Errorf("ml: TrainMLP epoch %d layer %d Aᵀ: %w", epoch, l, err)
 			}
-			grad, err := ops.Multiply(at, delta)
+			grad, err := ops.Multiply(ctx, at, delta)
 			if err != nil {
 				return nil, fmt.Errorf("ml: TrainMLP epoch %d layer %d grad: %w", epoch, l, err)
 			}
 			if l > 0 {
-				wt, err := ops.Transpose(weights[l])
+				wt, err := ops.Transpose(ctx, weights[l])
 				if err != nil {
 					return nil, fmt.Errorf("ml: TrainMLP epoch %d layer %d Wᵀ: %w", epoch, l, err)
 				}
-				back, err := ops.Multiply(delta, wt)
+				back, err := ops.Multiply(ctx, delta, wt)
 				if err != nil {
 					return nil, fmt.Errorf("ml: TrainMLP epoch %d layer %d backprop: %w", epoch, l, err)
 				}
 				// Gate by the ReLU mask of the layer's activation.
 				mask := applyElement(acts[l], reluMask)
-				delta, err = ops.Hadamard(back, mask)
+				delta, err = ops.Hadamard(ctx, back, mask)
 				if err != nil {
 					return nil, fmt.Errorf("ml: TrainMLP epoch %d layer %d mask: %w", epoch, l, err)
 				}
@@ -123,11 +124,11 @@ func TrainMLP(ops Ops, x, y *bmat.BlockMatrix, opt MLPOptions) (*MLPResult, erro
 }
 
 // PredictMLP runs the trained network forward.
-func PredictMLP(ops Ops, x *bmat.BlockMatrix, weights []*bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+func PredictMLP(ctx context.Context, ops Ops, x *bmat.BlockMatrix, weights []*bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
 	act := x
 	var err error
 	for l, w := range weights {
-		act, err = ops.Multiply(act, w)
+		act, err = ops.Multiply(ctx, act, w)
 		if err != nil {
 			return nil, fmt.Errorf("ml: PredictMLP layer %d: %w", l, err)
 		}

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestMLPLossDecreases(t *testing.T) {
 	rng := rand.New(rand.NewSource(210))
 	x := bmat.RandomDense(rng, 32, 8, 8)
 	y := bmat.RandomDense(rng, 32, 2, 8)
-	res, err := TrainMLP(e, x, y, MLPOptions{
+	res, err := TrainMLP(context.Background(), e, x, y, MLPOptions{
 		Hidden: []int{16}, LearningRate: 0.05, Epochs: 20, Seed: 1,
 	})
 	if err != nil {
@@ -34,11 +35,11 @@ func TestMLPLearnsLinearMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	x := bmat.RandomDense(rng, 40, 4, 8)
 	wTrue := bmat.RandomDense(rng, 4, 2, 8)
-	y, err := e.Multiply(x, wTrue)
+	y, err := e.Multiply(context.Background(), x, wTrue)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TrainMLP(e, x, y, MLPOptions{LearningRate: 0.05, Epochs: 300, Seed: 2})
+	res, err := TrainMLP(context.Background(), e, x, y, MLPOptions{LearningRate: 0.05, Epochs: 300, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestMLPLearnsLinearMap(t *testing.T) {
 		t.Fatalf("linear target not fit: final loss %g", final)
 	}
 	// Prediction path agrees with the training-time forward pass.
-	pred, err := PredictMLP(e, x, res.Weights)
+	pred, err := PredictMLP(context.Background(), e, x, res.Weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestMLPDeepLearnsNonlinear(t *testing.T) {
 	}
 	x := bmat.FromDense(xd, 8)
 	y := bmat.FromDense(yd, 8)
-	res, err := TrainMLP(e, x, y, MLPOptions{
+	res, err := TrainMLP(context.Background(), e, x, y, MLPOptions{
 		Hidden: []int{12}, LearningRate: 0.03, Epochs: 200, Seed: 3,
 	})
 	if err != nil {
@@ -91,11 +92,11 @@ func TestMLPDeterministic(t *testing.T) {
 	x := bmat.RandomDense(rng, 16, 4, 4)
 	y := bmat.RandomDense(rng, 16, 1, 4)
 	opt := MLPOptions{Hidden: []int{8}, LearningRate: 0.05, Epochs: 3, Seed: 9}
-	r1, err := TrainMLP(testEngine(t), x, y, opt)
+	r1, err := TrainMLP(context.Background(), testEngine(t), x, y, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := TrainMLP(testEngine(t), x, y, opt)
+	r2, err := TrainMLP(context.Background(), testEngine(t), x, y, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +112,14 @@ func TestMLPInvalidOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(214))
 	x := bmat.RandomDense(rng, 8, 2, 4)
 	y := bmat.RandomDense(rng, 8, 1, 4)
-	if _, err := TrainMLP(e, x, y, MLPOptions{LearningRate: 0.1}); err == nil {
+	if _, err := TrainMLP(context.Background(), e, x, y, MLPOptions{LearningRate: 0.1}); err == nil {
 		t.Fatal("0 epochs accepted")
 	}
-	if _, err := TrainMLP(e, x, y, MLPOptions{Epochs: 1}); err == nil {
+	if _, err := TrainMLP(context.Background(), e, x, y, MLPOptions{Epochs: 1}); err == nil {
 		t.Fatal("0 learning rate accepted")
 	}
 	bad := bmat.RandomDense(rng, 6, 1, 4)
-	if _, err := TrainMLP(e, x, bad, MLPOptions{Epochs: 1, LearningRate: 0.1}); err == nil {
+	if _, err := TrainMLP(context.Background(), e, x, bad, MLPOptions{Epochs: 1, LearningRate: 0.1}); err == nil {
 		t.Fatal("sample-count mismatch accepted")
 	}
 }

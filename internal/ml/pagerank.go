@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -36,7 +37,7 @@ type PageRankResult struct {
 //
 // adj is the n×n adjacency matrix (adj[i][j] ≠ 0 for an edge i→j). Rows
 // with no outgoing edges distribute uniformly (dangling-node handling).
-func PageRank(ops Ops, adj *bmat.BlockMatrix, opt PageRankOptions) (*PageRankResult, error) {
+func PageRank(ctx context.Context, ops Ops, adj *bmat.BlockMatrix, opt PageRankOptions) (*PageRankResult, error) {
 	if adj.Rows != adj.Cols {
 		return nil, fmt.Errorf("ml: PageRank: adjacency must be square, got %dx%d", adj.Rows, adj.Cols)
 	}
@@ -61,7 +62,7 @@ func PageRank(ops Ops, adj *bmat.BlockMatrix, opt PageRankOptions) (*PageRankRes
 
 	res := &PageRankResult{}
 	for it := 0; it < opt.MaxIterations; it++ {
-		spread, err := ops.Multiply(mt, r)
+		spread, err := ops.Multiply(ctx, mt, r)
 		if err != nil {
 			return nil, fmt.Errorf("ml: PageRank iteration %d: %w", it, err)
 		}

@@ -1,12 +1,14 @@
 package ml
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"distme/internal/bmat"
 	"distme/internal/matrix"
+	"distme/internal/plan"
 )
 
 // chainGraph builds 0→1→…→n−1 (node n−1 dangling).
@@ -31,7 +33,7 @@ func chainGraph(n, bs int) *bmat.BlockMatrix {
 func TestPageRankSumsToOne(t *testing.T) {
 	e := testEngine(t)
 	adj := chainGraph(12, 4)
-	res, err := PageRank(e, adj, PageRankOptions{MaxIterations: 30})
+	res, err := PageRank(context.Background(), e, adj, PageRankOptions{MaxIterations: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestPageRankCycleUniform(t *testing.T) {
 	d.Set((n-1)%bs, 0, 1)
 	adj.SetBlock(bi, 0, d)
 
-	res, err := PageRank(e, adj, PageRankOptions{MaxIterations: 100, Tolerance: 1e-12})
+	res, err := PageRank(context.Background(), e, adj, PageRankOptions{MaxIterations: 100, Tolerance: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestPageRankHubGetsMost(t *testing.T) {
 		}
 		adj.SetBlock(bi, 0, d)
 	}
-	res, err := PageRank(e, adj, PageRankOptions{MaxIterations: 60})
+	res, err := PageRank(context.Background(), e, adj, PageRankOptions{MaxIterations: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestPageRankConverges(t *testing.T) {
 	e := testEngine(t)
 	rng := rand.New(rand.NewSource(150))
 	adj := bmat.RandomSparse(rng, 24, 24, 6, 0.15)
-	res, err := PageRank(e, adj, PageRankOptions{MaxIterations: 200, Tolerance: 1e-10})
+	res, err := PageRank(context.Background(), e, adj, PageRankOptions{MaxIterations: 200, Tolerance: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,18 +126,18 @@ func TestPageRankConverges(t *testing.T) {
 func TestPageRankRejectsNonSquare(t *testing.T) {
 	e := testEngine(t)
 	rng := rand.New(rand.NewSource(151))
-	if _, err := PageRank(e, bmat.RandomSparse(rng, 4, 6, 2, 0.5), PageRankOptions{}); err == nil {
+	if _, err := PageRank(context.Background(), e, bmat.RandomSparse(rng, 4, 6, 2, 0.5), PageRankOptions{}); err == nil {
 		t.Fatal("non-square adjacency accepted")
 	}
 }
 
 func TestGNMFPlannedMatchesDirect(t *testing.T) {
 	v := ratingMatrix(t, 160, 20, 16)
-	direct, err := GNMF(testEngine(t), v, GNMFOptions{Rank: 4, Iterations: 3, Seed: 9})
+	direct, err := GNMF(context.Background(), testEngine(t), v, GNMFOptions{Rank: 4, Iterations: 3, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := GNMFPlanned(testEngine(t), v, GNMFOptions{Rank: 4, Iterations: 3, Seed: 9})
+	planned, err := GNMFPlanned(context.Background(), testEngine(t), v, GNMFOptions{Rank: 4, Iterations: 3, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,11 @@ func TestGNMFPlannedMatchesDirect(t *testing.T) {
 }
 
 func TestGNMFPlansShareTransposes(t *testing.T) {
-	hPlan, wPlan, err := GNMFPlans()
+	hPlan, err := plan.Compile(GNMFHExpr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wPlan, err := plan.Compile(GNMFWExpr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +168,7 @@ func TestGNMFPlansShareTransposes(t *testing.T) {
 
 func TestGNMFPlannedObjectiveDecreases(t *testing.T) {
 	v := ratingMatrix(t, 161, 18, 18)
-	res, err := GNMFPlanned(testEngine(t), v, GNMFOptions{Rank: 3, Iterations: 5, Seed: 4, TrackObjective: true})
+	res, err := GNMFPlanned(context.Background(), testEngine(t), v, GNMFOptions{Rank: 3, Iterations: 5, Seed: 4, TrackObjective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +181,10 @@ func TestGNMFPlannedObjectiveDecreases(t *testing.T) {
 
 func TestGNMFPlannedInvalidOptions(t *testing.T) {
 	v := ratingMatrix(t, 162, 8, 8)
-	if _, err := GNMFPlanned(testEngine(t), v, GNMFOptions{Rank: 0, Iterations: 1}); err == nil {
+	if _, err := GNMFPlanned(context.Background(), testEngine(t), v, GNMFOptions{Rank: 0, Iterations: 1}); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
-	if _, err := GNMFPlanned(testEngine(t), v, GNMFOptions{Rank: 2, Iterations: 0}); err == nil {
+	if _, err := GNMFPlanned(context.Background(), testEngine(t), v, GNMFOptions{Rank: 2, Iterations: 0}); err == nil {
 		t.Fatal("0 iterations accepted")
 	}
 }

@@ -1,74 +1,50 @@
 package ml
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"distme/internal/bmat"
 	"distme/internal/engine"
-	"distme/internal/plan"
 )
 
-// GNMFPlans returns the two compiled update plans of the GNMF query
-// (Appendix A) as the plan compiler produces them — the §5 path where a
-// declarative query is rewritten into a physical plan before execution.
-// The shared Wᵀ (respectively Hᵀ) subterm is computed once per update
-// thanks to common-subexpression elimination.
-func GNMFPlans() (hUpdate, wUpdate *plan.Program, err error) {
-	wt := plan.T(plan.V("W"))
-	h := plan.EMul(plan.V("H"),
-		plan.EDiv(
-			plan.Mul(wt, plan.V("V")),
-			plan.Mul(plan.Mul(wt, plan.V("W")), plan.V("H")),
-			eps))
-	ht := plan.T(plan.V("H"))
-	w := plan.EMul(plan.V("W"),
-		plan.EDiv(
-			plan.Mul(plan.V("V"), ht),
-			plan.Mul(plan.V("W"), plan.Mul(plan.V("H"), ht)),
-			eps))
-	hUpdate, err = plan.Compile(h)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ml: compile H update: %w", err)
-	}
-	wUpdate, err = plan.Compile(w)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ml: compile W update: %w", err)
-	}
-	return hUpdate, wUpdate, nil
-}
+// The repository benchmark passes its reference *engine.Engine straight to
+// GNMFObjective, so the engine must keep satisfying Ops with no adapter.
+var _ Ops = (*engine.Engine)(nil)
 
 // GNMFPlanned runs GNMF through the plan compiler and engine — functionally
-// identical to GNMF but exercising the declarative path. It returns the
-// factors after opt.Iterations updates.
-func GNMFPlanned(eng *engine.Engine, v *bmat.BlockMatrix, opt GNMFOptions) (*GNMFResult, error) {
+// identical to GNMF but exercising the declarative path (§5), where each
+// update (GNMFHExpr, GNMFWExpr) is rewritten into a physical plan before
+// execution and the shared Wᵀ (respectively Hᵀ) subterm is computed once
+// thanks to common-subexpression elimination. It returns the factors after
+// opt.Iterations updates.
+func GNMFPlanned(ctx context.Context, eng *engine.Engine, v *bmat.BlockMatrix, opt GNMFOptions) (*GNMFResult, error) {
 	if opt.Rank <= 0 {
 		return nil, fmt.Errorf("ml: GNMFPlanned: rank must be positive, got %d", opt.Rank)
 	}
 	if opt.Iterations <= 0 {
 		return nil, fmt.Errorf("ml: GNMFPlanned: iterations must be positive, got %d", opt.Iterations)
 	}
-	hPlan, wPlan, err := GNMFPlans()
-	if err != nil {
-		return nil, err
-	}
+	hExpr, wExpr := GNMFHExpr(), GNMFWExpr()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	w := bmat.RandomDense(rng, v.Rows, opt.Rank, v.BlockSize)
 	h := bmat.RandomDense(rng, opt.Rank, v.Cols, v.BlockSize)
 	res := &GNMFResult{}
 	for it := 0; it < opt.Iterations; it++ {
-		binds := map[string]*bmat.BlockMatrix{"V": v, "W": w, "H": h}
-		h, err = hPlan.Eval(eng, binds)
+		binds := map[string]*bmat.BlockMatrix{"v": v, "w": w, "h": h}
+		var err error
+		h, _, err = eng.Run(ctx, hExpr, binds)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMFPlanned iteration %d: H: %w", it, err)
 		}
-		binds["H"] = h
-		w, err = wPlan.Eval(eng, binds)
+		binds["h"] = h
+		w, _, err = eng.Run(ctx, wExpr, binds)
 		if err != nil {
 			return nil, fmt.Errorf("ml: GNMFPlanned iteration %d: W: %w", it, err)
 		}
 		if opt.TrackObjective {
-			wh, err := eng.Multiply(w, h)
+			wh, err := eng.Multiply(ctx, w, h)
 			if err != nil {
 				return nil, fmt.Errorf("ml: GNMFPlanned iteration %d: objective: %w", it, err)
 			}

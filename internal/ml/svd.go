@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -37,7 +38,7 @@ type SVDResult struct {
 // SVD among the applications a matrix engine must serve. The big products
 // (A·Ω, Aᵀ·Q and the power-iteration passes) run distributed through ops;
 // the (k+p)-sized range finder, eigensolve and rotations run locally.
-func SVD(ops Ops, a *bmat.BlockMatrix, opt SVDOptions) (*SVDResult, error) {
+func SVD(ctx context.Context, ops Ops, a *bmat.BlockMatrix, opt SVDOptions) (*SVDResult, error) {
 	if opt.Rank <= 0 {
 		return nil, fmt.Errorf("ml: SVD: rank must be positive, got %d", opt.Rank)
 	}
@@ -55,22 +56,22 @@ func SVD(ops Ops, a *bmat.BlockMatrix, opt SVDOptions) (*SVDResult, error) {
 	// Sketch the range: Y = A·Ω with Gaussian Ω.
 	rng := rand.New(rand.NewSource(opt.Seed))
 	omega := gaussian(rng, a.Cols, sketch, a.BlockSize)
-	y, err := ops.Multiply(a, omega)
+	y, err := ops.Multiply(ctx, a, omega)
 	if err != nil {
 		return nil, fmt.Errorf("ml: SVD: A·Ω: %w", err)
 	}
-	at, err := ops.Transpose(a)
+	at, err := ops.Transpose(ctx, a)
 	if err != nil {
 		return nil, fmt.Errorf("ml: SVD: Aᵀ: %w", err)
 	}
 	// Power iterations: Y ← A·(Aᵀ·Y), re-orthonormalizing each pass.
 	for it := 0; it < opt.PowerIterations; it++ {
 		q := bmat.FromDense(matrix.GramSchmidtQR(y.ToDense()), a.BlockSize)
-		z, err := ops.Multiply(at, q)
+		z, err := ops.Multiply(ctx, at, q)
 		if err != nil {
 			return nil, fmt.Errorf("ml: SVD: power iteration %d: %w", it, err)
 		}
-		y, err = ops.Multiply(a, z)
+		y, err = ops.Multiply(ctx, a, z)
 		if err != nil {
 			return nil, fmt.Errorf("ml: SVD: power iteration %d: %w", it, err)
 		}
@@ -80,7 +81,7 @@ func SVD(ops Ops, a *bmat.BlockMatrix, opt SVDOptions) (*SVDResult, error) {
 	// as Bᵀ = Aᵀ·Q to keep the distributed product tall-thin.
 	qd := matrix.GramSchmidtQR(y.ToDense())
 	q := bmat.FromDense(qd, a.BlockSize)
-	bt, err := ops.Multiply(at, q) // cols×sketch
+	bt, err := ops.Multiply(ctx, at, q) // cols×sketch
 	if err != nil {
 		return nil, fmt.Errorf("ml: SVD: Aᵀ·Q: %w", err)
 	}

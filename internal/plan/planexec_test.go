@@ -4,6 +4,8 @@
 package plan_test
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,6 +14,7 @@ import (
 	"distme/internal/cluster"
 	"distme/internal/engine"
 	"distme/internal/matrix"
+	"distme/internal/ml"
 	"distme/internal/plan"
 	"distme/internal/systems"
 )
@@ -69,11 +72,7 @@ func TestEvalMatchesNaiveProperty(t *testing.T) {
 			blocks[name] = bmat.FromDense(d, bs)
 		}
 		e := randomExpr(rng, names, 0)
-		p, err := plan.Compile(e)
-		if err != nil {
-			return false
-		}
-		got, err := p.Eval(testEngineQuick(), blocks)
+		got, _, err := testEngineQuick().Run(context.Background(), e, blocks)
 		if err != nil {
 			return false
 		}
@@ -135,7 +134,7 @@ func TestEvalGNMFHUpdate(t *testing.T) {
 	if p.SharedNodes() == 0 {
 		t.Fatal("expected Wᵀ to be shared")
 	}
-	got, err := p.Eval(testEngine(t), map[string]*bmat.BlockMatrix{
+	got, _, err := testEngine(t).Run(context.Background(), update, map[string]*bmat.BlockMatrix{
 		"V": bmat.FromDense(vD, 4),
 		"W": bmat.FromDense(wD, 4),
 		"H": bmat.FromDense(hD, 4),
@@ -150,16 +149,16 @@ func TestEvalGNMFHUpdate(t *testing.T) {
 }
 
 func TestEvalMissingBinding(t *testing.T) {
-	p, err := plan.Compile(plan.Mul(plan.V("A"), plan.V("B")))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(141))
-	_, err = p.Eval(testEngine(t), map[string]*bmat.BlockMatrix{
-		"A": bmat.RandomDense(rng, 4, 4, 2),
-	})
-	if err == nil {
-		t.Fatal("missing binding accepted")
+	a := bmat.RandomDense(rng, 4, 4, 2)
+	for _, x := range []plan.Expr{
+		plan.Mul(plan.V("A"), plan.V("B")),
+		plan.Plus(plan.T(plan.V("A")), plan.V("B")),
+	} {
+		_, _, err := testEngine(t).Run(context.Background(), x, map[string]*bmat.BlockMatrix{"A": a})
+		if err == nil {
+			t.Fatalf("%v: missing binding accepted", x)
+		}
 	}
 }
 
@@ -168,11 +167,8 @@ func TestEvalSameOperandTwice(t *testing.T) {
 	// clobber the value before the second read.
 	rng := rand.New(rand.NewSource(142))
 	d := matrix.RandomDense(rng, 6, 6)
-	p, err := plan.Compile(plan.EMul(plan.V("A"), plan.V("A")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Eval(testEngine(t), map[string]*bmat.BlockMatrix{"A": bmat.FromDense(d, 3)})
+	got, _, err := testEngine(t).Run(context.Background(), plan.EMul(plan.V("A"), plan.V("A")),
+		map[string]*bmat.BlockMatrix{"A": bmat.FromDense(d, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +177,29 @@ func TestEvalSameOperandTwice(t *testing.T) {
 	}
 }
 
+// evalOps runs a compiled program on any ml.Ops implementation through the
+// one evaluator, plan.EvalWith: what a caller that holds a Program (not an
+// expression) or a non-engine operator set does.
+func evalOps(p *plan.Program, ops ml.Ops, binds map[string]*bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+	ctx := context.Background()
+	return plan.EvalWith(p, binds, func(n plan.NodeInfo, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+		switch n.Kind {
+		case plan.OpMul:
+			return ops.Multiply(ctx, a, b)
+		case plan.OpTranspose:
+			return ops.Transpose(ctx, a)
+		case plan.OpHadamard:
+			return ops.Hadamard(ctx, a, b)
+		case plan.OpDivElem:
+			return ops.DivElem(ctx, a, b, n.Scalar)
+		default:
+			return nil, fmt.Errorf("ml.Ops has no %v", n.Kind)
+		}
+	}, nil)
+}
+
 // TestEvalOverSystemProfile: the same compiled plan runs under a comparison
-// system's strategy chooser — the Evaluator generality.
+// system's strategy chooser — EvalWith is generic over who applies a node.
 func TestEvalOverSystemProfile(t *testing.T) {
 	cfg := cluster.LaptopConfig()
 	cfg.LocalWorkers = 4
@@ -195,12 +212,12 @@ func TestEvalOverSystemProfile(t *testing.T) {
 	rng := rand.New(rand.NewSource(143))
 	aD := matrix.RandomDense(rng, 12, 12)
 	bD := matrix.RandomDense(rng, 12, 12)
-	e := plan.Plus(plan.Mul(plan.T(plan.V("A")), plan.V("B")), plan.Times(2, plan.V("A")))
+	e := plan.EMul(plan.Mul(plan.T(plan.V("A")), plan.V("B")), plan.EDiv(plan.V("A"), plan.V("B"), 1e-9))
 	p, err := plan.Compile(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Eval(sys, map[string]*bmat.BlockMatrix{
+	got, err := evalOps(p, sys, map[string]*bmat.BlockMatrix{
 		"A": bmat.FromDense(aD, 4),
 		"B": bmat.FromDense(bD, 4),
 	})
@@ -245,7 +262,9 @@ func TestChainOrderPreservesValueProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := p.Eval(eng, binds)
+		// The re-associated program, not the expression as written, is what
+		// must run here, so it goes through EvalWith rather than Engine.Run.
+		got, err := evalOps(p, eng, binds)
 		if err != nil {
 			return false
 		}

@@ -1,24 +1,6 @@
 package plan
 
-import (
-	"fmt"
-
-	"distme/internal/bmat"
-)
-
-// Evaluator executes the physical operators a program needs. engine.Engine
-// satisfies it natively; the systems profiles and the TCP hybrid satisfy it
-// too, so one compiled plan can run in-process, under a comparison system's
-// strategy chooser, or with its multiplications crossing real sockets.
-type Evaluator interface {
-	Multiply(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error)
-	Transpose(a *bmat.BlockMatrix) (*bmat.BlockMatrix, error)
-	Add(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error)
-	Sub(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error)
-	Hadamard(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error)
-	DivElem(a, b *bmat.BlockMatrix, eps float64) (*bmat.BlockMatrix, error)
-	Scale(s float64, a *bmat.BlockMatrix) (*bmat.BlockMatrix, error)
-}
+import "fmt"
 
 // op identifies a physical operator.
 type op int
@@ -145,55 +127,3 @@ func (p *Program) NumNodes() int { return len(p.nodes) }
 
 // SharedNodes returns how many subexpression reuses CSE captured.
 func (p *Program) SharedNodes() int { return p.shared }
-
-// Eval executes the program on an evaluator with the given input bindings.
-// Each DAG node evaluates exactly once; results are released as soon as
-// their last consumer has run, bounding driver memory like Spark unpersists
-// cached RDDs.
-func (p *Program) Eval(eng Evaluator, binds map[string]*bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	results := make([]*bmat.BlockMatrix, len(p.nodes))
-	remaining := make([]int, len(p.nodes))
-	for i := range p.nodes {
-		remaining[i] = p.nodes[i].uses
-	}
-	consume := func(i int) *bmat.BlockMatrix {
-		v := results[i]
-		remaining[i]--
-		if remaining[i] == 0 && i != p.root {
-			results[i] = nil
-		}
-		return v
-	}
-	for i := range p.nodes {
-		n := &p.nodes[i]
-		var out *bmat.BlockMatrix
-		var err error
-		switch n.op {
-		case opVar:
-			m, ok := binds[n.name]
-			if !ok || m == nil {
-				return nil, fmt.Errorf("plan: input %q not bound", n.name)
-			}
-			out = m
-		case opMul:
-			out, err = eng.Multiply(consume(n.l), consume(n.r))
-		case opAdd:
-			out, err = eng.Add(consume(n.l), consume(n.r))
-		case opSub:
-			out, err = eng.Sub(consume(n.l), consume(n.r))
-		case opHadamard:
-			out, err = eng.Hadamard(consume(n.l), consume(n.r))
-		case opDivElem:
-			out, err = eng.DivElem(consume(n.l), consume(n.r), n.scalar)
-		case opTranspose:
-			out, err = eng.Transpose(consume(n.l))
-		case opScale:
-			out, err = eng.Scale(n.scalar, consume(n.l))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("plan: node %%%d (%s): %w", i, n.describe(), err)
-		}
-		results[i] = out
-	}
-	return results[p.root], nil
-}

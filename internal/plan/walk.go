@@ -68,8 +68,10 @@ type NodeInfo struct {
 func (n NodeInfo) Unary() bool { return n.Kind == OpTranspose || n.Kind == OpScale }
 
 // EvalWith executes a compiled program bottom-up over an arbitrary value
-// type T — the generic twin of Program.Eval, for evaluators whose values are
-// not driver-resident matrices (e.g. handles naming worker-resident data).
+// type T — driver-resident matrices for the engine, handles naming
+// worker-resident data for a session. Each DAG node evaluates exactly once,
+// and a result is dropped as soon as its last consumer has run, bounding
+// driver memory like Spark unpersists cached RDDs.
 //
 // binds supplies the OpVar values; apply runs every non-var node (b is the
 // zero T for unary operators); release, when non-nil, is called exactly once
@@ -80,8 +82,8 @@ func (n NodeInfo) Unary() bool { return n.Kind == OpTranspose || n.Kind == OpSca
 func EvalWith[T any](p *Program, binds map[string]T, apply func(n NodeInfo, a, b T) (T, error), release func(T)) (T, error) {
 	var zero T
 	results := make([]T, len(p.nodes))
-	live := make([]bool, len(p.nodes))    // holds an unreleased intermediate
-	isVar := make([]bool, len(p.nodes))   // bound input: caller-owned
+	live := make([]bool, len(p.nodes))     // holds an unreleased intermediate
+	isVar := make([]bool, len(p.nodes))    // bound input: caller-owned
 	remaining := make([]int, len(p.nodes)) // consumers left to run
 	for i := range p.nodes {
 		remaining[i] = p.nodes[i].uses

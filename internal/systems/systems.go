@@ -8,12 +8,14 @@
 package systems
 
 import (
+	"context"
 	"fmt"
 
 	"distme/internal/bmat"
 	"distme/internal/cluster"
 	"distme/internal/core"
 	"distme/internal/engine"
+	"distme/internal/plan"
 )
 
 // Profile describes one comparison system.
@@ -117,44 +119,30 @@ func New(p Profile, clusterCfg cluster.Config) (*System, error) {
 }
 
 // Multiply runs one product with the system's own strategy choice.
-func (s *System) Multiply(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	c, _, err := s.MultiplyReport(a, b)
+func (s *System) Multiply(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+	c, _, err := s.MultiplyReport(ctx, a, b)
 	return c, err
 }
 
 // MultiplyReport runs one product and returns the engine report, which
 // records the strategy the system chose and the traffic it caused.
-func (s *System) MultiplyReport(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, *engine.Report, error) {
+func (s *System) MultiplyReport(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, *engine.Report, error) {
 	opts := s.Profile.Choose(core.ShapeOf(a, b), s.Engine.Cluster().Config())
-	return s.Engine.MultiplyOpt(a, b, opts)
+	return s.Engine.Run(ctx, plan.Mul(plan.V("a"), plan.V("b")),
+		map[string]*bmat.BlockMatrix{"a": a, "b": b}, engine.WithMulOptions(opts))
 }
 
 // Transpose delegates to the engine.
-func (s *System) Transpose(a *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return s.Engine.Transpose(a)
+func (s *System) Transpose(ctx context.Context, a *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+	return s.Engine.Transpose(ctx, a)
 }
 
 // Hadamard delegates to the engine.
-func (s *System) Hadamard(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return s.Engine.Hadamard(a, b)
+func (s *System) Hadamard(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+	return s.Engine.Hadamard(ctx, a, b)
 }
 
 // DivElem delegates to the engine.
-func (s *System) DivElem(a, b *bmat.BlockMatrix, eps float64) (*bmat.BlockMatrix, error) {
-	return s.Engine.DivElem(a, b, eps)
-}
-
-// Add delegates to the engine.
-func (s *System) Add(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return s.Engine.Add(a, b)
-}
-
-// Sub delegates to the engine.
-func (s *System) Sub(a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return s.Engine.Sub(a, b)
-}
-
-// Scale delegates to the engine.
-func (s *System) Scale(f float64, a *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return s.Engine.Scale(f, a)
+func (s *System) DivElem(ctx context.Context, a, b *bmat.BlockMatrix, eps float64) (*bmat.BlockMatrix, error) {
+	return s.Engine.DivElem(ctx, a, b, eps)
 }

@@ -1,6 +1,7 @@
 package systems
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,13 @@ import (
 	"distme/internal/core"
 	"distme/internal/engine"
 	"distme/internal/matrix"
+	"distme/internal/ml"
 )
+
+// Every comparison system runs the same ml queries, so a System must be an
+// ml.Ops with no adapter (the assertion lives in the test file because
+// package ml's own tests import this package).
+var _ ml.Ops = (*System)(nil)
 
 func testCluster() cluster.Config {
 	cfg := cluster.LaptopConfig()
@@ -29,7 +36,7 @@ func TestAllProfilesComputeSameProduct(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		got, err := sys.Multiply(a, b)
+		got, err := sys.Multiply(context.Background(), a, b)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -103,7 +110,7 @@ func TestDistMEMovesLessThanSystemML(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := sys.MultiplyReport(a, b)
+		_, rep, err := sys.MultiplyReport(context.Background(), a, b)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -131,7 +138,7 @@ func TestMatFastOOMOnOutputHeavyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mf.Multiply(a, b); err == nil {
+	if _, err := mf.Multiply(context.Background(), a, b); err == nil {
 		t.Fatal("MatFast should fail on output-heavy shape")
 	}
 
@@ -139,7 +146,7 @@ func TestMatFastOOMOnOutputHeavyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dm.Multiply(a, b)
+	got, err := dm.Multiply(context.Background(), a, b)
 	if err != nil {
 		t.Fatalf("DistME failed where it should survive: %v", err)
 	}
@@ -156,21 +163,21 @@ func TestSystemDelegates(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := bmat.RandomDense(rng, 8, 8, 4)
-	tr, err := sys.Transpose(a)
+	tr, err := sys.Transpose(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !tr.ToDense().Equal(a.ToDense().Transpose()) {
 		t.Fatal("Transpose delegate wrong")
 	}
-	h, err := sys.Hadamard(a, a)
+	h, err := sys.Hadamard(context.Background(), a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !h.ToDense().EqualApprox(matrix.Hadamard(a.ToDense(), a.ToDense()), 1e-12) {
 		t.Fatal("Hadamard delegate wrong")
 	}
-	d, err := sys.DivElem(a, a, 1e-12)
+	d, err := sys.DivElem(context.Background(), a, a, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
