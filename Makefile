@@ -5,8 +5,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# The second run builds the packages on the local-multiply path with the
+# purego tag, which leaves the AVX2 micro-kernel out: the portable dense
+# loop every non-AVX2 machine runs is exercised on the amd64 runner too.
 test:
 	$(GO) test ./...
+	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/distnet
 
 # The whole tree — and the repository benchmark, a module of its own — must
 # stay race-detector-clean; both runs together take about a minute.
@@ -71,7 +75,7 @@ bench-e2e:
 # seed-vs-current kernel numbers come from here: internal/matrix keeps the
 # seed kernels beside the current ones, and
 #   go test -bench 'Gemm|CSRMulDense|DenseMulCSC|CSRMulCSR' ./internal/matrix
-# prints both rows of each pair.
+# prints the rows of each side by side (Gemm: seed, fallback, simd).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 

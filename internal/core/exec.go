@@ -109,6 +109,11 @@ type Cuboid struct {
 // Name identifies the cuboid in errors and traces.
 func (c *Cuboid) Name() string { return fmt.Sprintf("cuboid(%d,%d,%d)", c.P, c.Q, c.R) }
 
+// Box returns the cuboid's voxel box.
+func (c *Cuboid) Box() Box {
+	return Box{ILo: c.ILo, IHi: c.IHi, JLo: c.JLo, JHi: c.JHi, KLo: c.KLo, KHi: c.KHi}
+}
+
 // Voxels returns the number of voxels in the box.
 func (c *Cuboid) Voxels() int {
 	return (c.IHi - c.ILo) * (c.JHi - c.JLo) * (c.KHi - c.KLo)
@@ -187,15 +192,8 @@ func (c *Cuboid) FlopsEstimate() float64 {
 	var work float64
 	for i := c.ILo; i < c.IHi; i++ {
 		for k := c.KLo; k < c.KHi; k++ {
-			blk := c.A.Block(i, k)
-			if blk == nil {
-				continue
-			}
-			if blk.Format() == matrix.FormatDense {
-				r, cc := blk.Dims()
-				work += float64(r) * float64(cc)
-			} else {
-				work += float64(blk.NNZ())
+			if blk := c.A.Block(i, k); blk != nil {
+				work += leftWork(blk)
 			}
 		}
 	}
@@ -210,27 +208,17 @@ type LocalMultiplier interface {
 	Multiply(c *Cuboid) (map[bmat.BlockKey]*matrix.Dense, error)
 }
 
-// CPUMultiplier is the LAPACK-style local multiplication: for each (i,j) of
-// the cuboid, accumulate A_{i,k}·B_{k,j} over the cuboid's k range.
+// CPUMultiplier is the LAPACK-style local multiplication: MultiplyBox over
+// the cuboid's box, reading blocks straight from the source matrices.
 type CPUMultiplier struct{}
 
 // Multiply implements LocalMultiplier.
 func (CPUMultiplier) Multiply(c *Cuboid) (map[bmat.BlockKey]*matrix.Dense, error) {
-	out := make(map[bmat.BlockKey]*matrix.Dense, (c.IHi-c.ILo)*(c.JHi-c.JLo))
-	for i := c.ILo; i < c.IHi; i++ {
-		for j := c.JLo; j < c.JHi; j++ {
-			var acc *matrix.Dense
-			for k := c.KLo; k < c.KHi; k++ {
-				ab := c.A.Block(i, k)
-				bb := c.B.Block(k, j)
-				if ab == nil || bb == nil {
-					continue
-				}
-				acc = matrix.MulAdd(acc, ab, bb)
-			}
-			if acc != nil {
-				out[bmat.BlockKey{I: i, J: j}] = acc
-			}
+	tiles, _ := MultiplyBox(c.Box(), c.A.Block, c.B.Block, nil)
+	out := make(map[bmat.BlockKey]*matrix.Dense, len(tiles))
+	for t, acc := range tiles {
+		if acc != nil {
+			out[c.Box().TileKey(t)] = acc
 		}
 	}
 	return out, nil

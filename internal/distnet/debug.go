@@ -3,6 +3,7 @@ package distnet
 import (
 	"time"
 
+	"distme/internal/matrix"
 	"distme/internal/metrics"
 	"distme/internal/obs"
 )
@@ -149,5 +150,16 @@ func (w *Worker) DebugSnapshot() WorkerDebug {
 // picks a free port). The caller closes the returned server; Shutdown does
 // not.
 func (w *Worker) ServeDebug(addr string) (*obs.Server, error) {
-	return obs.Serve(addr, func() any { return w.DebugSnapshot() })
+	return obs.Serve(addr, func() any {
+		return workerDebugPage{WorkerDebug: w.DebugSnapshot(), Kernel: matrix.KernelName()}
+	})
+}
+
+// workerDebugPage is what the worker's /debug/distme serves: the snapshot's
+// fields and, beside them, the dense kernel this process selected ("avx2"
+// or "go") — with the flops attribute of the worker.compute spans under
+// trace.recent, a cuboid's GFLOP/s read from the running worker.
+type workerDebugPage struct {
+	WorkerDebug
+	Kernel string `json:"kernel"`
 }

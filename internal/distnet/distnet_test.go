@@ -229,6 +229,10 @@ func TestWorkerMalformedBox(t *testing.T) {
 	if err := w.Multiply(&MultiplyArgs{ILo: 2, IHi: 1}, &reply); err == nil {
 		t.Fatal("malformed box accepted")
 	}
+	// A box no block set could fill must be refused before it sizes a table.
+	if err := w.Multiply(&MultiplyArgs{IHi: 1 << 40, JHi: 1 << 40, KHi: 1}, &reply); err == nil {
+		t.Fatal("oversized box accepted")
+	}
 }
 
 func TestGNMFOverTheWire(t *testing.T) {

@@ -457,7 +457,7 @@ func (d *Driver) runJob(ctx context.Context, args *MultiplyArgs, parent obs.Span
 		lsp.SetAttr("cause", err.Error())
 	}
 	reply = new(MultiplyReply)
-	if err := computeCuboid(args, reply); err != nil {
+	if _, err := computeCuboid(args, reply); err != nil {
 		return nil, err
 	}
 	return reply, nil

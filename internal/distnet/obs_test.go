@@ -355,7 +355,33 @@ func TestWorkerServeDebug(t *testing.T) {
 		t.Error("worker addr missing from snapshot")
 	}
 	if snap.Trace == nil || snap.Trace.Completed == 0 {
-		t.Error("worker trace summary empty despite served cuboids")
+		t.Fatal("worker trace summary empty despite served cuboids")
+	}
+	// The page names the dense kernel, and every compute span carries its
+	// cuboid's flops (two 4³ block products each) and the kernel that ran
+	// them: GFLOP/s per cuboid is flops over the span's duration.
+	var page struct {
+		Kernel string `json:"kernel"`
+	}
+	if err := json.Unmarshal(body, &page); err != nil || page.Kernel != matrix.KernelName() {
+		t.Errorf("page kernel = %q (%v), want %q", page.Kernel, err, matrix.KernelName())
+	}
+	computes := 0
+	for _, s := range snap.Trace.Recent {
+		if s.Name != "worker.compute" {
+			continue
+		}
+		computes++
+		attrs := map[string]string{}
+		for _, a := range s.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["flops"] != "256" || attrs["kernel"] != matrix.KernelName() {
+			t.Errorf("worker.compute span %d: flops=%q kernel=%q, want 256 and %q", s.ID, attrs["flops"], attrs["kernel"], matrix.KernelName())
+		}
+	}
+	if computes != 4 {
+		t.Errorf("%d worker.compute spans among the recent ones, want 4", computes)
 	}
 }
 

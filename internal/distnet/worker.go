@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"distme/internal/bmat"
+	"distme/internal/core"
 	"distme/internal/matrix"
 	"distme/internal/obs"
 )
@@ -114,14 +115,24 @@ func (w *Worker) beginReadRPC() bool {
 	return true
 }
 
-// computeCuboid is the cuboid arithmetic itself: for every (i, j) in the
-// box, the sum over the box's k range of A_{i,k}·B_{k,j} — the same
-// arithmetic as core.CPUMultiplier. It is shared verbatim by the remote
-// worker and the driver's local fallback, so a cuboid computes
-// bit-identically wherever it lands.
-func computeCuboid(args *MultiplyArgs, reply *MultiplyReply) error {
-	if args.IHi < args.ILo || args.JHi < args.JLo || args.KHi < args.KLo {
-		return fmt.Errorf("distnet: malformed cuboid box")
+// maxBoxFace bounds each face of a cuboid box a worker accepts, in block
+// slots (16M: a 4096×4096-block face).
+const maxBoxFace = 1 << 24
+
+// computeCuboid runs one cuboid through core.MultiplyBox — the arithmetic
+// of core.CPUMultiplier, against the blocks the request carries — and
+// reports the flops spent. It is shared by the remote worker and the
+// driver's local fallback, so a cuboid computes bit-identically wherever it
+// lands.
+func computeCuboid(args *MultiplyArgs, reply *MultiplyReply) (flops float64, err error) {
+	ni, nj, nk := args.IHi-args.ILo, args.JHi-args.JLo, args.KHi-args.KLo
+	if ni < 0 || nj < 0 || nk < 0 {
+		return 0, fmt.Errorf("distnet: malformed cuboid box")
+	}
+	// The box arrives off the wire and sizes the kernel's block tables: no
+	// real cuboid has a face of more than maxBoxFace block slots.
+	if max(ni, nj, nk) > maxBoxFace || max(ni*nk, nk*nj, ni*nj) > maxBoxFace {
+		return 0, fmt.Errorf("distnet: malformed cuboid box: %dx%dx%d blocks", ni, nj, nk)
 	}
 	aBlocks := make(map[bmat.BlockKey]matrix.Block, len(args.ABlocks))
 	for _, r := range args.ABlocks {
@@ -131,31 +142,22 @@ func computeCuboid(args *MultiplyArgs, reply *MultiplyReply) error {
 	for _, r := range args.BBlocks {
 		bBlocks[r.Key] = r.Block
 	}
-	for i := args.ILo; i < args.IHi; i++ {
-		for j := args.JLo; j < args.JHi; j++ {
-			var acc *matrix.Dense
-			for k := args.KLo; k < args.KHi; k++ {
-				ab := aBlocks[bmat.BlockKey{I: i, J: k}]
-				bb := bBlocks[bmat.BlockKey{I: k, J: j}]
-				if ab == nil || bb == nil {
-					continue
-				}
-				acc = matrix.MulAdd(acc, ab, bb)
-			}
-			if acc != nil {
-				reply.CBlocks = append(reply.CBlocks, BlockRec{
-					Key:   bmat.BlockKey{I: i, J: j},
-					Block: acc,
-				})
-			}
+	box := core.Box{ILo: args.ILo, IHi: args.IHi, JLo: args.JLo, JHi: args.JHi, KLo: args.KLo, KHi: args.KHi}
+	tiles, flops := core.MultiplyBox(box,
+		func(i, k int) matrix.Block { return aBlocks[bmat.BlockKey{I: i, J: k}] },
+		func(k, j int) matrix.Block { return bBlocks[bmat.BlockKey{I: k, J: j}] }, nil)
+	for t, acc := range tiles {
+		if acc != nil {
+			reply.CBlocks = append(reply.CBlocks, BlockRec{Key: box.TileKey(t), Block: acc})
 		}
 	}
-	return nil
+	return flops, nil
 }
 
 // serveCuboid is the worker's one way to run a cuboid, single or batched:
 // a pull cuboid first resolves its manifests into blocks, then the partial C
-// blocks are computed under a worker.compute span.
+// blocks are computed under a worker.compute span, whose flops and kernel
+// attributes give the cuboid's GFLOP/s against its duration.
 func (w *Worker) serveCuboid(args *MultiplyArgs, reply *MultiplyReply) error {
 	if args.pull {
 		if err := w.preparePull(args, reply); err != nil {
@@ -169,12 +171,14 @@ func (w *Worker) serveCuboid(args *MultiplyArgs, reply *MultiplyReply) error {
 		sp.SetAttr("a-blocks", fmt.Sprintf("%d", len(args.ABlocks)))
 		sp.SetAttr("b-blocks", fmt.Sprintf("%d", len(args.BBlocks)))
 	}
-	err := computeCuboid(args, reply)
+	flops, err := computeCuboid(args, reply)
 	if sp.Active() {
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 		} else {
 			sp.SetAttr("c-blocks", fmt.Sprintf("%d", len(reply.CBlocks)))
+			sp.SetAttr("flops", fmt.Sprintf("%.0f", flops))
+			sp.SetAttr("kernel", matrix.KernelName())
 		}
 	}
 	return err

@@ -63,12 +63,23 @@ func (m *Multiplier) Multiply(c *core.Cuboid) (map[bmat.BlockKey]*matrix.Dense, 
 				return nil, err
 			}
 
+			// The resident accumulators of C', row-major over the (i,j) tiles.
+			var acc []*matrix.Dense
+			box := core.Box{ILo: ilo, IHi: ihi, JLo: jlo, JHi: jhi}
 			for r2 := 0; r2 < sub.R2; r2++ {
-				klo, khi := spanWithin(c.KLo, c.KHi, r2, sub.R2)
-				if err := m.streamSubcuboid(c, tl, out, ilo, ihi, jlo, jhi, klo, khi); err != nil {
+				box.KLo, box.KHi = spanWithin(c.KLo, c.KHi, r2, sub.R2)
+				if err := m.streamSubcuboid(c, tl, box); err != nil {
 					return nil, err
 				}
+				// The real arithmetic of the iteration's kernels, executed
+				// on the CPU: ascending r2 keeps every C block's k order.
+				acc, _ = core.MultiplyBox(box, c.A.Block, c.B.Block, acc)
 				tl.iterations++
+			}
+			for t, blk := range acc {
+				if blk != nil {
+					out[box.TileKey(t)] = blk
+				}
 			}
 
 			// Last k-subcuboid done: copy C' back to host (Algorithm 1,
@@ -85,10 +96,11 @@ func (m *Multiplier) Multiply(c *core.Cuboid) (map[bmat.BlockKey]*matrix.Dense, 
 	return out, nil
 }
 
-// streamSubcuboid runs one iteration: H2D of the smaller input side as a
-// chunk, the bigger side block-by-block with per-stream kernel launches, and
-// the real arithmetic into the resident accumulators.
-func (m *Multiplier) streamSubcuboid(c *core.Cuboid, tl *taskTimeline, out map[bmat.BlockKey]*matrix.Dense, ilo, ihi, jlo, jhi, klo, khi int) error {
+// streamSubcuboid puts one iteration on the device timeline: H2D of the
+// smaller input side as a chunk, the bigger side block-by-block with
+// per-stream kernel launches.
+func (m *Multiplier) streamSubcuboid(c *core.Cuboid, tl *taskTimeline, box core.Box) error {
+	ilo, ihi, jlo, jhi, klo, khi := box.ILo, box.IHi, box.JLo, box.JHi, box.KLo, box.KHi
 	aBytes := storedBytesA(c, ilo, ihi, klo, khi)
 	bBytes := storedBytesB(c, klo, khi, jlo, jhi)
 	if err := tl.alloc(aBytes + bBytes); err != nil {
@@ -119,8 +131,7 @@ func (m *Multiplier) streamSubcuboid(c *core.Cuboid, tl *taskTimeline, out map[b
 					if bb == nil {
 						continue
 					}
-					tl.kernel(i-ilo, copyEnd, pairFlops(ab, bb), fmt.Sprintf("K(%d,%d*%d,%d)", i, k, k, j))
-					accumulate(out, c, i, j, ab, bb)
+					tl.kernel(i-ilo, copyEnd, core.PairFlops(ab, bb), fmt.Sprintf("K(%d,%d*%d,%d)", i, k, k, j))
 				}
 			}
 		}
@@ -139,20 +150,12 @@ func (m *Multiplier) streamSubcuboid(c *core.Cuboid, tl *taskTimeline, out map[b
 					if ab == nil {
 						continue
 					}
-					tl.kernel(j-jlo, copyEnd, pairFlops(ab, bb), fmt.Sprintf("K(%d,%d*%d,%d)", i, k, k, j))
-					accumulate(out, c, i, j, ab, bb)
+					tl.kernel(j-jlo, copyEnd, core.PairFlops(ab, bb), fmt.Sprintf("K(%d,%d*%d,%d)", i, k, k, j))
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// accumulate performs the real arithmetic of kernel K_{i,k*k,j} into the
-// resident accumulator for C block (i, j).
-func accumulate(out map[bmat.BlockKey]*matrix.Dense, c *core.Cuboid, i, j int, ab, bb matrix.Block) {
-	key := bmat.BlockKey{I: i, J: j}
-	out[key] = matrix.MulAdd(out[key], ab, bb)
 }
 
 // fitSubParams verifies the optimizer's average-size parameters against the
@@ -246,17 +249,6 @@ func denseBytes(c *core.Cuboid, ilo, ihi, jlo, jhi int) int64 {
 	return n
 }
 
-// pairFlops estimates the kernel flop count for one block pair: dense GEMM
-// is 2·m·k·n; a sparse left operand is 2·nnz·n (cusparseDcsrmm's work).
-func pairFlops(a, b matrix.Block) float64 {
-	am, ak := a.Dims()
-	_, bn := b.Dims()
-	if a.Format() != matrix.FormatDense {
-		return 2 * float64(a.NNZ()) * float64(bn)
-	}
-	return 2 * float64(am) * float64(ak) * float64(bn)
-}
-
 func minInt64(a, b int64) int64 {
 	if a < b {
 		return a
@@ -288,7 +280,7 @@ func (bl *BlockLevel) MultiplyPair(a, b matrix.Block) (*matrix.Dense, error) {
 	}
 	end := tl.h2d(0, a.SizeBytes(), "A")
 	end = tl.h2d(end, b.SizeBytes(), "B")
-	end = tl.kernel(0, end, pairFlops(a, b), "K")
+	end = tl.kernel(0, end, core.PairFlops(a, b), "K")
 	tl.d2h(end, cBytes, "C")
 	tl.free(a.SizeBytes() + b.SizeBytes() + cBytes)
 	tl.iterations++

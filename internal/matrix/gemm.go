@@ -1,0 +1,215 @@
+package matrix
+
+import (
+	"fmt"
+	"sync"
+)
+
+// The dense kernel — the stand-in for the cublasDgemm / LAPACK dgemm call
+// of the paper's local-multiplication step — is a register-tiled product:
+// C is cut into 4×8 tiles, each held in registers over the whole k range by
+// the AVX2 micro-kernel (gemm_amd64.s), and the rows and columns left over
+// run the portable loop below, which is also the whole kernel wherever the
+// micro-kernel is not built or the CPU lacks AVX2. Both round every
+// multiply and every add separately and walk k upwards, so a product has
+// the same bits on either path, at any fan-out width, for any row grouping
+// — and the bits of the naive i-k-j triple loop. Dense arithmetic is plain
+// IEEE: a zero in A is multiplied like any other value (0·Inf = NaN); only
+// the sparse kernels skip, and only structural zeros.
+
+const (
+	tileRows = 4
+	tileCols = 8
+	// rowChunk is how many rows of C are finished before the next: the
+	// chunk of A (rowChunk×k) stays in L2 while the panels of B stream past
+	// it. Fixed; choosing it and a k panel per cache level with
+	// core.OptimizeSub is left open (ROADMAP item 3a).
+	rowChunk = 128
+)
+
+// gemmFlopsThreshold is the minimum multiply-add work (2·m·n·k) before a
+// bare Gemm call fans its rows out across goroutines; below it — a 128³
+// block is a quarter of it — the spawn and join cost more than the second
+// core returns. A var so the equivalence tests can force the fan-out on
+// small inputs.
+var gemmFlopsThreshold = 1 << 24
+
+// packMinRows is the fewest A rows worth repacking B for. Packing reads and
+// writes B once; what it saves each row tile is the strided walk down B's
+// rows. Measured on 128-column blocks the two meet at about a hundred rows
+// (wider blocks, whose row stride aliases in L1, earlier).
+const packMinRows = 128
+
+// KernelName names the dense kernel this process selected: "avx2" or "go".
+func KernelName() string {
+	if simd {
+		return "avx2"
+	}
+	return "go"
+}
+
+// PackedB is a dense right-hand operand prepared for repeated products on
+// one goroutine each (GemmPacked). When the micro-kernel is in use and
+// enough rows will be multiplied against it, its full 8-column panels are
+// copied out so that the kernel streams B contiguously instead of one cache
+// line per row stride; otherwise B is read in place.
+type PackedB struct {
+	b      *Dense
+	panels []float64 // panel j/8 is B[:, j:j+8] row-major at [j*k, (j+8)*k); nil: read b in place
+}
+
+// PackB prepares b for products against rows rows of A in total. Release
+// the result once the last product has returned.
+func PackB(b *Dense, rows int) PackedB {
+	k, n := b.RowsN, b.ColsN
+	n8 := n &^ (tileCols - 1)
+	if !simd || rows < packMinRows || n8 == 0 || k == 0 {
+		return PackedB{b: b}
+	}
+	panels := getScratch(k * n8)
+	for j := 0; j < n8; j += tileCols {
+		dst := panels[j*k : (j+tileCols)*k]
+		for p := 0; p < k; p++ {
+			copy(dst[p*tileCols:(p+1)*tileCols], b.Data[p*n+j:p*n+j+tileCols])
+		}
+	}
+	return PackedB{b: b, panels: panels}
+}
+
+// Release returns the panel copy to the scratch pool. The PackedB must not
+// be used afterwards.
+func (p PackedB) Release() { putScratch(p.panels) }
+
+// Gemm computes C += A×B for dense blocks. Dimensions must agree: A is
+// m×k, B is k×n, C is m×n. Large products fan their rows out up to
+// KernelWorkers goroutines; each row of C is computed by exactly one of
+// them in the same per-element order, so the result does not depend on the
+// width.
+func Gemm(c, a, b *Dense) {
+	m, n, k := gemmDims("Gemm", c, a, b)
+	if m == 0 || n == 0 || k == 0 {
+		return
+	}
+	pb := PackB(b, m)
+	defer pb.Release()
+	workers := KernelWorkers()
+	if tiles := m / tileRows; workers > tiles {
+		workers = tiles
+	}
+	if workers < 2 || 2*m*n*k < gemmFlopsThreshold {
+		gemmRows(c, a, pb, 0, m)
+		return
+	}
+	// Whole row tiles per goroutine, the last one taking the remainder rows.
+	chunk := (m/tileRows + workers - 1) / workers * tileRows
+	var wg sync.WaitGroup
+	for lo := 0; lo < m; lo += chunk {
+		hi := lo + chunk
+		if hi+tileRows > m {
+			hi = m
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			gemmRows(c, a, pb, lo, hi)
+		}(lo, hi)
+		if hi == m {
+			break
+		}
+	}
+	wg.Wait()
+}
+
+// GemmPacked computes C += A×B on the calling goroutine, against an
+// operand prepared by PackB. It is what a cuboid's (i,j) tiles run: the
+// cuboid packs each B block once and fans out over tiles, not inside them.
+func GemmPacked(c, a *Dense, b PackedB) {
+	m, _, _ := gemmDims("GemmPacked", c, a, b.b)
+	gemmRows(c, a, b, 0, m)
+}
+
+func gemmDims(op string, c, a, b *Dense) (m, n, k int) {
+	m, k = a.Dims()
+	kb, n := b.Dims()
+	cm, cn := c.Dims()
+	if k != kb || cm != m || cn != n {
+		panic(fmt.Sprintf("matrix: %s: dimension mismatch %dx%d × %dx%d -> %dx%d", op, m, k, kb, n, cm, cn))
+	}
+	return m, n, k
+}
+
+// gemmRows computes rows [lo, hi) of C += A×B: full 4×8 tiles through the
+// micro-kernel, a chunk of rows at a time and within it panel by panel, so
+// one panel of B stays in L1 across the chunk's row tiles; then the columns
+// and rows that do not fill a tile through the portable loop.
+func gemmRows(c, a *Dense, pb PackedB, lo, hi int) {
+	b := pb.b
+	k, n := a.ColsN, b.ColsN
+	tiledHi, tiledCols := lo, 0
+	if simd && k > 0 {
+		tiledHi = lo + (hi-lo)&^(tileRows-1)
+		tiledCols = n &^ (tileCols - 1)
+		for i0 := lo; i0 < tiledHi; i0 += rowChunk {
+			i1 := i0 + rowChunk
+			if i1 > tiledHi {
+				i1 = tiledHi
+			}
+			for j := 0; j < tiledCols; j += tileCols {
+				bp, ldb := &b.Data[j], n
+				if pb.panels != nil {
+					bp, ldb = &pb.panels[j*k], tileCols
+				}
+				for i := i0; i < i1; i += tileRows {
+					gemmTile4x8(&c.Data[i*n+j], &a.Data[i*k], bp, k, n, k, ldb)
+				}
+			}
+		}
+	}
+	gemmGo(c, a, b, lo, tiledHi, tiledCols, n)
+	gemmGo(c, a, b, tiledHi, hi, 0, n)
+}
+
+// gemmGo is the portable kernel: rows [lo, hi), columns [jlo, jhi) of
+// C += A×B, four C rows advanced together so each B row is read once per
+// four output rows. The product is converted before the add so that no
+// compiler fuses the pair into an FMA (arm64, ppc64, s390x and amd64 at
+// GOAMD64=v3 otherwise would): one arithmetic on every architecture, the
+// micro-kernel's.
+func gemmGo(c, a, b *Dense, lo, hi, jlo, jhi int) {
+	if lo >= hi || jlo >= jhi {
+		return
+	}
+	k, n := a.ColsN, b.ColsN
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		a0 := a.Data[i*k : (i+1)*k]
+		a1 := a.Data[(i+1)*k : (i+2)*k]
+		a2 := a.Data[(i+2)*k : (i+3)*k]
+		a3 := a.Data[(i+3)*k : (i+4)*k]
+		w := jhi - jlo
+		c0 := c.Data[i*n+jlo:][:w]
+		c1 := c.Data[(i+1)*n+jlo:][:w]
+		c2 := c.Data[(i+2)*n+jlo:][:w]
+		c3 := c.Data[(i+3)*n+jlo:][:w]
+		for p := 0; p < k; p++ {
+			v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
+			brow := b.Data[p*n+jlo:][:w]
+			for j, bv := range brow {
+				c0[j] += float64(v0 * bv)
+				c1[j] += float64(v1 * bv)
+				c2[j] += float64(v2 * bv)
+				c3[j] += float64(v3 * bv)
+			}
+		}
+	}
+	for ; i < hi; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		crow := c.Data[i*n+jlo : i*n+jhi]
+		for p, av := range arow {
+			brow := b.Data[p*n+jlo : p*n+jhi]
+			for j, bv := range brow {
+				crow[j] += float64(av * bv)
+			}
+		}
+	}
+}

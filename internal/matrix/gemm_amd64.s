@@ -1,0 +1,119 @@
+//go:build !purego
+
+#include "textflag.h"
+
+// func hasAVX2() bool
+//
+// AVX2 is usable when the CPU reports it (leaf 7 EBX bit 5) and the OS saves
+// the YMM state across context switches: leaf 1 ECX bits 27 (OSXSAVE) and 28
+// (AVX), then XCR0 bits 1 and 2 (SSE and AVX state) read with XGETBV.
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JLT  no
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x20, BX
+	JZ   no
+	MOVB $1, ret+0(FP)
+	RET
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func gemmTile4x8(c, a, b *float64, k, ldc, lda, ldb int)
+//
+// C[r][0:8] += sum over p in [0,k) of A[r][p] * B[p][0:8] for r in [0,4),
+// with row strides ldc, lda, ldb in elements. The 4x8 tile of C lives in
+// Y0..Y7 for the whole k range. Each step is a VMULPD followed by a VADDPD,
+// never an FMA, and p ascends, so every element rounds exactly as the scalar
+// c += a*b loop does.
+TEXT ·gemmTile4x8(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), CX
+	MOVQ ldc+32(FP), R8
+	MOVQ lda+40(FP), R9
+	MOVQ ldb+48(FP), R10
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+
+	// R11 = row 3 of C, R12 = row 3 of A; rows 1 and 2 use scaled indexing.
+	LEAQ (R8)(R8*2), R11
+	ADDQ DI, R11
+	LEAQ (R9)(R9*2), R12
+	ADDQ SI, R12
+
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(R8*1), Y2
+	VMOVUPD 32(DI)(R8*1), Y3
+	VMOVUPD (DI)(R8*2), Y4
+	VMOVUPD 32(DI)(R8*2), Y5
+	VMOVUPD (R11), Y6
+	VMOVUPD 32(R11), Y7
+
+	TESTQ CX, CX
+	JZ    store
+
+loop:
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+
+	VBROADCASTSD (SI), Y10
+	VMULPD Y8, Y10, Y11
+	VMULPD Y9, Y10, Y12
+	VADDPD Y11, Y0, Y0
+	VADDPD Y12, Y1, Y1
+
+	VBROADCASTSD (SI)(R9*1), Y13
+	VMULPD Y8, Y13, Y14
+	VMULPD Y9, Y13, Y15
+	VADDPD Y14, Y2, Y2
+	VADDPD Y15, Y3, Y3
+
+	VBROADCASTSD (SI)(R9*2), Y10
+	VMULPD Y8, Y10, Y11
+	VMULPD Y9, Y10, Y12
+	VADDPD Y11, Y4, Y4
+	VADDPD Y12, Y5, Y5
+
+	VBROADCASTSD (R12), Y13
+	VMULPD Y8, Y13, Y14
+	VMULPD Y9, Y13, Y15
+	VADDPD Y14, Y6, Y6
+	VADDPD Y15, Y7, Y7
+
+	ADDQ $8, SI
+	ADDQ $8, R12
+	ADDQ R10, DX
+	DECQ CX
+	JNZ  loop
+
+store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y3, 32(DI)(R8*1)
+	VMOVUPD Y4, (DI)(R8*2)
+	VMOVUPD Y5, 32(DI)(R8*2)
+	VMOVUPD Y6, (R11)
+	VMOVUPD Y7, 32(R11)
+	VZEROUPPER
+	RET

@@ -8,15 +8,6 @@ import (
 	"sync/atomic"
 )
 
-// gemmBlock is the cache-tiling factor of the dense kernel. 64×64 float64
-// tiles (32 KiB per operand tile) sit comfortably in L1/L2.
-const gemmBlock = 64
-
-// parallelThreshold is the minimum result-element count before the dense
-// kernel fans out across goroutines; below it the spawn overhead dominates.
-// A var so equivalence tests can force the parallel path on small inputs.
-var parallelThreshold = 64 * 64 * 4
-
 // sparseFlopsThreshold is the minimum estimated scalar-multiply count before
 // a sparse kernel fans out. Sparse products do far less work per output
 // element than GEMM, so the gate is on estimated flops, not result size.
@@ -41,112 +32,6 @@ func KernelWorkers() int {
 		return int(n)
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Gemm computes C += A×B for dense blocks. It is the stand-in for the
-// cublasDgemm / LAPACK dgemm call in the paper's local-multiplication step.
-// Dimensions must agree: A is m×k, B is k×n, C is m×n.
-func Gemm(c, a, b *Dense) {
-	m, ka := a.Dims()
-	kb, n := b.Dims()
-	cm, cn := c.Dims()
-	if ka != kb || cm != m || cn != n {
-		panic(fmt.Sprintf("matrix: Gemm: dimension mismatch %dx%d × %dx%d -> %dx%d", m, ka, kb, n, cm, cn))
-	}
-	if m == 0 || n == 0 || ka == 0 {
-		return
-	}
-	if workers := KernelWorkers(); workers > 1 && m >= 2 && m*n >= parallelThreshold {
-		gemmParallel(c, a, b, workers)
-		return
-	}
-	gemmRange(c, a, b, 0, m)
-}
-
-// gemmParallel splits the row range of C across workers. Each row of C is
-// computed by exactly one goroutine with the same per-element accumulation
-// order as the serial path, so results are bit-identical for any width.
-func gemmParallel(c, a, b *Dense, workers int) {
-	m := a.RowsN
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			gemmRange(c, a, b, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// gemmRange computes rows [lo, hi) of C += A×B with k-tiling and a
-// register-blocked micro-kernel that advances four C rows at once: each B
-// row is streamed through the cache exactly once per four output rows
-// (4× less B traffic than the seed's row-at-a-time AXPY) and the inner
-// loop carries four independent multiply-add chains. Wider row groups were
-// measured slower (register spills and five concurrent write streams);
-// see kernels_bench_test.go. Every C element still accumulates in
-// ascending-k order, so results are bit-identical to the naive i-k-j loop
-// regardless of how rows are grouped or ranges are split.
-func gemmRange(c, a, b *Dense, lo, hi int) {
-	k := a.ColsN
-	n := b.ColsN
-	for kk := 0; kk < k; kk += gemmBlock {
-		kmax := kk + gemmBlock
-		if kmax > k {
-			kmax = k
-		}
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			a0 := a.Data[i*k:]
-			a1 := a.Data[(i+1)*k:]
-			a2 := a.Data[(i+2)*k:]
-			a3 := a.Data[(i+3)*k:]
-			c0 := c.Data[i*n : (i+1)*n]
-			c1 := c.Data[(i+1)*n : (i+2)*n : (i+2)*n]
-			c2 := c.Data[(i+2)*n : (i+3)*n : (i+3)*n]
-			c3 := c.Data[(i+3)*n : (i+4)*n : (i+4)*n]
-			for p := kk; p < kmax; p++ {
-				v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
-				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-					continue
-				}
-				brow := b.Data[p*n : (p+1)*n]
-				for j, bv := range brow {
-					c0[j] += v0 * bv
-					c1[j] += v1 * bv
-					c2[j] += v2 * bv
-					c3[j] += v3 * bv
-				}
-			}
-		}
-		for ; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			crow := c.Data[i*n : (i+1)*n]
-			for p := kk; p < kmax; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[p*n : (p+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
-	}
 }
 
 // CSRMulDense computes C += A×B where A is CSR and B dense — the

@@ -14,12 +14,15 @@ import (
 // This is the one copy of the seed kernels. The current kernels' cost inside
 // a real job is the repository benchmark's matrix.kernel_ms / matrix.gflops.
 
+// seedGemmBlock was the seed kernel's k-tiling factor.
+const seedGemmBlock = 64
+
 // seedGemm is the seed's i-k-j loop with k-tiling and zero skip, serial.
 func seedGemm(c, a, b *Dense) {
 	k := a.ColsN
 	n := b.ColsN
-	for kk := 0; kk < k; kk += gemmBlock {
-		kmax := kk + gemmBlock
+	for kk := 0; kk < k; kk += seedGemmBlock {
+		kmax := kk + seedGemmBlock
 		if kmax > k {
 			kmax = k
 		}
@@ -124,7 +127,16 @@ func BenchmarkGemm(b *testing.B) {
 			}
 			reportGFlops(b, flops)
 		})
-		b.Run(benchName("current", size), func(b *testing.B) {
+		b.Run(benchName("fallback", size), func(b *testing.B) {
+			useKernel(b, false)
+			for i := 0; i < b.N; i++ {
+				c.Zero()
+				Gemm(c, x, y)
+			}
+			reportGFlops(b, flops)
+		})
+		b.Run(benchName("simd", size), func(b *testing.B) {
+			useKernel(b, true)
 			for i := 0; i < b.N; i++ {
 				c.Zero()
 				Gemm(c, x, y)
@@ -132,6 +144,18 @@ func BenchmarkGemm(b *testing.B) {
 			reportGFlops(b, flops)
 		})
 	}
+}
+
+// useKernel selects the micro-kernel (true, where there is one) or the
+// portable loop for the rest of a test or benchmark.
+func useKernel(tb testing.TB, avx2 bool) {
+	tb.Helper()
+	old := simd
+	if avx2 && !old {
+		tb.Skip("no AVX2 micro-kernel in this build or on this CPU")
+	}
+	simd = avx2
+	tb.Cleanup(func() { simd = old })
 }
 
 func BenchmarkCSRMulDense(b *testing.B) {
@@ -188,9 +212,9 @@ func BenchmarkCSRMulCSR(b *testing.B) {
 	// PageRank-style hypersparse rows are covered by the "sparse" case.
 	rng := rand.New(rand.NewSource(4))
 	cases := []struct {
-		name     string
-		da, db   float64
-		m, k, n  int
+		name    string
+		da, db  float64
+		m, k, n int
 	}{
 		{"sparse", 0.002, 0.002, 2048, 2048, 2048},
 		{"denseRows", 0.05, 0.05, 512, 512, 512},

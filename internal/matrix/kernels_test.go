@@ -37,8 +37,9 @@ func TestGemmMatchesNaive(t *testing.T) {
 }
 
 func TestGemmParallelPathMatchesNaive(t *testing.T) {
+	forceParallel(t) // 160×140×90 is under gemmFlopsThreshold
+	SetKernelWorkers(4)
 	rng := rand.New(rand.NewSource(11))
-	// Force the parallel path: result must exceed parallelThreshold.
 	a := RandomDense(rng, 160, 90)
 	b := RandomDense(rng, 90, 140)
 	c := NewDense(160, 140)

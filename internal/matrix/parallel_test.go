@@ -11,10 +11,10 @@ import (
 // package gates is safe.
 func forceParallel(t *testing.T) {
 	t.Helper()
-	oldPar, oldSparse := parallelThreshold, sparseFlopsThreshold
-	parallelThreshold, sparseFlopsThreshold = 1, 1
+	oldPar, oldSparse := gemmFlopsThreshold, sparseFlopsThreshold
+	gemmFlopsThreshold, sparseFlopsThreshold = 1, 1
 	t.Cleanup(func() {
-		parallelThreshold, sparseFlopsThreshold = oldPar, oldSparse
+		gemmFlopsThreshold, sparseFlopsThreshold = oldPar, oldSparse
 		SetKernelWorkers(0)
 	})
 }
