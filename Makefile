@@ -6,8 +6,9 @@ build:
 	$(GO) build ./...
 
 # The second run builds the packages on the local-multiply path with the
-# purego tag, which leaves the AVX2 micro-kernel out: the portable dense
-# loop every non-AVX2 machine runs is exercised on the amd64 runner too.
+# purego tag, which leaves the AVX2 micro-kernels out: the portable dense
+# and sparse loops every non-AVX2 machine runs are exercised on the amd64
+# runner too.
 test:
 	$(GO) test ./...
 	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/distnet
@@ -74,8 +75,12 @@ bench-e2e:
 # Full benchmark sweep (paper tables/figures + kernels + end-to-end). The
 # seed-vs-current kernel numbers come from here: internal/matrix keeps the
 # seed kernels beside the current ones, and
-#   go test -bench 'Gemm|CSRMulDense|DenseMulCSC|CSRMulCSR' ./internal/matrix
-# prints the rows of each side by side (Gemm: seed, fallback, simd).
+#   go test -bench 'Gemm|CSRMulDense|DenseMulCSC|CSRMulCSR' -cpu 1,2 ./internal/matrix
+# prints the rows of each side by side — seed, fallback (the portable
+# loop) and simd (the AVX2 micro-kernel) for Gemm and the two sparse–dense
+# products, which also run the block shapes of the repository benchmark;
+# DenseMulCSC adds a packed row, the product as a cuboid tile runs it.
+# BenchmarkSparseFanout is the measurement behind sparseFlopsThreshold.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -38,8 +38,14 @@ func leftWork(a matrix.Block) float64 {
 }
 
 // PairFlops is the arithmetic of one block product A_{i,k}·B_{k,j}: dense
-// GEMM is 2·m·k·n, a sparse left operand 2·nnz·n (cusparseDcsrmm's work).
+// GEMM is 2·m·k·n, and a sparse operand on either side takes part with its
+// stored entries only — 2·nnz(A)·n on the left (cusparseDcsrmm's work),
+// 2·m·nnz(B) on the right under a dense A.
 func PairFlops(a, b matrix.Block) float64 {
+	if a.Format() == matrix.FormatDense && b.Format() != matrix.FormatDense {
+		m, _ := a.Dims()
+		return 2 * float64(m) * float64(b.NNZ())
+	}
 	_, n := b.Dims()
 	return 2 * leftWork(a) * float64(n)
 }
@@ -52,13 +58,15 @@ func PairFlops(a, b matrix.Block) float64 {
 // when not nil, holds the accumulators of an earlier call over a lower k
 // range of the same (i,j) extent and is continued in place.
 //
-// The box, not the block, is the unit of packing and of parallelism: each
-// dense B block is packed for the micro-kernel once and reused down the
-// box's i range, and the (i,j) tiles fan out over up to
-// matrix.KernelWorkers goroutines with every product inside a tile serial.
-// A tile is computed by one goroutine in ascending k, so the bits are those
-// of the per-block matrix.MulAdd chain at any width. The lookups are called
-// from this goroutine only.
+// The box, not the block, is the unit of packing and of parallelism. Each
+// operand block is prepared for the micro-kernels once and reused across
+// the box: a dense B block packed into column panels (down the i range), a
+// dense A block that meets sparse B blocks transposed (across the j range),
+// a CSR B block under a dense A converted to CSC. The (i,j) tiles fan out
+// over up to matrix.KernelWorkers goroutines with every product inside a
+// tile serial. A tile is computed by one goroutine in ascending k, so the
+// bits are those of the per-block matrix.MulAdd chain at any width. The
+// lookups are called from this goroutine only.
 func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc []*matrix.Dense) ([]*matrix.Dense, float64) {
 	ni, nj, nk := box.IHi-box.ILo, box.JHi-box.JLo, box.KHi-box.KLo
 	if ni <= 0 || nj <= 0 {
@@ -71,21 +79,26 @@ func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc 
 		return acc, 0
 	}
 
-	// B first: bCols[k] is the width of the blocks present in its row k, so
-	// that an A block's flops are 2·work·bCols[k] without a walk over j.
+	// B first, so that an A block's flops (PairFlops over its block row of
+	// B) need no walk over j.
 	bs := make([]matrix.Block, nk*nj)
-	bCols := make([]float64, nk)
+	rows := make([]bRow, nk)
 	for k := 0; k < nk; k++ {
 		for j := 0; j < nj; j++ {
 			if blk := lookupB(box.KLo+k, box.JLo+j); blk != nil {
 				bs[k*nj+j] = blk
 				_, n := blk.Dims()
-				bCols[k] += float64(n)
+				rows[k].cols += float64(n)
+				if blk.Format() == matrix.FormatDense {
+					rows[k].denseCols += float64(n)
+				} else {
+					rows[k].sparse = true
+					rows[k].sparseNNZ += blk.NNZ()
+				}
 			}
 		}
 	}
 	as := make([]matrix.Block, ni*nk)
-	denseRows := make([]int, nk) // rows of dense A that meet B's block row k
 	var flops float64
 	for i := 0; i < ni; i++ {
 		for k := 0; k < nk; k++ {
@@ -94,15 +107,21 @@ func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc 
 				continue
 			}
 			as[i*nk+k] = blk
-			flops += 2 * leftWork(blk) * bCols[k]
 			if d, ok := blk.(*matrix.Dense); ok {
-				denseRows[k] += d.RowsN
+				rows[k].denseRows += d.RowsN
+				flops += 2 * float64(d.RowsN) * (float64(d.ColsN)*rows[k].denseCols + float64(rows[k].sparseNNZ))
+			} else {
+				flops += 2 * leftWork(blk) * rows[k].cols
 			}
 		}
 	}
 
-	if ni*nj == 1 {
-		// Nothing to fan out over: the bare kernels gate their own.
+	workers := 1
+	if flops >= boxFanoutFlops {
+		workers = matrix.KernelWorkers()
+	}
+	if ni*nj == 1 && workers > 1 {
+		// Nothing to fan out over: the bare kernels split their own rows.
 		for k := 0; k < nk; k++ {
 			if as[k] != nil && bs[k] != nil {
 				acc[0] = matrix.MulAdd(acc[0], as[k], bs[k])
@@ -111,41 +130,125 @@ func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc 
 		return acc, flops
 	}
 
-	workers := 1
-	if flops >= boxFanoutFlops {
-		workers = matrix.KernelWorkers()
-	}
-	packed := make([]matrix.PackedB, nk*nj)
+	// Prepare each operand block for the side of it that is dense: rights[t]
+	// serves the dense A blocks of B block t's row, lefts[t] the sparse B
+	// blocks of A block t's column.
+	rights := make([]preparedB, nk*nj)
 	parallelFor(nk*nj, workers, func(t int) {
-		if d, ok := bs[t].(*matrix.Dense); ok {
-			packed[t] = matrix.PackB(d, denseRows[t/nj])
+		if r := rows[t/nj]; r.denseRows > 0 {
+			rights[t] = prepareB(bs[t], r.denseRows)
+		}
+	})
+	lefts := make([]matrix.PackedA, ni*nk)
+	parallelFor(ni*nk, workers, func(t int) {
+		if d, ok := as[t].(*matrix.Dense); ok && rows[t%nk].sparse {
+			lefts[t] = matrix.PackA(d, rows[t%nk].sparseNNZ)
 		}
 	})
 	parallelFor(ni*nj, workers, func(t int) {
 		i, j := t/nj, t%nj
-		c := acc[t]
+		tile := tileAcc{c: acc[t]}
 		for k := 0; k < nk; k++ {
-			ab, bb := as[i*nk+k], bs[k*nj+j]
-			if ab == nil || bb == nil {
-				continue
-			}
-			ad, aDense := ab.(*matrix.Dense)
-			bd, bDense := bb.(*matrix.Dense)
-			if aDense && bDense {
-				if c == nil {
-					c = matrix.GetDense(ad.RowsN, bd.ColsN)
-				}
-				matrix.GemmPacked(c, ad, packed[k*nj+j])
-			} else {
-				c = matrix.MulAdd(c, ab, bb)
+			if ab, bb := as[i*nk+k], bs[k*nj+j]; ab != nil && bb != nil {
+				tile.mulAdd(ab, bb, lefts[i*nk+k], rights[k*nj+j])
 			}
 		}
-		acc[t] = c
+		acc[t] = tile.rowMajor()
 	})
-	for _, pb := range packed {
-		pb.Release()
+	for _, r := range rights {
+		r.packed.Release()
+	}
+	for _, l := range lefts {
+		l.Release()
 	}
 	return acc, flops
+}
+
+// bRow is what MultiplyBox knows of one block row of B inside the box.
+type bRow struct {
+	cols      float64 // width of the blocks present,
+	denseCols float64 // of the dense ones among them
+	sparse    bool    // some are CSR or CSC,
+	sparseNNZ int     // holding this many entries
+	denseRows int     // rows of the dense A blocks that meet this block row
+}
+
+// preparedB is a B block as the dense A blocks of its row multiply against
+// it: a dense block packed into column panels, a sparse one in CSC.
+type preparedB struct {
+	packed matrix.PackedB
+	csc    *matrix.CSC
+}
+
+func prepareB(b matrix.Block, denseRows int) preparedB {
+	switch b := b.(type) {
+	case *matrix.Dense:
+		return preparedB{packed: matrix.PackB(b, denseRows)}
+	case *matrix.CSR:
+		return preparedB{csc: matrix.NewCSCFromCSR(b)}
+	case *matrix.CSC:
+		return preparedB{csc: b}
+	}
+	return preparedB{}
+}
+
+// tileAcc is one (i,j) accumulator while its k chain runs. Products of a
+// transposed dense A block against sparse B accumulate into ct, the
+// transpose of the tile; it is kept across a run of them and turned back
+// into c before any other kind of product and at the end of the chain.
+type tileAcc struct {
+	c, ct *matrix.Dense
+}
+
+// rowMajor settles the accumulator into c and returns it.
+func (t *tileAcc) rowMajor() *matrix.Dense {
+	if t.ct != nil {
+		if t.c == nil {
+			t.c = matrix.GetDense(t.ct.ColsN, t.ct.RowsN)
+		}
+		matrix.TransposeInto(t.c, t.ct)
+		matrix.PutDense(t.ct)
+		t.ct = nil
+	}
+	return t.c
+}
+
+// mulAdd adds a·b to the tile on this goroutine, in the arithmetic of
+// matrix.MulAdd.
+func (t *tileAcc) mulAdd(a, b matrix.Block, left matrix.PackedA, right preparedB) {
+	m, _ := a.Dims()
+	_, n := b.Dims()
+	if right.csc != nil && left.Transposed() {
+		if t.ct == nil {
+			t.ct = matrix.GetDense(n, m)
+			if t.c != nil {
+				matrix.TransposeInto(t.ct, t.c)
+			}
+		}
+		matrix.DenseMulCSCPacked(t.ct, left, right.csc)
+		return
+	}
+	c := t.rowMajor()
+	if c == nil {
+		c = matrix.GetDense(m, n)
+		t.c = c
+	}
+	switch a := a.(type) {
+	case *matrix.Dense:
+		if right.csc != nil {
+			matrix.DenseMulCSCPacked(c, left, right.csc)
+		} else {
+			matrix.GemmPacked(c, a, right.packed)
+		}
+	case *matrix.CSR:
+		if bd, ok := b.(*matrix.Dense); ok {
+			matrix.CSRMulDenseSerial(c, a, bd)
+		} else {
+			matrix.MulAdd(c, a, b)
+		}
+	default:
+		matrix.MulAdd(c, a, b)
+	}
 }
 
 // parallelFor calls fn(0..n-1), each index once, from up to workers

@@ -55,59 +55,127 @@ func sameTiles(t *testing.T, what string, got, want []*matrix.Dense) {
 	}
 }
 
-// TestMultiplyBoxMatchesMulAddChain: on a ragged-edge grid with dense,
-// sparse and absent blocks, the box kernel — packed B, tiles fanned out —
-// has the bits of the per-block MulAdd chain at every width, whole or
-// continued over two k ranges, and counts the chain's flops.
+// kindGrid builds a rows×cols block matrix whose block (i,j) has the kind
+// kinds[i][j] names: 'd' dense, 'r' CSR, 'c' CSC, any other byte absent.
+// Sparse blocks hold the given fraction of entries.
+func kindGrid(rng *rand.Rand, rows, cols, blockSize int, density float64, kinds ...string) *bmat.BlockMatrix {
+	m := bmat.New(rows, cols, blockSize)
+	for i, row := range kinds {
+		for j, kind := range []byte(row) {
+			r, c := m.BlockDims(i, j)
+			switch kind {
+			case 'd':
+				m.SetBlock(i, j, matrix.RandomDense(rng, r, c))
+			case 'r':
+				m.SetBlock(i, j, matrix.RandomSparse(rng, r, c, density))
+			case 'c':
+				m.SetBlock(i, j, matrix.NewCSCFromCSR(matrix.RandomSparse(rng, r, c, density)))
+			}
+		}
+	}
+	return m
+}
+
+// TestMultiplyBoxMatchesMulAddChain: on ragged-edge grids of dense, CSR,
+// CSC and absent blocks, the box kernel — operands packed, transposed and
+// converted once per box, tiles fanned out, a tile's accumulator turned
+// between layouts as its chain changes kind — has the bits of the
+// per-block MulAdd chain at every width, whole or continued over two k
+// ranges, and counts the chain's flops.
 func TestMultiplyBoxMatchesMulAddChain(t *testing.T) {
 	t.Cleanup(func() { matrix.SetKernelWorkers(0) })
 	rng := rand.New(rand.NewSource(301))
 	// 300×410 · 410×275 in 128-blocks: 3×4 and 4×3 grids, every edge ragged.
-	a := bmat.RandomDense(rng, 300, 410, 128)
-	b := bmat.RandomDense(rng, 410, 275, 128)
-	r, c := a.BlockDims(1, 2)
-	a.SetBlock(1, 2, matrix.RandomSparse(rng, r, c, 0.05))
-	a.SetBlock(2, 0, nil)
-	r, c = b.BlockDims(3, 1)
-	b.SetBlock(3, 1, matrix.RandomSparse(rng, r, c, 0.1))
-	b.SetBlock(0, 2, nil)
-
-	boxes := []Box{
-		{IHi: 3, JHi: 3, KHi: 4},                         // the whole product
-		{ILo: 1, IHi: 3, JLo: 1, JHi: 3, KLo: 1, KHi: 4}, // an interior cuboid
-		{ILo: 2, IHi: 3, JLo: 2, JHi: 3, KHi: 4},         // one tile: the bare kernels
-		{IHi: 3, JHi: 3, KLo: 2, KHi: 2},                 // empty k range
+	whole := Box{IHi: 3, JHi: 3, KHi: 4}
+	grids := []struct {
+		name  string
+		a, b  *bmat.BlockMatrix
+		boxes []Box
+	}{
+		{
+			name: "dense with sparse spots",
+			a:    kindGrid(rng, 300, 410, 128, 0.05, "dddd", "ddrd", ".ddd"),
+			b:    kindGrid(rng, 410, 275, 128, 0.1, "dd.", "ddd", "ddd", "drd"),
+			boxes: []Box{
+				whole,
+				{ILo: 1, IHi: 3, JLo: 1, JHi: 3, KLo: 1, KHi: 4}, // an interior cuboid
+				{ILo: 2, IHi: 3, JLo: 2, JHi: 3, KHi: 4},         // one tile, too small to fan out
+				{IHi: 1, JHi: 1, KHi: 4},                         // one tile: the bare kernels split its rows
+				{IHi: 3, JHi: 3, KLo: 2, KHi: 2},                 // empty k range
+			},
+		},
+		{
+			// GNMF's Wᵀ·V: every A block transposed once, every CSR block
+			// of B converted once, the accumulators transposed throughout.
+			name:  "dense times sparse",
+			a:     kindGrid(rng, 300, 410, 128, 0, "dddd", "dddd", "dddd"),
+			b:     kindGrid(rng, 410, 275, 128, 0.05, "rrc", "rcr", "r.r", "crr"),
+			boxes: []Box{whole, {ILo: 1, IHi: 2, JHi: 3, KHi: 4}, {ILo: 2, IHi: 3, JLo: 1, JHi: 2, KHi: 4}, {IHi: 1, JHi: 1, KHi: 4}},
+		},
+		{
+			// GNMF's V·Hᵀ.
+			name:  "sparse times dense",
+			a:     kindGrid(rng, 300, 410, 128, 0.05, "rrrr", "r.rr", "rrrr"),
+			b:     kindGrid(rng, 410, 275, 128, 0, "ddd", "ddd", "ddd", "ddd"),
+			boxes: []Box{whole, {IHi: 3, JLo: 2, JHi: 3, KHi: 4}},
+		},
+		{
+			// Every pair kind in one chain: the accumulator of a tile goes
+			// row-major, transposed and back as k advances.
+			name:  "mixed kinds",
+			a:     kindGrid(rng, 300, 410, 128, 0.05, "ddrd", "drcd", "cddr"),
+			b:     kindGrid(rng, 410, 275, 128, 0.05, "rdc", "drr", "ccd", "rdr"),
+			boxes: []Box{whole, {ILo: 1, IHi: 3, JHi: 2, KLo: 1, KHi: 4}},
+		},
+		{
+			// A dense A under PackA's threshold — three rows, or blocks of B
+			// with entries for under a quarter of A's columns — is read in
+			// place.
+			name:  "under the pack threshold",
+			a:     kindGrid(rng, 3, 410, 128, 0, "dddd"),
+			b:     kindGrid(rng, 410, 275, 128, 0.05, "rrc", "rcr", "r.r", "crr"),
+			boxes: []Box{{IHi: 1, JHi: 3, KHi: 4}},
+		},
+		{
+			name:  "sparser than the pack threshold",
+			a:     kindGrid(rng, 300, 410, 128, 0, "dddd", "dddd", "dddd"),
+			b:     kindGrid(rng, 410, 275, 128, 0.001, "r..", ".c.", "r..", "..r"),
+			boxes: []Box{whole},
+		},
 	}
-	for _, box := range boxes {
-		matrix.SetKernelWorkers(1)
-		want := mulAddChain(box, a, b)
-		var wantFlops float64
-		for i := box.ILo; i < box.IHi; i++ {
-			for k := box.KLo; k < box.KHi; k++ {
-				for j := box.JLo; j < box.JHi; j++ {
-					if ab, bb := a.Block(i, k), b.Block(k, j); ab != nil && bb != nil {
-						wantFlops += PairFlops(ab, bb)
+	for _, g := range grids {
+		a, b := g.a, g.b
+		for _, box := range g.boxes {
+			matrix.SetKernelWorkers(1)
+			want := mulAddChain(box, a, b)
+			var wantFlops float64
+			for i := box.ILo; i < box.IHi; i++ {
+				for k := box.KLo; k < box.KHi; k++ {
+					for j := box.JLo; j < box.JHi; j++ {
+						if ab, bb := a.Block(i, k), b.Block(k, j); ab != nil && bb != nil {
+							wantFlops += PairFlops(ab, bb)
+						}
 					}
 				}
 			}
-		}
-		for _, w := range []int{1, 2, 3} {
-			matrix.SetKernelWorkers(w)
-			got, flops := MultiplyBox(box, a.Block, b.Block, nil)
-			sameTiles(t, "whole k range", got, want)
-			if flops != wantFlops {
-				t.Fatalf("box %+v: %v flops, the block pairs sum to %v", box, flops, wantFlops)
-			}
-			// The gpu streaming order: the same tiles continued over two k
-			// sub-ranges.
-			mid := (box.KLo + box.KHi) / 2
-			lo, hi := box, box
-			lo.KHi, hi.KLo = mid, mid
-			acc, f1 := MultiplyBox(lo, a.Block, b.Block, nil)
-			acc, f2 := MultiplyBox(hi, a.Block, b.Block, acc)
-			sameTiles(t, "two k ranges", acc, want)
-			if f1+f2 != wantFlops {
-				t.Fatalf("box %+v split at k=%d: %v + %v flops, want %v", box, mid, f1, f2, wantFlops)
+			for _, w := range []int{1, 2, 3} {
+				matrix.SetKernelWorkers(w)
+				got, flops := MultiplyBox(box, a.Block, b.Block, nil)
+				sameTiles(t, g.name+": whole k range", got, want)
+				if flops != wantFlops {
+					t.Fatalf("%s: box %+v: %v flops, the block pairs sum to %v", g.name, box, flops, wantFlops)
+				}
+				// The gpu streaming order and the resident pipeline's band
+				// order: the same tiles continued over two k sub-ranges.
+				mid := (box.KLo + box.KHi) / 2
+				lo, hi := box, box
+				lo.KHi, hi.KLo = mid, mid
+				acc, f1 := MultiplyBox(lo, a.Block, b.Block, nil)
+				acc, f2 := MultiplyBox(hi, a.Block, b.Block, acc)
+				sameTiles(t, g.name+": two k ranges", acc, want)
+				if f1+f2 != wantFlops {
+					t.Fatalf("%s: box %+v split at k=%d: %v + %v flops, want %v", g.name, box, mid, f1, f2, wantFlops)
+				}
 			}
 		}
 	}

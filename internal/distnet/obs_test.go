@@ -1,6 +1,7 @@
 package distnet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"distme/internal/core"
 	"distme/internal/matrix"
 	"distme/internal/obs"
+	"distme/internal/plan"
 )
 
 // startTracedWorkers is startWorkers with a shared tracer, so worker-side
@@ -331,6 +333,11 @@ func TestWorkerServeDebug(t *testing.T) {
 	if !got.ToDense().EqualApprox(want, 1e-9) {
 		t.Fatal("product wrong")
 	}
+	// The same product once more as a resident pipeline operator.
+	s := newSession(t, d)
+	if _, err := s.Run(context.Background(), plan.Mul(plan.V("a"), plan.V("a")), putAll(t, s, map[string]*bmat.BlockMatrix{"a": a})); err != nil {
+		t.Fatal(err)
+	}
 
 	resp, err := http.Get(fmt.Sprintf("http://%s/debug/distme", srv.Addr()))
 	if err != nil {
@@ -359,29 +366,31 @@ func TestWorkerServeDebug(t *testing.T) {
 	}
 	// The page names the dense kernel, and every compute span carries its
 	// cuboid's flops (two 4³ block products each) and the kernel that ran
-	// them: GFLOP/s per cuboid is flops over the span's duration.
+	// them: GFLOP/s per cuboid is flops over the span's duration. So does
+	// the pipeline multiply's worker.exec span (eight 4³ products).
 	var page struct {
 		Kernel string `json:"kernel"`
 	}
 	if err := json.Unmarshal(body, &page); err != nil || page.Kernel != matrix.KernelName() {
 		t.Errorf("page kernel = %q (%v), want %q", page.Kernel, err, matrix.KernelName())
 	}
-	computes := 0
+	wantFlops := map[string]string{"worker.compute": "256", "worker.exec": "1024"}
+	seen := map[string]int{}
 	for _, s := range snap.Trace.Recent {
-		if s.Name != "worker.compute" {
+		if wantFlops[s.Name] == "" {
 			continue
 		}
-		computes++
+		seen[s.Name]++
 		attrs := map[string]string{}
 		for _, a := range s.Attrs {
 			attrs[a.Key] = a.Value
 		}
-		if attrs["flops"] != "256" || attrs["kernel"] != matrix.KernelName() {
-			t.Errorf("worker.compute span %d: flops=%q kernel=%q, want 256 and %q", s.ID, attrs["flops"], attrs["kernel"], matrix.KernelName())
+		if attrs["flops"] != wantFlops[s.Name] || attrs["kernel"] != matrix.KernelName() {
+			t.Errorf("%s span %d: flops=%q kernel=%q, want %s and %q", s.Name, s.ID, attrs["flops"], attrs["kernel"], wantFlops[s.Name], matrix.KernelName())
 		}
 	}
-	if computes != 4 {
-		t.Errorf("%d worker.compute spans among the recent ones, want 4", computes)
+	if seen["worker.compute"] != 4 || seen["worker.exec"] != 1 {
+		t.Errorf("%d worker.compute and %d worker.exec spans among the recent ones, want 4 and 1", seen["worker.compute"], seen["worker.exec"])
 	}
 }
 

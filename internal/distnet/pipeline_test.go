@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"distme/internal/bmat"
+	"distme/internal/core"
+	"distme/internal/engine"
 	"distme/internal/matrix"
 	"distme/internal/ml"
 	"distme/internal/plan"
@@ -402,6 +404,55 @@ func TestGNMFPipelineMatchesMaterialized(t *testing.T) {
 	bitIdentical(t, got.W, w)
 	bitIdentical(t, got.H, h)
 	requireResidentSaves(t, "gnmf", materializedBytes, residentBytes)
+}
+
+// TestGNMFUpdatesMatchEngine runs one H update and one W update as resident
+// pipelines — Wᵀ·V a Dense×CSR box with its accumulators transposed, V·Hᵀ
+// a CSR×Dense one, band by band through core.MultiplyBox — and compares
+// each with engine.Run at one cuboid per multiplication, where every
+// output block accumulates k-ascending as the band exchange does: bit for
+// bit, on whichever kernel this build selects (make test runs it again
+// under -tags purego). Rank 22 leaves two lanes to the portable remainder
+// loops beside the vector ones.
+func TestGNMFUpdatesMatchEngine(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(71))
+	inputs := map[string]*bmat.BlockMatrix{
+		"v": bmat.RandomSparse(rng, 160, 128, 32, 0.1),
+		"w": bmat.RandomDense(rng, 160, 22, 32),
+		"h": bmat.RandomDense(rng, 22, 128, 32),
+	}
+	addrs, _ := startWorkers(t, 2)
+	d, err := Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := newSession(t, d)
+	binds := putAll(t, s, inputs)
+	eng := localEngine(t)
+	defer eng.Close()
+
+	for _, upd := range []struct {
+		name string
+		expr plan.Expr
+	}{{"h", ml.GNMFHExpr()}, {"w", ml.GNMFWExpr()}} {
+		out, err := s.Run(ctx, upd.expr, binds)
+		if err != nil {
+			t.Fatalf("%s update: %v", upd.name, err)
+		}
+		got, err := s.Fetch(ctx, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := eng.Run(ctx, upd.expr, inputs, engine.WithParams(core.Params{P: 1, Q: 1, R: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitIdentical(t, got, want)
+		// The W update reads the H this one wrote.
+		binds[upd.name], inputs[upd.name] = out, want
+	}
 }
 
 // TestPageRankHandlesMatchesDriver compares PageRankHandles against the

@@ -119,20 +119,30 @@ func (w *Worker) beginReadRPC() bool {
 // slots (16M: a 4096×4096-block face).
 const maxBoxFace = 1 << 24
 
+// checkBox refuses a box core.MultiplyBox should not size its block tables
+// from. Boxes arrive off the wire — a cuboid's in its request, a pipeline
+// band's as the extent of a peer's block keys — and no real one has a face
+// of more than maxBoxFace block slots.
+func checkBox(box core.Box) error {
+	ni, nj, nk := box.IHi-box.ILo, box.JHi-box.JLo, box.KHi-box.KLo
+	if ni < 0 || nj < 0 || nk < 0 {
+		return fmt.Errorf("distnet: malformed cuboid box")
+	}
+	if max(ni, nj, nk) > maxBoxFace || max(ni*nk, nk*nj, ni*nj) > maxBoxFace {
+		return fmt.Errorf("distnet: malformed cuboid box: %dx%dx%d blocks", ni, nj, nk)
+	}
+	return nil
+}
+
 // computeCuboid runs one cuboid through core.MultiplyBox — the arithmetic
 // of core.CPUMultiplier, against the blocks the request carries — and
 // reports the flops spent. It is shared by the remote worker and the
 // driver's local fallback, so a cuboid computes bit-identically wherever it
 // lands.
 func computeCuboid(args *MultiplyArgs, reply *MultiplyReply) (flops float64, err error) {
-	ni, nj, nk := args.IHi-args.ILo, args.JHi-args.JLo, args.KHi-args.KLo
-	if ni < 0 || nj < 0 || nk < 0 {
-		return 0, fmt.Errorf("distnet: malformed cuboid box")
-	}
-	// The box arrives off the wire and sizes the kernel's block tables: no
-	// real cuboid has a face of more than maxBoxFace block slots.
-	if max(ni, nj, nk) > maxBoxFace || max(ni*nk, nk*nj, ni*nj) > maxBoxFace {
-		return 0, fmt.Errorf("distnet: malformed cuboid box: %dx%dx%d blocks", ni, nj, nk)
+	box := core.Box{ILo: args.ILo, IHi: args.IHi, JLo: args.JLo, JHi: args.JHi, KLo: args.KLo, KHi: args.KHi}
+	if err := checkBox(box); err != nil {
+		return 0, err
 	}
 	aBlocks := make(map[bmat.BlockKey]matrix.Block, len(args.ABlocks))
 	for _, r := range args.ABlocks {
@@ -142,7 +152,6 @@ func computeCuboid(args *MultiplyArgs, reply *MultiplyReply) (flops float64, err
 	for _, r := range args.BBlocks {
 		bBlocks[r.Key] = r.Block
 	}
-	box := core.Box{ILo: args.ILo, IHi: args.IHi, JLo: args.JLo, JHi: args.JHi, KLo: args.KLo, KHi: args.KHi}
 	tiles, flops := core.MultiplyBox(box,
 		func(i, k int) matrix.Block { return aBlocks[bmat.BlockKey{I: i, J: k}] },
 		func(k, j int) matrix.Block { return bBlocks[bmat.BlockKey{I: k, J: j}] }, nil)

@@ -3,6 +3,7 @@ package distnet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/rpc"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"distme/internal/bmat"
+	"distme/internal/core"
 	"distme/internal/matrix"
 	"distme/internal/obs"
 )
@@ -218,7 +220,7 @@ func (w *Worker) ExecOp(args *ExecArgs, reply *ExecReply) error {
 		sp.SetAttr("op", fmt.Sprintf("%d", args.Op))
 		sp.SetAttr("out", fmt.Sprintf("%d", args.Out))
 	}
-	out, peerBytes, err := w.execOp(args)
+	out, peerBytes, flops, err := w.execOp(args)
 	if err != nil {
 		if sp.Active() {
 			sp.SetAttr("error", err.Error())
@@ -231,6 +233,12 @@ func (w *Worker) ExecOp(args *ExecArgs, reply *ExecReply) error {
 	reply.PeerBytes = peerBytes
 	if sp.Active() {
 		sp.SetAttr("blocks", fmt.Sprintf("%d", len(out)))
+		if args.Op == execMul {
+			// With the span's duration, the operator's GFLOP/s — fetch waits
+			// the one-ahead prefetch did not hide included.
+			sp.SetAttr("flops", fmt.Sprintf("%.0f", flops))
+			sp.SetAttr("kernel", matrix.KernelName())
+		}
 	}
 	sp.End()
 	return nil
@@ -246,85 +254,46 @@ func (w *Worker) localBand(id uint64) (map[bmat.BlockKey]matrix.Block, error) {
 }
 
 // execOp dispatches one pipeline operator, additionally reporting the
-// worker→worker payload bytes the operator moved.
-func (w *Worker) execOp(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, error) {
+// worker→worker payload bytes the operator moved and, for a multiply, the
+// flops it spent.
+func (w *Worker) execOp(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, float64, error) {
 	switch args.Op {
 	case execMul:
 		return w.execMul(args)
 	case execTranspose:
-		return w.execTranspose(args)
+		out, peerBytes, err := w.execTranspose(args)
+		return out, peerBytes, 0, err
 	case execScale:
 		a, err := w.localBand(args.A)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		out := make(map[bmat.BlockKey]matrix.Block, len(a))
 		for k, blk := range a {
 			out[k] = matrix.Scale(args.Scalar, blk)
 		}
-		return out, 0, nil
+		return out, 0, 0, nil
 	case execAdd, execSub, execHadamard, execDivElem:
 		out, err := w.execZip(args)
-		return out, 0, err
+		return out, 0, 0, err
 	default:
-		return nil, 0, fmt.Errorf("distnet: unknown pipeline op %d", args.Op)
+		return nil, 0, 0, fmt.Errorf("distnet: unknown pipeline op %d", args.Op)
 	}
-}
-
-// mulBand accumulates (A rows [lo,hi)) × (one row band of B) into acc. Sorted
-// j and ascending k keep the accumulation order identical to computeCuboid's
-// regardless of which worker runs the band; called once per band in
-// ascending-k band order, the concatenation is the whole-B order, so streaming
-// B band by band accumulates exactly as one pass over the whole of B would.
-func mulBand(acc map[bmat.BlockKey]*matrix.Dense, aBlocks, bBand map[bmat.BlockKey]matrix.Block, lo, hi int) {
-	ksByJ := map[int][]int{}
-	for k := range bBand {
-		ksByJ[k.J] = append(ksByJ[k.J], k.I)
-	}
-	js := make([]int, 0, len(ksByJ))
-	for j, ks := range ksByJ {
-		sort.Ints(ks)
-		js = append(js, j)
-	}
-	sort.Ints(js)
-	for i := lo; i < hi; i++ {
-		for _, j := range js {
-			key := bmat.BlockKey{I: i, J: j}
-			a := acc[key]
-			for _, k := range ksByJ[j] {
-				ab := aBlocks[bmat.BlockKey{I: i, J: k}]
-				bb := bBand[bmat.BlockKey{I: k, J: j}]
-				if ab == nil || bb == nil {
-					continue
-				}
-				a = matrix.MulAdd(a, ab, bb)
-			}
-			if a != nil {
-				acc[key] = a
-			}
-		}
-	}
-}
-
-// denseBlocks widens an accumulator map to the store's block map.
-func denseBlocks(acc map[bmat.BlockKey]*matrix.Dense) map[bmat.BlockKey]matrix.Block {
-	out := make(map[bmat.BlockKey]matrix.Block, len(acc))
-	for k, a := range acc {
-		out[k] = a
-	}
-	return out
 }
 
 // execMul computes this worker's C band: C rows are co-partitioned with A
 // rows, so the A band is local while B — the (W−1)/W worker→worker movement
 // Eq.(4)'s pipeline extension prices — streams in band by band: while one
-// band multiplies, the next prefetches (one ahead). Bands are disjoint row
-// ranges taken in ascending-k order, which fixes the per-(i,j) accumulation
-// order and therefore every fp64 bit (mulBand).
-func (w *Worker) execMul(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, error) {
+// band multiplies, the next prefetches (one ahead). Each band is one
+// core.MultiplyBox over the output rows and the band's k range, continuing
+// the accumulators of the bands before it; bands are disjoint row ranges
+// taken in ascending-k order, so every (i,j) accumulates as one pass over
+// the whole of B would — computeCuboid's order, and every fp64 bit, on
+// whichever worker the band runs. It also reports the flops spent.
+func (w *Worker) execMul(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, float64, error) {
 	aBlocks, err := w.localBand(args.A)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	parent := obs.SpanID(args.traceSpan)
 	parts := append([]PartLoc(nil), args.BParts...)
@@ -359,9 +328,12 @@ func (w *Worker) execMul(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64,
 		}()
 		return ch
 	}
-	var peerBytes int64
-	acc := map[bmat.BlockKey]*matrix.Dense{}
-	var next chan bandResult
+	var (
+		peerBytes int64
+		flops     float64
+		next      chan bandResult
+	)
+	out := map[bmat.BlockKey]matrix.Block{}
 	if len(parts) > 0 {
 		next = fetch(parts[0])
 	}
@@ -371,12 +343,50 @@ func (w *Worker) execMul(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64,
 			next = fetch(parts[pi+1])
 		}
 		if cur.err != nil {
-			return nil, 0, cur.err
+			return nil, 0, 0, cur.err
 		}
 		peerBytes += cur.bytes
-		mulBand(acc, aBlocks, cur.blocks, args.OutLo, args.OutHi)
+		box, ok := bandBox(cur.blocks, args.OutLo, args.OutHi)
+		if !ok {
+			continue
+		}
+		if err := checkBox(box); err != nil {
+			return nil, 0, 0, err
+		}
+		// The columns a band holds blocks in may differ from band to band,
+		// so the accumulators live in out and each band's box borrows its own.
+		nj := box.JHi - box.JLo
+		acc := make([]*matrix.Dense, (box.IHi-box.ILo)*nj)
+		for t := range acc {
+			if blk := out[box.TileKey(t)]; blk != nil {
+				acc[t] = blk.(*matrix.Dense)
+			}
+		}
+		acc, bandFlops := core.MultiplyBox(box,
+			func(i, k int) matrix.Block { return aBlocks[bmat.BlockKey{I: i, J: k}] },
+			func(k, j int) matrix.Block { return cur.blocks[bmat.BlockKey{I: k, J: j}] }, acc)
+		flops += bandFlops
+		for t, tile := range acc {
+			if tile != nil {
+				out[box.TileKey(t)] = tile
+			}
+		}
 	}
-	return denseBlocks(acc), peerBytes, nil
+	return out, peerBytes, flops, nil
+}
+
+// bandBox is the box of one B band under output rows [lo, hi): the extent
+// of the band's block keys in k and j.
+func bandBox(band map[bmat.BlockKey]matrix.Block, lo, hi int) (core.Box, bool) {
+	if len(band) == 0 || lo >= hi {
+		return core.Box{}, false
+	}
+	box := core.Box{ILo: lo, IHi: hi, JLo: math.MaxInt, KLo: math.MaxInt}
+	for k := range band {
+		box.KLo, box.KHi = min(box.KLo, k.I), max(box.KHi, k.I+1)
+		box.JLo, box.JHi = min(box.JLo, k.J), max(box.JHi, k.J+1)
+	}
+	return box, true
 }
 
 // execTranspose builds the output band rows [OutLo, OutHi) — the operand's

@@ -190,12 +190,7 @@ func (d *Dense) FrobeniusNorm() float64 {
 // Transpose returns a new dense block that is the transpose of d.
 func (d *Dense) Transpose() *Dense {
 	out := NewDense(d.ColsN, d.RowsN)
-	for i := 0; i < d.RowsN; i++ {
-		row := d.Row(i)
-		for j, v := range row {
-			out.Data[j*out.ColsN+i] = v
-		}
-	}
+	transpose(out.Data, d.Data, d.RowsN, d.ColsN)
 	return out
 }
 

@@ -2,12 +2,23 @@
 
 package matrix
 
-// simd reports whether the AVX2 micro-kernel serves the full 4×8 tiles of
-// a dense product; decided once, from CPUID and XGETBV. A var only so the
-// kernel tests can run the portable loop on an AVX2 machine.
+// simd reports whether the AVX2 micro-kernels are in use — the 4×8 tile of
+// a dense product (gemm_amd64.s), the row of a CSR×Dense and the column of
+// a Dense×CSC one, the transposes the latter needs (spmm_amd64.s); decided
+// once, from CPUID and XGETBV. A var only so the kernel tests can run the
+// portable loops on an AVX2 machine.
 var simd = hasAVX2()
 
 func hasAVX2() bool
 
 //go:noescape
 func gemmTile4x8(c, a, b *float64, k, ldc, lda, ldb int)
+
+//go:noescape
+func csrRowAVX2(c *float64, n int, val *float64, col *int, nnz int, b *float64, ldb int)
+
+//go:noescape
+func cscColAVX2(ct *float64, m int, val *float64, row *int, nnz int, at *float64, ldat int)
+
+//go:noescape
+func transposeStripAVX2(dst, src *float64, rows, ldd, lds int)

@@ -2,11 +2,17 @@
 
 package matrix
 
-// simd is false wherever the AVX2 micro-kernel is not built — other
-// architectures and the purego tag: every dense product runs the portable
-// loop. A var only because the kernel tests assign it on amd64.
+// simd is false wherever the AVX2 micro-kernels are not built — other
+// architectures and the purego tag: every product runs the portable loops.
+// A var only because the kernel tests assign it on amd64.
 var simd = false
 
-func gemmTile4x8(c, a, b *float64, k, ldc, lda, ldb int) {
-	panic("matrix: no SIMD micro-kernel in this build")
-}
+func gemmTile4x8(c, a, b *float64, k, ldc, lda, ldb int) { noSIMD() }
+
+func csrRowAVX2(c *float64, n int, val *float64, col *int, nnz int, b *float64, ldb int) { noSIMD() }
+
+func cscColAVX2(ct *float64, m int, val *float64, row *int, nnz int, at *float64, ldat int) { noSIMD() }
+
+func transposeStripAVX2(dst, src *float64, rows, ldd, lds int) { noSIMD() }
+
+func noSIMD() { panic("matrix: no SIMD micro-kernel in this build") }

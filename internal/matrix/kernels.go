@@ -8,10 +8,13 @@ import (
 	"sync/atomic"
 )
 
-// sparseFlopsThreshold is the minimum estimated scalar-multiply count before
-// a sparse kernel fans out. Sparse products do far less work per output
-// element than GEMM, so the gate is on estimated flops, not result size.
-var sparseFlopsThreshold = 1 << 15
+// csrMulCSRThreshold is the minimum scalar-multiply count before CSRMulCSR
+// fans its rows out. A Gustavson multiply — a marker test and a scattered
+// add — costs some fifty times a sparse–dense one, so its gate stays where
+// PR 1 set the shared one rather than following sparseFlopsThreshold up:
+// 512² at 5 % squared (335 k multiplies) runs 20–24 ms serial, 14–18 ms
+// fanned out over two threads.
+var csrMulCSRThreshold = 1 << 15
 
 // kernelWorkers overrides the kernel fan-out width; 0 means GOMAXPROCS.
 var kernelWorkers atomic.Int32
@@ -32,142 +35,6 @@ func KernelWorkers() int {
 		return int(n)
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// CSRMulDense computes C += A×B where A is CSR and B dense — the
-// cusparseDcsrmm stand-in. A is m×k, B is k×n, C is m×n dense. Rows are
-// fanned out across workers at nnz-balanced boundaries so skewed rows do
-// not serialize the call.
-func CSRMulDense(c *Dense, a *CSR, b *Dense) {
-	m, ka := a.Dims()
-	kb, n := b.Dims()
-	cm, cn := c.Dims()
-	if ka != kb || cm != m || cn != n {
-		panic(fmt.Sprintf("matrix: CSRMulDense: dimension mismatch %dx%d × %dx%d -> %dx%d", m, ka, kb, n, cm, cn))
-	}
-	if m == 0 || n == 0 {
-		return
-	}
-	workers := KernelWorkers()
-	if workers > 1 && m >= 2 && a.NNZ()*n >= sparseFlopsThreshold {
-		bounds := prefixSplits(a.RowPtr, workers)
-		var wg sync.WaitGroup
-		for w := 0; w+1 < len(bounds); w++ {
-			lo, hi := bounds[w], bounds[w+1]
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				csrMulDenseRange(c, a, b, lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-		return
-	}
-	csrMulDenseRange(c, a, b, 0, m)
-}
-
-// csrMulDenseRange computes C rows [lo, hi). Row entries are consumed four
-// at a time so one pass over the C row performs four AXPYs, quartering the
-// read-modify-write traffic on C that dominates this kernel.
-func csrMulDenseRange(c *Dense, a *CSR, b *Dense, lo, hi int) {
-	n := b.ColsN
-	bd := b.Data
-	for i := lo; i < hi; i++ {
-		crow := c.Data[i*n : (i+1)*n]
-		p := a.RowPtr[i]
-		end := a.RowPtr[i+1]
-		for ; p+4 <= end; p += 4 {
-			v0, v1, v2, v3 := a.Val[p], a.Val[p+1], a.Val[p+2], a.Val[p+3]
-			r0 := bd[a.ColIdx[p]*n:][:n]
-			r1 := bd[a.ColIdx[p+1]*n:][:n]
-			r2 := bd[a.ColIdx[p+2]*n:][:n]
-			r3 := bd[a.ColIdx[p+3]*n:][:n]
-			for j := range crow {
-				crow[j] += v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
-			}
-		}
-		for ; p < end; p++ {
-			av := a.Val[p]
-			brow := bd[a.ColIdx[p]*n:][:n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-}
-
-// DenseMulCSC computes C += A×B where A is dense and B is CSC. A is m×k,
-// B is k×n, C is m×n dense. The loop is row-blocked: the outer loop walks
-// rows of A/C so every C write is sequential and the A row stays cache
-// resident, instead of the former column-outer form whose stride-n writes
-// touched a new cache line per element.
-func DenseMulCSC(c *Dense, a *Dense, b *CSC) {
-	m, ka := a.Dims()
-	kb, n := b.Dims()
-	cm, cn := c.Dims()
-	if ka != kb || cm != m || cn != n {
-		panic(fmt.Sprintf("matrix: DenseMulCSC: dimension mismatch %dx%d × %dx%d -> %dx%d", m, ka, kb, n, cm, cn))
-	}
-	if m == 0 || n == 0 {
-		return
-	}
-	workers := KernelWorkers()
-	if workers > 1 && m >= 2 && b.NNZ()*m >= sparseFlopsThreshold {
-		if workers > m {
-			workers = m
-		}
-		var wg sync.WaitGroup
-		chunk := (m + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > m {
-				hi = m
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				denseMulCSCRange(c, a, b, lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-		return
-	}
-	denseMulCSCRange(c, a, b, 0, m)
-}
-
-// denseMulCSCRange computes C rows [lo, hi): for each row the B columns are
-// reduced as dot products against the resident A row, with a two-way
-// unrolled accumulator to break the FP dependency chain.
-func denseMulCSCRange(c, a *Dense, b *CSC, lo, hi int) {
-	ka := a.ColsN
-	n := b.ColsN
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*ka : (i+1)*ka]
-		crow := c.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			p := b.ColPtr[j]
-			end := b.ColPtr[j+1]
-			if p == end {
-				continue
-			}
-			var s0, s1 float64
-			for ; p+2 <= end; p += 2 {
-				s0 += arow[b.RowIdx[p]] * b.Val[p]
-				s1 += arow[b.RowIdx[p+1]] * b.Val[p+1]
-			}
-			if p < end {
-				s0 += arow[b.RowIdx[p]] * b.Val[p]
-			}
-			crow[j] += s0 + s1
-		}
-	}
 }
 
 // CSRMulCSR computes A×B for two CSR operands, returning a CSR result. The
@@ -195,7 +62,7 @@ func CSRMulCSR(a, b *CSR) *CSR {
 			}
 			work[i+1] = work[i] + w
 		}
-		if work[m] >= sparseFlopsThreshold {
+		if work[m] >= csrMulCSRThreshold {
 			bounds := prefixSplits(work, workers)
 			parts := make([]*CSR, len(bounds)-1)
 			var wg sync.WaitGroup

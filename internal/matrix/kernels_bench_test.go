@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 // preserved verbatim as regression baselines so `go test -bench` proves
 // (or disproves) each optimization on the machine at hand:
 //
-//	go test -bench 'Gemm|CSRMulDense|DenseMulCSC|CSRMulCSR' ./internal/matrix
+//	go test -bench 'Gemm|CSRMulDense|DenseMulCSC|CSRMulCSR' -cpu 1,2 ./internal/matrix
 //
 // This is the one copy of the seed kernels. The current kernels' cost inside
 // a real job is the repository benchmark's matrix.kernel_ms / matrix.gflops.
@@ -158,53 +159,117 @@ func useKernel(tb testing.TB, avx2 bool) {
 	tb.Cleanup(func() { simd = old })
 }
 
-func BenchmarkCSRMulDense(b *testing.B) {
-	// The paper's sparse workloads (GNMF) multiply a very sparse rating
-	// block by a thin dense factor: 2048×2048 at 1% × 2048×128.
-	rng := rand.New(rand.NewSource(2))
-	x := RandomSparse(rng, 2048, 2048, 0.01)
-	y := RandomDense(rng, 2048, 128)
-	c := NewDense(2048, 128)
-	flops := 2 * float64(x.NNZ()) * 128
-	b.Run("seed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+// kernelRows runs the seed / fallback / simd rows of one sparse shape.
+func kernelRows(b *testing.B, shape string, flops float64, c *Dense, seed, current func()) {
+	for _, row := range []struct {
+		name string
+		run  func()
+		avx2 bool
+	}{{"seed", seed, simd}, {"fallback", current, false}, {"simd", current, true}} {
+		b.Run(row.name+"/"+shape, func(b *testing.B) {
+			useKernel(b, row.avx2)
 			c.Zero()
-			seedCSRMulDense(c, x, y)
-		}
-		reportGFlops(b, flops)
-	})
-	b.Run("current", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.Zero()
-			CSRMulDense(c, x, y)
-		}
-		reportGFlops(b, flops)
-	})
+			for i := 0; i < b.N; i++ {
+				row.run() // into a running C: zeroing it would cost the small shapes as much as the product
+			}
+			reportGFlops(b, flops)
+		})
+	}
 }
 
-// BenchmarkDenseMulCSC is the regression benchmark for the stride-n fix:
-// the seed's column-outer loop touches a new C cache line per element; the
-// row-blocked form must beat it on any machine with a cache.
+func BenchmarkCSRMulDense(b *testing.B) {
+	// The paper's sparse workloads (GNMF) multiply a very sparse rating
+	// block by a thin dense factor: 2048×2048 at 1% × 2048×128. The two
+	// 256² shapes are the block products of the repository benchmark:
+	// gnmf_resident's V·Hᵀ and sparse_tall.
+	for _, tc := range []struct {
+		shape   string
+		m, n    int
+		density float64
+	}{
+		{"2048sq1pct_x128", 2048, 128, 0.01},
+		{"256sq1pct_x128", 256, 128, 0.01},
+		{"256sq0.1pct_x64", 256, 64, 0.001},
+	} {
+		rng := rand.New(rand.NewSource(2))
+		x := RandomSparse(rng, tc.m, tc.m, tc.density)
+		y := RandomDense(rng, tc.m, tc.n)
+		c := NewDense(tc.m, tc.n)
+		kernelRows(b, tc.shape, 2*float64(x.NNZ())*float64(tc.n), c,
+			func() { seedCSRMulDense(c, x, y) },
+			func() { CSRMulDense(c, x, y) })
+	}
+}
+
+// BenchmarkDenseMulCSC is the regression benchmark for the stride-n fix —
+// the seed's column-outer loop touches a new C cache line per element —
+// and for the micro-kernel. The bare call pays for its own transposes of A
+// and C; the packed row is what a cuboid tile runs, A transposed once per
+// box and C once per run of products (gnmf_resident's Wᵀ·V block product).
 func BenchmarkDenseMulCSC(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := RandomDense(rng, 512, 512)
-	y := NewCSCFromCSR(RandomSparse(rng, 512, 512, 0.05))
-	c := NewDense(512, 512)
-	flops := 2 * float64(y.NNZ()) * 512
-	b.Run("seed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.Zero()
-			seedDenseMulCSC(c, x, y)
+	for _, tc := range []struct {
+		shape   string
+		m, k    int
+		density float64
+	}{
+		{"512sq_x512sq5pct", 512, 512, 0.05},
+		{"128x256_x256sq1pct", 128, 256, 0.01},
+	} {
+		rng := rand.New(rand.NewSource(3))
+		x := RandomDense(rng, tc.m, tc.k)
+		y := NewCSCFromCSR(RandomSparse(rng, tc.k, tc.k, tc.density))
+		c := NewDense(tc.m, tc.k)
+		flops := 2 * float64(y.NNZ()) * float64(tc.m)
+		kernelRows(b, tc.shape, flops, c,
+			func() { seedDenseMulCSC(c, x, y) },
+			func() { DenseMulCSC(c, x, y) })
+		b.Run("packed/"+tc.shape, func(b *testing.B) {
+			pa := PackA(x, y.NNZ())
+			defer pa.Release()
+			acc := c
+			if pa.Transposed() {
+				acc = NewDense(tc.k, tc.m)
+			}
+			acc.Zero()
+			for i := 0; i < b.N; i++ {
+				DenseMulCSCPacked(acc, pa, y)
+			}
+			reportGFlops(b, flops)
+		})
+	}
+}
+
+// BenchmarkSparseFanout is the measurement behind sparseFlopsThreshold:
+// size² at 1 % against 128 dense columns (CSRMulDense) and under 128 dense
+// rows (DenseMulCSC), on the calling goroutine and with the fan-out forced.
+// Run it at -cpu 2 or more; at -cpu 1 both rows are the serial call.
+func BenchmarkSparseFanout(b *testing.B) {
+	for _, size := range []int{256, 512, 1024, 2048} {
+		rng := rand.New(rand.NewSource(5))
+		x := RandomSparse(rng, size, size, 0.01)
+		xc := NewCSCFromCSR(x)
+		right, left := RandomDense(rng, size, 128), RandomDense(rng, 128, size)
+		c, ct := NewDense(size, 128), NewDense(128, size)
+		flops := 2 * float64(x.NNZ()) * 128
+		for _, gate := range []struct {
+			name      string
+			threshold int
+		}{{"serial", math.MaxInt}, {"fanout", 1}} {
+			run := func(kernel string, product func()) {
+				b.Run(kernel+"/"+itoa(size)+"/"+gate.name, func(b *testing.B) {
+					old := sparseFlopsThreshold
+					sparseFlopsThreshold = gate.threshold
+					defer func() { sparseFlopsThreshold = old }()
+					for i := 0; i < b.N; i++ {
+						product()
+					}
+					reportGFlops(b, flops)
+				})
+			}
+			run("CSRMulDense", func() { CSRMulDense(c, x, right) })
+			run("DenseMulCSC", func() { DenseMulCSC(ct, left, xc) })
 		}
-		reportGFlops(b, flops)
-	})
-	b.Run("current", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.Zero()
-			DenseMulCSC(c, x, y)
-		}
-		reportGFlops(b, flops)
-	})
+	}
 }
 
 func BenchmarkCSRMulCSR(b *testing.B) {

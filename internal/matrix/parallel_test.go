@@ -11,10 +11,10 @@ import (
 // package gates is safe.
 func forceParallel(t *testing.T) {
 	t.Helper()
-	oldPar, oldSparse := gemmFlopsThreshold, sparseFlopsThreshold
-	gemmFlopsThreshold, sparseFlopsThreshold = 1, 1
+	oldPar, oldSparse, oldCSR := gemmFlopsThreshold, sparseFlopsThreshold, csrMulCSRThreshold
+	gemmFlopsThreshold, sparseFlopsThreshold, csrMulCSRThreshold = 1, 1, 1
 	t.Cleanup(func() {
-		gemmFlopsThreshold, sparseFlopsThreshold = oldPar, oldSparse
+		gemmFlopsThreshold, sparseFlopsThreshold, csrMulCSRThreshold = oldPar, oldSparse, oldCSR
 		SetKernelWorkers(0)
 	})
 }
