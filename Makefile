@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race fuzz-smoke vet lint-docs bench bench-smoke bench-e2e soak-smoke soak-full api-surface api-check clean
+.PHONY: build test test-race fuzz-smoke vet lint-docs loc bench bench-smoke bench-e2e soak-smoke soak-full api-surface api-check clean
 
 build:
 	$(GO) build ./...
@@ -37,9 +37,19 @@ vet:
 	$(GO) vet ./...
 
 # Every ```go fence in README.md and docs/*.md must build against the
-# current API — documentation examples cannot rot silently.
+# current API, and every internal/<pkg>, cmd/<name> or examples/<name> path
+# README.md, DESIGN.md and docs/*.md mention must exist — documentation
+# cannot rot silently.
 lint-docs:
 	$(GO) run ./cmd/lint-docs
+
+# Non-test Go lines, the one recipe behind every line count CHANGES.md and
+# ROADMAP.md quote: the tree outside benchmark/, each internal/* package,
+# and the exported surface.
+loc:
+	@printf '%-22s %6d\n' total $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)
+	@for p in internal/*; do printf '%-22s %6d\n' $$p $$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); done
+	@printf '%-22s %6d\n' api/surface.txt $$(wc -l < api/surface.txt)
 
 # Exported API surface of the public packages (root, internal/engine,
 # internal/distnet), dumped one sorted line per symbol to api/surface.txt.

@@ -13,6 +13,10 @@
 //
 // Fences whose info string is anything other than exactly "go" (sh, json,
 // text, or "go skip" to opt a pseudo-code block out) are ignored.
+//
+// It also fails, naming file and line, when README.md, DESIGN.md or a
+// docs/*.md file mentions an internal/<pkg>, cmd/<name> or examples/<name>
+// path that does not exist — a package table that outlives its package.
 package main
 
 import (
@@ -62,6 +66,7 @@ var (
 	qualifier  = regexp.MustCompile(`(^|[^\w."'/])([a-z]\w*)\.`)
 	shortDecl  = regexp.MustCompile(`^([A-Za-z_]\w*(?:\s*,\s*[A-Za-z_]\w*)*)\s*:=`)
 	loopOpener = regexp.MustCompile(`^(for|if|switch|select|go|defer|return|case)\b`)
+	pathRef    = regexp.MustCompile(`\b(?:internal|cmd|examples)/[A-Za-z0-9_-]+`)
 )
 
 func main() {
@@ -78,6 +83,22 @@ func main() {
 	sort.Strings(files)
 
 	var snippets []snippet
+	var stale []string
+	exists := func(rel string) bool {
+		_, err := os.Stat(filepath.Join(root, rel))
+		return err == nil
+	}
+	for _, f := range append([]string{filepath.Join(root, "DESIGN.md")}, files...) {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			fatal(err)
+		}
+		stale = append(stale, stalePaths(f, string(data), exists)...)
+	}
+	if len(stale) > 0 {
+		fmt.Fprintf(os.Stderr, "lint-docs: paths that do not exist:\n%s\n", indent(strings.Join(stale, "\n")))
+		os.Exit(1)
+	}
 	for _, f := range files {
 		s, err := extract(f)
 		if err != nil {
@@ -141,6 +162,21 @@ func moduleRoot() (string, error) {
 		}
 		dir = parent
 	}
+}
+
+// stalePaths lists, as "file:line: path", every mention in one markdown
+// file's text of an internal/<pkg>, cmd/<name> or examples/<name> path for
+// which exists reports false.
+func stalePaths(file, text string, exists func(rel string) bool) []string {
+	var out []string
+	for i, line := range strings.Split(text, "\n") {
+		for _, ref := range pathRef.FindAllString(line, -1) {
+			if !exists(ref) {
+				out = append(out, fmt.Sprintf("%s:%d: %s", file, i+1, ref))
+			}
+		}
+	}
+	return out
 }
 
 // extract pulls the ```go fences out of one markdown file.

@@ -72,6 +72,47 @@ func TestErrShapeMismatch(t *testing.T) {
 	if _, err := e.Add(context.Background(), a, b); !errors.Is(err, distme.ErrShapeMismatch) {
 		t.Fatalf("want ErrShapeMismatch from add, got %v", err)
 	}
+
+	// The TCP plane reports the same mistake with the same sentinel, from
+	// every entry point that multiplies.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := distnet.Serve(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Shutdown(context.Background())
+	d, err := distnet.DialOptions([]string{l.Addr().String()}, strictDistnetOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx := context.Background()
+	if _, _, err := d.Execute(ctx, a, b, distnet.MultiplyOptions{}); !errors.Is(err, distme.ErrShapeMismatch) {
+		t.Errorf("want ErrShapeMismatch from Driver.Execute, got %v", err)
+	}
+	s, err := d.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(ctx)
+	ha, err := s.Put(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := s.Put(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Multiply(ctx, ha, hb, distnet.MultiplyOptions{}); !errors.Is(err, distme.ErrShapeMismatch) {
+		t.Errorf("want ErrShapeMismatch from Session.Multiply, got %v", err)
+	}
+	mul := distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b"))
+	if _, err := s.Run(ctx, mul, map[string]*distnet.Handle{"a": ha, "b": hb}); !errors.Is(err, distme.ErrShapeMismatch) {
+		t.Errorf("want ErrShapeMismatch from Session.Run, got %v", err)
+	}
 }
 
 func TestErrRetriesExhausted(t *testing.T) {

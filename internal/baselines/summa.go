@@ -14,9 +14,7 @@ import (
 	"distme/internal/bmat"
 	"distme/internal/cluster"
 	"distme/internal/core"
-	"distme/internal/matrix"
 	"distme/internal/metrics"
-	"distme/internal/shuffle"
 )
 
 // MultiplySUMMA runs the Scalable Universal Matrix Multiplication Algorithm
@@ -30,8 +28,8 @@ import (
 // which out-of-memories on output-heavy shapes where DistME's cuboids
 // survive.
 func MultiplySUMMA(a, b *bmat.BlockMatrix, gridP, gridQ int, env core.Env) (*bmat.BlockMatrix, error) {
-	if a.Cols != b.Rows || a.BlockSize != b.BlockSize {
-		return nil, fmt.Errorf("baselines: SUMMA: operands not conformable")
+	if err := core.CheckConformable(a.Rows, a.Cols, a.BlockSize, b.Rows, b.Cols, b.BlockSize); err != nil {
+		return nil, fmt.Errorf("baselines: SUMMA: %w", err)
 	}
 	if gridP <= 0 || gridQ <= 0 {
 		return nil, fmt.Errorf("baselines: SUMMA: grid %dx%d must be positive", gridP, gridQ)
@@ -63,58 +61,32 @@ func MultiplySUMMA(a, b *bmat.BlockMatrix, gridP, gridQ int, env core.Env) (*bma
 	// ScaLAPACK's single-array locals (§6.5).
 	start = time.Now()
 	out := bmat.New(a.Rows, b.Cols, a.BlockSize)
-	type tile struct{ ilo, ihi, jlo, jhi int }
-	tiles := make([]tile, 0, gridP*gridQ)
-	results := make([]map[bmat.BlockKey]*matrix.Dense, gridP*gridQ)
+	results := make([][]core.Partial, gridP*gridQ)
 	var tasks []cluster.Task
-	for p := 0; p < gridP; p++ {
-		ilo, ihi := shuffle.GridSpan(p, a.IB, gridP)
-		for q := 0; q < gridQ; q++ {
-			jlo, jhi := shuffle.GridSpan(q, b.JB, gridQ)
-			idx := len(tiles)
-			tl := tile{ilo, ihi, jlo, jhi}
-			tiles = append(tiles, tl)
-			// Single-array memory: full local shares of A, B and C.
-			mem := a.StoredBytes()/int64(gridP) + b.StoredBytes()/int64(gridQ) +
-				tileDenseBytes(a, b, tl.ilo, tl.ihi, tl.jlo, tl.jhi)
-			tasks = append(tasks, cluster.Task{
-				Name:        fmt.Sprintf("summa(%d,%d)", p, q),
-				MemEstimate: mem,
-				Fn: func() error {
-					res := make(map[bmat.BlockKey]*matrix.Dense)
-					for i := tl.ilo; i < tl.ihi; i++ {
-						for j := tl.jlo; j < tl.jhi; j++ {
-							var acc *matrix.Dense
-							for k := 0; k < a.JB; k++ {
-								ab := a.Block(i, k)
-								bb := b.Block(k, j)
-								if ab == nil || bb == nil {
-									continue
-								}
-								acc = matrix.MulAdd(acc, ab, bb)
-							}
-							if acc != nil {
-								res[bmat.BlockKey{I: i, J: j}] = acc
-							}
-						}
-					}
-					results[idx] = res
-					return nil
-				},
-			})
-		}
-	}
+	core.ForEachCuboid(core.Params{P: gridP, Q: gridQ, R: 1}, a.IB, b.JB, a.JB, func(p, q, _ int, box core.Box) {
+		idx := len(tasks)
+		// Single-array memory: full local shares of A, B and C.
+		mem := a.StoredBytes()/int64(gridP) + b.StoredBytes()/int64(gridQ) +
+			tileDenseBytes(a, b, box.ILo, box.IHi, box.JLo, box.JHi)
+		tasks = append(tasks, cluster.Task{
+			Name:        fmt.Sprintf("summa(%d,%d)", p, q),
+			MemEstimate: mem,
+			Fn: func() error {
+				// The panel stream over the whole k range: the kernel DistME's
+				// own cuboids run.
+				tiles, _ := core.MultiplyBox(box, a.Block, b.Block, nil)
+				results[idx] = box.Partials(tiles)
+				return nil
+			},
+		})
+	})
 	if err := env.Cluster.Run(context.TODO(), tasks); err != nil {
 		return nil, err
 	}
 	rec.AddDuration(metrics.StepLocalMultiply, time.Since(start))
 
 	// ---- No aggregation: C tiles are final -----------------------------
-	for _, res := range results {
-		for k, blk := range res {
-			out.SetBlock(k.I, k.J, blk)
-		}
-	}
+	core.FoldPartials(out, results, nil)
 	return out, nil
 }
 
@@ -152,8 +124,8 @@ func MultiplySciDB(a, b *bmat.BlockMatrix, gridP, gridQ int, env core.Env) (*bma
 // notes (§7): cuboids can flatten along the cheap axes, cubes cannot. The
 // regrouping shuffle itself costs |A| + |B|.
 func MultiplyCRMM(a, b *bmat.BlockMatrix, env core.Env) (*bmat.BlockMatrix, error) {
-	if a.Cols != b.Rows || a.BlockSize != b.BlockSize {
-		return nil, fmt.Errorf("baselines: CRMM: operands not conformable")
+	if err := core.CheckConformable(a.Rows, a.Cols, a.BlockSize, b.Rows, b.Cols, b.BlockSize); err != nil {
+		return nil, fmt.Errorf("baselines: CRMM: %w", err)
 	}
 	s := core.ShapeOf(a, b)
 	θ := env.Cluster.Config().TaskMemBytes

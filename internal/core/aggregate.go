@@ -2,196 +2,90 @@ package core
 
 import (
 	"runtime"
-	"sync"
 
 	"distme/internal/bmat"
 	"distme/internal/matrix"
 )
 
-// Parallel matrix aggregation. The sequential merge of the seed walked
-// every cuboid's partial map in turn and folded each block into the output
-// matrix — single-threaded work proportional to R·|C|, which for CPMM-like
-// partitionings (large R) rivals the local multiplication itself. Here the
-// output (i,j) key space is sharded across workers: each block is owned by
-// exactly one goroutine, so no locks are taken, and each owner folds its
-// blocks in the same cuboid order the sequential merge used, so per-block
-// floating-point accumulation order — and therefore every output bit — is
-// identical for any worker count.
+// Partial is one partial C block as a task hands it to the aggregation
+// step: the output position it belongs to and its accumulator.
+type Partial struct {
+	Key   bmat.BlockKey
+	Block *matrix.Dense
+}
+
+// FoldPartials is the matrix-aggregation step, the one place partial
+// products are summed: lists holds each task's partials in plan order, and
+// every block of out — empty on entry — becomes the sum of its partials in
+// that order — list by list, and within a list in the order written (an RMM
+// task holds several k of one block) — so r, and with it k, ascends in every
+// block on every plane. sizeOf, when not nil, is charged once per partial and
+// the total returned: the aggregation-shuffle byte count.
 //
-// Merged-away partials are released to the dense-buffer pool at the moment
-// they die (their array has no other readers by construction: each partial
-// map entry is visited exactly once, by its key's owner).
-
-// aggShard deterministically assigns an output block key to one of n
-// workers. The multipliers spread consecutive (i, j) keys across shards so
-// row- or column-striped outputs do not pile onto one worker.
-func aggShard(key bmat.BlockKey, n int) int {
-	h := uint32(key.I)*0x9E3779B1 + uint32(key.J)*0x85EBCA77
-	return int(h % uint32(n))
+// The first partial of a key becomes the output block and the rest are added
+// into it by the one goroutine that owns the key, then released to the dense
+// pool (nothing else reads a partial: each is visited once, by its key's
+// owner). Keys fan out over up to GOMAXPROCS goroutines; the bits are the
+// same at any width. With R = 1 no key repeats and nothing is charged: the
+// fold is placement only, and no goroutine is started.
+func FoldPartials(out *bmat.BlockMatrix, lists [][]Partial, sizeOf func(*matrix.Dense) int64) int64 {
+	return foldPartials(out, lists, sizeOf, runtime.GOMAXPROCS(0))
 }
 
-// aggregateBlockPartials folds per-cuboid partial maps into out. sizeOf,
-// when non-nil, is charged once per partial block and the total returned —
-// the aggregation-shuffle byte count. workers <= 1 runs the sequential
-// merge; the results are bit-identical either way.
-func aggregateBlockPartials(out *bmat.BlockMatrix, partials []map[bmat.BlockKey]*matrix.Dense, workers int, sizeOf func(*matrix.Dense) int64) int64 {
-	sorted := make([][]keyedBlock, 0, len(partials))
-	for _, p := range partials {
-		if len(p) == 0 {
-			continue
-		}
-		sorted = append(sorted, sortedPartials(p))
+// foldPartials is FoldPartials at an explicit width.
+func foldPartials(out *bmat.BlockMatrix, lists [][]Partial, sizeOf func(*matrix.Dense) int64, workers int) int64 {
+	// A chain is one key with work left after placement: partials to add, a
+	// charge to take, or both.
+	type chain struct {
+		acc   *matrix.Dense
+		rest  []*matrix.Dense
+		bytes int64
 	}
-	if len(sorted) == 0 {
-		return 0
-	}
-	if workers > len(sorted)*4 {
-		// More workers than could plausibly find distinct keys to own.
-		workers = len(sorted) * 4
-	}
-	if workers <= 1 {
-		var bytes int64
-		for _, list := range sorted {
-			for _, kb := range list {
-				if sizeOf != nil {
-					bytes += sizeOf(kb.block)
+	var chains []chain
+	var index map[bmat.BlockKey]int
+	for _, list := range lists {
+		for _, p := range list {
+			acc, _ := out.Block(p.Key.I, p.Key.J).(*matrix.Dense)
+			first := acc == nil
+			if first {
+				out.SetBlock(p.Key.I, p.Key.J, p.Block)
+				if sizeOf == nil {
+					continue
 				}
-				mergeBlock(out, kb)
+				acc = p.Block
+			}
+			c, ok := index[p.Key]
+			if !ok {
+				if index == nil {
+					index = make(map[bmat.BlockKey]int)
+				}
+				c = len(chains)
+				index[p.Key] = c
+				chains = append(chains, chain{acc: acc})
+			}
+			if !first {
+				chains[c].rest = append(chains[c].rest, p.Block)
 			}
 		}
-		return bytes
 	}
-
-	merged := make([][]keyedBlock, workers)
-	byteBy := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var list []keyedBlock
-			index := make(map[bmat.BlockKey]int)
-			var bytes int64
-			for _, part := range sorted {
-				for _, kb := range part {
-					if aggShard(kb.key, workers) != w {
-						continue
-					}
-					if sizeOf != nil {
-						bytes += sizeOf(kb.block)
-					}
-					if li, ok := index[kb.key]; ok {
-						matrix.AddInto(list[li].block, kb.block)
-						matrix.PutDense(kb.block)
-					} else {
-						index[kb.key] = len(list)
-						list = append(list, kb)
-					}
-				}
+	parallelFor(len(chains), workers, func(c int) {
+		ch := &chains[c]
+		if sizeOf != nil {
+			ch.bytes = sizeOf(ch.acc)
+		}
+		for _, d := range ch.rest {
+			if sizeOf != nil {
+				ch.bytes += sizeOf(d)
 			}
-			merged[w] = list
-			byteBy[w] = bytes
-		}(w)
-	}
-	wg.Wait()
+			matrix.AddInto(ch.acc, d)
+			matrix.PutDense(d)
+		}
+	})
 	var bytes int64
-	for w := 0; w < workers; w++ {
-		bytes += byteBy[w]
-		for _, kb := range merged[w] {
-			mergeBlock(out, kb)
-		}
+	for c := range chains {
+		bytes += chains[c].bytes
 	}
 	return bytes
-}
-
-// mergeBlock folds one keyed partial into the output matrix, releasing the
-// partial when it is consumed by an existing accumulator.
-func mergeBlock(out *bmat.BlockMatrix, kb keyedBlock) {
-	if existing := out.Block(kb.key.I, kb.key.J); existing != nil {
-		matrix.AddInto(existing.(*matrix.Dense), kb.block)
-		matrix.PutDense(kb.block)
-	} else {
-		out.SetBlock(kb.key.I, kb.key.J, kb.block)
-	}
-}
-
-// aggregateVoxelPartials is the RMM variant: partials are keyed by voxel
-// (i,j,k) and every partial block crosses the shuffle, so each is charged
-// its full stored size. Keys are sharded by their (i,j) target block,
-// which is also the merge granularity.
-func aggregateVoxelPartials(out *bmat.BlockMatrix, partials []map[bmat.VoxelKey]*matrix.Dense, workers int) int64 {
-	sorted := make([][]keyedVoxelBlock, 0, len(partials))
-	for _, p := range partials {
-		if len(p) == 0 {
-			continue
-		}
-		sorted = append(sorted, sortedVoxelPartials(p))
-	}
-	if len(sorted) == 0 {
-		return 0
-	}
-	if workers > len(sorted)*4 {
-		workers = len(sorted) * 4
-	}
-	if workers <= 1 {
-		var bytes int64
-		for _, list := range sorted {
-			for _, kb := range list {
-				bytes += kb.block.SizeBytes()
-				mergeVoxelBlock(out, kb)
-			}
-		}
-		return bytes
-	}
-
-	merged := make([][]keyedVoxelBlock, workers)
-	byteBy := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var list []keyedVoxelBlock
-			index := make(map[bmat.BlockKey]int)
-			var bytes int64
-			for _, part := range sorted {
-				for _, kb := range part {
-					key := bmat.BlockKey{I: kb.key.I, J: kb.key.J}
-					if aggShard(key, workers) != w {
-						continue
-					}
-					bytes += kb.block.SizeBytes()
-					if li, ok := index[key]; ok {
-						matrix.AddInto(list[li].block, kb.block)
-						matrix.PutDense(kb.block)
-					} else {
-						index[key] = len(list)
-						list = append(list, kb)
-					}
-				}
-			}
-			merged[w] = list
-			byteBy[w] = bytes
-		}(w)
-	}
-	wg.Wait()
-	var bytes int64
-	for w := 0; w < workers; w++ {
-		bytes += byteBy[w]
-		for _, kb := range merged[w] {
-			mergeVoxelBlock(out, kb)
-		}
-	}
-	return bytes
-}
-
-func mergeVoxelBlock(out *bmat.BlockMatrix, kb keyedVoxelBlock) {
-	if existing := out.Block(kb.key.I, kb.key.J); existing != nil {
-		matrix.AddInto(existing.(*matrix.Dense), kb.block)
-		matrix.PutDense(kb.block)
-	} else {
-		out.SetBlock(kb.key.I, kb.key.J, kb.block)
-	}
 }
 
 // aggWorkers resolves the aggregation fan-out width for this environment.

@@ -9,46 +9,76 @@ import (
 	"distme/internal/matrix"
 )
 
-// makeBlockPartials fabricates per-cuboid partial maps over a gridI×gridJ
+// makeBlockPartials fabricates per-cuboid partial lists over a gridI×gridJ
 // output with the given block size: every cuboid contributes a random
 // subset of keys, so keys overlap across cuboids like an R>1 partitioning.
-func makeBlockPartials(rng *rand.Rand, cuboids, gridI, gridJ, bs int) []map[bmat.BlockKey]*matrix.Dense {
-	partials := make([]map[bmat.BlockKey]*matrix.Dense, cuboids)
+func makeBlockPartials(rng *rand.Rand, cuboids, gridI, gridJ, bs int) [][]Partial {
+	partials := make([][]Partial, cuboids)
 	for t := 0; t < cuboids; t++ {
-		part := make(map[bmat.BlockKey]*matrix.Dense)
+		part := []Partial{}
 		for i := 0; i < gridI; i++ {
 			for j := 0; j < gridJ; j++ {
 				if rng.Intn(3) == 0 {
 					continue
 				}
-				part[bmat.BlockKey{I: i, J: j}] = matrix.RandomDense(rng, bs, bs)
+				part = append(part, Partial{Key: bmat.BlockKey{I: i, J: j}, Block: matrix.RandomDense(rng, bs, bs)})
 			}
 		}
 		partials[t] = part
 	}
-	// A nil and an empty map exercise the skip paths.
+	// A nil and an empty list exercise the skip paths.
 	if cuboids > 2 {
 		partials[cuboids-1] = nil
-		partials[cuboids-2] = map[bmat.BlockKey]*matrix.Dense{}
+		partials[cuboids-2] = []Partial{}
 	}
 	return partials
 }
 
-// clonePartials deep-copies partial maps so sequential and parallel merges
-// consume independent accumulators (the merge mutates blocks in place).
-func clonePartials(src []map[bmat.BlockKey]*matrix.Dense) []map[bmat.BlockKey]*matrix.Dense {
-	out := make([]map[bmat.BlockKey]*matrix.Dense, len(src))
+// makeVoxelPartials fabricates RMM-shaped lists: a task holds several k of
+// one (i,j), so keys repeat inside a list as well as across lists.
+func makeVoxelPartials(rng *rand.Rand, tasks, gridI, gridJ, gridK, bs int) [][]Partial {
+	partials := make([][]Partial, tasks)
+	for t := 0; t < tasks; t++ {
+		for i := 0; i < gridI; i++ {
+			for j := 0; j < gridJ; j++ {
+				for k := 0; k < gridK; k++ {
+					if rng.Intn(4) != 0 {
+						continue
+					}
+					partials[t] = append(partials[t], Partial{Key: bmat.BlockKey{I: i, J: j}, Block: matrix.RandomDense(rng, bs, bs)})
+				}
+			}
+		}
+	}
+	return partials
+}
+
+// clonePartials deep-copies partial lists so the folds under comparison
+// consume independent accumulators (the fold mutates blocks in place).
+func clonePartials(src [][]Partial) [][]Partial {
+	out := make([][]Partial, len(src))
 	for t, part := range src {
-		if part == nil {
-			continue
+		for _, p := range part {
+			out[t] = append(out[t], Partial{Key: p.Key, Block: p.Block.Clone()})
 		}
-		cp := make(map[bmat.BlockKey]*matrix.Dense, len(part))
-		for k, v := range part {
-			cp[k] = v.Clone()
-		}
-		out[t] = cp
 	}
 	return out
+}
+
+// checkFoldWidthInvariance: the fold must produce byte-identical outputs and
+// identical shuffle byte counts at every width, the sequential one included.
+func checkFoldWidthInvariance(t *testing.T, src [][]Partial, rows, cols, bs int, sizeOf func(*matrix.Dense) int64, widths []int) {
+	t.Helper()
+	seqOut := bmat.New(rows, cols, bs)
+	seqBytes := foldPartials(seqOut, clonePartials(src), sizeOf, 1)
+	for _, workers := range widths {
+		parOut := bmat.New(rows, cols, bs)
+		parBytes := foldPartials(parOut, clonePartials(src), sizeOf, workers)
+		if parBytes != seqBytes {
+			t.Errorf("workers=%d: aggregation bytes %d != sequential %d", workers, parBytes, seqBytes)
+		}
+		matricesBitIdentical(t, seqOut, parOut)
+	}
 }
 
 // matricesBitIdentical compares every stored block of two block matrices
@@ -81,85 +111,28 @@ func matricesBitIdentical(t *testing.T, a, b *bmat.BlockMatrix) {
 	}
 }
 
-// TestAggregateBlockPartialsWorkerInvariance: the sharded parallel merge
-// must produce byte-identical outputs and identical shuffle byte counts to
-// the sequential merge, for every worker count.
+// The two shapes of input the one fold sees — a cuboid's list holds each key
+// once, an RMM task's list repeats them — at every width.
 func TestAggregateBlockPartialsWorkerInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(200))
-	src := makeBlockPartials(rng, 7, 4, 3, 8)
+	src := makeBlockPartials(rand.New(rand.NewSource(200)), 7, 4, 3, 8)
+	checkFoldWidthInvariance(t, src, 32, 24, 8, compactSizeBytes, []int{2, 3, 4, 8, 64})
+}
 
-	seqOut := bmat.New(32, 24, 8)
-	seqBytes := aggregateBlockPartials(seqOut, clonePartials(src), 1, compactSizeBytes)
-	for _, workers := range []int{2, 3, 4, 8, 64} {
-		parOut := bmat.New(32, 24, 8)
-		parBytes := aggregateBlockPartials(parOut, clonePartials(src), workers, compactSizeBytes)
-		if parBytes != seqBytes {
-			t.Errorf("workers=%d: aggregation bytes %d != sequential %d", workers, parBytes, seqBytes)
-		}
-		matricesBitIdentical(t, seqOut, parOut)
-	}
+func TestAggregateVoxelPartialsWorkerInvariance(t *testing.T) {
+	src := makeVoxelPartials(rand.New(rand.NewSource(201)), 6, 3, 3, 4, 5)
+	checkFoldWidthInvariance(t, src, 15, 15, 5, (*matrix.Dense).SizeBytes, []int{2, 4, 16})
 }
 
 func TestAggregateBlockPartialsEmptyAndNil(t *testing.T) {
 	out := bmat.New(8, 8, 4)
-	if n := aggregateBlockPartials(out, nil, 4, nil); n != 0 {
+	if n := foldPartials(out, nil, nil, 4); n != 0 {
 		t.Fatalf("empty partials charged %d bytes", n)
 	}
-	if n := aggregateBlockPartials(out, []map[bmat.BlockKey]*matrix.Dense{nil, {}}, 4, nil); n != 0 {
-		t.Fatalf("nil/empty maps charged %d bytes", n)
+	if n := foldPartials(out, [][]Partial{nil, {}}, nil, 4); n != 0 {
+		t.Fatalf("nil/empty lists charged %d bytes", n)
 	}
 	if out.NumBlocks() != 0 {
 		t.Fatal("no blocks expected")
-	}
-}
-
-func makeVoxelPartials(rng *rand.Rand, tasks, gridI, gridJ, gridK, bs int) []map[bmat.VoxelKey]*matrix.Dense {
-	partials := make([]map[bmat.VoxelKey]*matrix.Dense, tasks)
-	for t := 0; t < tasks; t++ {
-		part := make(map[bmat.VoxelKey]*matrix.Dense)
-		for i := 0; i < gridI; i++ {
-			for j := 0; j < gridJ; j++ {
-				for k := 0; k < gridK; k++ {
-					if rng.Intn(4) != 0 {
-						continue
-					}
-					part[bmat.VoxelKey{I: i, J: j, K: k}] = matrix.RandomDense(rng, bs, bs)
-				}
-			}
-		}
-		partials[t] = part
-	}
-	return partials
-}
-
-func cloneVoxelPartials(src []map[bmat.VoxelKey]*matrix.Dense) []map[bmat.VoxelKey]*matrix.Dense {
-	out := make([]map[bmat.VoxelKey]*matrix.Dense, len(src))
-	for t, part := range src {
-		if part == nil {
-			continue
-		}
-		cp := make(map[bmat.VoxelKey]*matrix.Dense, len(part))
-		for k, v := range part {
-			cp[k] = v.Clone()
-		}
-		out[t] = cp
-	}
-	return out
-}
-
-func TestAggregateVoxelPartialsWorkerInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(201))
-	src := makeVoxelPartials(rng, 6, 3, 3, 4, 5)
-
-	seqOut := bmat.New(15, 15, 5)
-	seqBytes := aggregateVoxelPartials(seqOut, cloneVoxelPartials(src), 1)
-	for _, workers := range []int{2, 4, 16} {
-		parOut := bmat.New(15, 15, 5)
-		parBytes := aggregateVoxelPartials(parOut, cloneVoxelPartials(src), workers)
-		if parBytes != seqBytes {
-			t.Errorf("workers=%d: aggregation bytes %d != sequential %d", workers, parBytes, seqBytes)
-		}
-		matricesBitIdentical(t, seqOut, parOut)
 	}
 }
 
@@ -218,15 +191,15 @@ func TestMultiplyRMMAggregationWorkerInvariance(t *testing.T) {
 // their buffers to the dense pool (the whole point of the release points).
 func TestAggregationReleasesMergedPartials(t *testing.T) {
 	rng := rand.New(rand.NewSource(204))
-	partials := make([]map[bmat.BlockKey]*matrix.Dense, 4)
+	partials := make([][]Partial, 4)
 	for i := range partials {
 		// Same key everywhere: 3 of the 4 blocks must be released.
 		acc := matrix.MulAdd(nil, matrix.RandomDense(rng, 16, 16), matrix.RandomDense(rng, 16, 16))
-		partials[i] = map[bmat.BlockKey]*matrix.Dense{{I: 0, J: 0}: acc}
+		partials[i] = []Partial{{Block: acc}}
 	}
 	before := matrix.DensePoolStats()
 	out := bmat.New(16, 16, 16)
-	aggregateBlockPartials(out, partials, 2, nil)
+	foldPartials(out, partials, nil, 2)
 	after := matrix.DensePoolStats()
 	if after.Puts-before.Puts < 3 {
 		t.Fatalf("expected ≥3 pool releases, got %d", after.Puts-before.Puts)

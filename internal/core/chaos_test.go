@@ -149,3 +149,24 @@ func mustMultiply(t *testing.T, a, b *bmat.BlockMatrix, p Params, env Env) *bmat
 	}
 	return c
 }
+
+func TestSimulateFetch(t *testing.T) {
+	// No failures: zero retries, nothing lost.
+	r, lost := simulateFetch(func(int) bool { return false }, 2)
+	if r != 0 || lost {
+		t.Fatalf("clean fetch: retries=%d lost=%v", r, lost)
+	}
+	// Two transient failures under a budget of two: retried, not lost.
+	r, lost = simulateFetch(func(a int) bool { return a < 2 }, 2)
+	if r != 2 || lost {
+		t.Fatalf("transient fetch: retries=%d lost=%v", r, lost)
+	}
+	// Persistent failure: the partition is declared lost after the budget.
+	r, lost = simulateFetch(func(int) bool { return true }, 2)
+	if !lost {
+		t.Fatal("persistent failure should mark the partition lost")
+	}
+	if r != 3 {
+		t.Fatalf("lost after %d retries, want maxTransient+1 = 3", r)
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"distme/internal/matrix"
 	"distme/internal/metrics"
 	"distme/internal/obs"
-	"distme/internal/shuffle"
 )
 
 // Env is the execution environment of one distributed multiplication: the
@@ -201,11 +200,11 @@ func (c *Cuboid) FlopsEstimate() float64 {
 }
 
 // LocalMultiplier computes the local multiplication step for one cuboid,
-// returning the partial C blocks keyed by global block position. The CPU
+// returning its partial C blocks, each output position at most once. The CPU
 // implementation multiplies directly; the GPU implementation (gpu package)
 // streams subcuboids through the simulated device per Algorithm 1.
 type LocalMultiplier interface {
-	Multiply(c *Cuboid) (map[bmat.BlockKey]*matrix.Dense, error)
+	Multiply(c *Cuboid) ([]Partial, error)
 }
 
 // CPUMultiplier is the LAPACK-style local multiplication: MultiplyBox over
@@ -213,31 +212,31 @@ type LocalMultiplier interface {
 type CPUMultiplier struct{}
 
 // Multiply implements LocalMultiplier.
-func (CPUMultiplier) Multiply(c *Cuboid) (map[bmat.BlockKey]*matrix.Dense, error) {
+func (CPUMultiplier) Multiply(c *Cuboid) ([]Partial, error) {
 	tiles, _ := MultiplyBox(c.Box(), c.A.Block, c.B.Block, nil)
-	out := make(map[bmat.BlockKey]*matrix.Dense, len(tiles))
-	for t, acc := range tiles {
-		if acc != nil {
-			out[c.Box().TileKey(t)] = acc
-		}
-	}
-	return out, nil
+	return c.Box().Partials(tiles), nil
 }
 
 // ErrShapeMismatch reports operands that are not conformable for the
 // requested operation — wrong inner dimensions or differing block sizes.
-// Every operand-validation error of the executors wraps it.
+// Every operand-validation error of the executors, on either plane, wraps it.
 var ErrShapeMismatch = errors.New("core: operand shapes are not conformable")
 
-// checkOperands validates conformability of A and B.
-func checkOperands(a, b *bmat.BlockMatrix) error {
-	if a.Cols != b.Rows {
-		return fmt.Errorf("%w: A is %dx%d, B is %dx%d: inner dimensions differ", ErrShapeMismatch, a.Rows, a.Cols, b.Rows, b.Cols)
+// CheckConformable validates C = A×B for an aRows×aCols A in aBlock-sized
+// blocks and a bRows×bCols B in bBlock-sized ones.
+func CheckConformable(aRows, aCols, aBlock, bRows, bCols, bBlock int) error {
+	if aCols != bRows {
+		return fmt.Errorf("%w: A is %dx%d, B is %dx%d: inner dimensions differ", ErrShapeMismatch, aRows, aCols, bRows, bCols)
 	}
-	if a.BlockSize != b.BlockSize {
-		return fmt.Errorf("%w: block sizes differ: %d vs %d", ErrShapeMismatch, a.BlockSize, b.BlockSize)
+	if aBlock != bBlock {
+		return fmt.Errorf("%w: block sizes differ: %d vs %d", ErrShapeMismatch, aBlock, bBlock)
 	}
 	return nil
+}
+
+// checkOperands is CheckConformable over two block matrices.
+func checkOperands(a, b *bmat.BlockMatrix) error {
+	return CheckConformable(a.Rows, a.Cols, a.BlockSize, b.Rows, b.Cols, b.BlockSize)
 }
 
 // ShapeOf summarizes C = A×B for the optimizer: grid extents, stored input
@@ -295,85 +294,144 @@ func pow1m(p float64, n int) float64 {
 //
 // The cluster's retry, backoff and speculation loops observe ctx and abort
 // within one backoff step of cancellation, returning an error wrapping
-// cluster.ErrCancelled and ctx.Err(). Task bodies commit their partial
-// output under a mutex with first-writer-wins, so re-executed and
-// speculative attempts leave output bytes identical to a failure-free run.
+// cluster.ErrCancelled and ctx.Err().
 func MultiplyCuboid(ctx context.Context, a, b *bmat.BlockMatrix, params Params, env Env) (*bmat.BlockMatrix, error) {
 	if err := checkOperands(a, b); err != nil {
 		return nil, err
 	}
 	s := ShapeOf(a, b)
-	if !params.valid(s) {
-		return nil, fmt.Errorf("core: multiply: params %v outside grid %dx%dx%d", params, s.I, s.J, s.K)
+	if err := params.Check(s.I, s.J, s.K); err != nil {
+		return nil, err
 	}
-	rec := env.recorder()
 	mult := env.multiplier()
-
-	// ---- Matrix repartition step -------------------------------------
-	// Build the P·Q·R cuboids and charge each one's input payload: every A
-	// block lands in exactly Q cuboids and every B block in exactly P, so
-	// the total equals Eq.(4)'s Q·|A| + P·|B| term exactly.
-	start := time.Now()
-	rsp := env.Tracer.Start(env.TraceParent, "repartition", obs.KindDriver)
-	cuboids := make([]*Cuboid, 0, params.Tasks())
-	var repartitionBytes int64
-	for p := 0; p < params.P; p++ {
-		ilo, ihi := shuffle.GridSpan(p, s.I, params.P)
-		for q := 0; q < params.Q; q++ {
-			jlo, jhi := shuffle.GridSpan(q, s.J, params.Q)
-			for r := 0; r < params.R; r++ {
-				klo, khi := shuffle.GridSpan(r, s.K, params.R)
-				c := &Cuboid{
-					P: p, Q: q, R: r,
-					ILo: ilo, IHi: ihi, JLo: jlo, JHi: jhi, KLo: klo, KHi: khi,
-					A: a, B: b,
-				}
-				if c.Voxels() == 0 {
-					// Ceil-division spans can leave trailing tiles empty
-					// (e.g. 10 blocks over 7 partitions); they carry no
-					// work and no data.
-					continue
-				}
-				repartitionBytes += c.ABytes() + c.BBytes()
-				cuboids = append(cuboids, c)
+	return runSteps(ctx, a, b, env, func() stepPlan {
+		// Every A block lands in exactly Q cuboids and every B block in
+		// exactly P, so the charge equals Eq.(4)'s Q·|A| + P·|B| term exactly.
+		plan := stepPlan{tasks: make([]stepTask, 0, params.Tasks()), compact: true}
+		cuboids := make([]*Cuboid, 0, params.Tasks())
+		ForEachCuboid(params, s.I, s.J, s.K, func(p, q, r int, box Box) {
+			c := &Cuboid{
+				P: p, Q: q, R: r,
+				ILo: box.ILo, IHi: box.IHi, JLo: box.JLo, JHi: box.JHi, KLo: box.KLo, KHi: box.KHi,
+				A: a, B: b,
+			}
+			in := c.ABytes() + c.BBytes()
+			plan.repartitionBytes += in
+			plan.tasks = append(plan.tasks, stepTask{
+				name: c.Name(), p: p, q: q, r: r,
+				mem:     in + c.CDenseBytes(),
+				compute: func() ([]Partial, error) { return mult.Multiply(c) },
+			})
+			cuboids = append(cuboids, c)
+		})
+		if env.AColocated {
+			plan.repartitionBytes -= a.StoredBytes()
+		}
+		if env.BColocated {
+			plan.repartitionBytes -= b.StoredBytes()
+		}
+		if plan.repartitionBytes < 0 {
+			plan.repartitionBytes = 0
+		}
+		// With R = 1 the local products are final blocks and no shuffle
+		// occurs (BMM's "-" in Table 2). With R > 1 every partial block
+		// crosses the shuffle, totalling R·|C| for dense partials — Eq.(4)'s
+		// last term — serialized in its compact form: a mostly-zero partial
+		// travels as CSR (the format decision SystemML makes per block),
+		// which is why the actual aggregation cost of sparse products runs
+		// below the worst-case R·|C| (§2.2.2).
+		if params.R > 1 {
+			plan.sizeOf = compactSizeBytes
+		}
+		if env.BalanceBySparsity {
+			// No box of a checked plan is empty, so cuboid (p,q,r) is task
+			// (p·Q+q)·R+r of the plan.
+			sortCuboidsByWork(cuboids)
+			plan.submit = make([]int, len(cuboids))
+			for n, c := range cuboids {
+				plan.submit[n] = (c.P*params.Q+c.Q)*params.R + c.R
 			}
 		}
-	}
-	if env.AColocated {
-		repartitionBytes -= a.StoredBytes()
-	}
-	if env.BColocated {
-		repartitionBytes -= b.StoredBytes()
-	}
-	if repartitionBytes < 0 {
-		repartitionBytes = 0
-	}
-	rec.AddBytes(metrics.StepRepartition, repartitionBytes)
-	if err := env.Cluster.ChargeSpill(repartitionBytes); err != nil {
+		return plan
+	})
+}
+
+// stepTask is one task of a plan — a cuboid of CuboidMM, a voxel group of
+// RMM. compute derives the task's partial C blocks from the operands alone
+// (its lineage), in the order the fold must add them; it is deterministic,
+// so re-executed, speculative and recomputed attempts agree to the bit.
+type stepTask struct {
+	name    string
+	p, q, r int   // cuboid index on the task's spans; -1 where there is none
+	mem     int64 // working set charged against θt
+	compute func() ([]Partial, error)
+}
+
+// stepPlan is what a method decides about the three steps of §3.1; runSteps
+// is how they run.
+type stepPlan struct {
+	// tasks are in plan order: the order the fold adds their partials in,
+	// whatever order they run or finish in.
+	tasks []stepTask
+	// submit, when not nil, is the order tasks are handed to the cluster, as
+	// indices into tasks. Scheduling may permute work; it never reaches the
+	// fold.
+	submit []int
+	// repartitionBytes is the repartition step's network charge.
+	repartitionBytes int64
+	// sizeOf is what one partial block costs the aggregation shuffle; nil
+	// when the partials are final blocks and nothing is shuffled.
+	sizeOf func(*matrix.Dense) int64
+	// compact stores low-density output blocks as CSR. CuboidMM does; RMM
+	// returns its output dense, as the paper's RMM has no format step.
+	compact bool
+	// spillEmptyAggregation charges the aggregation spill even at zero bytes:
+	// RMM always runs its (i,j) shuffle, CuboidMM at R = 1 has none to charge.
+	spillEmptyAggregation bool
+}
+
+// runSteps is the executor under every method: it charges the repartition
+// the plan prices, runs one cluster task per plan task, recovers partials
+// whose aggregation-side fetch fails, folds the partials in plan order and
+// charges the aggregation. build runs inside the repartition step, whose
+// span and duration cover the planning. Task bodies commit their partial
+// output under a mutex with first-writer-wins, so re-executed and
+// speculative attempts leave output bytes identical to a failure-free run.
+func runSteps(ctx context.Context, a, b *bmat.BlockMatrix, env Env, build func() stepPlan) (*bmat.BlockMatrix, error) {
+	rec := env.recorder()
+
+	// ---- Matrix repartition step -------------------------------------
+	start := time.Now()
+	rsp := env.Tracer.Start(env.TraceParent, "repartition", obs.KindDriver)
+	plan := build()
+	rec.AddBytes(metrics.StepRepartition, plan.repartitionBytes)
+	if err := env.Cluster.ChargeSpill(plan.repartitionBytes); err != nil {
 		endSpanErr(rsp, err)
 		return nil, err
 	}
 	rec.AddDuration(metrics.StepRepartition, time.Since(start))
-	rsp.AddBytes(repartitionBytes)
+	rsp.AddBytes(plan.repartitionBytes)
 	rsp.End()
 
 	// ---- Local multiplication step -----------------------------------
 	start = time.Now()
 	lsp := env.Tracer.Start(env.TraceParent, "local-multiply", obs.KindDriver)
-	if env.BalanceBySparsity {
-		sortCuboidsByWork(cuboids)
-	}
-	partials := make([]map[bmat.BlockKey]*matrix.Dense, len(cuboids))
+	partials := make([][]Partial, len(plan.tasks))
+	committed := make([]bool, len(plan.tasks))
 	var commitMu sync.Mutex
-	tasks := make([]cluster.Task, len(cuboids))
-	for idx, c := range cuboids {
-		idx, c := idx, c
-		tasks[idx] = cluster.Task{
-			Name:        c.Name(),
-			MemEstimate: c.MemEstimateBytes(),
+	tasks := make([]cluster.Task, len(plan.tasks))
+	for n := range tasks {
+		idx := n
+		if plan.submit != nil {
+			idx = plan.submit[n]
+		}
+		t := &plan.tasks[idx]
+		tasks[n] = cluster.Task{
+			Name:        t.name,
+			MemEstimate: t.mem,
 			Fn: func() error {
 				attemptStart := time.Now()
-				out, err := mult.Multiply(c)
+				out, err := t.compute()
 				if err != nil {
 					return err
 				}
@@ -381,24 +439,15 @@ func MultiplyCuboid(ctx context.Context, a, b *bmat.BlockMatrix, params Params, 
 				// race discards its (identical) result, so concurrent
 				// attempts never double-publish. Only the winning attempt
 				// records a task span, keeping the invariant of exactly one
-				// span per cuboid across retries and speculation.
+				// span per task across retries and speculation.
 				commitMu.Lock()
-				if partials[idx] == nil {
-					partials[idx] = out
-					if env.Tracer.Enabled() {
-						env.Tracer.AddCompleted(obs.SpanData{
-							Parent: lsp.ID(),
-							Name:   "task.multiply",
-							Kind:   obs.KindTask,
-							Worker: c.Name(),
-							P:      c.P, Q: c.Q, R: c.R,
-							Start: attemptStart, End: time.Now(),
-						})
-					}
-				} else {
-					releasePartialMap(out)
+				defer commitMu.Unlock()
+				if committed[idx] {
+					releasePartials(out)
+					return nil
 				}
-				commitMu.Unlock()
+				committed[idx], partials[idx] = true, out
+				env.taskSpan(lsp.ID(), "task.multiply", t, attemptStart)
 				return nil
 			},
 		}
@@ -407,7 +456,7 @@ func MultiplyCuboid(ctx context.Context, a, b *bmat.BlockMatrix, params Params, 
 		endSpanErr(lsp, err)
 		return nil, err
 	}
-	if err := recoverCuboidPartials(ctx, env, lsp.ID(), cuboids, partials, mult); err != nil {
+	if err := recoverPartials(ctx, env, lsp.ID(), plan.tasks, partials); err != nil {
 		endSpanErr(lsp, err)
 		return nil, err
 	}
@@ -415,26 +464,15 @@ func MultiplyCuboid(ctx context.Context, a, b *bmat.BlockMatrix, params Params, 
 	lsp.End()
 
 	// ---- Matrix aggregation step -------------------------------------
-	// With R = 1 the local products are final blocks and no shuffle occurs
-	// (BMM's "-" in Table 2). With R > 1 every partial block crosses the
-	// shuffle, totalling R·|C| for dense partials — Eq.(4)'s last term.
-	// Intermediate blocks are serialized for the shuffle in their compact
-	// form: a mostly-zero partial travels as CSR (the format decision
-	// SystemML makes per block), which is why the actual aggregation cost
-	// of sparse products runs below the worst-case R·|C| (§2.2.2).
-	// The merge itself is sharded across workers (aggregate.go) with
-	// bit-identical results at any width.
 	start = time.Now()
 	asp := env.Tracer.Start(env.TraceParent, "aggregate", obs.KindDriver)
 	out := bmat.New(a.Rows, b.Cols, a.BlockSize)
-	var sizeOf func(*matrix.Dense) int64
-	if params.R > 1 {
-		sizeOf = compactSizeBytes
+	aggregationBytes := foldPartials(out, partials, plan.sizeOf, env.aggWorkers())
+	if plan.compact {
+		compactOutput(out)
 	}
-	aggregationBytes := aggregateBlockPartials(out, partials, env.aggWorkers(), sizeOf)
-	compactOutput(out)
 	rec.AddBytes(metrics.StepAggregation, aggregationBytes)
-	if aggregationBytes > 0 {
+	if aggregationBytes > 0 || plan.spillEmptyAggregation {
 		if err := env.Cluster.ChargeSpill(aggregationBytes); err != nil {
 			endSpanErr(asp, err)
 			return nil, err
@@ -444,6 +482,21 @@ func MultiplyCuboid(ctx context.Context, a, b *bmat.BlockMatrix, params Params, 
 	asp.AddBytes(aggregationBytes)
 	asp.End()
 	return out, nil
+}
+
+// taskSpan records one finished attempt of a task under parent.
+func (e *Env) taskSpan(parent obs.SpanID, name string, t *stepTask, start time.Time) {
+	if !e.Tracer.Enabled() {
+		return
+	}
+	e.Tracer.AddCompleted(obs.SpanData{
+		Parent: parent,
+		Name:   name,
+		Kind:   obs.KindTask,
+		Worker: t.name,
+		P:      t.p, Q: t.q, R: t.r,
+		Start: start, End: time.Now(),
+	})
 }
 
 // endSpanErr annotates a span with an error and ends it (phase spans on
@@ -513,32 +566,6 @@ func sortCuboidsByWork(cs []*Cuboid) {
 	})
 }
 
-// keyedBlock pairs a key and block for deterministic iteration.
-type keyedBlock struct {
-	key   bmat.BlockKey
-	block *matrix.Dense
-}
-
-// sortedPartials returns the map's entries ordered by (I, J) so aggregation
-// is deterministic regardless of map iteration order.
-func sortedPartials(m map[bmat.BlockKey]*matrix.Dense) []keyedBlock {
-	out := make([]keyedBlock, 0, len(m))
-	for k, v := range m {
-		out = append(out, keyedBlock{k, v})
-	}
-	// insertion sort: partial maps are small per task.
-	for i := 1; i < len(out); i++ {
-		v := out[i]
-		j := i - 1
-		for j >= 0 && (out[j].key.I > v.key.I || (out[j].key.I == v.key.I && out[j].key.J > v.key.J)) {
-			out[j+1] = out[j]
-			j--
-		}
-		out[j+1] = v
-	}
-	return out
-}
-
 // MultiplyRMM runs Replication-based Matrix Multiplication (§2.2.3):
 // replicate every A block J times and every B block I times, hash-shuffle
 // voxels over tasks, multiply block pairs, then shuffle K·|C| intermediate
@@ -555,173 +582,87 @@ func MultiplyRMM(ctx context.Context, a, b *bmat.BlockMatrix, tasks int, env Env
 	if tasks <= 0 {
 		tasks = s.I * s.J
 	}
-	rec := env.recorder()
-
-	// ---- Matrix repartition step: replicate and hash-shuffle ----------
-	start := time.Now()
-	rsp := env.Tracer.Start(env.TraceParent, "repartition", obs.KindDriver)
-	groups := make([][]bmat.VoxelKey, tasks)
-	var repartitionBytes int64
-	hp := shuffle.HashPartitioner{N: tasks}
-	memEstimates := make([]int64, tasks)
-	for i := 0; i < s.I; i++ {
-		for j := 0; j < s.J; j++ {
-			for k := 0; k < s.K; k++ {
-				ab := a.Block(i, k)
-				bb := b.Block(k, j)
-				// Replication cost is charged for every voxel the block is
-				// copied to, even when a block is zero the paper's formula
-				// counts stored payload only, so nil blocks cost nothing.
-				var vbytes int64
-				if ab != nil {
-					vbytes += ab.SizeBytes()
-				}
-				if bb != nil {
-					vbytes += bb.SizeBytes()
-				}
-				repartitionBytes += vbytes
-				t := hp.PartitionVoxel(bmat.VoxelKey{I: i, J: j, K: k})
-				r, _ := a.BlockDims(i, 0)
-				_, cc := b.BlockDims(0, j)
-				// A task streams its voxels from the shuffle one at a time,
-				// so its resident set is the largest single voxel — this is
-				// what lets RMM scale to any matrix size (§2.2.3).
-				if v := vbytes + int64(r)*int64(cc)*8; v > memEstimates[t] {
-					memEstimates[t] = v
-				}
-				if ab != nil && bb != nil {
-					groups[t] = append(groups[t], bmat.VoxelKey{I: i, J: j, K: k})
-				}
-			}
-		}
-	}
-	rec.AddBytes(metrics.StepRepartition, repartitionBytes)
-	if err := env.Cluster.ChargeSpill(repartitionBytes); err != nil {
-		endSpanErr(rsp, err)
-		return nil, err
-	}
-	rec.AddDuration(metrics.StepRepartition, time.Since(start))
-	rsp.AddBytes(repartitionBytes)
-	rsp.End()
-
-	// ---- Local multiplication step: one block pair per voxel ----------
-	start = time.Now()
-	lsp := env.Tracer.Start(env.TraceParent, "local-multiply", obs.KindDriver)
 	vm := env.voxelMultiplier()
-	partials := make([]map[bmat.VoxelKey]*matrix.Dense, tasks)
-	var commitMu sync.Mutex
-	computeGroup := func(t int) (map[bmat.VoxelKey]*matrix.Dense, error) {
-		out := make(map[bmat.VoxelKey]*matrix.Dense, len(groups[t]))
-		for _, vk := range groups[t] {
-			ab := a.Block(vk.I, vk.K)
-			bb := b.Block(vk.K, vk.J)
-			prod, err := vm.MultiplyPair(ab, bb)
-			if err != nil {
-				releaseVoxelPartialMap(out)
-				return nil, err
-			}
-			out[vk] = prod
-		}
-		return out, nil
-	}
-	var clusterTasks []cluster.Task
-	var taskGroup []int
-	for t := 0; t < tasks; t++ {
-		t := t
-		if len(groups[t]) == 0 {
-			continue
-		}
-		taskGroup = append(taskGroup, t)
-		clusterTasks = append(clusterTasks, cluster.Task{
-			Name:        fmt.Sprintf("rmm-task(%d)", t),
-			MemEstimate: memEstimates[t],
-			Fn: func() error {
-				attemptStart := time.Now()
-				out, err := computeGroup(t)
-				if err != nil {
-					return err
-				}
-				commitMu.Lock()
-				if partials[t] == nil {
-					partials[t] = out
-					if env.Tracer.Enabled() {
-						env.Tracer.AddCompleted(obs.SpanData{
-							Parent: lsp.ID(),
-							Name:   "task.multiply",
-							Kind:   obs.KindTask,
-							Worker: fmt.Sprintf("rmm-task(%d)", t),
-							P:      -1, Q: -1, R: -1,
-							Start: attemptStart, End: time.Now(),
-						})
+	return runSteps(ctx, a, b, env, func() stepPlan {
+		// Every partial block crosses the (i,j) shuffle at stored size.
+		plan := stepPlan{sizeOf: (*matrix.Dense).SizeBytes, spillEmptyAggregation: true}
+		groups := make([][]bmat.VoxelKey, tasks)
+		memEstimates := make([]int64, tasks)
+		for i := 0; i < s.I; i++ {
+			for j := 0; j < s.J; j++ {
+				for k := 0; k < s.K; k++ {
+					ab := a.Block(i, k)
+					bb := b.Block(k, j)
+					// Replication cost is charged for every voxel the block is
+					// copied to, even when a block is zero the paper's formula
+					// counts stored payload only, so nil blocks cost nothing.
+					var vbytes int64
+					if ab != nil {
+						vbytes += ab.SizeBytes()
 					}
-				} else {
-					releaseVoxelPartialMap(out)
+					if bb != nil {
+						vbytes += bb.SizeBytes()
+					}
+					plan.repartitionBytes += vbytes
+					vk := bmat.VoxelKey{I: i, J: j, K: k}
+					t := voxelTask(vk, tasks)
+					r, _ := a.BlockDims(i, 0)
+					_, cc := b.BlockDims(0, j)
+					// A task streams its voxels from the shuffle one at a time,
+					// so its resident set is the largest single voxel — this is
+					// what lets RMM scale to any matrix size (§2.2.3).
+					if v := vbytes + int64(r)*int64(cc)*8; v > memEstimates[t] {
+						memEstimates[t] = v
+					}
+					if ab != nil && bb != nil {
+						groups[t] = append(groups[t], vk)
+					}
 				}
-				commitMu.Unlock()
-				return nil
-			},
-		})
-	}
-	if err := env.Cluster.Run(ctx, clusterTasks); err != nil {
-		endSpanErr(lsp, err)
-		return nil, err
-	}
-	if err := recoverVoxelPartials(ctx, env, lsp.ID(), taskGroup, partials, computeGroup); err != nil {
-		endSpanErr(lsp, err)
-		return nil, err
-	}
-	rec.AddDuration(metrics.StepLocalMultiply, time.Since(start))
-	lsp.End()
-
-	// ---- Matrix aggregation step: shuffle K·|C| partials by (i,j) ------
-	// Voxel partials are merged with the same sharded parallel reduce as
-	// the cuboid path; every partial block crosses the shuffle at stored
-	// size.
-	start = time.Now()
-	asp := env.Tracer.Start(env.TraceParent, "aggregate", obs.KindDriver)
-	out := bmat.New(a.Rows, b.Cols, a.BlockSize)
-	aggregationBytes := aggregateVoxelPartials(out, partials, env.aggWorkers())
-	rec.AddBytes(metrics.StepAggregation, aggregationBytes)
-	if err := env.Cluster.ChargeSpill(aggregationBytes); err != nil {
-		endSpanErr(asp, err)
-		return nil, err
-	}
-	rec.AddDuration(metrics.StepAggregation, time.Since(start))
-	asp.AddBytes(aggregationBytes)
-	asp.End()
-	return out, nil
-}
-
-type keyedVoxelBlock struct {
-	key   bmat.VoxelKey
-	block *matrix.Dense
-}
-
-func sortedVoxelPartials(m map[bmat.VoxelKey]*matrix.Dense) []keyedVoxelBlock {
-	out := make([]keyedVoxelBlock, 0, len(m))
-	for k, v := range m {
-		out = append(out, keyedVoxelBlock{k, v})
-	}
-	for i := 1; i < len(out); i++ {
-		v := out[i]
-		j := i - 1
-		for j >= 0 && voxelLess(v.key, out[j].key) {
-			out[j+1] = out[j]
-			j--
+			}
 		}
-		out[j+1] = v
-	}
-	return out
+		for t, group := range groups {
+			if len(group) == 0 {
+				continue
+			}
+			plan.tasks = append(plan.tasks, stepTask{
+				name: fmt.Sprintf("rmm-task(%d)", t), p: -1, q: -1, r: -1,
+				mem: memEstimates[t],
+				// One block pair per voxel, in the group's (i,j,k) order.
+				compute: func() ([]Partial, error) {
+					out := make([]Partial, 0, len(group))
+					for _, vk := range group {
+						prod, err := vm.MultiplyPair(a.Block(vk.I, vk.K), b.Block(vk.K, vk.J))
+						if err != nil {
+							releasePartials(out)
+							return nil, err
+						}
+						out = append(out, Partial{Key: bmat.BlockKey{I: vk.I, J: vk.J}, Block: prod})
+					}
+					return out, nil
+				},
+			})
+		}
+		return plan
+	})
 }
 
-func voxelLess(a, b bmat.VoxelKey) bool {
-	if a.I != b.I {
-		return a.I < b.I
-	}
-	if a.J != b.J {
-		return a.J < b.J
-	}
-	return a.K < b.K
+// voxelTask hashes voxel v_{i,j,k} onto one of n tasks: RMM shuffles
+// replicated blocks with the voxel index as the key (§2.2.3).
+func voxelTask(v bmat.VoxelKey, n int) int {
+	return int(hash2(hash2(uint64(v.I), uint64(v.J)), uint64(v.K)) % uint64(n))
+}
+
+// hash2 mixes two 64-bit values (splitmix64-style finalizer), giving the
+// even spread the Hash scheme of §2.1 promises without pulling in
+// hash/maphash state.
+func hash2(a, b uint64) uint64 {
+	x := a*0x9e3779b97f4a7c15 ^ (b + 0x9e3779b97f4a7c15 + (a << 6) + (a >> 2))
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // MultiplyAuto optimizes (P,Q,R) for the cluster's budgets (Eq. 2) and runs

@@ -384,6 +384,29 @@ func TestBalanceBySparsityPreservesResult(t *testing.T) {
 	}
 }
 
+// TestBalanceBySparsityBitIdentical: LPT permutes the order tasks are handed
+// to the cluster, never the order the fold adds their partials in, so the
+// balanced product is the unbalanced one to the bit.
+func TestBalanceBySparsityBitIdentical(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(540 + seed))
+		a := bmat.RandomSparse(rng, 24, 36, 4, 0.3)
+		b := bmat.RandomDense(rng, 36, 24, 4)
+		params := Params{2, 3, 3}
+		plain, err := MultiplyCuboid(context.Background(), a, b, params, testEnv(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := testEnv(t)
+		env.BalanceBySparsity = true
+		balanced, err := MultiplyCuboid(context.Background(), a, b, params, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matricesBitIdentical(t, plain, balanced)
+	}
+}
+
 func TestMultiplySurvivesInjectedTaskLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	cfg := cluster.LaptopConfig()
@@ -488,5 +511,30 @@ func TestDenseProductOutputStaysDense(t *testing.T) {
 	}
 	if c.IsSparse() {
 		t.Fatal("dense product converted to sparse")
+	}
+}
+
+func TestVoxelTaskDeterministic(t *testing.T) {
+	v := bmat.VoxelKey{I: 3, J: 1, K: 2}
+	if voxelTask(v, 5) != voxelTask(v, 5) {
+		t.Fatal("voxel hash not deterministic")
+	}
+}
+
+func TestVoxelTaskRangeAndSpread(t *testing.T) {
+	counts := make([]int, 7)
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 40; j++ {
+			d := voxelTask(bmat.VoxelKey{I: i, J: j, K: (i + j) % 5}, 7)
+			if d < 0 || d >= 7 {
+				t.Fatalf("task %d out of range", d)
+			}
+			counts[d]++
+		}
+	}
+	for i, c := range counts {
+		if c < 1600/7/2 || c > 1600/7*2 {
+			t.Fatalf("voxel task %d badly balanced: %d of 1600", i, c)
+		}
 	}
 }

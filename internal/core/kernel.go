@@ -21,6 +21,18 @@ func (b Box) TileKey(t int) bmat.BlockKey {
 	return bmat.BlockKey{I: b.ILo + t/nj, J: b.JLo + t%nj}
 }
 
+// Partials lists the accumulators MultiplyBox returned for this box under
+// their C block positions, in key order; tiles no pair met are left out.
+func (b Box) Partials(tiles []*matrix.Dense) []Partial {
+	out := make([]Partial, 0, len(tiles))
+	for t, acc := range tiles {
+		if acc != nil {
+			out = append(out, Partial{Key: b.TileKey(t), Block: acc})
+		}
+	}
+	return out
+}
+
 // boxFanoutFlops is the least arithmetic in a box before its (i,j) tiles
 // are spread over goroutines — one 128³ block product. Below it, waking a
 // second core costs more than it returns: the small serving jobs stay on

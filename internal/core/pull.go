@@ -73,9 +73,7 @@ func (pc PullCost) normalized() PullCost {
 //	+ AggRatio·R·|C|  (iff R > 1)               aggregation
 //
 // The sum of the first two numerators equals push's Q·|A| + P·|B| exactly —
-// pull never moves fewer total bytes, it moves them over more links. The
-// cost stays monotone nondecreasing in Q for fixed (P,R), so the
-// minFeasibleQ search argument carries over unchanged.
+// pull never moves fewer total bytes, it moves them over more links.
 func (s Shape) CostBytesPull(p Params, w WireCost, pc PullCost) float64 {
 	w = w.normalized()
 	pc = pc.normalized()
@@ -92,47 +90,9 @@ func (s Shape) CostBytesPull(p Params, w WireCost, pc PullCost) float64 {
 }
 
 // OptimizePull is OptimizeWire with the cost evaluated as CostBytesPull:
-// the feasible (P,Q,R) minimizing the pull-mode Eq.(4). The O(I·K) search
-// stays exact for the same reason as OptimizeWire's — for fixed (P,R) the
-// only Q-dependent term, (Q−1)·|A|/W, is nondecreasing in Q.
+// the feasible (P,Q,R) minimizing the pull-mode Eq.(4).
 func OptimizePull(s Shape, taskMemBytes int64, slots int, w WireCost, pc PullCost) (Params, error) {
-	if err := s.Validate(); err != nil {
-		return Params{}, err
-	}
-	if taskMemBytes <= 0 {
-		return Params{}, fmt.Errorf("core: Optimize: task memory budget must be positive, got %d", taskMemBytes)
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	w = w.normalized()
-	pc = pc.normalized()
-	// Exceptional case (§3.2): fewer voxels than slots.
-	if s.I*s.J*s.K < slots {
-		return Params{P: s.I, Q: s.J, R: s.K}, nil
-	}
-
-	best := Params{}
-	bestCost := 0.0
-	found := false
-	θ := float64(taskMemBytes)
-	for p := 1; p <= s.I; p++ {
-		for r := 1; r <= s.K; r++ {
-			q, ok := minFeasibleQ(s, p, r, θ, slots)
-			if !ok {
-				continue
-			}
-			cand := Params{P: p, Q: q, R: r}
-			cost := s.CostBytesPull(cand, w, pc)
-			if !found || cost < bestCost || (cost == bestCost && less(cand, best)) {
-				best, bestCost, found = cand, cost, true
-			}
-		}
-	}
-	if !found {
-		return Params{}, fmt.Errorf("%w: grid %dx%dx%d, θt=%d", ErrInfeasible, s.I, s.J, s.K, taskMemBytes)
-	}
-	return best, nil
+	return search(s, taskMemBytes, slots, func(p Params) float64 { return s.CostBytesPull(p, w, pc) })
 }
 
 // OptimizeTransfer solves Eq.(2) across both transfer modes: it returns the
@@ -153,45 +113,4 @@ func OptimizeTransfer(s Shape, taskMemBytes int64, slots int, w WireCost, pc Pul
 		return pull, TransferPull, nil
 	}
 	return push, TransferPush, nil
-}
-
-// OptimizePullBrute is the direct O(I·J·K) scan of the pull-mode Eq.(2);
-// exported for the tests that hold OptimizePull to the exact argmin.
-func OptimizePullBrute(s Shape, taskMemBytes int64, slots int, w WireCost, pc PullCost) (Params, error) {
-	if err := s.Validate(); err != nil {
-		return Params{}, err
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	if s.I*s.J*s.K < slots {
-		return Params{P: s.I, Q: s.J, R: s.K}, nil
-	}
-	w = w.normalized()
-	pc = pc.normalized()
-	θ := float64(taskMemBytes)
-	best := Params{}
-	bestCost := 0.0
-	found := false
-	for p := 1; p <= s.I; p++ {
-		for q := 1; q <= s.J; q++ {
-			for r := 1; r <= s.K; r++ {
-				cand := Params{P: p, Q: q, R: r}
-				if cand.Tasks() < slots {
-					continue
-				}
-				if s.MemBytes(cand) > θ {
-					continue
-				}
-				cost := s.CostBytesPull(cand, w, pc)
-				if !found || cost < bestCost || (cost == bestCost && less(cand, best)) {
-					best, bestCost, found = cand, cost, true
-				}
-			}
-		}
-	}
-	if !found {
-		return Params{}, fmt.Errorf("%w: grid %dx%dx%d, θt=%d", ErrInfeasible, s.I, s.J, s.K, taskMemBytes)
-	}
-	return best, nil
 }

@@ -48,7 +48,7 @@ func TestOptimizePullMatchesBrute(t *testing.T) {
 		slots := 1 + rng.Intn(6)
 		w := ratios[trial%len(ratios)]
 		pc := PullCost{Workers: 1 + rng.Intn(8), SeedResident: trial%2 == 0}
-		want, werr := OptimizePullBrute(s, θ, slots, w, pc)
+		want, werr := searchBrute(s, θ, slots, func(p Params) float64 { return s.CostBytesPull(p, w, pc) })
 		got, err := OptimizePull(s, θ, slots, w, pc)
 		if werr != nil {
 			if err == nil {
@@ -111,10 +111,10 @@ func TestOptimizeTransferSelectsPullIffCheaper(t *testing.T) {
 			sawPush = true
 		}
 		// Cross-check both argmins against the brute scans.
-		if bp, ok := bruteWire(s, θ, slots, w); !ok || bp != push {
-			t.Fatalf("push brute %v, fast %v", bp, push)
+		if bp, err := searchBrute(s, θ, slots, func(p Params) float64 { return s.CostBytesWire(p, w) }); err != nil || bp != push {
+			t.Fatalf("push brute %v (%v), fast %v", bp, err, push)
 		}
-		if bq, err := OptimizePullBrute(s, θ, slots, w, pc); err != nil || bq != pull {
+		if bq, err := searchBrute(s, θ, slots, func(p Params) float64 { return s.CostBytesPull(p, w, pc) }); err != nil || bq != pull {
 			t.Fatalf("pull brute %v (%v), fast %v", bq, err, pull)
 		}
 	}

@@ -46,11 +46,6 @@ func (p Params) String() string { return fmt.Sprintf("(%d,%d,%d)", p.P, p.Q, p.R
 // Tasks returns P·Q·R, the number of cuboids and hence tasks.
 func (p Params) Tasks() int { return p.P * p.Q * p.R }
 
-// valid reports whether p is inside the feasible box for shape s.
-func (p Params) valid(s Shape) bool {
-	return p.P >= 1 && p.P <= s.I && p.Q >= 1 && p.Q <= s.J && p.R >= 1 && p.R <= s.K
-}
-
 // MemBytes evaluates Eq.(3): the average per-task working set
 // |A|/(P·R) + |B|/(R·Q) + |C|/(P·Q), in bytes.
 func (s Shape) MemBytes(p Params) float64 {
@@ -134,23 +129,57 @@ var ErrInfeasible = errors.New("core: no cuboid partitioning fits the per-task m
 // (P·Q·R ≥ slots, §3.2), with the paper's exceptional case: when the whole
 // voxel grid has fewer cells than slots, return (I,J,K) to maximize
 // parallelism (which behaves like RMM).
-//
-// The search is exhaustive over (P,R); for each pair the cost is monotone
-// increasing in Q, so the smallest feasible Q is optimal — an O(I·K)
-// procedure that returns exactly the argmin of the full O(I·J·K) scan (a
-// property the tests verify against a brute-force reference).
 func Optimize(s Shape, taskMemBytes int64, slots int) (Params, error) {
 	return OptimizeWire(s, taskMemBytes, slots, DefaultWireCost())
 }
 
 // OptimizeWire is Optimize with the cost evaluated as CostBytesWire: the
-// feasible (P,Q,R) minimizing the wire-priced Eq.(4). The O(I·K) search
-// stays valid because scaling by positive ratios keeps the cost monotone
-// increasing in Q for fixed (P,R) — minFeasibleQ's argument is unchanged.
-// A cheaper InputRatio can genuinely flip the argmin: it discounts the
-// repartition terms but not R·|C|, so plans that buy a smaller aggregation
-// with more replication win ties they previously lost.
+// feasible (P,Q,R) minimizing the wire-priced Eq.(4). A cheaper InputRatio
+// can genuinely flip the argmin: it discounts the repartition terms but not
+// R·|C|, so plans that buy a smaller aggregation with more replication win
+// ties they previously lost.
 func OptimizeWire(s Shape, taskMemBytes int64, slots int, w WireCost) (Params, error) {
+	return search(s, taskMemBytes, slots, func(p Params) float64 { return s.CostBytesWire(p, w) })
+}
+
+// search solves Eq.(2) under one cost function: exhaustive over (P,R), and
+// for each pair only the smallest feasible Q — an O(I·K) procedure. It
+// returns exactly the argmin of the full O(I·J·K) scan provided cost is
+// nondecreasing in Q for fixed (P,R), which every Eq.(4) variant is: Q only
+// ever multiplies |A|, by a positive price. The tests hold each caller to
+// searchBrute.
+func search(s Shape, taskMemBytes int64, slots int, cost func(Params) float64) (Params, error) {
+	return argmin(s, taskMemBytes, slots, cost, func(θ float64, slots int, try func(Params)) {
+		for p := 1; p <= s.I; p++ {
+			for r := 1; r <= s.K; r++ {
+				if q, ok := minFeasibleQ(s, p, r, θ, slots); ok {
+					try(Params{P: p, Q: q, R: r})
+				}
+			}
+		}
+	})
+}
+
+// searchBrute is the direct O(I·J·K) scan of Eq.(2), the reference search is
+// held to.
+func searchBrute(s Shape, taskMemBytes int64, slots int, cost func(Params) float64) (Params, error) {
+	return argmin(s, taskMemBytes, slots, cost, func(θ float64, slots int, try func(Params)) {
+		for p := 1; p <= s.I; p++ {
+			for q := 1; q <= s.J; q++ {
+				for r := 1; r <= s.K; r++ {
+					if cand := (Params{P: p, Q: q, R: r}); cand.Tasks() >= slots && s.MemBytes(cand) <= θ {
+						try(cand)
+					}
+				}
+			}
+		}
+	})
+}
+
+// argmin is the frame of Eq.(2) both scans share: input validation, the
+// exceptional case of §3.2 (fewer voxels than slots), and the cheapest of
+// the feasible candidates each offers to try, ties broken by less.
+func argmin(s Shape, taskMemBytes int64, slots int, cost func(Params) float64, each func(θ float64, slots int, try func(Params))) (Params, error) {
 	if err := s.Validate(); err != nil {
 		return Params{}, err
 	}
@@ -160,29 +189,17 @@ func OptimizeWire(s Shape, taskMemBytes int64, slots int, w WireCost) (Params, e
 	if slots < 1 {
 		slots = 1
 	}
-	w = w.normalized()
-	// Exceptional case (§3.2): fewer voxels than slots.
 	if s.I*s.J*s.K < slots {
 		return Params{P: s.I, Q: s.J, R: s.K}, nil
 	}
-
 	best := Params{}
 	bestCost := 0.0
 	found := false
-	θ := float64(taskMemBytes)
-	for p := 1; p <= s.I; p++ {
-		for r := 1; r <= s.K; r++ {
-			q, ok := minFeasibleQ(s, p, r, θ, slots)
-			if !ok {
-				continue
-			}
-			cand := Params{P: p, Q: q, R: r}
-			cost := s.CostBytesWire(cand, w)
-			if !found || cost < bestCost || (cost == bestCost && less(cand, best)) {
-				best, bestCost, found = cand, cost, true
-			}
+	each(float64(taskMemBytes), slots, func(cand Params) {
+		if c := cost(cand); !found || c < bestCost || (c == bestCost && less(cand, best)) {
+			best, bestCost, found = cand, c, true
 		}
-	}
+	})
 	if !found {
 		return Params{}, fmt.Errorf("%w: grid %dx%dx%d, θt=%d", ErrInfeasible, s.I, s.J, s.K, taskMemBytes)
 	}
@@ -250,44 +267,4 @@ func less(a, b Params) bool {
 		return a.Q < b.Q
 	}
 	return a.R < b.R
-}
-
-// OptimizeBrute is the direct O(I·J·K) scan of Eq.(2); exported for tests
-// and for the Figure 9 parameter-sweep bench, which wants every candidate's
-// cost, not just the argmin.
-func OptimizeBrute(s Shape, taskMemBytes int64, slots int) (Params, error) {
-	if err := s.Validate(); err != nil {
-		return Params{}, err
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	if s.I*s.J*s.K < slots {
-		return Params{P: s.I, Q: s.J, R: s.K}, nil
-	}
-	θ := float64(taskMemBytes)
-	best := Params{}
-	bestCost := 0.0
-	found := false
-	for p := 1; p <= s.I; p++ {
-		for q := 1; q <= s.J; q++ {
-			for r := 1; r <= s.K; r++ {
-				cand := Params{P: p, Q: q, R: r}
-				if cand.Tasks() < slots {
-					continue
-				}
-				if s.MemBytes(cand) > θ {
-					continue
-				}
-				cost := s.CostBytes(cand)
-				if !found || cost < bestCost || (cost == bestCost && less(cand, best)) {
-					best, bestCost, found = cand, cost, true
-				}
-			}
-		}
-	}
-	if !found {
-		return Params{}, fmt.Errorf("%w: grid %dx%dx%d, θt=%d", ErrInfeasible, s.I, s.J, s.K, taskMemBytes)
-	}
-	return best, nil
 }

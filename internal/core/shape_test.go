@@ -89,7 +89,7 @@ func TestOptimizeMatchesBruteForce(t *testing.T) {
 		θ := int64(1 + rng.Intn(200000))
 		slots := 1 + rng.Intn(30)
 		got, gerr := Optimize(s, θ, slots)
-		want, werr := OptimizeBrute(s, θ, slots)
+		want, werr := searchBrute(s, θ, slots, s.CostBytes)
 		if (gerr == nil) != (werr == nil) {
 			return false
 		}
@@ -157,6 +157,9 @@ func TestOptimizeInvalidInputs(t *testing.T) {
 	}
 	if _, err := Optimize(Shape{I: 1, J: 1, K: 1}, 0, 1); err == nil {
 		t.Fatal("zero budget accepted")
+	}
+	if _, err := searchBrute(Shape{I: 1, J: 1, K: 1}, 0, 1, Shape{}.CostBytes); err == nil {
+		t.Fatal("zero budget accepted by the brute reference")
 	}
 	if _, err := Optimize(Shape{I: 1, J: 1, K: 1, ABytes: -1}, 10, 1); err == nil {
 		t.Fatal("negative payload accepted")

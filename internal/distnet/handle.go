@@ -10,8 +10,8 @@ import (
 
 	"distme/internal/bmat"
 	"distme/internal/codec"
+	"distme/internal/core"
 	"distme/internal/obs"
-	"distme/internal/shuffle"
 )
 
 // The driver half of the distributed block store. A Session snapshots a
@@ -152,7 +152,7 @@ func (s *Session) parts(ib int) []part {
 	w := len(s.workers)
 	ps := make([]part, 0, w)
 	for t := 0; t < w; t++ {
-		lo, hi := shuffle.GridSpan(t, ib, w)
+		lo, hi := core.GridSpan(t, ib, w)
 		ps = append(ps, part{m: s.workers[t], lo: lo, hi: hi})
 	}
 	return ps

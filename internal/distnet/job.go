@@ -14,7 +14,6 @@ import (
 	"distme/internal/core"
 	"distme/internal/matrix"
 	"distme/internal/obs"
-	"distme/internal/shuffle"
 )
 
 // The cuboid job path: the package's only copy of CuboidMM — enumerate the
@@ -66,8 +65,8 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 	}
 	gi, gj, gk := ceilDivInt(job.rows, job.blockSize), ceilDivInt(job.cols, job.blockSize), ceilDivInt(job.inner, job.blockSize)
 	params := job.params
-	if params.P < 1 || params.P > gi || params.Q < 1 || params.Q > gj || params.R < 1 || params.R > gk {
-		return nil, fmt.Errorf("distnet: params %v outside grid %dx%dx%d", params, gi, gj, gk)
+	if err := params.Check(gi, gj, gk); err != nil {
+		return nil, fmt.Errorf("distnet: %w", err)
 	}
 
 	d.activeJobs.Add(1)
@@ -81,27 +80,17 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 	}
 	defer r.root.End()
 
-	// Plan: one filled cuboid per non-empty voxel box, in (p,q,r) index order.
-	for p := 0; p < params.P; p++ {
-		ilo, ihi := shuffle.GridSpan(p, gi, params.P)
-		for q := 0; q < params.Q; q++ {
-			jlo, jhi := shuffle.GridSpan(q, gj, params.Q)
-			for rr := 0; rr < params.R; rr++ {
-				klo, khi := shuffle.GridSpan(rr, gk, params.R)
-				if ihi <= ilo || jhi <= jlo || khi <= klo {
-					continue
-				}
-				args := &MultiplyArgs{
-					ILo: ilo, IHi: ihi, JLo: jlo, JHi: jhi, KLo: klo, KHi: khi,
-					cuboidP: p, cuboidQ: q, cuboidR: rr,
-					encoding: d.opts.Encoding,
-					meter:    r.meter,
-				}
-				job.fill(args)
-				r.cuboids = append(r.cuboids, args)
-			}
+	// Plan: one filled cuboid per voxel box, in core's (p,q,r) plan order.
+	core.ForEachCuboid(params, gi, gj, gk, func(p, q, rr int, box core.Box) {
+		args := &MultiplyArgs{
+			ILo: box.ILo, IHi: box.IHi, JLo: box.JLo, JHi: box.JHi, KLo: box.KLo, KHi: box.KHi,
+			cuboidP: p, cuboidQ: q, cuboidR: rr,
+			encoding: d.opts.Encoding,
+			meter:    r.meter,
 		}
-	}
+		job.fill(args)
+		r.cuboids = append(r.cuboids, args)
+	})
 	if job.ckpt != nil {
 		if err := job.ckpt.ensureManifest(&job, len(r.cuboids)); err != nil {
 			return nil, err
@@ -165,18 +154,18 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 		}
 	}
 
+	// Aggregate with core's fold, in plan order: the bits of core.MultiplyCuboid
+	// at the same (P,Q,R).
 	agg := d.tracer.Start(r.root.ID(), "aggregate", obs.KindDriver)
 	out := bmat.New(job.rows, job.cols, job.blockSize)
-	for _, reply := range r.replies {
-		for _, rec := range reply.CBlocks {
-			dense := denseOf(rec.Block)
-			if existing := out.Block(rec.Key.I, rec.Key.J); existing != nil {
-				matrix.AddInto(existing.(*matrix.Dense), dense)
-			} else {
-				out.SetBlock(rec.Key.I, rec.Key.J, dense)
-			}
+	lists := make([][]core.Partial, len(r.replies))
+	for idx, reply := range r.replies {
+		lists[idx] = make([]core.Partial, len(reply.CBlocks))
+		for i, rec := range reply.CBlocks {
+			lists[idx][i] = core.Partial{Key: rec.Key, Block: denseOf(rec.Block)}
 		}
 	}
+	core.FoldPartials(out, lists, nil)
 	agg.End()
 	return out, nil
 }
@@ -532,8 +521,8 @@ func (jp *jobPrep) prepare(args *MultiplyArgs) (int64, error) {
 // inside its voxel box, shipped inline (or as digest references to blocks
 // the worker already holds).
 func (d *Driver) multiply(ctx context.Context, a, b *bmat.BlockMatrix, params core.Params, ckpt *checkpointer) (*bmat.BlockMatrix, error) {
-	if a.Cols != b.Rows || a.BlockSize != b.BlockSize {
-		return nil, fmt.Errorf("distnet: operands not conformable")
+	if err := core.CheckConformable(a.Rows, a.Cols, a.BlockSize, b.Rows, b.Cols, b.BlockSize); err != nil {
+		return nil, fmt.Errorf("distnet: %w", err)
 	}
 	return d.runCuboids(ctx, cuboidJob{
 		rows: a.Rows, inner: a.Cols, cols: b.Cols, blockSize: a.BlockSize,

@@ -9,14 +9,16 @@ import (
 	"testing"
 
 	"distme/internal/bmat"
+	"distme/internal/cluster"
 	"distme/internal/core"
 	"distme/internal/obs"
 )
 
 // The one cuboid job path's contract, as one table: whatever way a cuboid
 // obtains its slices — pushed inline, pulled by manifest, downgraded mid-job,
-// batched, restored from a checkpoint — the product is the same bytes, and
-// the job is metered, gauged and traced the same way.
+// batched, restored from a checkpoint — the product is the same bytes, the
+// bytes core.MultiplyCuboid computes on the simulated cluster, and the job is
+// metered, gauged and traced the same way.
 
 // gaugeCtx samples Driver.ActiveJobs every time the job path polls its
 // context — which it does before each scheduling attempt, from inside the
@@ -118,13 +120,19 @@ func TestCuboidPathParity(t *testing.T) {
 
 	for si, shape := range shapes {
 		a, b := shape.make(rand.New(rand.NewSource(int64(1600 + si))))
-		refAddrs, _ := startWorkers(t, 2)
-		ref, err := Dial(refAddrs)
+		// The reference is the other plane: core.MultiplyCuboid over the
+		// simulated cluster at the same (P,Q,R). Plan order, kernel and fold
+		// are shared, so the two planes agree to the bit per plan
+		// (bitIdentical compares values, the engine side's CSR blocks
+		// decompacted).
+		cfg := cluster.LaptopConfig()
+		cfg.TaskMemBytes = 1 << 30
+		cfg.DiskCapacityBytes = 0
+		cl, err := cluster.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := execute(ref, a, b, params)
-		ref.Close()
+		want, err := core.MultiplyCuboid(context.Background(), a, b, params, core.Env{Cluster: cl})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -166,8 +166,8 @@ func (s *Session) Price(x plan.Expr, binds map[string]*Handle) (materialized, re
 func outputShape(n plan.NodeInfo, a, b pipeShape) (pipeShape, error) {
 	switch n.Kind {
 	case plan.OpMul:
-		if a.cols != b.rows || a.blockSize != b.blockSize {
-			return pipeShape{}, fmt.Errorf("distnet: operands not conformable (%dx%d × %dx%d)", a.rows, a.cols, b.rows, b.cols)
+		if err := core.CheckConformable(a.rows, a.cols, a.blockSize, b.rows, b.cols, b.blockSize); err != nil {
+			return pipeShape{}, fmt.Errorf("distnet: %w", err)
 		}
 		return pipeShape{rows: a.rows, cols: b.cols, blockSize: a.blockSize}, nil
 	case plan.OpTranspose:

@@ -27,8 +27,8 @@ func (s *Session) Multiply(ctx context.Context, a, b *Handle, opts MultiplyOptio
 	if err := s.checkHandle(b); err != nil {
 		return nil, core.Params{}, err
 	}
-	if a.cols != b.rows || a.blockSize != b.blockSize {
-		return nil, core.Params{}, fmt.Errorf("distnet: operands not conformable")
+	if err := core.CheckConformable(a.rows, a.cols, a.blockSize, b.rows, b.cols, b.blockSize); err != nil {
+		return nil, core.Params{}, fmt.Errorf("distnet: %w", err)
 	}
 	params, mode, err := s.d.planMultiply(opts, s.handleShape(a, b), core.PullCost{Workers: len(s.workers), SeedResident: true})
 	if err != nil {

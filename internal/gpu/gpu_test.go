@@ -31,6 +31,15 @@ func fullCuboid(a, b *bmat.BlockMatrix) *core.Cuboid {
 	}
 }
 
+// byKey indexes a multiplier's partial list by C block position.
+func byKey(list []core.Partial) map[bmat.BlockKey]*matrix.Dense {
+	m := make(map[bmat.BlockKey]*matrix.Dense, len(list))
+	for _, p := range list {
+		m[p.Key] = p.Block
+	}
+	return m
+}
+
 func TestGPUMultiplyMatchesCPU(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	a := bmat.RandomDense(rng, 16, 12, 4)
@@ -49,9 +58,10 @@ func TestGPUMultiplyMatchesCPU(t *testing.T) {
 	if len(got) != len(cpu) {
 		t.Fatalf("GPU produced %d blocks, CPU %d", len(got), len(cpu))
 	}
-	for k, want := range cpu {
-		if !got[k].EqualApprox(want, 1e-9) {
-			t.Fatalf("block %v differs", k)
+	gotAt := byKey(got)
+	for _, want := range cpu {
+		if !gotAt[want.Key].EqualApprox(want.Block, 1e-9) {
+			t.Fatalf("block %v differs", want.Key)
 		}
 	}
 }
@@ -86,8 +96,9 @@ func TestGPUStreamedEqualsUnstreamedProperty(t *testing.T) {
 		if len(got) != len(cpu) {
 			return false
 		}
-		for key, want := range cpu {
-			if !got[key].EqualApprox(want, 1e-9) {
+		gotAt := byKey(got)
+		for _, want := range cpu {
+			if !gotAt[want.Key].EqualApprox(want.Block, 1e-9) {
 				return false
 			}
 		}
@@ -357,8 +368,9 @@ func TestSharedBusContentionLowersUtilization(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := core.CPUMultiplier{}.Multiply(c)
-	for k, w := range want {
-		if !got[k].EqualApprox(w, 1e-9) {
+	gotAt := byKey(got)
+	for _, w := range want {
+		if !gotAt[w.Key].EqualApprox(w.Block, 1e-9) {
 			t.Fatal("shared-bus run changed the product")
 		}
 	}

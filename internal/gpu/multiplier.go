@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 
-	"distme/internal/bmat"
 	"distme/internal/core"
 	"distme/internal/matrix"
 	"distme/internal/metrics"
@@ -33,9 +32,9 @@ var _ core.LocalMultiplier = (*Multiplier)(nil)
 // across the k-axis, copying the smaller input side as a chunk and the
 // bigger side block-by-block on per-j streams, and copy C back after the
 // last k-subcuboid.
-func (m *Multiplier) Multiply(c *core.Cuboid) (map[bmat.BlockKey]*matrix.Dense, error) {
+func (m *Multiplier) Multiply(c *core.Cuboid) ([]core.Partial, error) {
 	if c.Voxels() == 0 {
-		return map[bmat.BlockKey]*matrix.Dense{}, nil
+		return nil, nil
 	}
 	shape := c.Shape()
 	spec := m.Device.Spec()
@@ -50,7 +49,7 @@ func (m *Multiplier) Multiply(c *core.Cuboid) (map[bmat.BlockKey]*matrix.Dense, 
 
 	tl := newTaskTimeline(spec, shape.JB)
 	tl.device = m.Device
-	out := make(map[bmat.BlockKey]*matrix.Dense)
+	var out []core.Partial
 
 	for p2 := 0; p2 < sub.P2; p2++ {
 		ilo, ihi := spanWithin(c.ILo, c.IHi, p2, sub.P2)
@@ -76,11 +75,7 @@ func (m *Multiplier) Multiply(c *core.Cuboid) (map[bmat.BlockKey]*matrix.Dense, 
 				acc, _ = core.MultiplyBox(box, c.A.Block, c.B.Block, acc)
 				tl.iterations++
 			}
-			for t, blk := range acc {
-				if blk != nil {
-					out[box.TileKey(t)] = blk
-				}
-			}
+			out = append(out, box.Partials(acc)...)
 
 			// Last k-subcuboid done: copy C' back to host (Algorithm 1,
 			// lines 19–21) and release it.
@@ -207,7 +202,7 @@ func (m *Multiplier) fits(c *core.Cuboid, sub core.SubParams, θ int64) bool {
 }
 
 // spanWithin splits the range [lo, hi) into parts balanced tiles and
-// returns tile t, mirroring shuffle.GridSpan's boundaries.
+// returns tile t, mirroring core.GridSpan's boundaries.
 func spanWithin(lo, hi, t, parts int) (int, int) {
 	n := hi - lo
 	return lo + t*n/parts, lo + (t+1)*n/parts
