@@ -8,10 +8,13 @@ build:
 # The second run builds the packages on the local-multiply path with the
 # purego tag, which leaves the AVX2 micro-kernels out: the portable dense
 # and sparse loops every non-AVX2 machine runs are exercised on the amd64
-# runner too.
+# runner too. The third runs core's width-dependent parity tests at one and
+# at four threads — matrix.KernelWorkers follows GOMAXPROCS, and the 2-vCPU
+# runner picks neither width by itself.
 test:
 	$(GO) test ./...
 	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/distnet
+	$(GO) test -cpu 1,4 -run 'MultiplyBox|Aggregat|OneTile' ./internal/core
 
 # The whole tree — and the repository benchmark, a module of its own — must
 # stay race-detector-clean; both runs together take about a minute.

@@ -76,9 +76,10 @@ func PairFlops(a, b matrix.Block) float64 {
 // dense A block that meets sparse B blocks transposed (across the j range),
 // a CSR B block under a dense A converted to CSC. The (i,j) tiles fan out
 // over up to matrix.KernelWorkers goroutines with every product inside a
-// tile serial. A tile is computed by one goroutine in ascending k, so the
-// bits are those of the per-block matrix.MulAdd chain at any width. The
-// lookups are called from this goroutine only.
+// tile serial; a box of one tile fans out that tile's rows instead
+// (multiplyOneTile). An element of C is computed by one goroutine in
+// ascending k, so the bits are those of the per-block matrix.MulAdd chain
+// at any width. The lookups are called from this goroutine only.
 func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc []*matrix.Dense) ([]*matrix.Dense, float64) {
 	ni, nj, nk := box.IHi-box.ILo, box.JHi-box.JLo, box.KHi-box.KLo
 	if ni <= 0 || nj <= 0 {
@@ -133,12 +134,7 @@ func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc 
 		workers = matrix.KernelWorkers()
 	}
 	if ni*nj == 1 && workers > 1 {
-		// Nothing to fan out over: the bare kernels split their own rows.
-		for k := 0; k < nk; k++ {
-			if as[k] != nil && bs[k] != nil {
-				acc[0] = matrix.MulAdd(acc[0], as[k], bs[k])
-			}
-		}
+		acc[0] = multiplyOneTile(acc[0], as, bs, workers)
 		return acc, flops
 	}
 
@@ -174,6 +170,59 @@ func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc 
 		l.Release()
 	}
 	return acc, flops
+}
+
+// multiplyOneTile is the box whose whole output is one tile: there are no
+// tiles to fan out over. Block pairs large enough for the bare kernels to
+// split their own rows are left to them, and so is any chain with a sparse
+// pair in it. A chain of dense pairs each too small for that — GNMF's Wᵀ·W:
+// a 128×128 tile under thirty-two 128×256·256×128 pairs — fans out the
+// tile's rows instead: each B block is packed once, then every row chunk
+// runs the whole chain in ascending k on one goroutine. Either way the
+// additions an element sees are those of the matrix.MulAdd chain.
+func multiplyOneTile(c *matrix.Dense, as, bs []matrix.Block, workers int) *matrix.Dense {
+	type pair struct {
+		a, b   *matrix.Dense
+		packed matrix.PackedB
+	}
+	pairs := make([]pair, 0, len(as))
+	for k := range as {
+		if as[k] == nil || bs[k] == nil {
+			continue
+		}
+		a, aok := as[k].(*matrix.Dense)
+		b, bok := bs[k].(*matrix.Dense)
+		if !aok || !bok || matrix.GemmFansOut(a.RowsN, b.ColsN, a.ColsN) {
+			for k := range as {
+				if as[k] != nil && bs[k] != nil {
+					c = matrix.MulAdd(c, as[k], bs[k])
+				}
+			}
+			return c
+		}
+		pairs = append(pairs, pair{a: a, b: b})
+	}
+	if len(pairs) == 0 {
+		return c
+	}
+	m := pairs[0].a.RowsN
+	if c == nil {
+		c = matrix.GetDense(m, pairs[0].b.ColsN)
+	}
+	parallelFor(len(pairs), workers, func(t int) {
+		pairs[t].packed = matrix.PackB(pairs[t].b, m)
+	})
+	chunk := matrix.RowChunk(m, workers)
+	parallelFor((m+chunk-1)/chunk, workers, func(t int) {
+		lo, hi := t*chunk, min((t+1)*chunk, m)
+		for _, p := range pairs {
+			matrix.GemmPackedRows(c, p.a, p.packed, lo, hi)
+		}
+	})
+	for _, p := range pairs {
+		p.packed.Release()
+	}
+	return c
 }
 
 // bRow is what MultiplyBox knows of one block row of B inside the box.

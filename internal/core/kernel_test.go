@@ -207,3 +207,80 @@ func TestMultiplyBoxPanicSurfacesOnCaller(t *testing.T) {
 		return b.Block(k, j)
 	}, nil)
 }
+
+// TestMultiplyBoxOneTileWidths: a box whose output is one tile splits that
+// tile's rows over the kernel workers. Dense chains of every row count
+// around the 4-row tile — with a pair missing mid-chain, continued over two
+// k ranges — and a chain with one sparse pair in it, which keeps the bare
+// kernels, have the bits of the matrix.MulAdd chain at every width.
+func TestMultiplyBoxOneTileWidths(t *testing.T) {
+	t.Cleanup(func() { matrix.SetKernelWorkers(0) })
+	rng := rand.New(rand.NewSource(303))
+	const nk, kb, n = 24, 256, 132 // 132 columns: sixteen full panels and a remainder
+	box := Box{IHi: 1, JHi: 1, KHi: nk}
+	b := bmat.RandomDense(rng, nk*kb, n, kb)
+	for _, m := range []int{3, 8, 100, 128, 130} {
+		a := bmat.RandomDense(rng, m, nk*kb, kb)
+		sparse := matrix.RandomSparse(rng, kb, n, 0.05)
+		chains := []struct {
+			name             string
+			lookupA, lookupB func(i, j int) matrix.Block
+		}{
+			{"dense", a.Block, b.Block},
+			{"dense with gaps", func(i, k int) matrix.Block {
+				if k == 5 {
+					return nil
+				}
+				return a.Block(i, k)
+			}, func(k, j int) matrix.Block {
+				if k == 0 || k == 9 {
+					return nil
+				}
+				return b.Block(k, j)
+			}},
+			{"one sparse pair", a.Block, func(k, j int) matrix.Block {
+				if k == 3 {
+					return sparse
+				}
+				return b.Block(k, j)
+			}},
+		}
+		for _, c := range chains {
+			matrix.SetKernelWorkers(1)
+			var want *matrix.Dense
+			for k := 0; k < nk; k++ {
+				if ab, bb := c.lookupA(0, k), c.lookupB(k, 0); ab != nil && bb != nil {
+					want = matrix.MulAdd(want, ab, bb)
+				}
+			}
+			// 0 is GOMAXPROCS, which make test sets to 1 and to 4 (-cpu).
+			for _, w := range []int{1, 2, 3, 8, 0} {
+				matrix.SetKernelWorkers(w)
+				got, _ := MultiplyBox(box, c.lookupA, c.lookupB, nil)
+				sameTiles(t, c.name+": whole chain", got, []*matrix.Dense{want})
+				lo, hi := box, box
+				lo.KHi, hi.KLo = nk/2, nk/2
+				acc, _ := MultiplyBox(lo, c.lookupA, c.lookupB, nil)
+				acc, _ = MultiplyBox(hi, c.lookupA, c.lookupB, acc)
+				sameTiles(t, c.name+": continued", acc, []*matrix.Dense{want})
+			}
+		}
+	}
+
+	// A bad pair panics inside a row chunk; the caller sees it.
+	matrix.SetKernelWorkers(3)
+	a := bmat.RandomDense(rng, 128, nk*kb, kb)
+	bad := matrix.RandomDense(rng, 200, n) // wrong inner dimension
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "dimension mismatch") {
+			t.Fatalf("mismatched pair in a one-tile chain: recovered %v", r)
+		}
+	}()
+	MultiplyBox(box, a.Block, func(k, j int) matrix.Block {
+		if k == 2 {
+			return bad
+		}
+		return b.Block(k, j)
+	}, nil)
+}

@@ -38,6 +38,7 @@ type Session struct {
 	handles    map[uint64]*Handle // live (unfreed) handles
 	closed     bool
 	recoveries int
+	peerBytes  int64 // worker→worker payload the session's operators have moved
 }
 
 // Handle names a matrix resident in a session's workers, co-partitioned by

@@ -38,6 +38,9 @@ type GetArgs struct {
 // GetReply carries the requested blocks (inline fp64).
 type GetReply struct {
 	Blocks []BlockRec
+	// Whole reports that Blocks is every block of the band, whatever was
+	// asked for: the copy a peer keeps of it can serve any later read.
+	Whole bool
 }
 
 // FreeArgs drops handles from a worker's store. AllEpoch frees every handle

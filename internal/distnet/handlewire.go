@@ -86,6 +86,23 @@ func decodeGetArgs(rd *codec.FrameReader, a *GetArgs) error {
 	return err
 }
 
+func appendGetReply(w *codec.FrameWriter, r *GetReply) error {
+	if err := appendPlainBlocks(w, r.Blocks); err != nil {
+		return err
+	}
+	w.Bool(r.Whole)
+	return nil
+}
+
+func decodeGetReply(rd *codec.FrameReader, r *GetReply) error {
+	var err error
+	if r.Blocks, err = decodePlainBlocks(rd); err != nil {
+		return err
+	}
+	r.Whole, err = rd.Bool()
+	return err
+}
+
 func appendFreeArgs(w *codec.FrameWriter, a *FreeArgs) {
 	w.Uvarint(uint64(len(a.Handles)))
 	for _, h := range a.Handles {

@@ -52,7 +52,13 @@ func (s *Session) Run(ctx context.Context, x plan.Expr, binds map[string]*Handle
 			_ = s.Free(ctx, h)
 		}
 	}
-	return plan.EvalWith(p, binds, apply, release)
+	peerBefore := s.peerBytes
+	out, err := plan.EvalWith(p, binds, apply, release)
+	if root.Active() {
+		// Measured, beside pipeline.optimize's priced resident-bytes.
+		root.SetAttr("peer-bytes", fmt.Sprintf("%d", s.peerBytes-peerBefore))
+	}
+	return out, err
 }
 
 // exec runs one operator node over resident operands, under lineage
@@ -292,6 +298,7 @@ func (s *Session) execParts(ctx context.Context, h *Handle) error {
 	}
 	if peerTotal > 0 {
 		s.d.rec.AddPullReply(0, 0, peerTotal)
+		s.peerBytes += peerTotal
 	}
 	if h.bytes != 0 {
 		s.d.rec.AddResidentBytes(-h.bytes)

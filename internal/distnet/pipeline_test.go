@@ -365,13 +365,24 @@ func TestGNMFPipelineMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var residentBytes, materializedBytes int64 // the last, warm, iteration's
+	var residentBytes, materializedBytes, peerBytes int64 // the last, warm, iteration's
 	for i := 0; i < gopts.Iterations; i++ {
-		before := driverBytes(d)
+		before, peerBefore := driverBytes(d), d.NetStats().PullPeerBytes
 		if err := g.Step(ctx); err != nil {
 			t.Fatal(err)
 		}
 		residentBytes = driverBytes(d) - before
+		peerBytes = d.NetStats().PullPeerBytes - peerBefore
+	}
+	// What a warm iteration moves worker→worker is the halves of this
+	// iteration's W, Hᵀ and H·Hᵀ that the other worker reads, each once: V's
+	// bands were copied in the first iteration, no operand is fetched twice,
+	// and a worker with no output row fetches nothing. Payload bytes of a
+	// seeded input: the count is exact.
+	const warmPeerBytes = 1408
+	t.Logf("gnmf warm iteration peer bytes: %d", peerBytes)
+	if peerBytes > warmPeerBytes {
+		t.Fatalf("warm iteration moved %d bytes worker→worker, more than the %d its new operands weigh", peerBytes, warmPeerBytes)
 	}
 	got, err := g.Factors(ctx)
 	if err != nil {

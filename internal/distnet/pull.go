@@ -107,14 +107,14 @@ func (w *Worker) resolvePull(parent obs.SpanID, epoch uint64, self string, m *co
 			defer func() { <-sem }()
 			args := &GetArgs{Handle: m.Handle, traceSpan: uint64(parent)}
 			args.ILo, args.IHi, args.JLo, args.JHi = entryBox(m.Entries, entries)
-			fetched, err := w.peerGet(parent, addr, args)
+			fetched, _, err := w.peerGet(parent, addr, args)
 			if err != nil {
 				res.err = err
 				return
 			}
 			res.stats.fetches++
-			res.blocks = make(map[bmat.BlockKey]matrix.Block, len(fetched))
-			for _, r := range fetched {
+			res.blocks = make(map[bmat.BlockKey]matrix.Block, len(fetched.Blocks))
+			for _, r := range fetched.Blocks {
 				res.blocks[r.Key] = r.Block
 				if r.Block != nil {
 					res.stats.peerBytes += r.Block.SizeBytes()

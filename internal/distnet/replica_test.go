@@ -1,0 +1,447 @@
+package distnet
+
+import (
+	"context"
+	"math/rand"
+	"net"
+	"strings"
+	"sync"
+	"testing"
+
+	"distme/internal/bmat"
+	"distme/internal/core"
+	"distme/internal/engine"
+	"distme/internal/matrix"
+	"distme/internal/plan"
+)
+
+// TestExecEmptyBandFetchesNothing: with a one-block-row result the first of
+// two workers owns no output row. Its share of a multiply and of a transpose
+// is the empty band, installed without asking a peer for anything — and
+// installed all the same, so the operator after it finds its operand.
+func TestExecEmptyBandFetchesNothing(t *testing.T) {
+	addrs, workers := startWorkers(t, 2)
+	d, err := Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx := context.Background()
+	s := newSession(t, d)
+	rng := rand.New(rand.NewSource(81))
+	inputs := map[string]*bmat.BlockMatrix{
+		"x": bmat.RandomDense(rng, 4, 16, 4),       // one block row: all of it on the second worker
+		"y": bmat.RandomDense(rng, 16, 8, 4),       // four block rows, two on each
+		"z": bmat.RandomDense(rng, 16, 4, 4),       // its transpose has one block row
+		"u": bmat.RandomDense(rng, 4, 8, 4),        // zipped with the product
+		"r": bmat.RandomSparse(rng, 4, 16, 4, 0.5), // zipped with the transpose
+	}
+	binds := putAll(t, s, inputs)
+	for _, x := range []plan.Expr{
+		plan.Plus(plan.Times(2, plan.Mul(plan.V("x"), plan.V("y"))), plan.V("u")),
+		plan.Minus(plan.Times(3, plan.T(plan.V("z"))), plan.V("r")),
+	} {
+		out, err := s.Run(ctx, x, binds)
+		if err != nil {
+			t.Fatalf("%v: %v", x, err)
+		}
+		got, err := s.Fetch(ctx, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitIdentical(t, got, kAscendingEval(t, x, inputs))
+	}
+	if st := workers[0].StoreStats(); st.PeerFetches != 0 || st.PeerFetchBytes != 0 {
+		t.Fatalf("the worker with no output row made %d peer fetches (%d bytes)", st.PeerFetches, st.PeerFetchBytes)
+	}
+	if st := workers[1].StoreStats(); st.PeerFetches == 0 {
+		t.Fatal("the worker with the output row fetched nothing: the test exercises no band exchange")
+	}
+}
+
+// kAscendingEval evaluates the expression on the local engine at one cuboid
+// per multiplication: every output block accumulates k-ascending, as the
+// band exchange does, so the resident result must match bit for bit.
+func kAscendingEval(t *testing.T, x plan.Expr, inputs map[string]*bmat.BlockMatrix) *bmat.BlockMatrix {
+	t.Helper()
+	eng := localEngine(t)
+	defer eng.Close()
+	out, _, err := eng.Run(context.Background(), x, inputs, engine.WithParams(core.Params{P: 1, Q: 1, R: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// bandBytes is the payload of block rows [lo, hi) of m.
+func bandBytes(m *bmat.BlockMatrix, lo, hi int) int64 {
+	var n int64
+	for _, r := range boxRecs(m, lo, hi, 0, m.JB) {
+		n += r.Block.SizeBytes()
+	}
+	return n
+}
+
+// replicaTestExpr is (Wᵀ·W)·(Wᵀ·V): W's peer band is read by the transpose
+// and again by Wᵀ·W, V's by Wᵀ·V under a dense left.
+func replicaTestExpr() plan.Expr {
+	wt := plan.T(plan.V("w"))
+	return plan.Mul(plan.Mul(wt, plan.V("w")), plan.Mul(wt, plan.V("v")))
+}
+
+// replicaTestInputs: W has one block column, so Wᵀ — and everything the
+// expression derives from it — is one block row, on the second worker.
+func replicaTestInputs() map[string]*bmat.BlockMatrix {
+	rng := rand.New(rand.NewSource(82))
+	return map[string]*bmat.BlockMatrix{
+		"v": bmat.RandomSparse(rng, 192, 80, 8, 0.3),
+		"w": bmat.RandomDense(rng, 192, 8, 8),
+	}
+}
+
+// TestPipelineReplicaReuse: a peer's band is moved once for all the
+// operators that read it — within a run and across runs — the copy and the
+// CSC forms memoised beside it are the store's to account for and to drop,
+// and no one but the operators of the worker that holds a copy ever sees it.
+func TestPipelineReplicaReuse(t *testing.T) {
+	ctx := context.Background()
+	inputs := replicaTestInputs()
+	expr := replicaTestExpr()
+	want := kAscendingEval(t, expr, inputs)
+	half := inputs["v"].IB / 2
+	peerBand := bandBytes(inputs["v"], 0, half) + bandBytes(inputs["w"], 0, half)
+
+	addrs, workers := startWorkers(t, 2)
+	d, err := Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := newSession(t, d)
+	binds := putAll(t, s, inputs)
+	w1 := workers[1]
+
+	out, err := s.Run(ctx, expr, binds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Fetch(ctx, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitIdentical(t, got, want)
+	first := w1.StoreStats()
+	if first.PeerFetchBytes != peerBand {
+		t.Fatalf("first run moved %d peer bytes to the computing worker, want one copy of each peer band (%d)", first.PeerFetchBytes, peerBand)
+	}
+	if first.ReplicaHits == 0 || first.ReplicaBytes < peerBand || first.CSCMemoBytes == 0 {
+		t.Fatalf("after the first run: %d replica hits, %d replica bytes, %d memo bytes", first.ReplicaHits, first.ReplicaBytes, first.CSCMemoBytes)
+	}
+	if st := workers[0].StoreStats(); st.PeerFetches != 0 {
+		t.Fatalf("the worker with no output row made %d peer fetches", st.PeerFetches)
+	}
+
+	// A second run over the same handles finds every peer band where the
+	// first left it.
+	out2, err := s.Run(ctx, expr, binds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = s.Fetch(ctx, out2); err != nil {
+		t.Fatal(err)
+	}
+	bitIdentical(t, got, want)
+	second := w1.StoreStats()
+	if second.PeerFetchBytes != first.PeerFetchBytes || second.ReplicaHits <= first.ReplicaHits {
+		t.Fatalf("second run: peer bytes %d → %d, replica hits %d → %d", first.PeerFetchBytes, second.PeerFetchBytes, first.ReplicaHits, second.ReplicaHits)
+	}
+	if second.CSCMemoBytes != first.CSCMemoBytes {
+		t.Fatalf("second run converted again: memo %d → %d bytes", first.CSCMemoBytes, second.CSCMemoBytes)
+	}
+
+	// GetBlocks answers with the band the worker owns, never with the copy
+	// it keeps of its peer's.
+	var reply GetReply
+	if err := w1.GetBlocks(&GetArgs{Handle: binds["v"].id, All: true}, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.Blocks) == 0 || !reply.Whole {
+		t.Fatalf("own band: %d blocks, whole=%v", len(reply.Blocks), reply.Whole)
+	}
+	for _, r := range reply.Blocks {
+		if r.Key.I < half {
+			t.Fatalf("GetBlocks returned block (%d,%d) of the peer's band", r.Key.I, r.Key.J)
+		}
+		if r.Block.Format() != inputs["v"].Block(r.Key.I, r.Key.J).Format() {
+			t.Fatalf("GetBlocks returned block (%d,%d) in its memoised form", r.Key.I, r.Key.J)
+		}
+	}
+
+	// Free gives back everything held under the handle: band, copies, memos.
+	for _, h := range []*Handle{out, out2, binds["v"], binds["w"]} {
+		if err := s.Free(ctx, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, w := range workers {
+		if st := w.StoreStats(); st.Bytes != 0 || st.ReplicaBytes != 0 || st.CSCMemoBytes != 0 || st.Handles != 0 {
+			t.Fatalf("worker %d after Free: %+v", i, st)
+		}
+	}
+
+	// So does closing a session that freed nothing.
+	s2, err := d.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Run(ctx, expr, putAll(t, s2, inputs)); err != nil {
+		t.Fatal(err)
+	}
+	if st := w1.StoreStats(); st.ReplicaBytes == 0 || st.CSCMemoBytes == 0 {
+		t.Fatalf("second session kept no replica: %+v", st)
+	}
+	if err := s2.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range workers {
+		if st := w.StoreStats(); st.Bytes != 0 || st.ReplicaBytes != 0 || st.CSCMemoBytes != 0 {
+			t.Fatalf("worker %d after Close: %+v", i, st)
+		}
+	}
+}
+
+// TestPipelineReplicaEvictedFirst bounds the stores just above what the
+// pinned operands, their memos and the intermediates need: the copies of the
+// peer's bands do not fit beside them and go, no owned band does, and the
+// run — re-fetching what it may not keep — has the same bits.
+func TestPipelineReplicaEvictedFirst(t *testing.T) {
+	ctx := context.Background()
+	inputs := replicaTestInputs()
+	expr := replicaTestExpr()
+	want := kAscendingEval(t, expr, inputs)
+
+	// Unbounded first, to size the bound: what the computing worker holds
+	// after a run, less the replicas, plus room for the intermediates — and
+	// less than that plus V's peer band.
+	addrs, workers := startWorkers(t, 2)
+	d, err := Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := newSession(t, d)
+	if _, err := s.Run(ctx, expr, putAll(t, s, inputs)); err != nil {
+		t.Fatal(err)
+	}
+	st := workers[1].StoreStats()
+	const room = 32 << 10
+	if vBand := bandBytes(inputs["v"], 0, inputs["v"].IB/2); vBand <= room {
+		t.Fatalf("V's peer band is %d bytes: it fits in the %d left for intermediates", vBand, room)
+	}
+	bound := st.Bytes - st.ReplicaBytes + room
+
+	var capped []string
+	var cworkers []*Worker
+	for i := 0; i < 2; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		w, err := ServeOptions(l, WorkerOptions{StoreBytes: bound})
+		if err != nil {
+			t.Fatal(err)
+		}
+		capped = append(capped, l.Addr().String())
+		cworkers = append(cworkers, w)
+	}
+	cd, err := Dial(capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cd.Close()
+	cs := newSession(t, cd)
+	binds := putAll(t, cs, inputs)
+	for run := 0; run < 2; run++ {
+		before := cworkers[1].StoreStats().PeerFetchBytes
+		out, err := cs.Run(ctx, expr, binds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cs.Fetch(ctx, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitIdentical(t, got, want)
+		if moved := cworkers[1].StoreStats().PeerFetchBytes - before; moved == 0 {
+			t.Fatalf("run %d moved no peer bytes: the replicas fitted under the bound", run)
+		}
+	}
+	for i, w := range cworkers {
+		if st := w.StoreStats(); st.Evictions != 0 || st.Bytes > bound {
+			t.Fatalf("worker %d: %d owned bands evicted, %d bytes held under a bound of %d", i, st.Evictions, st.Bytes, bound)
+		}
+	}
+	if cs.Recoveries() != 0 {
+		t.Fatalf("%d recoveries: an owned band was displaced", cs.Recoveries())
+	}
+}
+
+// TestStoreEvictsReplicasBeforeOwned pins the order down on the store
+// itself: past the bound the replicas go first, least recently read first,
+// and only then an unpinned handle — the one loss that counts as an eviction.
+func TestStoreEvictsReplicasBeforeOwned(t *testing.T) {
+	band := func() map[bmat.BlockKey]matrix.Block {
+		return map[bmat.BlockKey]matrix.Block{{}: matrix.NewDense(5, 5)} // 200 bytes
+	}
+	s := newHandleStore(1000)
+	s.set(1, 1, false, band(), true)
+	s.addReplica(1, 1, "peer-a", band())
+	s.addReplica(2, 1, "peer-a", band())
+	s.addReplica(2, 1, "peer-b", band())
+	if _, ok := s.replica(1, "peer-a"); !ok { // now the most recently read
+		t.Fatal("replica of handle 1 missing under the bound")
+	}
+	s.set(3, 1, false, band(), true) // 1000 bytes: full
+	s.set(4, 1, false, band(), true) // one replica has to go
+	if _, ok := s.replica(2, "peer-a"); ok {
+		t.Fatal("the least recently read replica survived")
+	}
+	s.set(5, 1, false, band(), true)
+	s.set(6, 1, false, band(), true)
+	if st := s.stats(); st.ReplicaBytes != 0 || st.Evictions != 0 || st.Handles != 5 || st.Bytes != 1000 {
+		t.Fatalf("replicas gone, every handle kept: got %+v", st)
+	}
+	s.set(7, 1, false, band(), true)
+	if _, ok := s.get(1); ok {
+		t.Fatal("the least recently used handle survived a full store of handles")
+	}
+	if st := s.stats(); st.Evictions != 1 {
+		t.Fatalf("%d evictions, want 1", st.Evictions)
+	}
+	// A replica that cannot fit is not kept, and its reader still has it.
+	if e := s.addReplica(7, 1, "peer-a", band()); len(e.blocks) != 1 {
+		t.Fatal("addReplica returned no band")
+	}
+	if _, ok := s.replica(7, "peer-a"); ok {
+		t.Fatal("a replica displaced a handle")
+	}
+}
+
+// TestPipelineReplicaSurvivesPeerKill kills the peer after its bands were
+// replicated: the recovery is the one a dead worker always costs, it drops
+// the copies with the epoch, and the rebuilt run has the same bits.
+func TestPipelineReplicaSurvivesPeerKill(t *testing.T) {
+	ctx := context.Background()
+	inputs := replicaTestInputs()
+	expr := replicaTestExpr()
+	want := kAscendingEval(t, expr, inputs)
+
+	addrs, workers := startWorkers(t, 2)
+	opts := fastOpts()
+	opts.DisableHeartbeat = true // death is detected by the failed call itself
+	d, err := DialOptions(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := newSession(t, d)
+	binds := putAll(t, s, inputs)
+	if _, err := s.Run(ctx, expr, binds); err != nil {
+		t.Fatal(err)
+	}
+	if st := workers[1].StoreStats(); st.ReplicaBytes == 0 {
+		t.Fatal("nothing replicated before the kill")
+	}
+	killWorker(workers[0])
+	out, err := s.Run(ctx, expr, binds)
+	if err != nil {
+		t.Fatalf("pipeline did not survive the kill: %v", err)
+	}
+	got, err := s.Fetch(ctx, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitIdentical(t, got, want)
+	if s.Recoveries() != 1 {
+		t.Fatalf("%d recoveries, want the one the dead worker costs", s.Recoveries())
+	}
+	if st := workers[1].StoreStats(); st.ReplicaBytes != 0 {
+		t.Fatalf("the survivor, alone in the placement, still holds %d replica bytes", st.ReplicaBytes)
+	}
+}
+
+// TestStoreReplicaMemoRace runs, against one worker and under -race, an
+// operator that replicates its peer's band and reads the CSC memo of both
+// bands, while another goroutine frees and re-installs the operand under
+// it. An operator that lost its operand mid-way says so; one that finishes
+// has the right bits.
+func TestStoreReplicaMemoRace(t *testing.T) {
+	addrs, workers := startWorkers(t, 2)
+	rng := rand.New(rand.NewSource(83))
+	a := bmat.RandomDense(rng, 8, 32, 8)        // one block row, on the second worker
+	b := bmat.RandomSparse(rng, 32, 24, 8, 0.3) // two block rows on each
+	const idA, idB, epoch = 1, 2, 1
+	put := func(w *Worker, id uint64, m *bmat.BlockMatrix, lo, hi int) {
+		if err := w.PutBlocks(&PutArgs{Handle: id, Epoch: epoch, Blocks: boxRecs(m, lo, hi, 0, m.JB)}, new(PutReply)); err != nil {
+			t.Error(err)
+		}
+	}
+	put(workers[1], idA, a, 0, 1)
+	put(workers[0], idB, b, 0, 2)
+	put(workers[1], idB, b, 2, 4)
+	want := kAscendingEval(t, plan.Mul(plan.V("a"), plan.V("b")), map[string]*bmat.BlockMatrix{"a": a, "b": b})
+
+	// One free-and-reinstall per operator, started with it: often enough to
+	// land inside it, rarely enough that most operators keep their operand.
+	tick := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range tick {
+			if err := workers[1].FreeHandles(&FreeArgs{Handles: []uint64{idB}}, new(FreeReply)); err != nil {
+				t.Error(err)
+			}
+			put(workers[1], idB, b, 2, 4)
+		}
+	}()
+	defer wg.Wait()
+	defer close(tick)
+	done := 0
+	for i := 0; i < 200; i++ {
+		select {
+		case tick <- struct{}{}:
+		default:
+		}
+		out := uint64(100 + i)
+		err := workers[1].ExecOp(&ExecArgs{
+			Op: execMul, Out: out, Epoch: epoch, A: idA, B: idB, OutLo: 0, OutHi: 1, Self: addrs[1],
+			BParts: []PartLoc{{Addr: addrs[0], Lo: 0, Hi: 2}, {Addr: addrs[1], Lo: 2, Hi: 4}},
+		}, new(ExecReply))
+		if err != nil {
+			if !strings.Contains(err.Error(), errUnknownHandleMsg) {
+				t.Fatal(err)
+			}
+			continue
+		}
+		done++
+		var reply GetReply
+		if err := workers[1].GetBlocks(&GetArgs{Handle: out, All: true}, &reply); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range reply.Blocks {
+			if !r.Block.Dense().Equal(want.Block(r.Key.I, r.Key.J).Dense()) {
+				t.Fatalf("product block (%d,%d) differs", r.Key.I, r.Key.J)
+			}
+		}
+		if len(reply.Blocks) != want.JB {
+			t.Fatalf("%d product blocks, want %d", len(reply.Blocks), want.JB)
+		}
+		_ = workers[1].FreeHandles(&FreeArgs{Handles: []uint64{out}}, new(FreeReply))
+	}
+	t.Logf("%d of 200 operators kept their operand to the end", done)
+	if done == 0 {
+		t.Fatal("no operator ever finished")
+	}
+}

@@ -2,6 +2,7 @@ package distnet
 
 import (
 	"container/list"
+	"slices"
 	"sort"
 	"sync"
 
@@ -38,6 +39,13 @@ type StoreStats struct {
 	// PeerLinks breaks the aggregate peer-fetch counters down per remote
 	// address, sorted by address; the per-link sums equal the aggregates.
 	PeerLinks []PeerLinkStats `json:"peer_links,omitempty"`
+	// ReplicaHits counts operand bands an operator read from a kept copy of
+	// a peer's band instead of fetching it; ReplicaBytes is what those
+	// copies hold now and CSCMemoBytes the column-form copies of CSR blocks
+	// kept beside resident bands. Both are part of Bytes.
+	ReplicaHits  int64 `json:"replica_hits"`
+	ReplicaBytes int64 `json:"replica_bytes"`
+	CSCMemoBytes int64 `json:"csc_memo_bytes"`
 }
 
 // PeerLinkStats is one worker→worker link's fetch traffic, as seen by the
@@ -48,31 +56,44 @@ type PeerLinkStats struct {
 	Bytes   int64  `json:"bytes"`
 }
 
-// storeEntry is one handle's resident band: the block-row slice of a matrix
-// this worker owns under the session's co-partitioning.
+// storeEntry is one resident band of a handle: the block-row slice of the
+// matrix this worker owns under the session's co-partitioning, or a replica
+// — the whole band a peer owns, kept after an operator fetched it. blocks
+// never changes once the entry exists. A handle id is never bound to new
+// content (a rebuild takes a fresh id), so a replica cannot go stale.
 type storeEntry struct {
 	id     uint64
 	epoch  uint64
+	peer   string // the owner a replica was copied from; "" for the owned band
 	blocks map[bmat.BlockKey]matrix.Block
-	bytes  int64
-	pins   int
-	el     *list.Element // in the LRU only while unpinned
+	// csc memoises the CSC form of CSR blocks a dense left operand met
+	// (handleStore.rightOperand); guarded by the store's mutex.
+	csc      map[bmat.BlockKey]*matrix.CSC
+	cscBytes int64
+	bytes    int64 // blocks and memo
+	pins     int
+	el       *list.Element // in its LRU (replicas: always; owned: while unpinned)
+	detached bool          // not, or no longer, in the store: its memo is charged to nobody
 }
 
 // handleStore is the worker half of the distributed block store: handle id →
 // resident band, epoch-scoped to one driver session, ref-counted by pins,
-// and evictable — a bounded LRU over the unpinned handles. Losing an entry
-// is safe: reads of a missing handle return errUnknownHandleMsg and the
-// driver recomputes the band from lineage.
+// and evictable — a bounded LRU over the unpinned handles, behind a second
+// one over the replicas, which go first: dropping a replica costs its next
+// reader one peer fetch. Losing an owned entry is safe too: reads of a
+// missing handle return errUnknownHandleMsg and the driver recomputes the
+// band from lineage.
 type handleStore struct {
 	mu       sync.Mutex
 	capBytes int64 // ≤ 0 = unbounded
 	bytes    int64
-	ll       *list.List // front = most recently used, unpinned entries only
+	ll       *list.List // front = most recently used, unpinned owned entries only
 	byID     map[uint64]*storeEntry
+	rl       *list.List               // the replicas, front = most recently used
+	replicas map[uint64][]*storeEntry // handle id → the copies of its peers' bands
 
-	puts, execs, evictions, peerFetches, peerFetchBytes int64
-	peerLinks                                           map[string]*peerLink
+	puts, execs, evictions, peerFetches, peerFetchBytes, replicaHits int64
+	peerLinks                                                        map[string]*peerLink
 }
 
 // peerLink accumulates one remote address's fetch traffic.
@@ -90,6 +111,8 @@ func newHandleStore(capBytes int64) *handleStore {
 		capBytes: capBytes,
 		ll:       list.New(),
 		byID:     map[uint64]*storeEntry{},
+		rl:       list.New(),
+		replicas: map[uint64][]*storeEntry{},
 	}
 }
 
@@ -103,9 +126,10 @@ func blocksWeight(blocks map[bmat.BlockKey]matrix.Block) int64 {
 	return n
 }
 
-// set installs (or replaces) a handle's band. An empty band still creates
-// the entry, so existence checks distinguish "empty matrix slice" from
-// "never received". pin > 0 starts the handle pinned.
+// set installs (or replaces) a handle's band, dropping what the store held
+// under the id, replicas included. An empty band still creates the entry,
+// so existence checks distinguish "empty matrix slice" from "never
+// received". pin > 0 starts the handle pinned.
 func (s *handleStore) set(id, epoch uint64, pin bool, blocks map[bmat.BlockKey]matrix.Block, isPut bool) int64 {
 	if blocks == nil {
 		blocks = map[bmat.BlockKey]matrix.Block{}
@@ -113,9 +137,7 @@ func (s *handleStore) set(id, epoch uint64, pin bool, blocks map[bmat.BlockKey]m
 	w := blocksWeight(blocks)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.byID[id]; ok {
-		s.removeLocked(old)
-	}
+	s.dropLocked(id)
 	e := &storeEntry{id: id, epoch: epoch, blocks: blocks, bytes: w}
 	if pin {
 		e.pins = 1
@@ -133,9 +155,9 @@ func (s *handleStore) set(id, epoch uint64, pin bool, blocks map[bmat.BlockKey]m
 	return w
 }
 
-// get returns a handle's band (the live map — callers must not mutate it)
-// and touches the LRU.
-func (s *handleStore) get(id uint64) (map[bmat.BlockKey]matrix.Block, bool) {
+// get returns the band of a handle this worker owns (its blocks are the
+// live map — callers must not mutate it) and touches the LRU.
+func (s *handleStore) get(id uint64) (*storeEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.byID[id]
@@ -145,7 +167,77 @@ func (s *handleStore) get(id uint64) (map[bmat.BlockKey]matrix.Block, bool) {
 	if e.el != nil {
 		s.ll.MoveToFront(e.el)
 	}
-	return e.blocks, true
+	return e, true
+}
+
+// replica returns the kept copy of the band of handle id that peer owns,
+// counting the fetch it saves.
+func (s *handleStore) replica(id uint64, peer string) (*storeEntry, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.replicas[id] {
+		if e.peer == peer {
+			s.rl.MoveToFront(e.el)
+			s.replicaHits++
+			return e, true
+		}
+	}
+	return nil, false
+}
+
+// addReplica keeps blocks, the whole band of handle id fetched from peer,
+// for the operators after this one, and returns the entry to read them
+// through. The first copy of a band wins.
+func (s *handleStore) addReplica(id, epoch uint64, peer string, blocks map[bmat.BlockKey]matrix.Block) *storeEntry {
+	w := blocksWeight(blocks)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.replicas[id] {
+		if e.peer == peer {
+			return e
+		}
+	}
+	e := &storeEntry{id: id, epoch: epoch, peer: peer, blocks: blocks, bytes: w}
+	e.el = s.rl.PushFront(e)
+	s.replicas[id] = append(s.replicas[id], e)
+	s.bytes += w
+	s.evictLocked()
+	return e
+}
+
+// rightOperand returns block key of e as the right operand of a product
+// whose left operands are all dense: a CSR block in CSC form, which is what
+// the dense-left kernels read. The conversion runs the first time and is
+// kept with the entry, charged to the store like the band itself.
+func (s *handleStore) rightOperand(e *storeEntry, key bmat.BlockKey) matrix.Block {
+	csr, ok := e.blocks[key].(*matrix.CSR)
+	if !ok {
+		return e.blocks[key]
+	}
+	s.mu.Lock()
+	c := e.csc[key]
+	s.mu.Unlock()
+	if c != nil {
+		return c
+	}
+	c = matrix.NewCSCFromCSR(csr) // outside the lock: peers keep reading the store
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev := e.csc[key]; prev != nil {
+		return prev
+	}
+	if e.csc == nil {
+		e.csc = map[bmat.BlockKey]*matrix.CSC{}
+	}
+	e.csc[key] = c
+	if !e.detached {
+		w := c.SizeBytes()
+		e.cscBytes += w
+		e.bytes += w
+		s.bytes += w
+		s.evictLocked()
+	}
+	return c
 }
 
 // pin adjusts a handle's pin count; pinned handles leave the LRU and cannot
@@ -175,14 +267,14 @@ func (s *handleStore) pin(id uint64, unpin bool) bool {
 	return true
 }
 
-// free drops the given handles (pinned or not — Free overrides pins).
+// free drops the given handles (pinned or not — Free overrides pins) with
+// their replicas, and reports how many owned bands went.
 func (s *handleStore) free(ids []uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
 	for _, id := range ids {
-		if e, ok := s.byID[id]; ok {
-			s.removeLocked(e)
+		if s.dropLocked(id) {
 			n++
 		}
 	}
@@ -190,7 +282,7 @@ func (s *handleStore) free(ids []uint64) int {
 }
 
 // freeEpoch drops every handle of one session epoch (session Close, or the
-// recovery wipe before a lineage rebuild).
+// recovery wipe before a lineage rebuild), replicas included.
 func (s *handleStore) freeEpoch(epoch uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -201,26 +293,63 @@ func (s *handleStore) freeEpoch(epoch uint64) int {
 			n++
 		}
 	}
+	for el := s.rl.Front(); el != nil; {
+		e := el.Value.(*storeEntry)
+		el = el.Next()
+		if e.epoch == epoch {
+			s.removeLocked(e)
+		}
+	}
 	return n
 }
 
-func (s *handleStore) removeLocked(e *storeEntry) {
-	if e.el != nil {
-		s.ll.Remove(e.el)
-		e.el = nil
+// dropLocked removes everything held under one handle id and reports
+// whether an owned band was among it.
+func (s *handleStore) dropLocked(id uint64) bool {
+	for len(s.replicas[id]) > 0 {
+		s.removeLocked(s.replicas[id][0])
 	}
-	delete(s.byID, e.id)
+	e, ok := s.byID[id]
+	if ok {
+		s.removeLocked(e)
+	}
+	return ok
+}
+
+func (s *handleStore) removeLocked(e *storeEntry) {
+	if e.peer != "" {
+		s.rl.Remove(e.el)
+		es := slices.DeleteFunc(s.replicas[e.id], func(x *storeEntry) bool { return x == e })
+		if len(es) == 0 {
+			delete(s.replicas, e.id)
+		} else {
+			s.replicas[e.id] = es
+		}
+	} else {
+		if e.el != nil {
+			s.ll.Remove(e.el)
+		}
+		delete(s.byID, e.id)
+	}
+	e.el = nil
+	e.detached = true
 	s.bytes -= e.bytes
 }
 
-// evictLocked displaces least-recently-used unpinned handles past the byte
-// cap. Pinned bands never appear in the LRU, so a fully pinned store may
-// exceed the cap — pins are a promise the driver made.
+// evictLocked displaces entries past the byte cap: replicas first, least
+// recently used first, then the least-recently-used unpinned handles.
+// Pinned bands never appear in the LRU, so a fully pinned store may exceed
+// the cap — pins are a promise the driver made. Only a displaced handle
+// counts as an eviction: it is the one a later read rebuilds from lineage.
 func (s *handleStore) evictLocked() {
 	if s.capBytes <= 0 {
 		return
 	}
 	for s.bytes > s.capBytes {
+		if back := s.rl.Back(); back != nil {
+			s.removeLocked(back.Value.(*storeEntry))
+			continue
+		}
 		back := s.ll.Back()
 		if back == nil {
 			return
@@ -264,12 +393,19 @@ func (s *handleStore) stats() StoreStats {
 		Evictions:      s.evictions,
 		PeerFetches:    s.peerFetches,
 		PeerFetchBytes: s.peerFetchBytes,
+		ReplicaHits:    s.replicaHits,
 	}
 	for _, e := range s.byID {
 		st.Blocks += len(e.blocks)
+		st.CSCMemoBytes += e.cscBytes
 		if e.pins > 0 {
 			st.Pinned++
 		}
+	}
+	for el := s.rl.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*storeEntry)
+		st.ReplicaBytes += e.bytes
+		st.CSCMemoBytes += e.cscBytes
 	}
 	if len(s.peerLinks) > 0 {
 		st.PeerLinks = make([]PeerLinkStats, 0, len(s.peerLinks))

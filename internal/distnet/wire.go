@@ -311,7 +311,7 @@ func (c *clientCodec) ReadResponseBody(body any) error {
 			v.Bytes = int64(b)
 		}
 	case *GetReply:
-		v.Blocks, err = decodePlainBlocks(rd)
+		err = decodeGetReply(rd, v)
 	case *FreeReply:
 		v.Freed, err = rd.Int()
 	case *PinReply:
@@ -431,7 +431,7 @@ func appendResponseBody(w *codec.FrameWriter, body any) error {
 	case *PutReply:
 		w.Uvarint(uint64(v.Bytes))
 	case *GetReply:
-		return appendPlainBlocks(w, v.Blocks)
+		return appendGetReply(w, v)
 	case *FreeReply:
 		w.Uvarint(uint64(v.Freed))
 	case *PinReply:

@@ -59,8 +59,7 @@ func decodeBody(kind int, rd *codec.FrameReader) error {
 	case bodyExecArgs:
 		return decodeExecArgs(rd, new(ExecArgs))
 	case bodyGetReply:
-		_, err := decodePlainBlocks(rd)
-		return err
+		return decodeGetReply(rd, new(GetReply))
 	case bodyExecReply:
 		return decodeExecReply(rd, new(ExecReply))
 	default:
@@ -132,7 +131,7 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 		appendExecArgs(w, &ExecArgs{Op: 2, Out: 7, A: 5, B: 6, Scalar: 1.5, OutHi: 4, AParts: parts, BParts: parts, Self: parts[0].Addr})
 		return nil
 	})
-	add(bodyGetReply, func(w *codec.FrameWriter) error { return appendPlainBlocks(w, recs) })
+	add(bodyGetReply, func(w *codec.FrameWriter) error { return appendGetReply(w, &GetReply{Blocks: recs, Whole: true}) })
 	add(bodyExecReply, func(w *codec.FrameWriter) error {
 		appendExecReply(w, &ExecReply{Bytes: 100, Blocks: 2, PeerBytes: 50})
 		return nil

@@ -88,7 +88,8 @@ func (w *Worker) closePeers() {
 
 // peerGet fetches blocks of one handle band from a peer worker, recording a
 // peer.fetch span under parent (0 when untraced) and the per-link traffic.
-func (w *Worker) peerGet(parent obs.SpanID, addr string, args *GetArgs) ([]BlockRec, error) {
+// It also returns the payload bytes of the blocks.
+func (w *Worker) peerGet(parent obs.SpanID, addr string, args *GetArgs) (*GetReply, int64, error) {
 	sp := w.tracer.Start(parent, "peer.fetch", obs.KindWorker)
 	if sp.Active() {
 		sp.SetAttr("peer", addr)
@@ -99,7 +100,7 @@ func (w *Worker) peerGet(parent obs.SpanID, addr string, args *GetArgs) ([]Block
 		if sp.Active() {
 			sp.SetAttr("error", err.Error())
 		}
-		return nil, fmt.Errorf("%s %s: %w", errPeerFetchPrefix, addr, err)
+		return nil, 0, fmt.Errorf("%s %s: %w", errPeerFetchPrefix, addr, err)
 	}
 	var reply GetReply
 	if err := rpcCall(client, "GetBlocks", args, &reply, peerCallTimeout); err != nil {
@@ -107,7 +108,7 @@ func (w *Worker) peerGet(parent obs.SpanID, addr string, args *GetArgs) ([]Block
 		if sp.Active() {
 			sp.SetAttr("error", err.Error())
 		}
-		return nil, fmt.Errorf("%s %s: %w", errPeerFetchPrefix, addr, err)
+		return nil, 0, fmt.Errorf("%s %s: %w", errPeerFetchPrefix, addr, err)
 	}
 	var bytes int64
 	for _, r := range reply.Blocks {
@@ -119,7 +120,42 @@ func (w *Worker) peerGet(parent obs.SpanID, addr string, args *GetArgs) ([]Block
 		sp.SetAttr("bytes", fmt.Sprintf("%d", bytes))
 	}
 	w.getStore().addPeerFetch(addr, bytes)
-	return reply.Blocks, nil
+	return &reply, bytes, nil
+}
+
+// operandBand is the one way a pipeline operator reads part p of an operand
+// handle: this worker's own band from the store; a peer's from the replica
+// kept of it; failing that from the peer, asking for get's blocks — and
+// when the answer turns out to be the peer's whole band, keeping it as the
+// replica later operators on this worker read. It also returns the payload
+// bytes a fetch moved. A peer band of no block rows holds nothing to ask for.
+func (w *Worker) operandBand(args *ExecArgs, p PartLoc, get GetArgs) (*storeEntry, int64, error) {
+	st := w.getStore()
+	if p.Addr == args.Self {
+		e, ok := st.get(get.Handle)
+		if !ok {
+			return nil, 0, errors.New(errUnknownHandleMsg)
+		}
+		return e, 0, nil
+	}
+	if p.Lo >= p.Hi {
+		return &storeEntry{detached: true}, 0, nil
+	}
+	if e, ok := st.replica(get.Handle, p.Addr); ok {
+		return e, 0, nil
+	}
+	reply, bytes, err := w.peerGet(obs.SpanID(args.traceSpan), p.Addr, &get)
+	if err != nil {
+		return nil, 0, err
+	}
+	blocks := make(map[bmat.BlockKey]matrix.Block, len(reply.Blocks))
+	for _, r := range reply.Blocks {
+		blocks[r.Key] = r.Block
+	}
+	if reply.Whole {
+		return st.addReplica(get.Handle, args.Epoch, p.Addr, blocks), bytes, nil
+	}
+	return &storeEntry{blocks: blocks, detached: true}, bytes, nil
 }
 
 // PutBlocks installs one handle's band in the store.
@@ -142,20 +178,22 @@ func (w *Worker) PutBlocks(args *PutArgs, reply *PutReply) error {
 	return nil
 }
 
-// GetBlocks reads a handle's resident blocks, optionally filtered to a
-// block-coordinate box. A missing handle answers with the unknown-handle
-// error, which the driver resolves by lineage rebuild. Reads stay admitted
-// during a shutdown's drain window (beginReadRPC) so peers can copy bands
-// off a draining worker before it goes away.
+// GetBlocks reads the blocks of a handle's band this worker owns — never a
+// replica of a peer's — optionally filtered to a block-coordinate box. A
+// missing handle answers with the unknown-handle error, which the driver
+// resolves by lineage rebuild. Reads stay admitted during a shutdown's
+// drain window (beginReadRPC) so peers can copy bands off a draining worker
+// before it goes away.
 func (w *Worker) GetBlocks(args *GetArgs, reply *GetReply) error {
 	if !w.beginReadRPC() {
 		return errors.New(errWorkerDrainingMsg)
 	}
 	defer w.endRPC()
-	blocks, ok := w.getStore().get(args.Handle)
+	e, ok := w.getStore().get(args.Handle)
 	if !ok {
 		return errors.New(errUnknownHandleMsg)
 	}
+	blocks := e.blocks
 	// Deterministic order keeps replies byte-stable for equal stores.
 	keys := make([]bmat.BlockKey, 0, len(blocks))
 	for k := range blocks {
@@ -174,6 +212,7 @@ func (w *Worker) GetBlocks(args *GetArgs, reply *GetReply) error {
 	for _, k := range keys {
 		reply.Blocks = append(reply.Blocks, BlockRec{Key: k, Block: blocks[k]})
 	}
+	reply.Whole = len(keys) == len(blocks)
 	return nil
 }
 
@@ -246,11 +285,11 @@ func (w *Worker) ExecOp(args *ExecArgs, reply *ExecReply) error {
 
 // localBand reads one operand band from the local store.
 func (w *Worker) localBand(id uint64) (map[bmat.BlockKey]matrix.Block, error) {
-	blocks, ok := w.getStore().get(id)
+	e, ok := w.getStore().get(id)
 	if !ok {
 		return nil, errors.New(errUnknownHandleMsg)
 	}
-	return blocks, nil
+	return e.blocks, nil
 }
 
 // execOp dispatches one pipeline operator, additionally reporting the
@@ -258,9 +297,15 @@ func (w *Worker) localBand(id uint64) (map[bmat.BlockKey]matrix.Block, error) {
 // flops it spent.
 func (w *Worker) execOp(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, float64, error) {
 	switch args.Op {
-	case execMul:
-		return w.execMul(args)
-	case execTranspose:
+	case execMul, execTranspose:
+		if args.OutLo >= args.OutHi {
+			// No output rows here: the band is empty whatever the operands
+			// hold, so none of them is fetched.
+			return nil, 0, 0, nil
+		}
+		if args.Op == execMul {
+			return w.execMul(args)
+		}
 		out, peerBytes, err := w.execTranspose(args)
 		return out, peerBytes, 0, err
 	case execScale:
@@ -283,48 +328,31 @@ func (w *Worker) execOp(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, 
 
 // execMul computes this worker's C band: C rows are co-partitioned with A
 // rows, so the A band is local while B — the (W−1)/W worker→worker movement
-// Eq.(4)'s pipeline extension prices — streams in band by band: while one
-// band multiplies, the next prefetches (one ahead). Each band is one
-// core.MultiplyBox over the output rows and the band's k range, continuing
-// the accumulators of the bands before it; bands are disjoint row ranges
-// taken in ascending-k order, so every (i,j) accumulates as one pass over
-// the whole of B would — computeCuboid's order, and every fp64 bit, on
+// Eq.(4)'s pipeline extension prices — arrives band by band (operandBand):
+// while one band multiplies, the next prefetches (one ahead). Each band is
+// one core.MultiplyBox over the output rows and the band's k range,
+// continuing the accumulators of the bands before it; bands are disjoint row
+// ranges taken in ascending-k order, so every (i,j) accumulates as one pass
+// over the whole of B would — computeCuboid's order, and every fp64 bit, on
 // whichever worker the band runs. It also reports the flops spent.
 func (w *Worker) execMul(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, float64, error) {
 	aBlocks, err := w.localBand(args.A)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	parent := obs.SpanID(args.traceSpan)
+	st := w.getStore()
 	parts := append([]PartLoc(nil), args.BParts...)
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Lo < parts[j].Lo })
 	type bandResult struct {
-		blocks map[bmat.BlockKey]matrix.Block
-		bytes  int64
-		err    error
+		band  *storeEntry
+		bytes int64
+		err   error
 	}
 	fetch := func(p PartLoc) chan bandResult {
 		ch := make(chan bandResult, 1)
 		go func() {
-			if p.Addr == args.Self {
-				local, err := w.localBand(args.B)
-				ch <- bandResult{blocks: local, err: err}
-				return
-			}
-			recs, err := w.peerGet(parent, p.Addr, &GetArgs{Handle: args.B, All: true})
-			if err != nil {
-				ch <- bandResult{err: err}
-				return
-			}
-			blocks := make(map[bmat.BlockKey]matrix.Block, len(recs))
-			var bytes int64
-			for _, r := range recs {
-				blocks[r.Key] = r.Block
-				if r.Block != nil {
-					bytes += r.Block.SizeBytes()
-				}
-			}
-			ch <- bandResult{blocks: blocks, bytes: bytes}
+			band, bytes, err := w.operandBand(args, p, GetArgs{Handle: args.B, All: true})
+			ch <- bandResult{band, bytes, err}
 		}()
 		return ch
 	}
@@ -346,7 +374,7 @@ func (w *Worker) execMul(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64,
 			return nil, 0, 0, cur.err
 		}
 		peerBytes += cur.bytes
-		box, ok := bandBox(cur.blocks, args.OutLo, args.OutHi)
+		box, ok := bandBox(cur.band.blocks, args.OutLo, args.OutHi)
 		if !ok {
 			continue
 		}
@@ -362,9 +390,26 @@ func (w *Worker) execMul(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64,
 				acc[t] = blk.(*matrix.Dense)
 			}
 		}
+		// Under a block column of A that is all dense, B's CSR blocks are
+		// read in the CSC form the store keeps of them.
+		denseLeft := make([]bool, box.KHi-box.KLo)
+		for k := range denseLeft {
+			for i := box.ILo; i < box.IHi; i++ {
+				if blk := aBlocks[bmat.BlockKey{I: i, J: box.KLo + k}]; blk != nil {
+					if denseLeft[k] = blk.Format() == matrix.FormatDense; !denseLeft[k] {
+						break
+					}
+				}
+			}
+		}
 		acc, bandFlops := core.MultiplyBox(box,
 			func(i, k int) matrix.Block { return aBlocks[bmat.BlockKey{I: i, J: k}] },
-			func(k, j int) matrix.Block { return cur.blocks[bmat.BlockKey{I: k, J: j}] }, acc)
+			func(k, j int) matrix.Block {
+				if denseLeft[k-box.KLo] {
+					return st.rightOperand(cur.band, bmat.BlockKey{I: k, J: j})
+				}
+				return cur.band.blocks[bmat.BlockKey{I: k, J: j}]
+			}, acc)
 		flops += bandFlops
 		for t, tile := range acc {
 			if tile != nil {
@@ -378,7 +423,7 @@ func (w *Worker) execMul(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64,
 // bandBox is the box of one B band under output rows [lo, hi): the extent
 // of the band's block keys in k and j.
 func bandBox(band map[bmat.BlockKey]matrix.Block, lo, hi int) (core.Box, bool) {
-	if len(band) == 0 || lo >= hi {
+	if len(band) == 0 {
 		return core.Box{}, false
 	}
 	box := core.Box{ILo: lo, IHi: hi, JLo: math.MaxInt, KLo: math.MaxInt}
@@ -390,25 +435,22 @@ func bandBox(band map[bmat.BlockKey]matrix.Block, lo, hi int) (core.Box, bool) {
 }
 
 // execTranspose builds the output band rows [OutLo, OutHi) — the operand's
-// column slice — fetching exactly that slice from each peer band. The peer
-// slices fetch concurrently (emit order is irrelevant: keys are distinct and
-// each block transposes independently).
+// column slice — asking each peer for exactly that slice of its band
+// (operandBand). The bands arrive concurrently (emit order is irrelevant:
+// keys are distinct and each block transposes independently).
 func (w *Worker) execTranspose(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, error) {
-	parent := obs.SpanID(args.traceSpan)
-	fetched := make([][]BlockRec, len(args.AParts))
+	bands := make([]*storeEntry, len(args.AParts))
+	bytes := make([]int64, len(args.AParts))
 	errs := make([]error, len(args.AParts))
 	sem := make(chan struct{}, pullFetchConcurrency)
 	var wg sync.WaitGroup
 	for pi, p := range args.AParts {
-		if p.Addr == args.Self {
-			continue
-		}
 		wg.Add(1)
 		go func(pi int, p PartLoc) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			fetched[pi], errs[pi] = w.peerGet(parent, p.Addr, &GetArgs{
+			bands[pi], bytes[pi], errs[pi] = w.operandBand(args, p, GetArgs{
 				Handle: args.A,
 				ILo:    p.Lo, IHi: p.Hi,
 				JLo: args.OutLo, JHi: args.OutHi,
@@ -416,36 +458,17 @@ func (w *Worker) execTranspose(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, 
 		}(pi, p)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-
 	out := map[bmat.BlockKey]matrix.Block{}
-	emit := func(k bmat.BlockKey, blk matrix.Block) {
-		if k.J < args.OutLo || k.J >= args.OutHi || blk == nil {
-			return
-		}
-		out[bmat.BlockKey{I: k.J, J: k.I}] = matrix.Transpose(blk)
-	}
 	var peerBytes int64
-	for pi, p := range args.AParts {
-		if p.Addr == args.Self {
-			local, err := w.localBand(args.A)
-			if err != nil {
-				return nil, 0, err
-			}
-			for k, b := range local {
-				emit(k, b)
-			}
-			continue
+	for pi, band := range bands {
+		if errs[pi] != nil {
+			return nil, 0, errs[pi]
 		}
-		for _, r := range fetched[pi] {
-			if r.Block != nil {
-				peerBytes += r.Block.SizeBytes()
+		peerBytes += bytes[pi]
+		for k, blk := range band.blocks {
+			if k.J >= args.OutLo && k.J < args.OutHi && blk != nil {
+				out[bmat.BlockKey{I: k.J, J: k.I}] = matrix.Transpose(blk)
 			}
-			emit(r.Key, r.Block)
 		}
 	}
 	return out, peerBytes, nil

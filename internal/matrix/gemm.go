@@ -92,16 +92,12 @@ func Gemm(c, a, b *Dense) {
 	}
 	pb := PackB(b, m)
 	defer pb.Release()
-	workers := KernelWorkers()
-	if tiles := m / tileRows; workers > tiles {
-		workers = tiles
-	}
-	if workers < 2 || 2*m*n*k < gemmFlopsThreshold {
+	if !GemmFansOut(m, n, k) {
 		gemmRows(c, a, pb, 0, m)
 		return
 	}
 	// Whole row tiles per goroutine, the last one taking the remainder rows.
-	chunk := (m/tileRows + workers - 1) / workers * tileRows
+	chunk := RowChunk(m, KernelWorkers())
 	var wg sync.WaitGroup
 	for lo := 0; lo < m; lo += chunk {
 		hi := lo + chunk
@@ -120,12 +116,39 @@ func Gemm(c, a, b *Dense) {
 	wg.Wait()
 }
 
+// GemmFansOut reports whether a bare Gemm of an m×k by k×n product spreads
+// its rows over goroutines by itself: at least two row tiles, two workers,
+// and gemmFlopsThreshold of work.
+func GemmFansOut(m, n, k int) bool {
+	return KernelWorkers() >= 2 && m >= 2*tileRows && 2*m*n*k >= gemmFlopsThreshold
+}
+
+// RowChunk is how many rows of an m-row product each of up to workers
+// goroutines takes: whole row tiles, so that only the last chunk meets the
+// rows that do not fill one.
+func RowChunk(m, workers int) int {
+	tiles := max(m/tileRows, 1)
+	workers = max(min(workers, tiles), 1)
+	return (tiles + workers - 1) / workers * tileRows
+}
+
 // GemmPacked computes C += A×B on the calling goroutine, against an
 // operand prepared by PackB. It is what a cuboid's (i,j) tiles run: the
 // cuboid packs each B block once and fans out over tiles, not inside them.
 func GemmPacked(c, a *Dense, b PackedB) {
+	GemmPackedRows(c, a, b, 0, a.RowsN)
+}
+
+// GemmPackedRows is GemmPacked over rows [lo, hi) of C only: a cuboid whose
+// whole output is one tile fans the tile's row chunks out, each chunk
+// running the k chain by itself. A row's bits do not depend on the chunk it
+// falls in.
+func GemmPackedRows(c, a *Dense, b PackedB, lo, hi int) {
 	m, _, _ := gemmDims("GemmPacked", c, a, b.b)
-	gemmRows(c, a, b, 0, m)
+	if lo < 0 || hi > m || lo > hi {
+		panic(fmt.Sprintf("matrix: GemmPacked: rows [%d, %d) outside %d", lo, hi, m))
+	}
+	gemmRows(c, a, b, lo, hi)
 }
 
 func gemmDims(op string, c, a, b *Dense) (m, n, k int) {
