@@ -36,8 +36,11 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzWireBodies -fuzztime=10s -run '^$$' ./internal/distnet
 	$(GO) test -fuzz=FuzzServeBodies -fuzztime=10s -run '^$$' ./internal/serve
 
+# The sockets speak internal/codec's call layer; net/rpc stays out of the
+# tree, tests included — an import of it fails here with its file:line.
 vet:
 	$(GO) vet ./...
+	@if grep -rn --include='*.go' '"net/rpc"' .; then echo 'vet: net/rpc imported above; use internal/codec calls' >&2; exit 1; fi
 
 # Every ```go fence in README.md and docs/*.md must build against the
 # current API, and every internal/<pkg>, cmd/<name> or examples/<name> path

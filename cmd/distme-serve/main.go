@@ -1,6 +1,6 @@
 // Command distme-serve is the multi-tenant serving plane: a long-running
 // server that embeds a distnet driver and accepts many concurrent multiply
-// jobs over a net/rpc wire API (submit / status / result / cancel).
+// jobs over a binary wire API (submit / status / result / cancel / forget).
 //
 // Jobs are priced at admission with the Eq.(4) communication optimizer
 // under the per-worker memory budget θt: a job whose estimated cuboid wave

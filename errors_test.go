@@ -3,9 +3,9 @@ package distme_test
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
-	"net/rpc"
 	"testing"
 	"time"
 
@@ -237,45 +237,74 @@ func TestErrWorkerDeadThroughLayers(t *testing.T) {
 	}
 }
 
-// stallServer speaks the distnet worker protocol but never answers Multiply
-// within any reasonable deadline.
-type stallServer struct{ inner distnet.Worker }
-
-func (s *stallServer) Ping(args *distnet.PingArgs, reply *distnet.PingReply) error {
-	return s.inner.Ping(args, reply)
-}
-
-func (s *stallServer) Multiply(args *distnet.MultiplyArgs, reply *distnet.MultiplyReply) error {
-	time.Sleep(2 * time.Second)
-	return s.inner.Multiply(args, reply)
-}
-
-// TestErrDeadlineExceededThroughLayers points the hybrid at a worker that
-// stalls every Multiply; the per-call deadline must surface as the root
-// sentinel and also match context.DeadlineExceeded.
-func TestErrDeadlineExceededThroughLayers(t *testing.T) {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(distnet.ServiceName, &stallServer{}); err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+// startLaggedWorker serves a real worker behind a proxy that holds every
+// chunk of its answers for lag: a call with a deadline shorter than lag
+// never sees its reply in time, while a dial (under the default ping
+// timeout) still succeeds.
+func startLaggedWorker(t *testing.T, lag time.Duration) string {
+	t.Helper()
+	wl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	w, err := distnet.Serve(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		w.Shutdown(ctx)
+	})
+	pl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pl.Close() })
 	go func() {
 		for {
-			conn, err := l.Accept()
+			client, err := pl.Accept()
 			if err != nil {
 				return
 			}
-			go srv.ServeCodec(distnet.NewServerCodec(conn))
+			go func() {
+				defer client.Close()
+				worker, err := net.Dial("tcp", wl.Addr().String())
+				if err != nil {
+					return
+				}
+				defer worker.Close()
+				go func() {
+					io.Copy(worker, client)
+					worker.Close()
+				}()
+				buf := make([]byte, 64<<10)
+				for {
+					n, err := worker.Read(buf)
+					if n > 0 {
+						time.Sleep(lag)
+						if _, werr := client.Write(buf[:n]); werr != nil {
+							return
+						}
+					}
+					if err != nil {
+						return
+					}
+				}
+			}()
 		}
 	}()
+	return pl.Addr().String()
+}
 
+// TestErrDeadlineExceededThroughLayers points the hybrid at a worker whose
+// every answer lags past the call deadline; the per-call deadline must
+// surface as the root sentinel and also match context.DeadlineExceeded.
+func TestErrDeadlineExceededThroughLayers(t *testing.T) {
+	addr := startLaggedWorker(t, 300*time.Millisecond)
 	opts := strictDistnetOpts()
 	opts.CallTimeout = 50 * time.Millisecond
-	d, err := distnet.DialOptions([]string{l.Addr().String()}, opts)
+	d, err := distnet.DialOptions([]string{addr}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

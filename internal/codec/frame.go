@@ -221,34 +221,6 @@ func (w *FrameWriter) Flush(conn io.Writer) error {
 	return err
 }
 
-// WriteResponseFrame frames one net/rpc response — uvarint seq, str method,
-// str error, then the body when there is no error — and writes it. A body
-// that cannot be framed (appendBody fails, or the frame would pass
-// MaxFrameBytes) is answered as that error instead, so the caller fails now
-// rather than at its deadline.
-func WriteResponseFrame(conn io.Writer, seq uint64, method, errStr string, appendBody func(*FrameWriter) error) error {
-	w := BeginFrame()
-	defer w.Release()
-	header := func(errStr string) {
-		w.Reset()
-		w.Uvarint(seq)
-		w.Str(method)
-		w.Str(errStr)
-	}
-	header(errStr)
-	var err error
-	if errStr == "" {
-		err = appendBody(&w)
-	}
-	if err == nil {
-		if err = w.Flush(conn); !errors.Is(err, ErrFrameTooLarge) {
-			return err
-		}
-	}
-	header(err.Error())
-	return w.Flush(conn)
-}
-
 // FrameReader parses length-prefixed frames from a stream. Every read is
 // checked against the bytes left in the current frame, so a body can never
 // run into the next frame, and Drain discards whatever a decoder left
@@ -287,20 +259,6 @@ func (r *FrameReader) Next() (int64, error) {
 	}
 	r.rem = n
 	return n, nil
-}
-
-// NextHeader advances to the next frame and reads what every request and
-// response opens with — uvarint seq, str method (WriteResponseFrame's
-// layout). The error is io.EOF only on a clean frame boundary.
-func (r *FrameReader) NextHeader() (seq uint64, method string, err error) {
-	if _, err = r.Next(); err != nil {
-		return 0, "", err
-	}
-	if seq, err = r.Uvarint(); err != nil {
-		return 0, "", err
-	}
-	method, err = r.Str()
-	return seq, method, err
 }
 
 // Remaining is the number of unread bytes in the current frame.

@@ -113,15 +113,15 @@ func TestWorkerRestartMidJobMissesCleanly(t *testing.T) {
 
 	// One cuboid covering the whole grid; jobPrep stamps the epoch and
 	// prepares the blocks exactly as multiply() would.
-	args := &MultiplyArgs{ILo: 0, IHi: 4, JLo: 0, JHi: 4, KLo: 0, KHi: 4}
+	args := &multiplyArgs{ILo: 0, IHi: 4, JLo: 0, JHi: 4, KLo: 0, KHi: 4}
 	for i := 0; i < 4; i++ {
 		for k := 0; k < 4; k++ {
-			args.ABlocks = append(args.ABlocks, BlockRec{Key: bmat.BlockKey{I: i, J: k}, Block: a.Block(i, k)})
+			args.ABlocks = append(args.ABlocks, blockRec{Key: bmat.BlockKey{I: i, J: k}, Block: a.Block(i, k)})
 		}
 	}
 	for k := 0; k < 4; k++ {
 		for j := 0; j < 4; j++ {
-			args.BBlocks = append(args.BBlocks, BlockRec{Key: bmat.BlockKey{I: k, J: j}, Block: b.Block(k, j)})
+			args.BBlocks = append(args.BBlocks, blockRec{Key: bmat.BlockKey{I: k, J: j}, Block: b.Block(k, j)})
 		}
 	}
 	if _, err := d.newJobPrep().prepare(args); err != nil {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"net/rpc"
 	"os"
 	"path/filepath"
 	"sync"
@@ -16,6 +15,7 @@ import (
 
 	"distme/internal/bmat"
 	"distme/internal/cluster"
+	"distme/internal/codec"
 	"distme/internal/core"
 	"distme/internal/engine"
 	"distme/internal/matrix"
@@ -320,55 +320,38 @@ func TestWorkerKillBetweenCuboids(t *testing.T) {
 	}
 }
 
-// slowWorker wraps a real worker and serializes its multiplications with a
-// delay, so a mid-job membership change happens while cuboids are still
-// queued driver-side.
-type slowWorker struct {
-	inner Worker
-	delay time.Duration
-	mu    sync.Mutex
-}
-
-func (s *slowWorker) Multiply(args *MultiplyArgs, reply *MultiplyReply) error {
-	s.mu.Lock()
-	time.Sleep(s.delay)
-	s.mu.Unlock()
-	return s.inner.Multiply(args, reply)
-}
-
-func (s *slowWorker) Ping(args *PingArgs, reply *PingReply) error {
-	return s.inner.Ping(args, reply)
-}
-
-func startSlowWorker(t *testing.T, delay time.Duration) (string, *slowWorker) {
+// startSlowWorker serves a real worker whose multiplications queue behind
+// one another, each after a delay, so a mid-job membership change happens
+// while cuboids are still queued driver-side.
+func startSlowWorker(t *testing.T, delay time.Duration) string {
 	t.Helper()
-	sw := &slowWorker{delay: delay}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(serviceName, sw); err != nil {
-		t.Fatal(err)
-	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeCodec(NewServerCodec(conn))
-		}
-	}()
-	return l.Addr().String(), sw
+	w := &Worker{}
+	handlers := w.handlers()
+	multiply := handlers[methodMultiply]
+	var mu sync.Mutex
+	handlers[methodMultiply] = func(args *codec.FrameReader) (codec.Call, error) {
+		call, err := multiply(args)
+		return func() (func(*codec.FrameWriter) error, error) {
+			mu.Lock()
+			time.Sleep(delay)
+			mu.Unlock()
+			return call()
+		}, err
+	}
+	codec.Listen(l, workerPreamble, handlers, workerErrors)
+	return l.Addr().String()
 }
 
 // TestAddWorkerMidMultiply adds a fresh worker while a multiply is in
 // flight on a deliberately slow one; the newcomer must serve at least one
 // queued cuboid, and the product must match the reference bitwise.
 func TestAddWorkerMidMultiply(t *testing.T) {
-	slowAddr, _ := startSlowWorker(t, 15*time.Millisecond)
+	slowAddr := startSlowWorker(t, 15*time.Millisecond)
 	opts := fastOpts()
 	opts.DisableHeartbeat = true
 	opts.PerWorkerInflight = 2
@@ -614,7 +597,7 @@ func TestResumeMultiply(t *testing.T) {
 // within the deadline; with fallback disabled the typed sentinel must
 // surface, matching both the package and context sentinels.
 func TestDeadlineExceeded(t *testing.T) {
-	slowAddr, _ := startSlowWorker(t, 300*time.Millisecond)
+	slowAddr := startSlowWorker(t, 300*time.Millisecond)
 	opts := fastOpts()
 	opts.DisableHeartbeat = true
 	opts.DisableLocalFallback = true
@@ -651,14 +634,13 @@ func TestWorkerGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", l.Addr().String())
+	client, err := dialWorker(l.Addr().String(), time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := rpc.NewClientWithCodec(newClientCodec(conn, nil, nil, nil))
 	defer client.Close()
-	var pong PingReply
-	if err := client.Call(serviceName+".Ping", &PingArgs{}, &pong); err != nil {
+	ping := func() error { return client.Call(context.Background(), methodPing, nil, nil) }
+	if err := ping(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -676,7 +658,7 @@ func TestWorkerGracefulShutdown(t *testing.T) {
 	if _, err := net.DialTimeout("tcp", l.Addr().String(), 100*time.Millisecond); err == nil {
 		t.Fatal("listener still accepting after shutdown")
 	}
-	if err := client.Call(serviceName+".Ping", &PingArgs{}, &pong); err == nil {
+	if err := ping(); err == nil {
 		t.Fatal("severed connection still answers")
 	}
 }

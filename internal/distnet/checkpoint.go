@@ -55,7 +55,7 @@ func (c *checkpointer) path(idx int) string {
 // absent, corrupt, or from a different geometry — any of which means the
 // cuboid is recomputed. Damaged files are removed so the fresh result can
 // take their place.
-func (c *checkpointer) load(idx, cRows, cCols, blockSize int) (*MultiplyReply, bool) {
+func (c *checkpointer) load(idx, cRows, cCols, blockSize int) (*multiplyReply, bool) {
 	path := c.path(idx)
 	m, err := storage.ReadFile(path)
 	if err != nil {
@@ -68,9 +68,9 @@ func (c *checkpointer) load(idx, cRows, cCols, blockSize int) (*MultiplyReply, b
 		os.Remove(path)
 		return nil, false
 	}
-	reply := &MultiplyReply{}
+	reply := &multiplyReply{}
 	for _, k := range m.Keys() {
-		reply.CBlocks = append(reply.CBlocks, BlockRec{Key: k, Block: m.Block(k.I, k.J)})
+		reply.CBlocks = append(reply.CBlocks, blockRec{Key: k, Block: m.Block(k.I, k.J)})
 	}
 	return reply, true
 }
@@ -80,7 +80,7 @@ func (c *checkpointer) load(idx, cRows, cCols, blockSize int) (*MultiplyReply, b
 // file storage's checksums will reject — never a silently-wrong
 // checkpoint. Checkpoint I/O failures are deliberately non-fatal: the
 // multiply's correctness never depends on the checkpoint.
-func (c *checkpointer) store(idx int, reply *MultiplyReply, cRows, cCols, blockSize int) {
+func (c *checkpointer) store(idx int, reply *multiplyReply, cRows, cCols, blockSize int) {
 	m := bmat.New(cRows, cCols, blockSize)
 	for _, rec := range reply.CBlocks {
 		m.SetBlock(rec.Key.I, rec.Key.J, denseOf(rec.Block))

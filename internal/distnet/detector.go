@@ -1,9 +1,11 @@
 package distnet
 
 import (
-	"net/rpc"
+	"errors"
 	"sync"
 	"time"
+
+	"distme/internal/codec"
 )
 
 // The heartbeat failure detector: a background sweep that Pings every
@@ -11,25 +13,6 @@ import (
 // machine on missed beats, and redials Dead members so recovered workers
 // rejoin on their own — MapReduce's "the master pings every worker
 // periodically" (Dean & Ghemawat 2004) adapted to a dialing driver.
-
-// rpcCall performs one RPC on a raw client with a deadline. On timeout the
-// pending call is abandoned (net/rpc cannot cancel it); the caller must
-// treat the connection as wedged and close it before reusing the member.
-func rpcCall(client *rpc.Client, method string, args, reply any, timeout time.Duration) error {
-	call := client.Go(serviceName+"."+method, args, reply, make(chan *rpc.Call, 1))
-	if timeout <= 0 {
-		<-call.Done
-		return call.Error
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-call.Done:
-		return call.Error
-	case <-timer.C:
-		return ErrDeadlineExceeded
-	}
-}
 
 // runDetector is the detector goroutine body; it exits when the driver
 // closes.
@@ -69,7 +52,7 @@ func (d *Driver) sweep() {
 			}(m)
 		default:
 			wg.Add(1)
-			go func(m *member, client *rpc.Client) {
+			go func(m *member, client *codec.Client) {
 				defer wg.Done()
 				d.probe(m, client)
 			}(m, client)
@@ -79,11 +62,11 @@ func (d *Driver) sweep() {
 }
 
 // probe sends one heartbeat and applies the state machine.
-func (d *Driver) probe(m *member, client *rpc.Client) {
+func (d *Driver) probe(m *member, client *codec.Client) {
 	d.rec.AddHeartbeat()
 	start := time.Now()
-	var pong PingReply
-	err := rpcCall(client, "Ping", &PingArgs{}, &pong, d.opts.PingTimeout)
+	var pong pingReply
+	err := d.roundTrip(client, d.opts.PingTimeout, methodPing, 0, nil, codec.Reads(decodePingReply, &pong))
 	if err == nil {
 		rtt := time.Since(start)
 		m.markAlive(rtt)
@@ -94,7 +77,7 @@ func (d *Driver) probe(m *member, client *rpc.Client) {
 	// A draining worker refuses the probe with its sentinel; flag it so the
 	// scheduler stops offering it work while the missed-beat thresholds
 	// retire it from the live set.
-	if isDrainingError(err) {
+	if errors.Is(err, ErrWorkerDraining) {
 		m.draining.Store(true)
 	}
 	d.rec.AddHeartbeatMiss()

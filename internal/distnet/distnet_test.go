@@ -214,8 +214,8 @@ func TestClosedDriverFails(t *testing.T) {
 
 func TestWorkerPing(t *testing.T) {
 	w := &Worker{}
-	var reply PingReply
-	if err := w.Ping(&PingArgs{}, &reply); err != nil {
+	var reply pingReply
+	if err := w.ping(nil, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply.Hostname == "" {
@@ -225,12 +225,12 @@ func TestWorkerPing(t *testing.T) {
 
 func TestWorkerMalformedBox(t *testing.T) {
 	w := &Worker{}
-	var reply MultiplyReply
-	if err := w.Multiply(&MultiplyArgs{ILo: 2, IHi: 1}, &reply); err == nil {
+	var reply multiplyReply
+	if err := w.multiply(&multiplyArgs{ILo: 2, IHi: 1}, &reply); err == nil {
 		t.Fatal("malformed box accepted")
 	}
 	// A box no block set could fill must be refused before it sizes a table.
-	if err := w.Multiply(&MultiplyArgs{IHi: 1 << 40, JHi: 1 << 40, KHi: 1}, &reply); err == nil {
+	if err := w.multiply(&multiplyArgs{IHi: 1 << 40, JHi: 1 << 40, KHi: 1}, &reply); err == nil {
 		t.Fatal("oversized box accepted")
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/rpc"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,9 +98,9 @@ type Options struct {
 	HeartbeatInterval time.Duration
 	// PingTimeout bounds one heartbeat (and the dial-time ping); default 2s.
 	PingTimeout time.Duration
-	// CallTimeout bounds one Multiply RPC; default 60s. A call past its
-	// deadline abandons the connection (net/rpc cannot cancel a call) and
-	// the cuboid reassigns.
+	// CallTimeout bounds one Multiply call; default 60s. A call past its
+	// deadline abandons the connection (the worker cannot be told to stop)
+	// and the cuboid reassigns.
 	CallTimeout time.Duration
 	// SuspectAfter is the missed-beat count that demotes Alive → Suspect
 	// (default 1); DeadAfter the count that demotes to Dead (default 3).
@@ -380,59 +378,114 @@ func (d *Driver) SetServeDebug(fn func() any) {
 	d.serveMu.Unlock()
 }
 
-// call performs one RPC on a member under the deadline, applying the
-// failure state machine: transport errors and timeouts declare the member
-// dead (its connection is unusable either way) so the scheduler excludes it
-// until a reconnect succeeds. Application-level errors (rpc.ServerError)
-// pass through untouched — the worker is alive, the request was bad.
-func (d *Driver) call(m *member, method string, args, reply any, timeout time.Duration) error {
+// dialWorker connects to a worker and exchanges preambles; wrap, when set,
+// wraps the connection first (the driver's byte meters).
+func dialWorker(addr string, timeout time.Duration, wrap func(net.Conn) net.Conn) (*codec.Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	if wrap != nil {
+		conn = wrap(conn)
+	}
+	if err := codec.Handshake(conn, workerPreamble); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return codec.NewClient(conn, workerErrors), nil
+}
+
+// roundTrip runs one call on a driver connection under timeout: args frames
+// the request, reply decodes the answer as it streams in (either may be
+// nil). Encode and decode timings go to the recorder and, under a traced
+// parent span, wire.send and wire.recv spans record them.
+func (d *Driver) roundTrip(client *codec.Client, timeout time.Duration, method byte, parent obs.SpanID, args func(*codec.FrameWriter) error, reply func(*codec.FrameReader) error) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return client.Call(ctx, method, func(w *codec.FrameWriter) error {
+		start := time.Now()
+		if args != nil {
+			if err := args(w); err != nil {
+				return err
+			}
+		}
+		d.rec.AddWireEncode(w.Size(), time.Since(start))
+		d.wireSpan(parent, "wire.send", start, w.Size())
+		return nil
+	}, func(r *codec.FrameReader) error {
+		start, n := time.Now(), r.Remaining()
+		if reply != nil {
+			if err := reply(r); err != nil {
+				return err
+			}
+		}
+		d.rec.AddWireDecode(n, time.Since(start))
+		d.wireSpan(parent, "wire.recv", start, n)
+		return nil
+	})
+}
+
+// wireSpan records one wire span, from start to now, under a traced parent.
+func (d *Driver) wireSpan(parent obs.SpanID, name string, start time.Time, bytes int64) {
+	if parent != 0 && d.tracer.Enabled() {
+		d.tracer.AddCompleted(obs.SpanData{Parent: parent, Name: name, Kind: obs.KindRPC,
+			P: -1, Q: -1, R: -1, Start: start, End: time.Now(), Bytes: bytes})
+	}
+}
+
+// call performs one call on a member under the deadline (roundTrip),
+// applying the failure state machine: transport errors and timeouts declare
+// the member dead (its connection is unusable either way) so the scheduler
+// excludes it until a reconnect succeeds. The worker's own answers
+// (*codec.RemoteError) pass through — the worker is alive, the request was
+// bad — and so does a reply that did not decode, which failed only its own
+// call. A call that failed without the worker's answer may not have
+// delivered its frame, so the digests it marked sent are forgotten.
+func (d *Driver) call(m *member, method byte, parent obs.SpanID, args func(*codec.FrameWriter) error, reply func(*codec.FrameReader) error, timeout time.Duration) error {
 	_, client := m.snapshot()
 	if client == nil {
 		return fmt.Errorf("%w: %s is not connected", ErrWorkerDead, m.addr)
 	}
-	err := rpcCall(client, method, args, reply, timeout)
+	err := d.roundTrip(client, timeout, method, parent, args, reply)
 	if err == nil {
 		return nil
 	}
-	if errors.Is(err, ErrDeadlineExceeded) {
-		d.rec.AddDeadlineTimeout()
-		m.timeouts.Add(1)
-		d.declareDead(m, client)
-		return fmt.Errorf("%w (%w): %s.%s on %s after %v",
-			ErrDeadlineExceeded, context.DeadlineExceeded, serviceName, method, m.addr, timeout)
-	}
-	var se rpc.ServerError
-	if errors.As(err, &se) {
-		if se.Error() == errWorkerDrainingMsg {
+	var re *codec.RemoteError
+	if errors.As(err, &re) {
+		if errors.Is(re, ErrWorkerDraining) {
 			// The worker is shutting down gracefully; stop offering it work
 			// (acquireMember skips draining members) until a probe succeeds.
 			m.draining.Store(true)
 		}
 		return err
 	}
-	if errors.Is(err, codec.ErrFrameTooLarge) {
-		// Refused at encode: nothing reached the socket, the worker is fine.
+	m.tracker.forget()
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		d.rec.AddDeadlineTimeout()
+		m.timeouts.Add(1)
+		d.declareDead(m, client)
+		return fmt.Errorf("%w (%w): method %d on %s after %v",
+			ErrDeadlineExceeded, context.DeadlineExceeded, method, m.addr, timeout)
+	case errors.Is(err, codec.ErrClosed):
+		// The connection ended, whatever ended it.
+	case errors.Is(err, codec.ErrFrameTooLarge), errors.Is(err, codec.ErrBadFrame):
+		// Refused at encode, or a reply that did not parse: the connection
+		// is still in step and the worker is fine.
 		return err
 	}
 	d.declareDead(m, client)
 	return fmt.Errorf("%w: %s: %v", ErrWorkerDead, m.addr, err)
 }
 
-// isTransientServerError recognizes application-level errors that still
-// warrant reassignment — a draining worker answers RPCs but refuses work,
-// a cache miss on a digest reference just means the blocks must be resent
-// inline, and a failed pull resolution (dead peer, evicted band) is cured by
+// transientRefusal reports whether a worker's answer still warrants
+// reassignment: a draining worker answers calls but refuses work, a cache
+// miss on a digest reference just means the blocks must be resent inline,
+// and a failed pull resolution (dead peer, evicted band) is cured by
 // downgrading the retry to push.
-func isTransientServerError(se rpc.ServerError) bool {
-	return se.Error() == errWorkerDrainingMsg || se.Error() == errUnknownDigestMsg ||
-		strings.Contains(se.Error(), errPullPrefix)
-}
-
-// isDrainingError reports whether err is the draining worker's refusal
-// (matching over the wire, where sentinels arrive as rpc.ServerError text).
-func isDrainingError(err error) bool {
-	var se rpc.ServerError
-	return errors.As(err, &se) && se.Error() == errWorkerDrainingMsg
+func transientRefusal(re *codec.RemoteError) bool {
+	var pe *pullError
+	return errors.Is(re, ErrWorkerDraining) || errors.Is(re, errUnknownDigest) || errors.As(re, &pe)
 }
 
 // noteRPCDuration folds one successful cuboid RPC into the rolling mean and

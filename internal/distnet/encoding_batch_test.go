@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"net/rpc"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -200,16 +199,10 @@ func TestBatchItemErrorsRetryIndividually(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Fragmented reads (satellite: robustness against dribbling sockets)
 
-// bufConn is an in-memory io.ReadWriteCloser the codecs can write frames
-// into.
-type bufConn struct{ bytes.Buffer }
-
-func (b *bufConn) Close() error { return nil }
-
-// encodeRequestFrame serializes one Multiply request exactly as the driver
+// encodeRequestFrame serializes one multiply request exactly as the driver
 // does — including a payload large enough to take the scatter-gather
 // (writev) path — and returns the raw frame bytes.
-func encodeRequestFrame(t *testing.T) ([]byte, *MultiplyArgs) {
+func encodeRequestFrame(t *testing.T) ([]byte, *multiplyArgs) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(8105))
 	aBlk := matrix.NewDense(32, 32) // 8 KiB of values: above minZeroCopyTail
@@ -218,23 +211,18 @@ func encodeRequestFrame(t *testing.T) ([]byte, *MultiplyArgs) {
 		aBlk.Data[i] = rng.NormFloat64()
 		bBlk.Data[i] = rng.NormFloat64()
 	}
-	args := &MultiplyArgs{
+	args := &multiplyArgs{
 		IHi: 1, JHi: 1, KHi: 1,
-		ABlocks: []BlockRec{{Key: bmat.BlockKey{I: 0, J: 0}, Block: aBlk}},
-		BBlocks: []BlockRec{{Key: bmat.BlockKey{I: 0, J: 0}, Block: bBlk}},
+		ABlocks: []blockRec{{Key: bmat.BlockKey{I: 0, J: 0}, Block: aBlk}},
+		BBlocks: []blockRec{{Key: bmat.BlockKey{I: 0, J: 0}, Block: bBlk}},
 	}
 	prepareRecs(t, args.ABlocks, args.BBlocks)
-	conn := &bufConn{}
-	cc := newClientCodec(conn, nil, nil, nil)
-	if err := cc.WriteRequest(&rpc.Request{Seq: 7, ServiceMethod: serviceName + ".Multiply"}, args); err != nil {
-		t.Fatal(err)
-	}
-	return conn.Bytes(), args
+	return requestFrame(t, methodMultiply, codec.Writes(blockSender{}.appendMultiplyArgs, args)), args
 }
 
 // decodeRequestFrame parses one framed Multiply request from r the way the
 // worker's codec does: header, then the streaming body decode.
-func decodeRequestFrame(r io.Reader) (seq uint64, method string, args MultiplyArgs, left int64, err error) {
+func decodeRequestFrame(r io.Reader) (seq uint64, method byte, args multiplyArgs, left int64, err error) {
 	fr := codec.NewFrameReader(r)
 	if _, err = fr.Next(); err != nil {
 		return
@@ -242,7 +230,7 @@ func decodeRequestFrame(r io.Reader) (seq uint64, method string, args MultiplyAr
 	if seq, err = fr.Uvarint(); err != nil {
 		return
 	}
-	if method, err = fr.Str(); err != nil {
+	if method, err = fr.U8(); err != nil {
 		return
 	}
 	err = decodeMultiplyArgs(fr, &args, newBlockCache(-1, 0), false)
@@ -264,8 +252,8 @@ func TestFragmentedFrameReads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s read failed: %v", name, err)
 		}
-		if seq != 7 || method != serviceName+".Multiply" {
-			t.Fatalf("%s: header (%d, %q)", name, seq, method)
+		if seq != 1 || method != methodMultiply {
+			t.Fatalf("%s: header (%d, %d)", name, seq, method)
 		}
 		if left != 0 {
 			t.Fatalf("%s: decode left %d trailing bytes", name, left)

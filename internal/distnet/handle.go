@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/rpc"
 	"sort"
-	"strings"
 
 	"distme/internal/bmat"
 	"distme/internal/codec"
@@ -159,26 +157,26 @@ func (s *Session) parts(ib int) []part {
 	return ps
 }
 
-// partLocs renders a handle's placement for ExecArgs.
-func (s *Session) partLocs(h *Handle) []PartLoc {
+// partLocs renders a handle's placement for execArgs.
+func (s *Session) partLocs(h *Handle) []partLoc {
 	ps := s.parts(h.ib)
-	locs := make([]PartLoc, len(ps))
+	locs := make([]partLoc, len(ps))
 	for i, p := range ps {
-		locs[i] = PartLoc{Addr: p.m.addr, Lo: p.lo, Hi: p.hi}
+		locs[i] = partLoc{Addr: p.m.addr, Lo: p.lo, Hi: p.hi}
 	}
 	return locs
 }
 
-// callMember performs one store RPC on a member under its in-flight window
-// and the driver's call deadline.
-func (s *Session) callMember(ctx context.Context, m *member, method string, args, reply any) error {
+// callMember performs one store call on a member under its in-flight window
+// and the driver's call deadline; parent is the span the wire spans go under.
+func (s *Session) callMember(ctx context.Context, m *member, method byte, parent obs.SpanID, args func(*codec.FrameWriter) error, reply func(*codec.FrameReader) error) error {
 	select {
 	case <-m.slots:
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 	defer m.release()
-	return s.d.call(m, method, args, reply, s.d.opts.CallTimeout)
+	return s.d.call(m, method, parent, args, reply, s.d.opts.CallTimeout)
 }
 
 // recoverableHandleErr recognizes failures lineage recovery can answer: dead
@@ -191,14 +189,11 @@ func recoverableHandleErr(err error) bool {
 	if errors.Is(err, ErrWorkerDead) || errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, ErrNoWorkers) {
 		return true
 	}
-	var se rpc.ServerError
-	if errors.As(err, &se) {
-		msg := se.Error()
-		return msg == errUnknownHandleMsg || msg == errWorkerDrainingMsg ||
-			strings.Contains(msg, errUnknownHandleMsg) || strings.Contains(msg, errPeerFetchPrefix) ||
-			strings.Contains(msg, errPullPrefix)
-	}
-	return false
+	var re *codec.RemoteError
+	var pe *pullError
+	var fe *peerFetchError
+	return errors.As(err, &re) && (errors.Is(re, ErrWorkerDraining) || errors.Is(re, errUnknownHandle) ||
+		errors.As(re, &pe) || errors.As(re, &fe))
 }
 
 // evictionErr recognizes the specific recoverable failure that does not mean
@@ -208,12 +203,8 @@ func recoverableHandleErr(err error) bool {
 // which, against a store smaller than the session's working set, would just
 // re-trigger the eviction.
 func evictionErr(err error) bool {
-	var se rpc.ServerError
-	if !errors.As(err, &se) {
-		return false
-	}
-	msg := se.Error()
-	return msg == errUnknownHandleMsg || strings.Contains(msg, errUnknownHandleMsg)
+	var re *codec.RemoteError
+	return errors.As(err, &re) && errors.Is(re, errUnknownHandle)
 }
 
 // sameSnapshot reports whether the driver's live membership still matches
@@ -233,15 +224,12 @@ func (s *Session) sameSnapshot() bool {
 }
 
 // evictedHandle picks the handle an eviction error hit: the live handle a
-// pull resolution named (errPullHandleTag — a multiply reads two handles and
-// only the worker knows whose band was gone), else target.
+// failed pull resolution names (a multiply reads two handles and only the
+// worker knows whose band was gone), else target.
 func (s *Session) evictedHandle(err error, target *Handle) *Handle {
-	msg := err.Error()
-	if i := strings.Index(msg, errPullHandleTag); i >= 0 {
-		var id uint64
-		if _, scanErr := fmt.Sscanf(msg[i+len(errPullHandleTag):], "%d", &id); scanErr == nil && s.handles[id] != nil {
-			return s.handles[id]
-		}
+	var pe *pullError
+	if errors.As(err, &pe) && s.handles[pe.handle] != nil {
+		return s.handles[pe.handle]
 	}
 	return target
 }
@@ -313,10 +301,9 @@ func (s *Session) recover(ctx context.Context) error {
 		sp.SetAttr("workers", fmt.Sprintf("%d", len(workers)))
 	}
 	for _, m := range workers {
-		var reply FreeReply
 		// Best effort: a worker that dies here fails the rebuild below and
 		// the next recovery round drops it from the snapshot.
-		_ = s.callMember(ctx, m, "FreeHandles", &FreeArgs{Epoch: s.epoch, AllEpoch: true}, &reply)
+		_ = s.callMember(ctx, m, methodFreeHandles, 0, codec.Writes(appendFreeArgs, &freeArgs{Epoch: s.epoch, AllEpoch: true}), nil)
 	}
 
 	live := make([]*Handle, 0, len(s.handles))
@@ -424,10 +411,9 @@ func (s *Session) push(ctx context.Context, h *Handle) error {
 	defer sp.End()
 	var bytes int64
 	for _, p := range s.parts(h.ib) {
-		args := &PutArgs{Handle: h.id, Epoch: s.epoch, Pin: h.pinned, traceSpan: uint64(sp.ID()),
+		args := &putArgs{Handle: h.id, Epoch: s.epoch, Pin: h.pinned, traceSpan: uint64(sp.ID()),
 			Blocks: boxRecs(h.src, p.lo, p.hi, 0, h.src.JB)}
-		var reply PutReply
-		if err := s.callMember(ctx, p.m, "PutBlocks", args, &reply); err != nil {
+		if err := s.callMember(ctx, p.m, methodPutBlocks, sp.ID(), codec.Writes(appendPutArgs, args), nil); err != nil {
 			return err
 		}
 		for i := range args.Blocks {
@@ -453,8 +439,8 @@ func (s *Session) Fetch(ctx context.Context, h *Handle) (*bmat.BlockMatrix, erro
 		out = bmat.New(h.rows, h.cols, h.blockSize)
 		var bytes int64
 		for _, p := range s.parts(h.ib) {
-			var reply GetReply
-			if err := s.callMember(ctx, p.m, "GetBlocks", &GetArgs{Handle: h.id, All: true}, &reply); err != nil {
+			var reply getReply
+			if err := s.callMember(ctx, p.m, methodGetBlocks, 0, codec.Writes(appendGetArgs, &getArgs{Handle: h.id, All: true}), codec.Reads(decodeGetReply, &reply)); err != nil {
 				return err
 			}
 			for _, r := range reply.Blocks {
@@ -487,8 +473,7 @@ func (s *Session) Free(ctx context.Context, h *Handle) error {
 
 func (s *Session) freeParts(ctx context.Context, h *Handle) {
 	for _, p := range s.parts(h.ib) {
-		var reply FreeReply
-		_ = s.callMember(ctx, p.m, "FreeHandles", &FreeArgs{Handles: []uint64{h.id}}, &reply)
+		_ = s.callMember(ctx, p.m, methodFreeHandles, 0, codec.Writes(appendFreeArgs, &freeArgs{Handles: []uint64{h.id}}), nil)
 	}
 	if h.bytes != 0 {
 		s.d.rec.AddResidentBytes(-h.bytes)
@@ -526,8 +511,7 @@ func (s *Session) Unpin(ctx context.Context, h *Handle) error {
 
 func (s *Session) pinParts(ctx context.Context, h *Handle, unpin bool) error {
 	for _, p := range s.parts(h.ib) {
-		var reply PinReply
-		if err := s.callMember(ctx, p.m, "PinHandle", &PinArgs{Handle: h.id, Unpin: unpin}, &reply); err != nil {
+		if err := s.callMember(ctx, p.m, methodPinHandle, 0, codec.Writes(appendPinArgs, &pinArgs{Handle: h.id, Unpin: unpin}), nil); err != nil {
 			return err
 		}
 	}
@@ -542,8 +526,7 @@ func (s *Session) Close(ctx context.Context) error {
 	}
 	s.closed = true
 	for _, m := range s.workers {
-		var reply FreeReply
-		_ = s.callMember(ctx, m, "FreeHandles", &FreeArgs{Epoch: s.epoch, AllEpoch: true}, &reply)
+		_ = s.callMember(ctx, m, methodFreeHandles, 0, codec.Writes(appendFreeArgs, &freeArgs{Epoch: s.epoch, AllEpoch: true}), nil)
 	}
 	var resident int64
 	for _, h := range s.handles {

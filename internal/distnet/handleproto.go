@@ -5,27 +5,22 @@ package distnet
 // band per handle. Blocks travel inline as bit-exact fp64 — resident data is
 // the determinism anchor, so the opt-in lossy encodings never apply here.
 
-// PutArgs ships one handle's block-row band to its owning worker.
-type PutArgs struct {
+// putArgs ships one handle's block-row band to its owning worker.
+type putArgs struct {
 	Handle uint64
-	// Epoch scopes the handle to one driver session; FreeArgs with AllEpoch
+	// Epoch scopes the handle to one driver session; freeArgs with AllEpoch
 	// retires the whole session at once.
 	Epoch uint64
 	// Pin starts the band pinned (excluded from store eviction).
 	Pin    bool
-	Blocks []BlockRec
+	Blocks []blockRec
 
 	traceSpan uint64
 }
 
-// PutReply reports the band's resident payload bytes.
-type PutReply struct {
-	Bytes int64
-}
-
-// GetArgs reads a handle's resident blocks — issued by the driver for
+// getArgs reads a handle's resident blocks — issued by the driver for
 // Fetch and worker→worker for operand bands a pipeline operator lacks.
-type GetArgs struct {
+type getArgs struct {
 	Handle uint64
 	// All requests every block of the band; otherwise only blocks with
 	// ILo ≤ I < IHi and JLo ≤ J < JHi are returned.
@@ -35,39 +30,31 @@ type GetArgs struct {
 	traceSpan uint64
 }
 
-// GetReply carries the requested blocks (inline fp64).
-type GetReply struct {
-	Blocks []BlockRec
+// getReply carries the requested blocks (inline fp64).
+type getReply struct {
+	Blocks []blockRec
 	// Whole reports that Blocks is every block of the band, whatever was
 	// asked for: the copy a peer keeps of it can serve any later read.
 	Whole bool
 }
 
-// FreeArgs drops handles from a worker's store. AllEpoch frees every handle
+// freeArgs drops handles from a worker's store. AllEpoch frees every handle
 // of Epoch (session close, or the wipe before a lineage rebuild); otherwise
 // exactly the listed Handles are freed. Free overrides pins.
-type FreeArgs struct {
+type freeArgs struct {
 	Handles  []uint64
 	Epoch    uint64
 	AllEpoch bool
 }
 
-// FreeReply reports how many resident handles were actually dropped.
-type FreeReply struct {
-	Freed int
-}
-
-// PinArgs adjusts a handle's pin count: Unpin false pins (+1), true unpins
+// pinArgs adjusts a handle's pin count: Unpin false pins (+1), true unpins
 // (−1). Pinned bands never evict.
-type PinArgs struct {
+type pinArgs struct {
 	Handle uint64
 	Unpin  bool
 }
 
-// PinReply acknowledges the pin change.
-type PinReply struct{}
-
-// Pipeline operator codes carried in ExecArgs.Op.
+// Pipeline operator codes carried in execArgs.Op.
 const (
 	execMul = uint8(iota + 1)
 	execTranspose
@@ -78,18 +65,18 @@ const (
 	execScale
 )
 
-// PartLoc locates one worker's band of a handle: the block rows
+// partLoc locates one worker's band of a handle: the block rows
 // [Lo, Hi) resident at Addr.
-type PartLoc struct {
+type partLoc struct {
 	Addr   string
 	Lo, Hi int
 }
 
-// ExecArgs runs one pipeline operator worker-side over resident handles,
+// execArgs runs one pipeline operator worker-side over resident handles,
 // producing the output band OutLo ≤ I < OutHi under handle Out. Operand
 // bands this worker lacks are streamed worker→worker from AParts/BParts
 // (entries whose Addr equals Self read the local store instead).
-type ExecArgs struct {
+type execArgs struct {
 	Op     uint8
 	Out    uint64
 	Epoch  uint64
@@ -97,15 +84,15 @@ type ExecArgs struct {
 	Scalar float64
 	// OutLo/OutHi is the output block-row band this worker owns.
 	OutLo, OutHi int
-	AParts       []PartLoc
-	BParts       []PartLoc
+	AParts       []partLoc
+	BParts       []partLoc
 	Self         string
 
 	traceSpan uint64
 }
 
-// ExecReply reports the output band installed in the store.
-type ExecReply struct {
+// execReply reports the output band installed in the store.
+type execReply struct {
 	Bytes  int64
 	Blocks int
 	// PeerBytes is the worker→worker traffic this operator's band moved,

@@ -12,7 +12,7 @@ import (
 // never uses digest references or lossy encodings: resident bands are the
 // determinism anchor, so every block ships inline as bit-exact fp64.
 
-func appendPlainBlocks(w *codec.FrameWriter, recs []BlockRec) error {
+func appendPlainBlocks(w *codec.FrameWriter, recs []blockRec) error {
 	w.Uvarint(uint64(len(recs)))
 	for i := range recs {
 		rec := &recs[i]
@@ -25,8 +25,8 @@ func appendPlainBlocks(w *codec.FrameWriter, recs []BlockRec) error {
 	return nil
 }
 
-func decodePlainBlocks(rd *codec.FrameReader) ([]BlockRec, error) {
-	return codec.ReadSlice(rd, "blocks", 7, func(rec *BlockRec) error {
+func decodePlainBlocks(rd *codec.FrameReader) ([]blockRec, error) {
+	return codec.ReadSlice(rd, "blocks", 7, func(rec *blockRec) error {
 		if err := readInts(rd, &rec.Key.I, &rec.Key.J); err != nil {
 			return fmt.Errorf("%w: block header", errWire)
 		}
@@ -36,7 +36,7 @@ func decodePlainBlocks(rd *codec.FrameReader) ([]BlockRec, error) {
 	})
 }
 
-func appendPutArgs(w *codec.FrameWriter, a *PutArgs) error {
+func appendPutArgs(w *codec.FrameWriter, a *putArgs) error {
 	w.Uvarint(a.Handle)
 	w.Uvarint(a.Epoch)
 	w.Bool(a.Pin)
@@ -44,7 +44,7 @@ func appendPutArgs(w *codec.FrameWriter, a *PutArgs) error {
 	return appendPlainBlocks(w, a.Blocks)
 }
 
-func decodePutArgs(rd *codec.FrameReader, a *PutArgs) error {
+func decodePutArgs(rd *codec.FrameReader, a *putArgs) error {
 	var err error
 	if a.Handle, err = rd.Uvarint(); err != nil {
 		return err
@@ -62,16 +62,25 @@ func decodePutArgs(rd *codec.FrameReader, a *PutArgs) error {
 	return err
 }
 
-func appendGetArgs(w *codec.FrameWriter, a *GetArgs) {
+// appendCount is the put and free replies: the band's resident payload
+// bytes, and how many resident handles were dropped. The driver needs
+// neither, so it drains them undecoded.
+func appendCount(w *codec.FrameWriter, n *int64) error {
+	w.Uvarint(uint64(*n))
+	return nil
+}
+
+func appendGetArgs(w *codec.FrameWriter, a *getArgs) error {
 	w.Uvarint(a.Handle)
 	w.Bool(a.All)
 	for _, v := range [4]int{a.ILo, a.IHi, a.JLo, a.JHi} {
 		w.Uvarint(uint64(v))
 	}
 	w.Uvarint(a.traceSpan)
+	return nil
 }
 
-func decodeGetArgs(rd *codec.FrameReader, a *GetArgs) error {
+func decodeGetArgs(rd *codec.FrameReader, a *getArgs) error {
 	var err error
 	if a.Handle, err = rd.Uvarint(); err != nil {
 		return err
@@ -86,7 +95,7 @@ func decodeGetArgs(rd *codec.FrameReader, a *GetArgs) error {
 	return err
 }
 
-func appendGetReply(w *codec.FrameWriter, r *GetReply) error {
+func appendGetReply(w *codec.FrameWriter, r *getReply) error {
 	if err := appendPlainBlocks(w, r.Blocks); err != nil {
 		return err
 	}
@@ -94,7 +103,7 @@ func appendGetReply(w *codec.FrameWriter, r *GetReply) error {
 	return nil
 }
 
-func decodeGetReply(rd *codec.FrameReader, r *GetReply) error {
+func decodeGetReply(rd *codec.FrameReader, r *getReply) error {
 	var err error
 	if r.Blocks, err = decodePlainBlocks(rd); err != nil {
 		return err
@@ -103,16 +112,17 @@ func decodeGetReply(rd *codec.FrameReader, r *GetReply) error {
 	return err
 }
 
-func appendFreeArgs(w *codec.FrameWriter, a *FreeArgs) {
+func appendFreeArgs(w *codec.FrameWriter, a *freeArgs) error {
 	w.Uvarint(uint64(len(a.Handles)))
 	for _, h := range a.Handles {
 		w.Uvarint(h)
 	}
 	w.Uvarint(a.Epoch)
 	w.Bool(a.AllEpoch)
+	return nil
 }
 
-func decodeFreeArgs(rd *codec.FrameReader, a *FreeArgs) error {
+func decodeFreeArgs(rd *codec.FrameReader, a *freeArgs) error {
 	var err error
 	a.Handles, err = codec.ReadSlice(rd, "handle ids", 1, func(h *uint64) (err error) {
 		*h, err = rd.Uvarint()
@@ -128,12 +138,13 @@ func decodeFreeArgs(rd *codec.FrameReader, a *FreeArgs) error {
 	return err
 }
 
-func appendPinArgs(w *codec.FrameWriter, a *PinArgs) {
+func appendPinArgs(w *codec.FrameWriter, a *pinArgs) error {
 	w.Uvarint(a.Handle)
 	w.Bool(a.Unpin)
+	return nil
 }
 
-func decodePinArgs(rd *codec.FrameReader, a *PinArgs) error {
+func decodePinArgs(rd *codec.FrameReader, a *pinArgs) error {
 	var err error
 	if a.Handle, err = rd.Uvarint(); err != nil {
 		return err
@@ -142,7 +153,7 @@ func decodePinArgs(rd *codec.FrameReader, a *PinArgs) error {
 	return err
 }
 
-func appendPartLocs(w *codec.FrameWriter, parts []PartLoc) {
+func appendPartLocs(w *codec.FrameWriter, parts []partLoc) {
 	w.Uvarint(uint64(len(parts)))
 	for _, p := range parts {
 		w.Str(p.Addr)
@@ -151,8 +162,8 @@ func appendPartLocs(w *codec.FrameWriter, parts []PartLoc) {
 	}
 }
 
-func decodePartLocs(rd *codec.FrameReader) ([]PartLoc, error) {
-	return codec.ReadSlice(rd, "part locations", 3, func(p *PartLoc) error {
+func decodePartLocs(rd *codec.FrameReader) ([]partLoc, error) {
+	return codec.ReadSlice(rd, "part locations", 3, func(p *partLoc) error {
 		var err error
 		if p.Addr, err = rd.Str(); err != nil {
 			return err
@@ -164,7 +175,7 @@ func decodePartLocs(rd *codec.FrameReader) ([]PartLoc, error) {
 	})
 }
 
-func appendExecArgs(w *codec.FrameWriter, a *ExecArgs) {
+func appendExecArgs(w *codec.FrameWriter, a *execArgs) error {
 	w.Byte(a.Op)
 	w.Uvarint(a.Out)
 	w.Uvarint(a.Epoch)
@@ -179,9 +190,10 @@ func appendExecArgs(w *codec.FrameWriter, a *ExecArgs) {
 	appendPartLocs(w, a.BParts)
 	w.Str(a.Self)
 	w.Uvarint(a.traceSpan)
+	return nil
 }
 
-func decodeExecArgs(rd *codec.FrameReader, a *ExecArgs) error {
+func decodeExecArgs(rd *codec.FrameReader, a *execArgs) error {
 	var err error
 	if a.Op, err = rd.U8(); err != nil {
 		return err
@@ -212,13 +224,14 @@ func decodeExecArgs(rd *codec.FrameReader, a *ExecArgs) error {
 	return err
 }
 
-func appendExecReply(w *codec.FrameWriter, r *ExecReply) {
+func appendExecReply(w *codec.FrameWriter, r *execReply) error {
 	w.Uvarint(uint64(r.Bytes))
 	w.Uvarint(uint64(r.Blocks))
 	w.Uvarint(uint64(r.PeerBytes))
+	return nil
 }
 
-func decodeExecReply(rd *codec.FrameReader, r *ExecReply) error {
+func decodeExecReply(rd *codec.FrameReader, r *execReply) error {
 	b, err1 := rd.Uvarint()
 	n, err2 := rd.Uvarint()
 	pb, err3 := rd.Uvarint()

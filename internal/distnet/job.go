@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/rpc"
-	"strings"
 	"sync"
 	"time"
 
@@ -35,7 +33,7 @@ type cuboidJob struct {
 	// fill gives one cuboid — its voxel box already set — its slices, once,
 	// in index order, while the job is planned: inline records for push
 	// (Driver.multiply), placement manifests for pull (Session.pullMultiply).
-	fill func(args *MultiplyArgs)
+	fill func(args *multiplyArgs)
 }
 
 // cuboidRun is one job in flight: what the cuboid and batch goroutines share.
@@ -45,8 +43,8 @@ type cuboidRun struct {
 	job     *cuboidJob
 	root    obs.Span
 	meter   *JobMeter
-	cuboids []*MultiplyArgs
-	replies []*MultiplyReply
+	cuboids []*multiplyArgs
+	replies []*multiplyReply
 	errs    []error
 }
 
@@ -82,7 +80,7 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 
 	// Plan: one filled cuboid per voxel box, in core's (p,q,r) plan order.
 	core.ForEachCuboid(params, gi, gj, gk, func(p, q, rr int, box core.Box) {
-		args := &MultiplyArgs{
+		args := &multiplyArgs{
 			ILo: box.ILo, IHi: box.IHi, JLo: box.JLo, JHi: box.JHi, KLo: box.KLo, KHi: box.KHi,
 			cuboidP: p, cuboidQ: q, cuboidR: rr,
 			encoding: d.opts.Encoding,
@@ -96,7 +94,7 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 			return nil, err
 		}
 	}
-	r.replies = make([]*MultiplyReply, len(r.cuboids))
+	r.replies = make([]*multiplyReply, len(r.cuboids))
 	r.errs = make([]error, len(r.cuboids))
 
 	// Prepare and dispatch, one cuboid at a time on this goroutine: the first
@@ -181,7 +179,7 @@ func denseOf(b matrix.Block) *matrix.Dense {
 // commit records one cuboid's result: the reply slot, the job meter and,
 // when the job checkpoints, the disk. Commits are first-writer-wins by
 // construction — a cuboid is run by exactly one goroutine.
-func (r *cuboidRun) commit(idx int, reply *MultiplyReply) {
+func (r *cuboidRun) commit(idx int, reply *multiplyReply) {
 	r.replies[idx] = reply
 	r.meter.noteCommit(reply)
 	if ckpt := r.job.ckpt; ckpt != nil {
@@ -213,7 +211,7 @@ func (r *cuboidRun) runOne(idx int, csp obs.Span) {
 	r.commit(idx, reply)
 }
 
-// runBatch ships one group of small cuboids as a single MultiplyBatch RPC,
+// runBatch ships one group of small cuboids as a single batch call,
 // retried across members like one cuboid. Per-item failures in an
 // otherwise-successful reply — and any batch that exhausts its attempts —
 // fall back to individual dispatch, which carries its own retries and local
@@ -225,22 +223,23 @@ func (r *cuboidRun) runBatch(group []int) {
 		bsp.SetAttr("items", fmt.Sprintf("%d", len(group)))
 	}
 	defer bsp.End()
-	batch := &MultiplyBatchArgs{Items: make([]MultiplyArgs, len(group)), traceSpan: uint64(bsp.ID())}
+	batch := &batchArgs{Items: make([]multiplyArgs, len(group))}
 	spans := make([]obs.Span, len(group))
 	for i, idx := range group {
 		spans[i] = r.cuboidSpan(idx)
 		batch.Items[i] = *r.cuboids[idx]
 		batch.Items[i].traceSpan = uint64(bsp.ID())
 	}
-	var reply *MultiplyBatchReply
+	var reply *batchReply
 	var served *member
 	_, err := d.acrossMembers(r.ctx, r.meter, func(m *member) (bool, error) {
 		if bsp.Active() {
 			bsp.SetWorker(m.addr)
 		}
-		rep := new(MultiplyBatchReply)
+		rep := new(batchReply)
 		callStart := time.Now()
-		err := d.call(m, "MultiplyBatch", batch, rep, d.opts.CallTimeout)
+		err := d.call(m, methodMultiplyBatch, bsp.ID(), codec.Writes(blockSender{&m.tracker, d.rec}.appendBatchArgs, batch),
+			codec.Reads(decodeBatchReply, rep), d.opts.CallTimeout)
 		if err == nil && len(rep.Items) != len(group) {
 			err = fmt.Errorf("distnet: batch reply carried %d items for %d cuboids", len(rep.Items), len(group))
 		}
@@ -257,8 +256,8 @@ func (r *cuboidRun) runBatch(group []int) {
 		// A worker that rejected the batch frame outright, or a batch that
 		// cannot be framed at all, is not retried: individual dispatch will
 		// reproduce (and pinpoint) the failure.
-		var se rpc.ServerError
-		rejected := errors.As(err, &se) && !isTransientServerError(se)
+		var re *codec.RemoteError
+		rejected := errors.As(err, &re) && !transientRefusal(re)
 		return !rejected && !errors.Is(err, codec.ErrFrameTooLarge), err
 	})
 	if err != nil {
@@ -272,13 +271,13 @@ func (r *cuboidRun) runBatch(group []int) {
 	sawMiss := false
 	for i, idx := range group {
 		it := &reply.Items[i]
-		if it.Err == "" {
-			r.commit(idx, &MultiplyReply{CBlocks: it.CBlocks})
+		if it.err == nil {
+			r.commit(idx, &multiplyReply{CBlocks: it.CBlocks})
 			spans[i].End()
 			continue
 		}
 		d.rec.AddBatchItemError()
-		if it.Err == errUnknownDigestMsg {
+		if errors.Is(it.err, errUnknownDigest) {
 			d.rec.AddCacheRefMiss()
 			sawMiss = true
 		}
@@ -355,11 +354,11 @@ func (d *Driver) acrossMembers(ctx context.Context, meter *JobMeter, try func(m 
 // parent is the cuboid's span: each RPC attempt (and the local fallback)
 // records a child under it, so retries and reassignments are visible as
 // sibling attempts on the timeline.
-func (d *Driver) runJob(ctx context.Context, args *MultiplyArgs, parent obs.Span) (*MultiplyReply, error) {
+func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span) (*multiplyReply, error) {
 	if args.pull {
 		d.rec.AddPullJob()
 	}
-	var reply *MultiplyReply
+	var reply *multiplyReply
 	exhausted, err := d.acrossMembers(ctx, args.meter, func(m *member) (bool, error) {
 		asp := d.tracer.Start(parent.ID(), "rpc.multiply", obs.KindRPC)
 		defer asp.End()
@@ -373,9 +372,10 @@ func (d *Driver) runJob(ctx context.Context, args *MultiplyArgs, parent obs.Span
 			// ownership is decided at dispatch, not plan time.
 			args.pullSelf = m.addr
 		}
-		rep := new(MultiplyReply)
+		rep := new(multiplyReply)
 		callStart := time.Now()
-		err := d.call(m, "Multiply", args, rep, d.opts.CallTimeout)
+		err := d.call(m, methodMultiply, asp.ID(), codec.Writes(blockSender{&m.tracker, d.rec}.appendMultiplyArgs, args),
+			codec.Reads(decodeMultiplyReply, rep), d.opts.CallTimeout)
 		if err == nil {
 			if d.noteRPCDuration(m, time.Since(callStart)) && asp.Active() {
 				asp.SetAttr("straggler", "true")
@@ -394,18 +394,19 @@ func (d *Driver) runJob(ctx context.Context, args *MultiplyArgs, parent obs.Span
 			// at fault, so neither a retry nor the local fallback applies.
 			return false, fmt.Errorf("distnet: cuboid does not fit one wire frame; partition finer: %w", err)
 		}
-		var se rpc.ServerError
-		if !errors.As(err, &se) {
+		var re *codec.RemoteError
+		var pe *pullError
+		if !errors.As(err, &re) {
 			return true, err
 		}
 		switch {
-		case se.Error() == errUnknownDigestMsg:
+		case errors.Is(re, errUnknownDigest):
 			// The worker no longer holds blocks we sent as references
 			// (restart, eviction, or epoch turnover). Forget what we
 			// believed it had; the retry ships everything inline.
 			d.rec.AddCacheRefMiss()
 			m.tracker.forget()
-		case strings.Contains(se.Error(), errPullPrefix):
+		case errors.As(re, &pe):
 			// Pull resolution failed on the worker — a peer died mid-fetch,
 			// or a manifest entry points at an evicted band. The driver is
 			// the pull plane's last resort: when it holds the operand
@@ -419,7 +420,7 @@ func (d *Driver) runJob(ctx context.Context, args *MultiplyArgs, parent obs.Span
 					return false, perr
 				}
 			}
-		case !isTransientServerError(se):
+		case !transientRefusal(re):
 			// The worker computed and rejected the request: retrying the
 			// same malformed cuboid elsewhere cannot help.
 			return false, fmt.Errorf("distnet: worker %s rejected cuboid: %w", m.addr, err)
@@ -445,7 +446,7 @@ func (d *Driver) runJob(ctx context.Context, args *MultiplyArgs, parent obs.Span
 		lsp.SetCuboid(args.cuboidP, args.cuboidQ, args.cuboidR)
 		lsp.SetAttr("cause", err.Error())
 	}
-	reply = new(MultiplyReply)
+	reply = new(multiplyReply)
 	if _, err := computeCuboid(args, reply); err != nil {
 		return nil, err
 	}
@@ -457,8 +458,8 @@ func (d *Driver) runJob(ctx context.Context, args *MultiplyArgs, parent obs.Span
 // the record is shared by every cuboid that replicates the block — the same
 // block pointer appears in Q or P cuboids, the replication Eq. (4) counts.
 // The record's size feeds the job meter and the batch threshold, its digest
-// the worker cache references, and the client codec frames every send from
-// it. Push prepares every cuboid as it dispatches; pull only the cuboids that
+// the worker cache references, and blockSender frames every send from it.
+// Push prepares every cuboid as it dispatches; pull only the cuboids that
 // downgrade, when they do — a failure-free pull prepares nothing. Records
 // live until the multiply returns — retries resend from them — which under an
 // opt-in encoding means a second, encoded copy of the operands (see
@@ -485,12 +486,12 @@ func (d *Driver) newJobPrep() *jobPrep {
 // records at the block's prepared form — building it on first sight — and
 // charges the job meter the cuboid's payload bytes under the job's encoding,
 // which it returns: the quantity Options.BatchBytes thresholds.
-func (jp *jobPrep) prepare(args *MultiplyArgs) (int64, error) {
+func (jp *jobPrep) prepare(args *multiplyArgs) (int64, error) {
 	jp.mu.Lock()
 	defer jp.mu.Unlock()
 	args.cacheEpoch = jp.epoch
 	var payload int64
-	for _, list := range [2][]BlockRec{args.ABlocks, args.BBlocks} {
+	for _, list := range [2][]blockRec{args.ABlocks, args.BBlocks} {
 		for i := range list {
 			rec := &list[i]
 			p, ok := jp.recs[rec.Block]
@@ -527,7 +528,7 @@ func (d *Driver) multiply(ctx context.Context, a, b *bmat.BlockMatrix, params co
 	return d.runCuboids(ctx, cuboidJob{
 		rows: a.Rows, inner: a.Cols, cols: b.Cols, blockSize: a.BlockSize,
 		params: params, transfer: core.TransferPush, ckpt: ckpt,
-		fill: func(args *MultiplyArgs) {
+		fill: func(args *multiplyArgs) {
 			args.ABlocks = boxRecs(a, args.ILo, args.IHi, args.KLo, args.KHi)
 			args.BBlocks = boxRecs(b, args.KLo, args.KHi, args.JLo, args.JHi)
 		},
@@ -535,12 +536,12 @@ func (d *Driver) multiply(ctx context.Context, a, b *bmat.BlockMatrix, params co
 }
 
 // boxRecs lists m's present blocks inside [rlo,rhi)×[clo,chi), row-major.
-func boxRecs(m *bmat.BlockMatrix, rlo, rhi, clo, chi int) []BlockRec {
-	var recs []BlockRec
+func boxRecs(m *bmat.BlockMatrix, rlo, rhi, clo, chi int) []blockRec {
+	var recs []blockRec
 	for i := rlo; i < rhi; i++ {
 		for j := clo; j < chi; j++ {
 			if blk := m.Block(i, j); blk != nil {
-				recs = append(recs, BlockRec{Key: bmat.BlockKey{I: i, J: j}, Block: blk})
+				recs = append(recs, blockRec{Key: bmat.BlockKey{I: i, J: j}, Block: blk})
 			}
 		}
 	}

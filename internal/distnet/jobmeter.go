@@ -77,7 +77,7 @@ func (m *JobMeter) noteDispatch(bytes int64) {
 }
 
 // noteCommit charges one committed reply.
-func (m *JobMeter) noteCommit(reply *MultiplyReply) {
+func (m *JobMeter) noteCommit(reply *multiplyReply) {
 	if m == nil {
 		return
 	}

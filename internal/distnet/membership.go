@@ -4,10 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"distme/internal/codec"
 )
 
 // Typed failure sentinels of the real-network layer. They surface at the
@@ -100,7 +101,7 @@ type member struct {
 	loadStoreEvictions atomic.Int64
 
 	mu        sync.Mutex
-	client    *rpc.Client // nil while disconnected
+	client    *codec.Client // nil while disconnected
 	state     MemberState
 	missed    int // consecutive failed heartbeats
 	dialing   bool
@@ -132,7 +133,7 @@ type MemberInfo struct {
 }
 
 // noteLoad folds a pong's load snapshot into the member's health signals.
-func (m *member) noteLoad(pong *PingReply) {
+func (m *member) noteLoad(pong *pingReply) {
 	m.loadInFlight.Store(pong.InFlight)
 	m.loadStoreBytes.Store(pong.StoreBytes)
 	m.loadStoreHandles.Store(pong.StoreHandles)
@@ -140,7 +141,7 @@ func (m *member) noteLoad(pong *PingReply) {
 }
 
 // snapshot returns the state and client under the member's lock.
-func (m *member) snapshot() (MemberState, *rpc.Client) {
+func (m *member) snapshot() (MemberState, *codec.Client) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.state, m.client
@@ -162,7 +163,7 @@ func (m *member) markAlive(rtt time.Duration) {
 // noteMissed records a failed heartbeat and applies the Suspect/Dead
 // thresholds. When the member crosses the dead threshold its client is
 // detached and returned so the caller can close it outside the lock.
-func (m *member) noteMissed(suspectAfter, deadAfter int) (declaredDead bool, detached *rpc.Client) {
+func (m *member) noteMissed(suspectAfter, deadAfter int) (declaredDead bool, detached *codec.Client) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.state == StateRemoved || m.state == StateDead {
@@ -313,18 +314,15 @@ func (d *Driver) connect(m *member, reconnect bool) error {
 		m.mu.Unlock()
 	}()
 
-	conn, err := net.DialTimeout("tcp", m.addr, d.opts.PingTimeout)
+	client, err := dialWorker(m.addr, d.opts.PingTimeout, func(conn net.Conn) net.Conn {
+		return &countingConn{Conn: conn, wire: d.wire}
+	})
 	if err != nil {
 		return fmt.Errorf("%w: dial %s: %v", ErrWorkerDead, m.addr, err)
 	}
-	var tracker *sendTracker
-	if !d.opts.DisableBlockCache {
-		tracker = &m.tracker
-	}
-	client := rpc.NewClientWithCodec(newClientCodec(&countingConn{Conn: conn, wire: d.wire}, d.rec, tracker, d.tracer))
 	start := time.Now()
-	var pong PingReply
-	if err := rpcCall(client, "Ping", &PingArgs{}, &pong, d.opts.PingTimeout); err != nil {
+	var pong pingReply
+	if err := d.roundTrip(client, d.opts.PingTimeout, methodPing, 0, nil, codec.Reads(decodePingReply, &pong)); err != nil {
 		client.Close()
 		return fmt.Errorf("%w: ping %s: %v", ErrWorkerDead, m.addr, err)
 	}
@@ -436,7 +434,7 @@ func (d *Driver) retireDead(olderThan time.Duration) []string {
 // declareDead detaches and closes a member's client after a transport
 // failure. Only the exact client the failed call used is detached, so a
 // reconnect that raced in is not torn down.
-func (d *Driver) declareDead(m *member, failed *rpc.Client) {
+func (d *Driver) declareDead(m *member, failed *codec.Client) {
 	m.mu.Lock()
 	detached := false
 	if m.client == failed && failed != nil {

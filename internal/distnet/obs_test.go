@@ -244,7 +244,7 @@ func TestTraceSpanTreeUnderChaos(t *testing.T) {
 // in flight on a deliberately slow worker and checks the snapshot decodes
 // into the documented schema.
 func TestDriverDebugEndpointMidMultiply(t *testing.T) {
-	slowAddr, _ := startSlowWorker(t, 10*time.Millisecond)
+	slowAddr := startSlowWorker(t, 10*time.Millisecond)
 	opts := fastOpts()
 	opts.DisableHeartbeat = true
 	opts.Tracer = obs.NewTracer()

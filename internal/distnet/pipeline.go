@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"distme/internal/bmat"
+	"distme/internal/codec"
 	"distme/internal/core"
 	"distme/internal/obs"
 	"distme/internal/plan"
@@ -255,7 +256,7 @@ func (s *Session) execParts(ctx context.Context, h *Handle) error {
 	defer sp.End()
 	ps := s.parts(h.ib)
 	aParts := s.partLocs(h.la)
-	var bParts []PartLoc
+	var bParts []partLoc
 	var bID uint64
 	if h.lb != nil {
 		bParts = s.partLocs(h.lb)
@@ -270,7 +271,7 @@ func (s *Session) execParts(ctx context.Context, h *Handle) error {
 		wg.Add(1)
 		go func(i int, p part) {
 			defer wg.Done()
-			args := &ExecArgs{
+			args := &execArgs{
 				Op: h.op, Out: h.id, Epoch: s.epoch,
 				A: h.la.id, B: bID, Scalar: h.scalar,
 				OutLo: p.lo, OutHi: p.hi,
@@ -278,8 +279,8 @@ func (s *Session) execParts(ctx context.Context, h *Handle) error {
 				Self:      p.m.addr,
 				traceSpan: uint64(sp.ID()),
 			}
-			var reply ExecReply
-			if err := s.callMember(ctx, p.m, "ExecOp", args, &reply); err != nil {
+			var reply execReply
+			if err := s.callMember(ctx, p.m, methodExecOp, sp.ID(), codec.Writes(appendExecArgs, args), codec.Reads(decodeExecReply, &reply)); err != nil {
 				errs[i] = err
 				return
 			}

@@ -125,19 +125,6 @@ func (p *InProcPool) Close(ctx context.Context) {
 	}
 }
 
-// abort is the crash-shaped teardown behind InProcPool.Kill: close the
-// listener and every connection now, with no draining state — in-flight
-// RPCs fail at the socket exactly as if the process died.
-func (w *Worker) abort() {
-	w.mu.Lock()
-	l := w.listener
-	w.mu.Unlock()
-	if l != nil {
-		l.Close()
-	}
-	w.dropConns()
-}
-
 // ExecPool provisions workers by spawning distme-worker processes.
 type ExecPool struct {
 	// Binary is the distme-worker executable path (required).

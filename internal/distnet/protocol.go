@@ -1,38 +1,58 @@
 // Package distnet is the over-the-wire execution path: a driver that runs
-// CuboidMM's local-multiplication step on remote worker processes over TCP
-// (net/rpc with a custom binary codec), really serializing blocks onto
-// sockets. The in-process cluster substrate simulates Spark's accounting;
-// this package complements it with genuinely distributed execution — same
-// cuboid plans, same results, measured wire bytes — so the repartition/
-// aggregation costs the paper reasons about correspond to observable
-// network traffic.
+// CuboidMM's local-multiplication step on remote worker processes over TCP,
+// really serializing blocks onto sockets. The in-process cluster substrate
+// simulates Spark's accounting; this package complements it with genuinely
+// distributed execution — same cuboid plans, same results, measured wire
+// bytes — so the repartition/aggregation costs the paper reasons about
+// correspond to observable network traffic.
 package distnet
 
 import (
+	"errors"
+	"fmt"
+
 	"distme/internal/bmat"
 	"distme/internal/codec"
 	"distme/internal/matrix"
 )
 
-// BlockRec is one keyed block on the wire.
-type BlockRec struct {
+// The worker socket, driver↔worker and worker↔worker alike, is one
+// internal/codec call layer: a connection opens with workerPreamble both
+// ways, a request names its method by one byte, and the worker's refusals
+// cross as the codes of workerErrors.
+var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 1}
+
+// The worker socket's methods, by the byte a request names them with.
+const (
+	methodPing byte = iota
+	methodMultiply
+	methodMultiplyBatch
+	methodPutBlocks
+	methodGetBlocks
+	methodFreeHandles
+	methodPinHandle
+	methodExecOp
+)
+
+// blockRec is one keyed block on the wire.
+type blockRec struct {
 	Key   bmat.BlockKey
 	Block matrix.Block
 
 	// prep is Block encoded once for its job (jobPrep), set driver-side on
-	// every record of a cuboid before it ships inline: the client codec
-	// frames it from there and, when it carries a digest, replaces repeat
-	// sends to the same worker with a 32-byte reference.
+	// every record of a cuboid before it ships inline: the request is framed
+	// from it and, when it carries a digest, repeat sends to the same worker
+	// become a 32-byte reference.
 	prep *codec.Prepared
 }
 
-// MultiplyArgs ships one cuboid to a worker: the voxel box plus the A- and
+// multiplyArgs ships one cuboid to a worker: the voxel box plus the A- and
 // B-side blocks it needs. Indices are global block coordinates so the reply
 // keys line up with the driver's output grid.
-type MultiplyArgs struct {
+type multiplyArgs struct {
 	ILo, IHi, JLo, JHi, KLo, KHi int
-	ABlocks                      []BlockRec // A_{i,k} for the box
-	BBlocks                      []BlockRec // B_{k,j} for the box
+	ABlocks                      []blockRec // A_{i,k} for the box
+	BBlocks                      []blockRec // B_{k,j} for the box
 
 	// cacheEpoch scopes this cuboid's digest references to one driver job;
 	// the worker's block cache retires older epochs when a new one arrives.
@@ -41,20 +61,20 @@ type MultiplyArgs struct {
 	// traceSpan is the driver-side span the worker parents its compute span
 	// to (0 when tracing is off); cuboidP/Q/R are the cuboid's grid
 	// coordinate, carried so worker-side spans are labeled like driver-side
-	// ones. Both travel on the wire via the custom codec but are invisible
-	// to the arithmetic, so traced and untraced runs are byte-identical.
+	// ones. Both travel on the wire but are invisible to the arithmetic, so
+	// traced and untraced runs are byte-identical.
 	traceSpan                 uint64
 	cuboidP, cuboidQ, cuboidR int
 
-	// encoding steers the driver codec's encoder for this cuboid's block
-	// payloads (Options.Encoding). It never travels on the wire: the worker
-	// decodes whatever tags arrive, so mixed-encoding traffic is fine.
+	// encoding steers the encoder for this cuboid's block payloads
+	// (Options.Encoding). It never travels on the wire: the worker decodes
+	// whatever tags arrive, so mixed-encoding traffic is fine.
 	encoding codec.Encoding
 
 	// decodeErr is set worker-side by the lenient batch decode when this
 	// item's blocks could not be resolved (unknown digest); the worker
 	// reports it in the item's reply slot instead of computing.
-	decodeErr string
+	decodeErr error
 
 	// meter, when set, receives per-job traffic attribution for this
 	// cuboid (WithJobMeter). Driver-side only; never on the wire.
@@ -84,9 +104,9 @@ type MultiplyArgs struct {
 	pullInline bool
 }
 
-// MultiplyReply returns the cuboid's partial C blocks.
-type MultiplyReply struct {
-	CBlocks []BlockRec
+// multiplyReply returns the cuboid's partial C blocks.
+type multiplyReply struct {
+	CBlocks []blockRec
 
 	// Pull-resolution accounting, folded into the driver's NetStats:
 	// manifest entries satisfied by the content-addressed cache, peer
@@ -94,42 +114,35 @@ type MultiplyReply struct {
 	pullHits, pullFetches, pullPeerBytes int64
 }
 
-// MultiplyBatchArgs ships many small cuboids in one RPC. The driver
-// coalesces cuboids whose encoded payloads fall under Options.BatchBytes so
-// a many-tiny-cuboids plan pays one round trip per group instead of one per
-// cuboid. Items decode leniently on the worker: an unknown digest marks
-// only its own item failed (BatchItem.Err) rather than refusing the frame.
-type MultiplyBatchArgs struct {
-	Items []MultiplyArgs
-
-	// traceSpan parents the codec's wire.send/wire.recv spans for the batch
-	// call; driver-side only, never on the wire (items carry their own).
-	traceSpan uint64
+// batchArgs ships many small cuboids in one call. The driver coalesces
+// cuboids whose encoded payloads fall under Options.BatchBytes so a
+// many-tiny-cuboids plan pays one round trip per group instead of one per
+// cuboid. Items decode leniently on the worker: an unknown digest marks only
+// its own item failed (batchItem.err) rather than refusing the frame.
+type batchArgs struct {
+	Items []multiplyArgs
 }
 
-// BatchItem is one cuboid's slot in a batch reply: either its partial C
-// blocks or the application-level error that item alone hit.
-type BatchItem struct {
-	Err     string
-	CBlocks []BlockRec
+// batchItem is one cuboid's slot in a batch reply: either its partial C
+// blocks or the error that item alone hit.
+type batchItem struct {
+	err     error
+	CBlocks []blockRec
 }
 
-// MultiplyBatchReply mirrors MultiplyBatchArgs item-for-item, so the driver
-// can commit the successes and retry exactly the failures.
-type MultiplyBatchReply struct {
-	Items []BatchItem
+// batchReply mirrors batchArgs item for item, so the driver can commit the
+// successes and retry exactly the failures.
+type batchReply struct {
+	Items []batchItem
 }
 
-// PingArgs and PingReply implement the liveness probe.
-type PingArgs struct{}
-
-// PingReply reports the worker's identity plus a load snapshot the driver's
-// health plane folds into the per-worker score: RPCs currently executing,
+// pingReply reports the worker's identity plus a load snapshot the driver's
+// health plane folds into the per-worker score: calls currently executing,
 // and the handle store's occupancy/eviction pressure.
-type PingReply struct {
+type pingReply struct {
 	Hostname string
 
-	// InFlight is the number of RPCs the worker is executing right now.
+	// InFlight is the number of calls the worker is executing right now.
 	InFlight int64
 	// StoreBytes/StoreHandles are the handle store's current occupancy;
 	// StoreEvictions is its lifetime eviction count (monotonic, so the
@@ -139,9 +152,117 @@ type PingReply struct {
 	StoreEvictions int64
 }
 
-// serviceName is the registered net/rpc service.
-const serviceName = "DistME"
+// ---------------------------------------------------------------------------
+// The worker socket's error table
 
-// ServiceName is the registered net/rpc service name, exported so tests and
-// tools can stand up protocol-compatible stand-in workers.
-const ServiceName = serviceName
+var (
+	// ErrWorkerDraining matches the refusal a draining worker answers every
+	// call with (read-only GetBlocks is admitted a little longer — see
+	// Shutdown). The driver retries such calls on other members, so callers
+	// normally never see it; it surfaces only from direct calls against a
+	// worker mid-shutdown.
+	ErrWorkerDraining = errors.New("distnet: worker draining")
+
+	// errUnknownDigest is a worker's answer to a digest reference that
+	// missed its cache (restart, eviction, or epoch change). The driver
+	// treats it as transient: it forgets what it believed this worker had
+	// and resends the blocks inline on the retry.
+	errUnknownDigest = errors.New("distnet: unknown block digest")
+
+	// errUnknownHandle is the transient refusal for a handle the store does
+	// not hold (evicted, freed, or never received — e.g. after a worker
+	// restart). The driver answers it by rebuilding the handle from lineage.
+	errUnknownHandle = errors.New("distnet: unknown handle")
+)
+
+// pullError is a failed pull resolution: handle's manifest could not be
+// resolved, because of err. The driver answers it by downgrading the cuboid
+// to push; session recovery rebuilds that handle — not its sibling operand —
+// when err is an eviction.
+type pullError struct {
+	handle uint64
+	err    error
+}
+
+func (e *pullError) Error() string {
+	return fmt.Sprintf("distnet: pull fetch handle %d: %v", e.handle, e.err)
+}
+func (e *pullError) Unwrap() error { return e.err }
+
+// peerFetchError is a worker→worker band fetch that failed. The driver treats
+// it as recoverable (the peer may be dead) and rebuilds from lineage on a
+// fresh placement.
+type peerFetchError struct {
+	addr string
+	err  error
+}
+
+func (e *peerFetchError) Error() string {
+	return fmt.Sprintf("distnet: peer fetch %s: %v", e.addr, e.err)
+}
+func (e *peerFetchError) Unwrap() error { return e.err }
+
+// The worker socket's error codes. A fetch failure carries whether its
+// cause was an evicted band — what session recovery answers by rebuilding
+// just that handle — and a pull failure first the handle whose manifest
+// failed; any other cause reads back as nil.
+const (
+	codeDraining = codec.CodeOther + 1 + iota
+	codeUnknownDigest
+	codeUnknownHandle
+	codePullFailed      // uvarint handle, bool evicted
+	codePeerFetchFailed // bool evicted
+)
+
+var (
+	workerSentinels = [...]error{ErrWorkerDraining, errUnknownDigest, errUnknownHandle}
+	workerErrors    = codec.ErrorTable{Code: workerErrorCode, Decode: readWorkerError}
+)
+
+func workerErrorCode(err error) (byte, func(*codec.FrameWriter)) {
+	var pe *pullError
+	var fe *peerFetchError
+	evicted := errors.Is(err, errUnknownHandle)
+	switch {
+	case errors.As(err, &pe):
+		return codePullFailed, func(w *codec.FrameWriter) {
+			w.Uvarint(pe.handle)
+			w.Bool(evicted)
+		}
+	case errors.As(err, &fe):
+		return codePeerFetchFailed, func(w *codec.FrameWriter) { w.Bool(evicted) }
+	}
+	for i, sentinel := range workerSentinels {
+		if errors.Is(err, sentinel) {
+			return codeDraining + byte(i), nil
+		}
+	}
+	return codec.CodeOther, nil
+}
+
+func readWorkerError(code byte, r *codec.FrameReader) (error, error) {
+	if i := int(code) - int(codeDraining); i >= 0 && i < len(workerSentinels) {
+		return workerSentinels[i], nil
+	}
+	var handle uint64
+	var err error
+	switch code {
+	case codePullFailed:
+		handle, err = r.Uvarint()
+	case codePeerFetchFailed:
+	default:
+		return nil, fmt.Errorf("%w: worker error code %d", errWire, code)
+	}
+	evicted, err2 := r.Bool()
+	if err := errors.Join(err, err2); err != nil {
+		return nil, err
+	}
+	var cause error
+	if evicted {
+		cause = errUnknownHandle
+	}
+	if code == codePullFailed {
+		return &pullError{handle: handle, err: cause}, nil
+	}
+	return &peerFetchError{err: cause}, nil
+}

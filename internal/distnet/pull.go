@@ -17,18 +17,9 @@ import (
 // cache (dedup — the driver hashed every slice it placed), its own handle
 // store (entries it is the owner of), and its peer workers (one coalesced
 // bounding-box GetBlocks per (handle, owner), bounded-concurrency). The
-// driver stays the last-resort data source: any resolution failure is
-// reported under errPullPrefix, which the driver answers by re-pushing the
-// cuboid's blocks inline.
-
-// errPullPrefix marks pull-resolution failures. The text names the handle
-// whose manifest failed (errPullHandleTag, so session recovery rebuilds that
-// one and not its sibling operand) and wraps the underlying error, so
-// unknown-handle and peer-fetch sentinels stay matchable.
-const (
-	errPullPrefix    = "distnet: pull fetch"
-	errPullHandleTag = errPullPrefix + " handle "
-)
+// driver stays the last-resort data source: any resolution failure is a
+// pullError, which the driver answers by re-pushing the cuboid's blocks
+// inline.
 
 // pullFetchConcurrency bounds concurrent peer fetches during one manifest
 // resolution.
@@ -49,12 +40,12 @@ func (a *pullStats) add(b pullStats) {
 // successfully-read owner band are structurally absent (sparse zero blocks)
 // and are skipped — computeCuboid treats missing keys as zero, exactly like
 // the push path skipping nil blocks.
-func (w *Worker) resolvePull(parent obs.SpanID, epoch uint64, self string, m *codec.Manifest) ([]BlockRec, pullStats, error) {
+func (w *Worker) resolvePull(parent obs.SpanID, epoch uint64, self string, m *codec.Manifest) ([]blockRec, pullStats, error) {
 	var st pullStats
 	if m == nil || len(m.Entries) == 0 {
 		return nil, st, nil
 	}
-	recs := make([]BlockRec, 0, len(m.Entries))
+	recs := make([]blockRec, 0, len(m.Entries))
 	// Pass 1: cache dedup. A digest hit returns the exact bytes the driver
 	// hashed, so no fetch (and no bandwidth) is needed.
 	unresolved := make(map[int][]int) // owner index → entry indices
@@ -105,7 +96,7 @@ func (w *Worker) resolvePull(parent obs.SpanID, epoch uint64, self string, m *co
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			args := &GetArgs{Handle: m.Handle, traceSpan: uint64(parent)}
+			args := &getArgs{Handle: m.Handle, traceSpan: uint64(parent)}
 			args.ILo, args.IHi, args.JLo, args.JHi = entryBox(m.Entries, entries)
 			fetched, _, err := w.peerGet(parent, addr, args)
 			if err != nil {
@@ -126,7 +117,7 @@ func (w *Worker) resolvePull(parent obs.SpanID, epoch uint64, self string, m *co
 	for _, o := range owners {
 		res := results[o]
 		if res.err != nil {
-			return nil, st, fmt.Errorf("%s%d: %w", errPullHandleTag, m.Handle, res.err)
+			return nil, st, &pullError{handle: m.Handle, err: res.err}
 		}
 		st.add(res.stats)
 		for _, ei := range unresolved[o] {
@@ -147,7 +138,7 @@ func (w *Worker) resolvePull(parent obs.SpanID, epoch uint64, self string, m *co
 	}
 	for ei, e := range m.Entries {
 		if blk, ok := resolved[ei]; ok {
-			recs = append(recs, BlockRec{Key: bmat.BlockKey{I: e.KeyI, J: e.KeyJ}, Block: blk})
+			recs = append(recs, blockRec{Key: bmat.BlockKey{I: e.KeyI, J: e.KeyJ}, Block: blk})
 		}
 	}
 	return recs, st, nil
@@ -183,7 +174,7 @@ func entryBox(entries []codec.ManifestEntry, idxs []int) (ilo, ihi, jlo, jhi int
 // preparePull resolves a pull-mode cuboid's manifests into ABlocks/BBlocks,
 // recording the wire.pull span and folding the resolution counters into the
 // reply and the worker's gauges.
-func (w *Worker) preparePull(args *MultiplyArgs, reply *MultiplyReply) error {
+func (w *Worker) preparePull(args *multiplyArgs, reply *multiplyReply) error {
 	sp := w.tracer.Start(obs.SpanID(args.traceSpan), "wire.pull", obs.KindWorker)
 	if sp.Active() {
 		sp.SetCuboid(args.cuboidP, args.cuboidQ, args.cuboidR)
@@ -194,7 +185,7 @@ func (w *Worker) preparePull(args *MultiplyArgs, reply *MultiplyReply) error {
 	if err == nil {
 		st.add(sa)
 		var sb pullStats
-		var bRecs []BlockRec
+		var bRecs []blockRec
 		bRecs, sb, err = w.resolvePull(sp.ID(), args.cacheEpoch, args.pullSelf, args.bManifest)
 		if err == nil {
 			st.add(sb)

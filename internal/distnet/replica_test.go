@@ -2,9 +2,9 @@ package distnet
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 
@@ -161,8 +161,8 @@ func TestPipelineReplicaReuse(t *testing.T) {
 
 	// GetBlocks answers with the band the worker owns, never with the copy
 	// it keeps of its peer's.
-	var reply GetReply
-	if err := w1.GetBlocks(&GetArgs{Handle: binds["v"].id, All: true}, &reply); err != nil {
+	var reply getReply
+	if err := w1.getBlocks(&getArgs{Handle: binds["v"].id, All: true}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if len(reply.Blocks) == 0 || !reply.Whole {
@@ -383,7 +383,7 @@ func TestStoreReplicaMemoRace(t *testing.T) {
 	b := bmat.RandomSparse(rng, 32, 24, 8, 0.3) // two block rows on each
 	const idA, idB, epoch = 1, 2, 1
 	put := func(w *Worker, id uint64, m *bmat.BlockMatrix, lo, hi int) {
-		if err := w.PutBlocks(&PutArgs{Handle: id, Epoch: epoch, Blocks: boxRecs(m, lo, hi, 0, m.JB)}, new(PutReply)); err != nil {
+		if err := w.putBlocks(&putArgs{Handle: id, Epoch: epoch, Blocks: boxRecs(m, lo, hi, 0, m.JB)}, new(int64)); err != nil {
 			t.Error(err)
 		}
 	}
@@ -400,7 +400,7 @@ func TestStoreReplicaMemoRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for range tick {
-			if err := workers[1].FreeHandles(&FreeArgs{Handles: []uint64{idB}}, new(FreeReply)); err != nil {
+			if err := workers[1].freeHandles(&freeArgs{Handles: []uint64{idB}}, new(int64)); err != nil {
 				t.Error(err)
 			}
 			put(workers[1], idB, b, 2, 4)
@@ -415,19 +415,19 @@ func TestStoreReplicaMemoRace(t *testing.T) {
 		default:
 		}
 		out := uint64(100 + i)
-		err := workers[1].ExecOp(&ExecArgs{
+		err := workers[1].exec(&execArgs{
 			Op: execMul, Out: out, Epoch: epoch, A: idA, B: idB, OutLo: 0, OutHi: 1, Self: addrs[1],
-			BParts: []PartLoc{{Addr: addrs[0], Lo: 0, Hi: 2}, {Addr: addrs[1], Lo: 2, Hi: 4}},
-		}, new(ExecReply))
+			BParts: []partLoc{{Addr: addrs[0], Lo: 0, Hi: 2}, {Addr: addrs[1], Lo: 2, Hi: 4}},
+		}, new(execReply))
 		if err != nil {
-			if !strings.Contains(err.Error(), errUnknownHandleMsg) {
+			if !errors.Is(err, errUnknownHandle) {
 				t.Fatal(err)
 			}
 			continue
 		}
 		done++
-		var reply GetReply
-		if err := workers[1].GetBlocks(&GetArgs{Handle: out, All: true}, &reply); err != nil {
+		var reply getReply
+		if err := workers[1].getBlocks(&getArgs{Handle: out, All: true}, &reply); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range reply.Blocks {
@@ -438,7 +438,7 @@ func TestStoreReplicaMemoRace(t *testing.T) {
 		if len(reply.Blocks) != want.JB {
 			t.Fatalf("%d product blocks, want %d", len(reply.Blocks), want.JB)
 		}
-		_ = workers[1].FreeHandles(&FreeArgs{Handles: []uint64{out}}, new(FreeReply))
+		_ = workers[1].freeHandles(&freeArgs{Handles: []uint64{out}}, new(int64))
 	}
 	t.Logf("%d of 200 operators kept their operand to the end", done)
 	if done == 0 {

@@ -173,16 +173,16 @@ func TestDrainWindowAdmitsReadsUntilDeadline(t *testing.T) {
 	w.drainUntil = time.Now().Add(80 * time.Millisecond)
 	w.mu.Unlock()
 
-	if w.beginRPC() {
-		t.Fatal("beginRPC admitted work on a draining worker")
+	if w.begin(false) {
+		t.Fatal("begin admitted work on a draining worker")
 	}
-	if !w.beginReadRPC() {
-		t.Fatal("beginReadRPC refused inside the drain window — bands could not migrate off")
+	if !w.begin(true) {
+		t.Fatal("a read refused inside the drain window — bands could not migrate off")
 	}
-	w.endRPC()
+	w.end()
 	time.Sleep(120 * time.Millisecond)
-	if w.beginReadRPC() {
-		t.Fatal("beginReadRPC admitted past the drain deadline")
+	if w.begin(true) {
+		t.Fatal("a read admitted past the drain deadline")
 	}
 }
 

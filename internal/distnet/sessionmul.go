@@ -125,7 +125,7 @@ func (s *Session) pullMultiply(ctx context.Context, a, b *Handle, params core.Pa
 	return s.d.runCuboids(ctx, cuboidJob{
 		rows: a.rows, inner: a.cols, cols: b.cols, blockSize: a.blockSize,
 		params: params, transfer: core.TransferPull, ckpt: ckpt,
-		fill: func(args *MultiplyArgs) {
+		fill: func(args *multiplyArgs) {
 			args.pull = true
 			args.pullInline = a.src != nil && b.src != nil
 			args.cacheEpoch = s.epoch
@@ -140,12 +140,12 @@ func (s *Session) pullMultiply(ctx context.Context, a, b *Handle, params core.Pa
 // retained — the same blocks as inline records. Blocks the source knows absent
 // stay off both; without a source every position is listed and the owner's
 // band decides.
-func (h *Handle) boxManifest(ps []part, rlo, rhi, clo, chi int) (*codec.Manifest, []BlockRec) {
+func (h *Handle) boxManifest(ps []part, rlo, rhi, clo, chi int) (*codec.Manifest, []blockRec) {
 	m := &codec.Manifest{Handle: h.id, Owners: make([]string, len(ps))}
 	for i, p := range ps {
 		m.Owners[i] = p.m.addr
 	}
-	var recs []BlockRec
+	var recs []blockRec
 	owner := 0 // parts ascend with the rows, so the owner only moves forward
 	for i := rlo; i < rhi; i++ {
 		for owner+1 < len(ps) && i >= ps[owner].hi {
@@ -157,7 +157,7 @@ func (h *Handle) boxManifest(ps []part, rlo, rhi, clo, chi int) (*codec.Manifest
 				if blk == nil {
 					continue
 				}
-				recs = append(recs, BlockRec{Key: bmat.BlockKey{I: i, J: j}, Block: blk})
+				recs = append(recs, blockRec{Key: bmat.BlockKey{I: i, J: j}, Block: blk})
 			}
 			e := codec.ManifestEntry{KeyI: i, KeyJ: j, Owner: owner}
 			if dg := h.digestAt(i, j); dg != nil {

@@ -13,11 +13,6 @@ import (
 // DefaultStoreBytes is the worker handle store's default capacity.
 const DefaultStoreBytes int64 = 512 << 20
 
-// errUnknownHandleMsg is the transient refusal for a handle the store does
-// not hold (evicted, freed, or never received — e.g. after a worker
-// restart). The driver answers it by rebuilding the handle from lineage.
-const errUnknownHandleMsg = "distnet: unknown handle"
-
 // StoreStats is a snapshot of one worker's handle-store counters.
 type StoreStats struct {
 	// Handles and Blocks describe current residency; Bytes is their payload.
@@ -81,7 +76,7 @@ type storeEntry struct {
 // and evictable — a bounded LRU over the unpinned handles, behind a second
 // one over the replicas, which go first: dropping a replica costs its next
 // reader one peer fetch. Losing an owned entry is safe too: reads of a
-// missing handle return errUnknownHandleMsg and the driver recomputes the
+// missing handle return errUnknownHandle and the driver recomputes the
 // band from lineage.
 type handleStore struct {
 	mu       sync.Mutex

@@ -3,40 +3,22 @@ package distnet
 import (
 	"errors"
 	"fmt"
-	"io"
-	"net/rpc"
 	"sync"
-	"time"
 
 	"distme/internal/codec"
 	"distme/internal/metrics"
-	"distme/internal/obs"
 )
 
-// The custom net/rpc codec pair that replaces gob on the driver↔worker
-// sockets, built on internal/codec's frame layer (the same one distme-serve
-// speaks to its clients). One message is one length-prefixed frame. It is
-// written scatter-gather: header and structural bytes accumulate in a pooled
-// arena while large block-value payloads stay in the blocks' own storage and
-// go out as extra writev segments. It is read streaming: structural fields
-// are parsed from the socket under the frame's remaining-bytes counter and
-// raw float64 tails land directly in the decoded block's slice — no
-// whole-frame buffer, no second copy. Whatever a body decoder leaves unread
-// is drained before the next frame, so a body that fails to decode never
-// desynchronizes the stream — net/rpc turns it into an error response and
-// keeps serving, which is exactly what the block cache's unknown-digest
-// recovery relies on.
-
-// errUnknownDigestMsg is the application-level error a worker answers with
-// when a digest reference misses its cache (restart, eviction, or epoch
-// change). The driver treats it as transient: it forgets what it believed
-// this worker had and resends the blocks inline on the retry.
-const errUnknownDigestMsg = "distnet: unknown block digest"
+// The worker socket's bodies, on internal/codec's frames: written
+// scatter-gather from the blocks' own storage, read streaming into the
+// decoded blocks' slices — no whole-frame buffer, no second copy. A body that
+// fails to decode fails only its call and the connection keeps serving,
+// which is exactly what the block cache's unknown-digest recovery relies on.
 
 // errWire is what malformed frames surface as.
 var errWire = codec.ErrBadFrame
 
-// Block transport flags inside MultiplyArgs.
+// Block transport flags inside multiplyArgs.
 const (
 	blockInline      = 0 // tag + payload, not cached
 	blockInlineCache = 1 // digest + tag + payload; worker caches it
@@ -50,8 +32,8 @@ const minCacheableBytes = 256
 // sendTracker remembers which block digests a member has already received
 // recently, so the driver can replace repeats with references. Marking
 // happens at encode time ("commit at send"): requests on one connection are
-// written and read in order, so a later request's reference can only be
-// decoded after the earlier inline copy was. Entries age out when their
+// framed, written and read in order, so a later request's reference can only
+// be decoded after the earlier inline copy was. Entries age out when their
 // last-sent epoch falls more than the worker cache's lifecycle window
 // behind the newest epoch seen — mirroring blockCache's expiry, so the
 // driver stops assuming residency around the time the worker drops it.
@@ -103,98 +85,18 @@ func (t *sendTracker) forget() {
 }
 
 // ---------------------------------------------------------------------------
-// Client codec (driver side)
+// Multiply bodies
 
-type clientCodec struct {
-	conn    io.ReadWriteCloser
-	fr      *codec.FrameReader
-	rec     *metrics.Recorder
+// blockSender is what framing a cuboid's blocks consults: the digest tracker
+// of the worker they go to (nil ships every block inline; so does the block
+// cache being off, which leaves records digestless) and the recorder the
+// cache and encoding savings are counted in (nil counts nothing).
+type blockSender struct {
 	tracker *sendTracker
-	tracer  *obs.Tracer
-
-	// pending maps in-flight request seq numbers to their trace parent so
-	// the response decode can emit a wire.recv span under the same RPC
-	// attempt. Touched only when tracing is on.
-	pmu        sync.Mutex
-	pending    map[uint64]obs.SpanID
-	respParent obs.SpanID // parent of the response being decoded (read loop only)
+	rec     *metrics.Recorder
 }
 
-// newClientCodec builds the driver-side codec. rec (optional) receives
-// encode/decode timing and cache accounting; tracker (optional) enables
-// digest references for blocks that carry digests; tracer (optional) emits
-// wire.send/wire.recv spans under each traced Multiply attempt.
-func newClientCodec(conn io.ReadWriteCloser, rec *metrics.Recorder, tracker *sendTracker, tracer *obs.Tracer) rpc.ClientCodec {
-	return &clientCodec{conn: conn, fr: codec.NewFrameReader(conn), rec: rec, tracker: tracker, tracer: tracer}
-}
-
-func (c *clientCodec) WriteRequest(r *rpc.Request, body any) error {
-	start := time.Now()
-	w := codec.BeginFrame()
-	defer w.Release()
-	w.Uvarint(r.Seq)
-	w.Str(r.ServiceMethod)
-	var err error
-	parent := obs.SpanID(0)
-	tp, tq, tr := -1, -1, -1
-	switch v := body.(type) {
-	case *MultiplyArgs:
-		err = c.appendMultiplyArgs(&w, v)
-		parent = obs.SpanID(v.traceSpan)
-		tp, tq, tr = v.cuboidP, v.cuboidQ, v.cuboidR
-	case *MultiplyBatchArgs:
-		err = c.appendMultiplyBatchArgs(&w, v)
-		parent = obs.SpanID(v.traceSpan)
-	case *PutArgs:
-		err = appendPutArgs(&w, v)
-		parent = obs.SpanID(v.traceSpan)
-	case *GetArgs:
-		appendGetArgs(&w, v)
-		parent = obs.SpanID(v.traceSpan)
-	case *FreeArgs:
-		appendFreeArgs(&w, v)
-	case *PinArgs:
-		appendPinArgs(&w, v)
-	case *ExecArgs:
-		appendExecArgs(&w, v)
-		parent = obs.SpanID(v.traceSpan)
-	case *PingArgs:
-		// no body
-	default:
-		err = fmt.Errorf("distnet: unsupported request body %T", body)
-	}
-	n := w.Size()
-	if err == nil {
-		if c.rec != nil {
-			c.rec.AddWireEncode(n, time.Since(start))
-		}
-		err = w.Flush(c.conn)
-	}
-	if err != nil {
-		// Digests are marked sent while the frame is assembled; a frame that
-		// never (or only partly) left must not leave them marked.
-		if c.tracker != nil {
-			c.tracker.forget()
-		}
-		return err
-	}
-	if c.tracer.Enabled() && parent != 0 {
-		c.pmu.Lock()
-		if c.pending == nil {
-			c.pending = map[uint64]obs.SpanID{}
-		}
-		c.pending[r.Seq] = parent
-		c.pmu.Unlock()
-		c.tracer.AddCompleted(obs.SpanData{
-			Parent: parent, Name: "wire.send", Kind: obs.KindRPC,
-			P: tp, Q: tq, R: tr,
-			Start: start, End: time.Now(), Bytes: n,
-		})
-	}
-	return nil
-}
-
-func (c *clientCodec) appendMultiplyArgs(w *codec.FrameWriter, a *MultiplyArgs) error {
+func (s blockSender) appendMultiplyArgs(w *codec.FrameWriter, a *multiplyArgs) error {
 	for _, v := range [6]int{a.ILo, a.IHi, a.JLo, a.JHi, a.KLo, a.KHi} {
 		w.Uvarint(uint64(v))
 	}
@@ -214,16 +116,16 @@ func (c *clientCodec) appendMultiplyArgs(w *codec.FrameWriter, a *MultiplyArgs) 
 		return nil
 	}
 	w.Byte(0)
-	if err := c.appendBlockRecs(w, a.ABlocks, a.cacheEpoch, a.encoding); err != nil {
+	if err := s.appendBlockRecs(w, a.ABlocks, a.cacheEpoch, a.encoding); err != nil {
 		return err
 	}
-	return c.appendBlockRecs(w, a.BBlocks, a.cacheEpoch, a.encoding)
+	return s.appendBlockRecs(w, a.BBlocks, a.cacheEpoch, a.encoding)
 }
 
-func (c *clientCodec) appendMultiplyBatchArgs(w *codec.FrameWriter, a *MultiplyBatchArgs) error {
+func (s blockSender) appendBatchArgs(w *codec.FrameWriter, a *batchArgs) error {
 	w.Uvarint(uint64(len(a.Items)))
 	for i := range a.Items {
-		if err := c.appendMultiplyArgs(w, &a.Items[i]); err != nil {
+		if err := s.appendMultiplyArgs(w, &a.Items[i]); err != nil {
 			return err
 		}
 	}
@@ -233,7 +135,7 @@ func (c *clientCodec) appendMultiplyBatchArgs(w *codec.FrameWriter, a *MultiplyB
 // appendBlockRecs emits one operand's block records from their prepared
 // form (jobPrep) — as a 32-byte reference when the record's digest was
 // already sent to this worker — with no planning or encoding here.
-func (c *clientCodec) appendBlockRecs(w *codec.FrameWriter, recs []BlockRec, epoch uint64, enc codec.Encoding) error {
+func (s blockSender) appendBlockRecs(w *codec.FrameWriter, recs []blockRec, epoch uint64, enc codec.Encoding) error {
 	w.Uvarint(uint64(len(recs)))
 	for i := range recs {
 		rec := &recs[i]
@@ -243,12 +145,12 @@ func (c *clientCodec) appendBlockRecs(w *codec.FrameWriter, recs []BlockRec, epo
 		if p == nil {
 			return fmt.Errorf("distnet: block %v reached the wire unprepared", rec.Key)
 		}
-		if p.HasDigest && c.tracker != nil {
-			if c.tracker.seen(epoch, p.Digest) {
+		if p.HasDigest && s.tracker != nil {
+			if s.tracker.seen(epoch, p.Digest) {
 				w.Byte(blockRef)
 				w.Bytes(p.Digest[:])
-				if c.rec != nil {
-					c.rec.AddCacheRefSent(max(p.Size()-int64(len(p.Digest)), 0))
+				if s.rec != nil {
+					s.rec.AddCacheRefSent(max(p.Size()-int64(len(p.Digest)), 0))
 				}
 				continue
 			}
@@ -258,217 +160,13 @@ func (c *clientCodec) appendBlockRecs(w *codec.FrameWriter, recs []BlockRec, epo
 			w.Byte(blockInline)
 		}
 		w.AppendPrepared(p)
-		if enc != codec.EncodingFP64 && c.rec != nil {
+		if enc != codec.EncodingFP64 && s.rec != nil {
 			// Bytes the job's encoding took off the raw form.
-			c.rec.AddEncodedBlock(max(p.RawSize-p.Size(), 0))
+			s.rec.AddEncodedBlock(max(p.RawSize-p.Size(), 0))
 		}
 	}
 	return nil
 }
-
-func (c *clientCodec) ReadResponseHeader(r *rpc.Response) error {
-	seq, method, err := c.fr.NextHeader()
-	if err != nil {
-		return err
-	}
-	errStr, err := c.fr.Str()
-	if err != nil {
-		return err
-	}
-	r.Seq, r.ServiceMethod, r.Error = seq, method, errStr
-	c.respParent = 0
-	if c.tracer.Enabled() {
-		c.pmu.Lock()
-		if parent, ok := c.pending[seq]; ok {
-			c.respParent = parent
-			delete(c.pending, seq)
-		}
-		c.pmu.Unlock()
-	}
-	return nil
-}
-
-// ReadResponseBody decodes the typed body as it streams in. Whatever it
-// leaves unread — all of it when net/rpc passes nil for an abandoned call —
-// is drained, so the next response header starts on a frame boundary.
-func (c *clientCodec) ReadResponseBody(body any) error {
-	defer c.fr.Drain()
-	if body == nil {
-		return nil
-	}
-	start := time.Now()
-	n := c.fr.Remaining()
-	rd := c.fr
-	var err error
-	switch v := body.(type) {
-	case *MultiplyReply:
-		err = decodeMultiplyReply(rd, v)
-	case *MultiplyBatchReply:
-		err = decodeMultiplyBatchReply(rd, v)
-	case *PutReply:
-		var b uint64
-		if b, err = rd.Uvarint(); err == nil {
-			v.Bytes = int64(b)
-		}
-	case *GetReply:
-		err = decodeGetReply(rd, v)
-	case *FreeReply:
-		v.Freed, err = rd.Int()
-	case *PinReply:
-		// no body
-	case *ExecReply:
-		err = decodeExecReply(rd, v)
-	case *PingReply:
-		err = decodePingReply(rd, v)
-	default:
-		err = fmt.Errorf("distnet: unsupported response body %T", body)
-	}
-	if err == nil && c.rec != nil {
-		c.rec.AddWireDecode(n, time.Since(start))
-	}
-	if err == nil && c.respParent != 0 {
-		c.tracer.AddCompleted(obs.SpanData{
-			Parent: c.respParent, Name: "wire.recv", Kind: obs.KindRPC,
-			P: -1, Q: -1, R: -1,
-			Start: start, End: time.Now(), Bytes: n,
-		})
-	}
-	return err
-}
-
-func (c *clientCodec) Close() error { return c.conn.Close() }
-
-// ---------------------------------------------------------------------------
-// Server codec (worker side)
-
-type serverCodec struct {
-	conn   io.ReadWriteCloser
-	fr     *codec.FrameReader
-	cache  *blockCache
-	tracer *obs.Tracer
-
-	wmu sync.Mutex // WriteResponse may race Close on shutdown paths
-}
-
-// NewServerCodec returns the wire-format server codec for one connection,
-// with its own block cache — enough for protocol-compatible stand-in
-// workers built on rpc.NewServer (tests, tools). Production workers share
-// one cache across connections via Serve.
-func NewServerCodec(conn io.ReadWriteCloser) rpc.ServerCodec {
-	return newServerCodec(conn, newBlockCache(0, 0), nil)
-}
-
-func newServerCodec(conn io.ReadWriteCloser, cache *blockCache, tracer *obs.Tracer) rpc.ServerCodec {
-	return &serverCodec{conn: conn, fr: codec.NewFrameReader(conn), cache: cache, tracer: tracer}
-}
-
-func (s *serverCodec) ReadRequestHeader(r *rpc.Request) (err error) {
-	r.Seq, r.ServiceMethod, err = s.fr.NextHeader()
-	return err
-}
-
-// ReadRequestBody decodes the typed body as it streams in. Returning an
-// error here is safe: the rest of the frame is drained (also when net/rpc
-// passes nil to skip a body it cannot route), so net/rpc sends the error
-// string back as this call's response and keeps reading — the
-// unknown-digest refusal takes exactly that path. Batch bodies decode
-// leniently instead: an unknown digest marks only its item failed, so one
-// cold cache entry cannot poison the neighbors.
-func (s *serverCodec) ReadRequestBody(body any) error {
-	defer s.fr.Drain()
-	if body == nil {
-		return nil
-	}
-	rd := s.fr
-	switch v := body.(type) {
-	case *MultiplyArgs:
-		start := time.Now()
-		n := rd.Remaining()
-		err := decodeMultiplyArgs(rd, v, s.cache, false)
-		if err == nil && s.tracer.Enabled() && v.traceSpan != 0 {
-			s.tracer.AddCompleted(obs.SpanData{
-				Parent: obs.SpanID(v.traceSpan), Name: "wire.decode", Kind: obs.KindWorker,
-				P: v.cuboidP, Q: v.cuboidQ, R: v.cuboidR,
-				Start: start, End: time.Now(), Bytes: n,
-			})
-		}
-		return err
-	case *MultiplyBatchArgs:
-		return decodeMultiplyBatchArgs(rd, v, s.cache)
-	case *PutArgs:
-		return decodePutArgs(rd, v)
-	case *GetArgs:
-		return decodeGetArgs(rd, v)
-	case *FreeArgs:
-		return decodeFreeArgs(rd, v)
-	case *PinArgs:
-		return decodePinArgs(rd, v)
-	case *ExecArgs:
-		return decodeExecArgs(rd, v)
-	case *PingArgs:
-		return nil
-	default:
-		return fmt.Errorf("distnet: unsupported request body %T", body)
-	}
-}
-
-// WriteResponse frames one reply; one that cannot be framed (a reply past
-// the frame bound, an unencodable block) is answered as that error instead.
-func (s *serverCodec) WriteResponse(r *rpc.Response, body any) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return codec.WriteResponseFrame(s.conn, r.Seq, r.ServiceMethod, r.Error, func(w *codec.FrameWriter) error {
-		return appendResponseBody(w, body)
-	})
-}
-
-func appendResponseBody(w *codec.FrameWriter, body any) error {
-	switch v := body.(type) {
-	case *MultiplyReply:
-		return appendMultiplyReply(w, v)
-	case *MultiplyBatchReply:
-		return appendMultiplyBatchReply(w, v)
-	case *PutReply:
-		w.Uvarint(uint64(v.Bytes))
-	case *GetReply:
-		return appendGetReply(w, v)
-	case *FreeReply:
-		w.Uvarint(uint64(v.Freed))
-	case *PinReply:
-		// no body
-	case *ExecReply:
-		appendExecReply(w, v)
-	case *PingReply:
-		w.Str(v.Hostname)
-		w.Uvarint(uint64(v.InFlight))
-		w.Uvarint(uint64(v.StoreBytes))
-		w.Uvarint(uint64(v.StoreHandles))
-		w.Uvarint(uint64(v.StoreEvictions))
-	default:
-		return fmt.Errorf("distnet: unsupported response body %T", body)
-	}
-	return nil
-}
-
-func decodePingReply(rd *codec.FrameReader, v *PingReply) error {
-	var err error
-	if v.Hostname, err = rd.Str(); err != nil {
-		return err
-	}
-	for _, p := range [4]*int64{&v.InFlight, &v.StoreBytes, &v.StoreHandles, &v.StoreEvictions} {
-		u, err := rd.Uvarint()
-		if err != nil {
-			return err
-		}
-		*p = int64(u)
-	}
-	return nil
-}
-
-func (s *serverCodec) Close() error { return s.conn.Close() }
-
-// ---------------------------------------------------------------------------
-// Typed body layouts (shared by both directions)
 
 // readInts reads one uvarint into each destination.
 func readInts(rd *codec.FrameReader, dst ...*int) error {
@@ -487,7 +185,7 @@ func readInts(rd *codec.FrameReader, dst ...*int) error {
 // block, a.decodeErr records the refusal, and the cursor moves on — batch
 // framing stays intact around a failed item. Structural corruption is a
 // hard error in both modes.
-func decodeMultiplyArgs(rd *codec.FrameReader, a *MultiplyArgs, cache *blockCache, lenient bool) error {
+func decodeMultiplyArgs(rd *codec.FrameReader, a *multiplyArgs, cache *blockCache, lenient bool) error {
 	if err := readInts(rd, &a.ILo, &a.IHi, &a.JLo, &a.JHi, &a.KLo, &a.KHi); err != nil {
 		return err
 	}
@@ -525,35 +223,30 @@ func decodeMultiplyArgs(rd *codec.FrameReader, a *MultiplyArgs, cache *blockCach
 	default:
 		return fmt.Errorf("%w: unknown multiply transfer mode %d", errWire, mode)
 	}
-	var miss string
-	if a.ABlocks, miss, err = decodeBlockRecs(rd, cache, epoch, lenient); err != nil {
-		return err
-	}
-	if miss != "" {
-		a.decodeErr = miss
-	}
-	if a.BBlocks, miss, err = decodeBlockRecs(rd, cache, epoch, lenient); err != nil {
-		return err
-	}
-	if miss != "" {
-		a.decodeErr = miss
+	for _, dst := range [2]*[]blockRec{&a.ABlocks, &a.BBlocks} {
+		var miss bool
+		if *dst, miss, err = decodeBlockRecs(rd, cache, epoch, lenient); err != nil {
+			return err
+		}
+		if miss {
+			a.decodeErr = errUnknownDigest
+		}
 	}
 	return nil
 }
 
-func decodeMultiplyBatchArgs(rd *codec.FrameReader, a *MultiplyBatchArgs, cache *blockCache) error {
+func decodeBatchArgs(rd *codec.FrameReader, a *batchArgs, cache *blockCache) error {
 	var err error
-	a.Items, err = codec.ReadSlice(rd, "batch items", 14, func(it *MultiplyArgs) error {
+	a.Items, err = codec.ReadSlice(rd, "batch items", 14, func(it *multiplyArgs) error {
 		return decodeMultiplyArgs(rd, it, cache, true)
 	})
 	return err
 }
 
-func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64, lenient bool) ([]BlockRec, string, error) {
+func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64, lenient bool) (recs []blockRec, miss bool, err error) {
 	// Each record needs at least key + flag bytes; a count beyond the
 	// remaining frame is a forgery.
-	miss := ""
-	recs, err := codec.ReadSlice(rd, "block records", 3, func(rec *BlockRec) error {
+	recs, err = codec.ReadSlice(rd, "block records", 3, func(rec *blockRec) error {
 		if err := readInts(rd, &rec.Key.I, &rec.Key.J); err != nil {
 			return fmt.Errorf("%w: block record header", errWire)
 		}
@@ -572,9 +265,9 @@ func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64, len
 			blk, ok := cache.lookup(epoch, dg)
 			if !ok {
 				if !lenient {
-					return errors.New(errUnknownDigestMsg)
+					return errUnknownDigest
 				}
-				miss = errUnknownDigestMsg
+				miss = true
 			} else {
 				rec.Block = blk
 			}
@@ -595,7 +288,7 @@ func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64, len
 	return recs, miss, err
 }
 
-func appendMultiplyReply(w *codec.FrameWriter, r *MultiplyReply) error {
+func appendMultiplyReply(w *codec.FrameWriter, r *multiplyReply) error {
 	// Pull-resolution counters travel ahead of the C blocks (all zero on
 	// push replies, so push traffic costs three bytes).
 	w.Uvarint(uint64(r.pullHits))
@@ -606,7 +299,7 @@ func appendMultiplyReply(w *codec.FrameWriter, r *MultiplyReply) error {
 	return appendPlainBlocks(w, r.CBlocks)
 }
 
-func decodeMultiplyReply(rd *codec.FrameReader, r *MultiplyReply) error {
+func decodeMultiplyReply(rd *codec.FrameReader, r *multiplyReply) error {
 	for _, p := range [3]*int64{&r.pullHits, &r.pullFetches, &r.pullPeerBytes} {
 		v, err := rd.Uvarint()
 		if err != nil {
@@ -619,30 +312,39 @@ func decodeMultiplyReply(rd *codec.FrameReader, r *MultiplyReply) error {
 	return err
 }
 
-func appendMultiplyBatchReply(w *codec.FrameWriter, r *MultiplyBatchReply) error {
+// A batch reply's item is its partial C blocks after CodeOK, or the error
+// the item hit, coded as the response header codes a call's.
+func appendBatchReply(w *codec.FrameWriter, r *batchReply) error {
 	w.Uvarint(uint64(len(r.Items)))
 	for i := range r.Items {
 		it := &r.Items[i]
-		w.Str(it.Err)
-		if it.Err != "" {
+		if it.err != nil {
+			workerErrors.AppendError(w, it.err)
 			continue
 		}
-		rep := MultiplyReply{CBlocks: it.CBlocks}
-		if err := appendMultiplyReply(w, &rep); err != nil {
+		w.Byte(codec.CodeOK)
+		if err := appendMultiplyReply(w, &multiplyReply{CBlocks: it.CBlocks}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func decodeMultiplyBatchReply(rd *codec.FrameReader, r *MultiplyBatchReply) error {
+func decodeBatchReply(rd *codec.FrameReader, r *batchReply) error {
 	var err error
-	r.Items, err = codec.ReadSlice(rd, "batch replies", 1, func(it *BatchItem) error {
-		var err error
-		if it.Err, err = rd.Str(); err != nil || it.Err != "" {
+	r.Items, err = codec.ReadSlice(rd, "batch replies", 1, func(it *batchItem) error {
+		code, err := rd.U8()
+		if err != nil {
 			return err
 		}
-		var rep MultiplyReply
+		if code != codec.CodeOK {
+			err := workerErrors.ReadError(rd, code)
+			if errors.As(err, new(*codec.RemoteError)) {
+				it.err, err = err, nil
+			}
+			return err
+		}
+		var rep multiplyReply
 		if err := decodeMultiplyReply(rd, &rep); err != nil {
 			return err
 		}
@@ -650,4 +352,27 @@ func decodeMultiplyBatchReply(rd *codec.FrameReader, r *MultiplyBatchReply) erro
 		return nil
 	})
 	return err
+}
+
+func appendPingReply(w *codec.FrameWriter, r *pingReply) error {
+	w.Str(r.Hostname)
+	for _, v := range [4]int64{r.InFlight, r.StoreBytes, r.StoreHandles, r.StoreEvictions} {
+		w.Uvarint(uint64(v))
+	}
+	return nil
+}
+
+func decodePingReply(rd *codec.FrameReader, v *pingReply) error {
+	var err error
+	if v.Hostname, err = rd.Str(); err != nil {
+		return err
+	}
+	for _, p := range [4]*int64{&v.InFlight, &v.StoreBytes, &v.StoreHandles, &v.StoreEvictions} {
+		u, err := rd.Uvarint()
+		if err != nil {
+			return err
+		}
+		*p = int64(u)
+	}
+	return nil
 }

@@ -5,11 +5,15 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"distme/internal/bmat"
 	"distme/internal/codec"
@@ -41,35 +45,35 @@ func decodeBody(kind int, rd *codec.FrameReader) error {
 	cache := newBlockCache(-1, 0)
 	switch kind {
 	case bodyMultiplyArgs:
-		return decodeMultiplyArgs(rd, new(MultiplyArgs), cache, false)
+		return decodeMultiplyArgs(rd, new(multiplyArgs), cache, false)
 	case bodyMultiplyBatchArgs:
-		return decodeMultiplyBatchArgs(rd, new(MultiplyBatchArgs), cache)
+		return decodeBatchArgs(rd, new(batchArgs), cache)
 	case bodyMultiplyReply:
-		return decodeMultiplyReply(rd, new(MultiplyReply))
+		return decodeMultiplyReply(rd, new(multiplyReply))
 	case bodyMultiplyBatchReply:
-		return decodeMultiplyBatchReply(rd, new(MultiplyBatchReply))
+		return decodeBatchReply(rd, new(batchReply))
 	case bodyPutArgs:
-		return decodePutArgs(rd, new(PutArgs))
+		return decodePutArgs(rd, new(putArgs))
 	case bodyGetArgs:
-		return decodeGetArgs(rd, new(GetArgs))
+		return decodeGetArgs(rd, new(getArgs))
 	case bodyFreeArgs:
-		return decodeFreeArgs(rd, new(FreeArgs))
+		return decodeFreeArgs(rd, new(freeArgs))
 	case bodyPinArgs:
-		return decodePinArgs(rd, new(PinArgs))
+		return decodePinArgs(rd, new(pinArgs))
 	case bodyExecArgs:
-		return decodeExecArgs(rd, new(ExecArgs))
+		return decodeExecArgs(rd, new(execArgs))
 	case bodyGetReply:
-		return decodeGetReply(rd, new(GetReply))
+		return decodeGetReply(rd, new(getReply))
 	case bodyExecReply:
-		return decodeExecReply(rd, new(ExecReply))
+		return decodeExecReply(rd, new(execReply))
 	default:
-		return decodePingReply(rd, new(PingReply))
+		return decodePingReply(rd, new(pingReply))
 	}
 }
 
 // prepareRecs stands in for jobPrep on hand-built cuboids: every record gets
 // its fp64 prepared form, digestless, so it frames inline.
-func prepareRecs(t testing.TB, lists ...[]BlockRec) {
+func prepareRecs(t testing.TB, lists ...[]blockRec) {
 	t.Helper()
 	for _, recs := range lists {
 		for i := range recs {
@@ -82,19 +86,25 @@ func prepareRecs(t testing.TB, lists ...[]BlockRec) {
 	}
 }
 
+// wireSeedRecs are the seed bodies' blocks: one dense, with 4.5 KiB of
+// values (a zero-copy cut), one sparse.
+func wireSeedRecs() []blockRec {
+	rng := rand.New(rand.NewSource(1402))
+	dense := matrix.RandomDense(rng, 24, 24)
+	sparse := matrix.RandomSparse(rng, 40, 40, 0.05)
+	return []blockRec{{Key: bmat.BlockKey{I: 0, J: 1}, Block: dense}, {Key: bmat.BlockKey{I: 2, J: 3}, Block: sparse}}
+}
+
 // wireSeedBodies encodes one valid body of every kind.
 func wireSeedBodies(t testing.TB) map[int][]byte {
-	rng := rand.New(rand.NewSource(1402))
-	dense := matrix.RandomDense(rng, 24, 24) // 4.5 KiB of values: a zero-copy cut
-	sparse := matrix.RandomSparse(rng, 40, 40, 0.05)
-	recs := []BlockRec{{Key: bmat.BlockKey{I: 0, J: 1}, Block: dense}, {Key: bmat.BlockKey{I: 2, J: 3}, Block: sparse}}
+	recs := wireSeedRecs()
 	prepareRecs(t, recs)
-	push := MultiplyArgs{IHi: 1, JHi: 1, KHi: 2, ABlocks: recs, BBlocks: recs[:1], cacheEpoch: 3}
+	push := multiplyArgs{IHi: 1, JHi: 1, KHi: 2, ABlocks: recs, BBlocks: recs[:1], cacheEpoch: 3}
 	manifest := &codec.Manifest{Handle: 9, Owners: []string{"10.0.0.1:7070"}, Entries: []codec.ManifestEntry{{KeyI: 1, KeyJ: 2, HasDigest: true}}}
-	pull := MultiplyArgs{IHi: 1, JHi: 1, KHi: 1, pull: true, pullSelf: "10.0.0.1:7070", aManifest: manifest, bManifest: manifest}
-	parts := []PartLoc{{Addr: "10.0.0.2:7070", Lo: 0, Hi: 4}}
+	pull := multiplyArgs{IHi: 1, JHi: 1, KHi: 1, pull: true, pullSelf: "10.0.0.1:7070", aManifest: manifest, bManifest: manifest}
+	parts := []partLoc{{Addr: "10.0.0.2:7070", Lo: 0, Hi: 4}}
 
-	cc := &clientCodec{}
+	var send blockSender
 	bodies := map[int][]byte{}
 	add := func(kind int, fill func(w *codec.FrameWriter) error) {
 		w := codec.BeginFrame()
@@ -108,43 +118,53 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 		}
 		bodies[kind] = buf.Bytes()[4:]
 	}
-	add(bodyMultiplyArgs, func(w *codec.FrameWriter) error { return cc.appendMultiplyArgs(w, &push) })
+	add(bodyMultiplyArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &push) })
 	add(bodyMultiplyBatchArgs, func(w *codec.FrameWriter) error {
-		return cc.appendMultiplyBatchArgs(w, &MultiplyBatchArgs{Items: []MultiplyArgs{push, pull, push}})
+		return send.appendBatchArgs(w, &batchArgs{Items: []multiplyArgs{push, pull, push}})
 	})
 	add(bodyMultiplyReply, func(w *codec.FrameWriter) error {
-		return appendMultiplyReply(w, &MultiplyReply{CBlocks: recs, pullHits: 2})
+		return appendMultiplyReply(w, &multiplyReply{CBlocks: recs, pullHits: 2})
 	})
 	add(bodyMultiplyBatchReply, func(w *codec.FrameWriter) error {
-		return appendMultiplyBatchReply(w, &MultiplyBatchReply{Items: []BatchItem{{CBlocks: recs}, {Err: "boom"}}})
+		return appendBatchReply(w, &batchReply{Items: []batchItem{{CBlocks: recs}, {err: errors.New("boom")}, {err: &pullError{handle: 9, err: errUnknownHandle}}}})
 	})
 	add(bodyPutArgs, func(w *codec.FrameWriter) error {
-		return appendPutArgs(w, &PutArgs{Handle: 5, Epoch: 2, Pin: true, Blocks: recs})
+		return appendPutArgs(w, &putArgs{Handle: 5, Epoch: 2, Pin: true, Blocks: recs})
 	})
-	add(bodyGetArgs, func(w *codec.FrameWriter) error { appendGetArgs(w, &GetArgs{Handle: 5, IHi: 3, JHi: 4}); return nil })
-	add(bodyFreeArgs, func(w *codec.FrameWriter) error {
-		appendFreeArgs(w, &FreeArgs{Handles: []uint64{1, 2, 3}, Epoch: 2, AllEpoch: true})
-		return nil
-	})
-	add(bodyPinArgs, func(w *codec.FrameWriter) error { appendPinArgs(w, &PinArgs{Handle: 5, Unpin: true}); return nil })
-	add(bodyExecArgs, func(w *codec.FrameWriter) error {
-		appendExecArgs(w, &ExecArgs{Op: 2, Out: 7, A: 5, B: 6, Scalar: 1.5, OutHi: 4, AParts: parts, BParts: parts, Self: parts[0].Addr})
-		return nil
-	})
-	add(bodyGetReply, func(w *codec.FrameWriter) error { return appendGetReply(w, &GetReply{Blocks: recs, Whole: true}) })
-	add(bodyExecReply, func(w *codec.FrameWriter) error {
-		appendExecReply(w, &ExecReply{Bytes: 100, Blocks: 2, PeerBytes: 50})
-		return nil
-	})
-	add(bodyPingReply, func(w *codec.FrameWriter) error {
-		return appendResponseBody(w, &PingReply{Hostname: "w0", InFlight: 1, StoreBytes: 2, StoreHandles: 3, StoreEvictions: 4})
-	})
+	add(bodyGetArgs, codec.Writes(appendGetArgs, &getArgs{Handle: 5, IHi: 3, JHi: 4}))
+	add(bodyFreeArgs, codec.Writes(appendFreeArgs, &freeArgs{Handles: []uint64{1, 2, 3}, Epoch: 2, AllEpoch: true}))
+	add(bodyPinArgs, codec.Writes(appendPinArgs, &pinArgs{Handle: 5, Unpin: true}))
+	add(bodyExecArgs, codec.Writes(appendExecArgs,
+		&execArgs{Op: 2, Out: 7, A: 5, B: 6, Scalar: 1.5, OutHi: 4, AParts: parts, BParts: parts, Self: parts[0].Addr}))
+	add(bodyGetReply, codec.Writes(appendGetReply, &getReply{Blocks: recs, Whole: true}))
+	add(bodyExecReply, codec.Writes(appendExecReply, &execReply{Bytes: 100, Blocks: 2, PeerBytes: 50}))
+	add(bodyPingReply, codec.Writes(appendPingReply,
+		&pingReply{Hostname: "w0", InFlight: 1, StoreBytes: 2, StoreHandles: 3, StoreEvictions: 4}))
 	return bodies
 }
 
 // frameOf prefixes body with its honest length.
 func frameOf(body []byte) []byte {
 	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// requestFrame is one request exactly as a client frames it, length prefix
+// included: the first call on a fresh connection, so seq 1.
+func requestFrame(t testing.TB, method byte, args func(*codec.FrameWriter) error) []byte {
+	t.Helper()
+	near, far := net.Pipe()
+	c := codec.NewClient(near, workerErrors)
+	defer c.Close()
+	go c.Call(context.Background(), method, args, nil)
+	var prefix [4]byte
+	if _, err := io.ReadFull(far, prefix[:]); err != nil {
+		t.Fatal(err)
+	}
+	frame := append(prefix[:], make([]byte, binary.LittleEndian.Uint32(prefix[:]))...)
+	if _, err := io.ReadFull(far, frame[4:]); err != nil {
+		t.Fatal(err)
+	}
+	return frame
 }
 
 // TestWireBodiesRoundTripAndTruncation: every body kind decodes from its own
@@ -201,17 +221,14 @@ func forgedCountBodies() map[string]struct {
 // TestForgedFramePrefixHugeCounts: a frame prefix promising 2 GiB makes a
 // hundred-million-element count pass the bytes-left check of every body that
 // carries one. Each decoder fails when the dozen bytes run out, having
-// allocated a small fixed step per nesting level — not the count.
+// allocated a small fixed step per nesting level — not the count — behind
+// the header, through the read loop that frame reaches.
 func TestForgedFramePrefixHugeCounts(t *testing.T) {
 	for name, tc := range forgedCountBodies() {
-		raw := append(binary.LittleEndian.AppendUint32(nil, codec.MaxFrameBytes), tc.body...)
-		var err error
+		raw := append(binary.LittleEndian.AppendUint32(nil, codec.MaxFrameBytes), wholeFrame(tc.kind, tc.body)...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		rd := codec.NewFrameReader(bytes.NewReader(raw))
-		if _, err = rd.Next(); err == nil {
-			err = decodeBody(tc.kind, rd)
-		}
+		err := deliverFrame(tc.kind, raw)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: forged count decoded", name)
@@ -222,113 +239,419 @@ func TestForgedFramePrefixHugeCounts(t *testing.T) {
 	}
 }
 
-// FuzzWireBodies drives arbitrary bytes through the streaming decoder of
-// every body a driver↔worker socket can deliver: MultiplyArgs,
-// MultiplyBatchArgs, MultiplyReply and its batch twin, and the handle-store
-// bodies of handlewire.go. A hostile peer gets a typed error — errWire, or
-// the unknown-digest refusal for a reference the cache does not hold — never
-// a panic, and never an allocation beyond what its bytes could hold plus one
+// A whole frame a worker socket delivers reaches one of two read loops.
+// Request kinds reach a worker's: the method byte in the frame picks the args
+// decoder, which runs — its call does not. Reply kinds reach a client's, as
+// the answer to one pending call (seq 1) whose reply decodes as kind.
+
+// requestMethods is the method byte each request kind travels under.
+var requestMethods = map[int]byte{
+	bodyMultiplyArgs: methodMultiply, bodyMultiplyBatchArgs: methodMultiplyBatch, bodyPutArgs: methodPutBlocks,
+	bodyGetArgs: methodGetBlocks, bodyFreeArgs: methodFreeHandles, bodyPinArgs: methodPinHandle, bodyExecArgs: methodExecOp,
+}
+
+// wholeFrame puts body behind the header it travels with: seq 1 and its
+// method for a request, seq 1 and CodeOK for a reply.
+func wholeFrame(kind int, body []byte) []byte {
+	if m, ok := requestMethods[kind]; ok {
+		return append([]byte{1, m}, body...)
+	}
+	return append([]byte{1, codec.CodeOK, 0}, body...)
+}
+
+// serveRaw feeds raw to a worker's read loop with every call left unrun and
+// returns the first args decoder error and the loop's own.
+func serveRaw(raw []byte) (decodeErr, loopErr error) {
+	handlers := (&Worker{}).handlers()
+	for m, h := range handlers {
+		handlers[m] = func(r *codec.FrameReader) (codec.Call, error) {
+			_, err := h(r)
+			if decodeErr == nil {
+				decodeErr = err
+			}
+			return func() (func(*codec.FrameWriter) error, error) { return nil, nil }, err
+		}
+	}
+	loopErr = codec.Serve(&gatedConn{raw: bytes.NewReader(raw)}, handlers, workerErrors)
+	return decodeErr, loopErr
+}
+
+// callRaw feeds raw to a client's read loop as the answer to one call whose
+// reply decodes as kind, and returns the call's error.
+func callRaw(kind int, raw []byte) error {
+	conn := &gatedConn{raw: bytes.NewReader(raw), sent: make(chan struct{})}
+	c := codec.NewClient(conn, workerErrors)
+	defer c.Close()
+	return c.Call(context.Background(), methodPing, nil, func(r *codec.FrameReader) error { return decodeBody(kind, r) })
+}
+
+// gatedConn serves raw to its reader and discards what is written to it.
+// With sent set it holds its reads back until the first write — the request
+// — so a reply is never read before its call is pending.
+type gatedConn struct {
+	raw  io.Reader
+	once sync.Once
+	sent chan struct{}
+}
+
+func (c *gatedConn) Read(p []byte) (int, error) {
+	if c.sent != nil {
+		<-c.sent
+	}
+	return c.raw.Read(p)
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.Close()
+	return len(p), nil
+}
+
+func (c *gatedConn) Close() error {
+	c.once.Do(func() {
+		if c.sent != nil {
+			close(c.sent)
+		}
+	})
+	return nil
+}
+
+// deliverFrame runs one whole frame, length prefix included, through the
+// read loop its kind reaches and returns the error the decoder or the
+// connection ended with (nil for a frame that decoded).
+func deliverFrame(kind int, raw []byte) error {
+	if _, ok := requestMethods[kind]; !ok {
+		err := callRaw(kind, raw)
+		if errors.Is(err, codec.ErrClosed) && errors.Is(err, io.EOF) {
+			return nil // the reply was not the call's, and drained
+		}
+		return err
+	}
+	decodeErr, loopErr := serveRaw(raw)
+	if loopErr == io.EOF {
+		loopErr = nil
+	}
+	return errors.Join(decodeErr, loopErr)
+}
+
+// hostileFrames are whole frames that only the header makes hostile: a method
+// byte no handler serves, a reply for a call nobody made, an error code
+// outside the table, and a code whose fields end early.
+func hostileFrames() map[string]struct {
+	kind  int
+	frame []byte
+} {
+	return map[string]struct {
+		kind  int
+		frame []byte
+	}{
+		"unknown method byte": {bodyGetArgs, []byte{1, 0xee, 5, 0}},
+		"unknown seq":         {bodyPingReply, []byte{9, codec.CodeOK, 0, 0}},
+		"out-of-table code":   {bodyPingReply, []byte{1, 0xee, 1, 'x'}},
+		"pull failure":        {bodyPingReply, []byte{1, codePullFailed, 1, 'x', 7, 1}},
+		"fields cut short":    {bodyPingReply, []byte{1, codePullFailed, 1, 'x', 7}},
+	}
+}
+
+// FuzzWireBodies drives arbitrary frames, header included, through both read
+// loops of a worker socket: requests through a worker's — method byte, then
+// the decoder of MultiplyArgs, its batch twin and the handle-store bodies of
+// handlewire.go — and replies through a client's — seq, error code and its
+// fields, then the reply decoders. A hostile peer gets a typed error —
+// errWire, the unknown-digest refusal for a reference the cache does not
+// hold, a coded answer, or a connection ended on a bad header — never a
+// panic, and never an allocation beyond what its bytes could hold plus one
 // read step.
 func FuzzWireBodies(f *testing.F) {
 	for kind, body := range wireSeedBodies(f) {
-		f.Add(uint8(kind), body, uint32(0))
+		f.Add(uint8(kind), wholeFrame(kind, body), uint32(0))
 	}
-	f.Add(uint8(bodyFreeArgs), []byte{0xff, 0xff, 0xff, 0xff, 0x0f}, uint32(0))
+	f.Add(uint8(bodyFreeArgs), wholeFrame(bodyFreeArgs, []byte{0xff, 0xff, 0xff, 0xff, 0x0f}), uint32(0))
 	for _, tc := range forgedCountBodies() {
-		f.Add(uint8(tc.kind), tc.body, uint32(codec.MaxFrameBytes))
+		f.Add(uint8(tc.kind), wholeFrame(tc.kind, tc.body), uint32(codec.MaxFrameBytes))
 	}
-	f.Fuzz(func(t *testing.T, kind uint8, body []byte, claim uint32) {
+	for _, tc := range hostileFrames() {
+		f.Add(uint8(tc.kind), tc.frame, uint32(0))
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, frame []byte, claim uint32) {
 		// The prefix promises claim bytes more than ever arrive: a forged
 		// frame length, under which every count looks affordable.
-		promised := min(uint64(len(body))+uint64(claim), codec.MaxFrameBytes)
-		raw := append(binary.LittleEndian.AppendUint32(nil, uint32(promised)), body...)
-		var err error
+		promised := min(uint64(len(frame))+uint64(claim), codec.MaxFrameBytes)
+		raw := append(binary.LittleEndian.AppendUint32(nil, uint32(promised)), frame...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		rd := codec.NewFrameReader(bytes.NewReader(raw))
-		if _, err = rd.Next(); err == nil {
-			err = decodeBody(int(kind)%bodyKinds, rd)
-		}
+		err := deliverFrame(int(kind)%bodyKinds, raw)
 		runtime.ReadMemStats(&after)
 		// A decoded record is a few machine words per wire byte at most.
 		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(raw)+1<<20+256<<10); alloc > limit {
 			t.Fatalf("allocated %d bytes for %d bytes of input", alloc, len(raw))
 		}
-		short := promised > uint64(len(body)) && errors.Is(err, io.ErrUnexpectedEOF)
-		if err != nil && !short && !errors.Is(err, errWire) && err.Error() != errUnknownDigestMsg {
+		var re *codec.RemoteError
+		typed := errors.Is(err, errWire) || errors.Is(err, errUnknownDigest) || errors.Is(err, codec.ErrClosed) || errors.As(err, &re)
+		short := promised > uint64(len(frame)) && errors.Is(err, io.ErrUnexpectedEOF)
+		if err != nil && !typed && !short {
 			t.Fatalf("untyped error %v", err)
 		}
 	})
 }
 
+// TestHostileHeaders: what each header-only hostile frame comes back as.
+func TestHostileHeaders(t *testing.T) {
+	frames := hostileFrames()
+	want := map[string]func(error) bool{
+		"unknown method byte": func(err error) bool { return err != nil && strings.Contains(err.Error(), "unknown method") },
+		"unknown seq":         func(err error) bool { return err == nil },
+		"out-of-table code":   func(err error) bool { return errors.Is(err, errWire) },
+		"pull failure": func(err error) bool {
+			var pe *pullError
+			return errors.As(err, &pe) && pe.handle == 7 && evictionErr(err)
+		},
+		"fields cut short": func(err error) bool { return errors.Is(err, errWire) },
+	}
+	for name, tc := range frames {
+		err := deliverFrame(tc.kind, frameOf(tc.frame))
+		if name == "unknown method byte" {
+			// Answered, not decoded: the loop serves on, so read the answer.
+			err = unknownMethodAnswer(t, tc.frame)
+		}
+		if !want[name](err) {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// unknownMethodAnswer is the worker's answer to one request frame.
+func unknownMethodAnswer(t *testing.T, frame []byte) error {
+	t.Helper()
+	addrs, _ := startWorkers(t, 1)
+	conn, rd := rawWorkerConn(t, addrs[0])
+	if _, err := conn.Write(frameOf(frame)); err != nil {
+		t.Fatal(err)
+	}
+	code, msg, _ := readResponseHeader(t, rd, 1)
+	if code == codec.CodeOK {
+		return nil
+	}
+	return errors.New(msg)
+}
+
+// rawWorkerConn dials a worker and completes the preamble by hand.
+func rawWorkerConn(t *testing.T, addr string) (net.Conn, *codec.FrameReader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := codec.Handshake(conn, workerPreamble); err != nil {
+		t.Fatal(err)
+	}
+	return conn, codec.NewFrameReader(conn)
+}
+
+// readResponseHeader reads one response header: its code, its message and
+// how many bytes followed them.
+func readResponseHeader(t *testing.T, rd *codec.FrameReader, seq uint64) (code byte, msg string, rest int64) {
+	t.Helper()
+	if _, err := rd.Next(); err != nil {
+		t.Fatalf("no response: %v", err)
+	}
+	gotSeq, err1 := rd.Uvarint()
+	code, err2 := rd.U8()
+	msg, err3 := rd.Str()
+	if err := errors.Join(err1, err2, err3); err != nil || gotSeq != seq {
+		t.Fatalf("response header: seq %d, want %d (%v)", gotSeq, seq, err)
+	}
+	return code, msg, rd.Remaining()
+}
+
 // rawCall writes one request frame on conn and reads back the response
-// header: the error string and how many body bytes followed it.
-func rawCall(t *testing.T, conn net.Conn, rd *codec.FrameReader, seq uint64, method string, body []byte) (errStr string, bodyLen int64) {
+// header: its code, its message, and how many bytes followed them.
+func rawCall(t *testing.T, conn net.Conn, rd *codec.FrameReader, seq uint64, method byte, body []byte) (code byte, msg string, rest int64) {
 	t.Helper()
 	w := codec.BeginFrame()
 	defer w.Release()
 	w.Uvarint(seq)
-	w.Str(method)
+	w.Byte(method)
 	w.Bytes(body)
 	if err := w.Flush(conn); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.Next(); err != nil {
-		t.Fatalf("no response to %s: %v", method, err)
-	}
-	gotSeq, err1 := rd.Uvarint()
-	_, err2 := rd.Str()
-	errStr, err3 := rd.Str()
-	if err1 != nil || err2 != nil || err3 != nil || gotSeq != seq {
-		t.Fatalf("response header to %s: seq %d (%v %v %v)", method, gotSeq, err1, err2, err3)
-	}
-	return errStr, rd.Remaining()
+	return readResponseHeader(t, rd, seq)
 }
 
 // TestBadBodyThenGoodRequestOnWorkerSocket: a request whose body fails to
-// decode — at its first byte, mid-block, or because net/rpc could not route
-// it and skipped the body — is answered with an error, and the next request
-// on the same connection succeeds: the stream never desynchronizes.
+// decode — at its first byte or mid-block — or that names no method is
+// answered with an error, and the next request on the same connection
+// succeeds: the stream never desynchronizes.
 func TestBadBodyThenGoodRequestOnWorkerSocket(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
-	conn, err := net.Dial("tcp", addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	rd := codec.NewFrameReader(conn)
+	conn, rd := rawWorkerConn(t, addrs[0])
 	good := wireSeedBodies(t)[bodyMultiplyArgs]
-	torn := append([]byte(nil), good...)
-	// Break the first A block's dense header (its rows field) while leaving
-	// the record length intact: the payload decoder fails mid-frame with
-	// kilobytes of the frame still unread.
+	torn := tornCopy(t, good)
+	seq := uint64(1)
+	for name, bad := range map[string]struct {
+		method byte
+		body   []byte
+	}{
+		"garbage body":        {methodMultiply, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}},
+		"torn block":          {methodMultiply, torn},
+		"unknown method byte": {0xee, good},
+	} {
+		if code, _, _ := rawCall(t, conn, rd, seq, bad.method, bad.body); code == codec.CodeOK {
+			t.Fatalf("%s: accepted", name)
+		}
+		seq++
+		if code, msg, n := rawCall(t, conn, rd, seq, methodPing, nil); code != codec.CodeOK || n == 0 {
+			t.Fatalf("ping after %s: code %d %q, %d body bytes", name, code, msg, n)
+		}
+		seq++
+	}
+	// And the good body still computes.
+	if code, msg, n := rawCall(t, conn, rd, seq, methodMultiply, good); code != codec.CodeOK || n == 0 {
+		t.Fatalf("good multiply after the bad ones: code %d %q, %d body bytes", code, msg, n)
+	}
+}
+
+// tornCopy breaks the first dense block header (its rows field) in body
+// while leaving the record length intact: the payload decoder fails
+// mid-frame with kilobytes of the frame still unread.
+func tornCopy(t testing.TB, body []byte) []byte {
+	torn := append([]byte(nil), body...)
 	at := bytes.Index(torn, []byte{24, 0, 0, 0, 0, 0, 0, 0})
 	if at < 0 {
 		t.Fatal("dense header not found in the seed body")
 	}
 	torn[at+7] = 0x7f
-	seq := uint64(1)
-	for name, bad := range map[string]struct {
-		method string
-		body   []byte
-	}{
-		"garbage body":    {serviceName + ".Multiply", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}},
-		"torn block":      {serviceName + ".Multiply", torn},
-		"unknown method":  {serviceName + ".NoSuchMethod", good},
-		"unknown service": {"Nope.Multiply", good},
-	} {
-		if errStr, _ := rawCall(t, conn, rd, seq, bad.method, bad.body); errStr == "" {
-			t.Fatalf("%s: accepted", name)
-		}
-		seq++
-		if errStr, n := rawCall(t, conn, rd, seq, serviceName+".Ping", nil); errStr != "" || n == 0 {
-			t.Fatalf("ping after %s: error %q, %d body bytes", name, errStr, n)
-		}
-		seq++
+	return torn
+}
+
+// fakeWorker serves the worker protocol with one handler, for the client
+// side of the socket: every call of method answers with the next of answers.
+func fakeWorker(t *testing.T, method byte, answers ...func() (func(*codec.FrameWriter) error, error)) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// And the good body still computes.
-	if errStr, n := rawCall(t, conn, rd, seq, serviceName+".Multiply", good); errStr != "" || n == 0 {
-		t.Fatalf("good multiply after the bad ones: error %q, %d body bytes", errStr, n)
+	t.Cleanup(func() { l.Close() })
+	var mu sync.Mutex
+	handlers := make([]codec.Handler, method+1)
+	handlers[method] = func(*codec.FrameReader) (codec.Call, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		next := answers[0]
+		answers = answers[1:]
+		return next, nil
+	}
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if codec.Handshake(conn, workerPreamble) == nil {
+					codec.Serve(conn, handlers, workerErrors)
+				}
+			}()
+		}
+	}()
+	return l.Addr().String()
+}
+
+// TestBadReplyBodyThenGoodCall: a reply whose body is torn — mid-block, or at
+// its first byte — fails that call with a typed error; the next call on the
+// same client succeeds, with the blocks intact.
+func TestBadReplyBodyThenGoodCall(t *testing.T) {
+	good := wireSeedBodies(t)[bodyGetReply]
+	raw := func(body []byte) func() (func(*codec.FrameWriter) error, error) {
+		return func() (func(*codec.FrameWriter) error, error) {
+			return func(w *codec.FrameWriter) error { w.Bytes(body); return nil }, nil
+		}
+	}
+	addr := fakeWorker(t, methodGetBlocks,
+		raw(tornCopy(t, good)), raw(good), raw([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}), raw(good))
+	client, err := dialWorker(addr, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for _, torn := range []string{"mid-block", "first byte"} {
+		var reply getReply
+		get := func() error {
+			reply = getReply{}
+			return client.Call(context.Background(), methodGetBlocks, codec.Writes(appendGetArgs, &getArgs{Handle: 5}), codec.Reads(decodeGetReply, &reply))
+		}
+		if err := get(); !errors.Is(err, errWire) {
+			t.Fatalf("torn %s: %v, want errWire", torn, err)
+		}
+		if err := get(); err != nil {
+			t.Fatalf("call after a reply torn %s: %v", torn, err)
+		}
+		if len(reply.Blocks) != 2 || !reply.Whole {
+			t.Fatalf("call after a reply torn %s: %d blocks, whole %v", torn, len(reply.Blocks), reply.Whole)
+		}
+		assertBlockBits(t, wireSeedRecs()[0].Block, reply.Blocks[0].Block)
+	}
+}
+
+// TestWorkerErrorsRoundTrip: every code of the worker table, raised by a
+// worker, matches its sentinel with errors.Is at the caller — a fetch
+// failure its type, with the handle and the eviction below it — and the
+// driver's classifiers read it as they read the worker's own answer. A
+// fetch's other causes stay on the worker: a draining peer does not make
+// the answer a draining one.
+func TestWorkerErrorsRoundTrip(t *testing.T) {
+	other := errors.New("distnet: malformed cuboid box")
+	evicted := &pullError{handle: 7, err: &peerFetchError{addr: "10.0.0.3:7070", err: &codec.RemoteError{Msg: "distnet: unknown handle", Err: errUnknownHandle}}}
+	peerDraining := &peerFetchError{addr: "10.0.0.3:7070", err: &codec.RemoteError{Msg: "distnet: worker draining", Err: ErrWorkerDraining}}
+	var pe *pullError
+	var fe *peerFetchError
+	cases := []struct {
+		name                          string
+		raised                        error
+		match                         func(error) bool
+		transient, recoverable, evict bool
+	}{
+		{"draining", ErrWorkerDraining, func(err error) bool { return errors.Is(err, ErrWorkerDraining) }, true, true, false},
+		{"unknown digest", errUnknownDigest, func(err error) bool { return errors.Is(err, errUnknownDigest) }, true, false, false},
+		{"unknown handle", fmt.Errorf("store: %w", errUnknownHandle), func(err error) bool { return errors.Is(err, errUnknownHandle) }, false, true, true},
+		{"pull failed, evicted", evicted, func(err error) bool {
+			return errors.As(err, &pe) && pe.handle == 7 && errors.Is(err, errUnknownHandle)
+		}, true, true, true},
+		{"peer fetch failed, peer draining", peerDraining, func(err error) bool {
+			return errors.As(err, &fe) && !errors.Is(err, ErrWorkerDraining)
+		}, false, true, false},
+		{"other", other, func(err error) bool { return !errors.As(err, &pe) && !errors.As(err, &fe) }, false, false, false},
+	}
+	var answers []func() (func(*codec.FrameWriter) error, error)
+	for _, tc := range cases {
+		answers = append(answers, func() (func(*codec.FrameWriter) error, error) { return nil, tc.raised })
+	}
+	client, err := dialWorker(fakeWorker(t, methodPing, answers...), time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for _, tc := range cases {
+		err := client.Call(context.Background(), methodPing, nil, nil)
+		var re *codec.RemoteError
+		if !errors.As(err, &re) || re.Msg != tc.raised.Error() {
+			t.Fatalf("%s: %v, want the worker's answer %q", tc.name, err, tc.raised)
+		}
+		if !tc.match(err) {
+			t.Errorf("%s: %v decoded to %#v", tc.name, err, re.Err)
+		}
+		if got := transientRefusal(re); got != tc.transient {
+			t.Errorf("%s: transient %v, want %v", tc.name, got, tc.transient)
+		}
+		if got := recoverableHandleErr(err); got != tc.recoverable {
+			t.Errorf("%s: recoverable %v, want %v", tc.name, got, tc.recoverable)
+		}
+		if got := evictionErr(err); got != tc.evict {
+			t.Errorf("%s: eviction %v, want %v", tc.name, got, tc.evict)
+		}
 	}
 }
 
@@ -379,9 +702,9 @@ func TestOversizeCuboidFailsWithoutRetry(t *testing.T) {
 	// One 32 MiB block listed 65 times: over 2 GiB of frame, none of it
 	// allocated, since every record's tail aliases the same storage.
 	big := matrix.NewDense(2048, 2048)
-	huge := &MultiplyArgs{IHi: 1, JHi: 1, KHi: 1}
+	huge := &multiplyArgs{IHi: 1, JHi: 1, KHi: 1}
 	for i := 0; i < 65; i++ {
-		huge.ABlocks = append(huge.ABlocks, BlockRec{Key: bmat.BlockKey{I: 0, J: i}, Block: big})
+		huge.ABlocks = append(huge.ABlocks, blockRec{Key: bmat.BlockKey{I: 0, J: i}, Block: big})
 	}
 	prepareRecs(t, huge.ABlocks)
 	if _, err := d.runJob(context.Background(), huge, obs.Span{}); !errors.Is(err, codec.ErrFrameTooLarge) {
@@ -394,7 +717,7 @@ func TestOversizeCuboidFailsWithoutRetry(t *testing.T) {
 		t.Fatalf("%d workers alive after the refusal, want 2", d.Workers())
 	}
 	small := matrix.RandomDense(rand.New(rand.NewSource(1405)), 8, 8)
-	ok := &MultiplyArgs{IHi: 1, JHi: 1, KHi: 1, ABlocks: []BlockRec{{Block: small}}, BBlocks: []BlockRec{{Block: small}}}
+	ok := &multiplyArgs{IHi: 1, JHi: 1, KHi: 1, ABlocks: []blockRec{{Block: small}}, BBlocks: []blockRec{{Block: small}}}
 	prepareRecs(t, ok.ABlocks, ok.BBlocks)
 	for i := 0; i < 2; i++ { // round-robin: both members' connections
 		if reply, err := d.runJob(context.Background(), ok, obs.Span{}); err != nil || len(reply.CBlocks) != 1 {

@@ -2,30 +2,19 @@ package distnet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"distme/internal/bmat"
+	"distme/internal/codec"
 	"distme/internal/core"
 	"distme/internal/matrix"
 	"distme/internal/obs"
 )
-
-// errWorkerDrainingMsg is the application-level refusal a draining worker
-// answers with; the driver treats it as transient and reassigns the cuboid.
-const errWorkerDrainingMsg = "distnet: worker draining"
-
-// ErrWorkerDraining matches the refusal a draining worker answers every RPC
-// with (read-only GetBlocks is admitted a little longer — see Shutdown). The
-// driver retries such calls on other members, so callers normally never see
-// it; it surfaces only from direct RPCs against a worker mid-shutdown.
-var ErrWorkerDraining = errors.New(errWorkerDrainingMsg)
 
 // defaultDrainWindow bounds the read-only drain window when Shutdown's ctx
 // carries no deadline: peers may still GetBlocks resident bands off a
@@ -33,17 +22,17 @@ var ErrWorkerDraining = errors.New(errWorkerDrainingMsg)
 // bands are re-snapshotted elsewhere by session recovery.
 const defaultDrainWindow = 10 * time.Second
 
-// Worker serves cuboid multiplications over net/rpc. One worker process
-// plays the role of one cluster node's executor. A served worker (via
-// Serve/ServeOptions) owns its listener and connections and supports
-// graceful shutdown: stop accepting, drain in-flight RPCs, close.
+// Worker serves cuboid multiplications over the worker socket. One worker
+// process plays the role of one cluster node's executor. A served worker
+// (via Serve/ServeOptions) owns its listener and connections and supports
+// graceful shutdown: stop accepting, drain in-flight calls, close.
 type Worker struct {
 	mu         sync.Mutex
 	multiplies int
 	draining   bool
 	drainUntil time.Time // read-only drain window end; zero = no window
 	listener   net.Listener
-	conns      map[net.Conn]struct{}
+	conns      *codec.Listener // answers the connections listener accepts
 
 	// cache is the content-addressed block store shared by every
 	// connection this worker serves; nil disables caching (references
@@ -52,10 +41,10 @@ type Worker struct {
 
 	// store holds handle bands for the distributed block store (created
 	// lazily via getStore for directly constructed workers); peers caches
-	// worker→worker RPC clients for operand-band fetches.
+	// worker→worker clients for operand-band fetches.
 	store   *handleStore
 	peersMu sync.Mutex
-	peers   map[string]*rpc.Client
+	peers   map[string]*codec.Client
 
 	// tracer records worker-side compute spans (nil = off); inflightN
 	// mirrors the inflight WaitGroup as a readable counter for the debug
@@ -80,13 +69,17 @@ type Worker struct {
 // digest hits/misses, evictions, current residency).
 func (w *Worker) CacheStats() CacheStats { return w.cache.stats() }
 
-// beginRPC admits one RPC into the in-flight set; it fails once draining.
-// The admission check and WaitGroup.Add happen under the lock so Shutdown's
-// Wait cannot race a late Add.
-func (w *Worker) beginRPC() bool {
+// begin admits one call into the in-flight set; it fails once draining. A
+// read (GetBlocks) stays admitted during the drain window — a draining
+// worker's resident bands must be fetchable by peers and sessions until the
+// drain deadline, or every pinned band would need a driver re-snapshot on
+// any graceful scale-down — and past the deadline refuses like everything
+// else. The admission check and WaitGroup.Add happen under the lock so
+// Shutdown's Wait cannot race a late Add.
+func (w *Worker) begin(read bool) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.draining {
+	if w.draining && (!read || w.drainUntil.IsZero() || !time.Now().Before(w.drainUntil)) {
 		return false
 	}
 	w.inflight.Add(1)
@@ -94,25 +87,9 @@ func (w *Worker) beginRPC() bool {
 	return true
 }
 
-func (w *Worker) endRPC() {
+func (w *Worker) end() {
 	w.inflightN.Add(-1)
 	w.inflight.Done()
-}
-
-// beginReadRPC admits a read-only RPC (GetBlocks). Unlike beginRPC it stays
-// open during the drain window — a draining worker's resident bands must be
-// fetchable by peers and sessions until the drain deadline, or every pinned
-// band would need a driver re-snapshot on any graceful scale-down. Past the
-// deadline it refuses like everything else.
-func (w *Worker) beginReadRPC() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.draining && (w.drainUntil.IsZero() || !time.Now().Before(w.drainUntil)) {
-		return false
-	}
-	w.inflight.Add(1)
-	w.inflightN.Add(1)
-	return true
 }
 
 // maxBoxFace bounds each face of a cuboid box a worker accepts, in block
@@ -139,7 +116,7 @@ func checkBox(box core.Box) error {
 // reports the flops spent. It is shared by the remote worker and the
 // driver's local fallback, so a cuboid computes bit-identically wherever it
 // lands.
-func computeCuboid(args *MultiplyArgs, reply *MultiplyReply) (flops float64, err error) {
+func computeCuboid(args *multiplyArgs, reply *multiplyReply) (flops float64, err error) {
 	box := core.Box{ILo: args.ILo, IHi: args.IHi, JLo: args.JLo, JHi: args.JHi, KLo: args.KLo, KHi: args.KHi}
 	if err := checkBox(box); err != nil {
 		return 0, err
@@ -157,7 +134,7 @@ func computeCuboid(args *MultiplyArgs, reply *MultiplyReply) (flops float64, err
 		func(k, j int) matrix.Block { return bBlocks[bmat.BlockKey{I: k, J: j}] }, nil)
 	for t, acc := range tiles {
 		if acc != nil {
-			reply.CBlocks = append(reply.CBlocks, BlockRec{Key: box.TileKey(t), Block: acc})
+			reply.CBlocks = append(reply.CBlocks, blockRec{Key: box.TileKey(t), Block: acc})
 		}
 	}
 	return flops, nil
@@ -167,7 +144,7 @@ func computeCuboid(args *MultiplyArgs, reply *MultiplyReply) (flops float64, err
 // a pull cuboid first resolves its manifests into blocks, then the partial C
 // blocks are computed under a worker.compute span, whose flops and kernel
 // attributes give the cuboid's GFLOP/s against its duration.
-func (w *Worker) serveCuboid(args *MultiplyArgs, reply *MultiplyReply) error {
+func (w *Worker) serveCuboid(args *multiplyArgs, reply *multiplyReply) error {
 	if args.pull {
 		if err := w.preparePull(args, reply); err != nil {
 			return err
@@ -193,13 +170,9 @@ func (w *Worker) serveCuboid(args *MultiplyArgs, reply *MultiplyReply) error {
 	return err
 }
 
-// Multiply computes the partial C blocks of one cuboid, against blocks
+// multiply computes the partial C blocks of one cuboid, against blocks
 // that arrived over the wire.
-func (w *Worker) Multiply(args *MultiplyArgs, reply *MultiplyReply) error {
-	if !w.beginRPC() {
-		return errors.New(errWorkerDrainingMsg)
-	}
-	defer w.endRPC()
+func (w *Worker) multiply(args *multiplyArgs, reply *multiplyReply) error {
 	if err := w.serveCuboid(args, reply); err != nil {
 		return err
 	}
@@ -209,25 +182,21 @@ func (w *Worker) Multiply(args *MultiplyArgs, reply *MultiplyReply) error {
 	return nil
 }
 
-// MultiplyBatch computes many small cuboids in one RPC. Items fail
+// multiplyBatch computes many small cuboids in one call. Items fail
 // independently: a per-item error — an unknown-digest decode miss, a failed
 // pull resolution (the driver re-pushes that item inline) or a malformed
 // box — lands in that item's reply slot while the rest of the batch computes
 // normally, so the driver retries exactly the failures.
-func (w *Worker) MultiplyBatch(args *MultiplyBatchArgs, reply *MultiplyBatchReply) error {
-	if !w.beginRPC() {
-		return errors.New(errWorkerDrainingMsg)
-	}
-	defer w.endRPC()
-	reply.Items = make([]BatchItem, len(args.Items))
+func (w *Worker) multiplyBatch(args *batchArgs, reply *batchReply) error {
+	reply.Items = make([]batchItem, len(args.Items))
 	served := 0
 	for i := range args.Items {
 		item := &args.Items[i]
-		var rep MultiplyReply
-		if item.decodeErr != "" {
-			reply.Items[i].Err = item.decodeErr
+		var rep multiplyReply
+		if item.decodeErr != nil {
+			reply.Items[i].err = item.decodeErr
 		} else if err := w.serveCuboid(item, &rep); err != nil {
-			reply.Items[i].Err = err.Error()
+			reply.Items[i].err = err
 		} else {
 			reply.Items[i].CBlocks = rep.CBlocks
 			served++
@@ -239,20 +208,16 @@ func (w *Worker) MultiplyBatch(args *MultiplyBatchArgs, reply *MultiplyBatchRepl
 	return nil
 }
 
-// Ping answers the liveness probe. A draining worker refuses it, so the
-// driver's failure detector retires the worker before its sockets vanish.
-func (w *Worker) Ping(_ *PingArgs, reply *PingReply) error {
-	if !w.beginRPC() {
-		return errors.New(errWorkerDrainingMsg)
-	}
-	defer w.endRPC()
+// ping answers the liveness probe. A draining worker refuses it (admit), so
+// the driver's failure detector retires the worker before its sockets vanish.
+func (w *Worker) ping(_ *struct{}, reply *pingReply) error {
 	host, err := os.Hostname()
 	if err != nil {
 		host = "unknown"
 	}
 	reply.Hostname = host
 	// The pong ferries a load snapshot back so the driver's health plane
-	// sees store pressure without extra RPCs. Subtract this Ping itself
+	// sees store pressure without extra calls. Subtract this ping itself
 	// from the in-flight count.
 	reply.InFlight = w.inflightN.Load() - 1
 	st := w.getStore().stats()
@@ -267,25 +232,6 @@ func (w *Worker) Multiplies() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.multiplies
-}
-
-// trackConn registers an accepted connection; it refuses (and closes) the
-// connection once draining.
-func (w *Worker) trackConn(conn net.Conn) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.draining {
-		conn.Close()
-		return false
-	}
-	w.conns[conn] = struct{}{}
-	return true
-}
-
-func (w *Worker) untrackConn(conn net.Conn) {
-	w.mu.Lock()
-	delete(w.conns, conn)
-	w.mu.Unlock()
 }
 
 // Shutdown gracefully stops a served worker: the listener closes (no new
@@ -307,10 +253,9 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 		} else {
 			w.drainUntil = time.Now().Add(defaultDrainWindow)
 		}
-		l := w.listener
 		w.mu.Unlock()
-		if l != nil {
-			l.Close()
+		if w.listener != nil {
+			w.listener.Close()
 		}
 		drained := make(chan struct{})
 		go func() {
@@ -322,7 +267,7 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 		case <-ctx.Done():
 			err = ctx.Err()
 		}
-		w.dropConns()
+		w.abort()
 		if w.down != nil {
 			close(w.down)
 		}
@@ -330,14 +275,14 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// dropConns closes every open driver connection and the peer clients.
-func (w *Worker) dropConns() {
-	w.mu.Lock()
-	conns := w.conns
-	w.conns = map[net.Conn]struct{}{}
-	w.mu.Unlock()
-	for c := range conns {
-		c.Close()
+// abort closes the listener, every open driver connection and the peer
+// clients now. Shutdown ends with it once the calls have drained;
+// InProcPool.Kill calls it alone, the crash-shaped teardown — with no
+// draining state, in-flight calls fail at the socket exactly as if the
+// process died.
+func (w *Worker) abort() {
+	if w.conns != nil {
+		w.conns.Close()
 	}
 	w.closePeers()
 }
@@ -381,33 +326,60 @@ func Serve(l net.Listener) (*Worker, error) {
 func ServeOptions(l net.Listener, opts WorkerOptions) (*Worker, error) {
 	w := &Worker{
 		listener: l,
-		conns:    map[net.Conn]struct{}{},
 		cache:    newBlockCache(opts.CacheBytes, opts.CacheEpochWindow),
 		store:    newHandleStore(opts.StoreBytes),
 		tracer:   opts.Tracer,
 		down:     make(chan struct{}),
 	}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(serviceName, w); err != nil {
-		return nil, fmt.Errorf("distnet: register: %w", err)
-	}
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			if !w.trackConn(conn) {
-				continue
-			}
-			go func(conn net.Conn) {
-				// Every connection shares the worker's cache, so a block
-				// one driver connection inlined resolves for another.
-				srv.ServeCodec(newServerCodec(conn, w.cache, w.tracer))
-				w.untrackConn(conn)
-				conn.Close()
-			}(conn)
-		}
-	}()
+	// Every connection shares the worker's cache, so a block one driver
+	// connection inlined resolves for another.
+	w.conns = codec.Listen(l, workerPreamble, w.handlers(), workerErrors)
 	return w, nil
+}
+
+// handlers is the worker socket's method table; every call is admitted.
+func (w *Worker) handlers() []codec.Handler {
+	return []codec.Handler{
+		methodPing:     w.admit(false, codec.Method(nil, w.ping, appendPingReply)),
+		methodMultiply: w.admit(false, codec.Method(w.decodeMultiply, w.multiply, appendMultiplyReply)),
+		methodMultiplyBatch: w.admit(false, codec.Method(func(rd *codec.FrameReader, a *batchArgs) error {
+			return decodeBatchArgs(rd, a, w.cache)
+		}, w.multiplyBatch, appendBatchReply)),
+		methodPutBlocks:   w.admit(false, codec.Method(decodePutArgs, w.putBlocks, appendCount)),
+		methodGetBlocks:   w.admit(true, codec.Method(decodeGetArgs, w.getBlocks, appendGetReply)),
+		methodFreeHandles: w.admit(false, codec.Method(decodeFreeArgs, w.freeHandles, appendCount)),
+		methodPinHandle:   w.admit(false, codec.Method(decodePinArgs, w.pinHandle, nil)),
+		methodExecOp:      w.admit(false, codec.Method(decodeExecArgs, w.exec, appendExecReply)),
+	}
+}
+
+// admit runs h's calls inside the in-flight set Shutdown drains, refusing
+// them with ErrWorkerDraining once the worker drains (begin).
+func (w *Worker) admit(read bool, h codec.Handler) codec.Handler {
+	return func(args *codec.FrameReader) (codec.Call, error) {
+		call, err := h(args)
+		return func() (func(*codec.FrameWriter) error, error) {
+			if !w.begin(read) {
+				return nil, ErrWorkerDraining
+			}
+			defer w.end()
+			return call()
+		}, err
+	}
+}
+
+// decodeMultiply parses one cuboid request against the worker's block
+// cache, recording the parse as a wire.decode span under the driver's
+// attempt.
+func (w *Worker) decodeMultiply(rd *codec.FrameReader, a *multiplyArgs) error {
+	start, n := time.Now(), rd.Remaining()
+	err := decodeMultiplyArgs(rd, a, w.cache, false)
+	if err == nil && w.tracer.Enabled() && a.traceSpan != 0 {
+		w.tracer.AddCompleted(obs.SpanData{
+			Parent: obs.SpanID(a.traceSpan), Name: "wire.decode", Kind: obs.KindWorker,
+			P: a.cuboidP, Q: a.cuboidQ, R: a.cuboidR,
+			Start: start, End: time.Now(), Bytes: n,
+		})
+	}
+	return err
 }

@@ -1,16 +1,15 @@
 package distnet
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"math"
-	"net"
-	"net/rpc"
 	"sort"
 	"sync"
 	"time"
 
 	"distme/internal/bmat"
+	"distme/internal/codec"
 	"distme/internal/core"
 	"distme/internal/matrix"
 	"distme/internal/obs"
@@ -20,11 +19,6 @@ import (
 // w.store, pipeline operators run here against them, and operand bands this
 // worker lacks are fetched worker→worker — the driver never sees
 // intermediate payloads.
-
-// errPeerFetchPrefix marks exec failures caused by a worker→worker fetch;
-// the driver treats them as recoverable (the peer may be dead) and rebuilds
-// from lineage on a fresh placement.
-const errPeerFetchPrefix = "distnet: peer fetch"
 
 const (
 	peerDialTimeout = 5 * time.Second
@@ -46,20 +40,19 @@ func (w *Worker) getStore() *handleStore {
 // StoreStats snapshots the worker's handle-store counters.
 func (w *Worker) StoreStats() StoreStats { return w.getStore().stats() }
 
-// peerClient returns (dialing on demand) the RPC client for a peer worker.
-func (w *Worker) peerClient(addr string) (*rpc.Client, error) {
+// peerClient returns (dialing on demand) the client for a peer worker.
+func (w *Worker) peerClient(addr string) (*codec.Client, error) {
 	w.peersMu.Lock()
 	defer w.peersMu.Unlock()
 	if c, ok := w.peers[addr]; ok {
 		return c, nil
 	}
-	conn, err := net.DialTimeout("tcp", addr, peerDialTimeout)
+	c, err := dialWorker(addr, peerDialTimeout, nil)
 	if err != nil {
 		return nil, err
 	}
-	c := rpc.NewClientWithCodec(newClientCodec(conn, nil, nil, nil))
 	if w.peers == nil {
-		w.peers = map[string]*rpc.Client{}
+		w.peers = map[string]*codec.Client{}
 	}
 	w.peers[addr] = c
 	return c, nil
@@ -67,7 +60,7 @@ func (w *Worker) peerClient(addr string) (*rpc.Client, error) {
 
 // dropPeer discards a peer client after a failed call so the next exec
 // redials instead of reusing a wedged connection.
-func (w *Worker) dropPeer(addr string, c *rpc.Client) {
+func (w *Worker) dropPeer(addr string, c *codec.Client) {
 	w.peersMu.Lock()
 	if cur, ok := w.peers[addr]; ok && cur == c {
 		delete(w.peers, addr)
@@ -89,26 +82,27 @@ func (w *Worker) closePeers() {
 // peerGet fetches blocks of one handle band from a peer worker, recording a
 // peer.fetch span under parent (0 when untraced) and the per-link traffic.
 // It also returns the payload bytes of the blocks.
-func (w *Worker) peerGet(parent obs.SpanID, addr string, args *GetArgs) (*GetReply, int64, error) {
+func (w *Worker) peerGet(parent obs.SpanID, addr string, args *getArgs) (*getReply, int64, error) {
 	sp := w.tracer.Start(parent, "peer.fetch", obs.KindWorker)
 	if sp.Active() {
 		sp.SetAttr("peer", addr)
 	}
 	defer sp.End()
+	var reply getReply
 	client, err := w.peerClient(addr)
+	if err == nil {
+		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
+		err = client.Call(ctx, methodGetBlocks, codec.Writes(appendGetArgs, args), codec.Reads(decodeGetReply, &reply))
+		cancel()
+		if err != nil {
+			w.dropPeer(addr, client)
+		}
+	}
 	if err != nil {
 		if sp.Active() {
 			sp.SetAttr("error", err.Error())
 		}
-		return nil, 0, fmt.Errorf("%s %s: %w", errPeerFetchPrefix, addr, err)
-	}
-	var reply GetReply
-	if err := rpcCall(client, "GetBlocks", args, &reply, peerCallTimeout); err != nil {
-		w.dropPeer(addr, client)
-		if sp.Active() {
-			sp.SetAttr("error", err.Error())
-		}
-		return nil, 0, fmt.Errorf("%s %s: %w", errPeerFetchPrefix, addr, err)
+		return nil, 0, &peerFetchError{addr: addr, err: err}
 	}
 	var bytes int64
 	for _, r := range reply.Blocks {
@@ -129,12 +123,12 @@ func (w *Worker) peerGet(parent obs.SpanID, addr string, args *GetArgs) (*GetRep
 // when the answer turns out to be the peer's whole band, keeping it as the
 // replica later operators on this worker read. It also returns the payload
 // bytes a fetch moved. A peer band of no block rows holds nothing to ask for.
-func (w *Worker) operandBand(args *ExecArgs, p PartLoc, get GetArgs) (*storeEntry, int64, error) {
+func (w *Worker) operandBand(args *execArgs, p partLoc, get getArgs) (*storeEntry, int64, error) {
 	st := w.getStore()
 	if p.Addr == args.Self {
 		e, ok := st.get(get.Handle)
 		if !ok {
-			return nil, 0, errors.New(errUnknownHandleMsg)
+			return nil, 0, errUnknownHandle
 		}
 		return e, 0, nil
 	}
@@ -158,18 +152,15 @@ func (w *Worker) operandBand(args *ExecArgs, p PartLoc, get GetArgs) (*storeEntr
 	return &storeEntry{blocks: blocks, detached: true}, bytes, nil
 }
 
-// PutBlocks installs one handle's band in the store.
-func (w *Worker) PutBlocks(args *PutArgs, reply *PutReply) error {
-	if !w.beginRPC() {
-		return errors.New(errWorkerDrainingMsg)
-	}
-	defer w.endRPC()
+// putBlocks installs one handle's band in the store and reports its resident
+// payload bytes.
+func (w *Worker) putBlocks(args *putArgs, bytes *int64) error {
 	sp := w.tracer.Start(obs.SpanID(args.traceSpan), "worker.put", obs.KindWorker)
 	blocks := make(map[bmat.BlockKey]matrix.Block, len(args.Blocks))
 	for _, r := range args.Blocks {
 		blocks[r.Key] = r.Block
 	}
-	reply.Bytes = w.getStore().set(args.Handle, args.Epoch, args.Pin, blocks, true)
+	*bytes = w.getStore().set(args.Handle, args.Epoch, args.Pin, blocks, true)
 	if sp.Active() {
 		sp.SetAttr("handle", fmt.Sprintf("%d", args.Handle))
 		sp.SetAttr("blocks", fmt.Sprintf("%d", len(blocks)))
@@ -178,20 +169,16 @@ func (w *Worker) PutBlocks(args *PutArgs, reply *PutReply) error {
 	return nil
 }
 
-// GetBlocks reads the blocks of a handle's band this worker owns — never a
+// getBlocks reads the blocks of a handle's band this worker owns — never a
 // replica of a peer's — optionally filtered to a block-coordinate box. A
 // missing handle answers with the unknown-handle error, which the driver
 // resolves by lineage rebuild. Reads stay admitted during a shutdown's
-// drain window (beginReadRPC) so peers can copy bands off a draining worker
-// before it goes away.
-func (w *Worker) GetBlocks(args *GetArgs, reply *GetReply) error {
-	if !w.beginReadRPC() {
-		return errors.New(errWorkerDrainingMsg)
-	}
-	defer w.endRPC()
+// drain window (begin) so peers can copy bands off a draining worker before
+// it goes away.
+func (w *Worker) getBlocks(args *getArgs, reply *getReply) error {
 	e, ok := w.getStore().get(args.Handle)
 	if !ok {
-		return errors.New(errUnknownHandleMsg)
+		return errUnknownHandle
 	}
 	blocks := e.blocks
 	// Deterministic order keeps replies byte-stable for equal stores.
@@ -208,52 +195,41 @@ func (w *Worker) GetBlocks(args *GetArgs, reply *GetReply) error {
 		}
 		return keys[i].J < keys[j].J
 	})
-	reply.Blocks = make([]BlockRec, 0, len(keys))
+	reply.Blocks = make([]blockRec, 0, len(keys))
 	for _, k := range keys {
-		reply.Blocks = append(reply.Blocks, BlockRec{Key: k, Block: blocks[k]})
+		reply.Blocks = append(reply.Blocks, blockRec{Key: k, Block: blocks[k]})
 	}
 	reply.Whole = len(keys) == len(blocks)
 	return nil
 }
 
-// FreeHandles drops handles (or a whole session epoch) from the store.
-func (w *Worker) FreeHandles(args *FreeArgs, reply *FreeReply) error {
-	if !w.beginRPC() {
-		return errors.New(errWorkerDrainingMsg)
-	}
-	defer w.endRPC()
+// freeHandles drops handles (or a whole session epoch) from the store and
+// reports how many were resident.
+func (w *Worker) freeHandles(args *freeArgs, freed *int64) error {
 	st := w.getStore()
 	if args.AllEpoch {
-		reply.Freed = st.freeEpoch(args.Epoch)
+		*freed = int64(st.freeEpoch(args.Epoch))
 	} else {
-		reply.Freed = st.free(args.Handles)
+		*freed = int64(st.free(args.Handles))
 	}
 	return nil
 }
 
-// PinHandle adjusts a resident band's pin count.
-func (w *Worker) PinHandle(args *PinArgs, _ *PinReply) error {
-	if !w.beginRPC() {
-		return errors.New(errWorkerDrainingMsg)
-	}
-	defer w.endRPC()
+// pinHandle adjusts a resident band's pin count.
+func (w *Worker) pinHandle(args *pinArgs, _ *struct{}) error {
 	if !w.getStore().pin(args.Handle, args.Unpin) {
-		return errors.New(errUnknownHandleMsg)
+		return errUnknownHandle
 	}
 	return nil
 }
 
-// ExecOp runs one pipeline operator over resident handles, installing the
+// exec runs one pipeline operator over resident handles, installing the
 // output band in the store. Arithmetic is deterministic and placement-
 // independent: multiplication accumulates k-ascending per output block (the
 // same order as computeCuboid), element-wise ops mirror the engine's
 // nil-block zip semantics exactly — so resident, materialized, and rebuilt
 // executions are byte-identical.
-func (w *Worker) ExecOp(args *ExecArgs, reply *ExecReply) error {
-	if !w.beginRPC() {
-		return errors.New(errWorkerDrainingMsg)
-	}
-	defer w.endRPC()
+func (w *Worker) exec(args *execArgs, reply *execReply) error {
 	sp := w.tracer.Start(obs.SpanID(args.traceSpan), "worker.exec", obs.KindWorker)
 	if sp.Active() {
 		sp.SetAttr("op", fmt.Sprintf("%d", args.Op))
@@ -287,7 +263,7 @@ func (w *Worker) ExecOp(args *ExecArgs, reply *ExecReply) error {
 func (w *Worker) localBand(id uint64) (map[bmat.BlockKey]matrix.Block, error) {
 	e, ok := w.getStore().get(id)
 	if !ok {
-		return nil, errors.New(errUnknownHandleMsg)
+		return nil, errUnknownHandle
 	}
 	return e.blocks, nil
 }
@@ -295,7 +271,7 @@ func (w *Worker) localBand(id uint64) (map[bmat.BlockKey]matrix.Block, error) {
 // execOp dispatches one pipeline operator, additionally reporting the
 // worker→worker payload bytes the operator moved and, for a multiply, the
 // flops it spent.
-func (w *Worker) execOp(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, float64, error) {
+func (w *Worker) execOp(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64, float64, error) {
 	switch args.Op {
 	case execMul, execTranspose:
 		if args.OutLo >= args.OutHi {
@@ -335,23 +311,23 @@ func (w *Worker) execOp(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, 
 // ranges taken in ascending-k order, so every (i,j) accumulates as one pass
 // over the whole of B would — computeCuboid's order, and every fp64 bit, on
 // whichever worker the band runs. It also reports the flops spent.
-func (w *Worker) execMul(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, float64, error) {
+func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64, float64, error) {
 	aBlocks, err := w.localBand(args.A)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	st := w.getStore()
-	parts := append([]PartLoc(nil), args.BParts...)
+	parts := append([]partLoc(nil), args.BParts...)
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Lo < parts[j].Lo })
 	type bandResult struct {
 		band  *storeEntry
 		bytes int64
 		err   error
 	}
-	fetch := func(p PartLoc) chan bandResult {
+	fetch := func(p partLoc) chan bandResult {
 		ch := make(chan bandResult, 1)
 		go func() {
-			band, bytes, err := w.operandBand(args, p, GetArgs{Handle: args.B, All: true})
+			band, bytes, err := w.operandBand(args, p, getArgs{Handle: args.B, All: true})
 			ch <- bandResult{band, bytes, err}
 		}()
 		return ch
@@ -438,7 +414,7 @@ func bandBox(band map[bmat.BlockKey]matrix.Block, lo, hi int) (core.Box, bool) {
 // column slice — asking each peer for exactly that slice of its band
 // (operandBand). The bands arrive concurrently (emit order is irrelevant:
 // keys are distinct and each block transposes independently).
-func (w *Worker) execTranspose(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, int64, error) {
+func (w *Worker) execTranspose(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64, error) {
 	bands := make([]*storeEntry, len(args.AParts))
 	bytes := make([]int64, len(args.AParts))
 	errs := make([]error, len(args.AParts))
@@ -446,11 +422,11 @@ func (w *Worker) execTranspose(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, 
 	var wg sync.WaitGroup
 	for pi, p := range args.AParts {
 		wg.Add(1)
-		go func(pi int, p PartLoc) {
+		go func(pi int, p partLoc) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			bands[pi], bytes[pi], errs[pi] = w.operandBand(args, p, GetArgs{
+			bands[pi], bytes[pi], errs[pi] = w.operandBand(args, p, getArgs{
 				Handle: args.A,
 				ILo:    p.Lo, IHi: p.Hi,
 				JLo: args.OutLo, JHi: args.OutHi,
@@ -476,7 +452,7 @@ func (w *Worker) execTranspose(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, 
 
 // execZip runs one element-wise operator over the union of the local A and B
 // band keys, mirroring the engine zip's nil-block semantics exactly.
-func (w *Worker) execZip(args *ExecArgs) (map[bmat.BlockKey]matrix.Block, error) {
+func (w *Worker) execZip(args *execArgs) (map[bmat.BlockKey]matrix.Block, error) {
 	a, err := w.localBand(args.A)
 	if err != nil {
 		return nil, err

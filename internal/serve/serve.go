@@ -40,8 +40,8 @@ import (
 	"distme/internal/obs"
 )
 
-// Sentinel errors callers branch on. Over the wire they arrive as
-// rpc.ServerError text; Client maps them back to these values.
+// Sentinel errors callers branch on. Over the wire they cross as the codes
+// of serveErrors, and Client's errors match them with errors.Is.
 var (
 	// ErrQueueFull is backpressure: the tenant's queue (or the global
 	// bound) is at depth. The concrete error is a *QueueFullError carrying
@@ -785,13 +785,8 @@ func (s *Server) Cancel(id JobID) error {
 
 // Forget drops a terminal job's record (and its result) from the server;
 // long-lived callers use it to bound memory. Non-terminal jobs are kept, and
-// an ID the server does not hold is already forgotten.
-func (s *Server) Forget(id JobID) {
-	_ = s.forget(id) // the only error is ErrUnknownJob
-}
-
-// forget is Forget reporting an unknown ID, as the wire API does.
-func (s *Server) forget(id JobID) error {
+// an ID the server does not hold is ErrUnknownJob — already forgotten.
+func (s *Server) Forget(id JobID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]

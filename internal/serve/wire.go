@@ -3,10 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
-	"net"
-	"net/rpc"
 	"time"
 
 	"distme/internal/bmat"
@@ -15,65 +12,30 @@ import (
 	"distme/internal/distnet"
 )
 
-// The serve socket's wire format: a net/rpc codec pair on internal/codec's
-// frame layer, the same one the driver↔worker sockets use. A connection
-// opens with an 8-byte preamble each way; after it every message is one
-// length-prefixed frame:
-//
-//	request:  uvarint seq, str method, body
-//	response: uvarint seq, str method, str error, body (absent on error)
-//
-// Control fields are hand-framed varints and strings. A matrix travels as
+// The serve socket's bodies, on internal/codec's call layer (the layout is
+// in docs/SERVING.md). Control fields are hand-framed varints and strings; a
+// matrix travels as
 //
 //	uvarint rows, cols, blockSize, nblocks
 //	nblocks × { uvarint keyI, keyJ; u8 tag; u32 len; payload; u32 crc32(payload) }
 //
-// with payloads in codec's compact wire forms. The sender writes value
-// payloads by writev straight from the blocks' storage and the receiver
-// reads them straight into the decoded blocks' slices, summing the CRC over
-// the bytes in place on both sides; no matrix byte passes through gob or an
-// intermediate buffer.
+// with value payloads written by writev from the blocks' storage and read
+// straight into the decoded blocks' slices, the CRC summed over the bytes in
+// place on both sides.
 
-// wireMagic and wireVersion open every connection, both ways: the magic,
-// the version as a little-endian u16, two zero bytes.
-const (
-	wireMagic   = "DMSV"
-	wireVersion = 1
-)
-
-// handshakeTimeout bounds the preamble exchange, so a peer that accepts the
-// connection but speaks something else fails the dial instead of hanging it.
-const handshakeTimeout = 5 * time.Second
+// servePreamble opens every connection, both ways. Version 2 is the call
+// layer's header: a method byte and an error code where version 1 had
+// net/rpc's method names and error text.
+var servePreamble = codec.Preamble{'D', 'M', 'S', 'V', 2}
 
 // ErrProtocol reports a peer that did not open with this wire format's
-// preamble — an older gob-speaking distme-serve or client, or a stray
-// service on the port.
-var ErrProtocol = errors.New("serve: peer does not speak the distme-serve wire protocol")
+// preamble — an older distme-serve or client, or a stray service on the port.
+var ErrProtocol = codec.ErrProtocol
 
 // maxWireSide caps a received matrix's sides, and codec.MaxBlockSide its
 // block size, before anything is sized from its header (storage's reader
 // applies the same caps to files).
 const maxWireSide = 1 << 40
-
-// handshake sends this side's preamble and checks the peer's. Both sides
-// write first, so neither waits on the other to speak.
-func handshake(conn net.Conn) error {
-	if err := conn.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
-		return err
-	}
-	ours := [8]byte{wireMagic[0], wireMagic[1], wireMagic[2], wireMagic[3], wireVersion & 0xff, wireVersion >> 8}
-	if _, err := conn.Write(ours[:]); err != nil {
-		return fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	var theirs [8]byte
-	if _, err := io.ReadFull(conn, theirs[:]); err != nil {
-		return fmt.Errorf("%w: no preamble: %v", ErrProtocol, err)
-	}
-	if theirs != ours {
-		return fmt.Errorf("%w: preamble %q, want %q (version %d)", ErrProtocol, theirs[:], ours[:], wireVersion)
-	}
-	return conn.SetDeadline(time.Time{})
-}
 
 // appendMatrix frames m; value payloads stay in m's blocks until Flush.
 func appendMatrix(w *codec.FrameWriter, m *bmat.BlockMatrix) error {
@@ -141,7 +103,7 @@ func readMatrix(rd *codec.FrameReader) (*bmat.BlockMatrix, error) {
 	return m, nil
 }
 
-func appendStatus(w *codec.FrameWriter, st *JobStatus) {
+func appendStatus(w *codec.FrameWriter, st *JobStatus) error {
 	w.Uvarint(uint64(st.ID))
 	w.Str(st.Tenant)
 	w.Uvarint(uint64(st.State))
@@ -153,6 +115,7 @@ func appendStatus(w *codec.FrameWriter, st *JobStatus) {
 	} {
 		w.Varint(v)
 	}
+	return nil
 }
 
 func readStatus(rd *codec.FrameReader, st *JobStatus) error {
@@ -179,186 +142,160 @@ func readStatus(rd *codec.FrameReader, st *JobStatus) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Client codec
-
-type clientCodec struct {
-	conn io.ReadWriteCloser
-	fr   *codec.FrameReader
+// submitArgs is Submit over the wire.
+type submitArgs struct {
+	tenant   string
+	priority int
+	a, b     *bmat.BlockMatrix
 }
 
-func newClientCodec(conn io.ReadWriteCloser) rpc.ClientCodec {
-	return &clientCodec{conn: conn, fr: codec.NewFrameReader(conn)}
-}
-
-func (c *clientCodec) WriteRequest(r *rpc.Request, body any) error {
-	w := codec.BeginFrame()
-	defer w.Release()
-	w.Uvarint(r.Seq)
-	w.Str(r.ServiceMethod)
-	switch v := body.(type) {
-	case *WireSubmitArgs:
-		w.Str(v.Tenant)
-		w.Varint(int64(v.Priority))
-		if err := appendMatrix(&w, v.A); err != nil {
-			return fmt.Errorf("serve: encode A: %w", err)
-		}
-		if err := appendMatrix(&w, v.B); err != nil {
-			return fmt.Errorf("serve: encode B: %w", err)
-		}
-	case *WireJobArgs:
-		w.Uvarint(v.ID)
-	case *WireResultArgs:
-		w.Uvarint(v.ID)
-		w.Varint(v.WaitMillis)
-	default:
-		return fmt.Errorf("serve: unsupported request body %T", body)
+func appendSubmitArgs(w *codec.FrameWriter, a *submitArgs) error {
+	w.Str(a.tenant)
+	w.Varint(int64(a.priority))
+	if err := appendMatrix(w, a.a); err != nil {
+		return fmt.Errorf("serve: encode A: %w", err)
 	}
-	return w.Flush(c.conn)
-}
-
-func (c *clientCodec) ReadResponseHeader(r *rpc.Response) error {
-	seq, method, err := c.fr.NextHeader()
-	if err != nil {
-		return err
+	if err := appendMatrix(w, a.b); err != nil {
+		return fmt.Errorf("serve: encode B: %w", err)
 	}
-	errStr, err := c.fr.Str()
-	if err != nil {
-		return err
-	}
-	r.Seq, r.ServiceMethod, r.Error = seq, method, errStr
 	return nil
 }
 
-// ReadResponseBody decodes the typed body as it streams in and drains what
-// it leaves unread (all of it for an error response or a nil body), so the
-// next header starts on a frame boundary even after a failed decode.
-func (c *clientCodec) ReadResponseBody(body any) error {
-	defer c.fr.Drain()
-	rd := c.fr
-	switch v := body.(type) {
-	case nil, *WireEmptyReply:
-		return nil
-	case *WireSubmitReply:
-		var err error
-		v.ID, err = rd.Uvarint()
+// readSubmitArgs reports a malformed operand as ErrUnschedulable — the
+// caller's mistake, not the connection's, like an operand the optimizer
+// cannot place.
+func readSubmitArgs(rd *codec.FrameReader, a *submitArgs) error {
+	var err error
+	if a.tenant, err = rd.Str(); err != nil {
 		return err
-	case *WireStatusReply:
-		return readStatus(rd, &v.Status)
-	case *WireResultReply:
-		var err error
-		if v.Done, err = rd.Bool(); err != nil {
-			return err
-		}
-		if err := readStatus(rd, &v.Status); err != nil {
-			return err
-		}
-		hasC, err := rd.Bool()
-		if err != nil || !hasC {
-			return err
-		}
-		if v.C, err = readMatrix(rd); err != nil {
-			return fmt.Errorf("serve: decode result: %w", err)
-		}
-		return nil
-	default:
-		return fmt.Errorf("serve: unsupported response body %T", body)
 	}
+	prio, err := rd.Varint()
+	if err != nil {
+		return err
+	}
+	a.priority = int(prio)
+	if a.a, err = readMatrix(rd); err != nil {
+		return fmt.Errorf("%w: operand A: %v", ErrUnschedulable, err)
+	}
+	if a.b, err = readMatrix(rd); err != nil {
+		return fmt.Errorf("%w: operand B: %v", ErrUnschedulable, err)
+	}
+	return nil
 }
 
-func (c *clientCodec) Close() error { return c.conn.Close() }
-
-// ---------------------------------------------------------------------------
-// Server codec
-
-type serverCodec struct {
-	conn io.ReadWriteCloser
-	fr   *codec.FrameReader
+// resultArgs asks for a job's result, waiting server-side up to waitMillis
+// (clamped to a bound) for it to finish.
+type resultArgs struct {
+	id         JobID
+	waitMillis int64
 }
 
-func newServerCodec(conn io.ReadWriteCloser) rpc.ServerCodec {
-	return &serverCodec{conn: conn, fr: codec.NewFrameReader(conn)}
+func appendResultArgs(w *codec.FrameWriter, a *resultArgs) error {
+	appendID(w, &a.id)
+	w.Varint(a.waitMillis)
+	return nil
 }
 
-func (s *serverCodec) ReadRequestHeader(r *rpc.Request) (err error) {
-	r.Seq, r.ServiceMethod, err = s.fr.NextHeader()
+func readResultArgs(rd *codec.FrameReader, a *resultArgs) error {
+	if err := readID(rd, &a.id); err != nil {
+		return err
+	}
+	var err error
+	a.waitMillis, err = rd.Varint()
 	return err
 }
 
-// ReadRequestBody decodes the typed body as it streams in. An error is
-// safe to return: the rest of the frame is drained (also when net/rpc
-// passes nil to skip a body it cannot route), so net/rpc answers this call
-// with the error text and keeps reading. A malformed operand is the
-// caller's mistake, not the connection's: it is reported as
-// ErrUnschedulable, the way an operand the optimizer cannot place is.
-func (s *serverCodec) ReadRequestBody(body any) error {
-	defer s.fr.Drain()
-	rd := s.fr
-	switch v := body.(type) {
-	case nil:
-		return nil
-	case *WireSubmitArgs:
-		var err error
-		if v.Tenant, err = rd.Str(); err != nil {
-			return err
-		}
-		prio, err := rd.Varint()
-		if err != nil {
-			return err
-		}
-		v.Priority = int(prio)
-		if v.A, err = readMatrix(rd); err != nil {
-			return fmt.Errorf("%w: operand A: %v", ErrUnschedulable, err)
-		}
-		if v.B, err = readMatrix(rd); err != nil {
-			return fmt.Errorf("%w: operand B: %v", ErrUnschedulable, err)
-		}
-		return nil
-	case *WireJobArgs:
-		var err error
-		v.ID, err = rd.Uvarint()
-		return err
-	case *WireResultArgs:
-		var err error
-		if v.ID, err = rd.Uvarint(); err != nil {
-			return err
-		}
-		v.WaitMillis, err = rd.Varint()
-		return err
-	default:
-		return fmt.Errorf("serve: unsupported request body %T", body)
-	}
+// resultReply reports done=false when the wait expired first; when done, c
+// is the product for successful jobs — the matrix the server retains, framed
+// without a copy — and status carries the terminal state (failures arrive as
+// the call's error instead).
+type resultReply struct {
+	done   bool
+	status JobStatus
+	c      *bmat.BlockMatrix
 }
 
-// WriteResponse frames one reply; the product's value payloads go out by
-// writev from the blocks the server retains. A reply that cannot be framed
-// is answered as that error instead, so the caller is not left waiting.
-func (s *serverCodec) WriteResponse(r *rpc.Response, body any) error {
-	return codec.WriteResponseFrame(s.conn, r.Seq, r.ServiceMethod, r.Error, func(w *codec.FrameWriter) error {
-		return appendReply(w, body)
-	})
-}
-
-func appendReply(w *codec.FrameWriter, body any) error {
-	switch v := body.(type) {
-	case *WireEmptyReply:
-	case *WireSubmitReply:
-		w.Uvarint(v.ID)
-	case *WireStatusReply:
-		appendStatus(w, &v.Status)
-	case *WireResultReply:
-		w.Bool(v.Done)
-		appendStatus(w, &v.Status)
-		w.Bool(v.C != nil)
-		if v.C != nil {
-			if err := appendMatrix(w, v.C); err != nil {
-				return fmt.Errorf("serve: encode result: %w", err)
-			}
+func appendResultReply(w *codec.FrameWriter, r *resultReply) error {
+	w.Bool(r.done)
+	appendStatus(w, &r.status)
+	w.Bool(r.c != nil)
+	if r.c != nil {
+		if err := appendMatrix(w, r.c); err != nil {
+			return fmt.Errorf("serve: encode result: %w", err)
 		}
-	default:
-		return fmt.Errorf("serve: unsupported response body %T", body)
 	}
 	return nil
 }
 
-func (s *serverCodec) Close() error { return s.conn.Close() }
+func readResultReply(rd *codec.FrameReader, r *resultReply) error {
+	var err error
+	if r.done, err = rd.Bool(); err != nil {
+		return err
+	}
+	if err := readStatus(rd, &r.status); err != nil {
+		return err
+	}
+	hasC, err := rd.Bool()
+	if err != nil || !hasC {
+		return err
+	}
+	if r.c, err = readMatrix(rd); err != nil {
+		return fmt.Errorf("serve: decode result: %w", err)
+	}
+	return nil
+}
+
+// A job ID travels as one uvarint, in Status, Cancel and Forget requests and
+// in Submit's reply.
+func appendID(w *codec.FrameWriter, id *JobID) error {
+	w.Uvarint(uint64(*id))
+	return nil
+}
+
+func readID(rd *codec.FrameReader, id *JobID) error {
+	v, err := rd.Uvarint()
+	*id = JobID(v)
+	return err
+}
+
+// The serve socket's error codes: the package sentinels, from codeQueueFull
+// up. A queue-full answer carries its tenant and retry-after hint as fields
+// (str tenant, varint nanoseconds), so the client's *QueueFullError keeps
+// both exactly.
+const codeQueueFull = codec.CodeOther + 1
+
+var serveSentinels = [...]error{ErrQueueFull, ErrQuotaExceeded, ErrUnschedulable, ErrUnknownTenant, ErrUnknownJob, ErrServerClosed}
+
+var serveErrors = codec.ErrorTable{Code: serveErrorCode, Decode: readServeError}
+
+func serveErrorCode(err error) (byte, func(*codec.FrameWriter)) {
+	if errors.Is(err, ErrQueueFull) {
+		qf := &QueueFullError{}
+		errors.As(err, &qf)
+		return codeQueueFull, func(w *codec.FrameWriter) {
+			w.Str(qf.Tenant)
+			w.Varint(int64(qf.RetryAfter))
+		}
+	}
+	for i, sentinel := range serveSentinels {
+		if errors.Is(err, sentinel) {
+			return codeQueueFull + byte(i), nil
+		}
+	}
+	return codec.CodeOther, nil
+}
+
+func readServeError(code byte, rd *codec.FrameReader) (error, error) {
+	if code == codeQueueFull {
+		tenant, err1 := rd.Str()
+		after, err2 := rd.Varint()
+		if err := errors.Join(err1, err2); err != nil {
+			return nil, err
+		}
+		return &QueueFullError{Tenant: tenant, RetryAfter: time.Duration(after)}, nil
+	}
+	if i := int(code) - int(codeQueueFull); i > 0 && i < len(serveSentinels) {
+		return serveSentinels[i], nil
+	}
+	return nil, fmt.Errorf("%w: serve error code %d", codec.ErrBadFrame, code)
+}
