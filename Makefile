@@ -49,11 +49,13 @@ vet:
 lint-docs:
 	$(GO) run ./cmd/lint-docs
 
-# Non-test Go lines, the one recipe behind every line count CHANGES.md and
-# ROADMAP.md quote: the tree outside benchmark/, each internal/* package,
-# and the exported surface.
+# Go lines, the one recipe behind every line count CHANGES.md and
+# ROADMAP.md quote: non-test lines of the tree outside benchmark/, its test
+# lines, the non-test lines of each internal/* package, and the exported
+# surface.
 loc:
 	@printf '%-22s %6d\n' total $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)
+	@printf '%-22s %6d\n' tests $$(find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)
 	@for p in internal/*; do printf '%-22s %6d\n' $$p $$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); done
 	@printf '%-22s %6d\n' api/surface.txt $$(wc -l < api/surface.txt)
 

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"distme/internal/metrics"
@@ -232,11 +233,11 @@ func (c *Cluster) attemptCtx(ctx context.Context, t Task, attempt int) (err erro
 	}
 	if inj := c.injector; inj != nil {
 		if err := inj.AttemptError(t.Name, attempt); err != nil {
-			c.recorder.AddFaultInjected()
+			atomic.AddInt64(&c.recorder.Elastic.Live().FaultsInjected, 1)
 			return err
 		}
 		if d := inj.Delay(t.Name, attempt); d > 0 {
-			c.recorder.AddFaultInjected()
+			atomic.AddInt64(&c.recorder.Elastic.Live().FaultsInjected, 1)
 			timer := time.NewTimer(d)
 			select {
 			case <-timer.C:

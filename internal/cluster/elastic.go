@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"distme/internal/metrics"
@@ -259,7 +260,7 @@ func (r *elasticRun) settleAttemptLocked(item workItem, st *taskState, err error
 		r.done++
 		r.completed = append(r.completed, dur)
 		if item.spec {
-			r.c.recorder.AddSpeculativeWin()
+			atomic.AddInt64(&r.c.recorder.Elastic.Live().SpeculativeWins, 1)
 		}
 		// First result wins: cancel the sibling attempts still in flight.
 		for _, cancel := range st.cancels {
@@ -288,7 +289,7 @@ func (r *elasticRun) settleAttemptLocked(item workItem, st *taskState, err error
 		r.cancelAllLocked()
 		return
 	}
-	r.c.recorder.AddTaskRetry()
+	atomic.AddInt64(&r.c.recorder.Elastic.Live().TaskRetries, 1)
 	st.retryQueued = true
 	r.scheduleRetryLocked(item.idx, r.backoff.Delay(st.failures))
 }
@@ -369,7 +370,7 @@ func (r *elasticRun) monitor(stop <-chan struct{}) {
 			if now.Sub(st.started) > threshold {
 				st.speculated = true
 				r.queue = append(r.queue, workItem{idx: i, spec: true})
-				r.c.recorder.AddSpeculative()
+				atomic.AddInt64(&r.c.recorder.Elastic.Live().SpeculativeLaunched, 1)
 				launched++
 			}
 		}

@@ -42,7 +42,7 @@ func TestInjectedCrashesAreRetriedToSuccess(t *testing.T) {
 			t.Fatalf("task %d body ran %d times; crashes fire before the body, so exactly 1 expected", i, n)
 		}
 	}
-	el := c.Recorder().Elastic()
+	el := c.Recorder().Elastic.Load()
 	if el.FaultsInjected == 0 {
 		t.Fatal("crash rate 0.6 over 16 tasks should have injected at least one fault")
 	}
@@ -109,7 +109,7 @@ func TestSpeculationRescuesStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	el := c.Recorder().Elastic()
+	el := c.Recorder().Elastic.Load()
 	if el.SpeculativeLaunched == 0 {
 		t.Fatal("straggler rate 0.3 over 24 tasks should have launched speculative copies")
 	}
@@ -183,7 +183,7 @@ func TestGenuineOOMIsNotRetried(t *testing.T) {
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("want ErrOutOfMemory, got %v", err)
 	}
-	if el := c.Recorder().Elastic(); el.TaskRetries != 0 {
+	if el := c.Recorder().Elastic.Load(); el.TaskRetries != 0 {
 		t.Fatalf("structural OOM must not be retried, counted %d retries", el.TaskRetries)
 	}
 }

@@ -93,7 +93,7 @@ func TestChaosMatrixBitIdentical(t *testing.T) {
 					t.Fatalf("cuboid %s rate %v seed %d: output differs from failure-free run",
 						kind.name, rate, seed)
 				}
-				el := env.Cluster.Recorder().Elastic()
+				el := env.Cluster.Recorder().Elastic.Load()
 				if el.TaskRetries > int64(params.Tasks()*4) {
 					t.Fatalf("cuboid %s rate %v seed %d: %d retries exceed budget × tasks",
 						kind.name, rate, seed, el.TaskRetries)
@@ -132,7 +132,7 @@ func TestChaosLineageRecomputation(t *testing.T) {
 	if !bytes.Equal(serialize(t, got), want) {
 		t.Fatal("recomputed partials changed the output bytes")
 	}
-	el := env.Cluster.Recorder().Elastic()
+	el := env.Cluster.Recorder().Elastic.Load()
 	if el.RecomputedPartials == 0 {
 		t.Fatal("fetch-fail rate 0.9 should have forced lineage recomputation")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"distme/internal/cluster"
@@ -59,8 +60,8 @@ func recoverPartials(ctx context.Context, env Env, parent obs.SpanID, tasks []st
 			return inj.FetchFailed(t.name, attempt)
 		}, maxTransientFetches)
 		for i := 0; i < retries; i++ {
-			rec.AddFetchRetry()
-			rec.AddFaultInjected()
+			atomic.AddInt64(&rec.Elastic.Live().FetchRetries, 1)
+			atomic.AddInt64(&rec.Elastic.Live().FaultsInjected, 1)
 		}
 		if !lost {
 			continue
@@ -73,7 +74,7 @@ func recoverPartials(ctx context.Context, env Env, parent obs.SpanID, tasks []st
 			return err
 		}
 		partials[idx] = out
-		rec.AddRecomputedPartial()
+		atomic.AddInt64(&rec.Elastic.Live().RecomputedPartials, 1)
 		env.taskSpan(parent, "task.recompute", t, recomputeStart)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -375,7 +376,7 @@ func (r *scalerRun) tick() {
 		if err != nil {
 			ev.Err = err.Error()
 		} else {
-			d.rec.AddScaleUp()
+			atomic.AddInt64(&d.rec.Net.Live().ScaleUps, 1)
 		}
 		r.record(ev)
 	case ScaleDown:
@@ -397,7 +398,7 @@ func (r *scalerRun) tick() {
 		if err != nil {
 			ev.Err = err.Error()
 		}
-		d.rec.AddScaleDown()
+		atomic.AddInt64(&d.rec.Net.Live().ScaleDowns, 1)
 		r.record(ev)
 	}
 }

@@ -3,6 +3,7 @@ package distnet
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"distme/internal/codec"
@@ -63,7 +64,7 @@ func (d *Driver) sweep() {
 
 // probe sends one heartbeat and applies the state machine.
 func (d *Driver) probe(m *member, client *codec.Client) {
-	d.rec.AddHeartbeat()
+	atomic.AddInt64(&d.rec.Net.Live().HeartbeatsSent, 1)
 	start := time.Now()
 	var pong pingReply
 	err := d.roundTrip(client, d.opts.PingTimeout, methodPing, 0, nil, codec.Reads(decodePingReply, &pong))
@@ -80,11 +81,11 @@ func (d *Driver) probe(m *member, client *codec.Client) {
 	if errors.Is(err, ErrWorkerDraining) {
 		m.draining.Store(true)
 	}
-	d.rec.AddHeartbeatMiss()
+	atomic.AddInt64(&d.rec.Net.Live().HeartbeatMisses, 1)
 	if dead, detached := m.noteMissed(d.opts.SuspectAfter, d.opts.DeadAfter); dead {
 		if detached != nil {
 			detached.Close()
 		}
-		d.rec.AddWorkerDeclaredDead()
+		atomic.AddInt64(&d.rec.Net.Live().WorkersDeclaredDead, 1)
 	}
 }

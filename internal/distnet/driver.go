@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -60,10 +59,9 @@ type Driver struct {
 	closed  bool
 
 	// backoff is the retry delay policy cuboid and batch dispatch share with
-	// the in-process scheduler (cluster.Backoff); jrand is the jitter source
-	// it draws from, which Options.JitterSeed pins for deterministic tests.
+	// the in-process scheduler (cluster.Backoff); Options.JitterSeed pins its
+	// jitter for deterministic tests.
 	backoff *cluster.Backoff
-	jrand   *rand.Rand
 
 	// ewmaRPC is a rolling mean of successful cuboid RPC durations; an RPC
 	// slower than stragglerMultiple times the mean (after warmup) counts as
@@ -261,9 +259,8 @@ func DialOptions(addrs []string, opts Options) (*Driver, error) {
 		wire:   &wireCounter{},
 		rec:    opts.Recorder,
 		tracer: opts.Tracer,
-		jrand:  cluster.JitterSource(opts.JitterSeed),
 	}
-	d.backoff = cluster.NewBackoff(d.opts.RetryBackoff, d.opts.MaxBackoff, d.jrand)
+	d.backoff = cluster.NewBackoff(d.opts.RetryBackoff, d.opts.MaxBackoff, cluster.JitterSource(opts.JitterSeed))
 	if d.rec == nil {
 		d.rec = &metrics.Recorder{}
 	}
@@ -343,7 +340,7 @@ func (d *Driver) WireBytes() (sent, received int64) {
 
 // NetStats returns the driver's membership, reconnect, and heartbeat
 // counters.
-func (d *Driver) NetStats() metrics.NetStats { return d.rec.Net() }
+func (d *Driver) NetStats() metrics.NetStats { return d.rec.Net.Load() }
 
 // Tracer returns the tracer the driver records spans into (nil when
 // tracing is off).
@@ -409,7 +406,9 @@ func (d *Driver) roundTrip(client *codec.Client, timeout time.Duration, method b
 				return err
 			}
 		}
-		d.rec.AddWireEncode(w.Size(), time.Since(start))
+		n := d.rec.Net.Live()
+		atomic.AddInt64(&n.WireEncodeBytes, w.Size())
+		atomic.AddInt64(&n.WireEncodeNanos, int64(time.Since(start)))
 		d.wireSpan(parent, "wire.send", start, w.Size())
 		return nil
 	}, func(r *codec.FrameReader) error {
@@ -419,7 +418,9 @@ func (d *Driver) roundTrip(client *codec.Client, timeout time.Duration, method b
 				return err
 			}
 		}
-		d.rec.AddWireDecode(n, time.Since(start))
+		ns := d.rec.Net.Live()
+		atomic.AddInt64(&ns.WireDecodeBytes, n)
+		atomic.AddInt64(&ns.WireDecodeNanos, int64(time.Since(start)))
 		d.wireSpan(parent, "wire.recv", start, n)
 		return nil
 	})
@@ -462,8 +463,8 @@ func (d *Driver) call(m *member, method byte, parent obs.SpanID, args func(*code
 	m.tracker.forget()
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		d.rec.AddDeadlineTimeout()
-		m.timeouts.Add(1)
+		atomic.AddInt64(&d.rec.Net.Live().DeadlineTimeouts, 1)
+		atomic.AddInt64(&m.events.Live().Timeouts, 1)
 		d.declareDead(m, client)
 		return fmt.Errorf("%w (%w): method %d on %s after %v",
 			ErrDeadlineExceeded, context.DeadlineExceeded, method, m.addr, timeout)
@@ -501,8 +502,8 @@ func (d *Driver) noteRPCDuration(m *member, dur time.Duration) bool {
 	}
 	d.ewmaMu.Unlock()
 	if n >= stragglerMinSamples && mean > 0 && dur > mean*stragglerMultiple {
-		m.stragglers.Add(1)
-		d.rec.AddStragglerRPC()
+		atomic.AddInt64(&m.events.Live().Stragglers, 1)
+		atomic.AddInt64(&d.rec.Net.Live().StragglerRPCs, 1)
 		return true
 	}
 	return false

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"distme/internal/bmat"
 	"distme/internal/codec"
@@ -317,7 +318,7 @@ func (s *Session) recover(ctx context.Context) error {
 // startRecovery counts one lineage recovery and opens its span.
 func (s *Session) startRecovery() obs.Span {
 	s.recoveries++
-	s.d.rec.AddPipelineRecovery()
+	atomic.AddInt64(&s.d.rec.Net.Live().PipelineRecoveries, 1)
 	return s.d.tracer.Start(0, "pipeline.recover", obs.KindDriver)
 }
 
@@ -420,11 +421,11 @@ func (s *Session) push(ctx context.Context, h *Handle) error {
 			bytes += args.Blocks[i].Block.SizeBytes()
 		}
 	}
-	if h.bytes != 0 {
-		s.d.rec.AddResidentBytes(-h.bytes)
-	}
+	n := s.d.rec.Net.Live()
+	atomic.AddInt64(&n.PipelinePuts, 1)
+	atomic.AddInt64(&n.PipelinePutBytes, bytes)
+	atomic.AddInt64(&n.ResidentBytes, bytes-h.bytes)
 	h.bytes = bytes
-	s.d.rec.AddPipelinePut(bytes)
 	return nil
 }
 
@@ -450,7 +451,8 @@ func (s *Session) Fetch(ctx context.Context, h *Handle) (*bmat.BlockMatrix, erro
 				}
 			}
 		}
-		s.d.rec.AddPipelineFetch(bytes)
+		atomic.AddInt64(&s.d.rec.Net.Live().PipelineFetches, 1)
+		atomic.AddInt64(&s.d.rec.Net.Live().PipelineFetchBytes, bytes)
 		return nil
 	})
 	if err != nil {
@@ -476,7 +478,7 @@ func (s *Session) freeParts(ctx context.Context, h *Handle) {
 		_ = s.callMember(ctx, p.m, methodFreeHandles, 0, codec.Writes(appendFreeArgs, &freeArgs{Handles: []uint64{h.id}}), nil)
 	}
 	if h.bytes != 0 {
-		s.d.rec.AddResidentBytes(-h.bytes)
+		atomic.AddInt64(&s.d.rec.Net.Live().ResidentBytes, -h.bytes)
 		h.bytes = 0
 	}
 }
@@ -534,7 +536,7 @@ func (s *Session) Close(ctx context.Context) error {
 		h.freed = true
 	}
 	if resident != 0 {
-		s.d.rec.AddResidentBytes(-resident)
+		atomic.AddInt64(&s.d.rec.Net.Live().ResidentBytes, -resident)
 	}
 	s.handles = map[uint64]*Handle{}
 	return nil

@@ -3,6 +3,8 @@ package distnet
 import (
 	"sync"
 	"time"
+
+	"distme/internal/metrics"
 )
 
 // The health signal plane: one windowed score per worker, derived from
@@ -71,11 +73,21 @@ type ClusterHealth struct {
 	MeanRPC   time.Duration `json:"mean_rpc_ns"`
 }
 
-// healthBase is one member's lifetime-counter snapshot, the subtrahend of
-// the windowed deltas.
+// memberEvents are one member's lifetime health events, named as the
+// windowed counts of WorkerHealth they become.
+type memberEvents struct {
+	Retries            int64 // failed cuboid attempts retried off this member
+	Timeouts           int64 // per-call deadline expiries
+	Stragglers         int64 // successful-but-slow cuboid RPCs
+	SuspectTransitions int64 // Alive/Suspect transitions
+	StoreEvictions     int64 // the worker's own count, from its last pong
+}
+
+// healthBase is one member's lifetime-event snapshot, the subtrahend of the
+// windowed deltas.
 type healthBase struct {
-	at                                             time.Time
-	retries, timeouts, stragglers, suspects, evict int64
+	at     time.Time
+	events memberEvents
 }
 
 // healthState holds the per-member bases. Bases roll forward only when
@@ -124,14 +136,7 @@ func (d *Driver) ClusterHealth() ClusterHealth {
 		connected := m.client != nil
 		m.mu.Unlock()
 
-		cur := healthBase{
-			at:         now,
-			retries:    m.retries.Load(),
-			timeouts:   m.timeouts.Load(),
-			stragglers: m.stragglers.Load(),
-			suspects:   m.suspectTrans.Load(),
-			evict:      m.loadStoreEvictions.Load(),
-		}
+		cur := healthBase{at: now, events: m.events.Load()}
 		base, ok := d.health.bases[m]
 		if !ok {
 			// First sighting: no history, so the window starts empty.
@@ -141,6 +146,7 @@ func (d *Driver) ClusterHealth() ClusterHealth {
 			d.health.bases[m] = cur
 		}
 
+		win := metrics.Sub(cur.events, base.events)
 		wh := WorkerHealth{
 			Addr:               m.addr,
 			State:              state.String(),
@@ -149,11 +155,11 @@ func (d *Driver) ClusterHealth() ClusterHealth {
 			InFlight:           m.loadInFlight.Load(),
 			StoreBytes:         m.loadStoreBytes.Load(),
 			StoreHandles:       m.loadStoreHandles.Load(),
-			Retries:            cur.retries - base.retries,
-			Timeouts:           cur.timeouts - base.timeouts,
-			Stragglers:         cur.stragglers - base.stragglers,
-			SuspectTransitions: cur.suspects - base.suspects,
-			StoreEvictions:     cur.evict - base.evict,
+			Retries:            win.Retries,
+			Timeouts:           win.Timeouts,
+			Stragglers:         win.Stragglers,
+			SuspectTransitions: win.SuspectTransitions,
+			StoreEvictions:     win.StoreEvictions,
 		}
 		wh.Flapping = wh.SuspectTransitions >= healthFlapTransitions
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"distme/internal/bmat"
@@ -266,7 +267,8 @@ func (r *cuboidRun) runBatch(group []int) {
 		}
 		return
 	}
-	d.rec.AddBatchRPC(len(group))
+	atomic.AddInt64(&d.rec.Net.Live().BatchRPCs, 1)
+	atomic.AddInt64(&d.rec.Net.Live().BatchItems, int64(len(group)))
 	var failed []int // positions in group
 	sawMiss := false
 	for i, idx := range group {
@@ -276,9 +278,9 @@ func (r *cuboidRun) runBatch(group []int) {
 			spans[i].End()
 			continue
 		}
-		d.rec.AddBatchItemError()
+		atomic.AddInt64(&d.rec.Net.Live().BatchItemErrors, 1)
 		if errors.Is(it.err, errUnknownDigest) {
-			d.rec.AddCacheRefMiss()
+			atomic.AddInt64(&d.rec.Net.Live().CacheRefMisses, 1)
 			sawMiss = true
 		}
 		failed = append(failed, i)
@@ -335,11 +337,11 @@ func (d *Driver) acrossMembers(ctx context.Context, meter *JobMeter, try func(m 
 		if !retry {
 			return false, err
 		}
-		m.retries.Add(1)
+		atomic.AddInt64(&m.events.Live().Retries, 1)
 		lastErr = err
 		attempt++
 		if attempt < d.opts.JobAttempts {
-			d.rec.AddCuboidRetry()
+			atomic.AddInt64(&d.rec.Net.Live().CuboidRetries, 1)
 			meter.noteRetry()
 			time.Sleep(d.backoff.Delay(attempt))
 		}
@@ -356,7 +358,7 @@ func (d *Driver) acrossMembers(ctx context.Context, meter *JobMeter, try func(m 
 // sibling attempts on the timeline.
 func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span) (*multiplyReply, error) {
 	if args.pull {
-		d.rec.AddPullJob()
+		atomic.AddInt64(&d.rec.Net.Live().PullJobs, 1)
 	}
 	var reply *multiplyReply
 	exhausted, err := d.acrossMembers(ctx, args.meter, func(m *member) (bool, error) {
@@ -381,7 +383,10 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 				asp.SetAttr("straggler", "true")
 			}
 			if args.pull {
-				d.rec.AddPullReply(rep.pullHits, rep.pullFetches, rep.pullPeerBytes)
+				n := d.rec.Net.Live()
+				atomic.AddInt64(&n.PullCacheHits, rep.pullHits)
+				atomic.AddInt64(&n.PullPeerFetches, rep.pullFetches)
+				atomic.AddInt64(&n.PullPeerBytes, rep.pullPeerBytes)
 			}
 			reply = rep
 			return false, nil
@@ -404,7 +409,7 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 			// The worker no longer holds blocks we sent as references
 			// (restart, eviction, or epoch turnover). Forget what we
 			// believed it had; the retry ships everything inline.
-			d.rec.AddCacheRefMiss()
+			atomic.AddInt64(&d.rec.Net.Live().CacheRefMisses, 1)
 			m.tracker.forget()
 		case errors.As(re, &pe):
 			// Pull resolution failed on the worker — a peer died mid-fetch,
@@ -413,7 +418,7 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 			// blocks, the cuboid downgrades to push — prepared now, like any
 			// push cuboid, so this retry and every later one frame the same
 			// encoded records — and the retry ships them inline.
-			d.rec.AddPullFallback()
+			atomic.AddInt64(&d.rec.Net.Live().PullFallbacks, 1)
 			if args.pull && args.pullInline {
 				args.pull = false
 				if _, perr := args.prep.prepare(args); perr != nil {
@@ -438,7 +443,7 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 	if d.opts.DisableLocalFallback || (args.pull && !args.pullInline) {
 		return nil, fmt.Errorf("distnet: cuboid failed after %d attempts: %w", d.opts.JobAttempts, err)
 	}
-	d.rec.AddLocalFallback()
+	atomic.AddInt64(&d.rec.Net.Live().LocalFallbacks, 1)
 	args.meter.noteLocalFallback()
 	lsp := d.tracer.Start(parent.ID(), "local-fallback", obs.KindDriver)
 	defer lsp.End()
@@ -507,7 +512,7 @@ func (jp *jobPrep) prepare(args *multiplyArgs) (int64, error) {
 				if !jp.d.opts.DisableBlockCache && p.Size() >= minCacheableBytes {
 					p.Hash()
 				}
-				jp.d.rec.AddBlockPrepared()
+				atomic.AddInt64(&jp.d.rec.Net.Live().BlocksPrepared, 1)
 				jp.recs[rec.Block] = p
 			}
 			rec.prep = p

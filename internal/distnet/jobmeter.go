@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"distme/internal/codec"
+	"distme/internal/metrics"
 )
 
 // JobMeter attributes one logical job's traffic and elasticity events to its
@@ -21,7 +22,7 @@ import (
 // which is what quota enforcement wants. A pull cuboid's manifest carries no
 // block payload: it charges request bytes only if it downgrades to push.
 type JobMeter struct {
-	cuboids, requestBytes, replyBytes, retries, localFallbacks atomic.Int64
+	c metrics.Counters[JobMeterStats]
 }
 
 // JobMeterStats is a point-in-time snapshot of a JobMeter.
@@ -43,13 +44,7 @@ func (m *JobMeter) Stats() JobMeterStats {
 	if m == nil {
 		return JobMeterStats{}
 	}
-	return JobMeterStats{
-		Cuboids:        m.cuboids.Load(),
-		RequestBytes:   m.requestBytes.Load(),
-		ReplyBytes:     m.replyBytes.Load(),
-		Retries:        m.retries.Load(),
-		LocalFallbacks: m.localFallbacks.Load(),
-	}
+	return m.c.Load()
 }
 
 type jobMeterKey struct{}
@@ -72,7 +67,7 @@ func jobMeterFrom(ctx context.Context) *JobMeter {
 // noteDispatch charges one cuboid request's payload.
 func (m *JobMeter) noteDispatch(bytes int64) {
 	if m != nil {
-		m.requestBytes.Add(bytes)
+		atomic.AddInt64(&m.c.Live().RequestBytes, bytes)
 	}
 }
 
@@ -85,18 +80,18 @@ func (m *JobMeter) noteCommit(reply *multiplyReply) {
 	for i := range reply.CBlocks {
 		n += codec.EncodedBytes(reply.CBlocks[i].Block)
 	}
-	m.replyBytes.Add(n)
-	m.cuboids.Add(1)
+	atomic.AddInt64(&m.c.Live().ReplyBytes, n)
+	atomic.AddInt64(&m.c.Live().Cuboids, 1)
 }
 
 func (m *JobMeter) noteRetry() {
 	if m != nil {
-		m.retries.Add(1)
+		atomic.AddInt64(&m.c.Live().Retries, 1)
 	}
 }
 
 func (m *JobMeter) noteLocalFallback() {
 	if m != nil {
-		m.localFallbacks.Add(1)
+		atomic.AddInt64(&m.c.Live().LocalFallbacks, 1)
 	}
 }

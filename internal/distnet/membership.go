@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"distme/internal/codec"
+	"distme/internal/metrics"
 )
 
 // Typed failure sentinels of the real-network layer. They surface at the
@@ -86,19 +87,15 @@ type member struct {
 
 	// Health-plane signals. Atomics so ClusterHealth and the autoscaler
 	// read them without taking the member lock on the RPC hot path. The
-	// lifetime counters are monotonic; the health plane windows them by
+	// lifetime events are monotonic; the health plane windows them by
 	// keeping base snapshots (see health.go).
-	draining     atomic.Bool  // last refusal was the draining sentinel
-	suspectTrans atomic.Int64 // lifetime Alive/Suspect transitions
-	retries      atomic.Int64 // lifetime failed cuboid attempts retried off this member
-	timeouts     atomic.Int64 // lifetime per-call deadline expiries
-	stragglers   atomic.Int64 // lifetime successful-but-slow cuboid RPCs
+	draining atomic.Bool // last refusal was the draining sentinel
+	events   metrics.Counters[memberEvents]
 
 	// Load snapshot ferried back on the most recent pong.
-	loadInFlight       atomic.Int64
-	loadStoreBytes     atomic.Int64
-	loadStoreHandles   atomic.Int64
-	loadStoreEvictions atomic.Int64
+	loadInFlight     atomic.Int64
+	loadStoreBytes   atomic.Int64
+	loadStoreHandles atomic.Int64
 
 	mu        sync.Mutex
 	client    *codec.Client // nil while disconnected
@@ -137,7 +134,7 @@ func (m *member) noteLoad(pong *pingReply) {
 	m.loadInFlight.Store(pong.InFlight)
 	m.loadStoreBytes.Store(pong.StoreBytes)
 	m.loadStoreHandles.Store(pong.StoreHandles)
-	m.loadStoreEvictions.Store(pong.StoreEvictions)
+	atomic.StoreInt64(&m.events.Live().StoreEvictions, pong.StoreEvictions)
 }
 
 // snapshot returns the state and client under the member's lock.
@@ -179,7 +176,7 @@ func (m *member) noteMissed(suspectAfter, deadAfter int) (declaredDead bool, det
 	}
 	if m.missed >= suspectAfter && m.state != StateSuspect {
 		m.state = StateSuspect
-		m.suspectTrans.Add(1)
+		atomic.AddInt64(&m.events.Live().SuspectTransitions, 1)
 	}
 	return false, nil
 }
@@ -253,7 +250,7 @@ func (d *Driver) AddWorker(addr string) error {
 	}
 	d.members = append(d.members, m)
 	d.mu.Unlock()
-	d.rec.AddWorkerJoined()
+	atomic.AddInt64(&d.rec.Net.Live().WorkersJoined, 1)
 	return nil
 }
 
@@ -284,7 +281,7 @@ func (d *Driver) RemoveWorker(addr string) error {
 	if client != nil {
 		client.Close()
 	}
-	d.rec.AddWorkerLeft()
+	atomic.AddInt64(&d.rec.Net.Live().WorkersLeft, 1)
 	return nil
 }
 
@@ -343,7 +340,7 @@ func (d *Driver) connect(m *member, reconnect bool) error {
 	m.draining.Store(false)
 	m.noteLoad(&pong)
 	if reconnect {
-		d.rec.AddReconnect()
+		atomic.AddInt64(&d.rec.Net.Live().Reconnects, 1)
 	}
 	return nil
 }
@@ -425,8 +422,8 @@ func (d *Driver) retireDead(olderThan time.Duration) []string {
 		m.mu.Unlock()
 	}
 	for range retired {
-		d.rec.AddWorkerRetired()
-		d.rec.AddWorkerLeft()
+		atomic.AddInt64(&d.rec.Net.Live().WorkersRetired, 1)
+		atomic.AddInt64(&d.rec.Net.Live().WorkersLeft, 1)
 	}
 	return retired
 }
@@ -450,6 +447,6 @@ func (d *Driver) declareDead(m *member, failed *codec.Client) {
 		failed.Close()
 	}
 	if detached {
-		d.rec.AddWorkerDeclaredDead()
+		atomic.AddInt64(&d.rec.Net.Live().WorkersDeclaredDead, 1)
 	}
 }

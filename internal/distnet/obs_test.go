@@ -8,12 +8,16 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"distme/internal/bmat"
 	"distme/internal/core"
 	"distme/internal/matrix"
+	"distme/internal/metrics"
 	"distme/internal/obs"
 	"distme/internal/plan"
 )
@@ -415,5 +419,44 @@ func TestUntracedRunsRecordNothing(t *testing.T) {
 	a := bmat.RandomDense(rng, 8, 8, 4)
 	if _, err := execute(d, a, a, core.Params{P: 2, Q: 1, R: 1}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestObservabilityDocNamesEveryKey holds docs/OBSERVABILITY.md to the
+// counter blocks: the table row of each block names every JSON key of its
+// struct literally, so a counter cannot be added without its row.
+func TestObservabilityDocNamesEveryKey(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{} // "| `key` |" row head → the row
+	for _, line := range strings.Split(string(doc), "\n") {
+		if head, _, ok := strings.Cut(strings.TrimPrefix(line, "| "), " |"); ok && strings.HasPrefix(line, "| `") {
+			rows[head] = line
+		}
+	}
+	for _, c := range []struct {
+		row   string
+		stats any
+	}{
+		{"`net`", metrics.NetStats{}},
+		{"`cache`", CacheStats{}},
+		{"`store`", StoreStats{}},
+		{"`pull`", WorkerPullStats{}},
+		{"`meter`", JobMeterStats{}},
+	} {
+		row, ok := rows[c.row]
+		if !ok {
+			t.Errorf("docs/OBSERVABILITY.md has no %s row for %T", c.row, c.stats)
+			continue
+		}
+		typ := reflect.TypeOf(c.stats)
+		for i := 0; i < typ.NumField(); i++ {
+			key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			if !strings.Contains(row, "`"+key+"`") {
+				t.Errorf("docs/OBSERVABILITY.md: the %s row does not name %T's key `%s`", c.row, c.stats, key)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"distme/internal/bmat"
 	"distme/internal/codec"
@@ -137,7 +138,7 @@ func (s *Session) price(p *plan.Program, binds map[string]*Handle, parent obs.Sp
 	}
 	sp.End()
 	if mat > res {
-		s.d.rec.AddDriverBytesAvoided(mat - res)
+		atomic.AddInt64(&s.d.rec.Net.Live().DriverBytesAvoided, mat-res)
 	}
 	return nil
 }
@@ -262,7 +263,7 @@ func (s *Session) execParts(ctx context.Context, h *Handle) error {
 		bParts = s.partLocs(h.lb)
 		bID = h.lb.id
 	}
-	s.d.rec.AddPullJob()
+	atomic.AddInt64(&s.d.rec.Net.Live().PullJobs, 1)
 	errs := make([]error, len(ps))
 	bytes := make([]int64, len(ps))
 	peer := make([]int64, len(ps))
@@ -297,15 +298,14 @@ func (s *Session) execParts(ctx context.Context, h *Handle) error {
 		total += bytes[i]
 		peerTotal += peer[i]
 	}
+	n := s.d.rec.Net.Live()
 	if peerTotal > 0 {
-		s.d.rec.AddPullReply(0, 0, peerTotal)
+		atomic.AddInt64(&n.PullPeerBytes, peerTotal)
 		s.peerBytes += peerTotal
 	}
-	if h.bytes != 0 {
-		s.d.rec.AddResidentBytes(-h.bytes)
-	}
+	atomic.AddInt64(&n.PipelineOps, 1)
+	atomic.AddInt64(&n.ResidentBytes, total-h.bytes)
 	h.bytes = total
-	s.d.rec.AddPipelineOp(total)
 	return nil
 }
 

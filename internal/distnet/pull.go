@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"distme/internal/bmat"
 	"distme/internal/codec"
@@ -196,7 +197,7 @@ func (w *Worker) preparePull(args *multiplyArgs, reply *multiplyReply) error {
 		if sp.Active() {
 			sp.SetAttr("error", err.Error())
 		}
-		w.pullErrors.Add(1)
+		atomic.AddInt64(&w.pull.Live().Errors, 1)
 		return err
 	}
 	if sp.Active() {
@@ -205,9 +206,10 @@ func (w *Worker) preparePull(args *multiplyArgs, reply *multiplyReply) error {
 		sp.SetAttr("peer-bytes", fmt.Sprintf("%d", st.peerBytes))
 	}
 	reply.pullHits, reply.pullFetches, reply.pullPeerBytes = st.hits, st.fetches, st.peerBytes
-	w.pullHits.Add(st.hits)
-	w.pullFetches.Add(st.fetches)
-	w.pullPeerBytes.Add(st.peerBytes)
+	c := w.pull.Live()
+	atomic.AddInt64(&c.Hits, st.hits)
+	atomic.AddInt64(&c.PeerFetches, st.fetches)
+	atomic.AddInt64(&c.PeerBytes, st.peerBytes)
 	return nil
 }
 
@@ -216,8 +218,8 @@ func (w *Worker) preparePull(args *multiplyArgs, reply *multiplyReply) error {
 type WorkerPullStats struct {
 	// Hits counts manifest entries the content-addressed cache satisfied;
 	// PeerFetches/PeerBytes count the coalesced fetches issued and the
-	// payload they moved; Errors counts resolutions that failed (the driver
-	// then re-pushed inline).
+	// payload they moved (StoreStats counts the same fetches too); Errors
+	// counts resolutions that failed (the driver then re-pushed inline).
 	Hits        int64 `json:"hits"`
 	PeerFetches int64 `json:"peer_fetches"`
 	PeerBytes   int64 `json:"peer_bytes"`
@@ -225,11 +227,4 @@ type WorkerPullStats struct {
 }
 
 // PullStats snapshots the worker's pull-resolution counters.
-func (w *Worker) PullStats() WorkerPullStats {
-	return WorkerPullStats{
-		Hits:        w.pullHits.Load(),
-		PeerFetches: w.pullFetches.Load(),
-		PeerBytes:   w.pullPeerBytes.Load(),
-		Errors:      w.pullErrors.Load(),
-	}
-}
+func (w *Worker) PullStats() WorkerPullStats { return w.pull.Load() }

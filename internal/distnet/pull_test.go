@@ -108,6 +108,53 @@ func TestSessionMultiplyPullMatchesPush(t *testing.T) {
 	}
 }
 
+// TestPullFetchCountedInStoreAndPull pins that one pull fetch lands in two
+// worker counters: peerGet charges every worker→worker fetch to StoreStats,
+// and resolvePull charges the pull resolutions among them to
+// WorkerPullStats as well — store.peer_* contains pull.peer_*.
+func TestPullFetchCountedInStoreAndPull(t *testing.T) {
+	addrs, workers := startWorkers(t, 2)
+	d, err := Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx := context.Background()
+	a, b := pullTestOperands(104)
+	s := newSession(t, d)
+	ha, err := s.Put(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := s.Put(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func() (storeFetches, storeBytes, pullFetches, pullBytes int64) {
+		for _, w := range workers {
+			st, pl := w.StoreStats(), w.PullStats()
+			storeFetches, storeBytes = storeFetches+st.PeerFetches, storeBytes+st.PeerFetchBytes
+			pullFetches, pullBytes = pullFetches+pl.PeerFetches, pullBytes+pl.PeerBytes
+		}
+		return
+	}
+	sf0, sb0, pf0, pb0 := counts()
+	params := core.Params{P: 2, Q: 2, R: 1}
+	if _, _, err := s.Multiply(ctx, ha, hb, MultiplyOptions{Params: &params, Transfer: core.TransferPull}); err != nil {
+		t.Fatal(err)
+	}
+	sf1, sb1, pf1, pb1 := counts()
+	storeFetches, storeBytes, pullFetches, pullBytes := sf1-sf0, sb1-sb0, pf1-pf0, pb1-pb0
+	t.Logf("store +%d fetches / %d bytes, pull +%d fetches / %d bytes", storeFetches, storeBytes, pullFetches, pullBytes)
+	if pullFetches == 0 || pullBytes == 0 {
+		t.Fatal("the pull multiply fetched nothing from a peer")
+	}
+	if storeFetches != pullFetches || storeBytes != pullBytes {
+		t.Fatalf("store rose by %d fetches / %d bytes, pull by %d / %d: the one fetch must raise both alike",
+			storeFetches, storeBytes, pullFetches, pullBytes)
+	}
+}
+
 // TestSessionMultiplyPullDedup runs the same pull multiply twice in one
 // session: the second run's manifests must resolve from the workers'
 // content-addressed caches instead of re-fetching.

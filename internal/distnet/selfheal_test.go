@@ -221,24 +221,26 @@ func TestRetireDeadFlipsLongDeadMembers(t *testing.T) {
 	}
 }
 
+// TestJitterSeedPinsBackoffSchedule reads the delays retries sleep on: two
+// drivers dialled with one seed back off on the same schedule.
 func TestJitterSeedPinsBackoffSchedule(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
-	draw := func(seed int64) []int64 {
+	schedule := func(seed int64) []time.Duration {
 		d, err := DialOptions(addrs, Options{DisableHeartbeat: true, JitterSeed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer d.Close()
-		out := make([]int64, 8)
+		out := make([]time.Duration, 8)
 		for i := range out {
-			out[i] = d.jrand.Int63n(1 << 20)
+			out[i] = d.backoff.Delay(i + 1)
 		}
 		return out
 	}
-	a, b := draw(99), draw(99)
+	a, b := schedule(99), schedule(99)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("draw %d: %d vs %d — jitter not pinned by seed", i, a[i], b[i])
+			t.Fatalf("Delay(%d): %v vs %v — jitter not pinned by seed", i+1, a[i], b[i])
 		}
 	}
 }

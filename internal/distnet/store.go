@@ -28,7 +28,9 @@ type StoreStats struct {
 	// later read triggers a driver-side lineage rebuild).
 	Evictions int64 `json:"evictions"`
 	// PeerFetches counts worker→worker GetBlocks calls this worker issued;
-	// PeerFetchBytes is the payload they carried.
+	// PeerFetchBytes is the payload they carried. Both include the fetches
+	// pull resolution issues, which WorkerPullStats.PeerFetches/PeerBytes
+	// count again: store.peer_* contains pull.peer_*.
 	PeerFetches    int64 `json:"peer_fetches"`
 	PeerFetchBytes int64 `json:"peer_fetch_bytes"`
 	// PeerLinks breaks the aggregate peer-fetch counters down per remote

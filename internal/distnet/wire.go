@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"distme/internal/codec"
 	"distme/internal/metrics"
@@ -150,7 +151,9 @@ func (s blockSender) appendBlockRecs(w *codec.FrameWriter, recs []blockRec, epoc
 				w.Byte(blockRef)
 				w.Bytes(p.Digest[:])
 				if s.rec != nil {
-					s.rec.AddCacheRefSent(max(p.Size()-int64(len(p.Digest)), 0))
+					n := s.rec.Net.Live()
+					atomic.AddInt64(&n.CacheRefsSent, 1)
+					atomic.AddInt64(&n.CacheBytesSaved, max(p.Size()-int64(len(p.Digest)), 0))
 				}
 				continue
 			}
@@ -162,7 +165,9 @@ func (s blockSender) appendBlockRecs(w *codec.FrameWriter, recs []blockRec, epoc
 		w.AppendPrepared(p)
 		if enc != codec.EncodingFP64 && s.rec != nil {
 			// Bytes the job's encoding took off the raw form.
-			s.rec.AddEncodedBlock(max(p.RawSize-p.Size(), 0))
+			n := s.rec.Net.Live()
+			atomic.AddInt64(&n.EncodedBlocks, 1)
+			atomic.AddInt64(&n.EncodedBytesSaved, max(p.RawSize-p.Size(), 0))
 		}
 	}
 	return nil

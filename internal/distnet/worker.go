@@ -13,6 +13,7 @@ import (
 	"distme/internal/codec"
 	"distme/internal/core"
 	"distme/internal/matrix"
+	"distme/internal/metrics"
 	"distme/internal/obs"
 )
 
@@ -52,13 +53,8 @@ type Worker struct {
 	tracer    *obs.Tracer
 	inflightN atomic.Int64
 
-	// Pull-plane gauges: manifest entries the cache satisfied, coalesced
-	// peer fetches issued (and their payload), and failed resolutions (the
-	// driver then re-pushes inline). Snapshotted by PullStats.
-	pullHits      atomic.Int64
-	pullFetches   atomic.Int64
-	pullPeerBytes atomic.Int64
-	pullErrors    atomic.Int64
+	// pull counts the pull plane's resolutions (WorkerPullStats).
+	pull metrics.Counters[WorkerPullStats]
 
 	inflight     sync.WaitGroup
 	shutdownOnce sync.Once

@@ -98,7 +98,7 @@ func ExtWire(seed int64) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"payload priced by codec.EncodedBytes — the socket codec's own accounting — so the residual is frame headers and RPC envelopes only",
-		"elastic layer: "+rec.Net().String())
+		"elastic layer: "+rec.Net.Load().String())
 	return t, nil
 }
 

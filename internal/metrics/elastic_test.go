@@ -1,26 +1,27 @@
 package metrics
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
 func TestElasticStatsRecorderRoundTrip(t *testing.T) {
 	var r Recorder
-	r.AddTaskRetry()
-	r.AddTaskRetry()
-	r.AddSpeculative()
-	r.AddSpeculativeWin()
-	r.AddFetchRetry()
-	r.AddFetchRetry()
-	r.AddFetchRetry()
-	r.AddRecomputedPartial()
-	r.AddFaultInjected()
+	e := r.Elastic.Live()
+	atomic.AddInt64(&e.TaskRetries, 2)
+	atomic.AddInt64(&e.SpeculativeLaunched, 1)
+	atomic.AddInt64(&e.SpeculativeWins, 1)
+	atomic.AddInt64(&e.FetchRetries, 3)
+	atomic.AddInt64(&e.RecomputedPartials, 1)
+	atomic.AddInt64(&e.FaultsInjected, 1)
 
-	el := r.Elastic()
+	el := r.Elastic.Load()
 	want := ElasticStats{
 		TaskRetries: 2, SpeculativeLaunched: 1, SpeculativeWins: 1,
 		FetchRetries: 3, RecomputedPartials: 1, FaultsInjected: 1,
 	}
 	if el != want {
-		t.Fatalf("Elastic() = %+v, want %+v", el, want)
+		t.Fatalf("Elastic.Load() = %+v, want %+v", el, want)
 	}
 	if snap := r.Snapshot(); snap.Elastic != want {
 		t.Fatalf("Snapshot().Elastic = %+v, want %+v", snap.Elastic, want)
@@ -37,15 +38,5 @@ func TestElasticStatsSub(t *testing.T) {
 		FetchRetries: 4, RecomputedPartials: 3, FaultsInjected: 5}
 	if got != want {
 		t.Fatalf("Sub = %+v, want %+v", got, want)
-	}
-}
-
-func TestElasticStatsResets(t *testing.T) {
-	var r Recorder
-	r.AddTaskRetry()
-	r.AddFaultInjected()
-	r.Reset()
-	if el := r.Elastic(); el != (ElasticStats{}) {
-		t.Fatalf("Reset left elastic counters: %+v", el)
 	}
 }

@@ -3,6 +3,12 @@
 // matrix-aggregation steps, time spent in each of the three steps of
 // distributed matrix multiplication, and GPU PCI-E traffic. Counters are
 // safe for concurrent use by task goroutines.
+//
+// Each stats struct (NetStats, ElasticStats, and the per-job, per-worker
+// and per-member blocks of internal/distnet) is the only declaration of its
+// counters: a Counters block holds one live copy, call sites add to a field
+// by name with one atomic add, and the snapshot (Counters.Load) and the
+// difference (Sub) are derived from the struct's fields.
 package metrics
 
 import (
@@ -70,16 +76,7 @@ type ElasticStats struct {
 }
 
 // Sub returns the counter-wise difference e − o.
-func (e ElasticStats) Sub(o ElasticStats) ElasticStats {
-	return ElasticStats{
-		TaskRetries:         e.TaskRetries - o.TaskRetries,
-		SpeculativeLaunched: e.SpeculativeLaunched - o.SpeculativeLaunched,
-		SpeculativeWins:     e.SpeculativeWins - o.SpeculativeWins,
-		FetchRetries:        e.FetchRetries - o.FetchRetries,
-		RecomputedPartials:  e.RecomputedPartials - o.RecomputedPartials,
-		FaultsInjected:      e.FaultsInjected - o.FaultsInjected,
-	}
-}
+func (e ElasticStats) Sub(o ElasticStats) ElasticStats { return Sub(e, o) }
 
 // String renders the elastic counters compactly for logs and reports.
 func (e ElasticStats) String() string {
@@ -103,7 +100,7 @@ type NetStats struct {
 	// single RTT observed.
 	HeartbeatRTTNanos int64         `json:"heartbeat_rtt_nanos"`
 	HeartbeatRTTCount int64         `json:"heartbeat_rtt_count"`
-	HeartbeatRTTMax   time.Duration `json:"heartbeat_rtt_max_nanos"`
+	HeartbeatRTTMax   time.Duration `json:"heartbeat_rtt_max_nanos" metrics:"max"`
 	// Reconnects counts dead workers successfully redialed.
 	Reconnects int64 `json:"reconnects"`
 	// WorkersJoined and WorkersLeft count dynamic membership changes
@@ -204,53 +201,9 @@ func (n NetStats) HeartbeatRTTAvg() time.Duration {
 }
 
 // Sub returns the counter-wise difference n − o. HeartbeatRTTMax is kept
-// from n (a maximum does not subtract).
-func (n NetStats) Sub(o NetStats) NetStats {
-	return NetStats{
-		HeartbeatsSent:      n.HeartbeatsSent - o.HeartbeatsSent,
-		HeartbeatMisses:     n.HeartbeatMisses - o.HeartbeatMisses,
-		HeartbeatRTTNanos:   n.HeartbeatRTTNanos - o.HeartbeatRTTNanos,
-		HeartbeatRTTCount:   n.HeartbeatRTTCount - o.HeartbeatRTTCount,
-		HeartbeatRTTMax:     n.HeartbeatRTTMax,
-		Reconnects:          n.Reconnects - o.Reconnects,
-		WorkersJoined:       n.WorkersJoined - o.WorkersJoined,
-		WorkersLeft:         n.WorkersLeft - o.WorkersLeft,
-		WorkersDeclaredDead: n.WorkersDeclaredDead - o.WorkersDeclaredDead,
-		DeadlineTimeouts:    n.DeadlineTimeouts - o.DeadlineTimeouts,
-		CuboidRetries:       n.CuboidRetries - o.CuboidRetries,
-		LocalFallbacks:      n.LocalFallbacks - o.LocalFallbacks,
-		WireEncodeBytes:     n.WireEncodeBytes - o.WireEncodeBytes,
-		WireEncodeNanos:     n.WireEncodeNanos - o.WireEncodeNanos,
-		WireDecodeBytes:     n.WireDecodeBytes - o.WireDecodeBytes,
-		WireDecodeNanos:     n.WireDecodeNanos - o.WireDecodeNanos,
-		CacheRefsSent:       n.CacheRefsSent - o.CacheRefsSent,
-		CacheRefMisses:      n.CacheRefMisses - o.CacheRefMisses,
-		CacheBytesSaved:     n.CacheBytesSaved - o.CacheBytesSaved,
-		BlocksPrepared:      n.BlocksPrepared - o.BlocksPrepared,
-		EncodedBlocks:       n.EncodedBlocks - o.EncodedBlocks,
-		EncodedBytesSaved:   n.EncodedBytesSaved - o.EncodedBytesSaved,
-		BatchRPCs:           n.BatchRPCs - o.BatchRPCs,
-		BatchItems:          n.BatchItems - o.BatchItems,
-		BatchItemErrors:     n.BatchItemErrors - o.BatchItemErrors,
-		PipelinePuts:        n.PipelinePuts - o.PipelinePuts,
-		PipelinePutBytes:    n.PipelinePutBytes - o.PipelinePutBytes,
-		PipelineOps:         n.PipelineOps - o.PipelineOps,
-		PipelineFetches:     n.PipelineFetches - o.PipelineFetches,
-		PipelineFetchBytes:  n.PipelineFetchBytes - o.PipelineFetchBytes,
-		ResidentBytes:       n.ResidentBytes - o.ResidentBytes,
-		DriverBytesAvoided:  n.DriverBytesAvoided - o.DriverBytesAvoided,
-		PipelineRecoveries:  n.PipelineRecoveries - o.PipelineRecoveries,
-		ScaleUps:            n.ScaleUps - o.ScaleUps,
-		ScaleDowns:          n.ScaleDowns - o.ScaleDowns,
-		WorkersRetired:      n.WorkersRetired - o.WorkersRetired,
-		StragglerRPCs:       n.StragglerRPCs - o.StragglerRPCs,
-		PullJobs:            n.PullJobs - o.PullJobs,
-		PullCacheHits:       n.PullCacheHits - o.PullCacheHits,
-		PullPeerFetches:     n.PullPeerFetches - o.PullPeerFetches,
-		PullPeerBytes:       n.PullPeerBytes - o.PullPeerBytes,
-		PullFallbacks:       n.PullFallbacks - o.PullFallbacks,
-	}
-}
+// from n (a maximum does not subtract); ResidentBytes, a gauge, gives its
+// change.
+func (n NetStats) Sub(o NetStats) NetStats { return Sub(n, o) }
 
 // String renders the network-elasticity counters compactly.
 func (n NetStats) String() string {
@@ -272,296 +225,34 @@ func (n NetStats) String() string {
 			n.PullJobs, n.PullCacheHits, n.PullPeerFetches, FormatBytes(n.PullPeerBytes), n.PullFallbacks)
 }
 
-// Recorder accumulates per-step bytes and durations for one job. The zero
-// value is ready to use.
+// Recorder accumulates per-step bytes and durations for one job, and the
+// elasticity and network event counters. The zero value is ready to use.
 type Recorder struct {
 	bytes [numSteps]atomic.Int64
 	nanos [numSteps]atomic.Int64
 
-	retries      atomic.Int64
-	specLaunched atomic.Int64
-	specWins     atomic.Int64
-	fetchRetries atomic.Int64
-	recomputed   atomic.Int64
-	faults       atomic.Int64
-
-	heartbeats       atomic.Int64
-	heartbeatMisses  atomic.Int64
-	rttNanos         atomic.Int64
-	rttCount         atomic.Int64
-	rttMax           atomic.Int64
-	reconnects       atomic.Int64
-	workersJoined    atomic.Int64
-	workersLeft      atomic.Int64
-	workersDead      atomic.Int64
-	deadlineTimeouts atomic.Int64
-	cuboidRetries    atomic.Int64
-	localFallbacks   atomic.Int64
-
-	wireEncBytes    atomic.Int64
-	wireEncNanos    atomic.Int64
-	wireDecBytes    atomic.Int64
-	wireDecNanos    atomic.Int64
-	cacheRefsSent   atomic.Int64
-	cacheRefMisses  atomic.Int64
-	cacheBytesSaved atomic.Int64
-	blocksPrepared  atomic.Int64
-
-	encodedBlocks     atomic.Int64
-	encodedBytesSaved atomic.Int64
-	batchRPCs         atomic.Int64
-	batchItems        atomic.Int64
-	batchItemErrors   atomic.Int64
-
-	pipelinePuts       atomic.Int64
-	pipelinePutBytes   atomic.Int64
-	pipelineOps        atomic.Int64
-	pipelineFetches    atomic.Int64
-	pipelineFetchBytes atomic.Int64
-	residentBytes      atomic.Int64
-	driverBytesAvoided atomic.Int64
-	pipelineRecoveries atomic.Int64
-
-	scaleUps       atomic.Int64
-	scaleDowns     atomic.Int64
-	workersRetired atomic.Int64
-	stragglerRPCs  atomic.Int64
-
-	pullJobs        atomic.Int64
-	pullCacheHits   atomic.Int64
-	pullPeerFetches atomic.Int64
-	pullPeerBytes   atomic.Int64
-	pullFallbacks   atomic.Int64
+	// Net and Elastic are the event counters; a call site adds to the field
+	// it counts, atomic.AddInt64(&rec.Net.Live().CuboidRetries, 1), and
+	// Net.Load() / Elastic.Load() snapshot them.
+	Net     Counters[NetStats]
+	Elastic Counters[ElasticStats]
 
 	mu     sync.Mutex
 	spills int64 // bytes written to disk (E.D.C. accounting)
 }
 
-// AddHeartbeat records one failure-detector probe sent.
-func (r *Recorder) AddHeartbeat() { r.heartbeats.Add(1) }
-
-// AddHeartbeatMiss records a probe that failed or timed out.
-func (r *Recorder) AddHeartbeatMiss() { r.heartbeatMisses.Add(1) }
-
-// ObserveHeartbeatRTT records a successful probe's round-trip time.
+// ObserveHeartbeatRTT records a successful probe's round-trip time: its sum,
+// its count and the running maximum.
 func (r *Recorder) ObserveHeartbeatRTT(d time.Duration) {
-	r.rttNanos.Add(int64(d))
-	r.rttCount.Add(1)
+	n := r.Net.Live()
+	atomic.AddInt64(&n.HeartbeatRTTNanos, int64(d))
+	atomic.AddInt64(&n.HeartbeatRTTCount, 1)
+	max := (*int64)(&n.HeartbeatRTTMax)
 	for {
-		cur := r.rttMax.Load()
-		if int64(d) <= cur || r.rttMax.CompareAndSwap(cur, int64(d)) {
+		cur := atomic.LoadInt64(max)
+		if int64(d) <= cur || atomic.CompareAndSwapInt64(max, cur, int64(d)) {
 			return
 		}
-	}
-}
-
-// AddReconnect records a dead worker successfully redialed.
-func (r *Recorder) AddReconnect() { r.reconnects.Add(1) }
-
-// AddWorkerJoined records a worker added to the membership.
-func (r *Recorder) AddWorkerJoined() { r.workersJoined.Add(1) }
-
-// AddWorkerLeft records a worker removed from the membership.
-func (r *Recorder) AddWorkerLeft() { r.workersLeft.Add(1) }
-
-// AddWorkerDeclaredDead records a member retired by the failure detector or
-// a failed call.
-func (r *Recorder) AddWorkerDeclaredDead() { r.workersDead.Add(1) }
-
-// AddDeadlineTimeout records an RPC abandoned past its per-call deadline.
-func (r *Recorder) AddDeadlineTimeout() { r.deadlineTimeouts.Add(1) }
-
-// AddCuboidRetry records a cuboid scheduling attempt beyond the first.
-func (r *Recorder) AddCuboidRetry() { r.cuboidRetries.Add(1) }
-
-// AddLocalFallback records a cuboid computed locally on the driver.
-func (r *Recorder) AddLocalFallback() { r.localFallbacks.Add(1) }
-
-// AddWireEncode records one RPC frame encoded for the wire.
-func (r *Recorder) AddWireEncode(bytes int64, d time.Duration) {
-	r.wireEncBytes.Add(bytes)
-	r.wireEncNanos.Add(int64(d))
-}
-
-// AddWireDecode records one RPC body decoded from the wire.
-func (r *Recorder) AddWireDecode(bytes int64, d time.Duration) {
-	r.wireDecBytes.Add(bytes)
-	r.wireDecNanos.Add(int64(d))
-}
-
-// AddCacheRefSent records a block replaced by a digest reference on the
-// wire; saved is the encoded payload size the reference avoided.
-func (r *Recorder) AddCacheRefSent(saved int64) {
-	r.cacheRefsSent.Add(1)
-	r.cacheBytesSaved.Add(saved)
-}
-
-// AddBlockPrepared records one prepared wire record: a distinct operand
-// block encoded (and, when cacheable, digested) for its job.
-func (r *Recorder) AddBlockPrepared() { r.blocksPrepared.Add(1) }
-
-// AddCacheRefMiss records an unknown-digest refusal that forced an inline
-// resend.
-func (r *Recorder) AddCacheRefMiss() { r.cacheRefMisses.Add(1) }
-
-// AddEncodedBlock records one input block framed under an opt-in wire
-// encoding; saved is rawPlan − encodedPlan bytes (never negative: the
-// compressed encodings fall back to raw per block).
-func (r *Recorder) AddEncodedBlock(saved int64) {
-	r.encodedBlocks.Add(1)
-	r.encodedBytesSaved.Add(saved)
-}
-
-// AddBatchRPC records one MultiplyBatch call carrying items cuboids.
-func (r *Recorder) AddBatchRPC(items int) {
-	r.batchRPCs.Add(1)
-	r.batchItems.Add(int64(items))
-}
-
-// AddBatchItemError records one per-item failure inside a batch reply.
-func (r *Recorder) AddBatchItemError() { r.batchItemErrors.Add(1) }
-
-// AddPipelinePut records one Handle upload of n payload bytes into the
-// distributed block store, and raises the resident gauge.
-func (r *Recorder) AddPipelinePut(n int64) {
-	r.pipelinePuts.Add(1)
-	r.pipelinePutBytes.Add(n)
-	r.residentBytes.Add(n)
-}
-
-// AddPipelineOp records one worker-side pipeline operator executed, whose
-// output adds n bytes to the resident gauge.
-func (r *Recorder) AddPipelineOp(n int64) {
-	r.pipelineOps.Add(1)
-	r.residentBytes.Add(n)
-}
-
-// AddPipelineFetch records one final result of n bytes crossing back to the
-// driver.
-func (r *Recorder) AddPipelineFetch(n int64) {
-	r.pipelineFetches.Add(1)
-	r.pipelineFetchBytes.Add(n)
-}
-
-// AddResidentBytes adjusts the resident gauge by delta (negative on Free).
-func (r *Recorder) AddResidentBytes(delta int64) { r.residentBytes.Add(delta) }
-
-// AddDriverBytesAvoided records the Eq.(4)-modeled driver traffic a resident
-// pipeline saved over materialize-every-op execution.
-func (r *Recorder) AddDriverBytesAvoided(n int64) { r.driverBytesAvoided.Add(n) }
-
-// AddPipelineRecovery records one lineage rebuild of resident handles after
-// a worker loss or eviction.
-func (r *Recorder) AddPipelineRecovery() { r.pipelineRecoveries.Add(1) }
-
-// AddScaleUp records one autoscaler scale-up applied (a worker added).
-func (r *Recorder) AddScaleUp() { r.scaleUps.Add(1) }
-
-// AddScaleDown records one autoscaler scale-down applied (a worker drained
-// out of rotation).
-func (r *Recorder) AddScaleDown() { r.scaleDowns.Add(1) }
-
-// AddWorkerRetired records a dead member reaped from the table by the
-// autoscaler's housekeeping.
-func (r *Recorder) AddWorkerRetired() { r.workersRetired.Add(1) }
-
-// AddStragglerRPC records a successful cuboid RPC slower than the straggler
-// multiple of the rolling mean.
-func (r *Recorder) AddStragglerRPC() { r.stragglerRPCs.Add(1) }
-
-// AddPullJob records one cuboid dispatched in pull mode (manifests on the
-// wire instead of operand blocks).
-func (r *Recorder) AddPullJob() { r.pullJobs.Add(1) }
-
-// AddPullReply folds one pull reply's resolution counters in: manifest
-// entries the worker's cache satisfied, peer fetches it issued, and the
-// peer bytes they moved.
-func (r *Recorder) AddPullReply(hits, fetches, bytes int64) {
-	r.pullCacheHits.Add(hits)
-	r.pullPeerFetches.Add(fetches)
-	r.pullPeerBytes.Add(bytes)
-}
-
-// AddPullFallback records one pull cuboid downgraded to an inline push after
-// a failed manifest resolution.
-func (r *Recorder) AddPullFallback() { r.pullFallbacks.Add(1) }
-
-// Net returns the current real-network elasticity counters.
-func (r *Recorder) Net() NetStats {
-	return NetStats{
-		HeartbeatsSent:      r.heartbeats.Load(),
-		HeartbeatMisses:     r.heartbeatMisses.Load(),
-		HeartbeatRTTNanos:   r.rttNanos.Load(),
-		HeartbeatRTTCount:   r.rttCount.Load(),
-		HeartbeatRTTMax:     time.Duration(r.rttMax.Load()),
-		Reconnects:          r.reconnects.Load(),
-		WorkersJoined:       r.workersJoined.Load(),
-		WorkersLeft:         r.workersLeft.Load(),
-		WorkersDeclaredDead: r.workersDead.Load(),
-		DeadlineTimeouts:    r.deadlineTimeouts.Load(),
-		CuboidRetries:       r.cuboidRetries.Load(),
-		LocalFallbacks:      r.localFallbacks.Load(),
-		WireEncodeBytes:     r.wireEncBytes.Load(),
-		WireEncodeNanos:     r.wireEncNanos.Load(),
-		WireDecodeBytes:     r.wireDecBytes.Load(),
-		WireDecodeNanos:     r.wireDecNanos.Load(),
-		CacheRefsSent:       r.cacheRefsSent.Load(),
-		CacheRefMisses:      r.cacheRefMisses.Load(),
-		CacheBytesSaved:     r.cacheBytesSaved.Load(),
-		BlocksPrepared:      r.blocksPrepared.Load(),
-		EncodedBlocks:       r.encodedBlocks.Load(),
-		EncodedBytesSaved:   r.encodedBytesSaved.Load(),
-		BatchRPCs:           r.batchRPCs.Load(),
-		BatchItems:          r.batchItems.Load(),
-		BatchItemErrors:     r.batchItemErrors.Load(),
-		PipelinePuts:        r.pipelinePuts.Load(),
-		PipelinePutBytes:    r.pipelinePutBytes.Load(),
-		PipelineOps:         r.pipelineOps.Load(),
-		PipelineFetches:     r.pipelineFetches.Load(),
-		PipelineFetchBytes:  r.pipelineFetchBytes.Load(),
-		ResidentBytes:       r.residentBytes.Load(),
-		DriverBytesAvoided:  r.driverBytesAvoided.Load(),
-		PipelineRecoveries:  r.pipelineRecoveries.Load(),
-		ScaleUps:            r.scaleUps.Load(),
-		ScaleDowns:          r.scaleDowns.Load(),
-		WorkersRetired:      r.workersRetired.Load(),
-		StragglerRPCs:       r.stragglerRPCs.Load(),
-		PullJobs:            r.pullJobs.Load(),
-		PullCacheHits:       r.pullCacheHits.Load(),
-		PullPeerFetches:     r.pullPeerFetches.Load(),
-		PullPeerBytes:       r.pullPeerBytes.Load(),
-		PullFallbacks:       r.pullFallbacks.Load(),
-	}
-}
-
-// AddTaskRetry records one task re-execution after a failed attempt.
-func (r *Recorder) AddTaskRetry() { r.retries.Add(1) }
-
-// AddSpeculative records one speculative straggler copy launched.
-func (r *Recorder) AddSpeculative() { r.specLaunched.Add(1) }
-
-// AddSpeculativeWin records a speculative copy finishing first.
-func (r *Recorder) AddSpeculativeWin() { r.specWins.Add(1) }
-
-// AddFetchRetry records one transient shuffle-fetch failure that was retried.
-func (r *Recorder) AddFetchRetry() { r.fetchRetries.Add(1) }
-
-// AddRecomputedPartial records one aggregation partial recomputed from
-// lineage after loss.
-func (r *Recorder) AddRecomputedPartial() { r.recomputed.Add(1) }
-
-// AddFaultInjected records one fault delivered by the injector.
-func (r *Recorder) AddFaultInjected() { r.faults.Add(1) }
-
-// Elastic returns the current elastic-execution counters.
-func (r *Recorder) Elastic() ElasticStats {
-	return ElasticStats{
-		TaskRetries:         r.retries.Load(),
-		SpeculativeLaunched: r.specLaunched.Load(),
-		SpeculativeWins:     r.specWins.Load(),
-		FetchRetries:        r.fetchRetries.Load(),
-		RecomputedPartials:  r.recomputed.Load(),
-		FaultsInjected:      r.faults.Load(),
 	}
 }
 
@@ -597,65 +288,6 @@ func (r *Recorder) SpillBytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.spills
-}
-
-// Reset zeroes every counter.
-func (r *Recorder) Reset() {
-	for i := range r.bytes {
-		r.bytes[i].Store(0)
-		r.nanos[i].Store(0)
-	}
-	r.retries.Store(0)
-	r.specLaunched.Store(0)
-	r.specWins.Store(0)
-	r.fetchRetries.Store(0)
-	r.recomputed.Store(0)
-	r.faults.Store(0)
-	r.heartbeats.Store(0)
-	r.heartbeatMisses.Store(0)
-	r.rttNanos.Store(0)
-	r.rttCount.Store(0)
-	r.rttMax.Store(0)
-	r.reconnects.Store(0)
-	r.workersJoined.Store(0)
-	r.workersLeft.Store(0)
-	r.workersDead.Store(0)
-	r.deadlineTimeouts.Store(0)
-	r.cuboidRetries.Store(0)
-	r.localFallbacks.Store(0)
-	r.wireEncBytes.Store(0)
-	r.wireEncNanos.Store(0)
-	r.wireDecBytes.Store(0)
-	r.wireDecNanos.Store(0)
-	r.cacheRefsSent.Store(0)
-	r.cacheRefMisses.Store(0)
-	r.cacheBytesSaved.Store(0)
-	r.blocksPrepared.Store(0)
-	r.encodedBlocks.Store(0)
-	r.encodedBytesSaved.Store(0)
-	r.batchRPCs.Store(0)
-	r.batchItems.Store(0)
-	r.batchItemErrors.Store(0)
-	r.pipelinePuts.Store(0)
-	r.pipelinePutBytes.Store(0)
-	r.pipelineOps.Store(0)
-	r.pipelineFetches.Store(0)
-	r.pipelineFetchBytes.Store(0)
-	r.residentBytes.Store(0)
-	r.driverBytesAvoided.Store(0)
-	r.pipelineRecoveries.Store(0)
-	r.scaleUps.Store(0)
-	r.scaleDowns.Store(0)
-	r.workersRetired.Store(0)
-	r.stragglerRPCs.Store(0)
-	r.pullJobs.Store(0)
-	r.pullCacheHits.Store(0)
-	r.pullPeerFetches.Store(0)
-	r.pullPeerBytes.Store(0)
-	r.pullFallbacks.Store(0)
-	r.mu.Lock()
-	r.spills = 0
-	r.mu.Unlock()
 }
 
 // StepRatios returns the fraction of total recorded time spent in the three
@@ -701,8 +333,8 @@ func (r *Recorder) Snapshot() Snapshot {
 		Aggregation:      r.Duration(StepAggregation),
 		PCIE:             r.Duration(StepPCIE),
 		SpillBytes:       r.SpillBytes(),
-		Elastic:          r.Elastic(),
-		Net:              r.Net(),
+		Elastic:          r.Elastic.Load(),
+		Net:              r.Net.Load(),
 	}
 }
 
@@ -711,20 +343,7 @@ func (s Snapshot) CommunicationBytes() int64 { return s.RepartitionBytes + s.Agg
 
 // Sub returns the counter-wise difference s − o, used to isolate the traffic
 // of one operation from a cumulative recorder.
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	return Snapshot{
-		RepartitionBytes: s.RepartitionBytes - o.RepartitionBytes,
-		AggregationBytes: s.AggregationBytes - o.AggregationBytes,
-		PCIEBytes:        s.PCIEBytes - o.PCIEBytes,
-		Repartition:      s.Repartition - o.Repartition,
-		LocalMultiply:    s.LocalMultiply - o.LocalMultiply,
-		Aggregation:      s.Aggregation - o.Aggregation,
-		PCIE:             s.PCIE - o.PCIE,
-		SpillBytes:       s.SpillBytes - o.SpillBytes,
-		Elastic:          s.Elastic.Sub(o.Elastic),
-		Net:              s.Net.Sub(o.Net),
-	}
-}
+func (s Snapshot) Sub(o Snapshot) Snapshot { return Sub(s, o) }
 
 // String renders the snapshot compactly for logs and example output.
 func (s Snapshot) String() string {

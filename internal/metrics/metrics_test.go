@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -26,6 +27,18 @@ func TestRecorderBytesAndDurations(t *testing.T) {
 func TestRecorderConcurrentSafety(t *testing.T) {
 	var r Recorder
 	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	go func() {
+		// A reader snapshotting mid-flight: under -race, Load must be atomic.
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = r.Snapshot()
+			}
+		}
+	}()
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
@@ -33,15 +46,26 @@ func TestRecorderConcurrentSafety(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				r.AddBytes(StepPCIE, 1)
 				r.AddSpill(1)
+				atomic.AddInt64(&r.Net.Live().CuboidRetries, 1)
+				atomic.AddInt64(&r.Elastic.Live().TaskRetries, 1)
+				r.ObserveHeartbeatRTT(time.Duration(j))
 			}
 		}()
 	}
 	wg.Wait()
+	close(stop)
 	if r.Bytes(StepPCIE) != 16000 {
 		t.Fatalf("lost updates: %d", r.Bytes(StepPCIE))
 	}
 	if r.SpillBytes() != 16000 {
 		t.Fatalf("lost spills: %d", r.SpillBytes())
+	}
+	net, el := r.Net.Load(), r.Elastic.Load()
+	if net.CuboidRetries != 16000 || el.TaskRetries != 16000 {
+		t.Fatalf("lost counter adds: cuboid_retries %d, task_retries %d", net.CuboidRetries, el.TaskRetries)
+	}
+	if net.HeartbeatRTTCount != 16000 || net.HeartbeatRTTNanos != 16*999*1000/2 || net.HeartbeatRTTMax != 999 {
+		t.Fatalf("heartbeat RTT count %d, sum %d, max %v", net.HeartbeatRTTCount, net.HeartbeatRTTNanos, net.HeartbeatRTTMax)
 	}
 }
 
@@ -61,17 +85,6 @@ func TestStepRatiosEmpty(t *testing.T) {
 	a, b, c := r.StepRatios()
 	if a != 0 || b != 0 || c != 0 {
 		t.Fatal("empty recorder should report zero ratios")
-	}
-}
-
-func TestReset(t *testing.T) {
-	var r Recorder
-	r.AddBytes(StepRepartition, 5)
-	r.AddDuration(StepRepartition, time.Second)
-	r.AddSpill(7)
-	r.Reset()
-	if r.Bytes(StepRepartition) != 0 || r.Duration(StepRepartition) != 0 || r.SpillBytes() != 0 {
-		t.Fatal("Reset left residue")
 	}
 }
 
