@@ -38,9 +38,13 @@ fuzz-smoke:
 
 # The sockets speak internal/codec's call layer; net/rpc stays out of the
 # tree, tests included — an import of it fails here with its file:line.
+# internal/distnet sits below the engine and the queries: its non-test
+# dependencies must not reach internal/engine or internal/ml, or the engine
+# could never run on the TCP executor without an import cycle.
 vet:
 	$(GO) vet ./...
 	@if grep -rn --include='*.go' '"net/rpc"' .; then echo 'vet: net/rpc imported above; use internal/codec calls' >&2; exit 1; fi
+	@if $(GO) list -deps ./internal/distnet | grep -xE 'distme/internal/(engine|ml)'; then echo 'vet: internal/distnet depends on the package above; it must not import internal/engine or internal/ml' >&2; exit 1; fi
 
 # Every ```go fence in README.md and docs/*.md must build against the
 # current API, and every internal/<pkg>, cmd/<name> or examples/<name> path

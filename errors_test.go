@@ -11,7 +11,6 @@ import (
 
 	"distme"
 	"distme/internal/distnet"
-	"distme/internal/ml"
 )
 
 // Each sentinel is exercised end-to-end: a public API call is driven into
@@ -196,15 +195,14 @@ func strictDistnetOpts() distnet.Options {
 	return distnet.Options{
 		DisableHeartbeat:     true,
 		DisableLocalFallback: true,
-		JobAttempts:          2,
 		RetryBackoff:         100 * time.Microsecond,
 		MaxBackoff:           time.Millisecond,
 	}
 }
 
-// TestErrWorkerDeadThroughLayers kills the whole worker pool under a running
-// GNMF stack: the distnet sentinel must match at the package root after
-// crossing the driver, the hybrid, and the ml layer.
+// TestErrWorkerDeadThroughLayers kills the whole worker pool under a
+// multiply: the distnet sentinel must match at the package root after
+// crossing the driver's retries.
 func TestErrWorkerDeadThroughLayers(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -226,14 +224,12 @@ func TestErrWorkerDeadThroughLayers(t *testing.T) {
 	w.Shutdown(ctx)
 	l.Close()
 
-	eng := chaosEngine(t, distme.Faults{})
-	hybrid := distnet.NewHybrid(d, eng, 1<<30)
-	hybrid.DisableLocalFallback = true
 	rng := rand.New(rand.NewSource(8))
-	v := distme.RandomSparse(rng, 16, 12, 4, 0.3)
-	_, err = ml.GNMF(context.Background(), hybrid, v, distme.GNMFOptions{Rank: 3, Iterations: 1, Seed: 1})
+	a := distme.RandomSparse(rng, 16, 12, 4, 0.3)
+	b := distme.RandomDense(rng, 12, 8, 4)
+	_, _, err = d.Execute(context.Background(), a, b, distnet.MultiplyOptions{})
 	if !errors.Is(err, distme.ErrWorkerDead) {
-		t.Fatalf("want ErrWorkerDead through driver→hybrid→ml, got %v", err)
+		t.Fatalf("want ErrWorkerDead through the driver, got %v", err)
 	}
 }
 
@@ -297,7 +293,7 @@ func startLaggedWorker(t *testing.T, lag time.Duration) string {
 	return pl.Addr().String()
 }
 
-// TestErrDeadlineExceededThroughLayers points the hybrid at a worker whose
+// TestErrDeadlineExceededThroughLayers points the driver at a worker whose
 // every answer lags past the call deadline; the per-call deadline must
 // surface as the root sentinel and also match context.DeadlineExceeded.
 func TestErrDeadlineExceededThroughLayers(t *testing.T) {
@@ -310,14 +306,11 @@ func TestErrDeadlineExceededThroughLayers(t *testing.T) {
 	}
 	defer d.Close()
 
-	eng := chaosEngine(t, distme.Faults{})
-	hybrid := distnet.NewHybrid(d, eng, 1<<30)
-	hybrid.DisableLocalFallback = true
 	rng := rand.New(rand.NewSource(9))
 	a := distme.RandomDense(rng, 8, 8, 4)
-	_, err = hybrid.Multiply(context.Background(), a, a)
+	_, _, err = d.Execute(context.Background(), a, a, distnet.MultiplyOptions{})
 	if !errors.Is(err, distme.ErrDeadlineExceeded) {
-		t.Fatalf("want ErrDeadlineExceeded through driver→hybrid, got %v", err)
+		t.Fatalf("want ErrDeadlineExceeded through the driver, got %v", err)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline error should also match context.DeadlineExceeded, got %v", err)

@@ -111,72 +111,97 @@ func zipCheck(op string, a, b *BlockMatrix) {
 	}
 }
 
-// Add returns a+b block-wise.
-func Add(a, b *BlockMatrix) *BlockMatrix {
-	zipCheck("Add", a, b)
+// ZipOp is an element-wise operator over two conformable block matrices.
+type ZipOp uint8
+
+const (
+	ZipAdd ZipOp = iota
+	ZipSub
+	ZipHadamard
+	ZipDivElem
+)
+
+// ZipBlock computes op at one block position: x is the left operand's block
+// and y the right's, either nil where its matrix stores none, never both.
+// These are the nil-block rules of every element-wise path — Add, Sub,
+// Hadamard and DivElem here, the engine's block-parallel operators and the
+// workers' pipeline operators: a missing Add operand leaves the other
+// densified, a missing Sub minuend negates the subtrahend (a missing
+// subtrahend densifies the minuend), Hadamard drops a block either side
+// lacks, and DivElem divides by the eps guard where y lacks a block and
+// yields nothing where x does (see matrix.DivElem). A nil result stores no
+// block.
+func ZipBlock(op ZipOp, x, y matrix.Block, eps float64) matrix.Block {
+	switch op {
+	case ZipAdd:
+		switch {
+		case x == nil:
+			return y.Dense()
+		case y == nil:
+			return x.Dense()
+		}
+		return matrix.Add(x, y)
+	case ZipSub:
+		switch {
+		case x == nil:
+			return matrix.Scale(-1, y)
+		case y == nil:
+			return x.Dense()
+		}
+		return matrix.Sub(x, y)
+	case ZipHadamard:
+		if x == nil || y == nil {
+			return nil
+		}
+		return matrix.Hadamard(x, y)
+	case ZipDivElem:
+		if x == nil {
+			return nil
+		}
+		if y == nil {
+			r, c := x.Dims()
+			y = matrix.NewDense(r, c)
+		}
+		return matrix.DivElem(x, y, eps)
+	}
+	panic(fmt.Sprintf("bmat: unknown element-wise op %d", op))
+}
+
+// zip applies op at every block position either operand stores.
+func zip(name string, op ZipOp, a, b *BlockMatrix, eps float64) *BlockMatrix {
+	zipCheck(name, a, b)
 	out := New(a.Rows, a.Cols, a.BlockSize)
-	for k, ab := range a.blocks {
-		if bb, ok := b.blocks[k]; ok {
-			out.blocks[k] = matrix.Add(ab, bb)
-		} else {
-			out.blocks[k] = ab.Dense()
+	set := func(k BlockKey, x, y matrix.Block) {
+		if blk := ZipBlock(op, x, y, eps); blk != nil {
+			out.blocks[k] = blk
 		}
 	}
-	for k, bb := range b.blocks {
+	for k, x := range a.blocks {
+		set(k, x, b.blocks[k])
+	}
+	for k, y := range b.blocks {
 		if _, ok := a.blocks[k]; !ok {
-			out.blocks[k] = bb.Dense()
+			set(k, nil, y)
 		}
 	}
 	return out
 }
 
+// Add returns a+b block-wise.
+func Add(a, b *BlockMatrix) *BlockMatrix { return zip("Add", ZipAdd, a, b, 0) }
+
 // Sub returns a−b block-wise.
-func Sub(a, b *BlockMatrix) *BlockMatrix {
-	zipCheck("Sub", a, b)
-	out := New(a.Rows, a.Cols, a.BlockSize)
-	for k, ab := range a.blocks {
-		if bb, ok := b.blocks[k]; ok {
-			out.blocks[k] = matrix.Sub(ab, bb)
-		} else {
-			out.blocks[k] = ab.Dense()
-		}
-	}
-	for k, bb := range b.blocks {
-		if _, ok := a.blocks[k]; !ok {
-			out.blocks[k] = matrix.Scale(-1, bb)
-		}
-	}
-	return out
-}
+func Sub(a, b *BlockMatrix) *BlockMatrix { return zip("Sub", ZipSub, a, b, 0) }
 
 // Hadamard returns the element-wise product a∘b. Blocks present in only one
 // operand multiply to zero and are dropped.
-func Hadamard(a, b *BlockMatrix) *BlockMatrix {
-	zipCheck("Hadamard", a, b)
-	out := New(a.Rows, a.Cols, a.BlockSize)
-	for k, ab := range a.blocks {
-		if bb, ok := b.blocks[k]; ok {
-			out.blocks[k] = matrix.Hadamard(ab, bb)
-		}
-	}
-	return out
-}
+func Hadamard(a, b *BlockMatrix) *BlockMatrix { return zip("Hadamard", ZipHadamard, a, b, 0) }
 
 // DivElem returns a⊘b element-wise with an epsilon guard on denominators
 // (see matrix.DivElem). Every block position of a must be evaluated: where b
 // has no block the denominator is the eps guard.
 func DivElem(a, b *BlockMatrix, eps float64) *BlockMatrix {
-	zipCheck("DivElem", a, b)
-	out := New(a.Rows, a.Cols, a.BlockSize)
-	for k, ab := range a.blocks {
-		bb := b.blocks[k]
-		if bb == nil {
-			r, c := a.BlockDims(k.I, k.J)
-			bb = matrix.NewDense(r, c)
-		}
-		out.blocks[k] = matrix.DivElem(ab, bb, eps)
-	}
-	return out
+	return zip("DivElem", ZipDivElem, a, b, eps)
 }
 
 // Scale returns s·a block-wise.

@@ -64,6 +64,53 @@ func TestHadamardDropsOneSidedBlocks(t *testing.T) {
 	}
 }
 
+// TestZipBlockNilRules pins the nil-block rule of each element-wise
+// operator for a block only the left operand stores, only the right one
+// stores, and both store. Operands are sparse, so every stored result must
+// also come back dense.
+func TestZipBlockNilRules(t *testing.T) {
+	x := matrix.NewCSRFromDense(matrix.NewDenseData(2, 2, []float64{1, 0, 3, 4}))
+	y := matrix.NewCSRFromDense(matrix.NewDenseData(2, 2, []float64{2, 4, 0, 16}))
+	const eps = 0.5
+	for _, tc := range []struct {
+		name string
+		op   ZipOp
+		x, y matrix.Block
+		want []float64 // nil: no block
+	}{
+		{"add x only", ZipAdd, x, nil, []float64{1, 0, 3, 4}},
+		{"add y only", ZipAdd, nil, y, []float64{2, 4, 0, 16}},
+		{"add both", ZipAdd, x, y, []float64{3, 4, 3, 20}},
+		{"sub x only", ZipSub, x, nil, []float64{1, 0, 3, 4}},
+		{"sub y only", ZipSub, nil, y, []float64{-2, -4, 0, -16}},
+		{"sub both", ZipSub, x, y, []float64{-1, -4, 3, -12}},
+		{"hadamard x only", ZipHadamard, x, nil, nil},
+		{"hadamard y only", ZipHadamard, nil, y, nil},
+		{"hadamard both", ZipHadamard, x, y, []float64{2, 0, 0, 64}},
+		{"divelem x only", ZipDivElem, x, nil, []float64{2, 0, 6, 8}},
+		{"divelem y only", ZipDivElem, nil, y, nil},
+		{"divelem both", ZipDivElem, x, y, []float64{0.5, 0, 6, 0.25}},
+	} {
+		got := ZipBlock(tc.op, tc.x, tc.y, eps)
+		if tc.want == nil {
+			if got != nil {
+				t.Errorf("%s: stored a block, want none", tc.name)
+			}
+			continue
+		}
+		d, ok := got.(*matrix.Dense)
+		if !ok {
+			t.Errorf("%s: got %T, want a dense block", tc.name, got)
+			continue
+		}
+		for i, v := range tc.want {
+			if d.Data[i] != v {
+				t.Errorf("%s: element %d = %v, want %v", tc.name, i, d.Data[i], v)
+			}
+		}
+	}
+}
+
 func TestDivElemGuard(t *testing.T) {
 	a := New(2, 2, 2)
 	a.SetBlock(0, 0, matrix.NewDenseData(2, 2, []float64{1, 2, 3, 4}))

@@ -59,6 +59,13 @@ type Autoscaler interface {
 	Decide(h ClusterHealth) ScaleDecision
 }
 
+// A worker at or below unhealthyScore, or flapping, for unhealthyAfter
+// consecutive ticks is drained out of rotation even under load.
+const (
+	unhealthyScore = 0.3
+	unhealthyAfter = 4
+)
+
 // HysteresisPolicy is the default Autoscaler: scale up on sustained queue
 // pressure or straggling, drain on sustained idleness or a flapping /
 // persistently unhealthy worker, with cooldowns between decisions so one
@@ -78,11 +85,6 @@ type HysteresisPolicy struct {
 	// of the lowest-scoring worker (defaults 0.15 and 8).
 	DownPressure float64
 	DownAfter    int
-	// UnhealthyScore is the health score below which a worker, flapping or
-	// failing for UnhealthyAfter consecutive ticks, is drained out of
-	// rotation even under load (defaults 0.3 and 4).
-	UnhealthyScore float64
-	UnhealthyAfter int
 	// CooldownTicks holds all decisions for this many ticks after any
 	// non-hold decision (default 8), letting the last action take effect
 	// before the next is considered.
@@ -110,12 +112,6 @@ func (p *HysteresisPolicy) defaults() {
 	}
 	if p.DownAfter <= 0 {
 		p.DownAfter = 8
-	}
-	if p.UnhealthyScore <= 0 {
-		p.UnhealthyScore = 0.3
-	}
-	if p.UnhealthyAfter <= 0 {
-		p.UnhealthyAfter = 4
 	}
 	if p.CooldownTicks <= 0 {
 		p.CooldownTicks = 8
@@ -147,12 +143,12 @@ func (p *HysteresisPolicy) Decide(h ClusterHealth) ScaleDecision {
 			continue // dead and draining workers are not drain candidates
 		}
 		seen[w.Addr] = true
-		if w.Score <= p.UnhealthyScore || w.Flapping {
+		if w.Score <= unhealthyScore || w.Flapping {
 			p.unhealthy[w.Addr]++
 		} else {
 			delete(p.unhealthy, w.Addr)
 		}
-		if t := p.unhealthy[w.Addr]; t >= p.UnhealthyAfter && t > victimTicks {
+		if t := p.unhealthy[w.Addr]; t >= unhealthyAfter && t > victimTicks {
 			victim, victimTicks = w.Addr, t
 		}
 	}
@@ -244,9 +240,6 @@ type AutoscalerOptions struct {
 	// flips it to Removed so the detector stops redialing it (default 30s;
 	// negative disables retirement).
 	RetireAfter time.Duration
-	// OnEvent, when set, observes every non-hold decision after it was
-	// applied (test and soak hook; called on the supervisor goroutine).
-	OnEvent func(ScaleEvent)
 }
 
 func (o AutoscalerOptions) withDefaults() AutoscalerOptions {
@@ -336,9 +329,6 @@ func (r *scalerRun) record(ev ScaleEvent) {
 		r.events = r.events[len(r.events)-scaleEventCap:]
 	}
 	r.mu.Unlock()
-	if r.opts.OnEvent != nil {
-		r.opts.OnEvent(ev)
-	}
 }
 
 func (r *scalerRun) run() {

@@ -16,7 +16,8 @@ const DefaultCacheBytes int64 = 256 << 20
 // under a serial workload the window behaves like "keep blocks for the last
 // N jobs"; under a concurrent serving workload it is what lets many
 // in-flight jobs share one content-addressed cache instead of purging each
-// other on every epoch bump.
+// other on every epoch bump. The driver's sendTracker ages its sent set by
+// the same window, so it never references a block the worker has dropped.
 const DefaultCacheEpochWindow = 32
 
 // CacheStats is a snapshot of one worker's block-cache counters.
@@ -40,18 +41,17 @@ type CacheStats struct {
 // addressing — a digest hit can only ever return the exact bytes the driver
 // hashed — so the job epoch is purely a lifecycle bound. Each entry
 // remembers the newest epoch that touched it, and entries whose epoch falls
-// more than epochWindow behind the newest epoch seen are purged. That keeps
-// residency bounded across job churn (the original single-epoch guarantee,
-// relaxed to a window) while letting concurrent jobs — which each carry a
-// distinct epoch — share warm blocks instead of purging each other.
+// more than DefaultCacheEpochWindow behind the newest epoch seen are
+// purged. That keeps residency bounded across job churn while letting
+// concurrent jobs — which each carry a distinct epoch — share warm blocks
+// instead of purging each other.
 type blockCache struct {
-	mu          sync.Mutex
-	capBytes    int64
-	bytes       int64
-	epoch       uint64 // newest epoch observed
-	epochWindow uint64
-	ll          *list.List // front = most recently used
-	byDigest    map[codec.Digest]*list.Element
+	mu       sync.Mutex
+	capBytes int64
+	bytes    int64
+	epoch    uint64     // newest epoch observed
+	ll       *list.List // front = most recently used
+	byDigest map[codec.Digest]*list.Element
 
 	insertions, hits, misses, evictions int64
 }
@@ -66,22 +66,17 @@ type cacheEntry struct {
 // newBlockCache sizes a cache; capBytes 0 takes the default, negative
 // disables caching entirely (returns nil; lookups then miss and inserts
 // drop, which the wire protocol's resend path already tolerates).
-// epochWindow 0 takes DefaultCacheEpochWindow.
-func newBlockCache(capBytes int64, epochWindow int) *blockCache {
+func newBlockCache(capBytes int64) *blockCache {
 	if capBytes == 0 {
 		capBytes = DefaultCacheBytes
 	}
 	if capBytes < 0 {
 		return nil
 	}
-	if epochWindow <= 0 {
-		epochWindow = DefaultCacheEpochWindow
-	}
 	return &blockCache{
-		capBytes:    capBytes,
-		epochWindow: uint64(epochWindow),
-		ll:          list.New(),
-		byDigest:    map[codec.Digest]*list.Element{},
+		capBytes: capBytes,
+		ll:       list.New(),
+		byDigest: map[codec.Digest]*list.Element{},
 	}
 }
 
@@ -160,10 +155,10 @@ func (c *blockCache) lookup(epoch uint64, dg codec.Digest) (matrix.Block, bool) 
 // only runs when the newest-epoch watermark advances (once per job), and
 // residency is already byte-bounded, so the walk stays cheap.
 func (c *blockCache) expireLocked() {
-	if c.epoch <= c.epochWindow {
+	if c.epoch <= DefaultCacheEpochWindow {
 		return
 	}
-	floor := c.epoch - c.epochWindow
+	floor := c.epoch - DefaultCacheEpochWindow
 	for el := c.ll.Back(); el != nil; {
 		prev := el.Prev()
 		e := el.Value.(*cacheEntry)

@@ -124,7 +124,7 @@ func TestWorkerRestartMidJobMissesCleanly(t *testing.T) {
 			args.BBlocks = append(args.BBlocks, blockRec{Key: bmat.BlockKey{I: k, J: j}, Block: b.Block(k, j)})
 		}
 	}
-	if _, err := d.newJobPrep().prepare(args); err != nil {
+	if err := d.newJobPrep().prepare(args); err != nil {
 		t.Fatal(err)
 	}
 
@@ -191,20 +191,11 @@ func TestWorkerRestartMidJobMissesCleanly(t *testing.T) {
 // between multiplies against one long-lived worker process: every job runs
 // in a fresh epoch, so the worker's cache residency must stay bounded by
 // the epoch window's worth of distinct blocks instead of accumulating
-// without bound across jobs. The window is pinned small (2 epochs) so a
-// handful of rounds is enough to cross it and observe expiry.
+// without bound across jobs. It runs a few more rounds than
+// DefaultCacheEpochWindow, enough to cross the window and observe expiry.
 func TestMembershipChurnDoesNotLeakCacheEntries(t *testing.T) {
-	const epochWindow = 2
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	w, err := ServeOptions(l, WorkerOptions{CacheEpochWindow: epochWindow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
+	const epochWindow = DefaultCacheEpochWindow
+	addr, w := startCacheWorker(t, 0)
 	d, err := DialOptions([]string{addr}, fastOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +238,56 @@ func TestMembershipChurnDoesNotLeakCacheEntries(t *testing.T) {
 	}
 	if stats.Insertions < 2*distinctPerJob {
 		t.Fatalf("later jobs should have re-inserted their blocks: %+v", stats)
+	}
+}
+
+// TestEpochWindowAgesDriverAndWorkerAlike: the driver's sendTracker and the
+// worker's cache expire a block by the same window. A block last sent
+// DefaultCacheEpochWindow epochs ago is still referenced, and resolves; one
+// last sent a window and one epoch ago goes inline again. Either way the
+// worker never answers a reference with a miss.
+func TestEpochWindowAgesDriverAndWorkerAlike(t *testing.T) {
+	params := core.Params{P: 1, Q: 1, R: 1} // every block ships once per job
+	a, b := cacheTestMatrices(7010)
+	const blocks = 32 // 16 A blocks + 16 B blocks, all cacheable
+	for _, tc := range []struct {
+		fillers  int // jobs between the two runs of a×b
+		wantRefs int64
+	}{
+		{DefaultCacheEpochWindow - 1, blocks}, // last sent a window ago
+		{DefaultCacheEpochWindow, 0},          // a window and one epoch ago
+	} {
+		addr, _ := startCacheWorker(t, 0)
+		d, err := DialOptions([]string{addr}, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := execute(d, a, b, params); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tc.fillers; i++ {
+			x, y := cacheTestMatrices(int64(7100 + i))
+			if _, err := execute(d, x, y, params); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := d.NetStats()
+		got, err := execute(d, a, b, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := d.NetStats().Sub(before)
+		d.Close()
+		want := matrix.Mul(a.ToDense(), b.ToDense()).Dense()
+		if !got.ToDense().EqualApprox(want, 1e-9) {
+			t.Fatalf("%d fillers: product wrong", tc.fillers)
+		}
+		if delta.CacheRefsSent != tc.wantRefs {
+			t.Errorf("%d fillers: %d blocks sent as references, want %d", tc.fillers, delta.CacheRefsSent, tc.wantRefs)
+		}
+		if delta.CacheRefMisses != 0 {
+			t.Errorf("%d fillers: %d references missed the worker cache", tc.fillers, delta.CacheRefMisses)
+		}
 	}
 }
 

@@ -132,7 +132,6 @@ func fastOpts() Options {
 		CallTimeout:       2 * time.Second,
 		SuspectAfter:      1,
 		DeadAfter:         2,
-		JobAttempts:       8,
 		RetryBackoff:      time.Millisecond,
 		MaxBackoff:        20 * time.Millisecond,
 	}
@@ -238,9 +237,9 @@ func TestChaosMultiplyByteIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosGNMFByteIdentical runs GNMF through the Hybrid with its
-// multiplications crossing chaos proxies and compares W and H bitwise
-// against the failure-free hybrid run.
+// TestChaosGNMFByteIdentical runs GNMF as a resident pipeline with its
+// worker traffic crossing chaos proxies and compares W and H bitwise
+// against the failure-free run.
 func TestChaosGNMFByteIdentical(t *testing.T) {
 	addrs, _ := startWorkers(t, 2)
 	rng := rand.New(rand.NewSource(301))
@@ -252,10 +251,7 @@ func TestChaosGNMFByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clean.Close()
-	want, err := ml.GNMF(context.Background(), NewHybrid(clean, localEngine(t), 1<<30), v, gopts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := gnmfPipeline(t, clean, v, gopts)
 
 	var proxied []string
 	for i, addr := range addrs {
@@ -272,10 +268,7 @@ func TestChaosGNMFByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	got, err := ml.GNMF(context.Background(), NewHybrid(d, localEngine(t), 1<<30), v, gopts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := gnmfPipeline(t, d, v, gopts)
 	bitIdentical(t, got.W, want.W)
 	bitIdentical(t, got.H, want.H)
 }
@@ -399,13 +392,12 @@ func TestAddWorkerMidMultiply(t *testing.T) {
 }
 
 // TestAllWorkersKilledDegradesToLocal kills the entire pool; Multiply must
-// degrade to driver-local compute with a bit-identical product, and the
-// Hybrid's GNMF must keep working on top of the dead driver.
+// degrade to driver-local compute with a bit-identical product, and a GNMF
+// whose products go through the dead driver must keep working.
 func TestAllWorkersKilledDegradesToLocal(t *testing.T) {
 	addrs, workers := startWorkers(t, 2)
 	opts := fastOpts()
 	opts.DisableHeartbeat = true
-	opts.JobAttempts = 2
 	d, err := DialOptions(addrs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -436,12 +428,12 @@ func TestAllWorkersKilledDegradesToLocal(t *testing.T) {
 		t.Fatalf("Workers() = %d with all dead, want 0", d.Workers())
 	}
 
-	// GNMF via the Hybrid on the dead driver: every multiplication degrades
-	// to compute (driver-local or engine-local) and the query still runs.
+	// GNMF with its products through the dead driver: every multiplication
+	// degrades to driver-local compute and the query still runs.
 	eng := localEngine(t)
 	v := bmat.RandomSparse(rng, 24, 20, 4, 0.2)
 	gopts := ml.GNMFOptions{Rank: 4, Iterations: 2, Seed: 11}
-	gotG, err := ml.GNMF(context.Background(), NewHybrid(d, eng, 1<<30), v, gopts)
+	gotG, err := ml.GNMF(context.Background(), executeOps{eng, d}, v, gopts)
 	if err != nil {
 		t.Fatalf("GNMF on drained pool: %v", err)
 	}
@@ -602,7 +594,6 @@ func TestDeadlineExceeded(t *testing.T) {
 	opts.DisableHeartbeat = true
 	opts.DisableLocalFallback = true
 	opts.CallTimeout = 30 * time.Millisecond
-	opts.JobAttempts = 2
 	d, err := DialOptions([]string{slowAddr}, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"distme/internal/bmat"
-	"distme/internal/cluster"
 	"distme/internal/core"
 	"distme/internal/engine"
 	"distme/internal/matrix"
@@ -235,33 +234,35 @@ func TestWorkerMalformedBox(t *testing.T) {
 	}
 }
 
+// executeOps is ml.Ops over a driver: every product crosses the wire as
+// one Driver.Execute at a single cuboid, every other operator runs on the
+// embedded engine.
+type executeOps struct {
+	*engine.Engine
+	d *Driver
+}
+
+func (o executeOps) Multiply(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
+	params := core.Params{P: 1, Q: 1, R: 1}
+	c, _, err := o.d.Execute(ctx, a, b, MultiplyOptions{Params: &params})
+	return c, err
+}
+
+// TestGNMFOverTheWire runs GNMF as a resident pipeline on two workers and
+// holds it to the same query on a local engine.
 func TestGNMFOverTheWire(t *testing.T) {
-	addrs, workers := startWorkers(t, 2)
+	addrs, _ := startWorkers(t, 2)
 	d, err := Dial(addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
-	cfg := cluster.LaptopConfig()
-	cfg.LocalWorkers = 4
-	cfg.TaskMemBytes = 1 << 30
-	cfg.DiskCapacityBytes = 0
-	eng, err := engine.New(engine.Config{Cluster: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hybrid := NewHybrid(d, eng, 1<<30)
-
 	rng := rand.New(rand.NewSource(176))
 	v := bmat.RandomSparse(rng, 24, 20, 4, 0.2)
-	remote, err := ml.GNMF(context.Background(), hybrid, v, ml.GNMFOptions{Rank: 4, Iterations: 2, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The same query all-local must agree bit-for-bit: the wire transports
-	// exact float64 payloads.
-	local, err := ml.GNMF(context.Background(), eng, v, ml.GNMFOptions{Rank: 4, Iterations: 2, Seed: 11})
+	gopts := ml.GNMFOptions{Rank: 4, Iterations: 2, Seed: 11}
+	remote := gnmfPipeline(t, d, v, gopts)
+	local, err := ml.GNMF(context.Background(), localEngine(t), v, gopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,12 +272,8 @@ func TestGNMFOverTheWire(t *testing.T) {
 	if !remote.H.ToDense().EqualApprox(local.H.ToDense(), 1e-12) {
 		t.Fatal("remote GNMF H diverges from local")
 	}
-	served := 0
-	for _, w := range workers {
-		served += w.Multiplies()
-	}
-	if served == 0 {
-		t.Fatal("no multiplications crossed the wire")
+	if d.NetStats().PipelineOps == 0 {
+		t.Fatal("no operator ran on the workers")
 	}
 }
 
@@ -357,7 +354,7 @@ func TestDriverFailsOverDeadWorker(t *testing.T) {
 }
 
 func TestPlanEvalOverTheWire(t *testing.T) {
-	// A compiled plan evaluated on the Hybrid: its multiplications cross
+	// A compiled plan evaluated over executeOps: its multiplications cross
 	// real sockets, everything else runs locally.
 	addrs, _ := startWorkers(t, 2)
 	d, err := Dial(addrs)
@@ -365,15 +362,7 @@ func TestPlanEvalOverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cfg := cluster.LaptopConfig()
-	cfg.LocalWorkers = 4
-	cfg.TaskMemBytes = 1 << 30
-	cfg.DiskCapacityBytes = 0
-	eng, err := engine.New(engine.Config{Cluster: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hybrid := NewHybrid(d, eng, 1<<30)
+	eng := localEngine(t)
 
 	rng := rand.New(rand.NewSource(178))
 	a := bmat.RandomDense(rng, 16, 16, 4)
@@ -382,10 +371,8 @@ func TestPlanEvalOverTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A small ml.Ops closure over the one evaluator: the Hybrid is an
-	// operator set, not an engine, so it has no Run of its own.
 	ctx := context.Background()
-	var ops ml.Ops = hybrid
+	ops := executeOps{eng, d}
 	got, err := plan.EvalWith(prog, map[string]*bmat.BlockMatrix{"A": a, "B": b},
 		func(n plan.NodeInfo, x, y *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
 			switch n.Kind {

@@ -58,8 +58,8 @@ type Driver struct {
 	rr      int // round-robin scheduling cursor
 	closed  bool
 
-	// backoff is the retry delay policy cuboid and batch dispatch share with
-	// the in-process scheduler (cluster.Backoff); Options.JitterSeed pins its
+	// backoff is the retry delay policy cuboid dispatch shares with the
+	// in-process scheduler (cluster.Backoff); Options.JitterSeed pins its
 	// jitter for deterministic tests.
 	backoff *cluster.Backoff
 
@@ -104,9 +104,6 @@ type Options struct {
 	// (default 1); DeadAfter the count that demotes to Dead (default 3).
 	SuspectAfter int
 	DeadAfter    int
-	// JobAttempts is how many scheduling attempts one cuboid gets across
-	// the membership before local fallback (default 6).
-	JobAttempts int
 	// PerWorkerInflight bounds concurrent Multiply RPCs per worker
 	// (default 4); excess cuboids queue driver-side, where a newly added
 	// worker can claim them.
@@ -151,14 +148,6 @@ type Options struct {
 	// (fp32) or all (compress, worst case) of its operand bytes a second
 	// time for its duration.
 	Encoding codec.Encoding
-	// BatchBytes, when positive, coalesces cuboids whose encoded block
-	// payloads are under this size into MultiplyBatch RPCs — one round trip
-	// per group instead of one per cuboid on many-tiny-cuboids plans. Items
-	// fail independently; a failed item is retried on its own. 0 disables
-	// batching.
-	BatchBytes int64
-	// MaxBatchItems caps cuboids per MultiplyBatch call (default 32).
-	MaxBatchItems int
 	// Recorder receives membership, reconnect, and heartbeat counters; a
 	// private recorder is used when nil (see Driver.NetStats).
 	Recorder *metrics.Recorder
@@ -191,9 +180,6 @@ func (o Options) withDefaults() Options {
 	if o.DeadAfter <= 0 {
 		o.DeadAfter = 3
 	}
-	if o.JobAttempts <= 0 {
-		o.JobAttempts = 6
-	}
 	if o.PerWorkerInflight <= 0 {
 		o.PerWorkerInflight = 4
 	}
@@ -202,9 +188,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 250 * time.Millisecond
-	}
-	if o.MaxBatchItems <= 0 {
-		o.MaxBatchItems = 32
 	}
 	return o
 }

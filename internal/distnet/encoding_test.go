@@ -106,97 +106,6 @@ func TestEncodingInvalidRejected(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched small-multiply fast path
-
-// TestBatchedSmallMultiplies: with BatchBytes set above every cuboid's
-// payload, the whole plan rides MultiplyBatch RPCs and the product is
-// bit-identical to the unbatched run.
-func TestBatchedSmallMultiplies(t *testing.T) {
-	a, b := cacheTestMatrices(8103)
-	params := core.Params{P: 2, Q: 2, R: 2} // 8 small cuboids
-
-	plainAddr, _ := startCacheWorker(t, 0)
-	plain, err := DialOptions([]string{plainAddr}, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	want, err := execute(plain, a, b, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	addr, w := startCacheWorker(t, 0)
-	opts := fastOpts()
-	opts.BatchBytes = 1 << 20
-	opts.MaxBatchItems = 3 // force several groups out of the 8 cuboids
-	d, err := DialOptions([]string{addr}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	got, err := execute(d, a, b, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitIdentical(t, got, want)
-
-	stats := d.NetStats()
-	if stats.BatchRPCs != 3 {
-		t.Errorf("BatchRPCs = %d, want 3 (8 items / cap 3)", stats.BatchRPCs)
-	}
-	if stats.BatchItems != 8 {
-		t.Errorf("BatchItems = %d, want 8", stats.BatchItems)
-	}
-	if stats.BatchItemErrors != 0 {
-		t.Errorf("BatchItemErrors = %d, want 0", stats.BatchItemErrors)
-	}
-	if w.Multiplies() != 8 {
-		t.Errorf("worker served %d cuboids, want 8", w.Multiplies())
-	}
-}
-
-// TestBatchItemErrorsRetryIndividually: a worker with its cache disabled
-// answers every digest reference with an unknown-digest item error. The
-// failures must stay per-item — counted, forgotten, and retried inline —
-// and the product must still be correct.
-func TestBatchItemErrorsRetryIndividually(t *testing.T) {
-	a, b := cacheTestMatrices(8104)
-	params := core.Params{P: 2, Q: 2, R: 2}
-
-	addr, _ := startCacheWorker(t, -1) // cache disabled: references always miss
-	opts := fastOpts()
-	opts.BatchBytes = 1 << 20
-	d, err := DialOptions([]string{addr}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	// First run ships every block inline (commit-at-send) and succeeds.
-	if _, err := execute(d, a, b, params); err != nil {
-		t.Fatal(err)
-	}
-	// Second run sends references the worker cannot resolve; items fail
-	// individually and the per-item fallback recovers each one.
-	got, err := execute(d, a, b, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := matrix.Mul(a.ToDense(), b.ToDense()).Dense()
-	if !got.ToDense().EqualApprox(want, 1e-9) {
-		t.Fatal("product wrong after per-item retries")
-	}
-	stats := d.NetStats()
-	if stats.BatchItemErrors == 0 {
-		t.Fatalf("cache-miss items not counted: %+v", stats)
-	}
-	if stats.CacheRefMisses == 0 {
-		t.Fatalf("unknown-digest misses not counted: %+v", stats)
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Fragmented reads (satellite: robustness against dribbling sockets)
 
 // encodeRequestFrame serializes one multiply request exactly as the driver
@@ -233,7 +142,7 @@ func decodeRequestFrame(r io.Reader) (seq uint64, method byte, args multiplyArgs
 	if method, err = fr.U8(); err != nil {
 		return
 	}
-	err = decodeMultiplyArgs(fr, &args, newBlockCache(-1, 0), false)
+	err = decodeMultiplyArgs(fr, &args, newBlockCache(-1))
 	return seq, method, args, fr.Remaining(), err
 }
 

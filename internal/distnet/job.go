@@ -18,8 +18,8 @@ import (
 // The cuboid job path: the package's only copy of CuboidMM — enumerate the
 // (P,Q,R) cuboids, get each its slices, multiply, sum over k — as plan →
 // prepare → dispatch → aggregate. A transfer mode is just a fill step; span
-// tree, job meter, gauges, checkpointing, batching, the retry/downgrade/
-// local-fallback scheduler and the aggregation fold exist once, for every mode.
+// tree, job meter, gauges, checkpointing, the retry/downgrade/local-fallback
+// scheduler and the aggregation fold exist once, for every mode.
 
 // cuboidJob describes one multiply C = A×B to that path.
 type cuboidJob struct {
@@ -37,7 +37,7 @@ type cuboidJob struct {
 	fill func(args *multiplyArgs)
 }
 
-// cuboidRun is one job in flight: what the cuboid and batch goroutines share.
+// cuboidRun is one job in flight: what its cuboid goroutines share.
 type cuboidRun struct {
 	d       *Driver
 	ctx     context.Context
@@ -104,7 +104,6 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 	prep := d.newJobPrep()
 	var restored int
 	var wg sync.WaitGroup
-	var small []int // cuboids under BatchBytes, coalesced into batch RPCs
 	for idx, args := range r.cuboids {
 		if job.ckpt != nil {
 			if reply, ok := job.ckpt.load(idx, job.rows, job.cols, job.blockSize); ok {
@@ -115,13 +114,8 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 		}
 		args.prep = prep
 		if !args.pull {
-			payload, err := prep.prepare(args)
-			if err != nil {
+			if err := prep.prepare(args); err != nil {
 				r.errs[idx] = err
-				continue
-			}
-			if d.opts.BatchBytes > 0 && payload < d.opts.BatchBytes {
-				small = append(small, idx)
 				continue
 			}
 		}
@@ -130,18 +124,8 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 		go func(idx int) {
 			defer wg.Done()
 			defer d.inflight.Add(-1)
-			r.runOne(idx, r.cuboidSpan(idx))
+			r.runOne(idx)
 		}(idx)
-	}
-	for start := 0; start < len(small); start += d.opts.MaxBatchItems {
-		group := small[start:min(start+d.opts.MaxBatchItems, len(small))]
-		wg.Add(1)
-		d.inflight.Add(int64(len(group)))
-		go func() {
-			defer wg.Done()
-			defer d.inflight.Add(-int64(len(group)))
-			r.runBatch(group)
-		}()
 	}
 	wg.Wait()
 	if restored > 0 && r.root.Active() {
@@ -188,20 +172,14 @@ func (r *cuboidRun) commit(idx int, reply *multiplyReply) {
 	}
 }
 
-// cuboidSpan opens the span of one cuboid's scheduling lifetime. Every
-// dispatched cuboid gets exactly one, batched or not.
-func (r *cuboidRun) cuboidSpan(idx int) obs.Span {
+// runOne dispatches one cuboid with runJob's full retry, downgrade and
+// local-fallback machinery, under the span of its scheduling lifetime.
+func (r *cuboidRun) runOne(idx int) {
 	args := r.cuboids[idx]
 	csp := r.d.tracer.Start(r.root.ID(), "cuboid", obs.KindDriver)
 	csp.SetCuboid(args.cuboidP, args.cuboidQ, args.cuboidR)
-	return csp
-}
-
-// runOne dispatches one cuboid on its own, with runJob's full retry,
-// downgrade and local-fallback machinery, and closes its span.
-func (r *cuboidRun) runOne(idx int, csp obs.Span) {
 	defer csp.End()
-	reply, err := r.d.runJob(r.ctx, r.cuboids[idx], csp)
+	reply, err := r.d.runJob(r.ctx, args, csp)
 	if err != nil {
 		if csp.Active() {
 			csp.SetAttr("error", err.Error())
@@ -212,102 +190,20 @@ func (r *cuboidRun) runOne(idx int, csp obs.Span) {
 	r.commit(idx, reply)
 }
 
-// runBatch ships one group of small cuboids as a single batch call,
-// retried across members like one cuboid. Per-item failures in an
-// otherwise-successful reply — and any batch that exhausts its attempts —
-// fall back to individual dispatch, which carries its own retries and local
-// fallback, so batching can change performance but never outcomes.
-func (r *cuboidRun) runBatch(group []int) {
-	d := r.d
-	bsp := d.tracer.Start(r.root.ID(), "rpc.multiply_batch", obs.KindRPC)
-	if bsp.Active() {
-		bsp.SetAttr("items", fmt.Sprintf("%d", len(group)))
-	}
-	defer bsp.End()
-	batch := &batchArgs{Items: make([]multiplyArgs, len(group))}
-	spans := make([]obs.Span, len(group))
-	for i, idx := range group {
-		spans[i] = r.cuboidSpan(idx)
-		batch.Items[i] = *r.cuboids[idx]
-		batch.Items[i].traceSpan = uint64(bsp.ID())
-	}
-	var reply *batchReply
-	var served *member
-	_, err := d.acrossMembers(r.ctx, r.meter, func(m *member) (bool, error) {
-		if bsp.Active() {
-			bsp.SetWorker(m.addr)
-		}
-		rep := new(batchReply)
-		callStart := time.Now()
-		err := d.call(m, methodMultiplyBatch, bsp.ID(), codec.Writes(blockSender{&m.tracker, d.rec}.appendBatchArgs, batch),
-			codec.Reads(decodeBatchReply, rep), d.opts.CallTimeout)
-		if err == nil && len(rep.Items) != len(group) {
-			err = fmt.Errorf("distnet: batch reply carried %d items for %d cuboids", len(rep.Items), len(group))
-		}
-		if err == nil {
-			if d.noteRPCDuration(m, time.Since(callStart)) && bsp.Active() {
-				bsp.SetAttr("straggler", "true")
-			}
-			reply, served = rep, m
-			return false, nil
-		}
-		if bsp.Active() {
-			bsp.SetAttr("error", err.Error())
-		}
-		// A worker that rejected the batch frame outright, or a batch that
-		// cannot be framed at all, is not retried: individual dispatch will
-		// reproduce (and pinpoint) the failure.
-		var re *codec.RemoteError
-		rejected := errors.As(err, &re) && !transientRefusal(re)
-		return !rejected && !errors.Is(err, codec.ErrFrameTooLarge), err
-	})
-	if err != nil {
-		for i, idx := range group {
-			r.runOne(idx, spans[i])
-		}
-		return
-	}
-	atomic.AddInt64(&d.rec.Net.Live().BatchRPCs, 1)
-	atomic.AddInt64(&d.rec.Net.Live().BatchItems, int64(len(group)))
-	var failed []int // positions in group
-	sawMiss := false
-	for i, idx := range group {
-		it := &reply.Items[i]
-		if it.err == nil {
-			r.commit(idx, &multiplyReply{CBlocks: it.CBlocks})
-			spans[i].End()
-			continue
-		}
-		atomic.AddInt64(&d.rec.Net.Live().BatchItemErrors, 1)
-		if errors.Is(it.err, errUnknownDigest) {
-			atomic.AddInt64(&d.rec.Net.Live().CacheRefMisses, 1)
-			sawMiss = true
-		}
-		failed = append(failed, i)
-	}
-	if sawMiss {
-		// The worker no longer holds blocks this batch referenced; the
-		// individual retries ship them inline.
-		served.tracker.forget()
-	}
-	if bsp.Active() && len(failed) > 0 {
-		bsp.SetAttr("item-errors", fmt.Sprintf("%d", len(failed)))
-	}
-	for _, i := range failed {
-		r.runOne(group[i], spans[i])
-	}
-}
+// jobAttempts is how many scheduling attempts one cuboid gets across the
+// membership before the local fallback.
+const jobAttempts = 6
 
-// acrossMembers is the scheduling loop cuboids and batches share: acquire a
-// live member, run one attempt on it, and on a failure try calls retryable
-// back off (d.backoff) and move to the next live member, reconnecting dead
-// ones when the pool looks empty, for at most Options.JobAttempts attempts.
+// acrossMembers is runJob's scheduling loop: acquire a live member, run one
+// attempt on it, and on a failure try calls retryable back off (d.backoff)
+// and move to the next live member, reconnecting dead ones when the pool
+// looks empty, for at most jobAttempts attempts.
 // A nil error is success; exhausted means the attempts ran out or the pool
 // drained, err being the last failure (ErrNoWorkers if no member was ever
 // reached); any other error ended the loop for good — ctx, or a final try.
 func (d *Driver) acrossMembers(ctx context.Context, meter *JobMeter, try func(m *member) (retry bool, err error)) (exhausted bool, err error) {
 	var lastErr error
-	for attempt := 0; attempt < d.opts.JobAttempts; {
+	for attempt := 0; attempt < jobAttempts; {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
@@ -340,7 +236,7 @@ func (d *Driver) acrossMembers(ctx context.Context, meter *JobMeter, try func(m 
 		atomic.AddInt64(&m.events.Live().Retries, 1)
 		lastErr = err
 		attempt++
-		if attempt < d.opts.JobAttempts {
+		if attempt < jobAttempts {
 			atomic.AddInt64(&d.rec.Net.Live().CuboidRetries, 1)
 			meter.noteRetry()
 			time.Sleep(d.backoff.Delay(attempt))
@@ -421,7 +317,7 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 			atomic.AddInt64(&d.rec.Net.Live().PullFallbacks, 1)
 			if args.pull && args.pullInline {
 				args.pull = false
-				if _, perr := args.prep.prepare(args); perr != nil {
+				if perr := args.prep.prepare(args); perr != nil {
 					return false, perr
 				}
 			}
@@ -441,7 +337,7 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 	// Local fallback needs the operand blocks driver-side; a pull cuboid
 	// whose blocks the driver never fully held cannot be computed locally.
 	if d.opts.DisableLocalFallback || (args.pull && !args.pullInline) {
-		return nil, fmt.Errorf("distnet: cuboid failed after %d attempts: %w", d.opts.JobAttempts, err)
+		return nil, fmt.Errorf("distnet: cuboid failed after %d attempts: %w", jobAttempts, err)
 	}
 	atomic.AddInt64(&d.rec.Net.Live().LocalFallbacks, 1)
 	args.meter.noteLocalFallback()
@@ -462,8 +358,8 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 // block is planned, encoded and (when cacheable) digested exactly once, and
 // the record is shared by every cuboid that replicates the block — the same
 // block pointer appears in Q or P cuboids, the replication Eq. (4) counts.
-// The record's size feeds the job meter and the batch threshold, its digest
-// the worker cache references, and blockSender frames every send from it.
+// The record's size feeds the job meter, its digest the worker cache
+// references, and blockSender frames every send from it.
 // Push prepares every cuboid as it dispatches; pull only the cuboids that
 // downgrade, when they do — a failure-free pull prepares nothing. Records
 // live until the multiply returns — retries resend from them — which under an
@@ -489,9 +385,8 @@ func (d *Driver) newJobPrep() *jobPrep {
 
 // prepare stamps the job epoch on one cuboid, points each of its block
 // records at the block's prepared form — building it on first sight — and
-// charges the job meter the cuboid's payload bytes under the job's encoding,
-// which it returns: the quantity Options.BatchBytes thresholds.
-func (jp *jobPrep) prepare(args *multiplyArgs) (int64, error) {
+// charges the job meter the cuboid's payload bytes under the job's encoding.
+func (jp *jobPrep) prepare(args *multiplyArgs) error {
 	jp.mu.Lock()
 	defer jp.mu.Unlock()
 	args.cacheEpoch = jp.epoch
@@ -503,7 +398,7 @@ func (jp *jobPrep) prepare(args *multiplyArgs) (int64, error) {
 			if !ok {
 				var err error
 				if p, err = codec.Prepare(rec.Block, jp.d.opts.Encoding); err != nil {
-					return 0, fmt.Errorf("distnet: block %v: %w", rec.Key, err)
+					return fmt.Errorf("distnet: block %v: %w", rec.Key, err)
 				}
 				// Blocks below the cacheable threshold stay digestless and
 				// always ship inline. The digest covers the encoded bytes, so
@@ -520,7 +415,7 @@ func (jp *jobPrep) prepare(args *multiplyArgs) (int64, error) {
 		}
 	}
 	args.meter.noteDispatch(payload)
-	return payload, nil
+	return nil
 }
 
 // multiply is the push job: each cuboid's slices are the operand blocks

@@ -17,7 +17,7 @@ import (
 // accounting without a recorder per job.
 //
 // Request/reply bytes are encoded block-payload bytes (the Eq.(4) quantity),
-// not raw socket frames: digest references and batch framing change what
+// not raw socket frames: digest references and framing change what
 // crosses the socket, but the payload measure is stable across cache state,
 // which is what quota enforcement wants. A pull cuboid's manifest carries no
 // block payload: it charges request bytes only if it downgrades to push.

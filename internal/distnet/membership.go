@@ -315,7 +315,7 @@ func (d *Driver) connect(m *member, reconnect bool) error {
 		return &countingConn{Conn: conn, wire: d.wire}
 	})
 	if err != nil {
-		return fmt.Errorf("%w: dial %s: %v", ErrWorkerDead, m.addr, err)
+		return fmt.Errorf("%w: dial %s: %w", ErrWorkerDead, m.addr, err)
 	}
 	start := time.Now()
 	var pong pingReply

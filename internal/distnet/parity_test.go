@@ -106,14 +106,12 @@ func TestCuboidPathParity(t *testing.T) {
 	rows := []struct {
 		name     string
 		transfer core.Transfer
-		batch    bool // BatchBytes above every cuboid's payload
 		kill     bool // kill one band owner once the operands are resident
 		resume   bool // checkpoint, lose two cuboids, run again
 	}{
 		{name: "push", transfer: core.TransferPush},
 		{name: "pull", transfer: core.TransferPull},
 		{name: "pull, killed peer", transfer: core.TransferPull, kill: true},
-		{name: "push, batched", transfer: core.TransferPush, batch: true},
 		{name: "push, resumed", transfer: core.TransferPush, resume: true},
 		{name: "pull, resumed", transfer: core.TransferPull, resume: true},
 	}
@@ -144,9 +142,6 @@ func TestCuboidPathParity(t *testing.T) {
 				opts := fastOpts()
 				opts.DisableHeartbeat = true // a death surfaces through the calls themselves
 				opts.Tracer = tr
-				if row.batch {
-					opts.BatchBytes = 1 << 20
-				}
 				d, err := DialOptions(addrs, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -196,10 +191,6 @@ func TestCuboidPathParity(t *testing.T) {
 				case row.transfer == core.TransferPull:
 					if delta.BlocksPrepared != 0 || delta.PullFallbacks != 0 {
 						t.Errorf("failure-free pull prepared %d blocks and downgraded %d cuboids, want none", delta.BlocksPrepared, delta.PullFallbacks)
-					}
-				case row.batch:
-					if delta.BatchItems != int64(params.Tasks()) {
-						t.Errorf("BatchItems = %d, want every cuboid (%d)", delta.BatchItems, params.Tasks())
 					}
 				}
 

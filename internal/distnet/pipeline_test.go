@@ -466,8 +466,35 @@ func TestGNMFUpdatesMatchEngine(t *testing.T) {
 	}
 }
 
+// gnmfPipeline runs GNMF as a resident pipeline over a fresh session on d
+// and returns its factors; the session is closed before it returns.
+func gnmfPipeline(t *testing.T, d *Driver, v *bmat.BlockMatrix, gopts ml.GNMFOptions) *ml.GNMFResult {
+	t.Helper()
+	ctx := context.Background()
+	s, err := d.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(ctx)
+	g, err := ml.NewGNMFPipeline[*Handle](ctx, s, v, gopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close(ctx)
+	for i := 0; i < gopts.Iterations; i++ {
+		if err := g.Step(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := g.Factors(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestPageRankHandlesMatchesDriver compares PageRankHandles against the
-// classic driver-side PageRank over a Hybrid: ranks must agree bitwise.
+// driver-side PageRank on a local engine.
 func TestPageRankHandlesMatchesDriver(t *testing.T) {
 	addrs, _ := startWorkers(t, 2)
 	d, err := Dial(addrs)

@@ -19,14 +19,15 @@ import (
 // The worker socket, driver↔worker and worker↔worker alike, is one
 // internal/codec call layer: a connection opens with workerPreamble both
 // ways, a request names its method by one byte, and the worker's refusals
-// cross as the codes of workerErrors.
-var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 1}
+// cross as the codes of workerErrors. The version byte changes whenever the
+// method numbering does, so mismatched peers fail at the handshake rather
+// than misroute a request.
+var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 2}
 
 // The worker socket's methods, by the byte a request names them with.
 const (
 	methodPing byte = iota
 	methodMultiply
-	methodMultiplyBatch
 	methodPutBlocks
 	methodGetBlocks
 	methodFreeHandles
@@ -71,11 +72,6 @@ type multiplyArgs struct {
 	// whatever tags arrive, so mixed-encoding traffic is fine.
 	encoding codec.Encoding
 
-	// decodeErr is set worker-side by the lenient batch decode when this
-	// item's blocks could not be resolved (unknown digest); the worker
-	// reports it in the item's reply slot instead of computing.
-	decodeErr error
-
 	// meter, when set, receives per-job traffic attribution for this
 	// cuboid (WithJobMeter). Driver-side only; never on the wire.
 	meter *JobMeter
@@ -112,28 +108,6 @@ type multiplyReply struct {
 	// manifest entries satisfied by the content-addressed cache, peer
 	// fetches issued, and peer bytes moved. Zero on push replies.
 	pullHits, pullFetches, pullPeerBytes int64
-}
-
-// batchArgs ships many small cuboids in one call. The driver coalesces
-// cuboids whose encoded payloads fall under Options.BatchBytes so a
-// many-tiny-cuboids plan pays one round trip per group instead of one per
-// cuboid. Items decode leniently on the worker: an unknown digest marks only
-// its own item failed (batchItem.err) rather than refusing the frame.
-type batchArgs struct {
-	Items []multiplyArgs
-}
-
-// batchItem is one cuboid's slot in a batch reply: either its partial C
-// blocks or the error that item alone hit.
-type batchItem struct {
-	err     error
-	CBlocks []blockRec
-}
-
-// batchReply mirrors batchArgs item for item, so the driver can commit the
-// successes and retry exactly the failures.
-type batchReply struct {
-	Items []batchItem
 }
 
 // pingReply reports the worker's identity plus a load snapshot the driver's

@@ -71,11 +71,15 @@ func TestHysteresisPolicyScalesDownIdleAndRespectsMin(t *testing.T) {
 }
 
 func TestHysteresisPolicyDrainsFlappingWorker(t *testing.T) {
-	p := &HysteresisPolicy{MinWorkers: 1, UnhealthyAfter: 2, CooldownTicks: 1}
+	p := &HysteresisPolicy{MinWorkers: 1, CooldownTicks: 1}
 	flappy := mkHealth(0.5,
 		WorkerHealth{Addr: "good", Score: 1},
 		WorkerHealth{Addr: "bad", Score: 0.9, Flapping: true})
-	p.Decide(flappy)
+	for i := 1; i < unhealthyAfter; i++ {
+		if dec := p.Decide(flappy); dec.Action != ScaleHold {
+			t.Fatalf("tick %d: %+v before unhealthyAfter sustained", i, dec)
+		}
+	}
 	dec := p.Decide(flappy)
 	if dec.Action != ScaleDown || dec.Addr != "bad" {
 		t.Fatalf("want unhealthy drain of bad, got %+v", dec)
@@ -91,7 +95,7 @@ func TestHysteresisPolicyDeterministic(t *testing.T) {
 		mkHealth(0.5, WorkerHealth{Addr: "a", Score: 0.2}, WorkerHealth{Addr: "b", Score: 1}),
 	}
 	run := func() []ScaleAction {
-		p := &HysteresisPolicy{UpAfter: 2, DownAfter: 2, UnhealthyAfter: 1, CooldownTicks: 1}
+		p := &HysteresisPolicy{UpAfter: 2, DownAfter: 2, CooldownTicks: 1}
 		var out []ScaleAction
 		for _, h := range seq {
 			out = append(out, p.Decide(h).Action)

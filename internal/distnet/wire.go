@@ -1,7 +1,6 @@
 package distnet
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -35,9 +34,9 @@ const minCacheableBytes = 256
 // happens at encode time ("commit at send"): requests on one connection are
 // framed, written and read in order, so a later request's reference can only
 // be decoded after the earlier inline copy was. Entries age out when their
-// last-sent epoch falls more than the worker cache's lifecycle window
-// behind the newest epoch seen — mirroring blockCache's expiry, so the
-// driver stops assuming residency around the time the worker drops it.
+// last-sent epoch falls more than DefaultCacheEpochWindow behind the newest
+// epoch seen — the window blockCache expires by, so the driver stops
+// assuming residency when the worker drops the block.
 // Concurrent jobs carry distinct epochs; tracking per digest (not per
 // epoch) lets them share dedup state. The tracker is deliberately NOT
 // cleared on reconnect — a restarted worker answers the first stale
@@ -123,16 +122,6 @@ func (s blockSender) appendMultiplyArgs(w *codec.FrameWriter, a *multiplyArgs) e
 	return s.appendBlockRecs(w, a.BBlocks, a.cacheEpoch, a.encoding)
 }
 
-func (s blockSender) appendBatchArgs(w *codec.FrameWriter, a *batchArgs) error {
-	w.Uvarint(uint64(len(a.Items)))
-	for i := range a.Items {
-		if err := s.appendMultiplyArgs(w, &a.Items[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // appendBlockRecs emits one operand's block records from their prepared
 // form (jobPrep) — as a 32-byte reference when the record's digest was
 // already sent to this worker — with no planning or encoding here.
@@ -185,12 +174,10 @@ func readInts(rd *codec.FrameReader, dst ...*int) error {
 	return nil
 }
 
-// decodeMultiplyArgs parses one cuboid body. In lenient mode an
-// unknown-digest reference does not abort the parse: the record keeps a nil
-// block, a.decodeErr records the refusal, and the cursor moves on — batch
-// framing stays intact around a failed item. Structural corruption is a
-// hard error in both modes.
-func decodeMultiplyArgs(rd *codec.FrameReader, a *multiplyArgs, cache *blockCache, lenient bool) error {
+// decodeMultiplyArgs parses one cuboid body, resolving digest references
+// against cache; a reference the cache cannot resolve fails the call with
+// errUnknownDigest, and the driver resends inline.
+func decodeMultiplyArgs(rd *codec.FrameReader, a *multiplyArgs, cache *blockCache) error {
 	if err := readInts(rd, &a.ILo, &a.IHi, &a.JLo, &a.JHi, &a.KLo, &a.KHi); err != nil {
 		return err
 	}
@@ -211,9 +198,7 @@ func decodeMultiplyArgs(rd *codec.FrameReader, a *multiplyArgs, cache *blockCach
 	}
 	switch mode {
 	case 1:
-		// Pull body: self address plus the two placement manifests. A
-		// malformed manifest is structural corruption — a hard error in both
-		// modes, same as a torn block payload.
+		// Pull body: self address plus the two placement manifests.
 		a.pull = true
 		if a.pullSelf, err = rd.Str(); err != nil {
 			return err
@@ -228,30 +213,17 @@ func decodeMultiplyArgs(rd *codec.FrameReader, a *multiplyArgs, cache *blockCach
 	default:
 		return fmt.Errorf("%w: unknown multiply transfer mode %d", errWire, mode)
 	}
-	for _, dst := range [2]*[]blockRec{&a.ABlocks, &a.BBlocks} {
-		var miss bool
-		if *dst, miss, err = decodeBlockRecs(rd, cache, epoch, lenient); err != nil {
-			return err
-		}
-		if miss {
-			a.decodeErr = errUnknownDigest
-		}
+	if a.ABlocks, err = decodeBlockRecs(rd, cache, epoch); err != nil {
+		return err
 	}
-	return nil
-}
-
-func decodeBatchArgs(rd *codec.FrameReader, a *batchArgs, cache *blockCache) error {
-	var err error
-	a.Items, err = codec.ReadSlice(rd, "batch items", 14, func(it *multiplyArgs) error {
-		return decodeMultiplyArgs(rd, it, cache, true)
-	})
+	a.BBlocks, err = decodeBlockRecs(rd, cache, epoch)
 	return err
 }
 
-func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64, lenient bool) (recs []blockRec, miss bool, err error) {
+func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64) ([]blockRec, error) {
 	// Each record needs at least key + flag bytes; a count beyond the
 	// remaining frame is a forgery.
-	recs, err = codec.ReadSlice(rd, "block records", 3, func(rec *blockRec) error {
+	return codec.ReadSlice(rd, "block records", 3, func(rec *blockRec) error {
 		if err := readInts(rd, &rec.Key.I, &rec.Key.J); err != nil {
 			return fmt.Errorf("%w: block record header", errWire)
 		}
@@ -269,13 +241,9 @@ func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64, len
 		case blockRef:
 			blk, ok := cache.lookup(epoch, dg)
 			if !ok {
-				if !lenient {
-					return errUnknownDigest
-				}
-				miss = true
-			} else {
-				rec.Block = blk
+				return errUnknownDigest
 			}
+			rec.Block = blk
 		case blockInline, blockInlineCache:
 			blk, weight, err := rd.ReadBlock()
 			if err != nil {
@@ -290,7 +258,6 @@ func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64, len
 		}
 		return nil
 	})
-	return recs, miss, err
 }
 
 func appendMultiplyReply(w *codec.FrameWriter, r *multiplyReply) error {
@@ -314,48 +281,6 @@ func decodeMultiplyReply(rd *codec.FrameReader, r *multiplyReply) error {
 	}
 	var err error
 	r.CBlocks, err = decodePlainBlocks(rd)
-	return err
-}
-
-// A batch reply's item is its partial C blocks after CodeOK, or the error
-// the item hit, coded as the response header codes a call's.
-func appendBatchReply(w *codec.FrameWriter, r *batchReply) error {
-	w.Uvarint(uint64(len(r.Items)))
-	for i := range r.Items {
-		it := &r.Items[i]
-		if it.err != nil {
-			workerErrors.AppendError(w, it.err)
-			continue
-		}
-		w.Byte(codec.CodeOK)
-		if err := appendMultiplyReply(w, &multiplyReply{CBlocks: it.CBlocks}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func decodeBatchReply(rd *codec.FrameReader, r *batchReply) error {
-	var err error
-	r.Items, err = codec.ReadSlice(rd, "batch replies", 1, func(it *batchItem) error {
-		code, err := rd.U8()
-		if err != nil {
-			return err
-		}
-		if code != codec.CodeOK {
-			err := workerErrors.ReadError(rd, code)
-			if errors.As(err, new(*codec.RemoteError)) {
-				it.err, err = err, nil
-			}
-			return err
-		}
-		var rep multiplyReply
-		if err := decodeMultiplyReply(rd, &rep); err != nil {
-			return err
-		}
-		it.CBlocks = rep.CBlocks
-		return nil
-	})
 	return err
 }
 

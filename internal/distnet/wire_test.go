@@ -26,9 +26,8 @@ import (
 // the seed table share.
 const (
 	bodyMultiplyArgs = iota
-	bodyMultiplyBatchArgs
+	bodyPullMultiplyArgs
 	bodyMultiplyReply
-	bodyMultiplyBatchReply
 	bodyPutArgs
 	bodyGetArgs
 	bodyFreeArgs
@@ -42,16 +41,11 @@ const (
 
 // decodeBody runs the streaming decoder a codec would run for one body.
 func decodeBody(kind int, rd *codec.FrameReader) error {
-	cache := newBlockCache(-1, 0)
 	switch kind {
-	case bodyMultiplyArgs:
-		return decodeMultiplyArgs(rd, new(multiplyArgs), cache, false)
-	case bodyMultiplyBatchArgs:
-		return decodeBatchArgs(rd, new(batchArgs), cache)
+	case bodyMultiplyArgs, bodyPullMultiplyArgs:
+		return decodeMultiplyArgs(rd, new(multiplyArgs), newBlockCache(-1))
 	case bodyMultiplyReply:
 		return decodeMultiplyReply(rd, new(multiplyReply))
-	case bodyMultiplyBatchReply:
-		return decodeBatchReply(rd, new(batchReply))
 	case bodyPutArgs:
 		return decodePutArgs(rd, new(putArgs))
 	case bodyGetArgs:
@@ -106,27 +100,11 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 
 	var send blockSender
 	bodies := map[int][]byte{}
-	add := func(kind int, fill func(w *codec.FrameWriter) error) {
-		w := codec.BeginFrame()
-		defer w.Release()
-		if err := fill(&w); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := w.Flush(&buf); err != nil {
-			t.Fatal(err)
-		}
-		bodies[kind] = buf.Bytes()[4:]
-	}
+	add := func(kind int, fill func(w *codec.FrameWriter) error) { bodies[kind] = bodyOf(t, fill) }
 	add(bodyMultiplyArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &push) })
-	add(bodyMultiplyBatchArgs, func(w *codec.FrameWriter) error {
-		return send.appendBatchArgs(w, &batchArgs{Items: []multiplyArgs{push, pull, push}})
-	})
+	add(bodyPullMultiplyArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &pull) })
 	add(bodyMultiplyReply, func(w *codec.FrameWriter) error {
 		return appendMultiplyReply(w, &multiplyReply{CBlocks: recs, pullHits: 2})
-	})
-	add(bodyMultiplyBatchReply, func(w *codec.FrameWriter) error {
-		return appendBatchReply(w, &batchReply{Items: []batchItem{{CBlocks: recs}, {err: errors.New("boom")}, {err: &pullError{handle: 9, err: errUnknownHandle}}}})
 	})
 	add(bodyPutArgs, func(w *codec.FrameWriter) error {
 		return appendPutArgs(w, &putArgs{Handle: 5, Epoch: 2, Pin: true, Blocks: recs})
@@ -140,6 +118,47 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 	add(bodyExecReply, codec.Writes(appendExecReply, &execReply{Bytes: 100, Blocks: 2, PeerBytes: 50}))
 	add(bodyPingReply, codec.Writes(appendPingReply,
 		&pingReply{Hostname: "w0", InFlight: 1, StoreBytes: 2, StoreHandles: 3, StoreEvictions: 4}))
+	return bodies
+}
+
+// bodyOf is what fill frames, without the length prefix.
+func bodyOf(t testing.TB, fill func(w *codec.FrameWriter) error) []byte {
+	w := codec.BeginFrame()
+	defer w.Release()
+	if err := fill(&w); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := w.Flush(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()[4:]
+}
+
+// pushVariantBodies are the push bodies the seed table's one leaves out:
+// blocks under the compressed encoding, blocks shipped with their digest for
+// the worker cache, and the same blocks again as digest references.
+func pushVariantBodies(t testing.TB) [][]byte {
+	compressed, digested := wireSeedRecs(), wireSeedRecs()
+	for i := range compressed {
+		var err error
+		if compressed[i].prep, err = codec.Prepare(compressed[i].Block, codec.EncodingCompress); err != nil {
+			t.Fatal(err)
+		}
+		if digested[i].prep, err = codec.Prepare(digested[i].Block, codec.EncodingFP64); err != nil {
+			t.Fatal(err)
+		}
+		digested[i].prep.Hash()
+	}
+	cached := blockSender{tracker: &sendTracker{}}
+	var bodies [][]byte
+	for _, v := range []struct {
+		send blockSender
+		recs []blockRec
+	}{{blockSender{}, compressed}, {cached, digested}, {cached, digested}} {
+		args := multiplyArgs{IHi: 1, JHi: 1, KHi: 2, ABlocks: v.recs, cacheEpoch: 3}
+		bodies = append(bodies, bodyOf(t, codec.Writes(v.send.appendMultiplyArgs, &args)))
+	}
 	return bodies
 }
 
@@ -204,13 +223,10 @@ func forgedCountBodies() map[string]struct {
 		kind int
 		body []byte
 	}{
-		"batch items":      {bodyMultiplyBatchArgs, zeros(0)},
 		"A block records":  {bodyMultiplyArgs, zeros(12)},
 		"manifest owners":  {bodyMultiplyArgs, zeros(11, 1, 0, 9)},
 		"manifest entries": {bodyMultiplyArgs, zeros(11, 1, 0, 9, 1, 1, 'a')},
-		"nested in batch":  {bodyMultiplyBatchArgs, append(binary.AppendUvarint(nil, 100e6), zeros(12)...)},
 		"reply blocks":     {bodyMultiplyReply, zeros(3)},
-		"batch replies":    {bodyMultiplyBatchReply, zeros(0)},
 		"put blocks":       {bodyPutArgs, zeros(4)},
 		"handle ids":       {bodyFreeArgs, zeros(0)},
 		"part locations":   {bodyExecArgs, zeros(15)},
@@ -246,7 +262,7 @@ func TestForgedFramePrefixHugeCounts(t *testing.T) {
 
 // requestMethods is the method byte each request kind travels under.
 var requestMethods = map[int]byte{
-	bodyMultiplyArgs: methodMultiply, bodyMultiplyBatchArgs: methodMultiplyBatch, bodyPutArgs: methodPutBlocks,
+	bodyMultiplyArgs: methodMultiply, bodyPullMultiplyArgs: methodMultiply, bodyPutArgs: methodPutBlocks,
 	bodyGetArgs: methodGetBlocks, bodyFreeArgs: methodFreeHandles, bodyPinArgs: methodPinHandle, bodyExecArgs: methodExecOp,
 }
 
@@ -334,8 +350,9 @@ func deliverFrame(kind int, raw []byte) error {
 }
 
 // hostileFrames are whole frames that only the header makes hostile: a method
-// byte no handler serves, a reply for a call nobody made, an error code
-// outside the table, and a code whose fields end early.
+// byte no handler serves — one beyond the table, and the byte version 1 of
+// the socket numbered ExecOp with — a reply for a call nobody made, an error
+// code outside the table, and a code whose fields end early.
 func hostileFrames() map[string]struct {
 	kind  int
 	frame []byte
@@ -345,6 +362,7 @@ func hostileFrames() map[string]struct {
 		frame []byte
 	}{
 		"unknown method byte": {bodyGetArgs, []byte{1, 0xee, 5, 0}},
+		"retired method byte": {bodyGetArgs, []byte{1, methodExecOp + 1, 5, 0}},
 		"unknown seq":         {bodyPingReply, []byte{9, codec.CodeOK, 0, 0}},
 		"out-of-table code":   {bodyPingReply, []byte{1, 0xee, 1, 'x'}},
 		"pull failure":        {bodyPingReply, []byte{1, codePullFailed, 1, 'x', 7, 1}},
@@ -354,7 +372,7 @@ func hostileFrames() map[string]struct {
 
 // FuzzWireBodies drives arbitrary frames, header included, through both read
 // loops of a worker socket: requests through a worker's — method byte, then
-// the decoder of MultiplyArgs, its batch twin and the handle-store bodies of
+// the decoder of MultiplyArgs (push and pull) and the handle-store bodies of
 // handlewire.go — and replies through a client's — seq, error code and its
 // fields, then the reply decoders. A hostile peer gets a typed error —
 // errWire, the unknown-digest refusal for a reference the cache does not
@@ -364,6 +382,9 @@ func hostileFrames() map[string]struct {
 func FuzzWireBodies(f *testing.F) {
 	for kind, body := range wireSeedBodies(f) {
 		f.Add(uint8(kind), wholeFrame(kind, body), uint32(0))
+	}
+	for _, body := range pushVariantBodies(f) {
+		f.Add(uint8(bodyMultiplyArgs), wholeFrame(bodyMultiplyArgs, body), uint32(0))
 	}
 	f.Add(uint8(bodyFreeArgs), wholeFrame(bodyFreeArgs, []byte{0xff, 0xff, 0xff, 0xff, 0x0f}), uint32(0))
 	for _, tc := range forgedCountBodies() {
@@ -399,6 +420,7 @@ func TestHostileHeaders(t *testing.T) {
 	frames := hostileFrames()
 	want := map[string]func(error) bool{
 		"unknown method byte": func(err error) bool { return err != nil && strings.Contains(err.Error(), "unknown method") },
+		"retired method byte": func(err error) bool { return err != nil && strings.Contains(err.Error(), "unknown method") },
 		"unknown seq":         func(err error) bool { return err == nil },
 		"out-of-table code":   func(err error) bool { return errors.Is(err, errWire) },
 		"pull failure": func(err error) bool {
@@ -409,7 +431,7 @@ func TestHostileHeaders(t *testing.T) {
 	}
 	for name, tc := range frames {
 		err := deliverFrame(tc.kind, frameOf(tc.frame))
-		if name == "unknown method byte" {
+		if strings.HasSuffix(name, "method byte") {
 			// Answered, not decoded: the loop serves on, so read the answer.
 			err = unknownMethodAnswer(t, tc.frame)
 		}
@@ -446,6 +468,43 @@ func rawWorkerConn(t *testing.T, addr string) (net.Conn, *codec.FrameReader) {
 		t.Fatal(err)
 	}
 	return conn, codec.NewFrameReader(conn)
+}
+
+// TestPreambleRefusesVersion1Peers: version 1 of the worker socket numbered
+// its methods differently, so a peer still speaking it is refused at the
+// handshake both ways — a driver dialing a v1 worker, and a v1 driver
+// dialing a worker — with codec.ErrProtocol.
+func TestPreambleRefusesVersion1Peers(t *testing.T) {
+	v1 := workerPreamble
+	v1[4] = 1
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		codec.Handshake(conn, v1)
+	}()
+	opts := fastOpts()
+	opts.DisableHeartbeat = true
+	if _, err := DialOptions([]string{l.Addr().String()}, opts); !errors.Is(err, codec.ErrProtocol) {
+		t.Fatalf("driver dialing a v1 worker: %v, want ErrProtocol", err)
+	}
+
+	addrs, _ := startWorkers(t, 1)
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := codec.Handshake(conn, v1); !errors.Is(err, codec.ErrProtocol) {
+		t.Fatalf("v1 driver dialing a worker: %v, want ErrProtocol", err)
+	}
 }
 
 // readResponseHeader reads one response header: its code, its message and

@@ -136,10 +136,10 @@ func computeCuboid(args *multiplyArgs, reply *multiplyReply) (flops float64, err
 	return flops, nil
 }
 
-// serveCuboid is the worker's one way to run a cuboid, single or batched:
-// a pull cuboid first resolves its manifests into blocks, then the partial C
-// blocks are computed under a worker.compute span, whose flops and kernel
-// attributes give the cuboid's GFLOP/s against its duration.
+// serveCuboid is the worker's one way to run a cuboid: a pull cuboid first
+// resolves its manifests into blocks, then the partial C blocks are computed
+// under a worker.compute span, whose flops and kernel attributes give the
+// cuboid's GFLOP/s against its duration.
 func (w *Worker) serveCuboid(args *multiplyArgs, reply *multiplyReply) error {
 	if args.pull {
 		if err := w.preparePull(args, reply); err != nil {
@@ -174,32 +174,6 @@ func (w *Worker) multiply(args *multiplyArgs, reply *multiplyReply) error {
 	}
 	w.mu.Lock()
 	w.multiplies++
-	w.mu.Unlock()
-	return nil
-}
-
-// multiplyBatch computes many small cuboids in one call. Items fail
-// independently: a per-item error — an unknown-digest decode miss, a failed
-// pull resolution (the driver re-pushes that item inline) or a malformed
-// box — lands in that item's reply slot while the rest of the batch computes
-// normally, so the driver retries exactly the failures.
-func (w *Worker) multiplyBatch(args *batchArgs, reply *batchReply) error {
-	reply.Items = make([]batchItem, len(args.Items))
-	served := 0
-	for i := range args.Items {
-		item := &args.Items[i]
-		var rep multiplyReply
-		if item.decodeErr != nil {
-			reply.Items[i].err = item.decodeErr
-		} else if err := w.serveCuboid(item, &rep); err != nil {
-			reply.Items[i].err = err
-		} else {
-			reply.Items[i].CBlocks = rep.CBlocks
-			served++
-		}
-	}
-	w.mu.Lock()
-	w.multiplies += served
 	w.mu.Unlock()
 	return nil
 }
@@ -296,11 +270,6 @@ type WorkerOptions struct {
 	// DefaultCacheBytes, negative disables caching (every digest reference
 	// then misses and the driver falls back to inline sends).
 	CacheBytes int64
-	// CacheEpochWindow bounds how many job epochs an unreferenced cached
-	// block survives: 0 takes DefaultCacheEpochWindow. Smaller windows
-	// tighten residency across job churn; larger windows keep warm operands
-	// resident for longer under concurrent serving traffic.
-	CacheEpochWindow int
 	// StoreBytes bounds the handle store's unpinned residency: 0 takes
 	// DefaultStoreBytes, negative means unbounded. Evicted handles are
 	// rebuilt from lineage by the driver on next use.
@@ -322,7 +291,7 @@ func Serve(l net.Listener) (*Worker, error) {
 func ServeOptions(l net.Listener, opts WorkerOptions) (*Worker, error) {
 	w := &Worker{
 		listener: l,
-		cache:    newBlockCache(opts.CacheBytes, opts.CacheEpochWindow),
+		cache:    newBlockCache(opts.CacheBytes),
 		store:    newHandleStore(opts.StoreBytes),
 		tracer:   opts.Tracer,
 		down:     make(chan struct{}),
@@ -336,11 +305,8 @@ func ServeOptions(l net.Listener, opts WorkerOptions) (*Worker, error) {
 // handlers is the worker socket's method table; every call is admitted.
 func (w *Worker) handlers() []codec.Handler {
 	return []codec.Handler{
-		methodPing:     w.admit(false, codec.Method(nil, w.ping, appendPingReply)),
-		methodMultiply: w.admit(false, codec.Method(w.decodeMultiply, w.multiply, appendMultiplyReply)),
-		methodMultiplyBatch: w.admit(false, codec.Method(func(rd *codec.FrameReader, a *batchArgs) error {
-			return decodeBatchArgs(rd, a, w.cache)
-		}, w.multiplyBatch, appendBatchReply)),
+		methodPing:        w.admit(false, codec.Method(nil, w.ping, appendPingReply)),
+		methodMultiply:    w.admit(false, codec.Method(w.decodeMultiply, w.multiply, appendMultiplyReply)),
 		methodPutBlocks:   w.admit(false, codec.Method(decodePutArgs, w.putBlocks, appendCount)),
 		methodGetBlocks:   w.admit(true, codec.Method(decodeGetArgs, w.getBlocks, appendGetReply)),
 		methodFreeHandles: w.admit(false, codec.Method(decodeFreeArgs, w.freeHandles, appendCount)),
@@ -369,7 +335,7 @@ func (w *Worker) admit(read bool, h codec.Handler) codec.Handler {
 // attempt.
 func (w *Worker) decodeMultiply(rd *codec.FrameReader, a *multiplyArgs) error {
 	start, n := time.Now(), rd.Remaining()
-	err := decodeMultiplyArgs(rd, a, w.cache, false)
+	err := decodeMultiplyArgs(rd, a, w.cache)
 	if err == nil && w.tracer.Enabled() && a.traceSpan != 0 {
 		w.tracer.AddCompleted(obs.SpanData{
 			Parent: obs.SpanID(a.traceSpan), Name: "wire.decode", Kind: obs.KindWorker,

@@ -450,8 +450,13 @@ func (w *Worker) execTranspose(args *execArgs) (map[bmat.BlockKey]matrix.Block, 
 	return out, peerBytes, nil
 }
 
+// execZipOps is the element-wise operator each exec code runs.
+var execZipOps = map[uint8]bmat.ZipOp{
+	execAdd: bmat.ZipAdd, execSub: bmat.ZipSub, execHadamard: bmat.ZipHadamard, execDivElem: bmat.ZipDivElem,
+}
+
 // execZip runs one element-wise operator over the union of the local A and B
-// band keys, mirroring the engine zip's nil-block semantics exactly.
+// band keys, with bmat.ZipBlock's nil-block rules.
 func (w *Worker) execZip(args *execArgs) (map[bmat.BlockKey]matrix.Block, error) {
 	a, err := w.localBand(args.A)
 	if err != nil {
@@ -468,43 +473,10 @@ func (w *Worker) execZip(args *execArgs) (map[bmat.BlockKey]matrix.Block, error)
 	for k := range b {
 		keys[k] = struct{}{}
 	}
+	op := execZipOps[args.Op]
 	out := map[bmat.BlockKey]matrix.Block{}
 	for k := range keys {
-		var res matrix.Block
-		x, y := a[k], b[k]
-		switch args.Op {
-		case execAdd:
-			switch {
-			case x == nil:
-				res = y.Dense()
-			case y == nil:
-				res = x.Dense()
-			default:
-				res = matrix.Add(x, y)
-			}
-		case execSub:
-			switch {
-			case x == nil:
-				res = matrix.Scale(-1, y)
-			case y == nil:
-				res = x.Dense()
-			default:
-				res = matrix.Sub(x, y)
-			}
-		case execHadamard:
-			if x != nil && y != nil {
-				res = matrix.Hadamard(x, y)
-			}
-		case execDivElem:
-			if x != nil {
-				if y == nil {
-					r, c := x.Dims()
-					y = matrix.NewDense(r, c)
-				}
-				res = matrix.DivElem(x, y, args.Scalar)
-			}
-		}
-		if res != nil {
+		if res := bmat.ZipBlock(op, a[k], b[k], args.Scalar); res != nil {
 			out[k] = res
 		}
 	}

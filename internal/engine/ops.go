@@ -49,56 +49,24 @@ func (e *Engine) Transpose(ctx context.Context, a *bmat.BlockMatrix) (*bmat.Bloc
 
 // Add computes A+B block-parallel.
 func (e *Engine) Add(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return e.zip(ctx, "add", a, b, func(x, y matrix.Block) matrix.Block {
-		switch {
-		case x == nil:
-			return y.Dense()
-		case y == nil:
-			return x.Dense()
-		default:
-			return matrix.Add(x, y)
-		}
-	})
+	return e.zip(ctx, "add", bmat.ZipAdd, a, b, 0)
 }
 
 // Sub computes A−B block-parallel.
 func (e *Engine) Sub(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return e.zip(ctx, "sub", a, b, func(x, y matrix.Block) matrix.Block {
-		switch {
-		case x == nil:
-			return matrix.Scale(-1, y)
-		case y == nil:
-			return x.Dense()
-		default:
-			return matrix.Sub(x, y)
-		}
-	})
+	return e.zip(ctx, "sub", bmat.ZipSub, a, b, 0)
 }
 
 // Hadamard computes the element-wise product A∘B block-parallel.
 func (e *Engine) Hadamard(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	return e.zip(ctx, "hadamard", a, b, func(x, y matrix.Block) matrix.Block {
-		if x == nil || y == nil {
-			return nil
-		}
-		return matrix.Hadamard(x, y)
-	})
+	return e.zip(ctx, "hadamard", bmat.ZipHadamard, a, b, 0)
 }
 
 // DivElem computes A⊘B element-wise with an epsilon guard,
 // block-parallel. Block positions present in A but missing in B divide by
 // the guard.
 func (e *Engine) DivElem(ctx context.Context, a, b *bmat.BlockMatrix, eps float64) (*bmat.BlockMatrix, error) {
-	return e.zip(ctx, "divelem", a, b, func(x, y matrix.Block) matrix.Block {
-		if x == nil {
-			return nil
-		}
-		if y == nil {
-			r, c := x.Dims()
-			y = matrix.NewDense(r, c)
-		}
-		return matrix.DivElem(x, y, eps)
-	})
+	return e.zip(ctx, "divelem", bmat.ZipDivElem, a, b, eps)
 }
 
 // Scale computes s·A block-parallel.
@@ -156,8 +124,9 @@ func (e *Engine) blockTasks(ctx context.Context, name string, a *bmat.BlockMatri
 	return e.cluster.Run(ctx, tasks)
 }
 
-// zip fans a two-operand block function over the union of block positions.
-func (e *Engine) zip(ctx context.Context, name string, a, b *bmat.BlockMatrix, f func(x, y matrix.Block) matrix.Block) (*bmat.BlockMatrix, error) {
+// zip fans one element-wise operator (bmat.ZipBlock) over the union of
+// block positions.
+func (e *Engine) zip(ctx context.Context, name string, op bmat.ZipOp, a, b *bmat.BlockMatrix, eps float64) (*bmat.BlockMatrix, error) {
 	if err := e.checkOpen(); err != nil {
 		return nil, err
 	}
@@ -204,7 +173,7 @@ func (e *Engine) zip(ctx context.Context, name string, a, b *bmat.BlockMatrix, f
 			MemEstimate: mem,
 			Fn: func() error {
 				for _, k := range ks {
-					res := f(a.Block(k.I, k.J), b.Block(k.I, k.J))
+					res := bmat.ZipBlock(op, a.Block(k.I, k.J), b.Block(k.I, k.J), eps)
 					if res == nil {
 						continue
 					}

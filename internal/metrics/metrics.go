@@ -141,13 +141,9 @@ type NetStats struct {
 	// Both stay zero under the default bit-exact encoding.
 	EncodedBlocks     int64 `json:"encoded_blocks"`
 	EncodedBytesSaved int64 `json:"encoded_bytes_saved"`
-	// BatchRPCs counts MultiplyBatch calls issued by the small-cuboid
-	// coalescer; BatchItems is the total cuboids they carried;
-	// BatchItemErrors counts per-item failures inside otherwise-successful
-	// batches (each is retried individually).
-	BatchRPCs       int64 `json:"batch_rpcs"`
-	BatchItems      int64 `json:"batch_items"`
-	BatchItemErrors int64 `json:"batch_item_errors"`
+	// BatchItems is always 0: cuboids are dispatched one per call, and the
+	// field stays only because the repository benchmark reads it.
+	BatchItems int64 `json:"batch_items"`
 	// PipelinePuts/PipelinePutBytes count Handle uploads into the distributed
 	// block store; PipelineOps counts worker-side pipeline operators executed;
 	// PipelineFetches/PipelineFetchBytes count final results crossing back to
@@ -207,7 +203,7 @@ func (n NetStats) Sub(o NetStats) NetStats { return Sub(n, o) }
 
 // String renders the network-elasticity counters compactly.
 func (n NetStats) String() string {
-	return fmt.Sprintf("heartbeats=%d/%d rtt(avg=%v max=%v) reconnects=%d churn=+%d/-%d dead=%d timeouts=%d retries=%d local=%d wire(enc=%s dec=%s) cache(refs=%d misses=%d saved=%s) encoding(blocks=%d saved=%s) batch(rpcs=%d items=%d errs=%d) pipeline(puts=%d/%s ops=%d fetches=%d/%s resident=%s avoided=%s recoveries=%d)",
+	return fmt.Sprintf("heartbeats=%d/%d rtt(avg=%v max=%v) reconnects=%d churn=+%d/-%d dead=%d timeouts=%d retries=%d local=%d wire(enc=%s dec=%s) cache(refs=%d misses=%d saved=%s) encoding(blocks=%d saved=%s) pipeline(puts=%d/%s ops=%d fetches=%d/%s resident=%s avoided=%s recoveries=%d)",
 		n.HeartbeatsSent-n.HeartbeatMisses, n.HeartbeatsSent,
 		n.HeartbeatRTTAvg(), n.HeartbeatRTTMax,
 		n.Reconnects, n.WorkersJoined, n.WorkersLeft, n.WorkersDeclaredDead,
@@ -215,7 +211,6 @@ func (n NetStats) String() string {
 		FormatBytes(n.WireEncodeBytes), FormatBytes(n.WireDecodeBytes),
 		n.CacheRefsSent, n.CacheRefMisses, FormatBytes(n.CacheBytesSaved),
 		n.EncodedBlocks, FormatBytes(n.EncodedBytesSaved),
-		n.BatchRPCs, n.BatchItems, n.BatchItemErrors,
 		n.PipelinePuts, FormatBytes(n.PipelinePutBytes), n.PipelineOps,
 		n.PipelineFetches, FormatBytes(n.PipelineFetchBytes),
 		FormatBytes(n.ResidentBytes), FormatBytes(n.DriverBytesAvoided),

@@ -14,9 +14,9 @@ import (
 	"distme/internal/bmat"
 )
 
-// Ops is the subset of engine operators the queries need; engine.Engine,
-// systems.System and distnet.Hybrid satisfy it, so the same query runs on
-// every compared system. Each operator observes ctx, so a cancelled context
+// Ops is the subset of engine operators the queries need; engine.Engine and
+// systems.System satisfy it, so the same query runs on every compared
+// system. Each operator observes ctx, so a cancelled context
 // stops a query between operators.
 type Ops interface {
 	Multiply(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error)

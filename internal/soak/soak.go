@@ -1,6 +1,6 @@
 // Package soak is the long-horizon chaos harness for the self-healing
 // cluster: a seeded, deterministic mixed workload (classic cuboid
-// multiplies, pull-plane multiplies, batched tiny jobs, GNMF and PageRank
+// multiplies, pull-plane multiplies, many-tiny-cuboid jobs, GNMF and PageRank
 // pipelines) running
 // against an autoscaled in-process pool while the harness kills workers and
 // throttles links on a schedule. Every job's result is compared bit-for-bit
@@ -166,10 +166,12 @@ func buildWorkload(seed int64) *workload {
 }
 
 // jobKinds and their mix weights (mul 30%, tiny-batch 25%, pull-mul 15%,
-// gnmf 15%, pagerank 15%). pull-mul runs the same multiply as mul through
-// the one-sided pull plane and compares against the push-computed
-// reference, so the soak also holds the two data planes to bit-identity
-// under every kill and throttle in the schedule.
+// gnmf 15%, pagerank 15%). tiny-batch is a 4×4×1 plan of sixteen small
+// cuboids, each dispatched as its own call: the per-cuboid fixed cost under
+// chaos. pull-mul runs the same multiply as mul through the one-sided pull
+// plane and compares against the push-computed reference, so the soak also
+// holds the two data planes to bit-identity under every kill and throttle
+// in the schedule.
 var jobKinds = []struct {
 	name   string
 	weight int
@@ -277,7 +279,6 @@ func startHarness(p Profile, autoscale bool, tracer *obs.Tracer) (*harness, erro
 		SuspectAfter:      1,
 		DeadAfter:         2,
 		PerWorkerInflight: 2,
-		BatchBytes:        4096,
 		JitterSeed:        p.Seed,
 		Tracer:            tracer,
 	})
