@@ -6,9 +6,9 @@ build:
 	$(GO) build ./...
 
 # The second run builds the packages on the local-multiply path with the
-# purego tag, which leaves the AVX2 micro-kernels out: the portable dense
-# and sparse loops every non-AVX2 machine runs are exercised on the amd64
-# runner too. The third runs core's width-dependent parity tests at one and
+# purego tag, which leaves the assembly micro-kernels (AVX-512 and AVX2) out:
+# the portable dense and sparse loops every non-AVX2 machine runs are
+# exercised on the amd64 runner too. The third runs core's width-dependent parity tests at one and
 # at four threads — matrix.KernelWorkers follows GOMAXPROCS, and the 2-vCPU
 # runner picks neither width by itself.
 test:
@@ -99,8 +99,9 @@ bench-e2e:
 # seed kernels beside the current ones, and
 #   go test -bench 'Gemm|CSRMulDense|DenseMulCSC|CSRMulCSR' -cpu 1,2 ./internal/matrix
 # prints the rows of each side by side — seed, fallback (the portable
-# loop) and simd (the AVX2 micro-kernel) for Gemm and the two sparse–dense
-# products, which also run the block shapes of the repository benchmark;
+# loop) and avx2 (the AVX2 micro-kernels) for Gemm and the two sparse–dense
+# products, which also run the block shapes of the repository benchmark,
+# and for Gemm avx512 (the 8×8 tile; skipped where CPUID or XCR0 says no);
 # DenseMulCSC adds a packed row, the product as a cuboid tile runs it.
 # BenchmarkSparseFanout is the measurement behind sparseFlopsThreshold.
 bench:

@@ -291,6 +291,46 @@ func TestEpochWindowAgesDriverAndWorkerAlike(t *testing.T) {
 	}
 }
 
+// TestPlanOrderPlacementShipsEachBlockOnce: cuboid placement is fixed at
+// plan time, not by which goroutine reaches the scheduler first. At (2,2,2)
+// over a 6×6×6 block grid on two workers, the Q = 2 cuboids sharing an A
+// block sit R = 2 apart in plan order and the P = 2 sharing a B block
+// Q·R = 4 apart, so both land on one worker: of each job's 144 block sends,
+// the second copy of every one of the 72 distinct blocks is a reference —
+// in every job, with the same bytes on the wire each time.
+func TestPlanOrderPlacementShipsEachBlockOnce(t *testing.T) {
+	params := core.Params{P: 2, Q: 2, R: 2}
+	addrs, _ := startWorkers(t, 2)
+	opts := fastOpts()
+	opts.DisableHeartbeat = true // no pings in the byte counts
+	d, err := DialOptions(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var firstSent, firstReceived int64
+	for job := 0; job < 20; job++ {
+		rng := rand.New(rand.NewSource(int64(7200 + job))) // new content: no reference crosses jobs
+		a, b := bmat.RandomDense(rng, 48, 48, 8), bmat.RandomDense(rng, 48, 48, 8)
+		before := d.NetStats()
+		sent0, received0 := d.WireBytes()
+		if _, err := execute(d, a, b, params); err != nil {
+			t.Fatal(err)
+		}
+		delta := d.NetStats().Sub(before)
+		sent1, received1 := d.WireBytes()
+		sent, received := sent1-sent0, received1-received0
+		if delta.CacheRefsSent != 72 || delta.CacheRefMisses != 0 {
+			t.Errorf("job %d: %d blocks sent as references (%d missed), want 72 (0)", job, delta.CacheRefsSent, delta.CacheRefMisses)
+		}
+		if job == 0 {
+			firstSent, firstReceived = sent, received
+		} else if sent != firstSent || received != firstReceived {
+			t.Errorf("job %d moved %d bytes out and %d in, job 0 %d and %d", job, sent, received, firstSent, firstReceived)
+		}
+	}
+}
+
 // TestCacheEvictionChurnConverges squeezes the worker cache far below one
 // job's working set so inserts continually evict; any reference that lands
 // on an evicted block must be resent inline, and the product must still be

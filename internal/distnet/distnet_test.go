@@ -61,7 +61,8 @@ func TestRemoteMultiplyMatchesLocal(t *testing.T) {
 		t.Fatal("remote product differs from local reference")
 	}
 
-	// All three workers should have served cuboids (12 jobs round-robin).
+	// All three workers should have served cuboids (12 cuboids, homes
+	// consecutive on the ring).
 	for i, w := range workers {
 		if w.Multiplies() == 0 {
 			t.Errorf("worker %d served nothing", i)

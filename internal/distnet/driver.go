@@ -55,7 +55,7 @@ type Driver struct {
 
 	mu      sync.Mutex
 	members []*member
-	rr      int // round-robin scheduling cursor
+	rr      int // scheduling cursor: runCuboids reserves one position per cuboid
 	closed  bool
 
 	// backoff is the retry delay policy cuboid dispatch shares with the

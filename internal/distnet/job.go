@@ -79,7 +79,11 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 	}
 	defer r.root.End()
 
-	// Plan: one filled cuboid per voxel box, in core's (p,q,r) plan order.
+	// Plan: one filled cuboid per voxel box, in core's (p,q,r) plan order,
+	// each with its home on the member ring. idx = (p·Q+q)·R + r, so the
+	// cuboids sharing an A block are R apart and those sharing a B block
+	// Q·R apart: when the worker count divides R, every replica after the
+	// first lands where the block already is and ships as a reference.
 	core.ForEachCuboid(params, gi, gj, gk, func(p, q, rr int, box core.Box) {
 		args := &multiplyArgs{
 			ILo: box.ILo, IHi: box.IHi, JLo: box.JLo, JHi: box.JHi, KLo: box.KLo, KHi: box.KHi,
@@ -90,6 +94,10 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 		job.fill(args)
 		r.cuboids = append(r.cuboids, args)
 	})
+	base := d.reserveHomes(len(r.cuboids))
+	for idx, args := range r.cuboids {
+		args.home = base + idx
+	}
 	if job.ckpt != nil {
 		if err := job.ckpt.ensureManifest(&job, len(r.cuboids)); err != nil {
 			return nil, err
@@ -197,17 +205,18 @@ const jobAttempts = 6
 // acrossMembers is runJob's scheduling loop: acquire a live member, run one
 // attempt on it, and on a failure try calls retryable back off (d.backoff)
 // and move to the next live member, reconnecting dead ones when the pool
-// looks empty, for at most jobAttempts attempts.
+// looks empty, for at most jobAttempts attempts. Attempt a walks the ring
+// from position home+a.
 // A nil error is success; exhausted means the attempts ran out or the pool
 // drained, err being the last failure (ErrNoWorkers if no member was ever
 // reached); any other error ended the loop for good — ctx, or a final try.
-func (d *Driver) acrossMembers(ctx context.Context, meter *JobMeter, try func(m *member) (retry bool, err error)) (exhausted bool, err error) {
+func (d *Driver) acrossMembers(ctx context.Context, meter *JobMeter, home int, try func(m *member) (retry bool, err error)) (exhausted bool, err error) {
 	var lastErr error
 	for attempt := 0; attempt < jobAttempts; {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		m, anyLive := d.acquireMember()
+		m, anyLive := d.acquireMember(home + attempt)
 		if m == nil {
 			if anyLive {
 				// Every live member's in-flight window is full: wait for a
@@ -257,7 +266,7 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 		atomic.AddInt64(&d.rec.Net.Live().PullJobs, 1)
 	}
 	var reply *multiplyReply
-	exhausted, err := d.acrossMembers(ctx, args.meter, func(m *member) (bool, error) {
+	exhausted, err := d.acrossMembers(ctx, args.meter, args.home, func(m *member) (bool, error) {
 		asp := d.tracer.Start(parent.ID(), "rpc.multiply", obs.KindRPC)
 		defer asp.End()
 		if asp.Active() {

@@ -345,16 +345,27 @@ func (d *Driver) connect(m *member, reconnect bool) error {
 	return nil
 }
 
-// acquireMember returns the next schedulable member with a free in-flight
-// slot, round-robin — Alive members first, Suspect ones only when no Alive
-// member took the job. anyLive distinguishes "every live member is busy"
-// (wait and retry) from "the pool has drained" (reconnect or fall back).
-// The caller must release the member's slot after the call.
-func (d *Driver) acquireMember() (picked *member, anyLive bool) {
+// reserveHomes advances the scheduling cursor past n cuboids and returns
+// where it stood: a job's cuboid idx has ring position base+idx as its
+// home, fixed at plan time, so which worker it lands on — and so which of
+// its blocks go as digest references — does not depend on goroutine timing.
+func (d *Driver) reserveHomes(n int) (base int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	base = d.rr
+	d.rr += n
+	return base
+}
+
+// acquireMember returns the first schedulable member with a free in-flight
+// slot walking the ring from position start — Alive members first, Suspect
+// ones only when no Alive member took the job. anyLive distinguishes "every
+// live member is busy" (wait and retry) from "the pool has drained"
+// (reconnect or fall back). The caller must release the member's slot after
+// the call.
+func (d *Driver) acquireMember(start int) (picked *member, anyLive bool) {
 	d.mu.Lock()
 	members := append([]*member(nil), d.members...)
-	start := d.rr
-	d.rr++
 	d.mu.Unlock()
 	n := len(members)
 	for _, want := range []MemberState{StateAlive, StateSuspect} {

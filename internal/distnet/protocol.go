@@ -76,6 +76,11 @@ type multiplyArgs struct {
 	// cuboid (WithJobMeter). Driver-side only; never on the wire.
 	meter *JobMeter
 
+	// home is the ring position runCuboids reserved for this cuboid at plan
+	// time (Driver.reserveHomes); scheduling attempt a starts there plus a.
+	// Driver-side only.
+	home int
+
 	// prep is the cuboid's job-wide block preparer, kept on the cuboid so a
 	// pull cuboid can be prepared at the moment it downgrades to push.
 	// Driver-side only.

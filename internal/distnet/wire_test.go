@@ -778,7 +778,8 @@ func TestOversizeCuboidFailsWithoutRetry(t *testing.T) {
 	small := matrix.RandomDense(rand.New(rand.NewSource(1405)), 8, 8)
 	ok := &multiplyArgs{IHi: 1, JHi: 1, KHi: 1, ABlocks: []blockRec{{Block: small}}, BBlocks: []blockRec{{Block: small}}}
 	prepareRecs(t, ok.ABlocks, ok.BBlocks)
-	for i := 0; i < 2; i++ { // round-robin: both members' connections
+	for i := 0; i < 2; i++ { // homes 0 and 1: both members' connections
+		ok.home = i
 		if reply, err := d.runJob(context.Background(), ok, obs.Span{}); err != nil || len(reply.CBlocks) != 1 {
 			t.Fatalf("cuboid after the refusal: %v", err)
 		}

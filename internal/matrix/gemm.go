@@ -7,19 +7,21 @@ import (
 
 // The dense kernel — the stand-in for the cublasDgemm / LAPACK dgemm call
 // of the paper's local-multiplication step — is a register-tiled product:
-// C is cut into 4×8 tiles, each held in registers over the whole k range by
-// the AVX2 micro-kernel (gemm_amd64.s), and the rows and columns left over
-// run the portable loop below, which is also the whole kernel wherever the
-// micro-kernel is not built or the CPU lacks AVX2. Both round every
-// multiply and every add separately and walk k upwards, so a product has
-// the same bits on either path, at any fan-out width, for any row grouping
-// — and the bits of the naive i-k-j triple loop. Dense arithmetic is plain
-// IEEE: a zero in A is multiplied like any other value (0·Inf = NaN); only
-// the sparse kernels skip, and only structural zeros.
+// C is cut into 8×8 tiles on AVX-512 CPUs and 4×8 tiles on AVX2 ones, each
+// held in registers over the whole k range by a micro-kernel
+// (gemm_amd64.s), and the rows and columns left over run the portable loop
+// below, which is also the whole kernel wherever the micro-kernels are not
+// built or the CPU lacks AVX2. All of them round every multiply and every
+// add separately and walk k upwards, so a product has the same bits on
+// every path, at any fan-out width, for any row grouping — and the bits of
+// the naive i-k-j triple loop. Dense arithmetic is plain IEEE: a zero in A
+// is multiplied like any other value (0·Inf = NaN); only the sparse kernels
+// skip, and only structural zeros.
 
 const (
-	tileRows = 4
-	tileCols = 8
+	tileRows     = 4 // rows of the AVX2 tile, and of the portable loop's groups
+	wideTileRows = 8 // rows of the AVX-512 tile
+	tileCols     = 8
 	// rowChunk is how many rows of C are finished before the next: the
 	// chunk of A (rowChunk×k) stays in L2 while the panels of B stream past
 	// it. Fixed; choosing it and a k panel per cache level with
@@ -40,12 +42,25 @@ var gemmFlopsThreshold = 1 << 24
 // (wider blocks, whose row stride aliases in L1, earlier).
 const packMinRows = 128
 
-// KernelName names the dense kernel this process selected: "avx2" or "go".
+// KernelName names the dense kernel this process selected: "avx512",
+// "avx2" or "go".
 func KernelName() string {
-	if simd {
+	switch {
+	case wide:
+		return "avx512"
+	case simd:
 		return "avx2"
 	}
 	return "go"
+}
+
+// rowTile is the height of the selected dense tile: the unit in which rows
+// of C are split between goroutines, so that no tile is cut in two.
+func rowTile() int {
+	if wide {
+		return wideTileRows
+	}
+	return tileRows
 }
 
 // PackedB is a dense right-hand operand prepared for repeated products on
@@ -101,7 +116,7 @@ func Gemm(c, a, b *Dense) {
 	var wg sync.WaitGroup
 	for lo := 0; lo < m; lo += chunk {
 		hi := lo + chunk
-		if hi+tileRows > m {
+		if hi+rowTile() > m {
 			hi = m
 		}
 		wg.Add(1)
@@ -117,19 +132,20 @@ func Gemm(c, a, b *Dense) {
 }
 
 // GemmFansOut reports whether a bare Gemm of an m×k by k×n product spreads
-// its rows over goroutines by itself: at least two row tiles, two workers,
-// and gemmFlopsThreshold of work.
+// its rows over goroutines by itself: at least two row tiles of the
+// selected height, two workers, and gemmFlopsThreshold of work.
 func GemmFansOut(m, n, k int) bool {
-	return KernelWorkers() >= 2 && m >= 2*tileRows && 2*m*n*k >= gemmFlopsThreshold
+	return KernelWorkers() >= 2 && m >= 2*rowTile() && 2*m*n*k >= gemmFlopsThreshold
 }
 
 // RowChunk is how many rows of an m-row product each of up to workers
-// goroutines takes: whole row tiles, so that only the last chunk meets the
-// rows that do not fill one.
+// goroutines takes: whole row tiles of the selected height, so that only
+// the last chunk meets the rows that do not fill one.
 func RowChunk(m, workers int) int {
-	tiles := max(m/tileRows, 1)
+	h := rowTile()
+	tiles := max(m/h, 1)
 	workers = max(min(workers, tiles), 1)
-	return (tiles + workers - 1) / workers * tileRows
+	return (tiles + workers - 1) / workers * h
 }
 
 // GemmPacked computes C += A×B on the calling goroutine, against an
@@ -161,10 +177,13 @@ func gemmDims(op string, c, a, b *Dense) (m, n, k int) {
 	return m, n, k
 }
 
-// gemmRows computes rows [lo, hi) of C += A×B: full 4×8 tiles through the
-// micro-kernel, a chunk of rows at a time and within it panel by panel, so
-// one panel of B stays in L1 across the chunk's row tiles; then the columns
-// and rows that do not fill a tile through the portable loop.
+// gemmRows computes rows [lo, hi) of C += A×B: full tiles through the
+// micro-kernels, a chunk of rows at a time and within it panel by panel, so
+// one panel of B stays in L1 across the chunk's row tiles — 8-row tiles
+// where the CPU has them, then one 4-row tile for a remainder of four to
+// seven rows; then the columns and rows that do not fill a tile through the
+// portable loop. A chunk is a multiple of eight rows, so the 4-row tile
+// only ever ends the last one.
 func gemmRows(c, a *Dense, pb PackedB, lo, hi int) {
 	b := pb.b
 	k, n := a.ColsN, b.ColsN
@@ -182,8 +201,14 @@ func gemmRows(c, a *Dense, pb PackedB, lo, hi int) {
 				if pb.panels != nil {
 					bp, ldb = &pb.panels[j*k], tileCols
 				}
-				for i := i0; i < i1; i += tileRows {
-					gemmTile4x8(&c.Data[i*n+j], &a.Data[i*k], bp, k, n, k, ldb)
+				for i := i0; i < i1; {
+					if wide && i+wideTileRows <= i1 {
+						gemmTile8x8(&c.Data[i*n+j], &a.Data[i*k], bp, k, n, k, ldb)
+						i += wideTileRows
+					} else {
+						gemmTile4x8(&c.Data[i*n+j], &a.Data[i*k], bp, k, n, k, ldb)
+						i += tileRows
+					}
 				}
 			}
 		}

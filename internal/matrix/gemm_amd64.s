@@ -35,6 +35,39 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func hasAVX512() bool
+//
+// AVX-512F is usable when the CPU reports it (leaf 7 EBX bit 16) and the OS
+// saves the opmask and ZMM state across context switches: leaf 1 ECX bit 27
+// (OSXSAVE), then XCR0 bits 1 and 2 (SSE and AVX state) and 5, 6 and 7
+// (opmask, the upper halves of ZMM0-15, ZMM16-31) read with XGETBV.
+TEXT ·hasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JLT  no
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x08000000, CX
+	JZ    no
+	XORL CX, CX
+	XGETBV
+	ANDL $0xe6, AX
+	CMPL AX, $0xe6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x10000, BX
+	JZ    no
+	MOVB $1, ret+0(FP)
+	RET
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
 // func gemmTile4x8(c, a, b *float64, k, ldc, lda, ldb int)
 //
 // C[r][0:8] += sum over p in [0,k) of A[r][p] * B[p][0:8] for r in [0,4),
@@ -115,5 +148,87 @@ store:
 	VMOVUPD Y5, 32(DI)(R8*2)
 	VMOVUPD Y6, (R11)
 	VMOVUPD Y7, 32(R11)
+	VZEROUPPER
+	RET
+
+// func gemmTile8x8(c, a, b *float64, k, ldc, lda, ldb int)
+//
+// gemmTile4x8 for eight rows of C on 512-bit registers: C[r][0:8] lives in
+// Zr for r in [0,8). Each step loads B[p][0:8] once into Z8, multiplies it
+// by A[r][p] broadcast from memory into Z16..Z23, then adds those to Z0..Z7;
+// never an FMA, p ascending, so every element rounds as in gemmTile4x8.
+// A's rows are SI, SI+lda, SI+2lda, R11 = SI+3lda, SI+4lda, R11+2lda,
+// R12 = SI+6lda and R12+lda; C's likewise from DI, AX = DI+3ldc and
+// BX = DI+6ldc.
+TEXT ·gemmTile8x8(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), CX
+	MOVQ ldc+32(FP), R8
+	MOVQ lda+40(FP), R9
+	MOVQ ldb+48(FP), R10
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+
+	LEAQ (R8)(R8*2), AX
+	ADDQ DI, AX
+	LEAQ (AX)(R8*2), BX
+	ADDQ R8, BX
+	LEAQ (R9)(R9*2), R11
+	ADDQ SI, R11
+	LEAQ (R11)(R9*2), R12
+	ADDQ R9, R12
+
+	VMOVUPD (DI), Z0
+	VMOVUPD (DI)(R8*1), Z1
+	VMOVUPD (DI)(R8*2), Z2
+	VMOVUPD (AX), Z3
+	VMOVUPD (DI)(R8*4), Z4
+	VMOVUPD (AX)(R8*2), Z5
+	VMOVUPD (BX), Z6
+	VMOVUPD (BX)(R8*1), Z7
+
+	TESTQ CX, CX
+	JZ    store
+
+loop:
+	VMOVUPD (DX), Z8
+
+	VMULPD.BCST (SI), Z8, Z16
+	VMULPD.BCST (SI)(R9*1), Z8, Z17
+	VMULPD.BCST (SI)(R9*2), Z8, Z18
+	VMULPD.BCST (R11), Z8, Z19
+	VMULPD.BCST (SI)(R9*4), Z8, Z20
+	VMULPD.BCST (R11)(R9*2), Z8, Z21
+	VMULPD.BCST (R12), Z8, Z22
+	VMULPD.BCST (R12)(R9*1), Z8, Z23
+
+	VADDPD Z16, Z0, Z0
+	VADDPD Z17, Z1, Z1
+	VADDPD Z18, Z2, Z2
+	VADDPD Z19, Z3, Z3
+	VADDPD Z20, Z4, Z4
+	VADDPD Z21, Z5, Z5
+	VADDPD Z22, Z6, Z6
+	VADDPD Z23, Z7, Z7
+
+	ADDQ $8, SI
+	ADDQ $8, R11
+	ADDQ $8, R12
+	ADDQ R10, DX
+	DECQ CX
+	JNZ  loop
+
+store:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, (DI)(R8*1)
+	VMOVUPD Z2, (DI)(R8*2)
+	VMOVUPD Z3, (AX)
+	VMOVUPD Z4, (DI)(R8*4)
+	VMOVUPD Z5, (AX)(R8*2)
+	VMOVUPD Z6, (BX)
+	VMOVUPD Z7, (BX)(R8*1)
 	VZEROUPPER
 	RET

@@ -2,12 +2,14 @@
 
 package matrix
 
-// simd is false wherever the AVX2 micro-kernels are not built — other
+// simd and wide are false wherever the micro-kernels are not built — other
 // architectures and the purego tag: every product runs the portable loops.
-// A var only because the kernel tests assign it on amd64.
-var simd = false
+// Vars only because the kernel tests assign them on amd64.
+var simd, wide = false, false
 
 func gemmTile4x8(c, a, b *float64, k, ldc, lda, ldb int) { noSIMD() }
+
+func gemmTile8x8(c, a, b *float64, k, ldc, lda, ldb int) { noSIMD() }
 
 func csrRowAVX2(c *float64, n int, val *float64, col *int, nnz int, b *float64, ldb int) { noSIMD() }
 

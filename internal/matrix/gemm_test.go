@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -57,17 +58,35 @@ func sameBits(got, want *Dense) (int, bool) {
 	return 0, true
 }
 
-// kernelVariants runs fn once on the portable loop and, where there is one,
-// once on the AVX2 micro-kernel.
+// kernelVariants runs fn once on the portable loops and, where this build
+// and CPU have them, once on the AVX2 micro-kernels and once with the
+// AVX-512 dense tile.
 func kernelVariants(t *testing.T, fn func(t *testing.T)) {
-	t.Run("go", func(t *testing.T) {
-		useKernel(t, false)
-		fn(t)
-	})
-	t.Run("avx2", func(t *testing.T) {
-		useKernel(t, true)
-		fn(t)
-	})
+	for _, kernel := range kernelPaths {
+		t.Run(kernel, func(t *testing.T) {
+			useKernel(t, kernel)
+			fn(t)
+		})
+	}
+}
+
+// TestKernelSelection: the AVX-512 tile is only ever selected beside the
+// AVX2 kernels, and KernelName reports the flags. The log line is the
+// record of which paths a CI run's kernel tests actually exercised.
+func TestKernelSelection(t *testing.T) {
+	t.Logf("GOARCH=%s avx2=%v avx512=%v kernel=%s", runtime.GOARCH, simd, wide, KernelName())
+	if wide && !simd {
+		t.Fatal("the AVX-512 tile is selected without the AVX2 kernels")
+	}
+	want := "go"
+	if wide {
+		want = "avx512"
+	} else if simd {
+		want = "avx2"
+	}
+	if KernelName() != want {
+		t.Fatalf("KernelName() = %q with avx2=%v avx512=%v, want %q", KernelName(), simd, wide, want)
+	}
 }
 
 // gemmCase is one product of the differential table: unaligned operands, a
@@ -114,7 +133,10 @@ func (tc *gemmCase) check(t *testing.T, widths []int) {
 func TestGemmDifferential(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(211))
-	dims := []int{0, 1, 3, 4, 5, 7, 8, 9, 12, 17, 127, 128, 129}
+	// As m under the 8×8 tile: 16 and 24 are whole 8-row tiles, 12 and 127
+	// follow theirs with a 4-row tile (127 then with three scalar rows), 17
+	// and 129 with one scalar row.
+	dims := []int{0, 1, 3, 4, 5, 7, 8, 9, 12, 16, 17, 24, 127, 128, 129}
 	var cases []*gemmCase
 	for _, m := range dims {
 		for _, n := range dims {
@@ -147,7 +169,7 @@ func TestGemmPackedMatchesGemm(t *testing.T) {
 	kernelVariants(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(212))
 		for _, rows := range []int{0, packMinRows} {
-			for _, dims := range [][3]int{{5, 9, 7}, {16, 24, 33}, {130, 131, 67}} {
+			for _, dims := range [][3]int{{5, 9, 7}, {12, 17, 9}, {16, 24, 33}, {130, 131, 67}} {
 				m, n, k := dims[0], dims[1], dims[2]
 				a, b := randomOffsetDense(rng, m, k, 1), randomOffsetDense(rng, k, n, 1)
 				want := NewDense(m, n)

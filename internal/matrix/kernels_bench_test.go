@@ -128,46 +128,61 @@ func BenchmarkGemm(b *testing.B) {
 			}
 			reportGFlops(b, flops)
 		})
-		b.Run(benchName("fallback", size), func(b *testing.B) {
-			useKernel(b, false)
-			for i := 0; i < b.N; i++ {
-				c.Zero()
-				Gemm(c, x, y)
+		for _, kernel := range kernelPaths {
+			name := kernel
+			if kernel == "go" {
+				name = "fallback"
 			}
-			reportGFlops(b, flops)
-		})
-		b.Run(benchName("simd", size), func(b *testing.B) {
-			useKernel(b, true)
-			for i := 0; i < b.N; i++ {
-				c.Zero()
-				Gemm(c, x, y)
-			}
-			reportGFlops(b, flops)
-		})
+			b.Run(benchName(name, size), func(b *testing.B) {
+				useKernel(b, kernel)
+				for i := 0; i < b.N; i++ {
+					c.Zero()
+					Gemm(c, x, y)
+				}
+				reportGFlops(b, flops)
+			})
+		}
 	}
 }
 
-// useKernel selects the micro-kernel (true, where there is one) or the
-// portable loop for the rest of a test or benchmark.
-func useKernel(tb testing.TB, avx2 bool) {
+// kernelPaths names the kernel paths a build can take, portable first.
+var kernelPaths = []string{"go", "avx2", "avx512"}
+
+// useKernel selects a kernel path for the rest of a test or benchmark: "go"
+// runs the portable loops, "avx2" the AVX2 micro-kernels, "avx512" the same
+// with the 8×8 dense tile. A path this build or CPU lacks is skipped.
+func useKernel(tb testing.TB, kernel string) {
 	tb.Helper()
-	old := simd
-	if avx2 && !old {
-		tb.Skip("no AVX2 micro-kernel in this build or on this CPU")
+	oldSIMD, oldWide := simd, wide
+	switch kernel {
+	case "go":
+		simd, wide = false, false
+	case "avx2":
+		if !oldSIMD {
+			tb.Skip("no AVX2 micro-kernels: a purego or non-amd64 build, or CPUID/XCR0 lacks AVX2")
+		}
+		simd, wide = true, false
+	case "avx512":
+		if !oldWide {
+			tb.Skip("no AVX-512 tile: a purego or non-amd64 build, or CPUID/XCR0 lacks AVX512F or the ZMM state")
+		}
+		simd, wide = true, true
+	default:
+		tb.Fatalf("unknown kernel path %q", kernel)
 	}
-	simd = avx2
-	tb.Cleanup(func() { simd = old })
+	tb.Cleanup(func() { simd, wide = oldSIMD, oldWide })
 }
 
-// kernelRows runs the seed / fallback / simd rows of one sparse shape.
+// kernelRows runs the seed / fallback / avx2 rows of one sparse shape; the
+// sparse kernels have no AVX-512 form.
 func kernelRows(b *testing.B, shape string, flops float64, c *Dense, seed, current func()) {
 	for _, row := range []struct {
-		name string
-		run  func()
-		avx2 bool
-	}{{"seed", seed, simd}, {"fallback", current, false}, {"simd", current, true}} {
+		name   string
+		run    func()
+		kernel string
+	}{{"seed", seed, KernelName()}, {"fallback", current, "go"}, {"avx2", current, "avx2"}} {
 		b.Run(row.name+"/"+shape, func(b *testing.B) {
-			useKernel(b, row.avx2)
+			useKernel(b, row.kernel)
 			c.Zero()
 			for i := 0; i < b.N; i++ {
 				row.run() // into a running C: zeroing it would cost the small shapes as much as the product
