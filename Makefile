@@ -14,7 +14,7 @@ build:
 test:
 	$(GO) test ./...
 	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/distnet
-	$(GO) test -cpu 1,4 -run 'MultiplyBox|Aggregat|OneTile' ./internal/core
+	$(GO) test -cpu 1,4 -run 'MultiplyBox|MultiplyColumn|Aggregat|OneTile' ./internal/core
 
 # The whole tree — and the repository benchmark, a module of its own — must
 # stay race-detector-clean; both runs together take about a minute.

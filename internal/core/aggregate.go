@@ -14,20 +14,21 @@ type Partial struct {
 	Block *matrix.Dense
 }
 
-// FoldPartials is the matrix-aggregation step, the one place partial
-// products are summed: lists holds each task's partials in plan order, and
-// every block of out — empty on entry — becomes the sum of its partials in
-// that order — list by list, and within a list in the order written (an RMM
-// task holds several k of one block) — so r, and with it k, ascends in every
-// block on every plane. sizeOf, when not nil, is charged once per partial and
-// the total returned: the aggregation-shuffle byte count.
+// FoldPartials is the matrix-aggregation step: lists holds each task's
+// partials in plan order, and every block of out — empty on entry — becomes
+// the sum of its partials in that order — list by list, and within a list in
+// the order written (an RMM task holds several k of one block) — so r, and
+// with it k, ascends in every block on every plane. sizeOf, when not nil, is
+// charged once per partial and the total returned: the aggregation-shuffle
+// byte count.
 //
 // The first partial of a key becomes the output block and the rest are added
-// into it by the one goroutine that owns the key, then released to the dense
-// pool (nothing else reads a partial: each is visited once, by its key's
-// owner). Keys fan out over up to GOMAXPROCS goroutines; the bits are the
-// same at any width. With R = 1 no key repeats and nothing is charged: the
-// fold is placement only, and no goroutine is started.
+// into it by foldInto — the add rule FoldSlab sums a (p,q) column's slabs
+// by — on the one goroutine that owns the key (nothing else reads a partial:
+// each is visited once, by its key's owner). Keys fan out over up to
+// GOMAXPROCS goroutines; the bits are the same at any width. With R = 1 no
+// key repeats and nothing is charged: the fold is placement only, and no
+// goroutine is started.
 func FoldPartials(out *bmat.BlockMatrix, lists [][]Partial, sizeOf func(*matrix.Dense) int64) int64 {
 	return foldPartials(out, lists, sizeOf, runtime.GOMAXPROCS(0))
 }
@@ -77,8 +78,7 @@ func foldPartials(out *bmat.BlockMatrix, lists [][]Partial, sizeOf func(*matrix.
 			if sizeOf != nil {
 				ch.bytes += sizeOf(d)
 			}
-			matrix.AddInto(ch.acc, d)
-			matrix.PutDense(d)
+			ch.acc = foldInto(ch.acc, d)
 		}
 	})
 	var bytes int64
@@ -86,6 +86,22 @@ func foldPartials(out *bmat.BlockMatrix, lists [][]Partial, sizeOf func(*matrix.
 		bytes += chains[c].bytes
 	}
 	return bytes
+}
+
+// foldInto is the rule every partial product is summed by, FoldPartials'
+// chains and FoldSlab's slabs alike: the first partial of a block
+// becomes the block, and each later one is added into it and released to the
+// dense pool. A nil partial — a tile no block pair met — adds nothing.
+func foldInto(acc, d *matrix.Dense) *matrix.Dense {
+	switch {
+	case d == nil:
+		return acc
+	case acc == nil:
+		return d
+	}
+	matrix.AddInto(acc, d)
+	matrix.PutDense(d)
+	return acc
 }
 
 // aggWorkers resolves the aggregation fan-out width for this environment.

@@ -172,6 +172,47 @@ func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc 
 	return acc, flops
 }
 
+// Slab is slab r of the box's k range cut into R by GridSpan — the split
+// ForEachCuboid makes, so slab r of a (p,q) column is cuboid (p,q,r).
+func (b Box) Slab(r, R int) Box {
+	lo, hi := GridSpan(r, b.KHi-b.KLo, R)
+	b.KLo, b.KHi = b.KLo+lo, b.KLo+hi
+	return b
+}
+
+// FoldSlab adds one slab's tiles into a column's running tiles — nil before
+// the first slab — by foldInto, FoldPartials' rule, and returns them. Both
+// ways a column is summed use it: MultiplyColumn on the worker, and a driver
+// that sent the column out as its R cuboids, folding their replies in
+// ascending r.
+func FoldSlab(tiles, slab []*matrix.Dense) []*matrix.Dense {
+	if tiles == nil {
+		return slab
+	}
+	for t, d := range slab {
+		tiles[t] = foldInto(tiles[t], d)
+	}
+	return tiles
+}
+
+// MultiplyColumn is the local multiplication of one (p,q) column: the box's
+// k range cut into R slabs (Box.Slab), each slab multiplied by MultiplyBox
+// into fresh accumulators, and the slabs folded in ascending r by FoldSlab.
+// The tiles are the bits MultiplyCuboid gives the column's R cuboids at the
+// same (P,Q,R): continuing one accumulator across the slabs would add in
+// another order. R must be between 1 and KHi−KLo. Tiles are in MultiplyBox's
+// row-major order, nil where no pair met; with R = 1 the call is MultiplyBox.
+func MultiplyColumn(box Box, R int, lookupA, lookupB func(row, col int) matrix.Block) ([]*matrix.Dense, float64) {
+	var tiles []*matrix.Dense
+	var flops float64
+	for r := 0; r < R; r++ {
+		slab, f := MultiplyBox(box.Slab(r, R), lookupA, lookupB, nil)
+		tiles = FoldSlab(tiles, slab)
+		flops += f
+	}
+	return tiles, flops
+}
+
 // multiplyOneTile is the box whose whole output is one tile: there are no
 // tiles to fan out over. Block pairs large enough for the bare kernels to
 // split their own rows are left to them, and so is any chain with a sparse

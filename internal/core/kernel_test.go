@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -175,6 +176,70 @@ func TestMultiplyBoxMatchesMulAddChain(t *testing.T) {
 				sameTiles(t, g.name+": two k ranges", acc, want)
 				if f1+f2 != wantFlops {
 					t.Fatalf("%s: box %+v split at k=%d: %v + %v flops, want %v", g.name, box, mid, f1, f2, wantFlops)
+				}
+			}
+		}
+	}
+}
+
+// TestMultiplyColumnMatchesFoldedSlabs: a (p,q) column cut into R slabs has
+// the bits of FoldPartials over one MultiplyBox call per slab — what the
+// cuboids of MultiplyCuboid hand the fold — for every R up to one slab per
+// block, at every width, with the flops of the slabs. In the sparse grid some
+// tiles meet no pair in some slab (the first, a middle or the last) or in any:
+// a nil partial adds nothing, and a tile stays nil only if every slab left it
+// so. At R = 1 the column is MultiplyBox.
+func TestMultiplyColumnMatchesFoldedSlabs(t *testing.T) {
+	t.Cleanup(func() { matrix.SetKernelWorkers(0) })
+	rng := rand.New(rand.NewSource(304))
+	// 410×520 · 520×275 in 128-blocks: a 4×5×3 grid, every edge ragged.
+	grids := []struct {
+		name string
+		a, b *bmat.BlockMatrix
+	}{
+		{"dense×dense", kindGrid(rng, 410, 520, 128, 0, "ddddd", "ddddd", "ddddd", "ddddd"),
+			kindGrid(rng, 520, 275, 128, 0, "ddd", "ddd", "ddd", "ddd", "ddd")},
+		{"sparse×dense", kindGrid(rng, 410, 520, 128, 0.05, "rr...", "..r.r", ".....", "rrrrr"),
+			kindGrid(rng, 520, 275, 128, 0, "ddd", "ddd", "ddd", "d.d", "ddd")},
+	}
+	boxes := []Box{{IHi: 4, JHi: 3, KHi: 5}, {ILo: 1, IHi: 3, JLo: 1, JHi: 3, KLo: 1, KHi: 5}}
+	for _, g := range grids {
+		for _, box := range boxes {
+			nk := box.KHi - box.KLo
+			for _, w := range []int{1, 3} {
+				matrix.SetKernelWorkers(w)
+				got, flops := MultiplyColumn(box, 1, g.a.Block, g.b.Block)
+				want, wantFlops := MultiplyBox(box, g.a.Block, g.b.Block, nil)
+				sameTiles(t, g.name+": R = 1", got, want)
+				if flops != wantFlops {
+					t.Fatalf("%s: R = 1: %v flops, MultiplyBox %v", g.name, flops, wantFlops)
+				}
+				for R := 2; R <= nk; R++ {
+					out := bmat.New(g.a.Rows, g.b.Cols, g.a.BlockSize)
+					lists := make([][]Partial, R)
+					wantFlops = 0
+					for r := range lists {
+						slab := box
+						lo, hi := GridSpan(r, nk, R)
+						slab.KLo, slab.KHi = box.KLo+lo, box.KLo+hi
+						if s := box.Slab(r, R); s != slab {
+							t.Fatalf("box %+v: Slab(%d, %d) = %+v, the GridSpan cut %+v", box, r, R, s, slab)
+						}
+						tiles, f := MultiplyBox(slab, g.a.Block, g.b.Block, nil)
+						lists[r] = slab.Partials(tiles)
+						wantFlops += f
+					}
+					FoldPartials(out, lists, nil)
+					want := make([]*matrix.Dense, (box.IHi-box.ILo)*(box.JHi-box.JLo))
+					for tile := range want {
+						key := box.TileKey(tile)
+						want[tile], _ = out.Block(key.I, key.J).(*matrix.Dense)
+					}
+					got, flops := MultiplyColumn(box, R, g.a.Block, g.b.Block)
+					sameTiles(t, fmt.Sprintf("%s: box %+v, R = %d, width %d", g.name, box, R, w), got, want)
+					if flops != wantFlops {
+						t.Fatalf("%s: R = %d: %v flops, the slabs sum to %v", g.name, R, flops, wantFlops)
+					}
 				}
 			}
 		}

@@ -113,7 +113,7 @@ func TestWorkerRestartMidJobMissesCleanly(t *testing.T) {
 
 	// One cuboid covering the whole grid; jobPrep stamps the epoch and
 	// prepares the blocks exactly as multiply() would.
-	args := &multiplyArgs{ILo: 0, IHi: 4, JLo: 0, JHi: 4, KLo: 0, KHi: 4}
+	args := &multiplyArgs{ILo: 0, IHi: 4, JLo: 0, JHi: 4, KLo: 0, KHi: 4, slabs: 1}
 	for i := 0; i < 4; i++ {
 		for k := 0; k < 4; k++ {
 			args.ABlocks = append(args.ABlocks, blockRec{Key: bmat.BlockKey{I: i, J: k}, Block: a.Block(i, k)})
@@ -291,13 +291,16 @@ func TestEpochWindowAgesDriverAndWorkerAlike(t *testing.T) {
 	}
 }
 
-// TestPlanOrderPlacementShipsEachBlockOnce: cuboid placement is fixed at
+// TestPlanOrderPlacementShipsEachBlockOnce: column placement is fixed at
 // plan time, not by which goroutine reaches the scheduler first. At (2,2,2)
-// over a 6×6×6 block grid on two workers, the Q = 2 cuboids sharing an A
-// block sit R = 2 apart in plan order and the P = 2 sharing a B block
-// Q·R = 4 apart, so both land on one worker: of each job's 144 block sends,
-// the second copy of every one of the 72 distinct blocks is a reference —
-// in every job, with the same bytes on the wire each time.
+// over a 6×6×6 block grid on two workers, a job is four (p,q) columns of
+// 3×6 A blocks and 6×3 B blocks: 144 block sends. The cursor advances by
+// P·Q·R = 8 a job, so column g = p·Q+q lands on worker g mod 2. The Q = 2
+// columns sharing an A block sit one apart and land on both workers, so
+// each of the 36 A blocks ships inline twice; the P = 2 sharing a B block
+// sit Q = 2 apart and land on one, so the second copy of each of the 36 B
+// blocks is a reference — 36 references in every job, with the same bytes
+// on the wire each time.
 func TestPlanOrderPlacementShipsEachBlockOnce(t *testing.T) {
 	params := core.Params{P: 2, Q: 2, R: 2}
 	addrs, _ := startWorkers(t, 2)
@@ -320,13 +323,71 @@ func TestPlanOrderPlacementShipsEachBlockOnce(t *testing.T) {
 		delta := d.NetStats().Sub(before)
 		sent1, received1 := d.WireBytes()
 		sent, received := sent1-sent0, received1-received0
-		if delta.CacheRefsSent != 72 || delta.CacheRefMisses != 0 {
-			t.Errorf("job %d: %d blocks sent as references (%d missed), want 72 (0)", job, delta.CacheRefsSent, delta.CacheRefMisses)
+		if delta.CacheRefsSent != 36 || delta.CacheRefMisses != 0 {
+			t.Errorf("job %d: %d blocks sent as references (%d missed), want 36 (0)", job, delta.CacheRefsSent, delta.CacheRefMisses)
 		}
 		if job == 0 {
 			firstSent, firstReceived = sent, received
 		} else if sent != firstSent || received != firstReceived {
 			t.Errorf("job %d moved %d bytes out and %d in, job 0 %d and %d", job, sent, received, firstSent, firstReceived)
+		}
+	}
+}
+
+// TestMixedStreamRepeatsShipAsReferences: one driver on two workers runs a
+// stream that cycles an R = 2 job — (1,1,2), one column of two slabs — and
+// an R = 1 job — (2,1,1), two one-slab columns — each over its own fixed
+// operands, as small_mix's clients cycle their pairs. The cursor advances by
+// P·Q·R = 2 a job whatever its column count, so every repeat of a job starts
+// at a ring position of the same parity and finds its blocks where its last
+// run left them: after one warm-up pass every block a repeat sends is a
+// reference, none misses, and every repeat moves the bytes the first one did.
+// A cursor advanced by the column count (1 and 2) would move the R = 2 job to
+// the other worker on its first repeat, and its blocks would ship inline.
+func TestMixedStreamRepeatsShipAsReferences(t *testing.T) {
+	addrs, _ := startWorkers(t, 2)
+	opts := fastOpts()
+	opts.DisableHeartbeat = true // no pings in the byte counts
+	d, err := DialOptions(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	a1, b1 := cacheTestMatrices(7301)
+	a2, b2 := cacheTestMatrices(7302)
+	jobs := []struct {
+		a, b   *bmat.BlockMatrix
+		params core.Params
+		sends  int64 // block sends: each column's A band and B band
+	}{
+		{a1, b1, core.Params{P: 1, Q: 1, R: 2}, 16 + 16},
+		{a2, b2, core.Params{P: 2, Q: 1, R: 1}, 2 * (8 + 16)},
+	}
+	type traffic struct{ sent, received int64 }
+	first := make([]traffic, len(jobs))
+	for pass := 0; pass < 6; pass++ {
+		for i, job := range jobs {
+			before := d.NetStats()
+			sent0, received0 := d.WireBytes()
+			if _, err := execute(d, job.a, job.b, job.params); err != nil {
+				t.Fatal(err)
+			}
+			sent1, received1 := d.WireBytes()
+			delta := d.NetStats().Sub(before)
+			if pass == 0 {
+				continue // warm-up: the first run of each job ships its blocks
+			}
+			if delta.CacheRefsSent != job.sends || delta.CacheRefMisses != 0 {
+				t.Errorf("pass %d, job %v: %d of %d block sends were references (%d missed), want all (0)",
+					pass, job.params, delta.CacheRefsSent, job.sends, delta.CacheRefMisses)
+			}
+			got := traffic{sent1 - sent0, received1 - received0}
+			if pass == 1 {
+				first[i] = got
+			} else if got != first[i] {
+				t.Errorf("pass %d, job %v moved %d bytes out and %d in, its first repeat %d and %d",
+					pass, job.params, got.sent, got.received, first[i].sent, first[i].received)
+			}
 		}
 	}
 }

@@ -144,7 +144,7 @@ func execute(d *Driver, a, b *bmat.BlockMatrix, params core.Params) (*bmat.Block
 	return c, err
 }
 
-// resume is execute with per-cuboid checkpointing rooted at dir.
+// resume is execute with per-column checkpointing rooted at dir.
 func resume(d *Driver, dir string, a, b *bmat.BlockMatrix, params core.Params) (*bmat.BlockMatrix, error) {
 	c, _, err := d.Execute(context.Background(), a, b, MultiplyOptions{Params: &params, CheckpointDir: dir})
 	return c, err
@@ -513,8 +513,9 @@ func TestDetectorMarksDeadAndReconnects(t *testing.T) {
 }
 
 // TestResumeMultiply simulates a driver crash/restart: a first checkpointed
-// run completes some cuboids, a second driver resumes from the directory
-// and must recompute only what is missing or damaged.
+// run completes its (p,q) columns, a second driver resumes from the directory
+// and must recompute only the columns that are missing or damaged — each
+// whole, R cuboids apiece.
 func TestResumeMultiply(t *testing.T) {
 	addrs, workers := startWorkers(t, 2)
 	opts := fastOpts()
@@ -524,7 +525,7 @@ func TestResumeMultiply(t *testing.T) {
 	rng := rand.New(rand.NewSource(305))
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
-	params := core.Params{P: 2, Q: 2, R: 2} // 8 cuboids
+	params := core.Params{P: 2, Q: 2, R: 2} // 4 columns of 2 cuboids
 
 	d1, err := DialOptions(addrs, opts)
 	if err != nil {
@@ -540,7 +541,7 @@ func TestResumeMultiply(t *testing.T) {
 		t.Fatalf("first run served %d cuboids, want 8", served)
 	}
 
-	// Restarted driver, same dir: everything is checkpointed, so no cuboid
+	// Restarted driver, same dir: everything is checkpointed, so no column
 	// is re-shipped.
 	d2, err := DialOptions(addrs, opts)
 	if err != nil {
@@ -556,12 +557,12 @@ func TestResumeMultiply(t *testing.T) {
 		t.Fatalf("full resume recomputed %d cuboids, want 0", now-served)
 	}
 
-	// Damage the checkpoint set: delete one cuboid, corrupt another — as a
+	// Damage the checkpoint set: delete one column, corrupt another — as a
 	// crash mid-write would. Resume must recompute exactly those two.
-	if err := os.Remove(filepath.Join(dir, "cuboid-00003.dmeb")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "column-00001.dmeb")); err != nil {
 		t.Fatal(err)
 	}
-	corrupt := filepath.Join(dir, "cuboid-00005.dmeb")
+	corrupt := filepath.Join(dir, "column-00003.dmeb")
 	data, err := os.ReadFile(corrupt)
 	if err != nil {
 		t.Fatal(err)
@@ -575,8 +576,8 @@ func TestResumeMultiply(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitIdentical(t, got, want)
-	if now := workers[0].Multiplies() + workers[1].Multiplies(); now != served+2 {
-		t.Fatalf("partial resume recomputed %d cuboids, want exactly 2", now-served)
+	if now := workers[0].Multiplies() + workers[1].Multiplies(); now != served+2*params.R {
+		t.Fatalf("partial resume recomputed %d cuboids, want exactly the %d of 2 columns", now-served, 2*params.R)
 	}
 
 	// A different job must refuse the directory rather than mix outputs.

@@ -9,13 +9,13 @@ import (
 	"distme/internal/storage"
 )
 
-// Per-cuboid checkpointing: each completed cuboid's partial-C reply is
-// persisted through internal/storage (chunked, CRC-checked) under its
-// cuboid index, so a driver that crashes and restarts re-ships and
-// recomputes only the unfinished cuboids. A manifest binds the directory to
-// one job geometry; a corrupt or truncated checkpoint file (the crash may
-// have interrupted a write) fails storage's checksums and is simply
-// recomputed.
+// Per-column checkpointing: each completed (p,q) column's reply — its C
+// blocks, the R partials already folded — is persisted through
+// internal/storage (chunked, CRC-checked) under its column index, so a
+// driver that crashes and restarts re-ships and recomputes only the
+// unfinished columns. A manifest binds the directory to one job geometry; a
+// corrupt or truncated checkpoint file (the crash may have interrupted a
+// write) fails storage's checksums and is simply recomputed.
 
 // checkpointManifest is the directory's job fingerprint.
 const checkpointManifest = "manifest"
@@ -27,10 +27,11 @@ type checkpointer struct {
 // ensureManifest creates the checkpoint directory and manifest on first
 // use, and on resume verifies the directory belongs to this job. The
 // fingerprint is geometry only, so a job may resume under the other transfer
-// mode: a cuboid's partial product does not depend on how its slices arrived.
-func (c *checkpointer) ensureManifest(job *cuboidJob, cuboids int) error {
-	want := fmt.Sprintf("DMECKPT1 a=%dx%d b=%dx%d bs=%d p=%d q=%d r=%d jobs=%d\n",
-		job.rows, job.inner, job.inner, job.cols, job.blockSize, job.params.P, job.params.Q, job.params.R, cuboids)
+// mode: a column's product does not depend on how its slices arrived.
+// DMECKPT1 directories held one file per cuboid and are refused.
+func (c *checkpointer) ensureManifest(job *cuboidJob, columns int) error {
+	want := fmt.Sprintf("DMECKPT2 a=%dx%d b=%dx%d bs=%d p=%d q=%d r=%d jobs=%d\n",
+		job.rows, job.inner, job.inner, job.cols, job.blockSize, job.params.P, job.params.Q, job.params.R, columns)
 	path := filepath.Join(c.dir, checkpointManifest)
 	if data, err := os.ReadFile(path); err == nil {
 		if string(data) != want {
@@ -48,12 +49,12 @@ func (c *checkpointer) ensureManifest(job *cuboidJob, cuboids int) error {
 }
 
 func (c *checkpointer) path(idx int) string {
-	return filepath.Join(c.dir, fmt.Sprintf("cuboid-%05d.dmeb", idx))
+	return filepath.Join(c.dir, fmt.Sprintf("column-%05d.dmeb", idx))
 }
 
-// load returns cuboid idx's checkpointed reply, or ok=false when it is
+// load returns column idx's checkpointed reply, or ok=false when it is
 // absent, corrupt, or from a different geometry — any of which means the
-// cuboid is recomputed. Damaged files are removed so the fresh result can
+// column is recomputed. Damaged files are removed so the fresh result can
 // take their place.
 func (c *checkpointer) load(idx, cRows, cCols, blockSize int) (*multiplyReply, bool) {
 	path := c.path(idx)
@@ -75,7 +76,7 @@ func (c *checkpointer) load(idx, cRows, cCols, blockSize int) (*multiplyReply, b
 	return reply, true
 }
 
-// store persists cuboid idx's reply. The write goes to a temp file first
+// store persists column idx's reply. The write goes to a temp file first
 // and renames into place, so a crash mid-write leaves either nothing or a
 // file storage's checksums will reject — never a silently-wrong
 // checkpoint. Checkpoint I/O failures are deliberately non-fatal: the

@@ -121,7 +121,7 @@ func encodeRequestFrame(t *testing.T) ([]byte, *multiplyArgs) {
 		bBlk.Data[i] = rng.NormFloat64()
 	}
 	args := &multiplyArgs{
-		IHi: 1, JHi: 1, KHi: 1,
+		IHi: 1, JHi: 1, KHi: 1, slabs: 1,
 		ABlocks: []blockRec{{Key: bmat.BlockKey{I: 0, J: 0}, Block: aBlk}},
 		BBlocks: []blockRec{{Key: bmat.BlockKey{I: 0, J: 0}, Block: bBlk}},
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"distme/internal/bmat"
+	"distme/internal/codec"
 	"distme/internal/core"
 )
 
@@ -16,14 +17,17 @@ type MultiplyOptions struct {
 	// explicitly; nil lets the optimizer choose from WorkerMemBytes, the
 	// live worker count, and the wire encoding's Eq.(4) byte ratios.
 	Params *core.Params
-	// WorkerMemBytes is the per-worker memory budget handed to the
-	// optimizer when Params is nil (0 takes 1 GiB).
+	// WorkerMemBytes is the per-worker memory budget θt (0 takes 1 GiB): the
+	// optimizer's bound on one cuboid when Params is nil, and, with or
+	// without Params, the bound on the operand bytes one worker call
+	// carries — a (p,q) column whose R cuboids' inputs exceed it goes out
+	// as R calls, one cuboid each, whose partials the driver folds.
 	WorkerMemBytes int64
-	// CheckpointDir, when non-empty, persists each completed cuboid's
-	// partial-C reply under this directory; re-running the same job there
-	// after a driver crash restores the finished cuboids and dispatches only
-	// the rest — under either transfer mode, since checkpointing hangs off
-	// the shared cuboid commit (a pull resume still seeds its operands).
+	// CheckpointDir, when non-empty, persists each completed (p,q) column's
+	// C blocks under this directory; re-running the same job there after a
+	// driver crash restores the finished columns and dispatches only the
+	// rest — under either transfer mode, since checkpointing hangs off the
+	// shared column commit (a pull resume still seeds its operands).
 	CheckpointDir string
 	// Transfer selects the operand data plane. TransferPush is the classic
 	// mode: the driver ships every cuboid slice. TransferPull seeds each
@@ -61,10 +65,7 @@ func (d *Driver) planMultiply(opts MultiplyOptions, shape core.Shape, pc core.Pu
 		}
 		return params, mode, nil
 	}
-	mem := opts.WorkerMemBytes
-	if mem <= 0 {
-		mem = 1 << 30
-	}
+	mem := opts.workerMem()
 	var err error
 	switch mode {
 	case core.TransferPush:
@@ -75,6 +76,21 @@ func (d *Driver) planMultiply(opts MultiplyOptions, shape core.Shape, pc core.Pu
 		params, mode, err = core.OptimizeTransfer(shape, mem, pc.Workers, wc, pc)
 	}
 	return params, mode, err
+}
+
+// workerMem is θt: WorkerMemBytes, or 1 GiB when it is unset.
+func (opts MultiplyOptions) workerMem() int64 {
+	if opts.WorkerMemBytes > 0 {
+		return opts.WorkerMemBytes
+	}
+	return 1 << 30
+}
+
+// callBytes is the most operand bytes one multiply call may carry: θt, and
+// never more than half a wire frame, which leaves the frame's record headers
+// room. A (p,q) column over it goes out as its R cuboids (runCuboids).
+func (opts MultiplyOptions) callBytes() int64 {
+	return min(opts.workerMem(), codec.MaxFrameBytes/2)
 }
 
 // checkpointer returns the checkpointer the options ask for, or nil.
@@ -98,9 +114,9 @@ func (d *Driver) Execute(ctx context.Context, a, b *bmat.BlockMatrix, opts Multi
 	}
 	var c *bmat.BlockMatrix
 	if mode == core.TransferPull && d.Workers() > 1 {
-		c, err = d.executePull(ctx, a, b, params, opts.CheckpointDir)
+		c, err = d.executePull(ctx, a, b, params, opts)
 	} else {
-		c, err = d.multiply(ctx, a, b, params, opts.checkpointer())
+		c, err = d.multiply(ctx, a, b, params, opts)
 	}
 	return c, params, err
 }
@@ -108,9 +124,9 @@ func (d *Driver) Execute(ctx context.Context, a, b *bmat.BlockMatrix, opts Multi
 // executePull runs one cold-operand pull multiply: seed each operand once
 // into a throwaway block-store session (the driver's one-copy |A|+|B|
 // contribution), then manifest-multiply over the resident handles, then
-// retire the session. Failures inside fall back per cuboid — a worker that
+// retire the session. Failures inside fall back per call — a worker that
 // cannot resolve its manifest is re-pushed inline by runJob.
-func (d *Driver) executePull(ctx context.Context, a, b *bmat.BlockMatrix, params core.Params, ckptDir string) (*bmat.BlockMatrix, error) {
+func (d *Driver) executePull(ctx context.Context, a, b *bmat.BlockMatrix, params core.Params, opts MultiplyOptions) (*bmat.BlockMatrix, error) {
 	s, err := d.NewSession(ctx)
 	if err != nil {
 		return nil, err
@@ -124,6 +140,7 @@ func (d *Driver) executePull(ctx context.Context, a, b *bmat.BlockMatrix, params
 	if err != nil {
 		return nil, err
 	}
-	c, _, err := s.Multiply(ctx, ha, hb, MultiplyOptions{Params: &params, Transfer: core.TransferPull, CheckpointDir: ckptDir})
+	opts.Params, opts.Transfer = &params, core.TransferPull
+	c, _, err := s.Multiply(ctx, ha, hb, opts)
 	return c, err
 }

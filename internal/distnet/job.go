@@ -17,9 +17,15 @@ import (
 
 // The cuboid job path: the package's only copy of CuboidMM — enumerate the
 // (P,Q,R) cuboids, get each its slices, multiply, sum over k — as plan →
-// prepare → dispatch → aggregate. A transfer mode is just a fill step; span
-// tree, job meter, gauges, checkpointing, the retry/downgrade/local-fallback
-// scheduler and the aggregation fold exist once, for every mode.
+// prepare → dispatch → place. The unit of work is a (p,q) column, the R
+// cuboids of one (p,q): its worker multiplies them and sums over k in
+// ascending r (core.MultiplyColumn), so every C block comes back once and the
+// driver only places it — Eq.(4)'s aggregation happens where the partials
+// are made. A column whose operands are over the job's call bound (θt, at
+// most half a wire frame) goes out as its R cuboids instead, and the driver
+// folds their partials by the same rule (core.FoldSlab). A transfer mode is
+// just a fill step; span tree, job meter, gauges, checkpointing and the
+// retry/downgrade/local-fallback scheduler exist once, for every mode.
 
 // cuboidJob describes one multiply C = A×B to that path.
 type cuboidJob struct {
@@ -28,31 +34,44 @@ type cuboidJob struct {
 	params                       core.Params
 	// transfer labels the root span; it never steers the path — fill does.
 	transfer core.Transfer
-	// ckpt, when non-nil, persists each committed cuboid and restores the
+	// ckpt, when non-nil, persists each committed column and restores the
 	// ones a previous run of the same job already finished.
 	ckpt *checkpointer
-	// fill gives one cuboid — its voxel box already set — its slices, once,
-	// in index order, while the job is planned: inline records for push
-	// (Driver.multiply), placement manifests for pull (Session.pullMultiply).
+	// callBytes bounds the operand bytes of one call (MultiplyOptions.
+	// callBytes): a column over it goes out as its R cuboids.
+	callBytes int64
+	// fill gives one call — its voxel box already set — its slices while the
+	// job is planned: inline records for push (Driver.multiply), placement
+	// manifests for pull (Session.pullMultiply).
 	fill func(args *multiplyArgs)
 }
 
-// cuboidRun is one job in flight: what its cuboid goroutines share.
+// column is one (p,q) column of a job. whole is the column as one call, all
+// R slabs; calls is what goes out: whole itself, or — when whole's operands
+// are over the job's callBytes — its R cuboids, one slab each, in ascending
+// r, whose replies the driver folds.
+type column struct {
+	whole *multiplyArgs
+	calls []*multiplyArgs
+}
+
+// cuboidRun is one job in flight: what its column goroutines share.
 type cuboidRun struct {
 	d       *Driver
 	ctx     context.Context
 	job     *cuboidJob
 	root    obs.Span
 	meter   *JobMeter
-	cuboids []*multiplyArgs
+	columns []column
 	replies []*multiplyReply
 	errs    []error
 }
 
-// runCuboids runs one cuboid job end to end: the repartition (each cuboid's
-// slices reach its worker however fill arranged) and the aggregation (summing
-// the partial C blocks that come back). Aggregation order is fixed by cuboid
-// index, and reassigned, downgraded or locally-recomputed cuboids use the
+// runCuboids runs one cuboid job end to end: the repartition (each column's
+// slices reach its worker however fill arranged), the local multiplication
+// and aggregation of each column on its worker, and the placement of the C
+// blocks that come back. Aggregation order is fixed by slab index inside a
+// column, and reassigned, downgraded or locally-recomputed columns use the
 // workers' exact arithmetic, so the product is byte-identical to a
 // failure-free run under any failure schedule and any transfer mode.
 func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatrix, error) {
@@ -79,40 +98,38 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 	}
 	defer r.root.End()
 
-	// Plan: one filled cuboid per voxel box, in core's (p,q,r) plan order,
-	// each with its home on the member ring. idx = (p·Q+q)·R + r, so the
-	// cuboids sharing an A block are R apart and those sharing a B block
-	// Q·R apart: when the worker count divides R, every replica after the
-	// first lands where the block already is and ships as a reference.
-	core.ForEachCuboid(params, gi, gj, gk, func(p, q, rr int, box core.Box) {
-		args := &multiplyArgs{
-			ILo: box.ILo, IHi: box.IHi, JLo: box.JLo, JHi: box.JHi, KLo: box.KLo, KHi: box.KHi,
-			cuboidP: p, cuboidQ: q, cuboidR: rr,
-			encoding: d.opts.Encoding,
-			meter:    r.meter,
-		}
-		job.fill(args)
-		r.cuboids = append(r.cuboids, args)
+	// Plan: one column per (p,q) — the (P,Q,1) cuboid, its k range cut into
+	// R slabs — in core's plan order, each with its home on the member ring:
+	// column g = p·Q+q starts at base+g, and cuboid r of a column sent out in
+	// R calls at base+g+r. The cursor advances by the job's P·Q·R cuboids,
+	// not its P·Q columns: every job's base is where it was when each cuboid
+	// was its own call, so an R = 1 job is placed exactly as then, and a
+	// stream of repeated jobs mixing R = 1 and R > 1 keeps the cross-job
+	// references that placement gave it.
+	core.ForEachCuboid(core.Params{P: params.P, Q: params.Q, R: 1}, gi, gj, gk, func(p, q, _ int, box core.Box) {
+		r.columns = append(r.columns, r.planColumn(p, q, box))
 	})
-	base := d.reserveHomes(len(r.cuboids))
-	for idx, args := range r.cuboids {
-		args.home = base + idx
+	base := d.reserveHomes(params.Tasks())
+	for g, col := range r.columns {
+		for rr, call := range col.calls {
+			call.home = base + g + rr
+		}
 	}
 	if job.ckpt != nil {
-		if err := job.ckpt.ensureManifest(&job, len(r.cuboids)); err != nil {
+		if err := job.ckpt.ensureManifest(&job, len(r.columns)); err != nil {
 			return nil, err
 		}
 	}
-	r.replies = make([]*multiplyReply, len(r.cuboids))
-	r.errs = make([]error, len(r.cuboids))
+	r.replies = make([]*multiplyReply, len(r.columns))
+	r.errs = make([]error, len(r.columns))
 
-	// Prepare and dispatch, one cuboid at a time on this goroutine: the first
-	// cuboid is on the wire while later blocks are still being encoded and
-	// hashed, and the cuboid goroutines only ever read.
+	// Prepare and dispatch, one column at a time on this goroutine: the first
+	// column is on the wire while later blocks are still being encoded and
+	// hashed, and the column goroutines only ever read.
 	prep := d.newJobPrep()
 	var restored int
 	var wg sync.WaitGroup
-	for idx, args := range r.cuboids {
+	for idx, col := range r.columns {
 		if job.ckpt != nil {
 			if reply, ok := job.ckpt.load(idx, job.rows, job.cols, job.blockSize); ok {
 				r.replies[idx] = reply
@@ -120,12 +137,14 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 				continue
 			}
 		}
-		args.prep = prep
-		if !args.pull {
-			if err := prep.prepare(args); err != nil {
-				r.errs[idx] = err
-				continue
+		for _, call := range col.calls {
+			call.prep = prep
+			if r.errs[idx] == nil && !call.pull {
+				r.errs[idx] = prep.prepare(call)
 			}
+		}
+		if r.errs[idx] != nil {
+			continue
 		}
 		wg.Add(1)
 		d.inflight.Add(1)
@@ -145,20 +164,66 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 		}
 	}
 
-	// Aggregate with core's fold, in plan order: the bits of core.MultiplyCuboid
-	// at the same (P,Q,R).
+	// Aggregate: the columns are disjoint in (i,j) and each is folded by now,
+	// so the step is placement only — the bits of core.MultiplyCuboid at the
+	// same (P,Q,R).
 	agg := d.tracer.Start(r.root.ID(), "aggregate", obs.KindDriver)
 	out := bmat.New(job.rows, job.cols, job.blockSize)
-	lists := make([][]core.Partial, len(r.replies))
-	for idx, reply := range r.replies {
-		lists[idx] = make([]core.Partial, len(reply.CBlocks))
-		for i, rec := range reply.CBlocks {
-			lists[idx][i] = core.Partial{Key: rec.Key, Block: denseOf(rec.Block)}
+	for _, reply := range r.replies {
+		for _, rec := range reply.CBlocks {
+			out.SetBlock(rec.Key.I, rec.Key.J, denseOf(rec.Block))
 		}
 	}
-	core.FoldPartials(out, lists, nil)
 	agg.End()
 	return out, nil
+}
+
+// planColumn fills (p,q)'s column as one call of R slabs and, when that
+// call's operands are over the job's callBytes, as its R cuboids too: the
+// calls that then go out in its place, each about an R-th of the column —
+// the size θt bounds when the optimizer chose the plan.
+func (r *cuboidRun) planColumn(p, q int, box core.Box) column {
+	call := func(box core.Box, slabs int) *multiplyArgs {
+		args := &multiplyArgs{
+			ILo: box.ILo, IHi: box.IHi, JLo: box.JLo, JHi: box.JHi, KLo: box.KLo, KHi: box.KHi,
+			slabs:   slabs,
+			cuboidP: p, cuboidQ: q,
+			encoding: r.d.opts.Encoding,
+			meter:    r.meter,
+		}
+		r.job.fill(args)
+		return args
+	}
+	R := r.job.params.R
+	col := column{whole: call(box, R)}
+	col.calls = []*multiplyArgs{col.whole}
+	if R > 1 && col.whole.inputBytes(r.job.blockSize) > r.job.callBytes {
+		col.calls = make([]*multiplyArgs, R)
+		for rr := range col.calls {
+			col.calls[rr] = call(box.Slab(rr, R), 1)
+		}
+	}
+	return col
+}
+
+// inputBytes is what the call's operands take in a worker's memory, the
+// measure θt bounds: each inline record's stored size, or — for an operand
+// pulled from a handle that kept no source, whose blocks the driver never
+// sees — a dense block for each manifest entry.
+func (a *multiplyArgs) inputBytes(blockSize int) int64 {
+	var n int64
+	for _, side := range [2]struct {
+		recs []blockRec
+		man  *codec.Manifest
+	}{{a.ABlocks, a.aManifest}, {a.BBlocks, a.bManifest}} {
+		if len(side.recs) == 0 && side.man != nil {
+			n += int64(len(side.man.Entries)) * int64(blockSize) * int64(blockSize) * 8
+		}
+		for _, rec := range side.recs {
+			n += rec.Block.SizeBytes()
+		}
+	}
+	return n
 }
 
 // denseOf is b as a dense block, converting (copying) only other formats.
@@ -169,25 +234,27 @@ func denseOf(b matrix.Block) *matrix.Dense {
 	return b.Dense()
 }
 
-// commit records one cuboid's result: the reply slot, the job meter and,
+// commit records one column's result: the reply slot, the job meter and,
 // when the job checkpoints, the disk. Commits are first-writer-wins by
-// construction — a cuboid is run by exactly one goroutine.
+// construction — a column is run by exactly one goroutine.
 func (r *cuboidRun) commit(idx int, reply *multiplyReply) {
 	r.replies[idx] = reply
-	r.meter.noteCommit(reply)
+	r.meter.noteCommit(r.job.params.R)
 	if ckpt := r.job.ckpt; ckpt != nil {
 		ckpt.store(idx, reply, r.job.rows, r.job.cols, r.job.blockSize)
 	}
 }
 
-// runOne dispatches one cuboid with runJob's full retry, downgrade and
-// local-fallback machinery, under the span of its scheduling lifetime.
+// runOne dispatches one column's calls, each with runJob's full retry,
+// downgrade and local-fallback machinery, under the span of the column's
+// scheduling lifetime. The span keeps the name "cuboid": a column is its R
+// cuboids, counted in the span's slabs attribute.
 func (r *cuboidRun) runOne(idx int) {
-	args := r.cuboids[idx]
+	col := r.columns[idx]
 	csp := r.d.tracer.Start(r.root.ID(), "cuboid", obs.KindDriver)
-	csp.SetCuboid(args.cuboidP, args.cuboidQ, args.cuboidR)
+	col.whole.label(csp)
 	defer csp.End()
-	reply, err := r.d.runJob(r.ctx, args, csp)
+	reply, err := r.runCalls(col, csp)
 	if err != nil {
 		if csp.Active() {
 			csp.SetAttr("error", err.Error())
@@ -198,7 +265,40 @@ func (r *cuboidRun) runOne(idx int) {
 	r.commit(idx, reply)
 }
 
-// jobAttempts is how many scheduling attempts one cuboid gets across the
+// runCalls runs a column's calls in order: its one call, or its R cuboids
+// one after another — a column holds one worker slot either way — each
+// partial folded into the column's tiles in ascending r by core.FoldSlab,
+// the rule the worker folds a whole column's slabs by, so the C blocks have
+// the same bits whichever way the column went out.
+func (r *cuboidRun) runCalls(col column, sp obs.Span) (*multiplyReply, error) {
+	box := col.whole.box()
+	nj := box.JHi - box.JLo
+	var tiles []*matrix.Dense
+	for _, call := range col.calls {
+		reply, err := r.d.runJob(r.ctx, call, sp)
+		if err != nil {
+			return nil, err
+		}
+		r.meter.noteReply(reply)
+		if len(col.calls) == 1 {
+			return reply, nil
+		}
+		slab := make([]*matrix.Dense, (box.IHi-box.ILo)*nj)
+		for _, rec := range reply.CBlocks {
+			slab[(rec.Key.I-box.ILo)*nj+rec.Key.J-box.JLo] = denseOf(rec.Block)
+		}
+		tiles = core.FoldSlab(tiles, slab)
+	}
+	folded := new(multiplyReply)
+	for t, d := range tiles {
+		if d != nil {
+			folded.CBlocks = append(folded.CBlocks, blockRec{Key: box.TileKey(t), Block: d})
+		}
+	}
+	return folded, nil
+}
+
+// jobAttempts is how many scheduling attempts one call gets across the
 // membership before the local fallback.
 const jobAttempts = 6
 
@@ -254,11 +354,12 @@ func (d *Driver) acrossMembers(ctx context.Context, meter *JobMeter, home int, t
 	return true, lastErr
 }
 
-// runJob schedules one cuboid across the membership (acrossMembers). When
-// every attempt fails — or no worker is left — the cuboid is computed
-// locally with the workers' exact arithmetic, unless fallback is disabled.
+// runJob schedules one call across the membership (acrossMembers). When
+// every attempt fails — or no worker is left — the call is computed locally
+// with the workers' exact arithmetic, unless fallback is disabled. Every
+// attempt runs the whole call: its cuboids are idempotent.
 //
-// parent is the cuboid's span: each RPC attempt (and the local fallback)
+// parent is the column's span: each RPC attempt (and the local fallback)
 // records a child under it, so retries and reassignments are visible as
 // sibling attempts on the timeline.
 func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span) (*multiplyReply, error) {
@@ -269,9 +370,9 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 	exhausted, err := d.acrossMembers(ctx, args.meter, args.home, func(m *member) (bool, error) {
 		asp := d.tracer.Start(parent.ID(), "rpc.multiply", obs.KindRPC)
 		defer asp.End()
+		args.label(asp)
 		if asp.Active() {
 			asp.SetWorker(m.addr)
-			asp.SetCuboid(args.cuboidP, args.cuboidQ, args.cuboidR)
 		}
 		args.traceSpan = uint64(asp.ID())
 		if args.pull {
@@ -300,9 +401,12 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 			asp.SetAttr("error", err.Error())
 		}
 		if errors.Is(err, codec.ErrFrameTooLarge) {
-			// No worker can be sent this cuboid: the plan, not the pool, is
-			// at fault, so neither a retry nor the local fallback applies.
-			return false, fmt.Errorf("distnet: cuboid does not fit one wire frame; partition finer: %w", err)
+			// No worker can be sent this call: the plan, not the pool, is at
+			// fault, so neither a retry nor the local fallback applies. A
+			// column over half a frame already went out as its cuboids
+			// (planColumn), so this call is one cuboid, and a finer
+			// partition on any axis makes it smaller.
+			return false, fmt.Errorf("distnet: a cuboid does not fit one wire frame; partition finer: %w", err)
 		}
 		var re *codec.RemoteError
 		var pe *pullError
@@ -320,8 +424,8 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 			// Pull resolution failed on the worker — a peer died mid-fetch,
 			// or a manifest entry points at an evicted band. The driver is
 			// the pull plane's last resort: when it holds the operand
-			// blocks, the cuboid downgrades to push — prepared now, like any
-			// push cuboid, so this retry and every later one frame the same
+			// blocks, the call downgrades to push — prepared now, like any
+			// push call, so this retry and every later one frame the same
 			// encoded records — and the retry ships them inline.
 			atomic.AddInt64(&d.rec.Net.Live().PullFallbacks, 1)
 			if args.pull && args.pullInline {
@@ -332,8 +436,8 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 			}
 		case !transientRefusal(re):
 			// The worker computed and rejected the request: retrying the
-			// same malformed cuboid elsewhere cannot help.
-			return false, fmt.Errorf("distnet: worker %s rejected cuboid: %w", m.addr, err)
+			// same malformed call elsewhere cannot help.
+			return false, fmt.Errorf("distnet: worker %s rejected multiply: %w", m.addr, err)
 		}
 		return true, err
 	})
@@ -343,17 +447,17 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 	if !exhausted {
 		return nil, err
 	}
-	// Local fallback needs the operand blocks driver-side; a pull cuboid
-	// whose blocks the driver never fully held cannot be computed locally.
+	// Local fallback needs the operand blocks driver-side; a pull call whose
+	// blocks the driver never fully held cannot be computed locally.
 	if d.opts.DisableLocalFallback || (args.pull && !args.pullInline) {
-		return nil, fmt.Errorf("distnet: cuboid failed after %d attempts: %w", jobAttempts, err)
+		return nil, fmt.Errorf("distnet: multiply failed after %d attempts: %w", jobAttempts, err)
 	}
 	atomic.AddInt64(&d.rec.Net.Live().LocalFallbacks, 1)
 	args.meter.noteLocalFallback()
 	lsp := d.tracer.Start(parent.ID(), "local-fallback", obs.KindDriver)
 	defer lsp.End()
+	args.label(lsp)
 	if lsp.Active() {
-		lsp.SetCuboid(args.cuboidP, args.cuboidQ, args.cuboidR)
 		lsp.SetAttr("cause", err.Error())
 	}
 	reply = new(multiplyReply)
@@ -365,11 +469,11 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 
 // jobPrep prepares the operand blocks one job ships inline: each distinct
 // block is planned, encoded and (when cacheable) digested exactly once, and
-// the record is shared by every cuboid that replicates the block — the same
-// block pointer appears in Q or P cuboids, the replication Eq. (4) counts.
+// the record is shared by every column that replicates the block — the same
+// block pointer appears in Q or P columns, the replication Eq. (4) counts.
 // The record's size feeds the job meter, its digest the worker cache
 // references, and blockSender frames every send from it.
-// Push prepares every cuboid as it dispatches; pull only the cuboids that
+// Push prepares every call as it dispatches; pull only the calls that
 // downgrade, when they do — a failure-free pull prepares nothing. Records
 // live until the multiply returns — retries resend from them — which under an
 // opt-in encoding means a second, encoded copy of the operands (see
@@ -379,7 +483,7 @@ type jobPrep struct {
 	// epoch scopes the job's digest references; 0 with the block cache off,
 	// when no block is digested either.
 	epoch uint64
-	// mu guards recs: downgrades prepare from the cuboid goroutines.
+	// mu guards recs: downgrades prepare from the column goroutines.
 	mu   sync.Mutex
 	recs map[matrix.Block]*codec.Prepared
 }
@@ -392,9 +496,9 @@ func (d *Driver) newJobPrep() *jobPrep {
 	return jp
 }
 
-// prepare stamps the job epoch on one cuboid, points each of its block
-// records at the block's prepared form — building it on first sight — and
-// charges the job meter the cuboid's payload bytes under the job's encoding.
+// prepare stamps the job epoch on one call, points each of its block records
+// at the block's prepared form — building it on first sight — and charges the
+// job meter the call's payload bytes under the job's encoding.
 func (jp *jobPrep) prepare(args *multiplyArgs) error {
 	jp.mu.Lock()
 	defer jp.mu.Unlock()
@@ -427,16 +531,17 @@ func (jp *jobPrep) prepare(args *multiplyArgs) error {
 	return nil
 }
 
-// multiply is the push job: each cuboid's slices are the operand blocks
+// multiply is the push job: each column's slices are the operand blocks
 // inside its voxel box, shipped inline (or as digest references to blocks
 // the worker already holds).
-func (d *Driver) multiply(ctx context.Context, a, b *bmat.BlockMatrix, params core.Params, ckpt *checkpointer) (*bmat.BlockMatrix, error) {
+func (d *Driver) multiply(ctx context.Context, a, b *bmat.BlockMatrix, params core.Params, opts MultiplyOptions) (*bmat.BlockMatrix, error) {
 	if err := core.CheckConformable(a.Rows, a.Cols, a.BlockSize, b.Rows, b.Cols, b.BlockSize); err != nil {
 		return nil, fmt.Errorf("distnet: %w", err)
 	}
 	return d.runCuboids(ctx, cuboidJob{
 		rows: a.Rows, inner: a.Cols, cols: b.Cols, blockSize: a.BlockSize,
-		params: params, transfer: core.TransferPush, ckpt: ckpt,
+		params: params, transfer: core.TransferPush,
+		ckpt: opts.checkpointer(), callBytes: opts.callBytes(),
 		fill: func(args *multiplyArgs) {
 			args.ABlocks = boxRecs(a, args.ILo, args.IHi, args.KLo, args.KHi)
 			args.BBlocks = boxRecs(b, args.KLo, args.KHi, args.JLo, args.JHi)

@@ -27,14 +27,18 @@ type JobMeter struct {
 
 // JobMeterStats is a point-in-time snapshot of a JobMeter.
 type JobMeterStats struct {
-	// Cuboids counts committed cuboid results.
+	// Cuboids counts the cuboids of committed results: R for each (p,q)
+	// column of a (P,Q,R) plan.
 	Cuboids int64 `json:"cuboids"`
 	// RequestBytes / ReplyBytes are encoded block-payload bytes dispatched
-	// and received for this job.
+	// and received for this job. A column's reply is its folded C blocks, so
+	// ReplyBytes counts each C block once at any R — R times for a column
+	// over the call bound, which goes out as its R cuboids and comes back as
+	// their partials.
 	RequestBytes int64 `json:"request_bytes"`
 	ReplyBytes   int64 `json:"reply_bytes"`
-	// Retries counts cuboid scheduling retries; LocalFallbacks counts
-	// cuboids the driver computed itself after the pool failed them.
+	// Retries counts call scheduling retries; LocalFallbacks counts calls
+	// the driver computed itself after the pool failed them.
 	Retries        int64 `json:"retries"`
 	LocalFallbacks int64 `json:"local_fallbacks"`
 }
@@ -64,15 +68,15 @@ func jobMeterFrom(ctx context.Context) *JobMeter {
 	return m
 }
 
-// noteDispatch charges one cuboid request's payload.
+// noteDispatch charges one call's request payload.
 func (m *JobMeter) noteDispatch(bytes int64) {
 	if m != nil {
 		atomic.AddInt64(&m.c.Live().RequestBytes, bytes)
 	}
 }
 
-// noteCommit charges one committed reply.
-func (m *JobMeter) noteCommit(reply *multiplyReply) {
+// noteReply charges one call's reply payload, computed remotely or locally.
+func (m *JobMeter) noteReply(reply *multiplyReply) {
 	if m == nil {
 		return
 	}
@@ -81,7 +85,13 @@ func (m *JobMeter) noteCommit(reply *multiplyReply) {
 		n += codec.EncodedBytes(reply.CBlocks[i].Block)
 	}
 	atomic.AddInt64(&m.c.Live().ReplyBytes, n)
-	atomic.AddInt64(&m.c.Live().Cuboids, 1)
+}
+
+// noteCommit counts a committed column's cuboids.
+func (m *JobMeter) noteCommit(cuboids int) {
+	if m != nil {
+		atomic.AddInt64(&m.c.Live().Cuboids, int64(cuboids))
+	}
 }
 
 func (m *JobMeter) noteRetry() {

@@ -67,9 +67,20 @@ func checkNoOrphans(t *testing.T, spans []obs.SpanData) {
 	}
 }
 
-// checkOneSpanPerCuboid verifies the dispatch invariant: the spans named
-// `name` carry each expected cuboid coordinate exactly once.
-func checkOneSpanPerCuboid(t *testing.T, spans []obs.SpanData, name string, params core.Params) {
+// spanAttr is the value of s's attribute key, "" when it has none.
+func spanAttr(s obs.SpanData, key string) string {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// checkOneSpanPerColumn verifies the dispatch invariant: the spans named
+// `name` carry each (p,q) column's coordinate exactly once — r is 0, a column
+// being all R cuboids of its (p,q) — each with slabs = R.
+func checkOneSpanPerColumn(t *testing.T, spans []obs.SpanData, name string, params core.Params) {
 	t.Helper()
 	_, byName := spanIndex(spans)
 	got := map[[3]int]int{}
@@ -79,25 +90,26 @@ func checkOneSpanPerCuboid(t *testing.T, spans []obs.SpanData, name string, para
 			t.Errorf("%s span %d has no cuboid coordinate", name, s.ID)
 			continue
 		}
+		if slabs := spanAttr(s, "slabs"); slabs != fmt.Sprint(params.R) {
+			t.Errorf("%s span of column (%d,%d): slabs = %q, want %d", name, p, q, slabs, params.R)
+		}
 		got[[3]int{p, q, r}]++
 	}
 	for p := 0; p < params.P; p++ {
 		for q := 0; q < params.Q; q++ {
-			for r := 0; r < params.R; r++ {
-				if n := got[[3]int{p, q, r}]; n != 1 {
-					t.Errorf("cuboid (%d,%d,%d): %d %q spans, want exactly 1", p, q, r, n, name)
-				}
+			if n := got[[3]int{p, q, 0}]; n != 1 {
+				t.Errorf("column (%d,%d): %d %q spans, want exactly 1", p, q, n, name)
 			}
 		}
 	}
-	if len(got) != params.Tasks() {
-		t.Errorf("%d distinct cuboids traced, want %d", len(got), params.Tasks())
+	if len(got) != params.P*params.Q {
+		t.Errorf("%d distinct columns traced, want %d", len(got), params.P*params.Q)
 	}
 }
 
 // TestTracedMultiplySpanTree checks the failure-free span tree of one remote
-// multiply: a root, one cuboid span per dispatched cuboid, RPC attempts with
-// wire children, worker compute spans parented across the wire, and no
+// multiply: a root, one cuboid span per dispatched (p,q) column, RPC attempts
+// with wire children, worker compute spans parented across the wire, and no
 // orphan parents — while the product stays byte-identical to an untraced run.
 func TestTracedMultiplySpanTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(500))
@@ -136,7 +148,18 @@ func TestTracedMultiplySpanTree(t *testing.T) {
 	spans := tr.Snapshot().Spans
 	byID, byName := spanIndex(spans)
 	checkNoOrphans(t, spans)
-	checkOneSpanPerCuboid(t, spans, "cuboid", params)
+	checkOneSpanPerColumn(t, spans, "cuboid", params)
+	// Every successful column has an RPC attempt under it, and (sharing the
+	// tracer) one worker compute span parented to that attempt.
+	if n := len(byName["rpc.multiply"]); n < params.P*params.Q {
+		t.Errorf("%d rpc.multiply spans, want >= %d", n, params.P*params.Q)
+	}
+	for _, s := range byName["rpc.multiply"] {
+		if slabs := spanAttr(s, "slabs"); slabs != fmt.Sprint(params.R) {
+			t.Errorf("rpc.multiply span %d: slabs = %q, want %d", s.ID, slabs, params.R)
+		}
+	}
+	checkOneSpanPerColumn(t, spans, "worker.compute", params)
 
 	if len(byName["distnet.multiply"]) != 1 {
 		t.Fatalf("%d root spans, want 1", len(byName["distnet.multiply"]))
@@ -146,14 +169,6 @@ func TestTracedMultiplySpanTree(t *testing.T) {
 		if c.Parent != root.ID {
 			t.Errorf("cuboid span %d not parented to root", c.ID)
 		}
-	}
-	// Every successful cuboid has an RPC attempt under it, and (sharing the
-	// tracer) a worker compute span parented to that attempt.
-	if len(byName["rpc.multiply"]) < params.Tasks() {
-		t.Errorf("%d rpc.multiply spans, want >= %d", len(byName["rpc.multiply"]), params.Tasks())
-	}
-	if len(byName["worker.compute"]) != params.Tasks() {
-		t.Errorf("%d worker.compute spans, want %d", len(byName["worker.compute"]), params.Tasks())
 	}
 	for _, w := range byName["worker.compute"] {
 		parent, ok := byID[w.Parent]
@@ -177,7 +192,7 @@ func TestTracedMultiplySpanTree(t *testing.T) {
 
 // TestTraceSpanTreeUnderChaos reruns the chaos multiply with tracing on:
 // retries and reassignments may multiply the RPC-attempt spans, but each
-// dispatched cuboid must still close exactly one cuboid span, the tree must
+// dispatched column must still close exactly one cuboid span, the tree must
 // stay orphan-free, and the product must stay byte-identical to the
 // failure-free untraced run.
 func TestTraceSpanTreeUnderChaos(t *testing.T) {
@@ -226,7 +241,7 @@ func TestTraceSpanTreeUnderChaos(t *testing.T) {
 		bitIdentical(t, got, want)
 
 		spans := tr.SnapshotSince(mark).Spans
-		checkOneSpanPerCuboid(t, spans, "cuboid", params)
+		checkOneSpanPerColumn(t, spans, "cuboid", params)
 		// Under chaos a worker can still be computing an abandoned attempt
 		// when the driver finishes, so worker-side spans from this round may
 		// land after the snapshot; restrict the orphan check to driver-side

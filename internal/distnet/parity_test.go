@@ -10,13 +10,16 @@ import (
 
 	"distme/internal/bmat"
 	"distme/internal/cluster"
+	"distme/internal/codec"
 	"distme/internal/core"
+	"distme/internal/matrix"
 	"distme/internal/obs"
 )
 
-// The one cuboid job path's contract, as one table: whatever way a cuboid
-// obtains its slices — pushed inline, pulled by manifest, downgraded mid-job,
-// batched, restored from a checkpoint — the product is the same bytes, the
+// The one cuboid job path's contract, as one table: whatever way a (p,q)
+// column obtains its slices — pushed inline, pulled by manifest, downgraded
+// mid-job, restored from a checkpoint — and whether it goes out as one call
+// or, over the call bound, as its R cuboids, the product is the same bytes, the
 // bytes core.MultiplyCuboid computes on the simulated cluster, and the job is
 // metered, gauged and traced the same way.
 
@@ -36,12 +39,12 @@ func (c *gaugeCtx) Err() error {
 	return c.Context.Err()
 }
 
-// observeJob runs one multiply that must dispatch `cuboids` cuboids and
-// asserts everything the shared path owes every transfer mode: a JobMeter on
-// the context saw each cuboid commit with reply bytes, ActiveJobs read 1
-// during the job and 0 after, and the trace holds one distnet.multiply root
-// labelled with the transfer mode, one cuboid child per cuboid and one
-// aggregate.
+// observeJob runs one multiply at params and asserts everything the shared
+// path owes every transfer mode: a JobMeter on the context saw all P·Q·R
+// cuboids commit with reply bytes, ActiveJobs read 1 during the job and 0
+// after, and the trace holds one distnet.multiply root labelled with the
+// transfer mode, one cuboid child per (p,q) column — P·Q of them, each with
+// slabs = R — and one aggregate.
 func observeJob(t *testing.T, d *Driver, tr *obs.Tracer, params core.Params, transfer core.Transfer,
 	run func(ctx context.Context) (*bmat.BlockMatrix, error)) *bmat.BlockMatrix {
 	t.Helper()
@@ -69,16 +72,10 @@ func observeJob(t *testing.T, d *Driver, tr *obs.Tracer, params core.Params, tra
 		t.Fatalf("%d distnet.multiply roots, want 1", len(byName["distnet.multiply"]))
 	}
 	root := byName["distnet.multiply"][0]
-	label := ""
-	for _, a := range root.Attrs {
-		if a.Key == "transfer" {
-			label = a.Value
-		}
-	}
-	if label != transfer.String() {
+	if label := spanAttr(root, "transfer"); label != transfer.String() {
 		t.Errorf("root span transfer = %q, want %q", label, transfer)
 	}
-	checkOneSpanPerCuboid(t, spans, "cuboid", params)
+	checkOneSpanPerColumn(t, spans, "cuboid", params)
 	for _, c := range byName["cuboid"] {
 		if c.Parent != root.ID {
 			t.Errorf("cuboid span %d not parented to the root", c.ID)
@@ -107,13 +104,16 @@ func TestCuboidPathParity(t *testing.T) {
 		name     string
 		transfer core.Transfer
 		kill     bool // kill one band owner once the operands are resident
-		resume   bool // checkpoint, lose two cuboids, run again
+		resume   bool // checkpoint, lose two columns, run again
+		split    bool // a θt of one byte: every column goes out as its R cuboids
 	}{
 		{name: "push", transfer: core.TransferPush},
 		{name: "pull", transfer: core.TransferPull},
 		{name: "pull, killed peer", transfer: core.TransferPull, kill: true},
 		{name: "push, resumed", transfer: core.TransferPush, resume: true},
 		{name: "pull, resumed", transfer: core.TransferPull, resume: true},
+		{name: "push, columns over θt", transfer: core.TransferPush, split: true},
+		{name: "pull, columns over θt, resumed", transfer: core.TransferPull, split: true, resume: true},
 	}
 
 	for si, shape := range shapes {
@@ -151,6 +151,9 @@ func TestCuboidPathParity(t *testing.T) {
 				if row.resume {
 					mo.CheckpointDir = t.TempDir()
 				}
+				if row.split {
+					mo.WorkerMemBytes = 1
+				}
 
 				// Pull multiplies resident handles; push ships the operands.
 				run := func(ctx context.Context) (*bmat.BlockMatrix, error) {
@@ -180,6 +183,23 @@ func TestCuboidPathParity(t *testing.T) {
 				bitIdentical(t, observeJob(t, d, tr, params, row.transfer, run), want)
 				delta := d.NetStats().Sub(before)
 
+				// A column goes out as one call of R slabs, or over the call
+				// bound as R calls of one: an rpc.multiply span per call —
+				// more where a dead peer's calls were retried.
+				calls, slabs := params.P*params.Q, params.R
+				if row.split {
+					calls, slabs = params.Tasks(), 1
+				}
+				_, byName := spanIndex(tr.Snapshot().Spans)
+				if n := len(byName["rpc.multiply"]); n < calls || (!row.kill && n != calls) {
+					t.Errorf("%d rpc.multiply spans, want %d", n, calls)
+				}
+				for _, s := range byName["rpc.multiply"] {
+					if got := spanAttr(s, "slabs"); got != fmt.Sprint(slabs) {
+						t.Errorf("rpc.multiply span %d: slabs = %q, want %d", s.ID, got, slabs)
+					}
+				}
+
 				switch {
 				case row.kill:
 					if delta.PullFallbacks == 0 {
@@ -195,8 +215,8 @@ func TestCuboidPathParity(t *testing.T) {
 				}
 
 				if row.resume {
-					for _, idx := range []int{2, 5} {
-						if err := os.Remove(fmt.Sprintf("%s/cuboid-%05d.dmeb", mo.CheckpointDir, idx)); err != nil {
+					for _, idx := range []int{1, 2} {
+						if err := os.Remove(fmt.Sprintf("%s/column-%05d.dmeb", mo.CheckpointDir, idx)); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -212,11 +232,87 @@ func TestCuboidPathParity(t *testing.T) {
 						t.Fatal(err)
 					}
 					bitIdentical(t, got, want)
-					if n := served() - before; n != 2 {
-						t.Errorf("resume recomputed %d cuboids, want exactly the 2 lost", n)
+					// Worker.Multiplies counts cuboids: R per column rerun.
+					if n := served() - before; n != 2*params.R {
+						t.Errorf("resume recomputed %d cuboids, want exactly the %d of the 2 lost columns", n, 2*params.R)
 					}
 				}
 			})
 		}
+	}
+}
+
+// TestColumnOverCallBoundGoesOutAsCuboids: planning sends a (p,q) column as
+// one call while its operands fit the call bound, and as its R cuboids — one
+// slab each, the k ranges Box.Slab cuts — once they do not. The bound is θt
+// and never more than half a wire frame: a column of 80 blocks of 32 MiB
+// (2.5 GiB, one block's storage behind every record) is split even under a
+// 64 GiB θt, into cuboids of 640 MiB that a frame holds. At R = 1 the column
+// is the cuboid, and nothing is left to split.
+func TestColumnOverCallBoundGoesOutAsCuboids(t *testing.T) {
+	big := matrix.NewDense(2048, 2048)
+	tall, wide := bmat.New(2048, 40*2048, 2048), bmat.New(40*2048, 2048, 2048)
+	for k := 0; k < 40; k++ {
+		tall.SetBlock(0, k, big)
+		wide.SetBlock(k, 0, big)
+	}
+	rng := rand.New(rand.NewSource(1611))
+	small, smallB := bmat.RandomDense(rng, 16, 32, 8), bmat.RandomDense(rng, 32, 16, 8)
+	for _, tc := range []struct {
+		name     string
+		a, b     *bmat.BlockMatrix
+		R        int
+		workerθt int64
+		calls    int
+	}{
+		{"2.5 GiB column, θt 64 GiB", tall, wide, 4, 64 << 30, 4},
+		{"2.5 GiB column at R = 1", tall, wide, 1, 64 << 30, 1},
+		{"small column, default θt", small, smallB, 2, 0, 1},
+		{"small column, θt of one byte", small, smallB, 4, 1, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			params := core.Params{P: 1, Q: 1, R: tc.R}
+			r := &cuboidRun{d: &Driver{}, job: &cuboidJob{
+				blockSize: tc.a.BlockSize, params: params,
+				callBytes: MultiplyOptions{WorkerMemBytes: tc.workerθt}.callBytes(),
+				fill: func(args *multiplyArgs) {
+					args.ABlocks = boxRecs(tc.a, args.ILo, args.IHi, args.KLo, args.KHi)
+					args.BBlocks = boxRecs(tc.b, args.KLo, args.KHi, args.JLo, args.JHi)
+				},
+			}}
+			box := core.Box{IHi: tc.a.IB, JHi: tc.b.JB, KHi: tc.a.JB}
+			col := r.planColumn(0, 0, box)
+			if col.whole.slabs != tc.R || col.whole.box() != box {
+				t.Fatalf("whole column: %d slabs over %+v, want %d over %+v", col.whole.slabs, col.whole.box(), tc.R, box)
+			}
+			if len(col.calls) != tc.calls {
+				t.Fatalf("%d calls, want %d", len(col.calls), tc.calls)
+			}
+			if tc.calls == 1 {
+				if col.calls[0] != col.whole {
+					t.Fatal("a column inside the bound goes out as other than its whole call")
+				}
+				return
+			}
+			var records int
+			for rr, call := range col.calls {
+				if call.slabs != 1 || call.box() != box.Slab(rr, tc.R) {
+					t.Errorf("call %d: %d slabs over %+v, want cuboid %d, one slab over %+v", rr, call.slabs, call.box(), rr, box.Slab(rr, tc.R))
+				}
+				if got := call.inputBytes(tc.a.BlockSize); got > codec.MaxFrameBytes/2 {
+					t.Errorf("call %d: %d operand bytes, over half a frame", rr, got)
+				}
+				records += len(call.ABlocks) + len(call.BBlocks)
+			}
+			if want := len(col.whole.ABlocks) + len(col.whole.BBlocks); records != want {
+				t.Errorf("the cuboids carry %d records, the column %d", records, want)
+			}
+		})
+	}
+	// An operand pulled from a handle that kept no source has manifest
+	// entries and no records: each counts as a dense block.
+	pulled := &multiplyArgs{aManifest: &codec.Manifest{Entries: make([]codec.ManifestEntry, 3)}, BBlocks: []blockRec{{Block: big}}}
+	if got, want := pulled.inputBytes(2048), int64(4*2048*2048*8); got != want {
+		t.Errorf("3 pulled entries and one 32 MiB record: %d operand bytes, want %d", got, want)
 	}
 }

@@ -10,19 +10,24 @@ package distnet
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"distme/internal/bmat"
 	"distme/internal/codec"
+	"distme/internal/core"
 	"distme/internal/matrix"
+	"distme/internal/obs"
 )
 
 // The worker socket, driver↔worker and worker↔worker alike, is one
 // internal/codec call layer: a connection opens with workerPreamble both
 // ways, a request names its method by one byte, and the worker's refusals
 // cross as the codes of workerErrors. The version byte changes whenever the
-// method numbering does, so mismatched peers fail at the handshake rather
-// than misroute a request.
-var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 2}
+// method numbering or a body's meaning does, so mismatched peers fail at the
+// handshake rather than misroute or misread a request: version 3's multiply
+// carries a (p,q) column and its slab count where version 2's carried one
+// cuboid.
+var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 3}
 
 // The worker socket's methods, by the byte a request names them with.
 const (
@@ -47,36 +52,44 @@ type blockRec struct {
 	prep *codec.Prepared
 }
 
-// multiplyArgs ships one cuboid to a worker: the voxel box plus the A- and
-// B-side blocks it needs. Indices are global block coordinates so the reply
+// multiplyArgs ships one (p,q) column to a worker — the voxel box of its R
+// cuboids, the whole k range, and its slab count R — or, for a column over
+// its job's call bound, one of those cuboids, one slab; and the A- and B-side
+// blocks the box needs. Indices are global block coordinates so the reply
 // keys line up with the driver's output grid.
 type multiplyArgs struct {
 	ILo, IHi, JLo, JHi, KLo, KHi int
 	ABlocks                      []blockRec // A_{i,k} for the box
 	BBlocks                      []blockRec // B_{k,j} for the box
 
-	// cacheEpoch scopes this cuboid's digest references to one driver job;
+	// slabs is how many of the column's cuboids the box holds: the worker
+	// cuts the k range into this many slabs and folds their products in
+	// ascending r (core.MultiplyColumn), so one tile per C block comes back.
+	// R for a whole column, 1 for one cuboid of a column sent out in R calls.
+	slabs int
+
+	// cacheEpoch scopes this column's digest references to one driver job;
 	// the worker's block cache retires older epochs when a new one arrives.
 	cacheEpoch uint64
 
 	// traceSpan is the driver-side span the worker parents its compute span
-	// to (0 when tracing is off); cuboidP/Q/R are the cuboid's grid
+	// to (0 when tracing is off); cuboidP/Q are the column's grid
 	// coordinate, carried so worker-side spans are labeled like driver-side
 	// ones. Both travel on the wire but are invisible to the arithmetic, so
 	// traced and untraced runs are byte-identical.
-	traceSpan                 uint64
-	cuboidP, cuboidQ, cuboidR int
+	traceSpan        uint64
+	cuboidP, cuboidQ int
 
-	// encoding steers the encoder for this cuboid's block payloads
+	// encoding steers the encoder for this column's block payloads
 	// (Options.Encoding). It never travels on the wire: the worker decodes
 	// whatever tags arrive, so mixed-encoding traffic is fine.
 	encoding codec.Encoding
 
 	// meter, when set, receives per-job traffic attribution for this
-	// cuboid (WithJobMeter). Driver-side only; never on the wire.
+	// column (WithJobMeter). Driver-side only; never on the wire.
 	meter *JobMeter
 
-	// home is the ring position runCuboids reserved for this cuboid at plan
+	// home is the ring position runCuboids reserved for this column at plan
 	// time (Driver.reserveHomes); scheduling attempt a starts there plus a.
 	// Driver-side only.
 	home int
@@ -105,7 +118,23 @@ type multiplyArgs struct {
 	pullInline bool
 }
 
-// multiplyReply returns the cuboid's partial C blocks.
+// box is the call's voxel box.
+func (a *multiplyArgs) box() core.Box {
+	return core.Box{ILo: a.ILo, IHi: a.IHi, JLo: a.JLo, JHi: a.JHi, KLo: a.KLo, KHi: a.KHi}
+}
+
+// label marks a span of the call, driver or worker side, with its column's
+// coordinate — (p,q,0): a column is all R cuboids of its (p,q) — and the
+// call's slab count.
+func (a *multiplyArgs) label(sp obs.Span) {
+	if sp.Active() {
+		sp.SetCuboid(a.cuboidP, a.cuboidQ, 0)
+		sp.SetAttr("slabs", strconv.Itoa(a.slabs))
+	}
+}
+
+// multiplyReply returns the column's C blocks, its R partials already folded:
+// one tile per block some pair met.
 type multiplyReply struct {
 	CBlocks []blockRec
 

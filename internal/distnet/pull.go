@@ -177,9 +177,7 @@ func entryBox(entries []codec.ManifestEntry, idxs []int) (ilo, ihi, jlo, jhi int
 // reply and the worker's gauges.
 func (w *Worker) preparePull(args *multiplyArgs, reply *multiplyReply) error {
 	sp := w.tracer.Start(obs.SpanID(args.traceSpan), "wire.pull", obs.KindWorker)
-	if sp.Active() {
-		sp.SetCuboid(args.cuboidP, args.cuboidQ, args.cuboidR)
-	}
+	args.label(sp)
 	defer sp.End()
 	var st pullStats
 	aRecs, sa, err := w.resolvePull(sp.ID(), args.cacheEpoch, args.pullSelf, args.aManifest)

@@ -13,12 +13,12 @@ import (
 // driver-side along with the partitioning actually run. opts.Transfer picks
 // the data plane: TransferPull ships manifests and lets workers fetch
 // operand slices from the owning peers; TransferPush materializes the
-// operands driver-side and pushes cuboids classically; TransferAuto prices
+// operands driver-side and pushes each column's slices; TransferAuto prices
 // both with Eq.(4) (pull's peer term at fan-out, seed dropped since the
 // operands are resident) and takes the cheaper. Either way the job runs the
 // one cuboid path, so a JobMeter on ctx, the driver's gauges, tracing and
 // opts.CheckpointDir all apply. Results are bit-identical across modes and
-// under any fault schedule — a failed pull resolution downgrades that cuboid
+// under any fault schedule — a failed pull resolution downgrades that call
 // to an inline push retry.
 func (s *Session) Multiply(ctx context.Context, a, b *Handle, opts MultiplyOptions) (*bmat.BlockMatrix, core.Params, error) {
 	if err := s.checkHandle(a); err != nil {
@@ -44,7 +44,7 @@ func (s *Session) Multiply(ctx context.Context, a, b *Handle, opts MultiplyOptio
 		if err != nil {
 			return nil, core.Params{}, err
 		}
-		c, err := s.d.multiply(ctx, am, bm, params, opts.checkpointer())
+		c, err := s.d.multiply(ctx, am, bm, params, opts)
 		return c, params, err
 	}
 
@@ -53,7 +53,7 @@ func (s *Session) Multiply(ctx context.Context, a, b *Handle, opts MultiplyOptio
 	var out *bmat.BlockMatrix
 	err = s.withRecovery(ctx, a, func(ctx context.Context) error {
 		var err error
-		out, err = s.pullMultiply(ctx, a, b, params, opts.checkpointer())
+		out, err = s.pullMultiply(ctx, a, b, params, opts)
 		return err
 	})
 	if err != nil {
@@ -114,17 +114,18 @@ func (h *Handle) digestAt(i, j int) *codec.Digest {
 	return dg
 }
 
-// pullMultiply is the pull job: each cuboid's slices are the placement
+// pullMultiply is the pull job: each column's slices are the placement
 // manifests of the handles' bands inside its voxel box, which the assigned
 // worker resolves against its cache, its own store and the owning peers.
-// When both handles kept their Put source, the cuboid also carries the inline
+// When both handles kept their Put source, the column also carries the inline
 // records — off the wire — so runJob can downgrade it to push or compute it
 // locally. Placement is read per call: a recovery re-runs this on the new one.
-func (s *Session) pullMultiply(ctx context.Context, a, b *Handle, params core.Params, ckpt *checkpointer) (*bmat.BlockMatrix, error) {
+func (s *Session) pullMultiply(ctx context.Context, a, b *Handle, params core.Params, opts MultiplyOptions) (*bmat.BlockMatrix, error) {
 	aParts, bParts := s.parts(a.ib), s.parts(b.ib)
 	return s.d.runCuboids(ctx, cuboidJob{
 		rows: a.rows, inner: a.cols, cols: b.cols, blockSize: a.blockSize,
-		params: params, transfer: core.TransferPull, ckpt: ckpt,
+		params: params, transfer: core.TransferPull,
+		ckpt: opts.checkpointer(), callBytes: opts.callBytes(),
 		fill: func(args *multiplyArgs) {
 			args.pull = true
 			args.pullInline = a.src != nil && b.src != nil

@@ -102,7 +102,7 @@ func (s blockSender) appendMultiplyArgs(w *codec.FrameWriter, a *multiplyArgs) e
 	}
 	w.Uvarint(a.cacheEpoch)
 	w.Uvarint(a.traceSpan)
-	for _, v := range [3]int{a.cuboidP, a.cuboidQ, a.cuboidR} {
+	for _, v := range [3]int{a.cuboidP, a.cuboidQ, a.slabs} {
 		w.Uvarint(uint64(v))
 	}
 	if a.pull {
@@ -174,9 +174,10 @@ func readInts(rd *codec.FrameReader, dst ...*int) error {
 	return nil
 }
 
-// decodeMultiplyArgs parses one cuboid body, resolving digest references
+// decodeMultiplyArgs parses one column body, resolving digest references
 // against cache; a reference the cache cannot resolve fails the call with
-// errUnknownDigest, and the driver resends inline.
+// errUnknownDigest, and the driver resends inline. A slab count the box
+// cannot hold is refused before anything is read past it.
 func decodeMultiplyArgs(rd *codec.FrameReader, a *multiplyArgs, cache *blockCache) error {
 	if err := readInts(rd, &a.ILo, &a.IHi, &a.JLo, &a.JHi, &a.KLo, &a.KHi); err != nil {
 		return err
@@ -189,7 +190,10 @@ func decodeMultiplyArgs(rd *codec.FrameReader, a *multiplyArgs, cache *blockCach
 	if a.traceSpan, err = rd.Uvarint(); err != nil {
 		return err
 	}
-	if err := readInts(rd, &a.cuboidP, &a.cuboidQ, &a.cuboidR); err != nil {
+	if err := readInts(rd, &a.cuboidP, &a.cuboidQ, &a.slabs); err != nil {
+		return err
+	}
+	if err := checkSlabs(a.KHi-a.KLo, a.slabs); err != nil {
 		return err
 	}
 	mode, err := rd.U8()

@@ -27,6 +27,7 @@ import (
 const (
 	bodyMultiplyArgs = iota
 	bodyPullMultiplyArgs
+	bodyColumnArgs
 	bodyMultiplyReply
 	bodyPutArgs
 	bodyGetArgs
@@ -42,7 +43,7 @@ const (
 // decodeBody runs the streaming decoder a codec would run for one body.
 func decodeBody(kind int, rd *codec.FrameReader) error {
 	switch kind {
-	case bodyMultiplyArgs, bodyPullMultiplyArgs:
+	case bodyMultiplyArgs, bodyPullMultiplyArgs, bodyColumnArgs:
 		return decodeMultiplyArgs(rd, new(multiplyArgs), newBlockCache(-1))
 	case bodyMultiplyReply:
 		return decodeMultiplyReply(rd, new(multiplyReply))
@@ -93,9 +94,11 @@ func wireSeedRecs() []blockRec {
 func wireSeedBodies(t testing.TB) map[int][]byte {
 	recs := wireSeedRecs()
 	prepareRecs(t, recs)
-	push := multiplyArgs{IHi: 1, JHi: 1, KHi: 2, ABlocks: recs, BBlocks: recs[:1], cacheEpoch: 3}
+	push := multiplyArgs{IHi: 1, JHi: 1, KHi: 2, slabs: 1, ABlocks: recs, BBlocks: recs[:1], cacheEpoch: 3}
 	manifest := &codec.Manifest{Handle: 9, Owners: []string{"10.0.0.1:7070"}, Entries: []codec.ManifestEntry{{KeyI: 1, KeyJ: 2, HasDigest: true}}}
-	pull := multiplyArgs{IHi: 1, JHi: 1, KHi: 1, pull: true, pullSelf: "10.0.0.1:7070", aManifest: manifest, bManifest: manifest}
+	pull := multiplyArgs{IHi: 1, JHi: 1, KHi: 1, slabs: 1, pull: true, pullSelf: "10.0.0.1:7070", aManifest: manifest, bManifest: manifest}
+	// A (p,q) column of three cuboids: its whole k range and R = 3.
+	column := multiplyArgs{IHi: 2, JHi: 1, KHi: 3, slabs: 3, cuboidP: 1, ABlocks: recs, BBlocks: recs, cacheEpoch: 3}
 	parts := []partLoc{{Addr: "10.0.0.2:7070", Lo: 0, Hi: 4}}
 
 	var send blockSender
@@ -103,6 +106,7 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 	add := func(kind int, fill func(w *codec.FrameWriter) error) { bodies[kind] = bodyOf(t, fill) }
 	add(bodyMultiplyArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &push) })
 	add(bodyPullMultiplyArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &pull) })
+	add(bodyColumnArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &column) })
 	add(bodyMultiplyReply, func(w *codec.FrameWriter) error {
 		return appendMultiplyReply(w, &multiplyReply{CBlocks: recs, pullHits: 2})
 	})
@@ -156,7 +160,7 @@ func pushVariantBodies(t testing.TB) [][]byte {
 		send blockSender
 		recs []blockRec
 	}{{blockSender{}, compressed}, {cached, digested}, {cached, digested}} {
-		args := multiplyArgs{IHi: 1, JHi: 1, KHi: 2, ABlocks: v.recs, cacheEpoch: 3}
+		args := multiplyArgs{IHi: 1, JHi: 1, KHi: 2, slabs: 2, ABlocks: v.recs, cacheEpoch: 3}
 		bodies = append(bodies, bodyOf(t, codec.Writes(v.send.appendMultiplyArgs, &args)))
 	}
 	return bodies
@@ -218,19 +222,27 @@ func forgedCountBodies() map[string]struct {
 	body []byte
 } {
 	huge := binary.AppendUvarint(nil, 100e6)
-	zeros := func(n int, then ...byte) []byte { return append(append(make([]byte, n), then...), huge...) }
+	then := func(head []byte, rest ...byte) []byte {
+		return append(append(append([]byte(nil), head...), rest...), huge...)
+	}
+	// column is a multiply body up to its transfer mode: a box one block
+	// deep in k, cut into one slab.
+	column := []byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}
 	return map[string]struct {
 		kind int
 		body []byte
 	}{
-		"A block records":  {bodyMultiplyArgs, zeros(12)},
-		"manifest owners":  {bodyMultiplyArgs, zeros(11, 1, 0, 9)},
-		"manifest entries": {bodyMultiplyArgs, zeros(11, 1, 0, 9, 1, 1, 'a')},
-		"reply blocks":     {bodyMultiplyReply, zeros(3)},
-		"put blocks":       {bodyPutArgs, zeros(4)},
-		"handle ids":       {bodyFreeArgs, zeros(0)},
-		"part locations":   {bodyExecArgs, zeros(15)},
-		"get blocks":       {bodyGetReply, zeros(0)},
+		"A block records":  {bodyMultiplyArgs, then(column, 0)},
+		"manifest owners":  {bodyMultiplyArgs, then(column, 1, 0, 9)},
+		"manifest entries": {bodyMultiplyArgs, then(column, 1, 0, 9, 1, 1, 'a')},
+		"reply blocks":     {bodyMultiplyReply, then(make([]byte, 3))},
+		"put blocks":       {bodyPutArgs, then(make([]byte, 4))},
+		"handle ids":       {bodyFreeArgs, then(nil)},
+		"part locations":   {bodyExecArgs, then(make([]byte, 15))},
+		"get blocks":       {bodyGetReply, then(nil)},
+		// Not an element count but a loop bound all the same: 2⁴⁰ slabs for
+		// a k range of one block.
+		"slab count": {bodyMultiplyArgs, binary.AppendUvarint(append([]byte(nil), column[:10]...), 1<<40)},
 	}
 }
 
@@ -238,7 +250,8 @@ func forgedCountBodies() map[string]struct {
 // hundred-million-element count pass the bytes-left check of every body that
 // carries one. Each decoder fails when the dozen bytes run out, having
 // allocated a small fixed step per nesting level — not the count — behind
-// the header, through the read loop that frame reaches.
+// the header, through the read loop that frame reaches. A column's slab
+// count of 2⁴⁰ is refused as errWire where it is read, before any loop.
 func TestForgedFramePrefixHugeCounts(t *testing.T) {
 	for name, tc := range forgedCountBodies() {
 		raw := append(binary.LittleEndian.AppendUint32(nil, codec.MaxFrameBytes), wholeFrame(tc.kind, tc.body)...)
@@ -248,6 +261,9 @@ func TestForgedFramePrefixHugeCounts(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: forged count decoded", name)
+		}
+		if name == "slab count" && !errors.Is(err, errWire) {
+			t.Errorf("%s: %v, want errWire", name, err)
 		}
 		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(512<<10); alloc > limit {
 			t.Errorf("%s: allocated %d bytes for %d bytes of input (limit %d)", name, alloc, len(raw), limit)
@@ -262,7 +278,7 @@ func TestForgedFramePrefixHugeCounts(t *testing.T) {
 
 // requestMethods is the method byte each request kind travels under.
 var requestMethods = map[int]byte{
-	bodyMultiplyArgs: methodMultiply, bodyPullMultiplyArgs: methodMultiply, bodyPutArgs: methodPutBlocks,
+	bodyMultiplyArgs: methodMultiply, bodyPullMultiplyArgs: methodMultiply, bodyColumnArgs: methodMultiply, bodyPutArgs: methodPutBlocks,
 	bodyGetArgs: methodGetBlocks, bodyFreeArgs: methodFreeHandles, bodyPinArgs: methodPinHandle, bodyExecArgs: methodExecOp,
 }
 
@@ -761,7 +777,7 @@ func TestOversizeCuboidFailsWithoutRetry(t *testing.T) {
 	// One 32 MiB block listed 65 times: over 2 GiB of frame, none of it
 	// allocated, since every record's tail aliases the same storage.
 	big := matrix.NewDense(2048, 2048)
-	huge := &multiplyArgs{IHi: 1, JHi: 1, KHi: 1}
+	huge := &multiplyArgs{IHi: 1, JHi: 1, KHi: 1, slabs: 1}
 	for i := 0; i < 65; i++ {
 		huge.ABlocks = append(huge.ABlocks, blockRec{Key: bmat.BlockKey{I: 0, J: i}, Block: big})
 	}
@@ -776,7 +792,7 @@ func TestOversizeCuboidFailsWithoutRetry(t *testing.T) {
 		t.Fatalf("%d workers alive after the refusal, want 2", d.Workers())
 	}
 	small := matrix.RandomDense(rand.New(rand.NewSource(1405)), 8, 8)
-	ok := &multiplyArgs{IHi: 1, JHi: 1, KHi: 1, ABlocks: []blockRec{{Block: small}}, BBlocks: []blockRec{{Block: small}}}
+	ok := &multiplyArgs{IHi: 1, JHi: 1, KHi: 1, slabs: 1, ABlocks: []blockRec{{Block: small}}, BBlocks: []blockRec{{Block: small}}}
 	prepareRecs(t, ok.ABlocks, ok.BBlocks)
 	for i := 0; i < 2; i++ { // homes 0 and 1: both members' connections
 		ok.home = i

@@ -107,13 +107,23 @@ func checkBox(box core.Box) error {
 	return nil
 }
 
-// computeCuboid runs one cuboid through core.MultiplyBox — the arithmetic
-// of core.CPUMultiplier, against the blocks the request carries — and
-// reports the flops spent. It is shared by the remote worker and the
-// driver's local fallback, so a cuboid computes bit-identically wherever it
-// lands.
+// checkSlabs refuses a column's slab count that its k range of nk blocks
+// cannot be cut into: the count arrives off the wire, and a column has at
+// least one slab and at most one per block.
+func checkSlabs(nk, slabs int) error {
+	if slabs < 1 || slabs > nk {
+		return fmt.Errorf("%w: %d slabs for a k range of %d blocks", errWire, slabs, nk)
+	}
+	return nil
+}
+
+// computeCuboid runs one (p,q) column through core.MultiplyColumn — its R
+// cuboids in the arithmetic of core.CPUMultiplier, folded in ascending r,
+// against the blocks the request carries — and reports the flops spent. It
+// is shared by the remote worker and the driver's local fallback, so a
+// column computes bit-identically wherever it lands.
 func computeCuboid(args *multiplyArgs, reply *multiplyReply) (flops float64, err error) {
-	box := core.Box{ILo: args.ILo, IHi: args.IHi, JLo: args.JLo, JHi: args.JHi, KLo: args.KLo, KHi: args.KHi}
+	box := args.box()
 	if err := checkBox(box); err != nil {
 		return 0, err
 	}
@@ -125,9 +135,9 @@ func computeCuboid(args *multiplyArgs, reply *multiplyReply) (flops float64, err
 	for _, r := range args.BBlocks {
 		bBlocks[r.Key] = r.Block
 	}
-	tiles, flops := core.MultiplyBox(box,
+	tiles, flops := core.MultiplyColumn(box, args.slabs,
 		func(i, k int) matrix.Block { return aBlocks[bmat.BlockKey{I: i, J: k}] },
-		func(k, j int) matrix.Block { return bBlocks[bmat.BlockKey{I: k, J: j}] }, nil)
+		func(k, j int) matrix.Block { return bBlocks[bmat.BlockKey{I: k, J: j}] })
 	for t, acc := range tiles {
 		if acc != nil {
 			reply.CBlocks = append(reply.CBlocks, blockRec{Key: box.TileKey(t), Block: acc})
@@ -136,10 +146,10 @@ func computeCuboid(args *multiplyArgs, reply *multiplyReply) (flops float64, err
 	return flops, nil
 }
 
-// serveCuboid is the worker's one way to run a cuboid: a pull cuboid first
-// resolves its manifests into blocks, then the partial C blocks are computed
-// under a worker.compute span, whose flops and kernel attributes give the
-// cuboid's GFLOP/s against its duration.
+// serveCuboid is the worker's one way to run a column: a pull column first
+// resolves its manifests into blocks, then its C blocks are computed under a
+// worker.compute span, whose flops and kernel attributes give the column's
+// GFLOP/s against its duration.
 func (w *Worker) serveCuboid(args *multiplyArgs, reply *multiplyReply) error {
 	if args.pull {
 		if err := w.preparePull(args, reply); err != nil {
@@ -148,8 +158,8 @@ func (w *Worker) serveCuboid(args *multiplyArgs, reply *multiplyReply) error {
 	}
 	sp := w.tracer.Start(obs.SpanID(args.traceSpan), "worker.compute", obs.KindWorker)
 	defer sp.End()
+	args.label(sp)
 	if sp.Active() {
-		sp.SetCuboid(args.cuboidP, args.cuboidQ, args.cuboidR)
 		sp.SetAttr("a-blocks", fmt.Sprintf("%d", len(args.ABlocks)))
 		sp.SetAttr("b-blocks", fmt.Sprintf("%d", len(args.BBlocks)))
 	}
@@ -166,14 +176,14 @@ func (w *Worker) serveCuboid(args *multiplyArgs, reply *multiplyReply) error {
 	return err
 }
 
-// multiply computes the partial C blocks of one cuboid, against blocks
-// that arrived over the wire.
+// multiply computes the C blocks of one column, against blocks that arrived
+// over the wire, and counts its cuboids served.
 func (w *Worker) multiply(args *multiplyArgs, reply *multiplyReply) error {
 	if err := w.serveCuboid(args, reply); err != nil {
 		return err
 	}
 	w.mu.Lock()
-	w.multiplies++
+	w.multiplies += args.slabs
 	w.mu.Unlock()
 	return nil
 }
@@ -197,7 +207,8 @@ func (w *Worker) ping(_ *struct{}, reply *pingReply) error {
 	return nil
 }
 
-// Multiplies reports how many cuboids this worker has served.
+// Multiplies reports how many cuboids this worker has served: R for each
+// (p,q) column of a (P,Q,R) plan.
 func (w *Worker) Multiplies() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -330,7 +341,7 @@ func (w *Worker) admit(read bool, h codec.Handler) codec.Handler {
 	}
 }
 
-// decodeMultiply parses one cuboid request against the worker's block
+// decodeMultiply parses one column request against the worker's block
 // cache, recording the parse as a wire.decode span under the driver's
 // attempt.
 func (w *Worker) decodeMultiply(rd *codec.FrameReader, a *multiplyArgs) error {
@@ -339,7 +350,7 @@ func (w *Worker) decodeMultiply(rd *codec.FrameReader, a *multiplyArgs) error {
 	if err == nil && w.tracer.Enabled() && a.traceSpan != 0 {
 		w.tracer.AddCompleted(obs.SpanData{
 			Parent: obs.SpanID(a.traceSpan), Name: "wire.decode", Kind: obs.KindWorker,
-			P: a.cuboidP, Q: a.cuboidQ, R: a.cuboidR,
+			P: a.cuboidP, Q: a.cuboidQ,
 			Start: start, End: time.Now(), Bytes: n,
 		})
 	}

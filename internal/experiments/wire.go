@@ -85,10 +85,11 @@ func ExtWire(seed int64) (*Table, error) {
 		sent, recv := d.WireBytes()
 		d.Close()
 
-		// Prediction: repartition payload goes out; R·|C| partials come back
-		// (with R = 1 the final tiles still return once — the driver is the
-		// output sink, unlike the in-cluster aggregation that stays put).
-		predicted := int64(p.Q)*aBytes + int64(p.P)*bBytes + int64(maxInt(p.R, 1))*wireBytesOf(c)
+		// Prediction: repartition payload goes out; C comes back once at any
+		// R — each (p,q) column's worker folds its R partials before it
+		// replies, so Eq.(4)'s R·|C| aggregation term never reaches the
+		// driver, which receives only the output it is the sink for.
+		predicted := int64(p.Q)*aBytes + int64(p.P)*bBytes + wireBytesOf(c)
 		wire := (sent - sent0) + (recv - recv0)
 		overhead := float64(wire)/float64(predicted) - 1
 		t.AddRow(p.String(),
@@ -155,11 +156,4 @@ func ExtWireCache(seed int64) (*Table, error) {
 			params.String(), params.Q, params.P, 100*float64(warmSent)/float64(coldSent)),
 		"results are byte-identical in both modes — the cache only ever changes how bytes move, never which blocks compute")
 	return t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,18 +6,25 @@
 //
 // The admission controller is DistME's cost model turned into a gate. Every
 // submitted job is priced by the Eq.(4) optimizer under the per-worker
-// budget θt; the resulting (P,Q,R) bounds one task's working set
-// (Eq.(3)), and the job's cuboid wave — the tasks the cluster can have in
-// flight at once — is estimated as
+// budget θt; the resulting (P,Q,R) bounds one cuboid's working set
+// (Eq.(3)). A worker task is a (p,q) column — the R cuboids of one (p,q),
+// whose inputs it holds at once — so the job's wave, the tasks the cluster
+// can have in flight at once, is bounded from above by
 //
-//	wave(job) = MemBytes(P,Q,R) × min(P·Q·R, LiveWorkers × PerWorkerInflight)
+//	wave(job) = MemBytes(P,Q,R) · R × min(P·Q, LiveWorkers × PerWorkerInflight)
+//
+// R·MemBytes over-counts a column's C: it holds two tile sets, the running
+// fold and the current slab, not R. Admission prices the column's R cuboids
+// here, so the job runs without θt as its call bound: a column goes out
+// whole up to the driver's default bound, past which it goes out as its R
+// cuboids one after another — inside the same estimate.
 //
 // A job dispatches only while the sum of running waves stays under the
 // cluster capacity LiveWorkers × θt × PerWorkerInflight (scaled by
-// Config.CapacityFraction); one job alone always dispatches, because the
-// optimizer already bounded its per-task memory by θt. Live worker counts
-// come from the driver's health plane (ClusterHealth), so capacity tracks
-// membership churn and autoscaling.
+// Config.CapacityFraction); one job alone always dispatches, so a column
+// over θt still runs, by itself. Live worker counts come from the driver's
+// health plane (ClusterHealth), so capacity tracks membership churn and
+// autoscaling.
 //
 // Scheduling across tenants is weighted fair queuing by virtual time: each
 // dispatch advances its tenant's clock by plannedBytes/weight, and the
@@ -470,18 +477,13 @@ func (s *Server) submit(name string, req SubmitRequest, acceptSpan obs.SpanID) (
 	return j.id, nil
 }
 
-// waveOfLocked estimates the job's cuboid-wave memory: one task's Eq.(3)
-// working set times the tasks the pool can run at once.
+// waveOfLocked bounds the job's wave memory from above: one task's working
+// set times the tasks the pool can run at once. A task is a (p,q) column,
+// which holds the inputs of its R cuboids at once, and a job has P·Q of them;
+// R times Eq.(3) counts R tile sets of C where a column holds two.
 func (s *Server) waveOfLocked(shape core.Shape, params core.Params) float64 {
 	slots := s.d.Workers() * s.d.PerWorkerInflight()
-	if slots < 1 {
-		slots = 1
-	}
-	tasks := params.Tasks()
-	if tasks > slots {
-		tasks = slots
-	}
-	return shape.MemBytes(params) * float64(tasks)
+	return shape.MemBytes(params) * float64(params.R) * float64(min(params.P*params.Q, max(slots, 1)))
 }
 
 // capacityLocked is the cluster's admission capacity in bytes.
@@ -574,7 +576,7 @@ func (s *Server) pickOne() *job {
 	// wave capacity. A tenant whose head does not fit is skipped — its
 	// virtual clock does not advance, so it is served first once capacity
 	// frees. With nothing running, the best candidate dispatches
-	// unconditionally: the optimizer bounded its tasks by θt, and holding
+	// unconditionally: the optimizer bounded its cuboids by θt, and holding
 	// the cluster idle for a job that "never fits" would be a deadlock.
 	var pick, fallback *tenantState
 	for _, t := range s.tenants {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"distme/internal/bmat"
+	"distme/internal/core"
 	"distme/internal/distnet"
 	"distme/internal/matrix"
 )
@@ -543,6 +544,40 @@ func TestFairShareServesLighterTenant(t *testing.T) {
 	}
 	if heavyDone > 20 {
 		t.Fatalf("light tenant waited behind %d heavy jobs (%v): fair share broken", heavyDone, elapsed)
+	}
+}
+
+// TestWavePricesColumns pins admission's wave for the task a worker now
+// runs, a (p,q) column holding R cuboids' inputs: MemBytes(P,Q,R) · R per
+// column, times the P·Q columns or the pool's slots, whichever is fewer. One
+// worker at the default four in-flight calls gives four slots. sparse_tall's
+// (3,1,4) is 3 columns of 4 slabs, not 12 cuboids cut to 4 slots; at R = 1
+// the wave is what pricing per cuboid gave.
+func TestWavePricesColumns(t *testing.T) {
+	c := startCluster(t, 1)
+	s, err := New(c.d, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// |A| = 12 MiB, |B| = 4 MiB, |C| = 3 MiB.
+	shape := core.Shape{I: 32, J: 2, K: 32, ABytes: 12 << 20, BBytes: 4 << 20, CBytes: 3 << 20}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, tc := range []struct {
+		params core.Params
+		mib    float64
+	}{
+		// (1 + 1 + 1) MiB a cuboid, 4 a column, 3 columns.
+		{core.Params{P: 3, Q: 1, R: 4}, 3 * 4 * 3},
+		// (1.5 + 1 + 0.375) MiB a cuboid, 2 a column, 8 columns on 4 slots.
+		{core.Params{P: 4, Q: 2, R: 2}, 2.875 * 2 * 4},
+		// (4 + 2 + 0.5) MiB a cuboid and a column, 6 columns on 4 slots.
+		{core.Params{P: 3, Q: 2, R: 1}, 6.5 * 4},
+	} {
+		if got, want := s.waveOfLocked(shape, tc.params), tc.mib*(1<<20); got != want {
+			t.Errorf("%v: wave %.0f bytes, want %.0f", tc.params, got, want)
+		}
 	}
 }
 
