@@ -30,7 +30,6 @@ test-race:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s -run '^$$' ./internal/storage
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=10s -run '^$$' ./internal/codec
-	$(GO) test -fuzz=FuzzDecodeEncodings -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzDecodeManifest -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzFrameBlocks -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzWireBodies -fuzztime=10s -run '^$$' ./internal/distnet

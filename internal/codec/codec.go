@@ -8,10 +8,7 @@
 //   - the wire tags (TagCSR32, TagCSC32, TagCSRDelta, TagCSCDelta) add
 //     compact sparse forms — 32-bit indices when the dimensions fit, and a
 //     delta+varint index stream when that is smaller still — chosen per
-//     block by encoded size, and
-//   - the opt-in encoding tags (TagDenseF32 through TagCSCXor, see
-//     encoding.go) trade value bytes for precision (fp32) or encode time
-//     (XOR+varint compression), selected per job via Encoding.
+//     block by encoded size.
 //
 // Values always travel as raw little-endian float64 bits, converted to and
 // from []byte in bulk (one memmove on little-endian hardware) instead of
@@ -257,6 +254,11 @@ func sparsePlan(major, minor int, ptr, idx []int, nnz int, tag32, tagDelta, fall
 	return tag32, size32, nil
 }
 
+func sparseOverflows32(major, minor int, ptr []int, nnz int) bool {
+	return major > math.MaxUint32-1 || minor > math.MaxUint32 || nnz > math.MaxUint32 ||
+		pointersOverflow32(ptr)
+}
+
 func pointersOverflow32(ptr []int) bool {
 	for _, p := range ptr {
 		if p < 0 || p > math.MaxUint32 {
@@ -279,22 +281,17 @@ func deltaSize(major, minor int, ptr, idx []int, nnz int) (int, bool) {
 	return n + 8*nnz, ok
 }
 
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // AppendWire appends the compact wire encoding of b to dst and returns the
 // extended slice and the chosen tag. Unlike AppendPortable, the concrete
 // type round-trips exactly — a CSC block decodes back to CSC — because the
 // local-multiply kernels dispatch on the representation and the distributed
 // product must stay bit-identical to a local one.
 func AppendWire(dst []byte, b matrix.Block) ([]byte, uint8, error) {
-	return AppendWireEnc(dst, b, EncodingFP64)
+	out, tag, tail, err := AppendWireSG(dst, b, EncodingFP64)
+	if err != nil {
+		return dst, 0, err
+	}
+	return append(out, tail...), tag, nil
 }
 
 // EncodedBytes returns the exact wire payload size of b — the bytes
@@ -330,14 +327,6 @@ func decodeFrom(src blockSource, tag uint8) (matrix.Block, error) {
 		return decodeSparse32(tag, src)
 	case TagCSRDelta, TagCSCDelta:
 		return decodeSparseDelta(tag, src)
-	case TagDenseF32, TagCSRF32, TagCSCF32, TagDenseXor, TagCSRXor, TagCSCXor:
-		// The opt-in value encodings have no raw fp64 tail to land in
-		// place: they decode from the whole payload.
-		payload, err := src.take(src.left())
-		if err != nil {
-			return nil, err
-		}
-		return decodeEncoded(tag, payload)
 	default:
 		return nil, fmt.Errorf("%w: unknown tag %d", ErrBadFormat, tag)
 	}
@@ -402,47 +391,36 @@ func decodeCSR64(src blockSource) (matrix.Block, error) {
 	return &matrix.CSR{RowsN: rows, ColsN: cols, RowPtr: ptr, ColIdx: idx, Val: val}, nil
 }
 
-// decodeSparse32Struct parses the header and the 32-bit pointer and index
-// arrays shared by the TagCSR32/TagCSC32 and fp32-valued layouts, leaving
-// src at the values; valBytes is the width of one value.
-func decodeSparse32Struct(src blockSource, valBytes int) (major, minor, nnz int, ptr, idx []int, err error) {
+func decodeSparse32(tag uint8, src blockSource) (matrix.Block, error) {
 	hdr, err := src.take(12)
 	if err != nil {
-		return 0, 0, 0, nil, nil, fmt.Errorf("%w: short sparse32 payload", ErrBadFormat)
+		return nil, fmt.Errorf("%w: short sparse32 payload", ErrBadFormat)
 	}
-	major = int(binary.LittleEndian.Uint32(hdr[0:]))
-	minor = int(binary.LittleEndian.Uint32(hdr[4:]))
-	nnz = int(binary.LittleEndian.Uint32(hdr[8:]))
+	major := int(binary.LittleEndian.Uint32(hdr[0:]))
+	minor := int(binary.LittleEndian.Uint32(hdr[4:]))
+	nnz := int(binary.LittleEndian.Uint32(hdr[8:]))
 	if err := checkSparseDims(major, minor, nnz); err != nil {
-		return 0, 0, 0, nil, nil, err
+		return nil, err
 	}
-	if src.left() != 4*(major+1)+4*nnz+valBytes*nnz {
-		return 0, 0, 0, nil, nil, fmt.Errorf("%w: sparse32 payload size mismatch", ErrBadFormat)
+	if src.left() != 4*(major+1)+12*nnz {
+		return nil, fmt.Errorf("%w: sparse32 payload size mismatch", ErrBadFormat)
 	}
 	structural, err := src.take(4 * (major + 1 + nnz))
 	if err != nil {
-		return 0, 0, 0, nil, nil, err
+		return nil, err
 	}
-	ptr = make([]int, major+1)
+	ptr := make([]int, major+1)
 	off := 0
 	for i := range ptr {
 		ptr[i] = int(binary.LittleEndian.Uint32(structural[off:]))
 		off += 4
 	}
-	idx = make([]int, nnz)
+	idx := make([]int, nnz)
 	for i := range idx {
 		idx[i] = int(binary.LittleEndian.Uint32(structural[off:]))
 		off += 4
 	}
 	if err := checkSparseStructure(major, minor, nnz, ptr, idx); err != nil {
-		return 0, 0, 0, nil, nil, err
-	}
-	return major, minor, nnz, ptr, idx, nil
-}
-
-func decodeSparse32(tag uint8, src blockSource) (matrix.Block, error) {
-	major, minor, nnz, ptr, idx, err := decodeSparse32Struct(src, 8)
-	if err != nil {
 		return nil, err
 	}
 	val, err := src.floats(nnz)
@@ -455,13 +433,12 @@ func decodeSparse32(tag uint8, src blockSource) (matrix.Block, error) {
 	return &matrix.CSC{RowsN: minor, ColsN: major, ColPtr: ptr, RowIdx: idx, Val: val}, nil
 }
 
-// decodeDeltaHeader parses the varint dimensions shared by the
-// TagCSRDelta/TagCSCDelta and XOR-valued layouts. minValBytes is the least
-// one value can occupy (8 raw, 1 XOR-compressed): every major line costs at
-// least one count byte and every entry at least one index byte plus its
-// value, so the allocations that follow are bounded by the bytes actually
-// present — a forged header cannot force an outsized one.
-func decodeDeltaHeader(src blockSource, minValBytes int) (major, minor, nnz int, err error) {
+// decodeDeltaHeader parses the varint dimensions of the
+// TagCSRDelta/TagCSCDelta layout. Every major line costs at least one count
+// byte and every entry at least one index byte plus its eight value bytes,
+// so the allocations that follow are bounded by the bytes actually present —
+// a forged header cannot force an outsized one.
+func decodeDeltaHeader(src blockSource) (major, minor, nnz int, err error) {
 	mj, err1 := sourceUvarint(src)
 	mn, err2 := sourceUvarint(src)
 	nz, err3 := sourceUvarint(src)
@@ -471,7 +448,7 @@ func decodeDeltaHeader(src blockSource, minValBytes int) (major, minor, nnz int,
 	if mj > MaxBlockSide || mn > MaxBlockSide || nz > uint64(MaxBlockSide)*uint64(MaxBlockSide) {
 		return 0, 0, 0, fmt.Errorf("%w: implausible delta dimensions %dx%d nnz=%d", ErrBadFormat, mj, mn, nz)
 	}
-	if uint64(src.left()) < mj+uint64(1+minValBytes)*nz {
+	if uint64(src.left()) < mj+9*nz {
 		return 0, 0, 0, fmt.Errorf("%w: delta payload shorter than its own header promises", ErrBadFormat)
 	}
 	major, minor, nnz = int(mj), int(mn), int(nz)
@@ -535,7 +512,7 @@ func decodeDeltaIndex(rest []byte, major, minor, nnz int) (ptr, idx []int, used 
 }
 
 func decodeSparseDelta(tag uint8, src blockSource) (matrix.Block, error) {
-	major, minor, nnz, err := decodeDeltaHeader(src, 8)
+	major, minor, nnz, err := decodeDeltaHeader(src)
 	if err != nil {
 		return nil, err
 	}

@@ -18,14 +18,8 @@ func (d Digest) Short() string { return hex.EncodeToString(d[:6]) }
 
 // DigestOf computes the content digest of a block using a pooled encode
 // buffer.
-func DigestOf(b matrix.Block) (Digest, error) { return DigestOfEnc(b, EncodingFP64) }
-
-// DigestOfEnc is DigestOf under an explicit encoding. The digest covers
-// the encoded tag and payload, so the same block under two encodings has
-// two digests — which is what the cache needs, since the worker stores
-// whatever the bytes decoded to.
-func DigestOfEnc(b matrix.Block, enc Encoding) (Digest, error) {
-	head, tag, tail, err := AppendWireSG(GetBuffer(), b, enc)
+func DigestOf(b matrix.Block) (Digest, error) {
+	head, tag, tail, err := AppendWireSG(GetBuffer(), b, EncodingFP64)
 	defer PutBuffer(head)
 	if err != nil {
 		return Digest{}, err
@@ -57,35 +51,26 @@ type Prepared struct {
 	Head []byte
 	Tail []byte
 
-	// RawSize is the block's payload size under EncodingFP64: what an opt-in
-	// encoding's saving is measured against. It equals Size for a raw tag.
-	RawSize int64
-
 	// Digest is the content address, valid once Hash has run.
 	Digest    Digest
 	HasDigest bool
 }
 
-// Prepare encodes b under enc into a fresh record.
-func Prepare(b matrix.Block, enc Encoding) (*Prepared, error) {
-	head, tag, tail, err := AppendWireSG(nil, b, enc)
+// Prepare encodes b into a fresh record.
+func Prepare(b matrix.Block) (*Prepared, error) {
+	head, tag, tail, err := AppendWireSG(nil, b, EncodingFP64)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{Tag: tag, Head: head, Tail: tail}
-	p.RawSize = p.Size()
-	if tag > TagCSCDelta {
-		p.RawSize = EncodedBytes(b)
-	}
-	return p, nil
+	return &Prepared{Tag: tag, Head: head, Tail: tail}, nil
 }
 
-// Size is the exact wire payload size: what EncodedBytesEnc reports for the
+// Size is the exact wire payload size: what EncodedBytes reports for the
 // block, without sizing it again.
 func (p *Prepared) Size() int64 { return int64(len(p.Head) + len(p.Tail)) }
 
-// Hash computes the record's content digest — the value DigestOfEnc
-// returns for the block — and keeps it.
+// Hash computes the record's content digest — the value DigestOf returns
+// for the block — and keeps it.
 func (p *Prepared) Hash() {
 	p.Digest, p.HasDigest = digestOf(p.Tag, p.Head, p.Tail), true
 }

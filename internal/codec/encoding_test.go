@@ -2,10 +2,10 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,152 +16,47 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-func allEncodings() []Encoding {
-	return []Encoding{EncodingFP64, EncodingFP32, EncodingCompress}
-}
-
-// TestEncodingRoundTrip: every (block, encoding) pair must decode back with
-// the promised fidelity — bit-exact for fp64 and compress, float32-rounded
-// for fp32 — and AppendWireSG's (out, tail) split must concatenate to
-// exactly AppendWireEnc's contiguous payload, whose length EncodedBytesEnc
-// predicted.
+// TestEncodingRoundTrip: AppendWireSG's (out, tail) split must concatenate
+// to exactly AppendWireEnc's contiguous payload, whose length EncodedBytes
+// predicted, and decode back bit-exact.
 func TestEncodingRoundTrip(t *testing.T) {
-	for _, enc := range allEncodings() {
-		for i, b := range testBlocks(t) {
-			payload, tag, err := AppendWireEnc(nil, b, enc)
-			if err != nil {
-				t.Fatalf("%v block %d: AppendWireEnc: %v", enc, i, err)
-			}
-			if int64(len(payload)) != EncodedBytesEnc(b, enc) {
-				t.Fatalf("%v block %d: EncodedBytesEnc %d != actual %d", enc, i, EncodedBytesEnc(b, enc), len(payload))
-			}
-			prefix := []byte("prefix")
-			out, sgTag, tail, err := AppendWireSG(prefix, b, enc)
-			if err != nil {
-				t.Fatalf("%v block %d: AppendWireSG: %v", enc, i, err)
-			}
-			if sgTag != tag {
-				t.Fatalf("%v block %d: SG tag %d != contiguous tag %d", enc, i, sgTag, tag)
-			}
-			if !bytes.HasPrefix(out, []byte("prefix")) {
-				t.Fatalf("%v block %d: SG encoder clobbered the dst prefix", enc, i)
-			}
-			joined := append(append([]byte{}, out[len("prefix"):]...), tail...)
-			if !bytes.Equal(joined, payload) {
-				t.Fatalf("%v block %d: SG segments differ from contiguous payload", enc, i)
-			}
-			got, err := Decode(tag, payload)
-			if err != nil {
-				t.Fatalf("%v block %d: Decode(tag %d): %v", enc, i, tag, err)
-			}
-			if enc == EncodingFP32 {
-				blocksEqualF32(t, b, got)
-			} else {
-				blocksEqualExact(t, b, got)
-			}
-		}
-	}
-}
-
-// blocksEqualF32 asserts got equals want after float32 rounding: each value
-// must be exactly float64(float32(want)) — the documented fp32 loss, a
-// relative error of at most 2^-24 for in-range values.
-func blocksEqualF32(t *testing.T, want, got matrix.Block) {
-	t.Helper()
-	wr, wc := want.Dims()
-	gr, gc := got.Dims()
-	if wr != gr || wc != gc {
-		t.Fatalf("dims %dx%d, want %dx%d", gr, gc, wr, wc)
-	}
-	wd, gd := want.Dense(), got.Dense()
-	for i := range wd.Data {
-		exp := float64(float32(wd.Data[i]))
-		if math.Float64bits(exp) != math.Float64bits(gd.Data[i]) {
-			t.Fatalf("value %d: got %v, want float32-rounded %v", i, gd.Data[i], exp)
-		}
-		if wd.Data[i] != 0 {
-			rel := math.Abs((gd.Data[i] - wd.Data[i]) / wd.Data[i])
-			if !math.IsInf(gd.Data[i], 0) && rel > math.Exp2(-24)*1.0000001 {
-				t.Fatalf("value %d: relative error %g exceeds 2^-24", i, rel)
-			}
-		}
-	}
-}
-
-// TestEncodingFP32Semantics pins the documented error behavior: values
-// outside float32 range overflow to ±Inf, and sparse blocks whose shape
-// overflows the 32-bit layout fall back to the lossless wire form.
-func TestEncodingFP32Semantics(t *testing.T) {
-	huge := matrix.NewDenseData(1, 3, []float64{1e308, -1e308, 1.5})
-	payload, tag, err := AppendWireEnc(nil, huge, EncodingFP32)
-	if err != nil {
-		t.Fatalf("AppendWireEnc: %v", err)
-	}
-	if tag != TagDenseF32 {
-		t.Fatalf("tag %d, want TagDenseF32", tag)
-	}
-	got, err := Decode(tag, payload)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	d := got.Dense()
-	if !math.IsInf(d.Data[0], 1) || !math.IsInf(d.Data[1], -1) {
-		t.Fatalf("out-of-range values %v, want ±Inf", d.Data[:2])
-	}
-	if d.Data[2] != 1.5 {
-		t.Fatalf("in-range value %v, want 1.5", d.Data[2])
-	}
-}
-
-// TestEncodingCompressNeverLarger: the compressed plan must never exceed
-// the raw plan (per-block fallback), and a genuinely structured block must
-// actually pick a compressed tag and come back bit-identical.
-func TestEncodingCompressNeverLarger(t *testing.T) {
 	for i, b := range testBlocks(t) {
-		raw := EncodedBytes(b)
-		comp := EncodedBytesEnc(b, EncodingCompress)
-		if comp > raw {
-			t.Fatalf("block %d: compressed plan %d > raw %d", i, comp, raw)
+		payload, tag, err := AppendWireEnc(nil, b, EncodingFP64)
+		if err != nil {
+			t.Fatalf("block %d: AppendWireEnc: %v", i, err)
 		}
+		if int64(len(payload)) != EncodedBytes(b) {
+			t.Fatalf("block %d: EncodedBytes %d != actual %d", i, EncodedBytes(b), len(payload))
+		}
+		prefix := []byte("prefix")
+		out, sgTag, tail, err := AppendWireSG(prefix, b, EncodingFP64)
+		if err != nil {
+			t.Fatalf("block %d: AppendWireSG: %v", i, err)
+		}
+		if sgTag != tag {
+			t.Fatalf("block %d: SG tag %d != contiguous tag %d", i, sgTag, tag)
+		}
+		if !bytes.HasPrefix(out, []byte("prefix")) {
+			t.Fatalf("block %d: SG encoder clobbered the dst prefix", i)
+		}
+		joined := append(append([]byte{}, out[len("prefix"):]...), tail...)
+		if !bytes.Equal(joined, payload) {
+			t.Fatalf("block %d: SG segments differ from contiguous payload", i)
+		}
+		got, err := Decode(tag, payload)
+		if err != nil {
+			t.Fatalf("block %d: Decode(tag %d): %v", i, tag, err)
+		}
+		blocksEqualExact(t, b, got)
 	}
-	rep := matrix.NewDense(32, 32)
-	for i := range rep.Data {
-		rep.Data[i] = 2.5
-	}
-	payload, tag, err := AppendWireEnc(nil, rep, EncodingCompress)
-	if err != nil {
-		t.Fatalf("AppendWireEnc: %v", err)
-	}
-	if tag != TagDenseXor {
-		t.Fatalf("structured block kept tag %d, want TagDenseXor", tag)
-	}
-	if int64(len(payload)) >= EncodedBytes(rep) {
-		t.Fatalf("compressed payload %d not smaller than raw %d", len(payload), EncodedBytes(rep))
-	}
-	got, err := Decode(tag, payload)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	blocksEqualExact(t, rep, got)
 }
 
-// TestEncodingHostileInputs drives malformed payloads through every new
-// tag; each must come back as ErrBadFormat, never a panic.
+// TestEncodingHostileInputs: tags 6–11 were fp32 and XOR+varint value
+// forms; no peer may send them any more, so every payload under them —
+// well-formed or malformed — must come back as ErrBadFormat, never a panic.
 func TestEncodingHostileInputs(t *testing.T) {
-	u64 := func(v uint64) []byte {
-		var b [8]byte
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		return b[:]
-	}
-	u32 := func(v uint32) []byte {
-		var b [4]byte
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		return b[:]
-	}
+	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
 	cat := func(parts ...[]byte) []byte {
 		var out []byte
 		for _, p := range parts {
@@ -169,24 +64,30 @@ func TestEncodingHostileInputs(t *testing.T) {
 		}
 		return out
 	}
+	// A 1×2 dense block with float32 values, and a 6×8 CSC with delta
+	// indices and XOR+varint values.
+	retiredF32, _ := hex.DecodeString("010000000000000002000000000000000000c03f000080bf")
+	retiredXor, _ := hex.DecodeString("08060500010000000101010101030105808080808080808640808080808080808780010080808080808080a9800180808080808080dc7f")
 	cases := []struct {
 		name    string
 		tag     uint8
 		payload []byte
 	}{
-		{"dense-f32 short", TagDenseF32, []byte{1, 2, 3}},
-		{"dense-f32 size mismatch", TagDenseF32, cat(u64(2), u64(2), u32(0))},
-		{"dense-f32 huge dims", TagDenseF32, cat(u64(1<<40), u64(1), u32(0))},
-		{"csr-f32 short", TagCSRF32, []byte{1}},
-		{"csr-f32 size mismatch", TagCSRF32, cat(u32(2), u32(2), u32(9))},
-		{"csc-f32 bad structure", TagCSCF32, cat(u32(1), u32(1), u32(1), u32(1), u32(0), u32(0), u32(0))},
-		{"dense-xor short", TagDenseXor, []byte{0}},
-		{"dense-xor truncated values", TagDenseXor, cat(u64(2), u64(2), []byte{1, 2})},
-		{"dense-xor trailing junk", TagDenseXor, cat(u64(1), u64(1), []byte{0, 0, 0})},
-		{"csr-xor truncated header", TagCSRXor, []byte{5}},
-		{"csr-xor counts exceed nnz", TagCSRXor, cat([]byte{2, 3, 1}, []byte{2, 0, 1, 0, 0, 0})},
-		{"csc-xor zero gap", TagCSCXor, cat([]byte{1, 4, 2}, []byte{2, 1, 0, 0, 0})},
-		{"csr-xor index outside", TagCSRXor, cat([]byte{1, 2, 1}, []byte{1, 7, 0})},
+		{"dense-f32 well-formed", 6, retiredF32},
+		{"csc-xor well-formed", 11, retiredXor},
+		{"dense-f32 short", 6, []byte{1, 2, 3}},
+		{"dense-f32 size mismatch", 6, cat(u64(2), u64(2), u32(0))},
+		{"dense-f32 huge dims", 6, cat(u64(1<<40), u64(1), u32(0))},
+		{"csr-f32 short", 7, []byte{1}},
+		{"csr-f32 size mismatch", 7, cat(u32(2), u32(2), u32(9))},
+		{"csc-f32 bad structure", 8, cat(u32(1), u32(1), u32(1), u32(1), u32(0), u32(0), u32(0))},
+		{"dense-xor short", 9, []byte{0}},
+		{"dense-xor truncated values", 9, cat(u64(2), u64(2), []byte{1, 2})},
+		{"dense-xor trailing junk", 9, cat(u64(1), u64(1), []byte{0, 0, 0})},
+		{"csr-xor truncated header", 10, []byte{5}},
+		{"csr-xor counts exceed nnz", 10, cat([]byte{2, 3, 1}, []byte{2, 0, 1, 0, 0, 0})},
+		{"csc-xor zero gap", 11, cat([]byte{1, 4, 2}, []byte{2, 1, 0, 0, 0})},
+		{"csr-xor index outside", 10, cat([]byte{1, 2, 1}, []byte{1, 7, 0})},
 	}
 	for _, tc := range cases {
 		if _, err := Decode(tc.tag, tc.payload); !errorsIsBadFormat(err) {
@@ -195,42 +96,9 @@ func TestEncodingHostileInputs(t *testing.T) {
 	}
 }
 
-// TestDigestOfEncDistinct: the digest covers the encoded bytes, so a block
-// whose encodings differ must have distinct digests per encoding — the
-// worker cache stores what the bytes decoded to, and a shared digest would
-// let an fp32 body satisfy an fp64 reference.
-func TestDigestOfEncDistinct(t *testing.T) {
-	b := matrix.NewDense(8, 8)
-	for i := range b.Data {
-		b.Data[i] = 1.0 / 3.0 // not float32-representable, and compressible
-	}
-	d64, err := DigestOfEnc(b, EncodingFP64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d32, err := DigestOfEnc(b, EncodingFP32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc, err := DigestOfEnc(b, EncodingCompress)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d64 == d32 || d64 == dc || d32 == dc {
-		t.Fatalf("digests collide across encodings: %s %s %s", d64.Short(), d32.Short(), dc.Short())
-	}
-	legacy, err := DigestOf(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != d64 {
-		t.Fatalf("DigestOf diverged from DigestOfEnc(fp64)")
-	}
-}
-
-// goldenEncodingBlocks are hand-built deterministic blocks whose values are
-// all float32-exact, so every encoding's bytes are identical on any
-// platform — the fixtures the golden file pins.
+// goldenEncodingBlocks are hand-built deterministic blocks, one per wire
+// form, whose bytes are identical on any platform — the fixtures the golden
+// file pins.
 func goldenEncodingBlocks() []struct {
 	name string
 	b    matrix.Block
@@ -239,10 +107,6 @@ func goldenEncodingBlocks() []struct {
 		0, 1, -1, 0.5,
 		2, 1024.25, -3.75, 8,
 		0.125, -0.0625, 6, 7,
-	})
-	rep := matrix.NewDenseData(2, 6, []float64{
-		5, 5, 5, 5, 2.5, 2.5,
-		2.5, 2.5, -0.5, -0.5, -0.5, -0.5,
 	})
 	spd := matrix.NewDense(6, 8)
 	spd.Data[1] = 3.5
@@ -255,13 +119,12 @@ func goldenEncodingBlocks() []struct {
 		b    matrix.Block
 	}{
 		{"dense", dense},
-		{"dense-repeating", rep},
 		{"csr", matrix.NewCSRFromDense(spd)},
 		{"csc", matrix.NewCSCFromDense(spd)},
 	}
 }
 
-// TestEncodingGolden pins the exact wire bytes of every encoding against
+// TestEncodingGolden pins the exact fp64 wire bytes of every fixture against
 // testdata/encodings.golden; run with -update to regenerate after a
 // deliberate format change. A diff here means old peers can no longer
 // decode new frames.
@@ -269,13 +132,11 @@ func TestEncodingGolden(t *testing.T) {
 	path := filepath.Join("testdata", "encodings.golden")
 	var sb strings.Builder
 	for _, tc := range goldenEncodingBlocks() {
-		for _, enc := range allEncodings() {
-			payload, tag, err := AppendWireEnc(nil, tc.b, enc)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", tc.name, enc, err)
-			}
-			fmt.Fprintf(&sb, "%s %s %d %s\n", tc.name, enc, tag, hex.EncodeToString(payload))
+		payload, tag, err := AppendWire(nil, tc.b)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
+		fmt.Fprintf(&sb, "%s fp64 %d %s\n", tc.name, tag, hex.EncodeToString(payload))
 	}
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -296,22 +157,18 @@ func TestEncodingGolden(t *testing.T) {
 	}
 }
 
-// TestEncodingGoldenDecodes proves every pinned frame still decodes to the
-// fixture it was built from, under the encoding's documented fidelity.
+// TestEncodingGoldenDecodes proves every pinned payload still decodes to
+// the fixture it was built from, bit for bit.
 func TestEncodingGoldenDecodes(t *testing.T) {
 	for _, tc := range goldenEncodingBlocks() {
-		for _, enc := range allEncodings() {
-			payload, tag, err := AppendWireEnc(nil, tc.b, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Decode(tag, payload)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", tc.name, enc, err)
-			}
-			// All golden values are float32-exact, so even fp32 must be
-			// bit-identical here.
-			blocksEqualExact(t, tc.b, got)
+		payload, tag, err := AppendWire(nil, tc.b)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := Decode(tag, payload)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		blocksEqualExact(t, tc.b, got)
 	}
 }

@@ -144,13 +144,13 @@ func (w *FrameWriter) tail(t []byte) {
 	}
 }
 
-// AppendBlock encodes b under enc as one block record — tag, u32 payload
-// length, payload — keeping a large raw-value tail as a zero-copy cut, and
-// returns the payload size.
-func (w *FrameWriter) AppendBlock(b matrix.Block, enc Encoding) (int64, error) {
+// AppendBlock encodes b as one block record — tag, u32 payload length,
+// payload — keeping a large raw-value tail as a zero-copy cut, and returns
+// the payload size.
+func (w *FrameWriter) AppendBlock(b matrix.Block) (int64, error) {
 	tagPos := len(w.arena)
 	w.arena = append(w.arena, 0, 0, 0, 0, 0) // tag + length placeholder
-	out, tag, tail, err := AppendWireSG(w.arena, b, enc)
+	out, tag, tail, err := AppendWireSG(w.arena, b, EncodingFP64)
 	if err != nil {
 		w.arena = w.arena[:tagPos]
 		return 0, err
@@ -175,9 +175,9 @@ func (w *FrameWriter) AppendPrepared(p *Prepared) {
 
 // AppendBlockCRC is AppendBlock followed by the IEEE CRC32 of the payload,
 // computed over the bytes where they lie (arena and block storage).
-func (w *FrameWriter) AppendBlockCRC(b matrix.Block, enc Encoding) error {
+func (w *FrameWriter) AppendBlockCRC(b matrix.Block) error {
 	start, ncuts := len(w.arena)+5, len(w.cuts)
-	if _, err := w.AppendBlock(b, enc); err != nil {
+	if _, err := w.AppendBlock(b); err != nil {
 		return err
 	}
 	crc := crc32.ChecksumIEEE(w.arena[start:])

@@ -35,86 +35,81 @@ func frameBlocks(t testing.TB) []matrix.Block {
 	)
 }
 
-// TestFrameBlockRoundTrip: every block, under every encoding, written as a
-// plain, a prepared and a checksummed record, streams back bit-identical
-// with its concrete type — from a contiguous reader and from one that
-// yields a byte at a time — and a prepared record's bytes, size and digest
-// are exactly what encoding the block at send time gives.
+// TestFrameBlockRoundTrip: every block, written as a plain, a prepared and
+// a checksummed record, streams back bit-identical with its concrete type —
+// from a contiguous reader and from one that yields a byte at a time — and a
+// prepared record's bytes, size and digest are exactly what encoding the
+// block at send time gives.
 func TestFrameBlockRoundTrip(t *testing.T) {
-	for _, enc := range allEncodings() {
-		for i, blk := range frameBlocks(t) {
-			plain := BeginFrame()
-			if _, err := plain.AppendBlock(blk, enc); err != nil {
-				t.Fatal(err)
-			}
-			p, err := Prepare(blk, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Hash()
-			prepared := BeginFrame()
-			prepared.AppendPrepared(p)
-			raw := frameBytes(t, &plain)
-			if !bytes.Equal(raw, frameBytes(t, &prepared)) {
-				t.Fatalf("block %d under %v: prepared record differs from the one encoded at send", i, enc)
-			}
-			if want := EncodedBytesEnc(blk, enc); p.Size() != want {
-				t.Fatalf("block %d under %v: prepared size %d, EncodedBytesEnc %d", i, enc, p.Size(), want)
-			}
-			if want := EncodedBytes(blk); p.RawSize != want {
-				t.Fatalf("block %d under %v: prepared raw size %d, EncodedBytes %d", i, enc, p.RawSize, want)
-			}
-			if want, _ := DigestOfEnc(blk, enc); p.Digest != want {
-				t.Fatalf("block %d under %v: prepared digest differs from DigestOfEnc", i, enc)
-			}
-			payload, tag, err := AppendWireEnc(nil, blk, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := Decode(tag, payload)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for i, blk := range frameBlocks(t) {
+		plain := BeginFrame()
+		if _, err := plain.AppendBlock(blk); err != nil {
+			t.Fatal(err)
+		}
+		p, err := Prepare(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Hash()
+		prepared := BeginFrame()
+		prepared.AppendPrepared(p)
+		raw := frameBytes(t, &plain)
+		if !bytes.Equal(raw, frameBytes(t, &prepared)) {
+			t.Fatalf("block %d: prepared record differs from the one encoded at send", i)
+		}
+		if want := EncodedBytes(blk); p.Size() != want {
+			t.Fatalf("block %d: prepared size %d, EncodedBytes %d", i, p.Size(), want)
+		}
+		if want, _ := DigestOf(blk); p.Digest != want {
+			t.Fatalf("block %d: prepared digest differs from DigestOf", i)
+		}
+		payload, tag, err := AppendWire(nil, blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Decode(tag, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			summed := BeginFrame()
-			if err := summed.AppendBlockCRC(blk, enc); err != nil {
-				t.Fatal(err)
-			}
-			rawCRC := frameBytes(t, &summed)
-			for name, r := range map[string]io.Reader{
-				"contiguous": bytes.NewReader(raw),
-				"dribbled":   iotest.OneByteReader(bytes.NewReader(raw)),
-			} {
-				fr := NewFrameReader(r)
-				if _, err := fr.Next(); err != nil {
-					t.Fatal(err)
-				}
-				got, n, err := fr.ReadBlock()
-				if err != nil {
-					t.Fatalf("block %d under %v, %s: %v", i, enc, name, err)
-				}
-				if n != int64(len(payload)) || fr.Remaining() != 0 {
-					t.Fatalf("block %d under %v, %s: payload %d bytes (want %d), %d left", i, enc, name, n, len(payload), fr.Remaining())
-				}
-				if reflect.TypeOf(got) != reflect.TypeOf(want) {
-					t.Fatalf("block %d under %v, %s: decoded %T, Decode gives %T", i, enc, name, got, want)
-				}
-				blocksEqualExact(t, want, got)
-			}
-			fr := NewFrameReader(iotest.OneByteReader(bytes.NewReader(rawCRC)))
+		summed := BeginFrame()
+		if err := summed.AppendBlockCRC(blk); err != nil {
+			t.Fatal(err)
+		}
+		rawCRC := frameBytes(t, &summed)
+		for name, r := range map[string]io.Reader{
+			"contiguous": bytes.NewReader(raw),
+			"dribbled":   iotest.OneByteReader(bytes.NewReader(raw)),
+		} {
+			fr := NewFrameReader(r)
 			if _, err := fr.Next(); err != nil {
 				t.Fatal(err)
 			}
-			got, err := fr.ReadBlockCRC()
-			if err != nil || fr.Remaining() != 0 {
-				t.Fatalf("block %d under %v, checksummed: %v (%d left)", i, enc, err, fr.Remaining())
+			got, n, err := fr.ReadBlock()
+			if err != nil {
+				t.Fatalf("block %d, %s: %v", i, name, err)
+			}
+			if n != int64(len(payload)) || fr.Remaining() != 0 {
+				t.Fatalf("block %d, %s: payload %d bytes (want %d), %d left", i, name, n, len(payload), fr.Remaining())
+			}
+			if reflect.TypeOf(got) != reflect.TypeOf(want) {
+				t.Fatalf("block %d, %s: decoded %T, Decode gives %T", i, name, got, want)
 			}
 			blocksEqualExact(t, want, got)
-
-			plain.Release()
-			prepared.Release()
-			summed.Release()
 		}
+		fr := NewFrameReader(iotest.OneByteReader(bytes.NewReader(rawCRC)))
+		if _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := fr.ReadBlockCRC()
+		if err != nil || fr.Remaining() != 0 {
+			t.Fatalf("block %d, checksummed: %v (%d left)", i, err, fr.Remaining())
+		}
+		blocksEqualExact(t, want, got)
+
+		plain.Release()
+		prepared.Release()
+		summed.Release()
 	}
 }
 
@@ -128,7 +123,7 @@ func TestFrameTruncationAndCorruption(t *testing.T) {
 		matrix.NewCSRFromDense(randSparseDense(rng, 40, 40, 0.05)),
 	} {
 		w := BeginFrame()
-		if err := w.AppendBlockCRC(blk, EncodingFP64); err != nil {
+		if err := w.AppendBlockCRC(blk); err != nil {
 			t.Fatal(err)
 		}
 		raw := frameBytes(t, &w)
@@ -189,8 +184,8 @@ func allocDuring(f func()) uint64 {
 
 // TestFrameForgedLengthsBoundedAllocation: headers that promise gigabytes
 // over a stream holding a few bytes fail after allocating at most one
-// readStep or two beyond the input — for a dense tail, a sparse structure, and a
-// whole-payload (XOR) read alike.
+// readStep or two beyond the input — for a dense tail and a sparse structure
+// alike.
 func TestFrameForgedLengthsBoundedAllocation(t *testing.T) {
 	const side = 1 << 13 // 8192² doubles: 512 MiB promised
 	dense := binary.LittleEndian.AppendUint64(nil, side)
@@ -205,7 +200,6 @@ func TestFrameForgedLengthsBoundedAllocation(t *testing.T) {
 	}{
 		"dense tail":       {TagDense, 16 + 8*side*side, dense},
 		"sparse structure": {TagCSR32, 12 + 4*(1<<24+1) + 12*(1<<26), sparse},
-		"whole payload":    {TagDenseXor, 1 << 30, dense},
 	} {
 		body := append([]byte{rec.tag}, binary.LittleEndian.AppendUint32(nil, rec.length)...)
 		body = append(body, rec.head...)
@@ -292,7 +286,7 @@ func TestFrameBoundBothSides(t *testing.T) {
 	w := BeginFrame()
 	defer w.Release()
 	for i := 0; i < 65; i++ {
-		if _, err := w.AppendBlock(big, EncodingFP64); err != nil {
+		if _, err := w.AppendBlock(big); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,7 +317,7 @@ func TestFrameDrainKeepsStreamInSync(t *testing.T) {
 	var stream bytes.Buffer
 	first := BeginFrame()
 	first.Str("abandoned")
-	if _, err := first.AppendBlock(randDense(rand.New(rand.NewSource(13)), 40, 40), EncodingFP64); err != nil {
+	if _, err := first.AppendBlock(randDense(rand.New(rand.NewSource(13)), 40, 40)); err != nil {
 		t.Fatal(err)
 	}
 	bad := BeginFrame()
@@ -418,18 +412,20 @@ func TestPoolDropsOutsizedBuffers(t *testing.T) {
 // FuzzFrameBlocks drives arbitrary bytes through the streaming block
 // readers every socket-facing body decoder is built from. A malformed record
 // is a typed error (or the stream's own end), never a panic; what arrives
-// bounds what is allocated; and an accepted block re-encodes.
+// bounds what is allocated; and an accepted block re-encodes. Each block's
+// record is also seeded under its retired fp32 and XOR tags.
 func FuzzFrameBlocks(f *testing.F) {
-	for _, enc := range allEncodings() {
-		for _, blk := range frameBlocks(f) {
-			w := BeginFrame()
-			if err := w.AppendBlockCRC(blk, enc); err != nil {
-				f.Fatal(err)
-			}
-			raw := frameBytes(f, &w)
-			w.Release()
-			f.Add(raw[4:], true, uint32(0))
-			f.Add(raw[4:len(raw)-4], false, uint32(0))
+	for _, blk := range frameBlocks(f) {
+		w := BeginFrame()
+		if err := w.AppendBlockCRC(blk); err != nil {
+			f.Fatal(err)
+		}
+		raw := frameBytes(f, &w)
+		w.Release()
+		for _, tag := range append([]uint8{raw[4]}, retiredTags(blk)...) {
+			body := append([]byte{tag}, raw[5:]...)
+			f.Add(body, true, uint32(0))
+			f.Add(body[:len(body)-4], false, uint32(0))
 		}
 	}
 	f.Add([]byte{TagDense, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3}, false, uint32(0))

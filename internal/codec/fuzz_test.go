@@ -37,14 +37,8 @@ func FuzzDecodeBlock(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(ptag, portable)
-		// Golden frames for every opt-in encoding tag (6–11), so the fuzzer
-		// reaches the fp32 and xor decoders from their happy paths too.
-		for _, enc := range []Encoding{EncodingFP32, EncodingCompress} {
-			epayload, etag, err := AppendWireEnc(nil, b, enc)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(etag, epayload)
+		for _, rtag := range retiredTags(b) {
+			f.Add(rtag, payload)
 		}
 	}
 	f.Add(uint8(200), []byte{0, 1, 2})
@@ -80,75 +74,6 @@ func FuzzDecodeBlock(f *testing.F) {
 				t.Fatalf("round-trip changed value %d", i)
 			}
 		}
-	})
-}
-
-// FuzzDecodeEncodings focuses the opt-in encoding tags (fp32 and
-// XOR-compressed forms). Beyond FuzzDecodeBlock's contract — malformed
-// input is ErrBadFormat, accepted input re-encodes bit-stably — it checks
-// the encoding-specific invariants: a compressed re-encode is lossless, and
-// fp32 is a projection (a second fp32 round trip changes nothing, because a
-// decoded fp32 block holds only float32-representable values).
-func FuzzDecodeEncodings(f *testing.F) {
-	rng := rand.New(rand.NewSource(1234))
-	seeds := []matrix.Block{
-		matrix.NewDense(3, 3),
-		sparseSeed(rng, 4, 4, 1.0),
-		matrix.NewCSRFromDense(sparseSeed(rng, 8, 6, 0.25)),
-		matrix.NewCSCFromDense(sparseSeed(rng, 6, 8, 0.25)),
-		matrix.NewCSRFromDense(sparseSeed(rng, 40, 40, 0.02)),
-		matrix.NewCSCFromDense(sparseSeed(rng, 40, 40, 0.02)),
-	}
-	for _, b := range seeds {
-		for _, enc := range []Encoding{EncodingFP32, EncodingCompress} {
-			payload, tag, err := AppendWireEnc(nil, b, enc)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(tag, payload)
-		}
-	}
-	f.Add(TagDenseXor, []byte{1, 1, 0})
-	f.Add(TagCSRF32, []byte{0, 1, 2, 3})
-
-	f.Fuzz(func(t *testing.T, tag uint8, payload []byte) {
-		// Steer arbitrary tags into the encoding tag range.
-		tag = TagDenseF32 + tag%(TagCSCXor-TagDenseF32+1)
-		blk, err := Decode(tag, payload)
-		if err != nil {
-			if !errors.Is(err, ErrBadFormat) {
-				t.Fatalf("decode error %v does not wrap ErrBadFormat", err)
-			}
-			return
-		}
-		// Lossless compressed round trip.
-		re, retag, err := AppendWireEnc(nil, blk, EncodingCompress)
-		if err != nil {
-			t.Fatalf("compress re-encode failed: %v", err)
-		}
-		back, err := Decode(retag, re)
-		if err != nil {
-			t.Fatalf("compress re-decode failed: %v", err)
-		}
-		assertSameValues(t, blk, back)
-		// fp32 is a projection: one round trip reaches a fixed point.
-		p1, t1, err := AppendWireEnc(nil, blk, EncodingFP32)
-		if err != nil {
-			t.Fatalf("fp32 re-encode failed: %v", err)
-		}
-		once, err := Decode(t1, p1)
-		if err != nil {
-			t.Fatalf("fp32 re-decode failed: %v", err)
-		}
-		p2, t2, err := AppendWireEnc(nil, once, EncodingFP32)
-		if err != nil {
-			t.Fatalf("fp32 second encode failed: %v", err)
-		}
-		twice, err := Decode(t2, p2)
-		if err != nil {
-			t.Fatalf("fp32 second decode failed: %v", err)
-		}
-		assertSameValues(t, once, twice)
 	})
 }
 
@@ -206,18 +131,17 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
-func assertSameValues(t *testing.T, want, got matrix.Block) {
-	t.Helper()
-	wr, wc := want.Dims()
-	gr, gc := got.Dims()
-	if wr != gr || wc != gc {
-		t.Fatalf("round-trip changed dims %dx%d -> %dx%d", wr, wc, gr, gc)
-	}
-	a, b := want.Dense(), got.Dense()
-	for i := range a.Data {
-		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
-			t.Fatalf("round-trip changed value %d: %v -> %v", i, a.Data[i], b.Data[i])
-		}
+// retiredTags are the tags of b's representation that carried fp32 and
+// XOR+varint values: no peer sends them, so every decoder refuses them. The
+// fuzz targets seed them to keep hostile bytes under those tag bytes covered.
+func retiredTags(b matrix.Block) []uint8 {
+	switch b.(type) {
+	case *matrix.Dense:
+		return []uint8{6, 9}
+	case *matrix.CSR:
+		return []uint8{7, 10}
+	default:
+		return []uint8{8, 11}
 	}
 }
 

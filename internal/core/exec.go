@@ -51,10 +51,6 @@ type Env struct {
 	// them).
 	Tracer      *obs.Tracer
 	TraceParent obs.SpanID
-	// Wire prices Eq.(4) for MultiplyAuto's optimizer when the execution
-	// path ships blocks under a cheaper wire encoding (see WireCost); the
-	// zero value is the paper's unscaled cost.
-	Wire WireCost
 }
 
 // VoxelMultiplier multiplies one block pair — the local multiplication
@@ -670,7 +666,7 @@ func hash2(a, b uint64) uint64 {
 func MultiplyAuto(ctx context.Context, a, b *bmat.BlockMatrix, env Env) (*bmat.BlockMatrix, Params, error) {
 	s := ShapeOf(a, b)
 	cfg := env.Cluster.Config()
-	params, err := OptimizeWire(s, cfg.TaskMemBytes, cfg.Slots(), env.Wire)
+	params, err := Optimize(s, cfg.TaskMemBytes, cfg.Slots())
 	if err != nil {
 		return nil, Params{}, err
 	}

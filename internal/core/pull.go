@@ -68,48 +68,47 @@ func (pc PullCost) normalized() PullCost {
 // rest from peers at fan-out W, and aggregation R·|C| (charged only when
 // R>1) still crosses the driver link:
 //
-//	InputRatio·(|A| + |B|)                      driver seed (0 if resident)
-//	+ InputRatio·((Q−1)·|A| + (P−1)·|B|) / W    peer replication
-//	+ AggRatio·R·|C|  (iff R > 1)               aggregation
+//	|A| + |B|                         driver seed (0 if resident)
+//	+ ((Q−1)·|A| + (P−1)·|B|) / W     peer replication
+//	+ R·|C|  (iff R > 1)              aggregation
 //
 // The sum of the first two numerators equals push's Q·|A| + P·|B| exactly —
 // pull never moves fewer total bytes, it moves them over more links.
-func (s Shape) CostBytesPull(p Params, w WireCost, pc PullCost) float64 {
-	w = w.normalized()
+func (s Shape) CostBytesPull(p Params, pc PullCost) float64 {
 	pc = pc.normalized()
 	cost := 0.0
 	if !pc.SeedResident {
-		cost += w.InputRatio * float64(s.ABytes+s.BBytes)
+		cost += float64(s.ABytes + s.BBytes)
 	}
 	peer := float64(p.Q-1)*float64(s.ABytes) + float64(p.P-1)*float64(s.BBytes)
-	cost += w.InputRatio * peer / float64(pc.Workers)
+	cost += peer / float64(pc.Workers)
 	if p.R > 1 {
-		cost += w.AggRatio * float64(p.R) * float64(s.CBytes)
+		cost += float64(p.R) * float64(s.CBytes)
 	}
 	return cost
 }
 
-// OptimizePull is OptimizeWire with the cost evaluated as CostBytesPull:
-// the feasible (P,Q,R) minimizing the pull-mode Eq.(4).
-func OptimizePull(s Shape, taskMemBytes int64, slots int, w WireCost, pc PullCost) (Params, error) {
-	return search(s, taskMemBytes, slots, func(p Params) float64 { return s.CostBytesPull(p, w, pc) })
+// OptimizePull is Optimize with the cost evaluated as CostBytesPull: the
+// feasible (P,Q,R) minimizing the pull-mode Eq.(4).
+func OptimizePull(s Shape, taskMemBytes int64, slots int, pc PullCost) (Params, error) {
+	return search(s, taskMemBytes, slots, func(p Params) float64 { return s.CostBytesPull(p, pc) })
 }
 
 // OptimizeTransfer solves Eq.(2) across both transfer modes: it returns the
-// cheaper of OptimizeWire's push plan (priced CostBytesWire) and
-// OptimizePull's pull plan (priced CostBytesPull), and which mode won.
-// Pull is selected exactly when its Eq.(4) evaluation is strictly cheaper;
-// ties keep push, the established mode.
-func OptimizeTransfer(s Shape, taskMemBytes int64, slots int, w WireCost, pc PullCost) (Params, Transfer, error) {
-	push, err := OptimizeWire(s, taskMemBytes, slots, w)
+// cheaper of Optimize's push plan (priced CostBytes) and OptimizePull's pull
+// plan (priced CostBytesPull), and which mode won. Pull is selected exactly
+// when its Eq.(4) evaluation is strictly cheaper; ties keep push, the
+// established mode.
+func OptimizeTransfer(s Shape, taskMemBytes int64, slots int, pc PullCost) (Params, Transfer, error) {
+	push, err := Optimize(s, taskMemBytes, slots)
 	if err != nil {
 		return Params{}, TransferPush, err
 	}
-	pull, err := OptimizePull(s, taskMemBytes, slots, w, pc)
+	pull, err := OptimizePull(s, taskMemBytes, slots, pc)
 	if err != nil {
 		return Params{}, TransferPush, err
 	}
-	if s.CostBytesPull(pull, w, pc) < s.CostBytesWire(push, w) {
+	if s.CostBytesPull(pull, pc) < s.CostBytes(push) {
 		return pull, TransferPull, nil
 	}
 	return push, TransferPush, nil

@@ -19,26 +19,21 @@ func TestCostBytesPullOneWorkerIdentity(t *testing.T) {
 			ABytes: rng.Int63n(1 << 20), BBytes: rng.Int63n(1 << 20), CBytes: rng.Int63n(1 << 20),
 		}
 		p := Params{P: 1 + rng.Intn(s.I), Q: 1 + rng.Intn(s.J), R: 1 + rng.Intn(s.K)}
-		if got, want := s.CostBytesPull(p, DefaultWireCost(), pc), s.CostBytes(p); got != want {
+		if got, want := s.CostBytesPull(p, pc), s.CostBytes(p); got != want {
 			t.Fatalf("shape %+v params %v: CostBytesPull(W=1) %v != CostBytes %v", s, p, got, want)
 		}
 		// The zero value must normalize to one worker too.
-		if got, want := s.CostBytesPull(p, WireCost{}, PullCost{}), s.CostBytes(p); got != want {
+		if got, want := s.CostBytesPull(p, PullCost{}), s.CostBytes(p); got != want {
 			t.Fatalf("zero PullCost not normalized: %v != %v", got, want)
 		}
 	}
 }
 
-// TestOptimizePullMatchesBrute: for random shapes, prices and fan-outs, the
-// fast O(I·K) search must return exactly the brute-force argmin — the
-// pull cost stays monotone in Q, so minFeasibleQ's argument carries over.
+// TestOptimizePullMatchesBrute: for random shapes and fan-outs, the fast
+// O(I·K) search must return exactly the brute-force argmin — the pull cost
+// stays monotone in Q, so minFeasibleQ's argument carries over.
 func TestOptimizePullMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	ratios := []WireCost{
-		DefaultWireCost(),
-		{InputRatio: 0.5, AggRatio: 1},
-		{InputRatio: 0.25, AggRatio: 0.75},
-	}
 	for trial := 0; trial < 150; trial++ {
 		s := Shape{
 			I: 1 + rng.Intn(9), J: 1 + rng.Intn(9), K: 1 + rng.Intn(9),
@@ -46,10 +41,9 @@ func TestOptimizePullMatchesBrute(t *testing.T) {
 		}
 		θ := 1 + rng.Int63n(1<<25)
 		slots := 1 + rng.Intn(6)
-		w := ratios[trial%len(ratios)]
 		pc := PullCost{Workers: 1 + rng.Intn(8), SeedResident: trial%2 == 0}
-		want, werr := searchBrute(s, θ, slots, func(p Params) float64 { return s.CostBytesPull(p, w, pc) })
-		got, err := OptimizePull(s, θ, slots, w, pc)
+		want, werr := searchBrute(s, θ, slots, func(p Params) float64 { return s.CostBytesPull(p, pc) })
+		got, err := OptimizePull(s, θ, slots, pc)
 		if werr != nil {
 			if err == nil {
 				t.Fatalf("shape %+v θ=%d: brute infeasible but OptimizePull returned %v", s, θ, got)
@@ -60,7 +54,7 @@ func TestOptimizePullMatchesBrute(t *testing.T) {
 			t.Fatalf("shape %+v θ=%d: %v", s, θ, err)
 		}
 		if got != want {
-			t.Fatalf("shape %+v θ=%d slots=%d w=%+v pc=%+v: OptimizePull %v != brute %v", s, θ, slots, w, pc, got, want)
+			t.Fatalf("shape %+v θ=%d slots=%d pc=%+v: OptimizePull %v != brute %v", s, θ, slots, pc, got, want)
 		}
 	}
 }
@@ -80,12 +74,11 @@ func TestOptimizeTransferSelectsPullIffCheaper(t *testing.T) {
 		}
 		θ := 1 + rng.Int63n(1<<24)
 		slots := 1 + rng.Intn(6)
-		w := DefaultWireCost()
 		pc := PullCost{Workers: 1 + rng.Intn(8), SeedResident: trial%3 != 0}
 
-		push, perr := OptimizeWire(s, θ, slots, w)
-		pull, qerr := OptimizePull(s, θ, slots, w, pc)
-		got, mode, err := OptimizeTransfer(s, θ, slots, w, pc)
+		push, perr := Optimize(s, θ, slots)
+		pull, qerr := OptimizePull(s, θ, slots, pc)
+		got, mode, err := OptimizeTransfer(s, θ, slots, pc)
 		if perr != nil || qerr != nil {
 			if err == nil {
 				t.Fatalf("shape %+v θ=%d: infeasible but OptimizeTransfer returned %v/%v", s, θ, got, mode)
@@ -95,7 +88,7 @@ func TestOptimizeTransferSelectsPullIffCheaper(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shape %+v θ=%d: %v", s, θ, err)
 		}
-		pullCheaper := s.CostBytesPull(pull, w, pc) < s.CostBytesWire(push, w)
+		pullCheaper := s.CostBytesPull(pull, pc) < s.CostBytes(push)
 		if pullCheaper != (mode == TransferPull) {
 			t.Fatalf("shape %+v pc=%+v: pull cheaper=%v but mode=%v", s, pc, pullCheaper, mode)
 		}
@@ -111,10 +104,10 @@ func TestOptimizeTransferSelectsPullIffCheaper(t *testing.T) {
 			sawPush = true
 		}
 		// Cross-check both argmins against the brute scans.
-		if bp, err := searchBrute(s, θ, slots, func(p Params) float64 { return s.CostBytesWire(p, w) }); err != nil || bp != push {
+		if bp, err := searchBrute(s, θ, slots, s.CostBytes); err != nil || bp != push {
 			t.Fatalf("push brute %v (%v), fast %v", bp, err, push)
 		}
-		if bq, err := searchBrute(s, θ, slots, func(p Params) float64 { return s.CostBytesPull(p, w, pc) }); err != nil || bq != pull {
+		if bq, err := searchBrute(s, θ, slots, func(p Params) float64 { return s.CostBytesPull(p, pc) }); err != nil || bq != pull {
 			t.Fatalf("pull brute %v (%v), fast %v", bq, err, pull)
 		}
 	}
@@ -130,7 +123,7 @@ func TestOptimizeTransferSelectsPullIffCheaper(t *testing.T) {
 func TestOptimizeTransferWarmOperandsPreferPull(t *testing.T) {
 	s := Shape{I: 4, J: 4, K: 4, ABytes: 4 << 20, BBytes: 4 << 20, CBytes: 4 << 20}
 	pc := PullCost{Workers: 4, SeedResident: true}
-	_, mode, err := OptimizeTransfer(s, 8<<20, 4, DefaultWireCost(), pc)
+	_, mode, err := OptimizeTransfer(s, 8<<20, 4, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +131,7 @@ func TestOptimizeTransferWarmOperandsPreferPull(t *testing.T) {
 		t.Fatalf("warm 4-worker plan chose %v, want pull", mode)
 	}
 	// With one worker and a cold seed, pull holds no edge; ties keep push.
-	_, mode, err = OptimizeTransfer(s, 8<<20, 1, DefaultWireCost(), PullCost{Workers: 1})
+	_, mode, err = OptimizeTransfer(s, 8<<20, 1, PullCost{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

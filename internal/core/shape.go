@@ -66,22 +66,17 @@ func (s Shape) CostBytes(p Params) float64 {
 	return cost
 }
 
-// WireCost scales the two terms of Eq.(4) for the actual cost of moving a
-// byte in each direction. The default (both ratios 1) is the paper's model;
-// an opt-in wire encoding (codec.Encoding) makes input bytes cheaper than
-// the |A|,|B| payload sizes suggest, and the ratios let the optimizer see
-// that. The two directions are priced independently because distnet applies
-// encodings only to driver→worker block payloads — the aggregated C
-// partials always return as bit-exact fp64 — so a cheap encoding shifts the
-// optimum toward plans that repartition more and aggregate less.
+// WireCost scales the two terms of Eq.(4) for the cost of moving a byte in
+// each direction. Blocks travel at the bytes they are stored in, so the
+// engine prices Eq.(4) unscaled (CostBytes, Optimize); the type stays as
+// the last argument of OptimizeWire, which the repository benchmark calls
+// with it.
 type WireCost struct {
-	// InputRatio scales the repartition terms Q·|A| + P·|B| (the
-	// driver→worker direction the encodings apply to). Values in (0, 1];
-	// non-positive means 1.
+	// InputRatio scales the repartition terms Q·|A| + P·|B|
+	// (driver→worker). Values in (0, 1]; non-positive means 1.
 	InputRatio float64
 	// AggRatio scales the aggregation term R·|C| (worker→driver partials).
-	// distnet always ships these fp64, so it passes 1; the knob exists so
-	// the model prices asymmetric links too. Non-positive means 1.
+	// Non-positive means 1.
 	AggRatio float64
 }
 
@@ -137,7 +132,9 @@ func Optimize(s Shape, taskMemBytes int64, slots int) (Params, error) {
 // feasible (P,Q,R) minimizing the wire-priced Eq.(4). A cheaper InputRatio
 // can genuinely flip the argmin: it discounts the repartition terms but not
 // R·|C|, so plans that buy a smaller aggregation with more replication win
-// ties they previously lost.
+// ties they previously lost. The engine calls Optimize; OptimizeWire stays
+// for the repository benchmark, which calls it with DefaultWireCost's
+// ratios.
 func OptimizeWire(s Shape, taskMemBytes int64, slots int, w WireCost) (Params, error) {
 	return search(s, taskMemBytes, slots, func(p Params) float64 { return s.CostBytesWire(p, w) })
 }

@@ -91,14 +91,13 @@ func TestOptimizeWireMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestOptimizeWireEncodingFlipsChoice pins the behavior the opt-in
-// encodings buy: a cheaper input ratio genuinely changes the chosen
-// partitioning. With 4 MiB operands and a 2 MiB budget the paper's pricing
-// picks (2,2,4) — aggregating over R=4 — while halving the repartition
-// price (fp32's ratio) makes the optimizer buy more input replication to
+// TestOptimizeWireInputRatioFlipsChoice: a cheaper input ratio genuinely
+// changes the chosen partitioning. With 4 MiB operands and a 2 MiB budget
+// the paper's pricing picks (2,2,4) — aggregating over R=4 — while halving
+// the repartition price makes the optimizer buy more input replication to
 // drop the aggregation shuffle entirely: (4,5,1). Both answers are verified
 // against the brute-force scan under their own prices.
-func TestOptimizeWireEncodingFlipsChoice(t *testing.T) {
+func TestOptimizeWireInputRatioFlipsChoice(t *testing.T) {
 	s := Shape{I: 8, J: 8, K: 8, ABytes: 4 << 20, BBytes: 4 << 20, CBytes: 4 << 20}
 	const θ = 2 << 20
 
@@ -106,19 +105,19 @@ func TestOptimizeWireEncodingFlipsChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp32 := WireCost{InputRatio: 0.5, AggRatio: 1}
-	enc, err := OptimizeWire(s, θ, 1, fp32)
+	half := WireCost{InputRatio: 0.5, AggRatio: 1}
+	enc, err := OptimizeWire(s, θ, 1, half)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if def == enc {
-		t.Fatalf("encoding ratio did not change the argmin: both %v", def)
+		t.Fatalf("input ratio did not change the argmin: both %v", def)
 	}
 	if def != (Params{P: 2, Q: 2, R: 4}) {
 		t.Fatalf("default argmin %v, want (2,2,4)", def)
 	}
 	if enc != (Params{P: 4, Q: 5, R: 1}) {
-		t.Fatalf("fp32-priced argmin %v, want (4,5,1)", enc)
+		t.Fatalf("half-priced argmin %v, want (4,5,1)", enc)
 	}
 	if enc.R != 1 {
 		t.Fatalf("cheap inputs should buy away the aggregation shuffle, got R=%d", enc.R)
@@ -126,7 +125,7 @@ func TestOptimizeWireEncodingFlipsChoice(t *testing.T) {
 	for _, tc := range []struct {
 		w    WireCost
 		want Params
-	}{{DefaultWireCost(), def}, {fp32, enc}} {
+	}{{DefaultWireCost(), def}, {half, enc}} {
 		brute, ok := bruteWire(s, θ, 1, tc.w)
 		if !ok || brute != tc.want {
 			t.Fatalf("brute reference under %+v: %v, want %v", tc.w, brute, tc.want)

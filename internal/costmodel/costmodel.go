@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"distme/internal/cluster"
-	"distme/internal/codec"
 	"distme/internal/core"
 )
 
@@ -93,13 +92,6 @@ type Model struct {
 	// ext-wire experiment measures ≈13% over real TCP, validating the 1.15
 	// default.
 	SerializationFactor float64
-	// WireEncoding deflates repartition bytes for an opt-in block encoding
-	// (fp32 or compressed input payloads). Aggregation traffic is NOT
-	// scaled: the wire always returns C partials as bit-exact fp64. The
-	// zero value (EncodingFP64) leaves the model unchanged; the ratio is
-	// the encoding's nominal PlanRatio, the same number OptimizeWire
-	// prices into Eq.(4).
-	WireEncoding codec.Encoding
 	// NetEfficiency derates the aggregate network bandwidth (protocol
 	// overhead, skew); 0.5 by default.
 	NetEfficiency float64
@@ -204,7 +196,7 @@ func (m Model) EstimateCuboid(w Workload, p core.Params, useGPU bool) Estimate {
 	s := w.Shape()
 	est := Estimate{Label: fmt.Sprintf("CuboidMM%v", p), Params: p, Tasks: p.Tasks()}
 
-	repart := m.WireEncoding.PlanRatio() * (float64(p.Q)*float64(s.ABytes) + float64(p.P)*float64(s.BBytes))
+	repart := float64(p.Q)*float64(s.ABytes) + float64(p.P)*float64(s.BBytes)
 	var agg float64
 	if p.R > 1 {
 		agg = float64(p.R) * float64(s.CBytes)
@@ -342,8 +334,7 @@ func (m Model) localTime(w Workload, s core.Shape, p core.Params, useGPU bool) (
 // result — the DistME path.
 func (m Model) EstimateAuto(w Workload, useGPU bool) Estimate {
 	s := w.Shape()
-	wc := core.WireCost{InputRatio: m.WireEncoding.PlanRatio(), AggRatio: 1}
-	p, err := core.OptimizeWire(s, m.Cfg.TaskMemBytes, m.Cfg.Slots(), wc)
+	p, err := core.Optimize(s, m.Cfg.TaskMemBytes, m.Cfg.Slots())
 	if err != nil {
 		return Estimate{Label: "CuboidMM(auto)", Verdict: VerdictOOM}
 	}

@@ -129,25 +129,6 @@ type Options struct {
 	// replacing repeats with content-digest references — the pre-cache wire
 	// behavior, kept for measurement baselines and bisection.
 	DisableBlockCache bool
-	// Encoding selects the wire encoding for input block payloads (the A
-	// and B blocks shipped to workers): codec.EncodingFP64 (the default,
-	// bit-exact), codec.EncodingFP32 (halves value bytes; LOSSY — inputs
-	// round to float32 on the wire, so opt in only when ~7 significant
-	// digits suffice), or codec.EncodingCompress (lossless XOR+varint).
-	// Replies always return bit-exact fp64 partials whatever the inputs
-	// used. The optimizer (Execute without Params) prices the encoding's
-	// byte ratio into Eq.(4), so a cheaper encoding can change the chosen
-	// partitioning.
-	//
-	// Memory: each distinct block is encoded once per job and the encoded
-	// form is kept until the multiply returns, so that every cuboid (and
-	// every retry) that replicates the block sends the same bytes without
-	// encoding again. Under fp64 that form is the index structure only —
-	// values go out from the block's own storage — but under the two
-	// opt-in encodings it is the whole payload: a job holds up to half
-	// (fp32) or all (compress, worst case) of its operand bytes a second
-	// time for its duration.
-	Encoding codec.Encoding
 	// Recorder receives membership, reconnect, and heartbeat counters; a
 	// private recorder is used when nil (see Driver.NetStats).
 	Recorder *metrics.Recorder
@@ -233,9 +214,6 @@ func Dial(addrs []string) (*Driver, error) {
 func DialOptions(addrs []string, opts Options) (*Driver, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("distnet: no worker addresses")
-	}
-	if !opts.Encoding.Valid() {
-		return nil, fmt.Errorf("distnet: unknown wire encoding %d", opts.Encoding)
 	}
 	d := &Driver{
 		opts:   opts.withDefaults(),

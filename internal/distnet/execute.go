@@ -15,7 +15,7 @@ import (
 type MultiplyOptions struct {
 	// Params, when non-nil, fixes the (P,Q,R) cuboid partitioning
 	// explicitly; nil lets the optimizer choose from WorkerMemBytes, the
-	// live worker count, and the wire encoding's Eq.(4) byte ratios.
+	// live worker count, and Eq.(4).
 	Params *core.Params
 	// WorkerMemBytes is the per-worker memory budget θt (0 takes 1 GiB): the
 	// optimizer's bound on one cuboid when Params is nil, and, with or
@@ -53,13 +53,12 @@ func (d *Driver) planMultiply(opts MultiplyOptions, shape core.Shape, pc core.Pu
 	if !opts.Transfer.Valid() {
 		return core.Params{}, 0, fmt.Errorf("distnet: unknown transfer mode %d", opts.Transfer)
 	}
-	wc := core.WireCost{InputRatio: d.opts.Encoding.PlanRatio(), AggRatio: 1}
 	params, mode := core.Params{}, opts.Transfer
 	if opts.Params != nil {
 		params = *opts.Params
 		if mode == core.TransferAuto {
 			mode = core.TransferPush
-			if pc.SeedResident && shape.CostBytesPull(params, wc, pc) < shape.CostBytesWire(params, wc) {
+			if pc.SeedResident && shape.CostBytesPull(params, pc) < shape.CostBytes(params) {
 				mode = core.TransferPull
 			}
 		}
@@ -69,11 +68,11 @@ func (d *Driver) planMultiply(opts MultiplyOptions, shape core.Shape, pc core.Pu
 	var err error
 	switch mode {
 	case core.TransferPush:
-		params, err = core.OptimizeWire(shape, mem, pc.Workers, wc)
+		params, err = core.Optimize(shape, mem, pc.Workers)
 	case core.TransferPull:
-		params, err = core.OptimizePull(shape, mem, pc.Workers, wc, pc)
+		params, err = core.OptimizePull(shape, mem, pc.Workers, pc)
 	default:
-		params, mode, err = core.OptimizeTransfer(shape, mem, pc.Workers, wc, pc)
+		params, mode, err = core.OptimizeTransfer(shape, mem, pc.Workers, pc)
 	}
 	return params, mode, err
 }

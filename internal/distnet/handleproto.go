@@ -2,8 +2,8 @@ package distnet
 
 // The distributed block store's wire messages. A session co-partitions every
 // matrix by block rows across its worker snapshot; each worker holds one
-// band per handle. Blocks travel inline as bit-exact fp64 — resident data is
-// the determinism anchor, so the opt-in lossy encodings never apply here.
+// band per handle. Blocks travel inline — resident data is the determinism
+// anchor.
 
 // putArgs ships one handle's block-row band to its owning worker.
 type putArgs struct {

@@ -9,8 +9,8 @@ import (
 )
 
 // Wire layouts for the distributed block store's messages. Handle traffic
-// never uses digest references or lossy encodings: resident bands are the
-// determinism anchor, so every block ships inline as bit-exact fp64.
+// never uses digest references: resident bands are the determinism anchor,
+// so every block ships inline.
 
 func appendPlainBlocks(w *codec.FrameWriter, recs []blockRec) error {
 	w.Uvarint(uint64(len(recs)))
@@ -18,7 +18,7 @@ func appendPlainBlocks(w *codec.FrameWriter, recs []blockRec) error {
 		rec := &recs[i]
 		w.Uvarint(uint64(rec.Key.I))
 		w.Uvarint(uint64(rec.Key.J))
-		if _, err := w.AppendBlock(rec.Block, codec.EncodingFP64); err != nil {
+		if _, err := w.AppendBlock(rec.Block); err != nil {
 			return err
 		}
 	}

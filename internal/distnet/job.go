@@ -188,8 +188,7 @@ func (r *cuboidRun) planColumn(p, q int, box core.Box) column {
 			ILo: box.ILo, IHi: box.IHi, JLo: box.JLo, JHi: box.JHi, KLo: box.KLo, KHi: box.KHi,
 			slabs:   slabs,
 			cuboidP: p, cuboidQ: q,
-			encoding: r.d.opts.Encoding,
-			meter:    r.meter,
+			meter: r.meter,
 		}
 		r.job.fill(args)
 		return args
@@ -475,9 +474,8 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 // references, and blockSender frames every send from it.
 // Push prepares every call as it dispatches; pull only the calls that
 // downgrade, when they do — a failure-free pull prepares nothing. Records
-// live until the multiply returns — retries resend from them — which under an
-// opt-in encoding means a second, encoded copy of the operands (see
-// Options.Encoding).
+// live until the multiply returns — retries resend from them; a record holds
+// the block's index structure, its values stay in the block's own storage.
 type jobPrep struct {
 	d *Driver
 	// epoch scopes the job's digest references; 0 with the block cache off,
@@ -498,7 +496,7 @@ func (d *Driver) newJobPrep() *jobPrep {
 
 // prepare stamps the job epoch on one call, points each of its block records
 // at the block's prepared form — building it on first sight — and charges the
-// job meter the call's payload bytes under the job's encoding.
+// job meter the call's payload bytes.
 func (jp *jobPrep) prepare(args *multiplyArgs) error {
 	jp.mu.Lock()
 	defer jp.mu.Unlock()
@@ -510,13 +508,11 @@ func (jp *jobPrep) prepare(args *multiplyArgs) error {
 			p, ok := jp.recs[rec.Block]
 			if !ok {
 				var err error
-				if p, err = codec.Prepare(rec.Block, jp.d.opts.Encoding); err != nil {
+				if p, err = codec.Prepare(rec.Block); err != nil {
 					return fmt.Errorf("distnet: block %v: %w", rec.Key, err)
 				}
 				// Blocks below the cacheable threshold stay digestless and
-				// always ship inline. The digest covers the encoded bytes, so
-				// it is taken under the job's encoding — the worker caches
-				// what the bytes decoded to.
+				// always ship inline.
 				if !jp.d.opts.DisableBlockCache && p.Size() >= minCacheableBytes {
 					p.Hash()
 				}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -438,8 +439,10 @@ func TestUntracedRunsRecordNothing(t *testing.T) {
 }
 
 // TestObservabilityDocNamesEveryKey holds docs/OBSERVABILITY.md to the
-// counter blocks: the table row of each block names every JSON key of its
-// struct literally, so a counter cannot be added without its row.
+// counter blocks both ways: the table row of each block names every JSON key
+// of its struct literally, and every backticked lowercase key the row names
+// is one of them — a counter can be neither added without its row nor
+// removed with its row left behind.
 func TestObservabilityDocNamesEveryKey(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
 	if err != nil {
@@ -467,11 +470,31 @@ func TestObservabilityDocNamesEveryKey(t *testing.T) {
 			continue
 		}
 		typ := reflect.TypeOf(c.stats)
+		keys := map[string]bool{strings.Trim(c.row, "`"): true} // the row's own head
 		for i := 0; i < typ.NumField(); i++ {
-			key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			f := typ.Field(i)
+			key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			keys[key] = true
 			if !strings.Contains(row, "`"+key+"`") {
 				t.Errorf("docs/OBSERVABILITY.md: the %s row does not name %T's key `%s`", c.row, c.stats, key)
+			}
+			// The keys of a list's elements (StoreStats.PeerLinks) may be
+			// named too.
+			if f.Type.Kind() == reflect.Slice && f.Type.Elem().Kind() == reflect.Struct {
+				for j := 0; j < f.Type.Elem().NumField(); j++ {
+					sub, _, _ := strings.Cut(f.Type.Elem().Field(j).Tag.Get("json"), ",")
+					keys[sub] = true
+				}
+			}
+		}
+		for _, m := range docKey.FindAllStringSubmatch(row, -1) {
+			if !keys[m[1]] {
+				t.Errorf("docs/OBSERVABILITY.md: the %s row names `%s`, which %T does not have", c.row, m[1], c.stats)
 			}
 		}
 	}
 }
+
+// docKey is a backticked lowercase snake_case word: how a table row names a
+// JSON key.
+var docKey = regexp.MustCompile("`([a-z][a-z0-9_]*)`")

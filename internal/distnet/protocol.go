@@ -26,8 +26,9 @@ import (
 // method numbering or a body's meaning does, so mismatched peers fail at the
 // handshake rather than misroute or misread a request: version 3's multiply
 // carries a (p,q) column and its slab count where version 2's carried one
-// cuboid.
-var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 3}
+// cuboid, and version 4's blocks are fp64 only where version 3's could also
+// carry fp32 and XOR+varint values (tags 6–11).
+var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 4}
 
 // The worker socket's methods, by the byte a request names them with.
 const (
@@ -79,11 +80,6 @@ type multiplyArgs struct {
 	// traced and untraced runs are byte-identical.
 	traceSpan        uint64
 	cuboidP, cuboidQ int
-
-	// encoding steers the encoder for this column's block payloads
-	// (Options.Encoding). It never travels on the wire: the worker decodes
-	// whatever tags arrive, so mixed-encoding traffic is fine.
-	encoding codec.Encoding
 
 	// meter, when set, receives per-job traffic attribution for this
 	// column (WithJobMeter). Driver-side only; never on the wire.

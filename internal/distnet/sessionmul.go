@@ -98,11 +98,7 @@ func (h *Handle) digestAt(i, j int) *codec.Digest {
 	}
 	var dg *codec.Digest
 	if blk := h.src.Block(i, j); blk != nil {
-		// Manifest digests hash the bit-exact fp64 encoding regardless of
-		// Options.Encoding: pull fetches move exact blocks (GetBlocks is
-		// always fp64), so a lossy job encoding must not unify a fetched
-		// exact block with a rounded pushed one.
-		if p, err := codec.Prepare(blk, codec.EncodingFP64); err == nil && p.Size() >= minCacheableBytes {
+		if p, err := codec.Prepare(blk); err == nil && p.Size() >= minCacheableBytes {
 			p.Hash()
 			dg = &p.Digest
 		}

@@ -90,7 +90,7 @@ func (t *sendTracker) forget() {
 // blockSender is what framing a cuboid's blocks consults: the digest tracker
 // of the worker they go to (nil ships every block inline; so does the block
 // cache being off, which leaves records digestless) and the recorder the
-// cache and encoding savings are counted in (nil counts nothing).
+// cache savings are counted in (nil counts nothing).
 type blockSender struct {
 	tracker *sendTracker
 	rec     *metrics.Recorder
@@ -116,16 +116,16 @@ func (s blockSender) appendMultiplyArgs(w *codec.FrameWriter, a *multiplyArgs) e
 		return nil
 	}
 	w.Byte(0)
-	if err := s.appendBlockRecs(w, a.ABlocks, a.cacheEpoch, a.encoding); err != nil {
+	if err := s.appendBlockRecs(w, a.ABlocks, a.cacheEpoch); err != nil {
 		return err
 	}
-	return s.appendBlockRecs(w, a.BBlocks, a.cacheEpoch, a.encoding)
+	return s.appendBlockRecs(w, a.BBlocks, a.cacheEpoch)
 }
 
 // appendBlockRecs emits one operand's block records from their prepared
 // form (jobPrep) — as a 32-byte reference when the record's digest was
 // already sent to this worker — with no planning or encoding here.
-func (s blockSender) appendBlockRecs(w *codec.FrameWriter, recs []blockRec, epoch uint64, enc codec.Encoding) error {
+func (s blockSender) appendBlockRecs(w *codec.FrameWriter, recs []blockRec, epoch uint64) error {
 	w.Uvarint(uint64(len(recs)))
 	for i := range recs {
 		rec := &recs[i]
@@ -152,12 +152,6 @@ func (s blockSender) appendBlockRecs(w *codec.FrameWriter, recs []blockRec, epoc
 			w.Byte(blockInline)
 		}
 		w.AppendPrepared(p)
-		if enc != codec.EncodingFP64 && s.rec != nil {
-			// Bytes the job's encoding took off the raw form.
-			n := s.rec.Net.Live()
-			atomic.AddInt64(&n.EncodedBlocks, 1)
-			atomic.AddInt64(&n.EncodedBytesSaved, max(p.RawSize-p.Size(), 0))
-		}
 	}
 	return nil
 }
@@ -270,8 +264,6 @@ func appendMultiplyReply(w *codec.FrameWriter, r *multiplyReply) error {
 	w.Uvarint(uint64(r.pullHits))
 	w.Uvarint(uint64(r.pullFetches))
 	w.Uvarint(uint64(r.pullPeerBytes))
-	// C partials always travel as the bit-exact default encoding, whatever
-	// encoding the inputs used.
 	return appendPlainBlocks(w, r.CBlocks)
 }
 

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"distme/internal/bmat"
@@ -72,7 +73,7 @@ func prepareRecs(t testing.TB, lists ...[]blockRec) {
 	t.Helper()
 	for _, recs := range lists {
 		for i := range recs {
-			p, err := codec.Prepare(recs[i].Block, codec.EncodingFP64)
+			p, err := codec.Prepare(recs[i].Block)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,19 +140,23 @@ func bodyOf(t testing.TB, fill func(w *codec.FrameWriter) error) []byte {
 	return buf.Bytes()[4:]
 }
 
+// retiredTagRecs are the seed blocks with their records relabelled to tags
+// 6 and 11, which carried fp32 and XOR+varint values in version 3 of the
+// socket: hostile input now, refused like any unknown tag.
+func retiredTagRecs(t testing.TB) []blockRec {
+	recs := wireSeedRecs()
+	prepareRecs(t, recs)
+	recs[0].prep.Tag, recs[1].prep.Tag = 6, 11
+	return recs
+}
+
 // pushVariantBodies are the push bodies the seed table's one leaves out:
-// blocks under the compressed encoding, blocks shipped with their digest for
-// the worker cache, and the same blocks again as digest references.
+// blocks under retired tags, blocks shipped with their digest for the worker
+// cache, and the same blocks again as digest references.
 func pushVariantBodies(t testing.TB) [][]byte {
-	compressed, digested := wireSeedRecs(), wireSeedRecs()
-	for i := range compressed {
-		var err error
-		if compressed[i].prep, err = codec.Prepare(compressed[i].Block, codec.EncodingCompress); err != nil {
-			t.Fatal(err)
-		}
-		if digested[i].prep, err = codec.Prepare(digested[i].Block, codec.EncodingFP64); err != nil {
-			t.Fatal(err)
-		}
+	digested := wireSeedRecs()
+	prepareRecs(t, digested)
+	for i := range digested {
 		digested[i].prep.Hash()
 	}
 	cached := blockSender{tracker: &sendTracker{}}
@@ -159,7 +164,7 @@ func pushVariantBodies(t testing.TB) [][]byte {
 	for _, v := range []struct {
 		send blockSender
 		recs []blockRec
-	}{{blockSender{}, compressed}, {cached, digested}, {cached, digested}} {
+	}{{blockSender{}, retiredTagRecs(t)}, {cached, digested}, {cached, digested}} {
 		args := multiplyArgs{IHi: 1, JHi: 1, KHi: 2, slabs: 2, ABlocks: v.recs, cacheEpoch: 3}
 		bodies = append(bodies, bodyOf(t, codec.Writes(v.send.appendMultiplyArgs, &args)))
 	}
@@ -486,40 +491,43 @@ func rawWorkerConn(t *testing.T, addr string) (net.Conn, *codec.FrameReader) {
 	return conn, codec.NewFrameReader(conn)
 }
 
-// TestPreambleRefusesVersion1Peers: version 1 of the worker socket numbered
-// its methods differently, so a peer still speaking it is refused at the
-// handshake both ways — a driver dialing a v1 worker, and a v1 driver
-// dialing a worker — with codec.ErrProtocol.
+// TestPreambleRefusesVersion1Peers: earlier versions of the worker socket
+// numbered their methods differently (v1) or carried block tags this one
+// refuses (v3), so a peer still speaking one is refused at the handshake
+// both ways — a driver dialing an old worker, and an old driver dialing a
+// worker — with codec.ErrProtocol.
 func TestPreambleRefusesVersion1Peers(t *testing.T) {
-	v1 := workerPreamble
-	v1[4] = 1
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		conn, err := l.Accept()
+	addrs, _ := startWorkers(t, 1)
+	for _, version := range []byte{1, 3} {
+		old := workerPreamble
+		old[4] = version
+		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return
+			t.Fatal(err)
+		}
+		defer l.Close()
+		go func() {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			codec.Handshake(conn, old)
+		}()
+		opts := fastOpts()
+		opts.DisableHeartbeat = true
+		if _, err := DialOptions([]string{l.Addr().String()}, opts); !errors.Is(err, codec.ErrProtocol) {
+			t.Fatalf("driver dialing a v%d worker: %v, want ErrProtocol", version, err)
+		}
+
+		conn, err := net.Dial("tcp", addrs[0])
+		if err != nil {
+			t.Fatal(err)
 		}
 		defer conn.Close()
-		codec.Handshake(conn, v1)
-	}()
-	opts := fastOpts()
-	opts.DisableHeartbeat = true
-	if _, err := DialOptions([]string{l.Addr().String()}, opts); !errors.Is(err, codec.ErrProtocol) {
-		t.Fatalf("driver dialing a v1 worker: %v, want ErrProtocol", err)
-	}
-
-	addrs, _ := startWorkers(t, 1)
-	conn, err := net.Dial("tcp", addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := codec.Handshake(conn, v1); !errors.Is(err, codec.ErrProtocol) {
-		t.Fatalf("v1 driver dialing a worker: %v, want ErrProtocol", err)
+		if err := codec.Handshake(conn, old); !errors.Is(err, codec.ErrProtocol) {
+			t.Fatalf("v%d driver dialing a worker: %v, want ErrProtocol", version, err)
+		}
 	}
 }
 
@@ -555,9 +563,9 @@ func rawCall(t *testing.T, conn net.Conn, rd *codec.FrameReader, seq uint64, met
 }
 
 // TestBadBodyThenGoodRequestOnWorkerSocket: a request whose body fails to
-// decode — at its first byte or mid-block — or that names no method is
-// answered with an error, and the next request on the same connection
-// succeeds: the stream never desynchronizes.
+// decode — at its first byte, mid-block, or at a block under a retired tag —
+// or that names no method is answered with an error, and the next request on
+// the same connection succeeds: the stream never desynchronizes.
 func TestBadBodyThenGoodRequestOnWorkerSocket(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
 	conn, rd := rawWorkerConn(t, addrs[0])
@@ -570,6 +578,7 @@ func TestBadBodyThenGoodRequestOnWorkerSocket(t *testing.T) {
 	}{
 		"garbage body":        {methodMultiply, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}},
 		"torn block":          {methodMultiply, torn},
+		"retired block tag":   {methodMultiply, pushVariantBodies(t)[0]},
 		"unknown method byte": {0xee, good},
 	} {
 		if code, _, _ := rawCall(t, conn, rd, seq, bad.method, bad.body); code == codec.CodeOK {
@@ -799,5 +808,160 @@ func TestOversizeCuboidFailsWithoutRetry(t *testing.T) {
 		if reply, err := d.runJob(context.Background(), ok, obs.Span{}); err != nil || len(reply.CBlocks) != 1 {
 			t.Fatalf("cuboid after the refusal: %v", err)
 		}
+	}
+}
+
+// encodeRequestFrame serializes one multiply request exactly as the driver
+// does — including a payload large enough to take the scatter-gather
+// (writev) path — and returns the raw frame bytes.
+func encodeRequestFrame(t *testing.T) ([]byte, *multiplyArgs) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(8105))
+	aBlk := matrix.NewDense(32, 32) // 8 KiB of values: above minZeroCopyTail
+	bBlk := matrix.NewDense(32, 32)
+	for i := range aBlk.Data {
+		aBlk.Data[i] = rng.NormFloat64()
+		bBlk.Data[i] = rng.NormFloat64()
+	}
+	args := &multiplyArgs{
+		IHi: 1, JHi: 1, KHi: 1, slabs: 1,
+		ABlocks: []blockRec{{Key: bmat.BlockKey{I: 0, J: 0}, Block: aBlk}},
+		BBlocks: []blockRec{{Key: bmat.BlockKey{I: 0, J: 0}, Block: bBlk}},
+	}
+	prepareRecs(t, args.ABlocks, args.BBlocks)
+	return requestFrame(t, methodMultiply, codec.Writes(blockSender{}.appendMultiplyArgs, args)), args
+}
+
+// decodeRequestFrame parses one framed Multiply request from r the way the
+// worker's codec does: header, then the streaming body decode.
+func decodeRequestFrame(r io.Reader) (seq uint64, method byte, args multiplyArgs, left int64, err error) {
+	fr := codec.NewFrameReader(r)
+	if _, err = fr.Next(); err != nil {
+		return
+	}
+	if seq, err = fr.Uvarint(); err != nil {
+		return
+	}
+	if method, err = fr.U8(); err != nil {
+		return
+	}
+	err = decodeMultiplyArgs(fr, &args, newBlockCache(-1))
+	return seq, method, args, fr.Remaining(), err
+}
+
+// TestFragmentedFrameReads drives a whole request frame through a
+// one-byte-at-a-time reader: the streaming decode must be identical to the
+// contiguous read, and truncating the stream at every single byte offset
+// must fail cleanly — never a panic, never a bogus success.
+func TestFragmentedFrameReads(t *testing.T) {
+	full, args := encodeRequestFrame(t)
+
+	for name, r := range map[string]io.Reader{
+		"contiguous": bytes.NewReader(full),
+		"dribbled":   iotest.OneByteReader(bytes.NewReader(full)),
+	} {
+		seq, method, dec, left, err := decodeRequestFrame(r)
+		if err != nil {
+			t.Fatalf("%s read failed: %v", name, err)
+		}
+		if seq != 1 || method != methodMultiply {
+			t.Fatalf("%s: header (%d, %d)", name, seq, method)
+		}
+		if left != 0 {
+			t.Fatalf("%s: decode left %d trailing bytes", name, left)
+		}
+		if dec.IHi != 1 || len(dec.ABlocks) != 1 || len(dec.BBlocks) != 1 {
+			t.Fatalf("%s: decoded args %+v", name, dec)
+		}
+		assertBlockBits(t, args.ABlocks[0].Block, dec.ABlocks[0].Block)
+		assertBlockBits(t, args.BBlocks[0].Block, dec.BBlocks[0].Block)
+	}
+
+	// A stream cut anywhere — inside the prefix, the header, a block's
+	// structure or its value tail — is an error.
+	for cut := 0; cut < len(full); cut++ {
+		if _, _, _, _, err := decodeRequestFrame(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("truncation at %d/%d bytes decoded a request", cut, len(full))
+		}
+	}
+	// So is a frame whose prefix promises less than the body needs: the
+	// decoder stops at the frame's end, it does not read into the next one.
+	for cut := 4; cut < len(full); cut += 97 {
+		short := append([]byte(nil), full[:cut]...)
+		binary.LittleEndian.PutUint32(short, uint32(cut-4))
+		_, _, _, _, err := decodeRequestFrame(bytes.NewReader(append(short, full...)))
+		if !errors.Is(err, errWire) {
+			t.Fatalf("frame shortened to %d bytes: %v", cut-4, err)
+		}
+	}
+}
+
+func assertBlockBits(t *testing.T, want, got matrix.Block) {
+	t.Helper()
+	w, g := want.Dense(), got.Dense()
+	wr, wc := w.Dims()
+	gr, gc := g.Dims()
+	if wr != gr || wc != gc {
+		t.Fatalf("dims %dx%d != %dx%d", gr, gc, wr, wc)
+	}
+	for i := range w.Data {
+		if w.Data[i] != g.Data[i] {
+			t.Fatalf("value %d differs: %v != %v", i, g.Data[i], w.Data[i])
+		}
+	}
+}
+
+// TestSendTrackerConcurrentEpochs hammers seen/forget from many goroutines
+// across epoch bumps — run under -race this pins the tracker's locking —
+// then checks the sequential semantics still hold.
+func TestSendTrackerConcurrentEpochs(t *testing.T) {
+	tr := &sendTracker{}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(8106 + g)))
+			var dg codec.Digest
+			for i := 0; i < 3000; i++ {
+				rng.Read(dg[:8]) // small space: plenty of cross-goroutine hits
+				tr.seen(uint64(i/200), dg)
+				if i%311 == 0 {
+					tr.forget()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	var dg codec.Digest
+	dg[0] = 0xAB
+	tr.forget()
+	base := tr.epoch + 1
+	if tr.seen(base, dg) {
+		t.Fatal("fresh digest reported as already sent")
+	}
+	if !tr.seen(base, dg) {
+		t.Fatal("repeat digest not deduplicated")
+	}
+	// Dedup persists across epochs inside the lifecycle window — that is
+	// what lets concurrent jobs share tracker state...
+	if !tr.seen(base+1, dg) {
+		t.Fatal("epoch bump inside the window dropped the sent set")
+	}
+	// ...and ages out beyond it, mirroring the worker cache's expiry. The
+	// repeat at base+1 refreshed the entry to the then-newest epoch, so
+	// jumping a full window past that must expire it.
+	var other codec.Digest
+	other[0] = 0xCD
+	if tr.seen(base+1+DefaultCacheEpochWindow+1, other) {
+		t.Fatal("fresh digest reported as already sent after window jump")
+	}
+	if tr.seen(base+1+DefaultCacheEpochWindow+1, dg) {
+		t.Fatal("entry outside the epoch window was not aged out")
+	}
+	tr.forget()
+	if tr.seen(base+1+DefaultCacheEpochWindow+1, dg) {
+		t.Fatal("forget did not clear the sent set")
 	}
 }

@@ -135,12 +135,6 @@ type NetStats struct {
 	// one per distinct operand block per job, however many cuboids
 	// replicate the block.
 	BlocksPrepared int64 `json:"blocks_prepared"`
-	// EncodedBlocks counts input blocks shipped under an opt-in wire
-	// encoding (fp32 or compressed); EncodedBytesSaved accumulates the
-	// difference between their raw fp64 plans and the bytes actually framed.
-	// Both stay zero under the default bit-exact encoding.
-	EncodedBlocks     int64 `json:"encoded_blocks"`
-	EncodedBytesSaved int64 `json:"encoded_bytes_saved"`
 	// BatchItems is always 0: cuboids are dispatched one per call, and the
 	// field stays only because the repository benchmark reads it.
 	BatchItems int64 `json:"batch_items"`
@@ -203,14 +197,13 @@ func (n NetStats) Sub(o NetStats) NetStats { return Sub(n, o) }
 
 // String renders the network-elasticity counters compactly.
 func (n NetStats) String() string {
-	return fmt.Sprintf("heartbeats=%d/%d rtt(avg=%v max=%v) reconnects=%d churn=+%d/-%d dead=%d timeouts=%d retries=%d local=%d wire(enc=%s dec=%s) cache(refs=%d misses=%d saved=%s) encoding(blocks=%d saved=%s) pipeline(puts=%d/%s ops=%d fetches=%d/%s resident=%s avoided=%s recoveries=%d)",
+	return fmt.Sprintf("heartbeats=%d/%d rtt(avg=%v max=%v) reconnects=%d churn=+%d/-%d dead=%d timeouts=%d retries=%d local=%d wire(enc=%s dec=%s) cache(refs=%d misses=%d saved=%s) pipeline(puts=%d/%s ops=%d fetches=%d/%s resident=%s avoided=%s recoveries=%d)",
 		n.HeartbeatsSent-n.HeartbeatMisses, n.HeartbeatsSent,
 		n.HeartbeatRTTAvg(), n.HeartbeatRTTMax,
 		n.Reconnects, n.WorkersJoined, n.WorkersLeft, n.WorkersDeclaredDead,
 		n.DeadlineTimeouts, n.CuboidRetries, n.LocalFallbacks,
 		FormatBytes(n.WireEncodeBytes), FormatBytes(n.WireDecodeBytes),
 		n.CacheRefsSent, n.CacheRefMisses, FormatBytes(n.CacheBytesSaved),
-		n.EncodedBlocks, FormatBytes(n.EncodedBytesSaved),
 		n.PipelinePuts, FormatBytes(n.PipelinePutBytes), n.PipelineOps,
 		n.PipelineFetches, FormatBytes(n.PipelineFetchBytes),
 		FormatBytes(n.ResidentBytes), FormatBytes(n.DriverBytesAvoided),

@@ -412,13 +412,12 @@ func (s *Server) submit(name string, req SubmitRequest, acceptSpan obs.SpanID) (
 	if slots < 1 {
 		slots = 1
 	}
-	wc := core.WireCost{InputRatio: 1, AggRatio: 1}
-	params, err := core.OptimizeWire(shape, s.cfg.WorkerMemBytes, slots, wc)
+	params, err := core.Optimize(shape, s.cfg.WorkerMemBytes, slots)
 	if err != nil {
 		s.rec.OnRejected(name, metrics.RejectInfeasible)
 		return 0, fmt.Errorf("%w: %v", ErrUnschedulable, err)
 	}
-	planBytes := int64(shape.CostBytesWire(params, wc))
+	planBytes := int64(shape.CostBytes(params))
 	planFlops := 2 * int64(req.A.Rows) * int64(req.A.Cols) * int64(req.B.Cols)
 
 	// Quotas: the tenant's in-flight planned cost may not exceed its caps.

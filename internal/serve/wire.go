@@ -47,7 +47,7 @@ func appendMatrix(w *codec.FrameWriter, m *bmat.BlockMatrix) error {
 	for _, k := range keys {
 		w.Uvarint(uint64(k.I))
 		w.Uvarint(uint64(k.J))
-		if err := w.AppendBlockCRC(m.Block(k.I, k.J), codec.EncodingFP64); err != nil {
+		if err := w.AppendBlockCRC(m.Block(k.I, k.J)); err != nil {
 			return fmt.Errorf("block %v: %w", k, err)
 		}
 	}

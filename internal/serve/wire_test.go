@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net"
@@ -113,7 +114,8 @@ func startWireServer(t *testing.T) (*Server, *Listener) {
 // TestHostileOperandFrames mirrors storage's hostile-input suite on the
 // serve socket: a flipped payload byte (CRC), a key outside the grid, a
 // block whose dimensions do not match its slot, a slot listed twice, an
-// implausible header, and a forged block length each come back as
+// implausible header, a forged block length, and a checksummed record under a
+// retired fp32 or XOR tag (6, 11) each come back as
 // ErrUnschedulable's code — and after every one of them a good submit on the
 // same connection runs to completion. Removing any of the checks lets its
 // frame through as an admitted job.
@@ -133,9 +135,25 @@ func TestHostileOperandFrames(t *testing.T) {
 	block := func(w *codec.FrameWriter, i, j uint64, b matrix.Block) {
 		w.Uvarint(i)
 		w.Uvarint(j)
-		if err := w.AppendBlockCRC(b, codec.EncodingFP64); err != nil {
+		if err := w.AppendBlockCRC(b); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// An A of one 8×8 block, its record under tag: admitted under TagDense.
+	retired := func(tag uint8) []byte {
+		payload, _, err := codec.AppendWire(nil, matrix.RandomDense(rand.New(rand.NewSource(1412)), 8, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return matrixFrame(t, 0, func(w *codec.FrameWriter) {
+			header(w, 8, 8, 8, 1)
+			w.Uvarint(0)
+			w.Uvarint(0)
+			w.Byte(tag)
+			w.Bytes(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))))
+			w.Bytes(payload)
+			w.Bytes(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload)))
+		})
 	}
 	flipped := good(0)
 	flipped[len(flipped)-10] ^= 0x01 // inside B's last block's values
@@ -171,6 +189,8 @@ func TestHostileOperandFrames(t *testing.T) {
 			w.Bytes(binary.LittleEndian.AppendUint32(nil, 1<<31)) // 2 GiB promised
 			w.Bytes(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1<<14), 1<<14))
 		}),
+		"retired fp32 tag": retired(6),
+		"retired xor tag":  retired(11),
 	}
 	unschedulable, _ := serveErrorCode(ErrUnschedulable)
 	seq := uint64(1)
