@@ -32,7 +32,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":7070", "listen address")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout for in-flight RPCs")
-	cacheBytes := flag.Int64("cache-bytes", 0, "content-addressed block cache capacity in bytes (0 = default 256 MiB, negative = disabled)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "block cache capacity in bytes (0 = default 256 MiB, negative = disabled)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/distme and pprof on this address (empty = off, port 0 = pick free port)")
 	flag.Parse()
 

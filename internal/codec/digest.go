@@ -7,10 +7,12 @@ import (
 	"distme/internal/matrix"
 )
 
-// Digest identifies a block by content: SHA-256 over the wire tag and
-// payload. Two blocks share a digest exactly when they encode to the same
-// bytes, which is what the distnet block cache needs — resolving a digest
-// can never substitute different data.
+// Digest is a block's 32-byte cache key, and a key is bound to one content.
+// DigestOf and Prepared.Hash give the content digest — SHA-256 over the wire
+// tag and payload, so two blocks share it exactly when they encode to the
+// same bytes. A sender may instead fill the slot with a fresh key it never
+// issues again; for one to equal a digest would take a SHA-256 preimage.
+// Either way, resolving a key can never substitute different data.
 type Digest [sha256.Size]byte
 
 // Short returns an abbreviated hex form for logs and error text.
@@ -40,9 +42,9 @@ func digestOf(tag uint8, head, tail []byte) Digest {
 }
 
 // Prepared is one block encoded for the wire exactly once: its tag, its
-// structural bytes, the zero-copy view of its raw values and, when hashed,
-// its content digest. A job prepares each distinct block once and every
-// consumer — the digest, the size accounting, each frame that replicates the
+// structural bytes, the zero-copy view of its raw values and, when keyed,
+// its cache key. A job prepares each distinct block once and every
+// consumer — the key, the size accounting, each frame that replicates the
 // block — reads the record instead of planning or encoding again. Tail
 // aliases the block's storage, so the block must outlive the record's last
 // use.
@@ -51,7 +53,8 @@ type Prepared struct {
 	Head []byte
 	Tail []byte
 
-	// Digest is the content address, valid once Hash has run.
+	// Digest is the record's cache key, valid when HasDigest: the content
+	// digest once Hash has run, or a fresh key its sender set.
 	Digest    Digest
 	HasDigest bool
 }

@@ -15,8 +15,8 @@ const DefaultCacheBytes int64 = 256 << 20
 // without being referenced. One multiply bumps the driver's epoch once, so
 // under a serial workload the window behaves like "keep blocks for the last
 // N jobs"; under a concurrent serving workload it is what lets many
-// in-flight jobs share one content-addressed cache instead of purging each
-// other on every epoch bump. The driver's sendTracker ages its sent set by
+// in-flight jobs share one block cache instead of purging each other on
+// every epoch bump. The driver's sendTracker ages its sent set by
 // the same window, so it never references a block the worker has dropped.
 const DefaultCacheEpochWindow = 32
 
@@ -36,15 +36,16 @@ type CacheStats struct {
 	Entries int   `json:"entries"`
 }
 
-// blockCache is the worker-side content-addressed block store: a bounded
-// LRU keyed by block digest. Correctness is carried entirely by the content
-// addressing — a digest hit can only ever return the exact bytes the driver
-// hashed — so the job epoch is purely a lifecycle bound. Each entry
-// remembers the newest epoch that touched it, and entries whose epoch falls
-// more than DefaultCacheEpochWindow behind the newest epoch seen are
-// purged. That keeps residency bounded across job churn while letting
-// concurrent jobs — which each carry a distinct epoch — share warm blocks
-// instead of purging each other.
+// blockCache is the worker-side block store: a bounded LRU keyed by the
+// 32-byte key a block arrived under. Correctness is carried entirely by the
+// keys — each is bound to one content, a SHA-256 digest by the hash and a
+// driver's fresh key by being issued once, so a hit can only ever return the
+// exact bytes the driver sent under that key — and the job epoch is purely a
+// lifecycle bound. Each entry remembers the newest epoch that touched it,
+// and entries whose epoch falls more than DefaultCacheEpochWindow behind the
+// newest epoch seen are purged. That keeps residency bounded across job
+// churn while letting concurrent jobs — which each carry a distinct epoch —
+// share warm blocks instead of purging each other.
 type blockCache struct {
 	mu       sync.Mutex
 	capBytes int64
@@ -121,7 +122,7 @@ func (c *blockCache) insert(epoch uint64, dg codec.Digest, blk matrix.Block, wei
 	}
 }
 
-// lookup resolves a digest reference. The digest alone carries correctness,
+// lookup resolves a key reference. The key alone carries correctness,
 // so a hit is valid regardless of which epoch inserted the entry; the hit
 // refreshes the entry's epoch, keeping blocks shared across concurrent jobs
 // inside the lifecycle window.

@@ -2,14 +2,19 @@ package distnet
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"distme/internal/bmat"
+	"distme/internal/cluster"
+	"distme/internal/codec"
 	"distme/internal/core"
 	"distme/internal/matrix"
+	"distme/internal/metrics"
 	"distme/internal/obs"
 )
 
@@ -454,5 +459,253 @@ func TestCacheDisabledWorkerAlwaysRecovers(t *testing.T) {
 	}
 	if ws := w.CacheStats(); ws != (CacheStats{}) {
 		t.Fatalf("disabled cache should report zero stats: %+v", ws)
+	}
+}
+
+// TestSendTrackerAgesLikeBlockCache drives a driver's sendTracker and a
+// worker's blockCache through one stream of sends, as the wire pairs them
+// (a tracker miss is an insert, a hit a lookup), and holds them to the same
+// set of live keys after every send. Epochs arrive out of order, as under
+// concurrent jobs: a reference refreshes an entry to its own epoch on both
+// sides, never to the newest one seen.
+func TestSendTrackerAgesLikeBlockCache(t *testing.T) {
+	key := func(n int) codec.Digest { return codec.Digest{byte(n), byte(n >> 8)} }
+	blk := matrix.NewDense(1, 1)
+	check := func(t *testing.T, tr *sendTracker, c *blockCache, keys int, step string) {
+		t.Helper()
+		for n := 0; n < keys; n++ {
+			_, sent := tr.sent.last[key(n)]
+			_, held := c.byDigest[key(n)]
+			if sent != held {
+				t.Fatalf("%s: key %d tracked as sent %v, held by the worker %v", step, n, sent, held)
+			}
+		}
+	}
+	send := func(t *testing.T, tr *sendTracker, c *blockCache, epoch uint64, n int) {
+		t.Helper()
+		if tr.seen(epoch, key(n)) {
+			if _, ok := c.lookup(epoch, key(n)); !ok {
+				t.Fatalf("epoch %d: key %d referenced, but the worker dropped it", epoch, n)
+			}
+			return
+		}
+		c.insert(epoch, key(n), blk, 8)
+	}
+
+	t.Run("reference behind the newest epoch", func(t *testing.T) {
+		tr, c := &sendTracker{}, newBlockCache(0)
+		send(t, tr, c, 5, 0)  // key 0 inserted at epoch 5
+		send(t, tr, c, 11, 1) // a concurrent job's send moves the watermark to 11
+		send(t, tr, c, 10, 0) // key 0 referenced by the job at epoch 10
+		for epoch := uint64(12); epoch <= 12+DefaultCacheEpochWindow; epoch++ {
+			send(t, tr, c, epoch, 2) // one send per later job, key 0 untouched
+			check(t, tr, c, 3, fmt.Sprintf("epoch %d", epoch))
+		}
+		if _, ok := c.byDigest[key(0)]; ok {
+			t.Fatal("key 0 never aged out")
+		}
+	})
+
+	t.Run("interleaved jobs", func(t *testing.T) {
+		tr, c := &sendTracker{}, newBlockCache(0)
+		rng := rand.New(rand.NewSource(7401))
+		// 300 keys at ten sends an epoch: a key recurs about every 30
+		// epochs, so sends straddle the window both ways.
+		const keys = 300
+		for i := 0; i < 4000; i++ {
+			// Job epochs rise one per ten sends, each send from a job up to
+			// four epochs behind the newest.
+			epoch := uint64(1+i/10) + 4 - uint64(rng.Intn(5))
+			send(t, tr, c, epoch, rng.Intn(keys))
+			check(t, tr, c, keys, fmt.Sprintf("send %d", i))
+		}
+	})
+}
+
+// largeBlockMatrices are an n×n pair in 32×32 dense blocks: 8 KiB records,
+// over minFingerprintBytes, so their cache keys come from blockKeys' filter.
+func largeBlockMatrices(seed int64, n int) (a, b *bmat.BlockMatrix) {
+	rng := rand.New(rand.NewSource(seed))
+	return bmat.RandomDense(rng, n, n, 32), bmat.RandomDense(rng, n, n, 32)
+}
+
+// TestColdJobsHashNothing: the placement of TestPlanOrderPlacementShipsEachBlockOnce
+// with 8 KiB blocks. Every job brings new content, so no block is hashed —
+// each gets a fresh key — and the within-job replicas are still references:
+// 36 in every job, none missing, the same bytes on the wire each time.
+func TestColdJobsHashNothing(t *testing.T) {
+	params := core.Params{P: 2, Q: 2, R: 2}
+	addrs, _ := startWorkers(t, 2)
+	opts := fastOpts()
+	opts.DisableHeartbeat = true // no pings in the byte counts
+	d, err := DialOptions(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var firstSent, firstReceived int64
+	for job := 0; job < 20; job++ {
+		a, b := largeBlockMatrices(int64(7500+job), 6*32)
+		before := d.NetStats()
+		sent0, received0 := d.WireBytes()
+		if _, err := execute(d, a, b, params); err != nil {
+			t.Fatal(err)
+		}
+		delta := d.NetStats().Sub(before)
+		sent1, received1 := d.WireBytes()
+		sent, received := sent1-sent0, received1-received0
+		if delta.BlocksHashed != 0 || delta.BlocksPrepared != 72 {
+			t.Errorf("job %d: hashed %d of %d prepared blocks, want 0 of 72", job, delta.BlocksHashed, delta.BlocksPrepared)
+		}
+		if delta.CacheRefsSent != 36 || delta.CacheRefMisses != 0 {
+			t.Errorf("job %d: %d blocks sent as references (%d missed), want 36 (0)", job, delta.CacheRefsSent, delta.CacheRefMisses)
+		}
+		if job == 0 {
+			firstSent, firstReceived = sent, received
+		} else if sent != firstSent || received != firstReceived {
+			t.Errorf("job %d moved %d bytes out and %d in, job 0 %d and %d", job, sent, received, firstSent, firstReceived)
+		}
+	}
+}
+
+// TestLargeRepeatHashedFromSecondSight: the same 8 KiB-block operands three
+// times through one worker at (1,1,1), every block sent once a job. The
+// first sight ships under fresh keys; the second is hashed, because the
+// filter saw the blocks, and ships inline under the digests; the third is
+// hashed again and all references. The product never changes a bit.
+func TestLargeRepeatHashedFromSecondSight(t *testing.T) {
+	params := core.Params{P: 1, Q: 1, R: 1}
+	a, b := largeBlockMatrices(7510, 2*32)
+	blocks := int64(a.NumBlocks() + b.NumBlocks())
+	addrs, _ := startWorkers(t, 1)
+	d, err := DialOptions(addrs, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var first *bmat.BlockMatrix
+	for run, want := range []struct{ hashed, refs int64 }{{0, 0}, {blocks, 0}, {blocks, blocks}} {
+		before := d.NetStats()
+		got, err := execute(d, a, b, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := d.NetStats().Sub(before)
+		if delta.BlocksHashed != want.hashed || delta.CacheRefsSent != want.refs || delta.CacheRefMisses != 0 {
+			t.Errorf("run %d: %d blocks hashed, %d references (%d missed), want %d, %d (0)",
+				run, delta.BlocksHashed, delta.CacheRefsSent, delta.CacheRefMisses, want.hashed, want.refs)
+		}
+		if first == nil {
+			first = got
+		} else {
+			bitIdentical(t, got, first)
+		}
+	}
+}
+
+// TestFreshKeysNeverCollide: two drivers share one worker's cache and run
+// cold jobs on it at once, four each, whose replicas go out as references to
+// fresh keys. Each driver numbers its keys from the same counter start; only
+// their random prefixes keep them apart. No reference may miss or resolve to
+// another job's block: every product is the bits of core.MultiplyCuboid.
+func TestFreshKeysNeverCollide(t *testing.T) {
+	params := core.Params{P: 2, Q: 2, R: 1}
+	addrs, workers := startWorkers(t, 1)
+	var drivers [2]*Driver
+	for i := range drivers {
+		d, err := DialOptions(addrs, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		drivers[i] = d
+	}
+	cfg := cluster.LaptopConfig()
+	cfg.TaskMemBytes = 1 << 30
+	cfg.DiskCapacityBytes = 0
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 8
+	var operands [jobs][2]*bmat.BlockMatrix
+	var want, got [jobs]*bmat.BlockMatrix
+	var errs [jobs]error
+	for job := range jobs {
+		a, b := largeBlockMatrices(int64(7520+job), 4*32)
+		operands[job] = [2]*bmat.BlockMatrix{a, b}
+		if want[job], err = core.MultiplyCuboid(context.Background(), a, b, params, core.Env{Cluster: cl}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for job := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[job], errs[job] = execute(drivers[job%2], operands[job][0], operands[job][1], params)
+		}()
+	}
+	wg.Wait()
+	for job := range jobs {
+		if errs[job] != nil {
+			t.Fatalf("job %d: %v", job, errs[job])
+		}
+		bitIdentical(t, got[job], want[job])
+	}
+	for i, d := range drivers {
+		if st := d.NetStats(); st.CacheRefsSent == 0 || st.CacheRefMisses != 0 || st.BlocksHashed != 0 {
+			t.Errorf("driver %d: %d references (%d missed), %d blocks hashed; want some references, none missed or hashed",
+				i, st.CacheRefsSent, st.CacheRefMisses, st.BlocksHashed)
+		}
+	}
+	if ws := workers[0].CacheStats(); ws.Misses != 0 {
+		t.Fatalf("worker cache missed %d references", ws.Misses)
+	}
+}
+
+// BenchmarkJobPrepare times the prepare step of one dense_cold-shaped job:
+// 768² operands in 128×128 blocks, 72 distinct 128 KiB blocks, as the four
+// (p,q) columns of (2,2,2). cold gives every job a new key issuer, so no
+// block was seen before and each gets a fresh key; repeated runs the same
+// operands through one issuer, so every block is hashed. MB/s is over the 72
+// records' payload.
+func BenchmarkJobPrepare(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x, y := bmat.RandomDense(rng, 768, 768, 128), bmat.RandomDense(rng, 768, 768, 128)
+	var calls []*multiplyArgs
+	core.ForEachCuboid(core.Params{P: 2, Q: 2, R: 1}, x.IB, y.JB, x.JB, func(_, _, _ int, box core.Box) {
+		calls = append(calls, &multiplyArgs{
+			ABlocks: boxRecs(x, box.ILo, box.IHi, box.KLo, box.KHi),
+			BBlocks: boxRecs(y, box.KLo, box.KHi, box.JLo, box.JHi),
+		})
+	})
+	d := &Driver{rec: &metrics.Recorder{}, keys: newBlockKeys()}
+	prepareJob := func() *jobPrep {
+		jp := d.newJobPrep()
+		for _, call := range calls {
+			if err := jp.prepare(call); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return jp
+	}
+	var payload int64
+	for _, p := range prepareJob().recs {
+		payload += p.Size()
+	}
+	for _, mode := range []struct {
+		name string
+		cold bool
+	}{{"cold", true}, {"repeated", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.SetBytes(payload)
+			for b.Loop() {
+				if mode.cold {
+					d.keys = newBlockKeys()
+				}
+				prepareJob()
+			}
+		})
 	}
 }

@@ -109,7 +109,7 @@ type WorkerDebug struct {
 	// the RPCs currently executing.
 	Multiplies   int   `json:"multiplies"`
 	InFlightRPCs int64 `json:"inflight_rpcs"`
-	// Cache is the content-addressed block cache's occupancy and counters.
+	// Cache is the block cache's occupancy and counters.
 	Cache CacheStats `json:"cache"`
 	// Store is the distributed block store's resident-handle occupancy and
 	// counters (puts, execs, evictions, worker→worker fetches).

@@ -30,10 +30,16 @@ type Driver struct {
 	tracer *obs.Tracer
 	dbg    *obs.Server
 
-	// epoch numbers multiply jobs; digest references on the wire are scoped
-	// to one epoch so worker caches never serve a previous job's blocks.
-	// Block-store sessions draw their epochs from the same counter.
+	// epoch numbers multiply jobs. It bounds how long a cached block lives,
+	// not which job may reference it: a key is bound to one content, so a
+	// later job's reference to an earlier job's block is exactly the hit the
+	// cache is for, and an entry untouched for DefaultCacheEpochWindow epochs
+	// expires on both sides. Block-store sessions draw their epochs from the
+	// same counter.
 	epoch atomic.Uint64
+
+	// keys issues the cache keys of pushed blocks (blockkeys.go).
+	keys *blockKeys
 
 	// handleID numbers block-store handles, globally across sessions; a
 	// lineage rebuild assigns fresh ids so stale bands on a worker that
@@ -220,6 +226,7 @@ func DialOptions(addrs []string, opts Options) (*Driver, error) {
 		wire:   &wireCounter{},
 		rec:    opts.Recorder,
 		tracer: opts.Tracer,
+		keys:   newBlockKeys(),
 	}
 	d.backoff = cluster.NewBackoff(d.opts.RetryBackoff, d.opts.MaxBackoff, cluster.JitterSource(opts.JitterSeed))
 	if d.rec == nil {

@@ -125,7 +125,7 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 
 	// Prepare and dispatch, one column at a time on this goroutine: the first
 	// column is on the wire while later blocks are still being encoded and
-	// hashed, and the column goroutines only ever read.
+	// keyed, and the column goroutines only ever read.
 	prep := d.newJobPrep()
 	var restored int
 	var wg sync.WaitGroup
@@ -467,19 +467,21 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 }
 
 // jobPrep prepares the operand blocks one job ships inline: each distinct
-// block is planned, encoded and (when cacheable) digested exactly once, and
-// the record is shared by every column that replicates the block — the same
-// block pointer appears in Q or P columns, the replication Eq. (4) counts.
-// The record's size feeds the job meter, its digest the worker cache
-// references, and blockSender frames every send from it.
+// block is planned, encoded and (when cacheable) given its cache key exactly
+// once — a SHA-256 digest or a fresh key (blockKeys), either bound to one
+// content — and the record is shared by every column that replicates the
+// block: the same block pointer appears in Q or P columns, the replication
+// Eq. (4) counts, so the replicas share one key. The record's size feeds the
+// job meter, its key the worker cache references, and blockSender frames
+// every send from it.
 // Push prepares every call as it dispatches; pull only the calls that
 // downgrade, when they do — a failure-free pull prepares nothing. Records
 // live until the multiply returns — retries resend from them; a record holds
 // the block's index structure, its values stay in the block's own storage.
 type jobPrep struct {
 	d *Driver
-	// epoch scopes the job's digest references; 0 with the block cache off,
-	// when no block is digested either.
+	// epoch stamps the job's cache inserts and references; 0 with the block
+	// cache off, when no block is keyed either.
 	epoch uint64
 	// mu guards recs: downgrades prepare from the column goroutines.
 	mu   sync.Mutex
@@ -511,12 +513,13 @@ func (jp *jobPrep) prepare(args *multiplyArgs) error {
 				if p, err = codec.Prepare(rec.Block); err != nil {
 					return fmt.Errorf("distnet: block %v: %w", rec.Key, err)
 				}
-				// Blocks below the cacheable threshold stay digestless and
+				n := jp.d.rec.Net.Live()
+				// Blocks below the cacheable threshold stay keyless and
 				// always ship inline.
-				if !jp.d.opts.DisableBlockCache && p.Size() >= minCacheableBytes {
-					p.Hash()
+				if !jp.d.opts.DisableBlockCache && p.Size() >= minCacheableBytes && jp.d.keys.assign(jp.epoch, p) {
+					atomic.AddInt64(&n.BlocksHashed, 1)
 				}
-				atomic.AddInt64(&jp.d.rec.Net.Live().BlocksPrepared, 1)
+				atomic.AddInt64(&n.BlocksPrepared, 1)
 				jp.recs[rec.Block] = p
 			}
 			rec.prep = p

@@ -78,11 +78,11 @@ type member struct {
 	// mid-multiply pick up queued cuboids immediately.
 	slots chan struct{}
 
-	// tracker remembers which block digests this worker has received in
-	// the current job epoch (the driver side of the content-addressed
-	// block cache). It survives reconnects on purpose: a restarted worker
-	// refuses stale references with the unknown-digest error and the
-	// tracker is forgotten then.
+	// tracker remembers which block keys this worker has received within
+	// the epoch window (the driver side of the worker's block cache). It
+	// survives reconnects on purpose: a restarted worker refuses stale
+	// references with the unknown-digest error and the tracker is
+	// forgotten then.
 	tracker sendTracker
 
 	// Health-plane signals. Atomics so ClusterHealth and the autoscaler

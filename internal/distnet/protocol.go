@@ -135,7 +135,7 @@ type multiplyReply struct {
 	CBlocks []blockRec
 
 	// Pull-resolution accounting, folded into the driver's NetStats:
-	// manifest entries satisfied by the content-addressed cache, peer
+	// manifest entries satisfied by the block cache, peer
 	// fetches issued, and peer bytes moved. Zero on push replies.
 	pullHits, pullFetches, pullPeerBytes int64
 }

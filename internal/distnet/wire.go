@@ -25,62 +25,73 @@ const (
 	blockRef         = 2 // digest only; worker resolves from cache
 )
 
-// minCacheableBytes keeps tiny blocks out of the digest machinery — a
-// 32-byte digest plus tracking buys nothing under this size.
+// minCacheableBytes keeps tiny blocks out of the cache machinery — a
+// 32-byte key plus tracking buys nothing under this size.
 const minCacheableBytes = 256
 
-// sendTracker remembers which block digests a member has already received
+// epochSet is a set of keys, each kept with the newest epoch that touched
+// it, aged as blockCache ages its entries: a key goes once the newest epoch
+// seen is more than DefaultCacheEpochWindow past its own. A touch refreshes
+// a key to the toucher's epoch, never to the newest seen — as
+// blockCache.lookup refreshes a hit — or the driver would outlive the
+// worker's entry when jobs run concurrently. The zero value is empty.
+type epochSet[K comparable] struct {
+	epoch uint64 // newest epoch observed
+	last  map[K]uint64
+}
+
+// touch reports whether k is in the set, and marks it at epoch.
+func (s *epochSet[K]) touch(epoch uint64, k K) bool {
+	if s.last == nil {
+		s.last = map[K]uint64{}
+	}
+	if epoch > s.epoch {
+		s.epoch = epoch
+		if epoch > DefaultCacheEpochWindow {
+			floor := epoch - DefaultCacheEpochWindow
+			for key, e := range s.last {
+				if e < floor {
+					delete(s.last, key)
+				}
+			}
+		}
+	}
+	last, ok := s.last[k]
+	s.last[k] = max(last, epoch)
+	return ok
+}
+
+// sendTracker remembers which block keys a member has already received
 // recently, so the driver can replace repeats with references. Marking
 // happens at encode time ("commit at send"): requests on one connection are
 // framed, written and read in order, so a later request's reference can only
-// be decoded after the earlier inline copy was. Entries age out when their
-// last-sent epoch falls more than DefaultCacheEpochWindow behind the newest
-// epoch seen — the window blockCache expires by, so the driver stops
-// assuming residency when the worker drops the block.
-// Concurrent jobs carry distinct epochs; tracking per digest (not per
-// epoch) lets them share dedup state. The tracker is deliberately NOT
+// be decoded after the earlier inline copy was. Entries age out by the
+// window blockCache expires by (epochSet), so the driver stops assuming
+// residency when the worker drops the block.
+// Concurrent jobs carry distinct epochs; tracking per key (not per epoch)
+// lets them share dedup state. The tracker is deliberately NOT
 // cleared on reconnect — a restarted worker answers the first stale
 // reference with the unknown-digest error, runJob calls forget(), and the
 // retry ships the blocks inline. A too-optimistic guess always degrades to
 // that same clean resend path.
 type sendTracker struct {
-	mu    sync.Mutex
-	epoch uint64 // newest epoch observed
-	sent  map[codec.Digest]uint64
+	mu   sync.Mutex
+	sent epochSet[codec.Digest]
 }
 
 // seen reports whether dg was already sent within the lifecycle window,
-// marking it sent at this epoch otherwise.
+// marking it sent at this epoch either way.
 func (t *sendTracker) seen(epoch uint64, dg codec.Digest) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.sent == nil {
-		t.sent = map[codec.Digest]uint64{}
-	}
-	if epoch > t.epoch {
-		t.epoch = epoch
-		if t.epoch > DefaultCacheEpochWindow {
-			floor := t.epoch - DefaultCacheEpochWindow
-			for d, e := range t.sent {
-				if e < floor {
-					delete(t.sent, d)
-				}
-			}
-		}
-	}
-	if _, ok := t.sent[dg]; ok {
-		t.sent[dg] = t.epoch // refresh: worker-side hit refreshes too
-		return true
-	}
-	t.sent[dg] = epoch
-	return false
+	return t.sent.touch(epoch, dg)
 }
 
 // forget drops everything the driver believed this worker had (after an
 // unknown-digest refusal or any other evidence the cache is gone).
 func (t *sendTracker) forget() {
 	t.mu.Lock()
-	t.sent = nil
+	t.sent.last = nil
 	t.mu.Unlock()
 }
 

@@ -937,7 +937,7 @@ func TestSendTrackerConcurrentEpochs(t *testing.T) {
 	var dg codec.Digest
 	dg[0] = 0xAB
 	tr.forget()
-	base := tr.epoch + 1
+	base := tr.sent.epoch + 1
 	if tr.seen(base, dg) {
 		t.Fatal("fresh digest reported as already sent")
 	}

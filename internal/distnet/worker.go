@@ -35,7 +35,7 @@ type Worker struct {
 	listener   net.Listener
 	conns      *codec.Listener // answers the connections listener accepts
 
-	// cache is the content-addressed block store shared by every
+	// cache is the keyed block store shared by every
 	// connection this worker serves; nil disables caching (references
 	// then miss and the driver resends inline).
 	cache *blockCache
@@ -277,8 +277,8 @@ func (w *Worker) Wait() {
 
 // WorkerOptions tunes a served worker. The zero value gives defaults.
 type WorkerOptions struct {
-	// CacheBytes bounds the content-addressed block cache: 0 takes
-	// DefaultCacheBytes, negative disables caching (every digest reference
+	// CacheBytes bounds the block cache: 0 takes
+	// DefaultCacheBytes, negative disables caching (every key reference
 	// then misses and the driver falls back to inline sends).
 	CacheBytes int64
 	// StoreBytes bounds the handle store's unpinned residency: 0 takes

@@ -135,6 +135,10 @@ type NetStats struct {
 	// one per distinct operand block per job, however many cuboids
 	// replicate the block.
 	BlocksPrepared int64 `json:"blocks_prepared"`
+	// BlocksHashed counts the prepared records keyed by their SHA-256 digest:
+	// those under 4 KiB, and larger ones whose content may repeat a block
+	// sent in the epoch window. Every other cacheable record gets a fresh key.
+	BlocksHashed int64 `json:"blocks_hashed"`
 	// BatchItems is always 0: cuboids are dispatched one per call, and the
 	// field stays only because the repository benchmark reads it.
 	BatchItems int64 `json:"batch_items"`
@@ -197,13 +201,14 @@ func (n NetStats) Sub(o NetStats) NetStats { return Sub(n, o) }
 
 // String renders the network-elasticity counters compactly.
 func (n NetStats) String() string {
-	return fmt.Sprintf("heartbeats=%d/%d rtt(avg=%v max=%v) reconnects=%d churn=+%d/-%d dead=%d timeouts=%d retries=%d local=%d wire(enc=%s dec=%s) cache(refs=%d misses=%d saved=%s) pipeline(puts=%d/%s ops=%d fetches=%d/%s resident=%s avoided=%s recoveries=%d)",
+	return fmt.Sprintf("heartbeats=%d/%d rtt(avg=%v max=%v) reconnects=%d churn=+%d/-%d dead=%d timeouts=%d retries=%d local=%d wire(enc=%s dec=%s) cache(refs=%d misses=%d saved=%s prepared=%d hashed=%d) pipeline(puts=%d/%s ops=%d fetches=%d/%s resident=%s avoided=%s recoveries=%d)",
 		n.HeartbeatsSent-n.HeartbeatMisses, n.HeartbeatsSent,
 		n.HeartbeatRTTAvg(), n.HeartbeatRTTMax,
 		n.Reconnects, n.WorkersJoined, n.WorkersLeft, n.WorkersDeclaredDead,
 		n.DeadlineTimeouts, n.CuboidRetries, n.LocalFallbacks,
 		FormatBytes(n.WireEncodeBytes), FormatBytes(n.WireDecodeBytes),
 		n.CacheRefsSent, n.CacheRefMisses, FormatBytes(n.CacheBytesSaved),
+		n.BlocksPrepared, n.BlocksHashed,
 		n.PipelinePuts, FormatBytes(n.PipelinePutBytes), n.PipelineOps,
 		n.PipelineFetches, FormatBytes(n.PipelineFetchBytes),
 		FormatBytes(n.ResidentBytes), FormatBytes(n.DriverBytesAvoided),
