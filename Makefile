@@ -39,9 +39,12 @@ fuzz-smoke:
 # tree, tests included — an import of it fails here with its file:line.
 # internal/distnet sits below the engine and the queries: its non-test
 # dependencies must not reach internal/engine or internal/ml, or the engine
-# could never run on the TCP executor without an import cycle.
+# could never run on the TCP executor without an import cycle. Every Go file
+# outside the build directories must be as gofmt prints it; the files it
+# lists are the ones to format.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(find . -name '*.go' ! -path './.*' | xargs gofmt -l); if [ -n "$$unformatted" ]; then echo "$$unformatted" >&2; echo 'vet: the files above are not gofmt-formatted' >&2; exit 1; fi
 	@if grep -rn --include='*.go' '"net/rpc"' .; then echo 'vet: net/rpc imported above; use internal/codec calls' >&2; exit 1; fi
 	@if $(GO) list -deps ./internal/distnet | grep -xE 'distme/internal/(engine|ml)'; then echo 'vet: internal/distnet depends on the package above; it must not import internal/engine or internal/ml' >&2; exit 1; fi
 

@@ -21,10 +21,15 @@ import (
 // A Client frames and writes requests under one lock and matches replies to
 // their callers by seq on one read loop, so any number of goroutines share a
 // connection. Serve decodes requests in arrival order on its read loop, runs
-// them concurrently and writes the replies under one lock. A body that fails
-// to decode fails only its own call — the rest of its frame is drained — and
-// each socket's ErrorTable carries its typed errors across as codes, so
-// errors.Is works on the far side without reading the message.
+// them concurrently and writes the replies under one lock. Both stream a
+// large frame in chunks while they encode it, under that lock, so frames
+// never interleave. A body that fails to decode fails only its own call —
+// the rest of its frame is drained — and each socket's ErrorTable carries
+// its typed errors across as codes, so errors.Is works on the far side
+// without reading the message. A frame whose sender failed after part of it
+// had left ends with the abort marker: a request so ended is never run, and
+// a reply so ended is followed by the error it failed with, in a frame of
+// its own.
 
 // CodeOK answers a call that succeeded; CodeOther one that failed with an
 // error outside the socket's table, which crosses as its message alone.
@@ -169,7 +174,8 @@ func NewClient(conn io.ReadWriteCloser, errs ErrorTable) *Client {
 // ctx's error once ctx ends first (a reply that arrives later is drained);
 // or with the transport's error, which ends the connection and every call on
 // it. A request that cannot be framed — appendArgs fails, or
-// ErrFrameTooLarge — is refused before a byte of it is written.
+// ErrFrameTooLarge — fails with that error: the server never runs it, and the
+// connection carries on.
 func (c *Client) Call(ctx context.Context, method byte, appendArgs func(*FrameWriter) error, decodeReply func(*FrameReader) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -187,17 +193,16 @@ func (c *Client) Call(ctx context.Context, method byte, appendArgs func(*FrameWr
 
 	c.wmu.Lock()
 	w := BeginFrame()
+	w.conn = c.conn
 	w.Uvarint(seq)
 	w.Byte(method)
 	var err error
 	if appendArgs != nil {
 		err = appendArgs(&w)
 	}
-	if err == nil {
-		// A failed write may have left part of the frame on the wire.
-		if err = w.Flush(c.conn); err != nil && !errors.Is(err, ErrFrameTooLarge) {
-			c.fail(err)
-		}
+	broken, err := w.finish(err)
+	if broken {
+		c.fail(err) // a failed write may have left part of the frame on the wire
 	}
 	w.Release()
 	c.wmu.Unlock()
@@ -237,7 +242,7 @@ func (c *Client) readLoop() {
 // not parse ends the connection; a body that does not parse fails its call.
 func (c *Client) readReply() error {
 	fr := c.fr
-	if _, err := fr.Next(); err != nil {
+	if err := fr.Next(); err != nil {
 		return err
 	}
 	seq, err := fr.Uvarint()
@@ -258,8 +263,21 @@ func (c *Client) readReply() error {
 	} else if _, callErr = fr.Str(); callErr == nil && pc.decode != nil {
 		callErr = pc.decode(fr)
 	}
+	err = fr.Drain()
+	if fr.aborted {
+		// The server failed the reply after part of it had left; its error
+		// follows under the same seq, unless the connection has ended.
+		c.mu.Lock()
+		if callErr = c.err; callErr == nil {
+			c.pending[seq] = pc
+		}
+		c.mu.Unlock()
+		if callErr == nil {
+			return err
+		}
+	}
 	pc.done <- callErr
-	return fr.Drain()
+	return err
 }
 
 // fail ends the connection: every pending call, and every later one, fails
@@ -329,7 +347,7 @@ func Method[A, R any](decode func(*FrameReader, *A) error, run func(*A, *R) erro
 // when the peer hung up between frames.
 func Serve(conn io.ReadWriter, handlers []Handler, errs ErrorTable) error {
 	fr := NewFrameReader(conn)
-	var wmu sync.Mutex // one reply at a time, framed and written whole
+	var wmu sync.Mutex // one reply at a time, all its chunks together
 	var running sync.WaitGroup
 	defer running.Wait()
 	answer := func(seq uint64, reply func(*FrameWriter) error, err error) {
@@ -339,7 +357,7 @@ func Serve(conn io.ReadWriter, handlers []Handler, errs ErrorTable) error {
 		_ = writeResponse(conn, errs, seq, reply, err)
 	}
 	for {
-		if _, err := fr.Next(); err != nil {
+		if err := fr.Next(); err != nil {
 			return err
 		}
 		seq, err := fr.Uvarint()
@@ -359,6 +377,9 @@ func Serve(conn io.ReadWriter, handlers []Handler, errs ErrorTable) error {
 		if derr := fr.Drain(); derr != nil {
 			return derr
 		}
+		if fr.aborted {
+			continue // the caller has failed it already
+		}
 		if err != nil {
 			answer(seq, nil, err)
 			continue
@@ -372,23 +393,24 @@ func Serve(conn io.ReadWriter, handlers []Handler, errs ErrorTable) error {
 	}
 }
 
-// writeResponse frames one response. A reply that cannot be framed (reply
-// fails, or the frame would pass MaxFrameBytes) is answered as that error
-// instead, so the caller fails now rather than at its deadline.
+// writeResponse frames one response, streaming it. A reply that cannot be
+// framed (reply fails, or the frame would pass MaxFrameBytes) is answered as
+// that error instead — after the abort marker, if part of it has left — so
+// the caller fails now rather than at its deadline.
 func writeResponse(conn io.Writer, errs ErrorTable, seq uint64, reply func(*FrameWriter) error, err error) error {
 	w := BeginFrame()
 	defer w.Release()
 	if err == nil {
+		w.conn = conn
 		w.Uvarint(seq)
 		w.Byte(CodeOK)
 		w.Str("")
 		if reply != nil {
 			err = reply(&w)
 		}
-		if err == nil {
-			if err = w.Flush(conn); !errors.Is(err, ErrFrameTooLarge) {
-				return err
-			}
+		var broken bool
+		if broken, err = w.finish(err); err == nil || broken {
+			return err
 		}
 		w.Reset()
 	}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -205,7 +207,7 @@ func TestReplyTooLargeIsAnswered(t *testing.T) {
 	big := make([]byte, 64<<10)
 	huge := func(w *FrameWriter) error {
 		for i := 0; i < MaxFrameBytes/len(big)+1; i++ {
-			w.cuts = append(w.cuts, frameCut{arenaEnd: len(w.arena), ext: big})
+			w.tail(big) // no record ends, so nothing streams
 		}
 		return nil
 	}
@@ -221,6 +223,62 @@ func TestReplyTooLargeIsAnswered(t *testing.T) {
 	}
 	if err := c.Call(context.Background(), 0, nil, nil); !errors.As(err, &re) {
 		t.Fatalf("call after the refused request: %v", err)
+	}
+}
+
+// TestAbortedFramesFailWithSendersError: a request whose encoding fails
+// after a chunk has left fails with the encoder's error and is never run; a
+// reply that fails the same way reaches its caller as the server's coded
+// answer, not as a torn body. The connection carries on after either.
+func TestAbortedFramesFailWithSendersError(t *testing.T) {
+	big := randDense(rand.New(rand.NewSource(17)), 200, 200) // 320 KB: one chunk
+	var runs atomic.Int32
+	readBig := func(r *FrameReader, v *uint64) error {
+		if _, _, err := r.ReadBlock(); err != nil {
+			return err
+		}
+		return echo(r, v)
+	}
+	c := pipeClient(t, []Handler{
+		Method(readBig, func(v, out *uint64) error {
+			runs.Add(1)
+			*out = *v
+			return nil
+		}, putUvarint),
+		Method(nil, func(_, _ *struct{}) error { return nil }, func(w *FrameWriter, _ *struct{}) error {
+			if _, err := w.AppendBlock(big); err != nil {
+				return err
+			}
+			return fmt.Errorf("reply: %w", errTest)
+		}),
+	})
+	appendBig := func(fail bool) func(*FrameWriter) error {
+		return func(w *FrameWriter) error {
+			if _, err := w.AppendBlock(big); err != nil {
+				return err
+			}
+			if fail {
+				return errTest
+			}
+			w.Uvarint(5)
+			return nil
+		}
+	}
+	for round := 0; round < 2; round++ {
+		if err := c.Call(context.Background(), 0, appendBig(true), nil); err != errTest {
+			t.Fatalf("aborted request: %v, want the encoder's error", err)
+		}
+		var re *RemoteError
+		if err := c.Call(context.Background(), 1, nil, nil); !errors.As(err, &re) || !errors.Is(err, errTest) {
+			t.Fatalf("aborted reply: %v, want the server's coded answer", err)
+		}
+		var got uint64
+		if err := c.Call(context.Background(), 0, appendBig(false), Reads(echo, &got)); err != nil || got != 5 {
+			t.Fatalf("call after the aborted frames: %d, %v", got, err)
+		}
+	}
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("handler ran %d times, want 2: an aborted request must not run", n)
 	}
 }
 

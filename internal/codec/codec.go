@@ -19,8 +19,9 @@
 // surfacing as ErrBadFormat — never a panic.
 //
 // The package also owns the one frame layer both sockets speak (frame.go):
-// length-prefixed frames written scatter-gather from the blocks' own storage
-// and decoded streaming, value tails read straight into their final slices.
+// frames of length-prefixed chunks written scatter-gather from the blocks'
+// own storage while they are encoded and decoded streaming, value tails read
+// straight into their final slices.
 // Every decoder is written once against blockSource, which a byte slice
 // (Decode) and a FrameReader (ReadBlock) both feed.
 package codec
@@ -455,53 +456,53 @@ func decodeDeltaHeader(src blockSource) (major, minor, nnz int, err error) {
 	return major, minor, nnz, checkSparseDims(major, minor, nnz)
 }
 
-// uvarintAt decodes the uvarint at b[off:], which must not start past the
-// end of b. The one-byte case — every count and almost every gap of a sparse
-// block — is answered without the call.
-func uvarintAt(b []byte, off int) (uint64, int) {
-	if off < len(b) && b[off] < 0x80 {
-		return uint64(b[off]), 1
-	}
-	return binary.Uvarint(b[off:])
-}
-
 // decodeDeltaIndex parses major lines of (entry count, first index, gaps)
 // from the head of rest and returns the pointer and index arrays plus the
-// bytes consumed.
+// bytes consumed. The one-byte varint — every count and almost every gap of
+// a sparse block — is read in line; binary.Uvarint takes the rest.
 func decodeDeltaIndex(rest []byte, major, minor, nnz int) (ptr, idx []int, used int, err error) {
-	ptr = make([]int, major+1)
-	idx = make([]int, nnz)
+	both := make([]int, major+1+nnz)
+	ptr, idx = both[:major+1:major+1], both[major+1:]
 	off, filled := 0, 0
 	for i := 0; i < major; i++ {
-		cnt, n := uvarintAt(rest, off)
-		if n <= 0 {
-			return nil, nil, 0, fmt.Errorf("%w: truncated entry count", ErrBadFormat)
+		var cnt uint64
+		if off < len(rest) && rest[off] < 0x80 {
+			cnt = uint64(rest[off])
+			off++
+		} else {
+			var n int
+			if cnt, n = binary.Uvarint(rest[off:]); n <= 0 {
+				return nil, nil, 0, fmt.Errorf("%w: truncated entry count", ErrBadFormat)
+			}
+			off += n
 		}
-		off += n
 		if cnt > uint64(nnz-filled) {
 			return nil, nil, 0, fmt.Errorf("%w: entry counts exceed nnz", ErrBadFormat)
 		}
-		prev := -1
+		c := -1 // the line's last index; none yet
 		for end := filled + int(cnt); filled < end; filled++ {
-			gap, n := uvarintAt(rest, off)
-			if n <= 0 {
-				return nil, nil, 0, fmt.Errorf("%w: truncated index stream", ErrBadFormat)
-			}
-			off += n
-			var c int
-			if prev < 0 {
-				c = int(gap)
+			var gap uint64
+			if off < len(rest) && rest[off] < 0x80 {
+				gap = uint64(rest[off])
+				off++
 			} else {
-				if gap == 0 {
-					return nil, nil, 0, fmt.Errorf("%w: zero index gap", ErrBadFormat)
+				var n int
+				if gap, n = binary.Uvarint(rest[off:]); n <= 0 {
+					return nil, nil, 0, fmt.Errorf("%w: truncated index stream", ErrBadFormat)
 				}
-				c = prev + int(gap)
+				off += n
 			}
-			if c < 0 || c >= minor {
+			// A gap of minor or more leaves the line whatever its start,
+			// and is refused before the add so it cannot wrap around.
+			if c >= 0 && gap == 0 || gap >= uint64(minor) {
+				return nil, nil, 0, fmt.Errorf("%w: index gap %d after %d in %d", ErrBadFormat, gap, c, minor)
+			}
+			if c < 0 {
+				c = int(gap)
+			} else if c += int(gap); c >= minor {
 				return nil, nil, 0, fmt.Errorf("%w: index %d outside %d", ErrBadFormat, c, minor)
 			}
 			idx[filled] = c
-			prev = c
 		}
 		ptr[i+1] = filled
 	}

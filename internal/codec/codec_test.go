@@ -207,6 +207,11 @@ func TestWirePicksCompactForm(t *testing.T) {
 func TestDecodeHostileInput(t *testing.T) {
 	huge := binary.LittleEndian.AppendUint64(nil, 1<<40)
 	huge = binary.LittleEndian.AppendUint64(huge, 4)
+	// A 1×8 delta block whose line holds index 5, then a gap of 2⁶⁴−3: as
+	// an int that gap is −3, which would land on index 2 — backwards.
+	wrapped := []byte{1, 8, 2, 2, 5}
+	wrapped = binary.AppendUvarint(wrapped, 1<<64-3)
+	wrapped = append(wrapped, make([]byte, 16)...)
 	cases := []struct {
 		name    string
 		tag     uint8
@@ -221,6 +226,8 @@ func TestDecodeHostileInput(t *testing.T) {
 		{"delta empty", TagCSRDelta, nil},
 		{"delta truncated counts", TagCSRDelta, []byte{4, 4, 2}},
 		{"delta nnz lie", TagCSCDelta, []byte{2, 2, 200, 1, 0}},
+		{"delta gap wraps backwards", TagCSRDelta, wrapped},
+		{"delta gap past the line", TagCSRDelta, append([]byte{1, 8, 2, 2, 0, 8}, make([]byte, 16)...)},
 	}
 	for _, c := range cases {
 		if _, err := Decode(c.tag, c.payload); err == nil {

@@ -16,20 +16,44 @@ import (
 )
 
 // The frame layer under both sockets (driver↔worker in internal/distnet,
-// client↔distme-serve in internal/serve). One message is one frame: a 4-byte
-// little-endian length, then that many bytes. A FrameWriter assembles it
-// scatter-gather style — header and structural bytes accumulate in a pooled
-// arena while large block-value payloads stay in the blocks' own storage and
-// go out as extra writev segments. A FrameReader parses it streaming under a
-// remaining-bytes counter taken from the length prefix — structural bytes
-// through a small scratch buffer, raw float64 tails read from the socket
-// straight into the slice the decoded block keeps. A matrix payload
-// therefore crosses user space once per socket hop in each direction.
+// client↔distme-serve in internal/serve). One message is one frame, sent as
+// one or more chunks: each chunk is a 4-byte little-endian prefix, then that
+// many bytes. Bit 31 of the prefix set means more chunks of the frame follow
+// and the low 31 bits are this chunk's length; clear, the prefix is the last
+// chunk's length, so a frame of one chunk is a plain length-prefixed frame.
+// The prefix with bit 31 alone set (a non-final chunk of no bytes) is the
+// abort marker: the sender failed after part of the frame had left, and the
+// frame ends there.
+//
+// A FrameWriter assembles a chunk scatter-gather style — header and
+// structural bytes accumulate in a pooled arena while large block-value
+// payloads stay in the blocks' own storage and go out as extra writev
+// segments. Given its connection by the call layer, it ships what it holds as
+// a non-final chunk at the first record boundary past chunkBytes, so the far
+// side decodes the first blocks while the last are still being encoded. A
+// FrameReader parses a frame streaming, crossing chunk boundaries inside its
+// reads — structural bytes through a small scratch buffer, raw float64 tails
+// read from the socket straight into the slice the decoded block keeps. A
+// matrix payload therefore crosses user space once per socket hop in each
+// direction.
 
-// MaxFrameBytes bounds one frame. The writer refuses to emit a larger one
-// (ErrFrameTooLarge) and the reader refuses a length prefix above it, so
-// the 4-byte prefix can neither wrap nor promise more than this.
+// MaxFrameBytes bounds one frame, all its chunks together. The writer
+// refuses to emit a larger one (ErrFrameTooLarge) and the reader refuses the
+// chunk that would take a frame past it.
 const MaxFrameBytes = 1<<31 - 1
+
+// chunkBytes is where a frame streamed to its connection is cut: at the
+// first record boundary once this many bytes are pending, they leave as a
+// non-final chunk. A frame that never reaches it is sent whole, byte-identical
+// to an unchunked one.
+const chunkBytes = 256 << 10
+
+// chunkMore is bit 31 of a chunk prefix: more chunks of the frame follow.
+const chunkMore = 1 << 31
+
+// abortPrefix ends a frame whose sender failed after a chunk had left: a
+// non-final chunk of no bytes, which a writer sends for nothing else.
+const abortPrefix = chunkMore
 
 // minZeroCopyTail is the smallest value payload worth a separate writev
 // segment; below it the extra segment costs more than the copy it saves,
@@ -41,14 +65,20 @@ const minZeroCopyTail = 4096
 const readStep = 1 << 20
 
 // ErrFrameTooLarge reports a message that does not fit one frame. It is an
-// encode-side refusal: nothing was written, the connection is still good,
-// and retrying the same message elsewhere cannot help.
+// encode-side refusal: the frame never completes — nothing was written, or
+// the abort marker ended what had left — the connection is still good, and
+// retrying the same message elsewhere cannot help.
 var ErrFrameTooLarge = errors.New("codec: message exceeds the wire frame bound")
 
 // ErrBadFrame reports a frame whose structure is corrupt, truncated or
 // implausible. Block payload failures inside a frame match both ErrBadFrame
 // and ErrBadFormat.
 var ErrBadFrame = errors.New("codec: malformed wire frame")
+
+// ErrFrameAborted is what a read past the abort marker returns: the sender
+// gave the frame up part-way. It matches ErrBadFrame; Drain ends the frame
+// cleanly, so the stream stays in step.
+var ErrFrameAborted = fmt.Errorf("%w: the sender aborted the frame", ErrBadFrame)
 
 // ErrChecksum reports a checksummed block record whose CRC32 does not match
 // its payload.
@@ -61,14 +91,23 @@ type BuffersWriter interface {
 	WriteBuffers(bufs *net.Buffers) (int64, error)
 }
 
-// FrameWriter assembles one length-prefixed frame as a pooled arena of
-// header and structural bytes plus zero-copy cuts into block value storage.
-// Flush ships the segments with net.Buffers, patching the 4-byte length
-// prefix first; a frame with no cuts goes out with one plain Write, so the
-// byte stream is identical either way.
+// FrameWriter assembles one frame as a pooled arena of header and
+// structural bytes plus zero-copy cuts into block value storage. Flush ships
+// the segments with net.Buffers as the frame's last chunk, patching the
+// 4-byte prefix first; a frame with no cuts goes out with one plain Write,
+// so the byte stream is identical either way. Given its connection by the
+// call layer, the writer ships what it holds as a non-final chunk at each
+// record boundary past chunkBytes.
 type FrameWriter struct {
-	arena []byte // pooled; begins with the 4-byte length placeholder
+	arena []byte // pooled; begins with the 4-byte prefix placeholder
 	cuts  []frameCut
+	tails int64 // bytes of the cuts
+
+	// conn, set by the call layer, is where the frame streams: non-final
+	// chunks leave at record boundaries (recordEnd) and finish ends it.
+	conn io.Writer
+	sent int64 // bytes of the non-final chunks already written
+	err  error // why streaming stopped: ErrFrameTooLarge, or a failed write
 }
 
 // frameCut splices a zero-copy segment into the frame: arena bytes up to
@@ -86,10 +125,10 @@ func BeginFrame() FrameWriter {
 // Release recycles the arena. The frame must not be used afterwards.
 func (w *FrameWriter) Release() { PutBuffer(w.arena) }
 
-// Reset empties the frame for reuse, keeping the arena.
+// Reset empties the frame for reuse, keeping the arena; the frame no longer
+// streams.
 func (w *FrameWriter) Reset() {
-	w.arena = w.arena[:4]
-	w.cuts = w.cuts[:0]
+	*w = FrameWriter{arena: w.arena[:4], cuts: w.cuts[:0]}
 }
 
 // Uvarint appends one unsigned varint.
@@ -122,15 +161,12 @@ func (w *FrameWriter) Bool(b bool) {
 // Manifest appends a placement manifest.
 func (w *FrameWriter) Manifest(m *Manifest) { w.arena = AppendManifest(w.arena, m) }
 
-// Size is the frame length the prefix will carry: every byte after the
-// 4-byte placeholder, including the zero-copy segments.
-func (w *FrameWriter) Size() int64 {
-	n := int64(len(w.arena) - 4)
-	for _, c := range w.cuts {
-		n += int64(len(c.ext))
-	}
-	return n
-}
+// Size is the frame's length so far: the chunks already sent plus every
+// byte pending after the 4-byte placeholder, zero-copy segments included.
+func (w *FrameWriter) Size() int64 { return w.sent + w.pending() }
+
+// pending is the length of the chunk the writer holds.
+func (w *FrameWriter) pending() int64 { return int64(len(w.arena)-4) + w.tails }
 
 // tail appends a block's value bytes: folded into the arena when small,
 // spliced in as a zero-copy cut otherwise.
@@ -141,6 +177,7 @@ func (w *FrameWriter) tail(t []byte) {
 		w.arena = append(w.arena, t...)
 	default:
 		w.cuts = append(w.cuts, frameCut{arenaEnd: len(w.arena), ext: t})
+		w.tails += int64(len(t))
 	}
 }
 
@@ -148,6 +185,12 @@ func (w *FrameWriter) tail(t []byte) {
 // payload — keeping a large raw-value tail as a zero-copy cut, and returns
 // the payload size.
 func (w *FrameWriter) AppendBlock(b matrix.Block) (int64, error) {
+	n, err := w.appendBlock(b)
+	w.recordEnd()
+	return n, err
+}
+
+func (w *FrameWriter) appendBlock(b matrix.Block) (int64, error) {
 	tagPos := len(w.arena)
 	w.arena = append(w.arena, 0, 0, 0, 0, 0) // tag + length placeholder
 	out, tag, tail, err := AppendWireSG(w.arena, b, EncodingFP64)
@@ -171,13 +214,14 @@ func (w *FrameWriter) AppendPrepared(p *Prepared) {
 	w.arena = binary.LittleEndian.AppendUint32(w.arena, uint32(p.Size()))
 	w.arena = append(w.arena, p.Head...)
 	w.tail(p.Tail)
+	w.recordEnd()
 }
 
 // AppendBlockCRC is AppendBlock followed by the IEEE CRC32 of the payload,
 // computed over the bytes where they lie (arena and block storage).
 func (w *FrameWriter) AppendBlockCRC(b matrix.Block) error {
 	start, ncuts := len(w.arena)+5, len(w.cuts)
-	if _, err := w.AppendBlock(b); err != nil {
+	if _, err := w.appendBlock(b); err != nil {
 		return err
 	}
 	crc := crc32.ChecksumIEEE(w.arena[start:])
@@ -185,18 +229,70 @@ func (w *FrameWriter) AppendBlockCRC(b matrix.Block) error {
 		crc = crc32.Update(crc, crc32.IEEETable, w.cuts[ncuts].ext)
 	}
 	w.arena = binary.LittleEndian.AppendUint32(w.arena, crc)
+	w.recordEnd()
 	return nil
 }
 
-// Flush patches the length prefix and writes the frame, or refuses with
-// ErrFrameTooLarge before a byte moves. Zero-copy segments alias block
-// storage, so the blocks must stay live until Flush returns.
-func (w *FrameWriter) Flush(conn io.Writer) error {
-	size := w.Size()
-	if size > MaxFrameBytes {
-		return fmt.Errorf("%w: %d bytes, the bound is %d", ErrFrameTooLarge, size, int64(MaxFrameBytes))
+// recordEnd closes a block record. On a frame streaming to its connection,
+// once chunkBytes are pending they leave as a non-final chunk; a failure
+// stops the streaming and waits in err for finish.
+func (w *FrameWriter) recordEnd() {
+	if w.conn != nil && w.err == nil && w.pending() >= chunkBytes {
+		w.err = w.ship(w.conn, true)
 	}
-	binary.LittleEndian.PutUint32(w.arena[:4], uint32(size))
+}
+
+// Flush writes the frame as its last chunk, or refuses with ErrFrameTooLarge
+// before a byte moves. Zero-copy segments alias block storage, so the blocks
+// must stay live until Flush returns.
+func (w *FrameWriter) Flush(conn io.Writer) error { return w.ship(conn, false) }
+
+// finish ends a frame streamed to w.conn. With err nil the rest leaves as the
+// last chunk; otherwise — err, or a frame grown past MaxFrameBytes — a frame
+// part of which has left is ended by the abort marker. It reports whether
+// the connection is broken — a write failed, so the peer may hold part of a
+// frame — and the sender's error.
+func (w *FrameWriter) finish(err error) (broken bool, _ error) {
+	if w.err != nil && !errors.Is(w.err, ErrFrameTooLarge) {
+		return true, w.err
+	}
+	if err == nil {
+		err = w.err
+	}
+	if err == nil {
+		if err = w.ship(w.conn, false); err == nil || !errors.Is(err, ErrFrameTooLarge) {
+			return err != nil, err
+		}
+	}
+	if w.sent > 0 {
+		if _, werr := w.conn.Write(binary.LittleEndian.AppendUint32(nil, abortPrefix)); werr != nil {
+			return true, werr
+		}
+	}
+	return false, err
+}
+
+// ship writes the pending bytes as one chunk — non-final when more is set —
+// and empties the frame for the next, or refuses with ErrFrameTooLarge
+// before a byte moves when the frame would pass MaxFrameBytes.
+func (w *FrameWriter) ship(conn io.Writer, more bool) error {
+	size := w.pending()
+	if w.sent+size > MaxFrameBytes {
+		return fmt.Errorf("%w: %d bytes, the bound is %d", ErrFrameTooLarge, w.sent+size, int64(MaxFrameBytes))
+	}
+	prefix := uint32(size)
+	if more {
+		prefix |= chunkMore
+	}
+	binary.LittleEndian.PutUint32(w.arena[:4], prefix)
+	err := w.write(conn)
+	w.sent += size
+	w.arena, w.cuts, w.tails = w.arena[:4], w.cuts[:0], 0
+	return err
+}
+
+// write sends the arena and its cuts in order.
+func (w *FrameWriter) write(conn io.Writer) error {
 	if len(w.cuts) == 0 {
 		_, err := conn.Write(w.arena)
 		return err
@@ -221,17 +317,24 @@ func (w *FrameWriter) Flush(conn io.Writer) error {
 	return err
 }
 
-// FrameReader parses length-prefixed frames from a stream. Every read is
-// checked against the bytes left in the current frame, so a body can never
-// run into the next frame, and Drain discards whatever a decoder left
-// unread, so a body that fails to decode never desynchronizes the stream.
+// FrameReader parses framed messages from a stream. Every read is checked
+// against what the frame can still hold, so a body can never run into the
+// next frame; reads cross chunk boundaries by themselves, reading the next
+// chunk's prefix once the current chunk is used up; and Drain discards
+// whatever a decoder left unread, so a body that fails to decode never
+// desynchronizes the stream.
 type FrameReader struct {
 	br      *bufio.Reader
-	rem     int64  // unread bytes of the current frame
+	rem     int64  // unread bytes of the current chunk
+	more    bool   // more chunks of the current frame follow this one
+	size    int64  // bytes of the current frame's chunks so far
+	aborted bool   // the current frame ended with the abort marker
+	fatal   error  // a chunk took a frame past MaxFrameBytes: the stream is lost
 	scratch []byte // structural bytes of the record being parsed
 	sum     bool   // fold every payload byte read into crc
 	crc     uint32
 	one     [1]byte // U8's byte, where the CRC can reach it without escaping
+	hdr     [4]byte // a chunk prefix
 	src     streamSource
 }
 
@@ -244,40 +347,86 @@ func NewFrameReader(r io.Reader) *FrameReader {
 }
 
 // Next discards what is left of the current frame and reads the next
-// frame's length prefix. The error is io.EOF only on a clean frame boundary.
-func (r *FrameReader) Next() (int64, error) {
+// frame's first chunk prefix. The error is io.EOF only on a clean frame
+// boundary.
+func (r *FrameReader) Next() error {
 	if err := r.Drain(); err != nil {
-		return 0, err
+		return err
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		return 0, err
-	}
-	n := int64(binary.LittleEndian.Uint32(hdr[:]))
-	if n > MaxFrameBytes {
-		return 0, fmt.Errorf("%w: frame of %d bytes", ErrBadFrame, n)
-	}
-	r.rem = n
-	return n, nil
+	r.size, r.aborted = 0, false
+	return r.chunk()
 }
 
-// Remaining is the number of unread bytes in the current frame.
-func (r *FrameReader) Remaining() int64 { return r.rem }
+// chunk reads a chunk prefix of the current frame.
+func (r *FrameReader) chunk() error {
+	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
+		return err
+	}
+	p := binary.LittleEndian.Uint32(r.hdr[:])
+	n := int64(p &^ chunkMore)
+	switch {
+	case p == abortPrefix:
+		r.more, r.aborted = false, true
+		return ErrFrameAborted
+	case r.size+n > MaxFrameBytes:
+		r.more = false
+		r.fatal = fmt.Errorf("%w: a chunk takes the frame to %d bytes", ErrBadFrame, r.size+n)
+		return r.fatal
+	}
+	r.more = p&chunkMore != 0
+	r.size += n
+	r.rem = n
+	return nil
+}
 
-// Drain discards the rest of the current frame.
+// nextChunk moves a read that wants n bytes onto the frame's next chunk once
+// the current one is used up, or reports the frame too short for it.
+func (r *FrameReader) nextChunk(n int64) error {
+	for r.rem == 0 {
+		if !r.more {
+			return r.truncated(n)
+		}
+		if err := r.chunk(); err != nil {
+			return unexpectedEOF(err)
+		}
+	}
+	return nil
+}
+
+// Offset is the number of frame bytes read so far, chunk prefixes excluded.
+func (r *FrameReader) Offset() int64 { return r.size - r.rem }
+
+// bound is the most the rest of the frame can hold: exactly what the last
+// chunk has left, or, while more chunks follow, what MaxFrameBytes allows.
+func (r *FrameReader) bound() int64 {
+	if r.more {
+		return MaxFrameBytes - r.Offset()
+	}
+	return r.rem
+}
+
+// Drain discards the rest of the current frame. A frame that ended with the
+// abort marker drains cleanly.
 func (r *FrameReader) Drain() error {
 	if cap(r.scratch) > maxPooledBuffer {
 		r.scratch = nil
 	}
 	r.sum = false
-	for r.rem > 0 {
-		n, err := r.br.Discard(int(r.rem))
-		r.rem -= int64(n)
-		if err != nil {
+	for {
+		for r.rem > 0 {
+			n, err := r.br.Discard(int(r.rem))
+			r.rem -= int64(n)
+			if err != nil {
+				return unexpectedEOF(err)
+			}
+		}
+		if !r.more {
+			return r.fatal
+		}
+		if err := r.chunk(); err != nil && !r.aborted {
 			return unexpectedEOF(err)
 		}
 	}
-	return nil
 }
 
 func unexpectedEOF(err error) error {
@@ -288,13 +437,13 @@ func unexpectedEOF(err error) error {
 }
 
 func (r *FrameReader) truncated(n int64) error {
-	return fmt.Errorf("%w: truncated field (%d bytes wanted, %d left)", ErrBadFrame, n, r.rem)
+	return fmt.Errorf("%w: truncated field (%d bytes wanted, %d left)", ErrBadFrame, n, r.bound())
 }
 
 // ReadFull reads exactly len(p) frame bytes into p.
 func (r *FrameReader) ReadFull(p []byte) error {
 	if int64(len(p)) > r.rem {
-		return r.truncated(int64(len(p)))
+		return r.readAcross(p)
 	}
 	n, err := io.ReadFull(r.br, p)
 	r.rem -= int64(n)
@@ -307,10 +456,30 @@ func (r *FrameReader) ReadFull(p []byte) error {
 	return nil
 }
 
+// readAcross is ReadFull for a read that runs past the current chunk.
+func (r *FrameReader) readAcross(p []byte) error {
+	if int64(len(p)) > r.bound() {
+		return r.truncated(int64(len(p)))
+	}
+	for int64(len(p)) > r.rem {
+		head := p[:r.rem]
+		if err := r.ReadFull(head); err != nil {
+			return err
+		}
+		p = p[len(head):]
+		if err := r.nextChunk(int64(len(p))); err != nil {
+			return err
+		}
+	}
+	return r.ReadFull(p)
+}
+
 // U8 reads one byte.
 func (r *FrameReader) U8() (byte, error) {
 	if r.rem < 1 {
-		return 0, r.truncated(1)
+		if err := r.nextChunk(1); err != nil {
+			return 0, err
+		}
 	}
 	b, err := r.br.ReadByte()
 	if err != nil {
@@ -378,15 +547,16 @@ func (r *FrameReader) Int() (int, error) {
 
 // Count reads an element count and rejects one the rest of the frame could
 // not hold at elemBytes (the least one element occupies) apiece. The bound
-// is the bytes the frame's prefix promises, not the bytes that have arrived,
-// so the count must never size an allocation: loop over it, or use ReadSlice.
+// is the bytes the frame's prefixes promise, not the bytes that have
+// arrived, so the count must never size an allocation: loop over it, or use
+// ReadSlice.
 func (r *FrameReader) Count(what string, elemBytes int64) (int, error) {
 	n, err := r.Uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if n > uint64(r.rem/elemBytes) {
-		return 0, fmt.Errorf("%w: %d %s in %d bytes", ErrBadFrame, n, what, r.rem)
+	if left := r.bound(); n > uint64(left/elemBytes) {
+		return 0, fmt.Errorf("%w: %d %s in %d bytes", ErrBadFrame, n, what, left)
 	}
 	return int(n), nil
 }
@@ -440,7 +610,7 @@ func (r *FrameReader) Str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > uint64(r.rem) {
+	if n > uint64(r.bound()) {
 		return "", r.truncated(int64(n))
 	}
 	b, err := r.Take(int(n))
@@ -454,7 +624,7 @@ func (r *FrameReader) Str() (string, error) {
 // them as a view valid until the next read. The buffer grows only as bytes
 // arrive, one readStep at a time.
 func (r *FrameReader) Take(n int) ([]byte, error) {
-	if n < 0 || int64(n) > r.rem {
+	if n < 0 || int64(n) > r.bound() {
 		return nil, r.truncated(int64(n))
 	}
 	buf := r.scratch[:0]
@@ -473,7 +643,7 @@ func (r *FrameReader) Take(n int) ([]byte, error) {
 // it returns — the socket's bytes land in their final place. A slice larger
 // than one readStep grows as data arrive.
 func (r *FrameReader) floats(n int) ([]float64, error) {
-	if n < 0 || int64(n) > r.rem/8 {
+	if n < 0 || int64(n) > r.bound()/8 {
 		return nil, r.truncated(8 * int64(n))
 	}
 	const stepVals = readStep / 8
@@ -547,7 +717,7 @@ func (r *FrameReader) readBlock(sum bool, trailer int64) (matrix.Block, int64, e
 	if err != nil {
 		return nil, 0, err
 	}
-	if int64(n)+trailer > r.rem {
+	if int64(n)+trailer > r.bound() {
 		return nil, 0, r.truncated(int64(n) + trailer)
 	}
 	r.src.n = int(n)
@@ -592,7 +762,7 @@ func (r *FrameReader) ReadBlockCRC() (matrix.Block, error) {
 
 // ReadManifest reads one placement manifest (FrameWriter.Manifest's layout).
 func (r *FrameReader) ReadManifest() (*Manifest, error) {
-	r.src.n = int(r.rem)
+	r.src.n = int(r.bound())
 	m, err := decodeManifest(&r.src)
 	if errors.Is(err, ErrBadFormat) {
 		err = fmt.Errorf("%w: %w", ErrBadFrame, err)

@@ -2,10 +2,14 @@ package codec
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"reflect"
 	"runtime"
 	"testing"
@@ -22,6 +26,39 @@ func frameBytes(t testing.TB, w *FrameWriter) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// chunked is body as one frame of chunks of size bytes (one chunk when size
+// is 0) whose last chunk's prefix promises claim bytes more than follow;
+// with abort set, every byte goes out in non-final chunks and the abort
+// marker ends the frame instead of a last chunk.
+func chunked(body []byte, size int, claim uint32, abort bool) []byte {
+	if size <= 0 {
+		size = max(len(body), 1)
+	}
+	var raw []byte
+	var sent uint64
+	for len(body) > size || abort && len(body) > 0 {
+		n := min(size, len(body))
+		raw = binary.LittleEndian.AppendUint32(raw, chunkMore|uint32(n))
+		raw = append(raw, body[:n]...)
+		body, sent = body[n:], sent+uint64(n)
+	}
+	if abort {
+		return binary.LittleEndian.AppendUint32(raw, abortPrefix)
+	}
+	promised := min(uint64(len(body))+uint64(claim), MaxFrameBytes-sent)
+	raw = binary.LittleEndian.AppendUint32(raw, uint32(promised))
+	return append(raw, body...)
+}
+
+// unread drains the rest of fr's frame and returns how many bytes that was.
+func unread(fr *FrameReader) int64 {
+	at := fr.Offset()
+	if err := fr.Drain(); err != nil {
+		return -1
+	}
+	return fr.Offset() - at
 }
 
 // frameBlocks is testBlocks plus blocks big enough to leave the frame as
@@ -80,32 +117,35 @@ func TestFrameBlockRoundTrip(t *testing.T) {
 		for name, r := range map[string]io.Reader{
 			"contiguous": bytes.NewReader(raw),
 			"dribbled":   iotest.OneByteReader(bytes.NewReader(raw)),
+			"chunked":    bytes.NewReader(chunked(raw[4:], 7, 0, false)),
 		} {
 			fr := NewFrameReader(r)
-			if _, err := fr.Next(); err != nil {
+			if err := fr.Next(); err != nil {
 				t.Fatal(err)
 			}
 			got, n, err := fr.ReadBlock()
 			if err != nil {
 				t.Fatalf("block %d, %s: %v", i, name, err)
 			}
-			if n != int64(len(payload)) || fr.Remaining() != 0 {
-				t.Fatalf("block %d, %s: payload %d bytes (want %d), %d left", i, name, n, len(payload), fr.Remaining())
+			if n != int64(len(payload)) || unread(fr) != 0 {
+				t.Fatalf("block %d, %s: payload %d bytes (want %d), %d of %d read", i, name, n, len(payload), fr.Offset(), len(raw)-4)
 			}
 			if reflect.TypeOf(got) != reflect.TypeOf(want) {
 				t.Fatalf("block %d, %s: decoded %T, Decode gives %T", i, name, got, want)
 			}
 			blocksEqualExact(t, want, got)
 		}
-		fr := NewFrameReader(iotest.OneByteReader(bytes.NewReader(rawCRC)))
-		if _, err := fr.Next(); err != nil {
-			t.Fatal(err)
+		for _, raw := range [][]byte{rawCRC, chunked(rawCRC[4:], 5, 0, false)} {
+			fr := NewFrameReader(iotest.OneByteReader(bytes.NewReader(raw)))
+			if err := fr.Next(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := fr.ReadBlockCRC()
+			if left := unread(fr); err != nil || left != 0 {
+				t.Fatalf("block %d, checksummed: %v (%d left)", i, err, left)
+			}
+			blocksEqualExact(t, want, got)
 		}
-		got, err := fr.ReadBlockCRC()
-		if err != nil || fr.Remaining() != 0 {
-			t.Fatalf("block %d, checksummed: %v (%d left)", i, err, fr.Remaining())
-		}
-		blocksEqualExact(t, want, got)
 
 		plain.Release()
 		prepared.Release()
@@ -128,14 +168,15 @@ func TestFrameTruncationAndCorruption(t *testing.T) {
 		}
 		raw := frameBytes(t, &w)
 		w.Release()
-		read := func(b []byte) error {
-			fr := NewFrameReader(iotest.OneByteReader(bytes.NewReader(b)))
-			if _, err := fr.Next(); err != nil {
+		readFrom := func(r io.Reader) error {
+			fr := NewFrameReader(r)
+			if err := fr.Next(); err != nil {
 				return err
 			}
 			_, err := fr.ReadBlockCRC()
 			return err
 		}
+		read := func(b []byte) error { return readFrom(iotest.OneByteReader(bytes.NewReader(b))) }
 		if err := read(raw); err != nil {
 			t.Fatal(err)
 		}
@@ -143,12 +184,14 @@ func TestFrameTruncationAndCorruption(t *testing.T) {
 			if err := read(raw[:cut]); err == nil {
 				t.Fatalf("record truncated at %d/%d bytes read", cut, len(raw))
 			}
-			// The same cut with an honest prefix: the frame ends early.
+			// The same cut with honest prefixes, in one chunk and in
+			// three-byte ones: the frame ends early.
 			if cut >= 4 {
-				short := append([]byte(nil), raw[:cut]...)
-				binary.LittleEndian.PutUint32(short, uint32(cut-4))
-				if err := read(short); !errors.Is(err, ErrBadFrame) {
+				if err := read(chunked(raw[4:cut], 0, 0, false)); !errors.Is(err, ErrBadFrame) {
 					t.Fatalf("frame shortened to %d bytes: %v", cut-4, err)
+				}
+				if err := readFrom(bytes.NewReader(chunked(raw[4:cut], 3, 0, false))); !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("frame shortened to %d bytes in chunks: %v", cut-4, err)
 				}
 			}
 		}
@@ -210,7 +253,7 @@ func TestFrameForgedLengthsBoundedAllocation(t *testing.T) {
 		var err error
 		alloc := allocDuring(func() {
 			fr := NewFrameReader(bytes.NewReader(raw))
-			if _, err = fr.Next(); err == nil {
+			if err = fr.Next(); err == nil {
 				_, _, err = fr.ReadBlock()
 			}
 		})
@@ -262,7 +305,7 @@ func TestForgedPrefixCountsBoundedAllocation(t *testing.T) {
 		var err error
 		alloc := allocDuring(func() {
 			fr := NewFrameReader(bytes.NewReader(raw))
-			if _, err = fr.Next(); err == nil {
+			if err = fr.Next(); err == nil {
 				err = tc.read(fr)
 			}
 		})
@@ -277,42 +320,94 @@ func TestForgedPrefixCountsBoundedAllocation(t *testing.T) {
 	}
 }
 
-// TestFrameBoundBothSides: the writer refuses a frame above MaxFrameBytes
-// before writing a byte, and the reader refuses a length prefix above it.
+// tailSink counts what is written to it and keeps the last four bytes.
+type tailSink struct {
+	n    int64
+	last []byte
+}
+
+func (s *tailSink) Write(p []byte) (int, error) {
+	s.n += int64(len(p))
+	s.last = append(s.last, p[max(0, len(p)-4):]...)
+	s.last = s.last[max(0, len(s.last)-4):]
+	return len(p), nil
+}
+
+// TestFrameBoundBothSides: MaxFrameBytes caps a frame across all its
+// chunks. A writer flushing whole refuses a frame above it before writing a
+// byte; one streaming refuses the chunk that would cross it and ends what
+// has left with the abort marker. A reader accepts a prefix with bit 31 set
+// — a chunk with more to follow, even of MaxFrameBytes — and refuses the
+// chunk that takes a frame past the bound, after which the stream is lost.
 func TestFrameBoundBothSides(t *testing.T) {
 	// One 32 MiB block referenced 65 times: a frame over 2 GiB that
 	// allocates nothing, since the tails alias the block.
 	big := matrix.NewDense(2048, 2048)
-	w := BeginFrame()
-	defer w.Release()
-	for i := 0; i < 65; i++ {
-		if _, err := w.AppendBlock(big); err != nil {
-			t.Fatal(err)
+	fill := func(w *FrameWriter) {
+		for i := 0; i < 65; i++ {
+			if _, err := w.AppendBlock(big); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w.Size() <= MaxFrameBytes {
+			t.Fatalf("test frame is only %d bytes", w.Size())
 		}
 	}
-	if w.Size() <= MaxFrameBytes {
-		t.Fatalf("test frame is only %d bytes", w.Size())
-	}
+	whole := BeginFrame()
+	defer whole.Release()
+	fill(&whole)
 	var sink bytes.Buffer
-	if err := w.Flush(&sink); !errors.Is(err, ErrFrameTooLarge) {
+	if err := whole.Flush(&sink); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: %v, want ErrFrameTooLarge", err)
 	}
 	if sink.Len() != 0 {
 		t.Fatalf("%d bytes written before the refusal", sink.Len())
 	}
 
-	prefix := binary.LittleEndian.AppendUint32(nil, MaxFrameBytes+1)
-	if _, err := NewFrameReader(bytes.NewReader(prefix)).Next(); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("length prefix above the bound: %v, want ErrBadFrame", err)
+	streamed := BeginFrame()
+	defer streamed.Release()
+	var tail tailSink
+	streamed.conn = &tail
+	fill(&streamed)
+	broken, err := streamed.finish(nil)
+	if !errors.Is(err, ErrFrameTooLarge) || broken {
+		t.Fatalf("oversized streamed frame: %v (broken %v), want ErrFrameTooLarge", err, broken)
+	}
+	if tail.n == 0 || tail.n > MaxFrameBytes+4*65+4 {
+		t.Fatalf("%d bytes streamed before the refusal", tail.n)
+	}
+	if got := binary.LittleEndian.Uint32(tail.last); got != abortPrefix {
+		t.Fatalf("streamed frame ends with %#x, want the abort marker", got)
+	}
+
+	prefix := binary.LittleEndian.AppendUint32(nil, chunkMore|MaxFrameBytes)
+	fr := NewFrameReader(bytes.NewReader(prefix))
+	if err := fr.Next(); err != nil || fr.bound() != MaxFrameBytes {
+		t.Fatalf("a first chunk of MaxFrameBytes with more to follow: %v, bound %d", err, fr.bound())
 	}
 	prefix = binary.LittleEndian.AppendUint32(nil, MaxFrameBytes)
-	if n, err := NewFrameReader(bytes.NewReader(prefix)).Next(); err != nil || n != MaxFrameBytes {
-		t.Fatalf("length prefix at the bound: %d, %v", n, err)
+	if err := NewFrameReader(bytes.NewReader(prefix)).Next(); err != nil {
+		t.Fatalf("length prefix at the bound: %v", err)
+	}
+	// Five bytes, then a chunk promising the frame's last 2³¹−5 and one more.
+	crossing := binary.LittleEndian.AppendUint32(nil, chunkMore|5)
+	crossing = append(crossing, 1, 2, 3, 4, 5)
+	crossing = binary.LittleEndian.AppendUint32(crossing, chunkMore|(MaxFrameBytes-4))
+	fr = NewFrameReader(bytes.NewReader(crossing))
+	if err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.ReadFull(make([]byte, 6)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("a chunk crossing the bound: %v, want ErrBadFrame", err)
+	}
+	if err := fr.Next(); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("next frame after a crossing chunk: %v, want ErrBadFrame", err)
 	}
 }
 
 // TestFrameDrainKeepsStreamInSync: a body abandoned anywhere — unread,
-// half-read, failed — costs exactly its own frame; the next one parses.
+// half-read, failed, or given up by its sender after a chunk had left —
+// costs exactly its own frame; the next one parses.
 func TestFrameDrainKeepsStreamInSync(t *testing.T) {
 	var stream bytes.Buffer
 	first := BeginFrame()
@@ -323,38 +418,161 @@ func TestFrameDrainKeepsStreamInSync(t *testing.T) {
 	bad := BeginFrame()
 	bad.Byte(TagDense)
 	bad.Bytes([]byte{200, 0, 0, 0, 1, 2, 3}) // record promises 200 bytes, frame has 3
-	second := BeginFrame()
-	second.Uvarint(42)
-	second.Str("intact")
-	for _, w := range []*FrameWriter{&first, &bad, &second} {
+	for _, w := range []*FrameWriter{&first, &bad} {
 		if err := w.Flush(&stream); err != nil {
 			t.Fatal(err)
 		}
 		w.Release()
 	}
+	aborted := BeginFrame()
+	aborted.conn = &stream
+	aborted.Str("aborted")
+	big := randDense(rand.New(rand.NewSource(14)), 200, 200) // 320 KB: leaves as a chunk
+	if _, err := aborted.AppendBlock(big); err != nil {
+		t.Fatal(err)
+	}
+	if broken, err := aborted.finish(errTest); err != errTest || broken || aborted.sent == 0 {
+		t.Fatalf("aborting a streamed frame: %v (broken %v, %d bytes sent)", err, broken, aborted.sent)
+	}
+	aborted.Release()
+	second := BeginFrame()
+	second.Uvarint(42)
+	second.Str("intact")
+	if err := second.Flush(&stream); err != nil {
+		t.Fatal(err)
+	}
+	second.Release()
 	fr := NewFrameReader(iotest.OneByteReader(&stream))
-	if _, err := fr.Next(); err != nil {
+	if err := fr.Next(); err != nil {
 		t.Fatal(err)
 	}
 	if s, err := fr.Str(); err != nil || s != "abandoned" {
 		t.Fatalf("first frame: %q, %v", s, err)
 	}
-	if _, err := fr.Next(); err != nil { // drains the unread block
+	if err := fr.Next(); err != nil { // drains the unread block
 		t.Fatal(err)
 	}
 	if _, _, err := fr.ReadBlock(); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("short record: %v, want ErrBadFrame", err)
 	}
-	if _, err := fr.Next(); err != nil {
+	if err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := fr.Str(); err != nil || s != "aborted" {
+		t.Fatalf("aborted frame: %q, %v", s, err)
+	}
+	if got, _, err := fr.ReadBlock(); err != nil {
+		t.Fatalf("the record that left before the abort: %v", err)
+	} else {
+		blocksEqualExact(t, big, got)
+	}
+	if _, err := fr.U8(); !errors.Is(err, ErrFrameAborted) || !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("read past the abort marker: %v, want ErrFrameAborted", err)
+	}
+	if err := fr.Next(); err != nil {
 		t.Fatal(err)
 	}
 	v, err1 := fr.Uvarint()
 	s, err2 := fr.Str()
-	if err1 != nil || err2 != nil || v != 42 || s != "intact" || fr.Remaining() != 0 {
-		t.Fatalf("frame after a failed body: %d %q (%v, %v), %d left", v, s, err1, err2, fr.Remaining())
+	if left := unread(fr); err1 != nil || err2 != nil || v != 42 || s != "intact" || left != 0 {
+		t.Fatalf("frame after a failed body: %d %q (%v, %v), %d left", v, s, err1, err2, left)
 	}
-	if _, err := fr.Next(); err != io.EOF {
+	if err := fr.Next(); err != io.EOF {
 		t.Fatalf("end of stream: %v, want io.EOF", err)
+	}
+}
+
+// TestFrameStreamsInChunks: a writer given its connection sends a large
+// frame as non-final chunks cut at record boundaries past chunkBytes and a
+// last chunk, Size counting every chunk; a reader takes the blocks back
+// bit-identical across the chunk boundaries, its Offset ending on the same
+// total.
+func TestFrameStreamsInChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var blocks []matrix.Block
+	for i := 0; i < 24; i++ {
+		blocks = append(blocks, randDense(rng, 64, 64), matrix.NewCSRFromDense(randSparseDense(rng, 96, 96, 0.2)))
+	}
+	var stream bytes.Buffer
+	w := BeginFrame()
+	defer w.Release()
+	w.conn = &stream
+	w.Uvarint(7)
+	for _, blk := range blocks {
+		if err := w.AppendBlockCRC(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	total := w.Size()
+	if _, err := w.finish(nil); err != nil {
+		t.Fatal(err)
+	}
+	raw := stream.Bytes()
+	var chunks []uint32
+	var body int64
+	for at := 0; at < len(raw); {
+		p := binary.LittleEndian.Uint32(raw[at:])
+		chunks = append(chunks, p)
+		body += int64(p &^ chunkMore)
+		at += 4 + int(p&^chunkMore)
+	}
+	if len(chunks) < 3 || body != total || int64(len(raw)) != total+4*int64(len(chunks)) {
+		t.Fatalf("%d chunks carrying %d bytes in %d, Size says %d", len(chunks), body, len(raw), total)
+	}
+	for i, p := range chunks {
+		if last := i == len(chunks)-1; last == (p&chunkMore != 0) || !last && p&^chunkMore < chunkBytes {
+			t.Fatalf("chunk %d of %d has prefix %#x", i, len(chunks), p)
+		}
+	}
+	fr := NewFrameReader(iotest.HalfReader(bytes.NewReader(raw)))
+	if err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := fr.Uvarint(); err != nil || v != 7 {
+		t.Fatalf("header: %d, %v", v, err)
+	}
+	for i, want := range blocks {
+		got, err := fr.ReadBlockCRC()
+		if err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		blocksEqualExact(t, want, got)
+	}
+	if fr.Offset() != total || unread(fr) != 0 {
+		t.Fatalf("read %d bytes of %d", fr.Offset(), total)
+	}
+}
+
+// TestSmallFrameGolden: a call whose frame stays under chunkBytes goes out
+// as one length-prefixed frame, byte for byte what the unchunked frame
+// format sent for it.
+func TestSmallFrameGolden(t *testing.T) {
+	near, far := net.Pipe()
+	c := NewClient(near, testErrors)
+	defer c.Close()
+	go c.Call(context.Background(), 3, func(w *FrameWriter) error {
+		w.Str("golden")
+		for _, blk := range frameBlocks(t) {
+			if err := w.AppendBlockCRC(blk); err != nil {
+				return err
+			}
+			if _, err := w.AppendBlock(blk); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, nil)
+	var prefix [4]byte
+	if _, err := io.ReadFull(far, prefix[:]); err != nil {
+		t.Fatal(err)
+	}
+	frame := append(prefix[:], make([]byte, binary.LittleEndian.Uint32(prefix[:]))...)
+	if _, err := io.ReadFull(far, frame[4:]); err != nil {
+		t.Fatal(err)
+	}
+	const want = "165599 bytes, sha256 d793a2ac5de4a93a6e644563b6b0e9b5abdb9c72ec51844c4f25e720f14de014"
+	if got := fmt.Sprintf("%d bytes, sha256 %x", len(frame), sha256.Sum256(frame)); got != want {
+		t.Fatalf("frame is %s, want %s", got, want)
 	}
 }
 
@@ -410,10 +628,12 @@ func TestPoolDropsOutsizedBuffers(t *testing.T) {
 }
 
 // FuzzFrameBlocks drives arbitrary bytes through the streaming block
-// readers every socket-facing body decoder is built from. A malformed record
-// is a typed error (or the stream's own end), never a panic; what arrives
-// bounds what is allocated; and an accepted block re-encodes. Each block's
-// record is also seeded under its retired fp32 and XOR tags.
+// readers every socket-facing body decoder is built from, in one chunk or
+// cut into chunks of chunk bytes, ended by a last chunk or by the abort
+// marker. A malformed record is a typed error (or the stream's own end),
+// never a panic; what arrives bounds what is allocated; and an accepted
+// block re-encodes. Each block's record is also seeded under its retired
+// fp32 and XOR tags.
 func FuzzFrameBlocks(f *testing.F) {
 	for _, blk := range frameBlocks(f) {
 		w := BeginFrame()
@@ -424,21 +644,23 @@ func FuzzFrameBlocks(f *testing.F) {
 		w.Release()
 		for _, tag := range append([]uint8{raw[4]}, retiredTags(blk)...) {
 			body := append([]byte{tag}, raw[5:]...)
-			f.Add(body, true, uint32(0))
-			f.Add(body[:len(body)-4], false, uint32(0))
+			f.Add(body, true, uint32(0), uint16(0), false)
+			f.Add(body[:len(body)-4], false, uint32(0), uint16(0), false)
 		}
+		f.Add(raw[4:], true, uint32(0), uint16(len(raw)/3), false)
+		f.Add(raw[4:], true, uint32(0), uint16(len(raw)/3), true)
 	}
-	f.Add([]byte{TagDense, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3}, false, uint32(0))
-	f.Add([]byte{TagDense, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3}, false, uint32(MaxFrameBytes))
-	f.Fuzz(func(t *testing.T, body []byte, summed bool, claim uint32) {
-		// The prefix promises claim bytes more than ever arrive.
-		promised := min(uint64(len(body))+uint64(claim), MaxFrameBytes)
-		raw := append(binary.LittleEndian.AppendUint32(nil, uint32(promised)), body...)
+	f.Add([]byte{TagDense, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3}, false, uint32(0), uint16(0), false)
+	f.Add([]byte{TagDense, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3}, false, uint32(MaxFrameBytes), uint16(0), false)
+	f.Add([]byte{TagDense, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3}, false, uint32(MaxFrameBytes), uint16(3), false)
+	f.Fuzz(func(t *testing.T, body []byte, summed bool, claim uint32, chunk uint16, abort bool) {
+		// The last prefix promises claim bytes more than ever arrive.
+		raw := chunked(body, int(chunk), claim, abort)
 		var blk matrix.Block
 		var err error
 		alloc := allocDuring(func() {
 			fr := NewFrameReader(bytes.NewReader(raw))
-			if _, err = fr.Next(); err != nil {
+			if err = fr.Next(); err != nil {
 				return
 			}
 			if summed {
@@ -452,7 +674,7 @@ func FuzzFrameBlocks(f *testing.F) {
 			t.Fatalf("allocated %d bytes for %d bytes of input", alloc, len(raw))
 		}
 		if err != nil {
-			short := promised > uint64(len(body)) && errors.Is(err, io.ErrUnexpectedEOF)
+			short := claim > 0 && errors.Is(err, io.ErrUnexpectedEOF)
 			if !short && !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrChecksum) {
 				t.Fatalf("untyped error %v", err)
 			}

@@ -32,7 +32,9 @@ const (
 	// minFingerprintBytes is the record size from which the filter decides.
 	minFingerprintBytes = 4 << 10
 	// fingerprintEdge is how much of each end of a record's values the
-	// fingerprint reads: enough to tell new content apart, O(1) per block.
+	// fingerprint reads: enough to tell new content apart. A fingerprint
+	// costs O(structure) plus 2 KiB of values — the whole head of a CSR or
+	// CSC record is hashed.
 	fingerprintEdge = 1 << 10
 )
 

@@ -374,18 +374,19 @@ func (d *Driver) roundTrip(client *codec.Client, timeout time.Duration, method b
 				return err
 			}
 		}
-		n := d.rec.Net.Live()
-		atomic.AddInt64(&n.WireEncodeBytes, w.Size())
+		n, size := d.rec.Net.Live(), w.Size()
+		atomic.AddInt64(&n.WireEncodeBytes, size)
 		atomic.AddInt64(&n.WireEncodeNanos, int64(time.Since(start)))
-		d.wireSpan(parent, "wire.send", start, w.Size())
+		d.wireSpan(parent, "wire.send", start, size)
 		return nil
 	}, func(r *codec.FrameReader) error {
-		start, n := time.Now(), r.Remaining()
+		start, n := time.Now(), r.Offset()
 		if reply != nil {
 			if err := reply(r); err != nil {
 				return err
 			}
 		}
+		n = r.Offset() - n
 		ns := d.rec.Net.Live()
 		atomic.AddInt64(&ns.WireDecodeBytes, n)
 		atomic.AddInt64(&ns.WireDecodeNanos, int64(time.Since(start)))

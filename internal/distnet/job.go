@@ -515,8 +515,13 @@ func (jp *jobPrep) prepare(args *multiplyArgs) error {
 				}
 				n := jp.d.rec.Net.Live()
 				// Blocks below the cacheable threshold stay keyless and
-				// always ship inline.
-				if !jp.d.opts.DisableBlockCache && p.Size() >= minCacheableBytes && jp.d.keys.assign(jp.epoch, p) {
+				// always ship inline. A handle's block ships under the
+				// digest its pull manifests carry.
+				switch {
+				case jp.d.opts.DisableBlockCache || p.Size() < minCacheableBytes:
+				case rec.digest != nil:
+					p.Digest, p.HasDigest = *rec.digest, true
+				case jp.d.keys.assign(jp.epoch, p):
 					atomic.AddInt64(&n.BlocksHashed, 1)
 				}
 				atomic.AddInt64(&n.BlocksPrepared, 1)

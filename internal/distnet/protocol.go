@@ -26,9 +26,11 @@ import (
 // method numbering or a body's meaning does, so mismatched peers fail at the
 // handshake rather than misroute or misread a request: version 3's multiply
 // carries a (p,q) column and its slab count where version 2's carried one
-// cuboid, and version 4's blocks are fp64 only where version 3's could also
-// carry fp32 and XOR+varint values (tags 6–11).
-var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 4}
+// cuboid, version 4's blocks are fp64 only where version 3's could also
+// carry fp32 and XOR+varint values (tags 6–11), and version 5's frames may
+// arrive in chunks (internal/codec's frame layer) where version 4's came
+// whole.
+var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 5}
 
 // The worker socket's methods, by the byte a request names them with.
 const (
@@ -51,6 +53,11 @@ type blockRec struct {
 	// from it and, when it carries a digest, repeat sends to the same worker
 	// become a 32-byte reference.
 	prep *codec.Prepared
+	// digest is the content digest a resident handle memoized for Block
+	// (Handle.digestAt), nil elsewhere: when the record ships inline — a
+	// pull column downgraded to push — it is the record's cache key, the
+	// one later pull manifests name.
+	digest *codec.Digest
 }
 
 // multiplyArgs ships one (p,q) column to a worker — the voxel box of its R

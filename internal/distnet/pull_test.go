@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"distme/internal/bmat"
+	"distme/internal/cluster"
 	"distme/internal/core"
 	"distme/internal/engine"
 	"distme/internal/matrix"
@@ -256,6 +257,72 @@ func TestPullPeerKilledFallsBack(t *testing.T) {
 	if d.NetStats().PullFallbacks == 0 {
 		t.Fatal("no pull fallback recorded despite a dead band owner")
 	}
+}
+
+// TestDowngradeKeepsHandleDigests: a pull column downgraded to push ships
+// its records under the digests the handles' manifests carry, not under
+// fresh keys, so the next pull job on the same handles resolves them from
+// the worker's cache — no peer fetch, no second downgrade — and the product
+// is the same bit for bit.
+func TestDowngradeKeepsHandleDigests(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(107))
+	// 8 KiB blocks: past minFingerprintBytes, where a cold block would get a
+	// fresh key.
+	a := bmat.RandomDense(rng, 128, 96, 32)
+	b := bmat.RandomDense(rng, 96, 64, 32)
+	params := core.Params{P: 2, Q: 2, R: 1}
+	cfg := cluster.LaptopConfig()
+	cfg.TaskMemBytes, cfg.DiskCapacityBytes = 1<<30, 0
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.MultiplyCuboid(ctx, a, b, params, core.Env{Cluster: cl})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	addrs, workers := startWorkers(t, 2)
+	opts := fastOpts()
+	opts.DisableHeartbeat = true // death surfaces through the calls themselves
+	d, err := DialOptions(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := newSession(t, d)
+	ha, err := s.Put(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := s.Put(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killWorker(workers[1]) // every column needs a band it owned
+
+	first, _, err := s.Multiply(ctx, ha, hb, MultiplyOptions{Params: &params, Transfer: core.TransferPull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := d.NetStats()
+	if before.PullFallbacks == 0 {
+		t.Fatal("no column downgraded despite a dead band owner")
+	}
+	second, _, err := s.Multiply(ctx, ha, hb, MultiplyOptions{Params: &params, Transfer: core.TransferPull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := d.NetStats()
+	if fetches, downgrades := after.PullPeerFetches-before.PullPeerFetches, after.PullFallbacks-before.PullFallbacks; fetches != 0 || downgrades != 0 {
+		t.Fatalf("pull job after a downgrade: %d peer fetches, %d downgrades, want none", fetches, downgrades)
+	}
+	if after.PullCacheHits == before.PullCacheHits {
+		t.Fatal("pull job after a downgrade hit nothing in the cache")
+	}
+	bitIdentical(t, first, want)
+	bitIdentical(t, second, want)
 }
 
 // TestPullEvictedHandleRebuilds pull-multiplies a pipeline-produced handle

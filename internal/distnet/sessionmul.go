@@ -7,6 +7,7 @@ import (
 	"distme/internal/bmat"
 	"distme/internal/codec"
 	"distme/internal/core"
+	"distme/internal/matrix"
 )
 
 // Multiply runs C = A×B over two resident handles and returns the product
@@ -149,15 +150,18 @@ func (h *Handle) boxManifest(ps []part, rlo, rhi, clo, chi int) (*codec.Manifest
 			owner++
 		}
 		for j := clo; j < chi; j++ {
+			var blk matrix.Block
 			if h.src != nil {
-				blk := h.src.Block(i, j)
-				if blk == nil {
+				if blk = h.src.Block(i, j); blk == nil {
 					continue
 				}
-				recs = append(recs, blockRec{Key: bmat.BlockKey{I: i, J: j}, Block: blk})
+			}
+			dg := h.digestAt(i, j)
+			if blk != nil {
+				recs = append(recs, blockRec{Key: bmat.BlockKey{I: i, J: j}, Block: blk, digest: dg})
 			}
 			e := codec.ManifestEntry{KeyI: i, KeyJ: j, Owner: owner}
-			if dg := h.digestAt(i, j); dg != nil {
+			if dg != nil {
 				e.HasDigest, e.Digest = true, *dg
 			}
 			m.Entries = append(m.Entries, e)

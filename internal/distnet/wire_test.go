@@ -196,27 +196,55 @@ func requestFrame(t testing.TB, method byte, args func(*codec.FrameWriter) error
 }
 
 // TestWireBodiesRoundTripAndTruncation: every body kind decodes from its own
-// encoding, consuming it exactly, and fails with a typed error when the
-// frame ends at any earlier byte.
+// encoding, consuming it exactly — in one chunk, and cut into at least three
+// — and fails with a typed error when the frame ends at any earlier byte.
 func TestWireBodiesRoundTripAndTruncation(t *testing.T) {
 	for kind, body := range wireSeedBodies(t) {
-		rd := codec.NewFrameReader(bytes.NewReader(frameOf(body)))
-		if _, err := rd.Next(); err != nil {
-			t.Fatal(err)
-		}
-		if err := decodeBody(kind, rd); err != nil || rd.Remaining() != 0 {
-			t.Fatalf("body kind %d: %v, %d bytes left", kind, err, rd.Remaining())
-		}
-		for cut := 0; cut < len(body); cut++ {
-			rd := codec.NewFrameReader(bytes.NewReader(frameOf(body[:cut])))
-			if _, err := rd.Next(); err != nil {
+		size := max(1, len(body)/4) // four chunks or more
+		for _, chunk := range []int{0, size} {
+			rd := codec.NewFrameReader(bytes.NewReader(chunked(body, chunk, 0, false)))
+			if err := rd.Next(); err != nil {
 				t.Fatal(err)
 			}
-			if err := decodeBody(kind, rd); !errors.Is(err, errWire) {
-				t.Fatalf("body kind %d cut at %d/%d: %v, want errWire", kind, cut, len(body), err)
+			if err := decodeBody(kind, rd); err != nil || unread(rd) != 0 {
+				t.Fatalf("body kind %d in %d-byte chunks: %v, %d of %d bytes read", kind, chunk, err, rd.Offset(), len(body))
+			}
+			for cut := 0; cut < len(body); cut++ {
+				rd := codec.NewFrameReader(bytes.NewReader(chunked(body[:cut], chunk, 0, false)))
+				if err := rd.Next(); err != nil {
+					t.Fatal(err)
+				}
+				if err := decodeBody(kind, rd); !errors.Is(err, errWire) {
+					t.Fatalf("body kind %d in %d-byte chunks cut at %d/%d: %v, want errWire", kind, chunk, cut, len(body), err)
+				}
 			}
 		}
 	}
+}
+
+// chunked is body as one frame of chunks of size bytes (one chunk when size
+// is 0) whose last chunk's prefix promises claim bytes more than follow;
+// with abort set, every byte goes out in non-final chunks (bit 31 of the
+// prefix set) and the abort marker — bit 31 alone — ends the frame instead.
+func chunked(body []byte, size int, claim uint32, abort bool) []byte {
+	const more = 1 << 31
+	if size <= 0 {
+		size = max(len(body), 1)
+	}
+	var raw []byte
+	var sent uint64
+	for len(body) > size || abort && len(body) > 0 {
+		n := min(size, len(body))
+		raw = binary.LittleEndian.AppendUint32(raw, more|uint32(n))
+		raw = append(raw, body[:n]...)
+		body, sent = body[n:], sent+uint64(n)
+	}
+	if abort {
+		return binary.LittleEndian.AppendUint32(raw, more)
+	}
+	promised := min(uint64(len(body))+uint64(claim), codec.MaxFrameBytes-sent)
+	raw = binary.LittleEndian.AppendUint32(raw, uint32(promised))
+	return append(raw, body...)
 }
 
 // forgedCountBodies is, for every element count a worker or driver socket
@@ -391,8 +419,9 @@ func hostileFrames() map[string]struct {
 	}
 }
 
-// FuzzWireBodies drives arbitrary frames, header included, through both read
-// loops of a worker socket: requests through a worker's — method byte, then
+// FuzzWireBodies drives arbitrary frames, header included — whole, in
+// chunks, or ended by the abort marker — through both read loops of a
+// worker socket: requests through a worker's — method byte, then
 // the decoder of MultiplyArgs (push and pull) and the handle-store bodies of
 // handlewire.go — and replies through a client's — seq, error code and its
 // fields, then the reply decoders. A hostile peer gets a typed error —
@@ -402,23 +431,26 @@ func hostileFrames() map[string]struct {
 // read step.
 func FuzzWireBodies(f *testing.F) {
 	for kind, body := range wireSeedBodies(f) {
-		f.Add(uint8(kind), wholeFrame(kind, body), uint32(0))
+		frame := wholeFrame(kind, body)
+		f.Add(uint8(kind), frame, uint32(0), uint16(0), false)
+		f.Add(uint8(kind), frame, uint32(0), uint16(max(1, len(frame)/3)), false)
+		f.Add(uint8(kind), frame, uint32(0), uint16(max(1, len(frame)/3)), true)
 	}
 	for _, body := range pushVariantBodies(f) {
-		f.Add(uint8(bodyMultiplyArgs), wholeFrame(bodyMultiplyArgs, body), uint32(0))
+		f.Add(uint8(bodyMultiplyArgs), wholeFrame(bodyMultiplyArgs, body), uint32(0), uint16(0), false)
 	}
-	f.Add(uint8(bodyFreeArgs), wholeFrame(bodyFreeArgs, []byte{0xff, 0xff, 0xff, 0xff, 0x0f}), uint32(0))
+	f.Add(uint8(bodyFreeArgs), wholeFrame(bodyFreeArgs, []byte{0xff, 0xff, 0xff, 0xff, 0x0f}), uint32(0), uint16(0), false)
 	for _, tc := range forgedCountBodies() {
-		f.Add(uint8(tc.kind), wholeFrame(tc.kind, tc.body), uint32(codec.MaxFrameBytes))
+		f.Add(uint8(tc.kind), wholeFrame(tc.kind, tc.body), uint32(codec.MaxFrameBytes), uint16(0), false)
+		f.Add(uint8(tc.kind), wholeFrame(tc.kind, tc.body), uint32(codec.MaxFrameBytes), uint16(5), false)
 	}
 	for _, tc := range hostileFrames() {
-		f.Add(uint8(tc.kind), tc.frame, uint32(0))
+		f.Add(uint8(tc.kind), tc.frame, uint32(0), uint16(0), false)
 	}
-	f.Fuzz(func(t *testing.T, kind uint8, frame []byte, claim uint32) {
-		// The prefix promises claim bytes more than ever arrive: a forged
-		// frame length, under which every count looks affordable.
-		promised := min(uint64(len(frame))+uint64(claim), codec.MaxFrameBytes)
-		raw := append(binary.LittleEndian.AppendUint32(nil, uint32(promised)), frame...)
+	f.Fuzz(func(t *testing.T, kind uint8, frame []byte, claim uint32, chunk uint16, abort bool) {
+		// The last prefix promises claim bytes more than ever arrive: a
+		// forged frame length, under which every count looks affordable.
+		raw := chunked(frame, int(chunk), claim, abort)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := deliverFrame(int(kind)%bodyKinds, raw)
@@ -429,7 +461,7 @@ func FuzzWireBodies(f *testing.F) {
 		}
 		var re *codec.RemoteError
 		typed := errors.Is(err, errWire) || errors.Is(err, errUnknownDigest) || errors.Is(err, codec.ErrClosed) || errors.As(err, &re)
-		short := promised > uint64(len(frame)) && errors.Is(err, io.ErrUnexpectedEOF)
+		short := claim > 0 && errors.Is(err, io.ErrUnexpectedEOF)
 		if err != nil && !typed && !short {
 			t.Fatalf("untyped error %v", err)
 		}
@@ -492,13 +524,13 @@ func rawWorkerConn(t *testing.T, addr string) (net.Conn, *codec.FrameReader) {
 }
 
 // TestPreambleRefusesVersion1Peers: earlier versions of the worker socket
-// numbered their methods differently (v1) or carried block tags this one
-// refuses (v3), so a peer still speaking one is refused at the handshake
+// numbered their methods differently (v1), carried block tags this one
+// refuses (v3) or could not read a frame in chunks (v4), so a peer still speaking one is refused at the handshake
 // both ways — a driver dialing an old worker, and an old driver dialing a
 // worker — with codec.ErrProtocol.
 func TestPreambleRefusesVersion1Peers(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
-	for _, version := range []byte{1, 3} {
+	for _, version := range []byte{1, 3, 4} {
 		old := workerPreamble
 		old[4] = version
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -535,7 +567,7 @@ func TestPreambleRefusesVersion1Peers(t *testing.T) {
 // how many bytes followed them.
 func readResponseHeader(t *testing.T, rd *codec.FrameReader, seq uint64) (code byte, msg string, rest int64) {
 	t.Helper()
-	if _, err := rd.Next(); err != nil {
+	if err := rd.Next(); err != nil {
 		t.Fatalf("no response: %v", err)
 	}
 	gotSeq, err1 := rd.Uvarint()
@@ -544,7 +576,16 @@ func readResponseHeader(t *testing.T, rd *codec.FrameReader, seq uint64) (code b
 	if err := errors.Join(err1, err2, err3); err != nil || gotSeq != seq {
 		t.Fatalf("response header: seq %d, want %d (%v)", gotSeq, seq, err)
 	}
-	return code, msg, rd.Remaining()
+	return code, msg, unread(rd)
+}
+
+// unread drains the rest of rd's frame and returns how many bytes that was.
+func unread(rd *codec.FrameReader) int64 {
+	at := rd.Offset()
+	if err := rd.Drain(); err != nil {
+		return -1
+	}
+	return rd.Offset() - at
 }
 
 // rawCall writes one request frame on conn and reads back the response
@@ -836,7 +877,7 @@ func encodeRequestFrame(t *testing.T) ([]byte, *multiplyArgs) {
 // worker's codec does: header, then the streaming body decode.
 func decodeRequestFrame(r io.Reader) (seq uint64, method byte, args multiplyArgs, left int64, err error) {
 	fr := codec.NewFrameReader(r)
-	if _, err = fr.Next(); err != nil {
+	if err = fr.Next(); err != nil {
 		return
 	}
 	if seq, err = fr.Uvarint(); err != nil {
@@ -846,7 +887,7 @@ func decodeRequestFrame(r io.Reader) (seq uint64, method byte, args multiplyArgs
 		return
 	}
 	err = decodeMultiplyArgs(fr, &args, newBlockCache(-1))
-	return seq, method, args, fr.Remaining(), err
+	return seq, method, args, unread(fr), err
 }
 
 // TestFragmentedFrameReads drives a whole request frame through a
@@ -963,5 +1004,52 @@ func TestSendTrackerConcurrentEpochs(t *testing.T) {
 	tr.forget()
 	if tr.seen(base+1+DefaultCacheEpochWindow+1, dg) {
 		t.Fatal("forget did not clear the sent set")
+	}
+}
+
+// TestWireCountersCountEveryChunk: a call whose request and reply each span
+// several chunks adds its whole payload to WireEncodeBytes and
+// WireDecodeBytes — the first chunk's bytes and every later one's.
+func TestWireCountersCountEveryChunk(t *testing.T) {
+	addrs, _ := startWorkers(t, 1)
+	d, err := Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	rng := rand.New(rand.NewSource(21))
+	var blocks []blockRec
+	for i := 0; i < 4; i++ {
+		blk := matrix.NewDense(200, 200) // 320 KB: a chunk of its own
+		for j := range blk.Data {
+			blk.Data[j] = rng.NormFloat64()
+		}
+		blocks = append(blocks, blockRec{Key: bmat.BlockKey{I: i, J: 0}, Block: blk})
+	}
+	bodySize := func(body func(*codec.FrameWriter) error) int64 {
+		w := codec.BeginFrame()
+		defer w.Release()
+		if err := body(&w); err != nil {
+			t.Fatal(err)
+		}
+		return w.Size()
+	}
+	m := d.members[0]
+	put := &putArgs{Handle: 1, Epoch: 1, Blocks: blocks}
+	before := d.NetStats()
+	if err := d.call(m, methodPutBlocks, 0, codec.Writes(appendPutArgs, put), nil, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	// The request's header is its seq, below 128 here, and its method byte.
+	if got, want := d.NetStats().WireEncodeBytes-before.WireEncodeBytes, 2+bodySize(codec.Writes(appendPutArgs, put)); got != want || want < 4*320_000 {
+		t.Fatalf("put of %d bytes counted as %d encoded bytes", want, got)
+	}
+	var reply getReply
+	before = d.NetStats()
+	if err := d.call(m, methodGetBlocks, 0, codec.Writes(appendGetArgs, &getArgs{Handle: 1, All: true}), codec.Reads(decodeGetReply, &reply), time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.NetStats().WireDecodeBytes-before.WireDecodeBytes, bodySize(codec.Writes(appendGetReply, &reply)); got != want || len(reply.Blocks) != len(blocks) {
+		t.Fatalf("get reply of %d bytes (%d blocks) counted as %d decoded bytes", want, len(reply.Blocks), got)
 	}
 }

@@ -345,13 +345,13 @@ func (w *Worker) admit(read bool, h codec.Handler) codec.Handler {
 // cache, recording the parse as a wire.decode span under the driver's
 // attempt.
 func (w *Worker) decodeMultiply(rd *codec.FrameReader, a *multiplyArgs) error {
-	start, n := time.Now(), rd.Remaining()
+	start, off := time.Now(), rd.Offset()
 	err := decodeMultiplyArgs(rd, a, w.cache)
 	if err == nil && w.tracer.Enabled() && a.traceSpan != 0 {
 		w.tracer.AddCompleted(obs.SpanData{
 			Parent: obs.SpanID(a.traceSpan), Name: "wire.decode", Kind: obs.KindWorker,
 			P: a.cuboidP, Q: a.cuboidQ,
-			Start: start, End: time.Now(), Bytes: n,
+			Start: start, End: time.Now(), Bytes: rd.Offset() - off,
 		})
 	}
 	return err

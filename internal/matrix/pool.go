@@ -98,6 +98,6 @@ func putScratch(s []float64) {
 		return
 	}
 	poolPuts.Add(1)
-	boxed := s[:0:1<<class]
+	boxed := s[: 0 : 1<<class]
 	densePools[class].Put(&boxed)
 }

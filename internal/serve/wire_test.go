@@ -79,7 +79,7 @@ func exchange(t *testing.T, conn net.Conn, rd *codec.FrameReader, frame []byte) 
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.Next(); err != nil {
+	if err := rd.Next(); err != nil {
 		t.Fatalf("no response: %v", err)
 	}
 	seq, err1 := rd.Uvarint()
@@ -255,8 +255,9 @@ func TestWireErrorsStayTyped(t *testing.T) {
 // serving the clients that do.
 func TestPreambleRejectsForeignPeers(t *testing.T) {
 	for name, greet := range map[string]func(net.Conn){
-		"old version": func(c net.Conn) { c.Write([]byte{'D', 'M', 'S', 'V', 1, 0, 0, 0}) },
-		"http server": func(c net.Conn) { c.Write([]byte("HTTP/1.1 400 Bad Request\r\n\r\n")) },
+		"old version":      func(c net.Conn) { c.Write([]byte{'D', 'M', 'S', 'V', 1, 0, 0, 0}) },
+		"unchunked frames": func(c net.Conn) { c.Write([]byte{'D', 'M', 'S', 'V', 2, 0, 0, 0}) },
+		"http server":      func(c net.Conn) { c.Write([]byte("HTTP/1.1 400 Bad Request\r\n\r\n")) },
 		// A gob server says nothing first, chokes on the preamble, hangs up.
 		"gob server": func(c net.Conn) { io.ReadFull(c, make([]byte, 8)) },
 	} {
@@ -361,7 +362,7 @@ func decodeBody(kind int, rd *codec.FrameReader) error {
 // decodeServeBody runs kind's body decoder over one frame read from r.
 func decodeServeBody(kind int, r io.Reader) error {
 	rd := codec.NewFrameReader(r)
-	if _, err := rd.Next(); err != nil {
+	if err := rd.Next(); err != nil {
 		return err
 	}
 	return decodeBody(kind, rd)
@@ -400,6 +401,31 @@ func frameOf(body []byte) []byte {
 	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
+// chunked is body as one frame of chunks of size bytes (one chunk when size
+// is 0) whose last chunk's prefix promises claim bytes more than follow;
+// with abort set, every byte goes out in non-final chunks (bit 31 of the
+// prefix set) and the abort marker — bit 31 alone — ends the frame instead.
+func chunked(body []byte, size int, claim uint32, abort bool) []byte {
+	const more = 1 << 31
+	if size <= 0 {
+		size = max(len(body), 1)
+	}
+	var raw []byte
+	var sent uint64
+	for len(body) > size || abort && len(body) > 0 {
+		n := min(size, len(body))
+		raw = binary.LittleEndian.AppendUint32(raw, more|uint32(n))
+		raw = append(raw, body[:n]...)
+		body, sent = body[n:], sent+uint64(n)
+	}
+	if abort {
+		return binary.LittleEndian.AppendUint32(raw, more)
+	}
+	promised := min(uint64(len(body))+uint64(claim), codec.MaxFrameBytes-sent)
+	raw = binary.LittleEndian.AppendUint32(raw, uint32(promised))
+	return append(raw, body...)
+}
+
 // typedWireError reports whether err is one a hostile serve frame may
 // produce: a malformed frame or block, a checksum mismatch, either of them
 // reported as a rejected operand, a coded answer, or a connection ended on a
@@ -411,20 +437,24 @@ func typedWireError(err error) bool {
 }
 
 // TestServeBodiesRoundTripAndTruncation: every serve body decodes from its
-// own encoding through a one-byte-at-a-time reader, and a frame that ends
-// at any earlier byte is a typed error; behind its header, as a whole frame,
-// it reaches the read loop's decoder and decodes there too.
+// own encoding through a one-byte-at-a-time reader, in one chunk and cut
+// into at least three, and a frame that ends at any earlier byte is a typed
+// error; behind its header, as a whole frame, it reaches the read loop's
+// decoder and decodes there too.
 func TestServeBodiesRoundTripAndTruncation(t *testing.T) {
 	for kind, body := range serveSeedBodies(t) {
-		if err := decodeServeBody(kind, iotest.OneByteReader(bytes.NewReader(frameOf(body)))); err != nil {
-			t.Fatalf("body kind %d: %v", kind, err)
-		}
-		if err := deliverFrame(kind, frameOf(wholeFrame(kind, body))); err != nil {
-			t.Fatalf("body kind %d as a whole frame: %v", kind, err)
-		}
-		for cut := 0; cut < len(body); cut++ {
-			if err := decodeServeBody(kind, bytes.NewReader(frameOf(body[:cut]))); !typedWireError(err) {
-				t.Fatalf("body kind %d cut at %d/%d: %v", kind, cut, len(body), err)
+		size := max(1, len(body)/4) // four chunks or more
+		for _, chunk := range []int{0, size} {
+			if err := decodeServeBody(kind, iotest.OneByteReader(bytes.NewReader(chunked(body, chunk, 0, false)))); err != nil {
+				t.Fatalf("body kind %d in %d-byte chunks: %v", kind, chunk, err)
+			}
+			if err := deliverFrame(kind, chunked(wholeFrame(kind, body), chunk, 0, false)); err != nil {
+				t.Fatalf("body kind %d as a whole frame in %d-byte chunks: %v", kind, chunk, err)
+			}
+			for cut := 0; cut < len(body); cut++ {
+				if err := decodeServeBody(kind, bytes.NewReader(chunked(body[:cut], chunk, 0, false))); !typedWireError(err) {
+					t.Fatalf("body kind %d in %d-byte chunks cut at %d/%d: %v", kind, chunk, cut, len(body), err)
+				}
 			}
 		}
 	}
@@ -515,31 +545,35 @@ func deliverFrame(kind int, raw []byte) error {
 	return errors.Join(decodeErr, loopErr)
 }
 
-// FuzzServeBodies drives arbitrary frames, header included, through both
-// read loops of a serve socket: requests — method byte, then the submit, job
+// FuzzServeBodies drives arbitrary frames, header included — whole, in
+// chunks, or ended by the abort marker — through both read loops of a serve
+// socket: requests — method byte, then the submit, job
 // and result decoders — through the server's, replies — seq, error code and
 // its fields, then the submit, status and result decoders — through a
 // client's. Whatever arrives comes back as a typed error, never a panic, and
 // allocates no more than the input could hold plus one read step.
 func FuzzServeBodies(f *testing.F) {
 	for kind, body := range serveSeedBodies(f) {
-		f.Add(uint8(kind), wholeFrame(kind, body), uint32(0))
+		frame := wholeFrame(kind, body)
+		f.Add(uint8(kind), frame, uint32(0), uint16(0), false)
+		f.Add(uint8(kind), frame, uint32(0), uint16(max(1, len(frame)/3)), false)
+		f.Add(uint8(kind), frame, uint32(0), uint16(max(1, len(frame)/3)), true)
 	}
 	// A 2 GiB frame prefix over a dozen bytes: empty tenant, priority 0, a
 	// 2^20-square matrix of 1x1 blocks, a hundred million of them listed.
 	forged := append([]byte{0, 0, 0x80, 0x80, 0x40, 0x80, 0x80, 0x40, 1}, binary.AppendUvarint(nil, 100e6)...)
-	f.Add(uint8(bodySubmitArgs), wholeFrame(bodySubmitArgs, forged), uint32(codec.MaxFrameBytes))
+	f.Add(uint8(bodySubmitArgs), wholeFrame(bodySubmitArgs, forged), uint32(codec.MaxFrameBytes), uint16(0), false)
+	f.Add(uint8(bodySubmitArgs), wholeFrame(bodySubmitArgs, forged), uint32(codec.MaxFrameBytes), uint16(4), false)
 	// Headers only a header makes hostile: a method byte no handler serves, a
 	// reply for a call nobody made, an error code outside the table, and a
 	// queue-full answer whose fields end early.
-	f.Add(uint8(bodySubmitArgs), []byte{1, 0xee, 0}, uint32(0))
-	f.Add(uint8(bodyStatusReply), []byte{9, codec.CodeOK, 0}, uint32(0))
-	f.Add(uint8(bodyStatusReply), []byte{1, 0xee, 1, 'x'}, uint32(0))
-	f.Add(uint8(bodyStatusReply), []byte{1, codeQueueFull, 0, 1, 'a'}, uint32(0))
-	f.Fuzz(func(t *testing.T, kind uint8, frame []byte, claim uint32) {
-		// The prefix promises claim bytes more than ever arrive.
-		promised := min(uint64(len(frame))+uint64(claim), codec.MaxFrameBytes)
-		raw := append(binary.LittleEndian.AppendUint32(nil, uint32(promised)), frame...)
+	f.Add(uint8(bodySubmitArgs), []byte{1, 0xee, 0}, uint32(0), uint16(0), false)
+	f.Add(uint8(bodyStatusReply), []byte{9, codec.CodeOK, 0}, uint32(0), uint16(0), false)
+	f.Add(uint8(bodyStatusReply), []byte{1, 0xee, 1, 'x'}, uint32(0), uint16(0), false)
+	f.Add(uint8(bodyStatusReply), []byte{1, codeQueueFull, 0, 1, 'a'}, uint32(0), uint16(0), false)
+	f.Fuzz(func(t *testing.T, kind uint8, frame []byte, claim uint32, chunk uint16, abort bool) {
+		// The last prefix promises claim bytes more than ever arrive.
+		raw := chunked(frame, int(chunk), claim, abort)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := deliverFrame(int(kind)%serveBodyKinds, raw)
@@ -547,7 +581,7 @@ func FuzzServeBodies(f *testing.F) {
 		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(raw)+1<<20+128<<10); alloc > limit {
 			t.Fatalf("allocated %d bytes for %d bytes of input", alloc, len(raw))
 		}
-		short := promised > uint64(len(frame)) && errors.Is(err, io.ErrUnexpectedEOF)
+		short := claim > 0 && errors.Is(err, io.ErrUnexpectedEOF)
 		if err != nil && !short && !typedWireError(err) {
 			t.Fatalf("untyped error %v", err)
 		}
