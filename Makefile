@@ -10,11 +10,16 @@ build:
 # the portable dense and sparse loops every non-AVX2 machine runs are
 # exercised on the amd64 runner too. The third runs core's width-dependent parity tests at one and
 # at four threads — matrix.KernelWorkers follows GOMAXPROCS, and the 2-vCPU
-# runner picks neither width by itself.
+# runner picks neither width by itself. The fourth builds the portable loops
+# at GOAMD64=v3, where the compiler may fuse x += a*b into an FMA by itself:
+# it pins that the dense loop (fused through math.FMA) and the sparse loops
+# (kept unfused by their float64 conversions) still give the micro-kernels'
+# bits when the compiler may choose.
 test:
 	$(GO) test ./...
 	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/distnet
 	$(GO) test -cpu 1,4 -run 'MultiplyBox|MultiplyColumn|Aggregat|OneTile' ./internal/core
+	GOAMD64=v3 $(GO) test -tags purego ./internal/matrix ./internal/core
 
 # The whole tree — and the repository benchmark, a module of its own — must
 # stay race-detector-clean; both runs together take about a minute.

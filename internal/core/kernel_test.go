@@ -273,6 +273,46 @@ func TestMultiplyBoxPanicSurfacesOnCaller(t *testing.T) {
 	}, nil)
 }
 
+// TestMultiplyBoxOneTileFuses: a one-tile box's row split runs the fused
+// dense kernel. Every element of C sees one k step with a non-zero A, 1+2⁻³⁰
+// against a B of 1−2⁻³⁰, into a C pre-filled with −1: a fused multiply-add
+// keeps the exact −2⁻⁶⁰ where separate rounding would leave 0. The 135 rows
+// end, under the 8×8 tile, in a 4-row tile and three scalar rows; the 131
+// columns in a remainder. Width 3 takes the row split, width 1 the tile.
+func TestMultiplyBoxOneTileFuses(t *testing.T) {
+	t.Cleanup(func() { matrix.SetKernelWorkers(0) })
+	const m, n, nk, kb = 135, 131, 4, 64
+	as := make([]*matrix.Dense, nk)
+	bs := make([]*matrix.Dense, nk)
+	for k := range as {
+		as[k], bs[k] = matrix.NewDense(m, kb), matrix.NewDense(kb, n)
+		for i := range bs[k].Data {
+			bs[k].Data[i] = 1 - 0x1p-30
+		}
+	}
+	for i := 0; i < m; i++ {
+		p := i * 37 % (nk * kb)
+		as[p/kb].Set(i, p%kb, 1+0x1p-30)
+	}
+	box := Box{IHi: 1, JHi: 1, KHi: nk}
+	lookupA := func(_, k int) matrix.Block { return as[k] }
+	lookupB := func(k, _ int) matrix.Block { return bs[k] }
+	for _, w := range []int{1, 3} {
+		matrix.SetKernelWorkers(w)
+		c := matrix.NewDense(m, n)
+		for i := range c.Data {
+			c.Data[i] = -1
+		}
+		got, _ := MultiplyBox(box, lookupA, lookupB, []*matrix.Dense{c})
+		for i, v := range got[0].Data {
+			if math.Float64bits(v) != math.Float64bits(-0x1p-60) {
+				t.Fatalf("%s kernel at %d workers: C[%d][%d] = %v, a fused multiply-add gives %v",
+					matrix.KernelName(), w, i/n, i%n, v, -0x1p-60)
+			}
+		}
+	}
+}
+
 // TestMultiplyBoxOneTileWidths: a box whose output is one tile splits that
 // tile's rows over the kernel workers. Dense chains of every row count
 // around the 4-row tile — with a pair missing mid-chain, continued over two

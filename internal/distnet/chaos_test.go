@@ -1,6 +1,7 @@
 package distnet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -583,6 +584,29 @@ func TestResumeMultiply(t *testing.T) {
 	// A different job must refuse the directory rather than mix outputs.
 	if _, err := resume(d2, dir, a, b, core.Params{P: 1, Q: 1, R: 1}); err == nil {
 		t.Fatal("checkpoint dir accepted a different job")
+	}
+
+	// So must the same job checkpointed by a DMECKPT2 driver, whose columns
+	// were computed without a fused multiply-add: the directory is refused
+	// before any column is read or recomputed.
+	manifest := filepath.Join(dir, checkpointManifest)
+	data, err = os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte("DMECKPT3 ")) {
+		t.Fatalf("manifest %q is not DMECKPT3", data)
+	}
+	copy(data, "DMECKPT2")
+	if err := os.WriteFile(manifest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := workers[0].Multiplies() + workers[1].Multiplies()
+	if _, err := resume(d2, dir, a, b, params); err == nil {
+		t.Fatal("checkpoint dir with a DMECKPT2 manifest was resumed")
+	}
+	if now := workers[0].Multiplies() + workers[1].Multiplies(); now != before {
+		t.Fatalf("refused DMECKPT2 resume still computed %d cuboids", now-before)
 	}
 }
 

@@ -28,9 +28,11 @@ type checkpointer struct {
 // use, and on resume verifies the directory belongs to this job. The
 // fingerprint is geometry only, so a job may resume under the other transfer
 // mode: a column's product does not depend on how its slices arrived.
-// DMECKPT1 directories held one file per cuboid and are refused.
+// DMECKPT1 directories held one file per cuboid and DMECKPT2 ones columns
+// computed without a fused multiply-add; both are refused, so a resume never
+// folds another arithmetic's columns into this product.
 func (c *checkpointer) ensureManifest(job *cuboidJob, columns int) error {
-	want := fmt.Sprintf("DMECKPT2 a=%dx%d b=%dx%d bs=%d p=%d q=%d r=%d jobs=%d\n",
+	want := fmt.Sprintf("DMECKPT3 a=%dx%d b=%dx%d bs=%d p=%d q=%d r=%d jobs=%d\n",
 		job.rows, job.inner, job.inner, job.cols, job.blockSize, job.params.P, job.params.Q, job.params.R, columns)
 	path := filepath.Join(c.dir, checkpointManifest)
 	if data, err := os.ReadFile(path); err == nil {

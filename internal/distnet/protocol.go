@@ -27,10 +27,13 @@ import (
 // handshake rather than misroute or misread a request: version 3's multiply
 // carries a (p,q) column and its slab count where version 2's carried one
 // cuboid, version 4's blocks are fp64 only where version 3's could also
-// carry fp32 and XOR+varint values (tags 6–11), and version 5's frames may
+// carry fp32 and XOR+varint values (tags 6–11), version 5's frames may
 // arrive in chunks (internal/codec's frame layer) where version 4's came
-// whole.
-var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 5}
+// whole, and version 6's dense products take one fused multiply-add per k
+// step where version 5's rounded the multiply and the add apart: a
+// version 5 worker's column would differ in its last bits from the
+// driver's local fallback and from resident pipelines on newer workers.
+var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 6}
 
 // The worker socket's methods, by the byte a request names them with.
 const (

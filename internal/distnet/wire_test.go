@@ -525,12 +525,13 @@ func rawWorkerConn(t *testing.T, addr string) (net.Conn, *codec.FrameReader) {
 
 // TestPreambleRefusesVersion1Peers: earlier versions of the worker socket
 // numbered their methods differently (v1), carried block tags this one
-// refuses (v3) or could not read a frame in chunks (v4), so a peer still speaking one is refused at the handshake
-// both ways — a driver dialing an old worker, and an old driver dialing a
-// worker — with codec.ErrProtocol.
+// refuses (v3), could not read a frame in chunks (v4) or computed dense
+// products without a fused multiply-add (v5), so a peer still speaking one
+// is refused at the handshake both ways — a driver dialing an old worker,
+// and an old driver dialing a worker — with codec.ErrProtocol.
 func TestPreambleRefusesVersion1Peers(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
-	for _, version := range []byte{1, 3, 4} {
+	for _, version := range []byte{1, 3, 4, 5} {
 		old := workerPreamble
 		old[4] = version
 		l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -11,12 +12,14 @@ import (
 // held in registers over the whole k range by a micro-kernel
 // (gemm_amd64.s), and the rows and columns left over run the portable loop
 // below, which is also the whole kernel wherever the micro-kernels are not
-// built or the CPU lacks AVX2. All of them round every multiply and every
-// add separately and walk k upwards, so a product has the same bits on
-// every path, at any fan-out width, for any row grouping — and the bits of
-// the naive i-k-j triple loop. Dense arithmetic is plain IEEE: a zero in A
-// is multiplied like any other value (0·Inf = NaN); only the sparse kernels
-// skip, and only structural zeros.
+// built or the CPU lacks AVX2 and FMA3. All of them take one fused
+// multiply-add per step, c = a·b + c rounded once as IEEE 754 defines it,
+// and walk k upwards, so a product has the same bits on every path, at any
+// fan-out width, for any row grouping — and the bits of the naive i-k-j
+// triple loop written with math.FMA, which is exact on every architecture,
+// with or without a hardware FMA. Dense arithmetic is plain IEEE: a zero in
+// A is multiplied like any other value (0·Inf = NaN); only the sparse
+// kernels skip, and only structural zeros.
 
 const (
 	tileRows     = 4 // rows of the AVX2 tile, and of the portable loop's groups
@@ -81,7 +84,7 @@ func PackB(b *Dense, rows int) PackedB {
 	if !simd || rows < packMinRows || n8 == 0 || k == 0 {
 		return PackedB{b: b}
 	}
-	panels := getScratch(k * n8)
+	panels, _ := getScratch(k * n8)
 	for j := 0; j < n8; j += tileCols {
 		dst := panels[j*k : (j+tileCols)*k]
 		for p := 0; p < k; p++ {
@@ -219,10 +222,9 @@ func gemmRows(c, a *Dense, pb PackedB, lo, hi int) {
 
 // gemmGo is the portable kernel: rows [lo, hi), columns [jlo, jhi) of
 // C += A×B, four C rows advanced together so each B row is read once per
-// four output rows. The product is converted before the add so that no
-// compiler fuses the pair into an FMA (arm64, ppc64, s390x and amd64 at
-// GOAMD64=v3 otherwise would): one arithmetic on every architecture, the
-// micro-kernel's.
+// four output rows. Every step is math.FMA — a hardware FMA where the
+// architecture has one, an exact software one elsewhere — so the bits are
+// the micro-kernels' on every architecture.
 func gemmGo(c, a, b *Dense, lo, hi, jlo, jhi int) {
 	if lo >= hi || jlo >= jhi {
 		return
@@ -243,10 +245,10 @@ func gemmGo(c, a, b *Dense, lo, hi, jlo, jhi int) {
 			v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
 			brow := b.Data[p*n+jlo:][:w]
 			for j, bv := range brow {
-				c0[j] += float64(v0 * bv)
-				c1[j] += float64(v1 * bv)
-				c2[j] += float64(v2 * bv)
-				c3[j] += float64(v3 * bv)
+				c0[j] = math.FMA(v0, bv, c0[j])
+				c1[j] = math.FMA(v1, bv, c1[j])
+				c2[j] = math.FMA(v2, bv, c2[j])
+				c3[j] = math.FMA(v3, bv, c3[j])
 			}
 		}
 	}
@@ -256,7 +258,7 @@ func gemmGo(c, a, b *Dense, lo, hi, jlo, jhi int) {
 		for p, av := range arow {
 			brow := b.Data[p*n+jlo : p*n+jhi]
 			for j, bv := range brow {
-				crow[j] += float64(av * bv)
+				crow[j] = math.FMA(av, bv, crow[j])
 			}
 		}
 	}

@@ -15,6 +15,8 @@ var (
 
 func hasAVX2() bool
 
+func hasFMA3() bool
+
 func hasAVX512() bool
 
 //go:noescape

@@ -4,9 +4,11 @@
 
 // func hasAVX2() bool
 //
-// AVX2 is usable when the CPU reports it (leaf 7 EBX bit 5) and the OS saves
-// the YMM state across context switches: leaf 1 ECX bits 27 (OSXSAVE) and 28
-// (AVX), then XCR0 bits 1 and 2 (SSE and AVX state) read with XGETBV.
+// AVX2 is usable when the CPU reports it (leaf 7 EBX bit 5) together with
+// FMA3 (leaf 1 ECX bit 12), which the dense 4x8 tile issues, and the OS
+// saves the YMM state across context switches: leaf 1 ECX bits 27 (OSXSAVE)
+// and 28 (AVX), then XCR0 bits 1 and 2 (SSE and AVX state) read with
+// XGETBV. A CPU with AVX2 but no FMA3 runs the portable loops.
 TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	XORL AX, AX
 	XORL CX, CX
@@ -16,8 +18,8 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
+	ANDL $0x18001000, CX
+	CMPL CX, $0x18001000
 	JNE  no
 	XORL CX, CX
 	XGETBV
@@ -33,6 +35,19 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	RET
 no:
 	MOVB $0, ret+0(FP)
+	RET
+
+// func hasFMA3() bool
+//
+// FMA3 is reported by leaf 1 ECX bit 12. hasAVX2 checks the same bit; this
+// probe is only the kernel tests' record of it.
+TEXT ·hasFMA3(SB), NOSPLIT, $0-1
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	SHRL  $12, CX
+	ANDL  $1, CX
+	MOVB  CX, ret+0(FP)
 	RET
 
 // func hasAVX512() bool
@@ -72,9 +87,9 @@ no:
 //
 // C[r][0:8] += sum over p in [0,k) of A[r][p] * B[p][0:8] for r in [0,4),
 // with row strides ldc, lda, ldb in elements. The 4x8 tile of C lives in
-// Y0..Y7 for the whole k range. Each step is a VMULPD followed by a VADDPD,
-// never an FMA, and p ascends, so every element rounds exactly as the scalar
-// c += a*b loop does.
+// Y0..Y7 for the whole k range. Each step is one VFMADD231PD, a fused
+// multiply-add rounded once, and p ascends, so every element rounds exactly
+// as the scalar c = math.FMA(a, b, c) loop does.
 TEXT ·gemmTile4x8(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -110,28 +125,20 @@ loop:
 	VMOVUPD 32(DX), Y9
 
 	VBROADCASTSD (SI), Y10
-	VMULPD Y8, Y10, Y11
-	VMULPD Y9, Y10, Y12
-	VADDPD Y11, Y0, Y0
-	VADDPD Y12, Y1, Y1
+	VFMADD231PD Y8, Y10, Y0
+	VFMADD231PD Y9, Y10, Y1
 
 	VBROADCASTSD (SI)(R9*1), Y13
-	VMULPD Y8, Y13, Y14
-	VMULPD Y9, Y13, Y15
-	VADDPD Y14, Y2, Y2
-	VADDPD Y15, Y3, Y3
+	VFMADD231PD Y8, Y13, Y2
+	VFMADD231PD Y9, Y13, Y3
 
 	VBROADCASTSD (SI)(R9*2), Y10
-	VMULPD Y8, Y10, Y11
-	VMULPD Y9, Y10, Y12
-	VADDPD Y11, Y4, Y4
-	VADDPD Y12, Y5, Y5
+	VFMADD231PD Y8, Y10, Y4
+	VFMADD231PD Y9, Y10, Y5
 
 	VBROADCASTSD (R12), Y13
-	VMULPD Y8, Y13, Y14
-	VMULPD Y9, Y13, Y15
-	VADDPD Y14, Y6, Y6
-	VADDPD Y15, Y7, Y7
+	VFMADD231PD Y8, Y13, Y6
+	VFMADD231PD Y9, Y13, Y7
 
 	ADDQ $8, SI
 	ADDQ $8, R12
@@ -155,8 +162,8 @@ store:
 //
 // gemmTile4x8 for eight rows of C on 512-bit registers: C[r][0:8] lives in
 // Zr for r in [0,8). Each step loads B[p][0:8] once into Z8, multiplies it
-// by A[r][p] broadcast from memory into Z16..Z23, then adds those to Z0..Z7;
-// never an FMA, p ascending, so every element rounds as in gemmTile4x8.
+// by A[r][p] broadcast from memory and adds the product into Zr with one
+// VFMADD231PD.BCST, p ascending, so every element rounds as in gemmTile4x8.
 // A's rows are SI, SI+lda, SI+2lda, R11 = SI+3lda, SI+4lda, R11+2lda,
 // R12 = SI+6lda and R12+lda; C's likewise from DI, AX = DI+3ldc and
 // BX = DI+6ldc.
@@ -196,23 +203,14 @@ TEXT ·gemmTile8x8(SB), NOSPLIT, $0-56
 loop:
 	VMOVUPD (DX), Z8
 
-	VMULPD.BCST (SI), Z8, Z16
-	VMULPD.BCST (SI)(R9*1), Z8, Z17
-	VMULPD.BCST (SI)(R9*2), Z8, Z18
-	VMULPD.BCST (R11), Z8, Z19
-	VMULPD.BCST (SI)(R9*4), Z8, Z20
-	VMULPD.BCST (R11)(R9*2), Z8, Z21
-	VMULPD.BCST (R12), Z8, Z22
-	VMULPD.BCST (R12)(R9*1), Z8, Z23
-
-	VADDPD Z16, Z0, Z0
-	VADDPD Z17, Z1, Z1
-	VADDPD Z18, Z2, Z2
-	VADDPD Z19, Z3, Z3
-	VADDPD Z20, Z4, Z4
-	VADDPD Z21, Z5, Z5
-	VADDPD Z22, Z6, Z6
-	VADDPD Z23, Z7, Z7
+	VFMADD231PD.BCST (SI), Z8, Z0
+	VFMADD231PD.BCST (SI)(R9*1), Z8, Z1
+	VFMADD231PD.BCST (SI)(R9*2), Z8, Z2
+	VFMADD231PD.BCST (R11), Z8, Z3
+	VFMADD231PD.BCST (SI)(R9*4), Z8, Z4
+	VFMADD231PD.BCST (R11)(R9*2), Z8, Z5
+	VFMADD231PD.BCST (R12), Z8, Z6
+	VFMADD231PD.BCST (R12)(R9*1), Z8, Z7
 
 	ADDQ $8, SI
 	ADDQ $8, R11

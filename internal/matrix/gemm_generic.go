@@ -7,6 +7,9 @@ package matrix
 // Vars only because the kernel tests assign them on amd64.
 var simd, wide = false, false
 
+// hasFMA3 is not probed where the micro-kernels are not built.
+func hasFMA3() bool { return false }
+
 func gemmTile4x8(c, a, b *float64, k, ldc, lda, ldb int) { noSIMD() }
 
 func gemmTile8x8(c, a, b *float64, k, ldc, lda, ldb int) { noSIMD() }

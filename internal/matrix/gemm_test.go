@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -8,9 +9,9 @@ import (
 )
 
 // refGemm is the reference every dense kernel must match bit for bit: the
-// naive i-k-j triple loop, one rounded multiply and one rounded add per
-// step, k ascending. It runs on one goroutine over blocks nobody else holds
-// yet, so the race detector is spared its 1.7 GFLOP.
+// naive i-k-j triple loop, one fused multiply-add per step, k ascending.
+// It runs on one goroutine over blocks nobody else holds yet, so the race
+// detector is spared its 1.7 GFLOP.
 //
 //go:norace
 func refGemm(c, a, b *Dense) {
@@ -20,7 +21,7 @@ func refGemm(c, a, b *Dense) {
 		for p := 0; p < k; p++ {
 			av := a.Data[i*k+p]
 			for j := 0; j < n; j++ {
-				c.Data[i*n+j] += float64(av * b.Data[p*n+j])
+				c.Data[i*n+j] = math.FMA(av, b.Data[p*n+j], c.Data[i*n+j])
 			}
 		}
 	}
@@ -71,12 +72,18 @@ func kernelVariants(t *testing.T, fn func(t *testing.T)) {
 }
 
 // TestKernelSelection: the AVX-512 tile is only ever selected beside the
-// AVX2 kernels, and KernelName reports the flags. The log line is the
-// record of which paths a CI run's kernel tests actually exercised.
+// AVX2 kernels, those only where the CPU has FMA3, and KernelName reports
+// the flags. The log line is the record of which paths a CI run's kernel
+// tests actually exercised (fma3 is false wherever no micro-kernel is
+// built: the purego tag and other architectures do not probe it).
 func TestKernelSelection(t *testing.T) {
-	t.Logf("GOARCH=%s avx2=%v avx512=%v kernel=%s", runtime.GOARCH, simd, wide, KernelName())
+	fma := hasFMA3()
+	t.Logf("GOARCH=%s fma3=%v avx2=%v avx512=%v kernel=%s", runtime.GOARCH, fma, simd, wide, KernelName())
 	if wide && !simd {
 		t.Fatal("the AVX-512 tile is selected without the AVX2 kernels")
+	}
+	if simd && !fma {
+		t.Fatal("the AVX2 kernels are selected on a CPU without FMA3")
 	}
 	want := "go"
 	if wide {
@@ -222,6 +229,75 @@ func TestGemmNonFiniteIsIEEEAtAnyWidth(t *testing.T) {
 					t.Errorf("%s kernel, m=%d at %d workers: C[%d][%d] = %v, IEEE gives %v", KernelName(), m, w, i/n, i%n, got.Data[i], want.Data[i])
 				}
 			}
+		}
+	})
+}
+
+// fusedStepCase is a product in which every element of C sees exactly one
+// k step with a non-zero A: A[i][i%k] = 1+2⁻³⁰, every B = 1−2⁻³⁰, every C
+// pre-filled with −1. The product 1−2⁻⁶⁰ rounds to 1 on its own, so a
+// separately rounded step leaves 1 + (−1) = 0, while a fused one keeps the
+// exact −2⁻⁶⁰. Every other step adds an exact zero either way.
+func fusedStepCase(m, n, k int) (c, a, b *Dense) {
+	a, b, c = offsetDense(m, k, 1), offsetDense(k, n, 3), offsetDense(m, n, 1)
+	for i := 0; i < m; i++ {
+		a.Data[i*k+i%k] = 1 + 0x1p-30
+	}
+	for i := range b.Data {
+		b.Data[i] = 1 - 0x1p-30
+	}
+	for i := range c.Data {
+		c.Data[i] = -1
+	}
+	return c, a, b
+}
+
+// checkFused fails unless every element of c is the fused step's −2⁻⁶⁰.
+func checkFused(t *testing.T, what string, c *Dense) {
+	t.Helper()
+	for i, v := range c.Data {
+		if math.Float64bits(v) != math.Float64bits(-0x1p-60) {
+			t.Fatalf("%s kernel, %s %dx%d: C[%d][%d] = %v, a fused multiply-add gives %v",
+				KernelName(), what, c.RowsN, c.ColsN, i/c.ColsN, i%c.ColsN, v, -0x1p-60)
+		}
+	}
+}
+
+// TestGemmFusesEveryStep: every dense path takes one fused multiply-add per
+// k step — the 8×8 and 4×8 tiles, the portable loop's 4-row groups and its
+// scalar rows and remainder columns — through Gemm at widths 1 and 3,
+// GemmPacked on a packed and an in-place operand, and the row chunks a
+// one-tile cuboid splits its rows into (core's multiplyOneTile).
+func TestGemmFusesEveryStep(t *testing.T) {
+	forceParallel(t)
+	// Under the 8×8 tile, 15 and 23 rows end in a 4-row tile and three
+	// scalar rows, and 135 in the same after sixteen 8-row tiles (its
+	// operand is packed); 11, 17 and 19 columns leave a remainder.
+	shapes := [][3]int{{15, 11, 1}, {15, 11, 5}, {23, 19, 7}, {135, 17, 3}}
+	kernelVariants(t, func(t *testing.T) {
+		for _, s := range shapes {
+			m, n, k := s[0], s[1], s[2]
+			for _, w := range []int{1, 3} {
+				SetKernelWorkers(w)
+				c, a, b := fusedStepCase(m, n, k)
+				Gemm(c, a, b)
+				checkFused(t, fmt.Sprintf("Gemm at %d workers", w), c)
+			}
+			for _, rows := range []int{0, packMinRows} {
+				c, a, b := fusedStepCase(m, n, k)
+				pb := PackB(b, rows)
+				GemmPacked(c, a, pb)
+				pb.Release()
+				checkFused(t, fmt.Sprintf("GemmPacked(PackB rows=%d)", rows), c)
+			}
+			c, a, b := fusedStepCase(m, n, k)
+			pb := PackB(b, m)
+			chunk := RowChunk(m, 3)
+			for lo := 0; lo < m; lo += chunk {
+				GemmPackedRows(c, a, pb, lo, min(lo+chunk, m))
+			}
+			pb.Release()
+			checkFused(t, "GemmPackedRows in row chunks", c)
 		}
 	})
 }

@@ -89,7 +89,7 @@ func CSRMulCSR(a, b *CSR) *CSR {
 func csrMulCSRRange(a, b *CSR, lo, hi int) *CSR {
 	n := b.ColsN
 	out := &CSR{RowsN: hi - lo, ColsN: n, RowPtr: make([]int, hi-lo+1)}
-	acc := getScratch(n) // values are reset lazily via marker, no zeroing needed
+	acc, _ := getScratch(n) // values are reset lazily via marker, no zeroing needed
 	defer putScratch(acc)
 	marker := make([]int, n)
 	for i := range marker {

@@ -46,12 +46,11 @@ func DensePoolStats() PoolStats {
 // recycled. Release it with PutDense once it provably has no more readers;
 // blocks that escape into long-lived results are simply never released.
 func GetDense(rows, cols int) *Dense {
-	d := &Dense{RowsN: rows, ColsN: cols, Data: getScratch(rows * cols)}
-	for i := range d.Data {
-		d.Data[i] = 0
+	data, recycled := getScratch(rows * cols)
+	if recycled {
+		clear(data)
 	}
-	d.fromPool = true
-	return d
+	return &Dense{RowsN: rows, ColsN: cols, Data: data, fromPool: true}
 }
 
 // PutDense releases a block obtained from GetDense back to the pool. The
@@ -66,23 +65,25 @@ func PutDense(d *Dense) {
 	d.Data = nil
 }
 
-// getScratch returns a float64 buffer of the given length with arbitrary
-// contents — callers that need zeros must clear it (GetDense does).
-func getScratch(n int) []float64 {
+// getScratch returns a float64 buffer of the given length, and whether it
+// was recycled from the pool: a recycled buffer holds arbitrary contents, a
+// fresh one zeros — callers that need zeros clear only a recycled one
+// (GetDense does).
+func getScratch(n int) (s []float64, recycled bool) {
 	if n <= 0 {
-		return nil
+		return nil, false
 	}
 	class := bits.Len(uint(n - 1)) // ceil(log2(n))
 	if class < poolMinBits || class > poolMaxBits {
-		return make([]float64, n)
+		return make([]float64, n), false
 	}
 	poolGets.Add(1)
 	if v := densePools[class].Get(); v != nil {
 		poolHits.Add(1)
 		s := *(v.(*[]float64))
-		return s[:n]
+		return s[:n], true
 	}
-	return make([]float64, n, 1<<class)
+	return make([]float64, n, 1<<class), false
 }
 
 // putScratch recycles a buffer previously handed out by getScratch. Foreign

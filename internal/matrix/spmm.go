@@ -19,8 +19,12 @@ import (
 // the rows of A for the second — so a lane is one element of C computed in
 // the portable order. Every product is rounded before it is added (the
 // float64 conversions below forbid the compiler an FMA, the micro-kernels
-// use none): one arithmetic on every architecture and either kernel. Only
-// structural zeros are skipped.
+// use none): one arithmetic on every architecture and either kernel. The
+// dense kernel fuses each step instead (gemm.go); that is consistent, as
+// the sparse sums already associate differently from the dense k chain and
+// nothing promises a sparse product the dense one's bits — only that each
+// kernel has its own bits on every path. Only structural zeros are
+// skipped.
 
 // sparseFlopsThreshold is the minimum multiply-add count (nnz·n for
 // CSRMulDense, nnz·m for DenseMulCSC) before a bare sparse–dense kernel
@@ -219,7 +223,8 @@ func denseMulCSCRows(c, a *Dense, b *CSC, lo, hi int) {
 		denseMulCSCGo(c, a, b, lo, hi)
 		return
 	}
-	at, ct := getScratch(k*m), getScratch(n*m)
+	at, _ := getScratch(k * m)
+	ct, _ := getScratch(n * m)
 	transpose(at, a.Data[lo*k:hi*k], m, k)
 	transpose(ct, c.Data[lo*n:hi*n], m, n)
 	denseMulCSCLanes(ct, at, m, b)
@@ -311,7 +316,7 @@ func PackA(a *Dense, nnz int) PackedA {
 	if !transposePays(m, k, nnz) {
 		return PackedA{a: a}
 	}
-	at := getScratch(k * m)
+	at, _ := getScratch(k * m)
 	transpose(at, a.Data, m, k)
 	return PackedA{a: a, at: at}
 }
