@@ -46,12 +46,21 @@ fuzz-smoke:
 # dependencies must not reach internal/engine or internal/ml, or the engine
 # could never run on the TCP executor without an import cycle. Every Go file
 # outside the build directories must be as gofmt prints it; the files it
-# lists are the ones to format.
+# lists are the ones to format. The sparse kernels round each product apart
+# (float64(a*b)) so that they give the same bits on every architecture; the
+# amd64 compiler never fuses x += a*b, the arm64 one does where nothing
+# forbids it, so internal/matrix is cross-compiled for arm64 and any fused
+# multiply-add in spmm.go or kernels.go fails here with its file:line
+# (gemm.go fuses on purpose, through math.FMA; the decompositions promise
+# no bits).
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(find . -name '*.go' ! -path './.*' | xargs gofmt -l); if [ -n "$$unformatted" ]; then echo "$$unformatted" >&2; echo 'vet: the files above are not gofmt-formatted' >&2; exit 1; fi
 	@if grep -rn --include='*.go' '"net/rpc"' .; then echo 'vet: net/rpc imported above; use internal/codec calls' >&2; exit 1; fi
 	@if $(GO) list -deps ./internal/distnet | grep -xE 'distme/internal/(engine|ml)'; then echo 'vet: internal/distnet depends on the package above; it must not import internal/engine or internal/ml' >&2; exit 1; fi
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/matrix 2>&1) || { echo "$$asm" >&2; exit 1; }; \
+	fused=$$(echo "$$asm" | grep -E '/internal/matrix/(spmm|kernels)\.go:[0-9]+\)[[:space:]]+FN?M(ADD|SUB)D[[:space:]]' | sed -E 's|.*/(internal/matrix/[a-z_]+\.go:[0-9]+)\)[[:space:]]+([A-Z]+).*|\1: \2|' | sort -u); \
+	if [ -n "$$fused" ]; then echo "$$fused" >&2; echo 'vet: the arm64 compiler fused a sparse kernel step above; round the product apart with float64(a*b)' >&2; exit 1; fi
 
 # Every ```go fence in README.md and docs/*.md must build against the
 # current API, and every internal/<pkg>, cmd/<name> or examples/<name> path
@@ -108,8 +117,11 @@ bench-e2e:
 # prints the rows of each side by side — seed, fallback (the portable
 # loop) and avx2 (the AVX2 micro-kernels) for Gemm and the two sparse–dense
 # products, which also run the block shapes of the repository benchmark,
-# and for Gemm avx512 (the 8×8 tile; skipped where CPUID or XCR0 says no);
-# DenseMulCSC adds a packed row, the product as a cuboid tile runs it.
+# and for Gemm avx512 (the 8×24 tile, 8×8 for the last 8 or 16 columns;
+# skipped where CPUID or XCR0 says no); DenseMulCSC adds a packed row, the
+# product as a cuboid tile runs it. BenchmarkGemmTile runs each dense tile
+# alone with its operands in L1 (pass -cpu 1): its GFLOPS row is the tile's
+# ceiling, which for 8×24 is one 512-bit FMA a cycle.
 # BenchmarkSparseFanout is the measurement behind sparseFlopsThreshold.
 bench:
 	$(GO) test -bench=. -benchmem ./...

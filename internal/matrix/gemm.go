@@ -8,11 +8,11 @@ import (
 
 // The dense kernel — the stand-in for the cublasDgemm / LAPACK dgemm call
 // of the paper's local-multiplication step — is a register-tiled product:
-// C is cut into 8×8 tiles on AVX-512 CPUs and 4×8 tiles on AVX2 ones, each
-// held in registers over the whole k range by a micro-kernel
-// (gemm_amd64.s), and the rows and columns left over run the portable loop
-// below, which is also the whole kernel wherever the micro-kernels are not
-// built or the CPU lacks AVX2 and FMA3. All of them take one fused
+// C is cut into 8×24 tiles (8×8 for the last 8 or 16 columns) on AVX-512
+// CPUs and 4×8 tiles on AVX2 ones, each held in registers over the whole k
+// range by a micro-kernel (gemm_amd64.s), and the rows and columns left
+// over run the portable loop below, which is also the whole kernel wherever
+// the micro-kernels are not built or the CPU lacks AVX2 and FMA3. All of them take one fused
 // multiply-add per step, c = a·b + c rounded once as IEEE 754 defines it,
 // and walk k upwards, so a product has the same bits on every path, at any
 // fan-out width, for any row grouping — and the bits of the naive i-k-j
@@ -22,9 +22,10 @@ import (
 // kernels skip, and only structural zeros.
 
 const (
-	tileRows     = 4 // rows of the AVX2 tile, and of the portable loop's groups
-	wideTileRows = 8 // rows of the AVX-512 tile
-	tileCols     = 8
+	tileRows     = 4  // rows of the AVX2 tile, and of the portable loop's groups
+	wideTileRows = 8  // rows of the AVX-512 tiles
+	tileCols     = 8  // columns of a tile, and of a PackB panel
+	wideTileCols = 24 // columns of the main AVX-512 tile: three panels
 	// rowChunk is how many rows of C are finished before the next: the
 	// chunk of A (rowChunk×k) stays in L2 while the panels of B stream past
 	// it. Fixed; choosing it and a k panel per cache level with
@@ -41,9 +42,21 @@ var gemmFlopsThreshold = 1 << 24
 
 // packMinRows is the fewest A rows worth repacking B for. Packing reads and
 // writes B once; what it saves each row tile is the strided walk down B's
-// rows. Measured on 128-column blocks the two meet at about a hundred rows
-// (wider blocks, whose row stride aliases in L1, earlier).
-const packMinRows = 128
+// rows. Measured under the 8×24 tile, PackB + GemmPacked on one thread
+// against the same product read in place, GFLOP/s (rows × cols × k):
+//
+//	128 × 128 × 128   34–40 packed, 43–55 in place
+//	256 × 128 × 128   39–41 packed, 42–48 in place
+//	320 × 128 × 128   39–40 packed, 43–44 in place
+//	384 × 128 × 128   40–54 packed, 42–48 in place (a wash)
+//	128 × 768 × 768   18.4–18.6 packed, 17.2–17.4 in place
+//	256 × 768 × 768   27–31 packed, 18–19 in place
+//
+// so 128-column blocks gain from the pack from about 384 rows, while wider
+// blocks, whose row stride aliases in L1, gain from 128 and gain a lot from
+// 256. 256 keeps GNMF's 128-row chains in place and gives up 7 % on
+// 128-row products against 768-column blocks.
+const packMinRows = 256
 
 // KernelName names the dense kernel this process selected: "avx512",
 // "avx2" or "go".
@@ -181,12 +194,14 @@ func gemmDims(op string, c, a, b *Dense) (m, n, k int) {
 }
 
 // gemmRows computes rows [lo, hi) of C += A×B: full tiles through the
-// micro-kernels, a chunk of rows at a time and within it panel by panel, so
-// one panel of B stays in L1 across the chunk's row tiles — 8-row tiles
-// where the CPU has them, then one 4-row tile for a remainder of four to
-// seven rows; then the columns and rows that do not fill a tile through the
-// portable loop. A chunk is a multiple of eight rows, so the 4-row tile
-// only ever ends the last one.
+// micro-kernels, a chunk of rows at a time and within it column group by
+// column group, so the group's panels of B stay in L1 across the chunk's row
+// tiles. Where the CPU has the AVX-512 tiles a group is 24 columns wide,
+// three panels under the 8×24 tile, while whole groups last; the 8 or 16
+// columns left over go one panel at a time under the 8×8 tile. Elsewhere
+// every group is one panel. A chunk is a multiple of eight rows, so a 4-row
+// tile, three abreast in a 24-column group, only ever ends the last one;
+// then the columns and rows that do not fill a tile run the portable loop.
 func gemmRows(c, a *Dense, pb PackedB, lo, hi int) {
 	b := pb.b
 	k, n := a.ColsN, b.ColsN
@@ -195,24 +210,34 @@ func gemmRows(c, a *Dense, pb PackedB, lo, hi int) {
 		tiledHi = lo + (hi-lo)&^(tileRows-1)
 		tiledCols = n &^ (tileCols - 1)
 		for i0 := lo; i0 < tiledHi; i0 += rowChunk {
-			i1 := i0 + rowChunk
-			if i1 > tiledHi {
-				i1 = tiledHi
-			}
-			for j := 0; j < tiledCols; j += tileCols {
-				bp, ldb := &b.Data[j], n
+			i1 := min(i0+rowChunk, tiledHi)
+			for j := 0; j < tiledCols; {
+				w := tileCols
+				if wide && j+wideTileCols <= tiledCols {
+					w = wideTileCols
+				}
+				// Panel q of the group starts at bs[bo+q*bnext], rows ldb apart.
+				bs, bo, ldb, bnext := b.Data, j, n, tileCols
 				if pb.panels != nil {
-					bp, ldb = &pb.panels[j*k], tileCols
+					bs, bo, ldb, bnext = pb.panels, j*k, tileCols, tileCols*k
 				}
 				for i := i0; i < i1; {
-					if wide && i+wideTileRows <= i1 {
-						gemmTile8x8(&c.Data[i*n+j], &a.Data[i*k], bp, k, n, k, ldb)
+					cp, ap := &c.Data[i*n+j], &a.Data[i*k]
+					switch {
+					case wide && i+wideTileRows <= i1 && w == wideTileCols:
+						gemmTile8x24(cp, ap, &bs[bo], k, n, k, ldb, bnext)
 						i += wideTileRows
-					} else {
-						gemmTile4x8(&c.Data[i*n+j], &a.Data[i*k], bp, k, n, k, ldb)
+					case wide && i+wideTileRows <= i1:
+						gemmTile8x8(cp, ap, &bs[bo], k, n, k, ldb)
+						i += wideTileRows
+					default:
+						for q := 0; q < w/tileCols; q++ {
+							gemmTile4x8(&c.Data[i*n+j+q*tileCols], ap, &bs[bo+q*bnext], k, n, k, ldb)
+						}
 						i += tileRows
 					}
 				}
+				j += w
 			}
 		}
 	}

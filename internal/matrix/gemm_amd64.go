@@ -6,7 +6,8 @@ package matrix
 // a dense product (gemm_amd64.s), the row of a CSR×Dense and the column of
 // a Dense×CSC one, the transposes the latter needs (spmm_amd64.s); decided
 // once, from CPUID and XGETBV. wide reports whether dense products run the
-// AVX-512 8×8 tile in place of the 4×8 one; it implies simd. Both are vars
+// AVX-512 8×24 tile (8×8 for the last 8 or 16 columns) in place of the 4×8
+// one; it implies simd. Both are vars
 // only so the kernel tests can run every path a CPU has.
 var (
 	simd = hasAVX2()
@@ -24,6 +25,9 @@ func gemmTile4x8(c, a, b *float64, k, ldc, lda, ldb int)
 
 //go:noescape
 func gemmTile8x8(c, a, b *float64, k, ldc, lda, ldb int)
+
+//go:noescape
+func gemmTile8x24(c, a, b *float64, k, ldc, lda, ldb, bnext int)
 
 //go:noescape
 func csrRowAVX2(c *float64, n int, val *float64, col *int, nnz int, b *float64, ldb int)

@@ -160,10 +160,12 @@ store:
 
 // func gemmTile8x8(c, a, b *float64, k, ldc, lda, ldb int)
 //
-// gemmTile4x8 for eight rows of C on 512-bit registers: C[r][0:8] lives in
-// Zr for r in [0,8). Each step loads B[p][0:8] once into Z8, multiplies it
-// by A[r][p] broadcast from memory and adds the product into Zr with one
-// VFMADD231PD.BCST, p ascending, so every element rounds as in gemmTile4x8.
+// gemmTile4x8 for eight rows of C on 512-bit registers, the tile for the 8
+// or 16 columns left over after gemmTile8x24's groups of 24: C[r][0:8]
+// lives in Zr for r in [0,8). Each step loads B[p][0:8] once into Z8,
+// multiplies it by A[r][p] broadcast from memory and adds the product into
+// Zr with one VFMADD231PD.BCST, p ascending, so every element rounds as in
+// gemmTile4x8.
 // A's rows are SI, SI+lda, SI+2lda, R11 = SI+3lda, SI+4lda, R11+2lda,
 // R12 = SI+6lda and R12+lda; C's likewise from DI, AX = DI+3ldc and
 // BX = DI+6ldc.
@@ -228,5 +230,148 @@ store:
 	VMOVUPD Z5, (AX)(R8*2)
 	VMOVUPD Z6, (BX)
 	VMOVUPD Z7, (BX)(R8*1)
+	VZEROUPPER
+	RET
+
+// func gemmTile8x24(c, a, b *float64, k, ldc, lda, ldb, bnext int)
+//
+// C[r][0:24] += sum over p in [0,k) of A[r][p] * B[p][0:24] for r in [0,8),
+// the dense kernel's main tile. Columns 8q..8q+7 of B are read from
+// b + q*bnext (bnext elements: the next 8-column panel of a packed B, or 8
+// for B read in place), with row stride ldb. C[r][8q:8q+8] lives in
+// Z(3r+q) for the whole k range: 24 registers, three more hold the step's
+// B vectors and two take turns holding a broadcast A element, 29 of the 32.
+// Each step loads three B vectors and broadcasts each A element once, then
+// issues 24 VFMADD231PD, p ascending, so every element rounds as in
+// gemmTile4x8. 24 FMAs against 11 loads a step keep the FMA port, not the
+// load ports, the limit. A's and C's rows are addressed as in gemmTile8x8.
+TEXT ·gemmTile8x24(SB), NOSPLIT, $0-64
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), CX
+	MOVQ ldc+32(FP), R8
+	MOVQ lda+40(FP), R9
+	MOVQ ldb+48(FP), R10
+	MOVQ bnext+56(FP), R13
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R13
+
+	LEAQ (R8)(R8*2), AX
+	ADDQ DI, AX
+	LEAQ (AX)(R8*2), BX
+	ADDQ R8, BX
+	LEAQ (R9)(R9*2), R11
+	ADDQ SI, R11
+	LEAQ (R11)(R9*2), R12
+	ADDQ R9, R12
+
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD (DI)(R8*1), Z3
+	VMOVUPD 64(DI)(R8*1), Z4
+	VMOVUPD 128(DI)(R8*1), Z5
+	VMOVUPD (DI)(R8*2), Z6
+	VMOVUPD 64(DI)(R8*2), Z7
+	VMOVUPD 128(DI)(R8*2), Z8
+	VMOVUPD (AX), Z9
+	VMOVUPD 64(AX), Z10
+	VMOVUPD 128(AX), Z11
+	VMOVUPD (DI)(R8*4), Z12
+	VMOVUPD 64(DI)(R8*4), Z13
+	VMOVUPD 128(DI)(R8*4), Z14
+	VMOVUPD (AX)(R8*2), Z15
+	VMOVUPD 64(AX)(R8*2), Z16
+	VMOVUPD 128(AX)(R8*2), Z17
+	VMOVUPD (BX), Z18
+	VMOVUPD 64(BX), Z19
+	VMOVUPD 128(BX), Z20
+	VMOVUPD (BX)(R8*1), Z21
+	VMOVUPD 64(BX)(R8*1), Z22
+	VMOVUPD 128(BX)(R8*1), Z23
+
+	TESTQ CX, CX
+	JZ    store
+
+loop:
+	VMOVUPD (DX), Z24
+	VMOVUPD (DX)(R13*1), Z25
+	VMOVUPD (DX)(R13*2), Z26
+
+	VBROADCASTSD (SI), Z27
+	VFMADD231PD Z24, Z27, Z0
+	VFMADD231PD Z25, Z27, Z1
+	VFMADD231PD Z26, Z27, Z2
+
+	VBROADCASTSD (SI)(R9*1), Z28
+	VFMADD231PD Z24, Z28, Z3
+	VFMADD231PD Z25, Z28, Z4
+	VFMADD231PD Z26, Z28, Z5
+
+	VBROADCASTSD (SI)(R9*2), Z27
+	VFMADD231PD Z24, Z27, Z6
+	VFMADD231PD Z25, Z27, Z7
+	VFMADD231PD Z26, Z27, Z8
+
+	VBROADCASTSD (R11), Z28
+	VFMADD231PD Z24, Z28, Z9
+	VFMADD231PD Z25, Z28, Z10
+	VFMADD231PD Z26, Z28, Z11
+
+	VBROADCASTSD (SI)(R9*4), Z27
+	VFMADD231PD Z24, Z27, Z12
+	VFMADD231PD Z25, Z27, Z13
+	VFMADD231PD Z26, Z27, Z14
+
+	VBROADCASTSD (R11)(R9*2), Z28
+	VFMADD231PD Z24, Z28, Z15
+	VFMADD231PD Z25, Z28, Z16
+	VFMADD231PD Z26, Z28, Z17
+
+	VBROADCASTSD (R12), Z27
+	VFMADD231PD Z24, Z27, Z18
+	VFMADD231PD Z25, Z27, Z19
+	VFMADD231PD Z26, Z27, Z20
+
+	VBROADCASTSD (R12)(R9*1), Z28
+	VFMADD231PD Z24, Z28, Z21
+	VFMADD231PD Z25, Z28, Z22
+	VFMADD231PD Z26, Z28, Z23
+
+	ADDQ $8, SI
+	ADDQ $8, R11
+	ADDQ $8, R12
+	ADDQ R10, DX
+	DECQ CX
+	JNZ  loop
+
+store:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, (DI)(R8*1)
+	VMOVUPD Z4, 64(DI)(R8*1)
+	VMOVUPD Z5, 128(DI)(R8*1)
+	VMOVUPD Z6, (DI)(R8*2)
+	VMOVUPD Z7, 64(DI)(R8*2)
+	VMOVUPD Z8, 128(DI)(R8*2)
+	VMOVUPD Z9, (AX)
+	VMOVUPD Z10, 64(AX)
+	VMOVUPD Z11, 128(AX)
+	VMOVUPD Z12, (DI)(R8*4)
+	VMOVUPD Z13, 64(DI)(R8*4)
+	VMOVUPD Z14, 128(DI)(R8*4)
+	VMOVUPD Z15, (AX)(R8*2)
+	VMOVUPD Z16, 64(AX)(R8*2)
+	VMOVUPD Z17, 128(AX)(R8*2)
+	VMOVUPD Z18, (BX)
+	VMOVUPD Z19, 64(BX)
+	VMOVUPD Z20, 128(BX)
+	VMOVUPD Z21, (BX)(R8*1)
+	VMOVUPD Z22, 64(BX)(R8*1)
+	VMOVUPD Z23, 128(BX)(R8*1)
 	VZEROUPPER
 	RET

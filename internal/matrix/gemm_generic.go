@@ -14,6 +14,8 @@ func gemmTile4x8(c, a, b *float64, k, ldc, lda, ldb int) { noSIMD() }
 
 func gemmTile8x8(c, a, b *float64, k, ldc, lda, ldb int) { noSIMD() }
 
+func gemmTile8x24(c, a, b *float64, k, ldc, lda, ldb, bnext int) { noSIMD() }
+
 func csrRowAVX2(c *float64, n int, val *float64, col *int, nnz int, b *float64, ldb int) { noSIMD() }
 
 func cscColAVX2(ct *float64, m int, val *float64, row *int, nnz int, at *float64, ldat int) { noSIMD() }

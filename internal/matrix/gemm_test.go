@@ -71,14 +71,21 @@ func kernelVariants(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// TestKernelSelection: the AVX-512 tile is only ever selected beside the
+// TestKernelSelection: the AVX-512 tiles are only ever selected beside the
 // AVX2 kernels, those only where the CPU has FMA3, and KernelName reports
 // the flags. The log line is the record of which paths a CI run's kernel
-// tests actually exercised (fma3 is false wherever no micro-kernel is
-// built: the purego tag and other architectures do not probe it).
+// tests actually exercised, and of the dense tile they ran (fma3 is false
+// wherever no micro-kernel is built: the purego tag and other architectures
+// do not probe it).
 func TestKernelSelection(t *testing.T) {
 	fma := hasFMA3()
-	t.Logf("GOARCH=%s fma3=%v avx2=%v avx512=%v kernel=%s", runtime.GOARCH, fma, simd, wide, KernelName())
+	tile := "none"
+	if wide {
+		tile = "8x24 (8x8 for the last 8 or 16 columns)"
+	} else if simd {
+		tile = "4x8"
+	}
+	t.Logf("GOARCH=%s fma3=%v avx2=%v avx512=%v kernel=%s tile=%s", runtime.GOARCH, fma, simd, wide, KernelName(), tile)
 	if wide && !simd {
 		t.Fatal("the AVX-512 tile is selected without the AVX2 kernels")
 	}
@@ -140,7 +147,7 @@ func (tc *gemmCase) check(t *testing.T, widths []int) {
 func TestGemmDifferential(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(211))
-	// As m under the 8×8 tile: 16 and 24 are whole 8-row tiles, 12 and 127
+	// As m under the 8-row tiles: 16 and 24 are whole 8-row tiles, 12 and 127
 	// follow theirs with a 4-row tile (127 then with three scalar rows), 17
 	// and 129 with one scalar row.
 	dims := []int{0, 1, 3, 4, 5, 7, 8, 9, 12, 16, 17, 24, 127, 128, 129}
@@ -148,6 +155,17 @@ func TestGemmDifferential(t *testing.T) {
 	for _, m := range dims {
 		for _, n := range dims {
 			for _, k := range dims {
+				cases = append(cases, newGemmCase(rng, m, n, k))
+			}
+		}
+	}
+	// Under the 8×24 tile, 48 and 72 columns are whole groups of 24, 40
+	// leaves 16 columns and 59 leaves 8 and three scalar ones for the 8×8
+	// tile and the portable loop; 12 and 135 rows end in a 4-row tile, which
+	// then runs three abreast in a group.
+	for _, m := range []int{8, 12, 135} {
+		for _, n := range []int{40, 48, 59, 72} {
+			for _, k := range []int{1, 7, 129} {
 				cases = append(cases, newGemmCase(rng, m, n, k))
 			}
 		}
@@ -264,16 +282,18 @@ func checkFused(t *testing.T, what string, c *Dense) {
 }
 
 // TestGemmFusesEveryStep: every dense path takes one fused multiply-add per
-// k step — the 8×8 and 4×8 tiles, the portable loop's 4-row groups and its
-// scalar rows and remainder columns — through Gemm at widths 1 and 3,
-// GemmPacked on a packed and an in-place operand, and the row chunks a
+// k step — the 8×24, 8×8 and 4×8 tiles, the portable loop's 4-row groups
+// and its scalar rows and remainder columns — through Gemm at widths 1 and
+// 3, GemmPacked on a packed and an in-place operand, and the row chunks a
 // one-tile cuboid splits its rows into (core's multiplyOneTile).
 func TestGemmFusesEveryStep(t *testing.T) {
 	forceParallel(t)
-	// Under the 8×8 tile, 15 and 23 rows end in a 4-row tile and three
-	// scalar rows, and 135 in the same after sixteen 8-row tiles (its
-	// operand is packed); 11, 17 and 19 columns leave a remainder.
-	shapes := [][3]int{{15, 11, 1}, {15, 11, 5}, {23, 19, 7}, {135, 17, 3}}
+	// Under the 8-row tiles, 15 and 23 rows end in a 4-row tile and three
+	// scalar rows, and 135 in the same after sixteen 8-row tiles; 11, 17
+	// and 19 columns leave a remainder. 59
+	// columns are two groups under the 8×24 tile, one panel under the 8×8
+	// tile and three scalar columns.
+	shapes := [][3]int{{15, 11, 1}, {15, 11, 5}, {23, 19, 7}, {135, 17, 3}, {135, 59, 3}, {15, 59, 5}}
 	kernelVariants(t, func(t *testing.T) {
 		for _, s := range shapes {
 			m, n, k := s[0], s[1], s[2]

@@ -108,7 +108,7 @@ func csrMulCSRRange(a, b *CSR, lo, hi int) *CSR {
 					acc[j] = 0
 					cols = append(cols, j)
 				}
-				acc[j] += av * b.Val[q]
+				acc[j] += float64(av * b.Val[q]) // rounded apart: no FMA on any architecture
 			}
 		}
 		// Deterministic output: ascending column order within the row.

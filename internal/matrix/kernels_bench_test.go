@@ -145,6 +145,42 @@ func BenchmarkGemm(b *testing.B) {
 	}
 }
 
+// BenchmarkGemmTile runs each dense micro-kernel alone on operands that stay
+// in L1 (k = 64, B as packed panels), so its GFLOPS row is the tile's own
+// ceiling, apart from row chunks, packing and the portable remainders: a
+// 512-bit FMA a cycle is 16 GFLOP/s per GHz. Pass -cpu 1.
+func BenchmarkGemmTile(b *testing.B) {
+	const k = 64
+	rng := rand.New(rand.NewSource(1))
+	a := RandomDense(rng, wideTileRows, k)
+	panels := RandomDense(rng, wideTileCols/tileCols, k*tileCols) // three panels, back to back
+	c := NewDense(wideTileRows, wideTileCols)
+	for _, tile := range []struct {
+		name       string
+		rows, cols int
+		kernel     string
+		run        func()
+	}{
+		{"8x24", wideTileRows, wideTileCols, "avx512", func() {
+			gemmTile8x24(&c.Data[0], &a.Data[0], &panels.Data[0], k, wideTileCols, k, tileCols, k*tileCols)
+		}},
+		{"8x8", wideTileRows, tileCols, "avx512", func() {
+			gemmTile8x8(&c.Data[0], &a.Data[0], &panels.Data[0], k, wideTileCols, k, tileCols)
+		}},
+		{"4x8", tileRows, tileCols, "avx2", func() {
+			gemmTile4x8(&c.Data[0], &a.Data[0], &panels.Data[0], k, wideTileCols, k, tileCols)
+		}},
+	} {
+		b.Run(tile.name, func(b *testing.B) {
+			useKernel(b, tile.kernel)
+			for i := 0; i < b.N; i++ {
+				tile.run() // into a running C, as the k chain of a tile does
+			}
+			reportGFlops(b, 2*float64(tile.rows*tile.cols*k))
+		})
+	}
+}
+
 // kernelPaths names the kernel paths a build can take, portable first.
 var kernelPaths = []string{"go", "avx2", "avx512"}
 

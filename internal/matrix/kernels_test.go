@@ -90,6 +90,19 @@ func TestDenseMulCSCMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestCSRMulCSRRoundsApart: Gustavson's accumulation rounds the product
+// and the sum apart on every architecture, as the other sparse kernels do.
+// Row 0 takes −1·1 and then (1+2⁻³⁰)(1−2⁻³⁰), whose product rounds to 1 on
+// its own: the two cancel to an exact 0 and the entry is dropped, where a
+// fused multiply-add would keep −2⁻⁶⁰.
+func TestCSRMulCSRRoundsApart(t *testing.T) {
+	a := NewCSRFromDense(NewDenseData(1, 2, []float64{-1, 1 + 0x1p-30}))
+	b := NewCSRFromDense(NewDenseData(2, 1, []float64{1, 1 - 0x1p-30}))
+	if got := CSRMulCSR(a, b); got.NNZ() != 0 {
+		t.Fatalf("CSRMulCSR kept C[0][0] = %v; rounded apart the two products cancel to 0", got.Dense().At(0, 0))
+	}
+}
+
 func TestCSRMulCSRMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := RandomSparse(rng, 15, 25, 0.15)
