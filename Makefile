@@ -44,7 +44,13 @@ fuzz-smoke:
 # tree, tests included — an import of it fails here with its file:line.
 # internal/distnet sits below the engine and the queries: its non-test
 # dependencies must not reach internal/engine or internal/ml, or the engine
-# could never run on the TCP executor without an import cycle. Every Go file
+# could never run on the TCP executor without an import cycle. The root API
+# and internal/engine are the engine; the simulated GPU, the cost model, the
+# paper's experiments and comparison systems are the reproduction built on
+# it, which plugs the GPU in as the engine's local multiplier — so imports
+# point from the reproduction to the engine, and the root package's or
+# internal/engine's non-test dependencies reaching internal/gpu, costmodel,
+# experiments, systems or baselines fail here. Every Go file
 # outside the build directories must be as gofmt prints it; the files it
 # lists are the ones to format. The sparse kernels round each product apart
 # (float64(a*b)) so that they give the same bits on every architecture; the
@@ -58,6 +64,7 @@ vet:
 	@unformatted=$$(find . -name '*.go' ! -path './.*' | xargs gofmt -l); if [ -n "$$unformatted" ]; then echo "$$unformatted" >&2; echo 'vet: the files above are not gofmt-formatted' >&2; exit 1; fi
 	@if grep -rn --include='*.go' '"net/rpc"' .; then echo 'vet: net/rpc imported above; use internal/codec calls' >&2; exit 1; fi
 	@if $(GO) list -deps ./internal/distnet | grep -xE 'distme/internal/(engine|ml)'; then echo 'vet: internal/distnet depends on the package above; it must not import internal/engine or internal/ml' >&2; exit 1; fi
+	@if $(GO) list -deps . ./internal/engine | grep -xE 'distme/internal/(gpu|costmodel|experiments|systems|baselines)'; then echo 'vet: the root package or internal/engine depends on the package above; the reproduction plugs into the engine, not the other way round' >&2; exit 1; fi
 	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/matrix 2>&1) || { echo "$$asm" >&2; exit 1; }; \
 	fused=$$(echo "$$asm" | grep -E '/internal/matrix/(spmm|kernels)\.go:[0-9]+\)[[:space:]]+FN?M(ADD|SUB)D[[:space:]]' | sed -E 's|.*/(internal/matrix/[a-z_]+\.go:[0-9]+)\)[[:space:]]+([A-Z]+).*|\1: \2|' | sort -u); \
 	if [ -n "$$fused" ]; then echo "$$fused" >&2; echo 'vet: the arm64 compiler fused a sparse kernel step above; round the product apart with float64(a*b)' >&2; exit 1; fi

@@ -15,6 +15,7 @@ import (
 	"distme/internal/cluster"
 	"distme/internal/core"
 	"distme/internal/experiments"
+	"distme/internal/gpu"
 	"distme/internal/matrix"
 	"distme/internal/workload"
 )
@@ -168,7 +169,11 @@ func BenchmarkMultiplyGPU(b *testing.B) {
 			cfg := distme.LaptopCluster()
 			cfg.TaskMemBytes = 1 << 30
 			cfg.DiskCapacityBytes = 0
-			eng, err := distme.NewEngine(distme.EngineConfig{Cluster: cfg, UseGPU: gpuOn})
+			ecfg := distme.EngineConfig{Cluster: cfg}
+			if gpuOn {
+				ecfg.Local = gpu.NewMultiplier(gpu.TaskSpec(cfg))
+			}
+			eng, err := distme.NewEngine(ecfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -23,6 +23,7 @@ import (
 
 	"distme"
 	"distme/internal/distnet"
+	"distme/internal/gpu"
 	"distme/internal/metrics"
 )
 
@@ -108,10 +109,8 @@ func cmdMultiply(args []string) error {
 		return err
 	}
 
-	eng, err := distme.NewEngine(distme.EngineConfig{
-		Cluster: laptopConfig(*taskMemMB),
-		UseGPU:  *useGPU,
-	})
+	cfg, dev := engineConfig(laptopConfig(*taskMemMB), *useGPU)
+	eng, err := distme.NewEngine(cfg)
 	if err != nil {
 		return err
 	}
@@ -150,11 +149,25 @@ func cmdMultiply(args []string) error {
 	fmt.Printf("elapsed:      %v\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("repartition:  %s\n", metrics.FormatBytes(report.Comm.RepartitionBytes))
 	fmt.Printf("aggregation:  %s\n", metrics.FormatBytes(report.Comm.AggregationBytes))
-	if *useGPU {
+	if dev != nil {
+		st := dev.Stats()
 		fmt.Printf("pci-e:        %s (utilization %.1f%%)\n",
-			metrics.FormatBytes(report.GPU.PCIEBytes()), 100*report.GPU.Utilization())
+			metrics.FormatBytes(st.PCIEBytes()), 100*st.Utilization())
 	}
 	return nil
+}
+
+// engineConfig configures an engine on the given cluster. With useGPU its
+// local multiplication runs on one task's slice of the cluster's simulated
+// GPUs, whose device it also returns; on the CPU the device is nil.
+func engineConfig(cl distme.ClusterConfig, useGPU bool) (distme.EngineConfig, *gpu.Device) {
+	cfg := distme.EngineConfig{Cluster: cl}
+	if !useGPU {
+		return cfg, nil
+	}
+	m := gpu.NewMultiplier(gpu.TaskSpec(cl))
+	cfg.Local = m
+	return cfg, m.Device
 }
 
 func cmdOptimize(args []string) error {
@@ -242,11 +255,9 @@ func cmdGNMF(args []string) error {
 	fmt.Printf("V: %s → %d users x %d items, %d ratings (density %.5f)\n",
 		name, v.Rows, v.Cols, v.NNZ(), v.Sparsity())
 
-	eng, err := distme.NewEngine(distme.EngineConfig{
-		Cluster:      laptopConfig(0),
-		UseGPU:       *useGPU,
-		TrackLayouts: true,
-	})
+	cfg, _ := engineConfig(laptopConfig(0), *useGPU)
+	cfg.TrackLayouts = true
+	eng, err := distme.NewEngine(cfg)
 	if err != nil {
 		return err
 	}
@@ -493,10 +504,8 @@ func cmdExplain(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	eng, err := distme.NewEngine(distme.EngineConfig{
-		Cluster: laptopConfig(*taskMemMB),
-		UseGPU:  *useGPU,
-	})
+	cl := laptopConfig(*taskMemMB)
+	eng, err := distme.NewEngine(distme.EngineConfig{Cluster: cl})
 	if err != nil {
 		return err
 	}
@@ -527,5 +536,11 @@ func cmdExplain(args []string) error {
 		return err
 	}
 	fmt.Printf("plan for %dx%dx%d (block %d, sparsity %g):\n%v", *m, *k, *n, *bs, *sparsity, ex)
+	if *useGPU && mth != distme.MethodRMM {
+		_, sub, err := gpu.AveragePlan(distme.ShapeOf(a, b), ex.Params, gpu.TaskSpec(cl).MemPerTaskBytes)
+		if err == nil {
+			fmt.Printf("  gpu plan:     %v subcuboids, %d iterations/task\n", sub, sub.Subcuboids())
+		}
+	}
 	return nil
 }

@@ -48,6 +48,7 @@ var knownImports = map[string]string{
 	"plan":    "distme/internal/plan",
 	"bmat":    "distme/internal/bmat",
 	"core":    "distme/internal/core",
+	"gpu":     "distme/internal/gpu",
 	"fmt":     "fmt",
 	"log":     "log",
 	"os":      "os",

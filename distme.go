@@ -8,8 +8,10 @@
 // chosen to minimize network communication (Q·|A| + P·|B| + R·|C|) under a
 // per-task memory budget θt; it generalizes the classical BMM, CPMM and RMM
 // methods, all of which the engine also implements. Local multiplication
-// can run on a simulated GPU that streams subcuboids sized for the device
-// budget θg through asynchronous copy/kernel pipelines (the paper's §4).
+// runs on the CPU unless EngineConfig.Local names another multiplier; the
+// reproduction's simulated GPU, which streams subcuboids sized for the
+// device budget θg through asynchronous copy/kernel pipelines (the paper's
+// §4), is one.
 //
 // Quickstart:
 //
@@ -24,9 +26,9 @@
 //	fmt.Println(report.Params, report.Comm)
 //
 // The cluster, its task-memory discipline (which reproduces the paper's
-// O.O.M. / E.D.C. failure modes), the GPU device model, and the
-// communication accounting are all simulated in-process, deterministic, and
-// byte-exact against the paper's Table 2 cost formulas.
+// O.O.M. / E.D.C. failure modes), and the communication accounting are all
+// simulated in-process, deterministic, and byte-exact against the paper's
+// Table 2 cost formulas.
 package distme
 
 import (
@@ -38,7 +40,6 @@ import (
 	"distme/internal/cluster"
 	"distme/internal/core"
 	"distme/internal/engine"
-	"distme/internal/gpu"
 	"distme/internal/matrix"
 	"distme/internal/metrics"
 	"distme/internal/ml"
@@ -55,8 +56,8 @@ type Matrix = bmat.BlockMatrix
 // Engine executes distributed matrix operators against a simulated cluster.
 type Engine = engine.Engine
 
-// EngineConfig configures an Engine: cluster envelope, GPU usage, layout
-// tracking, and default multiplication method.
+// EngineConfig configures an Engine: cluster envelope, local multiplier,
+// layout tracking, and default multiplication method.
 type EngineConfig = engine.Config
 
 // ClusterConfig is the simulated hardware envelope (nodes, slots, θt, θg,
@@ -84,7 +85,7 @@ const (
 type MulOptions = engine.MulOptions
 
 // Report describes one executed multiplication: method, parameters,
-// communication snapshot, GPU statistics.
+// communication snapshot, elastic counters and trace.
 type Report = engine.Report
 
 // Params is a (P,Q,R)-cuboid partitioning.
@@ -92,13 +93,6 @@ type Params = core.Params
 
 // Shape summarizes one multiplication for the optimizer.
 type Shape = core.Shape
-
-// GPUSpec describes the simulated device.
-type GPUSpec = gpu.Spec
-
-// GPUStats aggregates device-timeline observations (PCI-E traffic,
-// utilization).
-type GPUStats = gpu.Stats
 
 // CommSnapshot is a communication-accounting snapshot.
 type CommSnapshot = metrics.Snapshot
@@ -159,9 +153,6 @@ func PaperCluster() ClusterConfig { return cluster.PaperConfig() }
 
 // LaptopCluster returns a scaled-down envelope for single-machine runs.
 func LaptopCluster() ClusterConfig { return cluster.LaptopConfig() }
-
-// PaperGPU returns the testbed device model (GTX 1080 Ti under 10-way MPS).
-func PaperGPU() GPUSpec { return gpu.PaperSpec() }
 
 // NewMatrix creates an all-zero rows×cols matrix with the given block size.
 func NewMatrix(rows, cols, blockSize int) *Matrix { return bmat.New(rows, cols, blockSize) }
@@ -260,8 +251,6 @@ var (
 	WithParams = engine.WithParams
 	// WithRMMTasks overrides RMM's task count.
 	WithRMMTasks = engine.WithRMMTasks
-	// WithGPU overrides the engine's GPU default.
-	WithGPU = engine.WithGPU
 )
 
 // --- Additional algorithms ---------------------------------------------------

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"distme"
+	"distme/internal/gpu"
 )
 
 func laptopEngine(t *testing.T) *distme.Engine {
@@ -102,27 +103,38 @@ func TestPublicStorageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPublicGPUPath plugs the simulated GPU into a public engine as its
+// local multiplier and reads the device it owns.
 func TestPublicGPUPath(t *testing.T) {
 	cfg := distme.LaptopCluster()
 	cfg.LocalWorkers = 4
 	cfg.TaskMemBytes = 1 << 30
 	cfg.DiskCapacityBytes = 0
-	e, err := distme.NewEngine(distme.EngineConfig{Cluster: cfg, UseGPU: true})
+	g := gpu.NewMultiplier(gpu.TaskSpec(cfg))
+	e, err := distme.NewEngine(distme.EngineConfig{Cluster: cfg, Local: g})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
 	a := distme.RandomDense(rng, 32, 32, 8)
 	b := distme.RandomDense(rng, 32, 32, 8)
-	_, report, err := e.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+	c, _, err := e.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
 		map[string]*distme.Matrix{"a": a, "b": b}, distme.WithMulOptions(distme.MulOptions{Method: distme.MethodCPMM}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.GPU.Kernels == 0 {
+	want, err := laptopEngine(t).Multiply(context.Background(), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.ToDense().EqualApprox(want.ToDense(), 1e-9) {
+		t.Fatal("GPU product differs from the CPU product")
+	}
+	st := g.Device.Stats()
+	if st.Kernels == 0 {
 		t.Fatal("GPU path inactive")
 	}
-	if u := report.GPU.Utilization(); u <= 0 || u > 1 {
+	if u := st.Utilization(); u <= 0 || u > 1 {
 		t.Fatalf("utilization %g out of range", u)
 	}
 }
@@ -132,9 +144,8 @@ func TestPaperClusterConstants(t *testing.T) {
 	if cfg.Slots() != 90 {
 		t.Fatalf("paper cluster slots = %d", cfg.Slots())
 	}
-	spec := distme.PaperGPU()
-	if spec.MemPerTaskBytes != 1e9 {
-		t.Fatalf("paper θg = %d", spec.MemPerTaskBytes)
+	if cfg.GPUMemPerTaskBytes != 1e9 {
+		t.Fatalf("paper θg = %d", cfg.GPUMemPerTaskBytes)
 	}
 }
 

@@ -33,32 +33,30 @@ func main() {
 	} {
 		cfg := distme.LaptopCluster()
 		cfg.TaskMemBytes = 1 << 30
-		eng, err := distme.NewEngine(distme.EngineConfig{
-			Cluster: cfg,
-			UseGPU:  true,
-			GPUSpec: distme.GPUSpec{
-				MemPerTaskBytes: θg,
-				PCIEBandwidth:   2e8, // bus-constrained, like the testbed
-				Flops:           5e9,
-				MaxStreams:      32,
-			},
+		m := gpu.NewMultiplier(gpu.Spec{
+			MemPerTaskBytes: θg,
+			PCIEBandwidth:   2e8, // bus-constrained, like the testbed
+			Flops:           5e9,
+			MaxStreams:      32,
 		})
+		eng, err := distme.NewEngine(distme.EngineConfig{Cluster: cfg, Local: m})
 		if err != nil {
 			log.Fatal(err)
 		}
 		// One cuboid: force (1,1,1) so the subcuboid layer does the work.
-		c, report, err := eng.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
+		c, _, err := eng.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
 			map[string]*distme.Matrix{"a": a, "b": b}, distme.WithParams(distme.Params{P: 1, Q: 1, R: 1}))
 		if err != nil {
 			fmt.Printf("%-12s %v\n", metrics.FormatBytes(θg), err)
 			continue
 		}
+		st := m.Device.Stats()
 		fmt.Printf("%-12s %-12d %-12s %-12s %.1f%%\n",
 			metrics.FormatBytes(θg),
-			report.GPU.Iterations,
-			metrics.FormatBytes(report.GPU.H2DBytes),
-			metrics.FormatBytes(report.GPU.D2HBytes),
-			100*report.GPU.Utilization())
+			st.Iterations,
+			metrics.FormatBytes(st.H2DBytes),
+			metrics.FormatBytes(st.D2HBytes),
+			100*st.Utilization())
 		if ref == nil {
 			ref = c
 		} else if !c.ToDense().EqualApprox(ref.ToDense(), 1e-9) {
@@ -72,15 +70,12 @@ func main() {
 	// Finally, the Figure 5(b) view: trace one task's stream timeline.
 	cfg := distme.LaptopCluster()
 	cfg.TaskMemBytes = 1 << 30
-	eng, err := distme.NewEngine(distme.EngineConfig{
-		Cluster: cfg,
-		UseGPU:  true,
-		GPUSpec: distme.GPUSpec{MemPerTaskBytes: 1 << 22, PCIEBandwidth: 2e8, Flops: 5e9, MaxStreams: 8},
-	})
+	m := gpu.NewMultiplier(gpu.Spec{MemPerTaskBytes: 1 << 22, PCIEBandwidth: 2e8, Flops: 5e9, MaxStreams: 8})
+	eng, err := distme.NewEngine(distme.EngineConfig{Cluster: cfg, Local: m})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng.Device().EnableTrace(24)
+	m.Device.EnableTrace(24)
 	small := distme.RandomDense(rng, 128, 512, 64)
 	smallB := distme.RandomDense(rng, 512, 128, 64)
 	if _, _, err := eng.Run(context.Background(), distme.PlanMul(distme.PlanVar("a"), distme.PlanVar("b")),
@@ -88,5 +83,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nfirst timeline events (the paper's Figure 5(b) view):")
-	fmt.Print(gpu.FormatTrace(eng.Device().Trace()))
+	fmt.Print(gpu.FormatTrace(m.Device.Trace()))
 }

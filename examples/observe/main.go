@@ -4,7 +4,7 @@
 //
 // Load trace.json into chrome://tracing or https://ui.perfetto.dev to see
 // the repartition / local-multiply / aggregation phases, one task span per
-// cuboid, and (with UseGPU) the device timeline grafted underneath.
+// cuboid, and the simulated GPU's device timeline grafted underneath.
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"distme"
+	"distme/internal/gpu"
 )
 
 func main() {
@@ -24,11 +25,14 @@ func main() {
 	cfg.LocalWorkers = runtime.GOMAXPROCS(0)
 
 	// A tracer on the engine config records a span tree per multiply;
-	// without one, tracing is off and costs nothing.
+	// without one, tracing is off and costs nothing. The local multiplier is
+	// the simulated GPU, recording its stream timeline for the graft below.
 	tracer := distme.NewTracer()
+	g := gpu.NewMultiplier(gpu.TaskSpec(cfg))
+	g.Device.EnableTrace(1 << 15)
 	eng, err := distme.NewEngine(distme.EngineConfig{
 		Cluster: cfg,
-		UseGPU:  true,
+		Local:   g,
 		Tracer:  tracer,
 	})
 	if err != nil {
@@ -45,8 +49,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Report.Trace holds just this multiply's spans, already snapshotted.
+	// Report.Trace holds just this multiply's spans, already snapshotted;
+	// the device's timeline is grafted under its root span.
 	tr := report.Trace
+	g.Device.Graft(tracer, tr)
 	fmt.Printf("multiply %v (P,Q,R)=%v recorded %d spans\n",
 		report.Method, report.Params, len(tr.Spans))
 

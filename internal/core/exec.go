@@ -19,17 +19,13 @@ import (
 // Env is the execution environment of one distributed multiplication: the
 // cluster that runs the tasks, the recorder that the repartition /
 // local-multiplication / aggregation steps charge, and the local multiplier
-// that computes a cuboid's partial results (CPU by default; the gpu package
-// provides the accelerated implementation of §4).
+// that computes a cuboid's partial results and RMM's block-pair products
+// (CPU by default; the gpu package provides the accelerated implementation
+// of §4).
 type Env struct {
 	Cluster    *cluster.Cluster
 	Recorder   *metrics.Recorder
 	Multiplier LocalMultiplier
-	// VoxelMultiplier computes single block-pair products for the RMM
-	// executor, whose hash partitioning prevents cuboid-level batching; the
-	// gpu package's BlockLevel provides the degraded GPU path the paper
-	// describes for RMM.
-	VoxelMultiplier VoxelMultiplier
 	// AColocated (BColocated) declares that A (B) is already partitioned in
 	// the layout the chosen method wants, so its base copy does not cross
 	// the network: one |A| (|B|) is deducted from the repartition charge.
@@ -51,28 +47,6 @@ type Env struct {
 	// them).
 	Tracer      *obs.Tracer
 	TraceParent obs.SpanID
-}
-
-// VoxelMultiplier multiplies one block pair — the local multiplication
-// granularity of RMM.
-type VoxelMultiplier interface {
-	MultiplyPair(a, b matrix.Block) (*matrix.Dense, error)
-}
-
-// CPUVoxelMultiplier is the default block-pair multiplier.
-type CPUVoxelMultiplier struct{}
-
-// MultiplyPair implements VoxelMultiplier.
-func (CPUVoxelMultiplier) MultiplyPair(a, b matrix.Block) (*matrix.Dense, error) {
-	return matrix.MulAdd(nil, a, b), nil
-}
-
-// voxelMultiplier returns the configured pair multiplier or the CPU default.
-func (e *Env) voxelMultiplier() VoxelMultiplier {
-	if e.VoxelMultiplier != nil {
-		return e.VoxelMultiplier
-	}
-	return CPUVoxelMultiplier{}
 }
 
 // recorder returns the explicit recorder, falling back to the cluster's.
@@ -195,12 +169,16 @@ func (c *Cuboid) FlopsEstimate() float64 {
 	return 2 * work * bCols
 }
 
-// LocalMultiplier computes the local multiplication step for one cuboid,
-// returning its partial C blocks, each output position at most once. The CPU
-// implementation multiplies directly; the GPU implementation (gpu package)
-// streams subcuboids through the simulated device per Algorithm 1.
+// LocalMultiplier computes the local multiplication step at both of its
+// granularities. Multiply runs one cuboid, returning its partial C blocks,
+// each output position at most once. MultiplyPair runs one block pair — the
+// granularity of RMM, whose hash partitioning prevents cuboid-level
+// batching. The CPU implementation multiplies directly; the GPU
+// implementation (gpu package) streams subcuboids through the simulated
+// device per Algorithm 1, and block pairs one at a time.
 type LocalMultiplier interface {
 	Multiply(c *Cuboid) ([]Partial, error)
+	MultiplyPair(a, b matrix.Block) (*matrix.Dense, error)
 }
 
 // CPUMultiplier is the LAPACK-style local multiplication: MultiplyBox over
@@ -211,6 +189,11 @@ type CPUMultiplier struct{}
 func (CPUMultiplier) Multiply(c *Cuboid) ([]Partial, error) {
 	tiles, _ := MultiplyBox(c.Box(), c.A.Block, c.B.Block, nil)
 	return c.Box().Partials(tiles), nil
+}
+
+// MultiplyPair implements LocalMultiplier.
+func (CPUMultiplier) MultiplyPair(a, b matrix.Block) (*matrix.Dense, error) {
+	return matrix.MulAdd(nil, a, b), nil
 }
 
 // ErrShapeMismatch reports operands that are not conformable for the
@@ -578,7 +561,7 @@ func MultiplyRMM(ctx context.Context, a, b *bmat.BlockMatrix, tasks int, env Env
 	if tasks <= 0 {
 		tasks = s.I * s.J
 	}
-	vm := env.voxelMultiplier()
+	vm := env.multiplier()
 	return runSteps(ctx, a, b, env, func() stepPlan {
 		// Every partial block crosses the (i,j) shuffle at stored size.
 		plan := stepPlan{sizeOf: (*matrix.Dense).SizeBytes, spillEmptyAggregation: true}

@@ -14,6 +14,7 @@ import (
 
 	"distme/internal/cluster"
 	"distme/internal/core"
+	"distme/internal/gpu"
 )
 
 // Workload describes one paper-scale multiplication C = A×B in element
@@ -302,15 +303,8 @@ func (m Model) localTime(w Workload, s core.Shape, p core.Params, useGPU bool) (
 	}
 
 	// GPU path: subcuboid plan for the average cuboid.
-	cs := core.CuboidShape{
-		IB:     (s.I + p.P - 1) / p.P,
-		JB:     (s.J + p.Q - 1) / p.Q,
-		KB:     (s.K + p.R - 1) / p.R,
-		ABytes: s.ABytes / int64(p.P*p.R),
-		BBytes: s.BBytes / int64(p.R*p.Q),
-		CBytes: s.CBytes / int64(p.P*p.Q),
-	}
-	sub, err := core.OptimizeSub(cs, m.Cfg.GPUMemPerTaskBytes*int64(m.Cfg.GPUs()))
+	spec := gpu.TaskSpec(m.Cfg)
+	cs, sub, err := gpu.AveragePlan(s, p, spec.MemPerTaskBytes)
 	if err != nil {
 		// Degenerate: stream at voxel granularity.
 		sub = core.SubParams{P2: cs.IB, Q2: cs.JB, R2: cs.KB}
@@ -318,11 +312,8 @@ func (m Model) localTime(w Workload, s core.Shape, p core.Params, useGPU bool) (
 	perTaskPCIE := cs.CostBytes(sub) + float64(cs.CBytes) // H2D per Eq.(6) + D2H of C
 	pcieBytes = int64(perTaskPCIE) * int64(tasks)
 
-	g := float64(m.Cfg.GPUs())
-	gpuSlotFlops := g * m.Cfg.GPUFlops / float64(m.Cfg.TasksPerNode) * m.GPUEfficiency
-	pcieSlotBW := g * m.Cfg.PCIEBandwidth / float64(m.Cfg.TasksPerNode)
-	kernel := flopsPerTask / gpuSlotFlops
-	bus := perTaskPCIE / pcieSlotBW
+	kernel := flopsPerTask / (spec.Flops * m.GPUEfficiency)
+	bus := perTaskPCIE / spec.PCIEBandwidth
 	taskTime := kernel
 	if bus > taskTime {
 		taskTime = bus
@@ -385,11 +376,9 @@ func (m Model) EstimateRMM(w Workload, tasks int, useGPU bool) Estimate {
 			float64(s.BBytes)/(float64(s.K)*float64(s.J)) +
 			float64(s.CBytes)/(float64(s.I)*float64(s.J))
 		est.PCIEBytes = int64(perVoxelPCIE * voxels)
-		g := float64(m.Cfg.GPUs())
-		gpuSlotFlops := g * m.Cfg.GPUFlops / float64(m.Cfg.TasksPerNode) * m.GPUEfficiency
-		pcieSlotBW := g * m.Cfg.PCIEBandwidth / float64(m.Cfg.TasksPerNode)
+		spec := gpu.TaskSpec(m.Cfg)
 		// No overlap in the block-level path: copies then kernel.
-		total := w.Flops()/gpuSlotFlops + perVoxelPCIE*voxels/pcieSlotBW
+		total := w.Flops()/(spec.Flops*m.GPUEfficiency) + perVoxelPCIE*voxels/spec.PCIEBandwidth
 		est.LocalSec = total / float64(par)
 	} else {
 		slotFlops := m.Cfg.CPUFlops / float64(m.Cfg.TasksPerNode) * m.CPUEfficiency

@@ -11,6 +11,7 @@ import (
 	"distme/internal/bmat"
 	"distme/internal/cluster"
 	"distme/internal/core"
+	"distme/internal/gpu"
 	"distme/internal/metrics"
 	"distme/internal/storage"
 )
@@ -108,15 +109,18 @@ func TestAllMethodsBitIdenticalUnderFaults(t *testing.T) {
 	}
 	for _, useGPU := range []bool{false, true} {
 		for _, opts := range methods {
-			base := newTestEngine(t, chaosConfig(cluster.Faults{}))
-			base.cfg.UseGPU = useGPU
+			baseCfg, chaosCfg := chaosConfig(cluster.Faults{}), chaosConfig(faults)
+			if useGPU {
+				baseCfg.Local = gpu.NewMultiplier(gpu.TaskSpec(baseCfg.Cluster))
+				chaosCfg.Local = gpu.NewMultiplier(gpu.TaskSpec(chaosCfg.Cluster))
+			}
+			base := newTestEngine(t, baseCfg)
 			want, _, err := runMul(context.Background(), base, a, b, opts)
 			if err != nil {
 				t.Fatalf("%v gpu=%v failure-free: %v", opts.Method, useGPU, err)
 			}
 
-			chaos := newTestEngine(t, chaosConfig(faults))
-			chaos.cfg.UseGPU = useGPU
+			chaos := newTestEngine(t, chaosCfg)
 			got, report, err := runMul(context.Background(), chaos, a, b, opts)
 			if err != nil {
 				t.Fatalf("%v gpu=%v under faults: %v", opts.Method, useGPU, err)

@@ -1,9 +1,9 @@
 // Package engine implements the DistME engine of the paper's §5: block
 // matrices as the distributed data representation, operator execution
 // (multiply, transpose, element-wise) on the cluster substrate, strategy
-// selection among BMM / CPMM / RMM / CuboidMM, seamless CPU/GPU local
-// multiplication, and the matrix-dependency layout tracking that iterative
-// queries like GNMF exploit.
+// selection among BMM / CPMM / RMM / CuboidMM, a pluggable local multiplier
+// (CPU by default), and the matrix-dependency layout tracking that
+// iterative queries like GNMF exploit.
 package engine
 
 import (
@@ -16,7 +16,6 @@ import (
 	"distme/internal/bmat"
 	"distme/internal/cluster"
 	"distme/internal/core"
-	"distme/internal/gpu"
 	"distme/internal/metrics"
 	"distme/internal/obs"
 )
@@ -65,11 +64,11 @@ func (m Method) String() string {
 type Config struct {
 	// Cluster is the hardware envelope tasks run against.
 	Cluster cluster.Config
-	// UseGPU enables the §4 GPU acceleration for local multiplication.
-	UseGPU bool
-	// GPUSpec overrides the device model; the zero value derives a spec
-	// from the cluster config (θg, PCI-E and GPU flops split across Tc).
-	GPUSpec gpu.Spec
+	// Local runs the local multiplication step: every cuboid's product and
+	// RMM's block-pair products. Nil means core.CPUMultiplier; the gpu
+	// package's Multiplier is the §4 GPU path, whose device the caller owns
+	// and reads.
+	Local core.LocalMultiplier
 	// TrackLayouts enables matrix-dependency reuse: operands already
 	// partitioned as the chosen method requires skip their base
 	// repartition copy (the DMac optimization, which DistME's GNMF plan
@@ -84,8 +83,7 @@ type Config struct {
 	BalanceBySparsity bool
 	// Tracer, when set, records an end-to-end span tree for every
 	// multiplication — the multiply root, optimizer choice, repartition,
-	// one task span per cuboid, aggregation, and (with the GPU enabled)
-	// the device's stream timeline grafted in. Each Report then carries
+	// one task span per cuboid and aggregation. Each Report then carries
 	// that multiplication's spans in Report.Trace. Nil disables tracing
 	// with zero overhead.
 	Tracer *obs.Tracer
@@ -93,7 +91,7 @@ type Config struct {
 
 // Engine is a DistME instance bound to a (simulated) cluster.
 //
-// Ownership: the engine owns its cluster, GPU device and layout table. A
+// Ownership: the engine owns its cluster and layout table. A
 // caller that is done with an engine should Close it; a caller that is done
 // with a particular matrix (but not the engine) should ReleaseLayout the
 // matrix so the layout table does not pin it for the engine's lifetime.
@@ -103,17 +101,11 @@ type Config struct {
 type Engine struct {
 	cfg     Config
 	cluster *cluster.Cluster
-	device  *gpu.Device
 
 	mu          sync.Mutex
 	closed      bool
 	layouts     map[*bmat.BlockMatrix]layoutTag
 	layoutOrder []*bmat.BlockMatrix // insertion order, for bounded eviction
-
-	// deviceTraceArmed marks that the engine itself enabled the device's
-	// event trace for span grafting, so it may reset it per multiply
-	// without clobbering a caller-enabled trace (see trace.go).
-	deviceTraceArmed bool
 }
 
 // maxTrackedLayouts bounds the layout table. Iterative workloads (GNMF)
@@ -127,39 +119,21 @@ type layoutTag struct {
 	p, r int    // grid extents when kind == "grid"
 }
 
-// New creates an engine. The GPU device is instantiated even when UseGPU is
-// false so callers can toggle per-multiply.
+// New creates an engine.
 func New(cfg Config) (*Engine, error) {
 	cl, err := cluster.New(cfg.Cluster)
 	if err != nil {
 		return nil, err
 	}
-	spec := cfg.GPUSpec
-	if spec == (gpu.Spec{}) {
-		// Each task's MPS slice of the node's devices: with G devices and
-		// Tc tasks, a task sees G/Tc of the aggregate memory, bus and cores
-		// (the multi-GPU extension; G = 1 reproduces the paper's testbed).
-		g := float64(cfg.Cluster.GPUs())
-		spec = gpu.Spec{
-			MemPerTaskBytes: cfg.Cluster.GPUMemPerTaskBytes * int64(cfg.Cluster.GPUs()),
-			PCIEBandwidth:   g * cfg.Cluster.PCIEBandwidth / float64(cfg.Cluster.TasksPerNode),
-			Flops:           g * cfg.Cluster.GPUFlops / float64(cfg.Cluster.TasksPerNode),
-			MaxStreams:      32,
-		}
-	}
 	return &Engine{
 		cfg:     cfg,
 		cluster: cl,
-		device:  gpu.NewDevice(spec),
 		layouts: make(map[*bmat.BlockMatrix]layoutTag),
 	}, nil
 }
 
 // Cluster exposes the underlying cluster (budgets, recorder).
 func (e *Engine) Cluster() *cluster.Cluster { return e.cluster }
-
-// Device exposes the simulated GPU (stats, utilization).
-func (e *Engine) Device() *gpu.Device { return e.device }
 
 // Recorder exposes the cumulative metrics recorder.
 func (e *Engine) Recorder() *metrics.Recorder { return e.cluster.Recorder() }
@@ -172,8 +146,6 @@ type MulOptions struct {
 	Params core.Params
 	// RMMTasks overrides the engine's RMM task count for this call.
 	RMMTasks int
-	// UseGPU overrides the engine default when non-nil.
-	UseGPU *bool
 }
 
 // Report describes what one multiplication did.
@@ -186,8 +158,6 @@ type Report struct {
 	Elapsed time.Duration
 	// Comm is the traffic of this multiplication only.
 	Comm metrics.Snapshot
-	// GPU holds device stats accumulated during this multiplication.
-	GPU gpu.Stats
 	// Elastic counts the fault-tolerance work of this multiplication only:
 	// task retries, speculative copies launched/won, shuffle-fetch retries
 	// and lineage recomputations.
@@ -242,65 +212,31 @@ func (e *Engine) multiply(ctx context.Context, a, b *bmat.BlockMatrix, opts MulO
 	if err := e.checkOpen(); err != nil {
 		return nil, nil, err
 	}
-	useGPU := e.cfg.UseGPU
-	if opts.UseGPU != nil {
-		useGPU = *opts.UseGPU
-	}
 	rec := e.Recorder()
 	before := rec.Snapshot()
-	gpuBefore := e.device.Stats()
 	start := time.Now()
 
 	env := core.Env{
 		Cluster:           e.cluster,
 		Recorder:          rec,
+		Multiplier:        e.cfg.Local,
 		BalanceBySparsity: e.cfg.BalanceBySparsity,
 		Tracer:            e.cfg.Tracer,
 		TraceParent:       root.ID(),
-	}
-	if useGPU {
-		env.Multiplier = &gpu.Multiplier{Device: e.device, Recorder: rec}
-		env.VoxelMultiplier = &gpu.BlockLevel{Device: e.device, Recorder: rec}
-	}
-	// With the GPU on, capture the device's virtual-clock event trace so the
-	// stream timeline can be grafted under this multiplication's spans.
-	graftGPU := root.Active() && useGPU
-	if graftGPU {
-		e.armDeviceTrace()
 	}
 
 	method := opts.Method
 	s := core.ShapeOf(a, b)
 	var params core.Params
+	var c *bmat.BlockMatrix
 	var err error
-	switch method {
-	case MethodAuto:
-		osp := e.cfg.Tracer.Start(root.ID(), "optimize", obs.KindDriver)
-		params, err = core.Optimize(s, e.cfg.Cluster.TaskMemBytes, e.cfg.Cluster.Slots())
-		finishOptimizeSpan(osp, params, err)
+	if method == MethodRMM {
+		c, err = core.MultiplyRMM(ctx, a, b, e.rmmTasks(opts, s), env)
+	} else {
+		params, err = e.chooseParams(s, opts, e.cfg.Tracer, root.ID())
 		if err != nil {
 			return nil, nil, err
 		}
-	case MethodBMM:
-		params = s.BMMParams()
-	case MethodCPMM:
-		params = s.CPMMParams()
-	case MethodCuboid:
-		params = opts.Params
-	case MethodRMM:
-		// handled below; params stay zero
-	default:
-		return nil, nil, fmt.Errorf("%w: %d", ErrUnknownMethod, int(method))
-	}
-
-	var c *bmat.BlockMatrix
-	if method == MethodRMM {
-		tasks := opts.RMMTasks
-		if tasks == 0 {
-			tasks = e.cfg.RMMTasks
-		}
-		c, err = core.MultiplyRMM(ctx, a, b, tasks, env)
-	} else {
 		if e.cfg.TrackLayouts {
 			env.AColocated, env.BColocated = e.colocation(a, b, params)
 		}
@@ -335,9 +271,6 @@ func (e *Engine) multiply(ctx context.Context, a, b *bmat.BlockMatrix, opts MulO
 		return nil, nil, err
 	}
 
-	if graftGPU {
-		e.graftDeviceTrace(root.ID(), start, time.Now())
-	}
 	if root.Active() {
 		root.SetAttr("method", method.String())
 		root.SetAttr("params", fmt.Sprintf("(%d,%d,%d)", params.P, params.Q, params.R))
@@ -353,10 +286,42 @@ func (e *Engine) multiply(ctx context.Context, a, b *bmat.BlockMatrix, opts MulO
 		Params:  params,
 		Elapsed: time.Since(start),
 		Comm:    comm,
-		GPU:     subStats(e.device.Stats(), gpuBefore),
 		Elastic: comm.Elastic,
 	}
 	return c, report, nil
+}
+
+// chooseParams resolves the (P,Q,R) a cuboid-family method runs with: the
+// Eq.(2) optimizer under MethodAuto, recorded as an optimize span under
+// parent when tr is set; the classical corner cases for BMM and CPMM; the
+// given params for MethodCuboid.
+func (e *Engine) chooseParams(s core.Shape, opts MulOptions, tr *obs.Tracer, parent obs.SpanID) (core.Params, error) {
+	switch opts.Method {
+	case MethodAuto:
+		osp := tr.Start(parent, "optimize", obs.KindDriver)
+		params, err := core.Optimize(s, e.cfg.Cluster.TaskMemBytes, e.cfg.Cluster.Slots())
+		finishOptimizeSpan(osp, params, err)
+		return params, err
+	case MethodBMM:
+		return s.BMMParams(), nil
+	case MethodCPMM:
+		return s.CPMMParams(), nil
+	case MethodCuboid:
+		return opts.Params, nil
+	}
+	return core.Params{}, fmt.Errorf("%w: %d", ErrUnknownMethod, int(opts.Method))
+}
+
+// rmmTasks resolves RMM's task count: the per-call value, then the
+// engine's default, then I·J, the paper's setting.
+func (e *Engine) rmmTasks(opts MulOptions, s core.Shape) int {
+	switch {
+	case opts.RMMTasks > 0:
+		return opts.RMMTasks
+	case e.cfg.RMMTasks > 0:
+		return e.cfg.RMMTasks
+	}
+	return s.I * s.J
 }
 
 // finishOptimizeSpan annotates one optimizer-choice span with its outcome.
@@ -404,18 +369,6 @@ func (e *Engine) ReleaseLayout(m *bmat.BlockMatrix) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	delete(e.layouts, m)
-}
-
-func subStats(a, b gpu.Stats) gpu.Stats {
-	return gpu.Stats{
-		H2DBytes:     a.H2DBytes - b.H2DBytes,
-		D2HBytes:     a.D2HBytes - b.D2HBytes,
-		KernelBusy:   a.KernelBusy - b.KernelBusy,
-		Makespan:     a.Makespan - b.Makespan,
-		Kernels:      a.Kernels - b.Kernels,
-		Iterations:   a.Iterations - b.Iterations,
-		MemHighWater: a.MemHighWater, // high-water is monotone; keep latest
-	}
 }
 
 // requiredLayouts returns the layouts a cuboid multiplication imposes on its

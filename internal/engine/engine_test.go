@@ -10,6 +10,7 @@ import (
 	"distme/internal/bmat"
 	"distme/internal/cluster"
 	"distme/internal/core"
+	"distme/internal/gpu"
 	"distme/internal/matrix"
 	"distme/internal/metrics"
 	"distme/internal/plan"
@@ -99,38 +100,25 @@ func TestEngineGPUMatchesCPU(t *testing.T) {
 	}
 
 	gpuCfg := testConfig()
-	gpuCfg.UseGPU = true
+	m := gpu.NewMultiplier(gpu.TaskSpec(gpuCfg.Cluster))
+	gpuCfg.Local = m
 	eg := newTestEngine(t, gpuCfg)
-	gotG, rep, err := runMul(context.Background(), eg, a, b, MulOptions{Method: MethodCPMM})
+	gotG, _, err := runMul(context.Background(), eg, a, b, MulOptions{Method: MethodCPMM})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !gotG.ToDense().EqualApprox(wantC.ToDense(), 1e-9) {
 		t.Fatal("GPU product differs from CPU")
 	}
-	if rep.GPU.Kernels == 0 {
+	st := m.Device.Stats()
+	if st.Kernels == 0 {
 		t.Fatal("GPU path ran no kernels")
 	}
-	if rep.Comm.PCIEBytes == 0 {
+	if st.PCIEBytes() == 0 {
 		t.Fatal("GPU path recorded no PCI-E traffic")
 	}
-	if rep.GPU.Utilization() <= 0 {
+	if st.Utilization() <= 0 {
 		t.Fatal("GPU utilization missing")
-	}
-}
-
-func TestEnginePerCallGPUOverride(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	a := bmat.RandomDense(rng, 8, 8, 4)
-	b := bmat.RandomDense(rng, 8, 8, 4)
-	e := newTestEngine(t, testConfig()) // GPU off by default
-	on := true
-	_, rep, err := runMul(context.Background(), e, a, b, MulOptions{UseGPU: &on})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.GPU.Kernels == 0 {
-		t.Fatal("per-call GPU override ignored")
 	}
 }
 
@@ -374,14 +362,30 @@ func TestEngineConcurrentMultiplies(t *testing.T) {
 
 var errNotEqual = errors.New("concurrent multiply produced wrong product")
 
+// TestEngineMultiGPUSpecScaling checks the per-task device slice of a
+// four-GPU node: four times the memory, bus and cores of one GPU, and the
+// engine running its cuboids on it.
 func TestEngineMultiGPUSpecScaling(t *testing.T) {
 	cfg := testConfig()
+	one := gpu.TaskSpec(cfg.Cluster)
 	cfg.Cluster.GPUsPerNode = 4
-	e := newTestEngine(t, cfg)
-	spec := e.Device().Spec()
-	want := cfg.Cluster.GPUMemPerTaskBytes * 4
-	if spec.MemPerTaskBytes != want {
+	spec := gpu.TaskSpec(cfg.Cluster)
+	if want := cfg.Cluster.GPUMemPerTaskBytes * 4; spec.MemPerTaskBytes != want {
 		t.Fatalf("multi-GPU θg = %d, want %d", spec.MemPerTaskBytes, want)
+	}
+	if spec.Flops != 4*one.Flops || spec.PCIEBandwidth != 4*one.PCIEBandwidth {
+		t.Fatalf("multi-GPU slice %+v does not scale the one-GPU slice %+v", spec, one)
+	}
+	m := gpu.NewMultiplier(spec)
+	cfg.Local = m
+	rng := rand.New(rand.NewSource(75))
+	a := bmat.RandomDense(rng, 12, 12, 4)
+	b := bmat.RandomDense(rng, 12, 12, 4)
+	if _, err := newTestEngine(t, cfg).Multiply(context.Background(), a, b); err != nil {
+		t.Fatal(err)
+	}
+	if m.Device.Stats().Kernels == 0 {
+		t.Fatal("engine did not run its cuboids on the multi-GPU device")
 	}
 }
 
@@ -411,10 +415,11 @@ func TestExplainMatchesExecution(t *testing.T) {
 	}
 }
 
+// TestExplainRMMAndGPU explains RMM, and plans the GPU subcuboids of the
+// average cuboid the engine's explanation names.
 func TestExplainRMMAndGPU(t *testing.T) {
 	rng := rand.New(rand.NewSource(86))
 	cfg := testConfig()
-	cfg.UseGPU = true
 	e := newTestEngine(t, cfg)
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
@@ -429,11 +434,49 @@ func TestExplainRMMAndGPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exAuto.GPUIterations < 1 {
-		t.Fatal("GPU engine explanation missing subcuboid plan")
+	_, sub, err := gpu.AveragePlan(core.ShapeOf(a, b), exAuto.Params, gpu.TaskSpec(cfg.Cluster).MemPerTaskBytes)
+	if err != nil || sub.Subcuboids() < 1 {
+		t.Fatalf("no subcuboid plan for %v: %v, %v", exAuto.Params, sub, err)
 	}
 	if exAuto.String() == "" {
 		t.Fatal("explanation should render")
+	}
+}
+
+// TestExplainResolvesLikeRun checks Explain resolves and validates what Run
+// runs: off-grid cuboid params are rejected by both, and RMM's task count
+// follows the per-call value, then Config.RMMTasks, then I·J.
+func TestExplainResolvesLikeRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(88))
+	a := bmat.RandomDense(rng, 16, 16, 4) // a 4×4×4-block grid
+	b := bmat.RandomDense(rng, 16, 16, 4)
+	for _, p := range []core.Params{{}, {P: 9, Q: 1, R: 1}, {P: 1, Q: 0, R: 1}, {P: 1, Q: 1, R: 5}} {
+		e := newTestEngine(t, testConfig())
+		opts := MulOptions{Method: MethodCuboid, Params: p}
+		if ex, err := e.Explain(a, b, opts); err == nil {
+			t.Errorf("Explain%v: no error, explained %+v", p, ex)
+		}
+		if _, _, err := runMul(context.Background(), e, a, b, opts); err == nil {
+			t.Errorf("Run%v: no error", p)
+		}
+	}
+	for _, tc := range []struct {
+		engine, call, want int
+	}{
+		{0, 0, 16},
+		{3, 0, 3},
+		{3, 5, 5},
+		{0, 5, 5},
+	} {
+		cfg := testConfig()
+		cfg.RMMTasks = tc.engine
+		ex, err := newTestEngine(t, cfg).Explain(a, b, MulOptions{Method: MethodRMM, RMMTasks: tc.call})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Tasks != tc.want {
+			t.Errorf("RMM tasks (engine %d, call %d): explained %d, want %d", tc.engine, tc.call, ex.Tasks, tc.want)
+		}
 	}
 }
 

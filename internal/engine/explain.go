@@ -25,78 +25,34 @@ type Explanation struct {
 	MemPerTaskBytes int64
 	// TaskMemBytes is the budget θt it is checked against.
 	TaskMemBytes int64
-	// Subcuboid carries the GPU plan for the average cuboid when the
-	// engine would use the device; zero otherwise.
-	Subcuboid core.SubParams
-	// GPUIterations is the subcuboids one task would stream.
-	GPUIterations int
 }
 
 // Explain computes the plan for A×B under the given options without
-// executing anything.
+// executing anything. It resolves the method's parameters and RMM's task
+// count as Run does, and rejects the parameters Run would reject.
 func (e *Engine) Explain(a, b *bmat.BlockMatrix, opts MulOptions) (*Explanation, error) {
 	s := core.ShapeOf(a, b)
-	method := opts.Method
-	var params core.Params
-	switch method {
-	case MethodAuto:
-		p, err := core.Optimize(s, e.cfg.Cluster.TaskMemBytes, e.cfg.Cluster.Slots())
-		if err != nil {
-			return nil, err
-		}
-		params = p
-	case MethodBMM:
-		params = s.BMMParams()
-	case MethodCPMM:
-		params = s.CPMMParams()
-	case MethodCuboid:
-		params = opts.Params
-	case MethodRMM:
-		tasks := opts.RMMTasks
-		if tasks == 0 {
-			tasks = s.I * s.J
-		}
-		return &Explanation{
-			Method:           MethodRMM,
-			Tasks:            tasks,
-			RepartitionBytes: int64(s.J)*s.ABytes + int64(s.I)*s.BBytes,
-			AggregationBytes: int64(s.K) * s.CBytes,
-			MemPerTaskBytes:  0, // voxel-streamed
-			TaskMemBytes:     e.cfg.Cluster.TaskMemBytes,
-		}, nil
-	default:
-		return nil, fmt.Errorf("engine: Explain: %w: %d", ErrUnknownMethod, int(method))
+	ex := &Explanation{Method: opts.Method, TaskMemBytes: e.cfg.Cluster.TaskMemBytes}
+	if opts.Method == MethodRMM {
+		// Voxel-streamed: MemPerTaskBytes stays zero.
+		ex.Tasks = e.rmmTasks(opts, s)
+		ex.RepartitionBytes = int64(s.J)*s.ABytes + int64(s.I)*s.BBytes
+		ex.AggregationBytes = int64(s.K) * s.CBytes
+		return ex, nil
 	}
-
-	ex := &Explanation{
-		Method:           method,
-		Params:           params,
-		Tasks:            params.Tasks(),
-		RepartitionBytes: int64(float64(params.Q)*float64(s.ABytes) + float64(params.P)*float64(s.BBytes)),
-		MemPerTaskBytes:  int64(s.MemBytes(params)),
-		TaskMemBytes:     e.cfg.Cluster.TaskMemBytes,
+	params, err := e.chooseParams(s, opts, nil, 0)
+	if err != nil {
+		return nil, fmt.Errorf("engine: Explain: %w", err)
 	}
+	if err := params.Check(s.I, s.J, s.K); err != nil {
+		return nil, err
+	}
+	ex.Params = params
+	ex.Tasks = params.Tasks()
+	ex.RepartitionBytes = int64(float64(params.Q)*float64(s.ABytes) + float64(params.P)*float64(s.BBytes))
+	ex.MemPerTaskBytes = int64(s.MemBytes(params))
 	if params.R > 1 {
 		ex.AggregationBytes = int64(params.R) * s.CBytes
-	}
-
-	useGPU := e.cfg.UseGPU
-	if opts.UseGPU != nil {
-		useGPU = *opts.UseGPU
-	}
-	if useGPU {
-		cs := core.CuboidShape{
-			IB:     (s.I + params.P - 1) / params.P,
-			JB:     (s.J + params.Q - 1) / params.Q,
-			KB:     (s.K + params.R - 1) / params.R,
-			ABytes: s.ABytes / int64(params.P*params.R),
-			BBytes: s.BBytes / int64(params.R*params.Q),
-			CBytes: s.CBytes / int64(params.P*params.Q),
-		}
-		if sub, err := core.OptimizeSub(cs, e.device.Spec().MemPerTaskBytes); err == nil {
-			ex.Subcuboid = sub
-			ex.GPUIterations = sub.Subcuboids()
-		}
 	}
 	return ex, nil
 }
@@ -113,8 +69,5 @@ func (x *Explanation) String() string {
 	fmt.Fprintf(&sb, "  aggregation:  %s (R·|C|)\n", metrics.FormatBytes(x.AggregationBytes))
 	fmt.Fprintf(&sb, "  mem/task:     %s of θt=%s\n",
 		metrics.FormatBytes(x.MemPerTaskBytes), metrics.FormatBytes(x.TaskMemBytes))
-	if x.GPUIterations > 0 {
-		fmt.Fprintf(&sb, "  gpu plan:     %v subcuboids, %d iterations/task\n", x.Subcuboid, x.GPUIterations)
-	}
 	return sb.String()
 }

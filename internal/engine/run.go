@@ -29,7 +29,7 @@ type runConfig struct {
 }
 
 // WithMulOptions applies explicit per-multiplication options (method,
-// cuboid params, RMM task count, GPU toggle) to every multiplication in the
+// cuboid params, RMM task count) to every multiplication in the
 // expression.
 func WithMulOptions(o MulOptions) RunOption {
 	return func(c *runConfig) { c.mul = o; c.methodSet = true }
@@ -50,11 +50,6 @@ func WithParams(p core.Params) RunOption {
 // WithRMMTasks overrides RMM's task count for this call.
 func WithRMMTasks(n int) RunOption {
 	return func(c *runConfig) { c.mul.RMMTasks = n }
-}
-
-// WithGPU overrides the engine's GPU default for this call.
-func WithGPU(use bool) RunOption {
-	return func(c *runConfig) { v := use; c.mul.UseGPU = &v }
 }
 
 // Run compiles and executes a matrix expression over the bound inputs,
@@ -116,7 +111,6 @@ func (e *Engine) Run(ctx context.Context, x plan.Expr, binds map[string]*bmat.Bl
 	}
 	rec := e.Recorder()
 	before := rec.Snapshot()
-	gpuBefore := e.device.Stats()
 	start := time.Now()
 
 	lastMethod := ro.mul.Method
@@ -167,7 +161,6 @@ func (e *Engine) Run(ctx context.Context, x plan.Expr, binds map[string]*bmat.Bl
 		Params:  lastParams,
 		Elapsed: time.Since(start),
 		Comm:    comm,
-		GPU:     subStats(e.device.Stats(), gpuBefore),
 		Elastic: comm.Elastic,
 	}
 	if tr != nil {

@@ -12,6 +12,7 @@ import (
 	"distme/internal/bmat"
 	"distme/internal/cluster"
 	"distme/internal/core"
+	"distme/internal/gpu"
 	"distme/internal/obs"
 )
 
@@ -121,11 +122,14 @@ func TestEngineTraceAutoHasOptimizeSpan(t *testing.T) {
 	}
 }
 
-// TestEngineTraceGPUGraft checks a GPU multiply grafts device-timeline spans
-// (kernel launches and copies on their stream lanes) under the root.
+// TestEngineTraceGPUGraft checks a traced GPU multiply's device timeline
+// grafts under the report's root span: kernel launches and copies on their
+// stream lanes, inside the root's wall-clock window.
 func TestEngineTraceGPUGraft(t *testing.T) {
 	cfg := testConfig()
-	cfg.UseGPU = true
+	m := gpu.NewMultiplier(gpu.TaskSpec(cfg.Cluster))
+	m.Device.EnableTrace(1 << 15)
+	cfg.Local = m
 	cfg.Tracer = obs.NewTracer()
 	e := newTestEngine(t, cfg)
 	rng := rand.New(rand.NewSource(92))
@@ -135,10 +139,19 @@ func TestEngineTraceGPUGraft(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Device.Graft(cfg.Tracer, report.Trace)
+	_, byName := traceIndex(report.Trace)
+	if len(byName["engine.multiply"]) != 1 {
+		t.Fatalf("%d engine.multiply spans, want 1", len(byName["engine.multiply"]))
+	}
+	root := byName["engine.multiply"][0]
 	var kernels, copies int
 	for _, s := range report.Trace.Spans {
 		if s.Kind != obs.KindDevice {
 			continue
+		}
+		if s.Parent != root.ID || s.Start.Before(root.Start) || s.End.After(root.End) {
+			t.Errorf("device span %q is not inside the root span", s.Name)
 		}
 		if !strings.HasPrefix(s.Worker, "gpu t") {
 			t.Errorf("device span %d has lane %q", s.ID, s.Worker)

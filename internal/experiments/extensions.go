@@ -272,13 +272,13 @@ func ExtMPSContention(seed int64) (*Table, error) {
 	spec := gpu.Spec{MemPerTaskBytes: 1 << 20, PCIEBandwidth: 5e8, Flops: 5e9, MaxStreams: 16}
 
 	for _, tasks := range []int{1, 4, 8} {
-		part := gpu.NewMultiplier(spec, nil)
+		part := gpu.NewMultiplier(spec)
 		for i := 0; i < tasks; i++ {
 			if _, err := part.Multiply(cuboid); err != nil {
 				return nil, err
 			}
 		}
-		shared := gpu.NewMultiplier(spec, nil)
+		shared := gpu.NewMultiplier(spec)
 		shared.Device.SetSharedBus(true)
 		for i := 0; i < tasks; i++ {
 			if _, err := shared.Multiply(cuboid); err != nil {

@@ -212,12 +212,12 @@ func Fig7g(seed int64) (*Table, error) {
 	for _, in := range inputs {
 		cuboid := &core.Cuboid{ILo: 0, IHi: in.a.IB, JLo: 0, JHi: in.b.JB, KLo: 0, KHi: in.a.JB, A: in.a, B: in.b}
 
-		streamed := gpu.NewMultiplier(spec, nil)
+		streamed := gpu.NewMultiplier(spec)
 		if _, err := streamed.Multiply(cuboid); err != nil {
 			return nil, err
 		}
 
-		blockLevel := &gpu.BlockLevel{Device: gpu.NewDevice(spec)}
+		blockLevel := gpu.NewMultiplier(spec)
 		for i := 0; i < in.a.IB; i++ {
 			for k := 0; k < in.a.JB; k++ {
 				ab := in.a.Block(i, k)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sync"
 
+	"distme/internal/cluster"
 	"distme/internal/vclock"
 )
 
@@ -45,6 +46,19 @@ func PaperSpec() Spec {
 		Flops:                332e9 / 10,
 		MaxStreams:           32,
 		KernelLaunchOverhead: 5e-6,
+	}
+}
+
+// TaskSpec is one task's MPS slice of a node's devices: with G devices and
+// Tc tasks per node, a task sees G/Tc of the aggregate memory, bus and
+// cores (the multi-GPU extension; G = 1 reproduces the paper's testbed).
+func TaskSpec(cfg cluster.Config) Spec {
+	g := float64(cfg.GPUs())
+	return Spec{
+		MemPerTaskBytes: cfg.GPUMemPerTaskBytes * int64(cfg.GPUs()),
+		PCIEBandwidth:   g * cfg.PCIEBandwidth / float64(cfg.TasksPerNode),
+		Flops:           g * cfg.GPUFlops / float64(cfg.TasksPerNode),
+		MaxStreams:      32,
 	}
 }
 

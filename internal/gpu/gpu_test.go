@@ -9,7 +9,6 @@ import (
 	"distme/internal/bmat"
 	"distme/internal/core"
 	"distme/internal/matrix"
-	"distme/internal/metrics"
 )
 
 // testSpec is a small, deterministic device for unit tests.
@@ -50,7 +49,7 @@ func TestGPUMultiplyMatchesCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewMultiplier(testSpec(1<<20), nil)
+	g := NewMultiplier(testSpec(1 << 20))
 	got, err := g.Multiply(c)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +85,7 @@ func TestGPUStreamedEqualsUnstreamedProperty(t *testing.T) {
 
 		// Tight device: barely one voxel's working set.
 		voxelBytes := int64(3 * bs * bs * 8)
-		g := NewMultiplier(testSpec(4*voxelBytes), nil)
+		g := NewMultiplier(testSpec(4 * voxelBytes))
 		got, err := g.Multiply(c)
 		if err != nil {
 			// Genuinely too small is acceptable only if even a voxel
@@ -114,7 +113,7 @@ func TestGPUMemoryHighWaterWithinBudget(t *testing.T) {
 	a := bmat.RandomDense(rng, 24, 24, 4)
 	b := bmat.RandomDense(rng, 24, 24, 4)
 	θ := int64(4 * 1024)
-	g := NewMultiplier(testSpec(θ), nil)
+	g := NewMultiplier(testSpec(θ))
 	if _, err := g.Multiply(fullCuboid(a, b)); err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +137,7 @@ func TestGPUPCIETrafficMatchesEq6(t *testing.T) {
 
 	// Budget admits (1,1,2): per-iteration = |A|/2 + |B|/2 + |C|.
 	perIter := sh.ABytes/2 + sh.BBytes/2 + sh.CBytes
-	rec := &metrics.Recorder{}
-	g := NewMultiplier(testSpec(perIter), rec)
+	g := NewMultiplier(testSpec(perIter))
 	if _, err := g.Multiply(c); err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +147,6 @@ func TestGPUPCIETrafficMatchesEq6(t *testing.T) {
 	}
 	if st.D2HBytes != sh.CBytes {
 		t.Fatalf("D2H = %d, want |C| = %d", st.D2HBytes, sh.CBytes)
-	}
-	if rec.Bytes(metrics.StepPCIE) != st.PCIEBytes() {
-		t.Fatal("recorder PCI-E bytes disagree with device stats")
 	}
 }
 
@@ -166,7 +161,7 @@ func TestGPUCResidencySavesTraffic(t *testing.T) {
 	sh := c.Shape()
 
 	run := func(θ int64) Stats {
-		g := NewMultiplier(testSpec(θ), nil)
+		g := NewMultiplier(testSpec(θ))
 		if _, err := g.Multiply(c); err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +187,7 @@ func TestGPUUtilizationBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
-	g := NewMultiplier(testSpec(1<<20), nil)
+	g := NewMultiplier(testSpec(1 << 20))
 	if _, err := g.Multiply(fullCuboid(a, b)); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +209,7 @@ func TestGPUComputeBoundVsCopyBoundUtilization(t *testing.T) {
 	compute := testSpec(1 << 20)
 	compute.PCIEBandwidth = 1e9
 	compute.Flops = 1e6
-	gc := NewMultiplier(compute, nil)
+	gc := NewMultiplier(compute)
 	if _, err := gc.Multiply(c); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +217,7 @@ func TestGPUComputeBoundVsCopyBoundUtilization(t *testing.T) {
 	copybound := testSpec(1 << 20)
 	copybound.PCIEBandwidth = 1e3
 	copybound.Flops = 1e12
-	gb := NewMultiplier(copybound, nil)
+	gb := NewMultiplier(copybound)
 	if _, err := gb.Multiply(c); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +232,7 @@ func TestGPUInfeasibleCuboid(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	a := bmat.RandomDense(rng, 4, 4, 4)
 	b := bmat.RandomDense(rng, 4, 4, 4)
-	g := NewMultiplier(testSpec(16), nil) // 16 bytes: even one voxel fails
+	g := NewMultiplier(testSpec(16)) // 16 bytes: even one voxel fails
 	_, err := g.Multiply(fullCuboid(a, b))
 	if !errors.Is(err, core.ErrInfeasible) && !errors.Is(err, ErrDeviceOutOfMemory) {
 		t.Fatalf("err = %v, want infeasible/ErrDeviceOutOfMemory", err)
@@ -248,8 +243,7 @@ func TestBlockLevelMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	a := matrix.RandomDense(rng, 6, 8)
 	b := matrix.RandomDense(rng, 8, 5)
-	rec := &metrics.Recorder{}
-	bl := &BlockLevel{Device: NewDevice(testSpec(1 << 20)), Recorder: rec}
+	bl := NewMultiplier(testSpec(1 << 20))
 	got, err := bl.MultiplyPair(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -263,9 +257,6 @@ func TestBlockLevelMatchesDirect(t *testing.T) {
 	if st.D2HBytes != 6*5*8 {
 		t.Fatalf("D2H = %d, want 240", st.D2HBytes)
 	}
-	if rec.Bytes(metrics.StepPCIE) != st.PCIEBytes() {
-		t.Fatal("recorder mismatch")
-	}
 }
 
 // TestBlockLevelLowerUtilizationThanStreamed shows the RMM handicap the
@@ -276,12 +267,12 @@ func TestBlockLevelLowerUtilizationThanStreamed(t *testing.T) {
 	b := bmat.RandomDense(rng, 16, 16, 4)
 
 	spec := testSpec(1 << 20)
-	streamed := NewMultiplier(spec, nil)
+	streamed := NewMultiplier(spec)
 	if _, err := streamed.Multiply(fullCuboid(a, b)); err != nil {
 		t.Fatal(err)
 	}
 
-	bl := &BlockLevel{Device: NewDevice(spec)}
+	bl := NewMultiplier(spec)
 	for i := 0; i < a.IB; i++ {
 		for j := 0; j < b.JB; j++ {
 			for k := 0; k < a.JB; k++ {
@@ -341,7 +332,7 @@ func TestSharedBusContentionLowersUtilization(t *testing.T) {
 	c := fullCuboid(a, b)
 
 	// Partitioned model: each of 4 sequential tasks gets a private slice.
-	part := NewMultiplier(testSpec(1<<20), nil)
+	part := NewMultiplier(testSpec(1 << 20))
 	for i := 0; i < 4; i++ {
 		if _, err := part.Multiply(c); err != nil {
 			t.Fatal(err)
@@ -349,7 +340,7 @@ func TestSharedBusContentionLowersUtilization(t *testing.T) {
 	}
 
 	// Shared model: the same 4 tasks queue on one physical bus.
-	shared := NewMultiplier(testSpec(1<<20), nil)
+	shared := NewMultiplier(testSpec(1 << 20))
 	shared.Device.SetSharedBus(true)
 	for i := 0; i < 4; i++ {
 		if _, err := shared.Multiply(c); err != nil {
@@ -382,11 +373,11 @@ func TestSharedBusSingleTaskUnaffectedBytes(t *testing.T) {
 	b := bmat.RandomDense(rng, 8, 8, 4)
 	c := fullCuboid(a, b)
 
-	part := NewMultiplier(testSpec(1<<20), nil)
+	part := NewMultiplier(testSpec(1 << 20))
 	if _, err := part.Multiply(c); err != nil {
 		t.Fatal(err)
 	}
-	shared := NewMultiplier(testSpec(1<<20), nil)
+	shared := NewMultiplier(testSpec(1 << 20))
 	shared.Device.SetSharedBus(true)
 	if _, err := shared.Multiply(c); err != nil {
 		t.Fatal(err)
@@ -405,7 +396,7 @@ func TestTraceReproducesFigure5Timeline(t *testing.T) {
 	c := fullCuboid(a, b)
 	sh := c.Shape()
 
-	g := NewMultiplier(testSpec(sh.CBytes+(sh.ABytes+sh.BBytes)/4), nil)
+	g := NewMultiplier(testSpec(sh.CBytes + (sh.ABytes+sh.BBytes)/4))
 	g.Device.EnableTrace(4096)
 	if _, err := g.Multiply(c); err != nil {
 		t.Fatal(err)
@@ -452,7 +443,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	a := bmat.RandomDense(rng, 8, 8, 4)
 	b := bmat.RandomDense(rng, 8, 8, 4)
-	g := NewMultiplier(testSpec(1<<20), nil)
+	g := NewMultiplier(testSpec(1 << 20))
 	if _, err := g.Multiply(fullCuboid(a, b)); err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +456,7 @@ func TestTraceLimitRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
-	g := NewMultiplier(testSpec(1<<20), nil)
+	g := NewMultiplier(testSpec(1 << 20))
 	g.Device.EnableTrace(5)
 	if _, err := g.Multiply(fullCuboid(a, b)); err != nil {
 		t.Fatal(err)

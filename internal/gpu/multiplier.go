@@ -5,7 +5,6 @@ import (
 
 	"distme/internal/core"
 	"distme/internal/matrix"
-	"distme/internal/metrics"
 )
 
 // Multiplier is the GPU-accelerated local multiplication of §4: it
@@ -16,16 +15,32 @@ import (
 type Multiplier struct {
 	// Device is the simulated device shared (via MPS) by this job's tasks.
 	Device *Device
-	// Recorder, when set, is charged StepPCIE for every bus transfer.
-	Recorder *metrics.Recorder
 }
 
 // NewMultiplier creates a Multiplier on a fresh device with the given spec.
-func NewMultiplier(spec Spec, rec *metrics.Recorder) *Multiplier {
-	return &Multiplier{Device: NewDevice(spec), Recorder: rec}
+func NewMultiplier(spec Spec) *Multiplier {
+	return &Multiplier{Device: NewDevice(spec)}
 }
 
 var _ core.LocalMultiplier = (*Multiplier)(nil)
+
+// AveragePlan is the subcuboid plan of Eq. (5) for the average cuboid of
+// the (P,Q,R) partitioning p of s under the device budget θg: the cuboid's
+// shape and its (P2,Q2,R2). It is the plan the cost model and EXPLAIN
+// predict with; Multiply re-fits every real cuboid, whose ragged edges and
+// sparsity skew the average hides.
+func AveragePlan(s core.Shape, p core.Params, θg int64) (core.CuboidShape, core.SubParams, error) {
+	cs := core.CuboidShape{
+		IB:     (s.I + p.P - 1) / p.P,
+		JB:     (s.J + p.Q - 1) / p.Q,
+		KB:     (s.K + p.R - 1) / p.R,
+		ABytes: s.ABytes / int64(p.P*p.R),
+		BBytes: s.BBytes / int64(p.R*p.Q),
+		CBytes: s.CBytes / int64(p.P*p.Q),
+	}
+	sub, err := core.OptimizeSub(cs, θg)
+	return cs, sub, err
+}
 
 // Multiply implements Algorithm 1 for one cuboid: optimize (P2,Q2,R2),
 // stream subcuboids in (p2,q2,r2) order keeping the C buffer resident
@@ -84,9 +99,6 @@ func (m *Multiplier) Multiply(c *core.Cuboid) ([]core.Partial, error) {
 		}
 	}
 
-	if m.Recorder != nil {
-		m.Recorder.AddBytes(metrics.StepPCIE, tl.h2dBytes+tl.d2hBytes)
-	}
 	m.Device.merge(tl)
 	return out, nil
 }
@@ -251,22 +263,14 @@ func minInt64(a, b int64) int64 {
 	return b
 }
 
-// BlockLevel is the degraded per-voxel GPU path available to RMM, which
-// cannot batch consecutive voxels because its hash partitioning scatters
-// them (§6.2): every block pair pays its own H2D copies and D2H of the
-// result, so there is no C residency and utilization is copy-bound.
-type BlockLevel struct {
-	Device   *Device
-	Recorder *metrics.Recorder
-}
-
-var _ core.VoxelMultiplier = (*BlockLevel)(nil)
-
-// MultiplyPair multiplies one block pair through the device.
-func (bl *BlockLevel) MultiplyPair(a, b matrix.Block) (*matrix.Dense, error) {
-	spec := bl.Device.Spec()
-	tl := newTaskTimeline(spec, 1)
-	tl.device = bl.Device
+// MultiplyPair multiplies one block pair through the device: the degraded
+// per-voxel path available to RMM, which cannot batch consecutive voxels
+// because its hash partitioning scatters them (§6.2). Every block pair pays
+// its own H2D copies and D2H of the result, so there is no C residency and
+// utilization is copy-bound.
+func (m *Multiplier) MultiplyPair(a, b matrix.Block) (*matrix.Dense, error) {
+	tl := newTaskTimeline(m.Device.Spec(), 1)
+	tl.device = m.Device
 	am, _ := a.Dims()
 	_, bn := b.Dims()
 	cBytes := int64(am) * int64(bn) * 8
@@ -279,9 +283,6 @@ func (bl *BlockLevel) MultiplyPair(a, b matrix.Block) (*matrix.Dense, error) {
 	tl.d2h(end, cBytes, "C")
 	tl.free(a.SizeBytes() + b.SizeBytes() + cBytes)
 	tl.iterations++
-	if bl.Recorder != nil {
-		bl.Recorder.AddBytes(metrics.StepPCIE, tl.h2dBytes+tl.d2hBytes)
-	}
-	bl.Device.merge(tl)
+	m.Device.merge(tl)
 	return matrix.MulAdd(nil, a, b), nil
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
+	"distme/internal/obs"
 	"distme/internal/vclock"
 )
 
@@ -32,15 +34,6 @@ func (d *Device) EnableTrace(limit int) {
 	defer d.mu.Unlock()
 	d.traceLimit = limit
 	d.trace = nil
-}
-
-// TraceLimit returns the current event-recording limit (0 = disabled), so
-// callers layering their own tracing (the engine's span grafting) can tell
-// whether someone else already enabled the device trace.
-func (d *Device) TraceLimit() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.traceLimit
 }
 
 // Trace returns the recorded events, ordered by task then start time.
@@ -100,4 +93,71 @@ func FormatTrace(events []TraceEvent) string {
 		}
 	}
 	return sb.String()
+}
+
+// Graft adds the recorded events to tr — a traced multiplication's
+// Report.Trace — as KindDevice spans under its root span, so the Chrome
+// trace shows kernels and copies overlapping (or not) inside the
+// multiplication that launched them. The events' virtual window is
+// affine-scaled onto the root's wall-clock window; virtual timestamps are
+// kept verbatim in span attributes. t, the tracer tr came from, assigns the
+// span IDs and records the spans too. Call EnableTrace before the
+// multiplication so the events are its own.
+func (d *Device) Graft(t *obs.Tracer, tr *obs.Trace) {
+	events := d.Trace()
+	if t == nil || tr == nil || len(events) == 0 {
+		return
+	}
+	var root *obs.SpanData
+	for i := range tr.Spans {
+		if tr.Spans[i].Parent == 0 {
+			root = &tr.Spans[i]
+			break
+		}
+	}
+	if root == nil {
+		return
+	}
+	parent, wallStart, window := root.ID, root.Start, root.End.Sub(root.Start)
+	vmin, vmax := events[0].Start, events[0].End
+	for _, ev := range events {
+		if ev.Start < vmin {
+			vmin = ev.Start
+		}
+		if ev.End > vmax {
+			vmax = ev.End
+		}
+	}
+	vspan := float64(vmax - vmin)
+	at := func(v vclock.Time) time.Time {
+		if vspan <= 0 {
+			return wallStart
+		}
+		return wallStart.Add(time.Duration(float64(window) * float64(v-vmin) / vspan))
+	}
+	for _, ev := range events {
+		lane := fmt.Sprintf("gpu t%d copy", ev.Task)
+		if ev.Stream >= 0 {
+			lane = fmt.Sprintf("gpu t%d str %d", ev.Task, ev.Stream)
+		}
+		sd := obs.SpanData{
+			Parent: parent,
+			Name:   ev.Kind + " " + ev.Label,
+			Kind:   obs.KindDevice,
+			Worker: lane,
+			P:      -1, Q: -1, R: -1,
+			Start: at(ev.Start),
+			End:   at(ev.End),
+			Bytes: ev.Bytes,
+			Attrs: []obs.Attr{
+				{Key: "virtual-start-us", Value: fmt.Sprintf("%.1f", 1e6*float64(ev.Start))},
+				{Key: "virtual-end-us", Value: fmt.Sprintf("%.1f", 1e6*float64(ev.End))},
+			},
+		}
+		if ev.Flops > 0 {
+			sd.Attrs = append(sd.Attrs, obs.Attr{Key: "flops", Value: fmt.Sprintf("%.0f", ev.Flops)})
+		}
+		sd.ID = t.AddCompleted(sd)
+		tr.Spans = append(tr.Spans, sd)
+	}
 }

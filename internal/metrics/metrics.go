@@ -19,7 +19,7 @@ import (
 )
 
 // Step identifies one of the three steps of distributed matrix
-// multiplication (paper §2.2) plus the GPU transfer channel.
+// multiplication (paper §2.2).
 type Step int
 
 const (
@@ -31,8 +31,6 @@ const (
 	// StepAggregation is the matrix aggregation step (intermediate-block
 	// shuffle and reduce).
 	StepAggregation
-	// StepPCIE is host↔device traffic in the GPU acceleration path.
-	StepPCIE
 	numSteps
 )
 
@@ -45,8 +43,6 @@ func (s Step) String() string {
 		return "local multiplication"
 	case StepAggregation:
 		return "matrix aggregation"
-	case StepPCIE:
-		return "pci-e transfer"
 	default:
 		return fmt.Sprintf("step(%d)", int(s))
 	}
@@ -302,11 +298,9 @@ func (r *Recorder) StepRatios() (repartition, local, aggregation float64) {
 type Snapshot struct {
 	RepartitionBytes int64         `json:"repartition_bytes"`
 	AggregationBytes int64         `json:"aggregation_bytes"`
-	PCIEBytes        int64         `json:"pcie_bytes"`
 	Repartition      time.Duration `json:"repartition_nanos"`
 	LocalMultiply    time.Duration `json:"local_multiply_nanos"`
 	Aggregation      time.Duration `json:"aggregation_nanos"`
-	PCIE             time.Duration `json:"pcie_nanos"`
 	SpillBytes       int64         `json:"spill_bytes"`
 	// Elastic carries the fault-tolerant-execution counters.
 	Elastic ElasticStats `json:"elastic"`
@@ -320,11 +314,9 @@ func (r *Recorder) Snapshot() Snapshot {
 	return Snapshot{
 		RepartitionBytes: r.Bytes(StepRepartition),
 		AggregationBytes: r.Bytes(StepAggregation),
-		PCIEBytes:        r.Bytes(StepPCIE),
 		Repartition:      r.Duration(StepRepartition),
 		LocalMultiply:    r.Duration(StepLocalMultiply),
 		Aggregation:      r.Duration(StepAggregation),
-		PCIE:             r.Duration(StepPCIE),
 		SpillBytes:       r.SpillBytes(),
 		Elastic:          r.Elastic.Load(),
 		Net:              r.Net.Load(),
@@ -340,9 +332,9 @@ func (s Snapshot) Sub(o Snapshot) Snapshot { return Sub(s, o) }
 
 // String renders the snapshot compactly for logs and example output.
 func (s Snapshot) String() string {
-	return fmt.Sprintf("repartition=%s aggregation=%s pcie=%s comm=%s",
+	return fmt.Sprintf("repartition=%s aggregation=%s comm=%s",
 		FormatBytes(s.RepartitionBytes), FormatBytes(s.AggregationBytes),
-		FormatBytes(s.PCIEBytes), FormatBytes(s.CommunicationBytes()))
+		FormatBytes(s.CommunicationBytes()))
 }
 
 // FormatBytes renders a byte count with a binary-prefix unit, e.g. "1.50 GiB".

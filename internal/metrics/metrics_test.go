@@ -44,7 +44,7 @@ func TestRecorderConcurrentSafety(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				r.AddBytes(StepPCIE, 1)
+				r.AddBytes(StepAggregation, 1)
 				r.AddSpill(1)
 				atomic.AddInt64(&r.Net.Live().CuboidRetries, 1)
 				atomic.AddInt64(&r.Elastic.Live().TaskRetries, 1)
@@ -54,8 +54,8 @@ func TestRecorderConcurrentSafety(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	if r.Bytes(StepPCIE) != 16000 {
-		t.Fatalf("lost updates: %d", r.Bytes(StepPCIE))
+	if r.Bytes(StepAggregation) != 16000 {
+		t.Fatalf("lost updates: %d", r.Bytes(StepAggregation))
 	}
 	if r.SpillBytes() != 16000 {
 		t.Fatalf("lost spills: %d", r.SpillBytes())
@@ -92,9 +92,8 @@ func TestSnapshot(t *testing.T) {
 	var r Recorder
 	r.AddBytes(StepRepartition, 10)
 	r.AddBytes(StepAggregation, 20)
-	r.AddBytes(StepPCIE, 30)
 	s := r.Snapshot()
-	if s.RepartitionBytes != 10 || s.AggregationBytes != 20 || s.PCIEBytes != 30 {
+	if s.RepartitionBytes != 10 || s.AggregationBytes != 20 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	if s.CommunicationBytes() != 30 {

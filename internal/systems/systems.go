@@ -15,6 +15,7 @@ import (
 	"distme/internal/cluster"
 	"distme/internal/core"
 	"distme/internal/engine"
+	"distme/internal/gpu"
 	"distme/internal/plan"
 )
 
@@ -103,19 +104,24 @@ func All() []Profile {
 type System struct {
 	Profile Profile
 	Engine  *engine.Engine
+	// GPU is the simulated device the engine multiplies on, one task's MPS
+	// slice of the cluster's GPUs; nil for the CPU profiles.
+	GPU *gpu.Device
 }
 
 // New instantiates a profile on the given cluster envelope.
 func New(p Profile, clusterCfg cluster.Config) (*System, error) {
-	e, err := engine.New(engine.Config{
-		Cluster:      clusterCfg,
-		UseGPU:       p.UseGPU,
-		TrackLayouts: p.TrackLayouts,
-	})
+	cfg := engine.Config{Cluster: clusterCfg, TrackLayouts: p.TrackLayouts}
+	var dev *gpu.Device
+	if p.UseGPU {
+		m := gpu.NewMultiplier(gpu.TaskSpec(clusterCfg))
+		cfg.Local, dev = m, m.Device
+	}
+	e, err := engine.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("systems: %s: %w", p.Name, err)
 	}
-	return &System{Profile: p, Engine: e}, nil
+	return &System{Profile: p, Engine: e, GPU: dev}, nil
 }
 
 // Multiply runs one product with the system's own strategy choice.

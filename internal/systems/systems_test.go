@@ -43,6 +43,11 @@ func TestAllProfilesComputeSameProduct(t *testing.T) {
 		if !got.ToDense().EqualApprox(want, 1e-9) {
 			t.Errorf("%s: wrong product", p.Name)
 		}
+		if (sys.GPU != nil) != p.UseGPU {
+			t.Errorf("%s: device %v with UseGPU %v", p.Name, sys.GPU, p.UseGPU)
+		} else if p.UseGPU && sys.GPU.Stats().Kernels == 0 {
+			t.Errorf("%s: GPU profile ran no kernels", p.Name)
+		}
 	}
 }
 
