@@ -71,8 +71,9 @@ vet:
 
 # Every ```go fence in README.md and docs/*.md must build against the
 # current API, and every internal/<pkg>, cmd/<name> or examples/<name> path
-# README.md, DESIGN.md and docs/*.md mention must exist — documentation
-# cannot rot silently.
+# and every backticked exported pkg.Name or pkg.Type.Member README.md,
+# DESIGN.md and docs/*.md mention must exist — documentation cannot rot
+# silently.
 lint-docs:
 	$(GO) run ./cmd/lint-docs
 

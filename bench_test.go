@@ -8,6 +8,7 @@ package distme_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"distme"
@@ -354,15 +355,15 @@ func BenchmarkKernelCSRMulCSR(b *testing.B) {
 }
 
 // BenchmarkEndToEndAggregation times the whole 3-step executor at R>1 with
-// the aggregation fan-out forced sequential vs. wide, so the driver-side
-// merge cost is visible end to end.
+// GOMAXPROCS, and with it the aggregation fan-out, at one vs. four, so the
+// driver-side merge cost is visible end to end.
 func BenchmarkEndToEndAggregation(b *testing.B) {
 	rng := rand.New(rand.NewSource(14))
 	a := bmat.RandomDense(rng, 512, 512, 64)
 	m2 := bmat.RandomDense(rng, 512, 512, 64)
 	params := core.Params{P: 2, Q: 2, R: 4}
 	for _, workers := range []int{1, 4} {
-		b.Run("aggWorkers="+benchSize(workers), func(b *testing.B) {
+		b.Run("gomaxprocs="+benchSize(workers), func(b *testing.B) {
 			cfg := cluster.LaptopConfig()
 			cfg.TaskMemBytes = 1 << 30
 			cfg.DiskCapacityBytes = 0
@@ -370,7 +371,8 @@ func BenchmarkEndToEndAggregation(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			env := core.Env{Cluster: cl, AggregationWorkers: workers}
+			env := core.Env{Cluster: cl}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.MultiplyCuboid(context.Background(), a, m2, params, env); err != nil {

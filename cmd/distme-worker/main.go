@@ -1,6 +1,6 @@
 // Command distme-worker serves cuboid multiplications over TCP: the remote
 // executor of the distnet execution path. Start several (one per machine or
-// port) and point `distme rmul -workers ...` or distnet.Dial at them.
+// port) and point `distme rmul -workers ...` or distnet.DialOptions at them.
 //
 // On SIGTERM or SIGINT the worker drains gracefully: it stops accepting
 // connections, finishes in-flight cuboids (bounded by -drain), then closes,

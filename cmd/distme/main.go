@@ -337,7 +337,7 @@ func cmdRemoteMultiply(args []string) error {
 	if *workers == "" {
 		return fmt.Errorf("rmul: -workers required (start distme-worker processes first)")
 	}
-	d, err := distnet.Dial(strings.Split(*workers, ","))
+	d, err := distnet.DialOptions(strings.Split(*workers, ","), distnet.Options{})
 	if err != nil {
 		return err
 	}

@@ -16,11 +16,17 @@
 //
 // It also fails, naming file and line, when README.md, DESIGN.md or a
 // docs/*.md file mentions an internal/<pkg>, cmd/<name> or examples/<name>
-// path that does not exist — a package table that outlives its package.
+// path that does not exist — a package table that outlives its package —
+// or names in backticks an exported `pkg.Name` or `pkg.Type.Member`, with
+// pkg one of the knownImports qualifiers, that the package's non-test
+// source does not declare — prose that outlives its field or function.
 package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -49,6 +55,8 @@ var knownImports = map[string]string{
 	"bmat":    "distme/internal/bmat",
 	"core":    "distme/internal/core",
 	"gpu":     "distme/internal/gpu",
+	"cluster": "distme/internal/cluster",
+	"engine":  "distme/internal/engine",
 	"fmt":     "fmt",
 	"log":     "log",
 	"os":      "os",
@@ -68,6 +76,8 @@ var (
 	shortDecl  = regexp.MustCompile(`^([A-Za-z_]\w*(?:\s*,\s*[A-Za-z_]\w*)*)\s*:=`)
 	loopOpener = regexp.MustCompile(`^(for|if|switch|select|go|defer|return|case)\b`)
 	pathRef    = regexp.MustCompile(`\b(?:internal|cmd|examples)/[A-Za-z0-9_-]+`)
+	codeSpan   = regexp.MustCompile("`[^`]+`")
+	symbolRef  = regexp.MustCompile(`(?:^|[^\w."'/])([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?`)
 )
 
 func main() {
@@ -84,10 +94,14 @@ func main() {
 	sort.Strings(files)
 
 	var snippets []snippet
-	var stale []string
+	var stale, missing []string
 	exists := func(rel string) bool {
 		_, err := os.Stat(filepath.Join(root, rel))
 		return err == nil
+	}
+	exports, err := loadExports(root)
+	if err != nil {
+		fatal(err)
 	}
 	for _, f := range append([]string{filepath.Join(root, "DESIGN.md")}, files...) {
 		data, err := os.ReadFile(f)
@@ -95,9 +109,15 @@ func main() {
 			fatal(err)
 		}
 		stale = append(stale, stalePaths(f, string(data), exists)...)
+		missing = append(missing, staleSymbols(f, string(data), exports)...)
 	}
 	if len(stale) > 0 {
 		fmt.Fprintf(os.Stderr, "lint-docs: paths that do not exist:\n%s\n", indent(strings.Join(stale, "\n")))
+	}
+	if len(missing) > 0 {
+		fmt.Fprintf(os.Stderr, "lint-docs: exported names that do not exist:\n%s\n", indent(strings.Join(missing, "\n")))
+	}
+	if len(stale) > 0 || len(missing) > 0 {
 		os.Exit(1)
 	}
 	for _, f := range files {
@@ -178,6 +198,139 @@ func stalePaths(file, text string, exists func(rel string) bool) []string {
 		}
 	}
 	return out
+}
+
+// staleSymbols lists, as "file:line: pkg.Name[.Member]", every exported
+// name a backticked span of one markdown file's prose (fences skipped)
+// qualifies by a knownImports package whose exports do not declare it. The
+// first column of a migration table — one headed "| removed |" — names
+// what is gone on purpose and is not checked.
+func staleSymbols(file, text string, exports map[string]map[string]bool) []string {
+	var out []string
+	inFence, inRemoved := false, false
+	for i, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			inFence = !inFence
+			continue
+		}
+		if inFence {
+			continue
+		}
+		inRemoved = strings.HasPrefix(line, "| removed |") || inRemoved && strings.HasPrefix(line, "|")
+		if inRemoved {
+			line = line[strings.Index(line[1:], "|")+1:]
+		}
+		for _, span := range codeSpan.FindAllString(line, -1) {
+			for _, m := range symbolRef.FindAllStringSubmatch(span, -1) {
+				if pkg, ok := exports[knownImports[m[1]]]; ok && !declared(pkg, m[2], m[3]) {
+					ref := strings.TrimSuffix(m[1]+"."+m[2]+"."+m[3], ".")
+					out = append(out, fmt.Sprintf("%s:%d: %s", file, i+1, ref))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// declared reports whether a package's exports (parseExports) hold name
+// and, when member is exported and name a type, that member. A member of a
+// var, const or func, or of a type with embedded fields or an alias, is
+// taken on trust.
+func declared(exports map[string]bool, name, member string) bool {
+	return exports[name] && (member == "" || !ast.IsExported(member) || !exports[name+"."] ||
+		exports[name+".*"] || exports[name+"."+member])
+}
+
+// loadExports parses the non-test source of every knownImports package,
+// found with go list, keyed by import path.
+func loadExports(root string) (map[string]map[string]bool, error) {
+	args := []string{"list", "-f", "{{.ImportPath}}={{.Dir}}"}
+	for _, path := range knownImports {
+		args = append(args, path)
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint-docs: go list: %w", err)
+	}
+	exports := map[string]map[string]bool{}
+	for _, line := range strings.Fields(string(out)) {
+		path, dir, _ := strings.Cut(line, "=")
+		if exports[path], err = parseExports(dir); err != nil {
+			return nil, err
+		}
+	}
+	return exports, nil
+}
+
+// parseExports lists what one package directory's non-test source
+// declares: every top-level name, "T." for each type T, "T.M" for each of
+// its fields and methods, and "T.*" when T is an alias or embeds a type.
+func parseExports(dir string) (map[string]bool, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	set := map[string]bool{}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				if fn.Recv == nil {
+					set[fn.Name.Name] = true
+				} else if recv := recvType(fn.Recv.List[0].Type); recv != "" {
+					set[recv+"."+fn.Name.Name] = true
+				}
+				continue
+			}
+			for _, spec := range decl.(*ast.GenDecl).Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						set[n.Name] = true
+					}
+				case *ast.TypeSpec:
+					typ := s.Name.Name
+					set[typ], set[typ+"."], set[typ+".*"] = true, true, s.Assign.IsValid()
+					var fields []*ast.Field
+					switch t := s.Type.(type) {
+					case *ast.StructType:
+						fields = t.Fields.List
+					case *ast.InterfaceType:
+						fields = t.Methods.List
+					}
+					for _, f := range fields {
+						for _, n := range f.Names {
+							set[typ+"."+n.Name] = true
+						}
+						set[typ+".*"] = set[typ+".*"] || f.Names == nil
+					}
+				}
+			}
+		}
+	}
+	return set, nil
+}
+
+// recvType is the type a method's receiver (T, *T, T[P]) names.
+func recvType(x ast.Expr) string {
+	if star, ok := x.(*ast.StarExpr); ok {
+		x = star.X
+	}
+	if gen, ok := x.(*ast.IndexExpr); ok {
+		x = gen.X
+	}
+	if id, ok := x.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
 
 // extract pulls the ```go fences out of one markdown file.

@@ -16,3 +16,21 @@ func TestStalePathsNamesFileAndLine(t *testing.T) {
 		t.Fatalf("stalePaths = %q, want %q", got, want)
 	}
 }
+
+func TestStaleSymbolsNamesMissingExports(t *testing.T) {
+	distnet, err := parseExports("../../internal/distnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exports := map[string]map[string]bool{"distme/internal/distnet": distnet}
+	text := "dial with `distnet.DialOptions(addrs, distnet.Options{})`; `distnet.Options.Recorder` counts\n" +
+		"not `distnet.Dial(addrs)`, nor `distnet.Options.Nope`, nor `d.Execute` on a `bmat.Nope`\n" +
+		"```go\nd, err := distnet.Dial(addrs)\n```\n" +
+		"| removed | replacement |\n" +
+		"| `distnet.Serve(l)` | `distnet.ServeOptions(l, distnet.WorkerOptions{})`, not `distnet.Serve` |\n"
+	got := staleSymbols("docs/X.md", text, exports)
+	want := []string{"docs/X.md:2: distnet.Dial", "docs/X.md:2: distnet.Options.Nope", "docs/X.md:7: distnet.Serve"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("staleSymbols = %q, want %q", got, want)
+	}
+}

@@ -249,8 +249,6 @@ var (
 	WithMulOptions = engine.WithMulOptions
 	// WithParams fixes explicit (P,Q,R) cuboid parameters.
 	WithParams = engine.WithParams
-	// WithRMMTasks overrides RMM's task count.
-	WithRMMTasks = engine.WithRMMTasks
 )
 
 // --- Additional algorithms ---------------------------------------------------

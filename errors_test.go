@@ -78,7 +78,7 @@ func TestErrShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := distnet.Serve(l)
+	w, err := distnet.ServeOptions(l, distnet.WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestErrWorkerDeadThroughLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := distnet.Serve(l)
+	w, err := distnet.ServeOptions(l, distnet.WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func startLaggedWorker(t *testing.T, lag time.Duration) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := distnet.Serve(wl)
+	w, err := distnet.ServeOptions(wl, distnet.WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ import (
 // arrays, so per-process memory is (|A|+|B|+|C|)/(P·Q) regardless of K —
 // which out-of-memories on output-heavy shapes where DistME's cuboids
 // survive.
-func MultiplySUMMA(a, b *bmat.BlockMatrix, gridP, gridQ int, env core.Env) (*bmat.BlockMatrix, error) {
+func MultiplySUMMA(ctx context.Context, a, b *bmat.BlockMatrix, gridP, gridQ int, env core.Env) (*bmat.BlockMatrix, error) {
 	if err := core.CheckConformable(a.Rows, a.Cols, a.BlockSize, b.Rows, b.Cols, b.BlockSize); err != nil {
 		return nil, fmt.Errorf("baselines: SUMMA: %w", err)
 	}
@@ -41,9 +41,6 @@ func MultiplySUMMA(a, b *bmat.BlockMatrix, gridP, gridQ int, env core.Env) (*bma
 		gridQ = b.JB
 	}
 	rec := env.Cluster.Recorder()
-	if env.Recorder != nil {
-		rec = env.Recorder
-	}
 
 	// ---- Repartition: panel broadcasts ---------------------------------
 	// Each A block travels to the Q processes of its grid row, each B block
@@ -80,7 +77,7 @@ func MultiplySUMMA(a, b *bmat.BlockMatrix, gridP, gridQ int, env core.Env) (*bma
 			},
 		})
 	})
-	if err := env.Cluster.Run(context.TODO(), tasks); err != nil {
+	if err := env.Cluster.Run(ctx, tasks); err != nil {
 		return nil, err
 	}
 	rec.AddDuration(metrics.StepLocalMultiply, time.Since(start))
@@ -105,17 +102,14 @@ func tileDenseBytes(a, b *bmat.BlockMatrix, ilo, ihi, jlo, jhi int) int64 {
 // MultiplySciDB models SciDB's linear-algebra operator, which wraps
 // ScaLAPACK: the inputs must first be repartitioned from the array store
 // into ScaLAPACK's layout (an extra |A| + |B| shuffle, §7), then SUMMA runs.
-func MultiplySciDB(a, b *bmat.BlockMatrix, gridP, gridQ int, env core.Env) (*bmat.BlockMatrix, error) {
+func MultiplySciDB(ctx context.Context, a, b *bmat.BlockMatrix, gridP, gridQ int, env core.Env) (*bmat.BlockMatrix, error) {
 	rec := env.Cluster.Recorder()
-	if env.Recorder != nil {
-		rec = env.Recorder
-	}
 	pre := a.StoredBytes() + b.StoredBytes()
 	rec.AddBytes(metrics.StepRepartition, pre)
 	if err := env.Cluster.ChargeSpill(pre); err != nil {
 		return nil, err
 	}
-	return MultiplySUMMA(a, b, gridP, gridQ, env)
+	return MultiplySUMMA(ctx, a, b, gridP, gridQ, env)
 }
 
 // MultiplyCRMM runs Marlin's CRMM: physical blocks are first shuffled into
@@ -123,7 +117,7 @@ func MultiplySciDB(a, b *bmat.BlockMatrix, gridP, gridQ int, env core.Env) (*bma
 // the logical grid. The cube constraint is the method's limitation the paper
 // notes (§7): cuboids can flatten along the cheap axes, cubes cannot. The
 // regrouping shuffle itself costs |A| + |B|.
-func MultiplyCRMM(a, b *bmat.BlockMatrix, env core.Env) (*bmat.BlockMatrix, error) {
+func MultiplyCRMM(ctx context.Context, a, b *bmat.BlockMatrix, env core.Env) (*bmat.BlockMatrix, error) {
 	if err := core.CheckConformable(a.Rows, a.Cols, a.BlockSize, b.Rows, b.Cols, b.BlockSize); err != nil {
 		return nil, fmt.Errorf("baselines: CRMM: %w", err)
 	}
@@ -149,15 +143,12 @@ func MultiplyCRMM(a, b *bmat.BlockMatrix, env core.Env) (*bmat.BlockMatrix, erro
 
 	// Regrouping shuffle: every physical block moves once.
 	rec := env.Cluster.Recorder()
-	if env.Recorder != nil {
-		rec = env.Recorder
-	}
 	regroup := a.StoredBytes() + b.StoredBytes()
 	rec.AddBytes(metrics.StepRepartition, regroup)
 	if err := env.Cluster.ChargeSpill(regroup); err != nil {
 		return nil, err
 	}
-	return core.MultiplyCuboid(context.TODO(), a, b, params, env)
+	return core.MultiplyCuboid(ctx, a, b, params, env)
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

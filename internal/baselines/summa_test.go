@@ -33,7 +33,7 @@ func TestSUMMAMatchesReference(t *testing.T) {
 	b := bmat.RandomDense(rng, 12, 24, 3)
 	want := matrix.Mul(a.ToDense(), b.ToDense()).Dense()
 	for _, grid := range [][2]int{{1, 1}, {2, 2}, {3, 4}, {6, 8}} {
-		got, err := MultiplySUMMA(a, b, grid[0], grid[1], testEnv(t, 1<<30))
+		got, err := MultiplySUMMA(context.Background(), a, b, grid[0], grid[1], testEnv(t, 1<<30))
 		if err != nil {
 			t.Fatalf("grid %v: %v", grid, err)
 		}
@@ -51,7 +51,7 @@ func TestSUMMAProperty(t *testing.T) {
 		a := bmat.RandomDense(rng, m, k, bs)
 		b := bmat.RandomDense(rng, k, n, bs)
 		gp, gq := 1+rng.Intn(4), 1+rng.Intn(4)
-		got, err := MultiplySUMMA(a, b, gp, gq, testEnv(t, 1<<30))
+		got, err := MultiplySUMMA(context.Background(), a, b, gp, gq, testEnv(t, 1<<30))
 		if err != nil {
 			return false
 		}
@@ -68,7 +68,7 @@ func TestSUMMACommunicationAccounting(t *testing.T) {
 	a := bmat.RandomDense(rng, 12, 12, 3)
 	b := bmat.RandomDense(rng, 12, 12, 3)
 	env := testEnv(t, 1<<30)
-	if _, err := MultiplySUMMA(a, b, 2, 3, env); err != nil {
+	if _, err := MultiplySUMMA(context.Background(), a, b, 2, 3, env); err != nil {
 		t.Fatal(err)
 	}
 	rec := env.Cluster.Recorder()
@@ -89,7 +89,7 @@ func TestSUMMAOOMOnOutputHeavyShape(t *testing.T) {
 	b := bmat.RandomDense(rng, 2, 64, 2)
 	// |C| = 64·64·8 = 32 KiB over 4 processes → 8 KiB each; budget 6 KiB.
 	env := testEnv(t, 6<<10)
-	_, err := MultiplySUMMA(a, b, 2, 2, env)
+	_, err := MultiplySUMMA(context.Background(), a, b, 2, 2, env)
 	if !errors.Is(err, cluster.ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
@@ -114,7 +114,7 @@ func TestSUMMAGridClamped(t *testing.T) {
 	a := bmat.RandomDense(rng, 4, 4, 2) // 2×2 blocks
 	b := bmat.RandomDense(rng, 4, 4, 2)
 	// Grid larger than the block grid must clamp, not break.
-	got, err := MultiplySUMMA(a, b, 10, 10, testEnv(t, 1<<30))
+	got, err := MultiplySUMMA(context.Background(), a, b, 10, 10, testEnv(t, 1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestSUMMAInvalidInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(134))
 	a := bmat.RandomDense(rng, 4, 4, 2)
 	b := bmat.RandomDense(rng, 6, 4, 2)
-	if _, err := MultiplySUMMA(a, b, 2, 2, testEnv(t, 1<<30)); err == nil {
+	if _, err := MultiplySUMMA(context.Background(), a, b, 2, 2, testEnv(t, 1<<30)); err == nil {
 		t.Fatal("nonconformable inputs accepted")
 	}
 	c := bmat.RandomDense(rng, 4, 4, 2)
-	if _, err := MultiplySUMMA(a, c, 0, 2, testEnv(t, 1<<30)); err == nil {
+	if _, err := MultiplySUMMA(context.Background(), a, c, 0, 2, testEnv(t, 1<<30)); err == nil {
 		t.Fatal("zero grid accepted")
 	}
 }
@@ -143,11 +143,11 @@ func TestSciDBAddsRepartitionCost(t *testing.T) {
 	b := bmat.RandomDense(rng, 12, 12, 3)
 
 	envS := testEnv(t, 1<<30)
-	if _, err := MultiplySUMMA(a, b, 2, 2, envS); err != nil {
+	if _, err := MultiplySUMMA(context.Background(), a, b, 2, 2, envS); err != nil {
 		t.Fatal(err)
 	}
 	envD := testEnv(t, 1<<30)
-	got, err := MultiplySciDB(a, b, 2, 2, envD)
+	got, err := MultiplySciDB(context.Background(), a, b, 2, 2, envD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestCRMMMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(136))
 	a := bmat.RandomDense(rng, 16, 12, 2)
 	b := bmat.RandomDense(rng, 12, 20, 2)
-	got, err := MultiplyCRMM(a, b, testEnv(t, 1<<30))
+	got, err := MultiplyCRMM(context.Background(), a, b, testEnv(t, 1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestCRMMCubesCostMoreThanCuboids(t *testing.T) {
 	}
 
 	envCube := smallEnv()
-	if _, err := MultiplyCRMM(a, b, envCube); err != nil {
+	if _, err := MultiplyCRMM(context.Background(), a, b, envCube); err != nil {
 		t.Fatal(err)
 	}
 	crmm := envCube.Cluster.Recorder().CommunicationBytes()
@@ -215,8 +215,28 @@ func TestCRMMInfeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(138))
 	a := bmat.RandomDense(rng, 8, 8, 4)
 	b := bmat.RandomDense(rng, 8, 8, 4)
-	_, err := MultiplyCRMM(a, b, testEnv(t, 16))
+	_, err := MultiplyCRMM(context.Background(), a, b, testEnv(t, 16))
 	if !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+}
+
+// TestBaselinesCancel: every measured baseline runs under its caller's ctx,
+// so a cancelled ctx stops it with the executors' cancellation error.
+func TestBaselinesCancel(t *testing.T) {
+	rng := rand.New(rand.NewSource(139))
+	a := bmat.RandomDense(rng, 8, 8, 4)
+	b := bmat.RandomDense(rng, 8, 8, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range map[string]func(core.Env) error{
+		"SUMMA": func(env core.Env) error { _, err := MultiplySUMMA(ctx, a, b, 2, 2, env); return err },
+		"SciDB": func(env core.Env) error { _, err := MultiplySciDB(ctx, a, b, 2, 2, env); return err },
+		"CRMM":  func(env core.Env) error { _, err := MultiplyCRMM(ctx, a, b, env); return err },
+	} {
+		err := run(testEnv(t, 1<<30))
+		if !errors.Is(err, cluster.ErrCancelled) || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want cluster.ErrCancelled wrapping context.Canceled", name, err)
+		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Backoff is the retry-delay policy every retry loop in the tree shares —
-// the elastic task scheduler here and the network driver's cuboid and batch
+// the elastic task scheduler here and the network driver's cuboid
 // dispatch: capped exponential steps with full jitter. The delay before the
 // retry that follows the nth consecutive failure is uniform in
 // (0, min(base·2ⁿ⁻¹, limit)], so work that failed together retries spread out

@@ -72,30 +72,16 @@ type Config struct {
 	// tasks from RDD lineage. 0 means no retries.
 	TaskRetries int
 	// RetryBackoff is the base delay of the capped exponential backoff
-	// between a task's attempts (1ms when zero). Attempt n waits
-	// min(RetryBackoff·2ⁿ⁻¹, RetryBackoffCap).
+	// between a task's attempts (1ms when zero). The delay before attempt n
+	// is uniform in (0, min(RetryBackoff·2ⁿ⁻¹, 16·RetryBackoff)] — full
+	// jitter from a clock-seeded source, which moves only retry timing,
+	// never results.
 	RetryBackoff time.Duration
-	// RetryBackoffCap caps the exponential backoff (16·RetryBackoff when
-	// zero).
-	RetryBackoffCap time.Duration
-	// RetryJitterSeed pins the full-jitter source applied to retry backoff
-	// (the actual delay before retry n is uniform in (0, backoff]); 0 seeds
-	// from the clock. Jitter changes only retry timing — results stay
-	// bit-identical under any seed — but a pinned seed keeps schedules
-	// reproducible in tests.
-	RetryJitterSeed int64
-	// Speculation enables speculative copies of straggler tasks: once
-	// SpeculationQuantile of a wave has completed, a task in flight for
-	// longer than SpeculationMultiplier × the quantile completion time
-	// gets a second attempt; the first result wins and the loser is
-	// cancelled.
+	// Speculation enables speculative copies of straggler tasks: once 75 %
+	// of a wave has completed, a task in flight for longer than twice the
+	// 75th-percentile completion time gets a second attempt; the first
+	// result wins and the loser is cancelled.
 	Speculation bool
-	// SpeculationQuantile is the completed fraction of the wave required
-	// before stragglers are considered (0.75 when zero).
-	SpeculationQuantile float64
-	// SpeculationMultiplier scales the quantile completion time into the
-	// straggler threshold (2 when zero).
-	SpeculationMultiplier float64
 	// Faults configures deterministic fault injection for chaos runs; the
 	// zero value disables it.
 	Faults Faults
@@ -171,18 +157,6 @@ type Cluster struct {
 	// injector delivers the deterministic faults of cfg.Faults; nil when
 	// injection is disabled.
 	injector *Injector
-	// failureInjector, when set, is consulted before each task attempt and
-	// its non-nil error is treated as that attempt's failure — the test
-	// hook for exercising the retry machinery (lost executors, flaky I/O).
-	failureInjector func(taskName string, attempt int) error
-}
-
-// SetFailureInjector installs a fault hook for tests and chaos runs: it is
-// called before every task attempt with the task name and the 0-based
-// attempt number; a non-nil return fails that attempt. Install before
-// running tasks; the hook is read concurrently by workers.
-func (c *Cluster) SetFailureInjector(f func(taskName string, attempt int) error) {
-	c.failureInjector = f
 }
 
 // FaultInjector returns the deterministic fault injector configured via
@@ -245,11 +219,6 @@ func (c *Cluster) attemptCtx(ctx context.Context, t Task, attempt int) (err erro
 				timer.Stop()
 				return fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
 			}
-		}
-	}
-	if c.failureInjector != nil {
-		if err := c.failureInjector(t.Name, attempt); err != nil {
-			return err
 		}
 	}
 	return t.Fn()

@@ -180,32 +180,27 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 func TestRetriesRecoverFlakyTask(t *testing.T) {
 	cfg := testConfig()
 	cfg.TaskRetries = 2
+	// Crash the first two attempts of every task; the third succeeds.
+	cfg.Faults = Faults{CrashRate: 1, MaxFaultsPerTask: 2}
 	c, _ := New(cfg)
-	// Fail the first two attempts of every task; the third succeeds.
-	c.SetFailureInjector(func(name string, attempt int) error {
-		if attempt < 2 {
-			return fmt.Errorf("injected loss of %s (attempt %d)", name, attempt)
-		}
-		return nil
-	})
 	var ran atomic.Int64
 	err := c.Run(context.Background(), []Task{{Name: "flaky", Fn: func() error { ran.Add(1); return nil }}})
 	if err != nil {
 		t.Fatalf("retries did not recover: %v", err)
 	}
 	if ran.Load() != 1 {
-		t.Fatalf("task body ran %d times, want 1 (injector fails before the body)", ran.Load())
+		t.Fatalf("task body ran %d times, want 1 (injected crashes fail before the body)", ran.Load())
 	}
 }
 
 func TestRetriesExhaustedFails(t *testing.T) {
 	cfg := testConfig()
 	cfg.TaskRetries = 1
+	cfg.Faults = Faults{CrashRate: 1, MaxFaultsPerTask: 2}
 	c, _ := New(cfg)
-	c.SetFailureInjector(func(string, int) error { return errors.New("always down") })
 	err := c.Run(context.Background(), []Task{{Name: "doomed", Fn: func() error { return nil }}})
-	if err == nil {
-		t.Fatal("exhausted retries did not fail")
+	if !errors.Is(err, ErrInjectedCrash) {
+		t.Fatalf("exhausted retries should fail with the last injected crash, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "2 attempts") {
 		t.Fatalf("error should mention attempts: %v", err)

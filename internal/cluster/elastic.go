@@ -15,8 +15,8 @@ import (
 
 // The elastic task scheduler: every task set the cluster runs goes through
 // this machinery, which re-executes failed attempts with capped exponential
-// backoff, launches speculative copies of stragglers once a configurable
-// quantile of the wave has finished (first result wins; the loser's attempt
+// backoff, launches speculative copies of stragglers once three quarters
+// of the wave have finished (first result wins; the loser's attempt
 // context is cancelled), and cancels promptly — within one backoff step —
 // when the job context is done. Task bodies must be idempotent and commit
 // their side effects at most once (the executors commit under a mutex with
@@ -121,14 +121,11 @@ func (c *Cluster) Run(ctx context.Context, tasks []Task) error {
 		state:      make([]taskState, len(tasks)),
 		queue:      make([]workItem, 0, len(tasks)),
 	}
-	base, ceil := c.cfg.RetryBackoff, c.cfg.RetryBackoffCap
+	base := c.cfg.RetryBackoff
 	if base <= 0 {
 		base = time.Millisecond
 	}
-	if ceil <= 0 {
-		ceil = 16 * base
-	}
-	r.backoff = NewBackoff(base, ceil, JitterSource(c.cfg.RetryJitterSeed))
+	r.backoff = NewBackoff(base, 16*base, JitterSource(0))
 	r.cond = sync.NewCond(&r.mu)
 	for i := range tasks {
 		r.state[i].cancels = make(map[int]context.CancelFunc)
@@ -319,22 +316,22 @@ func (r *elasticRun) cancelAllLocked() {
 	}
 }
 
-// speculationTick is how often the straggler monitor samples the wave.
-const speculationTick = 2 * time.Millisecond
+const (
+	// speculationTick is how often the straggler monitor samples the wave.
+	speculationTick = 2 * time.Millisecond
+	// speculationQuantile is the completed fraction of a wave required
+	// before stragglers are considered.
+	speculationQuantile = 0.75
+	// speculationMultiplier scales the quantile completion time into the
+	// straggler threshold.
+	speculationMultiplier = 2
+)
 
 // monitor watches running tasks and launches one speculative copy of each
-// straggler: once the configured quantile of the wave has completed, any
-// task in flight for longer than multiplier × the quantile completion time
-// gets a second attempt.
+// straggler: once speculationQuantile of the wave has completed, any task
+// in flight for longer than speculationMultiplier × the quantile
+// completion time gets a second attempt.
 func (r *elasticRun) monitor(stop <-chan struct{}) {
-	quantile := r.c.cfg.SpeculationQuantile
-	if quantile <= 0 || quantile >= 1 {
-		quantile = 0.75
-	}
-	mult := r.c.cfg.SpeculationMultiplier
-	if mult <= 1 {
-		mult = 2
-	}
 	ticker := time.NewTicker(speculationTick)
 	defer ticker.Stop()
 	for {
@@ -348,7 +345,7 @@ func (r *elasticRun) monitor(stop <-chan struct{}) {
 			r.mu.Unlock()
 			return
 		}
-		minDone := int(quantile * float64(len(r.tasks)))
+		minDone := int(speculationQuantile * float64(len(r.tasks)))
 		if minDone < 1 {
 			minDone = 1
 		}
@@ -356,7 +353,7 @@ func (r *elasticRun) monitor(stop <-chan struct{}) {
 			r.mu.Unlock()
 			continue
 		}
-		threshold := time.Duration(mult * float64(r.quantileDurationLocked(quantile)))
+		threshold := time.Duration(speculationMultiplier * float64(r.quantileDurationLocked(speculationQuantile)))
 		if threshold < speculationTick {
 			threshold = speculationTick
 		}

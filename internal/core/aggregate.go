@@ -103,11 +103,3 @@ func foldInto(acc, d *matrix.Dense) *matrix.Dense {
 	matrix.PutDense(d)
 	return acc
 }
-
-// aggWorkers resolves the aggregation fan-out width for this environment.
-func (e *Env) aggWorkers() int {
-	if e.AggregationWorkers > 0 {
-		return e.AggregationWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}

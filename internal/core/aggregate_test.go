@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"distme/internal/bmat"
@@ -137,7 +138,8 @@ func TestAggregateBlockPartialsEmptyAndNil(t *testing.T) {
 }
 
 // TestMultiplyCuboidAggregationWorkerInvariance runs the full pipeline at
-// R>1 with sequential and parallel aggregation and requires byte-identical
+// R>1 with sequential and parallel aggregation (the fold's width follows
+// GOMAXPROCS) and requires byte-identical
 // output matrices and identical recorded aggregation bytes — dense and
 // sparse inputs, fixed seeds.
 func TestMultiplyCuboidAggregationWorkerInvariance(t *testing.T) {
@@ -153,9 +155,8 @@ func TestMultiplyCuboidAggregationWorkerInvariance(t *testing.T) {
 		}
 		params := Params{P: 2, Q: 2, R: 3} // R>1 ⇒ overlapping partials
 		run := func(workers int) *bmat.BlockMatrix {
-			env := testEnv(t)
-			env.AggregationWorkers = workers
-			out, err := MultiplyCuboid(context.Background(), a, b, params, env)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			out, err := MultiplyCuboid(context.Background(), a, b, params, testEnv(t))
 			if err != nil {
 				t.Fatalf("sparse=%v workers=%d: %v", sparse, workers, err)
 			}
@@ -173,9 +174,8 @@ func TestMultiplyRMMAggregationWorkerInvariance(t *testing.T) {
 	a := bmat.RandomDense(rng, 12, 12, 3)
 	b := bmat.RandomDense(rng, 12, 12, 3)
 	run := func(workers int) *bmat.BlockMatrix {
-		env := testEnv(t)
-		env.AggregationWorkers = workers
-		out, err := MultiplyRMM(context.Background(), a, b, 0, env)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		out, err := MultiplyRMM(context.Background(), a, b, 0, testEnv(t))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -50,7 +50,7 @@ func recoverPartials(ctx context.Context, env Env, parent obs.SpanID, tasks []st
 	if inj == nil || inj.Config().FetchFailRate <= 0 {
 		return nil
 	}
-	rec := env.recorder()
+	rec := env.Cluster.Recorder()
 	for idx := range tasks {
 		t := &tasks[idx]
 		if err := ctx.Err(); err != nil {

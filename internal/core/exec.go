@@ -17,14 +17,13 @@ import (
 )
 
 // Env is the execution environment of one distributed multiplication: the
-// cluster that runs the tasks, the recorder that the repartition /
-// local-multiplication / aggregation steps charge, and the local multiplier
+// cluster that runs the tasks (its recorder is what the repartition /
+// local-multiplication / aggregation steps charge), and the local multiplier
 // that computes a cuboid's partial results and RMM's block-pair products
 // (CPU by default; the gpu package provides the accelerated implementation
 // of §4).
 type Env struct {
 	Cluster    *cluster.Cluster
-	Recorder   *metrics.Recorder
 	Multiplier LocalMultiplier
 	// AColocated (BColocated) declares that A (B) is already partitioned in
 	// the layout the chosen method wants, so its base copy does not cross
@@ -37,24 +36,12 @@ type Env struct {
 	// running after the rest of the wave drains — the load-balancing
 	// extension the paper's §8 names as future work.
 	BalanceBySparsity bool
-	// AggregationWorkers bounds the fan-out of the driver-side partial
-	// merge (see aggregate.go); 0 means GOMAXPROCS, 1 forces the
-	// sequential merge. Output bits are identical at any width.
-	AggregationWorkers int
 	// Tracer records phase spans (repartition, local multiply, aggregation)
 	// and one task span per committed cuboid; nil disables tracing with no
 	// overhead. TraceParent is the span the phase spans parent to (0 roots
 	// them).
 	Tracer      *obs.Tracer
 	TraceParent obs.SpanID
-}
-
-// recorder returns the explicit recorder, falling back to the cluster's.
-func (e *Env) recorder() *metrics.Recorder {
-	if e.Recorder != nil {
-		return e.Recorder
-	}
-	return e.Cluster.Recorder()
 }
 
 // multiplier returns the configured local multiplier or the CPU default.
@@ -377,7 +364,7 @@ type stepPlan struct {
 // output under a mutex with first-writer-wins, so re-executed and
 // speculative attempts leave output bytes identical to a failure-free run.
 func runSteps(ctx context.Context, a, b *bmat.BlockMatrix, env Env, build func() stepPlan) (*bmat.BlockMatrix, error) {
-	rec := env.recorder()
+	rec := env.Cluster.Recorder()
 
 	// ---- Matrix repartition step -------------------------------------
 	start := time.Now()
@@ -446,7 +433,7 @@ func runSteps(ctx context.Context, a, b *bmat.BlockMatrix, env Env, build func()
 	start = time.Now()
 	asp := env.Tracer.Start(env.TraceParent, "aggregate", obs.KindDriver)
 	out := bmat.New(a.Rows, b.Cols, a.BlockSize)
-	aggregationBytes := foldPartials(out, partials, plan.sizeOf, env.aggWorkers())
+	aggregationBytes := FoldPartials(out, partials, plan.sizeOf)
 	if plan.compact {
 		compactOutput(out)
 	}

@@ -414,18 +414,13 @@ func TestMultiplySurvivesInjectedTaskLoss(t *testing.T) {
 	cfg.TaskMemBytes = 1 << 30
 	cfg.DiskCapacityBytes = 0
 	cfg.TaskRetries = 2
+	// Every task's first attempt is lost — the lineage re-run must recover
+	// the whole multiplication with an identical product.
+	cfg.Faults = cluster.Faults{CrashRate: 1, MaxFaultsPerTask: 1}
 	c, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every task's first attempt is lost — the lineage re-run must recover
-	// the whole multiplication with an identical product.
-	c.SetFailureInjector(func(name string, attempt int) error {
-		if attempt == 0 {
-			return errors.New("executor lost")
-		}
-		return nil
-	})
 	a := bmat.RandomDense(rng, 16, 16, 4)
 	b := bmat.RandomDense(rng, 16, 16, 4)
 	got, err := MultiplyCuboid(context.Background(), a, b, Params{2, 2, 2}, Env{Cluster: c})

@@ -27,26 +27,27 @@ type Workload struct {
 }
 
 // bytesOf estimates the stored payload of an m×n matrix at the given
-// sparsity: dense 8 B/element, CSR ≈ 16 B/non-zero below half density.
+// sparsity: dense 8 B/element, CSR ≈ 16 B/non-zero below half density. The
+// paper stores half-dense synthetic data in dense blocks; only genuinely
+// sparse data uses CSR.
 func bytesOf(m, n int64, sparsity float64) int64 {
-	dense := m * n * 8
-	if sparsity >= 0.5 || sparsity <= 0 {
-		if sparsity > 0 && sparsity < 1 {
-			// The paper stores half-dense synthetic data in dense blocks;
-			// only genuinely sparse data uses CSR.
-			return dense
-		}
-		return dense
+	if sparsity <= 0 || sparsity >= 0.5 {
+		return m * n * 8
 	}
 	return int64(float64(m*n)*sparsity) * 16
 }
 
+// blockSize is the block side in elements; an unset BlockSize is 1000.
+func (w Workload) blockSize() int64 {
+	if w.BlockSize <= 0 {
+		return 1000
+	}
+	return w.BlockSize
+}
+
 // Shape maps the workload onto the block-grid shape the optimizer consumes.
 func (w Workload) Shape() core.Shape {
-	b := w.BlockSize
-	if b <= 0 {
-		b = 1000
-	}
+	b := w.blockSize()
 	spA, spB := w.SparsityA, w.SparsityB
 	if spA == 0 {
 		spA = 1
@@ -232,7 +233,7 @@ func (m Model) EstimateCuboid(w Workload, p core.Params, useGPU bool) Estimate {
 	} else {
 		taskMem += float64(s.BBytes) / float64(p.R*p.Q)
 	}
-	blockBytes := float64(w.BlockSize*w.BlockSize) * 8
+	blockBytes := float64(w.blockSize()*w.blockSize()) * 8
 	kExtent := (s.K + p.R - 1) / p.R
 	switch {
 	case kExtent > 1:
@@ -351,7 +352,7 @@ func (m Model) EstimateRMM(w Workload, tasks int, useGPU bool) Estimate {
 	// resident set is a single voxel (one A block, one B block, one C
 	// block), which is exactly why RMM "can process large-scale matrix
 	// multiplication without out of memory error" (§1) at any size.
-	blockBytes := float64(w.BlockSize*w.BlockSize) * 8
+	blockBytes := float64(w.blockSize()*w.blockSize()) * 8
 	est.MemPerTaskBytes = int64(3 * blockBytes)
 	if est.MemPerTaskBytes > m.Cfg.TaskMemBytes {
 		est.Verdict = VerdictOOM

@@ -361,3 +361,36 @@ func TestEstimateCPMMZeroAggWhenKOne(t *testing.T) {
 		t.Fatalf("K=1 CPMM should have no aggregation, got %d", est.AggregationBytes)
 	}
 }
+
+// TestUnsetBlockSizeIsDefault: BlockSize 0 means 1000 everywhere a block is
+// sized — the grid, CPMM's streamed block and RMM's three-block resident
+// set — so both give equal estimates, O.O.M. verdicts included.
+func TestUnsetBlockSizeIsDefault(t *testing.T) {
+	tight := paperModel()
+	tight.Cfg.TaskMemBytes = 16e6 // under RMM's three 8 MB blocks
+	for _, tc := range []struct {
+		name string
+		m    Model
+		w    Workload
+	}{
+		{"general", paperModel(), generalW(40000)},
+		{"two large dims", paperModel(), twoLargeW(200000)},
+		{"tight θt", tight, generalW(20000)},
+	} {
+		unset := tc.w
+		unset.BlockSize = 0
+		for method, est := range map[string]func(Model, Workload) Estimate{
+			"BMM":  func(m Model, w Workload) Estimate { return m.EstimateBMM(w, false) },
+			"CPMM": func(m Model, w Workload) Estimate { return m.EstimateCPMM(w, false) },
+			"RMM":  func(m Model, w Workload) Estimate { return m.EstimateRMM(w, 0, false) },
+			"auto": func(m Model, w Workload) Estimate { return m.EstimateAuto(w, false) },
+		} {
+			if got, want := est(tc.m, unset), est(tc.m, tc.w); got != want {
+				t.Errorf("%s %s: BlockSize 0 gives %#v, 1000 gives %#v", tc.name, method, got, want)
+			}
+		}
+	}
+	if v := tight.EstimateRMM(Workload{M: 20000, K: 20000, N: 20000}, 0, false).Verdict; v != VerdictOOM {
+		t.Errorf("RMM under a 16 MB θt with BlockSize 0: %v, want O.O.M.", v)
+	}
+}

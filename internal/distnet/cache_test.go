@@ -156,7 +156,7 @@ func TestWorkerRestartMidJobMissesCleanly(t *testing.T) {
 		t.Skipf("cannot rebind %s: %v", addr, err)
 	}
 	t.Cleanup(func() { l2.Close() })
-	w2, err := Serve(l2)
+	w2, err := ServeOptions(l2, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

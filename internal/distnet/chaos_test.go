@@ -203,7 +203,7 @@ func TestChaosMultiplyByteIdentical(t *testing.T) {
 	params := core.Params{P: 4, Q: 2, R: 2}
 
 	addrs, _ := startWorkers(t, 3)
-	baseline, err := Dial(addrs)
+	baseline, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestChaosGNMFByteIdentical(t *testing.T) {
 	v := bmat.RandomSparse(rng, 24, 20, 4, 0.2)
 	gopts := ml.GNMFOptions{Rank: 4, Iterations: 2, Seed: 11}
 
-	clean, err := Dial(addrs)
+	clean, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestDetectorMarksDeadAndReconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Serve(l)
+	w, err := ServeOptions(l, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestDetectorMarksDeadAndReconnects(t *testing.T) {
 	if err != nil {
 		t.Skipf("cannot rebind %s: %v", addr, err)
 	}
-	if _, err := Serve(l2); err != nil {
+	if _, err := ServeOptions(l2, WorkerOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l2.Close() })
@@ -646,7 +646,7 @@ func TestWorkerGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Serve(l)
+	w, err := ServeOptions(l, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

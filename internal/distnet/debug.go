@@ -39,7 +39,7 @@ type DriverDebug struct {
 	// InFlightCuboids counts cuboids dispatched but not yet aggregated.
 	ActiveJobs      int64 `json:"active_jobs"`
 	InFlightCuboids int64 `json:"inflight_cuboids"`
-	// WireSentBytes / WireReceivedBytes are real socket traffic since Dial.
+	// WireSentBytes / WireReceivedBytes are real socket traffic since DialOptions.
 	WireSentBytes     int64 `json:"wire_sent_bytes"`
 	WireReceivedBytes int64 `json:"wire_received_bytes"`
 	// Members is the full membership table, including dead/removed entries.

@@ -28,7 +28,7 @@ func startWorkers(t *testing.T, n int) ([]string, []*Worker) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		w, err := Serve(l)
+		w, err := ServeOptions(l, WorkerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func startWorkers(t *testing.T, n int) ([]string, []*Worker) {
 
 func TestRemoteMultiplyMatchesLocal(t *testing.T) {
 	addrs, workers := startWorkers(t, 3)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRemoteMultiplyMatchesLocal(t *testing.T) {
 
 func TestRemoteMultiplySparse(t *testing.T) {
 	addrs, _ := startWorkers(t, 2)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRemoteMultiplySparse(t *testing.T) {
 
 func TestRemoteMultiplyProperty(t *testing.T) {
 	addrs, _ := startWorkers(t, 2)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRemoteMultiplyProperty(t *testing.T) {
 
 func TestWireBytesReflectTraffic(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestWireBytesReflectTraffic(t *testing.T) {
 
 func TestMultiplyAutoRemote(t *testing.T) {
 	addrs, _ := startWorkers(t, 4)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,17 +173,17 @@ func TestMultiplyAutoRemote(t *testing.T) {
 }
 
 func TestDialErrors(t *testing.T) {
-	if _, err := Dial(nil); err == nil {
+	if _, err := DialOptions(nil, Options{}); err == nil {
 		t.Fatal("empty address list accepted")
 	}
-	if _, err := Dial([]string{"127.0.0.1:1"}); err == nil {
+	if _, err := DialOptions([]string{"127.0.0.1:1"}, Options{}); err == nil {
 		t.Fatal("dead address accepted")
 	}
 }
 
 func TestDriverRejectsBadInputs(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestDriverRejectsBadInputs(t *testing.T) {
 
 func TestClosedDriverFails(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func (o executeOps) Multiply(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat
 // holds it to the same query on a local engine.
 func TestGNMFOverTheWire(t *testing.T) {
 	addrs, _ := startWorkers(t, 2)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +285,10 @@ func BenchmarkRemoteMultiply(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := Serve(l); err != nil {
+	if _, err := ServeOptions(l, WorkerOptions{}); err != nil {
 		b.Fatal(err)
 	}
-	d, err := Dial([]string{l.Addr().String()})
+	d, err := DialOptions([]string{l.Addr().String()}, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -313,12 +313,12 @@ func TestDriverFailsOverDeadWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Serve(deadL); err != nil {
+	if _, err := ServeOptions(deadL, WorkerOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	liveAddrs, liveWorkers := startWorkers(t, 1)
 
-	d, err := Dial([]string{deadL.Addr().String(), liveAddrs[0]})
+	d, err := DialOptions([]string{deadL.Addr().String(), liveAddrs[0]}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestPlanEvalOverTheWire(t *testing.T) {
 	// A compiled plan evaluated over executeOps: its multiplications cross
 	// real sockets, everything else runs locally.
 	addrs, _ := startWorkers(t, 2)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

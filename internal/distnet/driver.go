@@ -210,13 +210,8 @@ func (c *countingConn) WriteBuffers(bufs *net.Buffers) (int64, error) {
 	return n, err
 }
 
-// Dial connects to the workers with default options. Every address must
-// answer a Ping before the driver is returned.
-func Dial(addrs []string) (*Driver, error) {
-	return DialOptions(addrs, Options{})
-}
-
-// DialOptions connects to the workers with explicit elasticity options.
+// DialOptions connects to the workers; the zero Options are the defaults.
+// Every address must answer a Ping before the driver is returned.
 func DialOptions(addrs []string, opts Options) (*Driver, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("distnet: no worker addresses")
@@ -301,7 +296,7 @@ func (d *Driver) checkOpen() error {
 }
 
 // WireBytes reports the real bytes sent and received over the sockets since
-// Dial.
+// DialOptions.
 func (d *Driver) WireBytes() (sent, received int64) {
 	return d.wire.sent.Load(), d.wire.received.Load()
 }

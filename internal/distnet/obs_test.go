@@ -120,7 +120,7 @@ func TestTracedMultiplySpanTree(t *testing.T) {
 
 	// Untraced reference.
 	refAddrs, _ := startWorkers(t, 2)
-	ref, err := Dial(refAddrs)
+	ref, err := DialOptions(refAddrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestTraceSpanTreeUnderChaos(t *testing.T) {
 	params := core.Params{P: 4, Q: 2, R: 2}
 
 	refAddrs, _ := startWorkers(t, 3)
-	ref, err := Dial(refAddrs)
+	ref, err := DialOptions(refAddrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestWorkerServeDebug(t *testing.T) {
 	}
 	defer srv.Close()
 
-	d, err := Dial([]string{l.Addr().String()})
+	d, err := DialOptions([]string{l.Addr().String()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestWorkerServeDebug(t *testing.T) {
 // traceSpan zero so the wire carries the tracing-off sentinel.
 func TestUntracedRunsRecordNothing(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

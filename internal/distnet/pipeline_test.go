@@ -81,7 +81,7 @@ func requireResidentSaves(t *testing.T, what string, materialized, resident int6
 
 func TestSessionPutFetchRoundTrip(t *testing.T) {
 	addrs, _ := startWorkers(t, 3)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSessionPutFetchRoundTrip(t *testing.T) {
 // same placement — only the traffic pattern differs.
 func TestPipelineRunMatchesMaterialized(t *testing.T) {
 	addrs, _ := startWorkers(t, 3)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func localPlanEval(t *testing.T, x plan.Expr, inputs map[string]*bmat.BlockMatri
 // no intermediate crossed the wire to the driver.
 func TestPipelineIntermediatesStayResident(t *testing.T) {
 	addrs, _ := startWorkers(t, 2)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestPipelineWorkerKillRecovers(t *testing.T) {
 
 	// Failure-free reference.
 	cleanAddrs, _ := startWorkers(t, 2)
-	cd, err := Dial(cleanAddrs)
+	cd, err := DialOptions(cleanAddrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestPipelineEvictionRecompute(t *testing.T) {
 		}
 		addrs = append(addrs, l.Addr().String())
 	}
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestPipelineEvictionRecompute(t *testing.T) {
 // bitwise, then checks the session's price estimate favored residency.
 func TestGNMFPipelineMatchesMaterialized(t *testing.T) {
 	addrs, _ := startWorkers(t, 2)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestGNMFUpdatesMatchEngine(t *testing.T) {
 		"h": bmat.RandomDense(rng, 22, 128, 32),
 	}
 	addrs, _ := startWorkers(t, 2)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func gnmfPipeline(t *testing.T, d *Driver, v *bmat.BlockMatrix, gopts ml.GNMFOpt
 // driver-side PageRank on a local engine.
 func TestPageRankHandlesMatchesDriver(t *testing.T) {
 	addrs, _ := startWorkers(t, 2)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func pullTestOperands(seed int64) (*bmat.BlockMatrix, *bmat.BlockMatrix) {
 // must be far below the operands it did not ship.
 func TestSessionMultiplyPullMatchesPush(t *testing.T) {
 	addrs, workers := startWorkers(t, 4)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSessionMultiplyPullMatchesPush(t *testing.T) {
 // WorkerPullStats as well — store.peer_* contains pull.peer_*.
 func TestPullFetchCountedInStoreAndPull(t *testing.T) {
 	addrs, workers := startWorkers(t, 2)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestPullFetchCountedInStoreAndPull(t *testing.T) {
 // content-addressed caches instead of re-fetching.
 func TestSessionMultiplyPullDedup(t *testing.T) {
 	addrs, _ := startWorkers(t, 3)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestPullPeerKilledFallsBack(t *testing.T) {
 
 	// Failure-free reference.
 	cleanAddrs, _ := startWorkers(t, 3)
-	cd, err := Dial(cleanAddrs)
+	cd, err := DialOptions(cleanAddrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func TestPullAddWorkerMidJob(t *testing.T) {
 // counters — and still agree with an explicit push run bit for bit.
 func TestSessionMultiplyAutoPicksPull(t *testing.T) {
 	addrs, _ := startWorkers(t, 4)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,7 @@ func TestSessionMultiplyAutoPicksPull(t *testing.T) {
 // with the result bit-identical to classic push.
 func TestExecuteTransferPull(t *testing.T) {
 	addrs, _ := startWorkers(t, 4)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +586,7 @@ func TestPipelinePullMatchesPush(t *testing.T) {
 	inputs := pipelineTestInputs(108)
 
 	addrs, _ := startWorkers(t, 3)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 // installed all the same, so the operator after it finds its operand.
 func TestExecEmptyBandFetchesNothing(t *testing.T) {
 	addrs, workers := startWorkers(t, 2)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPipelineReplicaReuse(t *testing.T) {
 	peerBand := bandBytes(inputs["v"], 0, half) + bandBytes(inputs["w"], 0, half)
 
 	addrs, workers := startWorkers(t, 2)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestPipelineReplicaEvictedFirst(t *testing.T) {
 	// after a run, less the replicas, plus room for the intermediates — and
 	// less than that plus V's peer band.
 	addrs, workers := startWorkers(t, 2)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestPipelineReplicaEvictedFirst(t *testing.T) {
 		capped = append(capped, l.Addr().String())
 		cworkers = append(cworkers, w)
 	}
-	cd, err := Dial(capped)
+	cd, err := DialOptions(capped, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

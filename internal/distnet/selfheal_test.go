@@ -166,7 +166,7 @@ func TestDrainWindowAdmitsReadsUntilDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Serve(l)
+	w, err := ServeOptions(l, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

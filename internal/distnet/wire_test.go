@@ -1013,7 +1013,7 @@ func TestSendTrackerConcurrentEpochs(t *testing.T) {
 // WireDecodeBytes — the first chunk's bytes and every later one's.
 func TestWireCountersCountEveryChunk(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
-	d, err := Dial(addrs)
+	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

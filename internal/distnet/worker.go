@@ -25,7 +25,7 @@ const defaultDrainWindow = 10 * time.Second
 
 // Worker serves cuboid multiplications over the worker socket. One worker
 // process plays the role of one cluster node's executor. A served worker
-// (via Serve/ServeOptions) owns its listener and connections and supports
+// (via ServeOptions) owns its listener and connections and supports
 // graceful shutdown: stop accepting, drain in-flight calls, close.
 type Worker struct {
 	mu         sync.Mutex
@@ -291,14 +291,10 @@ type WorkerOptions struct {
 	Tracer *obs.Tracer
 }
 
-// Serve registers a Worker on the listener and serves connections until the
-// listener closes or Shutdown is called. It returns the worker so callers
-// can inspect it and shut it down.
-func Serve(l net.Listener) (*Worker, error) {
-	return ServeOptions(l, WorkerOptions{})
-}
-
-// ServeOptions is Serve with explicit tuning.
+// ServeOptions registers a Worker on the listener and serves connections
+// until the listener closes or Shutdown is called; the zero WorkerOptions
+// are the defaults. It returns the worker so callers can inspect it and
+// shut it down.
 func ServeOptions(l net.Listener, opts WorkerOptions) (*Worker, error) {
 	w := &Worker{
 		listener: l,

@@ -2,6 +2,7 @@ package distnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -58,8 +59,8 @@ func (w *Worker) peerClient(addr string) (*codec.Client, error) {
 	return c, nil
 }
 
-// dropPeer discards a peer client after a failed call so the next exec
-// redials instead of reusing a wedged connection.
+// dropPeer discards a peer client after a failed connection so the next
+// exec redials instead of reusing a wedged one.
 func (w *Worker) dropPeer(addr string, c *codec.Client) {
 	w.peersMu.Lock()
 	if cur, ok := w.peers[addr]; ok && cur == c {
@@ -94,7 +95,11 @@ func (w *Worker) peerGet(parent obs.SpanID, addr string, args *getArgs) (*getRep
 		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
 		err = client.Call(ctx, methodGetBlocks, codec.Writes(appendGetArgs, args), codec.Reads(decodeGetReply, &reply))
 		cancel()
-		if err != nil {
+		// A refusal (an evicted band) came back over a working connection,
+		// which the calls sharing it still need; only a failed connection
+		// is dropped.
+		var re *codec.RemoteError
+		if err != nil && !errors.As(err, &re) {
 			w.dropPeer(addr, client)
 		}
 	}

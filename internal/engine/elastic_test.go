@@ -35,13 +35,13 @@ func fingerprint(t *testing.T, m *bmat.BlockMatrix) []byte {
 }
 
 // TestMultiplyCtxCancelsDuringRetries cancels a multiply whose only path
-// forward is waiting out 50ms retry backoffs; it must return within one
-// backoff step with an error matching ErrCancelled and ctx.Err().
+// forward is waiting out retry backoffs of 50ms and up; it must return
+// within one backoff step with an error matching ErrCancelled and
+// ctx.Err().
 func TestMultiplyCtxCancelsDuringRetries(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cluster.TaskRetries = 100
 	cfg.Cluster.RetryBackoff = 50 * time.Millisecond
-	cfg.Cluster.RetryBackoffCap = 50 * time.Millisecond
 	cfg.Cluster.Faults = cluster.Faults{Seed: 1, CrashRate: 1, MaxFaultsPerTask: 100}
 	e := newTestEngine(t, cfg)
 
@@ -191,7 +191,6 @@ func TestEngineCloseSemantics(t *testing.T) {
 		t.Fatalf("want ErrEngineClosed from Transpose, got %v", err)
 	}
 	e.ReleaseLayout(a) // no-op after Close
-	e.SetLayout(a, "row", 1, 0)
 }
 
 // TestLayoutTableBounded drives more matrices through layout tracking than
@@ -202,7 +201,7 @@ func TestLayoutTableBounded(t *testing.T) {
 	e := newTestEngine(t, cfg)
 	for i := 0; i < maxTrackedLayouts+100; i++ {
 		m := bmat.New(8, 8, 4)
-		e.SetLayout(m, "row", 1, 0)
+		setLayout(e, m, layoutTag{kind: "row", p: 1})
 	}
 	e.mu.Lock()
 	n := len(e.layouts)
@@ -220,10 +219,10 @@ func TestTransposeLayoutsBounded(t *testing.T) {
 	cfg.TrackLayouts = true
 	e := newTestEngine(t, cfg)
 	m := bmat.New(8, 8, 4)
-	e.SetLayout(m, "row", 1, 0)
+	setLayout(e, m, layoutTag{kind: "row", p: 1})
 	for i := 0; i < 3*maxTrackedLayouts; i++ {
 		// m is the oldest tag, so it is the first evicted: keep it tracked.
-		e.SetLayout(m, "row", 1, 0)
+		setLayout(e, m, layoutTag{kind: "row", p: 1})
 		if _, err := e.Transpose(context.Background(), m); err != nil {
 			t.Fatal(err)
 		}
@@ -282,4 +281,11 @@ func TestZipShapeMismatchSentinel(t *testing.T) {
 	if _, err := e.Add(context.Background(), a, b); !errors.Is(err, core.ErrShapeMismatch) {
 		t.Fatalf("want ErrShapeMismatch, got %v", err)
 	}
+}
+
+// setLayout declares a matrix's partitioning, as a multiply would record it.
+func setLayout(e *Engine, m *bmat.BlockMatrix, tag layoutTag) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.setLayoutLocked(m, tag)
 }

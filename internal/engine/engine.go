@@ -74,10 +74,6 @@ type Config struct {
 	// repartition copy (the DMac optimization, which DistME's GNMF plan
 	// shares).
 	TrackLayouts bool
-	// DefaultMethod is used by Multiply; MethodAuto unless set.
-	DefaultMethod Method
-	// RMMTasks overrides RMM's task count (0 → I·J, the paper's setting).
-	RMMTasks int
 	// BalanceBySparsity schedules cuboids longest-estimated-work-first,
 	// the §8 load-balancing extension for skewed sparse inputs.
 	BalanceBySparsity bool
@@ -144,7 +140,7 @@ type MulOptions struct {
 	Method Method
 	// Params is required with MethodCuboid and ignored otherwise.
 	Params core.Params
-	// RMMTasks overrides the engine's RMM task count for this call.
+	// RMMTasks sets RMM's task count (0 → I·J, the paper's setting).
 	RMMTasks int
 }
 
@@ -168,14 +164,14 @@ type Report struct {
 	Trace *obs.Trace
 }
 
-// Multiply computes A×B with the engine's default method and no report —
-// the multiply of ml.Ops. Use Run for per-call options, the execution
-// report or the trace. Cancelling ctx aborts the multiplication promptly —
-// including mid-backoff between task retry attempts — and returns an error
-// matching errors.Is(err, ErrCancelled) that wraps ctx.Err(). A nil ctx
-// behaves like context.Background().
+// Multiply computes A×B under MethodAuto with no report — the multiply of
+// ml.Ops. Use Run for per-call options, the execution report or the trace.
+// Cancelling ctx aborts the multiplication promptly — including mid-backoff
+// between task retry attempts — and returns an error matching
+// errors.Is(err, ErrCancelled) that wraps ctx.Err(). A nil ctx behaves like
+// context.Background().
 func (e *Engine) Multiply(ctx context.Context, a, b *bmat.BlockMatrix) (*bmat.BlockMatrix, error) {
-	c, _, err := e.mulTraced(ctx, a, b, MulOptions{Method: e.cfg.DefaultMethod})
+	c, _, err := e.mulTraced(ctx, a, b, MulOptions{})
 	return c, err
 }
 
@@ -218,7 +214,6 @@ func (e *Engine) multiply(ctx context.Context, a, b *bmat.BlockMatrix, opts MulO
 
 	env := core.Env{
 		Cluster:           e.cluster,
-		Recorder:          rec,
 		Multiplier:        e.cfg.Local,
 		BalanceBySparsity: e.cfg.BalanceBySparsity,
 		Tracer:            e.cfg.Tracer,
@@ -231,7 +226,7 @@ func (e *Engine) multiply(ctx context.Context, a, b *bmat.BlockMatrix, opts MulO
 	var c *bmat.BlockMatrix
 	var err error
 	if method == MethodRMM {
-		c, err = core.MultiplyRMM(ctx, a, b, e.rmmTasks(opts, s), env)
+		c, err = core.MultiplyRMM(ctx, a, b, rmmTasks(opts, s), env)
 	} else {
 		params, err = e.chooseParams(s, opts, e.cfg.Tracer, root.ID())
 		if err != nil {
@@ -312,14 +307,11 @@ func (e *Engine) chooseParams(s core.Shape, opts MulOptions, tr *obs.Tracer, par
 	return core.Params{}, fmt.Errorf("%w: %d", ErrUnknownMethod, int(opts.Method))
 }
 
-// rmmTasks resolves RMM's task count: the per-call value, then the
-// engine's default, then I·J, the paper's setting.
-func (e *Engine) rmmTasks(opts MulOptions, s core.Shape) int {
-	switch {
-	case opts.RMMTasks > 0:
+// rmmTasks resolves RMM's task count: the per-call value, else I·J, the
+// paper's setting.
+func rmmTasks(opts MulOptions, s core.Shape) int {
+	if opts.RMMTasks > 0 {
 		return opts.RMMTasks
-	case e.cfg.RMMTasks > 0:
-		return e.cfg.RMMTasks
 	}
 	return s.I * s.J
 }
@@ -440,15 +432,4 @@ func (e *Engine) setLayoutLocked(m *bmat.BlockMatrix, tag layoutTag) {
 		}
 		e.layoutOrder = live
 	}
-}
-
-// SetLayout declares a matrix's current partitioning, as a data source
-// (storage loader) would after writing it with a known partitioner.
-func (e *Engine) SetLayout(m *bmat.BlockMatrix, kind string, p, r int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.setLayoutLocked(m, layoutTag{kind: kind, p: p, r: r})
 }

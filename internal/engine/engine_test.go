@@ -201,7 +201,7 @@ func TestTransposeFlipsTrackedLayout(t *testing.T) {
 	cfg.TrackLayouts = true
 	e := newTestEngine(t, cfg)
 	a := bmat.RandomDense(rng, 8, 8, 4)
-	e.SetLayout(a, "row", 2, 0)
+	setLayout(e, a, layoutTag{kind: "row", p: 2})
 	tr, err := e.Transpose(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
@@ -445,7 +445,7 @@ func TestExplainRMMAndGPU(t *testing.T) {
 
 // TestExplainResolvesLikeRun checks Explain resolves and validates what Run
 // runs: off-grid cuboid params are rejected by both, and RMM's task count
-// follows the per-call value, then Config.RMMTasks, then I·J.
+// follows the per-call value, else I·J.
 func TestExplainResolvesLikeRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	a := bmat.RandomDense(rng, 16, 16, 4) // a 4×4×4-block grid
@@ -460,22 +460,13 @@ func TestExplainResolvesLikeRun(t *testing.T) {
 			t.Errorf("Run%v: no error", p)
 		}
 	}
-	for _, tc := range []struct {
-		engine, call, want int
-	}{
-		{0, 0, 16},
-		{3, 0, 3},
-		{3, 5, 5},
-		{0, 5, 5},
-	} {
-		cfg := testConfig()
-		cfg.RMMTasks = tc.engine
-		ex, err := newTestEngine(t, cfg).Explain(a, b, MulOptions{Method: MethodRMM, RMMTasks: tc.call})
+	for _, tc := range []struct{ call, want int }{{0, 16}, {5, 5}} {
+		ex, err := newTestEngine(t, testConfig()).Explain(a, b, MulOptions{Method: MethodRMM, RMMTasks: tc.call})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ex.Tasks != tc.want {
-			t.Errorf("RMM tasks (engine %d, call %d): explained %d, want %d", tc.engine, tc.call, ex.Tasks, tc.want)
+			t.Errorf("RMM tasks (call %d): explained %d, want %d", tc.call, ex.Tasks, tc.want)
 		}
 	}
 }

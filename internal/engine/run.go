@@ -24,38 +24,32 @@ import (
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	mul       MulOptions
-	methodSet bool
+	mul MulOptions
 }
 
 // WithMulOptions applies explicit per-multiplication options (method,
 // cuboid params, RMM task count) to every multiplication in the
 // expression.
 func WithMulOptions(o MulOptions) RunOption {
-	return func(c *runConfig) { c.mul = o; c.methodSet = true }
+	return func(c *runConfig) { c.mul = o }
 }
 
 // WithMethod selects the multiplication strategy for every multiplication
 // in the expression.
 func WithMethod(m Method) RunOption {
-	return func(c *runConfig) { c.mul.Method = m; c.methodSet = true }
+	return func(c *runConfig) { c.mul.Method = m }
 }
 
 // WithParams fixes explicit (P,Q,R) cuboid parameters (implies
 // MethodCuboid).
 func WithParams(p core.Params) RunOption {
-	return func(c *runConfig) { c.mul.Params = p; c.mul.Method = MethodCuboid; c.methodSet = true }
-}
-
-// WithRMMTasks overrides RMM's task count for this call.
-func WithRMMTasks(n int) RunOption {
-	return func(c *runConfig) { c.mul.RMMTasks = n }
+	return func(c *runConfig) { c.mul.Params = p; c.mul.Method = MethodCuboid }
 }
 
 // Run compiles and executes a matrix expression over the bound inputs,
 // returning the result and an execution report covering the whole pipeline.
-// Without an explicit method option, multiplications use the engine's
-// DefaultMethod, as Multiply does.
+// Without an explicit method option, multiplications run MethodAuto, as
+// Multiply does.
 func (e *Engine) Run(ctx context.Context, x plan.Expr, binds map[string]*bmat.BlockMatrix, opts ...RunOption) (*bmat.BlockMatrix, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -66,9 +60,6 @@ func (e *Engine) Run(ctx context.Context, x plan.Expr, binds map[string]*bmat.Bl
 	var ro runConfig
 	for _, o := range opts {
 		o(&ro)
-	}
-	if !ro.methodSet {
-		ro.mul.Method = e.cfg.DefaultMethod
 	}
 
 	// A bare L×R over two bound inputs is the classic multiply: run the

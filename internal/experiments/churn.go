@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"time"
 
 	"distme/internal/bmat"
@@ -35,12 +34,12 @@ func ExtChurn(seed int64) (*Table, error) {
 
 	// Failure-free reference product.
 	want, err := func() (*bmat.BlockMatrix, error) {
-		pool, err := newChurnPool(3)
+		pool, addrs, err := churnPool(3)
 		if err != nil {
 			return nil, err
 		}
-		defer pool.close()
-		d, err := distnet.Dial(pool.addrs())
+		defer pool.Close(context.Background())
+		d, err := distnet.DialOptions(addrs, distnet.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -63,34 +62,34 @@ func ExtChurn(seed int64) (*Table, error) {
 		{"kill all 3", 3, false},
 	}
 	for _, sc := range scenarios {
-		pool, err := newChurnPool(3)
+		pool, addrs, err := churnPool(3)
 		if err != nil {
 			return nil, err
 		}
 		rec := &metrics.Recorder{}
-		d, err := distnet.DialOptions(pool.addrs(), distnet.Options{
+		d, err := distnet.DialOptions(addrs, distnet.Options{
 			HeartbeatInterval: 25 * time.Millisecond,
 			RetryBackoff:      time.Millisecond,
 			MaxBackoff:        10 * time.Millisecond,
 			Recorder:          rec,
 		})
 		if err != nil {
-			pool.close()
+			pool.Close(context.Background())
 			return nil, err
 		}
-		for i := 0; i < sc.kill; i++ {
-			pool.kill(i)
+		for _, addr := range addrs[:sc.kill] {
+			pool.Kill(addr)
 		}
 		if sc.join {
-			addr, err := pool.spawn()
+			addr, err := pool.Grow(context.Background())
 			if err != nil {
 				d.Close()
-				pool.close()
+				pool.Close(context.Background())
 				return nil, err
 			}
 			if err := d.AddWorker(addr); err != nil {
 				d.Close()
-				pool.close()
+				pool.Close(context.Background())
 				return nil, err
 			}
 		}
@@ -100,7 +99,7 @@ func ExtChurn(seed int64) (*Table, error) {
 		elapsed := time.Since(start)
 		if err != nil {
 			d.Close()
-			pool.close()
+			pool.Close(context.Background())
 			return nil, fmt.Errorf("churn %q: %w", sc.name, err)
 		}
 		stats := d.NetStats()
@@ -113,7 +112,7 @@ func ExtChurn(seed int64) (*Table, error) {
 			fmt.Sprintf("%v", bytesEqual(got, want)),
 			fmt.Sprintf("%.1fms", float64(elapsed.Microseconds())/1000))
 		d.Close()
-		pool.close()
+		pool.Close(context.Background())
 	}
 	t.Notes = append(t.Notes,
 		"killed workers crash hard (no drain); their cuboids reassign to survivors, and with the pool fully drained the driver computes locally",
@@ -135,57 +134,18 @@ func bytesEqual(x, y *bmat.BlockMatrix) bool {
 	return true
 }
 
-// churnPool owns in-process workers whose crashes the experiment scripts.
-type churnPool struct {
-	listeners []net.Listener
-	workers   []*distnet.Worker
-}
-
-func newChurnPool(n int) (*churnPool, error) {
-	p := &churnPool{}
-	for i := 0; i < n; i++ {
-		if _, err := p.spawn(); err != nil {
-			p.close()
-			return nil, err
+// churnPool starts n in-process workers and returns their addresses in
+// start order: the kills follow this list, since Addrs iterates a map.
+func churnPool(n int) (*distnet.InProcPool, []string, error) {
+	pool := &distnet.InProcPool{}
+	addrs := make([]string, n)
+	for i := range addrs {
+		addr, err := pool.Grow(context.Background())
+		if err != nil {
+			pool.Close(context.Background())
+			return nil, nil, err
 		}
+		addrs[i] = addr
 	}
-	return p, nil
-}
-
-// spawn starts one more worker and returns its address.
-func (p *churnPool) spawn() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	w, err := distnet.Serve(l)
-	if err != nil {
-		l.Close()
-		return "", err
-	}
-	p.listeners = append(p.listeners, l)
-	p.workers = append(p.workers, w)
-	return l.Addr().String(), nil
-}
-
-// kill crashes worker i: stop accepting and sever every connection, no drain.
-func (p *churnPool) kill(i int) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p.workers[i].Shutdown(ctx)
-	p.listeners[i].Close()
-}
-
-func (p *churnPool) addrs() []string {
-	out := make([]string, len(p.listeners))
-	for i, l := range p.listeners {
-		out[i] = l.Addr().String()
-	}
-	return out
-}
-
-func (p *churnPool) close() {
-	for i := range p.workers {
-		p.kill(i)
-	}
+	return pool, addrs, nil
 }

@@ -143,7 +143,7 @@ func ExtCRMM(seed int64) (*Table, error) {
 	}
 
 	envCRMM := newEnv()
-	c1, err := baselines.MultiplyCRMM(a, b, envCRMM)
+	c1, err := baselines.MultiplyCRMM(context.Background(), a, b, envCRMM)
 	if err != nil {
 		return nil, err
 	}

@@ -47,7 +47,7 @@ func ExtWire(seed int64) (*Table, error) {
 			return nil, err
 		}
 		listeners = append(listeners, l)
-		if _, err := distnet.Serve(l); err != nil {
+		if _, err := distnet.ServeOptions(l, distnet.WorkerOptions{}); err != nil {
 			return nil, err
 		}
 		addrs = append(addrs, l.Addr().String())
@@ -124,7 +124,7 @@ func ExtWireCache(seed int64) (*Table, error) {
 			return 0, err
 		}
 		defer l.Close()
-		if _, err := distnet.Serve(l); err != nil {
+		if _, err := distnet.ServeOptions(l, distnet.WorkerOptions{}); err != nil {
 			return 0, err
 		}
 		d, err := distnet.DialOptions([]string{l.Addr().String()}, distnet.Options{DisableBlockCache: disable})

@@ -32,21 +32,6 @@ type Spec struct {
 	// MaxStreams caps concurrent streams per task (the paper notes a
 	// typical limit of 32; more streams are multiplexed by the scheduler).
 	MaxStreams int
-	// KernelLaunchOverhead is the fixed virtual seconds per kernel launch.
-	KernelLaunchOverhead float64
-}
-
-// PaperSpec models the testbed GPU (GTX 1080 Ti, 11 GB) as one of ten MPS
-// tasks sees it: θg = 1 GB, PCI-E 3.0 ×16 shared, FP64 throughput ≈ 1/32 of
-// the FP32 peak.
-func PaperSpec() Spec {
-	return Spec{
-		MemPerTaskBytes:      1e9,
-		PCIEBandwidth:        12e9 / 10, // effective PCI-E split across Tc=10 tasks
-		Flops:                332e9 / 10,
-		MaxStreams:           32,
-		KernelLaunchOverhead: 5e-6,
-	}
 }
 
 // TaskSpec is one task's MPS slice of a node's devices: with G devices and
@@ -291,7 +276,7 @@ func (t *taskTimeline) d2h(ready vclock.Time, n int64, label string) vclock.Time
 // inputs are; kernels on different streams overlap freely.
 func (t *taskTimeline) kernel(stream int, ready vclock.Time, flops float64, label string) vclock.Time {
 	s := &t.streams[stream%len(t.streams)]
-	start, end := s.Schedule(ready, flops/t.spec.Flops+t.spec.KernelLaunchOverhead)
+	start, end := s.Schedule(ready, flops/t.spec.Flops)
 	t.kernels.Add(start, end)
 	t.kernelCount++
 	if t.tracing() {

@@ -14,11 +14,10 @@ import (
 // testSpec is a small, deterministic device for unit tests.
 func testSpec(mem int64) Spec {
 	return Spec{
-		MemPerTaskBytes:      mem,
-		PCIEBandwidth:        1e6, // 1 MB/s: transfers visibly dominate
-		Flops:                1e8,
-		MaxStreams:           8,
-		KernelLaunchOverhead: 0,
+		MemPerTaskBytes: mem,
+		PCIEBandwidth:   1e6, // 1 MB/s: transfers visibly dominate
+		Flops:           1e8,
+		MaxStreams:      8,
 	}
 }
 
@@ -302,16 +301,6 @@ func TestDeviceStatsReset(t *testing.T) {
 	d.ResetStats()
 	if d.Stats() != (Stats{}) {
 		t.Fatal("ResetStats left residue")
-	}
-}
-
-func TestPaperSpecValues(t *testing.T) {
-	s := PaperSpec()
-	if s.MemPerTaskBytes != 1e9 {
-		t.Fatalf("θg = %d, want 1 GB", s.MemPerTaskBytes)
-	}
-	if s.MaxStreams != 32 {
-		t.Fatalf("MaxStreams = %d, want 32", s.MaxStreams)
 	}
 }
 

@@ -54,8 +54,8 @@ var (
 	// bound) is at depth. The concrete error is a *QueueFullError carrying
 	// a retry-after hint; errors.Is(err, ErrQueueFull) matches it.
 	ErrQueueFull = errors.New("serve: queue full")
-	// ErrQuotaExceeded rejects a job whose planned cost would push the
-	// tenant past its in-flight byte or compute quota.
+	// ErrQuotaExceeded rejects a job whose planned bytes would push the
+	// tenant past its in-flight byte quota.
 	ErrQuotaExceeded = errors.New("serve: tenant quota exceeded")
 	// ErrUnschedulable rejects a job no (P,Q,R) can fit under θt.
 	ErrUnschedulable = errors.New("serve: job cannot fit the cluster")
@@ -97,9 +97,6 @@ type Tenant struct {
 	// tenant's queued+running jobs; a submit that would exceed it is
 	// rejected with ErrQuotaExceeded. 0 is unlimited.
 	MaxInflightBytes int64
-	// MaxInflightFlops caps the summed 2·m·k·n multiply-add estimate the
-	// same way. 0 is unlimited.
-	MaxInflightFlops int64
 }
 
 // Config tunes the server. The zero value serves a single tenant named
@@ -278,7 +275,8 @@ type tenantState struct {
 	// first queue entry so an idle tenant cannot bank service.
 	vtime float64
 	// chargedBytes/chargedFlops sum planned costs of queued+running jobs —
-	// the quantities quotas bound. Released at terminal states.
+	// the bytes are what the quota bounds, the flops are reported. Released
+	// at terminal states.
 	chargedBytes int64
 	chargedFlops int64
 	running      int
@@ -420,16 +418,11 @@ func (s *Server) submit(name string, req SubmitRequest, acceptSpan obs.SpanID) (
 	planBytes := int64(shape.CostBytes(params))
 	planFlops := 2 * int64(req.A.Rows) * int64(req.A.Cols) * int64(req.B.Cols)
 
-	// Quotas: the tenant's in-flight planned cost may not exceed its caps.
+	// Quota: the tenant's in-flight planned bytes may not exceed its cap.
 	if t.cfg.MaxInflightBytes > 0 && t.chargedBytes+planBytes > t.cfg.MaxInflightBytes {
 		s.rec.OnRejected(name, metrics.RejectQuota)
 		return 0, fmt.Errorf("%w: %q planned bytes %d + %d over cap %d",
 			ErrQuotaExceeded, name, t.chargedBytes, planBytes, t.cfg.MaxInflightBytes)
-	}
-	if t.cfg.MaxInflightFlops > 0 && t.chargedFlops+planFlops > t.cfg.MaxInflightFlops {
-		s.rec.OnRejected(name, metrics.RejectQuota)
-		return 0, fmt.Errorf("%w: %q planned flops %d + %d over cap %d",
-			ErrQuotaExceeded, name, t.chargedFlops, planFlops, t.cfg.MaxInflightFlops)
 	}
 
 	// Backpressure: bounded queue depth, per tenant and globally.

@@ -285,7 +285,7 @@ func TestPreambleRejectsForeignPeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := distnet.Serve(wl)
+	w, err := distnet.ServeOptions(wl, distnet.WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
