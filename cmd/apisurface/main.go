@@ -11,7 +11,10 @@
 // -check also fails, naming the symbol, when an exported symbol of a surface
 // package carries a "Deprecated:" paragraph: every operation has one entry
 // point, and an old spelling kept "temporarily" as a deprecated wrapper is
-// the way a second one comes back.
+// the way a second one comes back. And it fails, naming file:line, on a
+// setting — an exported field of an exported …Options or …Config struct
+// anywhere in the module — that no non-test code sets (setters.go): a
+// setting only tests turn on is a second configuration with no user.
 package main
 
 import (
@@ -64,6 +67,17 @@ func main() {
 		if len(deprecated) > 0 {
 			for _, sym := range deprecated {
 				fmt.Fprintf(os.Stderr, "apisurface: %s is marked Deprecated: — delete it and move its callers instead\n", sym)
+			}
+			os.Exit(1)
+		}
+		unset, err := unsetSettings(".")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "apisurface: %v\n", err)
+			os.Exit(2)
+		}
+		if len(unset) > 0 {
+			for _, u := range unset {
+				fmt.Fprintf(os.Stderr, "apisurface: %s is a setting no non-test code sets — delete it and the paths only it reaches\n", u)
 			}
 			os.Exit(1)
 		}

@@ -57,8 +57,10 @@ var (
 	// capacity — the paper's "E.D.C." outcome.
 	ErrExceededDisk = cluster.ErrExceededDisk
 
-	// ErrTimeout reports a job past its wall-clock budget — the paper's
-	// "T.O." outcome.
+	// ErrTimeout names the paper's "T.O." outcome, a job past its time
+	// budget. The engine sets no wall-clock budget of its own and never
+	// returns it: bound a job with a context deadline, which surfaces as
+	// ErrCancelled.
 	ErrTimeout = cluster.ErrTimeout
 
 	// ErrWorkerDead reports a real-network RPC that failed because the
@@ -72,7 +74,8 @@ var (
 	ErrDeadlineExceeded = distnet.ErrDeadlineExceeded
 
 	// ErrNoWorkers reports a distnet driver whose live membership drained
-	// to zero with local fallback disabled.
+	// to zero under work it cannot compute locally (a session operation, or
+	// a pull multiply whose operand blocks the driver never held).
 	ErrNoWorkers = distnet.ErrNoWorkers
 
 	// ErrWorkerDraining reports an RPC refused by a worker that is

@@ -188,21 +188,20 @@ func TestElasticReportThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// strictDistnetOpts disables every fallback and the background detector so
-// the real-network failure under test surfaces as a typed error instead of
-// being healed.
+// strictDistnetOpts turns the background detector off and shortens the
+// backoff, so the real-network failure under test surfaces from the call
+// itself.
 func strictDistnetOpts() distnet.Options {
 	return distnet.Options{
-		DisableHeartbeat:     true,
-		DisableLocalFallback: true,
-		RetryBackoff:         100 * time.Microsecond,
-		MaxBackoff:           time.Millisecond,
+		DisableHeartbeat: true,
+		RetryBackoff:     100 * time.Microsecond,
+		MaxBackoff:       time.Millisecond,
 	}
 }
 
-// TestErrWorkerDeadThroughLayers kills the whole worker pool under a
-// multiply: the distnet sentinel must match at the package root after
-// crossing the driver's retries.
+// TestErrWorkerDeadThroughLayers kills the whole worker pool under a session
+// Put — a call the driver cannot compute locally: the distnet sentinel must
+// match at the package root after crossing the session's recoveries.
 func TestErrWorkerDeadThroughLayers(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -217,6 +216,10 @@ func TestErrWorkerDeadThroughLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	s, err := d.NewSession(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Crash the only worker: refuse new connections, cut the live ones.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -226,8 +229,7 @@ func TestErrWorkerDeadThroughLayers(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(8))
 	a := distme.RandomSparse(rng, 16, 12, 4, 0.3)
-	b := distme.RandomDense(rng, 12, 8, 4)
-	_, _, err = d.Execute(context.Background(), a, b, distnet.MultiplyOptions{})
+	_, err = s.Put(context.Background(), a)
 	if !errors.Is(err, distme.ErrWorkerDead) {
 		t.Fatalf("want ErrWorkerDead through the driver, got %v", err)
 	}
@@ -294,8 +296,9 @@ func startLaggedWorker(t *testing.T, lag time.Duration) string {
 }
 
 // TestErrDeadlineExceededThroughLayers points the driver at a worker whose
-// every answer lags past the call deadline; the per-call deadline must
-// surface as the root sentinel and also match context.DeadlineExceeded.
+// every answer lags past the call deadline and puts a matrix there; the
+// per-call deadline must surface as the root sentinel and also match
+// context.DeadlineExceeded.
 func TestErrDeadlineExceededThroughLayers(t *testing.T) {
 	addr := startLaggedWorker(t, 300*time.Millisecond)
 	opts := strictDistnetOpts()
@@ -305,10 +308,14 @@ func TestErrDeadlineExceededThroughLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	s, err := d.NewSession(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rng := rand.New(rand.NewSource(9))
 	a := distme.RandomDense(rng, 8, 8, 4)
-	_, _, err = d.Execute(context.Background(), a, a, distnet.MultiplyOptions{})
+	_, err = s.Put(context.Background(), a)
 	if !errors.Is(err, distme.ErrDeadlineExceeded) {
 		t.Fatalf("want ErrDeadlineExceeded through the driver, got %v", err)
 	}

@@ -25,8 +25,10 @@ var ErrOutOfMemory = errors.New("cluster: task exceeds per-task memory budget (O
 // capacity — the paper's "E.D.C." outcome.
 var ErrExceededDisk = errors.New("cluster: intermediate data exceeds disk capacity (E.D.C.)")
 
-// ErrTimeout reports that a job exceeded the experiment's time budget — the
-// paper's "T.O." outcome.
+// ErrTimeout names the paper's "T.O." outcome, a job past the experiment's
+// time budget. A Run has no wall-clock budget of its own, so nothing in the
+// measured plane returns it: a caller bounds a job with a context deadline,
+// which surfaces as ErrCancelled.
 var ErrTimeout = errors.New("cluster: job exceeded time budget (T.O.)")
 
 // Config describes the simulated hardware envelope. The zero value is not
@@ -85,11 +87,6 @@ type Config struct {
 	// Faults configures deterministic fault injection for chaos runs; the
 	// zero value disables it.
 	Faults Faults
-	// JobTimeout aborts a Run that exceeds this wall-clock budget with
-	// ErrTimeout — the measured plane's T.O. outcome (§6.2 uses 4000 s).
-	// Zero disables the check. The check is cooperative: in-flight tasks
-	// finish, no new ones start.
-	JobTimeout time.Duration
 }
 
 // PaperConfig returns the hardware envelope of the paper's testbed (§6.1):

@@ -54,7 +54,6 @@ type elasticRun struct {
 	c     *Cluster
 	ctx   context.Context
 	tasks []Task
-	start time.Time
 
 	maxRetries int
 	backoff    *Backoff
@@ -116,7 +115,6 @@ func (c *Cluster) Run(ctx context.Context, tasks []Task) error {
 		c:          c,
 		ctx:        ctx,
 		tasks:      tasks,
-		start:      time.Now(),
 		maxRetries: c.cfg.TaskRetries,
 		state:      make([]taskState, len(tasks)),
 		queue:      make([]workItem, 0, len(tasks)),
@@ -132,8 +130,8 @@ func (c *Cluster) Run(ctx context.Context, tasks []Task) error {
 		r.queue = append(r.queue, workItem{idx: i})
 	}
 
-	// Wake waiting workers when the caller cancels or the job times out —
-	// they re-check both conditions at the top of their pick loop.
+	// Wake waiting workers when the caller cancels — they re-check the
+	// context at the top of their pick loop.
 	watchDone := make(chan struct{})
 	go func() {
 		select {
@@ -142,12 +140,6 @@ func (c *Cluster) Run(ctx context.Context, tasks []Task) error {
 		case <-watchDone:
 		}
 	}()
-	if c.cfg.JobTimeout > 0 {
-		r.mu.Lock()
-		r.timers = append(r.timers, time.AfterFunc(c.cfg.JobTimeout, r.cond.Broadcast))
-		r.mu.Unlock()
-	}
-
 	monitorStop := make(chan struct{})
 	if c.cfg.Speculation {
 		r.auxWG.Add(1)
@@ -197,9 +189,6 @@ func (r *elasticRun) worker() {
 			if r.fatal == nil {
 				if err := r.ctx.Err(); err != nil {
 					r.fatal = fmt.Errorf("%w: %w", ErrCancelled, err)
-					r.cancelAllLocked()
-				} else if jt := r.c.cfg.JobTimeout; jt > 0 && time.Since(r.start) > jt {
-					r.fatal = fmt.Errorf("%w: exceeded %v", ErrTimeout, jt)
 					r.cancelAllLocked()
 				}
 			}

@@ -1,9 +1,9 @@
 // Package codec is the shared binary block serializer used by both the
-// on-disk checkpoint format (internal/storage) and the RPC wire path
+// on-disk matrix format (internal/storage, SaveMatrix's files) and the RPC wire path
 // (internal/distnet). One block encodes to a (tag, payload) pair:
 //
 //   - the portable tags (TagDense, TagCSR) reproduce the original storage
-//     chunk layout byte-for-byte, so checkpoint files written before this
+//     chunk layout byte-for-byte, so matrix files written before this
 //     package existed still read back, and
 //   - the wire tags (TagCSR32, TagCSC32, TagCSRDelta, TagCSCDelta) add
 //     compact sparse forms — 32-bit indices when the dimensions fit, and a

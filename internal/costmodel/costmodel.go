@@ -18,12 +18,12 @@ import (
 )
 
 // Workload describes one paper-scale multiplication C = A×B in element
-// coordinates: A is M×K elements, B is K×N.
+// coordinates: A is M×K elements, B is K×N and dense.
 type Workload struct {
 	M, K, N   int64
 	BlockSize int64
-	// SparsityA and SparsityB are the fractions of non-zeros (1 = dense).
-	SparsityA, SparsityB float64
+	// SparsityA is A's fraction of non-zeros (0 or 1 = dense).
+	SparsityA float64
 }
 
 // bytesOf estimates the stored payload of an m×n matrix at the given
@@ -48,19 +48,12 @@ func (w Workload) blockSize() int64 {
 // Shape maps the workload onto the block-grid shape the optimizer consumes.
 func (w Workload) Shape() core.Shape {
 	b := w.blockSize()
-	spA, spB := w.SparsityA, w.SparsityB
-	if spA == 0 {
-		spA = 1
-	}
-	if spB == 0 {
-		spB = 1
-	}
 	return core.Shape{
 		I:      int((w.M + b - 1) / b),
 		J:      int((w.N + b - 1) / b),
 		K:      int((w.K + b - 1) / b),
-		ABytes: bytesOf(w.M, w.K, spA),
-		BBytes: bytesOf(w.K, w.N, spB),
+		ABytes: bytesOf(w.M, w.K, w.SparsityA),
+		BBytes: w.K * w.N * 8,
 		CBytes: w.M * w.N * 8,
 	}
 }
@@ -71,12 +64,8 @@ func (w Workload) Shape() core.Shape {
 // bytesOf's rule: sparsity < 0.5 is stored sparse.
 func (w Workload) Flops() float64 {
 	full := 2 * float64(w.M) * float64(w.K) * float64(w.N)
-	spA, spB := w.SparsityA, w.SparsityB
-	if spA > 0 && spA < 0.5 {
-		full *= spA
-	}
-	if spB > 0 && spB < 0.5 {
-		full *= spB
+	if sp := w.SparsityA; sp > 0 && sp < 0.5 {
+		full *= sp
 	}
 	return full
 }

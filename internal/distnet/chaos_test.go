@@ -1,14 +1,11 @@
 package distnet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,6 +18,7 @@ import (
 	"distme/internal/engine"
 	"distme/internal/matrix"
 	"distme/internal/ml"
+	"distme/internal/plan"
 )
 
 // ---------------------------------------------------------------------------
@@ -142,12 +140,6 @@ func fastOpts() Options {
 // push plane, background context, product only.
 func execute(d *Driver, a, b *bmat.BlockMatrix, params core.Params) (*bmat.BlockMatrix, error) {
 	c, _, err := d.Execute(context.Background(), a, b, MultiplyOptions{Params: &params})
-	return c, err
-}
-
-// resume is execute with per-column checkpointing rooted at dir.
-func resume(d *Driver, dir string, a, b *bmat.BlockMatrix, params core.Params) (*bmat.BlockMatrix, error) {
-	c, _, err := d.Execute(context.Background(), a, b, MultiplyOptions{Params: &params, CheckpointDir: dir})
 	return c, err
 }
 
@@ -316,7 +308,7 @@ func TestWorkerKillBetweenCuboids(t *testing.T) {
 
 // startSlowWorker serves a real worker whose multiplications queue behind
 // one another, each after a delay, so a mid-job membership change happens
-// while cuboids are still queued driver-side.
+// while cuboids are still queued driver-side. Its other calls answer at once.
 func startSlowWorker(t *testing.T, delay time.Duration) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -324,7 +316,7 @@ func startSlowWorker(t *testing.T, delay time.Duration) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	w := &Worker{}
+	w := &Worker{store: newHandleStore(0)}
 	handlers := w.handlers()
 	multiply := handlers[methodMultiply]
 	var mu sync.Mutex
@@ -513,111 +505,33 @@ func TestDetectorMarksDeadAndReconnects(t *testing.T) {
 	}
 }
 
-// TestResumeMultiply simulates a driver crash/restart: a first checkpointed
-// run completes its (p,q) columns, a second driver resumes from the directory
-// and must recompute only the columns that are missing or damaged — each
-// whole, R cuboids apiece.
-func TestResumeMultiply(t *testing.T) {
-	addrs, workers := startWorkers(t, 2)
-	opts := fastOpts()
-	opts.DisableHeartbeat = true
-	dir := t.TempDir()
-
-	rng := rand.New(rand.NewSource(305))
-	a := bmat.RandomDense(rng, 16, 16, 4)
-	b := bmat.RandomDense(rng, 16, 16, 4)
-	params := core.Params{P: 2, Q: 2, R: 2} // 4 columns of 2 cuboids
-
-	d1, err := DialOptions(addrs, opts)
-	if err != nil {
-		t.Fatal(err)
+// pipelineOutputs puts a and b into s and returns 2·a and 2·b computed on
+// the workers: handles with no retained Put source, so a pull multiply of
+// them ships manifests only and the driver holds no block it could compute
+// the product from.
+func pipelineOutputs(t *testing.T, s *Session, a, b *bmat.BlockMatrix) (*Handle, *Handle) {
+	t.Helper()
+	binds := putAll(t, s, map[string]*bmat.BlockMatrix{"a": a, "b": b})
+	var out [2]*Handle
+	for i, name := range []string{"a", "b"} {
+		h, err := s.Run(context.Background(), plan.Times(2, plan.V(name)), binds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = h
 	}
-	want, err := resume(d1, dir, a, b, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1.Close() // the "crash": driver gone, checkpoints on disk
-	served := workers[0].Multiplies() + workers[1].Multiplies()
-	if served != 8 {
-		t.Fatalf("first run served %d cuboids, want 8", served)
-	}
-
-	// Restarted driver, same dir: everything is checkpointed, so no column
-	// is re-shipped.
-	d2, err := DialOptions(addrs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	got, err := resume(d2, dir, a, b, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitIdentical(t, got, want)
-	if now := workers[0].Multiplies() + workers[1].Multiplies(); now != served {
-		t.Fatalf("full resume recomputed %d cuboids, want 0", now-served)
-	}
-
-	// Damage the checkpoint set: delete one column, corrupt another — as a
-	// crash mid-write would. Resume must recompute exactly those two.
-	if err := os.Remove(filepath.Join(dir, "column-00001.dmeb")); err != nil {
-		t.Fatal(err)
-	}
-	corrupt := filepath.Join(dir, "column-00003.dmeb")
-	data, err := os.ReadFile(corrupt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-3] ^= 0xff
-	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err = resume(d2, dir, a, b, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitIdentical(t, got, want)
-	if now := workers[0].Multiplies() + workers[1].Multiplies(); now != served+2*params.R {
-		t.Fatalf("partial resume recomputed %d cuboids, want exactly the %d of 2 columns", now-served, 2*params.R)
-	}
-
-	// A different job must refuse the directory rather than mix outputs.
-	if _, err := resume(d2, dir, a, b, core.Params{P: 1, Q: 1, R: 1}); err == nil {
-		t.Fatal("checkpoint dir accepted a different job")
-	}
-
-	// So must the same job checkpointed by a DMECKPT2 driver, whose columns
-	// were computed without a fused multiply-add: the directory is refused
-	// before any column is read or recomputed.
-	manifest := filepath.Join(dir, checkpointManifest)
-	data, err = os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, []byte("DMECKPT3 ")) {
-		t.Fatalf("manifest %q is not DMECKPT3", data)
-	}
-	copy(data, "DMECKPT2")
-	if err := os.WriteFile(manifest, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := workers[0].Multiplies() + workers[1].Multiplies()
-	if _, err := resume(d2, dir, a, b, params); err == nil {
-		t.Fatal("checkpoint dir with a DMECKPT2 manifest was resumed")
-	}
-	if now := workers[0].Multiplies() + workers[1].Multiplies(); now != before {
-		t.Fatalf("refused DMECKPT2 resume still computed %d cuboids", now-before)
-	}
+	return out[0], out[1]
 }
 
-// TestDeadlineExceeded drives a Multiply into a worker that never answers
-// within the deadline; with fallback disabled the typed sentinel must
-// surface, matching both the package and context sentinels.
+// TestDeadlineExceeded drives a pull multiply of two pipeline outputs — a
+// call the driver cannot compute locally — into a worker whose
+// multiplications never answer within the deadline: the typed sentinel must
+// surface, matching both the package and context sentinels, and nothing may
+// be computed on the driver.
 func TestDeadlineExceeded(t *testing.T) {
-	slowAddr := startSlowWorker(t, 300*time.Millisecond)
+	slowAddr := startSlowWorker(t, 100*time.Millisecond)
 	opts := fastOpts()
 	opts.DisableHeartbeat = true
-	opts.DisableLocalFallback = true
 	opts.CallTimeout = 30 * time.Millisecond
 	d, err := DialOptions([]string{slowAddr}, opts)
 	if err != nil {
@@ -626,16 +540,52 @@ func TestDeadlineExceeded(t *testing.T) {
 	defer d.Close()
 
 	rng := rand.New(rand.NewSource(306))
-	a := bmat.RandomDense(rng, 8, 8, 4)
-	_, err = execute(d, a, a, core.Params{P: 1, Q: 1, R: 1})
+	s := newSession(t, d)
+	ha, hb := pipelineOutputs(t, s, bmat.RandomDense(rng, 8, 8, 4), bmat.RandomDense(rng, 8, 8, 4))
+	before := d.NetStats()
+	_, _, err = s.Multiply(context.Background(), ha, hb, MultiplyOptions{Transfer: core.TransferPull})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline error should match context.DeadlineExceeded, got %v", err)
 	}
-	if d.NetStats().DeadlineTimeouts == 0 {
+	delta := d.NetStats().Sub(before)
+	if delta.DeadlineTimeouts == 0 {
 		t.Fatal("timeout not counted")
+	}
+	if delta.LocalFallbacks != 0 {
+		t.Fatalf("%d calls computed on the driver, which holds no operand block", delta.LocalFallbacks)
+	}
+}
+
+// TestSourcelessPullMultiplyDeadPool: with every worker dead, a pull
+// multiply of two pipeline outputs fails with a worker sentinel and leaves
+// LocalFallbacks where it was — the driver never held the blocks, so it has
+// nothing to compute from. (TestDeadlineExceeded is the lagging pool.)
+func TestSourcelessPullMultiplyDeadPool(t *testing.T) {
+	addrs, workers := startWorkers(t, 2)
+	opts := fastOpts()
+	opts.DisableHeartbeat = true
+	d, err := DialOptions(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	rng := rand.New(rand.NewSource(307))
+	s := newSession(t, d)
+	ha, hb := pipelineOutputs(t, s, bmat.RandomDense(rng, 8, 8, 4), bmat.RandomDense(rng, 8, 8, 4))
+	for _, w := range workers {
+		killWorker(w)
+	}
+	before := d.NetStats()
+	_, _, err = s.Multiply(context.Background(), ha, hb, MultiplyOptions{Transfer: core.TransferPull})
+	if !errors.Is(err, ErrWorkerDead) && !errors.Is(err, ErrNoWorkers) {
+		t.Fatalf("want ErrWorkerDead or ErrNoWorkers, got %v", err)
+	}
+	if n := d.NetStats().Sub(before).LocalFallbacks; n != 0 {
+		t.Fatalf("%d calls computed on the driver, which holds no operand block", n)
 	}
 }
 

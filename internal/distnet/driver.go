@@ -128,9 +128,6 @@ type Options struct {
 	// DisableHeartbeat turns the failure detector off (deterministic
 	// tests); dead members are then reconnected only on demand.
 	DisableHeartbeat bool
-	// DisableLocalFallback makes a fully-drained pool an error
-	// (ErrWorkerDead / ErrNoWorkers) instead of computing locally.
-	DisableLocalFallback bool
 	// DisableBlockCache ships every block inline on every send instead of
 	// replacing repeats with content-digest references — the pre-cache wire
 	// behavior, kept for measurement baselines and bisection.

@@ -23,12 +23,6 @@ type MultiplyOptions struct {
 	// carries — a (p,q) column whose R cuboids' inputs exceed it goes out
 	// as R calls, one cuboid each, whose partials the driver folds.
 	WorkerMemBytes int64
-	// CheckpointDir, when non-empty, persists each completed (p,q) column's
-	// C blocks under this directory; re-running the same job there after a
-	// driver crash restores the finished columns and dispatches only the
-	// rest — under either transfer mode, since checkpointing hangs off the
-	// shared column commit (a pull resume still seeds its operands).
-	CheckpointDir string
 	// Transfer selects the operand data plane. TransferPush is the classic
 	// mode: the driver ships every cuboid slice. TransferPull seeds each
 	// operand once into a block-store session and ships only placement
@@ -92,19 +86,12 @@ func (opts MultiplyOptions) callBytes() int64 {
 	return min(opts.workerMem(), codec.MaxFrameBytes/2)
 }
 
-// checkpointer returns the checkpointer the options ask for, or nil.
-func (opts MultiplyOptions) checkpointer() *checkpointer {
-	if opts.CheckpointDir == "" {
-		return nil
-	}
-	return &checkpointer{dir: opts.CheckpointDir}
-}
-
 // Execute is the driver's multiply entry point for one-shot operands:
 // C = A×B across the live workers, context-first, with partitioning,
-// optimizer budget, transfer mode and checkpointing all in one options
-// struct. The returned params are the partitioning actually run. Cancelling
-// ctx abandons unscheduled cuboids and returns its error.
+// optimizer budget and transfer mode in one options struct. The returned
+// params are the partitioning actually run. A failed call recovers as the
+// cuboid job path does (job.go). Cancelling ctx abandons unscheduled cuboids
+// and returns its error.
 func (d *Driver) Execute(ctx context.Context, a, b *bmat.BlockMatrix, opts MultiplyOptions) (*bmat.BlockMatrix, core.Params, error) {
 	// Cold operands: pull pays the seed.
 	params, mode, err := d.planMultiply(opts, core.ShapeOf(a, b), core.PullCost{Workers: max(d.Workers(), 1)})

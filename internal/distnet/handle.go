@@ -240,9 +240,12 @@ func (s *Session) evictedHandle(err error, target *Handle) *Handle {
 // lifted to resident state. target, when non-nil, is the handle fn reads;
 // an eviction on an unchanged placement rebuilds just the lineage chain of
 // the handle it hit (first retry only), anything else re-snapshots the
-// placement and rebuilds every live handle.
+// placement and rebuilds every live handle. When every attempt fails, the
+// error wraps the failure that started the recovery beside the last one, so
+// errors.Is finds the cause — a dead or lagging worker — even when the
+// recoveries ended on something else, such as an empty placement.
 func (s *Session) withRecovery(ctx context.Context, target *Handle, fn func(context.Context) error) error {
-	var lastErr error
+	var firstErr, lastErr error
 	for attempt := 0; attempt < sessionAttempts; attempt++ {
 		if attempt > 0 {
 			var err error
@@ -266,7 +269,13 @@ func (s *Session) withRecovery(ctx context.Context, target *Handle, fn func(cont
 		if !recoverableHandleErr(err) || ctx.Err() != nil {
 			return err
 		}
+		if firstErr == nil {
+			firstErr = err
+		}
 		lastErr = err
+	}
+	if lastErr != firstErr {
+		return fmt.Errorf("distnet: pipeline failed after %d recovery attempts: %w (first failure: %w)", sessionAttempts, lastErr, firstErr)
 	}
 	return fmt.Errorf("distnet: pipeline failed after %d recovery attempts: %w", sessionAttempts, lastErr)
 }

@@ -24,8 +24,14 @@ import (
 // are made. A column whose operands are over the job's call bound (θt, at
 // most half a wire frame) goes out as its R cuboids instead, and the driver
 // folds their partials by the same rule (core.FoldSlab). A transfer mode is
-// just a fill step; span tree, job meter, gauges, checkpointing and the
-// retry/downgrade/local-fallback scheduler exist once, for every mode.
+// just a fill step; span tree, job meter, gauges and the retry/downgrade/
+// local-fallback scheduler exist once, for every mode.
+//
+// That scheduler is how a multiply recovers, and all of it: a failed call is
+// re-dispatched to the next live member, a pull call whose worker cannot
+// resolve its manifest is downgraded to push, and a call that exhausts its
+// attempts is computed on the driver with the workers' arithmetic. Nothing is
+// persisted; a job that still fails is re-run whole.
 
 // cuboidJob describes one multiply C = A×B to that path.
 type cuboidJob struct {
@@ -34,9 +40,6 @@ type cuboidJob struct {
 	params                       core.Params
 	// transfer labels the root span; it never steers the path — fill does.
 	transfer core.Transfer
-	// ckpt, when non-nil, persists each committed column and restores the
-	// ones a previous run of the same job already finished.
-	ckpt *checkpointer
 	// callBytes bounds the operand bytes of one call (MultiplyOptions.
 	// callBytes): a column over it goes out as its R cuboids.
 	callBytes int64
@@ -115,11 +118,6 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 			call.home = base + g + rr
 		}
 	}
-	if job.ckpt != nil {
-		if err := job.ckpt.ensureManifest(&job, len(r.columns)); err != nil {
-			return nil, err
-		}
-	}
 	r.replies = make([]*multiplyReply, len(r.columns))
 	r.errs = make([]error, len(r.columns))
 
@@ -127,16 +125,8 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 	// column is on the wire while later blocks are still being encoded and
 	// keyed, and the column goroutines only ever read.
 	prep := d.newJobPrep()
-	var restored int
 	var wg sync.WaitGroup
 	for idx, col := range r.columns {
-		if job.ckpt != nil {
-			if reply, ok := job.ckpt.load(idx, job.rows, job.cols, job.blockSize); ok {
-				r.replies[idx] = reply
-				restored++
-				continue
-			}
-		}
 		for _, call := range col.calls {
 			call.prep = prep
 			if r.errs[idx] == nil && !call.pull {
@@ -155,9 +145,6 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 		}(idx)
 	}
 	wg.Wait()
-	if restored > 0 && r.root.Active() {
-		r.root.SetAttr("checkpoint-restored", fmt.Sprintf("%d", restored))
-	}
 	for _, err := range r.errs {
 		if err != nil {
 			return nil, fmt.Errorf("distnet: multiply: %w", err)
@@ -233,15 +220,12 @@ func denseOf(b matrix.Block) *matrix.Dense {
 	return b.Dense()
 }
 
-// commit records one column's result: the reply slot, the job meter and,
-// when the job checkpoints, the disk. Commits are first-writer-wins by
-// construction — a column is run by exactly one goroutine.
+// commit records one column's result: the reply slot and the job meter.
+// Commits are first-writer-wins by construction — a column is run by exactly
+// one goroutine.
 func (r *cuboidRun) commit(idx int, reply *multiplyReply) {
 	r.replies[idx] = reply
 	r.meter.noteCommit(r.job.params.R)
-	if ckpt := r.job.ckpt; ckpt != nil {
-		ckpt.store(idx, reply, r.job.rows, r.job.cols, r.job.blockSize)
-	}
 }
 
 // runOne dispatches one column's calls, each with runJob's full retry,
@@ -355,8 +339,8 @@ func (d *Driver) acrossMembers(ctx context.Context, meter *JobMeter, home int, t
 
 // runJob schedules one call across the membership (acrossMembers). When
 // every attempt fails — or no worker is left — the call is computed locally
-// with the workers' exact arithmetic, unless fallback is disabled. Every
-// attempt runs the whole call: its cuboids are idempotent.
+// with the workers' exact arithmetic, when the driver holds its operand
+// blocks. Every attempt runs the whole call: its cuboids are idempotent.
 //
 // parent is the column's span: each RPC attempt (and the local fallback)
 // records a child under it, so retries and reassignments are visible as
@@ -448,7 +432,7 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 	}
 	// Local fallback needs the operand blocks driver-side; a pull call whose
 	// blocks the driver never fully held cannot be computed locally.
-	if d.opts.DisableLocalFallback || (args.pull && !args.pullInline) {
+	if args.pull && !args.pullInline {
 		return nil, fmt.Errorf("distnet: multiply failed after %d attempts: %w", jobAttempts, err)
 	}
 	atomic.AddInt64(&d.rec.Net.Live().LocalFallbacks, 1)
@@ -544,8 +528,7 @@ func (d *Driver) multiply(ctx context.Context, a, b *bmat.BlockMatrix, params co
 	}
 	return d.runCuboids(ctx, cuboidJob{
 		rows: a.Rows, inner: a.Cols, cols: b.Cols, blockSize: a.BlockSize,
-		params: params, transfer: core.TransferPush,
-		ckpt: opts.checkpointer(), callBytes: opts.callBytes(),
+		params: params, transfer: core.TransferPush, callBytes: opts.callBytes(),
 		fill: func(args *multiplyArgs) {
 			args.ABlocks = boxRecs(a, args.ILo, args.IHi, args.KLo, args.KHi)
 			args.BBlocks = boxRecs(b, args.KLo, args.KHi, args.JLo, args.JHi)

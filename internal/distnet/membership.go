@@ -26,7 +26,8 @@ var (
 	ErrDeadlineExceeded = errors.New("distnet: rpc deadline exceeded")
 
 	// ErrNoWorkers reports a driver whose live membership drained to zero
-	// (and local fallback was disabled).
+	// under work the driver cannot compute locally: a session operation, or
+	// a pull multiply whose operand blocks it never held.
 	ErrNoWorkers = errors.New("distnet: no live workers")
 
 	// ErrDriverClosed reports an operation on a driver after Close.

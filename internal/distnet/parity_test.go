@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync/atomic"
 	"testing"
 
@@ -18,8 +17,8 @@ import (
 
 // The one cuboid job path's contract, as one table: whatever way a (p,q)
 // column obtains its slices — pushed inline, pulled by manifest, downgraded
-// mid-job, restored from a checkpoint — and whether it goes out as one call
-// or, over the call bound, as its R cuboids, the product is the same bytes, the
+// mid-job — and whether it goes out as one call or, over the call bound, as
+// its R cuboids, the product is the same bytes, the
 // bytes core.MultiplyCuboid computes on the simulated cluster, and the job is
 // metered, gauged and traced the same way.
 
@@ -104,16 +103,13 @@ func TestCuboidPathParity(t *testing.T) {
 		name     string
 		transfer core.Transfer
 		kill     bool // kill one band owner once the operands are resident
-		resume   bool // checkpoint, lose two columns, run again
 		split    bool // a θt of one byte: every column goes out as its R cuboids
 	}{
 		{name: "push", transfer: core.TransferPush},
 		{name: "pull", transfer: core.TransferPull},
 		{name: "pull, killed peer", transfer: core.TransferPull, kill: true},
-		{name: "push, resumed", transfer: core.TransferPush, resume: true},
-		{name: "pull, resumed", transfer: core.TransferPull, resume: true},
 		{name: "push, columns over θt", transfer: core.TransferPush, split: true},
-		{name: "pull, columns over θt, resumed", transfer: core.TransferPull, split: true, resume: true},
+		{name: "pull, columns over θt", transfer: core.TransferPull, split: true},
 	}
 
 	for si, shape := range shapes {
@@ -148,9 +144,6 @@ func TestCuboidPathParity(t *testing.T) {
 				}
 				defer d.Close()
 				mo := MultiplyOptions{Params: &params, Transfer: row.transfer}
-				if row.resume {
-					mo.CheckpointDir = t.TempDir()
-				}
 				if row.split {
 					mo.WorkerMemBytes = 1
 				}
@@ -211,30 +204,6 @@ func TestCuboidPathParity(t *testing.T) {
 				case row.transfer == core.TransferPull:
 					if delta.BlocksPrepared != 0 || delta.PullFallbacks != 0 {
 						t.Errorf("failure-free pull prepared %d blocks and downgraded %d cuboids, want none", delta.BlocksPrepared, delta.PullFallbacks)
-					}
-				}
-
-				if row.resume {
-					for _, idx := range []int{1, 2} {
-						if err := os.Remove(fmt.Sprintf("%s/column-%05d.dmeb", mo.CheckpointDir, idx)); err != nil {
-							t.Fatal(err)
-						}
-					}
-					served := func() (n int) {
-						for _, w := range workers {
-							n += w.Multiplies()
-						}
-						return n
-					}
-					before := served()
-					got, err := run(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					bitIdentical(t, got, want)
-					// Worker.Multiplies counts cuboids: R per column rerun.
-					if n := served() - before; n != 2*params.R {
-						t.Errorf("resume recomputed %d cuboids, want exactly the %d of the 2 lost columns", n, 2*params.R)
 					}
 				}
 			})

@@ -17,10 +17,9 @@ import (
 // operands driver-side and pushes each column's slices; TransferAuto prices
 // both with Eq.(4) (pull's peer term at fan-out, seed dropped since the
 // operands are resident) and takes the cheaper. Either way the job runs the
-// one cuboid path, so a JobMeter on ctx, the driver's gauges, tracing and
-// opts.CheckpointDir all apply. Results are bit-identical across modes and
-// under any fault schedule — a failed pull resolution downgrades that call
-// to an inline push retry.
+// one cuboid path, so a JobMeter on ctx, the driver's gauges and tracing all
+// apply, and it recovers as that path does (job.go). Results are
+// bit-identical across modes and under any fault schedule.
 func (s *Session) Multiply(ctx context.Context, a, b *Handle, opts MultiplyOptions) (*bmat.BlockMatrix, core.Params, error) {
 	if err := s.checkHandle(a); err != nil {
 		return nil, core.Params{}, err
@@ -121,8 +120,7 @@ func (s *Session) pullMultiply(ctx context.Context, a, b *Handle, params core.Pa
 	aParts, bParts := s.parts(a.ib), s.parts(b.ib)
 	return s.d.runCuboids(ctx, cuboidJob{
 		rows: a.rows, inner: a.cols, cols: b.cols, blockSize: a.blockSize,
-		params: params, transfer: core.TransferPull,
-		ckpt: opts.checkpointer(), callBytes: opts.callBytes(),
+		params: params, transfer: core.TransferPull, callBytes: opts.callBytes(),
 		fill: func(args *multiplyArgs) {
 			args.pull = true
 			args.pullInline = a.src != nil && b.src != nil

@@ -74,9 +74,6 @@ type Config struct {
 	// repartition copy (the DMac optimization, which DistME's GNMF plan
 	// shares).
 	TrackLayouts bool
-	// BalanceBySparsity schedules cuboids longest-estimated-work-first,
-	// the §8 load-balancing extension for skewed sparse inputs.
-	BalanceBySparsity bool
 	// Tracer, when set, records an end-to-end span tree for every
 	// multiplication — the multiply root, optimizer choice, repartition,
 	// one task span per cuboid and aggregation. Each Report then carries
@@ -140,8 +137,6 @@ type MulOptions struct {
 	Method Method
 	// Params is required with MethodCuboid and ignored otherwise.
 	Params core.Params
-	// RMMTasks sets RMM's task count (0 → I·J, the paper's setting).
-	RMMTasks int
 }
 
 // Report describes what one multiplication did.
@@ -213,11 +208,10 @@ func (e *Engine) multiply(ctx context.Context, a, b *bmat.BlockMatrix, opts MulO
 	start := time.Now()
 
 	env := core.Env{
-		Cluster:           e.cluster,
-		Multiplier:        e.cfg.Local,
-		BalanceBySparsity: e.cfg.BalanceBySparsity,
-		Tracer:            e.cfg.Tracer,
-		TraceParent:       root.ID(),
+		Cluster:     e.cluster,
+		Multiplier:  e.cfg.Local,
+		Tracer:      e.cfg.Tracer,
+		TraceParent: root.ID(),
 	}
 
 	method := opts.Method
@@ -226,7 +220,7 @@ func (e *Engine) multiply(ctx context.Context, a, b *bmat.BlockMatrix, opts MulO
 	var c *bmat.BlockMatrix
 	var err error
 	if method == MethodRMM {
-		c, err = core.MultiplyRMM(ctx, a, b, rmmTasks(opts, s), env)
+		c, err = core.MultiplyRMM(ctx, a, b, rmmTasks(s), env)
 	} else {
 		params, err = e.chooseParams(s, opts, e.cfg.Tracer, root.ID())
 		if err != nil {
@@ -307,12 +301,8 @@ func (e *Engine) chooseParams(s core.Shape, opts MulOptions, tr *obs.Tracer, par
 	return core.Params{}, fmt.Errorf("%w: %d", ErrUnknownMethod, int(opts.Method))
 }
 
-// rmmTasks resolves RMM's task count: the per-call value, else I·J, the
-// paper's setting.
-func rmmTasks(opts MulOptions, s core.Shape) int {
-	if opts.RMMTasks > 0 {
-		return opts.RMMTasks
-	}
+// rmmTasks is RMM's task count: I·J, the paper's setting.
+func rmmTasks(s core.Shape) int {
 	return s.I * s.J
 }
 

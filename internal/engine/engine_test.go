@@ -445,7 +445,7 @@ func TestExplainRMMAndGPU(t *testing.T) {
 
 // TestExplainResolvesLikeRun checks Explain resolves and validates what Run
 // runs: off-grid cuboid params are rejected by both, and RMM's task count
-// follows the per-call value, else I·J.
+// is I·J.
 func TestExplainResolvesLikeRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	a := bmat.RandomDense(rng, 16, 16, 4) // a 4×4×4-block grid
@@ -460,14 +460,12 @@ func TestExplainResolvesLikeRun(t *testing.T) {
 			t.Errorf("Run%v: no error", p)
 		}
 	}
-	for _, tc := range []struct{ call, want int }{{0, 16}, {5, 5}} {
-		ex, err := newTestEngine(t, testConfig()).Explain(a, b, MulOptions{Method: MethodRMM, RMMTasks: tc.call})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ex.Tasks != tc.want {
-			t.Errorf("RMM tasks (call %d): explained %d, want %d", tc.call, ex.Tasks, tc.want)
-		}
+	ex, err := newTestEngine(t, testConfig()).Explain(a, b, MulOptions{Method: MethodRMM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Tasks != 16 {
+		t.Errorf("RMM tasks: explained %d, want I·J = 16", ex.Tasks)
 	}
 }
 

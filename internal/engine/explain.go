@@ -35,7 +35,7 @@ func (e *Engine) Explain(a, b *bmat.BlockMatrix, opts MulOptions) (*Explanation,
 	ex := &Explanation{Method: opts.Method, TaskMemBytes: e.cfg.Cluster.TaskMemBytes}
 	if opts.Method == MethodRMM {
 		// Voxel-streamed: MemPerTaskBytes stays zero.
-		ex.Tasks = rmmTasks(opts, s)
+		ex.Tasks = rmmTasks(s)
 		ex.RepartitionBytes = int64(s.J)*s.ABytes + int64(s.I)*s.BBytes
 		ex.AggregationBytes = int64(s.K) * s.CBytes
 		return ex, nil

@@ -27,9 +27,8 @@ type runConfig struct {
 	mul MulOptions
 }
 
-// WithMulOptions applies explicit per-multiplication options (method,
-// cuboid params, RMM task count) to every multiplication in the
-// expression.
+// WithMulOptions applies explicit per-multiplication options (method and
+// cuboid params) to every multiplication in the expression.
 func WithMulOptions(o MulOptions) RunOption {
 	return func(c *runConfig) { c.mul = o }
 }

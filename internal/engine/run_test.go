@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"distme/internal/bmat"
-	"distme/internal/core"
 	"distme/internal/plan"
 )
 
@@ -110,27 +109,5 @@ func TestRunCancelledContext(t *testing.T) {
 		map[string]*bmat.BlockMatrix{"a": a})
 	if err == nil {
 		t.Fatal("cancelled context accepted")
-	}
-}
-
-// TestBalanceBySparsityBitIdentical: Config.BalanceBySparsity changes when a
-// cuboid runs, not the bits of the product.
-func TestBalanceBySparsityBitIdentical(t *testing.T) {
-	opts := MulOptions{Method: MethodCuboid, Params: core.Params{P: 2, Q: 3, R: 3}}
-	balancedCfg := testConfig()
-	balancedCfg.BalanceBySparsity = true
-	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(1540 + seed))
-		a := bmat.RandomSparse(rng, 24, 36, 4, 0.3)
-		b := bmat.RandomDense(rng, 36, 24, 4)
-		plain, _, err := runMul(context.Background(), newTestEngine(t, testConfig()), a, b, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		balanced, _, err := runMul(context.Background(), newTestEngine(t, balancedCfg), a, b, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitSame(t, balanced, plain)
 	}
 }

@@ -55,8 +55,6 @@ type NodeInfo struct {
 	// Kind is the operator; Unary reports whether only the first operand is
 	// meaningful (OpTranspose, OpScale).
 	Kind OpKind
-	// Var is the bound-input name (OpVar only).
-	Var string
 	// Scalar is the OpScale factor or the OpDivElem epsilon.
 	Scalar float64
 	// Index is the node's position in the program's topological order,

@@ -22,10 +22,10 @@ func fuzzSeedFile(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// FuzzRead drives Read with arbitrary bytes. Checkpoint recovery reads
-// these files right after a crash, so they are hostile input by
-// construction: corrupt, truncated, or foreign data must come back as
-// ErrBadFormat or ErrChecksum — never a panic, a raw io error, or an
+// FuzzRead drives Read with arbitrary bytes. LoadMatrix reads files a
+// process may have crashed while writing, or that some other program wrote,
+// so they are hostile input: corrupt, truncated, or foreign data must come
+// back as ErrBadFormat or ErrChecksum — never a panic, a raw io error, or an
 // attacker-sized allocation.
 func FuzzRead(f *testing.F) {
 	valid := fuzzSeedFile(f)

@@ -45,10 +45,10 @@ func goldenMatrix() *bmat.BlockMatrix {
 	return m
 }
 
-// TestGoldenFileByteIdentical pins the on-disk checkpoint format: Write
-// must keep producing the byte-for-byte output of the pre-codec encoder,
-// captured in testdata/golden-v1.dmeb, or a checkpointed Driver.Execute would
-// stop reading checkpoints written by earlier builds.
+// TestGoldenFileByteIdentical pins the on-disk matrix format: Write must
+// keep producing the byte-for-byte output of the pre-codec encoder, captured
+// in testdata/golden-v1.dmeb, or LoadMatrixFile would stop reading files
+// SaveMatrixFile wrote in earlier builds.
 func TestGoldenFileByteIdentical(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden-v1.dmeb"))
 	if err != nil {
