@@ -22,10 +22,13 @@ test:
 	GOAMD64=v3 $(GO) test -tags purego ./internal/matrix ./internal/core
 
 # The whole tree — and the repository benchmark, a module of its own — must
-# stay race-detector-clean; both runs together take about a minute.
+# stay race-detector-clean. The race binaries run one package at a time
+# (-p 1): internal/distnet's alone holds several hundred MB under the
+# detector, and two of them side by side come near what an 8 GB box can
+# spare.
 test-race:
-	$(GO) test -race ./...
-	cd benchmark && $(GO) test -race ./...
+	$(GO) test -race -p 1 ./...
+	cd benchmark && $(GO) test -race -p 1 ./...
 
 # Ten-second fuzz smokes: hostile bytes against the storage reader, the
 # wire block decoder, and every decoder a socket reaches — the streaming

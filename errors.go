@@ -57,12 +57,6 @@ var (
 	// capacity — the paper's "E.D.C." outcome.
 	ErrExceededDisk = cluster.ErrExceededDisk
 
-	// ErrTimeout names the paper's "T.O." outcome, a job past its time
-	// budget. The engine sets no wall-clock budget of its own and never
-	// returns it: bound a job with a context deadline, which surfaces as
-	// ErrCancelled.
-	ErrTimeout = cluster.ErrTimeout
-
 	// ErrWorkerDead reports a real-network RPC that failed because the
 	// remote worker's connection is broken (detected by the heartbeat
 	// failure detector or a failed call on the distnet driver path).

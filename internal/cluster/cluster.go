@@ -25,12 +25,6 @@ var ErrOutOfMemory = errors.New("cluster: task exceeds per-task memory budget (O
 // capacity — the paper's "E.D.C." outcome.
 var ErrExceededDisk = errors.New("cluster: intermediate data exceeds disk capacity (E.D.C.)")
 
-// ErrTimeout names the paper's "T.O." outcome, a job past the experiment's
-// time budget. A Run has no wall-clock budget of its own, so nothing in the
-// measured plane returns it: a caller bounds a job with a context deadline,
-// which surfaces as ErrCancelled.
-var ErrTimeout = errors.New("cluster: job exceeded time budget (T.O.)")
-
 // Config describes the simulated hardware envelope. The zero value is not
 // usable; construct with NewConfig or start from PaperConfig.
 type Config struct {

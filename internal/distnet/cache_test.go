@@ -296,16 +296,16 @@ func TestEpochWindowAgesDriverAndWorkerAlike(t *testing.T) {
 	}
 }
 
-// TestPlanOrderPlacementShipsEachBlockOnce: column placement is fixed at
-// plan time, not by which goroutine reaches the scheduler first. At (2,2,2)
-// over a 6×6×6 block grid on two workers, a job is four (p,q) columns of
-// 3×6 A blocks and 6×3 B blocks: 144 block sends. The cursor advances by
-// P·Q·R = 8 a job, so column g = p·Q+q lands on worker g mod 2. The Q = 2
-// columns sharing an A block sit one apart and land on both workers, so
-// each of the 36 A blocks ships inline twice; the P = 2 sharing a B block
-// sit Q = 2 apart and land on one, so the second copy of each of the 36 B
-// blocks is a reference — 36 references in every job, with the same bytes
-// on the wire each time.
+// TestPlanOrderPlacementShipsEachBlockOnce: placement is fixed at plan time,
+// not by which goroutine reaches the scheduler first. At (2,2,2) over a
+// 6×6×6 block grid on two workers, a job is four (p,q) columns of 3×6 A
+// blocks and 6×3 B blocks: 144 block sends. The plan runs as the k-ordered
+// chain (homes would ship each A block to both workers): every column is two
+// links, and holder g — worker g — receives slab g of every column. The
+// Q = 2 links sharing an A block and the P = 2 sharing a B block all go to
+// the block's one holder, so each of the 72 blocks ships inline once and its
+// second copy is a reference — 72 references in every job, with the same
+// bytes on the wire each time.
 func TestPlanOrderPlacementShipsEachBlockOnce(t *testing.T) {
 	params := core.Params{P: 2, Q: 2, R: 2}
 	addrs, _ := startWorkers(t, 2)
@@ -328,8 +328,8 @@ func TestPlanOrderPlacementShipsEachBlockOnce(t *testing.T) {
 		delta := d.NetStats().Sub(before)
 		sent1, received1 := d.WireBytes()
 		sent, received := sent1-sent0, received1-received0
-		if delta.CacheRefsSent != 36 || delta.CacheRefMisses != 0 {
-			t.Errorf("job %d: %d blocks sent as references (%d missed), want 36 (0)", job, delta.CacheRefsSent, delta.CacheRefMisses)
+		if delta.CacheRefsSent != 72 || delta.CacheRefMisses != 0 {
+			t.Errorf("job %d: %d blocks sent as references (%d missed), want 72 (0)", job, delta.CacheRefsSent, delta.CacheRefMisses)
 		}
 		if job == 0 {
 			firstSent, firstReceived = sent, received
@@ -532,7 +532,7 @@ func largeBlockMatrices(seed int64, n int) (a, b *bmat.BlockMatrix) {
 // TestColdJobsHashNothing: the placement of TestPlanOrderPlacementShipsEachBlockOnce
 // with 8 KiB blocks. Every job brings new content, so no block is hashed —
 // each gets a fresh key — and the within-job replicas are still references:
-// 36 in every job, none missing, the same bytes on the wire each time.
+// 72 in every job, none missing, the same bytes on the wire each time.
 func TestColdJobsHashNothing(t *testing.T) {
 	params := core.Params{P: 2, Q: 2, R: 2}
 	addrs, _ := startWorkers(t, 2)
@@ -557,8 +557,8 @@ func TestColdJobsHashNothing(t *testing.T) {
 		if delta.BlocksHashed != 0 || delta.BlocksPrepared != 72 {
 			t.Errorf("job %d: hashed %d of %d prepared blocks, want 0 of 72", job, delta.BlocksHashed, delta.BlocksPrepared)
 		}
-		if delta.CacheRefsSent != 36 || delta.CacheRefMisses != 0 {
-			t.Errorf("job %d: %d blocks sent as references (%d missed), want 36 (0)", job, delta.CacheRefsSent, delta.CacheRefMisses)
+		if delta.CacheRefsSent != 72 || delta.CacheRefMisses != 0 {
+			t.Errorf("job %d: %d blocks sent as references (%d missed), want 72 (0)", job, delta.CacheRefsSent, delta.CacheRefMisses)
 		}
 		if job == 0 {
 			firstSent, firstReceived = sent, received

@@ -1,0 +1,516 @@
+package distnet
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"distme/internal/bmat"
+	"distme/internal/codec"
+	"distme/internal/core"
+	"distme/internal/matrix"
+	"distme/internal/obs"
+)
+
+// The k-ordered chain, the second placement of a push job (core.PlaceChain).
+// Under homes, the worker of a (p,q) column receives the column's whole A
+// row band and B column band, so a band two columns on two workers share
+// crosses the driver twice. Under the chain, the job's R slabs are cut into
+// h = min(R, live workers) contiguous groups with one holder each, and each
+// column becomes h links, one per holder: a holder receives only the
+// operand blocks of its own slabs, so every block crosses the driver once.
+// A holder computes its slabs into fresh tiles as soon as its operands
+// arrive, takes the running sum of the slabs before its own from the holder
+// before it (methodTakeSum, worker to worker), and folds its slabs into it
+// in ascending r — MultiplyColumn's order, so the bits are those of
+// core.MultiplyCuboid at the same (P,Q,R). A holder that is not the last
+// keeps its sum for the next one to take; the last returns the column's C
+// blocks, which the driver only places.
+//
+// Holders are ordered by member index, whatever the job's base: a link waits
+// only on a holder of lower index, so concurrent chains cannot wait on each
+// other in a cycle, and the links of the lowest-index member never wait. A
+// link waits for a slot of its own holder and never spills to another
+// member. Any failed link abandons its column's chain, and the column
+// re-runs as its homes calls (runCalls) with runJob's retries, downgrade and
+// local fallback.
+
+// planChain prices the job's two placements and, when the chain is the
+// cheaper (core.ChoosePlacement), makes every column's links. Only push jobs
+// of R ≥ 2 on two or more live members are candidates. The holders are h
+// live members taken from the job's base on, so jobs spread over a larger
+// pool, and then put in member order.
+func (r *cuboidRun) planChain(gk, base int) core.Placement {
+	params := r.job.params
+	if params.R < 2 || r.columns[0].whole.pull {
+		return core.PlaceHomes
+	}
+	live := r.d.liveMembers()
+	if len(live) < 2 || core.ChoosePlacement(params, r.faces(gk), len(live), r.job.callBytes) != core.PlaceChain {
+		return core.PlaceHomes
+	}
+	h := core.ChainHolders(params.R, len(live))
+	picks := make([]int, h)
+	for g := range picks {
+		picks[g] = (base + g) % len(live)
+	}
+	sort.Ints(picks)
+	holders := make([]*member, h)
+	for g, i := range picks {
+		holders[g] = live[i]
+	}
+	r.planLinks(holders)
+	return core.PlaceChain
+}
+
+// planLinks makes every column's links, link g on holders[g] with its slab
+// group's operand blocks (core.ChainSlabs). A link waits for its incoming
+// sum, and keeps its outgoing one, for a quarter of the call timeout, so a
+// link whose predecessor is lost fails well inside its own call's deadline.
+func (r *cuboidRun) planLinks(holders []*member) {
+	R, h := r.job.params.R, len(holders)
+	wait := r.d.opts.CallTimeout / 4
+	for c := range r.columns {
+		whole := r.columns[c].whole
+		box := whole.box()
+		id := rand.Uint64()
+		links := make([]*multiplyArgs, h)
+		for g, m := range holders {
+			lo, hi := core.ChainSlabs(g, h, R)
+			group := box
+			group.KLo, group.KHi = box.Slab(lo, R).KLo, box.Slab(hi-1, R).KHi
+			link := r.newCall(whole.cuboidP, whole.cuboidQ, group, R)
+			link.KLo, link.KHi = box.KLo, box.KHi
+			link.link = &chainLink{id: id, lo: lo, hi: hi, self: m.addr, wait: wait, holder: m}
+			if g > 0 {
+				link.link.prev = holders[g-1].addr
+			}
+			links[g] = link
+		}
+		r.columns[c].links = links
+	}
+}
+
+// faces cuts the job's operand bytes by its plan (core.Faces) from the
+// columns' whole calls: A's row bands from the columns of q = 0, B's column
+// bands from those of p = 0, each record at the stored size planColumn
+// bounds calls by, and each column's C at its dense size.
+func (r *cuboidRun) faces(gk int) core.Faces {
+	params, bs := r.job.params, r.job.blockSize
+	grid := func(n, m int) [][]int64 {
+		g := make([][]int64, n)
+		for i := range g {
+			g[i] = make([]int64, m)
+		}
+		return g
+	}
+	f := core.Faces{A: grid(params.P, params.R), B: grid(params.R, params.Q), C: grid(params.P, params.Q)}
+	slabOf := make([]int, gk)
+	for rr := 0; rr < params.R; rr++ {
+		lo, hi := core.GridSpan(rr, gk, params.R)
+		for k := lo; k < hi; k++ {
+			slabOf[k] = rr
+		}
+	}
+	for _, col := range r.columns {
+		call := col.whole
+		p, q := call.cuboidP, call.cuboidQ
+		if q == 0 {
+			for _, rec := range call.ABlocks {
+				f.A[p][slabOf[rec.Key.J]] += rec.Block.SizeBytes()
+			}
+		}
+		if p == 0 {
+			for _, rec := range call.BBlocks {
+				f.B[slabOf[rec.Key.I]][q] += rec.Block.SizeBytes()
+			}
+		}
+		rows := min(call.IHi*bs, r.job.rows) - call.ILo*bs
+		cols := min(call.JHi*bs, r.job.cols) - call.JLo*bs
+		f.C[p][q] = int64(rows) * int64(cols) * 8
+	}
+	return f
+}
+
+// runChain runs a column's links, each on its holder, and returns the last
+// link's C blocks. When any link fails, the chain is abandoned once every
+// link has ended — a link waiting for a sum that will not come ends at its
+// bound — and the column re-runs as its homes calls.
+func (r *cuboidRun) runChain(col column, sp obs.Span) (*multiplyReply, error) {
+	errs := make([]error, len(col.links))
+	var last *multiplyReply
+	var wg sync.WaitGroup
+	for i, link := range col.links {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reply, err := r.d.runLink(r.ctx, link, sp)
+			errs[i] = err
+			if i == len(col.links)-1 {
+				last = reply
+			}
+		}()
+	}
+	wg.Wait()
+	err := errors.Join(errs...)
+	if err == nil {
+		r.meter.noteReply(last)
+		return last, nil
+	}
+	if ctxErr := r.ctx.Err(); ctxErr != nil {
+		return nil, ctxErr
+	}
+	atomic.AddInt64(&r.d.rec.Net.Live().ChainFallbacks, 1)
+	if sp.Active() {
+		sp.SetAttr("chain-fallback", err.Error())
+	}
+	for _, call := range col.calls {
+		if err := call.prep.prepare(call); err != nil {
+			return nil, err
+		}
+	}
+	return r.runCalls(col, sp)
+}
+
+// runLink runs one chain link on its holder, under an rpc.multiply span. It
+// waits for a slot of that member only; a failure is the chain's, so there
+// is no retry.
+func (d *Driver) runLink(ctx context.Context, args *multiplyArgs, parent obs.Span) (*multiplyReply, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	m := args.link.holder
+	select {
+	case <-m.slots:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer m.release()
+	asp := d.tracer.Start(parent.ID(), "rpc.multiply", obs.KindRPC)
+	defer asp.End()
+	args.label(asp)
+	if asp.Active() {
+		asp.SetWorker(m.addr)
+	}
+	args.traceSpan = uint64(asp.ID())
+	reply := new(multiplyReply)
+	err := d.call(m, methodMultiply, asp.ID(), codec.Writes(blockSender{&m.tracker, d.rec}.appendMultiplyArgs, args),
+		codec.Reads(decodeMultiplyReply, reply), d.opts.CallTimeout)
+	if err != nil {
+		if asp.Active() {
+			asp.SetAttr("error", err.Error())
+		}
+		if errors.Is(err, errUnknownDigest) {
+			// The homes calls the column re-runs as then ship inline.
+			m.tracker.forget()
+		}
+		return nil, err
+	}
+	return reply, nil
+}
+
+// ---------------------------------------------------------------------------
+// The worker's side
+
+// serveLink computes one chain link: its slabs into fresh tiles, then — past
+// the first link — the running sum taken from the predecessor with the
+// slabs folded into it in ascending r. The take starts with the link, so the
+// sum crosses while the slabs are computed; only the fold waits for both.
+// The last link's tiles are the column's C blocks; any other link's are
+// kept for its successor to take.
+func (w *Worker) serveLink(args *multiplyArgs, reply *multiplyReply, parent obs.SpanID) (flops float64, err error) {
+	l, box := args.link, args.box()
+	type taken struct {
+		recs []blockRec
+		err  error
+	}
+	var sum chan taken
+	if l.lo > 0 {
+		sum = make(chan taken, 1)
+		go func() {
+			recs, err := w.takeSum(parent, l)
+			sum <- taken{recs, err}
+		}()
+	}
+	lookupA, lookupB := args.lookups()
+	var tiles []*matrix.Dense
+	var fresh [][]*matrix.Dense
+	for r := l.lo; r < l.hi; r++ {
+		slab, f := core.MultiplyBox(box.Slab(r, args.slabs), lookupA, lookupB, nil)
+		flops += f
+		if l.lo == 0 {
+			tiles = core.FoldSlab(tiles, slab)
+		} else {
+			fresh = append(fresh, slab)
+		}
+	}
+	if sum != nil {
+		t := <-sum
+		if t.err != nil {
+			return flops, t.err
+		}
+		if tiles, err = sumTiles(box, t.recs, fresh); err != nil {
+			return flops, err
+		}
+		for _, slab := range fresh {
+			tiles = core.FoldSlab(tiles, slab)
+		}
+	}
+	recs := tileRecs(box, tiles)
+	if l.hi == args.slabs {
+		reply.CBlocks = recs
+		return flops, nil
+	}
+	w.sums.put(sumKey{id: l.id, upTo: l.hi}, args.cacheEpoch, recs, l.wait)
+	return flops, nil
+}
+
+// tileRecs lists a box's tiles, nil where no pair met, as keyed records.
+func tileRecs(box core.Box, tiles []*matrix.Dense) []blockRec {
+	var recs []blockRec
+	for t, d := range tiles {
+		if d != nil {
+			recs = append(recs, blockRec{Key: box.TileKey(t), Block: d})
+		}
+	}
+	return recs
+}
+
+// takeSum fetches the running sum of slabs [0, l.lo) from the predecessor,
+// under a peer.fetch span. The predecessor answers within l.wait; the call
+// gives up at twice that.
+func (w *Worker) takeSum(parent obs.SpanID, l *chainLink) ([]blockRec, error) {
+	sp := w.tracer.Start(parent, "peer.fetch", obs.KindWorker)
+	if sp.Active() {
+		sp.SetAttr("peer", l.prev)
+		sp.SetAttr("sum", fmt.Sprintf("slabs [0,%d)", l.lo))
+	}
+	defer sp.End()
+	var recs []blockRec
+	client, err := w.peerClient(l.prev)
+	if err == nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*l.wait)
+		err = client.Call(ctx, methodTakeSum, codec.Writes(appendSumArgs, &sumArgs{id: l.id, upTo: l.lo, wait: l.wait}),
+			func(rd *codec.FrameReader) (err error) {
+				recs, err = decodePlainBlocks(rd)
+				return err
+			})
+		cancel()
+		var re *codec.RemoteError
+		if err != nil && !errors.As(err, &re) {
+			w.dropPeer(l.prev, client)
+		}
+	}
+	if err != nil {
+		if sp.Active() {
+			sp.SetAttr("error", err.Error())
+		}
+		return nil, &peerFetchError{addr: l.prev, err: err}
+	}
+	var bytes int64
+	for _, rec := range recs {
+		bytes += rec.Block.SizeBytes()
+	}
+	if sp.Active() {
+		sp.SetAttr("bytes", fmt.Sprintf("%d", bytes))
+	}
+	w.getStore().addPeerFetch(l.prev, bytes)
+	return recs, nil
+}
+
+// sumTiles places a taken running sum's blocks as the box's tiles. A block
+// off the box, twice over, not dense, or of other dimensions than the link's
+// own tile there is refused as errWire.
+func sumTiles(box core.Box, recs []blockRec, fresh [][]*matrix.Dense) ([]*matrix.Dense, error) {
+	nj := box.JHi - box.JLo
+	tiles := make([]*matrix.Dense, (box.IHi-box.ILo)*nj)
+	for _, rec := range recs {
+		d, ok := rec.Block.(*matrix.Dense)
+		i, j := rec.Key.I-box.ILo, rec.Key.J-box.JLo
+		if !ok || i < 0 || j < 0 || rec.Key.I >= box.IHi || rec.Key.J >= box.JHi || tiles[i*nj+j] != nil {
+			return nil, fmt.Errorf("%w: running sum block %v", errWire, rec.Key)
+		}
+		for _, slab := range fresh {
+			if own := slab[i*nj+j]; own != nil && (own.RowsN != d.RowsN || own.ColsN != d.ColsN) {
+				return nil, fmt.Errorf("%w: running sum block %v is %dx%d", errWire, rec.Key, d.RowsN, d.ColsN)
+			}
+		}
+		tiles[i*nj+j] = d
+	}
+	return tiles, nil
+}
+
+// sumArgs asks a worker for the running sum of chain id's slabs [0, upTo),
+// waiting at most wait for it to be made.
+type sumArgs struct {
+	id   uint64
+	upTo int
+	wait time.Duration
+}
+
+func appendSumArgs(w *codec.FrameWriter, a *sumArgs) error {
+	appendChainID(w, a.id)
+	w.Uvarint(uint64(a.upTo))
+	w.Uvarint(uint64(a.wait / time.Millisecond))
+	return nil
+}
+
+func decodeSumArgs(rd *codec.FrameReader, a *sumArgs) error {
+	var err error
+	if a.id, err = readChainID(rd); err != nil {
+		return err
+	}
+	if a.upTo, err = rd.Int(); err != nil {
+		return err
+	}
+	wait, err := rd.Uvarint()
+	a.wait = time.Duration(min(wait, uint64(maxChainWait/time.Millisecond))) * time.Millisecond
+	return err
+}
+
+// A chain id travels as 8 fixed bytes: ids are random, and a request's size
+// should not depend on which one it drew.
+func appendChainID(w *codec.FrameWriter, id uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], id)
+	w.Bytes(b[:])
+}
+
+func readChainID(rd *codec.FrameReader) (uint64, error) {
+	var b [8]byte
+	err := rd.ReadFull(b[:])
+	return binary.LittleEndian.Uint64(b[:]), err
+}
+
+// sumReply is a taken running sum: the column's tiles some pair met.
+type sumReply struct{ blocks []blockRec }
+
+func appendSumReply(w *codec.FrameWriter, r *sumReply) error { return appendPlainBlocks(w, r.blocks) }
+
+// giveSum answers a successor's take: the sum once it is made, within the
+// take's wait, else errNoSum.
+func (w *Worker) giveSum(args *sumArgs, reply *sumReply) error {
+	recs, err := w.sums.take(sumKey{id: args.id, upTo: args.upTo}, args.wait)
+	reply.blocks = recs
+	return err
+}
+
+// sumKey names a running sum: chain id's slabs [0, upTo).
+type sumKey struct {
+	id   uint64
+	upTo int
+}
+
+// chainSums are the running sums a worker keeps for the links after its
+// own. A sum leaves when it is taken, when its bound passes, or when its
+// job's epoch falls DefaultCacheEpochWindow behind the newest one kept —
+// so a sum whose successor died is dropped without anyone asking.
+type chainSums struct {
+	mu    sync.Mutex
+	slots map[sumKey]*sumSlot
+}
+
+// sumSlot is one sum, made or awaited: a take that comes first waits on
+// ready, which put closes.
+type sumSlot struct {
+	ready chan struct{}
+	made  bool
+	recs  []blockRec
+	epoch uint64
+	timer *time.Timer
+}
+
+// slot is k's slot, made when absent; s.mu must be held.
+func (s *chainSums) slot(k sumKey) *sumSlot {
+	if s.slots == nil {
+		s.slots = map[sumKey]*sumSlot{}
+	}
+	sl, ok := s.slots[k]
+	if !ok {
+		sl = &sumSlot{ready: make(chan struct{})}
+		s.slots[k] = sl
+	}
+	return sl
+}
+
+// put keeps recs as k's sum for at most keep, and retires the sums of epochs
+// the window has passed. A second sum under a made key is dropped.
+func (s *chainSums) put(k sumKey, epoch uint64, recs []blockRec, keep time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if epoch > DefaultCacheEpochWindow {
+		floor := epoch - DefaultCacheEpochWindow
+		for key, sl := range s.slots {
+			if sl.made && sl.epoch < floor {
+				sl.timer.Stop()
+				delete(s.slots, key)
+			}
+		}
+	}
+	sl := s.slot(k)
+	if sl.made {
+		return
+	}
+	sl.made, sl.recs, sl.epoch = true, recs, epoch
+	close(sl.ready)
+	sl.timer = time.AfterFunc(keep, func() {
+		s.mu.Lock()
+		if s.slots[k] == sl {
+			delete(s.slots, k)
+		}
+		s.mu.Unlock()
+	})
+}
+
+// take removes and returns k's sum, waiting at most wait for it to be made.
+func (s *chainSums) take(k sumKey, wait time.Duration) ([]blockRec, error) {
+	s.mu.Lock()
+	sl := s.slot(k)
+	s.mu.Unlock()
+	timer := time.NewTimer(wait)
+	select {
+	case <-sl.ready:
+	case <-timer.C:
+	}
+	timer.Stop()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mine := s.slots[k] == sl
+	if !sl.made || !mine {
+		// Never made within the wait, or taken or expired already.
+		if mine {
+			delete(s.slots, k)
+		}
+		return nil, fmt.Errorf("%w: chain %x, slabs [0,%d)", errNoSum, k.id, k.upTo)
+	}
+	delete(s.slots, k)
+	sl.timer.Stop()
+	return sl.recs, nil
+}
+
+// held counts the sums kept and the takes waiting.
+func (s *chainSums) held() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.slots)
+}
+
+// lookups are the call's A and B blocks by global block key, absent as nil.
+func (a *multiplyArgs) lookups() (lookupA, lookupB func(row, col int) matrix.Block) {
+	index := func(recs []blockRec) map[bmat.BlockKey]matrix.Block {
+		m := make(map[bmat.BlockKey]matrix.Block, len(recs))
+		for _, r := range recs {
+			m[r.Key] = r.Block
+		}
+		return m
+	}
+	aBlocks, bBlocks := index(a.ABlocks), index(a.BBlocks)
+	return func(i, k int) matrix.Block { return aBlocks[bmat.BlockKey{I: i, J: k}] },
+		func(k, j int) matrix.Block { return bBlocks[bmat.BlockKey{I: k, J: j}] }
+}

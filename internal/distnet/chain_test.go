@@ -1,0 +1,317 @@
+package distnet
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"math/rand"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"distme/internal/bmat"
+	"distme/internal/cluster"
+	"distme/internal/codec"
+	"distme/internal/core"
+	"distme/internal/obs"
+)
+
+// cuboidReference is core.MultiplyCuboid's product over the simulated
+// cluster at params: the bits every placement must give.
+func cuboidReference(t *testing.T, a, b *bmat.BlockMatrix, params core.Params) *bmat.BlockMatrix {
+	t.Helper()
+	cfg := cluster.LaptopConfig()
+	cfg.TaskMemBytes = 1 << 30
+	cfg.DiskCapacityBytes = 0
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.MultiplyCuboid(context.Background(), a, b, params, core.Env{Cluster: cl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// heldSums counts the running sums the workers keep, and the takes waiting.
+func heldSums(workers ...*Worker) int {
+	n := 0
+	for _, w := range workers {
+		n += w.sums.held()
+	}
+	return n
+}
+
+// TestChainAtServeThetaGoesOutUnsplit: the benchmark's two cold shapes at
+// the θt their serve runs with — dense 768³ at (2,2,2) under 4 MiB, and a
+// 0.1 % CSR 8192² times 8192×64 dense at (3,1,4) under 3 MiB — on two
+// workers. Each column's operands are over θt, so homes would send every
+// column as its R cuboids and take R·|C| back; the chain's links, one
+// holder's slabs each (≈ 2.4 and 2.3 MB), are inside it. So the jobs go
+// out as unsplit chains: 2·P·Q rpc.multiply spans of R/2 slabs each, every
+// C block back once, and |C| handed between the workers.
+func TestChainAtServeThetaGoesOutUnsplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(4210))
+	for _, tc := range []struct {
+		name   string
+		a, b   *bmat.BlockMatrix
+		params core.Params
+		θt     int64
+	}{
+		{"dense_cold", bmat.RandomDense(rng, 768, 768, 128), bmat.RandomDense(rng, 768, 768, 128), core.Params{P: 2, Q: 2, R: 2}, 4 << 20},
+		{"sparse_tall", bmat.RandomSparse(rng, 8192, 8192, 256, 0.001), bmat.RandomDense(rng, 8192, 64, 256), core.Params{P: 3, Q: 1, R: 4}, 3 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := obs.NewTracer()
+			addrs, workers := startWorkers(t, 2)
+			opts := fastOpts()
+			opts.DisableHeartbeat = true
+			opts.Tracer = tr
+			d, err := DialOptions(addrs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			before := d.NetStats()
+			meter := &JobMeter{}
+			if _, _, err := d.Execute(WithJobMeter(context.Background(), meter), tc.a, tc.b,
+				MultiplyOptions{Params: &tc.params, WorkerMemBytes: tc.θt}); err != nil {
+				t.Fatal(err)
+			}
+			delta := d.NetStats().Sub(before)
+
+			_, byName := spanIndex(tr.Snapshot().Spans)
+			if got := spanAttr(byName["distnet.multiply"][0], "placement"); got != "chain" {
+				t.Fatalf("placement %q, want chain", got)
+			}
+			checkSpansPerColumn(t, tr.Snapshot().Spans, "rpc.multiply", tc.params, 2, tc.params.R/2)
+			if n, want := len(byName["rpc.multiply"]), 2*tc.params.P*tc.params.Q; n != want {
+				t.Errorf("%d rpc.multiply spans, want %d", n, want)
+			}
+			if delta.ChainFallbacks != 0 || delta.CuboidRetries != 0 {
+				t.Errorf("%d chain fallbacks and %d retries, want none", delta.ChainFallbacks, delta.CuboidRetries)
+			}
+			cBytes := int64(tc.a.Rows) * int64(tc.b.Cols) * 8
+			if got := meter.Stats().ReplyBytes; got < cBytes || got > cBytes+cBytes/100 {
+				t.Errorf("%d reply bytes, want |C| = %d and its block headers", got, cBytes)
+			}
+			var peer int64
+			for _, w := range workers {
+				peer += w.StoreStats().PeerFetchBytes
+			}
+			if peer != cBytes {
+				t.Errorf("%d running-sum bytes between the workers, want |C| = %d", peer, cBytes)
+			}
+		})
+	}
+}
+
+// startGatedWorker serves a worker whose multiplies each wait for gate to
+// close before they run; its other calls answer at once.
+func startGatedWorker(t *testing.T, gate chan struct{}) (string, *Worker) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &Worker{store: newHandleStore(0), cache: newBlockCache(0)}
+	handlers := w.handlers()
+	multiply := handlers[methodMultiply]
+	handlers[methodMultiply] = func(args *codec.FrameReader) (codec.Call, error) {
+		call, err := multiply(args)
+		return func() (func(*codec.FrameWriter) error, error) {
+			<-gate
+			return call()
+		}, err
+	}
+	w.conns = codec.Listen(l, workerPreamble, handlers, workerErrors)
+	t.Cleanup(w.conns.Close)
+	return l.Addr().String(), w
+}
+
+// TestChainKilledHolderFallsBack kills holder 1 mid-job: holder 0 has run
+// its link of every column and keeps their running sums, while holder 1's
+// links wait to run. Every column's chain is abandoned and re-runs as its
+// homes call on the survivor, and the product keeps its bits. The sums
+// nobody will take leave holder 0 once their bound passes.
+func TestChainKilledHolderFallsBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(4211))
+	a, b := bmat.RandomDense(rng, 48, 40, 8), bmat.RandomDense(rng, 40, 32, 8)
+	params := core.Params{P: 2, Q: 2, R: 2}
+	want := cuboidReference(t, a, b, params)
+
+	addrs, workers := startWorkers(t, 1)
+	gate := make(chan struct{})
+	defer close(gate)
+	gatedAddr, gated := startGatedWorker(t, gate)
+	opts := fastOpts()
+	opts.DisableHeartbeat = true // the death surfaces through the calls
+	opts.CallTimeout = 8 * time.Second
+	d, err := DialOptions(append(addrs, gatedAddr), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	var got *bmat.BlockMatrix
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		got, err = execute(d, a, b, params)
+		done <- err
+	}()
+	// Holder 0 runs slab 0 of all four columns; then holder 1 dies with its
+	// four links in flight.
+	deadline := time.Now().Add(5 * time.Second)
+	for workers[0].Multiplies() < params.P*params.Q {
+		if time.Now().After(deadline) {
+			t.Fatal("holder 0 never ran its links")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	killWorker(gated)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	bitIdentical(t, got, want)
+	if n := d.NetStats().ChainFallbacks; n < 1 {
+		t.Errorf("%d chain fallbacks after holder 1 died, want ≥ 1", n)
+	}
+	if served, want := workers[0].Multiplies(), params.P*params.Q+params.Tasks(); served != want {
+		t.Errorf("holder 0 served %d cuboids, want %d: its links, then every column whole", served, want)
+	}
+	if n := heldSums(workers[0]); n != params.P*params.Q {
+		t.Errorf("holder 0 keeps %d running sums for the dead holder, want %d", n, params.P*params.Q)
+	}
+	bound := opts.CallTimeout / 4
+	deadline = time.Now().Add(bound + 5*time.Second)
+	for heldSums(workers[0]) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d running sums still held %v past their bound", heldSums(workers[0]), bound)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestConcurrentChainsDoNotDeadlock: three chain jobs at once on three
+// workers with one in-flight call each. Every link waits only on a holder of
+// lower member index, and the links of the first member never wait, so all
+// three finish — far inside the call timeout — with no chain abandoned.
+func TestConcurrentChainsDoNotDeadlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(4212))
+	params := core.Params{P: 2, Q: 2, R: 3}
+	addrs, workers := startWorkers(t, 3)
+	opts := fastOpts()
+	opts.DisableHeartbeat = true
+	opts.PerWorkerInflight = 1
+	opts.CallTimeout = 20 * time.Second
+	d, err := DialOptions(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	type job struct{ a, b, want, got *bmat.BlockMatrix }
+	jobs := make([]*job, 3)
+	for i := range jobs {
+		a, b := bmat.RandomDense(rng, 48, 48, 8), bmat.RandomDense(rng, 48, 48, 8)
+		jobs[i] = &job{a: a, b: b, want: cuboidReference(t, a, b, params)}
+	}
+	before := d.NetStats()
+	start := time.Now()
+	var wg sync.WaitGroup
+	errs := make([]error, len(jobs))
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j.got, errs[i] = execute(d, j.a, j.b, params)
+		}()
+	}
+	wg.Wait()
+	if took := time.Since(start); took > opts.CallTimeout/4 {
+		t.Errorf("three concurrent chains took %v, want well inside the %v call timeout", took, opts.CallTimeout)
+	}
+	for i, j := range jobs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		bitIdentical(t, j.got, j.want)
+	}
+	if delta := d.NetStats().Sub(before); delta.ChainFallbacks != 0 {
+		t.Errorf("%d chains abandoned, want none", delta.ChainFallbacks)
+	}
+	if n := heldSums(workers...); n != 0 {
+		t.Errorf("%d running sums held after the jobs, want 0", n)
+	}
+}
+
+// TestHostileChainLinks: a chain request whose slab group lies outside its
+// column, that names a predecessor as its first link (or none past it), or
+// that names its own worker as its predecessor is refused as errWire before
+// it computes; one that names a key its predecessor never made fails as a
+// typed peer-fetch error once the predecessor's wait has passed, and a take
+// of an unknown key answers errNoSum after its wait — neither past it.
+func TestHostileChainLinks(t *testing.T) {
+	addrs, workers := startWorkers(t, 2)
+	recs := wireSeedRecs()
+	prepareRecs(t, recs)
+	link := func(l chainLink) *multiplyArgs {
+		return &multiplyArgs{IHi: 1, JHi: 1, KHi: 2, slabs: 2, ABlocks: recs[:1], link: &l}
+	}
+	const wait = 200 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		args *multiplyArgs
+	}{
+		{"empty slab group", link(chainLink{lo: 1, hi: 1, self: addrs[1], prev: addrs[0], wait: wait})},
+		{"slab group past R", link(chainLink{lo: 1, hi: 3, self: addrs[1], prev: addrs[0], wait: wait})},
+		{"first link with a predecessor", link(chainLink{lo: 0, hi: 1, self: addrs[1], prev: addrs[0], wait: wait})},
+		{"later link without one", link(chainLink{lo: 1, hi: 2, self: addrs[1], wait: wait})},
+		{"its own worker as predecessor", link(chainLink{lo: 1, hi: 2, self: addrs[1], prev: addrs[1], wait: wait})},
+	} {
+		rd := codec.NewFrameReader(bytes.NewReader(frameOf(bodyOf(t, codec.Writes(blockSender{}.appendMultiplyArgs, tc.args)))))
+		if err := rd.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if err := decodeMultiplyArgs(rd, new(multiplyArgs), newBlockCache(-1)); !errors.Is(err, errWire) {
+			t.Errorf("%s: %v, want errWire", tc.name, err)
+		}
+	}
+
+	client, err := dialWorker(addrs[1], time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	start := time.Now()
+	err = client.Call(context.Background(), methodMultiply,
+		codec.Writes(blockSender{}.appendMultiplyArgs, link(chainLink{id: 77, lo: 1, hi: 2, self: addrs[1], prev: addrs[0], wait: wait})),
+		codec.Reads(decodeMultiplyReply, new(multiplyReply)))
+	var fe *peerFetchError
+	if !errors.As(err, &fe) {
+		t.Errorf("a link whose predecessor never made its sum: %v, want a peer-fetch error", err)
+	}
+	if took := time.Since(start); took < wait || took > wait+2*time.Second {
+		t.Errorf("the link failed after %v, want its %v wait", took, wait)
+	}
+
+	peer, err := dialWorker(addrs[0], time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	start = time.Now()
+	err = peer.Call(context.Background(), methodTakeSum, codec.Writes(appendSumArgs, &sumArgs{id: 78, upTo: 1, wait: wait}), nil)
+	if !errors.Is(err, errNoSum) {
+		t.Errorf("a take of an unknown sum: %v, want errNoSum", err)
+	}
+	if took := time.Since(start); took < wait || took > wait+2*time.Second {
+		t.Errorf("the take failed after %v, want its %v wait", took, wait)
+	}
+	if n := heldSums(workers...); n != 0 {
+		t.Errorf("%d running sums or takes left behind, want none", n)
+	}
+}

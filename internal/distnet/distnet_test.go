@@ -61,11 +61,13 @@ func TestRemoteMultiplyMatchesLocal(t *testing.T) {
 		t.Fatal("remote product differs from local reference")
 	}
 
-	// All three workers should have served cuboids (6 columns of 2, homes
-	// consecutive on the ring).
+	// The plan runs as the k-ordered chain on min(R, 3) = 2 holders — the
+	// two workers from the job's ring position on, here the first two —
+	// each serving its slab of all 6 columns; homes would send each of A's
+	// row bands to two workers.
 	for i, w := range workers {
-		if w.Multiplies() == 0 {
-			t.Errorf("worker %d served nothing", i)
+		if want := []int{6, 6, 0}[i]; w.Multiplies() != want {
+			t.Errorf("worker %d served %d cuboids, want %d", i, w.Multiplies(), want)
 		}
 	}
 }

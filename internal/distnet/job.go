@@ -23,9 +23,12 @@ import (
 // driver only places it — Eq.(4)'s aggregation happens where the partials
 // are made. A column whose operands are over the job's call bound (θt, at
 // most half a wire frame) goes out as its R cuboids instead, and the driver
-// folds their partials by the same rule (core.FoldSlab). A transfer mode is
-// just a fill step; span tree, job meter, gauges and the retry/downgrade/
-// local-fallback scheduler exist once, for every mode.
+// folds their partials by the same rule (core.FoldSlab). That is the homes
+// placement; a push job whose columns would replicate operand bands across
+// workers runs as the k-ordered chain instead (chain.go), each column split
+// by slab groups across holders that hand the running sum on. A transfer
+// mode is just a fill step; span tree, job meter, gauges and the
+// retry/downgrade/local-fallback scheduler exist once, for every mode.
 //
 // That scheduler is how a multiply recovers, and all of it: a failed call is
 // re-dispatched to the next live member, a pull call whose worker cannot
@@ -50,12 +53,15 @@ type cuboidJob struct {
 }
 
 // column is one (p,q) column of a job. whole is the column as one call, all
-// R slabs; calls is what goes out: whole itself, or — when whole's operands
-// are over the job's callBytes — its R cuboids, one slab each, in ascending
-// r, whose replies the driver folds.
+// R slabs; calls is what goes out under homes: whole itself, or — when
+// whole's operands are over the job's callBytes — its R cuboids, one slab
+// each, in ascending r, whose replies the driver folds. links, under the
+// chain, are the column's links in holder order (chain.go), and calls are
+// then what the column re-runs as when a link fails.
 type column struct {
 	whole *multiplyArgs
 	calls []*multiplyArgs
+	links []*multiplyArgs
 }
 
 // cuboidRun is one job in flight: what its column goroutines share.
@@ -109,6 +115,8 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 	// was its own call, so an R = 1 job is placed exactly as then, and a
 	// stream of repeated jobs mixing R = 1 and R > 1 keeps the cross-job
 	// references that placement gave it.
+	// Under the chain (chain.go) the columns' homes calls are planned all the
+	// same: a column whose chain fails re-runs as them.
 	core.ForEachCuboid(core.Params{P: params.P, Q: params.Q, R: 1}, gi, gj, gk, func(p, q, _ int, box core.Box) {
 		r.columns = append(r.columns, r.planColumn(p, q, box))
 	})
@@ -117,6 +125,10 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 		for rr, call := range col.calls {
 			call.home = base + g + rr
 		}
+	}
+	placement := r.planChain(gk, base)
+	if r.root.Active() {
+		r.root.SetAttr("placement", placement.String())
 	}
 	r.replies = make([]*multiplyReply, len(r.columns))
 	r.errs = make([]error, len(r.columns))
@@ -129,8 +141,13 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 	for idx, col := range r.columns {
 		for _, call := range col.calls {
 			call.prep = prep
-			if r.errs[idx] == nil && !call.pull {
+			if r.errs[idx] == nil && !call.pull && col.links == nil {
 				r.errs[idx] = prep.prepare(call)
+			}
+		}
+		for _, link := range col.links {
+			if r.errs[idx] == nil {
+				r.errs[idx] = prep.prepare(link)
 			}
 		}
 		if r.errs[idx] != nil {
@@ -170,26 +187,29 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 // calls that then go out in its place, each about an R-th of the column —
 // the size θt bounds when the optimizer chose the plan.
 func (r *cuboidRun) planColumn(p, q int, box core.Box) column {
-	call := func(box core.Box, slabs int) *multiplyArgs {
-		args := &multiplyArgs{
-			ILo: box.ILo, IHi: box.IHi, JLo: box.JLo, JHi: box.JHi, KLo: box.KLo, KHi: box.KHi,
-			slabs:   slabs,
-			cuboidP: p, cuboidQ: q,
-			meter: r.meter,
-		}
-		r.job.fill(args)
-		return args
-	}
 	R := r.job.params.R
-	col := column{whole: call(box, R)}
+	col := column{whole: r.newCall(p, q, box, R)}
 	col.calls = []*multiplyArgs{col.whole}
 	if R > 1 && col.whole.inputBytes(r.job.blockSize) > r.job.callBytes {
 		col.calls = make([]*multiplyArgs, R)
 		for rr := range col.calls {
-			col.calls[rr] = call(box.Slab(rr, R), 1)
+			col.calls[rr] = r.newCall(p, q, box.Slab(rr, R), 1)
 		}
 	}
 	return col
+}
+
+// newCall is one call of column (p,q) over box, cut into slabs, filled with
+// the box's slices.
+func (r *cuboidRun) newCall(p, q int, box core.Box, slabs int) *multiplyArgs {
+	args := &multiplyArgs{
+		ILo: box.ILo, IHi: box.IHi, JLo: box.JLo, JHi: box.JHi, KLo: box.KLo, KHi: box.KHi,
+		slabs:   slabs,
+		cuboidP: p, cuboidQ: q,
+		meter: r.meter,
+	}
+	r.job.fill(args)
+	return args
 }
 
 // inputBytes is what the call's operands take in a worker's memory, the
@@ -237,7 +257,13 @@ func (r *cuboidRun) runOne(idx int) {
 	csp := r.d.tracer.Start(r.root.ID(), "cuboid", obs.KindDriver)
 	col.whole.label(csp)
 	defer csp.End()
-	reply, err := r.runCalls(col, csp)
+	var reply *multiplyReply
+	var err error
+	if col.links != nil {
+		reply, err = r.runChain(col, csp)
+	} else {
+		reply, err = r.runCalls(col, csp)
+	}
 	if err != nil {
 		if csp.Active() {
 			csp.SetAttr("error", err.Error())

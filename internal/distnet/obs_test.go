@@ -83,6 +83,14 @@ func spanAttr(s obs.SpanData, key string) string {
 // being all R cuboids of its (p,q) — each with slabs = R.
 func checkOneSpanPerColumn(t *testing.T, spans []obs.SpanData, name string, params core.Params) {
 	t.Helper()
+	checkSpansPerColumn(t, spans, name, params, 1, params.R)
+}
+
+// checkSpansPerColumn is checkOneSpanPerColumn for calls that each carry
+// part of a column: n spans per (p,q) column, each with that many slabs —
+// a chain's h links of R/h slabs.
+func checkSpansPerColumn(t *testing.T, spans []obs.SpanData, name string, params core.Params, n, slabs int) {
+	t.Helper()
 	_, byName := spanIndex(spans)
 	got := map[[3]int]int{}
 	for _, s := range byName[name] {
@@ -91,15 +99,15 @@ func checkOneSpanPerColumn(t *testing.T, spans []obs.SpanData, name string, para
 			t.Errorf("%s span %d has no cuboid coordinate", name, s.ID)
 			continue
 		}
-		if slabs := spanAttr(s, "slabs"); slabs != fmt.Sprint(params.R) {
-			t.Errorf("%s span of column (%d,%d): slabs = %q, want %d", name, p, q, slabs, params.R)
+		if got := spanAttr(s, "slabs"); got != fmt.Sprint(slabs) {
+			t.Errorf("%s span of column (%d,%d): slabs = %q, want %d", name, p, q, got, slabs)
 		}
 		got[[3]int{p, q, r}]++
 	}
 	for p := 0; p < params.P; p++ {
 		for q := 0; q < params.Q; q++ {
-			if n := got[[3]int{p, q, 0}]; n != 1 {
-				t.Errorf("column (%d,%d): %d %q spans, want exactly 1", p, q, n, name)
+			if got := got[[3]int{p, q, 0}]; got != n {
+				t.Errorf("column (%d,%d): %d %q spans, want exactly %d", p, q, got, name, n)
 			}
 		}
 	}
@@ -112,6 +120,9 @@ func checkOneSpanPerColumn(t *testing.T, spans []obs.SpanData, name string, para
 // multiply: a root, one cuboid span per dispatched (p,q) column, RPC attempts
 // with wire children, worker compute spans parented across the wire, and no
 // orphan parents — while the product stays byte-identical to an untraced run.
+// (4,2,2) on two workers runs as the k-ordered chain: each column is two
+// links of one slab, and the second link's running sum is a peer.fetch under
+// its worker.compute.
 func TestTracedMultiplySpanTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(500))
 	a := bmat.RandomDense(rng, 32, 32, 4)
@@ -150,22 +161,27 @@ func TestTracedMultiplySpanTree(t *testing.T) {
 	byID, byName := spanIndex(spans)
 	checkNoOrphans(t, spans)
 	checkOneSpanPerColumn(t, spans, "cuboid", params)
-	// Every successful column has an RPC attempt under it, and (sharing the
-	// tracer) one worker compute span parented to that attempt.
-	if n := len(byName["rpc.multiply"]); n < params.P*params.Q {
-		t.Errorf("%d rpc.multiply spans, want >= %d", n, params.P*params.Q)
-	}
-	for _, s := range byName["rpc.multiply"] {
-		if slabs := spanAttr(s, "slabs"); slabs != fmt.Sprint(params.R) {
-			t.Errorf("rpc.multiply span %d: slabs = %q, want %d", s.ID, slabs, params.R)
-		}
-	}
-	checkOneSpanPerColumn(t, spans, "worker.compute", params)
-
 	if len(byName["distnet.multiply"]) != 1 {
 		t.Fatalf("%d root spans, want 1", len(byName["distnet.multiply"]))
 	}
 	root := byName["distnet.multiply"][0]
+	if got := spanAttr(root, "placement"); got != "chain" {
+		t.Fatalf("placement %q, want chain", got)
+	}
+	// Every link has an RPC attempt under its column, and (sharing the
+	// tracer) one worker compute span parented to that attempt; every link
+	// past the first takes its running sum from its predecessor.
+	links := 2
+	checkSpansPerColumn(t, spans, "rpc.multiply", params, links, params.R/links)
+	checkSpansPerColumn(t, spans, "worker.compute", params, links, params.R/links)
+	if n, want := len(byName["peer.fetch"]), params.P*params.Q*(links-1); n != want {
+		t.Errorf("%d peer.fetch spans, want %d", n, want)
+	}
+	for _, s := range byName["peer.fetch"] {
+		if parent, ok := byID[s.Parent]; !ok || parent.Name != "worker.compute" {
+			t.Errorf("peer.fetch span %d not parented to a worker.compute span", s.ID)
+		}
+	}
 	for _, c := range byName["cuboid"] {
 		if c.Parent != root.ID {
 			t.Errorf("cuboid span %d not parented to root", c.ID)
@@ -245,11 +261,12 @@ func TestTraceSpanTreeUnderChaos(t *testing.T) {
 		checkOneSpanPerColumn(t, spans, "cuboid", params)
 		// Under chaos a worker can still be computing an abandoned attempt
 		// when the driver finishes, so worker-side spans from this round may
-		// land after the snapshot; restrict the orphan check to driver-side
-		// spans, whose parents always precede them in the buffer.
+		// land after the snapshot — a chain link's peer.fetch before the
+		// worker.compute it sits under; restrict the orphan check to
+		// driver-side spans, whose parents always precede them in the buffer.
 		var driverSide []obs.SpanData
 		for _, s := range spans {
-			if s.Name != "worker.compute" && s.Name != "wire.decode" {
+			if s.Name != "worker.compute" && s.Name != "wire.decode" && s.Name != "peer.fetch" {
 				driverSide = append(driverSide, s)
 			}
 		}

@@ -17,10 +17,10 @@ import (
 
 // The one cuboid job path's contract, as one table: whatever way a (p,q)
 // column obtains its slices — pushed inline, pulled by manifest, downgraded
-// mid-job — and whether it goes out as one call or, over the call bound, as
-// its R cuboids, the product is the same bytes, the
-// bytes core.MultiplyCuboid computes on the simulated cluster, and the job is
-// metered, gauged and traced the same way.
+// mid-job — and whether it goes out as one call, over the call bound as its
+// R cuboids, or as the links of a k-ordered chain, the product is the same
+// bytes, the bytes core.MultiplyCuboid computes on the simulated cluster, and
+// the job is metered, gauged and traced the same way.
 
 // gaugeCtx samples Driver.ActiveJobs every time the job path polls its
 // context — which it does before each scheduling attempt, from inside the
@@ -87,7 +87,6 @@ func observeJob(t *testing.T, d *Driver, tr *obs.Tracer, params core.Params, tra
 }
 
 func TestCuboidPathParity(t *testing.T) {
-	params := core.Params{P: 2, Q: 2, R: 2}
 	shapes := []struct {
 		name string
 		make func(rng *rand.Rand) (a, b *bmat.BlockMatrix)
@@ -99,17 +98,24 @@ func TestCuboidPathParity(t *testing.T) {
 			return bmat.RandomDense(rng, 40, 48, 8), bmat.RandomDense(rng, 48, 40, 8)
 		}},
 	}
+	// On three workers a push plan of R ≥ 2 and several columns runs as the
+	// k-ordered chain — every band it would replicate crosses the driver
+	// once — on two holders; R = 1 keeps homes, and so does a θt of one byte,
+	// which no link fits either.
 	rows := []struct {
 		name     string
+		params   core.Params
 		transfer core.Transfer
+		chain    bool // the plan's placement is the chain
 		kill     bool // kill one band owner once the operands are resident
 		split    bool // a θt of one byte: every column goes out as its R cuboids
 	}{
-		{name: "push", transfer: core.TransferPush},
-		{name: "pull", transfer: core.TransferPull},
-		{name: "pull, killed peer", transfer: core.TransferPull, kill: true},
-		{name: "push, columns over θt", transfer: core.TransferPush, split: true},
-		{name: "pull, columns over θt", transfer: core.TransferPull, split: true},
+		{name: "push", params: core.Params{P: 2, Q: 2, R: 1}, transfer: core.TransferPush},
+		{name: "push, chain", params: core.Params{P: 2, Q: 2, R: 2}, transfer: core.TransferPush, chain: true},
+		{name: "pull", params: core.Params{P: 2, Q: 2, R: 2}, transfer: core.TransferPull},
+		{name: "pull, killed peer", params: core.Params{P: 2, Q: 2, R: 2}, transfer: core.TransferPull, kill: true},
+		{name: "push, columns over θt", params: core.Params{P: 2, Q: 2, R: 2}, transfer: core.TransferPush, split: true},
+		{name: "pull, columns over θt", params: core.Params{P: 2, Q: 2, R: 2}, transfer: core.TransferPull, split: true},
 	}
 
 	for si, shape := range shapes {
@@ -126,12 +132,17 @@ func TestCuboidPathParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.MultiplyCuboid(context.Background(), a, b, params, core.Env{Cluster: cl})
-		if err != nil {
-			t.Fatal(err)
+		wants := map[core.Params]*bmat.BlockMatrix{}
+		for _, row := range rows {
+			if wants[row.params] == nil {
+				if wants[row.params], err = core.MultiplyCuboid(context.Background(), a, b, row.params, core.Env{Cluster: cl}); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 
 		for _, row := range rows {
+			params, want := row.params, wants[row.params]
 			t.Run(shape.name+"/"+row.name, func(t *testing.T) {
 				addrs, workers := startWorkers(t, 3)
 				tr := obs.NewTracer()
@@ -176,14 +187,21 @@ func TestCuboidPathParity(t *testing.T) {
 				bitIdentical(t, observeJob(t, d, tr, params, row.transfer, run), want)
 				delta := d.NetStats().Sub(before)
 
-				// A column goes out as one call of R slabs, or over the call
-				// bound as R calls of one: an rpc.multiply span per call —
-				// more where a dead peer's calls were retried.
-				calls, slabs := params.P*params.Q, params.R
-				if row.split {
+				// A column goes out as one call of R slabs, over the call
+				// bound as R calls of one, or as the chain's two links of R/2:
+				// an rpc.multiply span per call — more where a dead peer's
+				// calls were retried.
+				calls, slabs, placement := params.P*params.Q, params.R, core.PlaceHomes
+				switch {
+				case row.chain:
+					calls, slabs, placement = 2*params.P*params.Q, params.R/2, core.PlaceChain
+				case row.split:
 					calls, slabs = params.Tasks(), 1
 				}
 				_, byName := spanIndex(tr.Snapshot().Spans)
+				if got := spanAttr(byName["distnet.multiply"][0], "placement"); got != placement.String() {
+					t.Errorf("placement %q, want %v", got, placement)
+				}
 				if n := len(byName["rpc.multiply"]); n < calls || (!row.kill && n != calls) {
 					t.Errorf("%d rpc.multiply spans, want %d", n, calls)
 				}
@@ -213,7 +231,8 @@ func TestCuboidPathParity(t *testing.T) {
 
 // TestColumnOverCallBoundGoesOutAsCuboids: planning sends a (p,q) column as
 // one call while its operands fit the call bound, and as its R cuboids — one
-// slab each, the k ranges Box.Slab cuts — once they do not. The bound is θt
+// slab each, the k ranges Box.Slab cuts — once they do not; under the
+// k-ordered chain the bound is each link's. The bound is θt
 // and never more than half a wire frame: a column of 80 blocks of 32 MiB
 // (2.5 GiB, one block's storage behind every record) is split even under a
 // 64 GiB θt, into cuboids of 640 MiB that a frame holds. At R = 1 the column
@@ -278,6 +297,65 @@ func TestColumnOverCallBoundGoesOutAsCuboids(t *testing.T) {
 			}
 		})
 	}
+	// Under the chain the bound applies per link, each holder's slabs: the
+	// 2.5 GiB column that homes sends as four cuboids goes out unsplit on
+	// four holders, in links of 640 MiB, one slab each. On two holders its
+	// links of 1.25 GiB are over half a frame, so the chain is no candidate
+	// and the column stays with homes' four cuboids; so is a small column
+	// under a θt of one byte.
+	for _, tc := range []struct {
+		name     string
+		a, b     *bmat.BlockMatrix
+		holders  int
+		workerθt int64
+		chain    bool
+	}{
+		{"2.5 GiB column on four holders", tall, wide, 4, 64 << 30, true},
+		{"2.5 GiB column on two holders", tall, wide, 2, 64 << 30, false},
+		{"small column on two holders, θt of one byte", small, smallB, 2, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			params := core.Params{P: 1, Q: 1, R: 4}
+			r := &cuboidRun{d: &Driver{}, job: &cuboidJob{
+				rows: tc.a.Rows, inner: tc.a.Cols, cols: tc.b.Cols, blockSize: tc.a.BlockSize, params: params,
+				callBytes: MultiplyOptions{WorkerMemBytes: tc.workerθt}.callBytes(),
+				fill: func(args *multiplyArgs) {
+					args.ABlocks = boxRecs(tc.a, args.ILo, args.IHi, args.KLo, args.KHi)
+					args.BBlocks = boxRecs(tc.b, args.KLo, args.KHi, args.JLo, args.JHi)
+				},
+			}}
+			box := core.Box{IHi: tc.a.IB, JHi: tc.b.JB, KHi: tc.a.JB}
+			r.columns = []column{r.planColumn(0, 0, box)}
+			place := core.ChoosePlacement(params, r.faces(tc.a.JB), tc.holders, r.job.callBytes)
+			if (place == core.PlaceChain) != tc.chain {
+				t.Fatalf("placement %v, want chain %v", place, tc.chain)
+			}
+			if !tc.chain {
+				return
+			}
+			holders := make([]*member, tc.holders)
+			for g := range holders {
+				holders[g] = &member{addr: fmt.Sprintf("w%d", g)}
+			}
+			r.planLinks(holders)
+			col := r.columns[0]
+			var records int
+			for g, link := range col.links {
+				l := link.link
+				if l.lo != g || l.hi != g+1 || link.slabCount() != 1 || link.box() != box || l.holder != holders[g] {
+					t.Errorf("link %d: slabs [%d,%d) of a box %+v on %s", g, l.lo, l.hi, link.box(), l.holder.addr)
+				}
+				if got := link.inputBytes(tc.a.BlockSize); got > r.job.callBytes {
+					t.Errorf("link %d: %d operand bytes, over the %d-byte bound", g, got, r.job.callBytes)
+				}
+				records += len(link.ABlocks) + len(link.BBlocks)
+			}
+			if want := len(col.whole.ABlocks) + len(col.whole.BBlocks); len(col.links) != tc.holders || records != want {
+				t.Errorf("%d links carry %d records, want %d links and the column's %d", len(col.links), records, tc.holders, want)
+			}
+		})
+	}
+
 	// An operand pulled from a handle that kept no source has manifest
 	// entries and no records: each counts as a dense block.
 	pulled := &multiplyArgs{aManifest: &codec.Manifest{Entries: make([]codec.ManifestEntry, 3)}, BBlocks: []blockRec{{Block: big}}}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"time"
 
 	"distme/internal/bmat"
 	"distme/internal/codec"
@@ -33,7 +34,11 @@ import (
 // step where version 5's rounded the multiply and the add apart: a
 // version 5 worker's column would differ in its last bits from the
 // driver's local fallback and from resident pipelines on newer workers.
-var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 6}
+// Version 7's multiply may be one link of a column's k-ordered chain (its
+// slab group, its predecessor and how long to wait for it), and its workers
+// hand running sums to each other (methodTakeSum), which version 6 knew
+// nothing of.
+var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 7}
 
 // The worker socket's methods, by the byte a request names them with.
 const (
@@ -44,6 +49,8 @@ const (
 	methodFreeHandles
 	methodPinHandle
 	methodExecOp
+	_ // ExecOp's byte in version 1 of the socket: retired, answered as unknown
+	methodTakeSum
 )
 
 // blockRec is one keyed block on the wire.
@@ -65,9 +72,10 @@ type blockRec struct {
 
 // multiplyArgs ships one (p,q) column to a worker — the voxel box of its R
 // cuboids, the whole k range, and its slab count R — or, for a column over
-// its job's call bound, one of those cuboids, one slab; and the A- and B-side
-// blocks the box needs. Indices are global block coordinates so the reply
-// keys line up with the driver's output grid.
+// its job's call bound, one of those cuboids, one slab, or one link of the
+// column's chain (link); and the A- and B-side blocks the call needs.
+// Indices are global block coordinates so the reply keys line up with the
+// driver's output grid.
 type multiplyArgs struct {
 	ILo, IHi, JLo, JHi, KLo, KHi int
 	ABlocks                      []blockRec // A_{i,k} for the box
@@ -76,7 +84,8 @@ type multiplyArgs struct {
 	// slabs is how many of the column's cuboids the box holds: the worker
 	// cuts the k range into this many slabs and folds their products in
 	// ascending r (core.MultiplyColumn), so one tile per C block comes back.
-	// R for a whole column, 1 for one cuboid of a column sent out in R calls.
+	// R for a whole column and for a chain link, 1 for one cuboid of a
+	// column sent out in R calls.
 	slabs int
 
 	// cacheEpoch scopes this column's digest references to one driver job;
@@ -122,6 +131,39 @@ type multiplyArgs struct {
 	// push retry or run the local fallback — a partial inline set would
 	// silently compute against missing blocks. Driver-side only.
 	pullInline bool
+
+	// link, when set, makes the call one link of its column's k-ordered
+	// chain (chain.go): the box is still the whole column and slabs its R,
+	// but the blocks are only those of the link's slabs.
+	link *chainLink
+}
+
+// chainLink is one holder's part of a column's chain: slabs [lo, hi) of the
+// column's R. The holder computes them, takes the running sum of slabs
+// [0, lo) from prev — the holder before it — folds its slabs into it in
+// ascending r, and keeps the sum of [0, hi) under (id, hi) for the holder
+// after it; the last link (hi = R) returns the column's C blocks instead.
+type chainLink struct {
+	id     uint64
+	lo, hi int
+	// self is the holder's own address and prev its predecessor's, "" for
+	// the first link (lo = 0).
+	self, prev string
+	// wait bounds how long the holder waits for its incoming sum, and how
+	// long the sum it keeps waits to be taken.
+	wait time.Duration
+	// holder is the member the link runs on, fixed at plan time. Driver-side
+	// only.
+	holder *member
+}
+
+// slabCount is how many of the column's cuboids the call computes: its
+// link's slabs, or all of its slabs.
+func (a *multiplyArgs) slabCount() int {
+	if a.link != nil {
+		return a.link.hi - a.link.lo
+	}
+	return a.slabs
 }
 
 // box is the call's voxel box.
@@ -131,11 +173,11 @@ func (a *multiplyArgs) box() core.Box {
 
 // label marks a span of the call, driver or worker side, with its column's
 // coordinate — (p,q,0): a column is all R cuboids of its (p,q) — and the
-// call's slab count.
+// call's slab count (slabCount).
 func (a *multiplyArgs) label(sp obs.Span) {
 	if sp.Active() {
 		sp.SetCuboid(a.cuboidP, a.cuboidQ, 0)
-		sp.SetAttr("slabs", strconv.Itoa(a.slabs))
+		sp.SetAttr("slabs", strconv.Itoa(a.slabCount()))
 	}
 }
 
@@ -187,6 +229,11 @@ var (
 	// not hold (evicted, freed, or never received — e.g. after a worker
 	// restart). The driver answers it by rebuilding the handle from lineage.
 	errUnknownHandle = errors.New("distnet: unknown handle")
+
+	// errNoSum is a worker's answer to a take of a running sum it did not
+	// come to hold within the wait bound: never made, taken already, or
+	// expired. The chain that needed it is abandoned and its column re-runs.
+	errNoSum = errors.New("distnet: no running sum")
 )
 
 // pullError is a failed pull resolution: handle's manifest could not be
@@ -226,6 +273,7 @@ const (
 	codeUnknownHandle
 	codePullFailed      // uvarint handle, bool evicted
 	codePeerFetchFailed // bool evicted
+	codeNoSum
 )
 
 var (
@@ -245,6 +293,8 @@ func workerErrorCode(err error) (byte, func(*codec.FrameWriter)) {
 		}
 	case errors.As(err, &fe):
 		return codePeerFetchFailed, func(w *codec.FrameWriter) { w.Bool(evicted) }
+	case errors.Is(err, errNoSum):
+		return codeNoSum, nil
 	}
 	for i, sentinel := range workerSentinels {
 		if errors.Is(err, sentinel) {
@@ -261,6 +311,8 @@ func readWorkerError(code byte, r *codec.FrameReader) (error, error) {
 	var handle uint64
 	var err error
 	switch code {
+	case codeNoSum:
+		return errNoSum, nil
 	case codePullFailed:
 		handle, err = r.Uvarint()
 	case codePeerFetchFailed:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"distme/internal/codec"
 	"distme/internal/metrics"
@@ -116,6 +117,17 @@ func (s blockSender) appendMultiplyArgs(w *codec.FrameWriter, a *multiplyArgs) e
 	for _, v := range [3]int{a.cuboidP, a.cuboidQ, a.slabs} {
 		w.Uvarint(uint64(v))
 	}
+	if l := a.link; l != nil {
+		w.Byte(1)
+		for _, v := range [3]uint64{uint64(l.lo), uint64(l.hi), uint64(l.wait / time.Millisecond)} {
+			w.Uvarint(v)
+		}
+		appendChainID(w, l.id)
+		w.Str(l.self)
+		w.Str(l.prev)
+	} else {
+		w.Byte(0)
+	}
 	if a.pull {
 		// Pull mode ships the placement manifests instead of the operand
 		// blocks — the assigned worker resolves them against its cache, its
@@ -201,6 +213,9 @@ func decodeMultiplyArgs(rd *codec.FrameReader, a *multiplyArgs, cache *blockCach
 	if err := checkSlabs(a.KHi-a.KLo, a.slabs); err != nil {
 		return err
 	}
+	if a.link, err = decodeChainLink(rd, a.slabs); err != nil {
+		return err
+	}
 	mode, err := rd.U8()
 	if err != nil {
 		return err
@@ -227,6 +242,52 @@ func decodeMultiplyArgs(rd *codec.FrameReader, a *multiplyArgs, cache *blockCach
 	}
 	a.BBlocks, err = decodeBlockRecs(rd, cache, epoch)
 	return err
+}
+
+// maxChainWait caps the wait a chain link asks for: a holder never waits for
+// its incoming sum, nor keeps a sum for its successor, longer than this.
+const maxChainWait = 5 * time.Minute
+
+// decodeChainLink reads a multiply's chain fields, nil for a call that is no
+// chain link. A link is refused as errWire when its slab group is not
+// inside the column's R slabs, when it names a predecessor and is the first
+// link or names none and is not, and when its predecessor is itself: every
+// wait it could then start would be for a sum that never comes.
+func decodeChainLink(rd *codec.FrameReader, slabs int) (*chainLink, error) {
+	flag, err := rd.U8()
+	if err != nil || flag == 0 {
+		return nil, err
+	}
+	if flag != 1 {
+		return nil, fmt.Errorf("%w: unknown chain flag %d", errWire, flag)
+	}
+	l := new(chainLink)
+	var wait uint64
+	if err := readInts(rd, &l.lo, &l.hi); err != nil {
+		return nil, err
+	}
+	if wait, err = rd.Uvarint(); err != nil {
+		return nil, err
+	}
+	if l.id, err = readChainID(rd); err != nil {
+		return nil, err
+	}
+	if l.self, err = rd.Str(); err != nil {
+		return nil, err
+	}
+	if l.prev, err = rd.Str(); err != nil {
+		return nil, err
+	}
+	switch {
+	case l.lo >= l.hi || l.hi > slabs:
+		return nil, fmt.Errorf("%w: chain link of slabs [%d,%d) in a column of %d", errWire, l.lo, l.hi, slabs)
+	case (l.lo == 0) != (l.prev == ""):
+		return nil, fmt.Errorf("%w: chain link from slab %d names predecessor %q", errWire, l.lo, l.prev)
+	case l.prev == l.self:
+		return nil, fmt.Errorf("%w: chain link names its own worker %q as predecessor", errWire, l.self)
+	}
+	l.wait = time.Duration(min(wait, uint64(maxChainWait/time.Millisecond))) * time.Millisecond
+	return l, nil
 }
 
 func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64) ([]blockRec, error) {

@@ -38,14 +38,22 @@ const (
 	bodyGetReply
 	bodyExecReply
 	bodyPingReply
+	bodyChainArgs
+	bodySumArgs
+	bodySumReply
 	bodyKinds
 )
 
 // decodeBody runs the streaming decoder a codec would run for one body.
 func decodeBody(kind int, rd *codec.FrameReader) error {
 	switch kind {
-	case bodyMultiplyArgs, bodyPullMultiplyArgs, bodyColumnArgs:
+	case bodyMultiplyArgs, bodyPullMultiplyArgs, bodyColumnArgs, bodyChainArgs:
 		return decodeMultiplyArgs(rd, new(multiplyArgs), newBlockCache(-1))
+	case bodySumArgs:
+		return decodeSumArgs(rd, new(sumArgs))
+	case bodySumReply:
+		_, err := decodePlainBlocks(rd)
+		return err
 	case bodyMultiplyReply:
 		return decodeMultiplyReply(rd, new(multiplyReply))
 	case bodyPutArgs:
@@ -100,6 +108,10 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 	pull := multiplyArgs{IHi: 1, JHi: 1, KHi: 1, slabs: 1, pull: true, pullSelf: "10.0.0.1:7070", aManifest: manifest, bManifest: manifest}
 	// A (p,q) column of three cuboids: its whole k range and R = 3.
 	column := multiplyArgs{IHi: 2, JHi: 1, KHi: 3, slabs: 3, cuboidP: 1, ABlocks: recs, BBlocks: recs, cacheEpoch: 3}
+	// The second link of that column's chain: slabs [1,3), after the holder
+	// at 10.0.0.1.
+	link := column
+	link.link = &chainLink{id: 1 << 60, lo: 1, hi: 3, self: "10.0.0.2:7070", prev: "10.0.0.1:7070", wait: 15 * time.Second}
 	parts := []partLoc{{Addr: "10.0.0.2:7070", Lo: 0, Hi: 4}}
 
 	var send blockSender
@@ -108,6 +120,9 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 	add(bodyMultiplyArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &push) })
 	add(bodyPullMultiplyArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &pull) })
 	add(bodyColumnArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &column) })
+	add(bodyChainArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &link) })
+	add(bodySumArgs, codec.Writes(appendSumArgs, &sumArgs{id: 1 << 60, upTo: 1, wait: 15 * time.Second}))
+	add(bodySumReply, codec.Writes(appendSumReply, &sumReply{blocks: recs}))
 	add(bodyMultiplyReply, func(w *codec.FrameWriter) error {
 		return appendMultiplyReply(w, &multiplyReply{CBlocks: recs, pullHits: 2})
 	})
@@ -259,8 +274,8 @@ func forgedCountBodies() map[string]struct {
 		return append(append(append([]byte(nil), head...), rest...), huge...)
 	}
 	// column is a multiply body up to its transfer mode: a box one block
-	// deep in k, cut into one slab.
-	column := []byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}
+	// deep in k, cut into one slab, and no chain link.
+	column := []byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0}
 	return map[string]struct {
 		kind int
 		body []byte
@@ -273,6 +288,7 @@ func forgedCountBodies() map[string]struct {
 		"handle ids":       {bodyFreeArgs, then(nil)},
 		"part locations":   {bodyExecArgs, then(make([]byte, 15))},
 		"get blocks":       {bodyGetReply, then(nil)},
+		"sum blocks":       {bodySumReply, then(nil)},
 		// Not an element count but a loop bound all the same: 2⁴⁰ slabs for
 		// a k range of one block.
 		"slab count": {bodyMultiplyArgs, binary.AppendUvarint(append([]byte(nil), column[:10]...), 1<<40)},
@@ -313,6 +329,7 @@ func TestForgedFramePrefixHugeCounts(t *testing.T) {
 var requestMethods = map[int]byte{
 	bodyMultiplyArgs: methodMultiply, bodyPullMultiplyArgs: methodMultiply, bodyColumnArgs: methodMultiply, bodyPutArgs: methodPutBlocks,
 	bodyGetArgs: methodGetBlocks, bodyFreeArgs: methodFreeHandles, bodyPinArgs: methodPinHandle, bodyExecArgs: methodExecOp,
+	bodyChainArgs: methodMultiply, bodySumArgs: methodTakeSum,
 }
 
 // wholeFrame puts body behind the header it travels with: seq 1 and its
@@ -329,6 +346,9 @@ func wholeFrame(kind int, body []byte) []byte {
 func serveRaw(raw []byte) (decodeErr, loopErr error) {
 	handlers := (&Worker{}).handlers()
 	for m, h := range handlers {
+		if h == nil {
+			continue // a retired method byte: answered as unknown
+		}
 		handlers[m] = func(r *codec.FrameReader) (codec.Call, error) {
 			_, err := h(r)
 			if decodeErr == nil {
@@ -422,9 +442,9 @@ func hostileFrames() map[string]struct {
 // FuzzWireBodies drives arbitrary frames, header included — whole, in
 // chunks, or ended by the abort marker — through both read loops of a
 // worker socket: requests through a worker's — method byte, then
-// the decoder of MultiplyArgs (push and pull) and the handle-store bodies of
-// handlewire.go — and replies through a client's — seq, error code and its
-// fields, then the reply decoders. A hostile peer gets a typed error —
+// the decoder of MultiplyArgs (push, pull and chain link), the running-sum
+// take and the handle-store bodies of handlewire.go — and replies through a
+// client's — seq, error code and its fields, then the reply decoders. A hostile peer gets a typed error —
 // errWire, the unknown-digest refusal for a reference the cache does not
 // hold, a coded answer, or a connection ended on a bad header — never a
 // panic, and never an allocation beyond what its bytes could hold plus one

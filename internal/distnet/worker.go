@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"distme/internal/bmat"
 	"distme/internal/codec"
 	"distme/internal/core"
 	"distme/internal/matrix"
@@ -55,6 +54,10 @@ type Worker struct {
 
 	// pull counts the pull plane's resolutions (WorkerPullStats).
 	pull metrics.Counters[WorkerPullStats]
+
+	// sums keeps the running sums of chain links until their successors
+	// take them (chain.go).
+	sums chainSums
 
 	inflight     sync.WaitGroup
 	shutdownOnce sync.Once
@@ -127,29 +130,17 @@ func computeCuboid(args *multiplyArgs, reply *multiplyReply) (flops float64, err
 	if err := checkBox(box); err != nil {
 		return 0, err
 	}
-	aBlocks := make(map[bmat.BlockKey]matrix.Block, len(args.ABlocks))
-	for _, r := range args.ABlocks {
-		aBlocks[r.Key] = r.Block
-	}
-	bBlocks := make(map[bmat.BlockKey]matrix.Block, len(args.BBlocks))
-	for _, r := range args.BBlocks {
-		bBlocks[r.Key] = r.Block
-	}
-	tiles, flops := core.MultiplyColumn(box, args.slabs,
-		func(i, k int) matrix.Block { return aBlocks[bmat.BlockKey{I: i, J: k}] },
-		func(k, j int) matrix.Block { return bBlocks[bmat.BlockKey{I: k, J: j}] })
-	for t, acc := range tiles {
-		if acc != nil {
-			reply.CBlocks = append(reply.CBlocks, blockRec{Key: box.TileKey(t), Block: acc})
-		}
-	}
+	lookupA, lookupB := args.lookups()
+	tiles, flops := core.MultiplyColumn(box, args.slabs, lookupA, lookupB)
+	reply.CBlocks = tileRecs(box, tiles)
 	return flops, nil
 }
 
-// serveCuboid is the worker's one way to run a column: a pull column first
-// resolves its manifests into blocks, then its C blocks are computed under a
-// worker.compute span, whose flops and kernel attributes give the column's
-// GFLOP/s against its duration.
+// serveCuboid is the worker's one way to run a column or a chain link: a pull
+// column first resolves its manifests into blocks, then its C blocks — or a
+// link's running sum (serveLink) — are computed under a worker.compute
+// span, whose flops and kernel attributes give the call's GFLOP/s against
+// its duration (for a link past the first, the wait for its sum included).
 func (w *Worker) serveCuboid(args *multiplyArgs, reply *multiplyReply) error {
 	if args.pull {
 		if err := w.preparePull(args, reply); err != nil {
@@ -163,7 +154,15 @@ func (w *Worker) serveCuboid(args *multiplyArgs, reply *multiplyReply) error {
 		sp.SetAttr("a-blocks", fmt.Sprintf("%d", len(args.ABlocks)))
 		sp.SetAttr("b-blocks", fmt.Sprintf("%d", len(args.BBlocks)))
 	}
-	flops, err := computeCuboid(args, reply)
+	var flops float64
+	var err error
+	if args.link != nil {
+		if err = checkBox(args.box()); err == nil {
+			flops, err = w.serveLink(args, reply, sp.ID())
+		}
+	} else {
+		flops, err = computeCuboid(args, reply)
+	}
 	if sp.Active() {
 		if err != nil {
 			sp.SetAttr("error", err.Error())
@@ -176,14 +175,14 @@ func (w *Worker) serveCuboid(args *multiplyArgs, reply *multiplyReply) error {
 	return err
 }
 
-// multiply computes the C blocks of one column, against blocks that arrived
-// over the wire, and counts its cuboids served.
+// multiply computes the C blocks of one column, or one chain link, against
+// blocks that arrived over the wire, and counts its cuboids served.
 func (w *Worker) multiply(args *multiplyArgs, reply *multiplyReply) error {
 	if err := w.serveCuboid(args, reply); err != nil {
 		return err
 	}
 	w.mu.Lock()
-	w.multiplies += args.slabs
+	w.multiplies += args.slabCount()
 	w.mu.Unlock()
 	return nil
 }
@@ -208,7 +207,7 @@ func (w *Worker) ping(_ *struct{}, reply *pingReply) error {
 }
 
 // Multiplies reports how many cuboids this worker has served: R for each
-// (p,q) column of a (P,Q,R) plan.
+// (p,q) column of a (P,Q,R) plan, a link's slabs for each chain link.
 func (w *Worker) Multiplies() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -309,7 +308,9 @@ func ServeOptions(l net.Listener, opts WorkerOptions) (*Worker, error) {
 	return w, nil
 }
 
-// handlers is the worker socket's method table; every call is admitted.
+// handlers is the worker socket's method table; every call is admitted. A
+// take of a running sum is admitted like a read, so a draining worker still
+// hands its sums on.
 func (w *Worker) handlers() []codec.Handler {
 	return []codec.Handler{
 		methodPing:        w.admit(false, codec.Method(nil, w.ping, appendPingReply)),
@@ -319,6 +320,7 @@ func (w *Worker) handlers() []codec.Handler {
 		methodFreeHandles: w.admit(false, codec.Method(decodeFreeArgs, w.freeHandles, appendCount)),
 		methodPinHandle:   w.admit(false, codec.Method(decodePinArgs, w.pinHandle, nil)),
 		methodExecOp:      w.admit(false, codec.Method(decodeExecArgs, w.exec, appendExecReply)),
+		methodTakeSum:     w.admit(true, codec.Method(decodeSumArgs, w.giveSum, appendSumReply)),
 	}
 }
 

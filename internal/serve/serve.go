@@ -14,10 +14,12 @@
 //	wave(job) = MemBytes(P,Q,R) · R × min(P·Q, LiveWorkers × PerWorkerInflight)
 //
 // R·MemBytes over-counts a column's C: it holds two tile sets, the running
-// fold and the current slab, not R. Admission prices the column's R cuboids
-// here, so the job runs without θt as its call bound: a column goes out
-// whole up to the driver's default bound, past which it goes out as its R
-// cuboids one after another — inside the same estimate.
+// fold and the current slab, not R. The job runs with θt as its call bound
+// (distnet.MultiplyOptions.WorkerMemBytes), which bounds each call: under
+// the k-ordered chain a link carries only its holder's slabs, so a column
+// whose operands are over θt still goes out unsplit while its links fit;
+// under homes a column over θt goes out as its R cuboids one after another.
+// Either way the calls stay inside the same estimate.
 //
 // A job dispatches only while the sum of running waves stays under the
 // cluster capacity LiveWorkers × θt × PerWorkerInflight (scaled by
@@ -620,7 +622,7 @@ func (s *Server) run(j *job) {
 		rsp.SetAttr("params", j.params.String())
 	}
 	ctx := distnet.WithJobMeter(j.runCtx, j.meter)
-	c, _, err := s.d.Execute(ctx, j.a, j.b, distnet.MultiplyOptions{Params: &j.params})
+	c, _, err := s.d.Execute(ctx, j.a, j.b, distnet.MultiplyOptions{Params: &j.params, WorkerMemBytes: s.cfg.WorkerMemBytes})
 	if rsp.Active() && err != nil {
 		rsp.SetAttr("error", err.Error())
 	}
