@@ -19,7 +19,8 @@
 // path that does not exist — a package table that outlives its package —
 // or names in backticks an exported `pkg.Name` or `pkg.Type.Member`, with
 // pkg one of the knownImports qualifiers, that the package's non-test
-// source does not declare — prose that outlives its field or function.
+// source does not declare — prose that outlives its field or function —
+// or names in backticks a `make <target>` the Makefile does not define.
 package main
 
 import (
@@ -94,7 +95,7 @@ func main() {
 	sort.Strings(files)
 
 	var snippets []snippet
-	var stale, missing []string
+	var stale, missing, targets []string
 	exists := func(rel string) bool {
 		_, err := os.Stat(filepath.Join(root, rel))
 		return err == nil
@@ -103,6 +104,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		fatal(err)
+	}
+	defined := makeTargets(string(makefile))
 	for _, f := range append([]string{filepath.Join(root, "DESIGN.md")}, files...) {
 		data, err := os.ReadFile(f)
 		if err != nil {
@@ -110,6 +116,7 @@ func main() {
 		}
 		stale = append(stale, stalePaths(f, string(data), exists)...)
 		missing = append(missing, staleSymbols(f, string(data), exports)...)
+		targets = append(targets, staleTargets(f, string(data), defined)...)
 	}
 	if len(stale) > 0 {
 		fmt.Fprintf(os.Stderr, "lint-docs: paths that do not exist:\n%s\n", indent(strings.Join(stale, "\n")))
@@ -117,7 +124,10 @@ func main() {
 	if len(missing) > 0 {
 		fmt.Fprintf(os.Stderr, "lint-docs: exported names that do not exist:\n%s\n", indent(strings.Join(missing, "\n")))
 	}
-	if len(stale) > 0 || len(missing) > 0 {
+	if len(targets) > 0 {
+		fmt.Fprintf(os.Stderr, "lint-docs: make targets the Makefile does not define:\n%s\n", indent(strings.Join(targets, "\n")))
+	}
+	if len(stale) > 0 || len(missing) > 0 || len(targets) > 0 {
 		os.Exit(1)
 	}
 	for _, f := range files {
@@ -230,6 +240,51 @@ func staleSymbols(file, text string, exports map[string]map[string]bool) []strin
 		}
 	}
 	return out
+}
+
+// staleTargets lists, as "file:line: make target", every target a
+// backticked `make …` span of one markdown file's prose names that defined
+// does not hold. Flags and VAR=value arguments are not targets.
+func staleTargets(file, text string, defined map[string]bool) []string {
+	var out []string
+	inFence := false
+	for i, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			inFence = !inFence
+			continue
+		}
+		if inFence {
+			continue
+		}
+		for _, span := range codeSpan.FindAllString(line, -1) {
+			args, ok := strings.CutPrefix(strings.Trim(span, "`"), "make ")
+			if !ok {
+				continue
+			}
+			for _, arg := range strings.Fields(args) {
+				if !strings.HasPrefix(arg, "-") && !strings.Contains(arg, "=") && !defined[arg] {
+					out = append(out, fmt.Sprintf("%s:%d: make %s", file, i+1, arg))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// makeTargets are the targets a Makefile's rules define: the names before
+// the colon of every rule line, special targets such as .PHONY left out.
+func makeTargets(makefile string) map[string]bool {
+	defined := map[string]bool{}
+	for _, line := range strings.Split(makefile, "\n") {
+		names, _, ok := strings.Cut(line, ":")
+		if !ok || line == "" || strings.ContainsAny(line[:1], " \t#.") || strings.Contains(names, "=") {
+			continue
+		}
+		for _, name := range strings.Fields(names) {
+			defined[name] = true
+		}
+	}
+	return defined
 }
 
 // declared reports whether a package's exports (parseExports) hold name

@@ -34,3 +34,15 @@ func TestStaleSymbolsNamesMissingExports(t *testing.T) {
 		t.Fatalf("staleSymbols = %q, want %q", got, want)
 	}
 }
+
+func TestStaleTargetsNamesFileAndLine(t *testing.T) {
+	makefile := "GO ?= go\n\n.PHONY: build test vet\n\nbuild:\n\t$(GO) build ./...\n\n# test: not a rule\ntest vet: build\n\t$(GO) test ./...\n"
+	text := "run `make test` then `make vet build`\n" +
+		"not `make lint-typo`, nor `make -j2 GO=go1.24 bench test`; `makefile` is no call\n" +
+		"```sh\nmake inside-a-fence\n```\n"
+	got := staleTargets("docs/X.md", text, makeTargets(makefile))
+	want := []string{"docs/X.md:2: make lint-typo", "docs/X.md:2: make bench"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("staleTargets = %q, want %q", got, want)
+	}
+}

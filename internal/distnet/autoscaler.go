@@ -10,7 +10,7 @@ import (
 
 // The autoscaler: a policy that turns ClusterHealth snapshots into scale
 // decisions, and a supervisor goroutine on the driver that applies them
-// through a WorkerPool — pool.Grow → AddWorker on the way up, graceful
+// through an InProcPool — pool.Grow → AddWorker on the way up, graceful
 // pool.Shrink (drain) → RemoveWorker on the way down. Pinned session
 // handles survive scale-downs via the existing two-tier recovery: draining
 // members leave liveMembers, so the next session operation re-snapshots
@@ -51,14 +51,6 @@ type ScaleDecision struct {
 	Reason string
 }
 
-// Autoscaler decides scaling from a health snapshot. Decide runs on the
-// supervisor goroutine once per tick; implementations may keep state (the
-// default hysteresis policy counts sustained observations) and need not be
-// concurrency-safe.
-type Autoscaler interface {
-	Decide(h ClusterHealth) ScaleDecision
-}
-
 // A worker at or below unhealthyScore, or flapping, for unhealthyAfter
 // consecutive ticks is drained out of rotation even under load.
 const (
@@ -66,11 +58,12 @@ const (
 	unhealthyAfter = 4
 )
 
-// HysteresisPolicy is the default Autoscaler: scale up on sustained queue
+// HysteresisPolicy is the autoscaler's policy: scale up on sustained queue
 // pressure or straggling, drain on sustained idleness or a flapping /
 // persistently unhealthy worker, with cooldowns between decisions so one
 // burst cannot thrash the pool. Thresholds are in ticks of the supervisor
-// interval, which keeps the policy deterministic under a seeded soak.
+// interval, which keeps the policy deterministic under a seeded soak. It
+// keeps state across ticks and runs on the supervisor goroutine only.
 type HysteresisPolicy struct {
 	// MinWorkers/MaxWorkers bound the live pool (defaults 1 and 8).
 	MinWorkers int
@@ -118,8 +111,9 @@ func (p *HysteresisPolicy) defaults() {
 	}
 }
 
-// Decide implements Autoscaler with hysteresis on every edge.
-func (p *HysteresisPolicy) Decide(h ClusterHealth) ScaleDecision {
+// decide turns one tick's health snapshot into a decision, with hysteresis
+// on every edge.
+func (p *HysteresisPolicy) decide(h ClusterHealth) ScaleDecision {
 	p.defaults()
 	if p.cooldown > 0 {
 		p.cooldown--
@@ -201,18 +195,6 @@ func (p *HysteresisPolicy) Decide(h ClusterHealth) ScaleDecision {
 	return ScaleDecision{Action: ScaleHold}
 }
 
-// WorkerPool provisions and retires worker processes for the autoscaler.
-// Grow starts one worker and returns its dialable address; Shrink
-// gracefully stops the worker at addr (drain bounded by ctx); Owns reports
-// whether addr was provisioned by this pool — the supervisor never drains
-// workers it does not own, so statically-dialed members are safe from
-// scale-downs.
-type WorkerPool interface {
-	Grow(ctx context.Context) (addr string, err error)
-	Shrink(ctx context.Context, addr string) error
-	Owns(addr string) bool
-}
-
 // ScaleEvent is one applied (or failed) autoscaler decision, kept in the
 // driver's bounded decision log for the debug endpoint.
 type ScaleEvent struct {
@@ -228,10 +210,11 @@ const scaleEventCap = 64
 
 // AutoscalerOptions tunes the supervisor loop.
 type AutoscalerOptions struct {
-	// Pool provisions workers. Required.
-	Pool WorkerPool
+	// Pool provisions workers. Required. The supervisor drains only workers
+	// the pool owns, so statically-dialed members are safe from scale-downs.
+	Pool *InProcPool
 	// Policy decides; nil takes a default HysteresisPolicy.
-	Policy Autoscaler
+	Policy *HysteresisPolicy
 	// Interval is the tick period (default 250ms).
 	Interval time.Duration
 	// DrainTimeout bounds a scale-down's graceful drain (default 5s).
@@ -274,7 +257,7 @@ type scalerRun struct {
 // through the pool. At most one supervisor runs per driver.
 func (d *Driver) StartAutoscaler(opts AutoscalerOptions) error {
 	if opts.Pool == nil {
-		return fmt.Errorf("distnet: autoscaler needs a WorkerPool")
+		return fmt.Errorf("distnet: autoscaler needs a pool")
 	}
 	if err := d.checkOpen(); err != nil {
 		return err
@@ -353,7 +336,7 @@ func (r *scalerRun) tick() {
 				Reason: fmt.Sprintf("dead longer than %v", r.opts.RetireAfter)})
 		}
 	}
-	dec := r.opts.Policy.Decide(d.ClusterHealth())
+	dec := r.opts.Policy.decide(d.ClusterHealth())
 	switch dec.Action {
 	case ScaleUp:
 		ctx, cancel := context.WithTimeout(context.Background(), r.opts.DrainTimeout)

@@ -212,6 +212,12 @@ func (d *Driver) runLink(ctx context.Context, args *multiplyArgs, parent obs.Spa
 		}
 		return nil, err
 	}
+	if _, err := args.checkReply(reply); err != nil {
+		if asp.Active() {
+			asp.SetAttr("error", err.Error())
+		}
+		return nil, err
+	}
 	return reply, nil
 }
 
@@ -282,6 +288,29 @@ func tileRecs(box core.Box, tiles []*matrix.Dense) []blockRec {
 	return recs
 }
 
+// boxTiles is tileRecs' inverse for blocks that arrived off the wire: it
+// places recs as box's tiles. A block keyed outside the box, twice over, not
+// dense, or of other dimensions than dims gives its tile is refused as
+// errWire; dims reports ok false for a tile whose dimensions it does not
+// know.
+func boxTiles(box core.Box, recs []blockRec, dims func(t int) (rows, cols int, ok bool)) ([]*matrix.Dense, error) {
+	nj := box.JHi - box.JLo
+	tiles := make([]*matrix.Dense, (box.IHi-box.ILo)*nj)
+	for _, rec := range recs {
+		d, ok := rec.Block.(*matrix.Dense)
+		i, j := rec.Key.I-box.ILo, rec.Key.J-box.JLo
+		if !ok || i < 0 || j < 0 || rec.Key.I >= box.IHi || rec.Key.J >= box.JHi || tiles[i*nj+j] != nil {
+			return nil, fmt.Errorf("%w: block %v off its box, repeated or not dense", errWire, rec.Key)
+		}
+		t := i*nj + j
+		if rows, cols, known := dims(t); known && (d.RowsN != rows || d.ColsN != cols) {
+			return nil, fmt.Errorf("%w: block %v is %dx%d, its tile %dx%d", errWire, rec.Key, d.RowsN, d.ColsN, rows, cols)
+		}
+		tiles[t] = d
+	}
+	return tiles, nil
+}
+
 // takeSum fetches the running sum of slabs [0, l.lo) from the predecessor,
 // under a peer.fetch span. The predecessor answers within l.wait; the call
 // gives up at twice that.
@@ -324,26 +353,18 @@ func (w *Worker) takeSum(parent obs.SpanID, l *chainLink) ([]blockRec, error) {
 	return recs, nil
 }
 
-// sumTiles places a taken running sum's blocks as the box's tiles. A block
-// off the box, twice over, not dense, or of other dimensions than the link's
-// own tile there is refused as errWire.
+// sumTiles places a taken running sum's blocks as the box's tiles
+// (boxTiles), each of the dimensions of the link's own tile there where it
+// has one.
 func sumTiles(box core.Box, recs []blockRec, fresh [][]*matrix.Dense) ([]*matrix.Dense, error) {
-	nj := box.JHi - box.JLo
-	tiles := make([]*matrix.Dense, (box.IHi-box.ILo)*nj)
-	for _, rec := range recs {
-		d, ok := rec.Block.(*matrix.Dense)
-		i, j := rec.Key.I-box.ILo, rec.Key.J-box.JLo
-		if !ok || i < 0 || j < 0 || rec.Key.I >= box.IHi || rec.Key.J >= box.JHi || tiles[i*nj+j] != nil {
-			return nil, fmt.Errorf("%w: running sum block %v", errWire, rec.Key)
-		}
+	return boxTiles(box, recs, func(t int) (rows, cols int, ok bool) {
 		for _, slab := range fresh {
-			if own := slab[i*nj+j]; own != nil && (own.RowsN != d.RowsN || own.ColsN != d.ColsN) {
-				return nil, fmt.Errorf("%w: running sum block %v is %dx%d", errWire, rec.Key, d.RowsN, d.ColsN)
+			if own := slab[t]; own != nil {
+				return own.RowsN, own.ColsN, true
 			}
 		}
-		tiles[i*nj+j] = d
-	}
-	return tiles, nil
+		return 0, 0, false
+	})
 }
 
 // sumArgs asks a worker for the running sum of chain id's slabs [0, upTo),

@@ -16,18 +16,6 @@ import (
 // debugRecentSpans bounds the recent-span list in one snapshot.
 const debugRecentSpans = 32
 
-// MemberDebug is one membership-table row in a driver snapshot.
-type MemberDebug struct {
-	Addr string `json:"addr"`
-	// State is the failure detector's verdict: alive, suspect, dead, or
-	// removed.
-	State string `json:"state"`
-	// LastRTTMicros is the last successful probe's round-trip time.
-	LastRTTMicros int64 `json:"last_rtt_micros"`
-	// MissedHeartbeats is the consecutive failed-probe count.
-	MissedHeartbeats int `json:"missed_heartbeats"`
-}
-
 // DriverDebug is the driver's /debug/distme snapshot.
 type DriverDebug struct {
 	Kind string    `json:"kind"` // always "driver"
@@ -35,17 +23,14 @@ type DriverDebug struct {
 	// JobEpoch is the current multiply-job epoch (the lifecycle watermark
 	// for block-cache digest references on the wire).
 	JobEpoch uint64 `json:"job_epoch"`
-	// ActiveJobs counts multiply jobs currently inside the driver;
-	// InFlightCuboids counts cuboids dispatched but not yet aggregated.
-	ActiveJobs      int64 `json:"active_jobs"`
-	InFlightCuboids int64 `json:"inflight_cuboids"`
+	// ActiveJobs counts multiply jobs currently inside the driver.
+	ActiveJobs int64 `json:"active_jobs"`
 	// WireSentBytes / WireReceivedBytes are real socket traffic since DialOptions.
 	WireSentBytes     int64 `json:"wire_sent_bytes"`
 	WireReceivedBytes int64 `json:"wire_received_bytes"`
-	// Members is the full membership table, including dead/removed entries.
-	Members []MemberDebug `json:"members"`
-	// Health is the health plane's snapshot: per-worker windowed scores,
-	// queue depth, and cluster pressure.
+	// Health is the health plane's snapshot: one row per member ever known,
+	// dead and removed ones included, with its windowed score; the queue
+	// depth; and cluster pressure.
 	Health ClusterHealth `json:"health"`
 	// Autoscaler is the decision log of the running supervisor (absent when
 	// none is running).
@@ -70,25 +55,13 @@ func (d *Driver) DebugSnapshot() DriverDebug {
 	if serveFn != nil {
 		serve = serveFn()
 	}
-	members := d.Members()
-	rows := make([]MemberDebug, len(members))
-	for i, m := range members {
-		rows[i] = MemberDebug{
-			Addr:             m.Addr,
-			State:            m.State.String(),
-			LastRTTMicros:    m.LastRTT.Microseconds(),
-			MissedHeartbeats: m.Missed,
-		}
-	}
 	return DriverDebug{
 		Kind:              "driver",
 		Time:              time.Now(),
 		JobEpoch:          d.epoch.Load(),
 		ActiveJobs:        d.activeJobs.Load(),
-		InFlightCuboids:   d.inflight.Load(),
 		WireSentBytes:     sent,
 		WireReceivedBytes: received,
-		Members:           rows,
 		Health:            d.ClusterHealth(),
 		Autoscaler:        d.AutoscalerEvents(),
 		Net:               d.NetStats(),

@@ -50,8 +50,8 @@ type Driver struct {
 	// by the debug endpoint.
 	inflight atomic.Int64
 
-	// activeJobs counts multiply jobs currently inside the driver —
-	// the serving plane's concurrency gauge.
+	// activeJobs counts multiply jobs currently inside the driver, surfaced
+	// by the debug endpoint.
 	activeJobs atomic.Int64
 
 	// serveDebug, when registered via SetServeDebug, contributes the
@@ -314,11 +314,6 @@ func (d *Driver) DebugAddr() string {
 	}
 	return d.dbg.Addr()
 }
-
-// ActiveJobs reports how many multiply jobs are currently executing inside
-// the driver — the concurrency gauge the serving plane's admission
-// controller reads alongside ClusterHealth.
-func (d *Driver) ActiveJobs() int64 { return d.activeJobs.Load() }
 
 // PerWorkerInflight reports the per-worker concurrent-RPC bound the driver
 // schedules under (Options.PerWorkerInflight after defaults) — one factor of

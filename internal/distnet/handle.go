@@ -76,21 +76,15 @@ func (h *Handle) Cols() int { return h.cols }
 // BlockSize returns the handle's block side length.
 func (h *Handle) BlockSize() int { return h.blockSize }
 
-// Pinned reports whether the handle's bands are pinned against eviction.
-func (h *Handle) Pinned() bool { return h.pinned }
-
-// liveMembers snapshots the schedulable members (connected, Alive or
-// Suspect, not draining) in table order. Draining members are excluded so a
-// session recovery re-snapshots pinned bands onto workers that will still
-// exist when the drain window closes.
+// liveMembers snapshots the schedulable members in table order. Leaving the
+// draining ones out is what lets a session recovery re-snapshot pinned bands
+// onto workers that will still exist when the drain window closes.
 func (d *Driver) liveMembers() []*member {
 	d.mu.Lock()
-	members := append([]*member(nil), d.members...)
-	d.mu.Unlock()
+	defer d.mu.Unlock()
 	var out []*member
-	for _, m := range members {
-		state, client := m.snapshot()
-		if client != nil && (state == StateAlive || state == StateSuspect) && !m.draining.Load() {
+	for _, m := range d.members {
+		if m.schedulable() {
 			out = append(out, m)
 		}
 	}
@@ -135,9 +129,6 @@ func (d *Driver) NewSession(ctx context.Context) (*Session, error) {
 
 // Workers returns the session's current placement width.
 func (s *Session) Workers() int { return len(s.workers) }
-
-// Recoveries returns how many lineage recoveries this session has run.
-func (s *Session) Recoveries() int { return s.recoveries }
 
 // part is one worker's slice of a handle: block rows [lo, hi).
 type part struct {

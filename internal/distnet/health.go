@@ -40,6 +40,9 @@ type WorkerHealth struct {
 	// Score is the composite health in [0, 1]: 1 = healthy, 0 = dead.
 	Score   float64       `json:"score"`
 	LastRTT time.Duration `json:"last_rtt_ns"`
+	// Missed is the consecutive failed-heartbeat count, what stands between
+	// the member and the Suspect and Dead thresholds.
+	Missed int `json:"missed_heartbeats"`
 	// Load snapshot from the worker's last pong.
 	InFlight     int64 `json:"in_flight"`
 	StoreBytes   int64 `json:"store_bytes"`
@@ -58,8 +61,8 @@ type WorkerHealth struct {
 // ClusterHealth is the driver's aggregate health snapshot.
 type ClusterHealth struct {
 	Workers []WorkerHealth `json:"workers"`
-	// LiveWorkers counts schedulable members (connected Alive/Suspect, not
-	// draining); QueueDepth is cuboids dispatched but not yet aggregated
+	// LiveWorkers counts schedulable members, the count Driver.Workers
+	// returns; QueueDepth is cuboids dispatched but not yet aggregated
 	// (including ones waiting for an in-flight slot).
 	LiveWorkers int   `json:"live_workers"`
 	QueueDepth  int64 `json:"queue_depth"`
@@ -152,6 +155,7 @@ func (d *Driver) ClusterHealth() ClusterHealth {
 			State:              state.String(),
 			Draining:           m.draining.Load(),
 			LastRTT:            rtt,
+			Missed:             missed,
 			InFlight:           m.loadInFlight.Load(),
 			StoreBytes:         m.loadStoreBytes.Load(),
 			StoreHandles:       m.loadStoreHandles.Load(),
@@ -185,7 +189,7 @@ func (d *Driver) ClusterHealth() ClusterHealth {
 				score = 0
 			}
 			wh.Score = score
-			if !wh.Draining {
+			if m.schedulable() {
 				h.LiveWorkers++
 				scoreSum += score
 			}

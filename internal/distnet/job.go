@@ -170,12 +170,13 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 
 	// Aggregate: the columns are disjoint in (i,j) and each is folded by now,
 	// so the step is placement only — the bits of core.MultiplyCuboid at the
-	// same (P,Q,R).
+	// same (P,Q,R). Every reply was checked on arrival (checkReply): each
+	// block is dense, inside its column and of its slot's size.
 	agg := d.tracer.Start(r.root.ID(), "aggregate", obs.KindDriver)
 	out := bmat.New(job.rows, job.cols, job.blockSize)
 	for _, reply := range r.replies {
 		for _, rec := range reply.CBlocks {
-			out.SetBlock(rec.Key.I, rec.Key.J, denseOf(rec.Block))
+			out.SetBlock(rec.Key.I, rec.Key.J, rec.Block)
 		}
 	}
 	agg.End()
@@ -207,6 +208,7 @@ func (r *cuboidRun) newCall(p, q int, box core.Box, slabs int) *multiplyArgs {
 		slabs:   slabs,
 		cuboidP: p, cuboidQ: q,
 		meter: r.meter,
+		job:   r.job,
 	}
 	r.job.fill(args)
 	return args
@@ -232,12 +234,20 @@ func (a *multiplyArgs) inputBytes(blockSize int) int64 {
 	return n
 }
 
-// denseOf is b as a dense block, converting (copying) only other formats.
-func denseOf(b matrix.Block) *matrix.Dense {
-	if dense, ok := b.(*matrix.Dense); ok {
-		return dense
-	}
-	return b.Dense()
+// checkReply places a reply's C blocks as the call's tiles (boxTiles), each
+// of the dimensions C's block has there, and refuses, as errWire, a reply
+// that does not fit: a worker's answer is checked where it arrives, before
+// the driver indexes or places anything by it. A call built without its job
+// checks placement only.
+func (a *multiplyArgs) checkReply(reply *multiplyReply) ([]*matrix.Dense, error) {
+	box := a.box()
+	return boxTiles(box, reply.CBlocks, func(t int) (rows, cols int, ok bool) {
+		if a.job == nil {
+			return 0, 0, false
+		}
+		key, bs := box.TileKey(t), a.job.blockSize
+		return min(bs, a.job.rows-key.I*bs), min(bs, a.job.cols-key.J*bs), true
+	})
 }
 
 // commit records one column's result: the reply slot and the job meter.
@@ -280,8 +290,6 @@ func (r *cuboidRun) runOne(idx int) {
 // the rule the worker folds a whole column's slabs by, so the C blocks have
 // the same bits whichever way the column went out.
 func (r *cuboidRun) runCalls(col column, sp obs.Span) (*multiplyReply, error) {
-	box := col.whole.box()
-	nj := box.JHi - box.JLo
 	var tiles []*matrix.Dense
 	for _, call := range col.calls {
 		reply, err := r.d.runJob(r.ctx, call, sp)
@@ -292,19 +300,14 @@ func (r *cuboidRun) runCalls(col column, sp obs.Span) (*multiplyReply, error) {
 		if len(col.calls) == 1 {
 			return reply, nil
 		}
-		slab := make([]*matrix.Dense, (box.IHi-box.ILo)*nj)
-		for _, rec := range reply.CBlocks {
-			slab[(rec.Key.I-box.ILo)*nj+rec.Key.J-box.JLo] = denseOf(rec.Block)
+		// The reply passed checkReply on arrival; here it gives the tiles.
+		slab, err := call.checkReply(reply)
+		if err != nil {
+			return nil, err
 		}
 		tiles = core.FoldSlab(tiles, slab)
 	}
-	folded := new(multiplyReply)
-	for t, d := range tiles {
-		if d != nil {
-			folded.CBlocks = append(folded.CBlocks, blockRec{Key: box.TileKey(t), Block: d})
-		}
-	}
-	return folded, nil
+	return &multiplyReply{CBlocks: tileRecs(col.whole.box(), tiles)}, nil
 }
 
 // jobAttempts is how many scheduling attempts one call gets across the
@@ -393,6 +396,11 @@ func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span
 		callStart := time.Now()
 		err := d.call(m, methodMultiply, asp.ID(), codec.Writes(blockSender{&m.tracker, d.rec}.appendMultiplyArgs, args),
 			codec.Reads(decodeMultiplyReply, rep), d.opts.CallTimeout)
+		if err == nil {
+			// A reply that does not fit its call fails the attempt like a
+			// broken frame: the call is retried, then computed locally.
+			_, err = args.checkReply(rep)
+		}
 		if err == nil {
 			if d.noteRPCDuration(m, time.Since(callStart)) && asp.Active() {
 				asp.SetAttr("straggler", "true")

@@ -117,19 +117,6 @@ func (d *Driver) newMember(addr string) *member {
 	return &member{addr: addr, state: StateDead, slots: slots}
 }
 
-// MemberInfo is a read-only snapshot of one membership entry.
-type MemberInfo struct {
-	Addr    string
-	State   MemberState
-	LastRTT time.Duration
-	// Missed is the member's consecutive failed-heartbeat count at snapshot
-	// time (what stands between it and the Suspect/Dead thresholds).
-	Missed int
-	// Draining reports that the worker's last refusal was the draining
-	// sentinel: it is shutting down gracefully and receives no new work.
-	Draining bool
-}
-
 // noteLoad folds a pong's load snapshot into the member's health signals.
 func (m *member) noteLoad(pong *pingReply) {
 	m.loadInFlight.Store(pong.InFlight)
@@ -182,33 +169,24 @@ func (m *member) noteMissed(suspectAfter, deadAfter int) (declaredDead bool, det
 	return false, nil
 }
 
-// Members returns a snapshot of the full membership table, including dead
-// and removed entries, for introspection and reports.
-func (d *Driver) Members() []MemberInfo {
-	d.mu.Lock()
-	members := append([]*member(nil), d.members...)
-	d.mu.Unlock()
-	out := make([]MemberInfo, 0, len(members))
-	for _, m := range members {
-		m.mu.Lock()
-		out = append(out, MemberInfo{Addr: m.addr, State: m.state, LastRTT: m.lastRTT, Missed: m.missed, Draining: m.draining.Load()})
-		m.mu.Unlock()
-	}
-	return out
+// schedulable is the one definition of a member that takes work: connected,
+// Alive or Suspect, and not draining — a draining worker refuses every call,
+// so scheduling onto it only burns a retry. Workers, liveMembers,
+// acquireMember and ClusterHealth's LiveWorkers all count by it.
+func (m *member) schedulable() bool {
+	state, client := m.snapshot()
+	return client != nil && (state == StateAlive || state == StateSuspect) && !m.draining.Load()
 }
 
-// Workers returns the count of schedulable workers: members whose
-// connection is up (Alive or Suspect). Dead and removed members — and the
-// closed clients they once held — are excluded, so the count is safe to
-// hand to the (P,Q,R) optimizer.
+// Workers returns the count of schedulable members, the slots the (P,Q,R)
+// optimizer and serve's admission price a job for. It allocates nothing:
+// serve calls it on every submit.
 func (d *Driver) Workers() int {
 	d.mu.Lock()
-	members := append([]*member(nil), d.members...)
-	d.mu.Unlock()
+	defer d.mu.Unlock()
 	n := 0
-	for _, m := range members {
-		state, client := m.snapshot()
-		if client != nil && (state == StateAlive || state == StateSuspect) {
+	for _, m := range d.members {
+		if m.schedulable() {
 			n++
 		}
 	}
@@ -372,14 +350,7 @@ func (d *Driver) acquireMember(start int) (picked *member, anyLive bool) {
 	for _, want := range []MemberState{StateAlive, StateSuspect} {
 		for i := 0; i < n; i++ {
 			m := members[(start+i)%n]
-			state, client := m.snapshot()
-			if client == nil || state != want {
-				continue
-			}
-			// A draining worker refuses new work; scheduling onto it only
-			// burns a retry attempt. The detector marks it dead shortly
-			// (Ping refuses too), so skip it rather than wait on its slots.
-			if m.draining.Load() {
+			if state, _ := m.snapshot(); state != want || !m.schedulable() {
 				continue
 			}
 			anyLive = true

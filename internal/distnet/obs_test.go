@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -324,11 +326,11 @@ func TestDriverDebugEndpointMidMultiply(t *testing.T) {
 	if snap.Kind != "driver" {
 		t.Errorf("kind = %q, want driver", snap.Kind)
 	}
-	if len(snap.Members) != 1 {
-		t.Errorf("%d members, want 1", len(snap.Members))
+	if len(snap.Health.Workers) != 1 {
+		t.Errorf("%d health.workers rows, want 1", len(snap.Health.Workers))
 	}
-	if snap.InFlightCuboids <= 0 {
-		t.Errorf("inflight_cuboids = %d mid-multiply, want > 0", snap.InFlightCuboids)
+	if snap.Health.QueueDepth <= 0 {
+		t.Errorf("health.queue_depth = %d mid-multiply, want > 0", snap.Health.QueueDepth)
 	}
 	if snap.Trace == nil {
 		t.Error("trace summary absent despite tracer")
@@ -515,3 +517,79 @@ func TestObservabilityDocNamesEveryKey(t *testing.T) {
 // docKey is a backticked lowercase snake_case word: how a table row names a
 // JSON key.
 var docKey = regexp.MustCompile("`([a-z][a-z0-9_]*)`")
+
+// TestObservabilityDocTablesNameSnapshotFields holds four field tables of
+// docs/OBSERVABILITY.md to the snapshots they document, both ways: every
+// backticked name in a row's first column is a JSON key at that level of
+// the snapshot, and every key at that level has a row.
+func TestObservabilityDocTablesNameSnapshotFields(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(doc), "\n")
+	for _, c := range []struct {
+		heading  string
+		snapshot any
+	}{
+		{"### Driver snapshot fields", DriverDebug{}},
+		{"### Worker snapshot fields", workerDebugPage{}},
+		{"### Per-worker health fields (`health.workers[]`)", WorkerHealth{}},
+		{"### Cluster aggregate fields (`health`)", ClusterHealth{}},
+	} {
+		keys := jsonKeys(reflect.TypeOf(c.snapshot))
+		named := map[string]bool{}
+		for _, cell := range firstColumn(lines, c.heading) {
+			for _, m := range backticked.FindAllStringSubmatch(cell, -1) {
+				named[m[1]] = true
+				if !keys[m[1]] {
+					t.Errorf("docs/OBSERVABILITY.md %q names `%s`, which %T does not have", c.heading, m[1], c.snapshot)
+				}
+			}
+		}
+		for _, key := range slices.Sorted(maps.Keys(keys)) {
+			if !named[key] {
+				t.Errorf("docs/OBSERVABILITY.md %q has no row for %T's key `%s`", c.heading, c.snapshot, key)
+			}
+		}
+	}
+}
+
+// backticked is one backticked name.
+var backticked = regexp.MustCompile("`([^`]+)`")
+
+// firstColumn is the first cell of each row of the table under heading.
+func firstColumn(lines []string, heading string) []string {
+	var cells []string
+	at := slices.Index(lines, heading)
+	if at < 0 {
+		return nil
+	}
+	for _, line := range lines[at+1:] {
+		if strings.HasPrefix(line, "#") {
+			break
+		}
+		if cell, _, ok := strings.Cut(strings.TrimPrefix(line, "|"), "|"); ok && strings.HasPrefix(line, "|") {
+			cells = append(cells, cell)
+		} else if len(cells) > 0 {
+			break
+		}
+	}
+	return cells
+}
+
+// jsonKeys are the JSON keys of typ's fields, an embedded struct's included.
+func jsonKeys(typ reflect.Type) map[string]bool {
+	keys := map[string]bool{}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Anonymous {
+			maps.Copy(keys, jsonKeys(f.Type))
+			continue
+		}
+		if key, _, _ := strings.Cut(f.Tag.Get("json"), ","); key != "" && key != "-" {
+			keys[key] = true
+		}
+	}
+	return keys
+}

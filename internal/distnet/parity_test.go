@@ -32,7 +32,7 @@ type gaugeCtx struct {
 }
 
 func (c *gaugeCtx) Err() error {
-	if n := c.d.ActiveJobs(); n > c.peak.Load() {
+	if n := c.d.activeJobs.Load(); n > c.peak.Load() {
 		c.peak.Store(n)
 	}
 	return c.Context.Err()
@@ -60,7 +60,7 @@ func observeJob(t *testing.T, d *Driver, tr *obs.Tracer, params core.Params, tra
 		t.Errorf("job meter saw %d cuboids and %d reply bytes, want %d cuboids and reply bytes > 0",
 			st.Cuboids, st.ReplyBytes, params.Tasks())
 	}
-	if peak, now := ctx.peak.Load(), d.ActiveJobs(); peak != 1 || now != 0 {
+	if peak, now := ctx.peak.Load(), d.activeJobs.Load(); peak != 1 || now != 0 {
 		t.Errorf("ActiveJobs read %d during the job and %d after, want 1 and 0", peak, now)
 	}
 

@@ -272,14 +272,14 @@ func TestPipelineWorkerKillRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitIdentical(t, got, want)
-	if s.Recoveries() == 0 {
+	if s.recoveries == 0 {
 		t.Fatal("no recovery recorded despite worker kill")
 	}
 
 	// Lifecycle: freeing everything leaves no resident bytes on the
 	// survivor — no leak.
 	for _, h := range binds {
-		if h.Pinned() {
+		if h.pinned {
 			if err := s.Unpin(ctx, h); err != nil {
 				t.Fatal(err)
 			}

@@ -104,6 +104,10 @@ type multiplyArgs struct {
 	// column (WithJobMeter). Driver-side only; never on the wire.
 	meter *JobMeter
 
+	// job is the multiply the call belongs to, whose C dimensions a reply's
+	// blocks are checked against (checkReply). Driver-side only.
+	job *cuboidJob
+
 	// home is the ring position runCuboids reserved for this column at plan
 	// time (Driver.reserveHomes); scheduling attempt a starts there plus a.
 	// Driver-side only.

@@ -387,7 +387,7 @@ func TestPullEvictedHandleRebuilds(t *testing.T) {
 	if !got.ToDense().EqualApprox(ref, 1e-9) {
 		t.Fatal("rebuilt pull product differs from reference")
 	}
-	if s.Recoveries() == 0 {
+	if s.recoveries == 0 {
 		t.Fatal("no lineage recovery recorded despite evicted manifests")
 	}
 	for _, h := range flood {
@@ -442,8 +442,8 @@ func TestPullEvictedSecondOperandRebuildsOnce(t *testing.T) {
 		t.Fatalf("pull multiply over evicted B: %v", err)
 	}
 	bitIdentical(t, got, want)
-	if s.Recoveries() != 1 {
-		t.Fatalf("%d recoveries, want exactly 1 (the targeted rebuild of B)", s.Recoveries())
+	if s.recoveries != 1 {
+		t.Fatalf("%d recoveries, want exactly 1 (the targeted rebuild of B)", s.recoveries)
 	}
 	if ha.id != aID {
 		t.Fatal("A was rebuilt though only B's bands were evicted")

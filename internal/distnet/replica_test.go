@@ -282,8 +282,8 @@ func TestPipelineReplicaEvictedFirst(t *testing.T) {
 			t.Fatalf("worker %d: %d owned bands evicted, %d bytes held under a bound of %d", i, st.Evictions, st.Bytes, bound)
 		}
 	}
-	if cs.Recoveries() != 0 {
-		t.Fatalf("%d recoveries: an owned band was displaced", cs.Recoveries())
+	if cs.recoveries != 0 {
+		t.Fatalf("%d recoveries: an owned band was displaced", cs.recoveries)
 	}
 }
 
@@ -363,8 +363,8 @@ func TestPipelineReplicaSurvivesPeerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitIdentical(t, got, want)
-	if s.Recoveries() != 1 {
-		t.Fatalf("%d recoveries, want the one the dead worker costs", s.Recoveries())
+	if s.recoveries != 1 {
+		t.Fatalf("%d recoveries, want the one the dead worker costs", s.recoveries)
 	}
 	if st := workers[1].StoreStats(); st.ReplicaBytes != 0 {
 		t.Fatalf("the survivor, alone in the placement, still holds %d replica bytes", st.ReplicaBytes)

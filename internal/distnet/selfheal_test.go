@@ -35,16 +35,16 @@ func TestHysteresisPolicyScalesUpOnSustainedPressure(t *testing.T) {
 		WorkerHealth{Addr: "a", Score: 1},
 		WorkerHealth{Addr: "b", Score: 1})
 	for i := 0; i < 2; i++ {
-		if dec := p.Decide(busy); dec.Action != ScaleHold {
+		if dec := p.decide(busy); dec.Action != ScaleHold {
 			t.Fatalf("tick %d: %v before UpAfter sustained", i, dec.Action)
 		}
 	}
-	if dec := p.Decide(busy); dec.Action != ScaleUp {
+	if dec := p.decide(busy); dec.Action != ScaleUp {
 		t.Fatalf("sustained pressure: got %v", dec.Action)
 	}
 	// Cooldown holds even under pressure, then the count restarts.
 	for i := 0; i < 2; i++ {
-		if dec := p.Decide(busy); dec.Action != ScaleHold || dec.Reason != "cooldown" {
+		if dec := p.decide(busy); dec.Action != ScaleHold || dec.Reason != "cooldown" {
 			t.Fatalf("cooldown tick %d: %+v", i, dec)
 		}
 	}
@@ -55,8 +55,8 @@ func TestHysteresisPolicyScalesDownIdleAndRespectsMin(t *testing.T) {
 	idle := mkHealth(0,
 		WorkerHealth{Addr: "a", Score: 1},
 		WorkerHealth{Addr: "b", Score: 0.6})
-	p.Decide(idle)
-	dec := p.Decide(idle)
+	p.decide(idle)
+	dec := p.decide(idle)
 	if dec.Action != ScaleDown || dec.Addr != "b" {
 		t.Fatalf("want down of lowest-scoring b, got %+v", dec)
 	}
@@ -64,7 +64,7 @@ func TestHysteresisPolicyScalesDownIdleAndRespectsMin(t *testing.T) {
 	solo := mkHealth(0, WorkerHealth{Addr: "a", Score: 1})
 	p2 := &HysteresisPolicy{MinWorkers: 1, DownAfter: 1}
 	for i := 0; i < 5; i++ {
-		if dec := p2.Decide(solo); dec.Action != ScaleHold {
+		if dec := p2.decide(solo); dec.Action != ScaleHold {
 			t.Fatalf("scaled below MinWorkers: %+v", dec)
 		}
 	}
@@ -76,11 +76,11 @@ func TestHysteresisPolicyDrainsFlappingWorker(t *testing.T) {
 		WorkerHealth{Addr: "good", Score: 1},
 		WorkerHealth{Addr: "bad", Score: 0.9, Flapping: true})
 	for i := 1; i < unhealthyAfter; i++ {
-		if dec := p.Decide(flappy); dec.Action != ScaleHold {
+		if dec := p.decide(flappy); dec.Action != ScaleHold {
 			t.Fatalf("tick %d: %+v before unhealthyAfter sustained", i, dec)
 		}
 	}
-	dec := p.Decide(flappy)
+	dec := p.decide(flappy)
 	if dec.Action != ScaleDown || dec.Addr != "bad" {
 		t.Fatalf("want unhealthy drain of bad, got %+v", dec)
 	}
@@ -98,7 +98,7 @@ func TestHysteresisPolicyDeterministic(t *testing.T) {
 		p := &HysteresisPolicy{UpAfter: 2, DownAfter: 2, CooldownTicks: 1}
 		var out []ScaleAction
 		for _, h := range seq {
-			out = append(out, p.Decide(h).Action)
+			out = append(out, p.decide(h).Action)
 		}
 		return out
 	}

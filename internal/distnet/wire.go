@@ -2,6 +2,7 @@ package distnet
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,6 +63,14 @@ func (s *epochSet[K]) touch(epoch uint64, k K) bool {
 	return ok
 }
 
+// has reports whether touch(epoch, k) would find k, marking nothing: k is
+// in the set and not one touch would age out first.
+func (s *epochSet[K]) has(epoch uint64, k K) bool {
+	last, ok := s.last[k]
+	aged := epoch > s.epoch && epoch > DefaultCacheEpochWindow && last < epoch-DefaultCacheEpochWindow
+	return ok && !aged
+}
+
 // sendTracker remembers which block keys a member has already received
 // recently, so the driver can replace repeats with references. Marking
 // happens at encode time ("commit at send"): requests on one connection are
@@ -86,6 +95,13 @@ func (t *sendTracker) seen(epoch uint64, dg codec.Digest) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.sent.touch(epoch, dg)
+}
+
+// has reports whether seen(epoch, dg) would report dg sent, marking nothing.
+func (t *sendTracker) has(epoch uint64, dg codec.Digest) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sent.has(epoch, dg)
 }
 
 // forget drops everything the driver believed this worker had (after an
@@ -139,11 +155,56 @@ func (s blockSender) appendMultiplyArgs(w *codec.FrameWriter, a *multiplyArgs) e
 		return nil
 	}
 	w.Byte(0)
+	if n := w.Size() + s.recsBytes(a); n > codec.MaxFrameBytes {
+		return fmt.Errorf("%w: a %d-byte multiply, the bound is %d", codec.ErrFrameTooLarge, n, int64(codec.MaxFrameBytes))
+	}
 	if err := s.appendBlockRecs(w, a.ABlocks, a.cacheEpoch); err != nil {
 		return err
 	}
 	return s.appendBlockRecs(w, a.BBlocks, a.cacheEpoch)
 }
+
+// recsBytes bounds what appendBlockRecs will frame a's two operands as, so
+// that appendMultiplyArgs refuses a call over the frame bound before its
+// first chunk leaves rather than after gigabytes of it have. The size with
+// every record inline settles nearly every call; past the frame bound it is
+// made exact by asking the tracker which records will go as references —
+// sent within the window, or earlier in this body — marking none.
+func (s blockSender) recsBytes(a *multiplyArgs) int64 {
+	size := func(isRef func(*codec.Prepared) bool) int64 {
+		var n int64
+		for _, recs := range [2][]blockRec{a.ABlocks, a.BBlocks} {
+			n += uvarintLen(uint64(len(recs)))
+			for i := range recs {
+				rec := &recs[i]
+				n += uvarintLen(uint64(rec.Key.I)) + uvarintLen(uint64(rec.Key.J)) + 1
+				switch p := rec.prep; {
+				case p == nil: // appendBlockRecs refuses it
+				case !p.HasDigest || s.tracker == nil:
+					n += 5 + p.Size()
+				case isRef(p):
+					n += int64(len(p.Digest))
+				default:
+					n += int64(len(p.Digest)) + 5 + p.Size()
+				}
+			}
+		}
+		return n
+	}
+	n := size(func(*codec.Prepared) bool { return false })
+	if n <= codec.MaxFrameBytes {
+		return n
+	}
+	inBody := map[codec.Digest]bool{}
+	return size(func(p *codec.Prepared) bool {
+		ref := inBody[p.Digest] || s.tracker.has(a.cacheEpoch, p.Digest)
+		inBody[p.Digest] = true
+		return ref
+	})
+}
+
+// uvarintLen is the length of v as a uvarint.
+func uvarintLen(v uint64) int64 { return int64(bits.Len64(v|1)+6) / 7 }
 
 // appendBlockRecs emits one operand's block records from their prepared
 // form (jobPrep) — as a 32-byte reference when the record's digest was

@@ -853,8 +853,12 @@ func TestOversizeCuboidFailsWithoutRetry(t *testing.T) {
 		huge.ABlocks = append(huge.ABlocks, blockRec{Key: bmat.BlockKey{I: 0, J: i}, Block: big})
 	}
 	prepareRecs(t, huge.ABlocks)
+	sentBefore, _ := d.WireBytes()
 	if _, err := d.runJob(context.Background(), huge, obs.Span{}); !errors.Is(err, codec.ErrFrameTooLarge) {
 		t.Fatalf("oversized cuboid: %v, want ErrFrameTooLarge", err)
+	}
+	if sent, _ := d.WireBytes(); sent-sentBefore >= 1<<20 {
+		t.Fatalf("the refused call sent %d bytes, want under 1 MiB", sent-sentBefore)
 	}
 	if st := d.NetStats(); st.CuboidRetries != 0 || st.LocalFallbacks != 0 || st.WorkersDeclaredDead != 0 {
 		t.Fatalf("oversized cuboid was retried: %+v", st)
@@ -869,6 +873,154 @@ func TestOversizeCuboidFailsWithoutRetry(t *testing.T) {
 		ok.home = i
 		if reply, err := d.runJob(context.Background(), ok, obs.Span{}); err != nil || len(reply.CBlocks) != 1 {
 			t.Fatalf("cuboid after the refusal: %v", err)
+		}
+	}
+}
+
+// TestFrameSizeCheckFramesWhatTheAppendDoes holds the frame-size check's
+// byte count to the frame appendMultiplyArgs then writes: every record
+// inline, and — past the frame bound, where the count asks the tracker —
+// a 32 MiB block listed 65 times that goes inline once and as a reference
+// after, within the body or because the worker already holds it. Such a
+// call fits a frame and must not be refused.
+func TestFrameSizeCheckFramesWhatTheAppendDoes(t *testing.T) {
+	framed := func(s blockSender, a *multiplyArgs) int64 {
+		w := codec.BeginFrame()
+		defer w.Release()
+		if err := s.appendMultiplyArgs(&w, a); err != nil {
+			t.Fatal(err)
+		}
+		return w.Size()
+	}
+	check := func(name string, s blockSender, a *multiplyArgs) {
+		t.Helper()
+		counted := s.recsBytes(a) // before the append marks the tracker
+		// The same call without records carries their two counts, a byte
+		// each.
+		bare := *a
+		bare.ABlocks, bare.BBlocks = nil, nil
+		if got := framed(s, a) - framed(blockSender{}, &bare) + 2; got != counted {
+			t.Errorf("%s: the check counts %d bytes of records, the frame carries %d", name, counted, got)
+		}
+	}
+
+	inline := &multiplyArgs{IHi: 1, JHi: 1, KHi: 1, slabs: 1, ABlocks: wireSeedRecs(), BBlocks: wireSeedRecs()[:1]}
+	prepareRecs(t, inline.ABlocks, inline.BBlocks)
+	check("inline", blockSender{}, inline)
+
+	big := matrix.NewDense(2048, 2048)
+	p, err := codec.Prepare(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Digest[0], p.HasDigest = 0xB1, true
+	repeated := &multiplyArgs{IHi: 1, JHi: 1, KHi: 1, slabs: 1, cacheEpoch: 3}
+	for k := 0; k < 65; k++ {
+		repeated.ABlocks = append(repeated.ABlocks, blockRec{Key: bmat.BlockKey{I: 0, J: k}, Block: big, prep: p})
+	}
+	check("one inline copy, then references", blockSender{tracker: &sendTracker{}}, repeated)
+	held := &sendTracker{}
+	held.seen(2, p.Digest)
+	check("every copy a reference", blockSender{tracker: held}, repeated)
+	aged := &sendTracker{}
+	aged.seen(1, p.Digest)
+	repeated.cacheEpoch = 2 + DefaultCacheEpochWindow
+	check("the held copy aged out", blockSender{tracker: aged}, repeated)
+}
+
+// startForgingWorker serves a worker whose multiplies compute as usual but
+// whose replies carrying C blocks pass through forge before they are sent.
+func startForgingWorker(t *testing.T, forge func(box core.Box, reply *multiplyReply)) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &Worker{listener: l, cache: newBlockCache(0), store: newHandleStore(0)}
+	handlers := w.handlers()
+	handlers[methodMultiply] = w.admit(false, codec.Method(w.decodeMultiply, func(args *multiplyArgs, reply *multiplyReply) error {
+		if err := w.multiply(args, reply); err != nil || len(reply.CBlocks) == 0 {
+			return err
+		}
+		forge(args.box(), reply)
+		return nil
+	}, appendMultiplyReply))
+	w.conns = codec.Listen(l, workerPreamble, handlers, workerErrors)
+	t.Cleanup(w.abort)
+	return l.Addr().String()
+}
+
+// TestForgedRepliesFallBackToLocal has every worker answer each multiply
+// with C blocks that do not fit the call: a key off the grid, a key in
+// another column's box, a block of the wrong size, a block sent twice, a
+// sparse block. The driver checks each reply where it arrives, so every
+// attempt fails as a bad frame and the column is computed locally — on a
+// whole column, on a column sent out as its R cuboids and folded by the
+// driver, and on a chain's last link — with no panic and the bits of the
+// local product.
+func TestForgedRepliesFallBackToLocal(t *testing.T) {
+	rng := rand.New(rand.NewSource(4301))
+	// A 5×5 grid of C blocks whose last row and column are 4 wide.
+	a, b := bmat.RandomDense(rng, 36, 44, 8), bmat.RandomDense(rng, 44, 36, 8)
+	const grid = 5
+	forges := []struct {
+		name  string
+		forge func(box core.Box, reply *multiplyReply)
+	}{
+		{"off the grid", func(_ core.Box, r *multiplyReply) { r.CBlocks[0].Key.I += 1000 }},
+		{"in another column's box", func(box core.Box, r *multiplyReply) {
+			if r.CBlocks[0].Key.J = box.JHi; box.JHi == grid {
+				r.CBlocks[0].Key.J = box.JLo - 1
+			}
+		}},
+		{"wrong size", func(_ core.Box, r *multiplyReply) {
+			rows, cols := r.CBlocks[0].Block.Dims()
+			r.CBlocks[0].Block = matrix.NewDense(rows+1, cols)
+		}},
+		{"sent twice", func(_ core.Box, r *multiplyReply) { r.CBlocks = append(r.CBlocks, r.CBlocks[0]) }},
+		{"not dense", func(_ core.Box, r *multiplyReply) {
+			r.CBlocks[0].Block = matrix.NewCSRFromDense(r.CBlocks[0].Block.(*matrix.Dense))
+		}},
+	}
+	plans := []struct {
+		name   string
+		params core.Params
+		mem    int64 // θt; one byte sends every column out as its R cuboids
+		chain  bool
+	}{
+		{name: "whole columns", params: core.Params{P: 2, Q: 2, R: 1}},
+		{name: "columns over θt", params: core.Params{P: 2, Q: 2, R: 2}, mem: 1},
+		{name: "chain", params: core.Params{P: 2, Q: 2, R: 2}, chain: true},
+	}
+	for _, plan := range plans {
+		want := cuboidReference(t, a, b, plan.params)
+		for _, f := range forges {
+			t.Run(plan.name+"/"+f.name, func(t *testing.T) {
+				addrs := make([]string, 3)
+				for i := range addrs {
+					addrs[i] = startForgingWorker(t, f.forge)
+				}
+				opts := fastOpts()
+				opts.DisableHeartbeat = true
+				d, err := DialOptions(addrs, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+				params := plan.params
+				c, _, err := d.Execute(context.Background(), a, b, MultiplyOptions{Params: &params, WorkerMemBytes: plan.mem})
+				if err != nil {
+					t.Fatal(err)
+				}
+				bitIdentical(t, c, want)
+				st := d.NetStats()
+				if st.LocalFallbacks == 0 {
+					t.Errorf("no local fallback: a forged reply was accepted (%+v)", st)
+				}
+				if plan.chain && st.ChainFallbacks == 0 {
+					t.Errorf("no chain fallback: the last link's forged reply was accepted")
+				}
+			})
 		}
 	}
 }

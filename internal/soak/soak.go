@@ -463,13 +463,16 @@ func (h *harness) precomputeRefs() error {
 
 // pickVictim chooses the kill target: an alive, pool-owned worker,
 // preferring unproxied ones so the baseline run keeps its straggler — the
-// adversarial choice a real failure domain would make for us.
+// adversarial choice a real failure domain would make for us. Reading the
+// health snapshot does not shift its window, which moves forward by time
+// alone, so the autoscaler sees the same scores it would without the read.
 func (h *harness) pickVictim() string {
+	workers := h.d.ClusterHealth().Workers
 	h.pmu.Lock()
 	defer h.pmu.Unlock()
 	victim := ""
-	for _, m := range h.d.Members() {
-		if m.State != distnet.StateAlive || m.Draining || h.killed[m.Addr] || !h.pool.Owns(m.Addr) {
+	for _, m := range workers {
+		if m.State != distnet.StateAlive.String() || m.Draining || h.killed[m.Addr] || !h.pool.Owns(m.Addr) {
 			continue
 		}
 		if !h.proxied[m.Addr] {
