@@ -82,12 +82,14 @@ lint-docs:
 
 # Go lines, the one recipe behind every line count CHANGES.md and
 # ROADMAP.md quote: non-test lines of the tree outside benchmark/, its test
-# lines, the non-test lines of each internal/* package, and the exported
+# lines, the non-test lines of each internal/* package, their sum over
+# core, cluster and distnet (ROADMAP item 2's exit figure), and the exported
 # surface.
 loc:
 	@printf '%-22s %6d\n' total $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)
 	@printf '%-22s %6d\n' tests $$(find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)
 	@for p in internal/*; do printf '%-22s %6d\n' $$p $$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); done
+	@printf '%-22s %6d\n' core+cluster+distnet $$(find internal/core internal/cluster internal/distnet -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 	@printf '%-22s %6d\n' api/surface.txt $$(wc -l < api/surface.txt)
 
 # Exported API surface of the public packages (root, internal/engine,

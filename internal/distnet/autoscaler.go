@@ -16,37 +16,37 @@ import (
 // members leave liveMembers, so the next session operation re-snapshots
 // onto the remaining placement.
 
-// ScaleAction is what the policy asked for on one tick.
-type ScaleAction int
+// scaleAction is what the policy asked for on one tick.
+type scaleAction int
 
 const (
-	// ScaleHold: no change this tick.
-	ScaleHold ScaleAction = iota
-	// ScaleUp: grow the pool by one worker.
-	ScaleUp
-	// ScaleDown: drain the named worker out of rotation.
-	ScaleDown
+	// scaleHold: no change this tick.
+	scaleHold scaleAction = iota
+	// scaleUp: grow the pool by one worker.
+	scaleUp
+	// scaleDown: drain the named worker out of rotation.
+	scaleDown
 )
 
 // String names the action for events and logs.
-func (a ScaleAction) String() string {
+func (a scaleAction) String() string {
 	switch a {
-	case ScaleHold:
+	case scaleHold:
 		return "hold"
-	case ScaleUp:
+	case scaleUp:
 		return "up"
-	case ScaleDown:
+	case scaleDown:
 		return "down"
 	default:
 		return fmt.Sprintf("action(%d)", int(a))
 	}
 }
 
-// ScaleDecision is one policy verdict. Addr names the drain victim for
-// ScaleDown (ignored for the other actions); Reason is a short operator-
+// scaleDecision is one policy verdict. Addr names the drain victim for
+// scaleDown (ignored for the other actions); Reason is a short operator-
 // facing explanation recorded in the decision log.
-type ScaleDecision struct {
-	Action ScaleAction
+type scaleDecision struct {
+	Action scaleAction
 	Addr   string
 	Reason string
 }
@@ -113,11 +113,11 @@ func (p *HysteresisPolicy) defaults() {
 
 // decide turns one tick's health snapshot into a decision, with hysteresis
 // on every edge.
-func (p *HysteresisPolicy) decide(h ClusterHealth) ScaleDecision {
+func (p *HysteresisPolicy) decide(h ClusterHealth) scaleDecision {
 	p.defaults()
 	if p.cooldown > 0 {
 		p.cooldown--
-		return ScaleDecision{Action: ScaleHold, Reason: "cooldown"}
+		return scaleDecision{Action: scaleHold, Reason: "cooldown"}
 	}
 
 	var stragglers int64
@@ -155,7 +155,7 @@ func (p *HysteresisPolicy) decide(h ClusterHealth) ScaleDecision {
 		p.unhealthy = map[string]int{}
 		p.upTicks, p.downTicks = 0, 0
 		p.cooldown = p.CooldownTicks
-		return ScaleDecision{Action: ScaleDown, Addr: victim, Reason: "unhealthy: flapping or low score"}
+		return scaleDecision{Action: scaleDown, Addr: victim, Reason: "unhealthy: flapping or low score"}
 	}
 
 	if h.Pressure >= p.UpPressure || stragglers > 0 {
@@ -175,7 +175,7 @@ func (p *HysteresisPolicy) decide(h ClusterHealth) ScaleDecision {
 		if stragglers > 0 {
 			reason = fmt.Sprintf("stragglers (%d in window), pressure %.2f", stragglers, h.Pressure)
 		}
-		return ScaleDecision{Action: ScaleUp, Reason: reason}
+		return scaleDecision{Action: scaleUp, Reason: reason}
 	}
 	if p.downTicks >= p.DownAfter && h.LiveWorkers > p.MinWorkers {
 		// Drain the lowest-scoring live worker; ties break to table order.
@@ -188,11 +188,11 @@ func (p *HysteresisPolicy) decide(h ClusterHealth) ScaleDecision {
 		if best != "" {
 			p.downTicks = 0
 			p.cooldown = p.CooldownTicks
-			return ScaleDecision{Action: ScaleDown, Addr: best,
+			return scaleDecision{Action: scaleDown, Addr: best,
 				Reason: fmt.Sprintf("sustained idleness, pressure %.2f", h.Pressure)}
 		}
 	}
-	return ScaleDecision{Action: ScaleHold}
+	return scaleDecision{Action: scaleHold}
 }
 
 // ScaleEvent is one applied (or failed) autoscaler decision, kept in the
@@ -338,7 +338,7 @@ func (r *scalerRun) tick() {
 	}
 	dec := r.opts.Policy.decide(d.ClusterHealth())
 	switch dec.Action {
-	case ScaleUp:
+	case scaleUp:
 		ctx, cancel := context.WithTimeout(context.Background(), r.opts.DrainTimeout)
 		addr, err := r.opts.Pool.Grow(ctx)
 		cancel()
@@ -352,7 +352,7 @@ func (r *scalerRun) tick() {
 			atomic.AddInt64(&d.rec.Net.Live().ScaleUps, 1)
 		}
 		r.record(ev)
-	case ScaleDown:
+	case scaleDown:
 		ev := ScaleEvent{Time: time.Now(), Action: "down", Addr: dec.Addr, Reason: dec.Reason}
 		if !r.opts.Pool.Owns(dec.Addr) {
 			ev.Err = "not pool-owned; refusing to drain"

@@ -8,17 +8,17 @@ import (
 	"distme/internal/matrix"
 )
 
-// DefaultCacheBytes is the worker block cache's default capacity.
-const DefaultCacheBytes int64 = 256 << 20
+// defaultCacheBytes is the worker block cache's default capacity.
+const defaultCacheBytes int64 = 256 << 20
 
-// DefaultCacheEpochWindow is how many job epochs a cached block survives
+// defaultCacheEpochWindow is how many job epochs a cached block survives
 // without being referenced. One multiply bumps the driver's epoch once, so
 // under a serial workload the window behaves like "keep blocks for the last
 // N jobs"; under a concurrent serving workload it is what lets many
 // in-flight jobs share one block cache instead of purging each other on
 // every epoch bump. The driver's sendTracker ages its sent set by
 // the same window, so it never references a block the worker has dropped.
-const DefaultCacheEpochWindow = 32
+const defaultCacheEpochWindow = 32
 
 // CacheStats is a snapshot of one worker's block-cache counters.
 type CacheStats struct {
@@ -42,7 +42,7 @@ type CacheStats struct {
 // driver's fresh key by being issued once, so a hit can only ever return the
 // exact bytes the driver sent under that key — and the job epoch is purely a
 // lifecycle bound. Each entry remembers the newest epoch that touched it,
-// and entries whose epoch falls more than DefaultCacheEpochWindow behind the
+// and entries whose epoch falls more than defaultCacheEpochWindow behind the
 // newest epoch seen are purged. That keeps residency bounded across job
 // churn while letting concurrent jobs — which each carry a distinct epoch —
 // share warm blocks instead of purging each other.
@@ -69,7 +69,7 @@ type cacheEntry struct {
 // drop, which the wire protocol's resend path already tolerates).
 func newBlockCache(capBytes int64) *blockCache {
 	if capBytes == 0 {
-		capBytes = DefaultCacheBytes
+		capBytes = defaultCacheBytes
 	}
 	if capBytes < 0 {
 		return nil
@@ -156,10 +156,10 @@ func (c *blockCache) lookup(epoch uint64, dg codec.Digest) (matrix.Block, bool) 
 // only runs when the newest-epoch watermark advances (once per job), and
 // residency is already byte-bounded, so the walk stays cheap.
 func (c *blockCache) expireLocked() {
-	if c.epoch <= DefaultCacheEpochWindow {
+	if c.epoch <= defaultCacheEpochWindow {
 		return
 	}
-	floor := c.epoch - DefaultCacheEpochWindow
+	floor := c.epoch - defaultCacheEpochWindow
 	for el := c.ll.Back(); el != nil; {
 		prev := el.Prev()
 		e := el.Value.(*cacheEntry)

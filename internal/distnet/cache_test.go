@@ -197,9 +197,9 @@ func TestWorkerRestartMidJobMissesCleanly(t *testing.T) {
 // in a fresh epoch, so the worker's cache residency must stay bounded by
 // the epoch window's worth of distinct blocks instead of accumulating
 // without bound across jobs. It runs a few more rounds than
-// DefaultCacheEpochWindow, enough to cross the window and observe expiry.
+// defaultCacheEpochWindow, enough to cross the window and observe expiry.
 func TestMembershipChurnDoesNotLeakCacheEntries(t *testing.T) {
-	const epochWindow = DefaultCacheEpochWindow
+	const epochWindow = defaultCacheEpochWindow
 	addr, w := startCacheWorker(t, 0)
 	d, err := DialOptions([]string{addr}, fastOpts())
 	if err != nil {
@@ -248,7 +248,7 @@ func TestMembershipChurnDoesNotLeakCacheEntries(t *testing.T) {
 
 // TestEpochWindowAgesDriverAndWorkerAlike: the driver's sendTracker and the
 // worker's cache expire a block by the same window. A block last sent
-// DefaultCacheEpochWindow epochs ago is still referenced, and resolves; one
+// defaultCacheEpochWindow epochs ago is still referenced, and resolves; one
 // last sent a window and one epoch ago goes inline again. Either way the
 // worker never answers a reference with a miss.
 func TestEpochWindowAgesDriverAndWorkerAlike(t *testing.T) {
@@ -259,8 +259,8 @@ func TestEpochWindowAgesDriverAndWorkerAlike(t *testing.T) {
 		fillers  int // jobs between the two runs of a×b
 		wantRefs int64
 	}{
-		{DefaultCacheEpochWindow - 1, blocks}, // last sent a window ago
-		{DefaultCacheEpochWindow, 0},          // a window and one epoch ago
+		{defaultCacheEpochWindow - 1, blocks}, // last sent a window ago
+		{defaultCacheEpochWindow, 0},          // a window and one epoch ago
 	} {
 		addr, _ := startCacheWorker(t, 0)
 		d, err := DialOptions([]string{addr}, fastOpts())
@@ -497,7 +497,7 @@ func TestSendTrackerAgesLikeBlockCache(t *testing.T) {
 		send(t, tr, c, 5, 0)  // key 0 inserted at epoch 5
 		send(t, tr, c, 11, 1) // a concurrent job's send moves the watermark to 11
 		send(t, tr, c, 10, 0) // key 0 referenced by the job at epoch 10
-		for epoch := uint64(12); epoch <= 12+DefaultCacheEpochWindow; epoch++ {
+		for epoch := uint64(12); epoch <= 12+defaultCacheEpochWindow; epoch++ {
 			send(t, tr, c, epoch, 2) // one send per later job, key 0 untouched
 			check(t, tr, c, 3, fmt.Sprintf("epoch %d", epoch))
 		}

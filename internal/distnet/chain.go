@@ -33,10 +33,10 @@ import (
 // keeps its sum for the next one to take; the last returns the column's C
 // blocks, which the driver only places.
 //
-// Holders are ordered by member index, whatever the job's base: a link waits
-// only on a holder of lower index, so concurrent chains cannot wait on each
-// other in a cycle, and the links of the lowest-index member never wait. A
-// link waits for a slot of its own holder and never spills to another
+// Holders are ordered by member index, whatever the chain cursor: a link
+// waits only on a holder of lower index, so concurrent chains cannot wait on
+// each other in a cycle, and the links of the lowest-index member never
+// wait. A link waits for a slot of its own holder and never spills to another
 // member. Any failed link abandons its column's chain, and the column
 // re-runs as its homes calls (runCalls) with runJob's retries, downgrade and
 // local fallback.
@@ -44,9 +44,12 @@ import (
 // planChain prices the job's two placements and, when the chain is the
 // cheaper (core.ChoosePlacement), makes every column's links. Only push jobs
 // of R ≥ 2 on two or more live members are candidates. The holders are h
-// live members taken from the job's base on, so jobs spread over a larger
-// pool, and then put in member order.
-func (r *cuboidRun) planChain(gk, base int) core.Placement {
+// live members taken from the driver's chain cursor on, and then put in
+// member order. The cursor advances by h a chain, so successive chains
+// rotate over a larger pool whatever their P·Q·R; the job's ring base would
+// land every repeat of a plan whose P·Q·R is a multiple of the live count on
+// the same h holders.
+func (r *cuboidRun) planChain(gk int) core.Placement {
 	params := r.job.params
 	if params.R < 2 || r.columns[0].whole.pull {
 		return core.PlaceHomes
@@ -56,9 +59,10 @@ func (r *cuboidRun) planChain(gk, base int) core.Placement {
 		return core.PlaceHomes
 	}
 	h := core.ChainHolders(params.R, len(live))
+	start := r.d.reserve(&r.d.chains, h)
 	picks := make([]int, h)
 	for g := range picks {
-		picks[g] = (base + g) % len(live)
+		picks[g] = (start + g) % len(live)
 	}
 	sort.Ints(picks)
 	holders := make([]*member, h)
@@ -430,7 +434,7 @@ type sumKey struct {
 
 // chainSums are the running sums a worker keeps for the links after its
 // own. A sum leaves when it is taken, when its bound passes, or when its
-// job's epoch falls DefaultCacheEpochWindow behind the newest one kept —
+// job's epoch falls defaultCacheEpochWindow behind the newest one kept —
 // so a sum whose successor died is dropped without anyone asking.
 type chainSums struct {
 	mu    sync.Mutex
@@ -465,8 +469,8 @@ func (s *chainSums) slot(k sumKey) *sumSlot {
 func (s *chainSums) put(k sumKey, epoch uint64, recs []blockRec, keep time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if epoch > DefaultCacheEpochWindow {
-		floor := epoch - DefaultCacheEpochWindow
+	if epoch > defaultCacheEpochWindow {
+		floor := epoch - defaultCacheEpochWindow
 		for key, sl := range s.slots {
 			if sl.made && sl.epoch < floor {
 				sl.timer.Stop()

@@ -44,6 +44,47 @@ func heldSums(workers ...*Worker) int {
 	return n
 }
 
+// TestChainHoldersRotateAcrossJobs: three (3,2,2) jobs on three workers.
+// Each runs as the chain on h = 2 holders, so each job puts its 6 columns'
+// links on two workers and none on the third. P·Q·R = 12 is a multiple of
+// the live count, so holders taken from the job's ring base would be the
+// same two every time; taken from the chain cursor they rotate, and after
+// the three jobs every worker has served the links of two.
+func TestChainHoldersRotateAcrossJobs(t *testing.T) {
+	params := core.Params{P: 3, Q: 2, R: 2}
+	addrs, workers := startWorkers(t, 3)
+	d, err := DialOptions(addrs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	rng := rand.New(rand.NewSource(171))
+	a, b := bmat.RandomDense(rng, 24, 32, 8), bmat.RandomDense(rng, 32, 16, 8)
+	want := cuboidReference(t, a, b, params)
+	before := servedCounts(workers)
+	for job := 0; job < 3; job++ {
+		got, err := execute(d, a, b, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitIdentical(t, got, want)
+		after := servedCounts(workers)
+		delta := make([]int, len(after))
+		for i := range after {
+			delta[i] = after[i] - before[i]
+		}
+		if !equalSorted(delta, []int{0, 6, 6}) {
+			t.Errorf("job %d: workers served %v links, want two 6 and one 0", job, delta)
+		}
+		before = after
+	}
+	for i, n := range before {
+		if n != 12 {
+			t.Errorf("worker %d served %d links over three jobs, want 12", i, n)
+		}
+	}
+}
+
 // TestChainAtServeThetaGoesOutUnsplit: the benchmark's two cold shapes at
 // the θt their serve runs with — dense 768³ at (2,2,2) under 4 MiB, and a
 // 0.1 % CSR 8192² times 8192×64 dense at (3,1,4) under 3 MiB — on two

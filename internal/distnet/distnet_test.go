@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,15 +62,28 @@ func TestRemoteMultiplyMatchesLocal(t *testing.T) {
 		t.Fatal("remote product differs from local reference")
 	}
 
-	// The plan runs as the k-ordered chain on min(R, 3) = 2 holders — the
-	// two workers from the job's ring position on, here the first two —
-	// each serving its slab of all 6 columns; homes would send each of A's
-	// row bands to two workers.
-	for i, w := range workers {
-		if want := []int{6, 6, 0}[i]; w.Multiplies() != want {
-			t.Errorf("worker %d served %d cuboids, want %d", i, w.Multiplies(), want)
-		}
+	// The plan runs as the k-ordered chain on min(R, 3) = 2 holders, each
+	// serving its slab of all 6 columns; homes would send each of A's row
+	// bands to two workers.
+	if got := servedCounts(workers); !equalSorted(got, []int{0, 6, 6}) {
+		t.Errorf("workers served %v cuboids, want two 6 and one 0", got)
 	}
+}
+
+// servedCounts is how many multiply calls each worker has served.
+func servedCounts(workers []*Worker) []int {
+	n := make([]int, len(workers))
+	for i, w := range workers {
+		n[i] = w.Multiplies()
+	}
+	return n
+}
+
+// equalSorted reports whether got, sorted, is want.
+func equalSorted(got, want []int) bool {
+	got = slices.Clone(got)
+	slices.Sort(got)
+	return slices.Equal(got, want)
 }
 
 func TestRemoteMultiplySparse(t *testing.T) {

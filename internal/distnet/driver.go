@@ -33,7 +33,7 @@ type Driver struct {
 	// epoch numbers multiply jobs. It bounds how long a cached block lives,
 	// not which job may reference it: a key is bound to one content, so a
 	// later job's reference to an earlier job's block is exactly the hit the
-	// cache is for, and an entry untouched for DefaultCacheEpochWindow epochs
+	// cache is for, and an entry untouched for defaultCacheEpochWindow epochs
 	// expires on both sides. Block-store sessions draw their epochs from the
 	// same counter.
 	epoch atomic.Uint64
@@ -62,6 +62,7 @@ type Driver struct {
 	mu      sync.Mutex
 	members []*member
 	rr      int // scheduling cursor: runCuboids reserves one position per cuboid
+	chains  int // chain cursor: planChain reserves one position per holder
 	closed  bool
 
 	// backoff is the retry delay policy cuboid dispatch shares with the

@@ -2,6 +2,7 @@ package distnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"distme/internal/bmat"
@@ -14,8 +15,8 @@ import (
 // per-worker budget.
 type MultiplyOptions struct {
 	// Params, when non-nil, fixes the (P,Q,R) cuboid partitioning
-	// explicitly; nil lets the optimizer choose from WorkerMemBytes, the
-	// live worker count, and Eq.(4).
+	// explicitly; nil lets core.Optimize choose from WorkerMemBytes, the
+	// schedulable worker count, and Eq.(4).
 	Params *core.Params
 	// WorkerMemBytes is the per-worker memory budget θt (0 takes 1 GiB): the
 	// optimizer's bound on one cuboid when Params is nil, and, with or
@@ -23,52 +24,31 @@ type MultiplyOptions struct {
 	// carries — a (p,q) column whose R cuboids' inputs exceed it goes out
 	// as R calls, one cuboid each, whose partials the driver folds.
 	WorkerMemBytes int64
-	// Transfer selects the operand data plane. TransferPush is the classic
-	// mode: the driver ships every cuboid slice. TransferPull seeds each
-	// operand once into a block-store session and ships only placement
-	// manifests; workers fetch the replicated slices from the owning peers,
-	// so the driver moves |A|+|B| instead of Q·|A|+P·|B|. TransferAuto (the
-	// zero value) prices both with Eq.(4) when the optimizer chooses the
-	// partitioning; with explicit Params, Execute keeps push — the
-	// established behavior — while Session.Multiply, whose operands are
-	// already resident, prices both planes at those params. Pull is ignored
-	// by Execute when only one worker is live. Results are bit-identical
-	// across modes.
+	// Transfer is the entry point's own plane or zero: Execute pushes the
+	// driver-side operands it is given, Session.Multiply pulls resident
+	// ones. Any other value is refused with an error that names the entry
+	// point for it. Results are bit-identical across the planes.
 	Transfer core.Transfer
 }
 
 // planMultiply resolves one call's options against the operand shape: the
-// (P,Q,R) to run and the data plane to run it on. pc says how pull is priced
-// (its Workers is also the optimizer's slot count). Explicit Params under
-// TransferAuto settle by where the operands are: resident ones (Session.
-// Multiply — no seed to pay) take whichever plane Eq.(4) prices cheaper at
-// those params; cold ones (Execute) keep push, the established behavior.
-func (d *Driver) planMultiply(opts MultiplyOptions, shape core.Shape, pc core.PullCost) (core.Params, core.Transfer, error) {
-	if !opts.Transfer.Valid() {
-		return core.Params{}, 0, fmt.Errorf("distnet: unknown transfer mode %d", opts.Transfer)
-	}
-	params, mode := core.Params{}, opts.Transfer
-	if opts.Params != nil {
-		params = *opts.Params
-		if mode == core.TransferAuto {
-			mode = core.TransferPush
-			if pc.SeedResident && shape.CostBytesPull(params, pc) < shape.CostBytes(params) {
-				mode = core.TransferPull
-			}
+// (P,Q,R) to run — opts.Params, else core.Optimize's choice over the
+// schedulable workers. plane is the calling entry point's; opts.Transfer
+// may only repeat it.
+func (d *Driver) planMultiply(opts MultiplyOptions, shape core.Shape, plane core.Transfer) (core.Params, error) {
+	if t := opts.Transfer; t != core.TransferAuto && t != plane {
+		switch t {
+		case core.TransferPush:
+			return core.Params{}, errors.New("distnet: Session.Multiply pulls resident handles; push driver-side operands with Driver.Execute")
+		case core.TransferPull:
+			return core.Params{}, errors.New("distnet: Driver.Execute pushes driver-side operands; pull resident handles with Session.Multiply")
 		}
-		return params, mode, nil
+		return core.Params{}, fmt.Errorf("distnet: unknown transfer mode %v", t)
 	}
-	mem := opts.workerMem()
-	var err error
-	switch mode {
-	case core.TransferPush:
-		params, err = core.Optimize(shape, mem, pc.Workers)
-	case core.TransferPull:
-		params, err = core.OptimizePull(shape, mem, pc.Workers, pc)
-	default:
-		params, mode, err = core.OptimizeTransfer(shape, mem, pc.Workers, pc)
+	if opts.Params != nil {
+		return *opts.Params, nil
 	}
-	return params, mode, err
+	return core.Optimize(shape, opts.workerMem(), max(d.Workers(), 1))
 }
 
 // workerMem is θt: WorkerMemBytes, or 1 GiB when it is unset.
@@ -86,47 +66,19 @@ func (opts MultiplyOptions) callBytes() int64 {
 	return min(opts.workerMem(), codec.MaxFrameBytes/2)
 }
 
-// Execute is the driver's multiply entry point for one-shot operands:
-// C = A×B across the live workers, context-first, with partitioning,
-// optimizer budget and transfer mode in one options struct. The returned
-// params are the partitioning actually run. A failed call recovers as the
-// cuboid job path does (job.go). Cancelling ctx abandons unscheduled cuboids
-// and returns its error.
+// Execute is the driver's multiply entry point for driver-side operands:
+// C = A×B across the live workers, context-first, with partitioning and
+// optimizer budget in one options struct. It pushes the operands, each
+// column's slices to its home or, where core.ChoosePlacement prices it
+// cheaper, along the k-ordered chain (chain.go). The returned params are the
+// partitioning actually run. A failed call recovers as the cuboid job path
+// does (job.go). Cancelling ctx abandons unscheduled cuboids and returns its
+// error.
 func (d *Driver) Execute(ctx context.Context, a, b *bmat.BlockMatrix, opts MultiplyOptions) (*bmat.BlockMatrix, core.Params, error) {
-	// Cold operands: pull pays the seed.
-	params, mode, err := d.planMultiply(opts, core.ShapeOf(a, b), core.PullCost{Workers: max(d.Workers(), 1)})
+	params, err := d.planMultiply(opts, core.ShapeOf(a, b), core.TransferPush)
 	if err != nil {
 		return nil, core.Params{}, err
 	}
-	var c *bmat.BlockMatrix
-	if mode == core.TransferPull && d.Workers() > 1 {
-		c, err = d.executePull(ctx, a, b, params, opts)
-	} else {
-		c, err = d.multiply(ctx, a, b, params, opts)
-	}
+	c, err := d.multiply(ctx, a, b, params, opts)
 	return c, params, err
-}
-
-// executePull runs one cold-operand pull multiply: seed each operand once
-// into a throwaway block-store session (the driver's one-copy |A|+|B|
-// contribution), then manifest-multiply over the resident handles, then
-// retire the session. Failures inside fall back per call — a worker that
-// cannot resolve its manifest is re-pushed inline by runJob.
-func (d *Driver) executePull(ctx context.Context, a, b *bmat.BlockMatrix, params core.Params, opts MultiplyOptions) (*bmat.BlockMatrix, error) {
-	s, err := d.NewSession(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = s.Close(ctx) }()
-	ha, err := s.Put(ctx, a)
-	if err != nil {
-		return nil, err
-	}
-	hb, err := s.Put(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	opts.Params, opts.Transfer = &params, core.TransferPull
-	c, _, err := s.Multiply(ctx, ha, hb, opts)
-	return c, err
 }

@@ -126,7 +126,7 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 			call.home = base + g + rr
 		}
 	}
-	placement := r.planChain(gk, base)
+	placement := r.planChain(gk)
 	if r.root.Active() {
 		r.root.SetAttr("placement", placement.String())
 	}

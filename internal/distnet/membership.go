@@ -329,11 +329,17 @@ func (d *Driver) connect(m *member, reconnect bool) error {
 // home, fixed at plan time, so which worker it lands on — and so which of
 // its blocks go as digest references — does not depend on goroutine timing.
 func (d *Driver) reserveHomes(n int) (base int) {
+	return d.reserve(&d.rr, n)
+}
+
+// reserve advances one of the driver's cursors by n and returns where it
+// stood.
+func (d *Driver) reserve(cursor *int, n int) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	base = d.rr
-	d.rr += n
-	return base
+	at := *cursor
+	*cursor += n
+	return at
 }
 
 // acquireMember returns the first schedulable member with a free in-flight

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 
 	"distme/internal/bmat"
@@ -25,10 +26,11 @@ func pullTestOperands(seed int64) (*bmat.BlockMatrix, *bmat.BlockMatrix) {
 	return a, b
 }
 
-// TestSessionMultiplyPullMatchesPush holds the two transfer modes — and the
-// local reference — to bitwise agreement, and checks pull actually left the
-// driver out of the operand path: driver-sent bytes during the pull multiply
-// must be far below the operands it did not ship.
+// TestSessionMultiplyPullMatchesPush holds the two transfer modes — a pull
+// over resident handles and Execute's push of their sources — and the local
+// reference to bitwise agreement, and checks pull actually left the driver
+// out of the operand path: driver-sent bytes during the pull multiply must
+// be far below the operands it did not ship.
 func TestSessionMultiplyPullMatchesPush(t *testing.T) {
 	addrs, workers := startWorkers(t, 4)
 	d, err := DialOptions(addrs, Options{})
@@ -60,7 +62,7 @@ func TestSessionMultiplyPullMatchesPush(t *testing.T) {
 		t.Fatalf("params %v != %v", gotParams, params)
 	}
 
-	want, _, err := s.Multiply(ctx, ha, hb, MultiplyOptions{Params: &params, Transfer: core.TransferPush})
+	want, _, err := d.Execute(ctx, a, b, MultiplyOptions{Params: &params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,47 +502,14 @@ func TestPullAddWorkerMidJob(t *testing.T) {
 	bitIdentical(t, again, want)
 }
 
-// TestSessionMultiplyAutoPicksPull checks the Eq.(4) arbitration end to end:
-// with warm operands the seed term drops and pull's fan-out-divided peer
-// term undercuts push, so TransferAuto must run pull — visible in the
-// counters — and still agree with an explicit push run bit for bit.
-func TestSessionMultiplyAutoPicksPull(t *testing.T) {
-	addrs, _ := startWorkers(t, 4)
-	d, err := DialOptions(addrs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	ctx := context.Background()
-	a, b := pullTestOperands(106)
-
-	s := newSession(t, d)
-	ha, err := s.Put(ctx, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := s.Put(ctx, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, params, err := s.Multiply(ctx, ha, hb, MultiplyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NetStats().PullJobs == 0 {
-		t.Fatal("auto transfer with warm operands did not pick pull")
-	}
-	want, _, err := s.Multiply(ctx, ha, hb, MultiplyOptions{Params: &params, Transfer: core.TransferPush})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitIdentical(t, got, want)
-}
-
-// TestExecuteTransferPull covers the cold-operand Execute path: the driver
-// seeds each operand once into a throwaway session and manifest-multiplies,
-// with the result bit-identical to classic push.
-func TestExecuteTransferPull(t *testing.T) {
+// TestEntryPointPicksPlane: the operands' residence picks the data plane.
+// Execute takes driver-side operands and pushes them, so it refuses
+// TransferPull; Session.Multiply takes resident handles and pulls them, so
+// it refuses TransferPush; each refusal names the other entry point. With
+// nil Params, Execute on four workers takes core.Optimize's (P,Q,R) and
+// still pushes — no call goes out as pull — and a pull of the same product
+// over the resident operands agrees with it bit for bit.
+func TestEntryPointPicksPlane(t *testing.T) {
 	addrs, _ := startWorkers(t, 4)
 	d, err := DialOptions(addrs, Options{})
 	if err != nil {
@@ -550,29 +519,42 @@ func TestExecuteTransferPull(t *testing.T) {
 	ctx := context.Background()
 	a, b := pullTestOperands(107)
 
-	want, params, err := d.Execute(ctx, a, b, MultiplyOptions{Transfer: core.TransferPush})
+	if _, _, err := d.Execute(ctx, a, b, MultiplyOptions{Transfer: core.TransferPull}); err == nil || !strings.Contains(err.Error(), "Session.Multiply") {
+		t.Fatalf("Execute with TransferPull: %v, want a refusal naming Session.Multiply", err)
+	}
+	s := newSession(t, d)
+	ha, err := s.Put(ctx, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotParams, err := d.Execute(ctx, a, b, MultiplyOptions{Params: &params, Transfer: core.TransferPull})
+	hb, err := s.Put(ctx, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotParams != params {
-		t.Fatalf("params %v != %v", gotParams, params)
+	if _, _, err := s.Multiply(ctx, ha, hb, MultiplyOptions{Transfer: core.TransferPush}); err == nil || !strings.Contains(err.Error(), "Driver.Execute") {
+		t.Fatalf("Session.Multiply with TransferPush: %v, want a refusal naming Driver.Execute", err)
 	}
-	bitIdentical(t, got, want)
 
-	// The optimizer path (no explicit params) with auto transfer must also
-	// agree with the reference arithmetic whatever mode it picks.
-	auto, _, err := d.Execute(ctx, a, b, MultiplyOptions{})
+	before := d.NetStats()
+	got, params, err := d.Execute(ctx, a, b, MultiplyOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := d.NetStats().Sub(before).PullJobs; n != 0 {
+		t.Fatalf("Execute with nil Params sent %d pull calls, want push only", n)
+	}
+	if want, err := core.Optimize(core.ShapeOf(a, b), 1<<30, 4); err != nil || params != want {
+		t.Fatalf("Execute ran %v, core.Optimize picks %v (%v)", params, want, err)
 	}
 	ref := matrix.Mul(a.ToDense(), b.ToDense()).Dense()
-	if !auto.ToDense().EqualApprox(ref, 1e-9) {
-		t.Fatal("auto Execute differs from local reference")
+	if !got.ToDense().EqualApprox(ref, 1e-9) {
+		t.Fatal("Execute differs from local reference")
 	}
+	pulled, _, err := s.Multiply(ctx, ha, hb, MultiplyOptions{Params: &params, Transfer: core.TransferPull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitIdentical(t, pulled, got)
 }
 
 // TestPipelinePullMatchesPush runs the multi-operator pipeline on three

@@ -35,16 +35,16 @@ func TestHysteresisPolicyScalesUpOnSustainedPressure(t *testing.T) {
 		WorkerHealth{Addr: "a", Score: 1},
 		WorkerHealth{Addr: "b", Score: 1})
 	for i := 0; i < 2; i++ {
-		if dec := p.decide(busy); dec.Action != ScaleHold {
+		if dec := p.decide(busy); dec.Action != scaleHold {
 			t.Fatalf("tick %d: %v before UpAfter sustained", i, dec.Action)
 		}
 	}
-	if dec := p.decide(busy); dec.Action != ScaleUp {
+	if dec := p.decide(busy); dec.Action != scaleUp {
 		t.Fatalf("sustained pressure: got %v", dec.Action)
 	}
 	// Cooldown holds even under pressure, then the count restarts.
 	for i := 0; i < 2; i++ {
-		if dec := p.decide(busy); dec.Action != ScaleHold || dec.Reason != "cooldown" {
+		if dec := p.decide(busy); dec.Action != scaleHold || dec.Reason != "cooldown" {
 			t.Fatalf("cooldown tick %d: %+v", i, dec)
 		}
 	}
@@ -57,14 +57,14 @@ func TestHysteresisPolicyScalesDownIdleAndRespectsMin(t *testing.T) {
 		WorkerHealth{Addr: "b", Score: 0.6})
 	p.decide(idle)
 	dec := p.decide(idle)
-	if dec.Action != ScaleDown || dec.Addr != "b" {
+	if dec.Action != scaleDown || dec.Addr != "b" {
 		t.Fatalf("want down of lowest-scoring b, got %+v", dec)
 	}
 	// At the floor, idleness never drains the last worker.
 	solo := mkHealth(0, WorkerHealth{Addr: "a", Score: 1})
 	p2 := &HysteresisPolicy{MinWorkers: 1, DownAfter: 1}
 	for i := 0; i < 5; i++ {
-		if dec := p2.decide(solo); dec.Action != ScaleHold {
+		if dec := p2.decide(solo); dec.Action != scaleHold {
 			t.Fatalf("scaled below MinWorkers: %+v", dec)
 		}
 	}
@@ -76,12 +76,12 @@ func TestHysteresisPolicyDrainsFlappingWorker(t *testing.T) {
 		WorkerHealth{Addr: "good", Score: 1},
 		WorkerHealth{Addr: "bad", Score: 0.9, Flapping: true})
 	for i := 1; i < unhealthyAfter; i++ {
-		if dec := p.decide(flappy); dec.Action != ScaleHold {
+		if dec := p.decide(flappy); dec.Action != scaleHold {
 			t.Fatalf("tick %d: %+v before unhealthyAfter sustained", i, dec)
 		}
 	}
 	dec := p.decide(flappy)
-	if dec.Action != ScaleDown || dec.Addr != "bad" {
+	if dec.Action != scaleDown || dec.Addr != "bad" {
 		t.Fatalf("want unhealthy drain of bad, got %+v", dec)
 	}
 }
@@ -94,9 +94,9 @@ func TestHysteresisPolicyDeterministic(t *testing.T) {
 		mkHealth(0, WorkerHealth{Addr: "a", Score: 1}, WorkerHealth{Addr: "b", Score: 1}),
 		mkHealth(0.5, WorkerHealth{Addr: "a", Score: 0.2}, WorkerHealth{Addr: "b", Score: 1}),
 	}
-	run := func() []ScaleAction {
+	run := func() []scaleAction {
 		p := &HysteresisPolicy{UpAfter: 2, DownAfter: 2, CooldownTicks: 1}
-		var out []ScaleAction
+		var out []scaleAction
 		for _, h := range seq {
 			out = append(out, p.decide(h).Action)
 		}

@@ -11,15 +11,12 @@ import (
 )
 
 // Multiply runs C = A×B over two resident handles and returns the product
-// driver-side along with the partitioning actually run. opts.Transfer picks
-// the data plane: TransferPull ships manifests and lets workers fetch
-// operand slices from the owning peers; TransferPush materializes the
-// operands driver-side and pushes each column's slices; TransferAuto prices
-// both with Eq.(4) (pull's peer term at fan-out, seed dropped since the
-// operands are resident) and takes the cheaper. Either way the job runs the
-// one cuboid path, so a JobMeter on ctx, the driver's gauges and tracing all
-// apply, and it recovers as that path does (job.go). Results are
-// bit-identical across modes and under any fault schedule.
+// driver-side along with the partitioning actually run. It pulls: each
+// column ships manifests and its worker fetches the operand slices from the
+// owning peers. The job runs the one cuboid path, so a JobMeter on ctx, the
+// driver's gauges and tracing all apply, and it recovers as that path does
+// (job.go). Results are bit-identical to Driver.Execute on the same sources,
+// under any fault schedule.
 func (s *Session) Multiply(ctx context.Context, a, b *Handle, opts MultiplyOptions) (*bmat.BlockMatrix, core.Params, error) {
 	if err := s.checkHandle(a); err != nil {
 		return nil, core.Params{}, err
@@ -30,22 +27,9 @@ func (s *Session) Multiply(ctx context.Context, a, b *Handle, opts MultiplyOptio
 	if err := core.CheckConformable(a.rows, a.cols, a.blockSize, b.rows, b.cols, b.blockSize); err != nil {
 		return nil, core.Params{}, fmt.Errorf("distnet: %w", err)
 	}
-	params, mode, err := s.d.planMultiply(opts, s.handleShape(a, b), core.PullCost{Workers: len(s.workers), SeedResident: true})
+	params, err := s.d.planMultiply(opts, s.handleShape(a, b), core.TransferPull)
 	if err != nil {
 		return nil, core.Params{}, err
-	}
-
-	if mode == core.TransferPush {
-		am, err := s.materialize(ctx, a)
-		if err != nil {
-			return nil, core.Params{}, err
-		}
-		bm, err := s.materialize(ctx, b)
-		if err != nil {
-			return nil, core.Params{}, err
-		}
-		c, err := s.d.multiply(ctx, am, bm, params, opts)
-		return c, params, err
 	}
 
 	// Recovery defaults to a; an eviction the worker pinned on b's handle
@@ -73,15 +57,6 @@ func (s *Session) handleShape(a, b *Handle) core.Shape {
 		BBytes: b.bytes,
 		CBytes: int64(a.rows) * int64(b.cols) * 8,
 	}
-}
-
-// materialize returns a driver-side copy of the handle: the retained Put
-// source when present, else a Fetch.
-func (s *Session) materialize(ctx context.Context, h *Handle) (*bmat.BlockMatrix, error) {
-	if h.src != nil {
-		return h.src, nil
-	}
-	return s.Fetch(ctx, h)
 }
 
 // digestAt returns the content digest of the Put-source block at (i, j),

@@ -10,8 +10,8 @@ import (
 	"distme/internal/matrix"
 )
 
-// DefaultStoreBytes is the worker handle store's default capacity.
-const DefaultStoreBytes int64 = 512 << 20
+// defaultStoreBytes is the worker handle store's default capacity.
+const defaultStoreBytes int64 = 512 << 20
 
 // StoreStats is a snapshot of one worker's handle-store counters.
 type StoreStats struct {
@@ -102,7 +102,7 @@ type peerLink struct {
 // unbounded (tests exercising eviction pass small positive caps).
 func newHandleStore(capBytes int64) *handleStore {
 	if capBytes == 0 {
-		capBytes = DefaultStoreBytes
+		capBytes = defaultStoreBytes
 	}
 	return &handleStore{
 		capBytes: capBytes,

@@ -33,7 +33,7 @@ const minCacheableBytes = 256
 
 // epochSet is a set of keys, each kept with the newest epoch that touched
 // it, aged as blockCache ages its entries: a key goes once the newest epoch
-// seen is more than DefaultCacheEpochWindow past its own. A touch refreshes
+// seen is more than defaultCacheEpochWindow past its own. A touch refreshes
 // a key to the toucher's epoch, never to the newest seen — as
 // blockCache.lookup refreshes a hit — or the driver would outlive the
 // worker's entry when jobs run concurrently. The zero value is empty.
@@ -49,8 +49,8 @@ func (s *epochSet[K]) touch(epoch uint64, k K) bool {
 	}
 	if epoch > s.epoch {
 		s.epoch = epoch
-		if epoch > DefaultCacheEpochWindow {
-			floor := epoch - DefaultCacheEpochWindow
+		if epoch > defaultCacheEpochWindow {
+			floor := epoch - defaultCacheEpochWindow
 			for key, e := range s.last {
 				if e < floor {
 					delete(s.last, key)
@@ -67,7 +67,7 @@ func (s *epochSet[K]) touch(epoch uint64, k K) bool {
 // in the set and not one touch would age out first.
 func (s *epochSet[K]) has(epoch uint64, k K) bool {
 	last, ok := s.last[k]
-	aged := epoch > s.epoch && epoch > DefaultCacheEpochWindow && last < epoch-DefaultCacheEpochWindow
+	aged := epoch > s.epoch && epoch > defaultCacheEpochWindow && last < epoch-defaultCacheEpochWindow
 	return ok && !aged
 }
 

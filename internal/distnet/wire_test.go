@@ -924,7 +924,7 @@ func TestFrameSizeCheckFramesWhatTheAppendDoes(t *testing.T) {
 	check("every copy a reference", blockSender{tracker: held}, repeated)
 	aged := &sendTracker{}
 	aged.seen(1, p.Digest)
-	repeated.cacheEpoch = 2 + DefaultCacheEpochWindow
+	repeated.cacheEpoch = 2 + defaultCacheEpochWindow
 	check("the held copy aged out", blockSender{tracker: aged}, repeated)
 }
 
@@ -1168,14 +1168,14 @@ func TestSendTrackerConcurrentEpochs(t *testing.T) {
 	// jumping a full window past that must expire it.
 	var other codec.Digest
 	other[0] = 0xCD
-	if tr.seen(base+1+DefaultCacheEpochWindow+1, other) {
+	if tr.seen(base+1+defaultCacheEpochWindow+1, other) {
 		t.Fatal("fresh digest reported as already sent after window jump")
 	}
-	if tr.seen(base+1+DefaultCacheEpochWindow+1, dg) {
+	if tr.seen(base+1+defaultCacheEpochWindow+1, dg) {
 		t.Fatal("entry outside the epoch window was not aged out")
 	}
 	tr.forget()
-	if tr.seen(base+1+DefaultCacheEpochWindow+1, dg) {
+	if tr.seen(base+1+defaultCacheEpochWindow+1, dg) {
 		t.Fatal("forget did not clear the sent set")
 	}
 }

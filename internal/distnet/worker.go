@@ -277,11 +277,11 @@ func (w *Worker) Wait() {
 // WorkerOptions tunes a served worker. The zero value gives defaults.
 type WorkerOptions struct {
 	// CacheBytes bounds the block cache: 0 takes
-	// DefaultCacheBytes, negative disables caching (every key reference
+	// defaultCacheBytes, negative disables caching (every key reference
 	// then misses and the driver falls back to inline sends).
 	CacheBytes int64
 	// StoreBytes bounds the handle store's unpinned residency: 0 takes
-	// DefaultStoreBytes, negative means unbounded. Evicted handles are
+	// defaultStoreBytes, negative means unbounded. Evicted handles are
 	// rebuilt from lineage by the driver on next use.
 	StoreBytes int64
 	// Tracer, when set, records a worker.compute span per served cuboid

@@ -40,14 +40,7 @@ func startCluster(t *testing.T, workers int) *testCluster {
 		}
 		addrs = append(addrs, addr)
 	}
-	d, err := distnet.DialOptions(addrs, distnet.Options{
-		HeartbeatInterval: 20 * time.Millisecond,
-		PingTimeout:       time.Second,
-		CallTimeout:       10 * time.Second,
-		SuspectAfter:      1,
-		DeadAfter:         2,
-		JitterSeed:        1,
-	})
+	d, err := distnet.DialOptions(addrs, testDriverOptions)
 	if err != nil {
 		pool.Close(context.Background())
 		t.Fatal(err)
@@ -57,6 +50,66 @@ func startCluster(t *testing.T, workers int) *testCluster {
 		pool.Close(context.Background())
 	})
 	return &testCluster{d: d, pool: pool}
+}
+
+var testDriverOptions = distnet.Options{
+	HeartbeatInterval: 20 * time.Millisecond,
+	PingTimeout:       time.Second,
+	CallTimeout:       10 * time.Second,
+	SuspectAfter:      1,
+	DeadAfter:         2,
+	JitterSeed:        1,
+}
+
+// startHeldWorkers serves n workers whose connections hand on what they
+// read only while hold is not write-locked, and dials a driver to them: with
+// hold locked, a call reaches no worker, so no job can finish.
+func startHeldWorkers(t *testing.T, n int, hold *sync.RWMutex) *distnet.Driver {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		if _, err := distnet.ServeOptions(heldListener{l, hold}, distnet.WorkerOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = l.Addr().String()
+	}
+	d, err := distnet.DialOptions(addrs, testDriverOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+type heldListener struct {
+	net.Listener
+	hold *sync.RWMutex
+}
+
+func (l heldListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return heldConn{c, l.hold}, nil
+}
+
+// heldConn waits, after each read, until hold is not write-locked.
+type heldConn struct {
+	net.Conn
+	hold *sync.RWMutex
+}
+
+func (c heldConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.hold.RLock()
+	c.hold.RUnlock()
+	return n, err
 }
 
 func testMatrices(seed int64, n int) (a, b *bmat.BlockMatrix) {
@@ -145,11 +198,12 @@ func TestConcurrentJobsMatchLocal(t *testing.T) {
 // second submit must be rejected with ErrQuotaExceeded — and admitted again
 // once the first completes and releases its charge.
 func TestQuotaExhaustionMidJob(t *testing.T) {
-	c := startCluster(t, 2)
+	var hold sync.RWMutex
+	d := startHeldWorkers(t, 2, &hold)
 	a, b := testMatrices(9100, 32)
 
 	// Price one job to size the quota at it (with slack under 2 jobs).
-	probe, err := New(c.d, Config{})
+	probe, err := New(d, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +218,7 @@ func TestQuotaExhaustionMidJob(t *testing.T) {
 	probe.Close()
 	quota := st.PlannedBytes + st.PlannedBytes/2
 
-	s, err := New(c.d, Config{
+	s, err := New(d, Config{
 		Tenants: []Tenant{{Name: "metered", MaxInflightBytes: quota}},
 	})
 	if err != nil {
@@ -172,6 +226,11 @@ func TestQuotaExhaustionMidJob(t *testing.T) {
 	}
 	defer s.Close()
 
+	// The workers take no call until the assertion below has run, so the
+	// first job cannot finish before the second submit.
+	hold.Lock()
+	release := sync.OnceFunc(hold.Unlock)
+	defer release()
 	id1, err := s.Submit(SubmitRequest{Tenant: "metered", A: a, B: b})
 	if err != nil {
 		t.Fatal(err)
@@ -181,6 +240,7 @@ func TestQuotaExhaustionMidJob(t *testing.T) {
 	if _, err := s.Submit(SubmitRequest{Tenant: "metered", A: a, B: b}); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("expected ErrQuotaExceeded mid-job, got %v", err)
 	}
+	release()
 	if _, _, err := s.Result(context.Background(), id1); err != nil {
 		t.Fatal(err)
 	}

@@ -169,9 +169,9 @@ func buildWorkload(seed int64) *workload {
 // gnmf 15%, pagerank 15%). tiny-batch is a 4×4×1 plan of sixteen small
 // cuboids, each dispatched as its own call: the per-cuboid fixed cost under
 // chaos. pull-mul runs the same multiply as mul through the one-sided pull
-// plane and compares against the push-computed reference, so the soak also
-// holds the two data planes to bit-identity under every kill and throttle
-// in the schedule.
+// plane, over operands Put into a session of its own, and compares against
+// the push-computed reference, so the soak also holds the two data planes
+// to bit-identity under every kill and throttle in the schedule.
 var jobKinds = []struct {
 	name   string
 	weight int
@@ -351,10 +351,20 @@ func (h *harness) runJob(kind string) (mismatch bool, err error) {
 		}
 		return !bitEqual(got, w.batRef), nil
 	case "pull-mul":
-		got, _, err := h.d.Execute(ctx, w.mulA, w.mulB, distnet.MultiplyOptions{
-			Params:   &w.mulParams,
-			Transfer: core.TransferPull,
-		})
+		sess, err := h.d.NewSession(ctx)
+		if err != nil {
+			return false, err
+		}
+		defer sess.Close(ctx)
+		ha, err := sess.Put(ctx, w.mulA)
+		if err != nil {
+			return false, err
+		}
+		hb, err := sess.Put(ctx, w.mulB)
+		if err != nil {
+			return false, err
+		}
+		got, _, err := sess.Multiply(ctx, ha, hb, distnet.MultiplyOptions{Params: &w.mulParams})
 		if err != nil {
 			return false, err
 		}
