@@ -5,10 +5,11 @@
 //   - the portable tags (TagDense, TagCSR) reproduce the original storage
 //     chunk layout byte-for-byte, so matrix files written before this
 //     package existed still read back, and
-//   - the wire tags (TagCSR32, TagCSC32, TagCSRDelta, TagCSCDelta) add
-//     compact sparse forms — 32-bit indices when the dimensions fit, and a
-//     delta+varint index stream when that is smaller still — chosen per
-//     block by encoded size.
+//   - the wire tags (TagCSR32, TagCSC32, TagCSRDelta, TagCSCDelta,
+//     TagCSRCoord, TagCSCCoord) add compact sparse forms — 32-bit indices
+//     when the dimensions fit, a delta+varint index stream, and for blocks
+//     with fewer entries than lines fixed-width (line, index) coordinates —
+//     chosen per block by encoded size, the smallest winning.
 //
 // Values always travel as raw little-endian float64 bits, converted to and
 // from []byte in bulk (one memmove on little-endian hardware) instead of
@@ -56,6 +57,14 @@ const (
 	TagCSRDelta uint8 = 4
 	// TagCSCDelta is the CSC mirror of TagCSRDelta.
 	TagCSCDelta uint8 = 5
+	// TagCSRCoord is CSR as coordinates: varint dimensions and nnz, the nnz
+	// row coordinates, the nnz column coordinates, each one byte wide when
+	// both sides are at most 256 and two when both are at most 65,536, then
+	// the values. It costs a block its entries, not its rows. Tags 6–11
+	// carried fp32 and XOR+varint values and are refused.
+	TagCSRCoord uint8 = 12
+	// TagCSCCoord is the CSC mirror of TagCSRCoord (columns, then rows).
+	TagCSCCoord uint8 = 13
 )
 
 // ErrBadFormat reports a corrupt, truncated or implausible block payload.
@@ -222,42 +231,27 @@ func appendCSR64(dst []byte, v *matrix.CSR) []byte {
 }
 
 // wirePlan decides the wire form of a block and its exact payload size, so
-// AppendWire and EncodedBytes always agree.
+// AppendWire and EncodedBytes always agree: a sparse block's structure is
+// encoded into a pooled scratch buffer by the encoder itself.
 func wirePlan(b matrix.Block) (tag uint8, size int, err error) {
 	switch v := b.(type) {
 	case *matrix.Dense:
 		return TagDense, 16 + 8*len(v.Data), nil
 	case *matrix.CSR:
-		return sparsePlan(v.RowsN, v.ColsN, v.RowPtr, v.ColIdx, len(v.Val), TagCSR32, TagCSRDelta, TagCSR)
+		return sparsePlan(v.RowsN, v.ColsN, v.RowPtr, v.ColIdx, len(v.Val), csrTags)
 	case *matrix.CSC:
-		return sparsePlan(v.ColsN, v.RowsN, v.ColPtr, v.RowIdx, len(v.Val), TagCSC32, TagCSCDelta, TagCSC32)
+		return sparsePlan(v.ColsN, v.RowsN, v.ColPtr, v.RowIdx, len(v.Val), cscTags)
 	default:
 		return 0, 0, fmt.Errorf("codec: unsupported block type %T", b)
 	}
 }
 
-// sparsePlan sizes the candidate sparse forms for one pointer/index/value
-// triple. major is the pointer axis length (rows for CSR, cols for CSC);
-// minor bounds the index values. fallback64 is used when the data does not
-// fit 32 bits (only reachable for CSR, whose 64-bit form exists).
-func sparsePlan(major, minor int, ptr, idx []int, nnz int, tag32, tagDelta, fallback64 uint8) (uint8, int, error) {
-	if sparseOverflows32(major, minor, ptr, nnz) {
-		if fallback64 != TagCSR {
-			return 0, 0, fmt.Errorf("codec: CSC block %dx%d too large for the wire", major, minor)
-		}
-		return TagCSR, 24 + 8*(len(ptr)+nnz+nnz), nil
-	}
-	size32 := 12 + 4*(major+1) + 4*nnz + 8*nnz
-	sizeDelta, ok := deltaSize(major, minor, ptr, idx, nnz)
-	if ok && sizeDelta < size32 {
-		return tagDelta, sizeDelta, nil
-	}
-	return tag32, size32, nil
-}
-
-func sparseOverflows32(major, minor int, ptr []int, nnz int) bool {
-	return major > math.MaxUint32-1 || minor > math.MaxUint32 || nnz > math.MaxUint32 ||
-		pointersOverflow32(ptr)
+func sparsePlan(major, minor int, ptr, idx []int, nnz int, tags sparseTags) (uint8, int, error) {
+	buf := GetBuffer()
+	out, tag, err := appendSparseStruct(buf, major, minor, ptr, idx, nnz, tags)
+	n := len(out)
+	PutBuffer(out)
+	return tag, n + 8*nnz, err
 }
 
 func pointersOverflow32(ptr []int) bool {
@@ -269,18 +263,35 @@ func pointersOverflow32(ptr []int) bool {
 	return false
 }
 
-// deltaSize sizes the delta+varint form: varint dims and nnz, per-major-axis
-// entry counts, first index absolute then gaps, values raw. Eligibility —
-// monotone pointers spanning the entries, strictly increasing indices within
-// each row/column — is whatever the encoder accepts: the size is that of the
-// index stream appendSparseDeltaStruct writes to a pooled scratch buffer.
-func deltaSize(major, minor int, ptr, idx []int, nnz int) (int, bool) {
-	buf := GetBuffer()
-	out, ok := appendSparseDeltaStruct(buf, major, minor, ptr, idx, nnz, math.MaxInt)
-	n := len(out)
-	PutBuffer(out)
-	return n + 8*nnz, ok
+// coordWidth is the byte width of the coordinate form's coordinates for a
+// major×minor block: one when both sides are at most 256, two when both are
+// at most 65,536, and 0 — the form is not taken — above that.
+func coordWidth(major, minor uint64) int {
+	switch side := max(major, minor); {
+	case side <= 1<<8:
+		return 1
+	case side <= 1<<16:
+		return 2
+	}
+	return 0
 }
+
+// coordSize is the closed-form size of the coordinate form's structure
+// (header and coordinates) and its width, or width 0 where the form is not
+// taken. A line costs the form no byte, so it is also not taken where the
+// whole payload would hold fewer bytes than the block has lines: a decoder
+// then never allocates more than eight pointer bytes per byte it read, the
+// bound the delta form's count bytes give.
+func coordSize(major, minor, nnz int) (size, w int) {
+	w = coordWidth(uint64(major), uint64(minor))
+	size = uvarintLen(major) + uvarintLen(minor) + uvarintLen(nnz) + 2*w*nnz
+	if w == 0 || major > size+8*nnz {
+		return 0, 0
+	}
+	return size, w
+}
+
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 
 // AppendWire appends the compact wire encoding of b to dst and returns the
 // extended slice and the chosen tag. Unlike AppendPortable, the concrete
@@ -328,6 +339,8 @@ func decodeFrom(src blockSource, tag uint8) (matrix.Block, error) {
 		return decodeSparse32(tag, src)
 	case TagCSRDelta, TagCSCDelta:
 		return decodeSparseDelta(tag, src)
+	case TagCSRCoord, TagCSCCoord:
+		return decodeSparseCoord(tag, src)
 	default:
 		return nil, fmt.Errorf("%w: unknown tag %d", ErrBadFormat, tag)
 	}
@@ -440,11 +453,9 @@ func decodeSparse32(tag uint8, src blockSource) (matrix.Block, error) {
 // so the allocations that follow are bounded by the bytes actually present —
 // a forged header cannot force an outsized one.
 func decodeDeltaHeader(src blockSource) (major, minor, nnz int, err error) {
-	mj, err1 := sourceUvarint(src)
-	mn, err2 := sourceUvarint(src)
-	nz, err3 := sourceUvarint(src)
-	if err1 != nil || err2 != nil || err3 != nil {
-		return 0, 0, 0, fmt.Errorf("%w: truncated delta header", ErrBadFormat)
+	mj, mn, nz, err := readVarintHeader(src)
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	if mj > MaxBlockSide || mn > MaxBlockSide || nz > uint64(MaxBlockSide)*uint64(MaxBlockSide) {
 		return 0, 0, 0, fmt.Errorf("%w: implausible delta dimensions %dx%d nnz=%d", ErrBadFormat, mj, mn, nz)
@@ -454,6 +465,18 @@ func decodeDeltaHeader(src blockSource) (major, minor, nnz int, err error) {
 	}
 	major, minor, nnz = int(mj), int(mn), int(nz)
 	return major, minor, nnz, checkSparseDims(major, minor, nnz)
+}
+
+// readVarintHeader reads the varint major, minor and nnz that open the
+// delta and coordinate forms.
+func readVarintHeader(src blockSource) (mj, mn, nz uint64, err error) {
+	mj, err1 := sourceUvarint(src)
+	mn, err2 := sourceUvarint(src)
+	nz, err3 := sourceUvarint(src)
+	if err1 != nil || err2 != nil || err3 != nil {
+		return 0, 0, 0, fmt.Errorf("%w: truncated sparse header", ErrBadFormat)
+	}
+	return mj, mn, nz, nil
 }
 
 // decodeDeltaIndex parses major lines of (entry count, first index, gaps)
@@ -537,6 +560,68 @@ func decodeSparseDelta(tag uint8, src blockSource) (matrix.Block, error) {
 		return &matrix.CSR{RowsN: major, ColsN: minor, RowPtr: ptr, ColIdx: idx, Val: val}, nil
 	}
 	return &matrix.CSC{RowsN: minor, ColsN: major, ColPtr: ptr, RowIdx: idx, Val: val}, nil
+}
+
+// decodeSparseCoord decodes the TagCSRCoord/TagCSCCoord layout. The
+// header must promise exactly the bytes that follow and no more lines than
+// the payload has bytes (coordSize), so the pointer array is at most eight
+// bytes per payload byte, and 65,537 pointers (512 KiB and one pointer)
+// whatever the header claims. Each (line, index) pair must lie
+// inside the block and come strictly after the one before; counting the
+// entries of each line and a prefix sum then give the pointers.
+func decodeSparseCoord(tag uint8, src blockSource) (matrix.Block, error) {
+	payload := src.left()
+	mj, mn, nz, err := readVarintHeader(src)
+	if err != nil {
+		return nil, err
+	}
+	w := coordWidth(mj, mn)
+	entry := uint64(2*w + 8)
+	if w == 0 || nz > uint64(src.left())/entry || uint64(src.left()) != entry*nz || mj > uint64(payload) {
+		return nil, fmt.Errorf("%w: coordinate header %dx%d nnz=%d does not fit its %d-byte payload", ErrBadFormat, mj, mn, nz, payload)
+	}
+	major, minor, nnz := int(mj), int(mn), int(nz)
+	if err := checkSparseDims(major, minor, nnz); err != nil {
+		return nil, err
+	}
+	coords, err := src.take(2 * w * nnz)
+	if err != nil {
+		return nil, err
+	}
+	lines, mins := coords[:w*nnz], coords[w*nnz:]
+	both := make([]int, major+1+nnz)
+	ptr, idx := both[:major+1:major+1], both[major+1:]
+	prev := -1
+	for k := range idx {
+		line, c := coordAt(lines, k, w), coordAt(mins, k, w)
+		if line >= major || c >= minor || line<<16|c <= prev {
+			return nil, fmt.Errorf("%w: coordinate (%d,%d) outside %dx%d or out of order", ErrBadFormat, line, c, major, minor)
+		}
+		prev = line<<16 | c
+		ptr[line+1]++
+		idx[k] = c
+	}
+	sum := 0
+	for i, n := range ptr {
+		sum += n
+		ptr[i] = sum
+	}
+	val, err := src.floats(nnz)
+	if err != nil {
+		return nil, err
+	}
+	if tag == TagCSRCoord {
+		return &matrix.CSR{RowsN: major, ColsN: minor, RowPtr: ptr, ColIdx: idx, Val: val}, nil
+	}
+	return &matrix.CSC{RowsN: minor, ColsN: major, ColPtr: ptr, RowIdx: idx, Val: val}, nil
+}
+
+// coordAt reads the k-th coordinate of a w-byte-wide little-endian array.
+func coordAt(b []byte, k, w int) int {
+	if w == 1 {
+		return int(b[k])
+	}
+	return int(binary.LittleEndian.Uint16(b[2*k:]))
 }
 
 func checkSparseDims(major, minor, nnz int) error {

@@ -51,12 +51,12 @@ func AppendWireSG(dst []byte, b matrix.Block, _ Encoding) (out []byte, tag uint8
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.ColsN))
 		tag, rawVals = TagDense, v.Data
 	case *matrix.CSR:
-		if dst, tag, err = appendSparseStruct(dst, v.RowsN, v.ColsN, v.RowPtr, v.ColIdx, len(v.Val), TagCSR32, TagCSRDelta, TagCSR); err != nil {
+		if dst, tag, err = appendSparseStruct(dst, v.RowsN, v.ColsN, v.RowPtr, v.ColIdx, len(v.Val), csrTags); err != nil {
 			return dst, 0, nil, err
 		}
 		rawVals = v.Val
 	case *matrix.CSC:
-		if dst, tag, err = appendSparseStruct(dst, v.ColsN, v.RowsN, v.ColPtr, v.RowIdx, len(v.Val), TagCSC32, TagCSCDelta, TagCSC32); err != nil {
+		if dst, tag, err = appendSparseStruct(dst, v.ColsN, v.RowsN, v.ColPtr, v.RowIdx, len(v.Val), cscTags); err != nil {
 			return dst, 0, nil, err
 		}
 		rawVals = v.Val
@@ -69,26 +69,55 @@ func AppendWireSG(dst []byte, b matrix.Block, _ Encoding) (out []byte, tag uint8
 	return appendFloats(dst, rawVals), tag, nil, nil
 }
 
-// appendSparseStruct appends the structural bytes of the raw-valued sparse
-// form sparsePlan would choose, deciding in one pass over the indices: the
-// delta+varint form is encoded speculatively under the 32-bit form's size as
-// a budget, and abandoned for the 32-bit form when the structure is not
-// delta-eligible or the budget runs out — the same "delta only when strictly
-// smaller" rule, without sizing the block first.
-func appendSparseStruct(dst []byte, major, minor int, ptr, idx []int, nnz int, tag32, tagDelta, fallback64 uint8) ([]byte, uint8, error) {
+// sparseTags names one orientation's sparse forms; CSC has no 64-bit form,
+// so a CSC block the 32-bit form cannot hold is refused.
+type sparseTags struct {
+	t32, delta, coord uint8
+	has64             bool
+}
+
+var (
+	csrTags = sparseTags{TagCSR32, TagCSRDelta, TagCSRCoord, true}
+	cscTags = sparseTags{TagCSC32, TagCSCDelta, TagCSCCoord, false}
+)
+
+// appendSparseStruct appends the structural bytes of the smallest
+// raw-valued sparse form; the values are the same in every form. The
+// coordinate form, where it is taken (coordSize), is sized in closed form
+// and is always smaller than the 32-bit form. The delta form spends at least
+// a byte on every line and every entry: when the coordinate form is no
+// larger than that it wins outright, and otherwise the delta form is encoded
+// speculatively under the smaller of the other two sizes as a budget and
+// abandoned when the structure is not eligible or the budget runs out — the
+// delta form only when strictly smaller, without sizing the block first.
+func appendSparseStruct(dst []byte, major, minor int, ptr, idx []int, nnz int, tags sparseTags) ([]byte, uint8, error) {
 	// A delta-eligible structure has every pointer in [0, nnz], so the
-	// pointer scan of sparseOverflows32 only runs when delta was abandoned.
+	// pointer scan for the 32-bit form only runs when delta was abandoned.
 	if fits := major <= math.MaxUint32-1 && minor <= math.MaxUint32 && nnz <= math.MaxUint32; fits {
 		struct32 := 12 + 4*(major+1) + 4*nnz
-		dst = slices.Grow(dst, struct32)
-		if out, ok := appendSparseDeltaStruct(dst, major, minor, ptr, idx, nnz, struct32-1); ok {
-			return out, tagDelta, nil
+		coord, w := coordSize(major, minor, nnz)
+		// Beside the header both share, delta's floor is major+nnz bytes
+		// and the coordinate form's structure 2w·nnz.
+		if w == 0 || major+nnz < 2*w*nnz {
+			budget := struct32
+			if w > 0 {
+				budget = coord
+			}
+			dst = slices.Grow(dst, budget)
+			if out, ok := appendSparseDeltaStruct(dst, major, minor, ptr, idx, nnz, budget-1); ok {
+				return out, tags.delta, nil
+			}
+		}
+		if w > 0 {
+			if out, ok := appendSparseCoordStruct(dst, major, minor, ptr, idx, nnz, w); ok {
+				return out, tags.coord, nil
+			}
 		}
 		if !pointersOverflow32(ptr) {
-			return appendSparse32Struct(dst, major, minor, ptr, idx, nnz), tag32, nil
+			return appendSparse32Struct(slices.Grow(dst, struct32), major, minor, ptr, idx, nnz), tags.t32, nil
 		}
 	}
-	if fallback64 != TagCSR {
+	if !tags.has64 {
 		return dst, 0, fmt.Errorf("codec: CSC block %dx%d too large for the wire", major, minor)
 	}
 	dst = slices.Grow(dst, 24+8*(len(ptr)+nnz))
@@ -102,6 +131,56 @@ func appendSparseStruct(dst []byte, major, minor int, ptr, idx []int, nnz int, t
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(c))
 	}
 	return dst, TagCSR, nil
+}
+
+// appendSparseCoordStruct appends the coordinate form's header and its line
+// and index coordinates, w bytes each. Every line after the first marks the
+// entry it begins at with its number, the last of several empty lines
+// winning, and a running maximum of the marks gives each entry its line, so
+// no loop walks the lines' entries. It reports false, with dst unchanged,
+// when the structure is not canonical: monotone pointers spanning the
+// entries, indices inside minor and strictly increasing along each line.
+func appendSparseCoordStruct(dst []byte, major, minor int, ptr, idx []int, nnz, w int) ([]byte, bool) {
+	if len(ptr) != major+1 || ptr[0] != 0 || ptr[major] != nnz || len(idx) < nnz {
+		return dst, false
+	}
+	out := binary.AppendUvarint(dst, uint64(major))
+	out = binary.AppendUvarint(out, uint64(minor))
+	out = binary.AppendUvarint(out, uint64(nnz))
+	base := len(out)
+	out = slices.Grow(out, 2*w*nnz)[:base+2*w*nnz]
+	lines, mins := out[base:base+w*nnz], out[base+w*nnz:]
+	clear(lines)
+	for i, last := 1, 0; i <= major; i++ {
+		p := ptr[i]
+		if p < last {
+			return dst, false
+		}
+		if last = p; p < nnz {
+			setCoord(lines, p, w, i)
+		}
+	}
+	prev, line := -1, 0
+	for k, c := range idx[:nnz] {
+		line = max(line, coordAt(lines, k, w))
+		if c < 0 || c >= minor || line<<16|c <= prev {
+			return dst, false
+		}
+		prev = line<<16 | c
+		setCoord(lines, k, w, line)
+		setCoord(mins, k, w, c)
+	}
+	return out, true
+}
+
+// setCoord writes v as the k-th coordinate of a w-byte-wide little-endian
+// array.
+func setCoord(b []byte, k, w, v int) {
+	if w == 1 {
+		b[k] = byte(v)
+	} else {
+		binary.LittleEndian.PutUint16(b[2*k:], uint16(v))
+	}
 }
 
 // appendSparse32Struct appends the 32-bit header, pointers and indices.
@@ -119,11 +198,10 @@ func appendSparse32Struct(dst []byte, major, minor int, ptr, idx []int, nnz int)
 }
 
 // appendSparseDeltaStruct appends the delta+varint header and index stream,
-// and is the one place the form's eligibility is decided (deltaSize sizes
-// blocks through it): monotone pointers spanning the entries, strictly
-// increasing non-negative indices per line. It reports false, with dst
-// unchanged, when the structure is not eligible or the stream outgrows budget
-// bytes.
+// and is the one place the form's eligibility is decided: monotone pointers
+// spanning the entries, strictly increasing non-negative indices per line.
+// It reports false, with dst unchanged, when the structure is not eligible
+// or the stream outgrows budget bytes.
 func appendSparseDeltaStruct(dst []byte, major, minor int, ptr, idx []int, nnz int, budget int) ([]byte, bool) {
 	if len(ptr) != major+1 || ptr[0] != 0 || ptr[major] != nnz {
 		return dst, false

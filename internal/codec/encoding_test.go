@@ -97,7 +97,7 @@ func TestEncodingHostileInputs(t *testing.T) {
 }
 
 // goldenEncodingBlocks are hand-built deterministic blocks, one per wire
-// form, whose bytes are identical on any platform — the fixtures the golden
+// form but the 32-bit one (csr and csc take the coordinate form), whose bytes are identical on any platform — the fixtures the golden
 // file pins.
 func goldenEncodingBlocks() []struct {
 	name string
@@ -121,6 +121,9 @@ func goldenEncodingBlocks() []struct {
 		{"dense", dense},
 		{"csr", matrix.NewCSRFromDense(spd)},
 		{"csc", matrix.NewCSCFromDense(spd)},
+		// Eleven entries in three rows (four columns): the delta form wins.
+		{"csr-delta", matrix.NewCSRFromDense(dense)},
+		{"csc-delta", matrix.NewCSCFromDense(dense)},
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -576,24 +577,30 @@ func TestSmallFrameGolden(t *testing.T) {
 	}
 }
 
-// TestSinglePassFormMatchesPlan: the speculative one-pass sparse encoder
-// picks exactly the form, and produces exactly the size, that sizing the
-// block first (wirePlan) does — across densities that straddle the
-// delta-vs-32-bit boundary, and for structures delta cannot express.
+// TestSinglePassFormMatchesPlan: the one-pass sparse encoder picks exactly
+// the form, and produces exactly the size, that sizing every form on its own
+// and keeping the smallest does (the delta form only when strictly smaller)
+// — across densities and sides that straddle every boundary between the
+// coordinate, delta and 32-bit forms, and for structures only the 32-bit
+// form can express. wirePlan, which EncodedBytes reports, agrees too.
 func TestSinglePassFormMatchesPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	var blocks []matrix.Block
 	for _, density := range []float64{0, 0.001, 0.01, 0.05, 0.2, 0.5, 0.9, 1} {
-		for _, dims := range [][2]int{{1, 1}, {7, 300}, {300, 7}, {64, 64}, {200, 130}} {
+		for _, dims := range [][2]int{{1, 1}, {7, 300}, {300, 7}, {64, 64}, {200, 130}, {256, 256}, {300, 300}} {
 			d := randSparseDense(rng, dims[0], dims[1], density)
 			blocks = append(blocks, matrix.NewCSRFromDense(d), matrix.NewCSCFromDense(d))
 		}
 	}
-	// Unsorted indices within a row: valid CSR, not delta-eligible.
-	blocks = append(blocks, &matrix.CSR{RowsN: 2, ColsN: 4, RowPtr: []int{0, 2, 3}, ColIdx: []int{3, 1, 0}, Val: []float64{1, 2, 3}})
-	sawDelta, saw32 := false, false
+	// Unsorted indices within a line: valid CSR and CSC, neither delta nor
+	// coordinate eligible.
+	blocks = append(blocks,
+		&matrix.CSR{RowsN: 2, ColsN: 4, RowPtr: []int{0, 2, 3}, ColIdx: []int{3, 1, 0}, Val: []float64{1, 2, 3}},
+		&matrix.CSC{RowsN: 4, ColsN: 2, ColPtr: []int{0, 2, 3}, RowIdx: []int{3, 1, 0}, Val: []float64{1, 2, 3}})
+	seen := map[uint8]bool{}
 	for i, blk := range blocks {
-		wantTag, wantSize, err := wirePlan(blk)
+		wantTag, wantSize := smallestForm(blk)
+		planTag, planSize, err := wirePlan(blk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -601,15 +608,37 @@ func TestSinglePassFormMatchesPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tag != wantTag || len(head)+len(tail) != wantSize {
-			t.Fatalf("block %d: encoded as tag %d, %d bytes; the plan says tag %d, %d bytes", i, tag, len(head)+len(tail), wantTag, wantSize)
+		if tag != wantTag || len(head)+len(tail) != wantSize || planTag != wantTag || planSize != wantSize {
+			t.Fatalf("block %d: encoded as tag %d, %d bytes, planned as tag %d, %d bytes; the smallest form is tag %d, %d bytes",
+				i, tag, len(head)+len(tail), planTag, planSize, wantTag, wantSize)
 		}
-		sawDelta = sawDelta || tag == TagCSRDelta
-		saw32 = saw32 || tag == TagCSR32
+		seen[tag] = true
 	}
-	if !sawDelta || !saw32 {
-		t.Fatalf("the sweep must reach both forms (delta %v, 32-bit %v)", sawDelta, saw32)
+	for _, tag := range []uint8{TagCSR32, TagCSC32, TagCSRDelta, TagCSCDelta, TagCSRCoord, TagCSCCoord} {
+		if !seen[tag] {
+			t.Fatalf("the sweep never reached tag %d (reached %v)", tag, seen)
+		}
 	}
+}
+
+// smallestForm sizes each sparse form of b by its own encoder and returns
+// the tag and payload size of the smallest: the coordinate form where it is
+// taken (it is never larger than the 32-bit form), the delta form only where
+// strictly smaller than both.
+func smallestForm(b matrix.Block) (uint8, int) {
+	major, minor, ptr, idx, val, coordTag := sparseParts(b)
+	nnz := len(val)
+	tag, size, deltaTag := TagCSR32, 12+4*(major+1)+4*nnz, TagCSRDelta
+	if coordTag == TagCSCCoord {
+		tag, deltaTag = TagCSC32, TagCSCDelta
+	}
+	if coord, _, ok := coordPayload(b); ok {
+		tag, size = coordTag, len(coord)-8*nnz
+	}
+	if delta, ok := appendSparseDeltaStruct(nil, major, minor, ptr, idx, nnz, math.MaxInt); ok && len(delta) < size {
+		tag, size = deltaTag, len(delta)
+	}
+	return tag, size + 8*nnz
 }
 
 // TestPoolDropsOutsizedBuffers: a buffer grown past the cap is not recycled
@@ -632,10 +661,14 @@ func TestPoolDropsOutsizedBuffers(t *testing.T) {
 // cut into chunks of chunk bytes, ended by a last chunk or by the abort
 // marker. A malformed record is a typed error (or the stream's own end),
 // never a panic; what arrives bounds what is allocated; and an accepted
-// block re-encodes. Each block's record is also seeded under its retired
-// fp32 and XOR tags.
+// block re-encodes. The seeds add coordCases' blocks to frameBlocks', and
+// each block's record is also seeded under its retired fp32 and XOR tags.
 func FuzzFrameBlocks(f *testing.F) {
-	for _, blk := range frameBlocks(f) {
+	blocks := frameBlocks(f)
+	for _, tc := range coordCases() {
+		blocks = append(blocks, tc.b)
+	}
+	for _, blk := range blocks {
 		w := BeginFrame()
 		if err := w.AppendBlockCRC(blk); err != nil {
 			f.Fatal(err)

@@ -26,6 +26,10 @@ func FuzzDecodeBlock(f *testing.F) {
 		matrix.NewCSRFromDense(sparseSeed(rng, 40, 40, 0.02)), // delta form
 		matrix.NewCSCFromDense(sparseSeed(rng, 40, 40, 0.02)),
 	}
+	// The coordinate form, one- and two-byte wide.
+	for _, tc := range coordCases() {
+		seeds = append(seeds, tc.b)
+	}
 	for _, b := range seeds {
 		payload, tag, err := AppendWire(nil, b)
 		if err != nil {

@@ -37,8 +37,10 @@ import (
 // Version 7's multiply may be one link of a column's k-ordered chain (its
 // slab group, its predecessor and how long to wait for it), and its workers
 // hand running sums to each other (methodTakeSum), which version 6 knew
-// nothing of.
-var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 7}
+// nothing of. Version 8's sparse blocks may arrive in the coordinate form
+// (codec.TagCSRCoord, codec.TagCSCCoord), which version 7 refused as unknown
+// tags mid-job.
+var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 8}
 
 // The worker socket's methods, by the byte a request names them with.
 const (

@@ -91,12 +91,15 @@ func prepareRecs(t testing.TB, lists ...[]blockRec) {
 }
 
 // wireSeedRecs are the seed bodies' blocks: one dense, with 4.5 KiB of
-// values (a zero-copy cut), one sparse.
+// values (a zero-copy cut), one sparse in the delta form, and two
+// hypersparse ones in the coordinate form, one and two bytes wide.
 func wireSeedRecs() []blockRec {
 	rng := rand.New(rand.NewSource(1402))
 	dense := matrix.RandomDense(rng, 24, 24)
 	sparse := matrix.RandomSparse(rng, 40, 40, 0.05)
-	return []blockRec{{Key: bmat.BlockKey{I: 0, J: 1}, Block: dense}, {Key: bmat.BlockKey{I: 2, J: 3}, Block: sparse}}
+	return []blockRec{{Key: bmat.BlockKey{I: 0, J: 1}, Block: dense}, {Key: bmat.BlockKey{I: 2, J: 3}, Block: sparse},
+		{Key: bmat.BlockKey{I: 4, J: 5}, Block: matrix.RandomSparse(rng, 64, 64, 0.005)},
+		{Key: bmat.BlockKey{I: 6, J: 7}, Block: matrix.RandomSparse(rng, 300, 300, 0.0005)}}
 }
 
 // wireSeedBodies encodes one valid body of every kind.
@@ -545,13 +548,14 @@ func rawWorkerConn(t *testing.T, addr string) (net.Conn, *codec.FrameReader) {
 
 // TestPreambleRefusesVersion1Peers: earlier versions of the worker socket
 // numbered their methods differently (v1), carried block tags this one
-// refuses (v3), could not read a frame in chunks (v4) or computed dense
-// products without a fused multiply-add (v5), so a peer still speaking one
-// is refused at the handshake both ways — a driver dialing an old worker,
-// and an old driver dialing a worker — with codec.ErrProtocol.
+// refuses (v3), could not read a frame in chunks (v4), computed dense
+// products without a fused multiply-add (v5) or refused the coordinate
+// sparse form (v7), so a peer still speaking one is refused at the handshake
+// both ways — a driver dialing an old worker, and an old driver dialing a
+// worker — with codec.ErrProtocol.
 func TestPreambleRefusesVersion1Peers(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
-	for _, version := range []byte{1, 3, 4, 5} {
+	for _, version := range []byte{1, 3, 4, 5, 7} {
 		old := workerPreamble
 		old[4] = version
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -735,7 +739,7 @@ func TestBadReplyBodyThenGoodCall(t *testing.T) {
 		if err := get(); err != nil {
 			t.Fatalf("call after a reply torn %s: %v", torn, err)
 		}
-		if len(reply.Blocks) != 2 || !reply.Whole {
+		if len(reply.Blocks) != len(wireSeedRecs()) || !reply.Whole {
 			t.Fatalf("call after a reply torn %s: %d blocks, whole %v", torn, len(reply.Blocks), reply.Whole)
 		}
 		assertBlockBits(t, wireSeedRecs()[0].Block, reply.Blocks[0].Block)

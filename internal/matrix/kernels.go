@@ -360,17 +360,13 @@ func Sub(a, b Block) *Dense {
 	if ar != br || ac != bc {
 		panic(fmt.Sprintf("matrix: Sub: dimension mismatch %dx%d - %dx%d", ar, ac, br, bc))
 	}
-	out := a.Dense()
-	switch s := b.(type) {
-	case *Dense:
-		for i, v := range s.Data {
-			out.Data[i] -= v
-		}
-	default:
-		bd := b.Dense()
-		for i, v := range bd.Data {
-			out.Data[i] -= v
-		}
+	src, out := elemOperands(a)
+	bd, ok := b.(*Dense)
+	if !ok {
+		bd = b.Dense()
+	}
+	for i, v := range bd.Data {
+		out.Data[i] = src.Data[i] - v
 	}
 	return out
 }
@@ -382,17 +378,13 @@ func Hadamard(a, b Block) *Dense {
 	if ar != br || ac != bc {
 		panic(fmt.Sprintf("matrix: Hadamard: dimension mismatch %dx%d ∘ %dx%d", ar, ac, br, bc))
 	}
-	out := a.Dense()
-	switch s := b.(type) {
-	case *Dense:
-		for i, v := range s.Data {
-			out.Data[i] *= v
-		}
-	default:
-		bd := b.Dense()
-		for i, v := range bd.Data {
-			out.Data[i] *= v
-		}
+	src, out := elemOperands(a)
+	bd, ok := b.(*Dense)
+	if !ok {
+		bd = b.Dense()
+	}
+	for i, v := range bd.Data {
+		out.Data[i] = src.Data[i] * v
 	}
 	return out
 }
@@ -406,7 +398,7 @@ func DivElem(a, b Block, eps float64) *Dense {
 	if ar != br || ac != bc {
 		panic(fmt.Sprintf("matrix: DivElem: dimension mismatch %dx%d / %dx%d", ar, ac, br, bc))
 	}
-	out := a.Dense()
+	src, out := elemOperands(a)
 	bd, ok := b.(*Dense)
 	if !ok {
 		bd = b.Dense()
@@ -416,18 +408,30 @@ func DivElem(a, b Block, eps float64) *Dense {
 		if den < eps && den > -eps {
 			den = eps
 		}
-		out.Data[i] /= den
+		out.Data[i] = src.Data[i] / den
 	}
 	return out
 }
 
 // Scale returns s·a as a fresh dense block.
 func Scale(s float64, a Block) *Dense {
-	out := a.Dense()
-	for i := range out.Data {
-		out.Data[i] *= s
+	src, out := elemOperands(a)
+	for i, v := range src.Data {
+		out.Data[i] = v * s
 	}
 	return out
+}
+
+// elemOperands returns the values an element-wise kernel reads from a and
+// the block it writes each result into: a fresh block beside a dense a, so
+// a is read once rather than first copied, or a sparse a's densified copy,
+// overwritten in place.
+func elemOperands(a Block) (src, out *Dense) {
+	if d, ok := a.(*Dense); ok {
+		return d, NewDense(d.RowsN, d.ColsN)
+	}
+	d := a.Dense()
+	return d, d
 }
 
 // Transpose returns the transpose of any block, preserving sparsity: sparse

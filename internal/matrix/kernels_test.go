@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -224,6 +225,51 @@ func TestScale(t *testing.T) {
 	a := NewDenseData(1, 2, []float64{3, -4})
 	if got := Scale(-2, a); !got.Equal(NewDenseData(1, 2, []float64{-6, 8})) {
 		t.Fatalf("Scale = %v", got)
+	}
+}
+
+// TestElementwiseWritesFreshBlock: Sub, Hadamard, DivElem and Scale give
+// each element the bits of one operation on the two operands' values, for
+// every representation of either operand, into a block of their own: the
+// operands are left as they were, and writing the result touches neither.
+func TestElementwiseWritesFreshBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	ad, bd := RandomSparse(rng, 5, 7, 0.5).Dense(), RandomDense(rng, 5, 7)
+	bd.Data[3] = 0 // DivElem's guard
+	const eps = 1e-9
+	kernels := []struct {
+		name string
+		run  func(a, b Block) *Dense
+		want func(x, y float64) float64
+	}{
+		{"Sub", Sub, func(x, y float64) float64 { return x - y }},
+		{"Hadamard", Hadamard, func(x, y float64) float64 { return x * y }},
+		{"DivElem", func(a, b Block) *Dense { return DivElem(a, b, eps) }, func(x, y float64) float64 {
+			if y < eps && y > -eps {
+				y = eps
+			}
+			return x / y
+		}},
+		{"Scale", func(a, _ Block) *Dense { return Scale(-1.5, a) }, func(x, _ float64) float64 { return x * -1.5 }},
+	}
+	for _, k := range kernels {
+		for _, a := range []Block{ad.Clone(), NewCSRFromDense(ad), NewCSCFromDense(ad)} {
+			for _, b := range []Block{bd.Clone(), NewCSRFromDense(bd)} {
+				bv := b.Dense()
+				got := k.run(a, b)
+				for i, x := range ad.Data {
+					if want := k.want(x, bv.Data[i]); math.Float64bits(got.Data[i]) != math.Float64bits(want) {
+						t.Fatalf("%s(%T, %T) element %d = %v, want %v", k.name, a, b, i, got.Data[i], want)
+					}
+				}
+				for i := range got.Data {
+					got.Data[i] = math.NaN()
+				}
+				if !a.Dense().Equal(ad) || !b.Dense().Equal(bd) {
+					t.Fatalf("%s(%T, %T) shares storage with an operand", k.name, a, b)
+				}
+			}
+		}
 	}
 }
 

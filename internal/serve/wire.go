@@ -26,8 +26,9 @@ import (
 // servePreamble opens every connection, both ways. Version 2 is the call
 // layer's header: a method byte and an error code where version 1 had
 // net/rpc's method names and error text; version 3's frames may arrive in
-// chunks where version 2's came whole.
-var servePreamble = codec.Preamble{'D', 'M', 'S', 'V', 3}
+// chunks where version 2's came whole; version 4's sparse blocks may take
+// the coordinate form, whose tags version 3 refused.
+var servePreamble = codec.Preamble{'D', 'M', 'S', 'V', 4}
 
 // ErrProtocol reports a peer that did not open with this wire format's
 // preamble — an older distme-serve or client, or a stray service on the port.

@@ -255,9 +255,10 @@ func TestWireErrorsStayTyped(t *testing.T) {
 // serving the clients that do.
 func TestPreambleRejectsForeignPeers(t *testing.T) {
 	for name, greet := range map[string]func(net.Conn){
-		"old version":      func(c net.Conn) { c.Write([]byte{'D', 'M', 'S', 'V', 1, 0, 0, 0}) },
-		"unchunked frames": func(c net.Conn) { c.Write([]byte{'D', 'M', 'S', 'V', 2, 0, 0, 0}) },
-		"http server":      func(c net.Conn) { c.Write([]byte("HTTP/1.1 400 Bad Request\r\n\r\n")) },
+		"old version":        func(c net.Conn) { c.Write([]byte{'D', 'M', 'S', 'V', 1, 0, 0, 0}) },
+		"unchunked frames":   func(c net.Conn) { c.Write([]byte{'D', 'M', 'S', 'V', 2, 0, 0, 0}) },
+		"no coordinate form": func(c net.Conn) { c.Write([]byte{'D', 'M', 'S', 'V', 3, 0, 0, 0}) },
+		"http server":        func(c net.Conn) { c.Write([]byte("HTTP/1.1 400 Bad Request\r\n\r\n")) },
 		// A gob server says nothing first, chokes on the preamble, hangs up.
 		"gob server": func(c net.Conn) { io.ReadFull(c, make([]byte, 8)) },
 	} {
@@ -372,11 +373,19 @@ func decodeServeBody(kind int, r io.Reader) error {
 // prefix and the request/response header.
 func serveSeedBodies(t testing.TB) map[int][]byte {
 	a, b := wireOperands(1413)
+	// The submit's operands also carry the coordinate form: one of A's
+	// blocks one byte wide, and a 300-square B two bytes wide. The decoders
+	// do not multiply, so the operands need not conform.
+	rng := rand.New(rand.NewSource(1414))
+	hyperA := a.Clone()
+	hyperA.SetBlock(1, 0, matrix.RandomSparse(rng, 24, 24, 0.015))
+	hyperB := bmat.New(300, 300, 300)
+	hyperB.SetBlock(0, 0, matrix.RandomSparse(rng, 300, 300, 0.0005))
 	st := JobStatus{ID: 7, Tenant: "alpha", State: StateDone, Priority: -2, PlannedBytes: 1 << 20, Wait: time.Millisecond, Run: time.Second}
 	id := JobID(7)
 	bodies := map[int][]byte{}
 	for kind, fill := range map[int]func(*codec.FrameWriter) error{
-		bodySubmitArgs:  codec.Writes(appendSubmitArgs, &submitArgs{tenant: "alpha", priority: -1, a: a, b: b}),
+		bodySubmitArgs:  codec.Writes(appendSubmitArgs, &submitArgs{tenant: "alpha", priority: -1, a: hyperA, b: hyperB}),
 		bodyJobArgs:     codec.Writes(appendID, &id),
 		bodyResultArgs:  codec.Writes(appendResultArgs, &resultArgs{id: 7, waitMillis: 2000}),
 		bodySubmitReply: codec.Writes(appendID, &id),
