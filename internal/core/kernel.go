@@ -182,9 +182,8 @@ func (b Box) Slab(r, R int) Box {
 
 // FoldSlab adds one slab's tiles into a column's running tiles — nil before
 // the first slab — by foldInto, FoldPartials' rule, and returns them. Both
-// ways a column is summed use it: MultiplyColumn on the worker, and a driver
-// that sent the column out as its R cuboids, folding their replies in
-// ascending r.
+// ways a column is summed use it: MultiplyColumn over a whole column, and a
+// link of several folding its slabs into the running sum it took.
 func FoldSlab(tiles, slab []*matrix.Dense) []*matrix.Dense {
 	if tiles == nil {
 		return slab

@@ -14,10 +14,7 @@ type Placement int
 
 const (
 	// PlaceHomes runs column g = p·Q+q on worker g mod n over its whole k
-	// range and folds its R slabs there; the C blocks come back once. A
-	// column whose operands are over the call bound goes out as its R
-	// cuboids instead, cuboid r on worker (g+r) mod n, and its R partials
-	// come back.
+	// range and folds its R slabs there; the C blocks come back once.
 	PlaceHomes Placement = iota
 	// PlaceChain cuts the R slabs into h = min(R, n) contiguous groups
 	// (ChainSlabs), one holder each: holder g receives only the operand
@@ -51,8 +48,7 @@ type PlacedBytes struct {
 	// Requests is the operand bytes the driver sends: over the workers, the
 	// distinct operand bytes each receives.
 	Requests int64
-	// Replies is the C bytes the driver receives: each column's once, R
-	// times for a homes column over the call bound.
+	// Replies is the C bytes the driver receives: each column's once.
 	Replies int64
 	// Peer is the running sums workers hand each other: (h−1)·|C| under
 	// the chain, nothing under homes.
@@ -71,94 +67,65 @@ func ChainHolders(R, workers int) int { return max(min(R, workers), 1) }
 func ChainSlabs(g, h, R int) (lo, hi int) { return GridSpan(g, R, h) }
 
 // CostBytesPlaced prices a push job's bytes under one placement on
-// workers workers (below 1 means 1). callBytes bounds the operand bytes of
-// one call: a homes column over it goes out as its R cuboids, and a chain
-// with a link over it cannot run — ok is false, and the chain is not a
-// candidate. f must be cut by p.
-func CostBytesPlaced(p Params, f Faces, workers int, place Placement, callBytes int64) (b PlacedBytes, ok bool) {
+// workers workers (below 1 means 1), as an assignment of each (p,q,r) slab
+// to a worker: requests are the distinct faces each worker receives,
+// replies |C| per column, and peer |C| per holder change along a column's
+// slabs. A column cut into several calls on one holder moves nothing more,
+// so the call bound is no input. f must be cut by p.
+func CostBytesPlaced(p Params, f Faces, workers int, place Placement) (b PlacedBytes) {
 	n := max(workers, 1)
-	colBytes := func(pp, q, lo, hi int) int64 {
-		var in int64
-		for r := lo; r < hi; r++ {
-			in += f.A[pp][r] + f.B[r][q]
-		}
-		return in
-	}
+	h := 1
 	if place == PlaceChain {
-		h := ChainHolders(p.R, n)
-		for pp := 0; pp < p.P; pp++ {
-			for q := 0; q < p.Q; q++ {
-				for g := 0; g < h; g++ {
-					if lo, hi := ChainSlabs(g, h, p.R); colBytes(pp, q, lo, hi) > callBytes {
-						return PlacedBytes{}, false
-					}
-				}
-				b.Replies += f.C[pp][q]
-			}
-		}
-		// Every operand block goes to exactly one holder, once.
-		for pp := 0; pp < p.P; pp++ {
-			for r := 0; r < p.R; r++ {
-				b.Requests += f.A[pp][r]
-			}
-		}
-		for r := 0; r < p.R; r++ {
-			for q := 0; q < p.Q; q++ {
-				b.Requests += f.B[r][q]
-			}
-		}
-		b.Peer = int64(h-1) * b.Replies
-		return b, true
+		h = ChainHolders(p.R, n)
 	}
-	// Homes: mark each (band, slab) face on every worker it reaches; a
-	// worker receives a face once however many of its calls name it.
+	// holder[r] is the group of slab r: its holder under the chain, and the
+	// column's home (group 0) under homes.
+	holder := make([]int, p.R)
+	for g := 0; g < h; g++ {
+		lo, hi := ChainSlabs(g, h, p.R)
+		for r := lo; r < hi; r++ {
+			holder[r] = g
+		}
+	}
+	// Mark each (band, slab) face on every worker it reaches; a worker
+	// receives a face once however many of its calls name it.
 	aSeen := make([]bool, n*p.P*p.R)
 	bSeen := make([]bool, n*p.R*p.Q)
-	send := func(w, pp, q, r int) {
-		if i := (w*p.P+pp)*p.R + r; !aSeen[i] {
-			aSeen[i] = true
-			b.Requests += f.A[pp][r]
-		}
-		if i := (w*p.R+r)*p.Q + q; !bSeen[i] {
-			bSeen[i] = true
-			b.Requests += f.B[r][q]
-		}
-	}
 	for pp := 0; pp < p.P; pp++ {
 		for q := 0; q < p.Q; q++ {
-			g := pp*p.Q + q
-			split := p.R > 1 && colBytes(pp, q, 0, p.R) > callBytes
 			for r := 0; r < p.R; r++ {
-				w := g % n
-				if split {
-					w = (g + r) % n
+				w := (pp*p.Q + q) % n
+				if place == PlaceChain {
+					w = holder[r]
 				}
-				send(w, pp, q, r)
+				if i := (w*p.P+pp)*p.R + r; !aSeen[i] {
+					aSeen[i] = true
+					b.Requests += f.A[pp][r]
+				}
+				if i := (w*p.R+r)*p.Q + q; !bSeen[i] {
+					bSeen[i] = true
+					b.Requests += f.B[r][q]
+				}
+				if r > 0 && holder[r] != holder[r-1] {
+					b.Peer += f.C[pp][q]
+				}
 			}
-			if split {
-				b.Replies += int64(p.R) * f.C[pp][q]
-			} else {
-				b.Replies += f.C[pp][q]
-			}
+			b.Replies += f.C[pp][q]
 		}
 	}
-	return b, true
+	return b
 }
 
 // ChoosePlacement picks a push job's placement on workers workers: the
-// chain when R ≥ 2, there are at least two workers, every link fits
-// callBytes, and its driver bytes are strictly fewer than homes'. Ties keep
-// homes, so a one-column plan — every operand block reaches one worker
-// either way — stays where it was.
-func ChoosePlacement(p Params, f Faces, workers int, callBytes int64) Placement {
+// chain when R ≥ 2, there are at least two workers, and its driver bytes
+// are strictly fewer than homes'. Ties keep homes, so a one-column plan —
+// every operand block reaches one worker either way — stays where it was.
+func ChoosePlacement(p Params, f Faces, workers int) Placement {
 	if p.R < 2 || workers < 2 {
 		return PlaceHomes
 	}
-	chain, ok := CostBytesPlaced(p, f, workers, PlaceChain, callBytes)
-	if !ok {
-		return PlaceHomes
-	}
-	if homes, _ := CostBytesPlaced(p, f, workers, PlaceHomes, callBytes); chain.Driver() < homes.Driver() {
+	chain := CostBytesPlaced(p, f, workers, PlaceChain)
+	if homes := CostBytesPlaced(p, f, workers, PlaceHomes); chain.Driver() < homes.Driver() {
 		return PlaceChain
 	}
 	return PlaceHomes

@@ -89,7 +89,7 @@ func TestPlacedCostMatchesMeasuredSplit(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := tc.make()
 			stored := facesOf(a, b, tc.params, matrix.Block.SizeBytes)
-			if got := ChoosePlacement(tc.params, stored, 2, tc.θt); got != PlaceChain {
+			if got := ChoosePlacement(tc.params, stored, 2); got != PlaceChain {
 				t.Fatalf("ChoosePlacement = %v, want chain", got)
 			}
 			f := facesOf(a, b, tc.params, wire)
@@ -97,12 +97,7 @@ func TestPlacedCostMatchesMeasuredSplit(t *testing.T) {
 				place Placement
 				want  split
 			}{{PlaceHomes, tc.homes}, {PlaceChain, tc.chain}} {
-				// Priced at the 1 GiB default bound, as the measured homes
-				// runs were: nothing splits.
-				got, ok := CostBytesPlaced(tc.params, f, 2, row.place, 1<<30)
-				if !ok {
-					t.Fatalf("%v: a link over the bound", row.place)
-				}
+				got := CostBytesPlaced(tc.params, f, 2, row.place)
 				for _, c := range []struct {
 					what      string
 					got, want float64
@@ -134,10 +129,10 @@ func TestPlacedCostMatchesMeasuredSplit(t *testing.T) {
 		} {
 			a, b := bmat.RandomDense(rng, s.i, s.k, 8), bmat.RandomDense(rng, s.k, s.j, 8)
 			f := facesOf(a, b, s.p, matrix.Block.SizeBytes)
-			if got := ChoosePlacement(s.p, f, 2, 1<<30); got != PlaceHomes {
+			if got := ChoosePlacement(s.p, f, 2); got != PlaceHomes {
 				t.Errorf("%dx%dx%d at %v: %v, want homes", s.i, s.k, s.j, s.p, got)
 			}
-			homes, _ := CostBytesPlaced(s.p, f, 2, PlaceHomes, 1<<30)
+			homes := CostBytesPlaced(s.p, f, 2, PlaceHomes)
 			replies += homes.Replies
 		}
 		// 0.0266 MB measured a job: |C| and 49 blocks' framing on average.
@@ -150,20 +145,20 @@ func TestPlacedCostMatchesMeasuredSplit(t *testing.T) {
 		p := Params{P: 2, Q: 1, R: 2}
 		none := Faces{A: [][]int64{{0, 0}, {0, 0}}, B: [][]int64{{0}, {0}}, C: [][]int64{{0}, {0}}}
 		for _, place := range []Placement{PlaceHomes, PlaceChain} {
-			if got, _ := CostBytesPlaced(p, none, 2, place, 1<<30); got != (PlacedBytes{}) {
+			if got := CostBytesPlaced(p, none, 2, place); got != (PlacedBytes{}) {
 				t.Errorf("%v: %+v for a job with no face, want nothing", place, got)
 			}
 		}
-		if got := ChoosePlacement(p, none, 2, 1<<30); got != PlaceHomes {
+		if got := ChoosePlacement(p, none, 2); got != PlaceHomes {
 			t.Errorf("no bytes to save: %v, want homes", got)
 		}
 	})
 }
 
 // TestChoosePlacement: the chain only for R ≥ 2 on two or more workers,
-// only with every link inside the call bound, and only when it sends the
-// driver strictly fewer bytes; a homes column over the bound is priced as
-// its R cuboids and their R partials.
+// and only when it sends the driver strictly fewer bytes. The call bound
+// is no input: a column over it is cut into more calls on the same holders,
+// which moves no byte more.
 func TestChoosePlacement(t *testing.T) {
 	rng := rand.New(rand.NewSource(4201))
 	a, b := bmat.RandomDense(rng, 64, 64, 8), bmat.RandomDense(rng, 64, 64, 8)
@@ -176,38 +171,30 @@ func TestChoosePlacement(t *testing.T) {
 		name    string
 		p       Params
 		workers int
-		bound   int64
 		want    Placement
 	}{
-		{"R = 1", Params{P: 2, Q: 2, R: 1}, 2, 1 << 30, PlaceHomes},
-		{"one worker", Params{P: 2, Q: 2, R: 2}, 1, 1 << 30, PlaceHomes},
-		{"one column: a tie", Params{P: 1, Q: 1, R: 2}, 2, 1 << 30, PlaceHomes},
-		{"replicated bands", Params{P: 2, Q: 2, R: 2}, 2, 1 << 30, PlaceChain},
-		{"three workers, two holders", Params{P: 2, Q: 2, R: 2}, 3, 1 << 30, PlaceChain},
-		{"columns over the bound, links inside", Params{P: 2, Q: 2, R: 2}, 2, 24 * kib, PlaceChain},
-		{"links over the bound", Params{P: 2, Q: 2, R: 2}, 2, 8 * kib, PlaceHomes},
-		{"one column over the bound", Params{P: 1, Q: 1, R: 2}, 2, 48 * kib, PlaceChain},
+		{"R = 1", Params{P: 2, Q: 2, R: 1}, 2, PlaceHomes},
+		{"one worker", Params{P: 2, Q: 2, R: 2}, 1, PlaceHomes},
+		{"one column: a tie", Params{P: 1, Q: 1, R: 2}, 2, PlaceHomes},
+		{"replicated bands", Params{P: 2, Q: 2, R: 2}, 2, PlaceChain},
+		{"three workers, two holders", Params{P: 2, Q: 2, R: 2}, 3, PlaceChain},
 	} {
-		if got := ChoosePlacement(tc.p, at(tc.p), tc.workers, tc.bound); got != tc.want {
+		if got := ChoosePlacement(tc.p, at(tc.p), tc.workers); got != tc.want {
 			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
 		}
 	}
 
 	p := Params{P: 2, Q: 2, R: 2}
 	f := at(p)
-	homes, _ := CostBytesPlaced(p, f, 2, PlaceHomes, 1<<30)
-	if want := (PlacedBytes{Requests: 2*32*kib + 32*kib, Replies: 32 * kib}); homes != want {
+	if homes, want := CostBytesPlaced(p, f, 2, PlaceHomes), (PlacedBytes{Requests: 2*32*kib + 32*kib, Replies: 32 * kib}); homes != want {
 		t.Errorf("homes on two workers: %+v, want %+v (A to both, B to one)", homes, want)
 	}
-	split, _ := CostBytesPlaced(p, f, 2, PlaceHomes, 24*kib)
-	if want := (PlacedBytes{Requests: 2*32*kib + 32*kib, Replies: 2 * 32 * kib}); split != want {
-		t.Errorf("homes, columns split: %+v, want %+v (R partials back)", split, want)
-	}
-	chain, _ := CostBytesPlaced(p, f, 3, PlaceChain, 1<<30)
-	if want := (PlacedBytes{Requests: 64 * kib, Replies: 32 * kib, Peer: 32 * kib}); chain != want {
+	if chain, want := CostBytesPlaced(p, f, 3, PlaceChain), (PlacedBytes{Requests: 64 * kib, Replies: 32 * kib, Peer: 32 * kib}); chain != want {
 		t.Errorf("chain on three workers: %+v, want %+v", chain, want)
 	}
-	if _, ok := CostBytesPlaced(p, f, 2, PlaceChain, 8*kib); ok {
-		t.Error("a chain with 16 KiB links fits an 8 KiB bound")
+	// Four slabs on two holders: the sum changes holder once a column.
+	p4 := Params{P: 1, Q: 1, R: 4}
+	if chain, want := CostBytesPlaced(p4, at(p4), 2, PlaceChain), (PlacedBytes{Requests: 64 * kib, Replies: 32 * kib, Peer: 32 * kib}); chain != want {
+		t.Errorf("chain of four slabs on two holders: %+v, want %+v", chain, want)
 	}
 }

@@ -133,7 +133,7 @@ func TestWorkerRestartMidJobMissesCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reply1, err := d.runJob(context.Background(), args, obs.Span{})
+	reply1, err := d.runColumn(context.Background(), &column{links: []*multiplyArgs{args}}, obs.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestWorkerRestartMidJobMissesCleanly(t *testing.T) {
 
 	// Same job, same epoch: the tracker still claims every block was sent,
 	// so this send is all references — and they must all miss cleanly.
-	reply2, err := d.runJob(context.Background(), args, obs.Span{})
+	reply2, err := d.runColumn(context.Background(), &column{links: []*multiplyArgs{args}}, obs.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand/v2"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"distme/internal/bmat"
@@ -19,120 +16,62 @@ import (
 )
 
 // The k-ordered chain, the second placement of a push job (core.PlaceChain).
-// Under homes, the worker of a (p,q) column receives the column's whole A
+// Under homes, the holder of a (p,q) column receives the column's whole A
 // row band and B column band, so a band two columns on two workers share
 // crosses the driver twice. Under the chain, the job's R slabs are cut into
-// h = min(R, live workers) contiguous groups with one holder each, and each
-// column becomes h links, one per holder: a holder receives only the
-// operand blocks of its own slabs, so every block crosses the driver once.
-// A holder computes its slabs into fresh tiles as soon as its operands
-// arrive, takes the running sum of the slabs before its own from the holder
-// before it (methodTakeSum, worker to worker), and folds its slabs into it
-// in ascending r — MultiplyColumn's order, so the bits are those of
-// core.MultiplyCuboid at the same (P,Q,R). A holder that is not the last
-// keeps its sum for the next one to take; the last returns the column's C
-// blocks, which the driver only places.
-//
-// Holders are ordered by member index, whatever the chain cursor: a link
-// waits only on a holder of lower index, so concurrent chains cannot wait on
-// each other in a cycle, and the links of the lowest-index member never
-// wait. A link waits for a slot of its own holder and never spills to another
-// member. Any failed link abandons its column's chain, and the column
-// re-runs as its homes calls (runCalls) with runJob's retries, downgrade and
-// local fallback.
+// h = min(R, live workers) contiguous groups with one holder each, and a
+// holder receives only the operand blocks of its own slabs, so every block
+// crosses the driver once. A holder computes its slabs into fresh tiles as
+// soon as its operands arrive, takes the running sum of the slabs before
+// its own from the link before it (methodTakeSum, worker to worker, or from
+// its own sums when that link ran there too), and folds its slabs into it in
+// ascending r — MultiplyColumn's order, so the bits are those of
+// core.MultiplyCuboid at the same (P,Q,R). A link that is not the last keeps
+// its sum for the next one to take; the last returns the column's C blocks,
+// which the driver only places. The links go out and recover as any
+// column's do (runColumn).
 
-// planChain prices the job's two placements and, when the chain is the
-// cheaper (core.ChoosePlacement), makes every column's links. Only push jobs
-// of R ≥ 2 on two or more live members are candidates. The holders are h
-// live members taken from the driver's chain cursor on, and then put in
-// member order. The cursor advances by h a chain, so successive chains
-// rotate over a larger pool whatever their P·Q·R; the job's ring base would
-// land every repeat of a plan whose P·Q·R is a multiple of the live count on
-// the same h holders.
-func (r *cuboidRun) planChain(gk int) core.Placement {
+// planChain prices the job's two placements from its columns' slab bytes
+// (slabBytes) and, when the chain is the cheaper (core.ChoosePlacement),
+// returns its holders; nil keeps homes. Only push jobs of R ≥ 2 on two or
+// more live members are candidates. The holders are h live members taken
+// from the driver's chain cursor on, and then put in member order
+// (pickLive). The cursor advances by h a chain, so successive chains rotate
+// over a larger pool whatever their P·Q·R; the job's ring base would land
+// every repeat of a plan whose P·Q·R is a multiple of the live count on the
+// same h holders.
+func (r *cuboidRun) planChain(wholes []*multiplyArgs, slabs [][2][]int64) []*member {
 	params := r.job.params
-	if params.R < 2 || r.columns[0].whole.pull {
-		return core.PlaceHomes
+	if params.R < 2 || wholes[0].pull {
+		return nil
 	}
 	live := r.d.liveMembers()
-	if len(live) < 2 || core.ChoosePlacement(params, r.faces(gk), len(live), r.job.callBytes) != core.PlaceChain {
-		return core.PlaceHomes
+	if len(live) < 2 || core.ChoosePlacement(params, r.faces(wholes, slabs), len(live)) != core.PlaceChain {
+		return nil
 	}
 	h := core.ChainHolders(params.R, len(live))
-	start := r.d.reserve(&r.d.chains, h)
-	picks := make([]int, h)
-	for g := range picks {
-		picks[g] = (start + g) % len(live)
-	}
-	sort.Ints(picks)
-	holders := make([]*member, h)
-	for g, i := range picks {
-		holders[g] = live[i]
-	}
-	r.planLinks(holders)
-	return core.PlaceChain
-}
-
-// planLinks makes every column's links, link g on holders[g] with its slab
-// group's operand blocks (core.ChainSlabs). A link waits for its incoming
-// sum, and keeps its outgoing one, for a quarter of the call timeout, so a
-// link whose predecessor is lost fails well inside its own call's deadline.
-func (r *cuboidRun) planLinks(holders []*member) {
-	R, h := r.job.params.R, len(holders)
-	wait := r.d.opts.CallTimeout / 4
-	for c := range r.columns {
-		whole := r.columns[c].whole
-		box := whole.box()
-		id := rand.Uint64()
-		links := make([]*multiplyArgs, h)
-		for g, m := range holders {
-			lo, hi := core.ChainSlabs(g, h, R)
-			group := box
-			group.KLo, group.KHi = box.Slab(lo, R).KLo, box.Slab(hi-1, R).KHi
-			link := r.newCall(whole.cuboidP, whole.cuboidQ, group, R)
-			link.KLo, link.KHi = box.KLo, box.KHi
-			link.link = &chainLink{id: id, lo: lo, hi: hi, self: m.addr, wait: wait, holder: m}
-			if g > 0 {
-				link.link.prev = holders[g-1].addr
-			}
-			links[g] = link
-		}
-		r.columns[c].links = links
-	}
+	return pickLive(live, r.d.reserve(&r.d.chains, h), h)
 }
 
 // faces cuts the job's operand bytes by its plan (core.Faces) from the
-// columns' whole calls: A's row bands from the columns of q = 0, B's column
-// bands from those of p = 0, each record at the stored size planColumn
-// bounds calls by, and each column's C at its dense size.
-func (r *cuboidRun) faces(gk int) core.Faces {
+// columns' slab bytes: A's row bands from the columns of q = 0, B's column
+// bands from those of p = 0, each record at the stored size the call bound
+// is measured in, and each column's C at its dense size.
+func (r *cuboidRun) faces(wholes []*multiplyArgs, slabs [][2][]int64) core.Faces {
 	params, bs := r.job.params, r.job.blockSize
-	grid := func(n, m int) [][]int64 {
-		g := make([][]int64, n)
-		for i := range g {
-			g[i] = make([]int64, m)
-		}
-		return g
+	f := core.Faces{A: make([][]int64, params.P), B: make([][]int64, params.R), C: make([][]int64, params.P)}
+	for rr := range f.B {
+		f.B[rr] = make([]int64, params.Q)
 	}
-	f := core.Faces{A: grid(params.P, params.R), B: grid(params.R, params.Q), C: grid(params.P, params.Q)}
-	slabOf := make([]int, gk)
-	for rr := 0; rr < params.R; rr++ {
-		lo, hi := core.GridSpan(rr, gk, params.R)
-		for k := lo; k < hi; k++ {
-			slabOf[k] = rr
-		}
-	}
-	for _, col := range r.columns {
-		call := col.whole
+	for g, call := range wholes {
 		p, q := call.cuboidP, call.cuboidQ
 		if q == 0 {
-			for _, rec := range call.ABlocks {
-				f.A[p][slabOf[rec.Key.J]] += rec.Block.SizeBytes()
-			}
+			f.A[p] = slabs[g][0]
+			f.C[p] = make([]int64, params.Q)
 		}
 		if p == 0 {
-			for _, rec := range call.BBlocks {
-				f.B[slabOf[rec.Key.I]][q] += rec.Block.SizeBytes()
+			for rr, n := range slabs[g][1] {
+				f.B[rr][q] = n
 			}
 		}
 		rows := min(call.IHi*bs, r.job.rows) - call.ILo*bs
@@ -142,95 +81,12 @@ func (r *cuboidRun) faces(gk int) core.Faces {
 	return f
 }
 
-// runChain runs a column's links, each on its holder, and returns the last
-// link's C blocks. When any link fails, the chain is abandoned once every
-// link has ended — a link waiting for a sum that will not come ends at its
-// bound — and the column re-runs as its homes calls.
-func (r *cuboidRun) runChain(col column, sp obs.Span) (*multiplyReply, error) {
-	errs := make([]error, len(col.links))
-	var last *multiplyReply
-	var wg sync.WaitGroup
-	for i, link := range col.links {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reply, err := r.d.runLink(r.ctx, link, sp)
-			errs[i] = err
-			if i == len(col.links)-1 {
-				last = reply
-			}
-		}()
-	}
-	wg.Wait()
-	err := errors.Join(errs...)
-	if err == nil {
-		r.meter.noteReply(last)
-		return last, nil
-	}
-	if ctxErr := r.ctx.Err(); ctxErr != nil {
-		return nil, ctxErr
-	}
-	atomic.AddInt64(&r.d.rec.Net.Live().ChainFallbacks, 1)
-	if sp.Active() {
-		sp.SetAttr("chain-fallback", err.Error())
-	}
-	for _, call := range col.calls {
-		if err := call.prep.prepare(call); err != nil {
-			return nil, err
-		}
-	}
-	return r.runCalls(col, sp)
-}
-
-// runLink runs one chain link on its holder, under an rpc.multiply span. It
-// waits for a slot of that member only; a failure is the chain's, so there
-// is no retry.
-func (d *Driver) runLink(ctx context.Context, args *multiplyArgs, parent obs.Span) (*multiplyReply, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m := args.link.holder
-	select {
-	case <-m.slots:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer m.release()
-	asp := d.tracer.Start(parent.ID(), "rpc.multiply", obs.KindRPC)
-	defer asp.End()
-	args.label(asp)
-	if asp.Active() {
-		asp.SetWorker(m.addr)
-	}
-	args.traceSpan = uint64(asp.ID())
-	reply := new(multiplyReply)
-	err := d.call(m, methodMultiply, asp.ID(), codec.Writes(blockSender{&m.tracker, d.rec}.appendMultiplyArgs, args),
-		codec.Reads(decodeMultiplyReply, reply), d.opts.CallTimeout)
-	if err != nil {
-		if asp.Active() {
-			asp.SetAttr("error", err.Error())
-		}
-		if errors.Is(err, errUnknownDigest) {
-			// The homes calls the column re-runs as then ship inline.
-			m.tracker.forget()
-		}
-		return nil, err
-	}
-	if _, err := args.checkReply(reply); err != nil {
-		if asp.Active() {
-			asp.SetAttr("error", err.Error())
-		}
-		return nil, err
-	}
-	return reply, nil
-}
-
 // ---------------------------------------------------------------------------
 // The worker's side
 
-// serveLink computes one chain link: its slabs into fresh tiles, then — past
-// the first link — the running sum taken from the predecessor with the
-// slabs folded into it in ascending r. The take starts with the link, so the
+// serveLink computes one link of a column: its slabs into fresh tiles, then
+// — past the first link — the running sum taken from the predecessor, on
+// another worker or this one, with the slabs folded into it in ascending r. The take starts with the link, so the
 // sum crosses while the slabs are computed; only the fold waits for both.
 // The last link's tiles are the column's C blocks; any other link's are
 // kept for its successor to take.
@@ -244,8 +100,14 @@ func (w *Worker) serveLink(args *multiplyArgs, reply *multiplyReply, parent obs.
 	if l.lo > 0 {
 		sum = make(chan taken, 1)
 		go func() {
-			recs, err := w.takeSum(parent, l)
-			sum <- taken{recs, err}
+			var t taken
+			if l.prev == l.self {
+				// A self-take: the link before ran on this worker.
+				t.recs, t.err = w.sums.take(sumKey{id: l.id, upTo: l.lo}, l.wait)
+			} else {
+				t.recs, t.err = w.takeSum(parent, l)
+			}
+			sum <- t
 		}()
 	}
 	lookupA, lookupB := args.lookups()
@@ -434,11 +296,14 @@ type sumKey struct {
 
 // chainSums are the running sums a worker keeps for the links after its
 // own. A sum leaves when it is taken, when its bound passes, or when its
-// job's epoch falls defaultCacheEpochWindow behind the newest one kept —
-// so a sum whose successor died is dropped without anyone asking.
+// epoch falls defaultCacheEpochWindow behind the newest one kept — so a sum
+// whose successor died is dropped without anyone asking. A sum is kept
+// under the newest epoch seen when it is put: a pull link carries its
+// session's epoch, which may be far older than the push jobs' beside it.
 type chainSums struct {
-	mu    sync.Mutex
-	slots map[sumKey]*sumSlot
+	mu     sync.Mutex
+	slots  map[sumKey]*sumSlot
+	newest uint64
 }
 
 // sumSlot is one sum, made or awaited: a take that comes first waits on
@@ -469,6 +334,8 @@ func (s *chainSums) slot(k sumKey) *sumSlot {
 func (s *chainSums) put(k sumKey, epoch uint64, recs []blockRec, keep time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.newest = max(s.newest, epoch)
+	epoch = s.newest
 	if epoch > defaultCacheEpochWindow {
 		floor := epoch - defaultCacheEpochWindow
 		for key, sl := range s.slots {

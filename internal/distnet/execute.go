@@ -21,8 +21,9 @@ type MultiplyOptions struct {
 	// WorkerMemBytes is the per-worker memory budget θt (0 takes 1 GiB): the
 	// optimizer's bound on one cuboid when Params is nil, and, with or
 	// without Params, the bound on the operand bytes one worker call
-	// carries — a (p,q) column whose R cuboids' inputs exceed it goes out
-	// as R calls, one cuboid each, whose partials the driver folds.
+	// carries — a holder's slabs of a (p,q) column whose inputs exceed it
+	// go out as consecutive links on that holder, each taking the running
+	// sum the one before left there, so C still comes back once.
 	WorkerMemBytes int64
 	// Transfer is the entry point's own plane or zero: Execute pushes the
 	// driver-side operands it is given, Session.Multiply pulls resident
@@ -61,7 +62,7 @@ func (opts MultiplyOptions) workerMem() int64 {
 
 // callBytes is the most operand bytes one multiply call may carry: θt, and
 // never more than half a wire frame, which leaves the frame's record headers
-// room. A (p,q) column over it goes out as its R cuboids (runCuboids).
+// room. A holder's slab group over it is cut into more links (cuboidRun.cut).
 func (opts MultiplyOptions) callBytes() int64 {
 	return min(opts.workerMem(), codec.MaxFrameBytes/2)
 }

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,23 +21,25 @@ import (
 // The cuboid job path: the package's only copy of CuboidMM — enumerate the
 // (P,Q,R) cuboids, get each its slices, multiply, sum over k — as plan →
 // prepare → dispatch → place. The unit of work is a (p,q) column, the R
-// cuboids of one (p,q): its worker multiplies them and sums over k in
-// ascending r (core.MultiplyColumn), so every C block comes back once and the
-// driver only places it — Eq.(4)'s aggregation happens where the partials
-// are made. A column whose operands are over the job's call bound (θt, at
-// most half a wire frame) goes out as its R cuboids instead, and the driver
-// folds their partials by the same rule (core.FoldSlab). That is the homes
-// placement; a push job whose columns would replicate operand bands across
-// workers runs as the k-ordered chain instead (chain.go), each column split
-// by slab groups across holders that hand the running sum on. A transfer
-// mode is just a fill step; span tree, job meter, gauges and the
+// cuboids of one (p,q), and a column is a list of links: each one
+// contiguous slab group on one holder, in ascending r. A holder multiplies
+// its slabs, folds them into the running sum of the slabs before them —
+// taken from the link before it, on its own worker or another — in
+// ascending r (core.MultiplyColumn's order), and keeps the sum for the next
+// link or, as the last link, returns the column's C blocks: every C block
+// comes back once and the driver only places it. Under homes a column has
+// one holder; under the k-ordered chain (chain.go) one per slab group; and a
+// holder's group whose operands are over the job's call bound (θt, at most
+// half a wire frame) is cut into consecutive links on that holder. A
+// transfer mode is just a fill step; span tree, job meter, gauges and the
 // retry/downgrade/local-fallback scheduler exist once, for every mode.
 //
-// That scheduler is how a multiply recovers, and all of it: a failed call is
-// re-dispatched to the next live member, a pull call whose worker cannot
-// resolve its manifest is downgraded to push, and a call that exhausts its
-// attempts is computed on the driver with the workers' arithmetic. Nothing is
-// persisted; a job that still fails is re-run whole.
+// That scheduler is how a multiply recovers, and all of it: a failed column
+// re-runs all its links on holders picked afresh from the live members, a
+// pull link whose worker cannot resolve its manifest is downgraded to push,
+// and a column that exhausts its attempts is computed on the driver with the
+// workers' arithmetic. Nothing is persisted; a job that still fails is re-run
+// whole.
 
 // cuboidJob describes one multiply C = A×B to that path.
 type cuboidJob struct {
@@ -43,8 +48,8 @@ type cuboidJob struct {
 	params                       core.Params
 	// transfer labels the root span; it never steers the path — fill does.
 	transfer core.Transfer
-	// callBytes bounds the operand bytes of one call (MultiplyOptions.
-	// callBytes): a column over it goes out as its R cuboids.
+	// callBytes bounds the operand bytes of one link (MultiplyOptions.
+	// callBytes): a slab group over it is cut into more links.
 	callBytes int64
 	// fill gives one call — its voxel box already set — its slices while the
 	// job is planned: inline records for push (Driver.multiply), placement
@@ -52,16 +57,18 @@ type cuboidJob struct {
 	fill func(args *multiplyArgs)
 }
 
-// column is one (p,q) column of a job. whole is the column as one call, all
-// R slabs; calls is what goes out under homes: whole itself, or — when
-// whole's operands are over the job's callBytes — its R cuboids, one slab
-// each, in ascending r, whose replies the driver folds. links, under the
-// chain, are the column's links in holder order (chain.go), and calls are
-// then what the column re-runs as when a link fails.
+// column is one (p,q) column of a job: its links in ascending r, each one
+// contiguous slab group on one holder. A column of one link is a lone call
+// over all R slabs and carries no chain fields.
 type column struct {
-	whole *multiplyArgs
-	calls []*multiplyArgs
 	links []*multiplyArgs
+	// holders are the chain's holders, link group g's on holders[g], for the
+	// first attempt; nil under homes, where the first link acquires a member
+	// and every link follows it.
+	holders []*member
+	// home is the ring position runCuboids reserved for the column at plan
+	// time (Driver.reserveHomes); attempt a starts there plus a.
+	home int
 }
 
 // cuboidRun is one job in flight: what its column goroutines share.
@@ -76,11 +83,11 @@ type cuboidRun struct {
 	errs    []error
 }
 
-// runCuboids runs one cuboid job end to end: the repartition (each column's
-// slices reach its worker however fill arranged), the local multiplication
-// and aggregation of each column on its worker, and the placement of the C
+// runCuboids runs one cuboid job end to end: the repartition (each link's
+// slices reach its holder however fill arranged), the local multiplication
+// and aggregation of each column on its holders, and the placement of the C
 // blocks that come back. Aggregation order is fixed by slab index inside a
-// column, and reassigned, downgraded or locally-recomputed columns use the
+// column, and re-run, downgraded or locally-recomputed columns use the
 // workers' exact arithmetic, so the product is byte-identical to a
 // failure-free run under any failure schedule and any transfer mode.
 func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatrix, error) {
@@ -109,25 +116,22 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 
 	// Plan: one column per (p,q) — the (P,Q,1) cuboid, its k range cut into
 	// R slabs — in core's plan order, each with its home on the member ring:
-	// column g = p·Q+q starts at base+g, and cuboid r of a column sent out in
-	// R calls at base+g+r. The cursor advances by the job's P·Q·R cuboids,
-	// not its P·Q columns: every job's base is where it was when each cuboid
-	// was its own call, so an R = 1 job is placed exactly as then, and a
-	// stream of repeated jobs mixing R = 1 and R > 1 keeps the cross-job
-	// references that placement gave it.
-	// Under the chain (chain.go) the columns' homes calls are planned all the
-	// same: a column whose chain fails re-runs as them.
+	// column g = p·Q+q starts at base+g. The cursor advances by the job's
+	// P·Q·R cuboids, not its P·Q columns: every job's base is where it was
+	// when each cuboid was its own call, so an R = 1 job is placed exactly as
+	// then, and a stream of repeated jobs mixing R = 1 and R > 1 keeps the
+	// cross-job references that placement gave it.
+	var wholes []*multiplyArgs
 	core.ForEachCuboid(core.Params{P: params.P, Q: params.Q, R: 1}, gi, gj, gk, func(p, q, _ int, box core.Box) {
-		r.columns = append(r.columns, r.planColumn(p, q, box))
+		wholes = append(wholes, r.newCall(p, q, box))
 	})
-	base := d.reserveHomes(params.Tasks())
-	for g, col := range r.columns {
-		for rr, call := range col.calls {
-			call.home = base + g + rr
-		}
-	}
-	placement := r.planChain(gk)
+	slabs := r.slabBytes(wholes, gk)
+	r.cut(wholes, slabs, r.planChain(wholes, slabs))
 	if r.root.Active() {
+		placement := core.PlaceHomes
+		if r.columns[0].holders != nil {
+			placement = core.PlaceChain
+		}
 		r.root.SetAttr("placement", placement.String())
 	}
 	r.replies = make([]*multiplyReply, len(r.columns))
@@ -138,15 +142,10 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 	// keyed, and the column goroutines only ever read.
 	prep := d.newJobPrep()
 	var wg sync.WaitGroup
-	for idx, col := range r.columns {
-		for _, call := range col.calls {
-			call.prep = prep
-			if r.errs[idx] == nil && !call.pull && col.links == nil {
-				r.errs[idx] = prep.prepare(call)
-			}
-		}
-		for _, link := range col.links {
-			if r.errs[idx] == nil {
+	for idx := range r.columns {
+		for _, link := range r.columns[idx].links {
+			link.prep = prep
+			if r.errs[idx] == nil && !link.pull {
 				r.errs[idx] = prep.prepare(link)
 			}
 		}
@@ -183,29 +182,48 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 	return out, nil
 }
 
-// planColumn fills (p,q)'s column as one call of R slabs and, when that
-// call's operands are over the job's callBytes, as its R cuboids too: the
-// calls that then go out in its place, each about an R-th of the column —
-// the size θt bounds when the optimizer chose the plan.
-func (r *cuboidRun) planColumn(p, q int, box core.Box) column {
+// cut makes the job's columns from their whole calls and the placement's
+// holders (planChain; nil under homes): each column's slab groups — all R
+// slabs under homes, one per holder under the chain — are cut into links
+// whose operands fit the call bound, a slab over it alone. A homes column
+// inside the bound is its whole call. slabs are the columns' slab bytes.
+func (r *cuboidRun) cut(wholes []*multiplyArgs, slabs [][2][]int64, holders []*member) {
 	R := r.job.params.R
-	col := column{whole: r.newCall(p, q, box, R)}
-	col.calls = []*multiplyArgs{col.whole}
-	if R > 1 && col.whole.inputBytes(r.job.blockSize) > r.job.callBytes {
-		col.calls = make([]*multiplyArgs, R)
-		for rr := range col.calls {
-			col.calls[rr] = r.newCall(p, q, box.Slab(rr, R), 1)
+	base := r.d.reserveHomes(r.job.params.Tasks())
+	// A link waits for its incoming sum, and keeps its outgoing one, for a
+	// quarter of the call timeout, so a link whose predecessor is lost fails
+	// well inside its own call's deadline.
+	wait := r.d.opts.CallTimeout / 4
+	r.columns = make([]column, len(wholes))
+	for g, whole := range wholes {
+		col := &r.columns[g]
+		col.home, col.holders = base+g, holders
+		bytes := func(rr int) int64 { return slabs[g][0][rr] + slabs[g][1][rr] }
+		groups := max(len(holders), 1)
+		for h := 0; h < groups; h++ {
+			glo, ghi := core.ChainSlabs(h, groups, R)
+			for lo := glo; lo < ghi; {
+				hi, n := lo+1, bytes(lo)
+				for ; hi < ghi && n+bytes(hi) <= r.job.callBytes; hi++ {
+					n += bytes(hi)
+				}
+				link := whole // a lone link of all R slabs is the whole call
+				if hi-lo < R {
+					link = r.newLink(whole, lo, hi, h, wait)
+				}
+				col.links = append(col.links, link)
+				lo = hi
+			}
 		}
 	}
-	return col
 }
 
-// newCall is one call of column (p,q) over box, cut into slabs, filled with
-// the box's slices.
-func (r *cuboidRun) newCall(p, q int, box core.Box, slabs int) *multiplyArgs {
+// newCall is the whole call of column (p,q) over box, all R slabs, filled
+// with the box's slices.
+func (r *cuboidRun) newCall(p, q int, box core.Box) *multiplyArgs {
 	args := &multiplyArgs{
 		ILo: box.ILo, IHi: box.IHi, JLo: box.JLo, JHi: box.JHi, KLo: box.KLo, KHi: box.KHi,
-		slabs:   slabs,
+		slabs:   r.job.params.R,
 		cuboidP: p, cuboidQ: q,
 		meter: r.meter,
 		job:   r.job,
@@ -214,24 +232,56 @@ func (r *cuboidRun) newCall(p, q int, box core.Box, slabs int) *multiplyArgs {
 	return args
 }
 
-// inputBytes is what the call's operands take in a worker's memory, the
-// measure θt bounds: each inline record's stored size, or — for an operand
-// pulled from a handle that kept no source, whose blocks the driver never
-// sees — a dense block for each manifest entry.
-func (a *multiplyArgs) inputBytes(blockSize int) int64 {
-	var n int64
-	for _, side := range [2]struct {
-		recs []blockRec
-		man  *codec.Manifest
-	}{{a.ABlocks, a.aManifest}, {a.BBlocks, a.bManifest}} {
-		if len(side.recs) == 0 && side.man != nil {
-			n += int64(len(side.man.Entries)) * int64(blockSize) * int64(blockSize) * 8
-		}
-		for _, rec := range side.recs {
-			n += rec.Block.SizeBytes()
+// newLink is whole's link of slabs [lo, hi) on the column's holder group:
+// the box is still the whole column and slabs its R, but the blocks are
+// only those of the link's slabs. Its chain id and holders are set when it
+// goes out (runLinks).
+func (r *cuboidRun) newLink(whole *multiplyArgs, lo, hi, group int, wait time.Duration) *multiplyArgs {
+	box := whole.box()
+	slabs := box
+	slabs.KLo, slabs.KHi = box.Slab(lo, whole.slabs).KLo, box.Slab(hi-1, whole.slabs).KHi
+	link := r.newCall(whole.cuboidP, whole.cuboidQ, slabs)
+	link.KLo, link.KHi = box.KLo, box.KHi
+	link.link = &chainLink{lo: lo, hi: hi, wait: wait, group: group}
+	return link
+}
+
+// slabBytes is what each of a column's R slabs holds of A ([0]) and of B
+// ([1]) in a worker's memory, column by column, the measure θt bounds: each
+// inline record's stored size, or — for an operand pulled from a handle
+// that kept no source, whose blocks the driver never sees — a dense block
+// for each manifest entry.
+func (r *cuboidRun) slabBytes(wholes []*multiplyArgs, gk int) [][2][]int64 {
+	R, dense := r.job.params.R, int64(r.job.blockSize)*int64(r.job.blockSize)*8
+	slabOf := make([]int, gk)
+	for rr := 0; rr < R; rr++ {
+		lo, hi := core.GridSpan(rr, gk, R)
+		for k := lo; k < hi; k++ {
+			slabOf[k] = rr
 		}
 	}
-	return n
+	out := make([][2][]int64, len(wholes))
+	for g, call := range wholes {
+		a, b := make([]int64, R), make([]int64, R)
+		for _, rec := range call.ABlocks {
+			a[slabOf[rec.Key.J]] += rec.Block.SizeBytes()
+		}
+		for _, rec := range call.BBlocks {
+			b[slabOf[rec.Key.I]] += rec.Block.SizeBytes()
+		}
+		if len(call.ABlocks) == 0 && call.aManifest != nil {
+			for _, e := range call.aManifest.Entries {
+				a[slabOf[e.KeyJ]] += dense
+			}
+		}
+		if len(call.BBlocks) == 0 && call.bManifest != nil {
+			for _, e := range call.bManifest.Entries {
+				b[slabOf[e.KeyI]] += dense
+			}
+		}
+		out[g] = [2][]int64{a, b}
+	}
+	return out
 }
 
 // checkReply places a reply's C blocks as the call's tiles (boxTiles), each
@@ -250,30 +300,20 @@ func (a *multiplyArgs) checkReply(reply *multiplyReply) ([]*matrix.Dense, error)
 	})
 }
 
-// commit records one column's result: the reply slot and the job meter.
-// Commits are first-writer-wins by construction — a column is run by exactly
-// one goroutine.
-func (r *cuboidRun) commit(idx int, reply *multiplyReply) {
-	r.replies[idx] = reply
-	r.meter.noteCommit(r.job.params.R)
-}
-
-// runOne dispatches one column's calls, each with runJob's full retry,
-// downgrade and local-fallback machinery, under the span of the column's
-// scheduling lifetime. The span keeps the name "cuboid": a column is its R
-// cuboids, counted in the span's slabs attribute.
+// runOne runs one column (runColumn) under the span of its scheduling
+// lifetime and commits its C blocks: the reply slot and the job meter.
+// Commits are first-writer-wins by construction — a column is run by
+// exactly one goroutine. The span keeps the name "cuboid": a column is its
+// R cuboids, counted in the span's slabs attribute.
 func (r *cuboidRun) runOne(idx int) {
-	col := r.columns[idx]
+	first := r.columns[idx].links[0]
 	csp := r.d.tracer.Start(r.root.ID(), "cuboid", obs.KindDriver)
-	col.whole.label(csp)
-	defer csp.End()
-	var reply *multiplyReply
-	var err error
-	if col.links != nil {
-		reply, err = r.runChain(col, csp)
-	} else {
-		reply, err = r.runCalls(col, csp)
+	if csp.Active() {
+		csp.SetCuboid(first.cuboidP, first.cuboidQ, 0)
+		csp.SetAttr("slabs", strconv.Itoa(first.slabs))
 	}
+	defer csp.End()
+	reply, err := r.d.runColumn(r.ctx, &r.columns[idx], csp)
 	if err != nil {
 		if csp.Active() {
 			csp.SetAttr("error", err.Error())
@@ -281,55 +321,40 @@ func (r *cuboidRun) runOne(idx int) {
 		r.errs[idx] = err
 		return
 	}
-	r.commit(idx, reply)
+	r.replies[idx] = reply
+	r.meter.noteReply(reply)
+	r.meter.noteCommit(r.job.params.R)
 }
 
-// runCalls runs a column's calls in order: its one call, or its R cuboids
-// one after another — a column holds one worker slot either way — each
-// partial folded into the column's tiles in ascending r by core.FoldSlab,
-// the rule the worker folds a whole column's slabs by, so the C blocks have
-// the same bits whichever way the column went out.
-func (r *cuboidRun) runCalls(col column, sp obs.Span) (*multiplyReply, error) {
-	var tiles []*matrix.Dense
-	for _, call := range col.calls {
-		reply, err := r.d.runJob(r.ctx, call, sp)
-		if err != nil {
-			return nil, err
-		}
-		r.meter.noteReply(reply)
-		if len(col.calls) == 1 {
-			return reply, nil
-		}
-		// The reply passed checkReply on arrival; here it gives the tiles.
-		slab, err := call.checkReply(reply)
-		if err != nil {
-			return nil, err
-		}
-		tiles = core.FoldSlab(tiles, slab)
-	}
-	return &multiplyReply{CBlocks: tileRecs(col.whole.box(), tiles)}, nil
-}
-
-// jobAttempts is how many scheduling attempts one call gets across the
+// jobAttempts is how many scheduling attempts one column gets across the
 // membership before the local fallback.
 const jobAttempts = 6
 
-// acrossMembers is runJob's scheduling loop: acquire a live member, run one
-// attempt on it, and on a failure try calls retryable back off (d.backoff)
-// and move to the next live member, reconnecting dead ones when the pool
-// looks empty, for at most jobAttempts attempts. Attempt a walks the ring
-// from position home+a.
-// A nil error is success; exhausted means the attempts ran out or the pool
-// drained, err being the last failure (ErrNoWorkers if no member was ever
-// reached); any other error ended the loop for good — ctx, or a final try.
-func (d *Driver) acrossMembers(ctx context.Context, meter *JobMeter, home int, try func(m *member) (retry bool, err error)) (exhausted bool, err error) {
+// runColumn is the one runner of a column: each attempt runs all its links
+// (runLinks) on holders picked for it (pickHolders), and a failed attempt
+// is classified link by link (classify) and, when every failure is
+// retryable, backed off (d.backoff) and re-run, for at most jobAttempts
+// attempts; dead members are reconnected when the pool looks empty. When
+// every attempt fails — or no worker is left — the column is computed
+// locally with the workers' exact arithmetic, when the driver holds its
+// operand blocks. Every attempt runs the whole column: its cuboids are
+// idempotent.
+//
+// parent is the column's span: each RPC (and the local fallback) records a
+// child under it, so retries and reassignments are visible as sibling
+// attempts on the timeline.
+func (d *Driver) runColumn(ctx context.Context, col *column, parent obs.Span) (*multiplyReply, error) {
+	first := col.links[0]
+	if first.pull {
+		atomic.AddInt64(&d.rec.Net.Live().PullJobs, 1)
+	}
 	var lastErr error
 	for attempt := 0; attempt < jobAttempts; {
 		if err := ctx.Err(); err != nil {
-			return false, err
+			return nil, err
 		}
-		m, anyLive := d.acquireMember(home + attempt)
-		if m == nil {
+		holders, held, anyLive := d.pickHolders(col, attempt)
+		if holders == nil {
 			if anyLive {
 				// Every live member's in-flight window is full: wait for a
 				// slot (or a new member) without burning a retry attempt.
@@ -346,139 +371,280 @@ func (d *Driver) acrossMembers(ctx context.Context, meter *JobMeter, home int, t
 			}
 			break
 		}
-		retry, err := try(m)
-		m.release()
+		reply, failed, retry, err := d.runLinks(ctx, col, holders, held, parent)
 		if err == nil {
-			return false, nil
+			return reply, nil
 		}
 		if !retry {
-			return false, err
+			return nil, err
 		}
-		atomic.AddInt64(&m.events.Live().Retries, 1)
+		for _, m := range failed {
+			atomic.AddInt64(&m.events.Live().Retries, 1)
+		}
 		lastErr = err
 		attempt++
 		if attempt < jobAttempts {
 			atomic.AddInt64(&d.rec.Net.Live().CuboidRetries, 1)
-			meter.noteRetry()
+			first.meter.noteRetry()
 			time.Sleep(d.backoff.Delay(attempt))
 		}
 	}
-	return true, lastErr
+	return d.computeLocally(col, parent, lastErr)
 }
 
-// runJob schedules one call across the membership (acrossMembers). When
-// every attempt fails — or no worker is left — the call is computed locally
-// with the workers' exact arithmetic, when the driver holds its operand
-// blocks. Every attempt runs the whole call: its cuboids are idempotent.
-//
-// parent is the column's span: each RPC attempt (and the local fallback)
-// records a child under it, so retries and reassignments are visible as
-// sibling attempts on the timeline.
-func (d *Driver) runJob(ctx context.Context, args *multiplyArgs, parent obs.Span) (*multiplyReply, error) {
-	if args.pull {
-		atomic.AddInt64(&d.rec.Net.Live().PullJobs, 1)
+// pickHolders is attempt's holders, one per slab group. Under homes it is
+// the first live member with a free slot from the column's home plus
+// attempt, its slot taken (held); under the chain, the plan's holders on
+// the first attempt and then as many live members, picked from the ring at
+// the same position and put in member order (pickLive). Nil holders with
+// anyLive set mean every live member is busy.
+func (d *Driver) pickHolders(col *column, attempt int) (holders []*member, held, anyLive bool) {
+	switch {
+	case col.holders == nil:
+		m, anyLive := d.acquireMember(col.home + attempt)
+		if m == nil {
+			return nil, false, anyLive
+		}
+		return []*member{m}, true, true
+	case attempt == 0:
+		return col.holders, false, true
 	}
-	var reply *multiplyReply
-	exhausted, err := d.acrossMembers(ctx, args.meter, args.home, func(m *member) (bool, error) {
-		asp := d.tracer.Start(parent.ID(), "rpc.multiply", obs.KindRPC)
-		defer asp.End()
-		args.label(asp)
-		if asp.Active() {
-			asp.SetWorker(m.addr)
-		}
-		args.traceSpan = uint64(asp.ID())
-		if args.pull {
-			// The assigned worker must know which manifest owner is itself;
-			// ownership is decided at dispatch, not plan time.
-			args.pullSelf = m.addr
-		}
-		rep := new(multiplyReply)
-		callStart := time.Now()
-		err := d.call(m, methodMultiply, asp.ID(), codec.Writes(blockSender{&m.tracker, d.rec}.appendMultiplyArgs, args),
-			codec.Reads(decodeMultiplyReply, rep), d.opts.CallTimeout)
-		if err == nil {
-			// A reply that does not fit its call fails the attempt like a
-			// broken frame: the call is retried, then computed locally.
-			_, err = args.checkReply(rep)
-		}
-		if err == nil {
-			if d.noteRPCDuration(m, time.Since(callStart)) && asp.Active() {
-				asp.SetAttr("straggler", "true")
+	live := d.liveMembers()
+	if len(live) == 0 {
+		return nil, false, false
+	}
+	return pickLive(live, col.home+attempt, len(col.holders)), false, true
+}
+
+// runLinks runs a column's links once, each on its group's holder, and
+// returns the last link's reply; failed are the holders whose links failed
+// for a reason of their own — a link that lost its running sum failed for
+// its predecessor's — and retry whether every failure allows another
+// attempt. The links all go out at once where each has a holder of its
+// own — the chain's holders ascend in member order, so a link waits only on
+// a holder of lower index and concurrent chains cannot wait on each other
+// in a cycle. Otherwise each goes out once its predecessor has replied, so
+// the sum it takes is already made, and a holder's slot is kept across its
+// consecutive links, so a self-take never queues behind other columns while
+// its sum waits. held says the caller holds holders[0]'s slot.
+func (d *Driver) runLinks(ctx context.Context, col *column, holders []*member, held bool, parent obs.Span) (reply *multiplyReply, failed []*member, retry bool, err error) {
+	links := col.links
+	if len(links) > 1 {
+		id := rand.Uint64()
+		for i, link := range links {
+			l := link.link
+			l.id, l.self, l.prev = id, holderOf(link, holders).addr, ""
+			if i > 0 {
+				l.prev = holderOf(links[i-1], holders).addr
 			}
-			if args.pull {
-				n := d.rec.Net.Live()
-				atomic.AddInt64(&n.PullCacheHits, rep.pullHits)
-				atomic.AddInt64(&n.PullPeerFetches, rep.pullFetches)
-				atomic.AddInt64(&n.PullPeerBytes, rep.pullPeerBytes)
-			}
-			reply = rep
-			return false, nil
 		}
+	}
+	concurrent := len(links) > 1 && len(links) == len(holders)
+	for g := 1; concurrent && g < len(holders); g++ {
+		concurrent = holders[g] != holders[g-1]
+	}
+	errs := make([]error, len(links))
+	if concurrent {
+		var wg sync.WaitGroup
+		for i, link := range links {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rep, err := d.runLink(ctx, link, holders[i], false, false, parent)
+				if errs[i] = err; i == len(links)-1 {
+					reply = rep
+				}
+			}()
+		}
+		wg.Wait()
+	} else {
+		for i, link := range links {
+			m := holderOf(link, holders)
+			keep := i+1 < len(links) && holderOf(links[i+1], holders) == m
+			if reply, errs[i] = d.runLink(ctx, link, m, held, keep, parent); errs[i] != nil {
+				break
+			}
+			held = keep
+		}
+	}
+	if err = errors.Join(errs...); err == nil {
+		return reply, nil, false, nil
+	}
+	retry = true
+	for i, e := range errs {
+		if e == nil {
+			continue
+		}
+		m := holderOf(links[i], holders)
+		if !lostSum(e) {
+			failed = append(failed, m)
+		}
+		if ok, e := d.classify(links[i], m, e); !ok && retry {
+			retry, err = false, e
+		}
+	}
+	return nil, failed, retry, err
+}
+
+// lostSum is whether a link failed because the running sum it takes was
+// lost with its predecessor's attempt.
+func lostSum(err error) bool {
+	var re *codec.RemoteError
+	var fe *peerFetchError
+	return errors.As(err, &re) && (errors.Is(re, errNoSum) || errors.As(re, &fe))
+}
+
+// holderOf is the member of holders that runs link: its group's.
+func holderOf(link *multiplyArgs, holders []*member) *member {
+	if link.link == nil {
+		return holders[0]
+	}
+	return holders[link.link.group]
+}
+
+// pickLive is h of live, picked from ring position start on and put in
+// member order; fewer than h live members repeat.
+func pickLive(live []*member, start, h int) []*member {
+	picks := make([]int, h)
+	for g := range picks {
+		picks[g] = (start + g) % len(live)
+	}
+	sort.Ints(picks)
+	holders := make([]*member, h)
+	for g, i := range picks {
+		holders[g] = live[i]
+	}
+	return holders
+}
+
+// runLink runs one link on m under an rpc.multiply span, first taking a
+// slot of m unless held says the caller took it, and gives the slot back
+// unless keep says the next link runs on m too and this one succeeded. A
+// reply that does not fit its call fails like a broken frame.
+func (d *Driver) runLink(ctx context.Context, args *multiplyArgs, m *member, held, keep bool, parent obs.Span) (_ *multiplyReply, err error) {
+	if !held {
+		select {
+		case <-m.slots:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	defer func() {
+		if err != nil || !keep {
+			m.release()
+		}
+	}()
+	asp := d.tracer.Start(parent.ID(), "rpc.multiply", obs.KindRPC)
+	defer asp.End()
+	args.label(asp)
+	if asp.Active() {
+		asp.SetWorker(m.addr)
+	}
+	args.traceSpan = uint64(asp.ID())
+	if args.pull {
+		// The assigned worker must know which manifest owner is itself;
+		// ownership is decided at dispatch, not plan time.
+		args.pullSelf = m.addr
+	}
+	rep := new(multiplyReply)
+	callStart := time.Now()
+	err = d.call(m, methodMultiply, asp.ID(), codec.Writes(blockSender{&m.tracker, d.rec}.appendMultiplyArgs, args),
+		codec.Reads(decodeMultiplyReply, rep), d.opts.CallTimeout)
+	if err == nil {
+		_, err = args.checkReply(rep)
+	}
+	if err != nil {
 		if asp.Active() {
 			asp.SetAttr("error", err.Error())
 		}
-		if errors.Is(err, codec.ErrFrameTooLarge) {
-			// No worker can be sent this call: the plan, not the pool, is at
-			// fault, so neither a retry nor the local fallback applies. A
-			// column over half a frame already went out as its cuboids
-			// (planColumn), so this call is one cuboid, and a finer
-			// partition on any axis makes it smaller.
-			return false, fmt.Errorf("distnet: a cuboid does not fit one wire frame; partition finer: %w", err)
-		}
-		var re *codec.RemoteError
-		var pe *pullError
-		if !errors.As(err, &re) {
-			return true, err
-		}
-		switch {
-		case errors.Is(re, errUnknownDigest):
-			// The worker no longer holds blocks we sent as references
-			// (restart, eviction, or epoch turnover). Forget what we
-			// believed it had; the retry ships everything inline.
-			atomic.AddInt64(&d.rec.Net.Live().CacheRefMisses, 1)
-			m.tracker.forget()
-		case errors.As(re, &pe):
-			// Pull resolution failed on the worker — a peer died mid-fetch,
-			// or a manifest entry points at an evicted band. The driver is
-			// the pull plane's last resort: when it holds the operand
-			// blocks, the call downgrades to push — prepared now, like any
-			// push call, so this retry and every later one frame the same
-			// encoded records — and the retry ships them inline.
-			atomic.AddInt64(&d.rec.Net.Live().PullFallbacks, 1)
-			if args.pull && args.pullInline {
-				args.pull = false
-				if perr := args.prep.prepare(args); perr != nil {
-					return false, perr
-				}
-			}
-		case !transientRefusal(re):
-			// The worker computed and rejected the request: retrying the
-			// same malformed call elsewhere cannot help.
-			return false, fmt.Errorf("distnet: worker %s rejected multiply: %w", m.addr, err)
-		}
-		return true, err
-	})
-	if err == nil {
-		return reply, nil
-	}
-	if !exhausted {
 		return nil, err
 	}
-	// Local fallback needs the operand blocks driver-side; a pull call whose
-	// blocks the driver never fully held cannot be computed locally.
-	if args.pull && !args.pullInline {
-		return nil, fmt.Errorf("distnet: multiply failed after %d attempts: %w", jobAttempts, err)
+	// A link past the first waits for its sum, so only a lone call's time
+	// says how fast its worker is.
+	if args.link == nil && d.noteRPCDuration(m, time.Since(callStart)) && asp.Active() {
+		asp.SetAttr("straggler", "true")
+	}
+	if args.pull {
+		n := d.rec.Net.Live()
+		atomic.AddInt64(&n.PullCacheHits, rep.pullHits)
+		atomic.AddInt64(&n.PullPeerFetches, rep.pullFetches)
+		atomic.AddInt64(&n.PullPeerBytes, rep.pullPeerBytes)
+	}
+	return rep, nil
+}
+
+// classify is what one failed link on m means for its column: retry, after
+// whatever the failure asks of the driver, or an error final for the job.
+func (d *Driver) classify(args *multiplyArgs, m *member, err error) (retry bool, _ error) {
+	if errors.Is(err, codec.ErrFrameTooLarge) {
+		// No worker can be sent this link: the plan, not the pool, is at
+		// fault, so neither a retry nor the local fallback applies. A slab
+		// group over half a frame is already cut into links of one slab
+		// (cut), so this link is one cuboid, and a finer partition on any
+		// axis makes it smaller.
+		return false, fmt.Errorf("distnet: a cuboid does not fit one wire frame; partition finer: %w", err)
+	}
+	var re *codec.RemoteError
+	var pe *pullError
+	if !errors.As(err, &re) {
+		return true, err
+	}
+	switch {
+	case errors.Is(re, errUnknownDigest):
+		// The worker no longer holds blocks we sent as references
+		// (restart, eviction, or epoch turnover). Forget what we
+		// believed it had; the retry ships everything inline.
+		atomic.AddInt64(&d.rec.Net.Live().CacheRefMisses, 1)
+		m.tracker.forget()
+	case errors.As(re, &pe):
+		// Pull resolution failed on the worker — a peer died mid-fetch,
+		// or a manifest entry points at an evicted band. The driver is
+		// the pull plane's last resort: when it holds the operand
+		// blocks, the link downgrades to push — prepared now, like any
+		// push link, so this retry and every later one frame the same
+		// encoded records — and the retry ships them inline.
+		atomic.AddInt64(&d.rec.Net.Live().PullFallbacks, 1)
+		if args.pull && args.pullInline {
+			args.pull = false
+			if perr := args.prep.prepare(args); perr != nil {
+				return false, perr
+			}
+		}
+	case lostSum(re):
+		// The running sum the link needed was lost with its predecessor's
+		// attempt: the column re-runs all its links.
+	case !transientRefusal(re):
+		// The worker computed and rejected the request: retrying the
+		// same malformed call elsewhere cannot help.
+		return false, fmt.Errorf("distnet: worker %s rejected multiply: %w", m.addr, err)
+	}
+	return true, err
+}
+
+// computeLocally is the local fallback: the whole column — every link's
+// blocks, all R slabs — computed on the driver by the workers' arithmetic.
+// A pull column whose blocks the driver never fully held cannot be.
+func (d *Driver) computeLocally(col *column, parent obs.Span, cause error) (*multiplyReply, error) {
+	first := col.links[0]
+	if first.pull && !first.pullInline {
+		return nil, fmt.Errorf("distnet: multiply failed after %d attempts: %w", jobAttempts, cause)
 	}
 	atomic.AddInt64(&d.rec.Net.Live().LocalFallbacks, 1)
-	args.meter.noteLocalFallback()
+	first.meter.noteLocalFallback()
+	whole := *first
+	whole.link, whole.ABlocks, whole.BBlocks = nil, nil, nil
+	for _, link := range col.links {
+		whole.ABlocks = append(whole.ABlocks, link.ABlocks...)
+		whole.BBlocks = append(whole.BBlocks, link.BBlocks...)
+	}
 	lsp := d.tracer.Start(parent.ID(), "local-fallback", obs.KindDriver)
 	defer lsp.End()
-	args.label(lsp)
+	whole.label(lsp)
 	if lsp.Active() {
-		lsp.SetAttr("cause", err.Error())
+		lsp.SetAttr("cause", cause.Error())
 	}
-	reply = new(multiplyReply)
-	if _, err := computeCuboid(args, reply); err != nil {
+	reply := new(multiplyReply)
+	if _, err := computeCuboid(&whole, reply); err != nil {
 		return nil, err
 	}
 	return reply, nil

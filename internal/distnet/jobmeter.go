@@ -32,13 +32,12 @@ type JobMeterStats struct {
 	Cuboids int64 `json:"cuboids"`
 	// RequestBytes / ReplyBytes are encoded block-payload bytes dispatched
 	// and received for this job. A column's reply is its folded C blocks, so
-	// ReplyBytes counts each C block once at any R — R times for a column
-	// over the call bound, which goes out as its R cuboids and comes back as
-	// their partials.
+	// ReplyBytes counts each C block once at any R and however many links
+	// the column went out as.
 	RequestBytes int64 `json:"request_bytes"`
 	ReplyBytes   int64 `json:"reply_bytes"`
-	// Retries counts call scheduling retries; LocalFallbacks counts calls
-	// the driver computed itself after the pool failed them.
+	// Retries counts column scheduling retries; LocalFallbacks counts
+	// columns the driver computed itself after the pool failed them.
 	Retries        int64 `json:"retries"`
 	LocalFallbacks int64 `json:"local_fallbacks"`
 }

@@ -17,8 +17,8 @@ import (
 
 // The one cuboid job path's contract, as one table: whatever way a (p,q)
 // column obtains its slices — pushed inline, pulled by manifest, downgraded
-// mid-job — and whether it goes out as one call, over the call bound as its
-// R cuboids, or as the links of a k-ordered chain, the product is the same
+// mid-job — and whether it goes out as one call, over the call bound as
+// links cut on one holder, or as the links of a k-ordered chain, the product is the same
 // bytes, the bytes core.MultiplyCuboid computes on the simulated cluster, and
 // the job is metered, gauged and traced the same way.
 
@@ -100,21 +100,23 @@ func TestCuboidPathParity(t *testing.T) {
 	}
 	// On three workers a push plan of R ≥ 2 and several columns runs as the
 	// k-ordered chain — every band it would replicate crosses the driver
-	// once — on two holders; R = 1 keeps homes, and so does a θt of one byte,
-	// which no link fits either.
+	// once — on two holders, whatever θt: a θt of one byte only cuts each
+	// holder's slabs into links of one, and here a holder has one slab. R = 1
+	// and pull keep homes, where a θt of one byte cuts each column into R
+	// links of one slab on its holder.
 	rows := []struct {
 		name     string
 		params   core.Params
 		transfer core.Transfer
 		chain    bool // the plan's placement is the chain
 		kill     bool // kill one band owner once the operands are resident
-		split    bool // a θt of one byte: every column goes out as its R cuboids
+		split    bool // a θt of one byte: every link is one slab
 	}{
 		{name: "push", params: core.Params{P: 2, Q: 2, R: 1}, transfer: core.TransferPush},
 		{name: "push, chain", params: core.Params{P: 2, Q: 2, R: 2}, transfer: core.TransferPush, chain: true},
 		{name: "pull", params: core.Params{P: 2, Q: 2, R: 2}, transfer: core.TransferPull},
 		{name: "pull, killed peer", params: core.Params{P: 2, Q: 2, R: 2}, transfer: core.TransferPull, kill: true},
-		{name: "push, columns over θt", params: core.Params{P: 2, Q: 2, R: 2}, transfer: core.TransferPush, split: true},
+		{name: "push, columns over θt", params: core.Params{P: 2, Q: 2, R: 2}, transfer: core.TransferPush, chain: true, split: true},
 		{name: "pull, columns over θt", params: core.Params{P: 2, Q: 2, R: 2}, transfer: core.TransferPull, split: true},
 	}
 
@@ -188,9 +190,9 @@ func TestCuboidPathParity(t *testing.T) {
 				delta := d.NetStats().Sub(before)
 
 				// A column goes out as one call of R slabs, over the call
-				// bound as R calls of one, or as the chain's two links of R/2:
-				// an rpc.multiply span per call — more where a dead peer's
-				// calls were retried.
+				// bound as R links of one, or as the chain's two links of
+				// R/2: an rpc.multiply span per link — more where a dead
+				// peer's links were retried.
 				calls, slabs, placement := params.P*params.Q, params.R, core.PlaceHomes
 				switch {
 				case row.chain:
@@ -229,14 +231,19 @@ func TestCuboidPathParity(t *testing.T) {
 	}
 }
 
-// TestColumnOverCallBoundGoesOutAsCuboids: planning sends a (p,q) column as
-// one call while its operands fit the call bound, and as its R cuboids — one
-// slab each, the k ranges Box.Slab cuts — once they do not; under the
-// k-ordered chain the bound is each link's. The bound is θt
-// and never more than half a wire frame: a column of 80 blocks of 32 MiB
-// (2.5 GiB, one block's storage behind every record) is split even under a
-// 64 GiB θt, into cuboids of 640 MiB that a frame holds. At R = 1 the column
-// is the cuboid, and nothing is left to split.
+// TestColumnOverCallBoundGoesOutAsCuboids: planning cuts a (p,q) column into
+// links — one contiguous slab group on one holder each — while its operands
+// fit the call bound a homes column is one link, its whole call; over it,
+// each holder's slabs are cut into consecutive links on that holder. Every
+// link is inside the bound unless it is one slab, and the links carry the
+// column's records exactly once. The bound is θt and never more than half a
+// wire frame: a column of 80 blocks of 32 MiB (2.5 GiB, one block's storage
+// behind every record) is cut even under a 64 GiB θt, into links of one
+// 640 MiB slab that a frame holds. At R = 1 the column is the cuboid, and
+// nothing is left to cut. A homes column's links share one holder; under
+// the chain each holder's group is cut on its own: on four holders the
+// 2.5 GiB column's links are one slab a holder, on two each holder's
+// 1.25 GiB group is cut in two.
 func TestColumnOverCallBoundGoesOutAsCuboids(t *testing.T) {
 	big := matrix.NewDense(2048, 2048)
 	tall, wide := bmat.New(2048, 40*2048, 2048), bmat.New(40*2048, 2048, 2048)
@@ -251,71 +258,19 @@ func TestColumnOverCallBoundGoesOutAsCuboids(t *testing.T) {
 		a, b     *bmat.BlockMatrix
 		R        int
 		workerθt int64
-		calls    int
+		holders  int   // 0: homes
+		groups   []int // each link's holder group, in slab order
 	}{
-		{"2.5 GiB column, θt 64 GiB", tall, wide, 4, 64 << 30, 4},
-		{"2.5 GiB column at R = 1", tall, wide, 1, 64 << 30, 1},
-		{"small column, default θt", small, smallB, 2, 0, 1},
-		{"small column, θt of one byte", small, smallB, 4, 1, 4},
+		{"2.5 GiB column, θt 64 GiB", tall, wide, 4, 64 << 30, 0, []int{0, 0, 0, 0}},
+		{"2.5 GiB column at R = 1", tall, wide, 1, 64 << 30, 0, []int{0}},
+		{"small column, default θt", small, smallB, 2, 0, 0, []int{0}},
+		{"small column, θt of one byte", small, smallB, 4, 1, 0, []int{0, 0, 0, 0}},
+		{"2.5 GiB column on four holders", tall, wide, 4, 64 << 30, 4, []int{0, 1, 2, 3}},
+		{"2.5 GiB column on two holders", tall, wide, 4, 64 << 30, 2, []int{0, 0, 1, 1}},
+		{"small column on two holders, θt of one byte", small, smallB, 4, 1, 2, []int{0, 0, 1, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			params := core.Params{P: 1, Q: 1, R: tc.R}
-			r := &cuboidRun{d: &Driver{}, job: &cuboidJob{
-				blockSize: tc.a.BlockSize, params: params,
-				callBytes: MultiplyOptions{WorkerMemBytes: tc.workerθt}.callBytes(),
-				fill: func(args *multiplyArgs) {
-					args.ABlocks = boxRecs(tc.a, args.ILo, args.IHi, args.KLo, args.KHi)
-					args.BBlocks = boxRecs(tc.b, args.KLo, args.KHi, args.JLo, args.JHi)
-				},
-			}}
-			box := core.Box{IHi: tc.a.IB, JHi: tc.b.JB, KHi: tc.a.JB}
-			col := r.planColumn(0, 0, box)
-			if col.whole.slabs != tc.R || col.whole.box() != box {
-				t.Fatalf("whole column: %d slabs over %+v, want %d over %+v", col.whole.slabs, col.whole.box(), tc.R, box)
-			}
-			if len(col.calls) != tc.calls {
-				t.Fatalf("%d calls, want %d", len(col.calls), tc.calls)
-			}
-			if tc.calls == 1 {
-				if col.calls[0] != col.whole {
-					t.Fatal("a column inside the bound goes out as other than its whole call")
-				}
-				return
-			}
-			var records int
-			for rr, call := range col.calls {
-				if call.slabs != 1 || call.box() != box.Slab(rr, tc.R) {
-					t.Errorf("call %d: %d slabs over %+v, want cuboid %d, one slab over %+v", rr, call.slabs, call.box(), rr, box.Slab(rr, tc.R))
-				}
-				if got := call.inputBytes(tc.a.BlockSize); got > codec.MaxFrameBytes/2 {
-					t.Errorf("call %d: %d operand bytes, over half a frame", rr, got)
-				}
-				records += len(call.ABlocks) + len(call.BBlocks)
-			}
-			if want := len(col.whole.ABlocks) + len(col.whole.BBlocks); records != want {
-				t.Errorf("the cuboids carry %d records, the column %d", records, want)
-			}
-		})
-	}
-	// Under the chain the bound applies per link, each holder's slabs: the
-	// 2.5 GiB column that homes sends as four cuboids goes out unsplit on
-	// four holders, in links of 640 MiB, one slab each. On two holders its
-	// links of 1.25 GiB are over half a frame, so the chain is no candidate
-	// and the column stays with homes' four cuboids; so is a small column
-	// under a θt of one byte.
-	for _, tc := range []struct {
-		name     string
-		a, b     *bmat.BlockMatrix
-		holders  int
-		workerθt int64
-		chain    bool
-	}{
-		{"2.5 GiB column on four holders", tall, wide, 4, 64 << 30, true},
-		{"2.5 GiB column on two holders", tall, wide, 2, 64 << 30, false},
-		{"small column on two holders, θt of one byte", small, smallB, 2, 1, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			params := core.Params{P: 1, Q: 1, R: 4}
 			r := &cuboidRun{d: &Driver{}, job: &cuboidJob{
 				rows: tc.a.Rows, inner: tc.a.Cols, cols: tc.b.Cols, blockSize: tc.a.BlockSize, params: params,
 				callBytes: MultiplyOptions{WorkerMemBytes: tc.workerθt}.callBytes(),
@@ -325,41 +280,73 @@ func TestColumnOverCallBoundGoesOutAsCuboids(t *testing.T) {
 				},
 			}}
 			box := core.Box{IHi: tc.a.IB, JHi: tc.b.JB, KHi: tc.a.JB}
-			r.columns = []column{r.planColumn(0, 0, box)}
-			place := core.ChoosePlacement(params, r.faces(tc.a.JB), tc.holders, r.job.callBytes)
-			if (place == core.PlaceChain) != tc.chain {
-				t.Fatalf("placement %v, want chain %v", place, tc.chain)
+			whole := r.newCall(0, 0, box)
+			wholes := []*multiplyArgs{whole}
+			slabs := r.slabBytes(wholes, tc.a.JB)
+			if tc.holders > 0 {
+				// One column ties the placements, so the chain is never
+				// chosen for it; its cut is planned on the holders given.
+				if got := core.ChoosePlacement(params, r.faces(wholes, slabs), tc.holders); got != core.PlaceHomes {
+					t.Errorf("one column on %d workers: %v, want homes", tc.holders, got)
+				}
 			}
-			if !tc.chain {
+			var holders []*member
+			for g := 0; g < tc.holders; g++ {
+				holders = append(holders, &member{addr: fmt.Sprintf("w%d", g)})
+			}
+			r.cut(wholes, slabs, holders)
+			col := r.columns[0]
+			if len(col.links) != len(tc.groups) {
+				t.Fatalf("%d links, want %d", len(col.links), len(tc.groups))
+			}
+			if len(col.links) == 1 {
+				if col.links[0] != whole {
+					t.Fatal("a column of one link goes out as other than its whole call")
+				}
 				return
 			}
-			holders := make([]*member, tc.holders)
-			for g := range holders {
-				holders[g] = &member{addr: fmt.Sprintf("w%d", g)}
-			}
-			r.planLinks(holders)
-			col := r.columns[0]
-			var records int
-			for g, link := range col.links {
+			seen := map[bmat.BlockKey]bool{}
+			records, next := 0, 0
+			for i, link := range col.links {
 				l := link.link
-				if l.lo != g || l.hi != g+1 || link.slabCount() != 1 || link.box() != box || l.holder != holders[g] {
-					t.Errorf("link %d: slabs [%d,%d) of a box %+v on %s", g, l.lo, l.hi, link.box(), l.holder.addr)
+				if l.lo != next || l.group != tc.groups[i] || link.slabs != tc.R || link.box() != box {
+					t.Errorf("link %d: slabs [%d,%d) of %d over %+v in group %d, want from slab %d in group %d",
+						i, l.lo, l.hi, link.slabs, link.box(), l.group, next, tc.groups[i])
 				}
-				if got := link.inputBytes(tc.a.BlockSize); got > r.job.callBytes {
-					t.Errorf("link %d: %d operand bytes, over the %d-byte bound", g, got, r.job.callBytes)
+				next = l.hi
+				var n int64
+				for _, list := range [2][]blockRec{link.ABlocks, link.BBlocks} {
+					for _, rec := range list {
+						n += rec.Block.SizeBytes()
+					}
+				}
+				if n > r.job.callBytes && l.hi-l.lo > 1 {
+					t.Errorf("link %d: %d slabs of %d operand bytes, over the %d-byte bound", i, l.hi-l.lo, n, r.job.callBytes)
+				}
+				for _, rec := range link.ABlocks {
+					seen[bmat.BlockKey{I: -1 - rec.Key.I, J: rec.Key.J}] = true
+				}
+				for _, rec := range link.BBlocks {
+					seen[rec.Key] = true
 				}
 				records += len(link.ABlocks) + len(link.BBlocks)
 			}
-			if want := len(col.whole.ABlocks) + len(col.whole.BBlocks); len(col.links) != tc.holders || records != want {
-				t.Errorf("%d links carry %d records, want %d links and the column's %d", len(col.links), records, tc.holders, want)
+			if want := len(whole.ABlocks) + len(whole.BBlocks); next != tc.R || records != want || len(seen) != want {
+				t.Errorf("links end at slab %d carrying %d records, %d distinct; want %d and the column's %d", next, records, len(seen), tc.R, want)
 			}
 		})
 	}
 
 	// An operand pulled from a handle that kept no source has manifest
-	// entries and no records: each counts as a dense block.
-	pulled := &multiplyArgs{aManifest: &codec.Manifest{Entries: make([]codec.ManifestEntry, 3)}, BBlocks: []blockRec{{Block: big}}}
-	if got, want := pulled.inputBytes(2048), int64(4*2048*2048*8); got != want {
-		t.Errorf("3 pulled entries and one 32 MiB record: %d operand bytes, want %d", got, want)
+	// entries and no records: each counts as a dense block of its slab. A's
+	// entries at k = 0, 1 and 3 and one 32 MiB B record at k = 2, in two
+	// slabs of two, size as 4 dense blocks.
+	r := &cuboidRun{job: &cuboidJob{blockSize: 2048, params: core.Params{P: 1, Q: 1, R: 2}}}
+	entries := []codec.ManifestEntry{{KeyJ: 0}, {KeyJ: 1}, {KeyJ: 3}}
+	pulled := &multiplyArgs{aManifest: &codec.Manifest{Entries: entries}, BBlocks: []blockRec{{Key: bmat.BlockKey{I: 2}, Block: big}}}
+	dense := int64(2048 * 2048 * 8)
+	got := r.slabBytes([]*multiplyArgs{pulled}, 4)[0]
+	if want := [2][]int64{{2 * dense, dense}, {0, dense}}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("3 pulled entries and one 32 MiB record: %v operand bytes by slab, want %v", got, want)
 	}
 }

@@ -39,8 +39,11 @@ import (
 // hand running sums to each other (methodTakeSum), which version 6 knew
 // nothing of. Version 8's sparse blocks may arrive in the coordinate form
 // (codec.TagCSRCoord, codec.TagCSCCoord), which version 7 refused as unknown
-// tags mid-job.
-var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 8}
+// tags mid-job. Version 9's link may name its own worker as predecessor —
+// a slab group over the call bound cut into consecutive links on one
+// holder, each taking the sum the one before left there — which version 8
+// refused as a link waiting on itself.
+var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 9}
 
 // The worker socket's methods, by the byte a request names them with.
 const (
@@ -72,10 +75,10 @@ type blockRec struct {
 	digest *codec.Digest
 }
 
-// multiplyArgs ships one (p,q) column to a worker — the voxel box of its R
-// cuboids, the whole k range, and its slab count R — or, for a column over
-// its job's call bound, one of those cuboids, one slab, or one link of the
-// column's chain (link); and the A- and B-side blocks the call needs.
+// multiplyArgs ships one link of a (p,q) column to a worker — the voxel box
+// of its R cuboids, the whole k range, and its slab count R; for a column
+// of several links, the link's slab group (link) — and the A- and B-side
+// blocks the call needs.
 // Indices are global block coordinates so the reply keys line up with the
 // driver's output grid.
 type multiplyArgs struct {
@@ -86,8 +89,7 @@ type multiplyArgs struct {
 	// slabs is how many of the column's cuboids the box holds: the worker
 	// cuts the k range into this many slabs and folds their products in
 	// ascending r (core.MultiplyColumn), so one tile per C block comes back.
-	// R for a whole column and for a chain link, 1 for one cuboid of a
-	// column sent out in R calls.
+	// R for every link.
 	slabs int
 
 	// cacheEpoch scopes this column's digest references to one driver job;
@@ -109,11 +111,6 @@ type multiplyArgs struct {
 	// job is the multiply the call belongs to, whose C dimensions a reply's
 	// blocks are checked against (checkReply). Driver-side only.
 	job *cuboidJob
-
-	// home is the ring position runCuboids reserved for this column at plan
-	// time (Driver.reserveHomes); scheduling attempt a starts there plus a.
-	// Driver-side only.
-	home int
 
 	// prep is the cuboid's job-wide block preparer, kept on the cuboid so a
 	// pull cuboid can be prepared at the moment it downgrades to push.
@@ -138,17 +135,18 @@ type multiplyArgs struct {
 	// silently compute against missing blocks. Driver-side only.
 	pullInline bool
 
-	// link, when set, makes the call one link of its column's k-ordered
-	// chain (chain.go): the box is still the whole column and slabs its R,
-	// but the blocks are only those of the link's slabs.
+	// link, when set, makes the call one link of a column of several
+	// (job.go): the box is still the whole column and slabs its R, but the
+	// blocks are only those of the link's slabs.
 	link *chainLink
 }
 
-// chainLink is one holder's part of a column's chain: slabs [lo, hi) of the
+// chainLink is one link of a column of several: slabs [lo, hi) of the
 // column's R. The holder computes them, takes the running sum of slabs
-// [0, lo) from prev — the holder before it — folds its slabs into it in
-// ascending r, and keeps the sum of [0, hi) under (id, hi) for the holder
-// after it; the last link (hi = R) returns the column's C blocks instead.
+// [0, lo) from prev — the holder of the link before, itself or another —
+// folds its slabs into it in ascending r, and keeps the sum of [0, hi) under
+// (id, hi) for the link after it; the last link (hi = R) returns the
+// column's C blocks instead.
 type chainLink struct {
 	id     uint64
 	lo, hi int
@@ -158,9 +156,9 @@ type chainLink struct {
 	// wait bounds how long the holder waits for its incoming sum, and how
 	// long the sum it keeps waits to be taken.
 	wait time.Duration
-	// holder is the member the link runs on, fixed at plan time. Driver-side
-	// only.
-	holder *member
+	// group is the link's slab group: which of an attempt's holders runs
+	// it. Driver-side only.
+	group int
 }
 
 // slabCount is how many of the column's cuboids the call computes: its

@@ -89,7 +89,7 @@ func (h *Handle) digestAt(i, j int) *codec.Digest {
 // manifests of the handles' bands inside its voxel box, which the assigned
 // worker resolves against its cache, its own store and the owning peers.
 // When both handles kept their Put source, the column also carries the inline
-// records — off the wire — so runJob can downgrade it to push or compute it
+// records — off the wire — so runColumn can downgrade it to push or compute it
 // locally. Placement is read per call: a recovery re-runs this on the new one.
 func (s *Session) pullMultiply(ctx context.Context, a, b *Handle, params core.Params, opts MultiplyOptions) (*bmat.BlockMatrix, error) {
 	aParts, bParts := s.parts(a.ib), s.parts(b.ib)

@@ -81,9 +81,9 @@ func (s *epochSet[K]) has(epoch uint64, k K) bool {
 // Concurrent jobs carry distinct epochs; tracking per key (not per epoch)
 // lets them share dedup state. The tracker is deliberately NOT
 // cleared on reconnect — a restarted worker answers the first stale
-// reference with the unknown-digest error, runJob calls forget(), and the
-// retry ships the blocks inline. A too-optimistic guess always degrades to
-// that same clean resend path.
+// reference with the unknown-digest error, the column runner calls
+// forget(), and the retry ships the blocks inline. A too-optimistic guess
+// always degrades to that same clean resend path.
 type sendTracker struct {
 	mu   sync.Mutex
 	sent epochSet[codec.Digest]
@@ -311,9 +311,9 @@ const maxChainWait = 5 * time.Minute
 
 // decodeChainLink reads a multiply's chain fields, nil for a call that is no
 // chain link. A link is refused as errWire when its slab group is not
-// inside the column's R slabs, when it names a predecessor and is the first
-// link or names none and is not, and when its predecessor is itself: every
-// wait it could then start would be for a sum that never comes.
+// inside the column's R slabs, and when it names a predecessor and is the
+// first link or names none and is not. A link may name its own worker: it
+// then takes the sum the link before left there.
 func decodeChainLink(rd *codec.FrameReader, slabs int) (*chainLink, error) {
 	flag, err := rd.U8()
 	if err != nil || flag == 0 {
@@ -344,8 +344,6 @@ func decodeChainLink(rd *codec.FrameReader, slabs int) (*chainLink, error) {
 		return nil, fmt.Errorf("%w: chain link of slabs [%d,%d) in a column of %d", errWire, l.lo, l.hi, slabs)
 	case (l.lo == 0) != (l.prev == ""):
 		return nil, fmt.Errorf("%w: chain link from slab %d names predecessor %q", errWire, l.lo, l.prev)
-	case l.prev == l.self:
-		return nil, fmt.Errorf("%w: chain link names its own worker %q as predecessor", errWire, l.self)
 	}
 	l.wait = time.Duration(min(wait, uint64(maxChainWait/time.Millisecond))) * time.Millisecond
 	return l, nil

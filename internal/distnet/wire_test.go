@@ -41,13 +41,14 @@ const (
 	bodyChainArgs
 	bodySumArgs
 	bodySumReply
+	bodySelfLinkArgs
 	bodyKinds
 )
 
 // decodeBody runs the streaming decoder a codec would run for one body.
 func decodeBody(kind int, rd *codec.FrameReader) error {
 	switch kind {
-	case bodyMultiplyArgs, bodyPullMultiplyArgs, bodyColumnArgs, bodyChainArgs:
+	case bodyMultiplyArgs, bodyPullMultiplyArgs, bodyColumnArgs, bodyChainArgs, bodySelfLinkArgs:
 		return decodeMultiplyArgs(rd, new(multiplyArgs), newBlockCache(-1))
 	case bodySumArgs:
 		return decodeSumArgs(rd, new(sumArgs))
@@ -115,6 +116,10 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 	// at 10.0.0.1.
 	link := column
 	link.link = &chainLink{id: 1 << 60, lo: 1, hi: 3, self: "10.0.0.2:7070", prev: "10.0.0.1:7070", wait: 15 * time.Second}
+	// The same link cut at the call bound on one holder: its predecessor
+	// is its own worker.
+	self := column
+	self.link = &chainLink{id: 1 << 60, lo: 1, hi: 2, self: "10.0.0.2:7070", prev: "10.0.0.2:7070", wait: 15 * time.Second}
 	parts := []partLoc{{Addr: "10.0.0.2:7070", Lo: 0, Hi: 4}}
 
 	var send blockSender
@@ -124,6 +129,7 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 	add(bodyPullMultiplyArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &pull) })
 	add(bodyColumnArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &column) })
 	add(bodyChainArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &link) })
+	add(bodySelfLinkArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &self) })
 	add(bodySumArgs, codec.Writes(appendSumArgs, &sumArgs{id: 1 << 60, upTo: 1, wait: 15 * time.Second}))
 	add(bodySumReply, codec.Writes(appendSumReply, &sumReply{blocks: recs}))
 	add(bodyMultiplyReply, func(w *codec.FrameWriter) error {
@@ -549,13 +555,14 @@ func rawWorkerConn(t *testing.T, addr string) (net.Conn, *codec.FrameReader) {
 // TestPreambleRefusesVersion1Peers: earlier versions of the worker socket
 // numbered their methods differently (v1), carried block tags this one
 // refuses (v3), could not read a frame in chunks (v4), computed dense
-// products without a fused multiply-add (v5) or refused the coordinate
-// sparse form (v7), so a peer still speaking one is refused at the handshake
+// products without a fused multiply-add (v5), refused the coordinate
+// sparse form (v7) or a link that names its own worker as predecessor (v8),
+// so a peer still speaking one is refused at the handshake
 // both ways — a driver dialing an old worker, and an old driver dialing a
 // worker — with codec.ErrProtocol.
 func TestPreambleRefusesVersion1Peers(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
-	for _, version := range []byte{1, 3, 4, 5, 7} {
+	for _, version := range []byte{1, 3, 4, 5, 7, 8} {
 		old := workerPreamble
 		old[4] = version
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -836,7 +843,7 @@ func TestPrepareOncePerDistinctBlock(t *testing.T) {
 }
 
 // TestOversizeCuboidFailsWithoutRetry: a cuboid too large for one frame is
-// refused at encode with codec.ErrFrameTooLarge and surfaces from runJob at
+// refused at encode with codec.ErrFrameTooLarge and surfaces from runColumn at
 // once — no retry storm across the pool, no worker declared dead, no local
 // fallback — and the connection it was refused on still carries the next
 // cuboid.
@@ -858,7 +865,7 @@ func TestOversizeCuboidFailsWithoutRetry(t *testing.T) {
 	}
 	prepareRecs(t, huge.ABlocks)
 	sentBefore, _ := d.WireBytes()
-	if _, err := d.runJob(context.Background(), huge, obs.Span{}); !errors.Is(err, codec.ErrFrameTooLarge) {
+	if _, err := d.runColumn(context.Background(), &column{links: []*multiplyArgs{huge}}, obs.Span{}); !errors.Is(err, codec.ErrFrameTooLarge) {
 		t.Fatalf("oversized cuboid: %v, want ErrFrameTooLarge", err)
 	}
 	if sent, _ := d.WireBytes(); sent-sentBefore >= 1<<20 {
@@ -874,8 +881,7 @@ func TestOversizeCuboidFailsWithoutRetry(t *testing.T) {
 	ok := &multiplyArgs{IHi: 1, JHi: 1, KHi: 1, slabs: 1, ABlocks: []blockRec{{Block: small}}, BBlocks: []blockRec{{Block: small}}}
 	prepareRecs(t, ok.ABlocks, ok.BBlocks)
 	for i := 0; i < 2; i++ { // homes 0 and 1: both members' connections
-		ok.home = i
-		if reply, err := d.runJob(context.Background(), ok, obs.Span{}); err != nil || len(reply.CBlocks) != 1 {
+		if reply, err := d.runColumn(context.Background(), &column{links: []*multiplyArgs{ok}, home: i}, obs.Span{}); err != nil || len(reply.CBlocks) != 1 {
 			t.Fatalf("cuboid after the refusal: %v", err)
 		}
 	}
@@ -959,9 +965,8 @@ func startForgingWorker(t *testing.T, forge func(box core.Box, reply *multiplyRe
 // another column's box, a block of the wrong size, a block sent twice, a
 // sparse block. The driver checks each reply where it arrives, so every
 // attempt fails as a bad frame and the column is computed locally — on a
-// whole column, on a column sent out as its R cuboids and folded by the
-// driver, and on a chain's last link — with no panic and the bits of the
-// local product.
+// whole column, on a column over θt cut into links on one holder, and on a
+// chain's last link — with no panic and the bits of the local product.
 func TestForgedRepliesFallBackToLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(4301))
 	// A 5×5 grid of C blocks whose last row and column are 4 wide.
@@ -989,12 +994,13 @@ func TestForgedRepliesFallBackToLocal(t *testing.T) {
 	plans := []struct {
 		name   string
 		params core.Params
-		mem    int64 // θt; one byte sends every column out as its R cuboids
-		chain  bool
+		mem    int64 // θt; one byte cuts every column into links of one slab
 	}{
 		{name: "whole columns", params: core.Params{P: 2, Q: 2, R: 1}},
-		{name: "columns over θt", params: core.Params{P: 2, Q: 2, R: 2}, mem: 1},
-		{name: "chain", params: core.Params{P: 2, Q: 2, R: 2}, chain: true},
+		// One column: the placements tie, so homes keeps it on one holder.
+		{name: "columns over θt", params: core.Params{P: 1, Q: 1, R: 2}, mem: 1},
+		// Four columns on three workers: the chain.
+		{name: "chain", params: core.Params{P: 2, Q: 2, R: 2}},
 	}
 	for _, plan := range plans {
 		want := cuboidReference(t, a, b, plan.params)
@@ -1021,8 +1027,8 @@ func TestForgedRepliesFallBackToLocal(t *testing.T) {
 				if st.LocalFallbacks == 0 {
 					t.Errorf("no local fallback: a forged reply was accepted (%+v)", st)
 				}
-				if plan.chain && st.ChainFallbacks == 0 {
-					t.Errorf("no chain fallback: the last link's forged reply was accepted")
+				if st.CuboidRetries == 0 {
+					t.Errorf("no retry: a forged reply was accepted")
 				}
 			})
 		}

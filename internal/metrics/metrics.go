@@ -112,9 +112,6 @@ type NetStats struct {
 	// LocalFallbacks counts cuboids computed on the driver because the
 	// worker pool had drained (or every attempt failed).
 	LocalFallbacks int64 `json:"local_fallbacks"`
-	// ChainFallbacks counts columns whose k-ordered chain was abandoned
-	// after a link failed, and which re-ran as their homes calls.
-	ChainFallbacks int64 `json:"chain_fallbacks"`
 	// WireEncodeBytes/Nanos and WireDecodeBytes/Nanos meter the driver's
 	// wire codec: bytes framed for requests and parsed from responses, and
 	// the time spent doing it (the serialization cost the gob path hid).
@@ -200,11 +197,11 @@ func (n NetStats) Sub(o NetStats) NetStats { return Sub(n, o) }
 
 // String renders the network-elasticity counters compactly.
 func (n NetStats) String() string {
-	return fmt.Sprintf("heartbeats=%d/%d rtt(avg=%v max=%v) reconnects=%d churn=+%d/-%d dead=%d timeouts=%d retries=%d local=%d chain-fallbacks=%d wire(enc=%s dec=%s) cache(refs=%d misses=%d saved=%s prepared=%d hashed=%d) pipeline(puts=%d/%s ops=%d fetches=%d/%s resident=%s avoided=%s recoveries=%d)",
+	return fmt.Sprintf("heartbeats=%d/%d rtt(avg=%v max=%v) reconnects=%d churn=+%d/-%d dead=%d timeouts=%d retries=%d local=%d wire(enc=%s dec=%s) cache(refs=%d misses=%d saved=%s prepared=%d hashed=%d) pipeline(puts=%d/%s ops=%d fetches=%d/%s resident=%s avoided=%s recoveries=%d)",
 		n.HeartbeatsSent-n.HeartbeatMisses, n.HeartbeatsSent,
 		n.HeartbeatRTTAvg(), n.HeartbeatRTTMax,
 		n.Reconnects, n.WorkersJoined, n.WorkersLeft, n.WorkersDeclaredDead,
-		n.DeadlineTimeouts, n.CuboidRetries, n.LocalFallbacks, n.ChainFallbacks,
+		n.DeadlineTimeouts, n.CuboidRetries, n.LocalFallbacks,
 		FormatBytes(n.WireEncodeBytes), FormatBytes(n.WireDecodeBytes),
 		n.CacheRefsSent, n.CacheRefMisses, FormatBytes(n.CacheBytesSaved),
 		n.BlocksPrepared, n.BlocksHashed,

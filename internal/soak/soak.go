@@ -171,7 +171,10 @@ func buildWorkload(seed int64) *workload {
 // chaos. pull-mul runs the same multiply as mul through the one-sided pull
 // plane, over operands Put into a session of its own, and compares against
 // the push-computed reference, so the soak also holds the two data planes
-// to bit-identity under every kill and throttle in the schedule.
+// to bit-identity under every kill and throttle in the schedule. It runs at
+// θt pullMulMem, so its columns go out cut into links, and the soak drives
+// pull resolution, the running sum a link takes on its own worker, the
+// downgrade to push and the column re-run under the same schedule.
 var jobKinds = []struct {
 	name   string
 	weight int
@@ -182,6 +185,11 @@ var jobKinds = []struct {
 	{"gnmf", 15},
 	{"pagerank", 15},
 }
+
+// pullMulMem is pull-mul's θt: below one column's operands at mul's plan
+// (about 22 KiB of 64×48 by 48×56 at (2,2,2), in 512-byte blocks) and above
+// one slab's, so each column is two links of one slab on one holder.
+const pullMulMem = 16 << 10
 
 func pickKind(rng *rand.Rand) string {
 	total := 0
@@ -364,7 +372,7 @@ func (h *harness) runJob(kind string) (mismatch bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		got, _, err := sess.Multiply(ctx, ha, hb, distnet.MultiplyOptions{Params: &w.mulParams})
+		got, _, err := sess.Multiply(ctx, ha, hb, distnet.MultiplyOptions{Params: &w.mulParams, WorkerMemBytes: pullMulMem})
 		if err != nil {
 			return false, err
 		}
