@@ -167,6 +167,20 @@ func ZipBlock(op ZipOp, x, y matrix.Block, eps float64) matrix.Block {
 	panic(fmt.Sprintf("bmat: unknown element-wise op %d", op))
 }
 
+// HadamardQuotientBlock is ZipBlock(ZipHadamard, x, ZipBlock(ZipDivElem,
+// n, d, eps), 0) in one pass (matrix.HadamardDivElem): no block where x or
+// n lacks one, and the eps guard where only d does.
+func HadamardQuotientBlock(x, n, d matrix.Block, eps float64) matrix.Block {
+	if x == nil || n == nil {
+		return nil
+	}
+	if d == nil {
+		r, c := n.Dims()
+		d = matrix.NewDense(r, c)
+	}
+	return matrix.HadamardDivElem(x, n, d, eps)
+}
+
 // zip applies op at every block position either operand stores.
 func zip(name string, op ZipOp, a, b *BlockMatrix, eps float64) *BlockMatrix {
 	zipCheck(name, a, b)

@@ -235,3 +235,28 @@ func TestDotSelfIsNormSquaredProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHadamardQuotientBlockNilRules: the fused block stores what the two
+// passes store — nothing where x or n lacks a block, the eps guard where
+// only d does — with their bits.
+func TestHadamardQuotientBlockNilRules(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	x, n, d := matrix.RandomDense(rng, 3, 4), matrix.RandomDense(rng, 3, 4), matrix.RandomDense(rng, 3, 4)
+	const eps = 1e-6
+	for _, c := range []struct {
+		name    string
+		x, n, d matrix.Block
+	}{
+		{"all present", x, n, d}, {"no x", nil, n, d}, {"no n", x, nil, d},
+		{"no d", x, n, nil}, {"no x, no d", nil, n, nil}, {"no n, no d", x, nil, nil},
+	} {
+		want := ZipBlock(ZipHadamard, c.x, ZipBlock(ZipDivElem, c.n, c.d, eps), 0)
+		got := HadamardQuotientBlock(c.x, c.n, c.d, eps)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("%s: stored %v, the two passes %v", c.name, got != nil, want != nil)
+		}
+		if got != nil && !got.Dense().Equal(want.Dense()) {
+			t.Fatalf("%s: values differ from the two passes", c.name)
+		}
+	}
+}

@@ -62,6 +62,16 @@ func PairFlops(a, b matrix.Block) float64 {
 	return 2 * leftWork(a) * float64(n)
 }
 
+// Operand is one side of a box product. Block(row, col) answers the
+// operand's block at that position in the operand's own coordinates, nil
+// for none; when Transposed is set, the block it answers is that block's
+// transpose — a transposed matrix read as a view of its source, which no
+// one has transposed.
+type Operand struct {
+	Block      func(row, col int) matrix.Block
+	Transposed bool
+}
+
 // MultiplyBox is the local-multiplication step, the one place a cuboid's
 // arithmetic happens: for every (i,j) of the box, the sum over the box's k
 // range, ascending, of A_{i,k}·B_{k,j}, skipping the pairs either lookup
@@ -81,6 +91,17 @@ func PairFlops(a, b matrix.Block) float64 {
 // ascending k, so the bits are those of the per-block matrix.MulAdd chain
 // at any width. The lookups are called from this goroutine only.
 func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc []*matrix.Dense) ([]*matrix.Dense, float64) {
+	return MultiplyBoxOf(box, Operand{Block: lookupA}, Operand{Block: lookupB}, acc)
+}
+
+// MultiplyBoxOf is MultiplyBox over operands either of which may be read
+// through a transpose. A transposed block is transposed into a pooled
+// block for the box's duration, except a dense A block whose products in
+// the box are all against sparse B blocks: the kernel wants that block's
+// transpose, which is the block the view holds, so it is read as it is
+// (matrix.PackATransposed). Transposition is exact, so the bits are those
+// of MultiplyBox over the transposed matrices.
+func MultiplyBoxOf(box Box, a, b Operand, acc []*matrix.Dense) ([]*matrix.Dense, float64) {
 	ni, nj, nk := box.IHi-box.ILo, box.JHi-box.JLo, box.KHi-box.KLo
 	if ni <= 0 || nj <= 0 {
 		return acc, 0
@@ -93,17 +114,22 @@ func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc 
 	}
 
 	// B first, so that an A block's flops (PairFlops over its block row of
-	// B) need no walk over j.
+	// B) need no walk over j. A block of B read through a transpose is
+	// transposed once the box's fan-out width is known; until then its
+	// columns are its source's rows.
 	bs := make([]matrix.Block, nk*nj)
 	rows := make([]bRow, nk)
 	for k := 0; k < nk; k++ {
 		for j := 0; j < nj; j++ {
-			if blk := lookupB(box.KLo+k, box.JLo+j); blk != nil {
+			if blk := b.Block(box.KLo+k, box.JLo+j); blk != nil {
 				bs[k*nj+j] = blk
-				_, n := blk.Dims()
-				rows[k].cols += float64(n)
+				_, w := blk.Dims()
+				if b.Transposed {
+					w, _ = blk.Dims()
+				}
+				rows[k].cols += float64(w)
 				if blk.Format() == matrix.FormatDense {
-					rows[k].denseCols += float64(n)
+					rows[k].denseCols += float64(w)
 				} else {
 					rows[k].sparse = true
 					rows[k].sparseNNZ += blk.NNZ()
@@ -112,12 +138,31 @@ func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc 
 		}
 	}
 	as := make([]matrix.Block, ni*nk)
+	var views []*matrix.Dense // A's dense blocks as the view holds them, transposed
 	var flops float64
 	for i := 0; i < ni; i++ {
 		for k := 0; k < nk; k++ {
-			blk := lookupA(box.ILo+i, box.KLo+k)
+			blk := a.Block(box.ILo+i, box.KLo+k)
 			if blk == nil {
 				continue
+			}
+			if a.Transposed {
+				d, ok := blk.(*matrix.Dense)
+				if !ok {
+					blk = matrix.Transpose(blk)
+				} else {
+					// Transposed, or read as it is, once the box's B is known.
+					if rows[k].cols == 0 {
+						continue // it meets no block of B
+					}
+					if views == nil {
+						views = make([]*matrix.Dense, ni*nk)
+					}
+					views[i*nk+k] = d
+					rows[k].denseRows += d.ColsN
+					flops += 2 * float64(d.ColsN) * (float64(d.RowsN)*rows[k].denseCols + float64(rows[k].sparseNNZ))
+					continue
+				}
 			}
 			as[i*nk+k] = blk
 			if d, ok := blk.(*matrix.Dense); ok {
@@ -133,8 +178,33 @@ func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc 
 	if flops >= boxFanoutFlops {
 		workers = matrix.KernelWorkers()
 	}
-	if ni*nj == 1 && workers > 1 {
+	var temps []*matrix.Dense // the transposes made for this box
+	if b.Transposed {
+		temps = transposeAll(bs, func(t int) matrix.Block { return bs[t] }, workers)
+	}
+	oneTile := ni*nj == 1 && workers > 1
+	lefts := make([]matrix.PackedA, ni*nk)
+	if views != nil {
+		// A view block is read as it is where all it meets is sparse and
+		// PackA would have transposed it; the rest are transposed.
+		for t, v := range views {
+			if r := rows[t%nk]; v != nil && !oneTile && r.denseCols == 0 {
+				var ok bool
+				if lefts[t], ok = matrix.PackATransposed(v, r.sparseNNZ); ok {
+					views[t] = nil
+				}
+			}
+		}
+		temps = append(temps, transposeAll(as, func(t int) matrix.Block {
+			if v := views[t]; v != nil {
+				return v
+			}
+			return nil
+		}, workers)...)
+	}
+	if oneTile {
 		acc[0] = multiplyOneTile(acc[0], as, bs, workers)
+		releaseAll(temps)
 		return acc, flops
 	}
 
@@ -147,7 +217,6 @@ func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc 
 			rights[t] = prepareB(bs[t], r.denseRows)
 		}
 	})
-	lefts := make([]matrix.PackedA, ni*nk)
 	parallelFor(ni*nk, workers, func(t int) {
 		if d, ok := as[t].(*matrix.Dense); ok && rows[t%nk].sparse {
 			lefts[t] = matrix.PackA(d, rows[t%nk].sparseNNZ)
@@ -157,7 +226,7 @@ func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc 
 		i, j := t/nj, t%nj
 		tile := tileAcc{c: acc[t]}
 		for k := 0; k < nk; k++ {
-			if ab, bb := as[i*nk+k], bs[k*nj+j]; ab != nil && bb != nil {
+			if ab, bb := as[i*nk+k], bs[k*nj+j]; bb != nil && (ab != nil || lefts[i*nk+k].Transposed()) {
 				tile.mulAdd(ab, bb, lefts[i*nk+k], rights[k*nj+j])
 			}
 		}
@@ -169,7 +238,39 @@ func MultiplyBox(box Box, lookupA, lookupB func(row, col int) matrix.Block, acc 
 	for _, l := range lefts {
 		l.Release()
 	}
+	releaseAll(temps)
 	return acc, flops
+}
+
+// transposeAll sets dst[t] to the transpose of src(t) wherever src answers
+// a block, over up to workers goroutines: a dense block's into a pooled
+// block (matrix.GetTranspose), a sparse one's as CSR. It returns the pooled
+// blocks, for the caller to release.
+func transposeAll(dst []matrix.Block, src func(t int) matrix.Block, workers int) []*matrix.Dense {
+	pooled := make([]*matrix.Dense, len(dst))
+	parallelFor(len(dst), workers, func(t int) {
+		switch blk := src(t).(type) {
+		case nil:
+		case *matrix.Dense:
+			pooled[t] = matrix.GetTranspose(blk)
+			dst[t] = pooled[t]
+		default:
+			dst[t] = matrix.Transpose(blk)
+		}
+	})
+	out := pooled[:0]
+	for _, d := range pooled {
+		if d != nil {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+func releaseAll(ds []*matrix.Dense) {
+	for _, d := range ds {
+		matrix.PutDense(d)
+	}
 }
 
 // Slab is slab r of the box's k range cut into R by GridSpan — the split
@@ -315,11 +416,12 @@ func (t *tileAcc) rowMajor() *matrix.Dense {
 }
 
 // mulAdd adds a·b to the tile on this goroutine, in the arithmetic of
-// matrix.MulAdd.
+// matrix.MulAdd. a is nil where left alone holds A, as its transpose
+// (matrix.PackATransposed).
 func (t *tileAcc) mulAdd(a, b matrix.Block, left matrix.PackedA, right preparedB) {
-	m, _ := a.Dims()
 	_, n := b.Dims()
 	if right.csc != nil && left.Transposed() {
+		m, _ := left.Dims()
 		if t.ct == nil {
 			t.ct = matrix.GetDense(n, m)
 			if t.c != nil {
@@ -329,6 +431,7 @@ func (t *tileAcc) mulAdd(a, b matrix.Block, left matrix.PackedA, right preparedB
 		matrix.DenseMulCSCPacked(t.ct, left, right.csc)
 		return
 	}
+	m, _ := a.Dims()
 	c := t.rowMajor()
 	if c == nil {
 		c = matrix.GetDense(m, n)
@@ -350,6 +453,18 @@ func (t *tileAcc) mulAdd(a, b matrix.Block, left matrix.PackedA, right preparedB
 	default:
 		matrix.MulAdd(c, a, b)
 	}
+}
+
+// FanOut calls fn(0..n-1), each index once, over up to
+// matrix.KernelWorkers goroutines when work, in flops, reaches the box
+// fan-out threshold MultiplyBox applies (boxFanoutFlops), else on the
+// calling goroutine.
+func FanOut(n int, work float64, fn func(t int)) {
+	workers := 1
+	if work >= boxFanoutFlops {
+		workers = matrix.KernelWorkers()
+	}
+	parallelFor(n, workers, fn)
 }
 
 // parallelFor calls fn(0..n-1), each index once, from up to workers

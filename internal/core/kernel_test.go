@@ -182,6 +182,79 @@ func TestMultiplyBoxMatchesMulAddChain(t *testing.T) {
 	}
 }
 
+// TestMultiplyBoxOfReadsViews: an operand read through a transpose has the
+// bits and the flops of MultiplyBox over the transposed matrix, at every
+// width — a dense A view against sparse B read as it is (GNMF's Wᵀ·V),
+// transposed against dense B, in the one-tile path (Wᵀ·W) and under the
+// pack threshold; a dense B view under CSR and dense A (V·Hᵀ, H·Hᵀ); sparse
+// views on either side.
+func TestMultiplyBoxOfReadsViews(t *testing.T) {
+	t.Cleanup(func() { matrix.SetKernelWorkers(0) })
+	rng := rand.New(rand.NewSource(305))
+	whole := Box{IHi: 3, JHi: 3, KHi: 4}
+	grids := []struct {
+		name  string
+		a, b  *bmat.BlockMatrix
+		boxes []Box
+	}{
+		{"dense times sparse", kindGrid(rng, 300, 410, 128, 0, "dddd", "dd.d", "dddd"),
+			kindGrid(rng, 410, 275, 128, 0.05, "rrc", "rcr", "r.r", "crr"), []Box{whole, {IHi: 1, JHi: 1, KHi: 4}}},
+		{"dense times dense", kindGrid(rng, 300, 410, 128, 0, "dddd", "dddd", "dddd"),
+			kindGrid(rng, 410, 275, 128, 0, "ddd", "ddd", "d.d", "ddd"), []Box{whole, {IHi: 1, JHi: 1, KHi: 4}}},
+		{"sparse times dense", kindGrid(rng, 300, 410, 128, 0.05, "rrrr", "r.rr", "rcrr"),
+			kindGrid(rng, 410, 275, 128, 0, "ddd", "ddd", "ddd", "ddd"), []Box{whole}},
+		{"mixed kinds", kindGrid(rng, 300, 410, 128, 0.05, "ddrd", "drcd", "cddr"),
+			kindGrid(rng, 410, 275, 128, 0.05, "rdc", "drr", "ccd", "rdr"), []Box{whole, {ILo: 1, IHi: 3, JHi: 2, KLo: 1, KHi: 4}}},
+		{"under the pack threshold", kindGrid(rng, 3, 410, 128, 0, "dddd"),
+			kindGrid(rng, 410, 275, 128, 0.001, "r..", ".c.", "r..", "..r"), []Box{{IHi: 1, JHi: 3, KHi: 4}}},
+	}
+	// view is the operand read through a transpose of m's transposed
+	// blocks; plain, the same transposes materialized.
+	view := func(m *bmat.BlockMatrix) (v Operand, plain func(row, col int) matrix.Block) {
+		src := map[bmat.BlockKey]matrix.Block{}
+		for i := 0; i < m.IB; i++ {
+			for j := 0; j < m.JB; j++ {
+				if blk := m.Block(i, j); blk != nil {
+					src[bmat.BlockKey{I: j, J: i}] = matrix.Transpose(blk)
+				}
+			}
+		}
+		lookup := func(row, col int) matrix.Block { return src[bmat.BlockKey{I: col, J: row}] }
+		return Operand{Block: lookup, Transposed: true}, func(row, col int) matrix.Block {
+			if blk := lookup(row, col); blk != nil {
+				return matrix.Transpose(blk)
+			}
+			return nil
+		}
+	}
+	for _, g := range grids {
+		va, pa := view(g.a)
+		vb, pb := view(g.b)
+		for _, box := range g.boxes {
+			for _, w := range []int{1, 2, 3} {
+				matrix.SetKernelWorkers(w)
+				for _, c := range []struct {
+					name   string
+					a, b   Operand
+					pa, pb func(row, col int) matrix.Block
+				}{
+					{"A a view", va, Operand{Block: g.b.Block}, pa, g.b.Block},
+					{"B a view", Operand{Block: g.a.Block}, vb, g.a.Block, pb},
+					{"both views", va, vb, pa, pb},
+				} {
+					want, wantFlops := MultiplyBox(box, c.pa, c.pb, nil)
+					got, flops := MultiplyBoxOf(box, c.a, c.b, nil)
+					what := fmt.Sprintf("%s, %s, box %+v, width %d", g.name, c.name, box, w)
+					sameTiles(t, what, got, want)
+					if flops != wantFlops {
+						t.Fatalf("%s: %v flops, MultiplyBox %v", what, flops, wantFlops)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMultiplyColumnMatchesFoldedSlabs: a (p,q) column cut into R slabs has
 // the bits of FoldPartials over one MultiplyBox call per slab — what the
 // cuboids of MultiplyCuboid hand the fold — for every R up to one slab per

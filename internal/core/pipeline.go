@@ -45,6 +45,13 @@ type PipeOp struct {
 	ABytes   int64
 	BBytes   int64
 	OutBytes int64
+	// Deferred marks an operator resident execution never runs: a
+	// transpose only multiplies read, as a view of its source, or a
+	// guarded division a Hadamard product fuses into its own pass.
+	Deferred bool
+	// ViewA marks a multiply whose A is such a view: each output band
+	// fetches the source's slice of it, as the transpose would have.
+	ViewA bool
 }
 
 // PipelineCost prices a whole lazy pipeline, extending Eq.(4) to cumulative
@@ -53,7 +60,10 @@ type PipeOp struct {
 // driver) and the modeled wire bytes of handle-resident execution
 // (worker→worker band exchange only, plus the final results fetched to the
 // driver, finalFetchBytes). workers ≤ 1 means every band is local and
-// resident execution moves only the final fetch.
+// resident execution moves only the final fetch. A deferred operator moves
+// nothing resident; a multiply over a view of its A moves that source's
+// peer share besides B's (a view of B moves what B would: every band reads
+// all of it).
 func PipelineCost(ops []PipeOp, workers int, finalFetchBytes int64) (materialized, resident int64) {
 	if workers < 1 {
 		workers = 1
@@ -61,9 +71,15 @@ func PipelineCost(ops []PipeOp, workers int, finalFetchBytes int64) (materialize
 	w := int64(workers)
 	for _, op := range ops {
 		materialized += op.ABytes + op.BBytes + op.OutBytes
+		if op.Deferred {
+			continue
+		}
 		switch op.Kind {
 		case PipeMul:
 			resident += op.BBytes * (w - 1) / w
+			if op.ViewA {
+				resident += op.ABytes * (w - 1) / w
+			}
 		case PipeTranspose:
 			resident += op.ABytes * (w - 1) / w
 		case PipeElementwise:

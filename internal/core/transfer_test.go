@@ -26,6 +26,33 @@ func TestPipelineCost(t *testing.T) {
 	if mat, res := PipelineCost(nil, 0, 0); mat != 0 || res != 0 {
 		t.Fatalf("empty plan priced (%d, %d), want zeros", mat, res)
 	}
+
+	// What resident execution defers: the driver still pays every operator
+	// of the plan, resident execution what runs.
+	for _, tc := range []struct {
+		name    string
+		op      PipeOp
+		wantRes int64
+	}{
+		// A transpose only multiplies read runs nowhere.
+		{"deferred transpose", PipeOp{Kind: PipeTranspose, ABytes: 2000, OutBytes: 2000, Deferred: true}, 0},
+		// A multiply over the view fetches its source's peer share besides B's.
+		{"multiply over a view of A", PipeOp{Kind: PipeMul, ABytes: 2000, BBytes: 4000, OutBytes: 1000, ViewA: true}, 2000*3/4 + 4000*3/4},
+		// Over a view of B it reads all of B's source, as it reads B.
+		{"multiply over a view of B", PipeOp{Kind: PipeMul, ABytes: 1000, BBytes: 4000, OutBytes: 2000}, 4000 * 3 / 4},
+		// The fused update: the division deferred, the Hadamard product's
+		// pass over co-partitioned bands; neither moves anything.
+		{"fused division", PipeOp{Kind: PipeElementwise, ABytes: 2000, BBytes: 2000, OutBytes: 2000, Deferred: true}, 0},
+		{"fused hadamard", PipeOp{Kind: PipeElementwise, ABytes: 2000, BBytes: 2000, OutBytes: 2000}, 0},
+	} {
+		mat, res := PipelineCost([]PipeOp{tc.op}, 4, 0)
+		if want := tc.op.ABytes + tc.op.BBytes + tc.op.OutBytes; mat != want {
+			t.Fatalf("%s: materialized %d, want %d", tc.name, mat, want)
+		}
+		if res != tc.wantRes {
+			t.Fatalf("%s: resident %d, want %d", tc.name, res, tc.wantRes)
+		}
+	}
 }
 
 // TestTransferStringAndValid covers the mode enum's string forms, of the

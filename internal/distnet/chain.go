@@ -183,6 +183,7 @@ func boxTiles(box core.Box, recs []blockRec, dims func(t int) (rows, cols int, o
 func (w *Worker) takeSum(parent obs.SpanID, l *chainLink) ([]blockRec, error) {
 	sp := w.tracer.Start(parent, "peer.fetch", obs.KindWorker)
 	if sp.Active() {
+		sp.SetWorker(w.addr)
 		sp.SetAttr("peer", l.prev)
 		sp.SetAttr("sum", fmt.Sprintf("slabs [0,%d)", l.lo))
 	}

@@ -55,11 +55,23 @@ type Handle struct {
 	pinned bool
 	bytes  int64 // resident payload at last build, for the gauge
 
-	// Lineage: exactly one of src (Put) or op+la[+lb] (pipeline operator).
-	src    *bmat.BlockMatrix
-	op     uint8
-	la, lb *Handle
-	scalar float64
+	// Lineage: exactly one of src (Put) or op+la[+lb[+lc]] (pipeline
+	// operator); transA and transB make a multiply read la or lb through a
+	// transpose.
+	src            *bmat.BlockMatrix
+	op             uint8
+	la, lb, lc     *Handle
+	scalar         float64
+	transA, transB bool
+
+	// deferred marks a handle Run returned without running its operator —
+	// a transpose or a guarded division a consumer may absorb (pipeline.go)
+	// — with no bands and not registered until forced. holds counts the
+	// deferred handles that read this one; unheld records that Run dropped
+	// it meanwhile, so the last of them to go frees it.
+	deferred bool
+	holds    int
+	unheld   bool
 
 	// dig memoizes the src blocks' content digests for pull-mode manifests
 	// (nil values mark blocks that ship without one). Valid because src is
@@ -351,13 +363,8 @@ func (s *Session) rebuild(ctx context.Context, h *Handle, done map[*Handle]bool)
 	if done[h] {
 		return nil
 	}
-	if h.la != nil {
-		if err := s.rebuild(ctx, h.la, done); err != nil {
-			return err
-		}
-	}
-	if h.lb != nil {
-		if err := s.rebuild(ctx, h.lb, done); err != nil {
+	for _, o := range h.operands() {
+		if err := s.rebuild(ctx, o, done); err != nil {
 			return err
 		}
 	}
@@ -435,6 +442,9 @@ func (s *Session) Fetch(ctx context.Context, h *Handle) (*bmat.BlockMatrix, erro
 	if err := s.checkHandle(h); err != nil {
 		return nil, err
 	}
+	if err := s.force(ctx, h); err != nil {
+		return nil, err
+	}
 	var out *bmat.BlockMatrix
 	err := s.withRecovery(ctx, h, func(ctx context.Context) error {
 		out = bmat.New(h.rows, h.cols, h.blockSize)
@@ -462,10 +472,16 @@ func (s *Session) Fetch(ctx context.Context, h *Handle) (*bmat.BlockMatrix, erro
 }
 
 // Free drops a handle's resident bands (best effort — a dead worker's band
-// is gone anyway) and unregisters it. Freeing overrides pins.
+// is gone anyway) and unregisters it. Freeing overrides pins. A deferred
+// handle has no bands: freeing it lets go of its operands.
 func (s *Session) Free(ctx context.Context, h *Handle) error {
 	if err := s.checkHandle(h); err != nil {
 		return err
+	}
+	if h.deferred {
+		h.freed = true
+		s.unhold(ctx, h)
+		return nil
 	}
 	s.freeParts(ctx, h)
 	h.freed = true
@@ -491,6 +507,9 @@ func (s *Session) Pin(ctx context.Context, h *Handle) error {
 	}
 	if h.pinned {
 		return nil
+	}
+	if err := s.force(ctx, h); err != nil {
+		return err
 	}
 	if err := s.withRecovery(ctx, h, func(ctx context.Context) error { return s.pinParts(ctx, h, false) }); err != nil {
 		return err

@@ -1,5 +1,11 @@
 package distnet
 
+import (
+	"strings"
+
+	"distme/internal/plan"
+)
+
 // The distributed block store's wire messages. A session co-partitions every
 // matrix by block rows across its worker snapshot; each worker holds one
 // band per handle. Blocks travel inline — resident data is the determinism
@@ -63,7 +69,34 @@ const (
 	execHadamard
 	execDivElem
 	execScale
+	// execHadamardDivElem is A∘(B⊘C) with Scalar the division's eps: a
+	// Hadamard product over a guarded division it fused into one pass.
+	execHadamardDivElem
 )
+
+// execOpKinds is the plan operator each exec code runs, the name spans
+// give it; the fused pass is the Hadamard product that absorbed a division.
+var execOpKinds = map[uint8]plan.OpKind{
+	execMul: plan.OpMul, execTranspose: plan.OpTranspose, execAdd: plan.OpAdd, execSub: plan.OpSub,
+	execHadamard: plan.OpHadamard, execDivElem: plan.OpDivElem, execScale: plan.OpScale,
+	execHadamardDivElem: plan.OpHadamard,
+}
+
+// absorbed names what an operator took in that would otherwise have run
+// before it — the spans' deferred attribute — or "" for nothing.
+func absorbed(op uint8, transA, transB bool) string {
+	var names []string
+	if transA {
+		names = append(names, "transposed-a")
+	}
+	if transB {
+		names = append(names, "transposed-b")
+	}
+	if op == execHadamardDivElem {
+		names = append(names, "fused-divelem")
+	}
+	return strings.Join(names, ",")
+}
 
 // partLoc locates one worker's band of a handle: the block rows
 // [Lo, Hi) resident at Addr.
@@ -81,7 +114,12 @@ type execArgs struct {
 	Out    uint64
 	Epoch  uint64
 	A, B   uint64 // operand handles (B unused by unary ops)
+	C      uint64 // the fused pass's denominator handle, unused elsewhere
 	Scalar float64
+	// TransA and TransB make a multiply read that operand through a
+	// transpose: A or B names the source handle, and AParts or BParts
+	// locate the source's bands.
+	TransA, TransB bool
 	// OutLo/OutHi is the output block-row band this worker owns.
 	OutLo, OutHi int
 	AParts       []partLoc

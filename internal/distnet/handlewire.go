@@ -190,6 +190,9 @@ func appendExecArgs(w *codec.FrameWriter, a *execArgs) error {
 	appendPartLocs(w, a.BParts)
 	w.Str(a.Self)
 	w.Uvarint(a.traceSpan)
+	w.Bool(a.TransA)
+	w.Bool(a.TransB)
+	w.Uvarint(a.C)
 	return nil
 }
 
@@ -220,7 +223,16 @@ func decodeExecArgs(rd *codec.FrameReader, a *execArgs) error {
 	if a.Self, err = rd.Str(); err != nil {
 		return err
 	}
-	a.traceSpan, err = rd.Uvarint()
+	if a.traceSpan, err = rd.Uvarint(); err != nil {
+		return err
+	}
+	if a.TransA, err = rd.Bool(); err != nil {
+		return err
+	}
+	if a.TransB, err = rd.Bool(); err != nil {
+		return err
+	}
+	a.C, err = rd.Uvarint()
 	return err
 }
 

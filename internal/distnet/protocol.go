@@ -42,8 +42,11 @@ import (
 // tags mid-job. Version 9's link may name its own worker as predecessor —
 // a slab group over the call bound cut into consecutive links on one
 // holder, each taking the sum the one before left there — which version 8
-// refused as a link waiting on itself.
-var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 9}
+// refused as a link waiting on itself. Version 10's pipeline multiply may
+// read either operand through a transpose of the handle it names, and its
+// fused operator computes x∘(n⊘d) over a third handle: a version 9 worker
+// would read the source untransposed and know no fused code.
+var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 10}
 
 // The worker socket's methods, by the byte a request names them with.
 const (

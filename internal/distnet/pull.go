@@ -178,6 +178,9 @@ func entryBox(entries []codec.ManifestEntry, idxs []int) (ilo, ihi, jlo, jhi int
 func (w *Worker) preparePull(args *multiplyArgs, reply *multiplyReply) error {
 	sp := w.tracer.Start(obs.SpanID(args.traceSpan), "wire.pull", obs.KindWorker)
 	args.label(sp)
+	if sp.Active() {
+		sp.SetWorker(w.addr)
+	}
 	defer sp.End()
 	var st pullStats
 	aRecs, sa, err := w.resolvePull(sp.ID(), args.cacheEpoch, args.pullSelf, args.aManifest)

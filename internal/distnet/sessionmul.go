@@ -24,6 +24,11 @@ func (s *Session) Multiply(ctx context.Context, a, b *Handle, opts MultiplyOptio
 	if err := s.checkHandle(b); err != nil {
 		return nil, core.Params{}, err
 	}
+	for _, h := range []*Handle{a, b} {
+		if err := s.force(ctx, h); err != nil {
+			return nil, core.Params{}, err
+		}
+	}
 	if err := core.CheckConformable(a.rows, a.cols, a.blockSize, b.rows, b.cols, b.blockSize); err != nil {
 		return nil, core.Params{}, fmt.Errorf("distnet: %w", err)
 	}

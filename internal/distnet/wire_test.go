@@ -42,6 +42,8 @@ const (
 	bodySumArgs
 	bodySumReply
 	bodySelfLinkArgs
+	bodyViewExecArgs
+	bodyFusedExecArgs
 	bodyKinds
 )
 
@@ -65,7 +67,7 @@ func decodeBody(kind int, rd *codec.FrameReader) error {
 		return decodeFreeArgs(rd, new(freeArgs))
 	case bodyPinArgs:
 		return decodePinArgs(rd, new(pinArgs))
-	case bodyExecArgs:
+	case bodyExecArgs, bodyViewExecArgs, bodyFusedExecArgs:
 		return decodeExecArgs(rd, new(execArgs))
 	case bodyGetReply:
 		return decodeGetReply(rd, new(getReply))
@@ -143,6 +145,12 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 	add(bodyPinArgs, codec.Writes(appendPinArgs, &pinArgs{Handle: 5, Unpin: true}))
 	add(bodyExecArgs, codec.Writes(appendExecArgs,
 		&execArgs{Op: 2, Out: 7, A: 5, B: 6, Scalar: 1.5, OutHi: 4, AParts: parts, BParts: parts, Self: parts[0].Addr}))
+	// A multiply reading both operands through transposes, and the fused
+	// pass over its third handle.
+	add(bodyViewExecArgs, codec.Writes(appendExecArgs,
+		&execArgs{Op: execMul, Out: 7, A: 5, B: 6, OutHi: 4, AParts: parts, BParts: parts, Self: parts[0].Addr, TransA: true, TransB: true}))
+	add(bodyFusedExecArgs, codec.Writes(appendExecArgs,
+		&execArgs{Op: execHadamardDivElem, Out: 7, A: 5, B: 6, C: 8, Scalar: 1e-9, OutHi: 4, AParts: parts, BParts: parts, Self: parts[0].Addr}))
 	add(bodyGetReply, codec.Writes(appendGetReply, &getReply{Blocks: recs, Whole: true}))
 	add(bodyExecReply, codec.Writes(appendExecReply, &execReply{Bytes: 100, Blocks: 2, PeerBytes: 50}))
 	add(bodyPingReply, codec.Writes(appendPingReply,
@@ -338,7 +346,8 @@ func TestForgedFramePrefixHugeCounts(t *testing.T) {
 var requestMethods = map[int]byte{
 	bodyMultiplyArgs: methodMultiply, bodyPullMultiplyArgs: methodMultiply, bodyColumnArgs: methodMultiply, bodyPutArgs: methodPutBlocks,
 	bodyGetArgs: methodGetBlocks, bodyFreeArgs: methodFreeHandles, bodyPinArgs: methodPinHandle, bodyExecArgs: methodExecOp,
-	bodyChainArgs: methodMultiply, bodySumArgs: methodTakeSum,
+	bodyChainArgs: methodMultiply, bodySumArgs: methodTakeSum, bodySelfLinkArgs: methodMultiply,
+	bodyViewExecArgs: methodExecOp, bodyFusedExecArgs: methodExecOp,
 }
 
 // wholeFrame puts body behind the header it travels with: seq 1 and its
@@ -557,12 +566,13 @@ func rawWorkerConn(t *testing.T, addr string) (net.Conn, *codec.FrameReader) {
 // refuses (v3), could not read a frame in chunks (v4), computed dense
 // products without a fused multiply-add (v5), refused the coordinate
 // sparse form (v7) or a link that names its own worker as predecessor (v8),
-// so a peer still speaking one is refused at the handshake
+// or read a pipeline multiply's operands untransposed and knew no fused
+// pass (v9), so a peer still speaking one is refused at the handshake
 // both ways — a driver dialing an old worker, and an old driver dialing a
 // worker — with codec.ErrProtocol.
 func TestPreambleRefusesVersion1Peers(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
-	for _, version := range []byte{1, 3, 4, 5, 7, 8} {
+	for _, version := range []byte{1, 3, 4, 5, 7, 8, 9} {
 		old := workerPreamble
 		old[4] = version
 		l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -51,6 +51,8 @@ type Worker struct {
 	// endpoint.
 	tracer    *obs.Tracer
 	inflightN atomic.Int64
+	// addr is the listener's address: the trace lane of its spans.
+	addr string
 
 	// pull counts the pull plane's resolutions (WorkerPullStats).
 	pull metrics.Counters[WorkerPullStats]
@@ -151,6 +153,7 @@ func (w *Worker) serveCuboid(args *multiplyArgs, reply *multiplyReply) error {
 	defer sp.End()
 	args.label(sp)
 	if sp.Active() {
+		sp.SetWorker(w.addr)
 		sp.SetAttr("a-blocks", fmt.Sprintf("%d", len(args.ABlocks)))
 		sp.SetAttr("b-blocks", fmt.Sprintf("%d", len(args.BBlocks)))
 	}
@@ -297,6 +300,7 @@ type WorkerOptions struct {
 func ServeOptions(l net.Listener, opts WorkerOptions) (*Worker, error) {
 	w := &Worker{
 		listener: l,
+		addr:     l.Addr().String(),
 		cache:    newBlockCache(opts.CacheBytes),
 		store:    newHandleStore(opts.StoreBytes),
 		tracer:   opts.Tracer,

@@ -86,6 +86,7 @@ func (w *Worker) closePeers() {
 func (w *Worker) peerGet(parent obs.SpanID, addr string, args *getArgs) (*getReply, int64, error) {
 	sp := w.tracer.Start(parent, "peer.fetch", obs.KindWorker)
 	if sp.Active() {
+		sp.SetWorker(w.addr)
 		sp.SetAttr("peer", addr)
 	}
 	defer sp.End()
@@ -161,6 +162,9 @@ func (w *Worker) operandBand(args *execArgs, p partLoc, get getArgs) (*storeEntr
 // payload bytes.
 func (w *Worker) putBlocks(args *putArgs, bytes *int64) error {
 	sp := w.tracer.Start(obs.SpanID(args.traceSpan), "worker.put", obs.KindWorker)
+	if sp.Active() {
+		sp.SetWorker(w.addr)
+	}
 	blocks := make(map[bmat.BlockKey]matrix.Block, len(args.Blocks))
 	for _, r := range args.Blocks {
 		blocks[r.Key] = r.Block
@@ -237,7 +241,11 @@ func (w *Worker) pinHandle(args *pinArgs, _ *struct{}) error {
 func (w *Worker) exec(args *execArgs, reply *execReply) error {
 	sp := w.tracer.Start(obs.SpanID(args.traceSpan), "worker.exec", obs.KindWorker)
 	if sp.Active() {
-		sp.SetAttr("op", fmt.Sprintf("%d", args.Op))
+		sp.SetWorker(w.addr)
+		sp.SetAttr("op", execOpKinds[args.Op].String())
+		if a := absorbed(args.Op, args.TransA, args.TransB); a != "" {
+			sp.SetAttr("deferred", a)
+		}
 		sp.SetAttr("out", fmt.Sprintf("%d", args.Out))
 	}
 	out, peerBytes, flops, err := w.execOp(args)
@@ -302,6 +310,9 @@ func (w *Worker) execOp(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64, 
 	case execAdd, execSub, execHadamard, execDivElem:
 		out, err := w.execZip(args)
 		return out, 0, 0, err
+	case execHadamardDivElem:
+		out, err := w.execHadamardDivElem(args)
+		return out, 0, 0, err
 	default:
 		return nil, 0, 0, fmt.Errorf("distnet: unknown pipeline op %d", args.Op)
 	}
@@ -316,11 +327,14 @@ func (w *Worker) execOp(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64, 
 // ranges taken in ascending-k order, so every (i,j) accumulates as one pass
 // over the whole of B would — computeCuboid's order, and every fp64 bit, on
 // whichever worker the band runs. It also reports the flops spent.
+//
+// An operand read through a transpose (TransA, TransB) is its source's
+// blocks: A's rows are the source's column slice, fetched from every source
+// band as execTranspose fetches it, and each band of B's source is a range
+// of B's columns over its whole k range, so a tile still accumulates in
+// ascending k. core.MultiplyBoxOf reads the blocks through the transpose,
+// with the bits of a product over the transposed handle.
 func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64, float64, error) {
-	aBlocks, err := w.localBand(args.A)
-	if err != nil {
-		return nil, 0, 0, err
-	}
 	st := w.getStore()
 	parts := append([]partLoc(nil), args.BParts...)
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Lo < parts[j].Lo })
@@ -338,14 +352,19 @@ func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64,
 		return ch
 	}
 	var (
-		peerBytes int64
-		flops     float64
-		next      chan bandResult
+		flops float64
+		next  chan bandResult
 	)
-	out := map[bmat.BlockKey]matrix.Block{}
+	// A first: a view of it may read the band B reads too, which the first
+	// fetch of it keeps as the replica the second finds.
+	a, peerBytes, err := w.leftOperand(args)
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	if len(parts) > 0 {
 		next = fetch(parts[0])
 	}
+	out := map[bmat.BlockKey]matrix.Block{}
 	for pi := range parts {
 		cur := <-next
 		if pi+1 < len(parts) {
@@ -355,7 +374,7 @@ func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64,
 			return nil, 0, 0, cur.err
 		}
 		peerBytes += cur.bytes
-		box, ok := bandBox(cur.band.blocks, args.OutLo, args.OutHi)
+		box, ok := bandBox(cur.band.blocks, args.OutLo, args.OutHi, args.TransB)
 		if !ok {
 			continue
 		}
@@ -371,26 +390,30 @@ func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64,
 				acc[t] = blk.(*matrix.Dense)
 			}
 		}
-		// Under a block column of A that is all dense, B's CSR blocks are
-		// read in the CSC form the store keeps of them.
-		denseLeft := make([]bool, box.KHi-box.KLo)
-		for k := range denseLeft {
-			for i := box.ILo; i < box.IHi; i++ {
-				if blk := aBlocks[bmat.BlockKey{I: i, J: box.KLo + k}]; blk != nil {
-					if denseLeft[k] = blk.Format() == matrix.FormatDense; !denseLeft[k] {
-						break
+		b := core.Operand{Transposed: args.TransB}
+		if args.TransB {
+			b.Block = func(k, j int) matrix.Block { return cur.band.blocks[bmat.BlockKey{I: j, J: k}] }
+		} else {
+			// Under a block column of A that is all dense, B's CSR blocks
+			// are read in the CSC form the store keeps of them.
+			denseLeft := make([]bool, box.KHi-box.KLo)
+			for k := range denseLeft {
+				for i := box.ILo; i < box.IHi; i++ {
+					if blk := a.Block(i, box.KLo+k); blk != nil {
+						if denseLeft[k] = blk.Format() == matrix.FormatDense; !denseLeft[k] {
+							break
+						}
 					}
 				}
 			}
-		}
-		acc, bandFlops := core.MultiplyBox(box,
-			func(i, k int) matrix.Block { return aBlocks[bmat.BlockKey{I: i, J: k}] },
-			func(k, j int) matrix.Block {
+			b.Block = func(k, j int) matrix.Block {
 				if denseLeft[k-box.KLo] {
 					return st.rightOperand(cur.band, bmat.BlockKey{I: k, J: j})
 				}
 				return cur.band.blocks[bmat.BlockKey{I: k, J: j}]
-			}, acc)
+			}
+		}
+		acc, bandFlops := core.MultiplyBoxOf(box, a, b, acc)
 		flops += bandFlops
 		for t, tile := range acc {
 			if tile != nil {
@@ -401,25 +424,54 @@ func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64,
 	return out, peerBytes, flops, nil
 }
 
+// leftOperand is a multiply's A over the output rows: the local band, or —
+// read through a transpose — the source's column slice from every source
+// band, with the payload bytes that fetch moved.
+func (w *Worker) leftOperand(args *execArgs) (core.Operand, int64, error) {
+	if !args.TransA {
+		blocks, err := w.localBand(args.A)
+		if err != nil {
+			return core.Operand{}, 0, err
+		}
+		return core.Operand{Block: func(i, k int) matrix.Block { return blocks[bmat.BlockKey{I: i, J: k}] }}, 0, nil
+	}
+	bands, bytes, err := w.columnSlices(args)
+	if err != nil {
+		return core.Operand{}, 0, err
+	}
+	return core.Operand{Transposed: true, Block: func(i, k int) matrix.Block {
+		for pi, p := range args.AParts {
+			if k >= p.Lo && k < p.Hi {
+				return bands[pi].blocks[bmat.BlockKey{I: k, J: i}]
+			}
+		}
+		return nil
+	}}, bytes, nil
+}
+
 // bandBox is the box of one B band under output rows [lo, hi): the extent
-// of the band's block keys in k and j.
-func bandBox(band map[bmat.BlockKey]matrix.Block, lo, hi int) (core.Box, bool) {
+// of the band's block keys in k and j — with the keys read transposed for a
+// band of B's source.
+func bandBox(band map[bmat.BlockKey]matrix.Block, lo, hi int, trans bool) (core.Box, bool) {
 	if len(band) == 0 {
 		return core.Box{}, false
 	}
 	box := core.Box{ILo: lo, IHi: hi, JLo: math.MaxInt, KLo: math.MaxInt}
-	for k := range band {
-		box.KLo, box.KHi = min(box.KLo, k.I), max(box.KHi, k.I+1)
-		box.JLo, box.JHi = min(box.JLo, k.J), max(box.JHi, k.J+1)
+	for key := range band {
+		k, j := key.I, key.J
+		if trans {
+			k, j = j, k
+		}
+		box.KLo, box.KHi = min(box.KLo, k), max(box.KHi, k+1)
+		box.JLo, box.JHi = min(box.JLo, j), max(box.JHi, j+1)
 	}
 	return box, true
 }
 
-// execTranspose builds the output band rows [OutLo, OutHi) — the operand's
-// column slice — asking each peer for exactly that slice of its band
-// (operandBand). The bands arrive concurrently (emit order is irrelevant:
-// keys are distinct and each block transposes independently).
-func (w *Worker) execTranspose(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64, error) {
+// columnSlices fetches, from every band of operand A, its blocks in columns
+// [OutLo, OutHi) — the output band's rows, transposed (operandBand). The
+// bands arrive concurrently. It also returns the payload bytes moved.
+func (w *Worker) columnSlices(args *execArgs) ([]*storeEntry, int64, error) {
 	bands := make([]*storeEntry, len(args.AParts))
 	bytes := make([]int64, len(args.AParts))
 	errs := make([]error, len(args.AParts))
@@ -439,13 +491,26 @@ func (w *Worker) execTranspose(args *execArgs) (map[bmat.BlockKey]matrix.Block, 
 		}(pi, p)
 	}
 	wg.Wait()
-	out := map[bmat.BlockKey]matrix.Block{}
 	var peerBytes int64
-	for pi, band := range bands {
+	for pi := range bands {
 		if errs[pi] != nil {
 			return nil, 0, errs[pi]
 		}
 		peerBytes += bytes[pi]
+	}
+	return bands, peerBytes, nil
+}
+
+// execTranspose builds the output band rows [OutLo, OutHi) — the operand's
+// column slice (columnSlices). Emit order is irrelevant: keys are distinct
+// and each block transposes independently.
+func (w *Worker) execTranspose(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64, error) {
+	bands, peerBytes, err := w.columnSlices(args)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := map[bmat.BlockKey]matrix.Block{}
+	for _, band := range bands {
 		for k, blk := range band.blocks {
 			if k.J >= args.OutLo && k.J < args.OutHi && blk != nil {
 				out[bmat.BlockKey{I: k.J, J: k.I}] = matrix.Transpose(blk)
@@ -484,6 +549,52 @@ func (w *Worker) execZip(args *execArgs) (map[bmat.BlockKey]matrix.Block, error)
 		if res := bmat.ZipBlock(op, a[k], b[k], args.Scalar); res != nil {
 			out[k] = res
 		}
+	}
+	return out, nil
+}
+
+// fusedElemFlops is what one element of the fused pass counts as against
+// core.FanOut's threshold, which is in the dense kernel's flops: an
+// element's divide and multiply took 3 ns on the dev Xeon (sixteen
+// 128×256 blocks, 1.56 ms on one core, 0.94 ms on two), about what 120
+// flops of the dense kernel take. Counted at half that, a band of 32K
+// elements or more fans out; GNMF's bands of 512K take both cores.
+const fusedElemFlops = 64
+
+// execHadamardDivElem runs x∘(n⊘d) over the local A, B and C bands in one
+// pass (bmat.HadamardQuotientBlock): at the key of every block x and n both
+// hold — elsewhere the two passes it replaces store nothing either. The
+// blocks fan out over core.FanOut.
+func (w *Worker) execHadamardDivElem(args *execArgs) (map[bmat.BlockKey]matrix.Block, error) {
+	x, err := w.localBand(args.A)
+	if err != nil {
+		return nil, err
+	}
+	n, err := w.localBand(args.B)
+	if err != nil {
+		return nil, err
+	}
+	d, err := w.localBand(args.C)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]bmat.BlockKey, 0, len(x))
+	var elems float64
+	for k, blk := range x {
+		if blk != nil && n[k] != nil {
+			keys = append(keys, k)
+			r, c := blk.Dims()
+			elems += float64(r) * float64(c)
+		}
+	}
+	res := make([]matrix.Block, len(keys))
+	core.FanOut(len(keys), elems*fusedElemFlops, func(t int) {
+		k := keys[t]
+		res[t] = bmat.HadamardQuotientBlock(x[k], n[k], d[k], args.Scalar)
+	})
+	out := make(map[bmat.BlockKey]matrix.Block, len(keys))
+	for t, k := range keys {
+		out[k] = res[t]
 	}
 	return out, nil
 }

@@ -413,6 +413,37 @@ func DivElem(a, b Block, eps float64) *Dense {
 	return out
 }
 
+// HadamardDivElem returns x∘(n⊘d) as a fresh dense block in one pass:
+// each quotient is rounded as DivElem rounds it, eps guard included, and
+// then multiplied by x's element as Hadamard multiplies, so the bits are
+// those of Hadamard(x, DivElem(n, d, eps)) without the quotient's block.
+func HadamardDivElem(x, n, d Block, eps float64) *Dense {
+	xr, xc := x.Dims()
+	nr, nc := n.Dims()
+	dr, dc := d.Dims()
+	if xr != nr || xc != nc || nr != dr || nc != dc {
+		panic(fmt.Sprintf("matrix: HadamardDivElem: dimension mismatch %dx%d ∘ %dx%d / %dx%d", xr, xc, nr, nc, dr, dc))
+	}
+	src, out := elemOperands(x)
+	nd, ok := n.(*Dense)
+	if !ok {
+		nd = n.Dense()
+	}
+	dd, ok := d.(*Dense)
+	if !ok {
+		dd = d.Dense()
+	}
+	xv, nv, dv := src.Data, nd.Data[:len(src.Data)], dd.Data[:len(src.Data)]
+	for i, v := range dv {
+		den := v
+		if den < eps && den > -eps {
+			den = eps
+		}
+		out.Data[i] = xv[i] * (nv[i] / den)
+	}
+	return out
+}
+
 // Scale returns s·a as a fresh dense block.
 func Scale(s float64, a Block) *Dense {
 	src, out := elemOperands(a)

@@ -221,6 +221,33 @@ func TestDivElemEpsilonGuard(t *testing.T) {
 	}
 }
 
+// TestHadamardDivElemMatchesTwoPasses: the fused pass has the bits of
+// Hadamard over DivElem — eps guard, zero and negative denominators, NaN
+// and infinities included — for every representation of each operand, and
+// leaves the operands as they were.
+func TestHadamardDivElemMatchesTwoPasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	xd, nd, dd := RandomDense(rng, 6, 9), RandomSparse(rng, 6, 9, 0.6).Dense(), RandomDense(rng, 6, 9)
+	dd.Data[0], dd.Data[1], dd.Data[2], dd.Data[3] = 0, -1e-12, 1e-12, -2.5
+	xd.Data[4], nd.Data[5] = math.Inf(1), math.NaN()
+	for _, eps := range []float64{1e-9, 0} {
+		for _, x := range []Block{xd.Clone(), NewCSRFromDense(xd)} {
+			for _, n := range []Block{nd.Clone(), NewCSRFromDense(nd), NewCSCFromDense(nd)} {
+				for _, d := range []Block{dd.Clone(), NewCSRFromDense(dd)} {
+					want := Hadamard(x, DivElem(n, d, eps))
+					got := HadamardDivElem(x, n, d, eps)
+					if i, ok := sameBits(got, want); !ok {
+						t.Fatalf("eps %g, %v∘(%v⊘%v): element %d is %v, the two passes %v", eps, x.Format(), n.Format(), d.Format(), i, got.Data[i], want.Data[i])
+					}
+					if i, ok := sameBits(x.Dense(), xd); !ok {
+						t.Fatalf("x changed at %d", i)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestScale(t *testing.T) {
 	a := NewDenseData(1, 2, []float64{3, -4})
 	if got := Scale(-2, a); !got.Equal(NewDenseData(1, 2, []float64{-6, 8})) {

@@ -53,6 +53,16 @@ func GetDense(rows, cols int) *Dense {
 	return &Dense{RowsN: rows, ColsN: cols, Data: data, fromPool: true}
 }
 
+// GetTranspose returns dᵀ in a block whose backing array may be recycled,
+// as GetDense's are — without GetDense's zeroing, which the transpose
+// overwrites. Release it with PutDense.
+func GetTranspose(d *Dense) *Dense {
+	data, _ := getScratch(d.RowsN * d.ColsN)
+	t := &Dense{RowsN: d.ColsN, ColsN: d.RowsN, Data: data, fromPool: true}
+	transpose(t.Data, d.Data, d.RowsN, d.ColsN)
+	return t
+}
+
 // PutDense releases a block obtained from GetDense back to the pool. The
 // caller must guarantee no other references to the block or its Data
 // survive. Calling it on a non-pooled or already-released block is a no-op.

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -84,5 +85,25 @@ func TestMulAddAccumulatorIsPoolOrigin(t *testing.T) {
 	PutDense(acc)
 	if acc.Data != nil {
 		t.Fatal("pool-origin accumulator not released")
+	}
+}
+
+// TestGetTranspose: the pooled transpose has the transpose's values, over a
+// recycled, unzeroed array too, and goes back to the pool like GetDense's.
+func TestGetTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	d := RandomDense(rng, 37, 23)
+	for round := 0; round < 3; round++ {
+		got := GetTranspose(d)
+		if !got.Equal(d.Transpose()) {
+			t.Fatalf("round %d: GetTranspose differs from Transpose", round)
+		}
+		for i := range got.Data {
+			got.Data[i] = math.NaN() // what a recycled array may hold
+		}
+		PutDense(got)
+		if got.Data != nil {
+			t.Fatal("PutDense kept the array of a pooled transpose")
+		}
 	}
 }

@@ -307,6 +307,9 @@ func denseMulCSCLanes(ct, at []float64, m int, b *CSC) {
 type PackedA struct {
 	a  *Dense
 	at []float64 // Aᵀ, k×m row-major; nil: read a in place
+	// t is the caller's Aᵀ when at is its values rather than a copy
+	// (PackATransposed): a is then nil and Release leaves at alone.
+	t *Dense
 }
 
 // PackA prepares a for products against sparse blocks holding nnz stored
@@ -321,24 +324,50 @@ func PackA(a *Dense, nnz int) PackedA {
 	return PackedA{a: a, at: at}
 }
 
+// PackATransposed is PackA given Aᵀ instead of A — a transpose read as a
+// view: where PackA would copy A into its transpose, the products read t
+// itself, and nothing is transposed. It reports false where PackA would
+// read A in place, which t does not hold. t must stay unchanged until the
+// last product has returned.
+func PackATransposed(t *Dense, nnz int) (PackedA, bool) {
+	k, m := t.Dims()
+	if m*k == 0 || !transposePays(m, k, nnz) {
+		return PackedA{}, false
+	}
+	return PackedA{at: t.Data, t: t}, true
+}
+
 // Transposed reports whether products against p accumulate into the
 // transpose of C.
 func (p PackedA) Transposed() bool { return p.at != nil }
 
+// Dims returns A's row and column counts.
+func (p PackedA) Dims() (m, k int) {
+	if p.t != nil {
+		return p.t.ColsN, p.t.RowsN
+	}
+	return p.a.Dims()
+}
+
 // Release returns the transposed copy to the scratch pool. The PackedA
 // must not be used afterwards.
-func (p PackedA) Release() { putScratch(p.at) }
+func (p PackedA) Release() {
+	if p.t == nil {
+		putScratch(p.at)
+	}
+}
 
 // DenseMulCSCPacked computes C += A×B on the calling goroutine, against an
-// operand prepared by PackA. When a.Transposed(), c is the accumulator's
-// transpose (n×m) and is updated as such, so that a run of products into
-// one tile pays for two transposes of C, not two each.
+// operand prepared by PackA or PackATransposed. When a.Transposed(), c is
+// the accumulator's transpose (n×m) and is updated as such, so that a run
+// of products into one tile pays for two transposes of C, not two each.
 func DenseMulCSCPacked(c *Dense, a PackedA, b *CSC) {
 	cm, cn := c.Dims()
 	if a.Transposed() {
 		cm, cn = cn, cm
 	}
-	m, _ := denseMulCSCDims("DenseMulCSCPacked", cm, cn, a.a.RowsN, a.a.ColsN, b)
+	am, ak := a.Dims()
+	m, _ := denseMulCSCDims("DenseMulCSCPacked", cm, cn, am, ak, b)
 	if a.Transposed() {
 		denseMulCSCLanes(c.Data, a.at, m, b)
 	} else {

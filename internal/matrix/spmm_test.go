@@ -209,6 +209,27 @@ func (tc *sparseCase) check(t *testing.T) {
 	if i, ok := sameBits(got, tc.cscWant); !ok {
 		tc.fail(t, "DenseMulCSCPacked transposed", 1, got, tc.cscWant, i)
 	}
+	// Given Aᵀ, the products read it where PackA would have copied A into
+	// it, and are refused where PackA would have read A in place.
+	pa, ok := PackATransposed(at, tc.csc.NNZ())
+	packed := PackA(tc.left, tc.csc.NNZ())
+	if packed.Release(); ok != packed.Transposed() {
+		t.Fatalf("%dx%d, %d entries: PackATransposed %v where PackA transposes %v", tc.m, tc.k, tc.csc.NNZ(), ok, !ok)
+	}
+	if ok {
+		if m, k := pa.Dims(); m != tc.m || k != tc.k {
+			t.Fatalf("PackATransposed dims %dx%d, want %dx%d", m, k, tc.m, tc.k)
+		}
+		ct = offsetDense(tc.n, tc.m, 3)
+		TransposeInto(ct, tc.cscC0)
+		DenseMulCSCPacked(ct, pa, tc.csc)
+		pa.Release()
+		got = fresh(tc.cscC0)
+		TransposeInto(got, ct)
+		if i, ok := sameBits(got, tc.cscWant); !ok {
+			tc.fail(t, "DenseMulCSCPacked over a view", 1, got, tc.cscWant, i)
+		}
+	}
 }
 
 // TestSparseKernelsDifferential: the micro-kernels, the portable loops and
