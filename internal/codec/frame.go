@@ -158,9 +158,6 @@ func (w *FrameWriter) Bool(b bool) {
 	}
 }
 
-// Manifest appends a placement manifest.
-func (w *FrameWriter) Manifest(m *Manifest) { w.arena = AppendManifest(w.arena, m) }
-
 // Size is the frame's length so far: the chunks already sent plus every
 // byte pending after the 4-byte placeholder, zero-copy segments included.
 func (w *FrameWriter) Size() int64 { return w.sent + w.pending() }
@@ -758,17 +755,4 @@ func (r *FrameReader) ReadBlockCRC() (matrix.Block, error) {
 		return nil, fmt.Errorf("%w: payload sums to %08x, record says %08x", ErrChecksum, got, want)
 	}
 	return blk, nil
-}
-
-// ReadManifest reads one placement manifest (FrameWriter.Manifest's layout).
-func (r *FrameReader) ReadManifest() (*Manifest, error) {
-	r.src.n = int(r.bound())
-	m, err := decodeManifest(&r.src)
-	if errors.Is(err, ErrBadFormat) {
-		err = fmt.Errorf("%w: %w", ErrBadFrame, err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &m, nil
 }

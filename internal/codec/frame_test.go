@@ -277,9 +277,8 @@ func forgedFrame(body []byte) []byte {
 
 // TestForgedPrefixCountsBoundedAllocation: a forged frame length makes any
 // element count pass the bytes-left check, so the count must not size an
-// allocation. ReadSlice and both manifest tables are fed a hundred million
-// elements in a dozen bytes; each fails at the stream's end having allocated
-// next to nothing.
+// allocation. ReadSlice is fed a hundred million elements in a dozen bytes;
+// it fails at the stream's end having allocated next to nothing.
 func TestForgedPrefixCountsBoundedAllocation(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 100e6)
 	for name, tc := range map[string]struct {
@@ -291,14 +290,6 @@ func TestForgedPrefixCountsBoundedAllocation(t *testing.T) {
 				*v, err = fr.Uvarint()
 				return err
 			})
-			return err
-		}},
-		"manifest owners": {append([]byte{9}, huge...), func(fr *FrameReader) error {
-			_, err := fr.ReadManifest()
-			return err
-		}},
-		"manifest entries": {append([]byte{9, 1, 1, 'a'}, huge...), func(fr *FrameReader) error {
-			_, err := fr.ReadManifest()
 			return err
 		}},
 	} {

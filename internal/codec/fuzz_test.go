@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"distme/internal/matrix"
@@ -77,60 +76,6 @@ func FuzzDecodeBlock(f *testing.F) {
 			if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
 				t.Fatalf("round-trip changed value %d", i)
 			}
-		}
-	})
-}
-
-// FuzzDecodeManifest drives hostile bytes through the pull-plane manifest
-// decoder under the same contract as the block decoders: malformed input is
-// ErrBadFormat (never a panic, never an allocation unbounded by the input),
-// and an accepted manifest must re-encode to exactly the bytes it consumed.
-func FuzzDecodeManifest(f *testing.F) {
-	seeds := []Manifest{
-		{},
-		{Handle: 7, Owners: []string{"127.0.0.1:4100"}, Entries: []ManifestEntry{{KeyI: 0, KeyJ: 1, Owner: 0}}},
-		{Handle: 1 << 33, Owners: []string{"a:1", "b:2"}, Entries: []ManifestEntry{
-			{KeyI: 3, KeyJ: 4, Owner: 1, HasDigest: true, Digest: Digest{9, 8, 7}},
-			{KeyI: 5, KeyJ: 0, Owner: 0},
-		}},
-	}
-	for i := range seeds {
-		f.Add(AppendManifest(nil, &seeds[i]))
-	}
-	f.Add([]byte{0, 1, 2, 3})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, rest, err := DecodeManifest(data)
-		if err != nil {
-			if !errors.Is(err, ErrBadFormat) {
-				t.Fatalf("decode error %v does not wrap ErrBadFormat", err)
-			}
-			return
-		}
-		// Accepted input must be internally consistent…
-		for _, e := range m.Entries {
-			if e.Owner < 0 || e.Owner >= len(m.Owners) {
-				t.Fatalf("accepted entry with owner %d outside table of %d", e.Owner, len(m.Owners))
-			}
-			if e.KeyI < 0 || e.KeyJ < 0 || e.KeyI > MaxBlockSide || e.KeyJ > MaxBlockSide {
-				t.Fatalf("accepted implausible key (%d,%d)", e.KeyI, e.KeyJ)
-			}
-		}
-		// …and re-encode/decode bit-stably (a non-canonical uvarint may
-		// re-encode shorter, but the manifest itself must survive).
-		if len(rest) > len(data) {
-			t.Fatalf("decode returned more rest (%d) than input (%d)", len(rest), len(data))
-		}
-		re := AppendManifest(nil, &m)
-		back, rest2, err := DecodeManifest(re)
-		if err != nil {
-			t.Fatalf("re-decode of accepted manifest failed: %v", err)
-		}
-		if len(rest2) != 0 {
-			t.Fatalf("re-decode left %d bytes", len(rest2))
-		}
-		if !reflect.DeepEqual(m, back) {
-			t.Fatalf("round trip changed the manifest:\n got %+v\nwant %+v", back, m)
 		}
 	})
 }

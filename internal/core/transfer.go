@@ -12,7 +12,7 @@ const (
 	TransferAuto Transfer = iota
 	// TransferPush: the driver ships every slice of its own operands.
 	TransferPush
-	// TransferPull ships a placement manifest; workers fetch slices of
+	// TransferPull names the operands' bands; workers fetch slices of
 	// resident operands from peers (or the driver as last resort).
 	TransferPull
 )

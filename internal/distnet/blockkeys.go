@@ -18,25 +18,20 @@ import (
 //
 // Hashing pays only for a block whose content could already be on a worker:
 // a repeat from an earlier job. (Replicas within a job share one record, so
-// they share its key whatever it is.) A record under minFingerprintBytes is
-// hashed always — it costs microseconds. A larger one is hashed only when
-// its fingerprint was seen within the epoch window; otherwise it gets a fresh
-// key. A large block that repeats across jobs therefore ships under a fresh
-// key on first sight, inline under its digest on the second, and as a
-// reference from the third. A fingerprint collision costs one SHA-256 and
+// they share its key whatever it is.) A record is hashed only when its
+// fingerprint was seen within the epoch window; otherwise it gets a fresh
+// key. A block that repeats across jobs therefore ships under a fresh key on
+// first sight, inline under its digest on the second, and as a reference
+// from the third. A fingerprint collision costs one SHA-256 and
 // can never return a wrong block. Two distinct blocks of equal content in
 // one job (A×A decoded twice) repeat a fingerprint too: the second is
 // hashed, and both ship inline.
 
-const (
-	// minFingerprintBytes is the record size from which the filter decides.
-	minFingerprintBytes = 4 << 10
-	// fingerprintEdge is how much of each end of a record's values the
-	// fingerprint reads: enough to tell new content apart. A fingerprint
-	// costs O(structure) plus 2 KiB of values — the whole head of a CSR or
-	// CSC record is hashed.
-	fingerprintEdge = 1 << 10
-)
+// fingerprintEdge is how much of each end of a record's values the
+// fingerprint reads: enough to tell new content apart. A fingerprint costs
+// O(structure) plus 2 KiB of values — the whole head of a CSR or CSC record
+// is hashed.
+const fingerprintEdge = 1 << 10
 
 // blockKeys is a driver's key issuer: the fingerprint filter and the fresh
 // key source.
@@ -58,7 +53,7 @@ func newBlockKeys() *blockKeys {
 // assign gives p its cache key at the job epoch and reports whether that
 // took a SHA-256.
 func (k *blockKeys) assign(epoch uint64, p *codec.Prepared) bool {
-	if p.Size() < minFingerprintBytes || k.seenBefore(epoch, k.fingerprint(p)) {
+	if k.seenBefore(epoch, k.fingerprint(p)) {
 		p.Hash()
 		return true
 	}

@@ -1,9 +1,7 @@
 package distnet
 
 import (
-	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -177,47 +175,14 @@ func boxTiles(box core.Box, recs []blockRec, dims func(t int) (rows, cols int, o
 	return tiles, nil
 }
 
-// takeSum fetches the running sum of slabs [0, l.lo) from the predecessor,
-// under a peer.fetch span. The predecessor answers within l.wait; the call
-// gives up at twice that.
+// takeSum fetches the running sum of slabs [0, l.lo) from the predecessor
+// (peerFetch). The predecessor answers within l.wait; the call gives up at
+// twice that.
 func (w *Worker) takeSum(parent obs.SpanID, l *chainLink) ([]blockRec, error) {
-	sp := w.tracer.Start(parent, "peer.fetch", obs.KindWorker)
-	if sp.Active() {
-		sp.SetWorker(w.addr)
-		sp.SetAttr("peer", l.prev)
-		sp.SetAttr("sum", fmt.Sprintf("slabs [0,%d)", l.lo))
-	}
-	defer sp.End()
-	var recs []blockRec
-	client, err := w.peerClient(l.prev)
-	if err == nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*l.wait)
-		err = client.Call(ctx, methodTakeSum, codec.Writes(appendSumArgs, &sumArgs{id: l.id, upTo: l.lo, wait: l.wait}),
-			func(rd *codec.FrameReader) (err error) {
-				recs, err = decodePlainBlocks(rd)
-				return err
-			})
-		cancel()
-		var re *codec.RemoteError
-		if err != nil && !errors.As(err, &re) {
-			w.dropPeer(l.prev, client)
-		}
-	}
-	if err != nil {
-		if sp.Active() {
-			sp.SetAttr("error", err.Error())
-		}
-		return nil, &peerFetchError{addr: l.prev, err: err}
-	}
-	var bytes int64
-	for _, rec := range recs {
-		bytes += rec.Block.SizeBytes()
-	}
-	if sp.Active() {
-		sp.SetAttr("bytes", fmt.Sprintf("%d", bytes))
-	}
-	w.getStore().addPeerFetch(l.prev, bytes)
-	return recs, nil
+	recs, _, err := w.peerFetch(parent, l.prev, methodTakeSum, 2*l.wait,
+		func(sp obs.Span) { sp.SetAttr("sum", fmt.Sprintf("slabs [0,%d)", l.lo)) },
+		codec.Writes(appendSumArgs, &sumArgs{id: l.id, upTo: l.lo, wait: l.wait}), decodePlainBlocks)
+	return recs, err
 }
 
 // sumTiles places a taken running sum's blocks as the box's tiles

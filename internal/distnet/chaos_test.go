@@ -507,7 +507,7 @@ func TestDetectorMarksDeadAndReconnects(t *testing.T) {
 
 // pipelineOutputs puts a and b into s and returns 2·a and 2·b computed on
 // the workers: handles with no retained Put source, so a pull multiply of
-// them ships manifests only and the driver holds no block it could compute
+// them ships band references only and the driver holds no block it could compute
 // the product from.
 func pipelineOutputs(t *testing.T, s *Session, a, b *bmat.BlockMatrix) (*Handle, *Handle) {
 	t.Helper()

@@ -72,11 +72,6 @@ type Handle struct {
 	deferred bool
 	holds    int
 	unheld   bool
-
-	// dig memoizes the src blocks' content digests for pull-mode manifests
-	// (nil values mark blocks that ship without one). Valid because src is
-	// immutable while the handle lives.
-	dig map[bmat.BlockKey]*codec.Digest
 }
 
 // Rows returns the handle's element row count.

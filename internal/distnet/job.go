@@ -36,7 +36,7 @@ import (
 //
 // That scheduler is how a multiply recovers, and all of it: a failed column
 // re-runs all its links on holders picked afresh from the live members, a
-// pull link whose worker cannot resolve its manifest is downgraded to push,
+// pull link whose worker cannot read its operands is downgraded to push,
 // and a column that exhausts its attempts is computed on the driver with the
 // workers' arithmetic. Nothing is persisted; a job that still fails is re-run
 // whole.
@@ -51,9 +51,9 @@ type cuboidJob struct {
 	// callBytes bounds the operand bytes of one link (MultiplyOptions.
 	// callBytes): a slab group over it is cut into more links.
 	callBytes int64
-	// fill gives one call — its voxel box already set — its slices while the
-	// job is planned: inline records for push (Driver.multiply), placement
-	// manifests for pull (Session.pullMultiply).
+	// fill gives one call — its voxel box and link already set — the slices
+	// of its operand box while the job is planned: inline records for push
+	// (Driver.multiply), band references for pull (Session.pullMultiply).
 	fill func(args *multiplyArgs)
 }
 
@@ -123,7 +123,7 @@ func (d *Driver) runCuboids(ctx context.Context, job cuboidJob) (*bmat.BlockMatr
 	// cross-job references that placement gave it.
 	var wholes []*multiplyArgs
 	core.ForEachCuboid(core.Params{P: params.P, Q: params.Q, R: 1}, gi, gj, gk, func(p, q, _ int, box core.Box) {
-		wholes = append(wholes, r.newCall(p, q, box))
+		wholes = append(wholes, r.newCall(p, q, box, nil))
 	})
 	slabs := r.slabBytes(wholes, gk)
 	r.cut(wholes, slabs, r.planChain(wholes, slabs))
@@ -218,15 +218,16 @@ func (r *cuboidRun) cut(wholes []*multiplyArgs, slabs [][2][]int64, holders []*m
 	}
 }
 
-// newCall is the whole call of column (p,q) over box, all R slabs, filled
-// with the box's slices.
-func (r *cuboidRun) newCall(p, q int, box core.Box) *multiplyArgs {
+// newCall is the call of column (p,q) over box, all R slabs, as link (nil
+// for the whole call), filled with the slices of its operand box.
+func (r *cuboidRun) newCall(p, q int, box core.Box, link *chainLink) *multiplyArgs {
 	args := &multiplyArgs{
 		ILo: box.ILo, IHi: box.IHi, JLo: box.JLo, JHi: box.JHi, KLo: box.KLo, KHi: box.KHi,
 		slabs:   r.job.params.R,
 		cuboidP: p, cuboidQ: q,
 		meter: r.meter,
 		job:   r.job,
+		link:  link,
 	}
 	r.job.fill(args)
 	return args
@@ -237,20 +238,14 @@ func (r *cuboidRun) newCall(p, q int, box core.Box) *multiplyArgs {
 // only those of the link's slabs. Its chain id and holders are set when it
 // goes out (runLinks).
 func (r *cuboidRun) newLink(whole *multiplyArgs, lo, hi, group int, wait time.Duration) *multiplyArgs {
-	box := whole.box()
-	slabs := box
-	slabs.KLo, slabs.KHi = box.Slab(lo, whole.slabs).KLo, box.Slab(hi-1, whole.slabs).KHi
-	link := r.newCall(whole.cuboidP, whole.cuboidQ, slabs)
-	link.KLo, link.KHi = box.KLo, box.KHi
-	link.link = &chainLink{lo: lo, hi: hi, wait: wait, group: group}
-	return link
+	return r.newCall(whole.cuboidP, whole.cuboidQ, whole.box(), &chainLink{lo: lo, hi: hi, wait: wait, group: group})
 }
 
 // slabBytes is what each of a column's R slabs holds of A ([0]) and of B
 // ([1]) in a worker's memory, column by column, the measure θt bounds: each
 // inline record's stored size, or — for an operand pulled from a handle
 // that kept no source, whose blocks the driver never sees — a dense block
-// for each manifest entry.
+// for each slot of its box.
 func (r *cuboidRun) slabBytes(wholes []*multiplyArgs, gk int) [][2][]int64 {
 	R, dense := r.job.params.R, int64(r.job.blockSize)*int64(r.job.blockSize)*8
 	slabOf := make([]int, gk)
@@ -269,15 +264,11 @@ func (r *cuboidRun) slabBytes(wholes []*multiplyArgs, gk int) [][2][]int64 {
 		for _, rec := range call.BBlocks {
 			b[slabOf[rec.Key.I]] += rec.Block.SizeBytes()
 		}
-		if len(call.ABlocks) == 0 && call.aManifest != nil {
-			for _, e := range call.aManifest.Entries {
-				a[slabOf[e.KeyJ]] += dense
-			}
+		for k := call.KLo; call.aRef.sourceless && k < call.KHi; k++ {
+			a[slabOf[k]] += dense * int64(call.IHi-call.ILo)
 		}
-		if len(call.BBlocks) == 0 && call.bManifest != nil {
-			for _, e := range call.bManifest.Entries {
-				b[slabOf[e.KeyI]] += dense
-			}
+		for k := call.KLo; call.bRef.sourceless && k < call.KHi; k++ {
+			b[slabOf[k]] += dense * int64(call.JHi-call.JLo)
 		}
 		out[g] = [2][]int64{a, b}
 	}
@@ -542,8 +533,8 @@ func (d *Driver) runLink(ctx context.Context, args *multiplyArgs, m *member, hel
 	}
 	args.traceSpan = uint64(asp.ID())
 	if args.pull {
-		// The assigned worker must know which manifest owner is itself;
-		// ownership is decided at dispatch, not plan time.
+		// The assigned worker must know which band is its own; ownership is
+		// decided at dispatch, not plan time.
 		args.pullSelf = m.addr
 	}
 	rep := new(multiplyReply)
@@ -566,7 +557,6 @@ func (d *Driver) runLink(ctx context.Context, args *multiplyArgs, m *member, hel
 	}
 	if args.pull {
 		n := d.rec.Net.Live()
-		atomic.AddInt64(&n.PullCacheHits, rep.pullHits)
 		atomic.AddInt64(&n.PullPeerFetches, rep.pullFetches)
 		atomic.AddInt64(&n.PullPeerBytes, rep.pullPeerBytes)
 	}
@@ -597,12 +587,12 @@ func (d *Driver) classify(args *multiplyArgs, m *member, err error) (retry bool,
 		atomic.AddInt64(&d.rec.Net.Live().CacheRefMisses, 1)
 		m.tracker.forget()
 	case errors.As(re, &pe):
-		// Pull resolution failed on the worker — a peer died mid-fetch,
-		// or a manifest entry points at an evicted band. The driver is
-		// the pull plane's last resort: when it holds the operand
-		// blocks, the link downgrades to push — prepared now, like any
-		// push link, so this retry and every later one frame the same
-		// encoded records — and the retry ships them inline.
+		// A pull read failed on the worker — a peer died mid-fetch, or a
+		// band it names was evicted. The driver is the pull plane's last
+		// resort: when it holds the operand blocks, the link downgrades to
+		// push — prepared now, like any push link, so this retry and every
+		// later one frame the same encoded records — and the retry ships
+		// them inline.
 		atomic.AddInt64(&d.rec.Net.Live().PullFallbacks, 1)
 		if args.pull && args.pullInline {
 			args.pull = false
@@ -699,13 +689,8 @@ func (jp *jobPrep) prepare(args *multiplyArgs) error {
 				}
 				n := jp.d.rec.Net.Live()
 				// Blocks below the cacheable threshold stay keyless and
-				// always ship inline. A handle's block ships under the
-				// digest its pull manifests carry.
-				switch {
-				case jp.d.opts.DisableBlockCache || p.Size() < minCacheableBytes:
-				case rec.digest != nil:
-					p.Digest, p.HasDigest = *rec.digest, true
-				case jp.d.keys.assign(jp.epoch, p):
+				// always ship inline.
+				if !jp.d.opts.DisableBlockCache && p.Size() >= minCacheableBytes && jp.d.keys.assign(jp.epoch, p) {
 					atomic.AddInt64(&n.BlocksHashed, 1)
 				}
 				atomic.AddInt64(&n.BlocksPrepared, 1)
@@ -730,8 +715,9 @@ func (d *Driver) multiply(ctx context.Context, a, b *bmat.BlockMatrix, params co
 		rows: a.Rows, inner: a.Cols, cols: b.Cols, blockSize: a.BlockSize,
 		params: params, transfer: core.TransferPush, callBytes: opts.callBytes(),
 		fill: func(args *multiplyArgs) {
-			args.ABlocks = boxRecs(a, args.ILo, args.IHi, args.KLo, args.KHi)
-			args.BBlocks = boxRecs(b, args.KLo, args.KHi, args.JLo, args.JHi)
+			box := args.operandBox()
+			args.ABlocks = boxRecs(a, box.ILo, box.IHi, box.KLo, box.KHi)
+			args.BBlocks = boxRecs(b, box.KLo, box.KHi, box.JLo, box.JHi)
 		},
 	})
 }

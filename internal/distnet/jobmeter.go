@@ -19,8 +19,9 @@ import (
 // Request/reply bytes are encoded block-payload bytes (the Eq.(4) quantity),
 // not raw socket frames: digest references and framing change what
 // crosses the socket, but the payload measure is stable across cache state,
-// which is what quota enforcement wants. A pull cuboid's manifest carries no
-// block payload: it charges request bytes only if it downgrades to push.
+// which is what quota enforcement wants. A pull cuboid's band references
+// carry no block payload: it charges request bytes only if it downgrades to
+// push.
 type JobMeter struct {
 	c metrics.Counters[JobMeterStats]
 }

@@ -9,14 +9,13 @@ import (
 
 	"distme/internal/bmat"
 	"distme/internal/cluster"
-	"distme/internal/codec"
 	"distme/internal/core"
 	"distme/internal/matrix"
 	"distme/internal/obs"
 )
 
 // The one cuboid job path's contract, as one table: whatever way a (p,q)
-// column obtains its slices — pushed inline, pulled by manifest, downgraded
+// column obtains its slices — pushed inline, pulled from bands, downgraded
 // mid-job — and whether it goes out as one call, over the call bound as
 // links cut on one holder, or as the links of a k-ordered chain, the product is the same
 // bytes, the bytes core.MultiplyCuboid computes on the simulated cluster, and
@@ -275,12 +274,13 @@ func TestColumnOverCallBoundGoesOutAsCuboids(t *testing.T) {
 				rows: tc.a.Rows, inner: tc.a.Cols, cols: tc.b.Cols, blockSize: tc.a.BlockSize, params: params,
 				callBytes: MultiplyOptions{WorkerMemBytes: tc.workerθt}.callBytes(),
 				fill: func(args *multiplyArgs) {
-					args.ABlocks = boxRecs(tc.a, args.ILo, args.IHi, args.KLo, args.KHi)
-					args.BBlocks = boxRecs(tc.b, args.KLo, args.KHi, args.JLo, args.JHi)
+					box := args.operandBox()
+					args.ABlocks = boxRecs(tc.a, box.ILo, box.IHi, box.KLo, box.KHi)
+					args.BBlocks = boxRecs(tc.b, box.KLo, box.KHi, box.JLo, box.JHi)
 				},
 			}}
 			box := core.Box{IHi: tc.a.IB, JHi: tc.b.JB, KHi: tc.a.JB}
-			whole := r.newCall(0, 0, box)
+			whole := r.newCall(0, 0, box, nil)
 			wholes := []*multiplyArgs{whole}
 			slabs := r.slabBytes(wholes, tc.a.JB)
 			if tc.holders > 0 {
@@ -337,16 +337,17 @@ func TestColumnOverCallBoundGoesOutAsCuboids(t *testing.T) {
 		})
 	}
 
-	// An operand pulled from a handle that kept no source has manifest
-	// entries and no records: each counts as a dense block of its slab. A's
-	// entries at k = 0, 1 and 3 and one 32 MiB B record at k = 2, in two
-	// slabs of two, size as 4 dense blocks.
+	// An operand pulled from a handle that kept no source is a band
+	// reference and no records: each slot of its box counts as a dense block
+	// of its slab. A's box of two block rows over four k and one 32 MiB B
+	// record at k = 2, in two slabs of two, size as 4 dense blocks of A a
+	// slab and one of B.
 	r := &cuboidRun{job: &cuboidJob{blockSize: 2048, params: core.Params{P: 1, Q: 1, R: 2}}}
-	entries := []codec.ManifestEntry{{KeyJ: 0}, {KeyJ: 1}, {KeyJ: 3}}
-	pulled := &multiplyArgs{aManifest: &codec.Manifest{Entries: entries}, BBlocks: []blockRec{{Key: bmat.BlockKey{I: 2}, Block: big}}}
+	pulled := &multiplyArgs{IHi: 2, JHi: 1, KHi: 4, pull: true, aRef: bandRef{handle: 1, sourceless: true},
+		BBlocks: []blockRec{{Key: bmat.BlockKey{I: 2}, Block: big}}}
 	dense := int64(2048 * 2048 * 8)
 	got := r.slabBytes([]*multiplyArgs{pulled}, 4)[0]
-	if want := [2][]int64{{2 * dense, dense}, {0, dense}}; fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("3 pulled entries and one 32 MiB record: %v operand bytes by slab, want %v", got, want)
+	if want := [2][]int64{{4 * dense, 4 * dense}, {0, dense}}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("a sourceless 2x4-block box and one 32 MiB record: %v operand bytes by slab, want %v", got, want)
 	}
 }

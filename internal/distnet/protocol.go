@@ -45,8 +45,11 @@ import (
 // refused as a link waiting on itself. Version 10's pipeline multiply may
 // read either operand through a transpose of the handle it names, and its
 // fused operator computes x∘(n⊘d) over a third handle: a version 9 worker
-// would read the source untransposed and know no fused code.
-var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 10}
+// would read the source untransposed and know no fused code. Version 11's
+// pull multiply names each operand by its handle and the bands it lives in
+// where version 10's listed every block of the box in a placement manifest,
+// and its reply carries two pull counters where version 10's carried three.
+var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 11}
 
 // The worker socket's methods, by the byte a request names them with.
 const (
@@ -71,11 +74,6 @@ type blockRec struct {
 	// from it and, when it carries a digest, repeat sends to the same worker
 	// become a 32-byte reference.
 	prep *codec.Prepared
-	// digest is the content digest a resident handle memoized for Block
-	// (Handle.digestAt), nil elsewhere: when the record ships inline — a
-	// pull column downgraded to push — it is the record's cache key, the
-	// one later pull manifests name.
-	digest *codec.Digest
 }
 
 // multiplyArgs ships one link of a (p,q) column to a worker — the voxel box
@@ -121,15 +119,15 @@ type multiplyArgs struct {
 	prep *jobPrep
 
 	// pull switches this cuboid to the one-sided data plane: ABlocks and
-	// BBlocks stay off the wire, and the worker resolves the placement
-	// manifests instead — cache dedup first, then coalesced fetches from
-	// the peer owners (entries whose owner equals pullSelf, the assigned
-	// worker's own address, read the local store). A failed resolution is
+	// BBlocks stay off the wire, and the worker reads each operand's slice
+	// of the call's box (operandBox) from the bands aRef and bRef name — its
+	// own store where a band's address is pullSelf, the assigned worker's
+	// own, and a kept replica or the owning peer elsewhere. A failed read is
 	// a transient error the driver answers by re-pushing inline — the
 	// driver stays the last-resort data source.
-	pull                 bool
-	aManifest, bManifest *codec.Manifest
-	pullSelf             string
+	pull       bool
+	aRef, bRef bandRef
+	pullSelf   string
 
 	// pullInline marks a pull cuboid whose retained ABlocks/BBlocks are a
 	// complete inline copy of both operand slices (both handles kept their
@@ -142,6 +140,17 @@ type multiplyArgs struct {
 	// (job.go): the box is still the whole column and slabs its R, but the
 	// blocks are only those of the link's slabs.
 	link *chainLink
+}
+
+// bandRef names one operand of a pull call: its handle and where the
+// handle's bands live, in execArgs' form.
+type bandRef struct {
+	handle uint64
+	parts  []partLoc
+	// sourceless marks a handle that kept no Put source, whose blocks the
+	// driver never sees: slabBytes sizes each slot of its box as one dense
+	// block. Driver-side only.
+	sourceless bool
 }
 
 // chainLink is one link of a column of several: slabs [lo, hi) of the
@@ -178,6 +187,16 @@ func (a *multiplyArgs) box() core.Box {
 	return core.Box{ILo: a.ILo, IHi: a.IHi, JLo: a.JLo, JHi: a.JHi, KLo: a.KLo, KHi: a.KHi}
 }
 
+// operandBox is the box the call's operand blocks come from: its voxel box,
+// cut in k to its link's slabs.
+func (a *multiplyArgs) operandBox() core.Box {
+	box := a.box()
+	if l := a.link; l != nil {
+		box.KLo, box.KHi = box.Slab(l.lo, a.slabs).KLo, box.Slab(l.hi-1, a.slabs).KHi
+	}
+	return box
+}
+
 // label marks a span of the call, driver or worker side, with its column's
 // coordinate — (p,q,0): a column is all R cuboids of its (p,q) — and the
 // call's slab count (slabCount).
@@ -193,10 +212,10 @@ func (a *multiplyArgs) label(sp obs.Span) {
 type multiplyReply struct {
 	CBlocks []blockRec
 
-	// Pull-resolution accounting, folded into the driver's NetStats:
-	// manifest entries satisfied by the block cache, peer
-	// fetches issued, and peer bytes moved. Zero on push replies.
-	pullHits, pullFetches, pullPeerBytes int64
+	// Pull accounting, folded into the driver's NetStats: the peer fetches
+	// the call's operand reads issued and the payload they moved. Zero on
+	// push replies.
+	pullFetches, pullPeerBytes int64
 }
 
 // pingReply reports the worker's identity plus a load snapshot the driver's
@@ -243,10 +262,10 @@ var (
 	errNoSum = errors.New("distnet: no running sum")
 )
 
-// pullError is a failed pull resolution: handle's manifest could not be
-// resolved, because of err. The driver answers it by downgrading the cuboid
-// to push; session recovery rebuilds that handle — not its sibling operand —
-// when err is an eviction.
+// pullError is a failed pull read: handle's bands could not be read, because
+// of err. The driver answers it by downgrading the cuboid to push; session
+// recovery rebuilds that handle — not its sibling operand — when err is an
+// eviction.
 type pullError struct {
 	handle uint64
 	err    error
@@ -272,7 +291,7 @@ func (e *peerFetchError) Unwrap() error { return e.err }
 
 // The worker socket's error codes. A fetch failure carries whether its
 // cause was an evicted band — what session recovery answers by rebuilding
-// just that handle — and a pull failure first the handle whose manifest
+// just that handle — and a pull failure first the handle whose bands
 // failed; any other cause reads back as nil.
 const (
 	codeDraining = codec.CodeOther + 1 + iota

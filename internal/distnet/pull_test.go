@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"distme/internal/bmat"
-	"distme/internal/cluster"
 	"distme/internal/core"
 	"distme/internal/engine"
 	"distme/internal/matrix"
@@ -73,7 +72,8 @@ func TestSessionMultiplyPullMatchesPush(t *testing.T) {
 		t.Fatal("pull product differs from local reference")
 	}
 
-	// The pull run ships manifests down and partials up — no operand slice.
+	// The pull run ships band references down and partials up — no operand
+	// slice.
 	// Q·|A| would have crossed the driver link in push mode.
 	opBytes := a.StoredBytes() + b.StoredBytes()
 	pullSent, pushSent := sentAfter-sentBefore, sentPush-sentAfter
@@ -112,8 +112,8 @@ func TestSessionMultiplyPullMatchesPush(t *testing.T) {
 }
 
 // TestPullFetchCountedInStoreAndPull pins that one pull fetch lands in two
-// worker counters: peerGet charges every worker→worker fetch to StoreStats,
-// and resolvePull charges the pull resolutions among them to
+// worker counters: peerFetch charges every worker→worker fetch to
+// StoreStats, and preparePull charges the pull calls' fetches among them to
 // WorkerPullStats as well — store.peer_* contains pull.peer_*.
 func TestPullFetchCountedInStoreAndPull(t *testing.T) {
 	addrs, workers := startWorkers(t, 2)
@@ -159,18 +159,20 @@ func TestPullFetchCountedInStoreAndPull(t *testing.T) {
 }
 
 // TestSessionMultiplyPullDedup runs the same pull multiply twice in one
-// session: the second run's manifests must resolve from the workers'
-// content-addressed caches instead of re-fetching.
+// session: every remote band the first run read whole stays on its reader as
+// a replica, so the second run's reads are all replica hits — no peer byte
+// moves — and the product is the same bit for bit.
 func TestSessionMultiplyPullDedup(t *testing.T) {
-	addrs, _ := startWorkers(t, 3)
+	addrs, workers := startWorkers(t, 3)
 	d, err := DialOptions(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 	ctx := context.Background()
-	// Blocks must clear minCacheableBytes (256) to enter the digest
-	// machinery: 8×8 fp64 is 512 bytes, 4×4 would be 128 and skip it.
+	// P = 3 over three workers cuts A's rows as its bands are cut, and
+	// Q = R = 1 makes B's box all of B: every band a column reads is read
+	// whole.
 	rng := rand.New(rand.NewSource(102))
 	a := bmat.RandomDense(rng, 32, 24, 8)
 	b := bmat.RandomDense(rng, 24, 32, 8)
@@ -185,19 +187,81 @@ func TestSessionMultiplyPullDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	replicaHits := func() (n int64) {
+		for _, w := range workers {
+			n += w.StoreStats().ReplicaHits
+		}
+		return n
+	}
 	opts := MultiplyOptions{Params: &params, Transfer: core.TransferPull}
 	first, _, err := s.Multiply(ctx, ha, hb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hitsAfterFirst := d.NetStats().PullCacheHits
+	before, hitsBefore := d.NetStats(), replicaHits()
+	if before.PullPeerBytes == 0 {
+		t.Fatal("the first pull multiply fetched nothing from a peer")
+	}
 	second, _, err := s.Multiply(ctx, ha, hb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bitIdentical(t, second, first)
-	if hits := d.NetStats().PullCacheHits; hits <= hitsAfterFirst {
-		t.Fatalf("second pull multiply added no cache hits (%d -> %d)", hitsAfterFirst, hits)
+	delta := d.NetStats().Sub(before)
+	if delta.PullPeerFetches != 0 || delta.PullPeerBytes != 0 {
+		t.Fatalf("second pull multiply fetched %d times, %d peer bytes; want none", delta.PullPeerFetches, delta.PullPeerBytes)
+	}
+	if hits := replicaHits(); hits <= hitsBefore {
+		t.Fatalf("second pull multiply added no replica hits (%d -> %d)", hitsBefore, hits)
+	}
+}
+
+// TestPullRequestNamesBandsNotBlocks: a pull call names each operand by its
+// handle and bands, so what the driver sends does not grow with the
+// operands' block count. The same 128×128 product is pulled at block sides
+// 32 and 8 — 16 and 256 blocks an operand — under the same plan; the
+// requests of the finer grid may differ only in their wider uvarints.
+func TestPullRequestNamesBandsNotBlocks(t *testing.T) {
+	ctx := context.Background()
+	params := core.Params{P: 2, Q: 2, R: 2}
+	sent := map[int]int64{}
+	for _, bs := range []int{32, 8} {
+		addrs, _ := startWorkers(t, 2)
+		opts := fastOpts()
+		opts.DisableHeartbeat = true // no pings in the byte counts
+		d, err := DialOptions(addrs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		rng := rand.New(rand.NewSource(108))
+		a, b := bmat.RandomDense(rng, 128, 128, bs), bmat.RandomDense(rng, 128, 128, bs)
+		s := newSession(t, d)
+		ha, err := s.Put(ctx, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb, err := s.Put(ctx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, _ := d.WireBytes()
+		got, _, err := s.Multiply(ctx, ha, hb, MultiplyOptions{Params: &params, Transfer: core.TransferPull})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, _ := d.WireBytes()
+		if ns := d.NetStats(); ns.PullFallbacks != 0 {
+			t.Fatalf("block side %d: %d pull columns downgraded to push", bs, ns.PullFallbacks)
+		}
+		if !got.ToDense().EqualApprox(matrix.Mul(a.ToDense(), b.ToDense()).Dense(), 1e-9) {
+			t.Fatalf("block side %d: pull product wrong", bs)
+		}
+		sent[bs] = after - before
+	}
+	t.Logf("driver bytes sent: %d at 16 blocks an operand, %d at 256", sent[32], sent[8])
+	if sent[8] > sent[32]+sent[32]/8 {
+		t.Fatalf("16x the blocks sent %d driver bytes against %d: the request grows with the block count", sent[8], sent[32])
 	}
 }
 
@@ -261,72 +325,6 @@ func TestPullPeerKilledFallsBack(t *testing.T) {
 	}
 }
 
-// TestDowngradeKeepsHandleDigests: a pull column downgraded to push ships
-// its records under the digests the handles' manifests carry, not under
-// fresh keys, so the next pull job on the same handles resolves them from
-// the worker's cache — no peer fetch, no second downgrade — and the product
-// is the same bit for bit.
-func TestDowngradeKeepsHandleDigests(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(107))
-	// 8 KiB blocks: past minFingerprintBytes, where a cold block would get a
-	// fresh key.
-	a := bmat.RandomDense(rng, 128, 96, 32)
-	b := bmat.RandomDense(rng, 96, 64, 32)
-	params := core.Params{P: 2, Q: 2, R: 1}
-	cfg := cluster.LaptopConfig()
-	cfg.TaskMemBytes, cfg.DiskCapacityBytes = 1<<30, 0
-	cl, err := cluster.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.MultiplyCuboid(ctx, a, b, params, core.Env{Cluster: cl})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	addrs, workers := startWorkers(t, 2)
-	opts := fastOpts()
-	opts.DisableHeartbeat = true // death surfaces through the calls themselves
-	d, err := DialOptions(addrs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	s := newSession(t, d)
-	ha, err := s.Put(ctx, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := s.Put(ctx, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	killWorker(workers[1]) // every column needs a band it owned
-
-	first, _, err := s.Multiply(ctx, ha, hb, MultiplyOptions{Params: &params, Transfer: core.TransferPull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := d.NetStats()
-	if before.PullFallbacks == 0 {
-		t.Fatal("no column downgraded despite a dead band owner")
-	}
-	second, _, err := s.Multiply(ctx, ha, hb, MultiplyOptions{Params: &params, Transfer: core.TransferPull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := d.NetStats()
-	if fetches, downgrades := after.PullPeerFetches-before.PullPeerFetches, after.PullFallbacks-before.PullFallbacks; fetches != 0 || downgrades != 0 {
-		t.Fatalf("pull job after a downgrade: %d peer fetches, %d downgrades, want none", fetches, downgrades)
-	}
-	if after.PullCacheHits == before.PullCacheHits {
-		t.Fatal("pull job after a downgrade hit nothing in the cache")
-	}
-	bitIdentical(t, first, want)
-	bitIdentical(t, second, want)
-}
-
 // TestPullEvictedHandleRebuilds pull-multiplies a pipeline-produced handle
 // (no driver-side source, so no inline downgrade exists) whose bands were
 // evicted: the session must rebuild it from lineage and the product must
@@ -360,7 +358,7 @@ func TestPullEvictedHandleRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A derived handle: 2·A has lineage but no driver-side blocks, so a
-	// failed manifest resolution cannot downgrade to an inline push.
+	// failed pull read cannot downgrade to an inline push.
 	h2, err := s.Run(ctx, plan.Times(2, plan.V("a")), map[string]*Handle{"a": ha})
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +388,7 @@ func TestPullEvictedHandleRebuilds(t *testing.T) {
 		t.Fatal("rebuilt pull product differs from reference")
 	}
 	if s.recoveries == 0 {
-		t.Fatal("no lineage recovery recorded despite evicted manifests")
+		t.Fatal("no lineage recovery recorded despite evicted bands")
 	}
 	for _, h := range flood {
 		_ = s.Free(ctx, h)
@@ -398,7 +396,7 @@ func TestPullEvictedHandleRebuilds(t *testing.T) {
 }
 
 // TestPullEvictedSecondOperandRebuildsOnce evicts only B's bands on an
-// unchanged placement. The worker's refusal names the handle whose manifest
+// unchanged placement. The worker's refusal names the handle whose bands
 // failed, so the first recovery is the targeted rebuild of B — not of A, the
 // operand recovery defaults to — and the retry after it succeeds: exactly
 // one recovery, A untouched, product bit-identical.
@@ -423,8 +421,8 @@ func TestPullEvictedSecondOperandRebuildsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// B is derived: lineage but no driver-side blocks, so a failed manifest
-	// resolution cannot downgrade to an inline push and must surface.
+	// B is derived: lineage but no driver-side blocks, so a failed pull
+	// read cannot downgrade to an inline push and must surface.
 	hb, err := s.Run(ctx, plan.Times(2, plan.V("b")), map[string]*Handle{"b": hb0})
 	if err != nil {
 		t.Fatal(err)

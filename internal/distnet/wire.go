@@ -36,10 +36,23 @@ const minCacheableBytes = 256
 // seen is more than defaultCacheEpochWindow past its own. A touch refreshes
 // a key to the toucher's epoch, never to the newest seen — as
 // blockCache.lookup refreshes a hit — or the driver would outlive the
-// worker's entry when jobs run concurrently. The zero value is empty.
+// worker's entry when jobs run concurrently. An aged key is out of the set
+// at once but leaves the map only at the sweep a window later, so that a
+// job's first touch does not walk every key of the window. The zero value
+// is empty.
 type epochSet[K comparable] struct {
 	epoch uint64 // newest epoch observed
+	swept uint64 // newest epoch at the last sweep
 	last  map[K]uint64
+}
+
+// epochFloor is the oldest epoch a key may carry and be in the set while
+// epoch is the newest seen.
+func epochFloor(epoch uint64) uint64 {
+	if epoch > defaultCacheEpochWindow {
+		return epoch - defaultCacheEpochWindow
+	}
+	return 0
 }
 
 // touch reports whether k is in the set, and marks it at epoch.
@@ -49,8 +62,9 @@ func (s *epochSet[K]) touch(epoch uint64, k K) bool {
 	}
 	if epoch > s.epoch {
 		s.epoch = epoch
-		if epoch > defaultCacheEpochWindow {
-			floor := epoch - defaultCacheEpochWindow
+		if epoch >= s.swept+defaultCacheEpochWindow {
+			s.swept = epoch
+			floor := epochFloor(epoch)
 			for key, e := range s.last {
 				if e < floor {
 					delete(s.last, key)
@@ -59,6 +73,9 @@ func (s *epochSet[K]) touch(epoch uint64, k K) bool {
 		}
 	}
 	last, ok := s.last[k]
+	if ok && last < epochFloor(s.epoch) {
+		last, ok = 0, false
+	}
 	s.last[k] = max(last, epoch)
 	return ok
 }
@@ -67,8 +84,7 @@ func (s *epochSet[K]) touch(epoch uint64, k K) bool {
 // in the set and not one touch would age out first.
 func (s *epochSet[K]) has(epoch uint64, k K) bool {
 	last, ok := s.last[k]
-	aged := epoch > s.epoch && epoch > defaultCacheEpochWindow && last < epoch-defaultCacheEpochWindow
-	return ok && !aged
+	return ok && last >= epochFloor(max(epoch, s.epoch))
 }
 
 // sendTracker remembers which block keys a member has already received
@@ -145,13 +161,14 @@ func (s blockSender) appendMultiplyArgs(w *codec.FrameWriter, a *multiplyArgs) e
 		w.Byte(0)
 	}
 	if a.pull {
-		// Pull mode ships the placement manifests instead of the operand
-		// blocks — the assigned worker resolves them against its cache, its
-		// peers, and (for entries it owns itself) its local store.
+		// Pull mode names each operand's handle and bands instead of
+		// shipping its blocks: the assigned worker reads its box from them.
 		w.Byte(1)
 		w.Str(a.pullSelf)
-		w.Manifest(a.aManifest)
-		w.Manifest(a.bManifest)
+		for _, ref := range [2]*bandRef{&a.aRef, &a.bRef} {
+			w.Uvarint(ref.handle)
+			appendPartLocs(w, ref.parts)
+		}
 		return nil
 	}
 	w.Byte(0)
@@ -283,16 +300,20 @@ func decodeMultiplyArgs(rd *codec.FrameReader, a *multiplyArgs, cache *blockCach
 	}
 	switch mode {
 	case 1:
-		// Pull body: self address plus the two placement manifests.
+		// Pull body: self address plus each operand's handle and bands.
 		a.pull = true
 		if a.pullSelf, err = rd.Str(); err != nil {
 			return err
 		}
-		if a.aManifest, err = rd.ReadManifest(); err != nil {
-			return err
+		for _, ref := range [2]*bandRef{&a.aRef, &a.bRef} {
+			if ref.handle, err = rd.Uvarint(); err != nil {
+				return err
+			}
+			if ref.parts, err = decodePartLocs(rd); err != nil {
+				return err
+			}
 		}
-		a.bManifest, err = rd.ReadManifest()
-		return err
+		return nil
 	case 0:
 		// push body: inline/ref operand blocks follow
 	default:
@@ -390,16 +411,15 @@ func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64) ([]
 }
 
 func appendMultiplyReply(w *codec.FrameWriter, r *multiplyReply) error {
-	// Pull-resolution counters travel ahead of the C blocks (all zero on
-	// push replies, so push traffic costs three bytes).
-	w.Uvarint(uint64(r.pullHits))
+	// Pull counters travel ahead of the C blocks (both zero on push replies,
+	// so push traffic costs two bytes).
 	w.Uvarint(uint64(r.pullFetches))
 	w.Uvarint(uint64(r.pullPeerBytes))
 	return appendPlainBlocks(w, r.CBlocks)
 }
 
 func decodeMultiplyReply(rd *codec.FrameReader, r *multiplyReply) error {
-	for _, p := range [3]*int64{&r.pullHits, &r.pullFetches, &r.pullPeerBytes} {
+	for _, p := range [2]*int64{&r.pullFetches, &r.pullPeerBytes} {
 		v, err := rd.Uvarint()
 		if err != nil {
 			return fmt.Errorf("%w: pull counters", errWire)

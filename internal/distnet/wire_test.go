@@ -44,13 +44,15 @@ const (
 	bodySelfLinkArgs
 	bodyViewExecArgs
 	bodyFusedExecArgs
+	bodyPullLinkArgs
+	bodyHostilePullArgs
 	bodyKinds
 )
 
 // decodeBody runs the streaming decoder a codec would run for one body.
 func decodeBody(kind int, rd *codec.FrameReader) error {
 	switch kind {
-	case bodyMultiplyArgs, bodyPullMultiplyArgs, bodyColumnArgs, bodyChainArgs, bodySelfLinkArgs:
+	case bodyMultiplyArgs, bodyPullMultiplyArgs, bodyColumnArgs, bodyChainArgs, bodySelfLinkArgs, bodyPullLinkArgs, bodyHostilePullArgs:
 		return decodeMultiplyArgs(rd, new(multiplyArgs), newBlockCache(-1))
 	case bodySumArgs:
 		return decodeSumArgs(rd, new(sumArgs))
@@ -110,8 +112,18 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 	recs := wireSeedRecs()
 	prepareRecs(t, recs)
 	push := multiplyArgs{IHi: 1, JHi: 1, KHi: 2, slabs: 1, ABlocks: recs, BBlocks: recs[:1], cacheEpoch: 3}
-	manifest := &codec.Manifest{Handle: 9, Owners: []string{"10.0.0.1:7070"}, Entries: []codec.ManifestEntry{{KeyI: 1, KeyJ: 2, HasDigest: true}}}
-	pull := multiplyArgs{IHi: 1, JHi: 1, KHi: 1, slabs: 1, pull: true, pullSelf: "10.0.0.1:7070", aManifest: manifest, bManifest: manifest}
+	bands := []partLoc{{Addr: "10.0.0.1:7070", Lo: 0, Hi: 2}, {Addr: "10.0.0.2:7070", Lo: 2, Hi: 4}}
+	pull := multiplyArgs{IHi: 1, JHi: 1, KHi: 1, slabs: 1, pull: true, pullSelf: "10.0.0.1:7070",
+		aRef: bandRef{handle: 9, parts: bands}, bRef: bandRef{handle: 10, parts: bands[1:]}}
+	// A pull column of three slabs cut at the call bound: its second link.
+	pullLink := pull
+	pullLink.KHi, pullLink.slabs = 3, 3
+	pullLink.link = &chainLink{id: 1 << 60, lo: 1, hi: 2, self: "10.0.0.1:7070", prev: "10.0.0.1:7070", wait: 15 * time.Second}
+	// Part lists no driver sends: none at all for A, and for B one inverted,
+	// one past any grid and one empty — the worker reads nothing from them.
+	hostile := pull
+	hostile.aRef = bandRef{handle: 1 << 40}
+	hostile.bRef = bandRef{handle: 3, parts: []partLoc{{Addr: "10.0.0.2:7070", Lo: 5, Hi: 2}, {Addr: "", Lo: 1 << 50, Hi: 1 << 62}, {Addr: "x", Lo: 4, Hi: 4}}}
 	// A (p,q) column of three cuboids: its whole k range and R = 3.
 	column := multiplyArgs{IHi: 2, JHi: 1, KHi: 3, slabs: 3, cuboidP: 1, ABlocks: recs, BBlocks: recs, cacheEpoch: 3}
 	// The second link of that column's chain: slabs [1,3), after the holder
@@ -129,13 +141,15 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 	add := func(kind int, fill func(w *codec.FrameWriter) error) { bodies[kind] = bodyOf(t, fill) }
 	add(bodyMultiplyArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &push) })
 	add(bodyPullMultiplyArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &pull) })
+	add(bodyPullLinkArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &pullLink) })
+	add(bodyHostilePullArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &hostile) })
 	add(bodyColumnArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &column) })
 	add(bodyChainArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &link) })
 	add(bodySelfLinkArgs, func(w *codec.FrameWriter) error { return send.appendMultiplyArgs(w, &self) })
 	add(bodySumArgs, codec.Writes(appendSumArgs, &sumArgs{id: 1 << 60, upTo: 1, wait: 15 * time.Second}))
 	add(bodySumReply, codec.Writes(appendSumReply, &sumReply{blocks: recs}))
 	add(bodyMultiplyReply, func(w *codec.FrameWriter) error {
-		return appendMultiplyReply(w, &multiplyReply{CBlocks: recs, pullHits: 2})
+		return appendMultiplyReply(w, &multiplyReply{CBlocks: recs, pullFetches: 2, pullPeerBytes: 1 << 20})
 	})
 	add(bodyPutArgs, func(w *codec.FrameWriter) error {
 		return appendPutArgs(w, &putArgs{Handle: 5, Epoch: 2, Pin: true, Blocks: recs})
@@ -297,15 +311,15 @@ func forgedCountBodies() map[string]struct {
 		kind int
 		body []byte
 	}{
-		"A block records":  {bodyMultiplyArgs, then(column, 0)},
-		"manifest owners":  {bodyMultiplyArgs, then(column, 1, 0, 9)},
-		"manifest entries": {bodyMultiplyArgs, then(column, 1, 0, 9, 1, 1, 'a')},
-		"reply blocks":     {bodyMultiplyReply, then(make([]byte, 3))},
-		"put blocks":       {bodyPutArgs, then(make([]byte, 4))},
-		"handle ids":       {bodyFreeArgs, then(nil)},
-		"part locations":   {bodyExecArgs, then(make([]byte, 15))},
-		"get blocks":       {bodyGetReply, then(nil)},
-		"sum blocks":       {bodySumReply, then(nil)},
+		"A block records": {bodyMultiplyArgs, then(column, 0)},
+		"pull A parts":    {bodyPullMultiplyArgs, then(column, 1, 0, 9)},
+		"pull B parts":    {bodyPullMultiplyArgs, then(column, 1, 0, 9, 0, 9)},
+		"reply blocks":    {bodyMultiplyReply, then(make([]byte, 2))},
+		"put blocks":      {bodyPutArgs, then(make([]byte, 4))},
+		"handle ids":      {bodyFreeArgs, then(nil)},
+		"part locations":  {bodyExecArgs, then(make([]byte, 15))},
+		"get blocks":      {bodyGetReply, then(nil)},
+		"sum blocks":      {bodySumReply, then(nil)},
 		// Not an element count but a loop bound all the same: 2⁴⁰ slabs for
 		// a k range of one block.
 		"slab count": {bodyMultiplyArgs, binary.AppendUvarint(append([]byte(nil), column[:10]...), 1<<40)},
@@ -347,7 +361,8 @@ var requestMethods = map[int]byte{
 	bodyMultiplyArgs: methodMultiply, bodyPullMultiplyArgs: methodMultiply, bodyColumnArgs: methodMultiply, bodyPutArgs: methodPutBlocks,
 	bodyGetArgs: methodGetBlocks, bodyFreeArgs: methodFreeHandles, bodyPinArgs: methodPinHandle, bodyExecArgs: methodExecOp,
 	bodyChainArgs: methodMultiply, bodySumArgs: methodTakeSum, bodySelfLinkArgs: methodMultiply,
-	bodyViewExecArgs: methodExecOp, bodyFusedExecArgs: methodExecOp,
+	bodyViewExecArgs: methodExecOp, bodyFusedExecArgs: methodExecOp, bodyPullLinkArgs: methodMultiply,
+	bodyHostilePullArgs: methodMultiply,
 }
 
 // wholeFrame puts body behind the header it travels with: seq 1 and its
@@ -572,7 +587,7 @@ func rawWorkerConn(t *testing.T, addr string) (net.Conn, *codec.FrameReader) {
 // worker — with codec.ErrProtocol.
 func TestPreambleRefusesVersion1Peers(t *testing.T) {
 	addrs, _ := startWorkers(t, 1)
-	for _, version := range []byte{1, 3, 4, 5, 7, 8, 9} {
+	for _, version := range []byte{1, 3, 4, 5, 7, 8, 9, 10} {
 		old := workerPreamble
 		old[4] = version
 		l, err := net.Listen("tcp", "127.0.0.1:0")

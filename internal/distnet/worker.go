@@ -139,10 +139,11 @@ func computeCuboid(args *multiplyArgs, reply *multiplyReply) (flops float64, err
 }
 
 // serveCuboid is the worker's one way to run a column or a chain link: a pull
-// column first resolves its manifests into blocks, then its C blocks — or a
-// link's running sum (serveLink) — are computed under a worker.compute
-// span, whose flops and kernel attributes give the call's GFLOP/s against
-// its duration (for a link past the first, the wait for its sum included).
+// call first reads its operands from the bands it names, then its C blocks
+// — or a link's running sum (serveLink) — are computed under a
+// worker.compute span, whose flops and kernel attributes give the call's
+// GFLOP/s against its duration (for a link past the first, the wait for its
+// sum included).
 func (w *Worker) serveCuboid(args *multiplyArgs, reply *multiplyReply) error {
 	if args.pull {
 		if err := w.preparePull(args, reply); err != nil {

@@ -80,25 +80,32 @@ func (w *Worker) closePeers() {
 	}
 }
 
-// peerGet fetches blocks of one handle band from a peer worker, recording a
-// peer.fetch span under parent (0 when untraced) and the per-link traffic.
-// It also returns the payload bytes of the blocks.
-func (w *Worker) peerGet(parent obs.SpanID, addr string, args *getArgs) (*getReply, int64, error) {
+// peerFetch makes one call of method to the peer at addr, bounded by
+// timeout, under a peer.fetch span (label adds the call's own attributes to
+// it), and reads the reply's blocks with decode. It charges the blocks'
+// payload bytes, which it also returns, to the link to that peer. A refusal
+// came back over a working connection, which the calls sharing it still
+// need; only a failed connection is dropped, so the next call redials.
+func (w *Worker) peerFetch(parent obs.SpanID, addr string, method byte, timeout time.Duration, label func(obs.Span),
+	args func(*codec.FrameWriter) error, decode func(*codec.FrameReader) ([]blockRec, error)) ([]blockRec, int64, error) {
 	sp := w.tracer.Start(parent, "peer.fetch", obs.KindWorker)
 	if sp.Active() {
 		sp.SetWorker(w.addr)
 		sp.SetAttr("peer", addr)
+		if label != nil {
+			label(sp)
+		}
 	}
 	defer sp.End()
-	var reply getReply
+	var recs []blockRec
 	client, err := w.peerClient(addr)
 	if err == nil {
-		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-		err = client.Call(ctx, methodGetBlocks, codec.Writes(appendGetArgs, args), codec.Reads(decodeGetReply, &reply))
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		err = client.Call(ctx, method, args, func(rd *codec.FrameReader) (err error) {
+			recs, err = decode(rd)
+			return err
+		})
 		cancel()
-		// A refusal (an evicted band) came back over a working connection,
-		// which the calls sharing it still need; only a failed connection
-		// is dropped.
 		var re *codec.RemoteError
 		if err != nil && !errors.As(err, &re) {
 			w.dropPeer(addr, client)
@@ -111,7 +118,7 @@ func (w *Worker) peerGet(parent obs.SpanID, addr string, args *getArgs) (*getRep
 		return nil, 0, &peerFetchError{addr: addr, err: err}
 	}
 	var bytes int64
-	for _, r := range reply.Blocks {
+	for _, r := range recs {
 		if r.Block != nil {
 			bytes += r.Block.SizeBytes()
 		}
@@ -120,42 +127,76 @@ func (w *Worker) peerGet(parent obs.SpanID, addr string, args *getArgs) (*getRep
 		sp.SetAttr("bytes", fmt.Sprintf("%d", bytes))
 	}
 	w.getStore().addPeerFetch(addr, bytes)
-	return &reply, bytes, nil
+	return recs, bytes, nil
 }
 
-// operandBand is the one way a pipeline operator reads part p of an operand
-// handle: this worker's own band from the store; a peer's from the replica
-// kept of it; failing that from the peer, asking for get's blocks — and
-// when the answer turns out to be the peer's whole band, keeping it as the
-// replica later operators on this worker read. It also returns the payload
-// bytes a fetch moved. A peer band of no block rows holds nothing to ask for.
-func (w *Worker) operandBand(args *execArgs, p partLoc, get getArgs) (*storeEntry, int64, error) {
+// bandReader is what reading operand bands needs of the call that reads
+// them: this worker's address, the session epoch a kept replica is filed
+// under, and the span peer fetches go under.
+type bandReader struct {
+	self   string
+	epoch  uint64
+	parent obs.SpanID
+}
+
+// reader is the band reader of a pipeline operator.
+func (a *execArgs) reader() bandReader {
+	return bandReader{self: a.Self, epoch: a.Epoch, parent: obs.SpanID(a.traceSpan)}
+}
+
+// fetchStats is what band reads moved: the peer fetches they issued and the
+// payload bytes those returned.
+type fetchStats struct {
+	fetches, bytes int64
+}
+
+func (a *fetchStats) add(b fetchStats) {
+	a.fetches += b.fetches
+	a.bytes += b.bytes
+}
+
+// operandBand is the one way a worker reads part p of an operand handle —
+// for a pipeline operator and a pull call alike: this worker's own band from
+// the store; a peer's from the replica kept of it; failing that from the
+// peer, asking for get's blocks — and when the answer turns out to be the
+// peer's whole band, keeping it as the replica later reads on this worker
+// find. It also returns what a fetch moved. A peer band of no block rows
+// holds nothing to ask for.
+func (w *Worker) operandBand(rd bandReader, p partLoc, get getArgs) (*storeEntry, fetchStats, error) {
 	st := w.getStore()
-	if p.Addr == args.Self {
+	if p.Addr == rd.self {
 		e, ok := st.get(get.Handle)
 		if !ok {
-			return nil, 0, errUnknownHandle
+			return nil, fetchStats{}, errUnknownHandle
 		}
-		return e, 0, nil
+		return e, fetchStats{}, nil
 	}
 	if p.Lo >= p.Hi {
-		return &storeEntry{detached: true}, 0, nil
+		return &storeEntry{detached: true}, fetchStats{}, nil
 	}
 	if e, ok := st.replica(get.Handle, p.Addr); ok {
-		return e, 0, nil
+		return e, fetchStats{}, nil
 	}
-	reply, bytes, err := w.peerGet(obs.SpanID(args.traceSpan), p.Addr, &get)
+	var whole bool
+	recs, bytes, err := w.peerFetch(rd.parent, p.Addr, methodGetBlocks, peerCallTimeout, nil, codec.Writes(appendGetArgs, &get),
+		func(r *codec.FrameReader) ([]blockRec, error) {
+			var reply getReply
+			err := decodeGetReply(r, &reply)
+			whole = reply.Whole
+			return reply.Blocks, err
+		})
 	if err != nil {
-		return nil, 0, err
+		return nil, fetchStats{}, err
 	}
-	blocks := make(map[bmat.BlockKey]matrix.Block, len(reply.Blocks))
-	for _, r := range reply.Blocks {
+	moved := fetchStats{fetches: 1, bytes: bytes}
+	blocks := make(map[bmat.BlockKey]matrix.Block, len(recs))
+	for _, r := range recs {
 		blocks[r.Key] = r.Block
 	}
-	if reply.Whole {
-		return st.addReplica(get.Handle, args.Epoch, p.Addr, blocks), bytes, nil
+	if whole {
+		return st.addReplica(get.Handle, rd.epoch, p.Addr, blocks), moved, nil
 	}
-	return &storeEntry{blocks: blocks, detached: true}, bytes, nil
+	return &storeEntry{blocks: blocks, detached: true}, moved, nil
 }
 
 // putBlocks installs one handle's band in the store and reports its resident
@@ -340,14 +381,14 @@ func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64,
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Lo < parts[j].Lo })
 	type bandResult struct {
 		band  *storeEntry
-		bytes int64
+		moved fetchStats
 		err   error
 	}
 	fetch := func(p partLoc) chan bandResult {
 		ch := make(chan bandResult, 1)
 		go func() {
-			band, bytes, err := w.operandBand(args, p, getArgs{Handle: args.B, All: true})
-			ch <- bandResult{band, bytes, err}
+			band, moved, err := w.operandBand(args.reader(), p, getArgs{Handle: args.B, All: true})
+			ch <- bandResult{band, moved, err}
 		}()
 		return ch
 	}
@@ -373,7 +414,7 @@ func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64,
 		if cur.err != nil {
 			return nil, 0, 0, cur.err
 		}
-		peerBytes += cur.bytes
+		peerBytes += cur.moved.bytes
 		box, ok := bandBox(cur.band.blocks, args.OutLo, args.OutHi, args.TransB)
 		if !ok {
 			continue
@@ -435,7 +476,7 @@ func (w *Worker) leftOperand(args *execArgs) (core.Operand, int64, error) {
 		}
 		return core.Operand{Block: func(i, k int) matrix.Block { return blocks[bmat.BlockKey{I: i, J: k}] }}, 0, nil
 	}
-	bands, bytes, err := w.columnSlices(args)
+	bands, moved, err := w.readBands(args.reader(), args.A, args.AParts, args.OutLo, args.OutHi)
 	if err != nil {
 		return core.Operand{}, 0, err
 	}
@@ -446,7 +487,7 @@ func (w *Worker) leftOperand(args *execArgs) (core.Operand, int64, error) {
 			}
 		}
 		return nil
-	}}, bytes, nil
+	}}, moved.bytes, nil
 }
 
 // bandBox is the box of one B band under output rows [lo, hi): the extent
@@ -468,44 +509,49 @@ func bandBox(band map[bmat.BlockKey]matrix.Block, lo, hi int, trans bool) (core.
 	return box, true
 }
 
-// columnSlices fetches, from every band of operand A, its blocks in columns
-// [OutLo, OutHi) — the output band's rows, transposed (operandBand). The
-// bands arrive concurrently. It also returns the payload bytes moved.
-func (w *Worker) columnSlices(args *execArgs) ([]*storeEntry, int64, error) {
-	bands := make([]*storeEntry, len(args.AParts))
-	bytes := make([]int64, len(args.AParts))
-	errs := make([]error, len(args.AParts))
+// pullFetchConcurrency bounds the concurrent peer fetches of one readBands.
+const pullFetchConcurrency = 4
+
+// readBands reads, from each part of handle, its blocks in columns
+// [jlo, jhi) through operandBand, the parts concurrently under
+// pullFetchConcurrency. The bands come back in the parts' order, with what
+// the reads moved between them.
+func (w *Worker) readBands(rd bandReader, handle uint64, parts []partLoc, jlo, jhi int) ([]*storeEntry, fetchStats, error) {
+	bands := make([]*storeEntry, len(parts))
+	moved := make([]fetchStats, len(parts))
+	errs := make([]error, len(parts))
 	sem := make(chan struct{}, pullFetchConcurrency)
 	var wg sync.WaitGroup
-	for pi, p := range args.AParts {
+	for pi, p := range parts {
 		wg.Add(1)
-		go func(pi int, p partLoc) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			bands[pi], bytes[pi], errs[pi] = w.operandBand(args, p, getArgs{
-				Handle: args.A,
+			bands[pi], moved[pi], errs[pi] = w.operandBand(rd, p, getArgs{
+				Handle: handle,
 				ILo:    p.Lo, IHi: p.Hi,
-				JLo: args.OutLo, JHi: args.OutHi,
+				JLo: jlo, JHi: jhi,
 			})
-		}(pi, p)
+		}()
 	}
 	wg.Wait()
-	var peerBytes int64
+	var total fetchStats
 	for pi := range bands {
 		if errs[pi] != nil {
-			return nil, 0, errs[pi]
+			return nil, fetchStats{}, errs[pi]
 		}
-		peerBytes += bytes[pi]
+		total.add(moved[pi])
 	}
-	return bands, peerBytes, nil
+	return bands, total, nil
 }
 
 // execTranspose builds the output band rows [OutLo, OutHi) — the operand's
-// column slice (columnSlices). Emit order is irrelevant: keys are distinct
-// and each block transposes independently.
+// column slice, its blocks in columns [OutLo, OutHi) of every band
+// (readBands). Emit order is irrelevant: keys are distinct and each block
+// transposes independently.
 func (w *Worker) execTranspose(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64, error) {
-	bands, peerBytes, err := w.columnSlices(args)
+	bands, moved, err := w.readBands(args.reader(), args.A, args.AParts, args.OutLo, args.OutHi)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -517,7 +563,7 @@ func (w *Worker) execTranspose(args *execArgs) (map[bmat.BlockKey]matrix.Block, 
 			}
 		}
 	}
-	return out, peerBytes, nil
+	return out, moved.bytes, nil
 }
 
 // execZipOps is the element-wise operator each exec code runs.

@@ -132,8 +132,8 @@ type NetStats struct {
 	// replicate the block.
 	BlocksPrepared int64 `json:"blocks_prepared"`
 	// BlocksHashed counts the prepared records keyed by their SHA-256 digest:
-	// those under 4 KiB, and larger ones whose content may repeat a block
-	// sent in the epoch window. Every other cacheable record gets a fresh key.
+	// those whose content may repeat a block sent in the epoch window. Every
+	// other cacheable record gets a fresh key.
 	BlocksHashed int64 `json:"blocks_hashed"`
 	// BatchItems is always 0: cuboids are dispatched one per call, and the
 	// field stays only because the repository benchmark reads it.
@@ -166,17 +166,14 @@ type NetStats struct {
 	// straggler multiple of the driver's rolling mean — the health plane's
 	// per-worker slowness signal.
 	StragglerRPCs int64 `json:"straggler_rpcs"`
-	// PullJobs counts cuboids dispatched in pull mode (manifest-only
-	// requests; the worker demand-fetches the operand slices) and the band
-	// operators of resident pipelines, which stream their peer bands the
-	// same way. PullCacheHits
-	// counts manifest entries satisfied by the worker's content-addressed
-	// cache without any fetch; PullPeerFetches/PullPeerBytes count the
-	// coalesced worker→worker fetches pull resolution issued and the payload
-	// they moved; PullFallbacks counts pull cuboids the driver downgraded to
-	// inline push after a failed resolution.
+	// PullJobs counts cuboids dispatched in pull mode (requests that name
+	// the operands' bands; the worker reads the slices from them) and the
+	// band operators of resident pipelines, which stream their peer bands
+	// the same way. PullPeerFetches/PullPeerBytes count the worker→worker
+	// band fetches pull calls issued and the payload they moved;
+	// PullFallbacks counts pull cuboids the driver downgraded to inline push
+	// after a failed read.
 	PullJobs        int64 `json:"pull_jobs"`
-	PullCacheHits   int64 `json:"pull_cache_hits"`
 	PullPeerFetches int64 `json:"pull_peer_fetches"`
 	PullPeerBytes   int64 `json:"pull_peer_bytes"`
 	PullFallbacks   int64 `json:"pull_fallbacks"`
@@ -209,9 +206,9 @@ func (n NetStats) String() string {
 		n.PipelineFetches, FormatBytes(n.PipelineFetchBytes),
 		FormatBytes(n.ResidentBytes), FormatBytes(n.DriverBytesAvoided),
 		n.PipelineRecoveries) +
-		fmt.Sprintf(" scale(+%d/-%d retired=%d) stragglers=%d pull(jobs=%d hits=%d fetches=%d/%s fallbacks=%d)",
+		fmt.Sprintf(" scale(+%d/-%d retired=%d) stragglers=%d pull(jobs=%d fetches=%d/%s fallbacks=%d)",
 			n.ScaleUps, n.ScaleDowns, n.WorkersRetired, n.StragglerRPCs,
-			n.PullJobs, n.PullCacheHits, n.PullPeerFetches, FormatBytes(n.PullPeerBytes), n.PullFallbacks)
+			n.PullJobs, n.PullPeerFetches, FormatBytes(n.PullPeerBytes), n.PullFallbacks)
 }
 
 // Recorder accumulates per-step bytes and durations for one job, and the
