@@ -32,11 +32,11 @@ import (
 func main() {
 	addr := flag.String("addr", ":7070", "listen address")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout for in-flight RPCs")
-	cacheBytes := flag.Int64("cache-bytes", 0, "block cache capacity in bytes (0 = default 256 MiB, negative = disabled)")
+	memBytes := flag.Int64("mem-bytes", 0, "memory budget in bytes for cached blocks, handle bands, replicas and running sums (0 = default 512 MiB, negative = unbounded)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/distme and pprof on this address (empty = off, port 0 = pick free port)")
 	flag.Parse()
 
-	wopts := distnet.WorkerOptions{CacheBytes: *cacheBytes}
+	wopts := distnet.WorkerOptions{MemBytes: *memBytes}
 	if *debugAddr != "" {
 		wopts.Tracer = obs.NewTracer()
 	}

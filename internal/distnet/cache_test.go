@@ -33,15 +33,15 @@ func cacheTestMatrices(seed int64) (a, b *bmat.BlockMatrix) {
 	return a, b
 }
 
-// startCacheWorker serves one worker with explicit cache tuning.
-func startCacheWorker(t *testing.T, cacheBytes int64) (string, *Worker) {
+// startCacheWorker serves one worker under an explicit memory budget.
+func startCacheWorker(t *testing.T, memBytes int64) (string, *Worker) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	w, err := ServeOptions(l, WorkerOptions{CacheBytes: cacheBytes})
+	w, err := ServeOptions(l, WorkerOptions{MemBytes: memBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,11 +442,12 @@ func TestCacheEvictionChurnConverges(t *testing.T) {
 }
 
 // TestCacheDisabledWorkerAlwaysRecovers points a caching driver at a worker
-// whose cache is disabled outright: every digest reference must miss, every
-// miss must recover via the inline resend, and the answer must be right.
+// whose memory budget is below one block, so it keeps no block: every digest
+// reference must miss, every miss must recover via the inline resend, and
+// the answer must be right.
 func TestCacheDisabledWorkerAlwaysRecovers(t *testing.T) {
 	a, b := cacheTestMatrices(7004)
-	addr, w := startCacheWorker(t, -1)
+	addr, w := startCacheWorker(t, 8*8*8-1) // an 8×8 dense block's payload is 512 bytes
 	d, err := DialOptions([]string{addr}, fastOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -458,48 +459,56 @@ func TestCacheDisabledWorkerAlwaysRecovers(t *testing.T) {
 	}
 	want := matrix.Mul(a.ToDense(), b.ToDense()).Dense()
 	if !got.ToDense().EqualApprox(want, 1e-9) {
-		t.Fatal("product wrong against cache-disabled worker")
+		t.Fatal("product wrong against a worker that keeps no block")
 	}
 	if d.NetStats().CacheRefMisses == 0 {
 		t.Fatalf("driver never observed a miss: %+v", d.NetStats())
 	}
-	if ws := w.CacheStats(); ws != (CacheStats{}) {
-		t.Fatalf("disabled cache should report zero stats: %+v", ws)
+	if ws := w.CacheStats(); ws.Hits != 0 {
+		t.Fatalf("a worker that keeps no block hit its cache: %+v", ws)
 	}
 }
 
 // TestSendTrackerAgesLikeBlockCache drives a driver's sendTracker and a
-// worker's blockCache through one stream of sends, as the wire pairs them
+// worker's cache tier through one stream of sends, as the wire pairs them
 // (a tracker miss is an insert, a hit a lookup), and holds them to the same
-// set of live keys after every send. Epochs arrive out of order, as under
-// concurrent jobs: a reference refreshes an entry to its own epoch on both
-// sides, never to the newest one seen.
+// set of live keys after every send: a key the tracker would find is one a
+// lookup would find. Epochs arrive out of order, as under concurrent jobs:
+// a reference refreshes an entry to its own epoch on both sides, never to
+// the newest one seen.
 func TestSendTrackerAgesLikeBlockCache(t *testing.T) {
 	key := func(n int) codec.Digest { return codec.Digest{byte(n), byte(n >> 8)} }
 	blk := matrix.NewDense(1, 1)
-	check := func(t *testing.T, tr *sendTracker, c *blockCache, keys int, step string) {
+	// visible reports whether a lookup at the cache's newest epoch would
+	// find dg, touching nothing.
+	visible := func(c *handleStore, dg codec.Digest) bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		e := c.cached[dg]
+		return e != nil && c.win.live(e.epoch)
+	}
+	check := func(t *testing.T, tr *sendTracker, c *handleStore, keys int, step string) {
 		t.Helper()
 		for n := 0; n < keys; n++ {
-			sent := tr.sent.has(tr.sent.epoch, key(n))
-			_, held := c.byDigest[key(n)]
-			if sent != held {
+			sent := tr.sent.has(tr.sent.win.newest, key(n))
+			if held := visible(c, key(n)); sent != held {
 				t.Fatalf("%s: key %d tracked as sent %v, held by the worker %v", step, n, sent, held)
 			}
 		}
 	}
-	send := func(t *testing.T, tr *sendTracker, c *blockCache, epoch uint64, n int) {
+	send := func(t *testing.T, tr *sendTracker, c *handleStore, epoch uint64, n int) {
 		t.Helper()
 		if tr.seen(epoch, key(n)) {
-			if _, ok := c.lookup(epoch, key(n)); !ok {
+			if _, ok := c.cacheLookup(epoch, key(n)); !ok {
 				t.Fatalf("epoch %d: key %d referenced, but the worker dropped it", epoch, n)
 			}
 			return
 		}
-		c.insert(epoch, key(n), blk, 8)
+		c.cacheInsert(epoch, key(n), blk, 8)
 	}
 
 	t.Run("reference behind the newest epoch", func(t *testing.T) {
-		tr, c := &sendTracker{}, newBlockCache(0)
+		tr, c := &sendTracker{}, newHandleStore(0)
 		send(t, tr, c, 5, 0)  // key 0 inserted at epoch 5
 		send(t, tr, c, 11, 1) // a concurrent job's send moves the watermark to 11
 		send(t, tr, c, 10, 0) // key 0 referenced by the job at epoch 10
@@ -507,13 +516,13 @@ func TestSendTrackerAgesLikeBlockCache(t *testing.T) {
 			send(t, tr, c, epoch, 2) // one send per later job, key 0 untouched
 			check(t, tr, c, 3, fmt.Sprintf("epoch %d", epoch))
 		}
-		if _, ok := c.byDigest[key(0)]; ok {
+		if visible(c, key(0)) {
 			t.Fatal("key 0 never aged out")
 		}
 	})
 
 	t.Run("interleaved jobs", func(t *testing.T) {
-		tr, c := &sendTracker{}, newBlockCache(0)
+		tr, c := &sendTracker{}, newHandleStore(0)
 		rng := rand.New(rand.NewSource(7401))
 		// 300 keys at ten sends an epoch: a key recurs about every 30
 		// epochs, so sends straddle the window both ways.

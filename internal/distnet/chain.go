@@ -3,7 +3,6 @@ package distnet
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"time"
 
 	"distme/internal/bmat"
@@ -101,7 +100,7 @@ func (w *Worker) serveLink(args *multiplyArgs, reply *multiplyReply, parent obs.
 			var t taken
 			if l.prev == l.self {
 				// A self-take: the link before ran on this worker.
-				t.recs, t.err = w.sums.take(sumKey{id: l.id, upTo: l.lo}, l.wait)
+				t.recs, t.err = w.getStore().takeSum(sumKey{id: l.id, upTo: l.lo}, l.wait)
 			} else {
 				t.recs, t.err = w.takeSum(parent, l)
 			}
@@ -137,7 +136,7 @@ func (w *Worker) serveLink(args *multiplyArgs, reply *multiplyReply, parent obs.
 		reply.CBlocks = recs
 		return flops, nil
 	}
-	w.sums.put(sumKey{id: l.id, upTo: l.hi}, args.cacheEpoch, recs, l.wait)
+	w.getStore().putSum(sumKey{id: l.id, upTo: l.hi}, args.cacheEpoch, recs, l.wait)
 	return flops, nil
 }
 
@@ -249,7 +248,7 @@ func appendSumReply(w *codec.FrameWriter, r *sumReply) error { return appendPlai
 // giveSum answers a successor's take: the sum once it is made, within the
 // take's wait, else errNoSum.
 func (w *Worker) giveSum(args *sumArgs, reply *sumReply) error {
-	recs, err := w.sums.take(sumKey{id: args.id, upTo: args.upTo}, args.wait)
+	recs, err := w.getStore().takeSum(sumKey{id: args.id, upTo: args.upTo}, args.wait)
 	reply.blocks = recs
 	return err
 }
@@ -260,76 +259,75 @@ type sumKey struct {
 	upTo int
 }
 
-// chainSums are the running sums a worker keeps for the links after its
-// own. A sum leaves when it is taken, when its bound passes, or when its
-// epoch falls defaultCacheEpochWindow behind the newest one kept — so a sum
+// The running sums a worker keeps for the links after its own live in its
+// store, under the memory budget: a held sum is never dropped for room, but
+// its bytes count. A sum leaves when it is taken, when its bound passes, or
+// at the store's sweep after its epoch falls out of the window — so a sum
 // whose successor died is dropped without anyone asking. A sum is kept
 // under the newest epoch seen when it is put: a pull link carries its
 // session's epoch, which may be far older than the push jobs' beside it.
-type chainSums struct {
-	mu     sync.Mutex
-	slots  map[sumKey]*sumSlot
-	newest uint64
-}
 
 // sumSlot is one sum, made or awaited: a take that comes first waits on
-// ready, which put closes.
+// ready, which putSum closes.
 type sumSlot struct {
 	ready chan struct{}
 	made  bool
 	recs  []blockRec
+	bytes int64
 	epoch uint64
 	timer *time.Timer
 }
 
-// slot is k's slot, made when absent; s.mu must be held.
-func (s *chainSums) slot(k sumKey) *sumSlot {
-	if s.slots == nil {
-		s.slots = map[sumKey]*sumSlot{}
-	}
-	sl, ok := s.slots[k]
+// sumSlotLocked is k's slot, made when absent.
+func (s *handleStore) sumSlotLocked(k sumKey) *sumSlot {
+	sl, ok := s.sums[k]
 	if !ok {
 		sl = &sumSlot{ready: make(chan struct{})}
-		s.slots[k] = sl
+		s.sums[k] = sl
 	}
 	return sl
 }
 
-// put keeps recs as k's sum for at most keep, and retires the sums of epochs
-// the window has passed. A second sum under a made key is dropped.
-func (s *chainSums) put(k sumKey, epoch uint64, recs []blockRec, keep time.Duration) {
+// dropSumLocked removes k's slot and releases its bytes.
+func (s *handleStore) dropSumLocked(k sumKey, sl *sumSlot) {
+	delete(s.sums, k)
+	if sl.timer != nil {
+		sl.timer.Stop()
+	}
+	s.sumBytes -= sl.bytes
+}
+
+// putSum keeps recs as k's sum for at most keep. A second sum under a made
+// key is dropped.
+func (s *handleStore) putSum(k sumKey, epoch uint64, recs []blockRec, keep time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.newest = max(s.newest, epoch)
-	epoch = s.newest
-	if epoch > defaultCacheEpochWindow {
-		floor := epoch - defaultCacheEpochWindow
-		for key, sl := range s.slots {
-			if sl.made && sl.epoch < floor {
-				sl.timer.Stop()
-				delete(s.slots, key)
-			}
-		}
-	}
-	sl := s.slot(k)
+	s.ageLocked(epoch)
+	sl := s.sumSlotLocked(k)
 	if sl.made {
 		return
 	}
-	sl.made, sl.recs, sl.epoch = true, recs, epoch
+	sl.made, sl.recs, sl.epoch = true, recs, s.win.newest
+	for _, r := range recs {
+		sl.bytes += r.Block.SizeBytes()
+	}
+	s.sumBytes += sl.bytes
 	close(sl.ready)
 	sl.timer = time.AfterFunc(keep, func() {
 		s.mu.Lock()
-		if s.slots[k] == sl {
-			delete(s.slots, k)
+		if s.sums[k] == sl {
+			s.dropSumLocked(k, sl)
 		}
 		s.mu.Unlock()
 	})
+	s.evictLocked()
 }
 
-// take removes and returns k's sum, waiting at most wait for it to be made.
-func (s *chainSums) take(k sumKey, wait time.Duration) ([]blockRec, error) {
+// takeSum removes and returns k's sum, waiting at most wait for it to be
+// made.
+func (s *handleStore) takeSum(k sumKey, wait time.Duration) ([]blockRec, error) {
 	s.mu.Lock()
-	sl := s.slot(k)
+	sl := s.sumSlotLocked(k)
 	s.mu.Unlock()
 	timer := time.NewTimer(wait)
 	select {
@@ -339,24 +337,15 @@ func (s *chainSums) take(k sumKey, wait time.Duration) ([]blockRec, error) {
 	timer.Stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	mine := s.slots[k] == sl
+	mine := s.sums[k] == sl
+	if mine {
+		s.dropSumLocked(k, sl)
+	}
 	if !sl.made || !mine {
 		// Never made within the wait, or taken or expired already.
-		if mine {
-			delete(s.slots, k)
-		}
 		return nil, fmt.Errorf("%w: chain %x, slabs [0,%d)", errNoSum, k.id, k.upTo)
 	}
-	delete(s.slots, k)
-	sl.timer.Stop()
 	return sl.recs, nil
-}
-
-// held counts the sums kept and the takes waiting.
-func (s *chainSums) held() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.slots)
 }
 
 // lookups are the call's A and B blocks by global block key, absent as nil.

@@ -39,7 +39,10 @@ func cuboidReference(t *testing.T, a, b *bmat.BlockMatrix, params core.Params) *
 func heldSums(workers ...*Worker) int {
 	n := 0
 	for _, w := range workers {
-		n += w.sums.held()
+		st := w.getStore()
+		st.mu.Lock()
+		n += len(st.sums)
+		st.mu.Unlock()
 	}
 	return n
 }
@@ -157,7 +160,7 @@ func startGatedWorker(t *testing.T, gate func()) (string, *Worker) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &Worker{store: newHandleStore(0), cache: newBlockCache(0)}
+	w := &Worker{store: newHandleStore(0)}
 	handlers := w.handlers()
 	multiply := handlers[methodMultiply]
 	handlers[methodMultiply] = func(args *codec.FrameReader) (codec.Call, error) {
@@ -489,7 +492,7 @@ func TestHostileChainLinks(t *testing.T) {
 		if err := rd.Next(); err != nil {
 			t.Fatal(err)
 		}
-		if err := decodeMultiplyArgs(rd, new(multiplyArgs), newBlockCache(-1)); !errors.Is(err, errWire) {
+		if err := decodeMultiplyArgs(rd, new(multiplyArgs), newHandleStore(0)); !errors.Is(err, errWire) {
 			t.Errorf("%s: %v, want errWire", tc.name, err)
 		}
 	}
@@ -543,17 +546,18 @@ func TestHostileChainLinks(t *testing.T) {
 // TestSumOfAnOldEpochOutlivesNewerPuts: a pull link's sum carries its
 // session's epoch, which can be far behind the push jobs' on the same
 // worker. Kept under the newest epoch seen, it is not retired by the next
-// job's sum, and a sum that really falls behind the window still is.
+// job's sum, and a sum that really falls behind the window still is, at the
+// window's sweep.
 func TestSumOfAnOldEpochOutlivesNewerPuts(t *testing.T) {
-	var s chainSums
-	s.put(sumKey{id: 1, upTo: 1}, 100, nil, time.Minute)
-	s.put(sumKey{id: 2, upTo: 1}, 3, nil, time.Minute) // a session opened long ago
-	s.put(sumKey{id: 3, upTo: 1}, 101, nil, time.Minute)
-	if _, err := s.take(sumKey{id: 2, upTo: 1}, 0); err != nil {
+	s := newHandleStore(0)
+	s.putSum(sumKey{id: 1, upTo: 1}, 100, nil, time.Minute)
+	s.putSum(sumKey{id: 2, upTo: 1}, 3, nil, time.Minute) // a session opened long ago
+	s.putSum(sumKey{id: 3, upTo: 1}, 101, nil, time.Minute)
+	if _, err := s.takeSum(sumKey{id: 2, upTo: 1}, 0); err != nil {
 		t.Errorf("the old session's sum after a newer job's: %v", err)
 	}
-	s.put(sumKey{id: 4, upTo: 1}, 101+defaultCacheEpochWindow, nil, time.Minute)
-	if n := s.held(); n != 2 {
+	s.putSum(sumKey{id: 4, upTo: 1}, 101+defaultCacheEpochWindow, nil, time.Minute)
+	if n := len(s.sums); n != 2 {
 		t.Errorf("%d sums held, want the two of the last window", n)
 	}
 }

@@ -307,7 +307,7 @@ func TestPipelineEvictionRecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		if _, err := ServeOptions(l, WorkerOptions{StoreBytes: 6 << 10}); err != nil {
+		if _, err := ServeOptions(l, WorkerOptions{MemBytes: 6 << 10}); err != nil {
 			t.Fatal(err)
 		}
 		addrs = append(addrs, l.Addr().String())

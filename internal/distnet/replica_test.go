@@ -7,8 +7,10 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"distme/internal/bmat"
+	"distme/internal/codec"
 	"distme/internal/core"
 	"distme/internal/engine"
 	"distme/internal/matrix"
@@ -248,7 +250,7 @@ func TestPipelineReplicaEvictedFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		w, err := ServeOptions(l, WorkerOptions{StoreBytes: bound})
+		w, err := ServeOptions(l, WorkerOptions{MemBytes: bound})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,4 +446,75 @@ func TestStoreReplicaMemoRace(t *testing.T) {
 	if done == 0 {
 		t.Fatal("no operator ever finished")
 	}
+}
+
+// TestOneBudgetDropsCacheThenReplicas holds a worker's memory to its one
+// MemBytes: cached blocks go first, then the replica; the pinned bands never
+// go, and a held running sum, never dropped itself, takes its bytes' worth
+// of room from the others.
+func TestOneBudgetDropsCacheThenReplicas(t *testing.T) {
+	const block = 200 // a 5×5 dense block
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	w, err := ServeOptions(l, WorkerOptions{MemBytes: 10 * block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.abort()
+	band := func() map[bmat.BlockKey]matrix.Block {
+		return map[bmat.BlockKey]matrix.Block{{}: matrix.NewDense(5, 5)}
+	}
+	sum := func(blocks int) []blockRec {
+		recs := make([]blockRec, blocks)
+		for i := range recs {
+			recs[i] = blockRec{Key: bmat.BlockKey{J: i}, Block: matrix.NewDense(5, 5)}
+		}
+		return recs
+	}
+	st := w.getStore()
+	cached := 0
+	cache := func(n int) {
+		for range n {
+			cached++
+			st.cacheInsert(1, codec.Digest{byte(cached)}, matrix.NewDense(5, 5), block)
+		}
+	}
+	check := func(step string, entries, evicted int, replica bool) {
+		t.Helper()
+		cs, ss := w.CacheStats(), w.StoreStats()
+		if cs.Entries != entries || cs.Evictions != int64(evicted) {
+			t.Fatalf("%s: %d cached blocks, %d evicted; want %d and %d", step, cs.Entries, cs.Evictions, entries, evicted)
+		}
+		if got := ss.ReplicaBytes != 0; got != replica {
+			t.Fatalf("%s: replica resident %v, want %v", step, got, replica)
+		}
+		if ss.Pinned != 2 || ss.Evictions != 0 {
+			t.Fatalf("%s: %d pinned bands, %d evicted; want 2 and none", step, ss.Pinned, ss.Evictions)
+		}
+	}
+	st.set(1, 1, true, band(), true)
+	st.set(2, 1, true, band(), true)
+	st.addReplica(3, 1, "peer-a", band())
+	cache(7) // 10 blocks: the budget exactly
+	check("full", 7, 0, true)
+	cache(3)
+	check("three more cached", 7, 3, true)
+	st.putSum(sumKey{id: 1, upTo: 1}, 1, sum(4), time.Minute)
+	check("a held sum of four blocks", 3, 7, true)
+	st.putSum(sumKey{id: 2, upTo: 1}, 1, sum(4), time.Minute)
+	check("a second sum", 0, 10, false)
+	cache(1)
+	check("a cached block past pins and sums", 0, 11, false)
+	st.putSum(sumKey{id: 3, upTo: 1}, 1, sum(4), time.Minute) // over the budget: nothing left to drop
+	check("a third sum", 0, 11, false)
+	for id := uint64(1); id <= 3; id++ {
+		if _, err := st.takeSum(sumKey{id: id, upTo: 1}, 0); err != nil {
+			t.Fatalf("sum %d: %v", id, err)
+		}
+	}
+	cache(8)
+	check("the sums taken", 8, 11, false)
 }

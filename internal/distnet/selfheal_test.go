@@ -384,7 +384,7 @@ func TestWorkerStoreConcurrentFreeFetchEviction(t *testing.T) {
 		}
 		t.Cleanup(func() { l.Close() })
 		// A bound small enough that concurrent puts evict each other.
-		if _, err := ServeOptions(l, WorkerOptions{StoreBytes: 24 << 10}); err != nil {
+		if _, err := ServeOptions(l, WorkerOptions{MemBytes: 24 << 10}); err != nil {
 			t.Fatal(err)
 		}
 		addrs = append(addrs, l.Addr().String())

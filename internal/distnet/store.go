@@ -7,11 +7,12 @@ import (
 	"sync"
 
 	"distme/internal/bmat"
+	"distme/internal/codec"
 	"distme/internal/matrix"
 )
 
-// defaultStoreBytes is the worker handle store's default capacity.
-const defaultStoreBytes int64 = 512 << 20
+// defaultMemBytes is the worker's default memory budget.
+const defaultMemBytes int64 = 512 << 20
 
 // StoreStats is a snapshot of one worker's handle-store counters.
 type StoreStats struct {
@@ -73,21 +74,34 @@ type storeEntry struct {
 	detached bool          // not, or no longer, in the store: its memo is charged to nobody
 }
 
-// handleStore is the worker half of the distributed block store: handle id →
-// resident band, epoch-scoped to one driver session, ref-counted by pins,
-// and evictable — a bounded LRU over the unpinned handles, behind a second
-// one over the replicas, which go first: dropping a replica costs its next
-// reader one peer fetch. Losing an owned entry is safe too: reads of a
-// missing handle return errUnknownHandle and the driver recomputes the
-// band from lineage.
+// handleStore is a worker's memory: everything it holds, under one byte
+// budget. Its tiers, in the order the budget drops them:
+//   - cached blocks (blockcache.go), each a resend away;
+//   - replicas of peers' bands, each a peer fetch away;
+//   - the unpinned owned bands — resident handle bands, epoch-scoped to one
+//     driver session — which the driver rebuilds from lineage when a read
+//     of a missing handle returns errUnknownHandle.
+//
+// Each tier is an LRU. Pinned bands (ref-counted by pins) and held running
+// sums (chain.go) count against the budget but are never dropped.
 type handleStore struct {
 	mu       sync.Mutex
-	capBytes int64 // ≤ 0 = unbounded
-	bytes    int64
+	capBytes int64      // ≤ 0 = unbounded
+	bytes    int64      // the bands: owned, replicas and their memos
 	ll       *list.List // front = most recently used, unpinned owned entries only
 	byID     map[uint64]*storeEntry
 	rl       *list.List               // the replicas, front = most recently used
 	replicas map[uint64][]*storeEntry // handle id → the copies of its peers' bands
+
+	// The cache tier, front = most recently used, and the running sums
+	// chain links leave for their successors: both age by win.
+	cl         *list.List
+	cached     map[codec.Digest]*cacheEntry
+	cacheBytes int64
+	cache      CacheStats // the counters; residency is computed
+	sums       map[sumKey]*sumSlot
+	sumBytes   int64
+	win        epochWindow
 
 	puts, execs, evictions, peerFetches, peerFetchBytes, replicaHits int64
 	peerLinks                                                        map[string]*peerLink
@@ -98,11 +112,11 @@ type peerLink struct {
 	fetches, bytes int64
 }
 
-// newHandleStore sizes a store; capBytes 0 takes the default, negative means
-// unbounded (tests exercising eviction pass small positive caps).
+// newHandleStore sizes a store; capBytes 0 takes defaultMemBytes, negative
+// means unbounded.
 func newHandleStore(capBytes int64) *handleStore {
 	if capBytes == 0 {
-		capBytes = defaultStoreBytes
+		capBytes = defaultMemBytes
 	}
 	return &handleStore{
 		capBytes: capBytes,
@@ -110,6 +124,9 @@ func newHandleStore(capBytes int64) *handleStore {
 		byID:     map[uint64]*storeEntry{},
 		rl:       list.New(),
 		replicas: map[uint64][]*storeEntry{},
+		cl:       list.New(),
+		cached:   map[codec.Digest]*cacheEntry{},
+		sums:     map[sumKey]*sumSlot{},
 	}
 }
 
@@ -126,7 +143,7 @@ func blocksWeight(blocks map[bmat.BlockKey]matrix.Block) int64 {
 // set installs (or replaces) a handle's band, dropping what the store held
 // under the id, replicas included. An empty band still creates the entry,
 // so existence checks distinguish "empty matrix slice" from "never
-// received". pin > 0 starts the handle pinned.
+// received". pin starts the handle pinned.
 func (s *handleStore) set(id, epoch uint64, pin bool, blocks map[bmat.BlockKey]matrix.Block, isPut bool) int64 {
 	if blocks == nil {
 		blocks = map[bmat.BlockKey]matrix.Block{}
@@ -333,26 +350,51 @@ func (s *handleStore) removeLocked(e *storeEntry) {
 	s.bytes -= e.bytes
 }
 
-// evictLocked displaces entries past the byte cap: replicas first, least
-// recently used first, then the least-recently-used unpinned handles.
-// Pinned bands never appear in the LRU, so a fully pinned store may exceed
-// the cap — pins are a promise the driver made. Only a displaced handle
-// counts as an eviction: it is the one a later read rebuilds from lineage.
+// evictLocked drops entries while the store holds more than its budget:
+// cached blocks first, then replicas, then unpinned owned bands, least
+// recently used first within each tier. Pinned bands and held sums are in
+// no tier, so they alone may hold the store over its budget — pins are a
+// promise the driver made, and a sum's successor is on its way. Only a
+// dropped owned band counts as a store eviction: it is the one a later read
+// rebuilds from lineage.
 func (s *handleStore) evictLocked() {
-	if s.capBytes <= 0 {
-		return
-	}
-	for s.bytes > s.capBytes {
-		if back := s.rl.Back(); back != nil {
-			s.removeLocked(back.Value.(*storeEntry))
-			continue
-		}
-		back := s.ll.Back()
-		if back == nil {
+	for s.capBytes > 0 && s.bytes+s.cacheBytes+s.sumBytes > s.capBytes {
+		switch {
+		case s.cl.Len() > 0:
+			s.dropCachedLocked(s.cl.Back().Value.(*cacheEntry))
+		case s.rl.Len() > 0:
+			s.removeLocked(s.rl.Back().Value.(*storeEntry))
+		case s.ll.Len() > 0:
+			s.removeLocked(s.ll.Back().Value.(*storeEntry))
+			s.evictions++
+		default:
 			return
 		}
-		s.removeLocked(back.Value.(*storeEntry))
-		s.evictions++
+	}
+}
+
+// ageLocked advances the store's window to epoch and drops what the window
+// has passed: aged cached blocks off the cache LRU's tail, each once, and at
+// the sweep once a window every aged cached block and held sum. An
+// out-of-order touch can leave an aged cached block in mid-list, where it
+// counts as absent (cachedLocked) until the sweep.
+func (s *handleStore) ageLocked(epoch uint64) {
+	sweep := s.win.advance(epoch)
+	for el := s.cl.Back(); el != nil; {
+		prev, e := el.Prev(), el.Value.(*cacheEntry)
+		if !s.win.live(e.epoch) {
+			s.dropCachedLocked(e)
+		} else if !sweep {
+			break
+		}
+		el = prev
+	}
+	if sweep {
+		for k, sl := range s.sums {
+			if sl.made && !s.win.live(sl.epoch) {
+				s.dropSumLocked(k, sl)
+			}
+		}
 	}
 }
 

@@ -32,27 +32,13 @@ const (
 const minCacheableBytes = 256
 
 // epochSet is a set of keys, each kept with the newest epoch that touched
-// it, aged as blockCache ages its entries: a key goes once the newest epoch
-// seen is more than defaultCacheEpochWindow past its own. A touch refreshes
-// a key to the toucher's epoch, never to the newest seen — as
-// blockCache.lookup refreshes a hit — or the driver would outlive the
-// worker's entry when jobs run concurrently. An aged key is out of the set
-// at once but leaves the map only at the sweep a window later, so that a
-// job's first touch does not walk every key of the window. The zero value
-// is empty.
+// it, aged by epochWindow as the worker's cached blocks are. A touch
+// refreshes a key to the toucher's epoch, never to the newest seen — as a
+// worker's cache hit does — or the driver would outlive the worker's entry
+// when jobs run concurrently. The zero value is empty.
 type epochSet[K comparable] struct {
-	epoch uint64 // newest epoch observed
-	swept uint64 // newest epoch at the last sweep
-	last  map[K]uint64
-}
-
-// epochFloor is the oldest epoch a key may carry and be in the set while
-// epoch is the newest seen.
-func epochFloor(epoch uint64) uint64 {
-	if epoch > defaultCacheEpochWindow {
-		return epoch - defaultCacheEpochWindow
-	}
-	return 0
+	win  epochWindow
+	last map[K]uint64
 }
 
 // touch reports whether k is in the set, and marks it at epoch.
@@ -60,20 +46,15 @@ func (s *epochSet[K]) touch(epoch uint64, k K) bool {
 	if s.last == nil {
 		s.last = map[K]uint64{}
 	}
-	if epoch > s.epoch {
-		s.epoch = epoch
-		if epoch >= s.swept+defaultCacheEpochWindow {
-			s.swept = epoch
-			floor := epochFloor(epoch)
-			for key, e := range s.last {
-				if e < floor {
-					delete(s.last, key)
-				}
+	if s.win.advance(epoch) {
+		for key, e := range s.last {
+			if !s.win.live(e) {
+				delete(s.last, key)
 			}
 		}
 	}
 	last, ok := s.last[k]
-	if ok && last < epochFloor(s.epoch) {
+	if ok && !s.win.live(last) {
 		last, ok = 0, false
 	}
 	s.last[k] = max(last, epoch)
@@ -84,7 +65,7 @@ func (s *epochSet[K]) touch(epoch uint64, k K) bool {
 // in the set and not one touch would age out first.
 func (s *epochSet[K]) has(epoch uint64, k K) bool {
 	last, ok := s.last[k]
-	return ok && last >= epochFloor(max(epoch, s.epoch))
+	return ok && s.win.live(last) && last >= epochFloor(epoch)
 }
 
 // sendTracker remembers which block keys a member has already received
@@ -92,8 +73,8 @@ func (s *epochSet[K]) has(epoch uint64, k K) bool {
 // happens at encode time ("commit at send"): requests on one connection are
 // framed, written and read in order, so a later request's reference can only
 // be decoded after the earlier inline copy was. Entries age out by the
-// window blockCache expires by (epochSet), so the driver stops assuming
-// residency when the worker drops the block.
+// window the worker's cached blocks age by (epochSet), so the driver stops
+// assuming residency when the worker drops the block.
 // Concurrent jobs carry distinct epochs; tracking per key (not per epoch)
 // lets them share dedup state. The tracker is deliberately NOT
 // cleared on reconnect — a restarted worker answers the first stale
@@ -270,10 +251,10 @@ func readInts(rd *codec.FrameReader, dst ...*int) error {
 }
 
 // decodeMultiplyArgs parses one column body, resolving digest references
-// against cache; a reference the cache cannot resolve fails the call with
-// errUnknownDigest, and the driver resends inline. A slab count the box
+// against mem's cached blocks; a reference they cannot resolve fails the
+// call with errUnknownDigest, and the driver resends inline. A slab count the box
 // cannot hold is refused before anything is read past it.
-func decodeMultiplyArgs(rd *codec.FrameReader, a *multiplyArgs, cache *blockCache) error {
+func decodeMultiplyArgs(rd *codec.FrameReader, a *multiplyArgs, mem *handleStore) error {
 	if err := readInts(rd, &a.ILo, &a.IHi, &a.JLo, &a.JHi, &a.KLo, &a.KHi); err != nil {
 		return err
 	}
@@ -319,10 +300,10 @@ func decodeMultiplyArgs(rd *codec.FrameReader, a *multiplyArgs, cache *blockCach
 	default:
 		return fmt.Errorf("%w: unknown multiply transfer mode %d", errWire, mode)
 	}
-	if a.ABlocks, err = decodeBlockRecs(rd, cache, epoch); err != nil {
+	if a.ABlocks, err = decodeBlockRecs(rd, mem, epoch); err != nil {
 		return err
 	}
-	a.BBlocks, err = decodeBlockRecs(rd, cache, epoch)
+	a.BBlocks, err = decodeBlockRecs(rd, mem, epoch)
 	return err
 }
 
@@ -370,7 +351,7 @@ func decodeChainLink(rd *codec.FrameReader, slabs int) (*chainLink, error) {
 	return l, nil
 }
 
-func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64) ([]blockRec, error) {
+func decodeBlockRecs(rd *codec.FrameReader, mem *handleStore, epoch uint64) ([]blockRec, error) {
 	// Each record needs at least key + flag bytes; a count beyond the
 	// remaining frame is a forgery.
 	return codec.ReadSlice(rd, "block records", 3, func(rec *blockRec) error {
@@ -389,7 +370,7 @@ func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64) ([]
 		}
 		switch flag {
 		case blockRef:
-			blk, ok := cache.lookup(epoch, dg)
+			blk, ok := mem.cacheLookup(epoch, dg)
 			if !ok {
 				return errUnknownDigest
 			}
@@ -400,7 +381,7 @@ func decodeBlockRecs(rd *codec.FrameReader, cache *blockCache, epoch uint64) ([]
 				return err
 			}
 			if flag == blockInlineCache {
-				cache.insert(epoch, dg, blk, weight)
+				mem.cacheInsert(epoch, dg, blk, weight)
 			}
 			rec.Block = blk
 		default:

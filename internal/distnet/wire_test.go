@@ -23,6 +23,10 @@ import (
 	"distme/internal/obs"
 )
 
+// fuzzMemBytes is the memory budget of the stores hostile bodies are decoded
+// against.
+const fuzzMemBytes = 5 << 10
+
 // Every typed body a socket can deliver, by the number the fuzz target and
 // the seed table share.
 const (
@@ -53,7 +57,7 @@ const (
 func decodeBody(kind int, rd *codec.FrameReader) error {
 	switch kind {
 	case bodyMultiplyArgs, bodyPullMultiplyArgs, bodyColumnArgs, bodyChainArgs, bodySelfLinkArgs, bodyPullLinkArgs, bodyHostilePullArgs:
-		return decodeMultiplyArgs(rd, new(multiplyArgs), newBlockCache(-1))
+		return decodeMultiplyArgs(rd, new(multiplyArgs), newHandleStore(fuzzMemBytes))
 	case bodySumArgs:
 		return decodeSumArgs(rd, new(sumArgs))
 	case bodySumReply:
@@ -198,7 +202,9 @@ func retiredTagRecs(t testing.TB) []blockRec {
 
 // pushVariantBodies are the push bodies the seed table's one leaves out:
 // blocks under retired tags, blocks shipped with their digest for the worker
-// cache, and the same blocks again as digest references.
+// cache, the same blocks again as digest references, and one body that does
+// both — its A blocks, inserted, overrun fuzzMemBytes, so the dense one is
+// evicted, and its B blocks reference the three that stayed.
 func pushVariantBodies(t testing.TB) [][]byte {
 	digested := wireSeedRecs()
 	prepareRecs(t, digested)
@@ -209,12 +215,31 @@ func pushVariantBodies(t testing.TB) [][]byte {
 	var bodies [][]byte
 	for _, v := range []struct {
 		send blockSender
-		recs []blockRec
-	}{{blockSender{}, retiredTagRecs(t)}, {cached, digested}, {cached, digested}} {
-		args := multiplyArgs{IHi: 1, JHi: 1, KHi: 2, slabs: 2, ABlocks: v.recs, cacheEpoch: 3}
+		a, b []blockRec
+	}{{blockSender{}, retiredTagRecs(t), nil}, {cached, digested, nil}, {cached, digested, nil},
+		{blockSender{tracker: &sendTracker{}}, digested, digested[1:]}} {
+		args := multiplyArgs{IHi: 1, JHi: 1, KHi: 2, slabs: 2, ABlocks: v.a, BBlocks: v.b, cacheEpoch: 3}
 		bodies = append(bodies, bodyOf(t, codec.Writes(v.send.appendMultiplyArgs, &args)))
 	}
 	return bodies
+}
+
+// TestHostileBodiesReachTheCacheTier: the last push variant, decoded as
+// FuzzWireBodies decodes it, inserts into the cache tier, evicts from it
+// under fuzzMemBytes, and resolves references from it.
+func TestHostileBodiesReachTheCacheTier(t *testing.T) {
+	body := pushVariantBodies(t)[3]
+	mem := newHandleStore(fuzzMemBytes)
+	rd := codec.NewFrameReader(bytes.NewReader(frameOf(body)))
+	if err := rd.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := decodeMultiplyArgs(rd, new(multiplyArgs), mem); err != nil {
+		t.Fatal(err)
+	}
+	if st := mem.cacheStats(); st.Insertions != 4 || st.Evictions != 1 || st.Hits != 3 || st.Bytes > fuzzMemBytes {
+		t.Fatalf("cache tier under %d bytes: %+v, want 4 insertions, 1 eviction, 3 hits", fuzzMemBytes, st)
+	}
 }
 
 // frameOf prefixes body with its honest length.
@@ -377,7 +402,7 @@ func wholeFrame(kind int, body []byte) []byte {
 // serveRaw feeds raw to a worker's read loop with every call left unrun and
 // returns the first args decoder error and the loop's own.
 func serveRaw(raw []byte) (decodeErr, loopErr error) {
-	handlers := (&Worker{}).handlers()
+	handlers := (&Worker{store: newHandleStore(fuzzMemBytes)}).handlers()
 	for m, h := range handlers {
 		if h == nil {
 			continue // a retired method byte: answered as unknown
@@ -971,7 +996,7 @@ func startForgingWorker(t *testing.T, forge func(box core.Box, reply *multiplyRe
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &Worker{listener: l, cache: newBlockCache(0), store: newHandleStore(0)}
+	w := &Worker{listener: l, store: newHandleStore(0)}
 	handlers := w.handlers()
 	handlers[methodMultiply] = w.admit(false, codec.Method(w.decodeMultiply, func(args *multiplyArgs, reply *multiplyReply) error {
 		if err := w.multiply(args, reply); err != nil || len(reply.CBlocks) == 0 {
@@ -1094,7 +1119,7 @@ func decodeRequestFrame(r io.Reader) (seq uint64, method byte, args multiplyArgs
 	if method, err = fr.U8(); err != nil {
 		return
 	}
-	err = decodeMultiplyArgs(fr, &args, newBlockCache(-1))
+	err = decodeMultiplyArgs(fr, &args, newHandleStore(0))
 	return seq, method, args, unread(fr), err
 }
 
@@ -1186,7 +1211,7 @@ func TestSendTrackerConcurrentEpochs(t *testing.T) {
 	var dg codec.Digest
 	dg[0] = 0xAB
 	tr.forget()
-	base := tr.sent.epoch + 1
+	base := tr.sent.win.newest + 1
 	if tr.seen(base, dg) {
 		t.Fatal("fresh digest reported as already sent")
 	}

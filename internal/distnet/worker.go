@@ -34,14 +34,11 @@ type Worker struct {
 	listener   net.Listener
 	conns      *codec.Listener // answers the connections listener accepts
 
-	// cache is the keyed block store shared by every
-	// connection this worker serves; nil disables caching (references
-	// then miss and the driver resends inline).
-	cache *blockCache
-
-	// store holds handle bands for the distributed block store (created
-	// lazily via getStore for directly constructed workers); peers caches
-	// worker→worker clients for operand-band fetches.
+	// store is everything the worker holds under its memory budget —
+	// cached blocks, handle bands, replicas and running sums — shared by
+	// every connection it serves (created lazily via getStore for directly
+	// constructed workers); peers caches worker→worker clients for
+	// operand-band fetches.
 	store   *handleStore
 	peersMu sync.Mutex
 	peers   map[string]*codec.Client
@@ -57,10 +54,6 @@ type Worker struct {
 	// pull counts the pull plane's resolutions (WorkerPullStats).
 	pull metrics.Counters[WorkerPullStats]
 
-	// sums keeps the running sums of chain links until their successors
-	// take them (chain.go).
-	sums chainSums
-
 	inflight     sync.WaitGroup
 	shutdownOnce sync.Once
 	down         chan struct{} // closed when Shutdown completes
@@ -68,7 +61,7 @@ type Worker struct {
 
 // CacheStats snapshots the worker's block-cache counters (insertions,
 // digest hits/misses, evictions, current residency).
-func (w *Worker) CacheStats() CacheStats { return w.cache.stats() }
+func (w *Worker) CacheStats() CacheStats { return w.getStore().cacheStats() }
 
 // begin admits one call into the in-flight set; it fails once draining. A
 // read (GetBlocks) stays admitted during the drain window — a draining
@@ -280,14 +273,13 @@ func (w *Worker) Wait() {
 
 // WorkerOptions tunes a served worker. The zero value gives defaults.
 type WorkerOptions struct {
-	// CacheBytes bounds the block cache: 0 takes
-	// defaultCacheBytes, negative disables caching (every key reference
-	// then misses and the driver falls back to inline sends).
-	CacheBytes int64
-	// StoreBytes bounds the handle store's unpinned residency: 0 takes
-	// defaultStoreBytes, negative means unbounded. Evicted handles are
-	// rebuilt from lineage by the driver on next use.
-	StoreBytes int64
+	// MemBytes bounds everything the worker holds — cached blocks, handle
+	// bands pinned or not, replicas of peers' bands and held running sums
+	// — under one budget: 0 takes defaultMemBytes, negative means
+	// unbounded. Over it, cached blocks go first (a later reference misses
+	// and the driver resends inline), then replicas, then unpinned bands
+	// (rebuilt from lineage by the driver on next use).
+	MemBytes int64
 	// Tracer, when set, records a worker.compute span per served cuboid
 	// (parented to the driver's RPC-attempt span via the wire) plus
 	// wire.decode spans for request parsing. Nil disables tracing.
@@ -302,12 +294,11 @@ func ServeOptions(l net.Listener, opts WorkerOptions) (*Worker, error) {
 	w := &Worker{
 		listener: l,
 		addr:     l.Addr().String(),
-		cache:    newBlockCache(opts.CacheBytes),
-		store:    newHandleStore(opts.StoreBytes),
+		store:    newHandleStore(opts.MemBytes),
 		tracer:   opts.Tracer,
 		down:     make(chan struct{}),
 	}
-	// Every connection shares the worker's cache, so a block one driver
+	// Every connection shares the worker's store, so a block one driver
 	// connection inlined resolves for another.
 	w.conns = codec.Listen(l, workerPreamble, w.handlers(), workerErrors)
 	return w, nil
@@ -344,12 +335,12 @@ func (w *Worker) admit(read bool, h codec.Handler) codec.Handler {
 	}
 }
 
-// decodeMultiply parses one column request against the worker's block
-// cache, recording the parse as a wire.decode span under the driver's
+// decodeMultiply parses one column request against the worker's cached
+// blocks, recording the parse as a wire.decode span under the driver's
 // attempt.
 func (w *Worker) decodeMultiply(rd *codec.FrameReader, a *multiplyArgs) error {
 	start, off := time.Now(), rd.Offset()
-	err := decodeMultiplyArgs(rd, a, w.cache)
+	err := decodeMultiplyArgs(rd, a, w.getStore())
 	if err == nil && w.tracer.Enabled() && a.traceSpan != 0 {
 		w.tracer.AddCompleted(obs.SpanData{
 			Parent: obs.SpanID(a.traceSpan), Name: "wire.decode", Kind: obs.KindWorker,

@@ -26,8 +26,8 @@ const (
 	peerCallTimeout = 60 * time.Second
 )
 
-// getStore returns the worker's handle store, creating an unbounded-default
-// one for workers constructed directly (tests, stand-ins) rather than via
+// getStore returns the worker's handle store, creating one under the default
+// budget for workers constructed directly (tests, stand-ins) rather than via
 // ServeOptions.
 func (w *Worker) getStore() *handleStore {
 	w.mu.Lock()

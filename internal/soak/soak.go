@@ -120,9 +120,9 @@ const (
 	proxyNth            = 2
 	proxyAcceptDelayMax = 30 * time.Millisecond
 	proxyChunkDelay     = 4 * time.Millisecond
-	// workerStoreBytes keeps the handle stores small enough that pipeline
-	// jobs exercise eviction pressure during bursts.
-	workerStoreBytes = 512 << 10
+	// workerMemBytes keeps the workers' memory budgets small enough that
+	// pipeline jobs exercise eviction pressure during bursts.
+	workerMemBytes = 512 << 10
 	// recoveryTimeout caps one kill's recovery watch.
 	recoveryTimeout = 10 * time.Second
 )
@@ -253,7 +253,7 @@ func startHarness(p Profile, autoscale bool, tracer *obs.Tracer) (*harness, erro
 		killed:  map[string]bool{},
 	}
 	h.pool = &distnet.InProcPool{
-		Opts: distnet.WorkerOptions{StoreBytes: workerStoreBytes},
+		Opts: distnet.WorkerOptions{MemBytes: workerMemBytes},
 	}
 	h.pool.Wrap = func(realAddr string) string {
 		n := h.grown.Add(1)
