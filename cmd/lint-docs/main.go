@@ -19,8 +19,9 @@
 // path that does not exist — a package table that outlives its package —
 // or names in backticks an exported `pkg.Name` or `pkg.Type.Member`, with
 // pkg one of the knownImports qualifiers, that the package's non-test
-// source does not declare — prose that outlives its field or function —
-// or names in backticks a `make <target>` the Makefile does not define.
+// source does not declare, or an unqualified `Type.Member` that none of
+// them declares — prose that outlives its field or function — or names in
+// backticks a `make <target>` the Makefile does not define.
 package main
 
 import (
@@ -79,6 +80,7 @@ var (
 	pathRef    = regexp.MustCompile(`\b(?:internal|cmd|examples)/[A-Za-z0-9_-]+`)
 	codeSpan   = regexp.MustCompile("`[^`]+`")
 	symbolRef  = regexp.MustCompile(`(?:^|[^\w."'/])([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?`)
+	memberRef  = regexp.MustCompile(`(?:^|[^\w."'/])([A-Z]\w*)\.([A-Z]\w*)`)
 )
 
 func main() {
@@ -212,9 +214,11 @@ func stalePaths(file, text string, exists func(rel string) bool) []string {
 
 // staleSymbols lists, as "file:line: pkg.Name[.Member]", every exported
 // name a backticked span of one markdown file's prose (fences skipped)
-// qualifies by a knownImports package whose exports do not declare it. The
-// first column of a migration table — one headed "| removed |" — names
-// what is gone on purpose and is not checked.
+// qualifies by a knownImports package whose exports do not declare it, and
+// as "file:line: Type.Member" every unqualified exported Type.Member no
+// knownImports package declares. The first column of a migration table —
+// one headed "| removed |" — names what is gone on purpose and is not
+// checked.
 func staleSymbols(file, text string, exports map[string]map[string]bool) []string {
 	var out []string
 	inFence, inRemoved := false, false
@@ -237,9 +241,25 @@ func staleSymbols(file, text string, exports map[string]map[string]bool) []strin
 					out = append(out, fmt.Sprintf("%s:%d: %s", file, i+1, ref))
 				}
 			}
+			for _, m := range memberRef.FindAllStringSubmatch(span, -1) {
+				if !declaredAnywhere(exports, m[1], m[2]) {
+					out = append(out, fmt.Sprintf("%s:%d: %s.%s", file, i+1, m[1], m[2]))
+				}
+			}
 		}
 	}
 	return out
+}
+
+// declaredAnywhere reports whether some package's exports declare name as a
+// type with member (declared).
+func declaredAnywhere(exports map[string]map[string]bool, name, member string) bool {
+	for _, pkg := range exports {
+		if pkg[name+"."] && declared(pkg, name, member) {
+			return true
+		}
+	}
+	return false
 }
 
 // staleTargets lists, as "file:line: make target", every target a

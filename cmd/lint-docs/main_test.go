@@ -27,9 +27,11 @@ func TestStaleSymbolsNamesMissingExports(t *testing.T) {
 		"not `distnet.Dial(addrs)`, nor `distnet.Options.Nope`, nor `d.Execute` on a `bmat.Nope`\n" +
 		"```go\nd, err := distnet.Dial(addrs)\n```\n" +
 		"| removed | replacement |\n" +
-		"| `distnet.Serve(l)` | `distnet.ServeOptions(l, distnet.WorkerOptions{})`, not `distnet.Serve` |\n"
+		"| `distnet.Serve(l)` | `distnet.ServeOptions(l, distnet.WorkerOptions{})`, not `distnet.Serve` |\n" +
+		"unqualified, `Options.Recorder` and `Worker.StoreStats` resolve; `GetReply.Whole` and `Options.Nope` do not; `README.md` names no type\n"
 	got := staleSymbols("docs/X.md", text, exports)
-	want := []string{"docs/X.md:2: distnet.Dial", "docs/X.md:2: distnet.Options.Nope", "docs/X.md:7: distnet.Serve"}
+	want := []string{"docs/X.md:2: distnet.Dial", "docs/X.md:2: distnet.Options.Nope", "docs/X.md:7: distnet.Serve",
+		"docs/X.md:8: GetReply.Whole", "docs/X.md:8: Options.Nope"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("staleSymbols = %q, want %q", got, want)
 	}

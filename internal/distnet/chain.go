@@ -81,63 +81,85 @@ func (r *cuboidRun) faces(wholes []*multiplyArgs, slabs [][2][]int64) core.Faces
 // ---------------------------------------------------------------------------
 // The worker's side
 
-// serveLink computes one link of a column: its slabs into fresh tiles, then
-// — past the first link — the running sum taken from the predecessor, on
-// another worker or this one, with the slabs folded into it in ascending r. The take starts with the link, so the
-// sum crosses while the slabs are computed; only the fold waits for both.
-// The last link's tiles are the column's C blocks; any other link's are
-// kept for its successor to take.
-func (w *Worker) serveLink(args *multiplyArgs, reply *multiplyReply, parent obs.SpanID) (flops float64, err error) {
-	l, box := args.link, args.box()
+// serveLink computes one link of a column (foldLink) — a lone call is the
+// link of all R slabs, with no predecessor — taking, past the first link,
+// the running sum from the predecessor, on another worker or this one. The
+// last link's tiles are the column's C blocks; any other link's are kept for
+// its successor to take.
+func (w *Worker) serveLink(args *multiplyArgs, reply *multiplyReply, parent obs.SpanID) (float64, error) {
+	l := args.link
+	var take func() ([]blockRec, error)
+	if l != nil && l.lo > 0 {
+		take = func() ([]blockRec, error) {
+			if l.prev == l.self {
+				// A self-take: the link before ran on this worker.
+				return w.getStore().takeSum(sumKey{id: l.id, upTo: l.lo}, l.wait)
+			}
+			return w.takeSum(parent, l)
+		}
+	}
+	tiles, flops, err := foldLink(args, take)
+	if err != nil {
+		return 0, err
+	}
+	recs := tileRecs(args.box(), tiles)
+	if l == nil || l.hi == args.slabs {
+		reply.CBlocks = recs
+	} else {
+		w.getStore().putSum(sumKey{id: l.id, upTo: l.hi}, args.cacheEpoch, recs, l.wait)
+	}
+	return flops, nil
+}
+
+// foldLink is the arithmetic of one call wherever it runs, a worker's link
+// or the driver's local fallback of a whole column: its slabs (slabRange)
+// computed and folded by core.FoldSlab in ascending r — for the first link
+// from nothing, core.MultiplyColumn's loop bit for bit; for a later one into
+// the running sum take returns. The take starts with the link, so the sum
+// crosses while the slabs are computed; only the fold waits for both. It
+// reports the flops spent.
+func foldLink(args *multiplyArgs, take func() ([]blockRec, error)) ([]*matrix.Dense, float64, error) {
+	box := args.box()
+	if err := checkBox(box); err != nil {
+		return nil, 0, err
+	}
 	type taken struct {
 		recs []blockRec
 		err  error
 	}
 	var sum chan taken
-	if l.lo > 0 {
+	if take != nil {
 		sum = make(chan taken, 1)
-		go func() {
-			var t taken
-			if l.prev == l.self {
-				// A self-take: the link before ran on this worker.
-				t.recs, t.err = w.getStore().takeSum(sumKey{id: l.id, upTo: l.lo}, l.wait)
-			} else {
-				t.recs, t.err = w.takeSum(parent, l)
-			}
-			sum <- t
-		}()
+		go func() { recs, err := take(); sum <- taken{recs, err} }()
 	}
+	lo, hi := args.slabRange()
 	lookupA, lookupB := args.lookups()
 	var tiles []*matrix.Dense
 	var fresh [][]*matrix.Dense
-	for r := l.lo; r < l.hi; r++ {
+	var flops float64
+	for r := lo; r < hi; r++ {
 		slab, f := core.MultiplyBox(box.Slab(r, args.slabs), lookupA, lookupB, nil)
 		flops += f
-		if l.lo == 0 {
+		if take == nil {
 			tiles = core.FoldSlab(tiles, slab)
 		} else {
 			fresh = append(fresh, slab)
 		}
 	}
-	if sum != nil {
+	if take != nil {
 		t := <-sum
 		if t.err != nil {
-			return flops, t.err
+			return nil, 0, t.err
 		}
+		var err error
 		if tiles, err = sumTiles(box, t.recs, fresh); err != nil {
-			return flops, err
+			return nil, 0, err
 		}
 		for _, slab := range fresh {
 			tiles = core.FoldSlab(tiles, slab)
 		}
 	}
-	recs := tileRecs(box, tiles)
-	if l.hi == args.slabs {
-		reply.CBlocks = recs
-		return flops, nil
-	}
-	w.getStore().putSum(sumKey{id: l.id, upTo: l.hi}, args.cacheEpoch, recs, l.wait)
-	return flops, nil
+	return tiles, flops, nil
 }
 
 // tileRecs lists a box's tiles, nil where no pair met, as keyed records.
@@ -350,14 +372,7 @@ func (s *handleStore) takeSum(k sumKey, wait time.Duration) ([]blockRec, error) 
 
 // lookups are the call's A and B blocks by global block key, absent as nil.
 func (a *multiplyArgs) lookups() (lookupA, lookupB func(row, col int) matrix.Block) {
-	index := func(recs []blockRec) map[bmat.BlockKey]matrix.Block {
-		m := make(map[bmat.BlockKey]matrix.Block, len(recs))
-		for _, r := range recs {
-			m[r.Key] = r.Block
-		}
-		return m
-	}
-	aBlocks, bBlocks := index(a.ABlocks), index(a.BBlocks)
+	aBlocks, bBlocks := blockMap(a.ABlocks), blockMap(a.BBlocks)
 	return func(i, k int) matrix.Block { return aBlocks[bmat.BlockKey{I: i, J: k}] },
 		func(k, j int) matrix.Block { return bBlocks[bmat.BlockKey{I: k, J: j}] }
 }

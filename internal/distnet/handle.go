@@ -446,7 +446,7 @@ func (s *Session) Fetch(ctx context.Context, h *Handle) (*bmat.BlockMatrix, erro
 		var bytes int64
 		for _, p := range s.parts(h.ib) {
 			var reply getReply
-			if err := s.callMember(ctx, p.m, methodGetBlocks, 0, codec.Writes(appendGetArgs, &getArgs{Handle: h.id, All: true}), codec.Reads(decodeGetReply, &reply)); err != nil {
+			if err := s.callMember(ctx, p.m, methodGetBlocks, 0, codec.Writes(appendGetArgs, &getArgs{Handle: h.id, blockRect: blockRect{ILo: p.lo, IHi: p.hi, JHi: ceilDivInt(h.cols, h.blockSize)}}), codec.Reads(decodeGetReply, &reply)); err != nil {
 				return err
 			}
 			for _, r := range reply.Blocks {

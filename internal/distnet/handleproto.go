@@ -1,6 +1,7 @@
 package distnet
 
 import (
+	"math"
 	"strings"
 
 	"distme/internal/plan"
@@ -24,24 +25,36 @@ type putArgs struct {
 	traceSpan uint64
 }
 
-// getArgs reads a handle's resident blocks — issued by the driver for
-// Fetch and worker→worker for operand bands a pipeline operator lacks.
+// blockRect is a rectangle of a handle's block grid: rows [ILo, IHi) and
+// columns [JLo, JHi), math.MaxInt for a side open to the grid's edge.
+type blockRect struct {
+	ILo, IHi, JLo, JHi int
+}
+
+// allCols is the rectangle of block rows [lo, hi), every column.
+func allCols(lo, hi int) blockRect { return blockRect{ILo: lo, IHi: hi, JHi: math.MaxInt} }
+
+func (r blockRect) contains(c blockRect) bool {
+	return r.ILo <= c.ILo && c.IHi <= r.IHi && r.JLo <= c.JLo && c.JHi <= r.JHi
+}
+
+// getArgs reads the blocks of a handle's band inside a rectangle — issued by
+// the driver for Fetch and worker→worker for the cuts of operand bands a
+// call or a pipeline operator reads (Worker.readCut).
 type getArgs struct {
 	Handle uint64
-	// All requests every block of the band; otherwise only blocks with
-	// ILo ≤ I < IHi and JLo ≤ J < JHi are returned.
-	All                bool
-	ILo, IHi, JLo, JHi int
+	blockRect
 
 	traceSpan uint64
 }
 
-// getReply carries the requested blocks (inline fp64).
+// getReply carries the requested blocks (inline fp64) and the rectangle they
+// answer for: the cut, widened to the grid's edge on every side the band
+// holds no block beyond, so the copy a peer keeps of it serves any later cut
+// that rectangle contains.
 type getReply struct {
 	Blocks []blockRec
-	// Whole reports that Blocks is every block of the band, whatever was
-	// asked for: the copy a peer keeps of it can serve any later read.
-	Whole bool
+	Cover  blockRect
 }
 
 // freeArgs drops handles from a worker's store. AllEpoch frees every handle

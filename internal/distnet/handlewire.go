@@ -70,28 +70,25 @@ func appendCount(w *codec.FrameWriter, n *int64) error {
 	return nil
 }
 
-func appendGetArgs(w *codec.FrameWriter, a *getArgs) error {
-	w.Uvarint(a.Handle)
-	w.Bool(a.All)
-	for _, v := range [4]int{a.ILo, a.IHi, a.JLo, a.JHi} {
+func appendRect(w *codec.FrameWriter, r *blockRect) {
+	for _, v := range [4]int{r.ILo, r.IHi, r.JLo, r.JHi} {
 		w.Uvarint(uint64(v))
 	}
+}
+
+func appendGetArgs(w *codec.FrameWriter, a *getArgs) error {
+	w.Uvarint(a.Handle)
+	appendRect(w, &a.blockRect)
 	w.Uvarint(a.traceSpan)
 	return nil
 }
 
-func decodeGetArgs(rd *codec.FrameReader, a *getArgs) error {
-	var err error
-	if a.Handle, err = rd.Uvarint(); err != nil {
-		return err
+func decodeGetArgs(rd *codec.FrameReader, a *getArgs) (err error) {
+	if a.Handle, err = rd.Uvarint(); err == nil {
+		if err = readInts(rd, &a.ILo, &a.IHi, &a.JLo, &a.JHi); err == nil {
+			a.traceSpan, err = rd.Uvarint()
+		}
 	}
-	if a.All, err = rd.Bool(); err != nil {
-		return err
-	}
-	if err := readInts(rd, &a.ILo, &a.IHi, &a.JLo, &a.JHi); err != nil {
-		return err
-	}
-	a.traceSpan, err = rd.Uvarint()
 	return err
 }
 
@@ -99,16 +96,14 @@ func appendGetReply(w *codec.FrameWriter, r *getReply) error {
 	if err := appendPlainBlocks(w, r.Blocks); err != nil {
 		return err
 	}
-	w.Bool(r.Whole)
+	appendRect(w, &r.Cover)
 	return nil
 }
 
-func decodeGetReply(rd *codec.FrameReader, r *getReply) error {
-	var err error
-	if r.Blocks, err = decodePlainBlocks(rd); err != nil {
-		return err
+func decodeGetReply(rd *codec.FrameReader, r *getReply) (err error) {
+	if r.Blocks, err = decodePlainBlocks(rd); err == nil {
+		err = readInts(rd, &r.Cover.ILo, &r.Cover.IHi, &r.Cover.JLo, &r.Cover.JHi)
 	}
-	r.Whole, err = rd.Bool()
 	return err
 }
 

@@ -633,11 +633,11 @@ func (d *Driver) computeLocally(col *column, parent obs.Span, cause error) (*mul
 	if lsp.Active() {
 		lsp.SetAttr("cause", cause.Error())
 	}
-	reply := new(multiplyReply)
-	if _, err := computeCuboid(&whole, reply); err != nil {
+	tiles, _, err := foldLink(&whole, nil)
+	if err != nil {
 		return nil, err
 	}
-	return reply, nil
+	return &multiplyReply{CBlocks: tileRecs(whole.box(), tiles)}, nil
 }
 
 // jobPrep prepares the operand blocks one job ships inline: each distinct

@@ -49,7 +49,10 @@ import (
 // pull multiply names each operand by its handle and the bands it lives in
 // where version 10's listed every block of the box in a placement manifest,
 // and its reply carries two pull counters where version 10's carried three.
-var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 11}
+// Version 12's block read names the rectangle it cuts out of a band, with no
+// flag for the whole band, and its reply names the rectangle it answers for
+// where version 11's said only whether it was the whole band.
+var workerPreamble = codec.Preamble{'D', 'M', 'W', 'K', 12}
 
 // The worker socket's methods, by the byte a request names them with.
 const (
@@ -74,6 +77,15 @@ type blockRec struct {
 	// from it and, when it carries a digest, repeat sends to the same worker
 	// become a 32-byte reference.
 	prep *codec.Prepared
+}
+
+// blockMap indexes records by their keys.
+func blockMap(recs []blockRec) map[bmat.BlockKey]matrix.Block {
+	m := make(map[bmat.BlockKey]matrix.Block, len(recs))
+	for _, r := range recs {
+		m[r.Key] = r.Block
+	}
+	return m
 }
 
 // multiplyArgs ships one link of a (p,q) column to a worker — the voxel box
@@ -173,13 +185,19 @@ type chainLink struct {
 	group int
 }
 
-// slabCount is how many of the column's cuboids the call computes: its
-// link's slabs, or all of its slabs.
-func (a *multiplyArgs) slabCount() int {
+// slabRange is the column's slabs [lo, hi) the call computes: its link's,
+// or all R of them.
+func (a *multiplyArgs) slabRange() (lo, hi int) {
 	if a.link != nil {
-		return a.link.hi - a.link.lo
+		return a.link.lo, a.link.hi
 	}
-	return a.slabs
+	return 0, a.slabs
+}
+
+// slabCount is how many of the column's cuboids the call computes.
+func (a *multiplyArgs) slabCount() int {
+	lo, hi := a.slabRange()
+	return hi - lo
 }
 
 // box is the call's voxel box.

@@ -11,6 +11,7 @@ import (
 	"distme/internal/core"
 	"distme/internal/engine"
 	"distme/internal/matrix"
+	"distme/internal/obs"
 	"distme/internal/plan"
 )
 
@@ -158,61 +159,97 @@ func TestPullFetchCountedInStoreAndPull(t *testing.T) {
 	}
 }
 
-// TestSessionMultiplyPullDedup runs the same pull multiply twice in one
-// session: every remote band the first run read whole stays on its reader as
-// a replica, so the second run's reads are all replica hits — no peer byte
-// moves — and the product is the same bit for bit.
+// TestSessionMultiplyPullDedup repeats a pull multiply in one session: every
+// cut of a remote band a run reads stays on its reader as a replica, whole
+// band or not, so once every worker has run every column the repeats' reads
+// are all replica hits — no peer byte moves — and the product is the same
+// bit for bit. Homes rotate by one member a job: a plan of three columns or
+// fewer on three workers has run every column everywhere after three runs.
 func TestSessionMultiplyPullDedup(t *testing.T) {
-	addrs, workers := startWorkers(t, 3)
-	d, err := DialOptions(addrs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	ctx := context.Background()
-	// P = 3 over three workers cuts A's rows as its bands are cut, and
-	// Q = R = 1 makes B's box all of B: every band a column reads is read
-	// whole.
-	rng := rand.New(rand.NewSource(102))
-	a := bmat.RandomDense(rng, 32, 24, 8)
-	b := bmat.RandomDense(rng, 24, 32, 8)
-	params := core.Params{P: 3, Q: 1, R: 1}
+	for _, tc := range []struct {
+		name string
+		// a is m×k and b k×n, in 8-blocks.
+		m, k, n int
+		params  core.Params
+		memory  int64 // WorkerMemBytes; 0 for the default
+		links   int   // the calls of one run
+		runs    int
+		warm    int // the first run that must move nothing
+	}{
+		// P = 3 over three workers cuts A's rows as its bands are cut, and
+		// Q = R = 1 makes B's box all of B: every band a column reads is
+		// read whole.
+		{name: "whole bands", m: 32, k: 24, n: 32, params: core.Params{P: 3, Q: 1, R: 1}, links: 3, runs: 2, warm: 2},
+		// A column's A box cuts the middle band's rows, its B box half of
+		// every band's columns.
+		{name: "cut bands", m: 48, k: 24, n: 48, params: core.Params{P: 2, Q: 2, R: 1}, links: 4, runs: 6, warm: 4},
+		// R = 2 under a call bound below a column's 9 KiB of operands and
+		// above its larger slab's 6 KiB: each column is two links on its
+		// holder, and each link reads its slab's k range of the bands.
+		{name: "k-cut links", m: 48, k: 24, n: 48, params: core.Params{P: 2, Q: 2, R: 2}, memory: 7 << 10, links: 8, runs: 6, warm: 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs, workers := startWorkers(t, 3)
+			tr := obs.NewTracer()
+			dopts := Options{Tracer: tr}
+			d, err := DialOptions(addrs, dopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(102))
+			a := bmat.RandomDense(rng, tc.m, tc.k, 8)
+			b := bmat.RandomDense(rng, tc.k, tc.n, 8)
 
-	s := newSession(t, d)
-	ha, err := s.Put(ctx, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := s.Put(ctx, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replicaHits := func() (n int64) {
-		for _, w := range workers {
-			n += w.StoreStats().ReplicaHits
-		}
-		return n
-	}
-	opts := MultiplyOptions{Params: &params, Transfer: core.TransferPull}
-	first, _, err := s.Multiply(ctx, ha, hb, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, hitsBefore := d.NetStats(), replicaHits()
-	if before.PullPeerBytes == 0 {
-		t.Fatal("the first pull multiply fetched nothing from a peer")
-	}
-	second, _, err := s.Multiply(ctx, ha, hb, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitIdentical(t, second, first)
-	delta := d.NetStats().Sub(before)
-	if delta.PullPeerFetches != 0 || delta.PullPeerBytes != 0 {
-		t.Fatalf("second pull multiply fetched %d times, %d peer bytes; want none", delta.PullPeerFetches, delta.PullPeerBytes)
-	}
-	if hits := replicaHits(); hits <= hitsBefore {
-		t.Fatalf("second pull multiply added no replica hits (%d -> %d)", hitsBefore, hits)
+			s := newSession(t, d)
+			ha, err := s.Put(ctx, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hb, err := s.Put(ctx, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replicaHits := func() (n int64) {
+				for _, w := range workers {
+					n += w.StoreStats().ReplicaHits
+				}
+				return n
+			}
+			opts := MultiplyOptions{Params: &tc.params, Transfer: core.TransferPull, WorkerMemBytes: tc.memory}
+			var first *bmat.BlockMatrix
+			for run := 1; run <= tc.runs; run++ {
+				before, hitsBefore := d.NetStats(), replicaHits()
+				got, _, err := s.Multiply(ctx, ha, hb, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				delta := d.NetStats().Sub(before)
+				t.Logf("run %d: %d peer fetches, %d peer bytes", run, delta.PullPeerFetches, delta.PullPeerBytes)
+				if run == 1 {
+					first = got
+					if delta.PullPeerBytes == 0 {
+						t.Fatal("the first pull multiply fetched nothing from a peer")
+					}
+					_, byName := spanIndex(tr.Snapshot().Spans)
+					if n := len(byName["rpc.multiply"]); n != tc.links {
+						t.Fatalf("%d multiply calls, want %d", n, tc.links)
+					}
+					continue
+				}
+				bitIdentical(t, got, first)
+				if run < tc.warm {
+					continue
+				}
+				if delta.PullPeerFetches != 0 || delta.PullPeerBytes != 0 {
+					t.Fatalf("run %d fetched %d times, %d peer bytes; want none", run, delta.PullPeerFetches, delta.PullPeerBytes)
+				}
+				if hits := replicaHits(); hits <= hitsBefore {
+					t.Fatalf("run %d added no replica hits (%d -> %d)", run, hitsBefore, hits)
+				}
+			}
+		})
 	}
 }
 

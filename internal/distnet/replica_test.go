@@ -3,6 +3,7 @@ package distnet
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -164,11 +165,11 @@ func TestPipelineReplicaReuse(t *testing.T) {
 	// GetBlocks answers with the band the worker owns, never with the copy
 	// it keeps of its peer's.
 	var reply getReply
-	if err := w1.getBlocks(&getArgs{Handle: binds["v"].id, All: true}, &reply); err != nil {
+	if err := w1.getBlocks(&getArgs{Handle: binds["v"].id, blockRect: allCols(0, math.MaxInt)}, &reply); err != nil {
 		t.Fatal(err)
 	}
-	if len(reply.Blocks) == 0 || !reply.Whole {
-		t.Fatalf("own band: %d blocks, whole=%v", len(reply.Blocks), reply.Whole)
+	if len(reply.Blocks) == 0 || reply.Cover != allCols(0, math.MaxInt) {
+		t.Fatalf("own band: %d blocks, answering for %v", len(reply.Blocks), reply.Cover)
 	}
 	for _, r := range reply.Blocks {
 		if r.Key.I < half {
@@ -178,6 +179,11 @@ func TestPipelineReplicaReuse(t *testing.T) {
 			t.Fatalf("GetBlocks returned block (%d,%d) in its memoised form", r.Key.I, r.Key.J)
 		}
 	}
+
+	// A cut of a peer's band that is not all of it is kept too, under the
+	// rectangle it answers for: here the first worker's, of V's band on the
+	// second, two block columns of its first three rows.
+	keepPartial(t, s, workers[0], binds["v"])
 
 	// Free gives back everything held under the handle: band, copies, memos.
 	for _, h := range []*Handle{out, out2, binds["v"], binds["w"]} {
@@ -196,12 +202,14 @@ func TestPipelineReplicaReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Run(ctx, expr, putAll(t, s2, inputs)); err != nil {
+	binds2 := putAll(t, s2, inputs)
+	if _, err := s2.Run(ctx, expr, binds2); err != nil {
 		t.Fatal(err)
 	}
 	if st := w1.StoreStats(); st.ReplicaBytes == 0 || st.CSCMemoBytes == 0 {
 		t.Fatalf("second session kept no replica: %+v", st)
 	}
+	keepPartial(t, s2, workers[0], binds2["v"])
 	if err := s2.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -209,6 +217,36 @@ func TestPipelineReplicaReuse(t *testing.T) {
 		if st := w.StoreStats(); st.Bytes != 0 || st.ReplicaBytes != 0 || st.CSCMemoBytes != 0 {
 			t.Fatalf("worker %d after Close: %+v", i, st)
 		}
+	}
+}
+
+// keepPartial makes w read a cut of h's band on the session's other worker
+// that is not all of the band — two block columns of its first three rows —
+// and checks that w keeps it as a replica answering for no more than the
+// band's rows and those columns.
+func keepPartial(t *testing.T, s *Session, w *Worker, h *Handle) {
+	t.Helper()
+	var peer partLoc
+	for _, p := range s.partLocs(h) {
+		if p.Addr != w.addr {
+			peer = p
+		}
+	}
+	cut := blockRect{ILo: peer.Lo, IHi: peer.Lo + 3, JLo: 0, JHi: 2}
+	before := w.StoreStats()
+	c, moved, err := w.readCut(bandReader{self: w.addr, epoch: s.epoch}, h.id, s.partLocs(h), cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := w.StoreStats()
+	if moved.fetches != 1 || after.ReplicaBytes-before.ReplicaBytes != moved.bytes || moved.bytes == 0 {
+		t.Fatalf("a partial cut moved %+v and added %d replica bytes", moved, after.ReplicaBytes-before.ReplicaBytes)
+	}
+	if len(c.bands) != 1 {
+		t.Fatalf("the cut met %d bands, want the peer's", len(c.bands))
+	}
+	if e := c.bands[0].e; e.rect.contains(allCols(peer.Lo, peer.Hi)) || !e.rect.contains(cut) {
+		t.Fatalf("the partial cut %v was kept answering for %v", cut, e.rect)
 	}
 }
 
@@ -296,17 +334,27 @@ func TestStoreEvictsReplicasBeforeOwned(t *testing.T) {
 	band := func() map[bmat.BlockKey]matrix.Block {
 		return map[bmat.BlockKey]matrix.Block{{}: matrix.NewDense(5, 5)} // 200 bytes
 	}
+	whole := allCols(0, math.MaxInt)
+	// A partial replica: a cut of the band of handle 2 at peer-a that answers
+	// for its first row and two columns only.
+	part := blockRect{ILo: 0, IHi: 1, JLo: 0, JHi: 2}
 	s := newHandleStore(1000)
 	s.set(1, 1, false, band(), true)
-	s.addReplica(1, 1, "peer-a", band())
-	s.addReplica(2, 1, "peer-a", band())
-	s.addReplica(2, 1, "peer-b", band())
-	if _, ok := s.replica(1, "peer-a"); !ok { // now the most recently read
+	s.addReplica(1, 1, "peer-a", whole, band())
+	s.addReplica(2, 1, "peer-a", part, band())
+	if _, ok := s.replica(2, "peer-a", blockRect{ILo: 0, IHi: 1, JLo: 1, JHi: 2}); !ok {
+		t.Fatal("a partial replica does not serve a cut it contains")
+	}
+	if _, ok := s.replica(2, "peer-a", allCols(0, 1)); ok {
+		t.Fatal("a partial replica served a cut it does not contain")
+	}
+	s.addReplica(2, 1, "peer-b", whole, band())
+	if _, ok := s.replica(1, "peer-a", whole); !ok { // now the most recently read
 		t.Fatal("replica of handle 1 missing under the bound")
 	}
 	s.set(3, 1, false, band(), true) // 1000 bytes: full
 	s.set(4, 1, false, band(), true) // one replica has to go
-	if _, ok := s.replica(2, "peer-a"); ok {
+	if _, ok := s.replica(2, "peer-a", part); ok {
 		t.Fatal("the least recently read replica survived")
 	}
 	s.set(5, 1, false, band(), true)
@@ -322,16 +370,16 @@ func TestStoreEvictsReplicasBeforeOwned(t *testing.T) {
 		t.Fatalf("%d evictions, want 1", st.Evictions)
 	}
 	// A replica that cannot fit is not kept, and its reader still has it.
-	if e := s.addReplica(7, 1, "peer-a", band()); len(e.blocks) != 1 {
+	if e := s.addReplica(7, 1, "peer-a", whole, band()); len(e.blocks) != 1 {
 		t.Fatal("addReplica returned no band")
 	}
-	if _, ok := s.replica(7, "peer-a"); ok {
+	if _, ok := s.replica(7, "peer-a", whole); ok {
 		t.Fatal("a replica displaced a handle")
 	}
 }
 
 // TestPipelineReplicaSurvivesPeerKill kills the peer after its bands were
-// replicated: the recovery is the one a dead worker always costs, it drops
+// replicated, whole and in part: the recovery is the one a dead worker always costs, it drops
 // the copies with the epoch, and the rebuilt run has the same bits.
 func TestPipelineReplicaSurvivesPeerKill(t *testing.T) {
 	ctx := context.Background()
@@ -355,6 +403,13 @@ func TestPipelineReplicaSurvivesPeerKill(t *testing.T) {
 	if st := workers[1].StoreStats(); st.ReplicaBytes == 0 {
 		t.Fatal("nothing replicated before the kill")
 	}
+	// A partial replica too, of a handle no operator read: the recovery's
+	// epoch wipe takes it with the rest.
+	extra, err := s.Put(ctx, inputs["v"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	keepPartial(t, s, workers[1], extra)
 	killWorker(workers[0])
 	out, err := s.Run(ctx, expr, binds)
 	if err != nil {
@@ -393,58 +448,91 @@ func TestStoreReplicaMemoRace(t *testing.T) {
 	put(workers[0], idB, b, 0, 2)
 	put(workers[1], idB, b, 2, 4)
 	want := kAscendingEval(t, plan.Mul(plan.V("a"), plan.V("b")), map[string]*bmat.BlockMatrix{"a": a, "b": b})
+	bParts := []partLoc{{Addr: addrs[0], Lo: 0, Hi: 2}, {Addr: addrs[1], Lo: 2, Hi: 4}}
 
-	// One free-and-reinstall per operator, started with it: often enough to
-	// land inside it, rarely enough that most operators keep their operand.
-	tick := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for range tick {
-			if err := workers[1].freeHandles(&freeArgs{Handles: []uint64{idB}}, new(int64)); err != nil {
-				t.Error(err)
+	// Two operators: a pipeline multiply, which replicates the peer's whole
+	// band and reads the CSC memo of both bands, and a pull call whose box
+	// is B's first two block columns, which replicates a cut of the peer's
+	// band that is not all of it.
+	ops := []struct {
+		name string
+		run  func(out uint64) ([]blockRec, error)
+		cols int
+	}{
+		{"pipeline multiply", func(out uint64) ([]blockRec, error) {
+			err := workers[1].exec(&execArgs{
+				Op: execMul, Out: out, Epoch: epoch, A: idA, B: idB, OutLo: 0, OutHi: 1, Self: addrs[1], BParts: bParts,
+			}, new(execReply))
+			if err != nil {
+				return nil, err
 			}
-			put(workers[1], idB, b, 2, 4)
-		}
-	}()
-	defer wg.Wait()
-	defer close(tick)
-	done := 0
-	for i := 0; i < 200; i++ {
-		select {
-		case tick <- struct{}{}:
-		default:
-		}
-		out := uint64(100 + i)
-		err := workers[1].exec(&execArgs{
-			Op: execMul, Out: out, Epoch: epoch, A: idA, B: idB, OutLo: 0, OutHi: 1, Self: addrs[1],
-			BParts: []partLoc{{Addr: addrs[0], Lo: 0, Hi: 2}, {Addr: addrs[1], Lo: 2, Hi: 4}},
-		}, new(execReply))
-		if err != nil {
-			if !errors.Is(err, errUnknownHandle) {
+			var reply getReply
+			if err := workers[1].getBlocks(&getArgs{Handle: out, blockRect: allCols(0, 1)}, &reply); err != nil {
 				t.Fatal(err)
 			}
-			continue
-		}
-		done++
-		var reply getReply
-		if err := workers[1].getBlocks(&getArgs{Handle: out, All: true}, &reply); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range reply.Blocks {
-			if !r.Block.Dense().Equal(want.Block(r.Key.I, r.Key.J).Dense()) {
-				t.Fatalf("product block (%d,%d) differs", r.Key.I, r.Key.J)
-			}
-		}
-		if len(reply.Blocks) != want.JB {
-			t.Fatalf("%d product blocks, want %d", len(reply.Blocks), want.JB)
-		}
-		_ = workers[1].freeHandles(&freeArgs{Handles: []uint64{out}}, new(int64))
+			_ = workers[1].freeHandles(&freeArgs{Handles: []uint64{out}}, new(int64))
+			return reply.Blocks, nil
+		}, want.JB},
+		{"pull of a partial cut", func(uint64) ([]blockRec, error) {
+			var reply multiplyReply
+			err := workers[1].multiply(&multiplyArgs{
+				IHi: 1, JHi: 2, KHi: 4, slabs: 1, cacheEpoch: epoch, pull: true, pullSelf: addrs[1],
+				aRef: bandRef{handle: idA, parts: []partLoc{{Addr: addrs[1], Lo: 0, Hi: 1}}},
+				bRef: bandRef{handle: idB, parts: bParts},
+			}, &reply)
+			return reply.CBlocks, err
+		}, 2},
 	}
-	t.Logf("%d of 200 operators kept their operand to the end", done)
-	if done == 0 {
-		t.Fatal("no operator ever finished")
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			// One free-and-reinstall per operator, started with it: often
+			// enough to land inside it, rarely enough that most operators
+			// keep their operand.
+			tick := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range tick {
+					if err := workers[1].freeHandles(&freeArgs{Handles: []uint64{idB}}, new(int64)); err != nil {
+						t.Error(err)
+					}
+					put(workers[1], idB, b, 2, 4)
+				}
+			}()
+			defer wg.Wait()
+			defer close(tick)
+			done := 0
+			for i := 0; i < 200; i++ {
+				select {
+				case tick <- struct{}{}:
+				default:
+				}
+				blocks, err := op.run(uint64(100 + i))
+				if err != nil {
+					if !errors.Is(err, errUnknownHandle) {
+						t.Fatal(err)
+					}
+					continue
+				}
+				done++
+				for _, r := range blocks {
+					if !r.Block.Dense().Equal(want.Block(r.Key.I, r.Key.J).Dense()) {
+						t.Fatalf("product block (%d,%d) differs", r.Key.I, r.Key.J)
+					}
+				}
+				if len(blocks) != op.cols {
+					t.Fatalf("%d product blocks, want %d", len(blocks), op.cols)
+				}
+			}
+			t.Logf("%d of 200 operators kept their operand to the end", done)
+			if done == 0 {
+				t.Fatal("no operator ever finished")
+			}
+		})
+	}
+	if st := workers[1].StoreStats(); st.ReplicaHits == 0 {
+		t.Fatal("no read found a replica")
 	}
 }
 
@@ -497,7 +585,7 @@ func TestOneBudgetDropsCacheThenReplicas(t *testing.T) {
 	}
 	st.set(1, 1, true, band(), true)
 	st.set(2, 1, true, band(), true)
-	st.addReplica(3, 1, "peer-a", band())
+	st.addReplica(3, 1, "peer-a", allCols(0, math.MaxInt), band())
 	cache(7) // 10 blocks: the budget exactly
 	check("full", 7, 0, true)
 	cache(3)

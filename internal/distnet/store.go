@@ -37,10 +37,11 @@ type StoreStats struct {
 	// PeerLinks breaks the aggregate peer-fetch counters down per remote
 	// address, sorted by address; the per-link sums equal the aggregates.
 	PeerLinks []PeerLinkStats `json:"peer_links,omitempty"`
-	// ReplicaHits counts operand bands an operator read from a kept copy of
-	// a peer's band instead of fetching it; ReplicaBytes is what those
-	// copies hold now and CSCMemoBytes the column-form copies of CSR blocks
-	// kept beside resident bands. Both are part of Bytes.
+	// ReplicaHits counts the cuts of peers' bands a read found inside a
+	// replica — a cut this worker fetched before, kept under the rectangle
+	// it answers for — instead of fetching them; ReplicaBytes is what those
+	// replicas hold now and CSCMemoBytes the column-form copies of CSR blocks
+	// kept beside resident bands and replicas. Both are part of Bytes.
 	ReplicaHits  int64 `json:"replica_hits"`
 	ReplicaBytes int64 `json:"replica_bytes"`
 	CSCMemoBytes int64 `json:"csc_memo_bytes"`
@@ -56,13 +57,15 @@ type PeerLinkStats struct {
 
 // storeEntry is one resident band of a handle: the block-row slice of the
 // matrix this worker owns under the session's co-partitioning, or a replica
-// — the whole band a peer owns, kept after an operator fetched it. blocks
-// never changes once the entry exists. A handle id is never bound to new
-// content (a rebuild takes a fresh id), so a replica cannot go stale.
+// — a cut of the band a peer owns, whatever part of it, kept after a read
+// fetched it and found by the rectangle it answers for. blocks never changes
+// once the entry exists. A handle id is never bound to new content (a
+// rebuild takes a fresh id), so a replica cannot go stale.
 type storeEntry struct {
 	id     uint64
 	epoch  uint64
-	peer   string // the owner a replica was copied from; "" for the owned band
+	peer   string    // the owner a replica was copied from; "" for the owned band
+	rect   blockRect // what a replica answers for (getReply.Cover)
 	blocks map[bmat.BlockKey]matrix.Block
 	// csc memoises the CSC form of CSR blocks a dense left operand met
 	// (handleStore.rightOperand); guarded by the store's mutex.
@@ -77,7 +80,8 @@ type storeEntry struct {
 // handleStore is a worker's memory: everything it holds, under one byte
 // budget. Its tiers, in the order the budget drops them:
 //   - cached blocks (blockcache.go), each a resend away;
-//   - replicas of peers' bands, each a peer fetch away;
+//   - replicas: the cuts of peers' bands this worker fetched, each a peer
+//     fetch away;
 //   - the unpinned owned bands — resident handle bands, epoch-scoped to one
 //     driver session — which the driver rebuilds from lineage when a read
 //     of a missing handle returns errUnknownHandle.
@@ -184,13 +188,13 @@ func (s *handleStore) get(id uint64) (*storeEntry, bool) {
 	return e, true
 }
 
-// replica returns the kept copy of the band of handle id that peer owns,
-// counting the fetch it saves.
-func (s *handleStore) replica(id uint64, peer string) (*storeEntry, bool) {
+// replica returns a kept replica of handle id's band at peer whose
+// rectangle contains cut, counting the fetch it saves.
+func (s *handleStore) replica(id uint64, peer string, cut blockRect) (*storeEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range s.replicas[id] {
-		if e.peer == peer {
+		if e.peer == peer && e.rect.contains(cut) {
 			s.rl.MoveToFront(e.el)
 			s.replicaHits++
 			return e, true
@@ -199,19 +203,25 @@ func (s *handleStore) replica(id uint64, peer string) (*storeEntry, bool) {
 	return nil, false
 }
 
-// addReplica keeps blocks, the whole band of handle id fetched from peer,
-// for the operators after this one, and returns the entry to read them
-// through. The first copy of a band wins.
-func (s *handleStore) addReplica(id, epoch uint64, peer string, blocks map[bmat.BlockKey]matrix.Block) *storeEntry {
+// addReplica keeps blocks, a cut of the band of handle id fetched from peer
+// that answers for rect, for the reads after this one, and returns the entry
+// to read them through. A replica whose rectangle already contains rect wins
+// (two reads fetched at once); the replicas rect contains go, so no replica
+// of a band contains another.
+func (s *handleStore) addReplica(id, epoch uint64, peer string, rect blockRect, blocks map[bmat.BlockKey]matrix.Block) *storeEntry {
 	w := blocksWeight(blocks)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.replicas[id] {
-		if e.peer == peer {
+	for _, e := range slices.Clone(s.replicas[id]) {
+		switch {
+		case e.peer != peer:
+		case e.rect.contains(rect):
 			return e
+		case rect.contains(e.rect):
+			s.removeLocked(e)
 		}
 	}
-	e := &storeEntry{id: id, epoch: epoch, peer: peer, blocks: blocks, bytes: w}
+	e := &storeEntry{id: id, epoch: epoch, peer: peer, rect: rect, blocks: blocks, bytes: w}
 	e.el = s.rl.PushFront(e)
 	s.replicas[id] = append(s.replicas[id], e)
 	s.bytes += w

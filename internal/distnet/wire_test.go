@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -50,6 +51,7 @@ const (
 	bodyFusedExecArgs
 	bodyPullLinkArgs
 	bodyHostilePullArgs
+	bodyHostileGetArgs
 	bodyKinds
 )
 
@@ -67,7 +69,7 @@ func decodeBody(kind int, rd *codec.FrameReader) error {
 		return decodeMultiplyReply(rd, new(multiplyReply))
 	case bodyPutArgs:
 		return decodePutArgs(rd, new(putArgs))
-	case bodyGetArgs:
+	case bodyGetArgs, bodyHostileGetArgs:
 		return decodeGetArgs(rd, new(getArgs))
 	case bodyFreeArgs:
 		return decodeFreeArgs(rd, new(freeArgs))
@@ -158,7 +160,10 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 	add(bodyPutArgs, func(w *codec.FrameWriter) error {
 		return appendPutArgs(w, &putArgs{Handle: 5, Epoch: 2, Pin: true, Blocks: recs})
 	})
-	add(bodyGetArgs, codec.Writes(appendGetArgs, &getArgs{Handle: 5, IHi: 3, JHi: 4}))
+	add(bodyGetArgs, codec.Writes(appendGetArgs, &getArgs{Handle: 5, blockRect: blockRect{IHi: 3, JHi: 4}}))
+	// A rectangle no reader asks for: inverted in its rows, its columns past
+	// any grid.
+	add(bodyHostileGetArgs, codec.Writes(appendGetArgs, &getArgs{Handle: 5, blockRect: hostileRect}))
 	add(bodyFreeArgs, codec.Writes(appendFreeArgs, &freeArgs{Handles: []uint64{1, 2, 3}, Epoch: 2, AllEpoch: true}))
 	add(bodyPinArgs, codec.Writes(appendPinArgs, &pinArgs{Handle: 5, Unpin: true}))
 	add(bodyExecArgs, codec.Writes(appendExecArgs,
@@ -169,12 +174,19 @@ func wireSeedBodies(t testing.TB) map[int][]byte {
 		&execArgs{Op: execMul, Out: 7, A: 5, B: 6, OutHi: 4, AParts: parts, BParts: parts, Self: parts[0].Addr, TransA: true, TransB: true}))
 	add(bodyFusedExecArgs, codec.Writes(appendExecArgs,
 		&execArgs{Op: execHadamardDivElem, Out: 7, A: 5, B: 6, C: 8, Scalar: 1e-9, OutHi: 4, AParts: parts, BParts: parts, Self: parts[0].Addr}))
-	add(bodyGetReply, codec.Writes(appendGetReply, &getReply{Blocks: recs, Whole: true}))
+	add(bodyGetReply, codec.Writes(appendGetReply, &getReply{Blocks: recs, Cover: seedCover}))
 	add(bodyExecReply, codec.Writes(appendExecReply, &execReply{Bytes: 100, Blocks: 2, PeerBytes: 50}))
 	add(bodyPingReply, codec.Writes(appendPingReply,
 		&pingReply{Hostname: "w0", InFlight: 1, StoreBytes: 2, StoreHandles: 3, StoreEvictions: 4}))
 	return bodies
 }
+
+// hostileRect is the hostile GetBlocks seed's rectangle, and seedCover the
+// rectangle the seed reply answers for: the seed blocks' rows, every column.
+var (
+	hostileRect = blockRect{ILo: 9, IHi: 2, JLo: 1 << 50, JHi: 1 << 62}
+	seedCover   = blockRect{IHi: 7, JHi: math.MaxInt}
+)
 
 // bodyOf is what fill frames, without the length prefix.
 func bodyOf(t testing.TB, fill func(w *codec.FrameWriter) error) []byte {
@@ -239,6 +251,37 @@ func TestHostileBodiesReachTheCacheTier(t *testing.T) {
 	}
 	if st := mem.cacheStats(); st.Insertions != 4 || st.Evictions != 1 || st.Hits != 3 || st.Bytes > fuzzMemBytes {
 		t.Fatalf("cache tier under %d bytes: %+v, want 4 insertions, 1 eviction, 3 hits", fuzzMemBytes, st)
+	}
+}
+
+// TestHostileRectangleGetsEmptyReply: the hostile GetBlocks seed, decoded as
+// a worker decodes it and served against a band of the seed blocks, gets an
+// empty reply — its rectangle, 2⁶² columns wide, sizes no allocation (the
+// bound leaves room for whatever the test binary's other goroutines
+// allocate meanwhile).
+func TestHostileRectangleGetsEmptyReply(t *testing.T) {
+	rd := codec.NewFrameReader(bytes.NewReader(frameOf(wireSeedBodies(t)[bodyHostileGetArgs])))
+	if err := rd.Next(); err != nil {
+		t.Fatal(err)
+	}
+	var args getArgs
+	if err := decodeGetArgs(rd, &args); err != nil || args.blockRect != hostileRect {
+		t.Fatalf("decoded %v (%v), want %v", args.blockRect, err, hostileRect)
+	}
+	w := &Worker{}
+	if err := w.putBlocks(&putArgs{Handle: args.Handle, Epoch: 1, Blocks: wireSeedRecs()}, new(int64)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	var reply getReply
+	runtime.ReadMemStats(&before)
+	err := w.getBlocks(&args, &reply)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(reply.Blocks) != 0 {
+		t.Fatalf("hostile rectangle: %d blocks, %v; want an empty reply", len(reply.Blocks), err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+		t.Fatalf("hostile rectangle: allocated %d bytes", alloc)
 	}
 }
 
@@ -387,7 +430,7 @@ var requestMethods = map[int]byte{
 	bodyGetArgs: methodGetBlocks, bodyFreeArgs: methodFreeHandles, bodyPinArgs: methodPinHandle, bodyExecArgs: methodExecOp,
 	bodyChainArgs: methodMultiply, bodySumArgs: methodTakeSum, bodySelfLinkArgs: methodMultiply,
 	bodyViewExecArgs: methodExecOp, bodyFusedExecArgs: methodExecOp, bodyPullLinkArgs: methodMultiply,
-	bodyHostilePullArgs: methodMultiply,
+	bodyHostilePullArgs: methodMultiply, bodyHostileGetArgs: methodGetBlocks,
 }
 
 // wholeFrame puts body behind the header it travels with: seq 1 and its
@@ -796,8 +839,8 @@ func TestBadReplyBodyThenGoodCall(t *testing.T) {
 		if err := get(); err != nil {
 			t.Fatalf("call after a reply torn %s: %v", torn, err)
 		}
-		if len(reply.Blocks) != len(wireSeedRecs()) || !reply.Whole {
-			t.Fatalf("call after a reply torn %s: %d blocks, whole %v", torn, len(reply.Blocks), reply.Whole)
+		if len(reply.Blocks) != len(wireSeedRecs()) || reply.Cover != seedCover {
+			t.Fatalf("call after a reply torn %s: %d blocks, answering for %v", torn, len(reply.Blocks), reply.Cover)
 		}
 		assertBlockBits(t, wireSeedRecs()[0].Block, reply.Blocks[0].Block)
 	}
@@ -1279,7 +1322,7 @@ func TestWireCountersCountEveryChunk(t *testing.T) {
 	}
 	var reply getReply
 	before = d.NetStats()
-	if err := d.call(m, methodGetBlocks, 0, codec.Writes(appendGetArgs, &getArgs{Handle: 1, All: true}), codec.Reads(decodeGetReply, &reply), time.Minute); err != nil {
+	if err := d.call(m, methodGetBlocks, 0, codec.Writes(appendGetArgs, &getArgs{Handle: 1, blockRect: allCols(0, math.MaxInt)}), codec.Reads(decodeGetReply, &reply), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := d.NetStats().WireDecodeBytes-before.WireDecodeBytes, bodySize(codec.Writes(appendGetReply, &reply)); got != want || len(reply.Blocks) != len(blocks) {

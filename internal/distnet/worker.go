@@ -92,8 +92,8 @@ const maxBoxFace = 1 << 24
 
 // checkBox refuses a box core.MultiplyBox should not size its block tables
 // from. Boxes arrive off the wire — a cuboid's in its request, a pipeline
-// band's as the extent of a peer's block keys — and no real one has a face
-// of more than maxBoxFace block slots.
+// band's as its part's rows and the extent of a peer's block keys — and no
+// real one has a face of more than maxBoxFace block slots.
 func checkBox(box core.Box) error {
 	ni, nj, nk := box.IHi-box.ILo, box.JHi-box.JLo, box.KHi-box.KLo
 	if ni < 0 || nj < 0 || nk < 0 {
@@ -115,29 +115,13 @@ func checkSlabs(nk, slabs int) error {
 	return nil
 }
 
-// computeCuboid runs one (p,q) column through core.MultiplyColumn — its R
-// cuboids in the arithmetic of core.CPUMultiplier, folded in ascending r,
-// against the blocks the request carries — and reports the flops spent. It
-// is shared by the remote worker and the driver's local fallback, so a
-// column computes bit-identically wherever it lands.
-func computeCuboid(args *multiplyArgs, reply *multiplyReply) (flops float64, err error) {
-	box := args.box()
-	if err := checkBox(box); err != nil {
-		return 0, err
-	}
-	lookupA, lookupB := args.lookups()
-	tiles, flops := core.MultiplyColumn(box, args.slabs, lookupA, lookupB)
-	reply.CBlocks = tileRecs(box, tiles)
-	return flops, nil
-}
-
-// serveCuboid is the worker's one way to run a column or a chain link: a pull
+// multiply is the worker's one way to run a column or a chain link: a pull
 // call first reads its operands from the bands it names, then its C blocks
-// — or a link's running sum (serveLink) — are computed under a
+// — or a link's running sum — are computed (serveLink) under a
 // worker.compute span, whose flops and kernel attributes give the call's
 // GFLOP/s against its duration (for a link past the first, the wait for its
-// sum included).
-func (w *Worker) serveCuboid(args *multiplyArgs, reply *multiplyReply) error {
+// sum included). It counts the cuboids it served.
+func (w *Worker) multiply(args *multiplyArgs, reply *multiplyReply) error {
 	if args.pull {
 		if err := w.preparePull(args, reply); err != nil {
 			return err
@@ -151,32 +135,17 @@ func (w *Worker) serveCuboid(args *multiplyArgs, reply *multiplyReply) error {
 		sp.SetAttr("a-blocks", fmt.Sprintf("%d", len(args.ABlocks)))
 		sp.SetAttr("b-blocks", fmt.Sprintf("%d", len(args.BBlocks)))
 	}
-	var flops float64
-	var err error
-	if args.link != nil {
-		if err = checkBox(args.box()); err == nil {
-			flops, err = w.serveLink(args, reply, sp.ID())
+	flops, err := w.serveLink(args, reply, sp.ID())
+	if err != nil {
+		if sp.Active() {
+			sp.SetAttr("error", err.Error())
 		}
-	} else {
-		flops, err = computeCuboid(args, reply)
+		return err
 	}
 	if sp.Active() {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		} else {
-			sp.SetAttr("c-blocks", fmt.Sprintf("%d", len(reply.CBlocks)))
-			sp.SetAttr("flops", fmt.Sprintf("%.0f", flops))
-			sp.SetAttr("kernel", matrix.KernelName())
-		}
-	}
-	return err
-}
-
-// multiply computes the C blocks of one column, or one chain link, against
-// blocks that arrived over the wire, and counts its cuboids served.
-func (w *Worker) multiply(args *multiplyArgs, reply *multiplyReply) error {
-	if err := w.serveCuboid(args, reply); err != nil {
-		return err
+		sp.SetAttr("c-blocks", fmt.Sprintf("%d", len(reply.CBlocks)))
+		sp.SetAttr("flops", fmt.Sprintf("%.0f", flops))
+		sp.SetAttr("kernel", matrix.KernelName())
 	}
 	w.mu.Lock()
 	w.multiplies += args.slabCount()

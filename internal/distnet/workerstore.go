@@ -1,10 +1,12 @@
 package distnet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -155,48 +157,110 @@ func (a *fetchStats) add(b fetchStats) {
 	a.bytes += b.bytes
 }
 
-// operandBand is the one way a worker reads part p of an operand handle —
-// for a pipeline operator and a pull call alike: this worker's own band from
-// the store; a peer's from the replica kept of it; failing that from the
-// peer, asking for get's blocks — and when the answer turns out to be the
-// peer's whole band, keeping it as the replica later reads on this worker
-// find. It also returns what a fetch moved. A peer band of no block rows
-// holds nothing to ask for.
-func (w *Worker) operandBand(rd bandReader, p partLoc, get getArgs) (*storeEntry, fetchStats, error) {
+// A cut is what one operand read gives (readCut): the blocks of a handle
+// inside rect, band b answering for its rows [lo, hi).
+type cut struct {
+	rect  blockRect
+	bands []cutBand
+}
+
+type cutBand struct {
+	addr   string
+	lo, hi int
+	e      *storeEntry
+}
+
+// block is the cut's block at (i, j), nil where it holds none.
+func (c *cut) block(i, j int) matrix.Block {
+	for _, b := range c.bands {
+		if i >= b.lo && i < b.hi && j >= c.rect.JLo && j < c.rect.JHi {
+			return b.e.blocks[bmat.BlockKey{I: i, J: j}]
+		}
+	}
+	return nil
+}
+
+// each calls f with every block of the cut.
+func (c *cut) each(f func(k bmat.BlockKey, blk matrix.Block)) {
+	for _, b := range c.bands {
+		for k, blk := range b.e.blocks {
+			if blk != nil && k.I >= b.lo && k.I < b.hi && k.J >= c.rect.JLo && k.J < c.rect.JHi {
+				f(k, blk)
+			}
+		}
+	}
+}
+
+// pullFetchConcurrency bounds the concurrent band reads of one readCut.
+const pullFetchConcurrency = 4
+
+// readCut is a worker's one operand read — a pull call's and a pipeline
+// operator's alike: it cuts rect out of every band of handle (parts) whose
+// rows meet it, the bands concurrently under pullFetchConcurrency, and also
+// returns what the reads moved. A band the cut misses holds nothing to read.
+func (w *Worker) readCut(rd bandReader, handle uint64, parts []partLoc, rect blockRect) (*cut, fetchStats, error) {
+	c := &cut{rect: rect}
+	for _, p := range parts {
+		if lo, hi := max(p.Lo, rect.ILo), min(p.Hi, rect.IHi); lo < hi {
+			c.bands = append(c.bands, cutBand{addr: p.Addr, lo: lo, hi: hi})
+		}
+	}
+	moved := make([]fetchStats, len(c.bands))
+	errs := make([]error, len(c.bands))
+	sem := make(chan struct{}, pullFetchConcurrency)
+	var wg sync.WaitGroup
+	for i := range c.bands {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			b := &c.bands[i]
+			b.e, moved[i], errs[i] = w.readBand(rd, handle, b.addr, blockRect{ILo: b.lo, IHi: b.hi, JLo: rect.JLo, JHi: rect.JHi})
+		}()
+	}
+	wg.Wait()
+	var total fetchStats
+	for i := range c.bands {
+		if errs[i] != nil {
+			return nil, fetchStats{}, errs[i]
+		}
+		total.add(moved[i])
+	}
+	return c, total, nil
+}
+
+// readBand reads the cut of handle's band at addr: this worker's own band
+// from the store, a missing one answering errUnknownHandle (the driver
+// rebuilds it from lineage); a peer's from a replica whose rectangle
+// contains the cut, failing that from one GetBlocks for exactly the cut,
+// kept as a replica under the rectangle the peer's reply answers for.
+func (w *Worker) readBand(rd bandReader, handle uint64, addr string, cut blockRect) (*storeEntry, fetchStats, error) {
 	st := w.getStore()
-	if p.Addr == rd.self {
-		e, ok := st.get(get.Handle)
+	if addr == rd.self {
+		e, ok := st.get(handle)
 		if !ok {
 			return nil, fetchStats{}, errUnknownHandle
 		}
 		return e, fetchStats{}, nil
 	}
-	if p.Lo >= p.Hi {
-		return &storeEntry{detached: true}, fetchStats{}, nil
-	}
-	if e, ok := st.replica(get.Handle, p.Addr); ok {
+	if e, ok := st.replica(handle, addr, cut); ok {
 		return e, fetchStats{}, nil
 	}
-	var whole bool
-	recs, bytes, err := w.peerFetch(rd.parent, p.Addr, methodGetBlocks, peerCallTimeout, nil, codec.Writes(appendGetArgs, &get),
+	var reply getReply
+	recs, bytes, err := w.peerFetch(rd.parent, addr, methodGetBlocks, peerCallTimeout, nil,
+		codec.Writes(appendGetArgs, &getArgs{Handle: handle, blockRect: cut}),
 		func(r *codec.FrameReader) ([]blockRec, error) {
-			var reply getReply
 			err := decodeGetReply(r, &reply)
-			whole = reply.Whole
 			return reply.Blocks, err
 		})
 	if err != nil {
 		return nil, fetchStats{}, err
 	}
-	moved := fetchStats{fetches: 1, bytes: bytes}
-	blocks := make(map[bmat.BlockKey]matrix.Block, len(recs))
-	for _, r := range recs {
-		blocks[r.Key] = r.Block
+	if !reply.Cover.contains(cut) {
+		return nil, fetchStats{}, fmt.Errorf("%w: a read of %v answered for %v", errWire, cut, reply.Cover)
 	}
-	if whole {
-		return st.addReplica(get.Handle, rd.epoch, p.Addr, blocks), moved, nil
-	}
-	return &storeEntry{blocks: blocks, detached: true}, moved, nil
+	return st.addReplica(handle, rd.epoch, addr, reply.Cover, blockMap(recs)), fetchStats{fetches: 1, bytes: bytes}, nil
 }
 
 // putBlocks installs one handle's band in the store and reports its resident
@@ -206,10 +270,7 @@ func (w *Worker) putBlocks(args *putArgs, bytes *int64) error {
 	if sp.Active() {
 		sp.SetWorker(w.addr)
 	}
-	blocks := make(map[bmat.BlockKey]matrix.Block, len(args.Blocks))
-	for _, r := range args.Blocks {
-		blocks[r.Key] = r.Block
-	}
+	blocks := blockMap(args.Blocks)
 	*bytes = w.getStore().set(args.Handle, args.Epoch, args.Pin, blocks, true)
 	if sp.Active() {
 		sp.SetAttr("handle", fmt.Sprintf("%d", args.Handle))
@@ -220,36 +281,44 @@ func (w *Worker) putBlocks(args *putArgs, bytes *int64) error {
 }
 
 // getBlocks reads the blocks of a handle's band this worker owns — never a
-// replica of a peer's — optionally filtered to a block-coordinate box. A
-// missing handle answers with the unknown-handle error, which the driver
-// resolves by lineage rebuild. Reads stay admitted during a shutdown's
-// drain window (begin) so peers can copy bands off a draining worker before
-// it goes away.
+// replica of a peer's — inside the asked rectangle, and names the rectangle
+// the reply answers for (getReply.Cover): on each side, the cut's edge where
+// a block of the band lies beyond it, else the grid's. A missing handle
+// answers with the unknown-handle error, which the driver resolves by
+// lineage rebuild. Reads stay admitted during a shutdown's drain window
+// (begin) so peers can copy bands off a draining worker before it goes away.
 func (w *Worker) getBlocks(args *getArgs, reply *getReply) error {
 	e, ok := w.getStore().get(args.Handle)
 	if !ok {
 		return errUnknownHandle
 	}
-	blocks := e.blocks
-	// Deterministic order keeps replies byte-stable for equal stores.
-	keys := make([]bmat.BlockKey, 0, len(blocks))
-	for k := range blocks {
-		if !args.All && (k.I < args.ILo || k.I >= args.IHi || k.J < args.JLo || k.J >= args.JHi) {
-			continue
+	cover := blockRect{IHi: math.MaxInt, JHi: math.MaxInt}
+	var keys []bmat.BlockKey
+	for k := range e.blocks {
+		in := true // beyond none of the cut's sides
+		if k.I < args.ILo {
+			cover.ILo, in = args.ILo, false
 		}
-		keys = append(keys, k)
+		if k.I >= args.IHi {
+			cover.IHi, in = args.IHi, false
+		}
+		if k.J < args.JLo {
+			cover.JLo, in = args.JLo, false
+		}
+		if k.J >= args.JHi {
+			cover.JHi, in = args.JHi, false
+		}
+		if in {
+			keys = append(keys, k)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].I != keys[j].I {
-			return keys[i].I < keys[j].I
-		}
-		return keys[i].J < keys[j].J
-	})
+	// Deterministic order keeps replies byte-stable for equal stores.
+	slices.SortFunc(keys, func(a, b bmat.BlockKey) int { return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J)) })
 	reply.Blocks = make([]blockRec, 0, len(keys))
 	for _, k := range keys {
-		reply.Blocks = append(reply.Blocks, blockRec{Key: k, Block: blocks[k]})
+		reply.Blocks = append(reply.Blocks, blockRec{Key: k, Block: e.blocks[k]})
 	}
-	reply.Whole = len(keys) == len(blocks)
+	reply.Cover = cover
 	return nil
 }
 
@@ -276,7 +345,7 @@ func (w *Worker) pinHandle(args *pinArgs, _ *struct{}) error {
 // exec runs one pipeline operator over resident handles, installing the
 // output band in the store. Arithmetic is deterministic and placement-
 // independent: multiplication accumulates k-ascending per output block (the
-// same order as computeCuboid), element-wise ops mirror the engine's
+// same order as a multiply call's column), element-wise ops mirror the engine's
 // nil-block zip semantics exactly — so resident, materialized, and rebuilt
 // executions are byte-identical.
 func (w *Worker) exec(args *execArgs, reply *execReply) error {
@@ -313,15 +382,6 @@ func (w *Worker) exec(args *execArgs, reply *execReply) error {
 	return nil
 }
 
-// localBand reads one operand band from the local store.
-func (w *Worker) localBand(id uint64) (map[bmat.BlockKey]matrix.Block, error) {
-	e, ok := w.getStore().get(id)
-	if !ok {
-		return nil, errUnknownHandle
-	}
-	return e.blocks, nil
-}
-
 // execOp dispatches one pipeline operator, additionally reporting the
 // worker→worker payload bytes the operator moved and, for a multiply, the
 // flops it spent.
@@ -339,14 +399,12 @@ func (w *Worker) execOp(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64, 
 		out, peerBytes, err := w.execTranspose(args)
 		return out, peerBytes, 0, err
 	case execScale:
-		a, err := w.localBand(args.A)
+		a, err := w.ownCut(args, args.A)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		out := make(map[bmat.BlockKey]matrix.Block, len(a))
-		for k, blk := range a {
-			out[k] = matrix.Scale(args.Scalar, blk)
-		}
+		out := map[bmat.BlockKey]matrix.Block{}
+		a.each(func(k bmat.BlockKey, blk matrix.Block) { out[k] = matrix.Scale(args.Scalar, blk) })
 		return out, 0, 0, nil
 	case execAdd, execSub, execHadamard, execDivElem:
 		out, err := w.execZip(args)
@@ -359,35 +417,45 @@ func (w *Worker) execOp(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64, 
 	}
 }
 
+// own locates the band of the output's rows this worker owns.
+func (a *execArgs) own() []partLoc { return []partLoc{{Addr: a.Self, Lo: a.OutLo, Hi: a.OutHi}} }
+
+// ownCut reads the output's rows of handle id: the band this worker owns.
+func (w *Worker) ownCut(args *execArgs, id uint64) (*cut, error) {
+	c, _, err := w.readCut(args.reader(), id, args.own(), allCols(args.OutLo, args.OutHi))
+	return c, err
+}
+
 // execMul computes this worker's C band: C rows are co-partitioned with A
 // rows, so the A band is local while B — the (W−1)/W worker→worker movement
-// Eq.(4)'s pipeline extension prices — arrives band by band (operandBand):
-// while one band multiplies, the next prefetches (one ahead). Each band is
-// one core.MultiplyBox over the output rows and the band's k range,
-// continuing the accumulators of the bands before it; bands are disjoint row
-// ranges taken in ascending-k order, so every (i,j) accumulates as one pass
-// over the whole of B would — computeCuboid's order, and every fp64 bit, on
-// whichever worker the band runs. It also reports the flops spent.
+// Eq.(4)'s pipeline extension prices — arrives band by band, each band one
+// cut (readCut): while one band multiplies, the next prefetches (one ahead).
+// Each band is one core.MultiplyBox over the output rows and the band's k
+// range, continuing the accumulators of the bands before it; bands are
+// disjoint row ranges taken in ascending-k order, so every (i,j) accumulates
+// as one pass over the whole of B would — a column's order, and every fp64
+// bit, on whichever worker the band runs. It also reports the flops spent.
 //
 // An operand read through a transpose (TransA, TransB) is its source's
-// blocks: A's rows are the source's column slice, fetched from every source
-// band as execTranspose fetches it, and each band of B's source is a range
-// of B's columns over its whole k range, so a tile still accumulates in
+// blocks: A's rows are the source's column slice, cut from every source
+// band as execTranspose cuts it, and each band of B's source is a range of
+// B's columns over its whole k range, so a tile still accumulates in
 // ascending k. core.MultiplyBoxOf reads the blocks through the transpose,
 // with the bits of a product over the transposed handle.
 func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64, float64, error) {
 	st := w.getStore()
+	rd := args.reader()
 	parts := append([]partLoc(nil), args.BParts...)
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Lo < parts[j].Lo })
 	type bandResult struct {
-		band  *storeEntry
+		band  *cut
 		moved fetchStats
 		err   error
 	}
 	fetch := func(p partLoc) chan bandResult {
 		ch := make(chan bandResult, 1)
 		go func() {
-			band, moved, err := w.operandBand(args.reader(), p, getArgs{Handle: args.B, All: true})
+			band, moved, err := w.readCut(rd, args.B, []partLoc{p}, allCols(p.Lo, p.Hi))
 			ch <- bandResult{band, moved, err}
 		}()
 		return ch
@@ -398,9 +466,18 @@ func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64,
 	)
 	// A first: a view of it may read the band B reads too, which the first
 	// fetch of it keeps as the replica the second finds.
-	a, peerBytes, err := w.leftOperand(args)
+	aParts, aRect := args.own(), allCols(args.OutLo, args.OutHi)
+	if args.TransA {
+		aParts, aRect = args.AParts, blockRect{IHi: math.MaxInt, JLo: args.OutLo, JHi: args.OutHi}
+	}
+	src, moved, err := w.readCut(rd, args.A, aParts, aRect)
 	if err != nil {
 		return nil, 0, 0, err
+	}
+	peerBytes := moved.bytes
+	a := core.Operand{Transposed: args.TransA, Block: src.block}
+	if args.TransA {
+		a.Block = func(i, k int) matrix.Block { return src.block(k, i) }
 	}
 	if len(parts) > 0 {
 		next = fetch(parts[0])
@@ -415,7 +492,7 @@ func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64,
 			return nil, 0, 0, cur.err
 		}
 		peerBytes += cur.moved.bytes
-		box, ok := bandBox(cur.band.blocks, args.OutLo, args.OutHi, args.TransB)
+		box, ok := bandBox(cur.band, args.OutLo, args.OutHi, args.TransB)
 		if !ok {
 			continue
 		}
@@ -433,7 +510,7 @@ func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64,
 		}
 		b := core.Operand{Transposed: args.TransB}
 		if args.TransB {
-			b.Block = func(k, j int) matrix.Block { return cur.band.blocks[bmat.BlockKey{I: j, J: k}] }
+			b.Block = func(k, j int) matrix.Block { return cur.band.block(j, k) }
 		} else {
 			// Under a block column of A that is all dense, B's CSR blocks
 			// are read in the CSC form the store keeps of them.
@@ -447,11 +524,12 @@ func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64,
 					}
 				}
 			}
+			band := cur.band.bands[0].e // a band of B is one cut of one band
 			b.Block = func(k, j int) matrix.Block {
 				if denseLeft[k-box.KLo] {
-					return st.rightOperand(cur.band, bmat.BlockKey{I: k, J: j})
+					return st.rightOperand(band, bmat.BlockKey{I: k, J: j})
 				}
-				return cur.band.blocks[bmat.BlockKey{I: k, J: j}]
+				return cur.band.block(k, j)
 			}
 		}
 		acc, bandFlops := core.MultiplyBoxOf(box, a, b, acc)
@@ -465,104 +543,29 @@ func (w *Worker) execMul(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64,
 	return out, peerBytes, flops, nil
 }
 
-// leftOperand is a multiply's A over the output rows: the local band, or —
-// read through a transpose — the source's column slice from every source
-// band, with the payload bytes that fetch moved.
-func (w *Worker) leftOperand(args *execArgs) (core.Operand, int64, error) {
-	if !args.TransA {
-		blocks, err := w.localBand(args.A)
-		if err != nil {
-			return core.Operand{}, 0, err
-		}
-		return core.Operand{Block: func(i, k int) matrix.Block { return blocks[bmat.BlockKey{I: i, J: k}] }}, 0, nil
+// bandBox is the box of one B band under output rows [lo, hi): its cut's
+// rows are the k range — B's columns, read through a transpose — and the
+// columns its blocks lie in the other side.
+func bandBox(band *cut, lo, hi int, trans bool) (core.Box, bool) {
+	clo, chi := math.MaxInt, 0
+	band.each(func(k bmat.BlockKey, _ matrix.Block) { clo, chi = min(clo, k.J), max(chi, k.J+1) })
+	box := core.Box{ILo: lo, IHi: hi, JLo: clo, JHi: chi, KLo: band.rect.ILo, KHi: band.rect.IHi}
+	if trans {
+		box.JLo, box.JHi, box.KLo, box.KHi = box.KLo, box.KHi, box.JLo, box.JHi
 	}
-	bands, moved, err := w.readBands(args.reader(), args.A, args.AParts, args.OutLo, args.OutHi)
-	if err != nil {
-		return core.Operand{}, 0, err
-	}
-	return core.Operand{Transposed: true, Block: func(i, k int) matrix.Block {
-		for pi, p := range args.AParts {
-			if k >= p.Lo && k < p.Hi {
-				return bands[pi].blocks[bmat.BlockKey{I: k, J: i}]
-			}
-		}
-		return nil
-	}}, moved.bytes, nil
+	return box, clo < chi
 }
 
-// bandBox is the box of one B band under output rows [lo, hi): the extent
-// of the band's block keys in k and j — with the keys read transposed for a
-// band of B's source.
-func bandBox(band map[bmat.BlockKey]matrix.Block, lo, hi int, trans bool) (core.Box, bool) {
-	if len(band) == 0 {
-		return core.Box{}, false
-	}
-	box := core.Box{ILo: lo, IHi: hi, JLo: math.MaxInt, KLo: math.MaxInt}
-	for key := range band {
-		k, j := key.I, key.J
-		if trans {
-			k, j = j, k
-		}
-		box.KLo, box.KHi = min(box.KLo, k), max(box.KHi, k+1)
-		box.JLo, box.JHi = min(box.JLo, j), max(box.JHi, j+1)
-	}
-	return box, true
-}
-
-// pullFetchConcurrency bounds the concurrent peer fetches of one readBands.
-const pullFetchConcurrency = 4
-
-// readBands reads, from each part of handle, its blocks in columns
-// [jlo, jhi) through operandBand, the parts concurrently under
-// pullFetchConcurrency. The bands come back in the parts' order, with what
-// the reads moved between them.
-func (w *Worker) readBands(rd bandReader, handle uint64, parts []partLoc, jlo, jhi int) ([]*storeEntry, fetchStats, error) {
-	bands := make([]*storeEntry, len(parts))
-	moved := make([]fetchStats, len(parts))
-	errs := make([]error, len(parts))
-	sem := make(chan struct{}, pullFetchConcurrency)
-	var wg sync.WaitGroup
-	for pi, p := range parts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			bands[pi], moved[pi], errs[pi] = w.operandBand(rd, p, getArgs{
-				Handle: handle,
-				ILo:    p.Lo, IHi: p.Hi,
-				JLo: jlo, JHi: jhi,
-			})
-		}()
-	}
-	wg.Wait()
-	var total fetchStats
-	for pi := range bands {
-		if errs[pi] != nil {
-			return nil, fetchStats{}, errs[pi]
-		}
-		total.add(moved[pi])
-	}
-	return bands, total, nil
-}
-
-// execTranspose builds the output band rows [OutLo, OutHi) — the operand's
-// column slice, its blocks in columns [OutLo, OutHi) of every band
-// (readBands). Emit order is irrelevant: keys are distinct and each block
-// transposes independently.
+// execTranspose builds the output band rows [OutLo, OutHi): the operand's
+// column slice, cut from every band (readCut). Emit order is irrelevant: keys
+// are distinct and each block transposes independently.
 func (w *Worker) execTranspose(args *execArgs) (map[bmat.BlockKey]matrix.Block, int64, error) {
-	bands, moved, err := w.readBands(args.reader(), args.A, args.AParts, args.OutLo, args.OutHi)
+	src, moved, err := w.readCut(args.reader(), args.A, args.AParts, blockRect{IHi: math.MaxInt, JLo: args.OutLo, JHi: args.OutHi})
 	if err != nil {
 		return nil, 0, err
 	}
 	out := map[bmat.BlockKey]matrix.Block{}
-	for _, band := range bands {
-		for k, blk := range band.blocks {
-			if k.J >= args.OutLo && k.J < args.OutHi && blk != nil {
-				out[bmat.BlockKey{I: k.J, J: k.I}] = matrix.Transpose(blk)
-			}
-		}
-	}
+	src.each(func(k bmat.BlockKey, blk matrix.Block) { out[bmat.BlockKey{I: k.J, J: k.I}] = matrix.Transpose(blk) })
 	return out, moved.bytes, nil
 }
 
@@ -571,28 +574,25 @@ var execZipOps = map[uint8]bmat.ZipOp{
 	execAdd: bmat.ZipAdd, execSub: bmat.ZipSub, execHadamard: bmat.ZipHadamard, execDivElem: bmat.ZipDivElem,
 }
 
-// execZip runs one element-wise operator over the union of the local A and B
-// band keys, with bmat.ZipBlock's nil-block rules.
+// execZip runs one element-wise operator over the union of the own A and B
+// bands' keys, with bmat.ZipBlock's nil-block rules.
 func (w *Worker) execZip(args *execArgs) (map[bmat.BlockKey]matrix.Block, error) {
-	a, err := w.localBand(args.A)
+	a, err := w.ownCut(args, args.A)
 	if err != nil {
 		return nil, err
 	}
-	b, err := w.localBand(args.B)
+	b, err := w.ownCut(args, args.B)
 	if err != nil {
 		return nil, err
 	}
 	keys := map[bmat.BlockKey]struct{}{}
-	for k := range a {
-		keys[k] = struct{}{}
-	}
-	for k := range b {
-		keys[k] = struct{}{}
+	for _, c := range []*cut{a, b} {
+		c.each(func(k bmat.BlockKey, _ matrix.Block) { keys[k] = struct{}{} })
 	}
 	op := execZipOps[args.Op]
 	out := map[bmat.BlockKey]matrix.Block{}
 	for k := range keys {
-		if res := bmat.ZipBlock(op, a[k], b[k], args.Scalar); res != nil {
+		if res := bmat.ZipBlock(op, a.block(k.I, k.J), b.block(k.I, k.J), args.Scalar); res != nil {
 			out[k] = res
 		}
 	}
@@ -607,36 +607,32 @@ func (w *Worker) execZip(args *execArgs) (map[bmat.BlockKey]matrix.Block, error)
 // elements or more fans out; GNMF's bands of 512K take both cores.
 const fusedElemFlops = 64
 
-// execHadamardDivElem runs x∘(n⊘d) over the local A, B and C bands in one
+// execHadamardDivElem runs x∘(n⊘d) over the own A, B and C bands in one
 // pass (bmat.HadamardQuotientBlock): at the key of every block x and n both
 // hold — elsewhere the two passes it replaces store nothing either. The
 // blocks fan out over core.FanOut.
 func (w *Worker) execHadamardDivElem(args *execArgs) (map[bmat.BlockKey]matrix.Block, error) {
-	x, err := w.localBand(args.A)
-	if err != nil {
-		return nil, err
+	var ops [3]*cut
+	for i, id := range [3]uint64{args.A, args.B, args.C} {
+		var err error
+		if ops[i], err = w.ownCut(args, id); err != nil {
+			return nil, err
+		}
 	}
-	n, err := w.localBand(args.B)
-	if err != nil {
-		return nil, err
-	}
-	d, err := w.localBand(args.C)
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]bmat.BlockKey, 0, len(x))
+	x, n, d := ops[0], ops[1], ops[2]
+	var keys []bmat.BlockKey
 	var elems float64
-	for k, blk := range x {
-		if blk != nil && n[k] != nil {
+	x.each(func(k bmat.BlockKey, blk matrix.Block) {
+		if n.block(k.I, k.J) != nil {
 			keys = append(keys, k)
 			r, c := blk.Dims()
 			elems += float64(r) * float64(c)
 		}
-	}
+	})
 	res := make([]matrix.Block, len(keys))
 	core.FanOut(len(keys), elems*fusedElemFlops, func(t int) {
 		k := keys[t]
-		res[t] = bmat.HadamardQuotientBlock(x[k], n[k], d[k], args.Scalar)
+		res[t] = bmat.HadamardQuotientBlock(x.block(k.I, k.J), n.block(k.I, k.J), d.block(k.I, k.J), args.Scalar)
 	})
 	out := make(map[bmat.BlockKey]matrix.Block, len(keys))
 	for t, k := range keys {

@@ -81,6 +81,10 @@ type RunStats struct {
 	WorkersRetired int64                `json:"workers_retired"`
 	StragglerRPCs  int64                `json:"straggler_rpcs"`
 	Events         []distnet.ScaleEvent `json:"events,omitempty"`
+	// StoreEvictions sums the owned bands the workers' memory budgets
+	// displaced, over every worker the run had (each read of one is a
+	// lineage rebuild).
+	StoreEvictions int64 `json:"store_evictions"`
 	// Leak gauges at teardown: driver-modeled resident bytes and handles
 	// still resident in live workers' stores. Both must be zero.
 	LeakedResidentBytes int64 `json:"leaked_resident_bytes"`

@@ -120,8 +120,13 @@ const (
 	proxyNth            = 2
 	proxyAcceptDelayMax = 30 * time.Millisecond
 	proxyChunkDelay     = 4 * time.Millisecond
-	// workerMemBytes keeps the workers' memory budgets small enough that
-	// pipeline jobs exercise eviction pressure during bursts.
+	// workerMemBytes bounds each worker's memory. A smoke run's pipeline
+	// bands fit under it, so no owned band is evicted (RunStats.StoreEvictions
+	// is 0) and the lineage rebuild after an eviction is the distnet tests'
+	// to drive: budgets small enough to evict here (192 KiB, in the baseline
+	// run, whose killed workers are never replaced) also failed pipeline
+	// jobs, left resident bytes counted, or breached the autoscaled run's
+	// p99 SLO.
 	workerMemBytes = 512 << 10
 	// recoveryTimeout caps one kill's recovery watch.
 	recoveryTimeout = 10 * time.Second
@@ -239,6 +244,10 @@ type harness struct {
 	killed  map[string]bool
 
 	grown atomic.Int64
+
+	// evictions is the most store evictions each worker has shown
+	// (sampleEvictions).
+	evictions map[*distnet.Worker]int64
 }
 
 // startHarness provisions the initial pool through the same InProcPool the
@@ -246,11 +255,12 @@ type harness struct {
 // kill candidate.
 func startHarness(p Profile, autoscale bool, tracer *obs.Tracer) (*harness, error) {
 	h := &harness{
-		p:       p,
-		w:       buildWorkload(p.Seed),
-		timeout: p.JobTimeout,
-		proxied: map[string]bool{},
-		killed:  map[string]bool{},
+		p:         p,
+		w:         buildWorkload(p.Seed),
+		timeout:   p.JobTimeout,
+		proxied:   map[string]bool{},
+		killed:    map[string]bool{},
+		evictions: map[*distnet.Worker]int64{},
 	}
 	h.pool = &distnet.InProcPool{
 		Opts: distnet.WorkerOptions{MemBytes: workerMemBytes},
@@ -566,6 +576,16 @@ func (h *harness) leakedStoreHandles() int {
 	return sum
 }
 
+// sampleEvictions notes each pool worker's store evictions so far. It runs
+// all through the run: a scale-down takes its worker, and its count, along.
+func (h *harness) sampleEvictions() {
+	for _, addr := range h.pool.Addrs() {
+		if w := h.pool.Worker(addr); w != nil {
+			h.evictions[w] = max(h.evictions[w], w.StoreStats().Evictions)
+		}
+	}
+}
+
 // runOnce executes the full burst/idle schedule against one harness and
 // collects its RunStats. Chaos (kills) starts at cycle 1 so cycle 0 is a
 // clean warmup that seeds the latency distribution.
@@ -587,6 +607,21 @@ func runOnce(p Profile, autoscale bool, tracer *obs.Tracer) (*RunStats, *harness
 		recoveries []time.Duration
 		watchers   sync.WaitGroup
 	)
+
+	sampled, stopSampling := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			h.sampleEvictions()
+			select {
+			case <-tick.C:
+			case <-stopSampling:
+				return
+			}
+		}
+	}()
 
 	for cycle := 0; cycle < p.Cycles; cycle++ {
 		var submitters sync.WaitGroup
@@ -647,6 +682,12 @@ func runOnce(p Profile, autoscale bool, tracer *obs.Tracer) (*RunStats, *harness
 		time.Sleep(p.IdleFor)
 	}
 	watchers.Wait()
+	close(stopSampling)
+	<-sampled
+	h.sampleEvictions()
+	for _, n := range h.evictions {
+		stats.StoreEvictions += n
+	}
 
 	// Snapshot the decision log before StopAutoscaler drops it.
 	stats.Events = h.d.AutoscalerEvents()
